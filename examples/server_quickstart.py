@@ -43,8 +43,11 @@ with QueryService(engine, cache_size=1024) as service:
         # --- Errors are typed, not stack traces -----------------------------
         from repro.server import ServerApiError
 
+        # (client.query validates its arguments before sending — with
+        # the server's own wording — so post the raw body to see the
+        # wire error)
         try:
-            client.query(user, k=0)
+            client.call("POST", "/query", {"user": user, "k": 0})
         except ServerApiError as err:
             print(f"bad request -> {err.status} {err.code}: {err.message}")
 

@@ -32,10 +32,11 @@ Quickstart::
 from repro.backend import resolve_backend
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bruteforce import BruteForceSearch
-from repro.core.engine import AUTO, METHODS, GeoSocialEngine, route_method
+from repro.core.engine import AUTO, METHODS, GeoSocialEngine
 from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
 from repro.core.searcher import Searcher
 from repro.core.ranking import Normalization, RankingFunction
+from repro.core.request import QueryRequest
 from repro.core.result import Neighbor, SSRQResult, TopKBuffer
 from repro.core.sfa import SocialFirstSearch
 from repro.core.spa import SpatialFirstSearch
@@ -53,8 +54,9 @@ from repro.datasets.synthetic import (
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
 from repro.plan import AdaptivePlanner, CostModel, PlanDecision, PlannerStats, QueryFeatures
+from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
-from repro.service.model import QueryRequest, QueryResponse, ServiceStats
+from repro.service.model import QueryResponse, ServiceStats
 from repro.service.service import QueryService
 from repro.shard.engine import ShardedGeoSocialEngine
 from repro.sketch import ApproxSketchSearch, SketchIndex

@@ -23,7 +23,7 @@ from repro.bench.config import BenchProfile, get_profile
 from repro.bench.reporting import ExperimentTable
 from repro.bench.workloads import get_bundle
 from repro.core.engine import GeoSocialEngine
-from repro.service.model import QueryRequest
+from repro.core.request import QueryRequest
 from repro.service.service import QueryService
 from repro.utils.rng import make_rng
 

@@ -52,7 +52,7 @@ from repro.bench.config import BenchProfile, get_profile
 from repro.bench.reporting import ExperimentTable
 from repro.bench.service_workload import zipf_arrivals
 from repro.bench.workloads import get_bundle
-from repro.service.model import QueryRequest
+from repro.core.request import QueryRequest
 from repro.service.service import QueryService
 from repro.shard.engine import ShardedGeoSocialEngine
 from repro.shard.parallel import ProcessScatterPool
@@ -170,7 +170,10 @@ def run_sharded_point(
             start = time.perf_counter()
             for lo in range(0, len(arrivals), batch_size):
                 pool.query_many(
-                    arrivals[lo : lo + batch_size], k=k, alpha=alpha, method=method
+                    [
+                        QueryRequest(user, k, alpha, method)
+                        for user in arrivals[lo : lo + batch_size]
+                    ]
                 )
             elapsed = time.perf_counter() - start
     else:
@@ -268,7 +271,10 @@ def run_sharded_mixed(
                 if lo:
                     updates += apply_moves()
                 pool.query_many(
-                    arrivals[lo : lo + batch_size], k=k, alpha=alpha, method=method
+                    [
+                        QueryRequest(user, k, alpha, method)
+                        for user in arrivals[lo : lo + batch_size]
+                    ]
                 )
             elapsed = time.perf_counter() - start
             info = pool.info()

@@ -21,6 +21,7 @@ import click
 import repro
 from repro import (
     GeoSocialEngine,
+    QueryRequest,
     QueryService,
     correlated_dataset,
     foursquare_like,
@@ -140,9 +141,9 @@ def load(out: str, dataset: str, n: int, seed: int) -> None:
 @click.option("--server", "server_address", metavar="HOST:PORT",
               help="Running server to query instead.")
 @click.option("-k", type=str, default="10", show_default=True, help="Result size.")
-@click.option("--alpha", type=str, default="0.3", show_default=True,
+@click.option("--alpha", type=str, default=str(QueryRequest.alpha), show_default=True,
               help="Social/spatial preference in [0, 1].")
-@click.option("--method", default="ais", show_default=True, help="Search method.")
+@click.option("--method", default=QueryRequest.method, show_default=True, help="Search method.")
 @click.option("-t", type=int, default=None, help="Cached-list length (ais-cache).")
 @click.option("--budget", type=str, default=None,
               help="Accuracy budget in [0, 1] (unset/0: exact; positive values "
@@ -156,20 +157,14 @@ def query(user, engine_path, server_address, k, alpha, method, t, budget, fmt) -
     alpha = _parse_alpha(alpha)
     budget = _parse_budget(budget)
     try:
+        request = QueryRequest.coerce(user, k, alpha, method, t, budget)
         if server_address is not None:
             with _client(server_address) as client:
-                payload = client.query(
-                    user, k=k, alpha=alpha, method=method, t=t, budget=budget
-                )
-            result = payload["result"]
+                result = client.query(request)["result"]
         else:
-            engine = GeoSocialEngine.load(engine_path)
-            result_obj = engine.query(
-                user, k=k, alpha=alpha, method=method, t=t, budget=budget
-            )
             from repro.service.model import result_payload
 
-            result = result_payload(result_obj)
+            result = result_payload(GeoSocialEngine.load(engine_path).query(request))
     except ServerApiError as err:
         # the wire body carries the engine's message verbatim; show that
         # (not the "[status code]" repr) so CLI output matches a local run
@@ -252,8 +247,8 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
 @click.argument("user", type=int)
 @click.option("--server", "server_address", metavar="HOST:PORT", required=True)
 @click.option("-k", type=int, default=10, show_default=True)
-@click.option("--alpha", type=float, default=0.3, show_default=True)
-@click.option("--method", default="ais", show_default=True)
+@click.option("--alpha", type=float, default=QueryRequest.alpha, show_default=True)
+@click.option("--method", default=QueryRequest.method, show_default=True)
 @click.option("--count", type=int, default=None,
               help="Exit after this many events (default: stream forever).")
 @format_option

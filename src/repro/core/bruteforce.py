@@ -13,10 +13,11 @@ every other column consumer via :func:`repro.social.scan.dense_scan`) —
 so the same code path runs scalar (``PythonKernels``) or vectorized
 (``NumpyKernels``) with bit-identical output.
 
-With a ``column_source`` (a :class:`~repro.social.cache.
-SocialColumnCache`), the social column is cache-first: a prior query
-from the same user makes the full scan O(scan) instead of
-O(Dijkstra + scan), and a cold scan parks its column for everyone else.
+Engines that carry a :class:`~repro.social.cache.SocialColumnCache`
+answer ``method="bruteforce"`` through the pipeline's column step
+(:func:`repro.social.scan.column_step`) instead — the same Dijkstra +
+scan with the column cached in between; this class stays the
+cache-free reference every differential suite compares against.
 """
 
 from __future__ import annotations
@@ -55,13 +56,11 @@ class BruteForceSearch:
         locations: LocationTable,
         normalization: Normalization,
         kernels: Kernels | None = None,
-        column_source=None,
     ) -> None:
         self.graph = graph
         self.locations = locations
         self.normalization = normalization
         self.kernels = kernels if kernels is not None else resolve_backend("python")
-        self.column_source = column_source
 
     def search(
         self,
@@ -80,27 +79,12 @@ class BruteForceSearch:
         kernels = self.kernels
         n = self.graph.n
 
-        p = None
+        social = {}
         if rank.needs_social:
-            source = self.column_source
-            it = None
-            if source is not None:
-                kind, payload = source.acquire(query_user)
-                if kind == "full":
-                    p = payload
-                elif kind == "partial":
-                    it = payload  # resume the parked expansion
-            if p is None:
-                if it is None:
-                    it = DijkstraIterator(self.graph, query_user)
-                pops_before = it.heap.pops
-                social = it.run_to_completion()
-                stats.pops_social = it.heap.pops - pops_before
-                p = kernels.dense_from_dict(n, social, INF)
-                if source is not None:
-                    source.store_full(query_user, p)
-        else:
-            p = kernels.dense_from_dict(n, {}, INF)
+            it = DijkstraIterator(self.graph, query_user)
+            social = it.run_to_completion()
+            stats.pops_social = it.heap.pops
+        p = kernels.dense_from_dict(n, social, INF)
 
         # The spatial column (inside dense_scan): distances to the query
         # point, or all-inf when the spatial term is irrelevant / the

@@ -38,7 +38,6 @@ and returns the same ranking any fixed method would.
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.backend import Kernels, resolve_backend
@@ -47,6 +46,7 @@ from repro.core.bruteforce import BruteForceSearch
 from repro.core.graphdist import CHOracle
 from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
 from repro.core.ranking import Normalization
+from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.sfa import SocialFirstSearch
 from repro.core.spa import SpatialFirstSearch
@@ -59,21 +59,24 @@ from repro.plan.rules import AUTO, route_method
 from repro.sketch.index import SketchIndex
 from repro.sketch.searcher import ApproxSketchSearch
 from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
+from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
 from repro.spatial.point import LocationTable
 from repro.utils.concurrency import ReadWriteLock
-from repro.utils.validation import check_alpha, check_budget, check_k, check_user
+from repro.utils.validation import check_user
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from repro.plan.planner import AdaptivePlanner
-    from repro.service.model import QueryRequest
 
 __all__ = [
     "AUTO",
     "FORWARD_DETERMINISTIC_METHODS",
     "METHODS",
+    "EngineBase",
     "GeoSocialEngine",
-    "route_method",
+    "resolve_dispatch",
 ]
 
 METHODS = (
@@ -106,49 +109,7 @@ FORWARD_DETERMINISTIC_METHODS = frozenset(
     {"sfa", "spa", "tsa", "tsa-plain", "tsa-qc", "bruteforce"}
 )
 
-def _service_backed_query_many(
-    engine,
-    requests: "Iterable[int | QueryRequest]",
-    k: int,
-    alpha: float,
-    method: str,
-    t: int | None,
-    max_workers: int | None,
-    budget: float | None = None,
-) -> list[SSRQResult]:
-    """Shared implementation behind ``query_many`` on both engine kinds:
-    a cache-disabled :class:`~repro.service.QueryService` per requested
-    pool width, kept in ``engine._services`` under ``engine._build_lock``
-    (never closed mid-flight: another thread may still be running a
-    batch on an earlier width's pool)."""
-    from repro.service.service import QueryService
-
-    with engine._build_lock:
-        service = engine._services.get(max_workers)
-        if service is None:
-            service = QueryService(engine, cache_size=0, max_workers=max_workers)
-            engine._services[max_workers] = service
-    responses = service.query_many(
-        requests, k=k, alpha=alpha, method=method, t=t, budget=budget
-    )
-    return [response.result for response in responses]
-
-
-def _close_cached_services(engine) -> None:
-    """Shut down the ``query_many`` services cached on ``engine``."""
-    with engine._build_lock:
-        services, engine._services = list(engine._services.values()), {}
-    for service in services:
-        service.close()
-
-
-# ``route_method`` (imported above) lives in :mod:`repro.plan.rules`
-# now — the planner's static rule layer — and is re-exported here for
-# backward compatibility: every dispatch path still consults the one
-# table, so endpoint behavior is identical everywhere.
-
-
-def resolve_dispatch(engine, user, k, alpha, method, t=None, budget=None):
+def resolve_dispatch(engine, request: QueryRequest):
     """``(resolved_method, decision)`` for one query — the single
     source of the resolution contract.  ``"auto"`` consults the
     engine's planner (``decision`` carries the feature bucket for the
@@ -157,26 +118,416 @@ def resolve_dispatch(engine, user, k, alpha, method, t=None, budget=None):
     engine kinds and the service layer dispatch through this one
     function, so the contract cannot drift between paths.
 
-    ``budget`` is the per-query accuracy budget: ``None``/``0`` means
-    exactness required (``auto`` only considers
+    ``request.budget`` is the per-query accuracy budget: ``None``/``0``
+    means exactness required (``auto`` only considers
     :data:`FORWARD_DETERMINISTIC_METHODS` candidates), a positive value
     lets the planner offer ``"approx"`` when the sketch's empirical
     error estimate fits it.  An *explicit* ``method="approx"`` is an
     opt-in regardless of budget.
     """
+    method = request.method
     if method == AUTO:
         # Validate before feature extraction: an out-of-range user
         # must surface the engine's ValueError contract, not an
         # IndexError from the planner's degree/location lookups.
-        check_user(user, engine.graph.n)
-        decision = engine.planner.resolve(engine, user, k, alpha, method, t, budget=budget)
+        check_user(request.user, engine.graph.n)
+        decision = engine.planner.resolve(engine, request)
         return decision.method, decision
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return route_method(method, alpha), None
+    return route_method(method, request.alpha), None
 
 
-class GeoSocialEngine:
+class EngineBase:
+    """The facade both engine kinds share: the data and the shared
+    derived state (kernels, landmarks, normalization, social column
+    cache, planner), the one query pipeline, batch execution,
+    location listeners, rebuild and persistence.
+
+    A subclass supplies :meth:`_run` (execute one resolved query) and
+    :meth:`_apply_location` (route one location update to its indexes);
+    :class:`GeoSocialEngine` adds the indexes and the searchers,
+    :class:`~repro.shard.ShardedGeoSocialEngine` the partition, the
+    shard bounds and the scatter.
+    """
+
+    def __init__(
+        self,
+        graph: SocialGraph,
+        locations: LocationTable,
+        *,
+        num_landmarks: int,
+        landmark_strategy: str,
+        s: int,
+        seed: int,
+        normalization: Normalization | None,
+        default_t: int,
+        landmarks: LandmarkIndex | None,
+        backend: "str | Kernels",
+        planner: "AdaptivePlanner | None",
+        social_cache_bytes: int | None,
+        social_cache: "SocialColumnCache | None",
+    ) -> None:
+        if len(locations) != graph.n:
+            raise ValueError(
+                f"location table covers {len(locations)} users but the graph "
+                f"has {graph.n} vertices"
+            )
+        self.graph = graph
+        self.locations = locations
+        self.s = s
+        self.default_t = default_t
+        self.landmark_strategy = landmark_strategy
+        self.seed = seed
+        #: resolved batched-evaluation kernels (shared by every searcher)
+        self.kernels: Kernels = resolve_backend(backend)
+        #: resolved backend name ("numpy"/"python"), stable across rebuilds
+        self.backend: str = self.kernels.name
+        self.landmarks = (
+            landmarks
+            if landmarks is not None
+            else LandmarkIndex.build(graph, num_landmarks, landmark_strategy, seed)
+        )
+        self.normalization = (
+            normalization
+            if normalization is not None
+            else Normalization.estimate(graph, locations, seed=seed)
+        )
+        #: cross-query social-distance column cache consulted by the
+        #: pipeline's column step (:mod:`repro.social`).  Pure function
+        #: of the (immutable-per-engine) graph, so location moves never
+        #: invalidate it and ``with_graph`` rebuilds start fresh by
+        #: construction.  ``social_cache_bytes=0`` disables;
+        #: ``social_cache=`` injects a shared instance (the sharded
+        #: engine hands its one cache to every shard).
+        if social_cache is None:
+            budget = (
+                DEFAULT_SOCIAL_CACHE_BYTES
+                if social_cache_bytes is None
+                else social_cache_bytes
+            )
+            if budget > 0:
+                social_cache = SocialColumnCache(graph.n, self.kernels, max_bytes=budget)
+        self.social_cache: "SocialColumnCache | None" = social_cache
+        #: the ``method="auto"`` resolver (lazily built on first use;
+        #: injectable for custom candidate sets / exploration rates,
+        #: and carried across ``with_graph`` rebuilds so learned costs
+        #: survive ``rebuild_engine``)
+        self._planner: "AdaptivePlanner | None" = planner
+        # Re-entrancy: queries are read-only (audited — every searcher
+        # keeps per-query state in locals; CHOracle's memo is
+        # thread-local; SocialNeighborCache fills under its own lock),
+        # so concurrent `query` calls are safe once the searcher
+        # exists.  The build lock serialises the *lazy construction* of
+        # searchers/indexes so two threads never build the same
+        # component twice or observe a half-built one.
+        self._build_lock = threading.RLock()
+        #: serialises index mutation (move_user/forget_location and the
+        #: service layer's edge updates) against concurrent queries —
+        #: one lock per engine, shared by every QueryService over it
+        self.rw_lock = ReadWriteLock()
+        self._location_listeners: list[Callable[[int, float | None, float | None], None]] = []
+        # lazily-built default QueryServices for query_many, one per
+        # requested pool width (never closed mid-flight: another thread
+        # may still be running a batch on an earlier width's pool)
+        self._services: dict[int | None, object] = {}
+
+    @classmethod
+    def from_dataset(cls, dataset, **kwargs):
+        """Build from any object exposing ``.graph`` and ``.locations``
+        (e.g. :class:`repro.datasets.GeoSocialDataset`)."""
+        return cls(dataset.graph, dataset.locations, **kwargs)
+
+    # -- query dispatch -----------------------------------------------------
+
+    @property
+    def planner(self) -> "AdaptivePlanner":
+        """The ``method="auto"`` resolver (built on first use; assign a
+        custom :class:`~repro.plan.AdaptivePlanner` to tune candidates,
+        exploration, or calibration).  One per engine — a sharded
+        engine resolves once at the coordinator, so every shard
+        searches the same concrete method."""
+        if self._planner is None:
+            from repro.plan.planner import AdaptivePlanner
+
+            with self._build_lock:
+                if self._planner is None:
+                    self._planner = AdaptivePlanner(seed=self.seed)
+        return self._planner
+
+    @planner.setter
+    def planner(self, planner: "AdaptivePlanner") -> None:
+        self._planner = planner
+
+    def resolve_method(self, request: QueryRequest) -> str:
+        """The concrete method one query dispatches to: static endpoint
+        routing for explicit methods, the adaptive planner for
+        ``"auto"`` (which may resolve to ``"approx"`` only when the
+        request's ``budget`` admits it).  The service layer keys its
+        result cache on this resolution, and the stream layer
+        classifies repairability off it — so screening and repairs
+        always see the method that actually ran."""
+        return resolve_dispatch(self, request)[0]
+
+    def query(
+        self,
+        user: "int | QueryRequest",
+        k: int | None = None,
+        alpha: float | None = None,
+        method: str | None = None,
+        t: int | None = None,
+        *,
+        budget: float | None = None,
+        initial: "TopKBuffer | None" = None,
+    ) -> SSRQResult:
+        """Answer one SSRQ: the top-``k`` users by
+        ``f = α·p/P_max + (1−α)·d/D_max`` around ``user``.
+
+        ``user`` is a user id — with ``k``/``alpha``/``method``/``t``/
+        ``budget`` overriding the :class:`~repro.core.request.
+        QueryRequest` defaults (``None``: keep the default) — or a
+        ready-made request.  Every query runs one pipeline:
+
+        1. **coerce** the arguments into one validated request;
+        2. **resolve** the method (:func:`resolve_dispatch`: endpoint
+           routing, or the planner for ``"auto"``);
+        3. **column step** — look the query user's social column up
+           (:func:`repro.social.scan.column_step`): a cached full
+           column answers at once, a parked expansion is resumed;
+        4. **run** the resolved method (:meth:`_run`);
+        5. stamp ``result.method`` and let the planner **observe** the
+           measured wall time.
+
+        The result is identical whatever method runs (all of them
+        implement Definition 1 with the shared tie-break).
+
+        ``initial`` warm-starts the search's interim result with
+        already fully-evaluated users (the buffer is mutated and folded
+        into the answer) — the threshold-propagation hook the sharded
+        engine uses so later shards inherit a tight ``f_k`` and can
+        terminate after a bound check.
+
+        ``budget`` (default ``None``: exact) caps the acceptable score
+        error of an ``auto`` resolution: with a positive budget the
+        planner may pick ``method="approx"``, whose certified error
+        bound lands on ``result.error_bound``.  ``budget=0`` or unset
+        keeps ``auto`` bit-identical to the exact families.
+        """
+        request = QueryRequest.coerce(user, k, alpha, method, t, budget)
+        check_user(request.user, self.graph.n)
+        resolved, decision = resolve_dispatch(self, request)
+        result = self._column_step(resolved, request, initial)
+        result.method = resolved
+        if decision is not None:
+            self.planner.observe(decision, result.stats.elapsed)
+        return result
+
+    def _column_step(self, resolved: str, request: QueryRequest, initial) -> SSRQResult:
+        """Pipeline stage 3, falling through to :meth:`_run` with the
+        social stream the searcher should enumerate."""
+        return column_step(
+            self, resolved, request, initial,
+            lambda social: self._run(resolved, request, initial, social),
+        )
+
+    def _run(self, resolved: str, request: QueryRequest, initial, social=None) -> SSRQResult:
+        """Pipeline stage 4: execute ``request`` with the concrete
+        method ``resolved``."""
+        raise NotImplementedError
+
+    def query_many(
+        self,
+        requests: "Iterable[int | QueryRequest]",
+        k: int | None = None,
+        alpha: float | None = None,
+        method: str | None = None,
+        t: int | None = None,
+        max_workers: int | None = None,
+        budget: float | None = None,
+    ) -> list[SSRQResult]:
+        """Answer a heterogeneous batch of SSRQs concurrently.
+
+        Delegates to the service layer (:class:`repro.service.QueryService`)
+        with result caching *disabled*: pure batch execution over a
+        worker pool, with results returned in request order and rankings
+        identical to a sequential :meth:`query` loop.  ``requests`` may
+        mix plain user ids (which take the keyword overrides) and
+        :class:`~repro.core.request.QueryRequest` objects carrying their
+        own parameters.  For caching, update-aware invalidation, and
+        statistics, instantiate a :class:`~repro.service.QueryService`
+        directly.
+
+        Backing services (and their worker pools) are cached per
+        requested ``max_workers`` width, so concurrent callers with
+        different widths never tear down each other's pools.
+        """
+        from repro.service.service import QueryService
+
+        with self._build_lock:
+            service = self._services.get(max_workers)
+            if service is None:
+                service = QueryService(self, cache_size=0, max_workers=max_workers)
+                self._services[max_workers] = service
+        responses = service.query_many(requests, k, alpha, method, t, budget)
+        return [response.result for response in responses]
+
+    def close(self) -> None:
+        """Release pooled resources (the worker pools behind cached
+        :meth:`query_many` services).  Queries keep working — the pools
+        are rebuilt lazily on the next :meth:`query_many` — so closing
+        a swapped-out engine after
+        :meth:`~repro.service.QueryService.rebuild_engine` is safe."""
+        with self._build_lock:
+            services, self._services = list(self._services.values()), {}
+        for service in services:
+            service.close()
+
+    # -- dynamic locations -----------------------------------------------
+
+    def add_location_listener(
+        self, listener: Callable[[int, float | None, float | None], None]
+    ) -> None:
+        """Subscribe ``listener(user, x, y)`` to every location update
+        applied through this engine (``x is None`` signals a forgotten
+        location).  Used by the service layer's result cache for
+        update-aware invalidation."""
+        self._location_listeners.append(listener)
+
+    def remove_location_listener(
+        self, listener: Callable[[int, float | None, float | None], None]
+    ) -> None:
+        """Unsubscribe a previously added location listener (no-op if
+        absent)."""
+        try:
+            self._location_listeners.remove(listener)
+        except ValueError:
+            pass
+
+    def _notify_location(self, user: int, x: float | None, y: float | None) -> None:
+        """Fire the location listeners (caller holds the write lock).
+        Iterates a snapshot: a listener may detach itself (or a
+        sibling) from another thread without this write lock; mutating
+        the live list mid-iteration could silently skip a listener."""
+        for listener in list(self._location_listeners):
+            listener(user, x, y)
+
+    def move_user(self, user: int, x: float, y: float) -> None:
+        """Process a location update: refresh the location table and
+        every spatial index covering ``user`` (a sharded engine routes
+        a boundary crossing from the old owner's indexes to the new
+        one's), then fire the location listeners — identically on both
+        engine kinds, so service-layer caches invalidate the same
+        entries either way.
+
+        Takes :attr:`rw_lock`'s exclusive side, so the mutation is
+        serialised against every query flowing through the service
+        layer (direct concurrent :meth:`query` calls that bypass the
+        lock remain unsafe).
+        """
+        check_user(user, self.graph.n)
+        with self.rw_lock.write_locked():
+            self._apply_location(user, x, y)
+            self._notify_location(user, x, y)
+
+    def forget_location(self, user: int) -> None:
+        """Mark a user's location as unknown and de-index them
+        (exclusively, like :meth:`move_user`)."""
+        check_user(user, self.graph.n)
+        with self.rw_lock.write_locked():
+            if not self.locations.has_location(user):
+                return
+            self._apply_location(user, None, None)
+            self._notify_location(user, None, None)
+
+    def _apply_location(self, user: int, x: float | None, y: float | None) -> None:
+        """Write one location update (``x is None``: forget) to the
+        location table and the indexes; caller holds the write lock."""
+        raise NotImplementedError
+
+    # -- rebuild ----------------------------------------------------------
+
+    def with_graph(self, graph: SocialGraph, **overrides):
+        """A fresh engine of the same kind over ``graph``, reusing this
+        engine's parameters (and location table) unless overridden.
+
+        The service layer's :meth:`~repro.service.QueryService.rebuild_engine`
+        calls this to fold batched edge updates into a new engine while
+        preserving the engine kind — a sharded engine re-shards.
+        Landmarks are rebuilt (the graph changed), the normalization is
+        kept (a shared constant preserves rankings).
+        """
+        kwargs = self._rebuild_kwargs()
+        kwargs.update(overrides)
+        return type(self)(graph, self.locations, **kwargs)
+
+    def _rebuild_kwargs(self) -> dict:
+        return dict(
+            num_landmarks=self.landmarks.m,
+            landmark_strategy=self.landmark_strategy,
+            s=self.s,
+            seed=self.seed,
+            normalization=self.normalization,
+            default_t=self.default_t,
+            # the resolved Kernels instance, not the name: a
+            # user-supplied custom backend survives the rebuild too
+            backend=self.kernels,
+            # the live planner instance: learned per-bucket costs keep
+            # steering method="auto" across the rebuild
+            planner=self._planner,
+            # only the byte budget crosses the rebuild, never the cache
+            # instance: the new engine's columns come from the new graph,
+            # so the edge-epoch boundary is structural
+            social_cache_bytes=(
+                self.social_cache.max_bytes if self.social_cache is not None else 0
+            ),
+        )
+
+    # -- persistence -------------------------------------------------------
+
+    def save(self, path) -> "Path":
+        """Write a crash-consistent columnar snapshot of this engine to
+        directory ``path`` (see :mod:`repro.store`): the columns land in
+        a temp sibling first, the manifest is the commit point, and the
+        final atomic rename makes the snapshot visible all-or-nothing.
+        A sharded engine writes its global columns once plus per-shard
+        grid arrays and the fitted partitioner.  Returns the snapshot
+        directory.
+
+        Takes the engine's shared read lock, so the image is a
+        consistent cut with respect to concurrent location updates.
+        """
+        from repro.store import save_engine
+
+        with self.rw_lock.read_locked():
+            return save_engine(self, path)
+
+    @classmethod
+    def load(cls, path, *, mmap: bool = True, verify: bool = True):
+        """Warm-start an engine from a snapshot directory written by
+        :meth:`save` — O(read) instead of O(rebuild): no Dijkstra
+        sweeps, no index insertion scans.  With ``mmap=True`` the
+        coordinate columns and the landmark matrix are memory-mapped
+        copy-on-write, so load cost is page-cache reads and mutation
+        stays private to this process.  A sharded snapshot restores
+        each shard's persisted indexes and rebuilds the partitioner
+        exactly from the manifest."""
+        from repro.store import load_engine
+
+        engine = load_engine(path, mmap=mmap, verify=verify)
+        if not isinstance(engine, cls):
+            raise TypeError(
+                f"snapshot at {path} holds a {type(engine).__name__}, "
+                f"not a {cls.__name__}; use that class's load()"
+            )
+        return engine
+
+    # -- introspection ----------------------------------------------------
+
+    def located_users(self) -> Sequence[int]:
+        return list(self.locations.located_users())
+
+
+class GeoSocialEngine(EngineBase):
     """Indexes a geo-social dataset and answers SSRQ queries.
 
         >>> from repro import GeoSocialEngine, gowalla_like
@@ -186,6 +537,10 @@ class GeoSocialEngine:
         5
         >>> result.users == engine.query(0, 5, 0.3, method="bruteforce").users
         True
+
+    Adds to :class:`EngineBase` the spatial indexes (SPA's grid, the
+    aggregate index), the lazily built heavyweight components (CH,
+    sketch, neighbour lists) and one searcher object per method.
 
     Parameters
     ----------
@@ -258,30 +613,20 @@ class GeoSocialEngine:
         social_cache_bytes: int | None = None,
         social_cache: "SocialColumnCache | None" = None,
     ) -> None:
-        if len(locations) != graph.n:
-            raise ValueError(
-                f"location table covers {len(locations)} users but the graph "
-                f"has {graph.n} vertices"
-            )
-        self.graph = graph
-        self.locations = locations
-        self.s = s
-        self.default_t = default_t
-        self.landmark_strategy = landmark_strategy
-        self.seed = seed
-        #: resolved batched-evaluation kernels (shared by every searcher)
-        self.kernels: Kernels = resolve_backend(backend)
-        #: resolved backend name ("numpy"/"python"), stable across rebuilds
-        self.backend: str = self.kernels.name
-        self.landmarks = (
-            landmarks
-            if landmarks is not None
-            else LandmarkIndex.build(graph, num_landmarks, landmark_strategy, seed)
-        )
-        self.normalization = (
-            normalization
-            if normalization is not None
-            else Normalization.estimate(graph, locations, seed=seed)
+        super().__init__(
+            graph,
+            locations,
+            num_landmarks=num_landmarks,
+            landmark_strategy=landmark_strategy,
+            s=s,
+            seed=seed,
+            normalization=normalization,
+            default_t=default_t,
+            landmarks=landmarks,
+            backend=backend,
+            planner=planner,
+            social_cache_bytes=social_cache_bytes,
+            social_cache=social_cache,
         )
         self.index_users: set[int] | None = (
             None if index_users is None else set(index_users)
@@ -302,58 +647,10 @@ class GeoSocialEngine:
         #: lazily on first approx query; injectable — the store's
         #: restore path adopts persisted sketch columns here)
         self._sketch: SketchIndex | None = sketch
-        #: cross-query social-distance column cache consulted by the
-        #: forward-deterministic searchers (:mod:`repro.social`).  Pure
-        #: function of the (immutable-per-engine) graph, so location
-        #: moves never invalidate it and ``with_graph`` rebuilds start
-        #: fresh by construction.  ``social_cache_bytes=0`` disables;
-        #: ``social_cache=`` injects a shared instance (the sharded
-        #: engine hands one cache to every shard).
-        if social_cache is not None:
-            self.social_cache: "SocialColumnCache | None" = social_cache
-        else:
-            budget = (
-                DEFAULT_SOCIAL_CACHE_BYTES
-                if social_cache_bytes is None
-                else social_cache_bytes
-            )
-            self.social_cache = (
-                SocialColumnCache(graph.n, self.kernels, max_bytes=budget)
-                if budget > 0
-                else None
-            )
         self._searchers: dict[str, object] = {}
-        #: the ``method="auto"`` resolver (lazily built on first use;
-        #: injectable for custom candidate sets / exploration rates,
-        #: and carried across ``with_graph`` rebuilds so learned costs
-        #: survive ``rebuild_engine``)
-        self._planner: "AdaptivePlanner | None" = planner
         self._ch: ContractionHierarchy | None = None
         self._ch_oracle: CHOracle | None = None
         self._caches: dict[int, SocialNeighborCache] = {}
-        # Re-entrancy: queries are read-only (audited — every searcher
-        # keeps per-query state in locals; CHOracle's memo is
-        # thread-local; SocialNeighborCache fills under its own lock),
-        # so concurrent `query` calls are safe once the searcher
-        # exists.  The build lock serialises the *lazy construction* of
-        # searchers/indexes so two threads never build the same
-        # component twice or observe a half-built one.
-        self._build_lock = threading.RLock()
-        #: serialises index mutation (move_user/forget_location and the
-        #: service layer's edge updates) against concurrent queries —
-        #: one lock per engine, shared by every QueryService over it
-        self.rw_lock = ReadWriteLock()
-        self._location_listeners: list[Callable[[int, float | None, float | None], None]] = []
-        # lazily-built default QueryServices for query_many, one per
-        # requested pool width (never closed mid-flight: another thread
-        # may still be running a batch on an earlier width's pool)
-        self._services: dict[int | None, object] = {}
-
-    @classmethod
-    def from_dataset(cls, dataset, **kwargs) -> "GeoSocialEngine":
-        """Build from any object exposing ``.graph`` and ``.locations``
-        (e.g. :class:`repro.datasets.GeoSocialDataset`)."""
-        return cls(dataset.graph, dataset.locations, **kwargs)
 
     # -- heavyweight lazily-built components ------------------------------
 
@@ -399,41 +696,6 @@ class GeoSocialEngine:
 
     # -- query dispatch -----------------------------------------------------
 
-    @property
-    def planner(self) -> "AdaptivePlanner":
-        """The ``method="auto"`` resolver (built on first use; assign a
-        custom :class:`~repro.plan.AdaptivePlanner` to tune candidates,
-        exploration, or calibration)."""
-        if self._planner is None:
-            from repro.plan.planner import AdaptivePlanner
-
-            with self._build_lock:
-                if self._planner is None:
-                    self._planner = AdaptivePlanner(seed=self.seed)
-        return self._planner
-
-    @planner.setter
-    def planner(self, planner: "AdaptivePlanner") -> None:
-        self._planner = planner
-
-    def resolve_method(
-        self,
-        user: int,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = AUTO,
-        t: int | None = None,
-        budget: float | None = None,
-    ) -> str:
-        """The concrete method one query dispatches to: static endpoint
-        routing for explicit methods, the adaptive planner for
-        ``"auto"`` (which may resolve to ``"approx"`` only when
-        ``budget`` admits it).  The service layer keys its result cache
-        on this resolution, and the stream layer classifies
-        repairability off it — so screening and repairs always see the
-        method that actually ran."""
-        return resolve_dispatch(self, user, k, alpha, method, t, budget=budget)[0]
-
     def searcher(self, method: str, t: int | None = None):
         """The query-processor object behind ``method`` (cached)."""
         if method not in METHODS:
@@ -441,27 +703,14 @@ class GeoSocialEngine:
         if method == "ais-cache":
             t = t if t is not None else self.default_t
             key = f"ais-cache:{t}"
-            searcher = self._searchers.get(key)
-            if searcher is None:
-                with self._build_lock:
-                    searcher = self._searchers.get(key)
-                    if searcher is None:
-                        searcher = CachedSocialFirst(
-                            self.graph,
-                            self.locations,
-                            self.normalization,
-                            self.neighbor_cache(t),
-                            self._make_ais(AISVariant.full()),
-                        )
-                        self._searchers[key] = searcher
-            return searcher
-        searcher = self._searchers.get(method)
+        else:
+            key = method
+        searcher = self._searchers.get(key)
         if searcher is None:
             with self._build_lock:
-                searcher = self._searchers.get(method)
+                searcher = self._searchers.get(key)
                 if searcher is None:
-                    searcher = self._build_searcher(method)
-                    self._searchers[method] = searcher
+                    searcher = self._searchers[key] = self._build_searcher(method, t)
         return searcher
 
     def _make_ais(self, variant: AISVariant) -> AggregateIndexSearch:
@@ -475,39 +724,27 @@ class GeoSocialEngine:
             kernels=self.kernels,
         )
 
-    def _build_searcher(self, method: str):
+    def _build_searcher(self, method: str, t: int | None):
         graph, locations, norm = self.graph, self.locations, self.normalization
         kernels = self.kernels
-        # Only the forward-deterministic methods consult the column
-        # cache: their per-neighbor social distances are forward-
-        # Dijkstra exact, so a cached column is interchangeable with
-        # their own expansion.  The bidirectional families (AIS, *-ch)
-        # stay out — their evaluation distances come from schedule-
-        # dependent meeting points, not the forward column.
-        columns = self.social_cache
+        if method == "ais-cache":
+            return CachedSocialFirst(
+                graph, locations, norm, self.neighbor_cache(t), self._make_ais(AISVariant.full())
+            )
         if method == "sfa":
-            return SocialFirstSearch(
-                graph, locations, norm, column_source=columns, kernels=kernels
-            )
+            return SocialFirstSearch(graph, locations, norm)
         if method == "spa":
-            return SpatialFirstSearch(
-                graph, locations, self.grid, norm, kernels=kernels, column_source=columns
-            )
+            return SpatialFirstSearch(graph, locations, self.grid, norm, kernels=kernels)
         if method == "tsa":
             return TwofoldSearch(
-                graph, locations, self.grid, norm, landmarks=self.landmarks,
-                kernels=kernels, column_source=columns,
+                graph, locations, self.grid, norm, landmarks=self.landmarks, kernels=kernels
             )
         if method == "tsa-plain":
-            return TwofoldSearch(
-                graph, locations, self.grid, norm, landmarks=None,
-                kernels=kernels, column_source=columns,
-            )
+            return TwofoldSearch(graph, locations, self.grid, norm, landmarks=None, kernels=kernels)
         if method == "tsa-qc":
             return TwofoldSearch(
                 graph, locations, self.grid, norm,
-                landmarks=self.landmarks, probe_policy="quick-combine",
-                kernels=kernels, column_source=columns,
+                landmarks=self.landmarks, probe_policy="quick-combine", kernels=kernels,
             )
         if method == "ais":
             return self._make_ais(AISVariant.full())
@@ -531,190 +768,34 @@ class GeoSocialEngine:
         if method == "approx":
             return ApproxSketchSearch(graph, locations, norm, self.sketch, kernels=kernels)
         if method == "bruteforce":
-            return BruteForceSearch(
-                graph, locations, norm, kernels=kernels, column_source=columns
-            )
+            return BruteForceSearch(graph, locations, norm, kernels=kernels)
         raise AssertionError(f"unhandled method {method!r}")
 
-    def query(
-        self,
-        user: int,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-        *,
-        budget: float | None = None,
-        initial: "TopKBuffer | None" = None,
-    ) -> SSRQResult:
-        """Answer one SSRQ: the top-``k`` users by
-        ``f = α·p/P_max + (1−α)·d/D_max`` around ``user``.
-
-        ``initial`` warm-starts the search's interim result with
-        already fully-evaluated users (the buffer is mutated and folded
-        into the answer) — the threshold-propagation hook the sharded
-        engine uses so later shards inherit a tight ``f_k`` and can
-        terminate after a bound check.
-
-        ``method="auto"`` resolves to a concrete method through the
-        cost-based adaptive planner (:mod:`repro.plan`) and feeds the
-        measured wall time back to it; the result is identical to any
-        fixed method's (all of them implement Definition 1 with the
-        shared tie-break).  The executed method is recorded on
-        ``result.method`` either way.
-
-        ``budget`` (default ``None``: exact) caps the acceptable score
-        error of an ``auto`` resolution: with a positive budget the
-        planner may pick ``method="approx"``, whose certified error
-        bound lands on ``result.error_bound``.  ``budget=0`` or unset
-        keeps ``auto`` bit-identical to the exact families.
-        """
-        check_user(user, self.graph.n)
-        check_k(k)
-        check_alpha(alpha)
-        check_budget(budget)
-        resolved, decision = resolve_dispatch(self, user, k, alpha, method, t, budget=budget)
-        if initial is not None:
-            result = self.searcher(resolved, t=t).search(user, k, alpha, initial=initial)
-        else:
-            result = self.searcher(resolved, t=t).search(user, k, alpha)
-        result.method = resolved
-        if decision is not None:
-            self.planner.observe(decision, result.stats.elapsed)
-        return result
-
-    def batch_query(
-        self,
-        users: Iterable[int],
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-    ) -> list[SSRQResult]:
-        """Deprecated alias of :meth:`query_many`.
-
-        .. deprecated:: 1.2
-            ``batch_query`` and ``query_many`` historically drifted:
-            the former was a bare sequential loop, the latter the
-            service-backed batch API.  :meth:`query_many` is the single
-            batch entry point now (service-backed: deduplication,
-            request ordering, optional concurrency); this alias
-            delegates to it with an inline single-worker execution, so
-            results are identical to the old sequential loop — and to
-            ``query_many`` itself, whose rankings match a sequential
-            ``query`` loop by contract.
-        """
-        warnings.warn(
-            "GeoSocialEngine.batch_query is deprecated; use query_many, "
-            "the service-backed batch API (identical results)",
-            DeprecationWarning,
-            stacklevel=2,
+    def _run(self, resolved: str, request: QueryRequest, initial, social=None) -> SSRQResult:
+        stream = {} if social is None else {"social": social}
+        return self.searcher(resolved, t=request.t).search(
+            request.user, request.k, request.alpha, initial=initial, **stream
         )
-        return self.query_many(users, k=k, alpha=alpha, method=method, t=t, max_workers=1)
-
-    def query_many(
-        self,
-        requests: "Iterable[int | QueryRequest]",
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-        max_workers: int | None = None,
-        budget: float | None = None,
-    ) -> list[SSRQResult]:
-        """Answer a heterogeneous batch of SSRQs concurrently.
-
-        Delegates to the service layer (:class:`repro.service.QueryService`)
-        with result caching *disabled*: pure batch execution over a
-        worker pool, with results returned in request order and rankings
-        identical to a sequential :meth:`query` loop.  ``requests`` may
-        mix plain user ids (which take the keyword defaults) and
-        :class:`~repro.service.QueryRequest` objects carrying their own
-        ``k``/``alpha``/``method``.  For caching, update-aware
-        invalidation, and statistics, instantiate a
-        :class:`~repro.service.QueryService` directly.
-
-        Backing services (and their worker pools) are cached per
-        requested ``max_workers`` width, so concurrent callers with
-        different widths never tear down each other's pools.
-        """
-        return _service_backed_query_many(
-            self, requests, k, alpha, method, t, max_workers, budget=budget
-        )
-
-    def close(self) -> None:
-        """Release pooled resources (the worker pools behind cached
-        :meth:`query_many` services).  Queries keep working — the pools
-        are rebuilt lazily on the next :meth:`query_many` — so closing
-        a swapped-out engine after
-        :meth:`~repro.service.QueryService.rebuild_engine` is safe."""
-        _close_cached_services(self)
 
     # -- dynamic locations -----------------------------------------------
 
-    def add_location_listener(
-        self, listener: Callable[[int, float | None, float | None], None]
-    ) -> None:
-        """Subscribe ``listener(user, x, y)`` to every location update
-        applied through this engine (``x is None`` signals a forgotten
-        location).  Used by the service layer's result cache for
-        update-aware invalidation."""
-        self._location_listeners.append(listener)
-
-    def remove_location_listener(
-        self, listener: Callable[[int, float | None, float | None], None]
-    ) -> None:
-        """Unsubscribe a previously added location listener (no-op if
-        absent)."""
-        try:
-            self._location_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def move_user(self, user: int, x: float, y: float) -> None:
-        """Process a location update: refresh the location table, SPA's
-        grid, and the aggregate index (with summary maintenance).
-
-        Takes :attr:`rw_lock`'s exclusive side, so the mutation is
-        serialised against every query flowing through the service
-        layer (direct concurrent :meth:`query` calls that bypass the
-        lock remain unsafe).
-        """
-        check_user(user, self.graph.n)
-        self._check_unfiltered("move_user")
-        with self.rw_lock.write_locked():
-            had_location = self.locations.has_location(user)
-            self.locations.set(user, x, y)
-            if had_location:
-                self._index_move(user, x, y)
-            else:
-                self._index_insert(user, x, y)
-            # Snapshot: a listener may detach itself (or a sibling)
-            # from another thread without this write lock; mutating the
-            # live list mid-iteration could silently skip a listener.
-            for listener in list(self._location_listeners):
-                listener(user, x, y)
-
-    def forget_location(self, user: int) -> None:
-        """Mark a user's location as unknown and de-index them
-        (exclusively, like :meth:`move_user`)."""
-        check_user(user, self.graph.n)
-        self._check_unfiltered("forget_location")
-        with self.rw_lock.write_locked():
-            if not self.locations.has_location(user):
-                return
-            self.locations.clear(user)
-            self._index_remove(user)
-            for listener in list(self._location_listeners):
-                listener(user, None, None)
-
-    def _check_unfiltered(self, op: str) -> None:
+    def _apply_location(self, user: int, x: float | None, y: float | None) -> None:
         if self.index_users is not None:
             raise RuntimeError(
-                f"{op} on a member-filtered engine: shard membership is "
-                "routed above the single shard — apply updates through "
+                "location update on a member-filtered engine: shard membership "
+                "is routed above the single shard — apply updates through "
                 "the owning ShardedGeoSocialEngine"
             )
+        if x is None:
+            self.locations.clear(user)
+            self._index_remove(user)
+            return
+        had_location = self.locations.has_location(user)
+        self.locations.set(user, x, y)
+        if had_location:
+            self._index_move(user, x, y)
+        else:
+            self._index_insert(user, x, y)
 
     # -- index maintenance primitives (the sharding coordinator drives
     #    these directly, under *its* write lock, because a boundary
@@ -741,80 +822,7 @@ class GeoSocialEngine:
         self.grid.move(user, x, y)
         self.aggregate.move_user(user, x, y)
 
-    # -- rebuild ----------------------------------------------------------
-
-    def with_graph(self, graph: SocialGraph, **overrides) -> "GeoSocialEngine":
-        """A fresh engine of the same kind over ``graph``, reusing this
-        engine's parameters (and location table) unless overridden.
-
-        The service layer's :meth:`~repro.service.QueryService.rebuild_engine`
-        calls this to fold batched edge updates into a new engine while
-        preserving the engine kind — the sharded engine overrides it to
-        re-shard.  Landmarks are rebuilt (the graph changed), the
-        normalization is kept (a shared constant preserves rankings).
-        """
-        kwargs = dict(
-            num_landmarks=self.landmarks.m,
-            landmark_strategy=self.landmark_strategy,
-            s=self.s,
-            seed=self.seed,
-            normalization=self.normalization,
-            default_t=self.default_t,
-            # the resolved Kernels instance, not the name: a
-            # user-supplied custom backend survives the rebuild too
-            backend=self.kernels,
-            # the live planner instance: learned per-bucket costs keep
-            # steering method="auto" across the rebuild
-            planner=self._planner,
-            # only the byte budget crosses the rebuild, never the cache
-            # instance: the new engine's columns come from the new graph,
-            # so the edge-epoch boundary is structural
-            social_cache_bytes=(
-                self.social_cache.max_bytes if self.social_cache is not None else 0
-            ),
-        )
-        kwargs.update(overrides)
-        return type(self)(graph, self.locations, **kwargs)
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> "Path":
-        """Write a crash-consistent columnar snapshot of this engine to
-        directory ``path`` (see :mod:`repro.store`): the columns land in
-        a temp sibling first, the manifest is the commit point, and the
-        final atomic rename makes the snapshot visible all-or-nothing.
-        Returns the snapshot directory.
-
-        Takes the engine's shared read lock, so the image is a
-        consistent cut with respect to concurrent location updates.
-        """
-        from repro.store import save_engine
-
-        with self.rw_lock.read_locked():
-            return save_engine(self, path)
-
-    @classmethod
-    def load(cls, path, *, mmap: bool = True, verify: bool = True) -> "GeoSocialEngine":
-        """Warm-start an engine from a snapshot directory written by
-        :meth:`save` — O(read) instead of O(rebuild): no Dijkstra
-        sweeps, no index insertion scans.  With ``mmap=True`` the
-        coordinate columns and the landmark matrix are memory-mapped
-        copy-on-write, so load cost is page-cache reads and mutation
-        stays private to this process."""
-        from repro.store import load_engine
-
-        engine = load_engine(path, mmap=mmap, verify=verify)
-        if not isinstance(engine, cls):
-            raise TypeError(
-                f"snapshot at {path} holds a {type(engine).__name__}, "
-                f"not a {cls.__name__}; use that class's load()"
-            )
-        return engine
-
     # -- introspection ----------------------------------------------------
-
-    def located_users(self) -> Sequence[int]:
-        return list(self.locations.located_users())
 
     def __repr__(self) -> str:
         return (

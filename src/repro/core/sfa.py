@@ -25,8 +25,6 @@ from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
-from repro.social.resume import ReplayedDijkstra
-from repro.social.scan import dense_scan
 from repro.spatial.point import LocationTable
 from repro.utils.validation import check_user
 
@@ -50,19 +48,11 @@ class SocialFirstSearch:
         locations: LocationTable,
         normalization: Normalization,
         point_to_point=None,
-        column_source=None,
-        kernels=None,
     ) -> None:
         self.graph = graph
         self.locations = locations
         self.normalization = normalization
         self.point_to_point = point_to_point
-        #: optional SocialColumnCache; a full column short-circuits the
-        #: whole expansion into one dense scan, a parked partial resumes
-        #: it (only meaningful without a point-to-point oracle, whose
-        #: evaluation distances don't come from the Dijkstra stream)
-        self.column_source = column_source
-        self.kernels = kernels
 
     def search(
         self,
@@ -70,11 +60,15 @@ class SocialFirstSearch:
         k: int,
         alpha: float,
         initial: TopKBuffer | None = None,
+        social=None,
     ) -> SSRQResult:
         """Answer the query; an optional ``initial`` buffer of already
         fully-evaluated users warm-starts the threshold ``f_k`` so the
         Dijkstra stream stops as soon as its social bound proves no
-        unseen user can improve on it."""
+        unseen user can improve on it.  ``social`` is the Dijkstra
+        stream from ``v_q`` to enumerate — the pipeline's column step
+        hands in a replayed parked expansion; a fresh one is opened
+        when omitted."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -86,29 +80,8 @@ class SocialFirstSearch:
             )
         buffer = initial if initial is not None else TopKBuffer(k)
         oracle = self.point_to_point
-        source = self.column_source if oracle is None else None
-
-        social = None
-        if source is not None:
-            kind, payload = source.acquire(query_user)
-            if kind == "full":
-                # One columnar pass over the cached column — bit-identical
-                # to the enumeration below (strict termination + smaller-id
-                # tie-break select exactly the (score, id)-minimal set).
-                kernels = self.kernels if self.kernels is not None else source.kernels
-                neighbors, finite = dense_scan(
-                    kernels, self.graph.n, rank, payload,
-                    self.locations, query_user, k, initial,
-                )
-                stats.candidates_scored = finite
-                stats.extra["social_column_hits"] = 1
-                stats.elapsed = time.perf_counter() - start
-                return SSRQResult(query_user, k, alpha, neighbors, stats)
-            if kind == "partial":
-                social = ReplayedDijkstra(payload)
-        inner = social.inner if social is not None else DijkstraIterator(self.graph, query_user)
         if social is None:
-            social = inner
+            social = DijkstraIterator(self.graph, query_user)
         locations = self.locations
         oracle_pops_before = oracle.pops if oracle is not None else 0
         pops_before = social.heap.pops
@@ -134,7 +107,5 @@ class SocialFirstSearch:
         stats.pops_social = social.heap.pops - pops_before
         if oracle is not None:
             stats.pops_social += oracle.pops - oracle_pops_before
-        if source is not None:
-            source.checkin(query_user, inner)
         stats.elapsed = time.perf_counter() - start
         return SSRQResult(query_user, k, alpha, buffer.neighbors(), stats)

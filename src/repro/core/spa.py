@@ -26,7 +26,6 @@ from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
-from repro.social.scan import dense_scan
 from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import LocationTable
@@ -56,7 +55,6 @@ class SpatialFirstSearch:
         normalization: Normalization,
         point_to_point=None,
         kernels=None,
-        column_source=None,
     ) -> None:
         self.graph = graph
         self.locations = locations
@@ -64,11 +62,6 @@ class SpatialFirstSearch:
         self.normalization = normalization
         self.point_to_point = point_to_point
         self.kernels = kernels
-        #: optional SocialColumnCache; SPA only ever calls
-        #: ``run_until`` — which consults ``settled`` before advancing —
-        #: so a parked partial expansion is resumed *directly*, no
-        #: replay adapter needed
-        self.column_source = column_source
 
     def search(
         self,
@@ -76,12 +69,17 @@ class SpatialFirstSearch:
         k: int,
         alpha: float,
         initial: TopKBuffer | None = None,
+        social=None,
     ) -> SSRQResult:
         """Answer the query; an optional ``initial`` buffer of already
         fully-evaluated users warm-starts the threshold ``f_k``, letting
         the NN stream terminate as soon as its spatial bound proves no
         local user can improve on it (scatter-gather threshold
-        propagation)."""
+        propagation).  ``social`` is the shared Dijkstra from ``v_q``
+        that evaluations advance — SPA only ever calls ``run_until``,
+        which consults ``settled`` first, so the pipeline's column step
+        hands a parked expansion in to be resumed in place; a fresh one
+        is opened when omitted."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -101,25 +99,6 @@ class SpatialFirstSearch:
 
         buffer = initial if initial is not None else TopKBuffer(k)
         oracle = self.point_to_point
-        source = self.column_source if oracle is None and rank.needs_social else None
-        social = None
-        if source is not None:
-            kind, payload = source.acquire(query_user)
-            if kind == "full":
-                # One columnar pass over the cached column — bit-identical
-                # to the NN enumeration below (strict termination +
-                # smaller-id tie-break select the (score, id)-minimal set).
-                kernels = self.kernels if self.kernels is not None else source.kernels
-                neighbors, finite = dense_scan(
-                    kernels, self.graph.n, rank, payload,
-                    self.locations, query_user, k, initial,
-                )
-                stats.candidates_scored = finite
-                stats.extra["social_column_hits"] = 1
-                stats.elapsed = time.perf_counter() - start
-                return SSRQResult(query_user, k, alpha, neighbors, stats)
-            if kind == "partial":
-                social = payload  # resume the parked expansion in place
         nn = IncrementalNearestNeighbors(
             self.grid, self.locations, qx, qy, exclude=query_user, kernels=self.kernels
         )
@@ -154,7 +133,5 @@ class SpatialFirstSearch:
             stats.pops_social = social.heap.pops - social_pops_before
         if oracle is not None:
             stats.pops_social += oracle.pops - oracle_pops_before
-        if source is not None and social is not None:
-            source.checkin(query_user, social)
         stats.elapsed = time.perf_counter() - start
         return SSRQResult(query_user, k, alpha, buffer.neighbors(), stats)

@@ -39,8 +39,6 @@ from repro.core.stats import SearchStats
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
-from repro.social.resume import ReplayedDijkstra
-from repro.social.scan import dense_scan
 from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import LocationTable
@@ -88,7 +86,6 @@ class TwofoldSearch:
         probe_policy: str = "round-robin",
         point_to_point=None,
         kernels=None,
-        column_source=None,
     ) -> None:
         if probe_policy not in ("round-robin", "quick-combine"):
             raise ValueError(f"unknown probe policy {probe_policy!r}")
@@ -100,12 +97,6 @@ class TwofoldSearch:
         self.probe_policy = probe_policy
         self.point_to_point = point_to_point
         self.kernels = kernels
-        #: optional SocialColumnCache; a full column collapses both
-        #: phases into one dense scan, a parked partial replays through
-        #: :class:`~repro.social.resume.ReplayedDijkstra` so the
-        #: interleaved enumeration (and its ``settled``-keyed candidate
-        #: admission) sees exactly a cold stream
-        self.column_source = column_source
 
     # -- query ----------------------------------------------------------------
 
@@ -115,10 +106,16 @@ class TwofoldSearch:
         k: int,
         alpha: float,
         initial: TopKBuffer | None = None,
+        social=None,
     ) -> SSRQResult:
         """Answer the query; an optional ``initial`` buffer of already
         fully-evaluated users warm-starts ``f_k``, so the twofold bound
-        ``θ`` can end both phases before either stream advances far."""
+        ``θ`` can end both phases before either stream advances far.
+        ``social`` is the Dijkstra stream from ``v_q`` — the pipeline's
+        column step hands in a replayed parked expansion, so the
+        interleaved enumeration (and its ``settled``-keyed candidate
+        admission) sees exactly a cold stream; a fresh one is opened
+        when omitted."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -138,30 +135,8 @@ class TwofoldSearch:
 
         buffer = initial if initial is not None else TopKBuffer(k)
         oracle = self.point_to_point
-        source = self.column_source if oracle is None else None
-        social = None
-        if source is not None:
-            kind, payload = source.acquire(query_user)
-            if kind == "full":
-                # One columnar pass over the cached column — bit-identical
-                # to the twofold enumeration below (strict termination +
-                # smaller-id tie-break select the (score, id)-minimal set).
-                kernels = self.kernels if self.kernels is not None else source.kernels
-                neighbors, finite = dense_scan(
-                    kernels, self.graph.n, rank, payload,
-                    self.locations, query_user, k, initial,
-                )
-                stats.candidates_scored = finite
-                stats.extra["social_column_hits"] = 1
-                stats.elapsed = time.perf_counter() - start
-                return SSRQResult(query_user, k, alpha, neighbors, stats)
-            if kind == "partial":
-                social = ReplayedDijkstra(payload)
-        social_inner = social.inner if social is not None else DijkstraIterator(
-            self.graph, query_user
-        )
         if social is None:
-            social = social_inner
+            social = DijkstraIterator(self.graph, query_user)
         social_pops_before = social.heap.pops
         oracle_pops_before = oracle.pops if oracle is not None else 0
         nn = IncrementalNearestNeighbors(
@@ -245,8 +220,6 @@ class TwofoldSearch:
             stats.pops_social += oracle.pops - oracle_pops_before
         stats.pops_spatial = nn.heap.pops
         stats.cells_opened = nn.cells_opened
-        if source is not None:
-            source.checkin(query_user, social_inner)
         stats.elapsed = time.perf_counter() - start
         return SSRQResult(query_user, k, alpha, buffer.neighbors(), stats)
 

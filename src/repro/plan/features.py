@@ -47,6 +47,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.request import QueryRequest
 
 #: ``(k_bucket, alpha_bucket, degree_bucket, density_bucket,
 #: fanout_bucket, budget_bucket, social_hit)`` — each new dimension is
@@ -155,18 +159,17 @@ def scatter_fanout(engine) -> int:
     return max(1, sum(1 for b in bounds.values() if b.count > 0))
 
 
-def extract_features(
-    engine, user: int, k: int, alpha: float, budget: float | None = None
-) -> QueryFeatures:
+def extract_features(engine, request: "QueryRequest") -> QueryFeatures:
     """O(1) feature extraction against either engine kind (never
     raises for unlocated users — the searcher surfaces that error)."""
-    cache = getattr(engine, "social_cache", None)
+    cache = engine.social_cache
+    user = request.user
     return QueryFeatures(
-        k=k,
-        alpha=alpha,
+        k=request.k,
+        alpha=request.alpha,
         degree=engine.graph.degree(user),
         cell_density=local_cell_density(engine, user),
         fanout=scatter_fanout(engine),
-        budget=budget,
+        budget=request.budget,
         social_hit=cache.contains_full(user) if cache is not None else False,
     )

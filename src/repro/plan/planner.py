@@ -45,6 +45,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from repro.core.request import QueryRequest
 from repro.plan.cost import CostModel
 from repro.plan.features import FeatureBucket, extract_features
 from repro.plan.rules import AUTO, route_method, static_choice
@@ -183,17 +184,7 @@ class AdaptivePlanner:
 
     # -- resolution ----------------------------------------------------
 
-    def resolve(
-        self,
-        engine,
-        user: int,
-        k: int,
-        alpha: float,
-        method: str = AUTO,
-        t: int | None = None,
-        *,
-        budget: float | None = None,
-    ) -> PlanDecision:
+    def resolve(self, engine, request: "QueryRequest") -> PlanDecision:
         """The concrete method to execute for one query.
 
         Explicit methods only pass through the static endpoint routing;
@@ -204,6 +195,7 @@ class AdaptivePlanner:
         certifies the budget for this query's social weight
         (:meth:`repro.sketch.SketchIndex.admissible`).
         """
+        user, alpha, method = request.user, request.alpha, request.method
         if method != AUTO:
             return PlanDecision(
                 method=route_method(method, alpha),
@@ -228,8 +220,8 @@ class AdaptivePlanner:
             return PlanDecision(method=static, requested=AUTO, bucket=None, auto=True)
         if not self._calibrated:
             self.calibrate(engine)
-        candidates = self._candidates_for(engine, alpha, budget)
-        bucket = extract_features(engine, user, k, alpha, budget).bucket()
+        candidates = self._candidates_for(engine, alpha, request.budget)
+        bucket = extract_features(engine, request).bucket()
         with self._lock:
             chosen, explored = self._choose_locked(bucket, candidates)
             self.stats.auto_resolutions += 1
@@ -339,13 +331,14 @@ class AdaptivePlanner:
         lock); returns 1 if it executed, 0 if it legitimately failed."""
         guard = read_lock() if read_lock is not None else nullcontext()
         with guard:
+            probe = QueryRequest(user, CALIBRATION_K, alpha, method)
             start = time.perf_counter()
             try:
-                engine.query(user, k=CALIBRATION_K, alpha=alpha, method=method)
+                engine.query(probe)
             except ValueError:
                 return 0  # e.g. a concurrently-forgotten location
             elapsed = time.perf_counter() - start
-            bucket = extract_features(engine, user, CALIBRATION_K, alpha).bucket()
+            bucket = extract_features(engine, probe).bucket()
         self.cost.observe(bucket, method, elapsed)
         return 1
 

@@ -54,6 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.request import QueryRequest
 from repro.server import http
 from repro.server.errors import (
     ApiError,
@@ -71,8 +72,8 @@ from repro.server.http import HTTPRequest, ProtocolError
 from repro.server.metrics import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.server.metrics import render_prometheus
 from repro.server.protocol import parse_batch, stats_payload
-from repro.service.model import QueryRequest
 from repro.stream.deltas import diff_results, subscription_payload
+from repro.utils.validation import check_user
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
@@ -472,8 +473,7 @@ class SSRQServer:
                 req = QueryRequest.from_payload(body)
                 return _Job("query", request=req, future=future, deadline=deadline)
             if path == "/query/batch":
-                items, defaults = parse_batch(body)
-                reqs = [QueryRequest.from_payload(item, **defaults) for item in items]
+                reqs = parse_batch(body)
                 call = lambda: self._run_explicit_batch(reqs)  # noqa: E731
                 return _Job("call", call=call, future=future, deadline=deadline)
             if path == "/update/location":
@@ -530,32 +530,17 @@ class SSRQServer:
 
     # -- handler closures (run on executor threads) ---------------------
 
-    def _query_payload(self, response) -> dict:
-        req = response.request
-        payload = response.payload()
-        payload["request"] = {
-            "user": req.user,
-            "k": req.k,
-            "alpha": req.alpha,
-            "method": req.method,
-            "t": req.t,
-            "budget": req.budget,
-        }
-        return payload
-
     def _run_explicit_batch(self, reqs: "list[QueryRequest]") -> dict:
         responses = self.service.query_many(reqs)
         return {
             "count": len(responses),
-            "responses": [self._query_payload(r) for r in responses],
+            "responses": [r.payload() for r in responses],
         }
 
     def _location_call(self, body: dict) -> "Callable[[], dict]":
         if "user" not in body:
             raise ValueError("location update is missing required field 'user'")
-        user = body["user"]
-        if isinstance(user, bool) or not isinstance(user, int):
-            raise ValueError(f"user must be an integer id, got {user!r}")
+        user = check_user(body["user"])
         if body.get("forget"):
             return lambda: (self.service.forget_location(user), {"ok": True, "user": user, "forgotten": True})[1]
         if "x" not in body or "y" not in body:
@@ -692,7 +677,7 @@ class SSRQServer:
 
     def _serve_one(self, req: "QueryRequest") -> "tuple[int, dict]":
         try:
-            return 200, self._query_payload(self.service.query(req))
+            return 200, self.service.query(req).payload()
         except Exception as err:
             status, code = classify_exception(err)
             return status, error_body(code, str(err))
@@ -706,7 +691,7 @@ class SSRQServer:
             responses = self.service.query_many(reqs)
         except Exception:
             return [self._serve_one(req) for req in reqs]
-        return [(200, self._query_payload(r)) for r in responses]
+        return [(200, r.payload()) for r in responses]
 
     async def _run_call_job(self, job: _Job, loop) -> None:
         if job.abandoned or job.deadline <= loop.time():
@@ -724,20 +709,17 @@ class SSRQServer:
 
     # -- subscription streams ------------------------------------------
 
-    def _parse_subscribe(self, request: HTTPRequest) -> dict:
+    def _parse_subscribe(self, request: HTTPRequest) -> QueryRequest:
+        """The standing query named by ``/subscribe``'s URL parameters
+        (strings on the wire: the numeric ones are cast here, the
+        request model validates the values)."""
         params = request.params
         if "user" not in params:
             raise ApiError(400, INVALID_ARGUMENT, "subscribe needs a 'user' parameter")
         parsed: dict = {}
-        for name, caster, default in (
-            ("user", int, None),
-            ("k", int, 30),
-            ("alpha", float, 0.3),
-            ("t", int, None),
-        ):
+        for name, caster in (("user", int), ("k", int), ("alpha", float), ("t", int)):
             raw = params.get(name)
             if raw is None:
-                parsed[name] = default
                 continue
             try:
                 parsed[name] = caster(raw)
@@ -745,8 +727,12 @@ class SSRQServer:
                 raise ApiError(
                     400, INVALID_ARGUMENT, f"malformed {name!r} parameter: {raw!r}"
                 ) from None
-        parsed["method"] = params.get("method", "ais")
-        return parsed
+        if "method" in params:
+            parsed["method"] = params["method"]
+        try:
+            return QueryRequest(**parsed)
+        except ValueError as err:
+            raise ApiError(*classify_exception(err), str(err)) from None
 
     async def _handle_subscribe(self, request: HTTPRequest, writer) -> None:
         if self._draining:
@@ -756,23 +742,14 @@ class SSRQServer:
             )
             return
         try:
-            params = self._parse_subscribe(request)
+            query = self._parse_subscribe(request)
         except ApiError as err:
             await self._respond(writer, err.status, err.body(), keep_alive=False)
             return
         loop = asyncio.get_running_loop()
         registry = self._get_registry()
         try:
-            sub = await loop.run_in_executor(
-                self._executor,
-                lambda: registry.subscribe(
-                    params["user"],
-                    k=params["k"],
-                    alpha=params["alpha"],
-                    method=params["method"],
-                    t=params["t"],
-                ),
-            )
+            sub = await loop.run_in_executor(self._executor, registry.subscribe, query)
         except Exception as err:
             status, code = classify_exception(err)
             await self._respond(writer, status, error_body(code, str(err)), keep_alive=False)

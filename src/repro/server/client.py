@@ -22,6 +22,8 @@ import socket
 from typing import Iterator, Optional
 from urllib.parse import urlencode
 
+from repro.core.request import QueryRequest
+
 __all__ = ["ServerApiError", "ServerClient"]
 
 
@@ -137,22 +139,22 @@ class ServerClient:
 
     def query(
         self,
-        user: int,
+        user: "int | QueryRequest",
         *,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
+        k: "int | None" = None,
+        alpha: "float | None" = None,
+        method: "str | None" = None,
         t: "int | None" = None,
         budget: "float | None" = None,
         deadline_ms: "float | None" = None,
     ) -> dict:
-        body = {"user": user, "k": k, "alpha": alpha, "method": method}
-        if t is not None:
-            body["t"] = t
-        if budget is not None:
-            body["budget"] = budget
+        """``POST /query`` for one request (a user id plus overrides of
+        the :class:`~repro.core.request.QueryRequest` defaults, or a
+        ready-made request — validated here, with the wording the
+        server would answer)."""
+        request = QueryRequest.coerce(user, k, alpha, method, t, budget)
         return self.call(
-            "POST", "/query", body, headers=self._deadline_headers(deadline_ms)
+            "POST", "/query", request.payload(), headers=self._deadline_headers(deadline_ms)
         )
 
     def query_batch(
@@ -203,11 +205,11 @@ class ServerClient:
 
     def tail(
         self,
-        user: int,
+        user: "int | QueryRequest",
         *,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
+        k: "int | None" = None,
+        alpha: "float | None" = None,
+        method: "str | None" = None,
         t: "int | None" = None,
         heartbeats: bool = False,
         timeout: "float | None" = None,
@@ -220,9 +222,12 @@ class ServerClient:
         state), ``delta`` (what changed), ``end`` — and, with
         ``heartbeats=True``, ``("heartbeat", None)`` for the server's
         keep-alive comments."""
-        params = {"user": user, "k": k, "alpha": alpha, "method": method}
-        if t is not None:
-            params["t"] = t
+        request = QueryRequest.coerce(user, k, alpha, method, t)
+        params = {
+            name: value
+            for name, value in request.payload().items()
+            if name != "budget" and value is not None
+        }
         target = f"/subscribe?{urlencode(params)}"
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout if timeout is None else timeout

@@ -1,9 +1,10 @@
 """Request parsing and introspection payloads for the HTTP API.
 
-The wire shapes live in one place each: query request/response dicts in
-:mod:`repro.service.model` (``QueryRequest.from_payload`` /
-``QueryResponse.payload``), subscription deltas in
-:mod:`repro.stream.deltas`, and the operational read-outs here —
+The wire shapes live in one place each: query requests in
+:mod:`repro.core.request` (``QueryRequest.from_payload`` / ``.payload``),
+responses in :mod:`repro.service.model` (``QueryResponse.payload``),
+subscription deltas in :mod:`repro.stream.deltas`, and the operational
+read-outs here —
 ``/stats`` aggregates every stats object the stack exposes
 (:class:`~repro.service.model.ServiceStats`, cache info,
 :class:`~repro.plan.PlannerStats`,
@@ -16,31 +17,28 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.request import QueryRequest
 from repro.server.errors import ApiError, INVALID_ARGUMENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
 
 
-def parse_batch(obj: dict) -> "tuple[list[dict], dict]":
-    """``(request_objects, defaults)`` from a batch body::
+def parse_batch(obj: dict) -> "list[QueryRequest]":
+    """The requests of a batch body::
 
         {"requests": [{"user": 1}, {"user": 2, "k": 5}],
          "k": 10, "alpha": 0.5, "method": "auto"}
 
-    Top-level ``k``/``alpha``/``method``/``t``/``budget`` act as
-    defaults for the per-request objects, mirroring
-    ``QueryService.query_many``.
+    Top-level request fields act as defaults for the per-request
+    objects, mirroring ``QueryService.query_many``.
     """
     requests = obj.get("requests")
     if not isinstance(requests, list) or not requests:
         raise ApiError(
             400, INVALID_ARGUMENT, "batch body needs a non-empty 'requests' array"
         )
-    defaults = {
-        key: obj[key] for key in ("k", "alpha", "method", "t", "budget") if key in obj
-    }
-    return requests, defaults
+    return [QueryRequest.from_payload(item, obj) for item in requests]
 
 
 def stats_payload(

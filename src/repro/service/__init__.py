@@ -26,8 +26,9 @@ Quickstart::
     print(service.stats.snapshot())
 """
 
+from repro.core.request import QueryRequest
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.model import QueryRequest, QueryResponse, ServiceStats
+from repro.service.model import QueryResponse, ServiceStats
 from repro.service.service import QueryService
 from repro.utils.concurrency import ReadWriteLock
 

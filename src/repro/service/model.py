@@ -1,12 +1,11 @@
-"""Request/response model and serving statistics for the query service.
+"""Response model and serving statistics for the query service.
 
 The service layer speaks in small immutable dataclasses rather than
-positional arguments: a :class:`QueryRequest` carries everything one
-SSRQ needs (user, ``k``, ``α``, method, ``t``, accuracy ``budget``), a
-:class:`QueryResponse`
-pairs the request with its :class:`~repro.core.result.SSRQResult` and
-serving metadata (was it a cache hit? how long did it take?), and
-:class:`ServiceStats` aggregates latency and cache behaviour across the
+positional arguments: a :class:`~repro.core.request.QueryRequest`
+carries everything one SSRQ needs (user, ``k``, ``α``, method, ``t``,
+accuracy ``budget``), a :class:`QueryResponse` pairs the request with
+its :class:`~repro.core.result.SSRQResult` and serving metadata (was it
+a cache hit? how long did it take?), and :class:`ServiceStats` aggregates latency and cache behaviour across the
 service's lifetime — including a cumulative
 :class:`~repro.core.stats.SearchStats` merged from every executed query,
 so the paper's cost metrics (heap pops, evaluations) remain observable
@@ -15,12 +14,11 @@ at the serving layer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+from repro.core.request import QueryRequest
 from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
-from repro.utils.validation import check_budget
 
 
 def neighbor_payload(nb: Neighbor) -> dict:
@@ -54,110 +52,6 @@ def result_payload(result: SSRQResult) -> dict:
 
 
 @dataclass(frozen=True)
-class QueryRequest:
-    """One SSRQ to serve.
-
-    Hashable and immutable, so identical requests inside a batch can be
-    deduplicated and the tuple of parameters can key the result cache.
-
-        >>> from repro.service import QueryRequest
-        >>> QueryRequest(user=42, k=10, alpha=0.3, method="ais")
-        QueryRequest(user=42, k=10, alpha=0.3, method='ais', t=None, budget=None)
-        >>> QueryRequest.coerce(42, k=10) == QueryRequest(42, k=10)
-        True
-    """
-
-    user: int
-    k: int = 30
-    alpha: float = 0.3
-    method: str = "ais"
-    #: cached-list length for ``ais-cache`` (``None``: engine default)
-    t: int | None = None
-    #: per-query accuracy budget (``None``/``0``: exact required)
-    budget: float | None = None
-
-    def __post_init__(self) -> None:
-        # same wordings as repro.utils.validation — the error-parity
-        # suite pins that every layer rejects identically
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if not 0.0 <= self.alpha <= 1.0 or math.isnan(self.alpha):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "budget", check_budget(self.budget))
-
-    @classmethod
-    def coerce(
-        cls,
-        item: "int | QueryRequest",
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-        budget: float | None = None,
-    ) -> "QueryRequest":
-        """Normalise a workload item: a plain user id takes the given
-        defaults, an existing request passes through unchanged."""
-        if isinstance(item, QueryRequest):
-            return item
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise TypeError(f"expected a user id or QueryRequest, got {item!r}")
-        return cls(item, k=k, alpha=alpha, method=method, t=t, budget=budget)
-
-    @classmethod
-    def from_payload(
-        cls,
-        obj: dict,
-        *,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-        budget: float | None = None,
-    ) -> "QueryRequest":
-        """Build a request from a plain dict (the wire shape), with
-        defaults for omitted fields.  Raises ``ValueError`` with the
-        same wording contract the engine uses, so the HTTP layer maps
-        parse failures and engine rejections identically.
-
-            >>> from repro.service import QueryRequest
-            >>> QueryRequest.from_payload({"user": 3, "k": 5})
-            QueryRequest(user=3, k=5, alpha=0.3, method='ais', t=None, budget=None)
-        """
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a request object, got {obj!r}")
-        if "user" not in obj:
-            raise ValueError("request is missing required field 'user'")
-        user = obj["user"]
-        if isinstance(user, bool) or not isinstance(user, int):
-            raise ValueError(f"user must be an integer id, got {user!r}")
-        k_val = obj.get("k", k)
-        if isinstance(k_val, bool) or not isinstance(k_val, int):
-            raise ValueError(f"k must be an integer, got {k_val!r}")
-        alpha_val = obj.get("alpha", alpha)
-        if isinstance(alpha_val, bool) or not isinstance(alpha_val, (int, float)):
-            raise ValueError(f"alpha must be a number, got {alpha_val!r}")
-        method_val = obj.get("method", method)
-        if not isinstance(method_val, str):
-            raise ValueError(f"method must be a string, got {method_val!r}")
-        t_val = obj.get("t", t)
-        if t_val is not None and (isinstance(t_val, bool) or not isinstance(t_val, int)):
-            raise ValueError(f"t must be an integer or null, got {t_val!r}")
-        budget_val = check_budget(obj.get("budget", budget))
-        return cls(
-            user,
-            k=k_val,
-            alpha=float(alpha_val),
-            method=method_val,
-            t=t_val,
-            budget=budget_val,
-        )
-
-
-@dataclass(frozen=True)
 class QueryResponse:
     """One served SSRQ: the result plus how it was produced.
 
@@ -188,12 +82,13 @@ class QueryResponse:
 
     def payload(self) -> dict:
         """The response as a plain dict (the wire/CLI shape): the full
-        result plus how it was served."""
+        result, how it was served, and the request it answers."""
         return {
             "result": result_payload(self.result),
             "cached": self.cached,
             "deduplicated": self.deduplicated,
             "latency": self.latency,
+            "request": self.request.payload(),
         }
 
 

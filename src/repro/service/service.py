@@ -41,15 +41,18 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from dataclasses import replace
+
 from repro.core.engine import (
     AUTO,
     FORWARD_DETERMINISTIC_METHODS,
     GeoSocialEngine,
     resolve_dispatch,
 )
+from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.service.cache import CacheKey, ResultCache
-from repro.service.model import QueryRequest, QueryResponse, ServiceStats
+from repro.service.model import QueryResponse, ServiceStats
 from repro.social.fused import fused_variants
 
 if TYPE_CHECKING:
@@ -243,15 +246,7 @@ class QueryService:
         """``(resolved_method, decision, planner)`` for one request —
         the planner is consulted (and later fed the measured latency)
         only for ``method="auto"``."""
-        resolved, decision = resolve_dispatch(
-            engine,
-            request.user,
-            request.k,
-            request.alpha,
-            request.method,
-            request.t,
-            budget=request.budget,
-        )
+        resolved, decision = resolve_dispatch(engine, request)
         return resolved, decision, engine.planner if decision is not None else None
 
     def _precalibrate_planner(self) -> None:
@@ -271,31 +266,23 @@ class QueryService:
         request: QueryRequest, engine: GeoSocialEngine, resolved: str
     ) -> tuple[SSRQResult, float]:
         start = time.perf_counter()
-        result = engine.query(
-            request.user,
-            k=request.k,
-            alpha=request.alpha,
-            method=resolved,
-            t=request.t,
-            budget=request.budget,
-        )
+        result = engine.query(replace(request, method=resolved))
         return result, time.perf_counter() - start
 
     def query(
         self,
         request: "int | QueryRequest",
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
+        k: int | None = None,
+        alpha: float | None = None,
+        method: str | None = None,
         t: int | None = None,
         budget: float | None = None,
     ) -> QueryResponse:
         """Serve one SSRQ (cache-first); a plain user id takes the
-        keyword defaults."""
+        keyword overrides (``None``: the
+        :class:`~repro.core.request.QueryRequest` default)."""
         self._check_open()
-        req = QueryRequest.coerce(
-            request, k=k, alpha=alpha, method=method, t=t, budget=budget
-        )
+        req = QueryRequest.coerce(request, k, alpha, method, t, budget)
         if req.method == AUTO:
             self._precalibrate_planner()
         with self._read_locked_engine() as engine:
@@ -322,9 +309,9 @@ class QueryService:
     def query_many(
         self,
         requests: "Iterable[int | QueryRequest]",
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
+        k: int | None = None,
+        alpha: float | None = None,
+        method: str | None = None,
         t: int | None = None,
         budget: float | None = None,
     ) -> list[QueryResponse]:
@@ -338,10 +325,7 @@ class QueryService:
         readers-writer lock).
         """
         self._check_open()
-        reqs = [
-            QueryRequest.coerce(item, k=k, alpha=alpha, method=method, t=t, budget=budget)
-            for item in requests
-        ]
+        reqs = [QueryRequest.coerce(item, k, alpha, method, t, budget) for item in requests]
         responses: list[QueryResponse | None] = [None] * len(reqs)
         hits = 0
         if any(req.method == AUTO for req in reqs):

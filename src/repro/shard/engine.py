@@ -52,19 +52,13 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.backend import Kernels, resolve_backend
-from repro.core.engine import (
-    AUTO,
-    GeoSocialEngine,
-    _close_cached_services,
-    _service_backed_query_many,
-    resolve_dispatch,
-    route_method,
-)
+from repro.backend import Kernels
+from repro.core.engine import EngineBase, GeoSocialEngine
 from repro.core.ranking import Normalization, RankingFunction
+from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.core.stats import SearchStats
 from repro.graph.landmarks import LandmarkIndex
@@ -72,16 +66,15 @@ from repro.graph.socialgraph import SocialGraph
 from repro.shard.bounds import ShardBounds
 from repro.shard.journal import DeltaJournal, LocationDelta
 from repro.shard.partitioner import Partitioner, make_partitioner
-from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
-from repro.social.scan import dense_scan
+from repro.social.cache import SocialColumnCache
+from repro.social.scan import peek_scan
 from repro.spatial.point import LocationTable
 from repro.topk.merge import merge_topk
-from repro.utils.concurrency import ReadWriteLock, TaskPool
-from repro.utils.validation import check_alpha, check_budget, check_k, check_user
+from repro.utils.concurrency import TaskPool
+from repro.utils.validation import check_user
 
 if TYPE_CHECKING:
     from repro.plan.planner import AdaptivePlanner
-    from repro.service.model import QueryRequest
 
 INF = math.inf
 
@@ -89,13 +82,6 @@ INF = math.inf
 #: the shared graph and global location table make them globally exact;
 #: "approx" scores global columnar sketches, so it never scatters)
 DELEGATED_METHODS = frozenset({"sfa", "sfa-ch", "bruteforce", "approx"})
-
-#: scatter methods eligible for the coordinator's column-scan bypass:
-#: forward-deterministic, so a cached full social column answers the
-#: whole query in one dense scan that is bit-identical to the merged
-#: scatter result (delegated FD methods — sfa, bruteforce — consult the
-#: shared cache inside the delegate shard engine instead)
-_COLUMN_SCAN_METHODS = frozenset({"spa", "tsa", "tsa-plain", "tsa-qc"})
 
 
 @dataclass
@@ -143,7 +129,7 @@ class ScatterStats:
         }
 
 
-class ShardedGeoSocialEngine:
+class ShardedGeoSocialEngine(EngineBase):
     """Spatially partitioned SSRQ engine with the single-engine API.
 
         >>> from repro import gowalla_like
@@ -155,9 +141,12 @@ class ShardedGeoSocialEngine:
         True
 
     Drop-in for :class:`~repro.core.engine.GeoSocialEngine` wherever the
-    service layer is concerned: same ``query``/``query_many``/update
-    methods, same ``rw_lock``/listener contracts, bit-identical
-    rankings.
+    service layer is concerned: both are :class:`~repro.core.engine.
+    EngineBase` facades — one ``query`` pipeline, the same
+    ``query_many``/listener/``rw_lock``/``save``/``load`` surface,
+    bit-identical rankings.  What this class adds is the partition, the
+    per-shard pruning bounds, the scatter (inline or process-backed),
+    boundary-crossing move routing, and the delta journal.
 
     Parameters
     ----------
@@ -240,51 +229,32 @@ class ShardedGeoSocialEngine:
         social_cache: "SocialColumnCache | None" = None,
         _shard_indexes: dict | None = None,
     ) -> None:
-        if len(locations) != graph.n:
-            raise ValueError(
-                f"location table covers {len(locations)} users but the graph "
-                f"has {graph.n} vertices"
-            )
         if locations.n_located < 1:
             raise ValueError(
                 "spatial sharding requires at least one located user "
                 "(there is nothing to partition otherwise)"
             )
-        self.graph = graph
-        self.locations = locations
-        self.s = s
-        self.seed = seed
-        self.default_t = default_t
-        self.landmark_strategy = landmark_strategy
+        # kernels, landmarks, normalization and the ONE social column
+        # cache are resolved once here and shared by every shard engine:
+        # a column is a whole-graph object (shards share the full social
+        # graph), so whichever shard pays for an expansion, every other
+        # shard — and the coordinator's scatter bypass — reuses it
+        super().__init__(
+            graph,
+            locations,
+            num_landmarks=num_landmarks,
+            landmark_strategy=landmark_strategy,
+            s=s,
+            seed=seed,
+            normalization=normalization,
+            default_t=default_t,
+            landmarks=landmarks,
+            backend=backend,
+            planner=planner,
+            social_cache_bytes=social_cache_bytes,
+            social_cache=social_cache,
+        )
         self.partitioner_kind = partitioner_kind
-        #: kernels + resolved backend name, shared by every shard engine
-        self.kernels = resolve_backend(backend)
-        self.backend = self.kernels.name
-        #: ONE social column cache shared by every shard engine: a
-        #: column is a whole-graph object (shards share the full social
-        #: graph), so whichever shard pays for an expansion, every other
-        #: shard — and the coordinator's scatter bypass — reuses it
-        if social_cache is not None:
-            self.social_cache: "SocialColumnCache | None" = social_cache
-        else:
-            budget = (
-                DEFAULT_SOCIAL_CACHE_BYTES
-                if social_cache_bytes is None
-                else social_cache_bytes
-            )
-            self.social_cache = (
-                SocialColumnCache(graph.n, self.kernels, budget) if budget > 0 else None
-            )
-        self.landmarks = (
-            landmarks
-            if landmarks is not None
-            else LandmarkIndex.build(graph, num_landmarks, landmark_strategy, seed)
-        )
-        self.normalization = (
-            normalization
-            if normalization is not None
-            else Normalization.estimate(graph, locations, seed=seed)
-        )
         self.partitioner = (
             partitioner
             if partitioner is not None
@@ -311,12 +281,6 @@ class ShardedGeoSocialEngine:
         #: instead of re-running the truncated Dijkstras per shard;
         #: guarded by one shared build lock installed on every shard
         self._neighbor_caches: dict = {}
-        self._build_lock = threading.RLock()
-        #: the method="auto" resolver — one per *sharded* engine, so a
-        #: query is resolved exactly once and every shard searches the
-        #: same concrete method (scatter-gather merges identical-method
-        #: partials); carried across with_graph rebuilds
-        self._planner: "AdaptivePlanner | None" = planner
         #: restored per-shard indexes (``sid -> (grid, aggregate)``),
         #: consumed by ``_build_shard`` on the snapshot warm-start path
         self._restored_indexes: dict = _shard_indexes or {}
@@ -335,7 +299,6 @@ class ShardedGeoSocialEngine:
         for sid, users in sorted(members.items()):
             self._build_shard(sid, users)
 
-        self.rw_lock = ReadWriteLock()
         self.scatter = ScatterStats()
         self._scatter_lock = threading.Lock()
         #: bumped by every location update; process-scatter pools use it
@@ -356,14 +319,7 @@ class ShardedGeoSocialEngine:
             located=locations.n_located,
         )
         self._scatter_pool = None
-        self._location_listeners: list[Callable[[int, float | None, float | None], None]] = []
         self._pool = TaskPool(self.max_workers, thread_name_prefix="ssrq-shard")
-        self._services: dict[int | None, object] = {}
-
-    @classmethod
-    def from_dataset(cls, dataset, **kwargs) -> "ShardedGeoSocialEngine":
-        """Build from any object exposing ``.graph`` and ``.locations``."""
-        return cls(dataset.graph, dataset.locations, **kwargs)
 
     # -- shard construction --------------------------------------------
 
@@ -456,22 +412,6 @@ class ShardedGeoSocialEngine:
         return self._engines[min(self._engines)]
 
     @property
-    def planner(self) -> "AdaptivePlanner":
-        """The ``method="auto"`` resolver (one per sharded engine; see
-        :attr:`GeoSocialEngine.planner`)."""
-        if self._planner is None:
-            from repro.plan.planner import AdaptivePlanner
-
-            with self._build_lock:
-                if self._planner is None:
-                    self._planner = AdaptivePlanner(seed=self.seed)
-        return self._planner
-
-    @planner.setter
-    def planner(self, planner: "AdaptivePlanner") -> None:
-        self._planner = planner
-
-    @property
     def sketch(self):
         """The shared social-distance sketch (lazily built by the
         delegate shard engine over the shared graph, landmarks, and
@@ -479,110 +419,55 @@ class ShardedGeoSocialEngine:
         consults it at the coordinator, where ``"approx"`` resolves)."""
         return self._delegate_engine().sketch
 
-    def resolve_method(
-        self,
-        user: int,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = AUTO,
-        t: int | None = None,
-        budget: float | None = None,
-    ) -> str:
-        """The concrete method one query dispatches to (same contract
-        as :meth:`GeoSocialEngine.resolve_method`): resolved **once**
-        here at the coordinator, then propagated to every shard, so
-        scatter-gather always merges identical-method partials."""
-        return resolve_dispatch(self, user, k, alpha, method, t, budget=budget)[0]
+    def _column_step(self, resolved: str, request: QueryRequest, initial) -> SSRQResult:
+        """The coordinator's column step only *probes*: a cached full
+        column answers a scatter-eligible query in one dense scan (no
+        shard touched); anything else falls through to :meth:`_run`,
+        whose shard engines run the real step themselves — so a parked
+        partial expansion is left for the shard search that resumes it.
+        Delegated methods skip the probe: the delegate shard engine's
+        own step consults the shared cache."""
+        if resolved not in DELEGATED_METHODS:
+            result = peek_scan(self, resolved, request, initial)
+            if result is not None:
+                with self._scatter_lock:
+                    self.scatter.column_scans += 1
+                return result
+        return self._run(resolved, request, initial)
 
-    def query(
-        self,
-        user: int,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-        budget: float | None = None,
-    ) -> SSRQResult:
-        """Answer one SSRQ with rankings bit-identical to
-        :meth:`GeoSocialEngine.query` on the same data.
-
-        ``method="auto"`` is resolved exactly once here (one planner
-        decision per query, fed back with the whole scatter-gather wall
-        time), and the concrete resolution is what every searched shard
-        executes.  ``budget`` is likewise resolved once at the
-        coordinator — an ``"approx"`` resolution takes the delegated
-        path below (global sketch, never scattered), so shards never
-        make their own exact-vs-approx choice."""
-        check_user(user, self.graph.n)
-        check_k(k)
-        check_alpha(alpha)
-        check_budget(budget)
-        routed, decision = resolve_dispatch(self, user, k, alpha, method, t, budget=budget)
-        if routed in DELEGATED_METHODS:
-            result = self._delegate_engine().query(user, k, alpha, routed, t=t)
+    def _run(self, resolved: str, request: QueryRequest, initial, social=None) -> SSRQResult:
+        """``resolved`` is what every searched shard executes: the
+        method (and any accuracy budget) was resolved exactly once at
+        the coordinator, so scatter-gather always merges
+        identical-method partials and shards never make their own
+        exact-vs-approx choice — an ``"approx"`` resolution is
+        delegated (global sketch, never scattered)."""
+        request = replace(request, method=resolved)
+        if resolved in DELEGATED_METHODS:
+            result = self._delegate_engine().query(request, initial=initial)
             with self._scatter_lock:
                 self.scatter.delegated_queries += 1
-        else:
-            result = self._column_scan_query(user, k, alpha, routed)
-            if result is None:
-                result = self._scatter_query(user, k, alpha, routed, t)
-        result.method = routed
-        if decision is not None:
-            self.planner.observe(decision, result.stats.elapsed)
+            return result
+        result = self._scatter_query(request)
+        if initial is not None:
+            # shards warm-start from each other's merged buffers; the
+            # caller's buffer is folded into the finished merge
+            for nb in result:
+                initial.offer(nb.user, nb.score, nb.social, nb.spatial)
+            result.neighbors = initial.neighbors()
         return result
 
-    def _column_scan_query(
-        self, user: int, k: int, alpha: float, method: str
-    ) -> "SSRQResult | None":
-        """Answer a scatter-eligible query from a cached full social
-        column without touching any shard, or ``None`` to scatter.
-
-        Sound only when the method is forward-deterministic (a dense
-        scan over the exact column selects the same ``(score, id)``-
-        minimal set the merged scatter enumeration would), the ranking
-        actually uses the social term (at ``alpha == 0`` the searcher's
-        ``Neighbor`` fields follow the all-``inf`` social convention a
-        real column would violate), and the query user is located (an
-        unlocated one must raise the spatial searcher's exact error on
-        the normal path)."""
-        cache = self.social_cache
-        if cache is None or method not in _COLUMN_SCAN_METHODS:
-            return None
-        rank = RankingFunction(alpha, self.normalization)
-        if not rank.needs_social or self.locations.get(user) is None:
-            return None
-        start = time.perf_counter()
-        column = cache.peek_full(user)
-        if column is None:
-            return None
-        stats = SearchStats()
-        neighbors, finite = dense_scan(
-            self.kernels, self.graph.n, rank, column, self.locations, user, k
-        )
-        stats.candidates_scored = finite
-        stats.extra["social_column_hits"] = 1
-        stats.extra["column_scan"] = 1
-        stats.elapsed = time.perf_counter() - start
-        with self._scatter_lock:
-            self.scatter.column_scans += 1
-        return SSRQResult(user, k, alpha, neighbors, stats)
-
-    def _scatter_plan(
-        self, user: int, alpha: float, method: str
-    ) -> "list[tuple[float, int]] | None":
-        """The sorted ``(bound, shard)`` candidate list for a scatter
-        query, or ``None`` when the query takes an inline path
-        (delegated method, or an unlocated query user whose spatial
-        searcher must raise exactly like the single engine's)."""
-        routed = route_method(method, alpha)
-        if routed in DELEGATED_METHODS:
-            return None
-        location = self.locations.get(user)
+    def _scatter_plan(self, request: QueryRequest) -> "list[tuple[float, int]] | None":
+        """The sorted ``(bound, shard)`` candidate list for an
+        already-routed scatter query, or ``None`` for an unlocated
+        query user (whose spatial searcher must raise exactly like the
+        single engine's, on an inline path)."""
+        location = self.locations.get(request.user)
         if location is None:
             return None
         qx, qy = location
-        rank = RankingFunction(alpha, self.normalization)
-        query_vector = self.landmarks.vector(user) if rank.needs_social else None
+        rank = RankingFunction(request.alpha, self.normalization)
+        query_vector = self.landmarks.vector(request.user) if rank.needs_social else None
         candidates: list[tuple[float, int]] = []
         for sid, bounds in self._bounds.items():
             if bounds.count <= 0:
@@ -630,25 +515,25 @@ class ShardedGeoSocialEngine:
             self.scatter.shards_considered += considered
             self.scatter.shards_searched += searched
 
-    def _scatter_query(
-        self, user: int, k: int, alpha: float, method: str, t: int | None
-    ) -> SSRQResult:
+    def _scatter_query(self, request: QueryRequest) -> SSRQResult:
+        """Scatter one already-routed request across the shards."""
         pool = self._process_pool()
         if pool is not None:
             from repro.shard.parallel import PoolClosedError
 
             try:
-                return pool.scatter_one(user, k, alpha, method, t)
+                return pool.scatter_one(request)
             except PoolClosedError:
                 # Closed under us (engine close / rebuild swap): the
                 # in-process scatter below still answers correctly.
                 pass
         start = time.perf_counter()
-        candidates = self._scatter_plan(user, alpha, method)
+        candidates = self._scatter_plan(request)
         if candidates is None:
             # Unlocated query user: mirror the single engine exactly —
             # its spatial searcher raises; let a shard's do so.
-            return self._delegate_engine().query(user, k, alpha, method, t=t)
+            return self._delegate_engine().query(request)
+        k = request.k
 
         stats = SearchStats()
 
@@ -658,7 +543,7 @@ class ShardedGeoSocialEngine:
             # f_k, so a shard that cannot contribute terminates after a
             # bound check instead of re-deriving a full local top-k.
             initial = warm.copy() if warm is not None else None
-            return self._engines[sid].query(user, k, alpha, method, t=t, initial=initial)
+            return self._engines[sid].query(request, initial=initial)
 
         considered = len(candidates)
         searched = 0
@@ -699,24 +584,7 @@ class ShardedGeoSocialEngine:
         stats.extra["shards_pruned"] = considered - searched
         stats.elapsed = time.perf_counter() - start
         self._record_scatter(1, considered, searched)
-        return SSRQResult(user, k, alpha, merged.neighbors(), stats)
-
-    def query_many(
-        self,
-        requests: "Iterable[int | QueryRequest]",
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-        max_workers: int | None = None,
-        budget: float | None = None,
-    ) -> list[SSRQResult]:
-        """Service-backed batch execution, identical in contract to
-        :meth:`GeoSocialEngine.query_many` (results in request order,
-        rankings equal to a sequential :meth:`query` loop)."""
-        return _service_backed_query_many(
-            self, requests, k, alpha, method, t, max_workers, budget=budget
-        )
+        return SSRQResult(request.user, k, request.alpha, merged.neighbors(), stats)
 
     def scatter_info(self) -> dict:
         """Cumulative scatter statistics snapshot."""
@@ -745,96 +613,42 @@ class ShardedGeoSocialEngine:
 
     # -- dynamic locations ---------------------------------------------
 
-    def add_location_listener(
-        self, listener: Callable[[int, float | None, float | None], None]
-    ) -> None:
-        """Subscribe ``listener(user, x, y)`` to every location update
-        (same contract as the single engine's hook; the service layer's
-        cache invalidation plugs in here unchanged)."""
-        self._location_listeners.append(listener)
-
-    def remove_location_listener(
-        self, listener: Callable[[int, float | None, float | None], None]
-    ) -> None:
-        """Unsubscribe a location listener (no-op if absent)."""
-        try:
-            self._location_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def move_user(self, user: int, x: float, y: float) -> None:
-        """Process a location update, routing membership across shards.
-
-        A move within the owning shard's region updates that shard's
-        indexes in place; a *boundary crossing* removes the user from
-        the old shard's grid and aggregate index and inserts them into
-        the new owner's (building it on first use), all under this
-        engine's exclusive lock and with the shared location table
-        written exactly once.  Location listeners fire identically to
-        the single engine, so service-layer caches invalidate the same
-        entries either way.
-        """
-        check_user(user, self.graph.n)
-        with self.rw_lock.write_locked():
-            had_location = self.locations.has_location(user)
-            self.locations.set(user, x, y)
-            new_sid = self.partitioner.shard_of(x, y)
-            old_sid = self._owner.get(user)
-            if had_location and old_sid == new_sid:
-                self._engines[old_sid]._index_move(user, x, y)
-                self._bounds[old_sid].update_member(x, y)
-            else:
-                if had_location and old_sid is not None:
-                    self._engines[old_sid]._index_remove(user)
-                    self._bounds[old_sid].remove_member()
-                engine = self._engines.get(new_sid)
-                if engine is None:
-                    self._build_shard(new_sid, {user})
-                else:
-                    engine._index_insert(user, x, y)
-                    self._bounds[new_sid].add_member(x, y, self.landmarks.vector(user))
-                self._owner[user] = new_sid
-            self.update_epoch += 1
-            self._journal.append(
-                LocationDelta(self.update_epoch, user, x, y, old_sid, new_sid)
-            )
-            # Snapshot: listeners may detach concurrently (see the
-            # single engine's move_user).
-            for listener in list(self._location_listeners):
-                listener(user, x, y)
-
-    def forget_location(self, user: int) -> None:
-        """Mark a user's location as unknown and de-index them from the
-        owning shard (exclusively, like :meth:`move_user`)."""
-        check_user(user, self.graph.n)
-        with self.rw_lock.write_locked():
-            if not self.locations.has_location(user):
-                return
-            old_sid = self._owner.pop(user)
-            self._engines[old_sid]._index_remove(user)
-            self._bounds[old_sid].remove_member()
-            self.locations.clear(user)
-            self.update_epoch += 1
-            self._journal.append(
-                LocationDelta(self.update_epoch, user, None, None, old_sid, None)
-            )
-            for listener in list(self._location_listeners):
-                listener(user, None, None)
+    def _apply_location(self, user: int, x: float | None, y: float | None) -> None:
+        """Route one update across the shards.  A move within the
+        owning shard's region updates that shard's indexes in place; a
+        *boundary crossing* removes the user from the old shard's grid
+        and aggregate index and inserts them into the new owner's
+        (building it on first use), with the shared location table
+        written exactly once.  The coordinator applies the very record
+        it journals — through :meth:`_replay_delta`, the routine the
+        warm workers replay it with — so a worker's pinned shards
+        cannot drift from the coordinator's by construction."""
+        delta = LocationDelta(
+            self.update_epoch + 1,
+            user,
+            x,
+            y,
+            self._owner.get(user),
+            None if x is None else self.partitioner.shard_of(x, y),
+        )
+        self._replay_delta(delta)
+        self._journal.append(delta)
 
     def _replay_delta(self, delta: LocationDelta, pinned=None) -> None:
-        """Apply one journal record to this engine copy (worker-side).
+        """Apply one journal record to this engine (``x is None``:
+        forget) and advance :attr:`update_epoch` to it.
 
-        Forked scatter workers call this to catch a copy-on-write
-        engine snapshot up with the coordinator: the *global* state a
-        search can observe for any user — the shared location table and
-        the ownership map — is always applied, while per-shard index
-        maintenance is restricted to ``pinned`` shards (the worker's
-        affinity group; ``None`` pins everything).  Records must be
-        replayed in journal order; each transition then mirrors what
-        :meth:`move_user`/:meth:`forget_location` did on the
-        coordinator, so a pinned shard's indexes end up bit-identical
-        to the coordinator's.  Runs lock-free: workers are
-        single-threaded and their engine copy is private.
+        The coordinator applies each update this way under its write
+        lock (``pinned=None``: every shard); forked scatter workers
+        call it to catch a copy-on-write engine snapshot up with the
+        coordinator.  The *global* state a search can observe for any
+        user — the shared location table and the ownership map — is
+        always applied, while per-shard index maintenance is restricted
+        to ``pinned`` shards (the worker's affinity group).  Records
+        must be replayed in journal order; a pinned shard's indexes
+        then end up bit-identical to the coordinator's.  Worker-side it
+        runs lock-free: workers are single-threaded and their engine
+        copy is private.
         """
         user = delta.user
         if delta.x is None:
@@ -888,27 +702,17 @@ class ShardedGeoSocialEngine:
 
     # -- rebuild -------------------------------------------------------
 
-    def with_graph(self, graph: SocialGraph, **overrides) -> "ShardedGeoSocialEngine":
-        """A fresh sharded engine over ``graph`` with this engine's
-        parameters (see :meth:`GeoSocialEngine.with_graph`).  The
+    def _rebuild_kwargs(self) -> dict:
+        """:meth:`with_graph`'s parameters for a sharded rebuild.  The
         partitioner *instance* is reused — its regions are static, so a
         custom or pre-fitted partitioner (and the shard layout) survive
         the rebuild; per-shard fanout (``shard_s``) is preserved too."""
-        kwargs = dict(
+        return dict(
+            super()._rebuild_kwargs(),
             partitioner=self.partitioner,
             partitioner_kind=self.partitioner_kind,
             max_workers=self.max_workers,
-            num_landmarks=self.landmarks.m,
-            landmark_strategy=self.landmark_strategy,
-            s=self.s,
             shard_s=self.shard_s,
-            seed=self.seed,
-            normalization=self.normalization,
-            default_t=self.default_t,
-            # resolved Kernels instance (see GeoSocialEngine.with_graph)
-            backend=self.kernels,
-            # live planner: learned costs keep steering method="auto"
-            planner=self._planner,
             # requested (not resolved) scatter backend: the rebuilt
             # engine re-resolves against its own data size/cores and
             # forks a fresh pool — the rebuild swap IS the re-fork
@@ -916,45 +720,7 @@ class ShardedGeoSocialEngine:
             scatter_backend=self.scatter_backend,
             replicas=self.replicas,
             journal_capacity=self._journal.capacity,
-            # only the byte budget crosses the rebuild, never the cache
-            # instance: the new engine's columns must come from the new
-            # graph's expansions exclusively
-            social_cache_bytes=(
-                self.social_cache.max_bytes if self.social_cache is not None else 0
-            ),
         )
-        kwargs.update(overrides)
-        return type(self)(graph, self.locations, **kwargs)
-
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path) -> "Path":
-        """Write a crash-consistent columnar snapshot of the sharded
-        engine (global columns once, per-shard grid arrays, the fitted
-        partitioner in the manifest) under the shared read lock — same
-        protocol as :meth:`GeoSocialEngine.save`.  Returns the snapshot
-        directory."""
-        from repro.store import save_engine
-
-        with self.rw_lock.read_locked():
-            return save_engine(self, path)
-
-    @classmethod
-    def load(cls, path, *, mmap: bool = True, verify: bool = True) -> "ShardedGeoSocialEngine":
-        """Warm-start a sharded engine from a snapshot directory written
-        by :meth:`save`: shared columns load once (memory-mapped with
-        ``mmap=True``), each shard adopts its persisted indexes, and the
-        partitioner is rebuilt exactly from the manifest so the
-        ownership invariant carries over bit-for-bit."""
-        from repro.store import load_engine
-
-        engine = load_engine(path, mmap=mmap, verify=verify)
-        if not isinstance(engine, cls):
-            raise TypeError(
-                f"snapshot at {path} holds a {type(engine).__name__}, "
-                f"not a {cls.__name__}; use that class's load()"
-            )
-        return engine
 
     # -- lifecycle -----------------------------------------------------
 
@@ -971,12 +737,9 @@ class ShardedGeoSocialEngine:
         if pool is not None:
             pool.close()
         self._pool.close()
-        _close_cached_services(self)
+        super().close()
 
     # -- introspection -------------------------------------------------
-
-    def located_users(self) -> Sequence[int]:
-        return list(self.locations.located_users())
 
     def __repr__(self) -> str:
         sizes = self.shard_sizes()

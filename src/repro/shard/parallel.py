@@ -71,13 +71,15 @@ import traceback
 from multiprocessing import connection as mp_connection
 from typing import Sequence
 
+from dataclasses import replace
+
 from repro.core.engine import resolve_dispatch
+from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
-from repro.service.model import QueryRequest
 from repro.shard.journal import LocationDelta
 from repro.topk.merge import StreamingCombine
-from repro.utils.validation import check_alpha, check_user
+from repro.utils.validation import check_user
 
 #: minimum located users before ``scatter_backend="auto"`` picks the
 #: process pool: below this, fork + IPC overhead beats any core win
@@ -148,16 +150,15 @@ def _worker_main(conn, parent_end, engine, group: int, groups: int) -> None:
             break
         kind = msg[0]
         if kind == "task":
-            tid, sid, user, k, alpha, method, t, warm = msg[1:]
+            tid, sid, request, warm = msg[1:]
             start = time.perf_counter()
             try:
-                shard = engine._engines[sid]
                 initial = None
                 if warm is not None:
-                    initial = TopKBuffer(k)
+                    initial = TopKBuffer(request.k)
                     for u, score, social, spatial in warm:
                         initial.offer(u, score, social, spatial)
-                result = shard.query(user, k, alpha, method, t=t, initial=initial)
+                result = engine._engines[sid].query(request, initial=initial)
             except BaseException:
                 try:
                     conn.send(("error", tid, traceback.format_exc()))
@@ -216,19 +217,15 @@ class _Plan:
     """Coordinator-side state of one scatter query inside a batch."""
 
     __slots__ = (
-        "user", "k", "alpha", "method", "t", "candidates", "combine",
-        "pending", "inflight", "stats", "searched", "considered",
-        "worker_time", "t0", "result",
+        "request", "candidates", "combine", "pending", "inflight",
+        "stats", "searched", "considered", "worker_time", "t0", "result",
     )
 
-    def __init__(self, user, k, alpha, method, t, candidates) -> None:
-        self.user = user
-        self.k = k
-        self.alpha = alpha
-        self.method = method
-        self.t = t
+    def __init__(self, request: QueryRequest, candidates) -> None:
+        #: the already-routed request every searched shard executes
+        self.request = request
         self.candidates = candidates
-        self.combine = StreamingCombine(k)
+        self.combine = StreamingCombine(request.k)
         #: sorted (bound, sid) not yet dispatched (verify wave)
         self.pending: list[tuple[float, int]] = list(candidates[1:])
         self.inflight = 0
@@ -250,7 +247,8 @@ class ProcessScatterPool:
         ...     gowalla_like(n=300, seed=7), n_shards=2, scatter_backend="inline")
         >>> a, b = list(engine.located_users())[:2]
         >>> pool = ProcessScatterPool(engine, processes=2)
-        >>> results = pool.query_many([a, b], k=5, alpha=0.3)
+        >>> from repro import QueryRequest
+        >>> results = pool.query_many([QueryRequest(u, k=5, alpha=0.3) for u in (a, b)])
         >>> [r.users for r in results] == [engine.query(u, k=5).users for u in (a, b)]
         True
         >>> pool.close()
@@ -493,37 +491,18 @@ class ProcessScatterPool:
 
     # -- serving -------------------------------------------------------
 
-    def query_one(
-        self,
-        user: int,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-    ) -> SSRQResult:
+    def query_one(self, request: QueryRequest) -> SSRQResult:
         """Answer one SSRQ (``query_many`` of a single request)."""
-        return self.query_many([user], k=k, alpha=alpha, method=method, t=t)[0]
+        return self.query_many([request])[0]
 
-    def query_many(
-        self,
-        requests: "Sequence[int | QueryRequest]",
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
-        t: int | None = None,
-    ) -> list[SSRQResult]:
+    def query_many(self, requests: "Sequence[QueryRequest]") -> list[SSRQResult]:
         """Answer a batch with rankings identical to a sequential
         ``engine.query`` loop, fanning shard searches across the warm
         worker processes (duplicate requests are computed once,
         ``method="auto"`` is resolved once per distinct request at the
         coordinator and observed by the planner at merge time)."""
-        reqs = [
-            QueryRequest.coerce(item, k=k, alpha=alpha, method=method, t=t)
-            for item in requests
-        ]
-        distinct: dict[QueryRequest, None] = dict.fromkeys(reqs)
-        computed = self._execute_distinct(list(distinct))
-        return [computed[req] for req in reqs]
+        computed = self._execute_distinct(list(dict.fromkeys(requests)))
+        return [computed[req] for req in requests]
 
     def _execute_distinct(
         self, reqs: "list[QueryRequest]"
@@ -536,24 +515,17 @@ class ProcessScatterPool:
         decisions: list = []
         for req in reqs:
             check_user(req.user, engine.graph.n)
-            check_alpha(req.alpha)
-            routed, decision = resolve_dispatch(
-                engine, req.user, req.k, req.alpha, req.method, req.t
-            )
+            routed, decision = resolve_dispatch(engine, req)
+            routed_req = replace(req, method=routed)
             candidates = (
-                None
-                if routed in DELEGATED_METHODS
-                else engine._scatter_plan(req.user, req.alpha, routed)
+                None if routed in DELEGATED_METHODS else engine._scatter_plan(routed_req)
             )
             if candidates is None:
                 # Delegated method, or an unlocated query user whose
                 # spatial searcher must raise exactly like the single
                 # engine's.  Call the delegate shard engine directly —
                 # never engine.query, which may route back here.
-                result = engine._delegate_engine().query(
-                    req.user, req.k, req.alpha, routed, t=req.t
-                )
-                result.method = routed
+                result = engine._delegate_engine().query(routed_req)
                 if routed in DELEGATED_METHODS:
                     with engine._scatter_lock:
                         engine.scatter.delegated_queries += 1
@@ -561,9 +533,7 @@ class ProcessScatterPool:
                     engine.planner.observe(decision, result.stats.elapsed)
                 out[req] = result
             else:
-                plans.append(
-                    _Plan(req.user, req.k, req.alpha, routed, req.t, candidates)
-                )
+                plans.append(_Plan(routed_req, candidates))
                 decisions.append((req, decision))
 
         if plans:
@@ -582,16 +552,14 @@ class ProcessScatterPool:
             )
         return out
 
-    def scatter_one(
-        self, user: int, k: int, alpha: float, method: str, t: int | None
-    ) -> SSRQResult:
+    def scatter_one(self, request: QueryRequest) -> SSRQResult:
         """Execute one *already-routed* scatter query (the engine's
         ``_scatter_query`` hook; planner resolution/observation stays
         with the caller)."""
-        candidates = self.engine._scatter_plan(user, alpha, method)
+        candidates = self.engine._scatter_plan(request)
         if candidates is None:
-            return self.engine._delegate_engine().query(user, k, alpha, method, t=t)
-        plan = _Plan(user, k, alpha, method, t, candidates)
+            return self.engine._delegate_engine().query(request)
+        plan = _Plan(request, candidates)
         self._execute_scatter([plan])
         self.engine._record_scatter(1, plan.considered, plan.searched)
         return plan.result
@@ -608,12 +576,8 @@ class ProcessScatterPool:
                 "ProcessScatterPool was closed while a batch was in flight"
             )
         worker.inflight[task.tid] = task
-        plan = task.plan
         try:
-            worker.conn.send(
-                ("task", task.tid, task.sid, plan.user, plan.k, plan.alpha,
-                 plan.method, plan.t, warm)
-            )
+            worker.conn.send(("task", task.tid, task.sid, task.plan.request, warm))
         except (BrokenPipeError, OSError):
             # The worker died between crash detection windows; park the
             # task for the event loop to retry after replacement.
@@ -628,10 +592,11 @@ class ProcessScatterPool:
         stats.extra["shards_pruned"] = plan.considered - plan.searched
         stats.extra["worker_time"] = plan.worker_time
         stats.elapsed = time.perf_counter() - plan.t0
+        request = plan.request
         plan.result = SSRQResult(
-            plan.user, plan.k, plan.alpha, plan.combine.result().neighbors(), stats
+            request.user, request.k, request.alpha, plan.combine.result().neighbors(), stats
         )
-        plan.result.method = plan.method
+        plan.result.method = request.method
 
     def _execute_scatter(self, plans: "list[_Plan]") -> None:
         """Run a batch of scatter plans to completion, overlapping

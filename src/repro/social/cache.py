@@ -63,8 +63,12 @@ _COLUMN_ENTRY_BYTES = 8
 
 #: accounting estimate per settled vertex of a parked iterator: the
 #: ``settled``/``parent``/``_best`` dict slots plus the amortised heap
-#: tuple (an estimate — Python dict internals vary by version — but a
-#: deliberate *over*-estimate, so partials never starve full columns)
+#: tuple.  An estimate (Python dict internals vary by version) and an
+#: *under*-estimate: tracemalloc measures ≈158 B per settled vertex at
+#: n = 10 000, so a "32 MiB" budget really holds ≈ 80 MiB of parked
+#: partials.  Kept as is here — the constant decides what ``mixed_rw``
+#: can park, so changing it is a measured change of its own (ROADMAP,
+#: earn-your-keep item).
 _PARTIAL_ENTRY_BYTES = 96
 
 

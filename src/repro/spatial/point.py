@@ -135,8 +135,8 @@ class LocationTable:
     table is mutable — :meth:`set` supports the dynamic-location setting
     of the paper — and cheap to snapshot.  Construct it from coordinate
     columns (lists, tuples, or NumPy arrays, uniformly) with
-    :meth:`from_columns`; the legacy positional constructor still works
-    but emits a :class:`DeprecationWarning`.
+    :meth:`from_columns`, or adopt pre-built ones without a copy with
+    :meth:`adopt_columns`.
 
         >>> from repro import LocationTable
         >>> table = LocationTable.empty(3)
@@ -149,15 +149,7 @@ class LocationTable:
 
     __slots__ = ("xs", "ys", "_n_located")
 
-    def __init__(self, xs, ys, *, _trusted: bool = False) -> None:
-        if not _trusted:
-            warnings.warn(
-                "constructing LocationTable(xs, ys) directly is deprecated; "
-                "use LocationTable.from_columns(xs, ys), which accepts "
-                "lists, tuples, and numpy arrays uniformly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, xs, ys) -> None:
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
         if _np is not None:
@@ -182,7 +174,7 @@ class LocationTable:
             >>> table.n_located
             2
         """
-        return cls(xs, ys, _trusted=True)
+        return cls(xs, ys)
 
     @classmethod
     def adopt_columns(cls, xs, ys) -> "LocationTable":
@@ -208,7 +200,7 @@ class LocationTable:
     @classmethod
     def empty(cls, n: int) -> "LocationTable":
         nan = math.nan
-        return cls([nan] * n, [nan] * n, _trusted=True)
+        return cls([nan] * n, [nan] * n)
 
     @classmethod
     def from_dict(cls, n: int, locations: dict[int, tuple[float, float]]) -> "LocationTable":

@@ -48,14 +48,15 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.engine import AUTO, METHODS
+from repro.core.engine import AUTO
 from repro.core.ranking import RankingFunction
+from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.traversal import DijkstraIterator
-from repro.service.model import QueryRequest
 from repro.stream.conditions import (
     NOOP,
     RECOMPUTE,
@@ -202,10 +203,10 @@ class SubscriptionRegistry:
 
     def subscribe(
         self,
-        user: int,
-        k: int = 30,
-        alpha: float = 0.3,
-        method: str = "ais",
+        user: "int | QueryRequest",
+        k: int | None = None,
+        alpha: float | None = None,
+        method: str | None = None,
         t: int | None = None,
     ) -> Subscription:
         """Register a standing query and compute its initial result.
@@ -223,14 +224,7 @@ class SubscriptionRegistry:
         subscriptions repair in place).
         """
         self._check_open()
-        request = QueryRequest.coerce(user, k=k, alpha=alpha, method=method, t=t)
-        # Validate everything *before* registering, so a bad request
-        # cannot leave a half-registered subscription behind (coerce
-        # checks k/alpha; user and method are engine-level checks).
-        if request.method != AUTO and request.method not in METHODS:
-            raise ValueError(
-                f"unknown method {request.method!r}; choose from {METHODS}"
-            )
+        request = QueryRequest.coerce(user, k, alpha, method, t)
         if request.method == AUTO:
             # One-time planner calibration *before* taking the read
             # lock (each probe acquires the read side itself, so a
@@ -238,13 +232,14 @@ class SubscriptionRegistry:
             self.service._precalibrate_planner()
         engine = self._read_locked_engine()
         try:
+            # Validate everything *before* registering, so a bad request
+            # cannot leave a half-registered subscription behind (coerce
+            # checked the field types and ranges; the user id and the
+            # method name are engine-level checks).
             check_user(request.user, engine.graph.n)
-            routed = engine.resolve_method(
-                request.user, request.k, request.alpha, request.method, request.t
-            )
-            rank = RankingFunction(request.alpha, engine.normalization)
+            request = replace(request, method=engine.resolve_method(request))
             sub = Subscription(
-                request.user, request.k, request.alpha, routed, request.t, rank
+                request, RankingFunction(request.alpha, engine.normalization)
             )
             with self._lock:
                 self._subs.add(sub)
@@ -534,7 +529,7 @@ class SubscriptionRegistry:
         sub.recompute_pending = False
         was_suspended = sub.suspended
         try:
-            result = engine.query(sub.user, sub.k, sub.alpha, sub.method, t=sub.t)
+            result = engine.query(sub.request)
         except ValueError as err:
             if "no known location" not in str(err):
                 raise

@@ -18,6 +18,7 @@ from repro.core.ranking import RankingFunction
 from repro.stream.conditions import REPAIRABLE_METHODS, entry_radius
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.request import QueryRequest
     from repro.core.result import SSRQResult
     from repro.graph.traversal import DijkstraIterator
 
@@ -47,6 +48,7 @@ class Subscription:
     """
 
     __slots__ = (
+        "request",
         "user",
         "k",
         "alpha",
@@ -67,22 +69,17 @@ class Subscription:
         "_dijkstra",
     )
 
-    def __init__(
-        self,
-        user: int,
-        k: int,
-        alpha: float,
-        method: str,
-        t: int | None,
-        rank: RankingFunction,
-    ) -> None:
-        self.user = user
-        self.k = k
-        self.alpha = alpha
-        self.method = method
-        self.t = t
+    def __init__(self, request: "QueryRequest", rank: RankingFunction) -> None:
+        #: the standing query, ``method`` already resolved — what every
+        #: maintenance recompute re-runs
+        self.request = request
+        self.user = request.user
+        self.k = request.k
+        self.alpha = request.alpha
+        self.method = request.method
+        self.t = request.t
         self.rank = rank
-        self.repairable = method in REPAIRABLE_METHODS
+        self.repairable = request.method in REPAIRABLE_METHODS
         #: the maintained answer (``None`` while suspended)
         self.result: "SSRQResult | None" = None
         #: current result membership (kept in lockstep with ``result``)

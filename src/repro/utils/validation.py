@@ -56,8 +56,29 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
-def check_user(user: int, n: int) -> int:
-    """Validate a user/vertex identifier against population size ``n``."""
-    if not 0 <= user < n:
+def check_user(user: int, n: int | None = None) -> int:
+    """Validate a user/vertex identifier: an integer (NumPy integer
+    scalars included, bools not), inside ``[0, n)`` when the population
+    size ``n`` is known."""
+    if isinstance(user, bool) or not isinstance(user, _numbers.Integral):
+        raise ValueError(f"user must be an integer id, got {user!r}")
+    if n is not None and not 0 <= user < n:
         raise ValueError(f"user id {user} out of range [0, {n})")
-    return user
+    return int(user)
+
+
+def check_method(method: str) -> str:
+    """Validate that a method name is a string (whether it names a
+    known method is the dispatcher's check — it owns the table)."""
+    if not isinstance(method, str):
+        raise ValueError(f"method must be a string, got {method!r}")
+    return method
+
+
+def check_t(t: int | None) -> int | None:
+    """Validate an ``ais-cache`` list length (``None``: engine default)."""
+    if t is None:
+        return None
+    if isinstance(t, bool) or not isinstance(t, _numbers.Integral):
+        raise ValueError(f"t must be an integer or null, got {t!r}")
+    return int(t)

@@ -4,8 +4,8 @@ backends, plus the columnar regression pins of the refactor:
 - ``LocationTable.bbox`` runs as one vectorized nanmin/nanmax pass;
 - shard-bound refreshes are bulk reductions — repeated refreshes never
   re-scan per-user (no ``LandmarkIndex.vector`` calls);
-- the legacy ``LocationTable(xs, ys)`` constructor warns and points to
-  ``from_columns``.
+- ``LocationTable.from_columns`` accepts lists, tuples and arrays
+  uniformly and always copies.
 """
 
 from __future__ import annotations
@@ -219,16 +219,10 @@ class TestColumnarRegressions:
         assert after == before  # exact recomputation, not a widen drift
 
 
-class TestFromColumnsDeprecation:
-    def test_legacy_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="from_columns"):
-            table = LocationTable([0.0, 1.0], [0.0, 1.0])
-        assert table.n_located == 2
-
-    def test_from_columns_is_quiet_and_uniform(self, recwarn):
+class TestFromColumns:
+    def test_from_columns_is_uniform_over_sequence_types(self):
         a = LocationTable.from_columns([0.0, 1.0], (0.0, 1.0))
         b = LocationTable.from_columns(a.xs, a.ys)  # arrays round-trip
-        assert [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)] == []
         assert b.get(1) == (1.0, 1.0)
         if HAS_NUMPY:
             import numpy as np

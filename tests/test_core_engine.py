@@ -42,19 +42,16 @@ class TestDispatch:
             result = engine.query(user, k=3, alpha=0.3, method=method, t=10)
             assert len(result) <= 3
 
-    def test_batch_query_is_a_deprecated_alias_of_query_many(self, engine):
-        """The historical batch_query/query_many drift is resolved:
-        query_many is the (service-backed) batch API, batch_query a
-        deprecated alias returning identical results."""
+    def test_query_many_matches_a_sequential_query_loop(self, engine):
+        """query_many is the one (service-backed) batch entry point."""
         users = list(engine.located_users())[:4]
-        with pytest.warns(DeprecationWarning, match="query_many"):
-            results = engine.batch_query(users, k=5, alpha=0.3, method="ais")
-        assert [r.query_user for r in results] == users
+        assert not hasattr(engine, "batch_query")
         via_service = engine.query_many(users, k=5, alpha=0.3, method="ais")
+        assert [r.query_user for r in via_service] == users
         sequential = [engine.query(u, k=5, alpha=0.3, method="ais") for u in users]
-        for deprecated, modern, loop in zip(results, via_service, sequential):
-            assert deprecated.users == modern.users == loop.users
-            assert deprecated.scores == modern.scores == loop.scores
+        for modern, loop in zip(via_service, sequential):
+            assert modern.users == loop.users
+            assert modern.scores == loop.scores
 
     def test_mismatched_location_table_rejected(self):
         graph, locations = random_instance(50, seed=352)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GeoSocialEngine, QueryService, ShardedGeoSocialEngine
+from repro import GeoSocialEngine, QueryRequest, QueryService, ShardedGeoSocialEngine
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.server.errors import classify_exception
@@ -201,6 +201,66 @@ def test_non_numeric_alpha_parity(engine, sharded, service, client, located):
     )
     assert (status, body["error"]["type"]) == (400, "invalid_argument")
     assert body["error"]["message"] == "alpha must be a number, got 'lots'"
+
+
+# -- validate once: QueryRequest is the only place the checks run ------
+
+
+def test_numpy_scalars_are_accepted_identically_and_stored_as_builtins(
+    engine, sharded, service, client, located
+):
+    """Ids and weights often come off NumPy columns.  Every in-process
+    path accepts exactly what ``check_user/check_k/check_alpha`` accept
+    — the service used to reject ``np.int64`` ids/k and ``np.float32``
+    alphas the engine took — and the request stores builtin numbers,
+    so cache keys and wire messages never carry NumPy scalars."""
+    np = pytest.importorskip("numpy")
+    user, k, alpha = np.int64(located), np.int64(5), np.float32(0.25)
+    want = engine.query(located, k=5, alpha=float(alpha), method="spa")
+    for path in (engine.query, sharded.query):
+        assert path(user, k=k, alpha=alpha, method="spa").users == want.users
+    response = service.query(user, k=k, alpha=alpha, method="spa")
+    assert response.result.users == want.users
+    request = response.request
+    assert (type(request.user), type(request.k), type(request.alpha)) == (int, int, float)
+    assert request == QueryRequest(located, k=5, alpha=float(alpha), method="spa")
+    served = client.request("POST", "/query", request.payload())[2]
+    assert served["result"]["users"] == want.users
+
+
+TYPE_CASES = [
+    # (case id, request params, the pinned message)
+    ("user_word", dict(user="x"), "user must be an integer id, got 'x'"),
+    ("user_bool", dict(user=True), "user must be an integer id, got True"),
+    ("user_float", dict(user=1.5), "user must be an integer id, got 1.5"),
+    ("k_bool", dict(k=True), "k must be an integer, got True"),
+    ("k_float", dict(k=2.5), "k must be an integer, got 2.5"),
+    ("t_word", dict(method="ais-cache", t="ten"), "t must be an integer or null, got 'ten'"),
+    ("method_number", dict(method=7), "method must be a string, got 7"),
+]
+
+
+@pytest.mark.parametrize("name,params,message", TYPE_CASES)
+def test_malformed_field_types_agree_across_layers(
+    engine, sharded, service, client, located, name, params, message
+):
+    """Non-integer ``user``/``k``/``t`` and non-string ``method`` are
+    rejected with one wording by the request model itself (it used to
+    accept ``QueryRequest(user="x")`` silently), so the engine, the
+    service, the sharded engine and the wire all answer identically."""
+    params = dict({"user": located}, **params)
+    user = params.pop("user")
+    with pytest.raises(ValueError) as excinfo:
+        QueryRequest(user, **params)
+    assert str(excinfo.value) == message
+    for path in (engine.query, service.query, sharded.query):
+        with pytest.raises(ValueError) as excinfo:
+            path(user, **params)
+        assert str(excinfo.value) == message
+    status, _, body = client.request("POST", "/query", dict(params, user=user))
+    assert status == 400
+    assert body["error"]["type"] == "invalid_argument"
+    assert body["error"]["message"] == message
 
 
 # -- CLI parity (satellite: `repro query` maps malformed k/alpha/budget

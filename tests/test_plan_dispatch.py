@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import AUTO, METHODS, GeoSocialEngine, route_method
+from repro.core.engine import AUTO, METHODS, GeoSocialEngine
+from repro.plan.rules import route_method
 from repro.service import QueryRequest, QueryService
 from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance

@@ -45,10 +45,12 @@ class TestRules:
         assert route_method("bruteforce", 0.0) == "bruteforce"
         assert route_method("bruteforce", 1.0) == "bruteforce"
 
-    def test_engine_reexports_route_method(self):
-        from repro.core.engine import route_method as engine_route
+    def test_route_method_is_public_from_the_rule_layer_only(self):
+        import repro
+        import repro.core.engine as engine_module
 
-        assert engine_route is route_method
+        assert repro.route_method is route_method
+        assert "route_method" not in engine_module.__all__
 
     def test_static_choice_endpoints_only(self):
         assert static_choice(0.0) == "spa"
@@ -123,7 +125,7 @@ class TestFeatures:
 
     def test_extract_features_single_engine(self, engine):
         user = next(iter(engine.locations.located_users()))
-        f = extract_features(engine, user, 10, 0.3)
+        f = extract_features(engine, QueryRequest(user, 10, 0.3))
         assert f.k == 10 and f.alpha == 0.3
         assert f.degree == engine.graph.degree(user)
         assert f.cell_density > 0.0
@@ -133,7 +135,7 @@ class TestFeatures:
             u for u in range(engine.graph.n) if not engine.locations.has_location(u)
         ]
         assert unlocated, "fixture should have partial coverage"
-        f = extract_features(engine, unlocated[0], 10, 0.3)
+        f = extract_features(engine, QueryRequest(unlocated[0], 10, 0.3))
         assert f.cell_density == 0.0
 
     def test_cell_density_sharded_probes_owning_shard(self):
@@ -198,24 +200,24 @@ class TestCostModel:
 class TestPlanner:
     def test_explicit_methods_pass_through(self, engine):
         planner = AdaptivePlanner(calibrate=False)
-        decision = planner.resolve(engine, 0, 10, 0.3, "tsa")
+        decision = planner.resolve(engine, QueryRequest(0, 10, 0.3, "tsa"))
         assert decision.method == "tsa" and not decision.auto
-        decision = planner.resolve(engine, 0, 10, 0.0, "tsa")
+        decision = planner.resolve(engine, QueryRequest(0, 10, 0.0, "tsa"))
         assert decision.method == "spa" and not decision.auto
 
     def test_static_endpoint_resolutions(self, engine):
         planner = AdaptivePlanner(calibrate=False)
-        assert planner.resolve(engine, 0, 10, 0.0, AUTO).method == "spa"
-        assert planner.resolve(engine, 0, 10, 1.0, AUTO).method == "sfa"
+        assert planner.resolve(engine, QueryRequest(0, 10, 0.0, AUTO)).method == "spa"
+        assert planner.resolve(engine, QueryRequest(0, 10, 1.0, AUTO)).method == "sfa"
         assert planner.stats.static_routes == 2
 
     def test_greedy_picks_cheapest_learned_method(self, engine):
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
-        bucket = extract_features(engine, user, 10, 0.5).bucket()
+        bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
         for method, cost in (("sfa", 0.9), ("spa", 0.1), ("tsa", 0.5), ("tsa-qc", 0.7)):
             planner.cost.observe(bucket, method, cost)
-        decision = planner.resolve(engine, user, 10, 0.5, AUTO)
+        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method == "spa" and decision.auto and not decision.explored
         assert decision.bucket == bucket
 
@@ -224,7 +226,7 @@ class TestPlanner:
         user = next(iter(engine.locations.located_users()))
         resolved = set()
         for _ in range(len(DEFAULT_CANDIDATES)):
-            decision = planner.resolve(engine, user, 10, 0.5, AUTO)
+            decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
             assert decision.explored
             resolved.add(decision.method)
             planner.observe(decision, 0.5)
@@ -232,8 +234,8 @@ class TestPlanner:
 
     def test_observe_ignores_static_and_explicit(self, engine):
         planner = AdaptivePlanner(calibrate=False)
-        planner.observe(planner.resolve(engine, 0, 10, 0.0, AUTO), 1.0)
-        planner.observe(planner.resolve(engine, 0, 10, 0.3, "tsa"), 1.0)
+        planner.observe(planner.resolve(engine, QueryRequest(0, 10, 0.0, AUTO)), 1.0)
+        planner.observe(planner.resolve(engine, QueryRequest(0, 10, 0.3, "tsa")), 1.0)
         assert planner.stats.observations == 0
 
     def test_calibration_seeds_every_candidate(self, engine):
@@ -269,22 +271,22 @@ class TestPlanner:
         floored artifact does not keep winning min()."""
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
-        bucket = extract_features(engine, user, 10, 0.5).bucket()
+        bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
         planner.cost.observe(bucket, "tsa", 0.0)  # coarse-clock artifact
         resolved = set()
         for _ in range(len(DEFAULT_CANDIDATES) - 1):
-            decision = planner.resolve(engine, user, 10, 0.5, AUTO)
+            decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
             assert decision.explored, "unexplored arms must still go first"
             resolved.add(decision.method)
             planner.observe(decision, 0.5)
         assert resolved == set(DEFAULT_CANDIDATES) - {"tsa"}
         # greedy now picks the floored arm (cheapest estimate on record)
-        decision = planner.resolve(engine, user, 10, 0.5, AUTO)
+        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method == "tsa" and not decision.explored
         # ... but its real cost moves the EWMA off the floor: the
         # artifact does not freeze the arm as an eternal 0.0 winner
         planner.observe(decision, 2.0)
-        decision = planner.resolve(engine, user, 10, 0.5, AUTO)
+        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method != "tsa"
 
     def test_cost_tie_breaks_toward_canonical_candidate_order(self, engine):
@@ -292,10 +294,10 @@ class TestPlanner:
         canonical order — deterministic, pinned."""
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
-        bucket = extract_features(engine, user, 10, 0.5).bucket()
+        bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
         for method in DEFAULT_CANDIDATES:
             planner.cost.observe(bucket, method, 0.5)
-        decision = planner.resolve(engine, user, 10, 0.5, AUTO)
+        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method == DEFAULT_CANDIDATES[0]
         assert not decision.explored
 
@@ -305,19 +307,19 @@ class TestPlanner:
         (explored first like any cold arm, then greedily winnable)."""
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
-        bucket = extract_features(engine, user, 10, 0.5, 1.0).bucket()
+        bucket = extract_features(engine, QueryRequest(user, 10, 0.5, budget=1.0)).bucket()
         for method in DEFAULT_CANDIDATES:
             planner.cost.observe(bucket, method, 0.5)
         # generous budget: the sketch certifies it; approx is the one
         # cold arm left and gets its exploration turn
-        decision = planner.resolve(engine, user, 10, 0.5, AUTO, budget=1.0)
+        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO, budget=1.0))
         assert decision.method == "approx" and decision.explored
         planner.observe(decision, 0.01)
-        decision = planner.resolve(engine, user, 10, 0.5, AUTO, budget=1.0)
+        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO, budget=1.0))
         assert decision.method == "approx" and not decision.explored
         # the exact-required form of the same query never resolves to it
         for budget in (None, 0.0):
-            decision = planner.resolve(engine, user, 10, 0.5, AUTO, budget=budget)
+            decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO, budget=budget))
             assert decision.method in DEFAULT_CANDIDATES
 
     def test_inadmissible_budget_strips_approx(self, engine):
@@ -330,7 +332,7 @@ class TestPlanner:
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
         for _ in range(len(DEFAULT_CANDIDATES) + 2):
-            decision = planner.resolve(engine, user, 10, 0.5, AUTO, budget=tiny)
+            decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO, budget=tiny))
             assert decision.method in DEFAULT_CANDIDATES
             planner.observe(decision, 0.5)
 
@@ -339,13 +341,13 @@ class TestPlanner:
         the effective rate is epsilon / sqrt(1 + observations)."""
         planner = AdaptivePlanner(calibrate=False, epsilon=1.0, seed=0)
         user = next(iter(engine.locations.located_users()))
-        bucket = extract_features(engine, user, 10, 0.5).bucket()
+        bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
         for method in DEFAULT_CANDIDATES:
             planner.cost.observe(bucket, method, 0.5)
         for _ in range(400):
             planner.cost.observe(bucket, "spa", 0.1)
         explored = sum(
-            planner.resolve(engine, user, 10, 0.5, AUTO).explored for _ in range(100)
+            planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO)).explored for _ in range(100)
         )
         assert explored < 30  # epsilon/sqrt(405) ~ 5% despite epsilon=1.0
 
@@ -418,7 +420,7 @@ def test_unknown_method_still_rejected_everywhere(engine):
     with pytest.raises(ValueError, match="unknown method"):
         engine.query(0, 5, 0.3, "nope")
     with pytest.raises(ValueError, match="unknown method"):
-        engine.resolve_method(0, 5, 0.3, "nope")
+        engine.resolve_method(QueryRequest(0, 5, 0.3, "nope"))
 
 
 def test_out_of_range_user_raises_value_error_through_auto(engine):
@@ -427,7 +429,7 @@ def test_out_of_range_user_raises_value_error_through_auto(engine):
     through the engine, the resolver, and the cached service path."""
     bad = engine.graph.n + 5
     with pytest.raises(ValueError, match="out of range"):
-        engine.resolve_method(bad, 5, 0.5, AUTO)
+        engine.resolve_method(QueryRequest(bad, 5, 0.5, AUTO))
     with pytest.raises(ValueError, match="out of range"):
         engine.query(bad, 5, 0.5, AUTO)
     service = QueryService(engine, cache_size=8, max_workers=1)

@@ -29,7 +29,8 @@ import pytest
 from repro import GeoSocialEngine, QueryService
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
-from repro.service.model import QueryRequest, result_payload
+from repro.core.request import QueryRequest
+from repro.service.model import result_payload
 
 
 class SlowService(QueryService):

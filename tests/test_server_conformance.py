@@ -23,7 +23,8 @@ import pytest
 from repro import METHODS, GeoSocialEngine, QueryService, route_method
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
-from repro.service.model import QueryRequest, result_payload
+from repro.core.request import QueryRequest
+from repro.service.model import result_payload
 
 ALPHAS = (0.0, 0.3, 1.0)  # both endpoints (spatial-only, social-only) + mixed
 

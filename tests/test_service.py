@@ -43,9 +43,9 @@ def test_request_coercion_and_validation():
     assert QueryRequest.coerce(7, k=5) == QueryRequest(7, k=5)
     req = QueryRequest(3, k=2, alpha=0.9, method="sfa")
     assert QueryRequest.coerce(req) is req
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="user must be an integer id"):
         QueryRequest.coerce("seven")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="user must be an integer id"):
         QueryRequest.coerce(True)
     with pytest.raises(ValueError):
         QueryRequest(1, k=0)

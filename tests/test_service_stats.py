@@ -17,7 +17,7 @@ from repro import GeoSocialEngine, PlannerStats, QueryService, ServiceStats
 from repro.core.result import Neighbor, SSRQResult
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerStats
-from repro.service.model import QueryRequest
+from repro.core.request import QueryRequest
 
 
 def _result(method: str = "ais") -> SSRQResult:

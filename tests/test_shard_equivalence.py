@@ -33,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import QueryRequest
 from repro.core.engine import GeoSocialEngine
 from repro.graph.socialgraph import SocialGraph
 from repro.shard import (
@@ -43,6 +44,11 @@ from repro.shard import (
 )
 from repro.spatial.point import LocationTable
 from tests.conftest import random_instance
+
+
+def requests(users, **params):
+    """One ``QueryRequest`` per user — what the pool's batch API takes."""
+    return [QueryRequest(user, **params) for user in users]
 
 settings.register_profile(
     "shard-ci",
@@ -250,7 +256,7 @@ def test_process_scatter_pool_matches_inline():
     located = list(sharded.locations.located_users())
     batch = located[:8] + located[:2]  # duplicates collapse
     with ProcessScatterPool(sharded, processes=2) as pool:
-        got = pool.query_many(batch, k=5, alpha=0.3, method="ais")
+        got = pool.query_many(requests(batch, k=5, alpha=0.3, method="ais"))
         want = [sharded.query(u, k=5, alpha=0.3, method="ais") for u in batch]
         for g, w in zip(got, want):
             assert g.users == w.users
@@ -258,7 +264,7 @@ def test_process_scatter_pool_matches_inline():
         # workers and the pool serves the new placement without a fork
         mover = located[0]
         sharded.move_user(mover, 0.5, 0.5)
-        refreshed = pool.query_many([located[1]], k=5, alpha=0.3)[0]
+        refreshed = pool.query_many(requests([located[1]], k=5, alpha=0.3))[0]
         assert refreshed.users == sharded.query(located[1], k=5, alpha=0.3).users
         assert pool.info()["reforks"] == 0
         assert pool.info()["deltas_shipped"] > 0

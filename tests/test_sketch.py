@@ -30,7 +30,8 @@ from repro.backend import resolve_backend
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS, METHODS
 from repro.datasets.synthetic import gowalla_like
 from repro.server import ServerClient, ServerThread
-from repro.service.model import QueryRequest, result_payload
+from repro.core.request import QueryRequest
+from repro.service.model import result_payload
 
 TOL = 1e-12
 ALPHAS = (0.1, 0.3, 0.7, 1.0)

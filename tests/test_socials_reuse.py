@@ -104,25 +104,143 @@ def test_cached_results_bit_identical_to_cold(backend, n_shards):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_partial_resume_paths_bit_identical(backend):
+@pytest.mark.parametrize(
+    "seed_method,seed_alpha", [("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5)]
+)
+def test_partial_resume_paths_bit_identical(backend, seed_method, seed_alpha):
     """Early-terminating searchers park partial expansions; the next
     query resumes them.  Seed a partial via each early-terminating
     method first, then drive every method through the resumed column."""
-    for seed_method, seed_alpha in (("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5)):
-        warm = build_engine(1, backend, None)
-        cold = build_engine(1, backend, 0)
-        user = query_users(warm)[0]
-        warm.query(user, k=3, alpha=seed_alpha, method=seed_method)
-        info = warm.social_cache.info()
+    warm = build_engine(1, backend, None)
+    cold = build_engine(1, backend, 0)
+    user = query_users(warm)[0]
+    warm.query(user, k=3, alpha=seed_alpha, method=seed_method)
+    info = warm.social_cache.info()
+    assert info["entries"] == 1
+    for method in METHODS:
+        for alpha in ALPHAS:
+            got = warm.query(user, k=7, alpha=alpha, method=method)
+            ref = cold.query(user, k=7, alpha=alpha, method=method)
+            assert fingerprint(got) == fingerprint(ref), (
+                f"seed={seed_method}@{seed_alpha} then {method}@{alpha}"
+            )
+    assert warm.social_cache.info()["resumes"] >= 1
+
+
+# -- the one shared column step, per searcher ---------------------------
+
+#: (method, alpha) for the four forward-deterministic searcher classes
+STEP_CASES = [("sfa", 0.6), ("spa", 0.3), ("tsa", 0.5), ("bruteforce", 0.4)]
+
+
+@pytest.mark.parametrize("method,alpha", STEP_CASES)
+def test_column_step_miss_then_resume_then_full_hit(method, alpha):
+    """The miss / partial-resume / full-hit outcomes of the pipeline's
+    column step, driven through ``engine.query`` for each searcher —
+    with the cache counters and the bit-identity both pinned."""
+    warm = build_engine(1, "python", None)
+    cold = build_engine(1, "python", 0)
+    cache = warm.social_cache
+    user = query_users(warm)[0]
+    ref = fingerprint(cold.query(user, k=4, alpha=alpha, method=method))
+
+    # miss: a fresh expansion, parked afterwards
+    first = warm.query(user, k=4, alpha=alpha, method=method)
+    assert fingerprint(first) == ref
+    info = cache.info()
+    assert (info["misses"], info["resumes"], info["hits"]) == (1, 0, 0)
+    assert info["entries"] == 1
+    assert "social_column_hits" not in first.stats.extra
+
+    if method == "bruteforce":
+        # the full scan exhausts the expansion: its column is cached whole
+        assert (info["columns"], info["partials"]) == (1, 0)
+        assert first.stats.pops_social > 0
+    else:
+        # early termination parks a partial; a wider query resumes it
+        # (checked out exclusively, advanced, checked back in)
+        assert (info["columns"], info["partials"]) == (0, 1)
+        wider = warm.query(user, k=9, alpha=alpha, method=method)
+        assert fingerprint(wider) == fingerprint(
+            cold.query(user, k=9, alpha=alpha, method=method)
+        )
+        info = cache.info()
+        assert (info["misses"], info["resumes"], info["hits"]) == (1, 1, 0)
         assert info["entries"] == 1
-        for method in METHODS:
-            for alpha in ALPHAS:
-                got = warm.query(user, k=7, alpha=alpha, method=method)
-                ref = cold.query(user, k=7, alpha=alpha, method=method)
-                assert fingerprint(got) == fingerprint(ref), (
-                    f"seed={seed_method}@{seed_alpha} then {method}@{alpha}"
-                )
-        assert warm.social_cache.info()["resumes"] >= 1
+        # finish the expansion: bruteforce resumes the parked partial
+        # to exhaustion and stores the full column
+        warm.query(user, k=4, alpha=alpha, method="bruteforce")
+        info = cache.info()
+        assert info["resumes"] == 2 and (info["columns"], info["partials"]) == (1, 0)
+
+    # full hit: one dense scan, the searcher never runs
+    hits_before = cache.info()["hits"]
+    searcher = warm.searcher(method)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full column must short-circuit the searcher")
+
+    searcher.search = forbidden
+    try:
+        hit = warm.query(user, k=4, alpha=alpha, method=method)
+    finally:
+        del searcher.search
+    assert fingerprint(hit) == ref
+    assert hit.stats.extra["social_column_hits"] == 1
+    assert hit.stats.pops_social == 0
+    assert cache.info()["hits"] == hits_before + 1
+    assert cache.info()["misses"] == 1
+
+
+@pytest.mark.parametrize("method,alpha", STEP_CASES[:3])
+def test_column_step_hands_each_searcher_the_right_stream(method, alpha):
+    """SFA/TSA see a parked expansion through ``ReplayedDijkstra`` (the
+    cold every-vertex-once contract), SPA resumes the iterator itself;
+    a miss hands over a fresh iterator; either way the *inner*
+    iterator is what gets checked back in."""
+    from repro.social.scan import column_step
+
+    engine = build_engine(1, "python", None)
+    cache = engine.social_cache
+    user = query_users(engine)[0]
+    request = QueryRequest(user, k=4, alpha=alpha, method=method)
+    seen = []
+
+    def run(social):
+        seen.append(social)
+        return engine._run(method, request, None, social)
+
+    column_step(engine, method, request, None, run)
+    assert type(seen[0]) is DijkstraIterator and seen[0].source == user
+    column_step(engine, method, request, None, run)
+    if method == "spa":
+        assert seen[1] is seen[0]
+    else:
+        assert type(seen[1]) is ReplayedDijkstra and seen[1].inner is seen[0]
+    kind, parked = cache.acquire(user)
+    assert kind == "partial" and parked is seen[0]
+
+
+def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
+    """No social term, a non-forward-deterministic method, or an
+    unlocated query user on a spatial searcher: the searcher opens its
+    own stream (or raises its own error) and no counter moves."""
+    engine = build_engine(1, "python", None)
+    cache = engine.social_cache
+    user = query_users(engine)[0]
+    unlocated = next(u for u in range(engine.graph.n) if engine.locations.get(u) is None)
+    before = cache.info()
+    engine.query(user, k=4, alpha=0.0, method="spa")
+    engine.query(user, k=4, alpha=0.0, method="bruteforce")
+    engine.query(user, k=4, alpha=0.4, method="ais")
+    engine.query(user, k=4, alpha=0.4, method="spa-ch")
+    for method in ("spa", "tsa", "tsa-qc"):
+        with pytest.raises(ValueError, match="no known location"):
+            engine.query(unlocated, k=4, alpha=0.4, method=method)
+    assert cache.info() == before
+    # SFA and bruteforce answer unlocated users, so the step applies
+    engine.query(unlocated, k=4, alpha=0.4, method="sfa")
+    assert cache.info()["misses"] == before["misses"] + 1
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
@@ -569,10 +687,10 @@ def test_planner_social_hit_feature_probes_without_perturbing():
 
     engine = build_engine(1, "python", None)
     user = query_users(engine)[0]
-    assert extract_features(engine, user, 10, 0.5).social_hit is False
+    assert extract_features(engine, QueryRequest(user, 10, 0.5)).social_hit is False
     engine.query(user, k=5, alpha=0.5, method="bruteforce")
     before = engine.social_cache.info()
-    features = extract_features(engine, user, 10, 0.5)
+    features = extract_features(engine, QueryRequest(user, 10, 0.5))
     assert features.social_hit is True
     assert engine.social_cache.info() == before
     assert features.bucket()[-1] == 1
