@@ -55,7 +55,7 @@ with QueryService(engine, max_workers=4, cache_size=2048) as service:
 
     # --- A location update invalidates exactly what it must ------------------
     hot_user = arrivals[0]
-    assert service.query(QueryRequest(user=hot_user, k=10, alpha=0.3)).cached
+    assert service.query(QueryRequest(user=hot_user, k=10, alpha=0.3, method="ais")).cached
     cached_before = len(service.cache)
     service.move_user(hot_user, 0.05, 0.95)
     evicted = stats.invalidated_entries
@@ -63,7 +63,7 @@ with QueryService(engine, max_workers=4, cache_size=2048) as service:
         f"moved user {hot_user}: evicted {evicted} of {cached_before} "
         f"cached results (exact screening, no full flush)"
     )
-    refreshed = service.query(QueryRequest(user=hot_user, k=10, alpha=0.3))
+    refreshed = service.query(QueryRequest(user=hot_user, k=10, alpha=0.3, method="ais"))
     assert not refreshed.cached, "the mover's cache line must be gone"
     truth = engine.query(hot_user, k=10, alpha=0.3, method="bruteforce")
     assert refreshed.result.users == truth.users

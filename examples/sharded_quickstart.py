@@ -53,12 +53,12 @@ def main() -> None:
         # 3. a boundary-crossing move: old shard evicts, new shard serves
         mover = users[0]
         before = sharded.shard_of_user(mover)
-        service.query(QueryRequest(mover, k=10))          # warm the cache
-        hit = service.query(QueryRequest(mover, k=10))
+        service.query(QueryRequest(mover, k=10, method="ais"))          # warm the cache
+        hit = service.query(QueryRequest(mover, k=10, method="ais"))
         x, y = sharded.locations.get(mover)
         service.move_user(mover, 1.0 - x, 1.0 - y)        # across the map
         after = sharded.shard_of_user(mover)
-        refreshed = service.query(QueryRequest(mover, k=10))
+        refreshed = service.query(QueryRequest(mover, k=10, method="ais"))
         print(
             f"user {mover} moved shard {before} -> {after}; "
             f"cached before move: {hit.cached}, after move: {refreshed.cached}"

@@ -42,7 +42,7 @@ class QueryRequest:
 
         >>> from repro import QueryRequest
         >>> QueryRequest(user=42, k=10, alpha=0.3)
-        QueryRequest(user=42, k=10, alpha=0.3, method='ais', t=None, budget=None)
+        QueryRequest(user=42, k=10, alpha=0.3, method='auto', t=None, budget=None)
         >>> QueryRequest.coerce(42, k=10) == QueryRequest(42, k=10)
         True
     """
@@ -50,7 +50,7 @@ class QueryRequest:
     user: int
     k: int = 30
     alpha: float = 0.3
-    method: str = "ais"
+    method: str = "auto"
     #: cached-list length for ``ais-cache`` (``None``: engine default)
     t: int | None = None
     #: per-query accuracy budget (``None``/``0``: exact required)
@@ -95,7 +95,7 @@ class QueryRequest:
 
             >>> from repro import QueryRequest
             >>> QueryRequest.from_payload({"user": 3, "k": 5})
-            QueryRequest(user=3, k=5, alpha=0.3, method='ais', t=None, budget=None)
+            QueryRequest(user=3, k=5, alpha=0.3, method='auto', t=None, budget=None)
         """
         if not isinstance(obj, dict):
             raise ValueError(f"expected a request object, got {obj!r}")

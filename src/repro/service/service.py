@@ -70,14 +70,15 @@ class QueryService:
         >>> from repro.service import QueryRequest, QueryService
         >>> engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
         >>> service = QueryService(engine, max_workers=2, cache_size=64)
-        >>> batch = [QueryRequest(user=8, k=5), QueryRequest(user=11, k=3, alpha=0.7)]
+        >>> hot = QueryRequest(user=8, k=5, method="tsa")
+        >>> batch = [hot, QueryRequest(user=11, k=3, alpha=0.7, method="tsa")]
         >>> responses = service.query_many(batch)
         >>> [r.cached for r in responses]
         [False, False]
-        >>> service.query(QueryRequest(user=8, k=5)).cached   # repeat: cache hit
+        >>> service.query(hot).cached                         # repeat: cache hit
         True
         >>> service.move_user(8, 0.25, 0.75)                  # evicts user 8's line
-        >>> service.query(QueryRequest(user=8, k=5)).cached
+        >>> service.query(hot).cached
         False
 
     Parameters

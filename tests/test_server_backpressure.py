@@ -71,7 +71,7 @@ def query_user(engine) -> int:
 def expected(engine, query_user) -> dict:
     with QueryService(engine, cache_size=0) as reference:
         return result_payload(
-            reference.query(QueryRequest(query_user, k=5, alpha=0.3)).result
+            reference.query(QueryRequest(query_user, k=5, alpha=0.3, method="ais")).result
         )
 
 
@@ -88,7 +88,7 @@ def _storm(handle, query_user, count: int, *, deadline_ms=None):
             outcomes[slot] = client.request(
                 "POST",
                 "/query",
-                {"user": query_user, "k": 5, "alpha": 0.3},
+                {"user": query_user, "k": 5, "alpha": 0.3, "method": "ais"},
                 headers=headers,
             )
 
@@ -154,7 +154,7 @@ def test_shed_connection_stays_usable(engine, query_user, expected):
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 status, _, _ = client.request(
-                    "POST", "/query", {"user": query_user, "k": 5, "alpha": 0.3}
+                    "POST", "/query", {"user": query_user, "k": 5, "alpha": 0.3, "method": "ais"}
                 )
                 if status == 429:
                     shed_status = status
@@ -164,7 +164,7 @@ def test_shed_connection_stays_usable(engine, query_user, expected):
             for thread in threads:
                 thread.join(timeout=30)
         assert shed_status == 429, "storm never filled the queue"
-        payload = client.query(query_user, k=5, alpha=0.3)
+        payload = client.query(query_user, k=5, alpha=0.3, method="ais")
         assert payload["result"] == expected
         client.close()
 
@@ -187,7 +187,7 @@ def test_deadline_fires_mid_execution(engine, query_user):
             assert body["error"]["type"] == "deadline_exceeded"
             assert elapsed < 0.45, "504 must not wait for the slow execution"
             # the same connection keeps working after a 504
-            payload = client.query(query_user, k=5, alpha=0.3)
+            payload = client.query(query_user, k=5, alpha=0.3, method="ais")
             assert payload["result"]["query_user"] == query_user
             for _ in range(100):  # the abandoned job drains server-side
                 stats = client.stats()["server"]
@@ -321,7 +321,7 @@ def test_graceful_drain(engine, query_user, expected):
         def slow_query() -> None:
             with ServerClient(handle.host, handle.port) as client:
                 status, _, body = client.request(
-                    "POST", "/query", {"user": query_user, "k": 5, "alpha": 0.3}
+                    "POST", "/query", {"user": query_user, "k": 5, "alpha": 0.3, "method": "ais"}
                 )
             with lock:
                 outcomes.append((status, body))

@@ -219,7 +219,7 @@ def test_subscription_snapshot_matches_query(handle, client, reference, engine):
 
     def consume() -> None:
         with ServerClient(handle.host, handle.port) as tail_client:
-            for item in tail_client.tail(user, k=8, alpha=0.3, timeout=30):
+            for item in tail_client.tail(user, k=8, alpha=0.3, method="ais", timeout=30):
                 events.append(item)
                 if item[0] == "delta":
                     break
@@ -234,7 +234,7 @@ def test_subscription_snapshot_matches_query(handle, client, reference, engine):
         threading.Event().wait(0.02)
     assert events and events[0][0] == "snapshot"
     snapshot = events[0][1]
-    assert snapshot["result"] == expected_result(reference, user, k=8, alpha=0.3)
+    assert snapshot["result"] == expected_result(reference, user, k=8, alpha=0.3, method="ais")
     # drive deltas until the standing query actually changes
     rng_positions = [(0.01, 0.01), (0.99, 0.99), (0.5, 0.5), (0.02, 0.03)]
     for x, y in rng_positions:
@@ -254,7 +254,7 @@ def test_subscription_snapshot_matches_query(handle, client, reference, engine):
             key: record[key] for key in ("user", "score", "social", "spatial")
         }
     assert len(members) == delta["size"]
-    current = expected_result(reference, user, k=8, alpha=0.3)
+    current = expected_result(reference, user, k=8, alpha=0.3, method="ais")
     reconstructed = sorted(nb["score"] for nb in members.values())
     assert reconstructed == [nb["score"] for nb in current["neighbors"]]
     assert max(reconstructed) == delta["fk"]
@@ -289,14 +289,14 @@ def test_snapshot_restore_roundtrip(tmp_path):
         with ServerClient(h.host, h.port) as c:
             user = sorted(engine.locations.located_users())[0]
             mover = sorted(engine.locations.located_users())[-1]
-            before = c.query(user, k=8, alpha=0.3)["result"]
+            before = c.query(user, k=8, alpha=0.3, method="ais")["result"]
             snap = c.snapshot(str(tmp_path / "snaps"))
             assert snap["ok"] is True and snap["name"].startswith("snapshot-")
             c.move(mover, 0.111, 0.222)
-            diverged = c.query(user, k=8, alpha=0.3)["result"]
+            diverged = c.query(user, k=8, alpha=0.3, method="ais")["result"]
             restored = c.restore(str(tmp_path / "snaps"))
             assert restored["users"] == 150
-            after = c.query(user, k=8, alpha=0.3)["result"]
+            after = c.query(user, k=8, alpha=0.3, method="ais")["result"]
             assert after == before
             # restore swapped a fresh engine into the service; it holds
             # the *snapshotted* location, not the diverged one

@@ -106,7 +106,7 @@ def test_query_many_heterogeneous_batch_preserves_order(engine):
 
 def test_in_batch_deduplication(engine):
     user = located(engine, 1)[0]
-    req = QueryRequest(user, k=3, alpha=0.3)
+    req = QueryRequest(user, k=3, alpha=0.3, method="ais")
     with QueryService(engine, max_workers=2, cache_size=0) as service:
         responses = service.query_many([req, req, req])
         assert service.stats.executed == 1
@@ -124,7 +124,7 @@ def test_engine_query_many_delegate(engine):
         assert result.users == expected.users
         assert result.scores == expected.scores
     # Mixed request batches flow through too.
-    mixed = engine.query_many([users[0], QueryRequest(users[1], k=2, alpha=0.8)])
+    mixed = engine.query_many([users[0], QueryRequest(users[1], k=2, alpha=0.8, method="ais")])
     assert len(mixed[1]) <= 2
 
 
@@ -134,9 +134,9 @@ def test_engine_query_many_delegate(engine):
 def test_cache_hit_on_repeat_and_stats(engine):
     user = located(engine, 1)[0]
     with QueryService(engine, max_workers=1, cache_size=32) as service:
-        first = service.query(user, k=5)
-        again = service.query(user, k=5)
-        other_k = service.query(user, k=6)
+        first = service.query(user, k=5, method="ais")
+        again = service.query(user, k=5, method="ais")
+        other_k = service.query(user, k=6, method="ais")
         info = service.cache_info()
     assert not first.cached and again.cached and not other_k.cached
     assert again.result.users == first.result.users
@@ -159,20 +159,20 @@ def test_lru_eviction_at_capacity(engine):
     users = located(engine, 6)
     with QueryService(engine, cache_size=3) as service:
         for user in users:
-            service.query(user, k=3)
+            service.query(user, k=3, method="ais")
         assert len(service.cache) == 3
         assert service.cache.stats.evictions == 3
         # The most recent three are cached; the oldest are gone.
-        assert service.query(users[-1], k=3).cached
-        assert not service.query(users[0], k=3).cached
+        assert service.query(users[-1], k=3, method="ais").cached
+        assert not service.query(users[0], k=3, method="ais").cached
 
 
 def test_move_evicts_movers_own_line(engine):
     user = located(engine, 1)[0]
     with QueryService(engine, cache_size=32) as service:
-        service.query(user, k=5, alpha=0.4)
+        service.query(user, k=5, alpha=0.4, method="ais")
         service.move_user(user, 0.9, 0.9)
-        refreshed = service.query(user, k=5, alpha=0.4)
+        refreshed = service.query(user, k=5, alpha=0.4, method="ais")
         assert not refreshed.cached
         truth = engine.query(user, 5, 0.4, "bruteforce")
         assert_same_scores(refreshed.result, truth)
@@ -181,7 +181,7 @@ def test_move_evicts_movers_own_line(engine):
 def test_move_evicts_entries_containing_the_mover(engine):
     users = located(engine, 8)
     with QueryService(engine, cache_size=64) as service:
-        responses = {u: service.query(u, k=5, alpha=0.4) for u in users}
+        responses = {u: service.query(u, k=5, alpha=0.4, method="ais") for u in users}
         # Pick a user that appears in someone else's cached top-k.
         mover, affected_query = next(
             (nb.user, q)
@@ -190,7 +190,7 @@ def test_move_evicts_entries_containing_the_mover(engine):
             if nb.user != q
         )
         service.move_user(mover, 0.99, 0.99)
-        refreshed = service.query(affected_query, k=5, alpha=0.4)
+        refreshed = service.query(affected_query, k=5, alpha=0.4, method="ais")
         assert not refreshed.cached, "entries containing the mover must be evicted"
         truth = engine.query(affected_query, 5, 0.4, "bruteforce")
         assert_same_scores(refreshed.result, truth)
@@ -220,7 +220,7 @@ def test_surviving_cache_entries_stay_exact_under_random_moves(engine):
 def test_forget_location_eviction(engine):
     users = located(engine, 6)
     with QueryService(engine, cache_size=64) as service:
-        responses = {u: service.query(u, k=5, alpha=0.4) for u in users}
+        responses = {u: service.query(u, k=5, alpha=0.4, method="ais") for u in users}
         leaver, affected_query = next(
             (nb.user, q)
             for q, resp in responses.items()
@@ -228,7 +228,7 @@ def test_forget_location_eviction(engine):
             if nb.user != q and q != resp.result.neighbors[0].user
         )
         service.forget_location(leaver)
-        refreshed = service.query(affected_query, k=5, alpha=0.4)
+        refreshed = service.query(affected_query, k=5, alpha=0.4, method="ais")
         assert not refreshed.cached
         assert leaver not in refreshed.result.users
 
@@ -248,7 +248,7 @@ def test_edge_update_full_flush_by_default(engine):
     users = located(engine, 4)
     with QueryService(engine, cache_size=64) as service:
         for u in users:
-            service.query(u, k=4, alpha=0.5)
+            service.query(u, k=4, alpha=0.5, method="ais")
         assert len(service.cache) == len(users)
         u, v = users[0], users[1]
         service.update_edge(u, v, 0.01)
@@ -275,7 +275,7 @@ def test_scan_limit_falls_back_to_epoch_flush(engine):
     users = located(engine, 8)
     with QueryService(engine, cache_size=64, scan_limit=2) as service:
         for u in users:
-            service.query(u, k=3, alpha=0.4)
+            service.query(u, k=3, alpha=0.4, method="ais")
         service.move_user(users[0], 0.5, 0.5)
         assert len(service.cache) == 0
         assert service.cache.epoch == 1
@@ -286,22 +286,22 @@ def test_direct_engine_updates_still_invalidate(engine):
     must reach the cache through the engine's listener hooks."""
     user = located(engine, 1)[0]
     with QueryService(engine, cache_size=32) as service:
-        service.query(user, k=5, alpha=0.4)
+        service.query(user, k=5, alpha=0.4, method="ais")
         engine.move_user(user, 0.42, 0.42)
-        assert not service.query(user, k=5, alpha=0.4).cached
+        assert not service.query(user, k=5, alpha=0.4, method="ais").cached
 
 
 def test_close_flushes_and_rejects_further_use(engine):
     user = located(engine, 1)[0]
     service = QueryService(engine, cache_size=32)
-    service.query(user, k=5)
+    service.query(user, k=5, method="ais")
     service.close()
     # The cache is flushed (its listeners are gone, so keeping entries
     # would mean serving stale results) and every entry point raises.
     assert len(service.cache) == 0
     for call in (
-        lambda: service.query(user, k=5),
-        lambda: service.query_many([user], k=5),
+        lambda: service.query(user, k=5, method="ais"),
+        lambda: service.query_many([user], k=5, method="ais"),
         lambda: service.move_user(user, 0.3, 0.3),
         lambda: service.update_edge(0, 1, 0.5),
         lambda: service.rebuild_engine(),
@@ -327,7 +327,7 @@ def test_services_share_the_engines_lock(engine):
             rng = random.Random(3)
             for _ in range(30):
                 for response in svc_a.query_many(
-                    [QueryRequest(rng.choice(users), k=4, alpha=0.4) for _ in range(3)]
+                    [QueryRequest(rng.choice(users), k=4, alpha=0.4, method="ais") for _ in range(3)]
                 ):
                     ranked = response.result.users
                     if len(ranked) != len(set(ranked)):
@@ -346,7 +346,7 @@ def test_services_share_the_engines_lock(engine):
             t.join()
         assert not failures, failures[:3]
         for u in users[:3]:
-            got = svc_a.query(u, k=4, alpha=0.4)
+            got = svc_a.query(u, k=4, alpha=0.4, method="ais")
             truth = engine.query(u, 4, 0.4, "bruteforce")
             assert_same_scores(got.result, truth)
 
@@ -372,13 +372,13 @@ def test_result_cache_refresh_reindexes_members():
 
 def test_engine_query_many_honors_changed_max_workers(engine):
     users = located(engine, 3)
-    engine.query_many(users, k=3, max_workers=2)
+    engine.query_many(users, k=3, method="ais", max_workers=2)
     assert engine._services[2].max_workers == 2
-    engine.query_many(users, k=3, max_workers=1)
+    engine.query_many(users, k=3, method="ais", max_workers=1)
     assert engine._services[1].max_workers == 1
     # Earlier widths keep their (possibly in-flight) services alive.
     assert set(engine._services) == {1, 2}
-    engine.query_many(users, k=3)  # default width gets its own entry
+    engine.query_many(users, k=3, method="ais")  # default width gets its own entry
     assert None in engine._services
 
 
@@ -483,7 +483,7 @@ def test_concurrent_queries_and_updates_no_corruption(engine):
         def reader(seed: int) -> None:
             rng = random.Random(seed)
             while not stop.is_set():
-                batch = [QueryRequest(rng.choice(users), k=4, alpha=0.4) for _ in range(4)]
+                batch = [QueryRequest(rng.choice(users), k=4, alpha=0.4, method="ais") for _ in range(4)]
                 for response in service.query_many(batch):
                     ranked = response.result.users
                     if len(ranked) != len(set(ranked)):
@@ -510,7 +510,7 @@ def test_concurrent_queries_and_updates_no_corruption(engine):
         assert not failures, failures[:5]
         # Post-condition: indexes consistent, fresh answers exact.
         for u in users[:4]:
-            got = service.query(u, k=5, alpha=0.5)
+            got = service.query(u, k=5, alpha=0.5, method="ais")
             truth = engine.query(u, 5, 0.5, "bruteforce")
             assert_same_scores(got.result, truth)
 
@@ -580,7 +580,7 @@ def test_zipf_arrivals_deterministic_and_skewed():
 def test_service_stats_snapshot_shape(engine):
     user = located(engine, 1)[0]
     with QueryService(engine, cache_size=8) as service:
-        service.query(user, k=3)
+        service.query(user, k=3, method="ais")
         snap = service.stats.snapshot()
     for key in ("requests", "hit_rate", "executed", "per_method", "total_pops"):
         assert key in snap

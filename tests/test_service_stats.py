@@ -75,9 +75,9 @@ def engine() -> GeoSocialEngine:
 def test_cache_info_contract(engine):
     with QueryService(engine) as service:
         user = sorted(engine.locations.located_users())[0]
-        service.query(user, k=5)
-        service.query(user, k=5)  # identical: must hit
-        service.query(user, k=6)  # different k: must miss
+        service.query(user, k=5, method="ais")
+        service.query(user, k=5, method="ais")  # identical: must hit
+        service.query(user, k=6, method="ais")  # different k: must miss
         info = service.cache_info()
         assert info["hits"] == 1
         assert info["misses"] == 2

@@ -113,10 +113,10 @@ def test_movers_and_batch_readers_do_not_deadlock_and_stay_exact(setup):
     fresh = snapshot_engine(graph, sharded)
     located = list(sharded.locations.located_users())
     for q in located[:10]:
-        served = service.query(QueryRequest(q, k=5, alpha=0.4)).result
+        served = service.query(QueryRequest(q, k=5, alpha=0.4, method="ais")).result
         expected = fresh.query(q, k=5, alpha=0.4)
         assert served.users == expected.users
-        again = service.query(QueryRequest(q, k=5, alpha=0.4))
+        again = service.query(QueryRequest(q, k=5, alpha=0.4, method="ais"))
         assert again.cached
         assert again.result.users == expected.users
     service.close()
@@ -132,13 +132,13 @@ def test_no_stale_cache_hits_on_boundary_crossings(setup):
     crossings = 0
     for round_no in range(30):
         q = rng.choice(located)
-        first = service.query(QueryRequest(q, k=5, alpha=0.3))
+        first = service.query(QueryRequest(q, k=5, alpha=0.3, method="ais"))
         before = sharded.shard_of_user(q)
         x, y = rng.random(), rng.random()
         service.move_user(q, x, y)
         if sharded.shard_of_user(q) != before:
             crossings += 1
-        response = service.query(QueryRequest(q, k=5, alpha=0.3))
+        response = service.query(QueryRequest(q, k=5, alpha=0.3, method="ais"))
         assert not response.cached, "stale hit served for a moved user"
         fresh = snapshot_engine(graph, sharded)
         assert response.result.users == fresh.query(q, k=5, alpha=0.3).users
@@ -152,14 +152,14 @@ def test_service_rebuild_preserves_the_sharded_kind(setup):
     graph, sharded = setup
     service = QueryService(sharded, cache_size=64, max_workers=1)
     located = list(sharded.locations.located_users())
-    service.query(QueryRequest(located[0], k=4))
+    service.query(QueryRequest(located[0], k=4, method="ais"))
     service.update_edge(located[0], located[1], 0.05)
     new_engine = service.rebuild_engine()
     try:
         assert isinstance(new_engine, ShardedGeoSocialEngine)
         assert new_engine is service.engine and new_engine is not sharded
         assert new_engine.n_shards == sharded.n_shards
-        served = service.query(QueryRequest(located[0], k=4)).result
+        served = service.query(QueryRequest(located[0], k=4, method="ais")).result
         fresh = GeoSocialEngine(
             new_engine.graph,
             new_engine.locations.copy(),

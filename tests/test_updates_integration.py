@@ -136,8 +136,8 @@ def test_boundary_crossing_move_rehomes_and_refreshes_cache():
     assert mover in old_engine.grid and mover in old_engine.index_users
 
     # Cache a line for the mover, then push them into a different cell.
-    assert not service.query(QueryRequest(mover, k=5, alpha=0.3)).cached
-    assert service.query(QueryRequest(mover, k=5, alpha=0.3)).cached
+    assert not service.query(QueryRequest(mover, k=5, alpha=0.3, method="ais")).cached
+    assert service.query(QueryRequest(mover, k=5, alpha=0.3, method="ais")).cached
     part = sharded.partitioner
     x, y = sharded.locations.get(mover)
     target = next(
@@ -158,7 +158,7 @@ def test_boundary_crossing_move_rehomes_and_refreshes_cache():
     new_engine = sharded._engines[new_shard]
     assert mover in new_engine.grid and mover in new_engine.index_users
     # ... the stale cache line is gone, and the fresh answer is exact.
-    response = service.query(QueryRequest(mover, k=5, alpha=0.3))
+    response = service.query(QueryRequest(mover, k=5, alpha=0.3, method="ais"))
     assert not response.cached
     fresh = GeoSocialEngine(
         graph,
