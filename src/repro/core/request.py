@@ -15,7 +15,7 @@ survives only at the public edges, which fold it through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from repro.utils.validation import (
     check_alpha,
@@ -104,6 +104,11 @@ class QueryRequest:
         given = {name: defaults[name] for name in _FIELDS[1:] if name in (defaults or ())}
         given.update((name, obj[name]) for name in _FIELDS if name in obj)
         return cls(**given)
+
+    def with_method(self, method: str) -> "QueryRequest":
+        """This request pinned to ``method`` — how a resolved method
+        travels on (``self`` when it already names it)."""
+        return self if method == self.method else replace(self, method=method)
 
     def payload(self) -> dict:
         """The request as a plain dict — the wire shape, and what

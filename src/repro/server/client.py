@@ -223,11 +223,7 @@ class ServerClient:
         ``heartbeats=True``, ``("heartbeat", None)`` for the server's
         keep-alive comments."""
         request = QueryRequest.coerce(user, k, alpha, method, t)
-        params = {
-            name: value
-            for name, value in request.payload().items()
-            if name != "budget" and value is not None
-        }
+        params = {name: v for name, v in request.payload().items() if v is not None}
         target = f"/subscribe?{urlencode(params)}"
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout if timeout is None else timeout

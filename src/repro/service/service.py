@@ -41,8 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from dataclasses import replace
-
 from repro.core.engine import (
     AUTO,
     FORWARD_DETERMINISTIC_METHODS,
@@ -267,7 +265,7 @@ class QueryService:
         request: QueryRequest, engine: GeoSocialEngine, resolved: str
     ) -> tuple[SSRQResult, float]:
         start = time.perf_counter()
-        result = engine.query(replace(request, method=resolved))
+        result = engine.query(request.with_method(resolved))
         return result, time.perf_counter() - start
 
     def query(

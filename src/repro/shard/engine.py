@@ -52,7 +52,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.backend import Kernels
@@ -71,7 +71,6 @@ from repro.social.scan import peek_scan
 from repro.spatial.point import LocationTable
 from repro.topk.merge import merge_topk
 from repro.utils.concurrency import TaskPool
-from repro.utils.validation import check_user
 
 if TYPE_CHECKING:
     from repro.plan.planner import AdaptivePlanner
@@ -442,7 +441,7 @@ class ShardedGeoSocialEngine(EngineBase):
         identical-method partials and shards never make their own
         exact-vs-approx choice — an ``"approx"`` resolution is
         delegated (global sketch, never scattered)."""
-        request = replace(request, method=resolved)
+        request = request.with_method(resolved)
         if resolved in DELEGATED_METHODS:
             result = self._delegate_engine().query(request, initial=initial)
             with self._scatter_lock:

@@ -71,8 +71,6 @@ import traceback
 from multiprocessing import connection as mp_connection
 from typing import Sequence
 
-from dataclasses import replace
-
 from repro.core.engine import resolve_dispatch
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
@@ -516,7 +514,7 @@ class ProcessScatterPool:
         for req in reqs:
             check_user(req.user, engine.graph.n)
             routed, decision = resolve_dispatch(engine, req)
-            routed_req = replace(req, method=routed)
+            routed_req = req.with_method(routed)
             candidates = (
                 None if routed in DELEGATED_METHODS else engine._scatter_plan(routed_req)
             )

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.engine import AUTO
@@ -237,7 +236,7 @@ class SubscriptionRegistry:
             # checked the field types and ranges; the user id and the
             # method name are engine-level checks).
             check_user(request.user, engine.graph.n)
-            request = replace(request, method=engine.resolve_method(request))
+            request = request.with_method(engine.resolve_method(request))
             sub = Subscription(
                 request, RankingFunction(request.alpha, engine.normalization)
             )

@@ -8,12 +8,19 @@ import random
 import pytest
 
 from repro.core.engine import GeoSocialEngine
+from repro.core.request import QueryRequest
 from repro.datasets.generators import erdos_renyi_edges
 from repro.datasets.synthetic import GeoSocialDataset, build_dataset
 from repro.graph.socialgraph import SocialGraph
 from repro.spatial.point import LocationTable
 
 INF = math.inf
+
+
+def requests(users, **params) -> "list[QueryRequest]":
+    """One ``QueryRequest`` per user — what request-only batch APIs
+    (``ProcessScatterPool.query_many``) take."""
+    return [QueryRequest(user, **params) for user in users]
 
 
 def random_graph(n: int, avg_degree: float, seed: int) -> SocialGraph:

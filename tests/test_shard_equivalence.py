@@ -33,7 +33,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import QueryRequest
 from repro.core.engine import GeoSocialEngine
 from repro.graph.socialgraph import SocialGraph
 from repro.shard import (
@@ -43,12 +42,7 @@ from repro.shard import (
     make_partitioner,
 )
 from repro.spatial.point import LocationTable
-from tests.conftest import random_instance
-
-
-def requests(users, **params):
-    """One ``QueryRequest`` per user — what the pool's batch API takes."""
-    return [QueryRequest(user, **params) for user in users]
+from tests.conftest import random_instance, requests
 
 settings.register_profile(
     "shard-ci",

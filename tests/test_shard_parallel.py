@@ -31,7 +31,6 @@ import time
 
 import pytest
 
-from repro import QueryRequest
 from repro.core.engine import GeoSocialEngine
 from repro.shard import (
     DeltaJournal,
@@ -41,12 +40,7 @@ from repro.shard import (
     ShardedGeoSocialEngine,
     resolve_scatter_backend,
 )
-from tests.conftest import random_instance
-
-
-def requests(users, **params):
-    """One ``QueryRequest`` per user — what the pool's batch API takes."""
-    return [QueryRequest(user, **params) for user in users]
+from tests.conftest import random_instance, requests
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
