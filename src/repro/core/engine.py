@@ -63,7 +63,7 @@ from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
 from repro.spatial.point import LocationTable
 from repro.utils.concurrency import ReadWriteLock
-from repro.utils.validation import check_user
+from repro.utils.validation import check_finite_point, check_user
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -425,6 +425,7 @@ class EngineBase:
         lock remain unsafe).
         """
         check_user(user, self.graph.n)
+        check_finite_point(x, y)
         with self.rw_lock.write_locked():
             self._apply_location(user, x, y)
             self._notify_location(user, x, y)

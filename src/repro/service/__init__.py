@@ -6,9 +6,9 @@ into a component built for heavy, skewed, dynamic traffic:
 - :class:`QueryService` — batch endpoint with a worker pool, in-batch
   deduplication, and a readers-writer lock serialising updates against
   in-flight queries;
-- :class:`ResultCache` — update-aware LRU over full top-k results with
-  exact invalidation on location moves and configurable blast-radius /
-  epoch-flush invalidation on social-edge changes;
+- :class:`ResultCache` — update-aware LRU over full top-k results:
+  keep / repair-in-place / evict on location moves (the rule of
+  :mod:`repro.stream.conditions`), epoch flush on social-edge changes;
 - :class:`QueryRequest` / :class:`QueryResponse` / :class:`ServiceStats`
   — the request/response dataclasses and serving statistics.
 

@@ -4,112 +4,82 @@ Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
 enormously *if* the cache can survive a dynamic world where users move
 constantly.  This module provides that: an LRU keyed on the full query
-signature ``(user, k, α, method, t, normalization)`` with hit/miss
-statistics, plus invalidation that *repairs or evicts exactly* the
-entries a given update can affect instead of flushing everything.
+signature ``(user, k, α, resolved method, t, normalization, budget)``
+with hit/miss statistics, whose entries carry the request and the
+:class:`~repro.core.ranking.RankingFunction` that produced them, so a
+location update *repairs or evicts exactly* the entries it can affect
+instead of flushing everything.
 
-**Location update of user m → exact screening, then repair.**  A move
-can only change a cached ranking in three ways, each of which the cache
-detects precisely:
+**Location update of user m → the shared rule, the cache's policy.**
+Whether a move can change a stored top-k, and how it is fixed, is
+decided in one place for every layer that keeps results —
+:mod:`repro.stream.conditions` (the NO-OP / REPAIR / RECOMPUTE screen,
+the single-member re-score, the query-user/member index; the safety
+argument lives there too).  This module only applies the cache's
+policy to each verdict:
 
-1. queries *issued by* ``m`` (its spatial component moved) — tracked by
-   a per-query-user key index; evicted (every spatial term changed:
-   a recompute on the next miss);
-2. queries whose cached top-k *contains* ``m`` (its score changed) —
-   tracked by an inverted member → keys index.  For methods whose
-   stored social distances are schedule-independent
-   (:data:`~repro.core.engine.FORWARD_DETERMINISTIC_METHODS`) the
-   entry is *repaired in place*: the move changed only ``m``'s spatial
-   term, so
-   re-scoring ``m`` with its stored social distance and re-sorting is
-   the fresh answer — unless the new key exceeds the old k-th key, in
-   which case ``m`` may drop out, the old (k+1)-th is unknown, and the
-   entry is evicted (see :mod:`repro.stream.conditions` for the safety
-   argument);
-3. queries that ``m`` could *newly enter*: since scores are
-   ``f = α·p/P_max + (1−α)·d/D_max`` and ``p ≥ 0``, the spatial part
-   alone lower-bounds ``m``'s new score; if
-   ``(1−α)·d(q, m_new)/D_max ≥ f_k`` the entry provably cannot change
-   and survives (counted as *reused*).  Pure-social entries (``α = 1``)
-   are never affected by location updates at all.
+- **NO-OP → keep** (counted *reused*): pure-social entries, and every
+  entry whose spatial lower bound proves the mover out;
+- **REPAIR → re-score in place** when the mover is a *member* of an
+  entry whose method stores schedule-independent social distances
+  (:data:`~repro.stream.conditions.REPAIRABLE_METHODS`): only its
+  spatial term changed, so re-scoring it and re-sorting is the fresh
+  answer — unless the re-score escalates (the mover may have dropped
+  below the unknown (k+1)-th);
+- **otherwise → evict**: the query user moved, a member forgot its
+  location, the mover might newly enter (the cache does not pay an
+  exact social distance to find out), the method is not repairable,
+  or the re-score escalated.  The next miss recomputes.
 
-The screen costs O(cache) per update with an O(1) check per entry;
-``scan_limit`` caps that work — a larger cache falls back to an
-epoch-based full invalidation (O(1) decision, drop everything).
+The screen costs O(cache) per move with an O(1) check per entry; a
+forgotten location examines only the entries it touches directly.
 
-**Social edge update (u, v) → blast radius or epoch flush.**  An edge
-change can alter social distances between arbitrarily distant pairs, so
-the conservative default is a full epoch flush; with
-``edge_blast_radius`` configured, only entries whose query user or
-cached members lie within that many social hops of either endpoint are
-evicted (pure-spatial ``α = 0`` entries are always kept — edge weights
-cannot affect them).  Note that under the service layer's default
-*companion-table* model, served results do not change until
-:meth:`QueryService.rebuild_engine` folds the updates in (which flushes
-anyway) — the per-update eviction is deliberate conservatism that also
-covers live-attached tables (``attach_dynamics`` on the engine's own
-landmark index) where repaired rows feed served bounds immediately.
+**Social edge update → epoch flush.**  An edge change can alter social
+distances between arbitrarily distant pairs, so every entry goes.
+Under the service layer's *companion-table* model served results do
+not actually change until :meth:`QueryService.rebuild_engine` folds
+the updates in (which flushes anyway); the per-update flush is
+deliberate conservatism, measured and left to its own issue in
+ROADMAP.md.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
-from repro.core.ranking import _TINY
-from repro.core.result import Neighbor, SSRQResult
+from repro.core.result import SSRQResult
+from repro.spatial.point import euclidean
+from repro.stream.conditions import NOOP, REPAIR, StoredIndex, StoredTopK
 
-INF = math.inf
-
-#: cache key layout: (user, k, alpha, method, t, normalization token,
-#: budget) — the accuracy budget is appended last so shorter (older or
-#: foreign) key shapes keep failing the ``len(key) <= _KEY_NORM``
-#: guards conservatively
-CacheKey = tuple
-
-_KEY_K = 1
-_KEY_ALPHA = 2
-_KEY_METHOD = 3
-_KEY_NORM = 5
-_KEY_BUDGET = 6
-
-
-def _key_alpha(key: CacheKey) -> float | None:
-    """The α slot of a service-shaped key, or ``None`` for foreign key
-    shapes (plain LRU use) — callers treat ``None`` conservatively."""
-    return key[_KEY_ALPHA] if len(key) > _KEY_ALPHA else None
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ranking import RankingFunction
+    from repro.core.request import QueryRequest
 
 
 class InvalidationOutcome(int):
     """Result of one update-aware invalidation pass.
 
     Behaves as the number of *evicted* entries (an ``int`` subclass, so
-    existing arithmetic and assertions keep working) and additionally
-    reports how many entries were repaired in place, how many were
-    examined and provably kept, and whether the pass fell back to an
-    epoch flush.
+    arithmetic and assertions on the count keep working) and
+    additionally reports how many entries were repaired in place and
+    how many were examined and provably kept.
 
         >>> from repro.service.cache import InvalidationOutcome
         >>> out = InvalidationOutcome(2, repaired=1, reused=5)
-        >>> out == 2, out.repaired, out.reused, out.full_flush
-        (True, 1, 5, False)
+        >>> out == 2, out.repaired, out.reused
+        (True, 1, 5)
     """
 
     repaired: int
     reused: int
-    full_flush: bool
 
-    def __new__(
-        cls, evicted: int, *, repaired: int = 0, reused: int = 0, full_flush: bool = False
-    ) -> "InvalidationOutcome":
+    def __new__(cls, evicted: int, *, repaired: int = 0, reused: int = 0) -> "InvalidationOutcome":
         self = super().__new__(cls, evicted)
         self.repaired = repaired
         self.reused = reused
-        self.full_flush = full_flush
         return self
 
     @property
@@ -144,46 +114,52 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+class _Entry(StoredTopK):
+    """One cache line: the stored result plus the key it lives under."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Hashable, request: "QueryRequest", rank: "RankingFunction") -> None:
+        super().__init__(request, rank)
+        self.key = key
+
+
 class ResultCache:
     """LRU result cache with exact update-aware invalidation.
 
+        >>> from repro import Neighbor, Normalization, RankingFunction, SSRQResult
+        >>> from repro.service import QueryRequest
         >>> from repro.service.cache import ResultCache
         >>> cache = ResultCache(capacity=2)
-        >>> cache.put(("a",), "result-a")
-        >>> cache.get(("a",))
-        'result-a'
-        >>> cache.get(("b",)) is None
+        >>> request = QueryRequest(0, k=1, alpha=0.5, method="tsa")
+        >>> rank = RankingFunction(0.5, Normalization(p_max=1.0, d_max=1.0))
+        >>> result = SSRQResult(0, 1, 0.5, [Neighbor(9, 0.2, 0.1, 0.3)])
+        >>> cache.put("a", request, rank, result)
+        >>> cache.get("a") is result
+        True
+        >>> cache.get("b") is None
         True
         >>> cache.stats.hits, cache.stats.misses
         (1, 1)
 
-    All operations take an internal lock, so invalidation hooks may fire
-    from any thread.  Entries must be :class:`SSRQResult`-like for the
-    update-aware paths (plain values are fine for pure LRU use, as in
-    the doctest above).
+    Keys are opaque to the cache (the service builds them from the
+    full query signature); everything the update-aware paths need
+    travels on the entry: the request with its method already
+    resolved and the ranking function the scores were computed under.
+    All operations take an internal lock, so invalidation hooks may
+    fire from any thread.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        scan_limit: int | None = None,
-        edge_blast_radius: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        #: above this size, location screening gives way to a full flush
-        self.scan_limit = scan_limit
-        #: social-hop radius for edge invalidation (None: full flush)
-        self.edge_blast_radius = edge_blast_radius
         self.stats = CacheStats()
         #: monotonically increasing; bumped on every full invalidation
         self.epoch = 0
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
-        self._by_query_user: dict[int, set[CacheKey]] = {}
-        self._by_member: dict[int, set[CacheKey]] = {}
+        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        self._index = StoredIndex()
 
     # -- plain cache operations ---------------------------------------
 
@@ -193,7 +169,7 @@ class ResultCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: CacheKey):
+    def get(self, key: Hashable) -> SSRQResult | None:
         """The cached result for ``key`` (refreshing its LRU position),
         or ``None`` — counted as a hit or miss respectively."""
         with self._lock:
@@ -203,63 +179,36 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry
+            return entry.result
 
-    def peek(self, key: CacheKey):
+    def peek(self, key: Hashable) -> SSRQResult | None:
         """Like :meth:`get` but without touching LRU order or stats."""
-        return self._entries.get(key)
+        entry = self._entries.get(key)
+        return entry.result if entry is not None else None
 
-    def put(self, key: CacheKey, result) -> None:
+    def put(
+        self,
+        key: Hashable,
+        request: "QueryRequest",
+        rank: "RankingFunction",
+        result: SSRQResult,
+    ) -> None:
         """Insert (or refresh) ``key``, evicting the LRU tail at
-        capacity."""
+        capacity.  ``request`` is the query with its method resolved,
+        ``rank`` the ranking function ``result`` was scored under."""
         with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._drop_from_indexes(key, old)
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
-                self._entries[key] = result
-                self._index(key, result)
-                return
-            while len(self._entries) >= self.capacity:
-                victim, old = self._entries.popitem(last=False)
-                self._drop_from_indexes(victim, old)
-                self.stats.evictions += 1
-            self._entries[key] = result
-            self._index(key, result)
-            self.stats.insertions += 1
-
-    def _index(self, key: CacheKey, result) -> None:
-        if not isinstance(result, SSRQResult):
-            return
-        self._by_query_user.setdefault(result.query_user, set()).add(key)
-        for nb in result.neighbors:
-            self._by_member.setdefault(nb.user, set()).add(key)
-
-    def _discard_keys(self, keys: Iterable[CacheKey]) -> int:
-        removed = 0
-        for key in list(keys):
-            result = self._entries.pop(key, None)
-            if result is None:
-                continue
-            self._drop_from_indexes(key, result)
-            removed += 1
-        self.stats.invalidated += removed
-        return removed
-
-    def _drop_from_indexes(self, key: CacheKey, result) -> None:
-        if not isinstance(result, SSRQResult):
-            return
-        keys = self._by_query_user.get(result.query_user)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._by_query_user[result.query_user]
-        for nb in result.neighbors:
-            keys = self._by_member.get(nb.user)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_member[nb.user]
+            else:
+                while len(self._entries) >= self.capacity:
+                    _, victim = self._entries.popitem(last=False)
+                    self._index.remove(victim)
+                    self.stats.evictions += 1
+                entry = self._entries[key] = _Entry(key, request, rank)
+                self._index.add(entry)
+                self.stats.insertions += 1
+            self._index.install(entry, result)
 
     # -- update-aware invalidation ------------------------------------
 
@@ -268,17 +217,11 @@ class ResultCache:
         with self._lock:
             removed = len(self._entries)
             self._entries.clear()
-            self._by_query_user.clear()
-            self._by_member.clear()
+            self._index.clear()
             self.epoch += 1
             self.stats.invalidated += removed
             self.stats.full_invalidations += 1
-            return InvalidationOutcome(removed, full_flush=True)
-
-    def invalidate_query_user(self, user: int) -> int:
-        """Drop every cache line keyed by query user ``user``."""
-        with self._lock:
-            return self._discard_keys(self._by_query_user.get(user, ()))
+            return InvalidationOutcome(removed)
 
     def invalidate_location_update(
         self,
@@ -287,204 +230,61 @@ class ResultCache:
         y: float | None,
         *,
         query_location: Callable[[int], tuple[float, float] | None],
-        d_max: float,
     ) -> "InvalidationOutcome":
-        """Repair or evict exactly the entries a location update can
-        affect.
+        """Keep, repair or evict each entry a location update can
+        affect (the module docstring's policy).
 
         ``(x, y)`` is the user's *new* position (``None`` for a
         forgotten location); ``query_location`` resolves a query user's
-        current position; ``d_max`` is the spatial normaliser the cached
-        scores were computed under.  Returns an
-        :class:`InvalidationOutcome` (``int``-compatible: the number of
-        entries evicted) that also counts in-place repairs and entries
-        provably kept.
+        current position.  Returns an :class:`InvalidationOutcome`
+        (``int``-compatible: the number of entries evicted) that also
+        counts in-place repairs and entries provably kept.
         """
         with self._lock:
-            if self.scan_limit is not None and len(self._entries) > self.scan_limit:
-                return self.invalidate_all()
-            evict: set[CacheKey] = set()
+            # A forgotten location cannot create entrants: only the
+            # entries it touches directly need a verdict.
+            examined = self._index.touched(user) if x is None else self._entries.values()
+            evict = []
             repaired = reused = 0
-            #: keys already resolved (kept, repaired, or mover-is-member)
-            #: — the entrant scan below must not re-examine or re-count
-            #: them
-            settled: set[CacheKey] = set()
-            for key in self._by_query_user.get(user, ()):
-                if _key_alpha(key) == 1.0:
-                    if key not in settled:
-                        reused += 1  # pure-social: location cannot matter
-                        settled.add(key)
-                    continue
-                evict.add(key)
-            for key in list(self._by_member.get(user, ())):
-                if key in evict or key in settled:
-                    continue
-                settled.add(key)
-                if _key_alpha(key) == 1.0:
+            for entry in examined:
+                query_xy = query_location(entry.request.user)
+                kind = entry.classify(user, x, y, query_xy)
+                if kind == NOOP:
                     reused += 1
-                    continue
-                if self._repair_member_locked(key, user, x, y, query_location):
+                elif (
+                    kind == REPAIR
+                    and entry.repairable
+                    and user in entry.member_ids
+                    and query_xy is not None
+                    and self._repair_member_locked(entry, user, euclidean(*query_xy, x, y))
+                ):
                     repaired += 1
                 else:
-                    evict.add(key)
-            if x is not None:
-                # The mover may newly enter someone else's top-k; keep
-                # only entries whose spatial lower bound proves it out.
-                for key, result in self._entries.items():
-                    if key in evict or key in settled:
-                        continue
-                    alpha = _key_alpha(key)
-                    if alpha == 1.0:
-                        reused += 1
-                        continue
-                    if not isinstance(result, SSRQResult) or alpha is None:
-                        evict.add(key)
-                        continue
-                    if result.query_user == user:
-                        continue  # handled by the query-user index
-                    if len(result.neighbors) < key[_KEY_K]:
-                        evict.add(key)  # open slot: anyone may join
-                        continue
-                    q = query_location(result.query_user)
-                    if q is None or d_max <= 0.0:
-                        evict.add(key)
-                        continue
-                    # Mirror RankingFunction's float association exactly
-                    # (w_spatial = (1-α)/D_max, then · d): the engine's
-                    # score is fl(w_social·p + w_spatial·d) ≥ w_spatial·d
-                    # for non-negative parts, so this is a sound lower
-                    # bound.  `<=` (not `<`) covers the smaller-id
-                    # tie-break at equal scores.
-                    w_spatial = (1.0 - alpha) / max(d_max, _TINY)
-                    dx = q[0] - x
-                    dy = q[1] - y
-                    lower = w_spatial * math.sqrt(dx * dx + dy * dy)
-                    if lower <= result.fk:
-                        evict.add(key)
-                    else:
-                        reused += 1
-            removed = self._discard_keys(evict)
+                    evict.append(entry)
+            for entry in evict:
+                del self._entries[entry.key]
+                self._index.remove(entry)
+            self.stats.invalidated += len(evict)
             self.stats.repaired += repaired
             self.stats.reused += reused
-            return InvalidationOutcome(removed, repaired=repaired, reused=reused)
+            return InvalidationOutcome(len(evict), repaired=repaired, reused=reused)
 
-    def _repair_member_locked(
-        self,
-        key: CacheKey,
-        user: int,
-        x: float | None,
-        y: float | None,
-        query_location: Callable[[int], tuple[float, float] | None],
-    ) -> bool:
-        """Try to repair one cached entry whose top-k *contains* the
-        mover: re-score the mover from its stored social distance and
-        re-sort.  ``False`` means the entry must be evicted instead
-        (non-repairable method, the mover may have dropped out, or the
-        key shape is foreign).  See :mod:`repro.stream.conditions` for
-        why the repaired entry equals a fresh recompute.
-        """
-        if len(key) <= _KEY_NORM:
-            return False  # foreign key shape: evict conservatively
-        method, norm = key[_KEY_METHOD], key[_KEY_NORM]
-        if method not in FORWARD_DETERMINISTIC_METHODS:
-            # e.g. AIS (scores are schedule-dependent) or approx (the
-            # stored social term is a sketch midpoint, not the exact
-            # distance — re-scoring from it would compound error past
-            # the recorded bound): recompute on the next miss instead.
+    def _repair_member_locked(self, entry: _Entry, user: int, d: float) -> bool:
+        """Re-score member ``user`` of ``entry`` at its new spatial
+        distance ``d`` and re-sort, in place (LRU position kept);
+        ``False`` when the re-score escalates and the entry must go."""
+        neighbors = entry.rescore_members({user: d})
+        if neighbors is None:
             return False
-        if not (isinstance(norm, tuple) and len(norm) == 2):
-            return False
-        result = self._entries.get(key)
-        if not isinstance(result, SSRQResult):
-            return False
-        alpha, k = key[_KEY_ALPHA], key[_KEY_K]
-        neighbors = result.neighbors
-        full = len(neighbors) >= k
-        if x is None or y is None:
-            # The mover lost its location: it drops out.  With an open
-            # slot that *is* the fresh answer; at capacity the old
-            # (k+1)-th is unknown.
-            if full:
-                return False
-            repaired = [nb for nb in neighbors if nb.user != user]
-        else:
-            q = query_location(result.query_user)
-            if q is None:
-                return False
-            p_max, d_max = norm
-            w_social = alpha / max(p_max, _TINY)
-            w_spatial = (1.0 - alpha) / max(d_max, _TINY)
-            dx = q[0] - x
-            dy = q[1] - y
-            d = math.sqrt(dx * dx + dy * dy)
-            moved = next(nb for nb in neighbors if nb.user == user)
-            # RankingFunction.score association, zero-weight gating incl.
-            social_part = w_social * moved.social if w_social != 0.0 else 0.0
-            spatial_part = w_spatial * d if w_spatial != 0.0 else 0.0
-            new_score = social_part + spatial_part
-            if new_score != new_score or new_score == INF:
-                return False
-            if full:
-                worst = neighbors[-1]
-                if (new_score, user) > (worst.score, worst.user):
-                    return False  # may drop below the unknown (k+1)-th
-            repaired = sorted(
-                [nb for nb in neighbors if nb.user != user]
-                + [Neighbor(user, new_score, moved.social, d)],
-                key=lambda nb: (nb.score, nb.user),
-            )
-        new_result = SSRQResult(
-            result.query_user, result.k, result.alpha, repaired, result.stats,
-            method=result.method,
+        neighbors.sort(key=lambda nb: (nb.score, nb.user))
+        old = entry.result
+        self._index.install(
+            entry,
+            SSRQResult(old.query_user, old.k, old.alpha, neighbors, old.stats, method=old.method),
         )
-        self._drop_from_indexes(key, result)
-        self._entries[key] = new_result  # in place: LRU position kept
-        self._index(key, new_result)
         return True
 
-    def invalidate_edge_update(
-        self,
-        u: int,
-        v: int,
-        *,
-        neighbors_of: Callable[[int], Iterable[int]] | None = None,
-    ) -> "InvalidationOutcome":
-        """Invalidate after a social-edge insert/delete/re-weight.
-
-        With no configured ``edge_blast_radius`` (or no adjacency to
-        walk) this is a sound full flush; otherwise entries touching the
-        hop-ball around the endpoints are evicted (bounded staleness —
-        distance changes *can* propagate further).
-        """
-        with self._lock:
-            if self.edge_blast_radius is None or neighbors_of is None:
-                return self.invalidate_all()
-            ball = self._hop_ball((u, v), self.edge_blast_radius, neighbors_of)
-            evict: set[CacheKey] = set()
-            kept: set[CacheKey] = set()  # counted once, however many
-            for member in ball:          # ball members touch the entry
-                for index in (self._by_query_user, self._by_member):
-                    for key in index.get(member, ()):
-                        if _key_alpha(key) == 0.0:
-                            kept.add(key)  # pure-spatial: edges cannot matter
-                        else:
-                            evict.add(key)
-            removed = self._discard_keys(evict)
-            self.stats.reused += len(kept)
-            return InvalidationOutcome(removed, reused=len(kept))
-
-    @staticmethod
-    def _hop_ball(
-        seeds: Iterable[int], radius: int, neighbors_of: Callable[[int], Iterable[int]]
-    ) -> set[int]:
-        ball = set(seeds)
-        frontier = deque((s, 0) for s in ball)
-        while frontier:
-            vertex, depth = frontier.popleft()
-            if depth >= radius:
-                continue
-            for nbr in neighbors_of(vertex):
-                if nbr not in ball:
-                    ball.add(nbr)
-                    frontier.append((nbr, depth + 1))
-        return ball
+    def invalidate_edge_update(self, u: int, v: int) -> "InvalidationOutcome":
+        """Invalidate after a social-edge insert/delete/re-weight: a
+        sound full flush (distance changes can propagate anywhere)."""
+        return self.invalidate_all()

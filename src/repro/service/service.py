@@ -47,9 +47,10 @@ from repro.core.engine import (
     GeoSocialEngine,
     resolve_dispatch,
 )
+from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
-from repro.service.cache import CacheKey, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.social.fused import fused_variants
 
@@ -90,10 +91,6 @@ class QueryService:
         ``1`` executes batches inline with no pool.
     cache_size:
         LRU capacity; ``0`` disables result caching entirely.
-    scan_limit, edge_blast_radius:
-        Invalidation tuning, forwarded to :class:`ResultCache`.
-    batch_dedup:
-        Compute identical in-batch requests once (default on).
     social_cache_bytes:
         Byte budget for the engine's
         :class:`~repro.social.cache.SocialColumnCache` (``None`` keeps
@@ -109,23 +106,13 @@ class QueryService:
         *,
         max_workers: int | None = None,
         cache_size: int = 1024,
-        scan_limit: int | None = None,
-        edge_blast_radius: int | None = None,
-        batch_dedup: bool = True,
         social_cache_bytes: int | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.engine = engine
         self.max_workers = max_workers if max_workers is not None else _default_workers()
-        self.batch_dedup = batch_dedup
-        self.cache: ResultCache | None = (
-            ResultCache(
-                cache_size, scan_limit=scan_limit, edge_blast_radius=edge_blast_radius
-            )
-            if cache_size > 0
-            else None
-        )
+        self.cache: ResultCache | None = ResultCache(cache_size) if cache_size > 0 else None
         self.stats = ServiceStats()
         self._closed = False
         self._pool: ThreadPoolExecutor | None = None
@@ -217,19 +204,17 @@ class QueryService:
 
     def _cache_key(
         self, request: QueryRequest, engine: GeoSocialEngine, resolved: str
-    ) -> CacheKey:
+    ) -> tuple:
         """The cache line for one request, keyed on the **resolved**
         method (endpoint routing applied; ``auto`` pinned to the
-        planner's concrete pick).  Repair-awareness and the screening
-        bounds therefore always classify the method that actually
-        produced the stored result — and endpoint aliases (``tsa`` at
+        planner's concrete pick), so endpoint aliases (``tsa`` at
         ``alpha == 0`` and ``spa``, …) share one line.
 
-        The accuracy budget is part of the signature (appended last so
-        older positional consumers stay valid): a budgeted answer may
-        be approximate, so it must never satisfy an exact request with
-        otherwise identical parameters.  ``budget=0`` is normalised to
-        the unset form — both demand exactness, so they share a line."""
+        The accuracy budget is part of the signature: a budgeted answer
+        may be approximate, so it must never satisfy an exact request
+        with otherwise identical parameters.  ``budget=0`` is
+        normalised to the unset form — both demand exactness, so they
+        share a line."""
         norm = engine.normalization
         return (
             request.user,
@@ -240,13 +225,6 @@ class QueryService:
             (norm.p_max, norm.d_max),
             request.budget or None,
         )
-
-    def _resolve(self, request: QueryRequest, engine: GeoSocialEngine):
-        """``(resolved_method, decision, planner)`` for one request —
-        the planner is consulted (and later fed the measured latency)
-        only for ``method="auto"``."""
-        resolved, decision = resolve_dispatch(engine, request)
-        return resolved, decision, engine.planner if decision is not None else None
 
     def _precalibrate_planner(self) -> None:
         """One-time planner calibration for ``auto`` traffic, run
@@ -259,14 +237,6 @@ class QueryService:
         planner = engine.planner
         if not planner.calibrated:
             planner.calibrate(engine, read_lock=engine.rw_lock.read_locked)
-
-    @staticmethod
-    def _execute(
-        request: QueryRequest, engine: GeoSocialEngine, resolved: str
-    ) -> tuple[SSRQResult, float]:
-        start = time.perf_counter()
-        result = engine.query(request.with_method(resolved))
-        return result, time.perf_counter() - start
 
     def query(
         self,
@@ -281,29 +251,7 @@ class QueryService:
         keyword overrides (``None``: the
         :class:`~repro.core.request.QueryRequest` default)."""
         self._check_open()
-        req = QueryRequest.coerce(request, k, alpha, method, t, budget)
-        if req.method == AUTO:
-            self._precalibrate_planner()
-        with self._read_locked_engine() as engine:
-            resolved, decision, planner = self._resolve(req, engine)
-            if self.cache is not None:
-                key = self._cache_key(req, engine, resolved)
-                hit = self.cache.get(key)
-                if hit is not None:
-                    with self._stats_lock:
-                        self.stats.requests += 1
-                        self.stats.cache_hits += 1
-                    return QueryResponse(req, hit, cached=True)
-            result, elapsed = self._execute(req, engine, resolved)
-            if planner is not None:
-                planner.observe(decision, elapsed)
-            if self.cache is not None:
-                self.cache.put(key, result)
-        with self._stats_lock:
-            self.stats.requests += 1
-            self.stats.cache_misses += 1
-            self.stats.record_execution(resolved, result, elapsed)
-        return QueryResponse(req, result, latency=elapsed)
+        return self._serve([QueryRequest.coerce(request, k, alpha, method, t, budget)])[0]
 
     def query_many(
         self,
@@ -324,121 +272,136 @@ class QueryService:
         readers-writer lock).
         """
         self._check_open()
-        reqs = [QueryRequest.coerce(item, k, alpha, method, t, budget) for item in requests]
+        responses = self._serve(
+            [QueryRequest.coerce(item, k, alpha, method, t, budget) for item in requests]
+        )
+        with self._stats_lock:
+            self.stats.batches += 1
+        return responses
+
+    def _serve(self, reqs: "list[QueryRequest]") -> list[QueryResponse]:
+        """The serve path, written once for :meth:`query` (a batch of
+        one) and :meth:`query_many`: resolve → cache lookup →
+        (:meth:`_execute_pending`: execute → planner observe → cache
+        put) → account."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
         hits = 0
         if any(req.method == AUTO for req in reqs):
             self._precalibrate_planner()
         with self._read_locked_engine() as engine:
-            # 0. one method resolution per *distinct* request, memoized
-            #    so identical auto requests resolve identically inside
-            #    the batch (dedup keeps collapsing them even while the
-            #    planner explores between batches).
+            # One method resolution per *distinct* request, memoized so
+            # identical auto requests resolve identically inside the
+            # batch (dedup keeps collapsing them even while the planner
+            # explores between batches).  ``decision`` is ``None``
+            # unless the planner was consulted (``method="auto"``).
             resolutions: dict[QueryRequest, tuple] = {}
-
-            def resolve(req: QueryRequest) -> tuple:
-                entry = resolutions.get(req)
-                if entry is None:
-                    entry = resolutions[req] = self._resolve(req, engine)
-                return entry
-
-            # 1. cache pass + dedup: map each distinct key to the request
-            #    indexes waiting on it.
-            pending: "dict[CacheKey, list[int]]" = {}
+            #: distinct cache key → (the request pinned to its resolved
+            #: method, planner decision, the request indexes waiting)
+            pending: "dict[tuple, tuple[QueryRequest, object, list[int]]]" = {}
             for i, req in enumerate(reqs):
-                key = self._cache_key(req, engine, resolve(req)[0])
+                plan = resolutions.get(req)
+                if plan is None:
+                    plan = resolutions[req] = resolve_dispatch(engine, req)
+                resolved, decision = plan
+                key = self._cache_key(req, engine, resolved)
                 if self.cache is not None:
                     hit = self.cache.get(key)
                     if hit is not None:
                         responses[i] = QueryResponse(req, hit, cached=True)
                         hits += 1
                         continue
-                if not self.batch_dedup:
-                    key = key + (i,)
-                pending.setdefault(key, []).append(i)
-
-            # 2. execute the distinct remainder (concurrently when the
-            #    batch and the pool allow it).  Distinct (k, α) variants
-            #    for one hot query user along a forward-deterministic
-            #    path all derive from the same social column, so they
-            #    collapse into ONE fused task: the column materialises
-            #    once (through the engine's SocialColumnCache) and every
-            #    variant is answered by a shared-column blend + top-k
-            #    pass (:meth:`Kernels.blend_topk_multi`) — bit-identical
-            #    to per-request ``engine.query``.  Planner-routed
-            #    requests stay on the per-query path (their measured
-            #    latency must feed the decision back), and SPA/TSA
-            #    variants for an unlocated query user do too (they must
-            #    raise that searcher's exact error); SFA/bruteforce
-            #    tolerate unlocated users identically either way.
-            work = [(key, reqs[indexes[0]]) for key, indexes in pending.items()]
-            executed: "list[tuple[SSRQResult, float] | None]" = [None] * len(work)
-
-            def run_single(wi: int) -> None:
-                req = work[wi][1]
-                executed[wi] = self._execute(req, engine, resolve(req)[0])
-
-            def run_fused(user: int, indexes: "list[int]") -> None:
-                variants = [
-                    (work[wi][1].k, work[wi][1].alpha, resolve(work[wi][1])[0])
-                    for wi in indexes
-                ]
-                for wi, result in zip(indexes, fused_variants(engine, user, variants)):
-                    executed[wi] = (result, result.stats.elapsed)
-
-            fusable: "dict[int, list[int]]" = {}
-            for wi, (_key, req) in enumerate(work):
-                resolved, decision, _ = resolve(req)
-                if (
-                    decision is None
-                    and resolved in FORWARD_DETERMINISTIC_METHODS
-                    # invalid users keep the per-query path (engine.query
-                    # raises its exact error there)
-                    and 0 <= req.user < engine.graph.n
-                    and (
-                        resolved in ("sfa", "bruteforce")
-                        or engine.locations.get(req.user) is not None
-                    )
-                ):
-                    fusable.setdefault(req.user, []).append(wi)
-            groups = {u: wis for u, wis in fusable.items() if len(wis) >= 2}
-            grouped = {wi for wis in groups.values() for wi in wis}
-            tasks: "list" = [
-                (lambda user=user, wis=wis: run_fused(user, wis))
-                for user, wis in groups.items()
-            ]
-            tasks.extend(
-                (lambda wi=wi: run_single(wi))
-                for wi in range(len(work))
-                if wi not in grouped
-            )
-            if len(tasks) > 1 and self.max_workers > 1:
-                list(self._executor().map(lambda task: task(), tasks))
-            else:
-                for task in tasks:
-                    task()
-
-            # 3. fan results back out in request order.
-            for (key, req), (result, elapsed) in zip(work, executed):
-                resolved, decision, planner = resolve(req)
-                if planner is not None:
-                    planner.observe(decision, elapsed)
-                if self.cache is not None:
-                    self.cache.put(key if self.batch_dedup else key[:-1], result)
-                indexes = pending[key]
-                responses[indexes[0]] = QueryResponse(req, result, latency=elapsed)
-                for j in indexes[1:]:
-                    responses[j] = QueryResponse(reqs[j], result, deduplicated=True)
-                with self._stats_lock:
-                    self.stats.record_execution(resolved, result, elapsed)
-                    self.stats.deduplicated += len(indexes) - 1
-
+                waiting = pending.get(key)
+                if waiting is None:
+                    pending[key] = (req.with_method(resolved), decision, [i])
+                else:
+                    waiting[2].append(i)
+            if pending:
+                self._execute_pending(engine, reqs, pending, responses)
         with self._stats_lock:
-            self.stats.batches += 1
             self.stats.requests += len(reqs)
             self.stats.cache_hits += hits
             self.stats.cache_misses += len(reqs) - hits
         return responses  # type: ignore[return-value]
+
+    def _execute_pending(self, engine, reqs, pending, responses) -> None:
+        """Execute the distinct cache misses of one batch (concurrently
+        when the batch and the pool allow it), feed the planner, fill
+        the cache, and fan the results out to ``responses``.
+
+        Distinct (k, α) variants for one hot query user along a
+        forward-deterministic path all derive from the same social
+        column, so they collapse into ONE fused task: the column
+        materialises once (through the engine's SocialColumnCache) and
+        every variant is answered by a shared-column blend + top-k pass
+        (:meth:`Kernels.blend_topk_multi`) — bit-identical to
+        per-request ``engine.query``.  Planner-routed requests stay on
+        the per-query path (their measured latency must feed the
+        decision back), and SPA/TSA variants for an unlocated query
+        user do too (they must raise that searcher's exact error);
+        SFA/bruteforce tolerate unlocated users identically either way.
+        """
+        work = list(pending.values())
+        executed: "list[tuple[SSRQResult, float] | None]" = [None] * len(work)
+
+        def run_single(wi: int) -> None:
+            start = time.perf_counter()
+            result = engine.query(work[wi][0])
+            executed[wi] = (result, time.perf_counter() - start)
+
+        def run_fused(user: int, indexes: "list[int]") -> None:
+            variants = [
+                (work[wi][0].k, work[wi][0].alpha, work[wi][0].method) for wi in indexes
+            ]
+            for wi, result in zip(indexes, fused_variants(engine, user, variants)):
+                executed[wi] = (result, result.stats.elapsed)
+
+        fusable: "dict[int, list[int]]" = {}
+        for wi, (request, decision, _) in enumerate(work):
+            if (
+                decision is None
+                and request.method in FORWARD_DETERMINISTIC_METHODS
+                # invalid users keep the per-query path (engine.query
+                # raises its exact error there)
+                and 0 <= request.user < engine.graph.n
+                and (
+                    request.method in ("sfa", "bruteforce")
+                    or engine.locations.get(request.user) is not None
+                )
+            ):
+                fusable.setdefault(request.user, []).append(wi)
+        groups = {u: wis for u, wis in fusable.items() if len(wis) >= 2}
+        grouped = {wi for wis in groups.values() for wi in wis}
+        tasks: "list" = [
+            (lambda user=user, wis=wis: run_fused(user, wis))
+            for user, wis in groups.items()
+        ]
+        tasks.extend(
+            (lambda wi=wi: run_single(wi))
+            for wi in range(len(work))
+            if wi not in grouped
+        )
+        if len(tasks) > 1 and self.max_workers > 1:
+            list(self._executor().map(lambda task: task(), tasks))
+        else:
+            for task in tasks:
+                task()
+
+        for (key, (request, decision, indexes)), (result, elapsed) in zip(
+            pending.items(), executed
+        ):
+            if decision is not None:
+                engine.planner.observe(decision, elapsed)
+            if self.cache is not None:
+                self.cache.put(
+                    key, request, RankingFunction(request.alpha, engine.normalization), result
+                )
+            first = indexes[0]
+            responses[first] = QueryResponse(reqs[first], result, latency=elapsed)
+            for j in indexes[1:]:
+                responses[j] = QueryResponse(reqs[j], result, deduplicated=True)
+            with self._stats_lock:
+                self.stats.record_execution(request.method, result, elapsed)
+                self.stats.deduplicated += len(indexes) - 1
 
     # -- updates -------------------------------------------------------
 
@@ -478,21 +441,6 @@ class QueryService:
                         )
                     )
         return self._dynamics
-
-    def attach_dynamics(self, tables: "DynamicLandmarkTables") -> None:
-        """Subscribe the result cache to an existing
-        :class:`DynamicLandmarkTables`' edge updates.
-
-        If ``tables`` wraps the engine's own :class:`LandmarkIndex`
-        (rather than a :meth:`~repro.graph.landmarks.LandmarkIndex.copy`),
-        every applied update mutates the live landmark rows while the
-        engine's CSR graph stays unchanged — landmark bounds then stop
-        being admissible and pruning methods can return wrong results.
-        Prefer the :attr:`dynamics` property, which wires a companion
-        copy.
-        """
-        with self._dynamics_lock:
-            self._attach_dynamics_locked(tables)
 
     def _attach_dynamics_locked(self, tables: "DynamicLandmarkTables") -> None:
         if self._dynamics is not None:
@@ -647,17 +595,13 @@ class QueryService:
             x,
             y,
             query_location=self.engine.locations.get,
-            d_max=self.engine.normalization.d_max,
         )
-        # The outcome carries its own full-flush flag, so concurrent
-        # invalidations attribute their counters exactly (no
-        # read-around-the-call races on the shared cache stats).
+        # Counted from the outcome, not from the shared cache stats, so
+        # concurrent invalidations attribute their counters exactly.
         with self._stats_lock:
             self.stats.invalidated_entries += int(outcome)
             self.stats.repaired_entries += outcome.repaired
             self.stats.reused_entries += outcome.reused
-            if outcome.full_flush:
-                self.stats.full_invalidations += 1
 
     def _on_edge_update(self, u: int, v: int, weight: float | None) -> None:
         try:
@@ -670,14 +614,10 @@ class QueryService:
                 social.invalidate_all()
             if self.cache is None:
                 return
-            outcome = self.cache.invalidate_edge_update(
-                u, v, neighbors_of=lambda vertex: (nbr for nbr, _ in self.engine.graph.neighbors(vertex))
-            )
+            outcome = self.cache.invalidate_edge_update(u, v)
             with self._stats_lock:
                 self.stats.invalidated_entries += int(outcome)
-                self.stats.reused_entries += outcome.reused
-                if outcome.full_flush:
-                    self.stats.full_invalidations += 1
+                self.stats.full_invalidations += 1
         finally:
             # Snapshot: a listener may detach itself concurrently.
             for listener in list(self._edge_listeners):

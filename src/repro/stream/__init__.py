@@ -18,8 +18,9 @@ This package provides that maintenance layer:
   :class:`~repro.core.result.SSRQResult` equal to what a fresh
   ``engine.query`` would return *right now*;
 - :mod:`repro.stream.conditions` — the NO-OP / REPAIR / RECOMPUTE
-  decision rule (the per-update safe-condition screen), shared with the
-  repair-aware :class:`~repro.service.cache.ResultCache`;
+  rule (screen, single-member re-score, inverted index), written once
+  and called by the registry and by the repair-aware
+  :class:`~repro.service.cache.ResultCache` alike;
 - :class:`Subscription` / :class:`StreamStats` — the standing-query
   handle and the maintenance counters.
 

@@ -1,6 +1,23 @@
-"""The NO-OP / REPAIR / RECOMPUTE decision rule for one update.
+"""The NO-OP / REPAIR / RECOMPUTE rule for one update — written here,
+once, for every layer that keeps a top-k result past the query that
+produced it.
 
-A standing top-k result ``R`` for query ``(q, k, α)`` changes under a
+This module is the single home of the maintenance rule:
+:func:`classify_location_update` (the screen),
+:meth:`StoredTopK.rescore_members` (the single-member re-score with its
+escalation test) and :class:`StoredIndex` (the query-user/member
+inverted index that finds the results an update touches directly).
+Two consumers call it and keep only their *policy*:
+
+- :class:`repro.service.cache.ResultCache` — NO-OP keeps the entry;
+  REPAIR re-scores in place when the mover is a member of a repairable
+  entry; everything else evicts (the next miss recomputes);
+- :class:`repro.stream.registry.SubscriptionRegistry` — NO-OP counts;
+  REPAIR queues the mover for one batched pass at read time (members
+  re-scored, possible entrants scored exactly and offered); RECOMPUTE
+  marks the subscription.
+
+A stored top-k result ``R`` for query ``(q, k, α)`` changes under a
 location update of user ``m`` in exactly three ways, and each is
 detectable from ``R`` alone (the per-update *safe-condition* screen):
 
@@ -10,10 +27,10 @@ NO-OP
     enter it when even the spatial part of its new score already
     exceeds the threshold ``θ = f_k``: scores are
     ``f = α·p/P_max + (1−α)·d/D_max`` with ``p ≥ 0``, so
-    ``(1−α)/D_max · d(q, m_new) > θ`` proves ``m`` out (the exact
-    screening bound of
-    :meth:`repro.service.cache.ResultCache.invalidate_location_update`,
-    floating-point association mirrored).
+    ``(1−α)/D_max · d(q, m_new) > θ`` proves ``m`` out
+    (:func:`entry_lower_bound`, computed with the stored
+    :class:`~repro.core.ranking.RankingFunction`'s own weight so the
+    floating-point association is the engine's).
 
 REPAIR
     The update can change ``R``, but the new ``R`` is a function of the
@@ -35,8 +52,9 @@ REPAIR
 RECOMPUTE
     The previous result carries no usable information: the *query
     user* moved (every spatial term changed), a member lost its
-    location (it leaves, and the old (k+1)-th is unknown), or a member
-    re-score escalated as above.
+    location (it leaves, and the old (k+1)-th is unknown — chosen for
+    open-slot results too, where dropping it would be exact: one rule,
+    and the case is rare), or a member re-score escalated as above.
 
 Safety argument (why REPAIR is exact): a fresh query's ranking differs
 from ``R`` only in the scores of users whose location changed.  Every
@@ -48,7 +66,8 @@ repair; the moved users are re-scored with the engine's own primitives
 :class:`~repro.core.ranking.RankingFunction` float association), so
 admitted scores are bit-identical to what the search would have
 produced.  The rule is therefore *exact*, not heuristic — the
-differential suite (``tests/test_stream_equivalence.py``) pins
+differential suites (``tests/test_stream_equivalence.py`` and, across
+both consumers, ``tests/test_maintenance_differential.py``) pin
 maintained ≡ fresh over randomized interleavings.
 
 Repairs reuse stored social distances, so they are only offered for
@@ -63,12 +82,18 @@ case, still applies.
 from __future__ import annotations
 
 import math
-from typing import Container
+from typing import TYPE_CHECKING, AbstractSet, Container, Mapping
 
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
+from repro.core.result import Neighbor
+from repro.spatial.point import euclidean
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ranking import RankingFunction
+    from repro.core.request import QueryRequest
+    from repro.core.result import SSRQResult
 
 INF = math.inf
-_sqrt = math.sqrt
 
 #: update classifications
 NOOP = "noop"
@@ -102,9 +127,7 @@ def entry_lower_bound(
         >>> entry_lower_bound(0.5, 0.0, 0.0, 3.0, 4.0)
         2.5
     """
-    dx = qx - x
-    dy = qy - y
-    return w_spatial * _sqrt(dx * dx + dy * dy)
+    return w_spatial * euclidean(qx, qy, x, y)
 
 
 def entry_radius(fk: float, w_spatial: float) -> float:
@@ -186,7 +209,147 @@ def classify_location_update(
         return RECOMPUTE  # cannot screen without the query point
     lower = entry_lower_bound(w_spatial, query_xy[0], query_xy[1], x, y)
     # `>` (not `>=`): at equality the mover could still enter on the
-    # smaller-id tie-break (same rule as the cache's screen).
+    # smaller-id tie-break.
     if lower > fk:
         return NOOP
     return REPAIR
+
+
+_NONE: frozenset = frozenset()
+
+
+class StoredTopK:
+    """One stored top-k result and what the rule needs to maintain it:
+    the query that produced it (``method`` already resolved), its
+    :class:`~repro.core.ranking.RankingFunction`, the current result
+    and its membership.  A result-cache entry is one of these; a
+    :class:`~repro.stream.subscription.Subscription` extends it with
+    the stream state.  ``result``/``member_ids`` change only through
+    :meth:`StoredIndex.install`, which keeps the member index in
+    lockstep.
+    """
+
+    __slots__ = ("request", "rank", "repairable", "result", "member_ids")
+
+    def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
+        self.request = request
+        self.rank = rank
+        #: whether single-member repair applies (:data:`REPAIRABLE_METHODS`)
+        self.repairable = request.method in REPAIRABLE_METHODS
+        self.result: "SSRQResult | None" = None
+        self.member_ids: frozenset = _NONE
+
+    def classify(
+        self,
+        mover: int,
+        x: float | None,
+        y: float | None,
+        query_xy: tuple[float, float] | None,
+    ) -> str:
+        """:func:`classify_location_update` against this result
+        (``query_xy``: the query user's current position)."""
+        request = self.request
+        result = self.result
+        return classify_location_update(
+            mover,
+            x,
+            y,
+            query_user=request.user,
+            alpha=request.alpha,
+            w_spatial=self.rank.w_spatial,
+            members=self.member_ids,
+            size=len(result.neighbors),
+            k=request.k,
+            fk=result.fk,
+            query_xy=query_xy,
+        )
+
+    def rescore_members(self, distance_of: Mapping[int, float]) -> "list[Neighbor] | None":
+        """The single-member re-score: the stored neighbours with every
+        member named in ``distance_of`` (user → its *new* spatial
+        distance to the query user) re-scored from its stored social
+        distance, in stored order (callers re-sort).  ``None`` escalates
+        to RECOMPUTE: a re-scored key exceeds the old k-th key
+        ``(f_k, id_k)`` of a full result — the member may have dropped
+        below the unknown (k+1)-th — or the new score is not finite
+        (the location vanished).  Ids that are not members are ignored.
+        """
+        neighbors = self.result.neighbors
+        kth_key = None
+        if len(neighbors) >= self.request.k:
+            worst = neighbors[-1]
+            kth_key = (worst.score, worst.user)
+        score = self.rank.score
+        out = []
+        for nb in neighbors:
+            d = distance_of.get(nb.user)
+            if d is not None:
+                # The move changed only the spatial term: the social
+                # distance is location-independent and already stored.
+                new_score = score(nb.social, d)
+                if new_score != new_score or new_score == INF:
+                    return None
+                if kth_key is not None and (new_score, nb.user) > kth_key:
+                    return None
+                nb = Neighbor(nb.user, new_score, nb.social, d)
+            out.append(nb)
+        return out
+
+
+class StoredIndex:
+    """The inverted index over :class:`StoredTopK` holders: by query
+    user and by current member — the two ways a location update of one
+    user touches a stored result *directly* (everything else is the
+    entrant screen).  Not thread-safe: each consumer guards it with its
+    own lock.
+    """
+
+    __slots__ = ("_by_query_user", "_by_member")
+
+    def __init__(self) -> None:
+        self._by_query_user: dict[int, set[StoredTopK]] = {}
+        self._by_member: dict[int, set[StoredTopK]] = {}
+
+    @staticmethod
+    def _link(table: dict, users, stored: StoredTopK) -> None:
+        for user in users:
+            table.setdefault(user, set()).add(stored)
+
+    @staticmethod
+    def _unlink(table: dict, users, stored: StoredTopK) -> None:
+        for user in users:
+            holders = table.get(user)
+            if holders is not None:
+                holders.discard(stored)
+                if not holders:
+                    del table[user]
+
+    def add(self, stored: StoredTopK) -> None:
+        """Start tracking ``stored`` (by its query user, and by the
+        members of whatever result it already holds)."""
+        self._link(self._by_query_user, (stored.request.user,), stored)
+        self._link(self._by_member, stored.member_ids, stored)
+
+    def remove(self, stored: StoredTopK) -> None:
+        """Stop tracking ``stored`` (no-op if it never was)."""
+        self._unlink(self._by_query_user, (stored.request.user,), stored)
+        self._unlink(self._by_member, stored.member_ids, stored)
+
+    def install(self, stored: StoredTopK, result: "SSRQResult | None") -> None:
+        """Give a tracked ``stored`` a new result (``None``: it holds
+        none now), swapping its membership in the member index."""
+        self._unlink(self._by_member, stored.member_ids, stored)
+        stored.result = result
+        stored.member_ids = (
+            frozenset(nb.user for nb in result.neighbors) if result is not None else _NONE
+        )
+        self._link(self._by_member, stored.member_ids, stored)
+
+    def touched(self, user: int) -> "AbstractSet[StoredTopK]":
+        """The holders ``user`` issued or is a member of (a fresh set:
+        callers may re-install while iterating it)."""
+        return self._by_query_user.get(user, _NONE) | self._by_member.get(user, _NONE)
+
+    def clear(self) -> None:
+        self._by_query_user.clear()
+        self._by_member.clear()

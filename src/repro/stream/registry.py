@@ -9,8 +9,9 @@ sharded — both expose the same listener/lock surface):
   (and the service's edge-update stream), so every update applied
   through *any* path is observed inside the update's write lock;
 - **classify** — each (update, subscription) pair is screened with the
-  NO-OP / REPAIR / RECOMPUTE rule of :mod:`repro.stream.conditions`:
-  O(1) per subscription, no queries, no social distances;
+  NO-OP / REPAIR / RECOMPUTE rule of :mod:`repro.stream.conditions`
+  (the one the result cache calls too): O(1) per subscription, no
+  queries, no social distances;
 - **route** — subscriptions are grouped by the *owning shard of their
   query user*; a group whose shard envelope (the widen-only
   :class:`~repro.shard.bounds.ShardBounds` bbox, which always contains
@@ -56,12 +57,7 @@ from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.traversal import DijkstraIterator
-from repro.stream.conditions import (
-    NOOP,
-    RECOMPUTE,
-    REPAIR,
-    classify_location_update,
-)
+from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, StoredIndex
 from repro.stream.subscription import StreamStats, Subscription
 from repro.utils.validation import check_user
 
@@ -69,6 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
 
 INF = math.inf
+
+#: per-subscription cap on buffered repair deltas; beyond it a repair
+#: pass would approach recompute cost, so the registry escalates (a
+#: recompute also resets the buffer)
+PENDING_LIMIT = 64
 
 
 class _Group:
@@ -111,22 +112,14 @@ class SubscriptionRegistry:
         registry detects :meth:`~repro.service.QueryService.rebuild_engine`
         swaps on the next read and recomputes every subscription
         against the new engine.
-    pending_limit:
-        Per-subscription cap on buffered repair deltas; beyond it a
-        repair pass would approach recompute cost, so the registry
-        escalates (a recompute also resets the buffer).
     """
 
-    def __init__(self, service: "QueryService", *, pending_limit: int = 64) -> None:
-        if pending_limit < 1:
-            raise ValueError(f"pending_limit must be >= 1, got {pending_limit}")
+    def __init__(self, service: "QueryService") -> None:
         self.service = service
-        self.pending_limit = pending_limit
         self.stats = StreamStats()
         self._lock = threading.Lock()
         self._subs: set[Subscription] = set()
-        self._by_query_user: dict[int, set[Subscription]] = {}
-        self._by_member: dict[int, set[Subscription]] = {}
+        self._index = StoredIndex()
         self._groups: dict[int | None, _Group] = {}
         self._engine = service.engine
         self._closed = False
@@ -242,7 +235,7 @@ class SubscriptionRegistry:
             )
             with self._lock:
                 self._subs.add(sub)
-                self._by_query_user.setdefault(sub.user, set()).add(sub)
+                self._index.add(sub)
                 self.stats.subscribed += 1
                 self.stats.active += 1
                 self._recompute_locked(sub, engine)
@@ -256,12 +249,7 @@ class SubscriptionRegistry:
             if sub not in self._subs:
                 return
             self._subs.discard(sub)
-            self._deindex_members_locked(sub)
-            subs = self._by_query_user.get(sub.user)
-            if subs is not None:
-                subs.discard(sub)
-                if not subs:
-                    del self._by_query_user[sub.user]
+            self._index.remove(sub)
             self._ungroup_locked(sub)
             if sub.suspended:
                 self.stats.suspended -= 1
@@ -322,14 +310,9 @@ class SubscriptionRegistry:
     def _on_location_update(self, user: int, x: float | None, y: float | None) -> None:
         with self._lock:
             self.stats.location_updates += 1
-            handled: set[Subscription] = set()
-            for sub in self._by_query_user.get(user, ()):
-                handled.add(sub)
+            handled = self._index.touched(user)
+            for sub in handled:
                 self._classify_locked(sub, user, x, y)
-            for sub in list(self._by_member.get(user, ())):
-                if sub not in handled:
-                    handled.add(sub)
-                    self._classify_locked(sub, user, x, y)
             if x is None or y is None:
                 return  # a forgotten location cannot create entrants
             # Entrant fan-out, shard-aware: a group is skipped whole
@@ -364,20 +347,7 @@ class SubscriptionRegistry:
                 sub.noops += 1
                 self.stats.noops += 1
             return
-        result = sub.result
-        kind = classify_location_update(
-            user,
-            x,
-            y,
-            query_user=sub.user,
-            alpha=sub.alpha,
-            w_spatial=sub.rank.w_spatial,
-            members=sub.member_ids,
-            size=len(result.neighbors),
-            k=sub.k,
-            fk=result.fk,
-            query_xy=self._engine.locations.get(sub.user),
-        )
+        kind = sub.classify(user, x, y, self._engine.locations.get(sub.user))
         if kind == NOOP:
             # The mover is provably out *at its current position*; a
             # queued earlier mark (it is not a member) is obsolete.
@@ -387,7 +357,7 @@ class SubscriptionRegistry:
         elif kind == REPAIR and sub.repairable:
             sub.pending.add(user)
             self.stats.repair_marks += 1
-            if len(sub.pending) > self.pending_limit:
+            if len(sub.pending) > PENDING_LIMIT:
                 self._mark_recompute_locked(sub)
         else:
             self._mark_recompute_locked(sub)
@@ -401,21 +371,12 @@ class SubscriptionRegistry:
             group.dirty = True
 
     def _on_edge_update(self, u: int, v: int, weight: float | None) -> None:
+        # The service applies edge updates to a *companion* landmark
+        # table: the served engine's graph is unchanged until
+        # rebuild_engine — which swaps the engine and triggers a full
+        # recompute — so standing results stay exact.
         with self._lock:
             self.stats.edge_updates += 1
-            tables = getattr(self.service, "_dynamics", None)
-            live = tables is not None and tables.landmarks is self._engine.landmarks
-            if not live:
-                # Companion-table model (the service default): the
-                # served engine's graph is unchanged until
-                # rebuild_engine — which swaps the engine and triggers
-                # a full recompute — so standing results stay exact.
-                return
-            # Live-attached tables mutate the served landmark rows in
-            # place; be conservative, like the cache's epoch flush.
-            for sub in self._subs:
-                if sub.alpha > 0.0 and not sub.recompute_pending:
-                    self._mark_recompute_locked(sub)
 
     # -- application (read lock + registry lock held) -------------------
 
@@ -434,47 +395,26 @@ class SubscriptionRegistry:
         """Apply the pending moves to ``sub.result`` exactly; ``False``
         escalates (a moved member may have dropped out)."""
         pending, sub.pending = sub.pending, set()
-        result = sub.result
-        assert result is not None
         rank = sub.rank
         query_xy = engine.locations.get(sub.user)
         if query_xy is None:
             return False  # should have been marked via the query user
         qx, qy = query_xy
-        neighbors = result.neighbors
-        member_ids = sub.member_ids
-        full = len(neighbors) >= sub.k
-        if full:
-            worst = neighbors[-1]
-            kth_key = (worst.score, worst.user)
         ids = sorted(pending)
         xs, ys = engine.locations.columns()
         distances = engine.kernels.euclidean_to_point(xs, ys, qx, qy, ids)
         dist_of = {user: float(d) for user, d in zip(ids, distances)}
-        moved: dict[int, float] = {}
-        entrants: list[int] = []
+        members = sub.rescore_members(dist_of)
+        if members is None:
+            return False  # a moved member may have dropped out (or vanished)
+        buffer = TopKBuffer(sub.k)
+        for nb in members:
+            buffer.offer(nb.user, nb.score, nb.social, nb.spatial)
+        needs_social = rank.needs_social
+        member_ids = sub.member_ids
         for user in ids:
             if user in member_ids:
-                d = dist_of[user]
-                # The move changed only the spatial term: the social
-                # distance is location-independent and already stored.
-                new_score = rank.score(self._stored_social(result, user), d)
-                if new_score != new_score or new_score == INF:
-                    return False  # location vanished mid-flight: escalate
-                if full and (new_score, user) > kth_key:
-                    return False  # may drop below the unknown (k+1)-th
-                moved[user] = new_score
-            else:
-                entrants.append(user)
-        buffer = TopKBuffer(sub.k)
-        for nb in neighbors:
-            score = moved.get(nb.user)
-            if score is None:
-                buffer.offer(nb.user, nb.score, nb.social, nb.spatial)
-            else:
-                buffer.offer(nb.user, score, nb.social, dist_of[nb.user])
-        needs_social = rank.needs_social
-        for user in entrants:
+                continue
             d = dist_of[user]
             if d == INF:
                 continue  # unlocated (or the position was since forgotten)
@@ -496,13 +436,6 @@ class SubscriptionRegistry:
         sub.repairs += 1
         self.stats.repairs_applied += 1
         return True
-
-    @staticmethod
-    def _stored_social(result: SSRQResult, user: int) -> float:
-        for nb in result.neighbors:
-            if nb.user == user:
-                return nb.social
-        raise KeyError(user)  # pragma: no cover - member_ids guarantees presence
 
     def _social_distance_locked(self, sub: Subscription, engine, user: int) -> float:
         """Exact social distance ``p(q, user)`` as every forward-stream
@@ -532,10 +465,8 @@ class SubscriptionRegistry:
         except ValueError as err:
             if "no known location" not in str(err):
                 raise
-            self._deindex_members_locked(sub)
+            self._index.install(sub, None)
             self._ungroup_locked(sub)
-            sub.result = None
-            sub.member_ids = frozenset()
             sub.suspended = True
             sub.error = str(err)
             sub._dijkstra = None
@@ -555,22 +486,10 @@ class SubscriptionRegistry:
     # -- index / group maintenance (registry lock held) -----------------
 
     def _install_result_locked(self, sub: Subscription, result: SSRQResult) -> None:
-        self._deindex_members_locked(sub)
-        sub.result = result
-        sub.member_ids = frozenset(nb.user for nb in result.neighbors)
-        for user in sub.member_ids:
-            self._by_member.setdefault(user, set()).add(sub)
+        self._index.install(sub, result)
         group = self._groups.get(sub.group)
         if group is not None:
             group.dirty = True
-
-    def _deindex_members_locked(self, sub: Subscription) -> None:
-        for user in sub.member_ids:
-            subs = self._by_member.get(user)
-            if subs is not None:
-                subs.discard(sub)
-                if not subs:
-                    del self._by_member[user]
 
     def _group_key(self, sub: Subscription) -> int | None:
         shard_of_user = getattr(self._engine, "shard_of_user", None)

@@ -14,19 +14,20 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.ranking import RankingFunction
-from repro.stream.conditions import REPAIRABLE_METHODS, entry_radius
+from repro.stream.conditions import StoredTopK, entry_radius
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ranking import RankingFunction
     from repro.core.request import QueryRequest
-    from repro.core.result import SSRQResult
     from repro.graph.traversal import DijkstraIterator
 
 INF = math.inf
 
 
-class Subscription:
-    """One registered standing query ``(user, k, α, method, t)``.
+class Subscription(StoredTopK):
+    """One registered standing query ``(user, k, α, method, t)`` — a
+    :class:`~repro.stream.conditions.StoredTopK` (request, ranking
+    function, maintained result and membership) plus the stream state.
 
     Created by :meth:`SubscriptionRegistry.subscribe
     <repro.stream.registry.SubscriptionRegistry.subscribe>`; treat it
@@ -48,16 +49,11 @@ class Subscription:
     """
 
     __slots__ = (
-        "request",
         "user",
         "k",
         "alpha",
         "method",
         "t",
-        "rank",
-        "repairable",
-        "result",
-        "member_ids",
         "suspended",
         "error",
         "group",
@@ -69,21 +65,16 @@ class Subscription:
         "_dijkstra",
     )
 
-    def __init__(self, request: "QueryRequest", rank: RankingFunction) -> None:
-        #: the standing query, ``method`` already resolved — what every
-        #: maintenance recompute re-runs
-        self.request = request
+    def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
+        # ``request`` (``method`` already resolved) is what every
+        # maintenance recompute re-runs; ``result`` is ``None`` while
+        # suspended
+        super().__init__(request, rank)
         self.user = request.user
         self.k = request.k
         self.alpha = request.alpha
         self.method = request.method
         self.t = request.t
-        self.rank = rank
-        self.repairable = request.method in REPAIRABLE_METHODS
-        #: the maintained answer (``None`` while suspended)
-        self.result: "SSRQResult | None" = None
-        #: current result membership (kept in lockstep with ``result``)
-        self.member_ids: frozenset = frozenset()
         #: True while the query user has no location and the query's
         #: α needs one — a fresh query would raise; so does reading
         self.suspended = False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math as _math
 import numbers as _numbers
 
 
@@ -65,6 +66,15 @@ def check_user(user: int, n: int | None = None) -> int:
     if n is not None and not 0 <= user < n:
         raise ValueError(f"user id {user} out of range [0, {n})")
     return int(user)
+
+
+def check_finite_point(x: float, y: float) -> None:
+    """Validate a location update's new position: both coordinates
+    finite.  ``inf`` overflows the grid's cell arithmetic *after* the
+    location table was written, and ``nan`` is the table's own
+    "unlocated" marker (forgetting a location has its own call)."""
+    if not (_math.isfinite(x) and _math.isfinite(y)):
+        raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
 
 
 def check_method(method: str) -> str:

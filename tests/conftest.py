@@ -8,7 +8,9 @@ import random
 import pytest
 
 from repro.core.engine import GeoSocialEngine
+from repro.core.ranking import Normalization, RankingFunction
 from repro.core.request import QueryRequest
+from repro.core.result import SSRQResult
 from repro.datasets.generators import erdos_renyi_edges
 from repro.datasets.synthetic import GeoSocialDataset, build_dataset
 from repro.graph.socialgraph import SocialGraph
@@ -63,6 +65,20 @@ def assert_same_scores(result_a, result_b, tol: float = 1e-9) -> None:
     )
     for i, (a, b) in enumerate(zip(scores_a, scores_b)):
         assert abs(a - b) <= tol, f"score {i} differs: {a} vs {b}"
+
+
+def cache_put(cache, user, k, alpha, method, neighbors, norm=(1.0, 1.0)):
+    """Store a hand-built result in a :class:`ResultCache` the way the
+    service does (service-shaped key, resolved request, the ranking
+    function of ``norm = (P_max, D_max)``); returns the key."""
+    key = (user, k, alpha, method, None, norm, None)
+    cache.put(
+        key,
+        QueryRequest(user, k=k, alpha=alpha, method=method),
+        RankingFunction(alpha, Normalization(*norm)),
+        SSRQResult(user, k, alpha, list(neighbors), method=method),
+    )
+    return key
 
 
 @pytest.fixture(scope="session")

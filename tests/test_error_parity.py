@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GeoSocialEngine, QueryRequest, QueryService, ShardedGeoSocialEngine
+from repro import (
+    GeoSocialEngine,
+    QueryRequest,
+    QueryService,
+    ShardedGeoSocialEngine,
+    SubscriptionRegistry,
+)
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.server.errors import classify_exception
@@ -201,6 +207,49 @@ def test_non_numeric_alpha_parity(engine, sharded, service, client, located):
     )
     assert (status, body["error"]["type"]) == (400, "invalid_argument")
     assert body["error"]["message"] == "alpha must be a number, got 'lots'"
+
+
+# -- location updates: non-finite coordinates ---------------------------
+
+
+@pytest.mark.parametrize(
+    "x,y", [(float("inf"), 0.5), (0.5, float("-inf")), (float("nan"), 0.5)], ids=repr
+)
+def test_non_finite_coordinates_are_rejected_before_anything_is_written(
+    engine, sharded, service, client, located, x, y
+):
+    """``move_user`` with ``inf``/``nan`` used to write the location
+    table, then die in the grid's cell arithmetic *before* the
+    listeners fired: index and result cache kept the pre-move world
+    (and the wire answered 500).  Every path now rejects it up front
+    with one ``ValueError`` — 400 on the wire — and table, cache and
+    subscription are untouched."""
+    with QueryService(engine, cache_size=8) as caching:
+        registry = SubscriptionRegistry(caching)
+        sub = registry.subscribe(located, k=3, alpha=0.3, method="tsa")
+        warm = caching.query(located, k=3, alpha=0.3, method="tsa")
+        before = engine.locations.get(located), sharded.locations.get(located)
+        messages = set()
+        for move in (engine.move_user, service.move_user, caching.move_user, sharded.move_user):
+            with pytest.raises(ValueError) as excinfo:
+                move(located, x, y)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1, f"in-process wordings diverge: {messages}"
+        (message,) = messages
+        assert "coordinates must be finite" in message
+        status, _, body = client.request(
+            "POST", "/update/location", {"user": located, "x": x, "y": y}
+        )
+        assert (status, body["error"]["type"]) == (400, "invalid_argument")
+        assert body["error"]["message"] == message
+        assert (engine.locations.get(located), sharded.locations.get(located)) == before
+        again = caching.query(located, k=3, alpha=0.3, method="tsa")
+        assert again.cached and again.result is warm.result
+        assert caching.cache_info()["reused"] == caching.cache_info()["invalidated"] == 0
+        assert not sub.dirty and registry.stats.location_updates == 0
+        truth = engine.query(located, 3, 0.3, "bruteforce")
+        assert registry.result(sub).users == again.result.users == truth.users
+        registry.close()
 
 
 # -- validate once: QueryRequest is the only place the checks run ------

@@ -1,0 +1,271 @@
+"""Cross-consumer differential: one maintenance rule, two policies.
+
+The result cache and the subscription registry both keep top-k results
+past the query that produced them, and both decide what a location
+update does to a stored result through :mod:`repro.stream.conditions`.
+This suite drives *one* randomized move/forget stream through a
+``ResultCache``-backed service and a registry over the same engine and
+checks, after every step:
+
+- each consumer applied its policy to the rule's verdict
+  (:func:`~repro.stream.conditions.classify_location_update`, computed
+  here from the stored result alone): the cache kept NO-OP entries
+  untouched, evicted RECOMPUTE ones, and for REPAIR either re-scored a
+  repairable member in place or evicted; the registry left NO-OPs
+  clean, queued repairable REPAIRs, and marked the rest;
+- whatever the cache still holds equals a fresh ``engine.query``, and
+  so does ``registry.result(sub)``.
+
+Same derandomized Hypothesis profile as the stream suite; CI runs the
+file under ``REPRO_BACKEND=python`` and ``=numpy``.  The file also
+pins the one case where the two pre-unification rules differed, and
+guards that the rule stays written once.
+"""
+
+from __future__ import annotations
+
+import inspect
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro.service.cache
+import repro.service.service
+import repro.stream.conditions
+import repro.stream.registry
+import repro.stream.subscription
+from repro.core.engine import GeoSocialEngine
+from repro.core.result import Neighbor
+from repro.service import QueryRequest, QueryService, ResultCache
+from repro.stream import (
+    NOOP,
+    RECOMPUTE,
+    REPAIR,
+    SubscriptionRegistry,
+    classify_location_update,
+)
+from tests.conftest import cache_put, random_instance
+from tests.test_stream_equivalence import STREAM_CI, assert_maintained_equals_fresh
+
+#: repairable forward methods + one that is screened but never repaired
+METHODS = ("tsa", "sfa", "spa", "bruteforce", "ais")
+STEPS = 14
+
+
+def verdict(stored, engine, mover, x, y):
+    """The rule's verdict for one stored result, from its fields alone."""
+    result = stored.result
+    return classify_location_update(
+        mover,
+        x,
+        y,
+        query_user=stored.request.user,
+        alpha=stored.request.alpha,
+        w_spatial=stored.rank.w_spatial,
+        members=frozenset(result.users),
+        size=len(result.neighbors),
+        k=stored.request.k,
+        fk=result.fk,
+        query_xy=engine.locations.get(stored.request.user),
+    )
+
+
+def pick_update(rng, engine, subs):
+    """One update aimed at a named case: the query user, a member, an
+    outsider landing next to a query user or far outside the box, an
+    unlocated user appearing, or a forgotten member/outsider/query
+    user.  Returns ``(mover, x, y)`` with ``x is None`` for a forget."""
+    located = list(engine.locations.located_users())
+    unlocated = [u for u in range(engine.graph.n) if not engine.locations.has_location(u)]
+    sub = rng.choice(subs)
+    members = [u for u in sub.members() if u != sub.user]
+    outsiders = [u for u in located if u != sub.user and u not in sub.members()]
+    anchor = engine.locations.get(sub.user) or (rng.random(), rng.random())
+    near = (anchor[0] + rng.uniform(-0.01, 0.01), anchor[1] + rng.uniform(-0.01, 0.01))
+    case = rng.choice(
+        ("query", "member", "member-far", "near", "far", "appear", "forget", "forget-member")
+    )
+    if case == "query":
+        return sub.user, rng.random(), rng.random()
+    if case == "member" and members:
+        return rng.choice(members), *near
+    if case == "member-far" and members:
+        return rng.choice(members), rng.uniform(2.0, 3.0), rng.uniform(2.0, 3.0)
+    if case == "near" and outsiders:
+        return rng.choice(outsiders), *near
+    if case == "appear" and unlocated:
+        return rng.choice(unlocated), *(near if rng.random() < 0.5 else (rng.random(), rng.random()))
+    if case == "forget-member" and members:
+        return rng.choice(members), None, None
+    if case == "forget" and len(located) > 2:
+        return rng.choice(located), None, None
+    return rng.choice(outsiders or located), rng.uniform(4.0, 5.0), rng.uniform(4.0, 5.0)
+
+
+@STREAM_CI
+@given(
+    n=st.integers(min_value=30, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**16),
+    alpha=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    k=st.sampled_from((1, 4, 64)),  # 64 > located users: every result has an open slot
+    method=st.sampled_from(METHODS),
+)
+def test_cache_and_registry_apply_one_rule_and_stay_fresh(n, seed, alpha, k, method):
+    rng = random.Random(seed)
+    graph, locations = random_instance(n, seed=seed, coverage=0.7)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+    service = QueryService(engine, cache_size=64, max_workers=1)
+    registry = SubscriptionRegistry(service)
+    query_users = rng.sample(list(engine.locations.located_users()), 3)
+    requests = [QueryRequest(u, k=k, alpha=alpha, method=method) for u in query_users]
+    subs = [registry.subscribe(request) for request in requests]
+    cache = service.cache
+
+    for step in range(STEPS):
+        for request in requests:  # (re)fill what the last step evicted
+            if engine.locations.has_location(request.user) or alpha == 1.0:
+                service.query(request)
+        mover, x, y = pick_update(rng, engine, subs)
+        context = f"step {step}: {'forget' if x is None else 'move'} {mover} -> ({x}, {y})"
+        before = {
+            entry: (entry.result, verdict(entry, engine, mover, x, y))
+            for entry in cache._entries.values()
+        }
+        expected = {
+            sub: verdict(sub, engine, mover, x, y) for sub in subs if sub.result is not None
+        }
+        assert not any(sub.dirty for sub in subs), context
+
+        if x is None:
+            service.forget_location(mover)
+        else:
+            service.move_user(mover, x, y)
+
+        # -- the cache's policy over the rule's verdict
+        for entry, (old, kind) in before.items():
+            held = cache.peek(entry.key)
+            if kind == NOOP:
+                assert held is old, f"{context}: NO-OP entry was touched"
+            elif kind == RECOMPUTE:
+                assert held is None, f"{context}: RECOMPUTE entry survived"
+            elif held is not None:  # REPAIR, and the cache kept the line
+                assert held is not old and entry.repairable and mover in old.users, context
+        # -- the registry's policy over the same verdict
+        for sub, kind in expected.items():
+            if kind == NOOP:
+                assert not sub.dirty, f"{context}: NO-OP dirtied {sub}"
+            elif kind == REPAIR and sub.repairable:
+                assert sub.pending == {mover} and not sub.recompute_pending, context
+            else:
+                assert sub.recompute_pending, f"{context}: {kind} not marked on {sub}"
+
+        # -- both stay equal to a fresh query
+        for sub in subs:
+            try:
+                fresh = engine.query(sub.request)
+            except ValueError:
+                with pytest.raises(ValueError, match="no known location"):
+                    registry.result(sub)
+                continue
+            assert_maintained_equals_fresh(sub, registry.result(sub), fresh, context)
+            for entry in cache._entries.values():
+                if entry.request == sub.request:
+                    assert_maintained_equals_fresh(sub, entry.result, fresh, f"{context} (cache)")
+
+    registry.close()
+    service.close()
+
+
+# -- the one case the two pre-unification rules disagreed on ----------------
+
+
+def test_forgetting_member_of_open_slot_result_is_a_recompute():
+    """A member that forgets its location leaves the result.  With an
+    open slot (``|R| < k``) dropping it would be exact — the cache used
+    to do that while the registry recomputed.  One rule now: RECOMPUTE,
+    so the cache evicts the line and the registry marks the
+    subscription."""
+    members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
+    kind = classify_location_update(
+        9, None, None, query_user=0, alpha=0.5, w_spatial=0.5,
+        members=frozenset({5, 9}), size=2, k=3, fk=0.4, query_xy=(0.0, 0.0),
+    )
+    assert kind == RECOMPUTE
+    cache = ResultCache(capacity=4)
+    key = cache_put(cache, 0, 3, 0.5, "tsa", members)
+    out = cache.invalidate_location_update(9, None, None, query_location=lambda u: (0.0, 0.0))
+    assert (int(out), out.repaired, out.reused) == (1, 0, 0)
+    assert cache.peek(key) is None
+
+    graph, locations = random_instance(40, seed=11, coverage=0.5)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+    with QueryService(engine, cache_size=8) as service:
+        registry = SubscriptionRegistry(service)
+        q = next(iter(engine.locations.located_users()))
+        sub = registry.subscribe(q, k=64, alpha=0.5, method="tsa")
+        response = service.query(sub.request)
+        assert len(response.result.neighbors) < 64, "needs an open slot"
+        leaver = next(u for u in response.result.users if u != q)
+        service.forget_location(leaver)
+        assert sub.recompute_pending and not sub.pending
+        assert service.cache_info()["repaired"] == 0 and len(service.cache) == 0
+        fresh = engine.query(sub.request)
+        assert leaver not in fresh.users
+        assert_maintained_equals_fresh(sub, registry.result(sub), fresh, "open-slot forget")
+        registry.close()
+
+
+# -- written once (in the style of tests/test_engine_facade.py) -------------
+
+CONSUMERS = (
+    repro.service.cache,
+    repro.service.service,
+    repro.stream.registry,
+    repro.stream.subscription,
+)
+
+
+def test_the_maintenance_rule_is_written_once():
+    """The screen bound, the k-th-key escalation test and the inverted
+    index live in :mod:`repro.stream.conditions` only; the consumers
+    carry no copy to drift."""
+    cache_source = inspect.getsource(repro.service.cache)
+    for token in ("sqrt", "_TINY", "_KEY_"):
+        assert token not in cache_source, f"repro.service.cache re-derives {token}"
+    for module in CONSUMERS:
+        source = inspect.getsource(module)
+        for token in ("_by_query_user", "_by_member", "kth_key", "w_spatial *", "sqrt"):
+            assert token not in source, f"{module.__name__} carries its own {token}"
+    rule = inspect.getsource(repro.stream.conditions)
+    assert rule.count("class StoredIndex") == 1
+    assert rule.count("> kth_key") == 1
+    assert rule.count("w_spatial * euclidean(") == 1
+    owners = [
+        name
+        for name, cls in inspect.getmembers(repro.stream.conditions, inspect.isclass)
+        if cls.__module__ == repro.stream.conditions.__name__
+        and "_by_member" in inspect.getsource(cls)
+    ]
+    assert owners == ["StoredIndex"]
+
+
+def test_removed_options_stay_removed():
+    """Four independently settable options across the three
+    constructors (11 before): nothing the benchmark or a caller ever
+    set to a second value comes back unnoticed."""
+    settable = {
+        cls.__name__: sorted(
+            name
+            for name, p in inspect.signature(cls.__init__).parameters.items()
+            if p.default is not inspect.Parameter.empty
+        )
+        for cls in (QueryService, ResultCache, SubscriptionRegistry)
+    }
+    assert settable == {
+        "QueryService": ["cache_size", "max_workers", "social_cache_bytes"],
+        "ResultCache": ["capacity"],
+        "SubscriptionRegistry": [],
+    }
+    assert not hasattr(QueryService, "attach_dynamics")

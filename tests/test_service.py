@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.core.engine import METHODS, GeoSocialEngine
+from repro.core.result import Neighbor
 from repro.service import (
     QueryRequest,
     QueryResponse,
@@ -23,7 +24,7 @@ from repro.service import (
     ResultCache,
 )
 from repro.bench.service_workload import zipf_arrivals
-from tests.conftest import assert_same_scores, random_instance
+from tests.conftest import assert_same_scores, cache_put, random_instance
 
 
 @pytest.fixture()
@@ -210,8 +211,9 @@ def test_surviving_cache_entries_stay_exact_under_random_moves(engine):
                 mover = rng.randrange(engine.graph.n)
                 service.move_user(mover, rng.random(), rng.random())
             # Audit every surviving entry against brute force.
-            for key, cached in list(service.cache._entries.items()):
+            for key in list(service.cache._entries):
                 _, k, alpha = key[0], key[1], key[2]
+                cached = service.cache.peek(key)
                 truth = engine.query(cached.query_user, k, alpha, "bruteforce")
                 assert_same_scores(cached, truth)
         assert service.stats.invalidated_entries > 0
@@ -255,30 +257,6 @@ def test_edge_update_full_flush_by_default(engine):
         assert len(service.cache) == 0
         assert service.cache.epoch == 1
         assert service.stats.full_invalidations == 1
-
-
-def test_edge_update_blast_radius_scopes_eviction(engine):
-    users = located(engine, 10)
-    with QueryService(engine, cache_size=64, edge_blast_radius=1) as service:
-        for u in users:
-            service.query(u, k=3, alpha=1.0, method="sfa")
-        u, v = users[0], users[1]
-        before = len(service.cache)
-        service.update_edge(u, v, 0.2)
-        after = len(service.cache)
-        assert after < before, "endpoint cache lines must be evicted"
-        assert service.cache.epoch == 0, "blast-radius path must not epoch-flush"
-        assert not service.query(u, k=3, alpha=1.0, method="sfa").cached
-
-
-def test_scan_limit_falls_back_to_epoch_flush(engine):
-    users = located(engine, 8)
-    with QueryService(engine, cache_size=64, scan_limit=2) as service:
-        for u in users:
-            service.query(u, k=3, alpha=0.4, method="ais")
-        service.move_user(users[0], 0.5, 0.5)
-        assert len(service.cache) == 0
-        assert service.cache.epoch == 1
 
 
 def test_direct_engine_updates_still_invalidate(engine):
@@ -357,14 +335,11 @@ def test_services_share_the_engines_lock(engine):
 def test_result_cache_refresh_reindexes_members():
     """Refreshing a key with a different result must swap the inverted
     indexes, or later invalidation misses the new members."""
-    from repro.core.result import Neighbor, SSRQResult
-
     cache = ResultCache(capacity=4)
-    key = (0, 1, 0.5, "ais", None, (1.0, 1.0))
-    cache.put(key, SSRQResult(0, 1, 0.5, [Neighbor(5, 0.2, 0.1, 0.1)]))
-    cache.put(key, SSRQResult(0, 1, 0.5, [Neighbor(9, 0.2, 0.1, 0.1)]))
+    key = cache_put(cache, 0, 1, 0.5, "ais", [Neighbor(5, 0.2, 0.1, 0.1)])
+    assert cache_put(cache, 0, 1, 0.5, "ais", [Neighbor(9, 0.2, 0.1, 0.1)]) == key
     evicted = cache.invalidate_location_update(
-        9, 100.0, 100.0, query_location=lambda u: (0.0, 0.0), d_max=1.0
+        9, 100.0, 100.0, query_location=lambda u: (0.0, 0.0)
     )
     assert evicted == 1, "entry containing refreshed member 9 must be evicted"
     assert len(cache) == 0
@@ -413,26 +388,14 @@ def test_edge_updates_do_not_corrupt_live_queries(engine):
             assert_same_scores(got, truth)
 
 
-def test_cache_invalidation_survives_foreign_key_shapes():
-    """Plain-LRU entries (blessed by the class docstring) must not
-    crash the update-aware invalidation paths."""
-    cache = ResultCache(capacity=4)
-    cache.put(("a",), "result-a")
-    evicted = cache.invalidate_location_update(
-        5, 0.1, 0.2, query_location=lambda u: (0.0, 0.0), d_max=1.0
-    )
-    assert evicted == 1  # foreign shapes are evicted conservatively
-    cache.put(("b",), "result-b")
-    assert cache.invalidate_edge_update(0, 1) == 1  # full flush path
-
-
 def test_result_cache_plain_lru_semantics():
     cache = ResultCache(capacity=2)
-    cache.put(("a",), 1)
-    cache.put(("b",), 2)
-    assert cache.get(("a",)) == 1  # refreshes "a"
-    cache.put(("c",), 3)  # evicts LRU "b"
-    assert cache.get(("b",)) is None
+    member = [Neighbor(9, 0.2, 0.1, 0.1)]
+    a = cache_put(cache, 1, 1, 0.5, "tsa", member)
+    b = cache_put(cache, 2, 1, 0.5, "tsa", member)
+    assert cache.get(a).query_user == 1  # refreshes "a"
+    cache_put(cache, 3, 1, 0.5, "tsa", member)  # evicts LRU "b"
+    assert cache.get(b) is None
     assert len(cache) == 2
     assert cache.stats.evictions == 1
     assert cache.invalidate_all() == 2

@@ -21,12 +21,12 @@ import threading
 import pytest
 
 from repro.core.engine import GeoSocialEngine
-from repro.core.result import Neighbor, SSRQResult
+from repro.core.result import Neighbor
 from repro.service import QueryRequest, QueryService
 from repro.service.cache import ResultCache
 from repro.shard import ShardedGeoSocialEngine
 from repro.stream import SubscriptionRegistry
-from tests.conftest import random_instance
+from tests.conftest import cache_put, random_instance
 
 JOIN_TIMEOUT = 60.0
 
@@ -206,24 +206,19 @@ def test_result_cache_counters_are_thread_safe_off_the_engine_lock():
     threads_n = 6
     barrier = threading.Barrier(threads_n)
 
-    def make_result(user: int) -> SSRQResult:
-        return SSRQResult(user, 1, 0.5, [Neighbor(user + 1, 0.5, 1.0, 0.5)])
-
     def hammer(seed: int) -> None:
         rng = random.Random(seed)
         barrier.wait()
         for i in range(lookups_per_thread):
             user = rng.randrange(32)
-            key = (user, 1, 0.5, "tsa", None, (1.0, 1.0))
-            if cache.get(key) is None:
-                cache.put(key, make_result(user))
+            if cache.get((user, 1, 0.5, "tsa", None, (1.0, 1.0), None)) is None:
+                cache_put(cache, user, 1, 0.5, "tsa", [Neighbor(user + 1, 0.5, 1.0, 0.5)])
             if i % 50 == 49:
                 cache.invalidate_location_update(
                     rng.randrange(64),
                     rng.random(),
                     rng.random(),
                     query_location=lambda u: (0.0, 0.0),
-                    d_max=1.0,
                 )
 
     threads = [threading.Thread(target=hammer, args=(s,)) for s in range(threads_n)]
@@ -248,21 +243,19 @@ def test_cache_repair_counters_attribute_exactly_single_threaded():
     move on a repairable method repairs in place, a far-away move is
     reused, a query-user move evicts."""
     cache = ResultCache(capacity=8)
-    key = (0, 2, 0.5, "tsa", None, (1.0, 1.0))
-    result = SSRQResult(
-        0, 2, 0.5,
-        [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)],
+    key = cache_put(
+        cache, 0, 2, 0.5, "tsa", [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
     )
-    cache.put(key, result)
+    result = cache.peek(key)
     # 1. far-away non-member: provably out -> reused, entry intact.
     out = cache.invalidate_location_update(
-        7, 100.0, 100.0, query_location=lambda u: (0.0, 0.0), d_max=1.0
+        7, 100.0, 100.0, query_location=lambda u: (0.0, 0.0)
     )
     assert (int(out), out.repaired, out.reused) == (0, 0, 1)
     assert cache.peek(key) is result
     # 2. member 9 moves closer: repaired in place (scores re-sorted).
     out = cache.invalidate_location_update(
-        9, 0.0, 0.0, query_location=lambda u: (0.0, 0.0), d_max=1.0
+        9, 0.0, 0.0, query_location=lambda u: (0.0, 0.0)
     )
     assert (int(out), out.repaired) == (0, 1)
     repaired = cache.peek(key)
@@ -271,7 +264,7 @@ def test_cache_repair_counters_attribute_exactly_single_threaded():
     # 3. member 9 moves past the k-th key: the old (k+1)-th is unknown,
     # so the entry must be evicted, not repaired.
     out = cache.invalidate_location_update(
-        9, 50.0, 50.0, query_location=lambda u: (0.0, 0.0), d_max=1.0
+        9, 50.0, 50.0, query_location=lambda u: (0.0, 0.0)
     )
     assert (int(out), out.repaired) == (1, 0)
     assert cache.peek(key) is None
@@ -285,10 +278,9 @@ def test_cache_repair_is_restricted_to_forward_methods():
     scores are schedule-dependent, so an in-place repair could not
     promise bitwise equality with a fresh query."""
     cache = ResultCache(capacity=8)
-    key = (0, 1, 0.5, "ais", None, (1.0, 1.0))
-    cache.put(key, SSRQResult(0, 1, 0.5, [Neighbor(9, 0.2, 0.1, 0.1)]))
+    key = cache_put(cache, 0, 1, 0.5, "ais", [Neighbor(9, 0.2, 0.1, 0.1)])
     out = cache.invalidate_location_update(
-        9, 0.0, 0.0, query_location=lambda u: (0.0, 0.0), d_max=1.0
+        9, 0.0, 0.0, query_location=lambda u: (0.0, 0.0)
     )
     assert (int(out), out.repaired) == (1, 0)
     assert cache.peek(key) is None

@@ -296,13 +296,14 @@ def test_pure_social_subscriptions_ignore_location_churn():
     service.close()
 
 
-def test_pending_limit_escalates_to_recompute():
-    """More buffered deltas than ``pending_limit`` escalate to one
+def test_pending_limit_escalates_to_recompute(monkeypatch):
+    """More buffered deltas than ``PENDING_LIMIT`` escalate to one
     recompute (a repair pass would approach recompute cost anyway)."""
+    monkeypatch.setattr("repro.stream.registry.PENDING_LIMIT", 3)
     graph, locations = random_instance(60, seed=17, coverage=1.0)
     engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
     service = QueryService(engine, cache_size=0)
-    registry = SubscriptionRegistry(service, pending_limit=3)
+    registry = SubscriptionRegistry(service)
     q = next(iter(engine.locations.located_users()))
     sub = registry.subscribe(q, k=4, alpha=0.3, method="spa")
     qx, qy = engine.locations.get(q)
