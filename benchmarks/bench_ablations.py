@@ -1,7 +1,7 @@
 """Ablation benchmarks beyond the paper's figures.
 
-DESIGN.md calls out the load-bearing design choices; each ablation
-removes one and measures the damage:
+Each ablation removes one load-bearing design choice and measures the
+damage:
 
 - social summaries in the aggregate index (vs spatial-only bounds);
 - the 1:1 forward/reverse interleave of Algorithm 3 (vs throttled

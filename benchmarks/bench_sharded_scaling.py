@@ -34,8 +34,7 @@ from repro.bench.sharded_workload import (
     run_sharded_point,
     sharded_scaling,
 )
-from repro.bench.service_workload import zipf_arrivals
-from repro.bench.workloads import get_bundle
+from repro.bench.workloads import get_bundle, zipf_arrivals
 
 SHARD_CASES = [1, 2, 4, 8]
 

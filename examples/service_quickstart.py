@@ -15,7 +15,7 @@ Run:  python examples/service_quickstart.py
 import time
 
 from repro import GeoSocialEngine, gowalla_like
-from repro.bench.service_workload import zipf_arrivals
+from repro.bench.workloads import zipf_arrivals
 from repro.service import QueryRequest, QueryService
 
 dataset = gowalla_like(n=2_000, seed=7)

@@ -3,7 +3,8 @@
 One driver per table/figure lives in :mod:`repro.bench.figures`; each
 returns an :class:`~repro.bench.reporting.ExperimentTable` whose rows
 mirror the series the paper plots.  ``python -m repro.bench`` runs the
-whole evaluation and writes the results to ``experiments_output.md``.
+whole evaluation and prints each table (``--output FILE`` also writes a
+markdown report).
 
 Scale is controlled by the ``REPRO_BENCH_PROFILE`` environment variable
 (``smoke`` / ``quick`` / ``full``; default ``quick``) — see
@@ -13,13 +14,12 @@ Scale is controlled by the ``REPRO_BENCH_PROFILE`` environment variable
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.reporting import ExperimentTable
 from repro.bench.runner import MethodAggregate, run_method
-from repro.bench.service_workload import (
-    ThroughputPoint,
-    run_throughput_grid,
-    run_throughput_point,
+from repro.bench.workloads import (
+    DatasetBundle,
+    get_bundle,
+    sample_query_users,
     zipf_arrivals,
 )
-from repro.bench.workloads import DatasetBundle, get_bundle, sample_query_users
 
 __all__ = [
     "BenchProfile",
@@ -30,8 +30,5 @@ __all__ = [
     "DatasetBundle",
     "get_bundle",
     "sample_query_users",
-    "ThroughputPoint",
     "zipf_arrivals",
-    "run_throughput_point",
-    "run_throughput_grid",
 ]

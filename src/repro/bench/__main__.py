@@ -7,8 +7,8 @@ Options::
     REPRO_BENCH_PROFILE=full python -m repro.bench
     python -m repro.bench --output results.md # also write markdown
 
-Prints each regenerated table to stdout and (with ``--output``) writes a
-markdown report suitable for pasting into EXPERIMENTS.md.
+Prints each regenerated table to stdout and (with ``--output``) writes
+the same tables as a markdown report.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Machine-readable benchmark artifacts (``BENCH_<name>.json``).
 
-Every benchmark run — pytest-benchmark suites and standalone scripts
-alike — writes a small JSON file next to the working directory (or
-under ``REPRO_BENCH_JSON_DIR``), so the performance trajectory is
-trackable across PRs with plain tooling instead of parsing stdout:
+Every run under ``benchmarks/`` — pytest-benchmark suites and
+standalone scripts alike — writes a small JSON file next to the working
+directory (or under ``REPRO_BENCH_JSON_DIR``), readable with plain
+tooling instead of parsing stdout:
 
-- standalone scripts (``bench_kernels.py``, ``bench_planner_regret.py``,
-  …) call :func:`write_bench_json` from their ``main()`` with their
-  workload parameters, medians, and speedups;
+- the standalone scripts (``benchmarks/bench_sharded_scaling.py``,
+  ``benchmarks/bench_approx.py``) call :func:`write_bench_json` from
+  their ``main()`` with their workload parameters, medians, and
+  speedups;
 - pytest runs are harvested by ``benchmarks/conftest.py``: an autouse
   fixture collects every measured pytest-benchmark case per bench
   module and a session-finish hook writes one ``BENCH_<module>.json``

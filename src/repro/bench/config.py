@@ -3,13 +3,13 @@
 The paper runs 1,000 random queries per data point on datasets of up to
 1.88M users (C++).  Pure Python needs smaller defaults; the *shape* of
 every result (method ordering, trends versus k/α/s, crossovers) is
-preserved at these scales — see DESIGN.md's substitution table.
+preserved at these scales — see docs/BENCHMARKS.md ("Scale profiles").
 
 Profiles (override via ``REPRO_BENCH_PROFILE``):
 
 - ``smoke`` — seconds; used by the harness's own tests
 - ``quick`` — minutes; the default for ``pytest benchmarks/``
-- ``full``  — the DESIGN.md calibrated sizes; tens of minutes
+- ``full``  — the calibrated sizes; tens of minutes
 
 Table 3 of the paper (query/system parameters) is mirrored here:
 ``k ∈ {10..50}`` (default 30), ``α ∈ {0.1..0.9}`` (default 0.3),

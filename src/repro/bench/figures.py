@@ -3,7 +3,8 @@
 Every driver returns a list of :class:`ExperimentTable` objects whose
 rows correspond to the series the paper plots (x-axis value per row,
 one column per method/statistic).  Absolute numbers differ from the
-paper (Python vs C++, scaled datasets); EXPERIMENTS.md compares shapes.
+paper (Python vs C++, scaled datasets); what reproduces is the shape
+(docs/BENCHMARKS.md, "Scale profiles").
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def fig8(profile: BenchProfile | None = None, include_ch: bool = True) -> list[E
     charts only) run on reduced instances: a per-evaluation CH query is
     orders of magnitude costlier than a shared-Dijkstra read in Python —
     the very effect the figure demonstrates — and the method ordering is
-    scale-free (see EXPERIMENTS.md)."""
+    scale-free."""
     profile = profile or get_profile()
     gowalla = _sweep_k("gowalla", MAIN_METHODS, profile)
     foursquare = _sweep_k("foursquare", MAIN_METHODS, profile)
@@ -354,7 +355,7 @@ def fig13(profile: BenchProfile | None = None) -> list[ExperimentTable]:
 
 def fig14a(profile: BenchProfile | None = None) -> list[ExperimentTable]:
     """Figure 14(a): social/spatial correlation effect (queries issued
-    from the construction anchor; see DESIGN.md substitutions)."""
+    from the construction anchor)."""
     profile = profile or get_profile()
     table = ExperimentTable(
         "Figure 14a",
@@ -400,28 +401,12 @@ def fig14b(profile: BenchProfile | None = None) -> list[ExperimentTable]:
     return [table]
 
 
-def service(profile: BenchProfile | None = None) -> list[ExperimentTable]:
-    """Service-layer throughput (not a paper figure: the serving layer's
-    batching/concurrency/caching sweep under Zipf-skewed arrivals)."""
-    from repro.bench.service_workload import service_throughput
-
-    return service_throughput(profile)
-
-
 def sharded(profile: BenchProfile | None = None) -> list[ExperimentTable]:
     """Sharded-engine scaling (not a paper figure: scatter-gather
     throughput and shard pruning versus shard count)."""
     from repro.bench.sharded_workload import sharded_scaling
 
     return sharded_scaling(profile)
-
-
-def stream(profile: BenchProfile | None = None) -> list[ExperimentTable]:
-    """Continuous-subscription maintenance (not a paper figure: the
-    stream layer's amortized cost vs recompute-per-update)."""
-    from repro.bench.stream_workload import stream_maintenance
-
-    return stream_maintenance(profile)
 
 
 ALL_EXPERIMENTS = {
@@ -436,7 +421,5 @@ ALL_EXPERIMENTS = {
     "fig13": fig13,
     "fig14a": fig14a,
     "fig14b": fig14b,
-    "service": service,
     "sharded": sharded,
-    "stream": stream,
 }

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.reporting import ExperimentTable
-from repro.bench.service_workload import zipf_arrivals
-from repro.bench.workloads import get_bundle
+from repro.bench.workloads import get_bundle, zipf_arrivals
 from repro.core.request import QueryRequest
 from repro.service.service import QueryService
 from repro.shard.engine import ShardedGeoSocialEngine

@@ -34,6 +34,31 @@ def sample_query_users(
     return rng.sample(located, count)
 
 
+def zipf_arrivals(
+    users: list[int], count: int, skew: float = 1.1, seed: int = 0
+) -> list[int]:
+    """A ``count``-long arrival sequence over ``users``, Zipf-skewed.
+
+    Users are ranked in a seed-shuffled order and user at rank ``r``
+    arrives with probability ∝ ``1/(r+1)^skew`` — the classic model of
+    repeat-heavy request traffic.
+
+        >>> from repro.bench.workloads import zipf_arrivals
+        >>> arrivals = zipf_arrivals([10, 20, 30, 40], count=100, seed=1)
+        >>> len(arrivals), set(arrivals) <= {10, 20, 30, 40}
+        (100, True)
+    """
+    if not users:
+        raise ValueError("empty user population")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rng = make_rng(seed)
+    ranked = list(users)
+    rng.shuffle(ranked)
+    weights = [1.0 / (rank + 1) ** skew for rank in range(len(ranked))]
+    return rng.choices(ranked, weights=weights, k=count)
+
+
 @dataclass
 class DatasetBundle:
     """A dataset with its engine and query workload."""

@@ -28,8 +28,8 @@ here.
 
 The algorithms are read-mostly and pure-Python; a thread pool therefore
 buys latency overlap (and true parallelism on GIL-free builds) while
-the cache buys throughput on skewed workloads — see
-``benchmarks/bench_service_throughput.py``.
+the cache buys throughput on skewed workloads — perfbench's
+``hot_zipf`` workload (``service.result_hit_share``) measures it.
 """
 
 from __future__ import annotations
@@ -214,14 +214,15 @@ class QueryService:
         may be approximate, so it must never satisfy an exact request
         with otherwise identical parameters.  ``budget=0`` is
         normalised to the unset form — both demand exactness, so they
-        share a line."""
+        share a line.  ``t`` only means something to ``ais-cache``, so
+        no other method's line carries it."""
         norm = engine.normalization
         return (
             request.user,
             request.k,
             request.alpha,
             resolved,
-            request.t,
+            request.t if resolved == "ais-cache" else None,
             (norm.p_max, norm.d_max),
             request.budget or None,
         )

@@ -91,4 +91,4 @@ def check_t(t: int | None) -> int | None:
         return None
     if isinstance(t, bool) or not isinstance(t, _numbers.Integral):
         raise ValueError(f"t must be an integer or null, got {t!r}")
-    return int(t)
+    return check_positive("t", int(t))

@@ -146,6 +146,16 @@ class TestFigureDrivers:
             assert table.rows
             assert all(len(row) == len(table.headers) for row in table.rows)
 
+    def test_registry_is_the_paper_set_plus_sharded(self):
+        """Per-feature serving experiments live in perfbench/, not here;
+        ``sharded`` stays until perfbench grows a sharded workload."""
+        from repro.bench.figures import ALL_EXPERIMENTS
+
+        assert set(ALL_EXPERIMENTS) == {
+            "table2", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11",
+            "fig12", "fig13", "fig14a", "fig14b", "sharded",
+        }
+
     def test_fig8_structure(self):
         from repro.bench.figures import fig8
 
@@ -225,21 +235,3 @@ class TestArtifacts:
         payload = tables_payload([table])
         assert payload["tables"][0]["rows"] == [[1, 2.5]]
         assert payload["tables"][0]["headers"] == ["A", "B"]
-
-    def test_planner_regret_bench_importable_and_builds_workload(self):
-        """The regret bench's workload generator: degree-skewed Zipf
-        draws, mixed k/alpha, deterministic under the profile seed."""
-        import importlib
-
-        module = importlib.import_module("benchmarks.bench_planner_regret")
-        from repro.core.engine import GeoSocialEngine
-        from repro.datasets.synthetic import gowalla_like
-
-        engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=9))
-        a = module.build_workload(engine, SMOKE, count=30)
-        b = module.build_workload(engine, SMOKE, count=30)
-        assert a == b and len(a) == 30
-        assert {k for _, k, _ in a} <= set(module.K_CHOICES)
-        assert {alpha for _, _, alpha in a} <= set(module.ALPHA_CHOICES)
-        users = {u for u, _, _ in a}
-        assert all(engine.locations.has_location(u) for u in users)

@@ -79,9 +79,7 @@ DOCUMENTED_MODULES = [
     "repro.cli.format",
     "repro.topk.merge",
     "repro.utils.concurrency",
-    "repro.bench.server_load",
-    "repro.bench.service_workload",
-    "repro.bench.stream_workload",
+    "repro.bench.workloads",
 ]
 
 

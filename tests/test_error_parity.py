@@ -91,6 +91,12 @@ CASES = [
      "budget must be in [0, 1]"),
     ("budget_nan", dict(k=5, budget=float("nan")), "invalid_argument",
      "budget must be in [0, 1], got nan"),
+    # t is checked at QueryRequest construction whatever the method, so
+    # nothing is built before it is refused
+    ("t_zero", dict(k=5, method="sfa", t=0), "invalid_argument",
+     "t must be positive, got 0"),
+    ("t_negative", dict(k=5, method="ais-cache", t=-1), "invalid_argument",
+     "t must be positive, got -1"),
 ]
 
 

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.bench.workloads import zipf_arrivals
 from repro.core.engine import METHODS, GeoSocialEngine
 from repro.core.result import Neighbor
 from repro.service import (
@@ -23,7 +24,6 @@ from repro.service import (
     ReadWriteLock,
     ResultCache,
 )
-from repro.bench.service_workload import zipf_arrivals
 from tests.conftest import assert_same_scores, cache_put, random_instance
 
 
@@ -154,6 +154,19 @@ def test_cache_key_separates_parameters(engine):
         assert not service.query(user, k=5, alpha=0.4, method="ais").cached
         assert not service.query(user, k=5, alpha=0.3, method="sfa").cached
         assert service.query(user, k=5, alpha=0.3, method="ais").cached
+
+
+def test_t_keys_only_the_ais_cache_line(engine):
+    """``t`` is ais-cache's list length; for every other method the
+    same question with and without it is one cache line."""
+    user = located(engine, 1)[0]
+    with QueryService(engine, cache_size=32) as service:
+        assert not service.query(user, k=5, alpha=0.3, method="sfa").cached
+        assert service.query(user, k=5, alpha=0.3, method="sfa", t=7).cached
+        assert service.cache_info()["size"] == 1
+        assert not service.query(user, k=5, alpha=0.3, method="ais-cache", t=7).cached
+        assert not service.query(user, k=5, alpha=0.3, method="ais-cache", t=9).cached
+        assert service.cache_info()["size"] == 3
 
 
 def test_lru_eviction_at_capacity(engine):
