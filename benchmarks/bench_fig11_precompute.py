@@ -3,6 +3,7 @@
 import pytest
 
 from benchmarks.conftest import PROFILE, run_point
+from repro.bench.variants import neighbor_cache
 from repro.bench.workloads import get_bundle
 
 
@@ -11,7 +12,7 @@ from repro.bench.workloads import get_bundle
 def test_fig11_ais_cache(benchmark, kind, t):
     bundle = get_bundle(kind, PROFILE)
     # Pre-computation is offline: build the lists before timing.
-    bundle.engine.neighbor_cache(t).prebuild(bundle.query_users)
+    neighbor_cache(bundle.engine, t).prebuild(bundle.query_users)
     run_point(
         benchmark, bundle.engine, bundle.query_users, "ais-cache",
         PROFILE.default_k, PROFILE.default_alpha, t=t,
@@ -39,7 +40,7 @@ def test_fig11_fallback_rate_decreases_with_t(benchmark, kind):
     def run():
         rates = []
         for t in (t_small, t_large):
-            bundle.engine.neighbor_cache(t).prebuild(bundle.query_users)
+            neighbor_cache(bundle.engine, t).prebuild(bundle.query_users)
             agg = run_method(
                 bundle.engine, bundle.query_users, "ais-cache",
                 k=PROFILE.default_k, alpha=PROFILE.default_alpha, t=t,

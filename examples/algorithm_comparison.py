@@ -12,6 +12,7 @@ Run:  python examples/algorithm_comparison.py
 import time
 
 from repro import GeoSocialEngine, gowalla_like
+from repro.bench.variants import VARIANTS, run_query
 from repro.core.engine import METHODS
 
 dataset = gowalla_like(n=4_000, seed=7)
@@ -25,9 +26,11 @@ print(f"workload: {len(users)} queries, k={k}, alpha={alpha}\n")
 
 reference = None
 print(f"{'method':>12} {'avg time':>10} {'pop ratio':>10} {'evals':>7}  result")
-# "auto" rides along: the adaptive planner resolves it per query (the
-# resolved pick lands on result.method) and must match everyone else.
-for method in METHODS + ("auto",):
+# The served methods, then the paper's figure-only variants (built by
+# the reproduction tier, repro.bench.variants).  "auto" rides along:
+# the adaptive planner resolves it per query (the resolved pick lands
+# on result.method) and must match everyone else.
+for method in METHODS + tuple(VARIANTS) + ("auto",):
     if method in ("sfa-ch", "spa-ch", "tsa-ch"):
         continue  # CH preprocessing is worthwhile only for repeated use
     start = time.perf_counter()
@@ -35,7 +38,7 @@ for method in METHODS + ("auto",):
     total_evals = 0
     scores = None
     for user in users:
-        result = engine.query(user, k=k, alpha=alpha, method=method, t=150)
+        result = run_query(engine, method, user, k, alpha, t=150)
         total_pops += result.stats.pops
         total_evals += result.stats.evaluations
         scores = [round(s, 9) for s in result.scores]

@@ -14,6 +14,7 @@ import math
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.reporting import ExperimentTable
 from repro.bench.runner import jaccard, run_method
+from repro.bench.variants import neighbor_cache
 from repro.bench.workloads import get_bundle
 from repro.graph.traversal import DijkstraIterator
 
@@ -275,7 +276,7 @@ def fig11(profile: BenchProfile | None = None) -> list[ExperimentTable]:
         )
         for t in profile.t_values:
             # Pre-computation is offline: build lists before timing.
-            bundle.engine.neighbor_cache(t).prebuild(bundle.query_users)
+            neighbor_cache(bundle.engine, t).prebuild(bundle.query_users)
             agg = run_method(
                 bundle.engine, bundle.query_users, "ais-cache",
                 k=profile.default_k, alpha=profile.default_alpha, t=t, keep_results=True,

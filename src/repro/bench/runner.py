@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.bench.variants import run_query
 from repro.core.engine import GeoSocialEngine
 from repro.core.result import SSRQResult
 
@@ -32,7 +33,9 @@ def run_method(
     t: int | None = None,
     keep_results: bool = False,
 ) -> MethodAggregate:
-    """Run one query per user and aggregate run-time / pop statistics."""
+    """Run one query per user and aggregate run-time / pop statistics
+    (``method``: a served name or a :mod:`repro.bench.variants` one;
+    ``t``: the ``ais-cache`` list length)."""
     if not users:
         raise ValueError("empty query workload")
     total_time = 0.0
@@ -41,7 +44,7 @@ def run_method(
     results: list[SSRQResult] = []
     for user in users:
         start = time.perf_counter()
-        result = engine.query(user, k=k, alpha=alpha, method=method, t=t)
+        result = run_query(engine, method, user, k, alpha, t)
         total_time += time.perf_counter() - start
         total_pops += result.stats.pops
         total_evals += result.stats.evaluations

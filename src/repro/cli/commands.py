@@ -144,12 +144,11 @@ def load(out: str, dataset: str, n: int, seed: int) -> None:
 @click.option("--alpha", type=str, default=str(QueryRequest.alpha), show_default=True,
               help="Social/spatial preference in [0, 1].")
 @click.option("--method", default=QueryRequest.method, show_default=True, help="Search method.")
-@click.option("-t", type=int, default=None, help="Cached-list length (ais-cache).")
 @click.option("--budget", type=str, default=None,
               help="Accuracy budget in [0, 1] (unset/0: exact; positive values "
                    "let method=auto answer from the sketch fast path).")
 @format_option
-def query(user, engine_path, server_address, k, alpha, method, t, budget, fmt) -> None:
+def query(user, engine_path, server_address, k, alpha, method, budget, fmt) -> None:
     """Run one SSRQ for USER and print the ranked neighbours."""
     if (engine_path is None) == (server_address is None):
         raise click.UsageError("pass exactly one of --engine or --server")
@@ -157,7 +156,7 @@ def query(user, engine_path, server_address, k, alpha, method, t, budget, fmt) -
     alpha = _parse_alpha(alpha)
     budget = _parse_budget(budget)
     try:
-        request = QueryRequest.coerce(user, k, alpha, method, t, budget)
+        request = QueryRequest.coerce(user, k, alpha, method, budget)
         if server_address is not None:
             with _client(server_address) as client:
                 result = client.query(request)["result"]

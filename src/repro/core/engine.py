@@ -7,29 +7,30 @@ query algorithm of the paper.
     >>> result = engine.query(user=8, k=10, alpha=0.3, method="ais")
     >>> [nb.user for nb in result]          # doctest: +SKIP
 
-Methods (paper names):
+Served methods (paper names; one row each in
+:data:`repro.plan.rules.METHOD_TABLE`, one builder each in
+:data:`SEARCHER_BUILDERS`):
 
 ================  ====================================================
 ``sfa``           Social First Approach (Section 4.1)
 ``spa``           Spatial First Approach (Section 4.1)
 ``tsa``           Twofold Search, landmark-aided (Section 4.2)
-``tsa-plain``     Twofold Search without landmark pruning
 ``tsa-qc``        TSA with Quick Combine probing
 ``ais``           Aggregate Index Search, all optimisations (Section 5)
-``ais-minus``     AIS without delayed evaluation (AIS− of Figure 10)
-``ais-bid``       per-evaluation bidirectional search (AIS-BID)
-``ais-nosummary`` ablation: AIS without social summaries
-``sfa-ch`` / ``spa-ch`` / ``tsa-ch``  CH-backed distance module (Fig. 8)
-``ais-cache``     pre-computed social lists + AIS fallback (Fig. 11)
 ``approx``        bounded-error sketch fast path (:mod:`repro.sketch`)
 ``bruteforce``    exact reference scan
 ``auto``          cost-based adaptive selection (:mod:`repro.plan`)
 ================  ====================================================
 
+The figure-only variants of the paper's evaluation (``ais-minus``,
+``sfa-ch``, ``ais-cache`` …) are not served: the reproduction tier
+builds them from an engine's public parts
+(:mod:`repro.bench.variants`).
+
 At the preference endpoints the engine routes degenerate requests the
 way the definitions demand: ``alpha == 0`` is a pure spatial query
-(SFA/TSA variants route to SPA) and ``alpha == 1`` a pure social one
-(SPA/TSA variants route to SFA).  ``method="auto"`` resolves per query
+(SFA/TSA route to SPA) and ``alpha == 1`` a pure social one
+(SPA/TSA/AIS route to SFA).  ``method="auto"`` resolves per query
 through the engine's :class:`~repro.plan.AdaptivePlanner` — static
 endpoint rules, cheap per-query features, and online cost feedback —
 and returns the same ranking any fixed method would.
@@ -43,19 +44,16 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.backend import Kernels, resolve_backend
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bruteforce import BruteForceSearch
-from repro.core.graphdist import CHOracle
-from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
 from repro.core.ranking import Normalization
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.sfa import SocialFirstSearch
 from repro.core.spa import SpatialFirstSearch
 from repro.core.tsa import TwofoldSearch
-from repro.graph.ch import ContractionHierarchy
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
-from repro.plan.rules import AUTO, route_method
+from repro.plan.rules import AUTO, METHOD_TABLE, route_method
 from repro.sketch.index import SketchIndex
 from repro.sketch.searcher import ApproxSketchSearch
 from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
@@ -74,40 +72,21 @@ __all__ = [
     "AUTO",
     "FORWARD_DETERMINISTIC_METHODS",
     "METHODS",
+    "SEARCHER_BUILDERS",
     "EngineBase",
     "GeoSocialEngine",
     "resolve_dispatch",
 ]
 
-METHODS = (
-    "sfa",
-    "spa",
-    "tsa",
-    "tsa-plain",
-    "tsa-qc",
-    "ais",
-    "ais-minus",
-    "ais-bid",
-    "ais-nosummary",
-    "sfa-ch",
-    "spa-ch",
-    "tsa-ch",
-    "ais-cache",
-    "approx",
-    "bruteforce",
+METHODS = tuple(METHOD_TABLE)
+
+#: the methods whose stored results the update-stream layers may repair
+#: in place and whose queries can scan a cached social column (see
+#: :attr:`repro.plan.rules.MethodSpec.forward`)
+FORWARD_DETERMINISTIC_METHODS = frozenset(
+    name for name, spec in METHOD_TABLE.items() if spec.forward
 )
 
-#: methods whose per-neighbor social distances are forward-Dijkstra
-#: values — deterministic functions of (graph, query, candidate),
-#: independent of evaluation schedule and location state — so a stored
-#: distance is bit-identical to what a fresh search would recompute.
-#: The AIS family and the CH-backed methods evaluate bidirectionally
-#: (float association may differ by 1 ulp between schedules).  The
-#: update-stream layers (repair-aware result cache, subscription
-#: registry) repair results in place only for these methods.
-FORWARD_DETERMINISTIC_METHODS = frozenset(
-    {"sfa", "spa", "tsa", "tsa-plain", "tsa-qc", "bruteforce"}
-)
 
 def resolve_dispatch(engine, request: QueryRequest):
     """``(resolved_method, decision)`` for one query — the single
@@ -133,7 +112,7 @@ def resolve_dispatch(engine, request: QueryRequest):
         check_user(request.user, engine.graph.n)
         decision = engine.planner.resolve(engine, request)
         return decision.method, decision
-    if method not in METHODS:
+    if method not in METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     return route_method(method, request.alpha), None
 
@@ -161,7 +140,6 @@ class EngineBase:
         s: int,
         seed: int,
         normalization: Normalization | None,
-        default_t: int,
         landmarks: LandmarkIndex | None,
         backend: "str | Kernels",
         planner: "AdaptivePlanner | None",
@@ -176,7 +154,6 @@ class EngineBase:
         self.graph = graph
         self.locations = locations
         self.s = s
-        self.default_t = default_t
         self.landmark_strategy = landmark_strategy
         self.seed = seed
         #: resolved batched-evaluation kernels (shared by every searcher)
@@ -215,12 +192,11 @@ class EngineBase:
         #: survive ``rebuild_engine``)
         self._planner: "AdaptivePlanner | None" = planner
         # Re-entrancy: queries are read-only (audited — every searcher
-        # keeps per-query state in locals; CHOracle's memo is
-        # thread-local; SocialNeighborCache fills under its own lock),
-        # so concurrent `query` calls are safe once the searcher
-        # exists.  The build lock serialises the *lazy construction* of
-        # searchers/indexes so two threads never build the same
-        # component twice or observe a half-built one.
+        # keeps per-query state in locals), so concurrent `query` calls
+        # are safe once the searcher exists.  The build lock serialises
+        # the *lazy construction* of searchers/indexes so two threads
+        # never build the same component twice or observe a half-built
+        # one.
         self._build_lock = threading.RLock()
         #: serialises index mutation (move_user/forget_location and the
         #: service layer's edge updates) against concurrent queries —
@@ -275,7 +251,6 @@ class EngineBase:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        t: int | None = None,
         *,
         budget: float | None = None,
         initial: "TopKBuffer | None" = None,
@@ -283,8 +258,8 @@ class EngineBase:
         """Answer one SSRQ: the top-``k`` users by
         ``f = α·p/P_max + (1−α)·d/D_max`` around ``user``.
 
-        ``user`` is a user id — with ``k``/``alpha``/``method``/``t``/
-        ``budget`` overriding the :class:`~repro.core.request.
+        ``user`` is a user id — with ``k``/``alpha``/``method``/``budget``
+        overriding the :class:`~repro.core.request.
         QueryRequest` defaults (``None``: keep the default) — or a
         ready-made request.  Every query runs one pipeline:
 
@@ -313,7 +288,7 @@ class EngineBase:
         bound lands on ``result.error_bound``.  ``budget=0`` or unset
         keeps ``auto`` bit-identical to the exact families.
         """
-        request = QueryRequest.coerce(user, k, alpha, method, t, budget)
+        request = QueryRequest.coerce(user, k, alpha, method, budget)
         check_user(request.user, self.graph.n)
         resolved, decision = resolve_dispatch(self, request)
         result = self._column_step(resolved, request, initial)
@@ -341,7 +316,6 @@ class EngineBase:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        t: int | None = None,
         max_workers: int | None = None,
         budget: float | None = None,
     ) -> list[SSRQResult]:
@@ -368,7 +342,7 @@ class EngineBase:
             if service is None:
                 service = QueryService(self, cache_size=0, max_workers=max_workers)
                 self._services[max_workers] = service
-        responses = service.query_many(requests, k, alpha, method, t, budget)
+        responses = service.query_many(requests, k, alpha, method, budget)
         return [response.result for response in responses]
 
     def close(self) -> None:
@@ -468,7 +442,6 @@ class EngineBase:
             s=self.s,
             seed=self.seed,
             normalization=self.normalization,
-            default_t=self.default_t,
             # the resolved Kernels instance, not the name: a
             # user-supplied custom backend survives the rebuild too
             backend=self.kernels,
@@ -540,8 +513,8 @@ class GeoSocialEngine(EngineBase):
         True
 
     Adds to :class:`EngineBase` the spatial indexes (SPA's grid, the
-    aggregate index), the lazily built heavyweight components (CH,
-    sketch, neighbour lists) and one searcher object per method.
+    aggregate index), the lazily built sketch and one searcher object
+    per method.
 
     Parameters
     ----------
@@ -558,9 +531,6 @@ class GeoSocialEngine(EngineBase):
     normalization:
         Optional pre-computed :class:`Normalization` (estimated from the
         data when omitted).
-    default_t:
-        Cached-neighbour list length for ``ais-cache`` (Figure 11's
-        parameter ``t``), overridable per query.
     landmarks:
         Optional pre-built :class:`~repro.graph.landmarks.LandmarkIndex`
         over ``graph``; injected by the sharded engine so every shard
@@ -603,7 +573,6 @@ class GeoSocialEngine(EngineBase):
         s: int = 10,
         seed: int = 0,
         normalization: Normalization | None = None,
-        default_t: int = 500,
         landmarks: LandmarkIndex | None = None,
         index_users: Iterable[int] | None = None,
         backend: "str | Kernels" = "auto",
@@ -622,7 +591,6 @@ class GeoSocialEngine(EngineBase):
             s=s,
             seed=seed,
             normalization=normalization,
-            default_t=default_t,
             landmarks=landmarks,
             backend=backend,
             planner=planner,
@@ -649,28 +617,8 @@ class GeoSocialEngine(EngineBase):
         #: restore path adopts persisted sketch columns here)
         self._sketch: SketchIndex | None = sketch
         self._searchers: dict[str, object] = {}
-        self._ch: ContractionHierarchy | None = None
-        self._ch_oracle: CHOracle | None = None
-        self._caches: dict[int, SocialNeighborCache] = {}
 
-    # -- heavyweight lazily-built components ------------------------------
-
-    @property
-    def contraction_hierarchy(self) -> ContractionHierarchy:
-        """The CH preprocessing (built on first use; required only by
-        the ``*-ch`` methods)."""
-        if self._ch is None:
-            with self._build_lock:
-                if self._ch is None:
-                    self._ch = ContractionHierarchy.build(self.graph)
-        return self._ch
-
-    def _oracle(self) -> CHOracle:
-        if self._ch_oracle is None:
-            with self._build_lock:
-                if self._ch_oracle is None:
-                    self._ch_oracle = CHOracle(self.contraction_hierarchy)
-        return self._ch_oracle
+    # -- the lazily-built sketch ------------------------------------------
 
     @property
     def sketch(self) -> SketchIndex:
@@ -684,97 +632,24 @@ class GeoSocialEngine(EngineBase):
                     )
         return self._sketch
 
-    def neighbor_cache(self, t: int) -> SocialNeighborCache:
-        """The ``t``-nearest social neighbour cache (Figure 11)."""
-        cache = self._caches.get(t)
-        if cache is None:
-            with self._build_lock:
-                cache = self._caches.get(t)
-                if cache is None:
-                    cache = SocialNeighborCache(self.graph, t)
-                    self._caches[t] = cache
-        return cache
-
     # -- query dispatch -----------------------------------------------------
 
-    def searcher(self, method: str, t: int | None = None):
+    def searcher(self, method: str):
         """The query-processor object behind ``method`` (cached)."""
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-        if method == "ais-cache":
-            t = t if t is not None else self.default_t
-            key = f"ais-cache:{t}"
-        else:
-            key = method
-        searcher = self._searchers.get(key)
+        searcher = self._searchers.get(method)
         if searcher is None:
+            build = SEARCHER_BUILDERS.get(method)
+            if build is None:
+                raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
             with self._build_lock:
-                searcher = self._searchers.get(key)
+                searcher = self._searchers.get(method)
                 if searcher is None:
-                    searcher = self._searchers[key] = self._build_searcher(method, t)
+                    searcher = self._searchers[method] = build(self)
         return searcher
-
-    def _make_ais(self, variant: AISVariant) -> AggregateIndexSearch:
-        return AggregateIndexSearch(
-            self.graph,
-            self.locations,
-            self.landmarks,
-            self.aggregate,
-            self.normalization,
-            variant,
-            kernels=self.kernels,
-        )
-
-    def _build_searcher(self, method: str, t: int | None):
-        graph, locations, norm = self.graph, self.locations, self.normalization
-        kernels = self.kernels
-        if method == "ais-cache":
-            return CachedSocialFirst(
-                graph, locations, norm, self.neighbor_cache(t), self._make_ais(AISVariant.full())
-            )
-        if method == "sfa":
-            return SocialFirstSearch(graph, locations, norm)
-        if method == "spa":
-            return SpatialFirstSearch(graph, locations, self.grid, norm, kernels=kernels)
-        if method == "tsa":
-            return TwofoldSearch(
-                graph, locations, self.grid, norm, landmarks=self.landmarks, kernels=kernels
-            )
-        if method == "tsa-plain":
-            return TwofoldSearch(graph, locations, self.grid, norm, landmarks=None, kernels=kernels)
-        if method == "tsa-qc":
-            return TwofoldSearch(
-                graph, locations, self.grid, norm,
-                landmarks=self.landmarks, probe_policy="quick-combine", kernels=kernels,
-            )
-        if method == "ais":
-            return self._make_ais(AISVariant.full())
-        if method == "ais-minus":
-            return self._make_ais(AISVariant.minus())
-        if method == "ais-bid":
-            return self._make_ais(AISVariant.bid())
-        if method == "ais-nosummary":
-            return self._make_ais(AISVariant.no_summaries())
-        if method == "sfa-ch":
-            return SocialFirstSearch(graph, locations, norm, point_to_point=self._oracle())
-        if method == "spa-ch":
-            return SpatialFirstSearch(
-                graph, locations, self.grid, norm, point_to_point=self._oracle(), kernels=kernels
-            )
-        if method == "tsa-ch":
-            return TwofoldSearch(
-                graph, locations, self.grid, norm,
-                landmarks=self.landmarks, point_to_point=self._oracle(), kernels=kernels,
-            )
-        if method == "approx":
-            return ApproxSketchSearch(graph, locations, norm, self.sketch, kernels=kernels)
-        if method == "bruteforce":
-            return BruteForceSearch(graph, locations, norm, kernels=kernels)
-        raise AssertionError(f"unhandled method {method!r}")
 
     def _run(self, resolved: str, request: QueryRequest, initial, social=None) -> SSRQResult:
         stream = {} if social is None else {"social": social}
-        return self.searcher(resolved, t=request.t).search(
+        return self.searcher(resolved).search(
             request.user, request.k, request.alpha, initial=initial, **stream
         )
 
@@ -831,3 +706,32 @@ class GeoSocialEngine(EngineBase):
             f"located={self.locations.n_located}, M={self.landmarks.m}, s={self.s}, "
             f"backend={self.backend!r})"
         )
+
+
+def _twofold(engine: GeoSocialEngine, **options) -> TwofoldSearch:
+    return TwofoldSearch(
+        engine.graph, engine.locations, engine.grid, engine.normalization,
+        landmarks=engine.landmarks, kernels=engine.kernels, **options,
+    )
+
+
+#: ``name -> builder(engine)``: how each :data:`METHODS` row's searcher
+#: is made from an engine's parts
+SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
+    "sfa": lambda e: SocialFirstSearch(e.graph, e.locations, e.normalization),
+    "spa": lambda e: SpatialFirstSearch(
+        e.graph, e.locations, e.grid, e.normalization, kernels=e.kernels
+    ),
+    "tsa": _twofold,
+    "tsa-qc": lambda e: _twofold(e, probe_policy="quick-combine"),
+    "ais": lambda e: AggregateIndexSearch(
+        e.graph, e.locations, e.landmarks, e.aggregate, e.normalization,
+        AISVariant.full(), kernels=e.kernels,
+    ),
+    "approx": lambda e: ApproxSketchSearch(
+        e.graph, e.locations, e.normalization, e.sketch, kernels=e.kernels
+    ),
+    "bruteforce": lambda e: BruteForceSearch(
+        e.graph, e.locations, e.normalization, kernels=e.kernels
+    ),
+}

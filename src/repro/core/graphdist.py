@@ -1,4 +1,4 @@
-"""Point-to-point distance oracles pluggable into SFA/SPA/TSA.
+"""The point-to-point distance oracle pluggable into SFA/SPA/TSA.
 
 The paper's Figure 8 compares the vanilla methods (whose social-distance
 module is an incremental shared Dijkstra) against variants whose
@@ -16,8 +16,6 @@ from __future__ import annotations
 import threading
 
 from repro.graph.ch import ContractionHierarchy
-from repro.graph.landmarks import LandmarkIndex
-from repro.graph.socialgraph import SocialGraph
 from repro.utils.heaps import MinHeap
 
 
@@ -62,35 +60,3 @@ class CHOracle:
         """Cumulative heap pops of the *calling thread's* searches (each
         worker attributes only its own query costs)."""
         return self._state().heap.pops
-
-
-class ALTOracle:
-    """Unidirectional landmark-A* oracle (ablation comparator: how does
-    plain ALT fare where the paper uses CH?)."""
-
-    __slots__ = ("graph", "landmarks", "_pops")
-
-    def __init__(self, graph: SocialGraph, landmarks: LandmarkIndex) -> None:
-        self.graph = graph
-        self.landmarks = landmarks
-        self._pops = 0
-
-    def distance(self, source: int, target: int) -> float:
-        from repro.graph.astar import AStarSearch
-
-        if source == target:
-            return 0.0
-        h = self.landmarks.heuristic_to(target)
-        search = AStarSearch(self.graph, source, h)
-        while True:
-            item = search.next()
-            if item is None:
-                self._pops += search.heap.pops
-                return float("inf")
-            if item[0] == target:
-                self._pops += search.heap.pops
-                return item[1]
-
-    @property
-    def pops(self) -> int:
-        return self._pops

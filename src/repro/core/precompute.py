@@ -97,8 +97,9 @@ class CachedSocialFirst:
     AIS fallback.
 
         >>> from repro import GeoSocialEngine, gowalla_like
+        >>> from repro.bench.variants import variant_searcher
         >>> engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
-        >>> searcher = engine.searcher("ais-cache", t=50)
+        >>> searcher = variant_searcher(engine, "ais-cache", t=50)
         >>> type(searcher).__name__
         'CachedSocialFirst'
         >>> searcher.search(0, k=5, alpha=0.3).users == engine.query(

@@ -1,14 +1,13 @@
 """The one value a query's parameters travel as.
 
 Definition 1 of the paper makes an SSRQ one tuple ``⟨u_q, k, α⟩``;
-this codebase adds the processing ``method``, the ``ais-cache`` list
-length ``t`` and the accuracy ``budget``.  :class:`QueryRequest` is
-that tuple: the **only** place the defaults are written and the only
-place the per-field checks run (each delegating to
-:mod:`repro.utils.validation`, so every layer rejects a bad request
-with one wording).  The engines, the planner, the service's cache
+this codebase adds the processing ``method`` and the accuracy
+``budget``.  :class:`QueryRequest` is that tuple: the **only** place
+the defaults are written and the only place the per-field checks run
+(each delegating to :mod:`repro.utils.validation`, so every layer
+rejects a bad request with one wording).  The engines, the planner, the service's cache
 keys, the shard wire format and the HTTP protocol all take or derive
-from it; the loose ``(user, k, alpha, method, t, budget)`` spelling
+from it; the loose ``(user, k, alpha, method, budget)`` spelling
 survives only at the public edges, which fold it through
 :meth:`QueryRequest.coerce`.
 """
@@ -22,7 +21,6 @@ from repro.utils.validation import (
     check_budget,
     check_k,
     check_method,
-    check_t,
     check_user,
 )
 
@@ -42,7 +40,7 @@ class QueryRequest:
 
         >>> from repro import QueryRequest
         >>> QueryRequest(user=42, k=10, alpha=0.3)
-        QueryRequest(user=42, k=10, alpha=0.3, method='auto', t=None, budget=None)
+        QueryRequest(user=42, k=10, alpha=0.3, method='auto', budget=None)
         >>> QueryRequest.coerce(42, k=10) == QueryRequest(42, k=10)
         True
     """
@@ -51,8 +49,6 @@ class QueryRequest:
     k: int = 30
     alpha: float = 0.3
     method: str = "auto"
-    #: cached-list length for ``ais-cache`` (``None``: engine default)
-    t: int | None = None
     #: per-query accuracy budget (``None``/``0``: exact required)
     budget: float | None = None
 
@@ -62,7 +58,6 @@ class QueryRequest:
         put(self, "k", check_k(self.k))
         put(self, "alpha", check_alpha(self.alpha))
         check_method(self.method)
-        put(self, "t", check_t(self.t))
         put(self, "budget", check_budget(self.budget))
 
     @classmethod
@@ -72,7 +67,6 @@ class QueryRequest:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        t: int | None = None,
         budget: float | None = None,
     ) -> "QueryRequest":
         """The public edges' one normalisation: an existing request
@@ -81,7 +75,7 @@ class QueryRequest:
         this class"."""
         if isinstance(item, QueryRequest):
             return item
-        given = {"k": k, "alpha": alpha, "method": method, "t": t, "budget": budget}
+        given = {"k": k, "alpha": alpha, "method": method, "budget": budget}
         return cls(item, **{name: v for name, v in given.items() if v is not None})
 
     @classmethod
@@ -95,7 +89,7 @@ class QueryRequest:
 
             >>> from repro import QueryRequest
             >>> QueryRequest.from_payload({"user": 3, "k": 5})
-            QueryRequest(user=3, k=5, alpha=0.3, method='auto', t=None, budget=None)
+            QueryRequest(user=3, k=5, alpha=0.3, method='auto', budget=None)
         """
         if not isinstance(obj, dict):
             raise ValueError(f"expected a request object, got {obj!r}")

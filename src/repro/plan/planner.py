@@ -48,14 +48,14 @@ from dataclasses import dataclass, field
 from repro.core.request import QueryRequest
 from repro.plan.cost import CostModel
 from repro.plan.features import FeatureBucket, extract_features
-from repro.plan.rules import AUTO, route_method, static_choice
+from repro.plan.rules import AUTO, METHOD_TABLE, route_method, static_choice
 
 _TINY = 1e-300  # matches repro.core.ranking's division guard
 
 #: forward-deterministic searcher families the planner picks among by
 #: default: one per cost regime (social stream, spatial stream, twofold
-#: interleave, twofold with Quick Combine probing)
-DEFAULT_CANDIDATES = ("sfa", "spa", "tsa", "tsa-qc")
+#: interleave)
+DEFAULT_CANDIDATES = tuple(name for name, spec in METHOD_TABLE.items() if spec.candidate)
 
 #: (k, alpha) probe grid of the calibration pass — one alpha per
 #: interior alpha bucket, so the alpha-marginal cost level starts
@@ -164,6 +164,11 @@ class AdaptivePlanner:
     ) -> None:
         if not candidates:
             raise ValueError("need at least one candidate method")
+        for name in candidates:
+            if name not in METHOD_TABLE:
+                raise ValueError(
+                    f"unknown planner candidate {name!r}; choose from {tuple(METHOD_TABLE)}"
+                )
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         self.candidates = tuple(candidates)
@@ -328,15 +333,18 @@ class AdaptivePlanner:
 
     def _probe(self, engine, user: int, alpha: float, method: str, read_lock) -> int:
         """One timed calibration query (optionally under its own read
-        lock); returns 1 if it executed, 0 if it legitimately failed."""
+        lock); returns 1 if it executed, 0 if the probe user's location
+        was forgotten concurrently (any other error is a bug: raise)."""
         guard = read_lock() if read_lock is not None else nullcontext()
         with guard:
             probe = QueryRequest(user, CALIBRATION_K, alpha, method)
             start = time.perf_counter()
             try:
                 engine.query(probe)
-            except ValueError:
-                return 0  # e.g. a concurrently-forgotten location
+            except ValueError as err:
+                if "no known location" not in str(err):
+                    raise
+                return 0
             elapsed = time.perf_counter() - start
             bucket = extract_features(engine, probe).bucket()
         self.cost.observe(bucket, method, elapsed)

@@ -1,13 +1,21 @@
-"""Static method-routing rules (the planner's rule layer).
+"""The method table and the static routing rules read off it.
+
+:data:`METHOD_TABLE` is the one place that says what the serving stack
+knows about a processing method: one :class:`MethodSpec` row per served
+name.  Everything else is a derivation — ``METHODS`` and
+``FORWARD_DETERMINISTIC_METHODS`` (:mod:`repro.core.engine`),
+``DELEGATED_METHODS`` (:mod:`repro.shard.engine`), ``DEFAULT_CANDIDATES``
+(:mod:`repro.plan.planner`), the endpoint routing below and the social
+column step (:mod:`repro.social.scan`) all read the row.  Adding a
+method is one row here plus one builder in
+``repro.core.engine.SEARCHER_BUILDERS``.
 
 Two kinds of request resolve without consulting any cost model:
 
 - **endpoint degeneration** — at ``alpha == 0`` an SSRQ is a pure
   spatial query and at ``alpha == 1`` a pure social one, so the
   requested method *must* be replaced by the one whose candidate stream
-  is complete there (the routing the engine has always applied; the
-  tables live here now so the planner, the engines, the service, and
-  the stream layer all consult one source);
+  is complete there (the row's ``alpha0`` / ``alpha1``);
 - **explicit methods** — a concrete method name passes through
   :func:`route_method` unchanged away from the endpoints.
 
@@ -16,48 +24,82 @@ planner (:mod:`repro.plan.planner`) decides: at the endpoints it takes
 the same static route as everything else, in the interior it picks by
 estimated cost.
 
-This module is import-light on purpose (no :mod:`repro.core` imports):
-``repro.core.engine`` re-exports :func:`route_method` from here, so the
-rule tables cannot create an import cycle.
+This module is import-light on purpose (no :mod:`repro.core` imports),
+so every layer can read the table without an import cycle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 #: the sentinel method name resolved per query by the adaptive planner
 AUTO = "auto"
 
-#: at ``alpha == 0`` the social term is gated off: social-first
-#: variants route to the spatial-first searcher over the same distance
-#: module (CH-backed stays CH-backed)
-ALPHA0_ROUTE = {
-    "sfa": "spa",
-    "tsa": "spa",
-    "tsa-plain": "spa",
-    "tsa-qc": "spa",
-    "sfa-ch": "spa-ch",
-    "tsa-ch": "spa-ch",
-    "ais-cache": "spa",
-    # a pure spatial query has no social term to approximate: the
-    # sketch answer degenerates to SPA's exact one, so route there
-    "approx": "spa",
-}
 
-#: at ``alpha == 1`` the spatial index is useless *and insufficient*:
-#: users without a location are legitimate pure-social answers but are
-#: absent from the grid/aggregate index, so every index-based method
-#: routes to SFA (whose Dijkstra stream reaches them all)
-ALPHA1_ROUTE = {
-    "spa": "sfa",
-    "tsa": "sfa",
-    "tsa-plain": "sfa",
-    "tsa-qc": "sfa",
-    "spa-ch": "sfa-ch",
-    "tsa-ch": "sfa-ch",
-    "ais": "sfa",
-    "ais-minus": "sfa",
-    "ais-bid": "sfa",
-    "ais-nosummary": "sfa",
-    "ais-cache": "sfa",
+@dataclass(frozen=True)
+class MethodSpec:
+    """What the serving stack knows about one method.
+
+        >>> from repro.plan.rules import METHOD_TABLE
+        >>> METHOD_TABLE["tsa"].alpha0, METHOD_TABLE["tsa"].forward
+        ('spa', True)
+    """
+
+    #: the method dispatched instead at ``alpha == 0`` (``None``: itself).
+    #: The social term is gated off, so social-first streams route to
+    #: SPA; ``approx`` has no social term left to approximate.
+    alpha0: str | None = None
+    #: the method dispatched instead at ``alpha == 1`` (``None``: itself).
+    #: Unlocated users are legitimate pure-social answers but absent
+    #: from the spatial indexes, so every index-based method routes to
+    #: SFA, whose Dijkstra stream reaches them all.
+    alpha1: str | None = None
+    #: how the method takes over a parked forward expansion of the
+    #: query user's social column (``None``: it cannot — its distances
+    #: are not forward-Dijkstra values).  ``"replay"``: SFA's
+    #: enumeration and TSA's ``settled``-keyed admission need every
+    #: settled vertex once, in settle order; ``"resume"``: SPA only
+    #: calls ``run_until``; ``"exhaust"``: bruteforce needs every
+    #: distance, so it takes the finished column.
+    column: str | None = None
+    #: the searcher rejects an unlocated query user before any social
+    #: work, so the column step must leave the cache untouched for it
+    needs_location: bool = False
+    #: sharded engines run it on the delegate shard, never scattered
+    #: (no spatial index involved: the shared graph and global location
+    #: table make the answer globally exact)
+    delegated: bool = False
+    #: the planner considers it for ``auto`` by default
+    candidate: bool = False
+
+    @property
+    def forward(self) -> bool:
+        """Whether per-neighbor social distances are forward-Dijkstra
+        values — deterministic functions of (graph, query, candidate),
+        independent of evaluation schedule and location state, so a
+        stored distance is bit-identical to what a fresh search would
+        recompute.  Exactly the methods that can scan a social column;
+        the update-stream layers repair results in place only for
+        these.  (AIS evaluates bidirectionally: float association may
+        differ by 1 ulp between schedules.)"""
+        return self.column is not None
+
+
+_TSA = MethodSpec(
+    alpha0="spa", alpha1="sfa", column="replay", needs_location=True, candidate=True
+)
+
+#: one row per served method, in the order ``METHODS`` lists them
+METHOD_TABLE: dict[str, MethodSpec] = {
+    "sfa": MethodSpec(alpha0="spa", column="replay", delegated=True, candidate=True),
+    "spa": MethodSpec(alpha1="sfa", column="resume", needs_location=True, candidate=True),
+    "tsa": _TSA,
+    # ~1 % of planner picks on every tracked workload: served, opt-in
+    # for the planner (``AdaptivePlanner(candidates=(..., "tsa-qc"))``)
+    "tsa-qc": replace(_TSA, candidate=False),
+    "ais": MethodSpec(alpha1="sfa"),
+    "approx": MethodSpec(alpha0="spa", delegated=True),
+    "bruteforce": MethodSpec(column="exhaust", delegated=True),
 }
 
 
@@ -79,11 +121,12 @@ def route_method(method: str, alpha: float) -> str:
         >>> route_method("tsa", 0.3)
         'tsa'
     """
-    if alpha == 0.0:
-        return ALPHA0_ROUTE.get(method, method)
-    if alpha == 1.0:
-        return ALPHA1_ROUTE.get(method, method)
-    return method
+    if alpha != 0.0 and alpha != 1.0:
+        return method
+    spec = METHOD_TABLE.get(method)
+    if spec is None:
+        return method
+    return (spec.alpha0 if alpha == 0.0 else spec.alpha1) or method
 
 
 def static_choice(alpha: float) -> str | None:

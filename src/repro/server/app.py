@@ -717,7 +717,7 @@ class SSRQServer:
         if "user" not in params:
             raise ApiError(400, INVALID_ARGUMENT, "subscribe needs a 'user' parameter")
         parsed: dict = {}
-        for name, caster in (("user", int), ("k", int), ("alpha", float), ("t", int)):
+        for name, caster in (("user", int), ("k", int), ("alpha", float)):
             raw = params.get(name)
             if raw is None:
                 continue

@@ -144,7 +144,6 @@ class ServerClient:
         k: "int | None" = None,
         alpha: "float | None" = None,
         method: "str | None" = None,
-        t: "int | None" = None,
         budget: "float | None" = None,
         deadline_ms: "float | None" = None,
     ) -> dict:
@@ -152,7 +151,7 @@ class ServerClient:
         the :class:`~repro.core.request.QueryRequest` defaults, or a
         ready-made request — validated here, with the wording the
         server would answer)."""
-        request = QueryRequest.coerce(user, k, alpha, method, t, budget)
+        request = QueryRequest.coerce(user, k, alpha, method, budget)
         return self.call(
             "POST", "/query", request.payload(), headers=self._deadline_headers(deadline_ms)
         )
@@ -210,7 +209,6 @@ class ServerClient:
         k: "int | None" = None,
         alpha: "float | None" = None,
         method: "str | None" = None,
-        t: "int | None" = None,
         heartbeats: bool = False,
         timeout: "float | None" = None,
     ) -> "Iterator[tuple[str, object]]":
@@ -222,7 +220,7 @@ class ServerClient:
         state), ``delta`` (what changed), ``end`` — and, with
         ``heartbeats=True``, ``("heartbeat", None)`` for the server's
         keep-alive comments."""
-        request = QueryRequest.coerce(user, k, alpha, method, t)
+        request = QueryRequest.coerce(user, k, alpha, method)
         params = {name: v for name, v in request.payload().items() if v is not None}
         target = f"/subscribe?{urlencode(params)}"
         sock = socket.create_connection(

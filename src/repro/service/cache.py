@@ -4,7 +4,7 @@ Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
 enormously *if* the cache can survive a dynamic world where users move
 constantly.  This module provides that: an LRU keyed on the full query
-signature ``(user, k, α, resolved method, t, normalization, budget)``
+signature ``(user, k, α, resolved method, normalization, budget)``
 with hit/miss statistics, whose entries carry the request and the
 :class:`~repro.core.ranking.RankingFunction` that produced them, so a
 location update *repairs or evicts exactly* the entries it can affect

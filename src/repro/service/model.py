@@ -2,7 +2,7 @@
 
 The service layer speaks in small immutable dataclasses rather than
 positional arguments: a :class:`~repro.core.request.QueryRequest`
-carries everything one SSRQ needs (user, ``k``, ``α``, method, ``t``,
+carries everything one SSRQ needs (user, ``k``, ``α``, method,
 accuracy ``budget``), a :class:`QueryResponse` pairs the request with
 its :class:`~repro.core.result.SSRQResult` and serving metadata (was it
 a cache hit? how long did it take?), and :class:`ServiceStats` aggregates latency and cache behaviour across the

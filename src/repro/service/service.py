@@ -41,18 +41,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.core.engine import (
-    AUTO,
-    FORWARD_DETERMINISTIC_METHODS,
-    GeoSocialEngine,
-    resolve_dispatch,
-)
+from repro.core.engine import AUTO, GeoSocialEngine, resolve_dispatch
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
-from repro.social.fused import fused_variants
 
 if TYPE_CHECKING:
     from repro.graph.dynamics import DynamicLandmarkTables
@@ -214,15 +208,13 @@ class QueryService:
         may be approximate, so it must never satisfy an exact request
         with otherwise identical parameters.  ``budget=0`` is
         normalised to the unset form — both demand exactness, so they
-        share a line.  ``t`` only means something to ``ais-cache``, so
-        no other method's line carries it."""
+        share a line."""
         norm = engine.normalization
         return (
             request.user,
             request.k,
             request.alpha,
             resolved,
-            request.t if resolved == "ais-cache" else None,
             (norm.p_max, norm.d_max),
             request.budget or None,
         )
@@ -231,7 +223,7 @@ class QueryService:
         """One-time planner calibration for ``auto`` traffic, run
         *before* this thread takes the engine's read lock: each probe
         acquires the read side itself, so a pending update stalls for
-        one probe query, not the whole ~32-probe pass (the engine lock
+        one probe query, not the whole ~24-probe pass (the engine lock
         is writer-preferring — calibrating under a held read lock would
         stall every other reader behind a queued writer)."""
         engine = self.engine
@@ -245,14 +237,13 @@ class QueryService:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        t: int | None = None,
         budget: float | None = None,
     ) -> QueryResponse:
         """Serve one SSRQ (cache-first); a plain user id takes the
         keyword overrides (``None``: the
         :class:`~repro.core.request.QueryRequest` default)."""
         self._check_open()
-        return self._serve([QueryRequest.coerce(request, k, alpha, method, t, budget)])[0]
+        return self._serve([QueryRequest.coerce(request, k, alpha, method, budget)])[0]
 
     def query_many(
         self,
@@ -260,7 +251,6 @@ class QueryService:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        t: int | None = None,
         budget: float | None = None,
     ) -> list[QueryResponse]:
         """Serve a batch: cache lookups, in-batch deduplication, then
@@ -274,7 +264,7 @@ class QueryService:
         """
         self._check_open()
         responses = self._serve(
-            [QueryRequest.coerce(item, k, alpha, method, t, budget) for item in requests]
+            [QueryRequest.coerce(item, k, alpha, method, budget) for item in requests]
         )
         with self._stats_lock:
             self.stats.batches += 1
@@ -329,63 +319,22 @@ class QueryService:
         when the batch and the pool allow it), feed the planner, fill
         the cache, and fan the results out to ``responses``.
 
-        Distinct (k, α) variants for one hot query user along a
-        forward-deterministic path all derive from the same social
-        column, so they collapse into ONE fused task: the column
-        materialises once (through the engine's SocialColumnCache) and
-        every variant is answered by a shared-column blend + top-k pass
-        (:meth:`Kernels.blend_topk_multi`) — bit-identical to
-        per-request ``engine.query``.  Planner-routed requests stay on
-        the per-query path (their measured latency must feed the
-        decision back), and SPA/TSA variants for an unlocated query
-        user do too (they must raise that searcher's exact error);
-        SFA/bruteforce tolerate unlocated users identically either way.
+        Every distinct miss runs ``engine.query``; variants for one hot
+        query user still share its social column through the engine's
+        column step (the first parks or fills it, the rest resume or
+        scan).
         """
-        work = list(pending.values())
-        executed: "list[tuple[SSRQResult, float] | None]" = [None] * len(work)
+        work = [request for request, _, _ in pending.values()]
 
-        def run_single(wi: int) -> None:
+        def run(request: QueryRequest) -> "tuple[SSRQResult, float]":
             start = time.perf_counter()
-            result = engine.query(work[wi][0])
-            executed[wi] = (result, time.perf_counter() - start)
+            result = engine.query(request)
+            return result, time.perf_counter() - start
 
-        def run_fused(user: int, indexes: "list[int]") -> None:
-            variants = [
-                (work[wi][0].k, work[wi][0].alpha, work[wi][0].method) for wi in indexes
-            ]
-            for wi, result in zip(indexes, fused_variants(engine, user, variants)):
-                executed[wi] = (result, result.stats.elapsed)
-
-        fusable: "dict[int, list[int]]" = {}
-        for wi, (request, decision, _) in enumerate(work):
-            if (
-                decision is None
-                and request.method in FORWARD_DETERMINISTIC_METHODS
-                # invalid users keep the per-query path (engine.query
-                # raises its exact error there)
-                and 0 <= request.user < engine.graph.n
-                and (
-                    request.method in ("sfa", "bruteforce")
-                    or engine.locations.get(request.user) is not None
-                )
-            ):
-                fusable.setdefault(request.user, []).append(wi)
-        groups = {u: wis for u, wis in fusable.items() if len(wis) >= 2}
-        grouped = {wi for wis in groups.values() for wi in wis}
-        tasks: "list" = [
-            (lambda user=user, wis=wis: run_fused(user, wis))
-            for user, wis in groups.items()
-        ]
-        tasks.extend(
-            (lambda wi=wi: run_single(wi))
-            for wi in range(len(work))
-            if wi not in grouped
-        )
-        if len(tasks) > 1 and self.max_workers > 1:
-            list(self._executor().map(lambda task: task(), tasks))
+        if len(work) > 1 and self.max_workers > 1:
+            executed = list(self._executor().map(run, work))
         else:
-            for task in tasks:
-                task()
+            executed = [run(request) for request in work]
 
         for (key, (request, decision, indexes)), (result, elapsed) in zip(
             pending.items(), executed

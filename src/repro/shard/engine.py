@@ -40,7 +40,7 @@ first — its bound is 0) usually fills the top-k, and remote shards
 prune.  The survivors run in parallel over
 :class:`~repro.utils.concurrency.TaskPool`.
 
-Methods whose candidate stream is purely social (``sfa``, ``sfa-ch``,
+Methods whose candidate stream is purely social (``sfa``,
 ``bruteforce``, and everything at ``alpha == 1``) never touch a spatial
 index; they are delegated to a single shard engine, whose shared
 graph + global table make the answer globally exact.
@@ -63,6 +63,7 @@ from repro.core.result import SSRQResult
 from repro.core.stats import SearchStats
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
+from repro.plan.rules import METHOD_TABLE
 from repro.shard.bounds import ShardBounds
 from repro.shard.journal import DeltaJournal, LocationDelta
 from repro.shard.partitioner import Partitioner, make_partitioner
@@ -80,7 +81,9 @@ INF = math.inf
 #: methods answered by one shard engine (no spatial index involved:
 #: the shared graph and global location table make them globally exact;
 #: "approx" scores global columnar sketches, so it never scatters)
-DELEGATED_METHODS = frozenset({"sfa", "sfa-ch", "bruteforce", "approx"})
+DELEGATED_METHODS = frozenset(
+    name for name, spec in METHOD_TABLE.items() if spec.delegated
+)
 
 
 @dataclass
@@ -169,7 +172,7 @@ class ShardedGeoSocialEngine(EngineBase):
         Grid fanout of each shard's indexes (default: ``s / sqrt(N)``,
         keeping per-cell population comparable to the single engine's;
         results never depend on it, only search cost does).
-    num_landmarks, landmark_strategy, s, seed, normalization, default_t:
+    num_landmarks, landmark_strategy, s, seed, normalization:
         As on :class:`~repro.core.engine.GeoSocialEngine`; landmarks
         and normalization are computed once and shared by every shard.
     landmarks:
@@ -217,7 +220,6 @@ class ShardedGeoSocialEngine(EngineBase):
         shard_s: int | None = None,
         seed: int = 0,
         normalization: Normalization | None = None,
-        default_t: int = 500,
         landmarks: LandmarkIndex | None = None,
         backend: "str | Kernels" = "auto",
         planner: "AdaptivePlanner | None" = None,
@@ -246,7 +248,6 @@ class ShardedGeoSocialEngine(EngineBase):
             s=s,
             seed=seed,
             normalization=normalization,
-            default_t=default_t,
             landmarks=landmarks,
             backend=backend,
             planner=planner,
@@ -275,11 +276,6 @@ class ShardedGeoSocialEngine(EngineBase):
             else max(1, min(4, os.cpu_count() or 1, self.partitioner.n_shards))
         )
 
-        #: shared ``ais-cache`` neighbour lists: they depend only on the
-        #: (shared) graph, so every shard engine reuses one store
-        #: instead of re-running the truncated Dijkstras per shard;
-        #: guarded by one shared build lock installed on every shard
-        self._neighbor_caches: dict = {}
         #: restored per-shard indexes (``sid -> (grid, aggregate)``),
         #: consumed by ``_build_shard`` on the snapshot warm-start path
         self._restored_indexes: dict = _shard_indexes or {}
@@ -343,7 +339,6 @@ class ShardedGeoSocialEngine(EngineBase):
             s=self.shard_s,
             seed=self.seed,
             normalization=self.normalization,
-            default_t=self.default_t,
             landmarks=self.landmarks,
             index_users=users,
             backend=self.kernels,
@@ -355,14 +350,6 @@ class ShardedGeoSocialEngine(EngineBase):
             social_cache=self.social_cache,
             social_cache_bytes=0,
         )
-        # The t-nearest social lists depend only on the shared graph:
-        # point every shard at one store so ais-cache scatter does not
-        # redo the same truncated Dijkstra per searched shard.  The
-        # build lock must be shared too — per-engine locks over one
-        # dict would let two shards race a first use and memoize
-        # searchers bound to duplicate, divergent cache objects.
-        engine._caches = self._neighbor_caches
-        engine._build_lock = self._build_lock
         bounds = ShardBounds(self.landmarks.m)
         # list(), not sorted(): the bbox/min-max reductions are
         # order-independent, so sorting would be pure overhead here

@@ -8,8 +8,8 @@ DijkstraIterator` states per query user, invalidated only when social
 edges change — location moves never touch it.  See
 :mod:`repro.social.cache` for the epoch argument, :mod:`repro.social.
 resume` for the replay contract that keeps resumed streams
-bit-identical to cold ones, and :mod:`repro.social.scan` /
-:mod:`repro.social.fused` for the shared columnar scoring paths.
+bit-identical to cold ones, and :mod:`repro.social.scan` for the shared
+columnar scoring path and the pipeline's column step.
 """
 
 from repro.social.cache import (
@@ -17,9 +17,8 @@ from repro.social.cache import (
     SocialCacheStats,
     SocialColumnCache,
 )
-from repro.social.fused import fused_variants
 from repro.social.resume import ReplayedDijkstra
-from repro.social.scan import dense_scan, materialize_column
+from repro.social.scan import dense_scan
 
 __all__ = [
     "DEFAULT_SOCIAL_CACHE_BYTES",
@@ -27,6 +26,4 @@ __all__ = [
     "SocialCacheStats",
     "SocialColumnCache",
     "dense_scan",
-    "fused_variants",
-    "materialize_column",
 ]

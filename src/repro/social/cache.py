@@ -2,8 +2,8 @@
 columns.
 
 Every forward-deterministic query path — bruteforce, SFA/SPA/TSA,
-stream repairs, fused batches — derives the same object first: the
-social distances from the query user.  Those distances are a pure
+stream repairs — derives the same object first: the social distances
+from the query user.  Those distances are a pure
 function of the (immutable-per-engine) social graph, so once one query
 has paid for an expansion, every later query from the same user can
 reuse it **exactly**:

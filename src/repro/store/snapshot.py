@@ -76,7 +76,6 @@ def _base_config(engine) -> dict:
         "num_edges": engine.graph.num_edges,
         "s": engine.s,
         "seed": engine.seed,
-        "default_t": engine.default_t,
         "landmark_strategy": engine.landmark_strategy,
         "backend": engine.backend,
         "normalization": {"p_max": norm.p_max, "d_max": norm.d_max},
@@ -383,7 +382,6 @@ def _load_single(path, manifest: dict, *, mmap: bool, verify: bool):
         s=fanout,
         seed=int(config["seed"]),
         normalization=normalization,
-        default_t=int(config["default_t"]),
         landmark_strategy=config["landmark_strategy"],
         landmarks=landmarks,
         index_users=None if index_users is None else [int(u) for u in index_users],
@@ -452,7 +450,6 @@ def _load_sharded(path, manifest: dict, *, mmap: bool, verify: bool):
         shard_s=shard_s,
         seed=int(config["seed"]),
         normalization=normalization,
-        default_t=int(config["default_t"]),
         landmarks=landmarks,
         backend=resolve_stored_backend(config["backend"]),
         _shard_indexes=shard_indexes,

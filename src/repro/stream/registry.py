@@ -199,7 +199,6 @@ class SubscriptionRegistry:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        t: int | None = None,
     ) -> Subscription:
         """Register a standing query and compute its initial result.
 
@@ -216,7 +215,7 @@ class SubscriptionRegistry:
         subscriptions repair in place).
         """
         self._check_open()
-        request = QueryRequest.coerce(user, k, alpha, method, t)
+        request = QueryRequest.coerce(user, k, alpha, method)
         if request.method == AUTO:
             # One-time planner calibration *before* taking the read
             # lock (each probe acquires the read side itself, so a

@@ -25,7 +25,7 @@ INF = math.inf
 
 
 class Subscription(StoredTopK):
-    """One registered standing query ``(user, k, α, method, t)`` — a
+    """One registered standing query ``(user, k, α, method)`` — a
     :class:`~repro.stream.conditions.StoredTopK` (request, ranking
     function, maintained result and membership) plus the stream state.
 
@@ -53,7 +53,6 @@ class Subscription(StoredTopK):
         "k",
         "alpha",
         "method",
-        "t",
         "suspended",
         "error",
         "group",
@@ -74,7 +73,6 @@ class Subscription(StoredTopK):
         self.k = request.k
         self.alpha = request.alpha
         self.method = request.method
-        self.t = request.t
         #: True while the query user has no location and the query's
         #: α needs one — a fresh query would raise; so does reading
         self.suspended = False

@@ -1,41 +1,23 @@
-"""Threshold-algorithm family (paper Section 2.4).
+"""Top-k stream combination.
 
-Generic rank-aggregation over ``m`` sorted repositories, in the
-*minimisation* convention used by SSRQ (smaller attribute values and
-smaller aggregate scores are better):
-
-- :func:`~repro.topk.ta.threshold_algorithm` — Fagin's TA (sorted +
-  random access);
-- :func:`~repro.topk.nra.no_random_access` — NRA (sorted access only,
-  lower/upper score bounds);
-- :func:`~repro.topk.ca.combined_algorithm` — CA (one random access per
-  ``κ`` sorted accesses);
 - :class:`~repro.topk.quick_combine.QuickCombinePolicy` — the
-  probe-scheduling heuristic that TSA-QC plugs into the twofold search;
+  probe-scheduling heuristic (Section 2.4's Quick Combine) that
+  ``tsa-qc`` plugs into the twofold search, with its
+  :class:`~repro.topk.quick_combine.RoundRobinPolicy` baseline;
 - :func:`~repro.topk.merge.merge_topk` — exact-score stream
   combination (the scatter-gather combiner of the sharded engine);
 - :class:`~repro.topk.merge.StreamingCombine` — its incremental form
   (fold streams as they complete, NRA-style strict-``>`` admission),
   driving the overlapped scatter-merge of the process pool.
 
-TSA (Section 4.2) is a TA/NRA hybrid: sorted+random access in the
-spatial domain, sorted-only in the social domain.  These standalone
-implementations pin down the semantics TSA relies on and are tested
-against brute force.
+TSA (Section 4.2) is itself a TA/NRA hybrid: sorted+random access in
+the spatial domain, sorted-only in the social domain.
 """
 
-from repro.topk.ca import combined_algorithm
 from repro.topk.merge import StreamingCombine, merge_topk
-from repro.topk.nra import no_random_access
 from repro.topk.quick_combine import QuickCombinePolicy
-from repro.topk.sources import SortedSource
-from repro.topk.ta import threshold_algorithm
 
 __all__ = [
-    "SortedSource",
-    "threshold_algorithm",
-    "no_random_access",
-    "combined_algorithm",
     "QuickCombinePolicy",
     "StreamingCombine",
     "merge_topk",

@@ -83,12 +83,3 @@ def check_method(method: str) -> str:
     if not isinstance(method, str):
         raise ValueError(f"method must be a string, got {method!r}")
     return method
-
-
-def check_t(t: int | None) -> int | None:
-    """Validate an ``ais-cache`` list length (``None``: engine default)."""
-    if t is None:
-        return None
-    if isinstance(t, bool) or not isinstance(t, _numbers.Integral):
-        raise ValueError(f"t must be an integer or null, got {t!r}")
-    return check_positive("t", int(t))

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from repro.core.engine import GeoSocialEngine
+from repro.bench.variants import VARIANTS, run_query
+from repro.core.engine import METHODS, GeoSocialEngine
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
@@ -17,6 +18,18 @@ from repro.graph.socialgraph import SocialGraph
 from repro.spatial.point import LocationTable
 
 INF = math.inf
+
+#: every method a single engine answers Definition 1 with: the served
+#: table plus the reproduction tier's figure-only variants
+ALL_METHODS = METHODS + tuple(VARIANTS)
+
+
+def query_with(engine, user, k, alpha, method, t=None) -> SSRQResult:
+    """``engine.query`` spelled so that ``method`` may also name a
+    :mod:`repro.bench.variants` variant (``t``: ``ais-cache``'s list
+    length) — how the single-engine suites keep every variant pinned
+    to bruteforce."""
+    return run_query(engine, method, user, k, alpha, t)
 
 
 def requests(users, **params) -> "list[QueryRequest]":
@@ -71,7 +84,7 @@ def cache_put(cache, user, k, alpha, method, neighbors, norm=(1.0, 1.0)):
     """Store a hand-built result in a :class:`ResultCache` the way the
     service does (service-shaped key, resolved request, the ranking
     function of ``norm = (P_max, D_max)``); returns the key."""
-    key = (user, k, alpha, method, None, norm, None)
+    key = (user, k, alpha, method, norm, None)
     cache.put(
         key,
         QueryRequest(user, k=k, alpha=alpha, method=method),

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import METHODS, GeoSocialEngine
-from tests.conftest import assert_same_scores, random_instance
+from repro.core.engine import GeoSocialEngine
+from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
 
 # "approx" is excluded by construction: it answers from sketches with a
 # bounded rank error, so its property is |score - exact| <= error_bound
 # (pinned in tests/test_sketch.py), not score equality.
-ALL_BUT_BRUTE = [m for m in METHODS if m not in ("bruteforce", "approx")]
+ALL_BUT_BRUTE = [m for m in ALL_METHODS if m not in ("bruteforce", "approx")]
 
 
 class TestOnSharedEngine:
@@ -28,7 +28,7 @@ class TestOnSharedEngine:
     def test_matches_bruteforce_default_alpha(self, small_engine, query_users, method):
         for user in query_users:
             expected = small_engine.query(user, k=10, alpha=0.3, method="bruteforce")
-            got = small_engine.query(user, k=10, alpha=0.3, method=method, t=50)
+            got = query_with(small_engine, user, k=10, alpha=0.3, method=method, t=50)
             assert_same_scores(expected, got)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
@@ -44,7 +44,7 @@ class TestOnSharedEngine:
         for user in query_users[:3]:
             expected = small_engine.query(user, k=k, alpha=0.3, method="bruteforce")
             for method in ("sfa", "spa", "tsa", "ais", "ais-bid"):
-                got = small_engine.query(user, k=k, alpha=0.3, method=method)
+                got = query_with(small_engine, user, k=k, alpha=0.3, method=method)
                 assert_same_scores(expected, got)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -64,12 +64,12 @@ class TestOnSharedEngine:
 
     def test_results_exclude_query_user(self, small_engine, query_users):
         for method in ALL_BUT_BRUTE:
-            result = small_engine.query(query_users[0], k=20, alpha=0.3, method=method, t=50)
+            result = query_with(small_engine, query_users[0], k=20, alpha=0.3, method=method, t=50)
             assert query_users[0] not in result.users
 
     def test_results_sorted_by_score(self, small_engine, query_users):
         for method in ALL_BUT_BRUTE:
-            result = small_engine.query(query_users[1], k=20, alpha=0.3, method=method, t=50)
+            result = query_with(small_engine, query_users[1], k=20, alpha=0.3, method=method, t=50)
             scores = result.scores
             assert scores == sorted(scores)
 
@@ -94,7 +94,7 @@ def test_property_random_instances_agree(seed):
     alpha = rng.choice([0.1, 0.3, 0.7])
     expected = engine.query(user, k=k, alpha=alpha, method="bruteforce")
     for method in ("sfa", "spa", "tsa", "tsa-plain", "tsa-qc", "ais", "ais-minus", "ais-bid", "ais-nosummary"):
-        got = engine.query(user, k=k, alpha=alpha, method=method)
+        got = query_with(engine, user, k=k, alpha=alpha, method=method)
         assert_same_scores(expected, got)
 
 
@@ -112,5 +112,5 @@ def test_property_ch_variants_agree(seed):
     user = rng.choice(located)
     expected = engine.query(user, k=5, alpha=0.3, method="bruteforce")
     for method in ("sfa-ch", "spa-ch", "tsa-ch", "ais-cache"):
-        got = engine.query(user, k=5, alpha=0.3, method=method, t=8)
+        got = query_with(engine, user, k=5, alpha=0.3, method=method, t=8)
         assert_same_scores(expected, got)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.backend import PythonKernels, resolve_backend
 from repro.core.engine import GeoSocialEngine
 from repro.shard import ShardedGeoSocialEngine
-from tests.conftest import random_instance
+from tests.conftest import query_with, random_instance
 
 pytest.importorskip("numpy", reason="backend equivalence needs the numpy backend")
 
@@ -92,13 +92,13 @@ def test_single_engine_backends_rank_identically(n, seed, coverage, alpha, k):
     for method in METHODS:
         for user in queries:
             try:
-                a = scalar.query(user, k, alpha, method)
+                a = query_with(scalar, user, k, alpha, method)
             except ValueError as err:
                 with pytest.raises(ValueError):
-                    vector.query(user, k, alpha, method)
+                    query_with(vector, user, k, alpha, method)
                 assert "location" in str(err) or "alpha" in str(err)
                 continue
-            b = vector.query(user, k, alpha, method)
+            b = query_with(vector, user, k, alpha, method)
             assert_backend_rankings_equal(a, b, f"{method}@alpha={alpha}")
 
 
@@ -142,10 +142,10 @@ def test_backend_scores_bitwise_equal_on_ci_hardware():
     for method in METHODS:
         for user in queries:
             try:
-                a = scalar.query(user, 10, 0.3, method)
+                a = query_with(scalar, user, 10, 0.3, method)
             except ValueError:
                 continue
-            b = vector.query(user, 10, 0.3, method)
+            b = query_with(vector, user, 10, 0.3, method)
             assert [(nb.user, float(nb.score)) for nb in a] == [
                 (nb.user, float(nb.score)) for nb in b
             ], method

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.core.engine import METHODS, GeoSocialEngine
-from tests.conftest import assert_same_scores, random_instance
+from repro.bench.variants import variant_searcher
+from repro.core.engine import GeoSocialEngine
+from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
 
 INF = math.inf
 
@@ -33,13 +34,17 @@ class TestDispatch:
 
     def test_searchers_cached(self, engine):
         assert engine.searcher("ais") is engine.searcher("ais")
-        assert engine.searcher("ais-cache", t=10) is engine.searcher("ais-cache", t=10)
-        assert engine.searcher("ais-cache", t=10) is not engine.searcher("ais-cache", t=20)
+        cached = variant_searcher(engine, "ais-cache", t=10)
+        assert cached is variant_searcher(engine, "ais-cache", t=10)
+        assert cached is not variant_searcher(engine, "ais-cache", t=20)
+        assert variant_searcher(engine, "sfa-ch").point_to_point is (
+            variant_searcher(engine, "tsa-ch").point_to_point
+        ), "one CH per engine"
 
     def test_methods_constant_covers_all_searchers(self, engine):
         user = next(iter(engine.located_users()))
-        for method in METHODS:
-            result = engine.query(user, k=3, alpha=0.3, method=method, t=10)
+        for method in ALL_METHODS:
+            result = query_with(engine, user, k=3, alpha=0.3, method=method, t=10)
             assert len(result) <= 3
 
     def test_query_many_matches_a_sequential_query_loop(self, engine):

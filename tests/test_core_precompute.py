@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from repro.bench.variants import neighbor_cache
 from repro.core.precompute import SocialNeighborCache
 from repro.graph.traversal import dijkstra_distances
-from tests.conftest import assert_same_scores, random_instance
+from tests.conftest import assert_same_scores, query_with, random_instance
 
 INF = math.inf
 
@@ -62,7 +63,7 @@ class TestCachedSocialFirst:
         users = [u for u in engine.located_users()][:5]
         for user in users:
             expected = engine.query(user, k=10, alpha=0.3, method="bruteforce")
-            got = engine.query(user, k=10, alpha=0.3, method="ais-cache", t=5)
+            got = query_with(engine, user, k=10, alpha=0.3, method="ais-cache", t=5)
             assert_same_scores(expected, got)
             assert got.stats.extra.get("fallback") == 1
 
@@ -70,18 +71,18 @@ class TestCachedSocialFirst:
         users = [u for u in engine.located_users()][:5]
         for user in users:
             expected = engine.query(user, k=10, alpha=0.3, method="bruteforce")
-            got = engine.query(user, k=10, alpha=0.3, method="ais-cache", t=10_000)
+            got = query_with(engine, user, k=10, alpha=0.3, method="ais-cache", t=10_000)
             assert_same_scores(expected, got)
             assert "fallback" not in got.stats.extra
 
     def test_alpha_zero_routed_to_spa(self, engine):
         user = next(iter(engine.located_users()))
         expected = engine.query(user, k=10, alpha=0.0, method="bruteforce")
-        got = engine.query(user, k=10, alpha=0.0, method="ais-cache", t=10)
+        got = query_with(engine, user, k=10, alpha=0.0, method="ais-cache", t=10)
         assert_same_scores(expected, got)
 
     def test_cache_reused_across_queries(self, engine):
         user = next(iter(engine.located_users()))
-        engine.query(user, k=5, alpha=0.5, method="ais-cache", t=37)
-        cache = engine.neighbor_cache(37)
+        query_with(engine, user, k=5, alpha=0.5, method="ais-cache", t=37)
+        cache = neighbor_cache(engine, 37)
         assert user in cache._lists

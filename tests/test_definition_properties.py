@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import GeoSocialEngine
 from repro.core.ranking import RankingFunction
-from tests.conftest import random_instance
+from tests.conftest import query_with, random_instance
 
 INF = math.inf
 
@@ -47,7 +47,7 @@ def test_definition_on_fixed_instance(method):
     graph, locations = random_instance(100, seed=411, coverage=0.8)
     engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=3, seed=4)
     for user in list(locations.located_users())[:5]:
-        result = engine.query(user, k=7, alpha=0.4, method=method)
+        result = query_with(engine, user, k=7, alpha=0.4, method=method)
         assert_definition_holds(engine, result)
 
 

@@ -80,6 +80,7 @@ DOCUMENTED_MODULES = [
     "repro.topk.merge",
     "repro.utils.concurrency",
     "repro.bench.workloads",
+    "repro.bench.variants",
 ]
 
 

@@ -59,7 +59,7 @@ def test_facade_members_are_defined_once():
 REQUESTS = [
     QueryRequest(3),
     QueryRequest(3, k=7, alpha=0.0, method="spa"),
-    QueryRequest(3, k=7, alpha=1.0, method="ais-cache", t=25),
+    QueryRequest(3, k=7, alpha=1.0, method="ais"),
     QueryRequest(3, k=7, alpha=0.5, method="auto", budget=0.05),
     QueryRequest(3, k=7, alpha=0.5, method="auto", budget=0),
 ]
@@ -86,7 +86,7 @@ def test_cache_key_is_built_from_the_request_and_exactness_collapses():
         zero = QueryRequest(3, k=7, alpha=0.5, method="spa", budget=0)
         budgeted = QueryRequest(3, k=7, alpha=0.5, method="spa", budget=0.05)
         key = service._cache_key(unset, engine, "spa")
-        assert key[:5] == (3, 7, 0.5, "spa", None)
+        assert key[:4] == (3, 7, 0.5, "spa")
         assert service._cache_key(zero, engine, "spa") == key  # budget=0 ≡ None
         assert service._cache_key(budgeted, engine, "spa") != key
         via_wire = QueryRequest.from_payload(json.loads(json.dumps(unset.payload())))

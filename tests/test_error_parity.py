@@ -91,12 +91,9 @@ CASES = [
      "budget must be in [0, 1]"),
     ("budget_nan", dict(k=5, budget=float("nan")), "invalid_argument",
      "budget must be in [0, 1], got nan"),
-    # t is checked at QueryRequest construction whatever the method, so
-    # nothing is built before it is refused
-    ("t_zero", dict(k=5, method="sfa", t=0), "invalid_argument",
-     "t must be positive, got 0"),
-    ("t_negative", dict(k=5, method="ais-cache", t=-1), "invalid_argument",
-     "t must be positive, got -1"),
+    # the figure-only variants are not served, under any alias
+    ("variant_name", dict(k=5, method="ais-minus"), "invalid_argument",
+     "unknown method 'ais-minus'"),
 ]
 
 
@@ -123,6 +120,21 @@ def test_parameter_errors_agree_across_layers(
     assert body["error"]["type"] == wire_type
     assert body["error"]["message"] == message
     assert classify_exception(ValueError(message)) == (400, wire_type)
+
+
+def test_t_is_no_longer_a_query_parameter(engine, client, located):
+    """``ais-cache`` left the served tier and took its list length
+    with it: the request model has no ``t`` field, and a ``"t"`` key in
+    a JSON body is ignored like any other unknown key."""
+    with pytest.raises(TypeError):
+        QueryRequest(located, t=5)
+    with pytest.raises(TypeError):
+        engine.query(located, t=5)
+    plain = client.request("POST", "/query", {"user": located, "method": "tsa"})
+    with_t = client.request("POST", "/query", {"user": located, "method": "tsa", "t": 5})
+    assert with_t[0] == plain[0] == 200
+    assert with_t[2]["request"] == plain[2]["request"] and "t" not in with_t[2]["request"]
+    assert with_t[2]["result"]["users"] == plain[2]["result"]["users"]
 
 
 def test_unknown_user_parity(engine, sharded, service, client):
@@ -290,7 +302,7 @@ TYPE_CASES = [
     ("user_float", dict(user=1.5), "user must be an integer id, got 1.5"),
     ("k_bool", dict(k=True), "k must be an integer, got True"),
     ("k_float", dict(k=2.5), "k must be an integer, got 2.5"),
-    ("t_word", dict(method="ais-cache", t="ten"), "t must be an integer or null, got 'ten'"),
+    ("budget_word", dict(budget="lots"), "budget must be a number, got 'lots'"),
     ("method_number", dict(method=7), "method must be a string, got 7"),
 ]
 
@@ -299,8 +311,8 @@ TYPE_CASES = [
 def test_malformed_field_types_agree_across_layers(
     engine, sharded, service, client, located, name, params, message
 ):
-    """Non-integer ``user``/``k``/``t`` and non-string ``method`` are
-    rejected with one wording by the request model itself (it used to
+    """Non-integer ``user``/``k``, non-numeric ``budget`` and
+    non-string ``method`` are rejected with one wording by the request model itself (it used to
     accept ``QueryRequest(user="x")`` silently), so the engine, the
     service, the sharded engine and the wire all answer identically."""
     params = dict({"user": located}, **params)

@@ -24,6 +24,7 @@ guards that the rule stays written once.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import random
 
@@ -269,3 +270,20 @@ def test_removed_options_stay_removed():
         "SubscriptionRegistry": [],
     }
     assert not hasattr(QueryService, "attach_dynamics")
+    # ``ais-cache`` left the served tier (repro.bench.variants builds
+    # it) and took its list length with it: no ``t`` on the request,
+    # the public edges or the CLI, no ``default_t`` on either engine
+    from repro.cli.commands import query as query_command
+    from repro.server.client import ServerClient
+    from repro.shard import ShardedGeoSocialEngine
+
+    assert "t" not in {f.name for f in dataclasses.fields(QueryRequest)}
+    for edge in (
+        QueryRequest.coerce, GeoSocialEngine.query, GeoSocialEngine.query_many,
+        GeoSocialEngine.searcher, QueryService.query, QueryService.query_many,
+        SubscriptionRegistry.subscribe, ServerClient.query, ServerClient.tail,
+    ):
+        assert "t" not in inspect.signature(edge).parameters, edge.__qualname__
+    for cls in (GeoSocialEngine, ShardedGeoSocialEngine):
+        assert "default_t" not in inspect.signature(cls.__init__).parameters
+    assert "-t" not in {opt for p in query_command.params for opt in p.opts}

@@ -22,7 +22,7 @@ from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance
 
 #: requested methods covering every routing family plus auto
-REQUESTED = ("sfa", "spa", "tsa", "tsa-plain", "tsa-qc", "ais", "ais-minus", "bruteforce", AUTO)
+REQUESTED = METHODS + (AUTO,)
 ENDPOINTS = (0.0, 1.0)
 
 
@@ -110,5 +110,5 @@ def test_endpoint_aliases_share_one_cache_line(single):
 
 def test_interior_alpha_does_not_route(single):
     for method in METHODS:
-        result = single.query(1, 4, 0.5, method, t=20)
+        result = single.query(1, 4, 0.5, method)
         assert result.method == method

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.variants import VARIANTS, variant_searcher
 from repro.core.engine import AUTO, METHODS, FORWARD_DETERMINISTIC_METHODS, GeoSocialEngine
 from repro.core.searcher import Searcher
 from repro.plan import (
@@ -39,9 +40,9 @@ class TestRules:
         for method in METHODS:
             assert route_method(method, 0.4) == method
         assert route_method("tsa", 0.0) == "spa"
-        assert route_method("tsa-ch", 0.0) == "spa-ch"
+        assert route_method("approx", 0.0) == "spa"
         assert route_method("ais", 1.0) == "sfa"
-        assert route_method("spa-ch", 1.0) == "sfa-ch"
+        assert route_method("ais", 0.0) == "ais"
         assert route_method("bruteforce", 0.0) == "bruteforce"
         assert route_method("bruteforce", 1.0) == "bruteforce"
 
@@ -62,8 +63,16 @@ class TestRules:
         """The default auto candidate set must stay inside the
         forward-deterministic families: that is what makes auto results
         bit-identical to bruteforce and auto subscriptions repairable."""
+        assert DEFAULT_CANDIDATES == ("sfa", "spa", "tsa")
         assert set(DEFAULT_CANDIDATES) <= FORWARD_DETERMINISTIC_METHODS
         assert set(DEFAULT_CANDIDATES) <= set(METHODS)
+
+    def test_tsa_qc_is_an_opt_in_candidate(self, engine):
+        """Served, but off the planner's default set: naming it as a
+        candidate still works and calibration probes it."""
+        planner = AdaptivePlanner(candidates=DEFAULT_CANDIDATES + ("tsa-qc",), seed=1)
+        assert planner.calibrate(engine) == 4 * 4 * 2
+        assert "tsa-qc" in planner.cost.snapshot()["global"]
 
 
 # -- features ----------------------------------------------------------
@@ -264,6 +273,27 @@ class TestPlanner:
         with pytest.raises(ValueError, match="exact"):
             AdaptivePlanner(candidates=("approx",))
 
+    def test_misnamed_candidate_is_refused_at_construction(self, engine):
+        """A candidate that is not a row of the method table used to
+        construct, lose its calibration probes silently, and then fail
+        every ``auto`` query with the client-blaming ``unknown method``."""
+        with pytest.raises(ValueError, match="unknown planner candidate 'tsa_qc'"):
+            AdaptivePlanner(candidates=("sfa", "tsa_qc"))
+        with pytest.raises(ValueError, match="unknown planner candidate 'auto'"):
+            AdaptivePlanner(candidates=("sfa", AUTO))
+
+    def test_probe_swallows_only_the_unlocated_user_error(self, engine):
+        """A calibration probe may lose its user's location to a
+        concurrent forget; any other ``ValueError`` is a bug and must
+        surface, not shrink the probe count."""
+        planner = AdaptivePlanner(seed=1)
+        unlocated = next(
+            u for u in range(engine.graph.n) if engine.locations.get(u) is None
+        )
+        assert planner._probe(engine, unlocated, 0.5, "spa", None) == 0
+        with pytest.raises(ValueError, match="out of range"):
+            planner._probe(engine, engine.graph.n, 0.5, "spa", None)
+
     def test_cold_bucket_zero_cost_neither_starves_nor_freezes(self, engine):
         """Satellite regression, planner level: one 0.0-elapsed
         observation must not rob the never-observed candidates of their
@@ -380,7 +410,9 @@ class TestPlanner:
 class TestSearcherContract:
     def test_every_method_searcher_satisfies_protocol(self, engine):
         for method in METHODS:
-            assert isinstance(engine.searcher(method, t=20), Searcher), method
+            assert isinstance(engine.searcher(method), Searcher), method
+        for method in VARIANTS:
+            assert isinstance(variant_searcher(engine, method, t=20), Searcher), method
 
     @pytest.mark.parametrize("method", ["sfa", "spa", "tsa", "tsa-qc", "ais", "bruteforce"])
     def test_execution_stats_populated(self, method):

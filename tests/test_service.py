@@ -156,19 +156,6 @@ def test_cache_key_separates_parameters(engine):
         assert service.query(user, k=5, alpha=0.3, method="ais").cached
 
 
-def test_t_keys_only_the_ais_cache_line(engine):
-    """``t`` is ais-cache's list length; for every other method the
-    same question with and without it is one cache line."""
-    user = located(engine, 1)[0]
-    with QueryService(engine, cache_size=32) as service:
-        assert not service.query(user, k=5, alpha=0.3, method="sfa").cached
-        assert service.query(user, k=5, alpha=0.3, method="sfa", t=7).cached
-        assert service.cache_info()["size"] == 1
-        assert not service.query(user, k=5, alpha=0.3, method="ais-cache", t=7).cached
-        assert not service.query(user, k=5, alpha=0.3, method="ais-cache", t=9).cached
-        assert service.cache_info()["size"] == 3
-
-
 def test_lru_eviction_at_capacity(engine):
     users = located(engine, 6)
     with QueryService(engine, cache_size=3) as service:
@@ -425,7 +412,7 @@ def test_concurrent_batches_match_sequential(engine):
     expected = {
         (u, k, alpha, method): engine.query(u, k, alpha, method)
         for u in users
-        for (k, alpha, method) in ((3, 0.3, "ais"), (5, 0.7, "tsa"), (4, 0.5, "sfa-ch"))
+        for (k, alpha, method) in ((3, 0.3, "ais"), (5, 0.7, "tsa"), (4, 0.5, "sfa"))
     }
     errors: list[str] = []
     with QueryService(engine, max_workers=4, cache_size=64) as service:
@@ -502,7 +489,7 @@ def test_lazy_searcher_construction_is_race_free():
 
     threads = [
         threading.Thread(target=build, args=(m,))
-        for m in ("ais", "ais", "sfa-ch", "sfa-ch", "ais-cache", "ais-cache")
+        for m in ("ais", "ais", "approx", "approx", "tsa", "tsa")
     ]
     for t in threads:
         t.start()
@@ -513,8 +500,9 @@ def test_lazy_searcher_construction_is_race_free():
         by_method.setdefault(method, set()).add(tuple(users_))
     for method, outcomes in by_method.items():
         assert len(outcomes) == 1, f"non-deterministic {method}: {outcomes}"
-    # Exactly one searcher instance per method key survives.
-    assert len([k for k in engine._searchers if k.startswith("ais-cache")]) == 1
+    # Exactly one searcher instance per method key survives (and one
+    # lazily built sketch behind "approx").
+    assert sorted(engine._searchers) == ["ais", "approx", "tsa"]
 
 
 # ---------------------------------------------------------------- primitives

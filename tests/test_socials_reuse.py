@@ -34,7 +34,7 @@ from tests.conftest import random_instance
 
 INF = math.inf
 
-METHODS = ("bruteforce", "sfa", "spa", "tsa", "tsa-plain", "tsa-qc")
+METHODS = tuple(sorted(FORWARD_DETERMINISTIC_METHODS))
 ALPHAS = (0.0, 0.3, 0.5, 1.0)
 SHARD_COUNTS = (1, 4)
 
@@ -233,7 +233,6 @@ def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
     engine.query(user, k=4, alpha=0.0, method="spa")
     engine.query(user, k=4, alpha=0.0, method="bruteforce")
     engine.query(user, k=4, alpha=0.4, method="ais")
-    engine.query(user, k=4, alpha=0.4, method="spa-ch")
     for method in ("spa", "tsa", "tsa-qc"):
         with pytest.raises(ValueError, match="no known location"):
             engine.query(unlocated, k=4, alpha=0.4, method=method)
@@ -335,14 +334,15 @@ def test_poisoned_column_canary():
         service.close()
 
 
-# -- fused same-user batches -------------------------------------------
+# -- same-user batches --------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fused_query_many_matches_sequential_engine_queries(backend):
-    """Distinct (k, alpha) variants for one user fuse into one columnar
-    pass; every response must be bit-identical to a sequential
-    engine.query loop on a cache-disabled engine."""
+    """Distinct (k, alpha) variants for one user share its social
+    column through the engine's column step; every response must be
+    bit-identical to a sequential engine.query loop on a
+    cache-disabled engine."""
     engine = build_engine(1, backend, None)
     cold = build_engine(1, backend, 0)
     service = QueryService(engine, max_workers=2, cache_size=0)
@@ -352,25 +352,23 @@ def test_fused_query_many_matches_sequential_engine_queries(backend):
         for user in (u1, u1, u2, u3):
             for k, alpha, method in (
                 (5, 0.3, "spa"), (7, 0.5, "tsa"), (3, 1.0, "sfa"),
-                (4, 0.0, "spa"), (6, 0.4, "bruteforce"), (5, 0.25, "tsa-plain"),
+                (4, 0.0, "spa"), (6, 0.4, "bruteforce"), (5, 0.25, "tsa-qc"),
             ):
                 batch.append(QueryRequest(user=user, k=k, alpha=alpha, method=method))
         responses = service.query_many(batch)
-        fused = 0
         for req, resp in zip(batch, responses):
             ref = cold.query(req.user, k=req.k, alpha=req.alpha, method=req.method)
             assert fingerprint(resp.result) == fingerprint(ref), req
-            fused += 1 if resp.result.stats.extra.get("fused_group", 0) > 1 else 0
-        assert fused > 0, "no request took the fused path"
         assert sum(1 for r in responses if r.deduplicated) > 0
     finally:
         service.close()
 
 
 def test_fusion_skips_planner_and_unlocated_spatial_requests():
-    """method='auto' requests keep the per-query path (the planner must
-    observe real latencies), and SPA/TSA for an unlocated user raise
-    the searcher's exact error even inside a fusable batch."""
+    """Same-user batches run per query: SPA/TSA for an unlocated user
+    raise the searcher's exact error, ``auto`` requests feed the
+    planner one observation each, and social-only methods answer
+    unlocated users exactly as a cold engine does."""
     engine = build_engine(1, "python", None)
     service = QueryService(engine, max_workers=1, cache_size=0)
     try:
@@ -386,17 +384,15 @@ def test_fusion_skips_planner_and_unlocated_spatial_requests():
                     QueryRequest(user=unlocated, k=5, alpha=0.5, method="tsa"),
                 ]
             )
-        # method="auto" groups never fuse: the planner must observe
-        # real per-query latencies to keep learning
         located = query_users(engine)[0]
-        for resp in service.query_many(
+        service.query_many(
             [
                 QueryRequest(user=located, k=3, alpha=0.5, method="auto"),
                 QueryRequest(user=located, k=4, alpha=0.5, method="auto"),
             ]
-        ):
-            assert "fused_group" not in resp.result.stats.extra
-        # unlocated + social-only methods fuse fine (all-inf spatial)
+        )
+        assert engine.planner.stats.observations == 2
+        # unlocated + social-only methods (all-inf spatial)
         responses = service.query_many(
             [
                 QueryRequest(user=unlocated, k=3, alpha=1.0, method="sfa"),

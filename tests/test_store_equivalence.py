@@ -118,6 +118,23 @@ def test_save_load_save_is_byte_stable(tmp_path):
     assert manifest_a["config"] == manifest_b["config"]
 
 
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path, n_shards):
+    """Snapshots written before ``ais-cache`` left the served tier carry
+    ``default_t`` in their config (same ``format_version``); the loader
+    no longer reads the key, so they load and answer identically."""
+    live = build_engine("numpy", n_shards, n=100)
+    live.save(tmp_path / "snap")
+    target = tmp_path / "snap" / MANIFEST_NAME
+    manifest = json.loads(target.read_text())
+    assert "default_t" not in manifest["config"]
+    manifest["config"]["default_t"] = 500
+    target.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    loaded = load_engine(tmp_path / "snap")
+    assert type(loaded) is type(live)
+    assert_bit_identical(live, loaded, located_sample(live))
+
+
 def test_loaded_engine_serves_typed_class_loaders(tmp_path):
     single = build_engine("numpy", 1, n=80)
     sharded = build_engine("numpy", 4, n=80)

@@ -85,9 +85,9 @@ def check_all(registry, engine, subs, context):
             # Suspended: the fresh query must fail identically (the
             # query user has no known location at this alpha).
             with pytest.raises(ValueError, match="no known location"):
-                engine.query(sub.user, sub.k, sub.alpha, sub.method, t=sub.t)
+                engine.query(sub.user, sub.k, sub.alpha, sub.method)
             continue
-        fresh = engine.query(sub.user, sub.k, sub.alpha, sub.method, t=sub.t)
+        fresh = engine.query(sub.user, sub.k, sub.alpha, sub.method)
         assert_maintained_equals_fresh(sub, maintained, fresh, context)
 
 

@@ -11,7 +11,11 @@ import random
 import pytest
 
 from repro.core.engine import GeoSocialEngine
-from tests.conftest import assert_same_scores, random_instance
+from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
+
+#: every method that must equal brute force — served and variant alike
+#: (``approx`` answers within a certified bound instead)
+EXACT_METHODS = [m for m in ALL_METHODS if m not in ("approx", "bruteforce")]
 
 
 @pytest.fixture()
@@ -64,8 +68,8 @@ def test_interleaved_updates_and_queries(engine):
         k = rng.choice([3, 8])
         alpha = rng.choice([0.2, 0.5, 0.8])
         expected = engine.query(query_user, k=k, alpha=alpha, method="bruteforce")
-        for method in ("sfa", "spa", "tsa", "tsa-qc", "ais", "ais-minus", "ais-bid"):
-            got = engine.query(query_user, k=k, alpha=alpha, method=method)
+        for method in EXACT_METHODS:
+            got = query_with(engine, query_user, k=k, alpha=alpha, method=method)
             assert_same_scores(expected, got)
 
 
