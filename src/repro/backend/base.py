@@ -20,6 +20,10 @@ made of, lifted from per-user scalar calls to whole candidate arrays:
 ``nanbbox``                 coordinate envelope of a user batch
 ``summary_minmax``          per-landmark min/max over a user batch (the
                             ``(m̌, m̂)`` social-summary vectors)
+``sssp_column``             the dense social-distance column of one
+                            source vertex: every *full* expansion
+                            (bruteforce, landmark rows, diameter
+                            sweeps, subscription repairs) is this call
 ==========================  ==========================================
 
 :class:`PythonKernels` is the *extracted* scalar behavior — the exact
@@ -52,6 +56,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.landmarks import LandmarkIndex
+    from repro.graph.socialgraph import SocialGraph
 
 INF = math.inf
 _sqrt = math.sqrt
@@ -153,6 +158,17 @@ class Kernels(Protocol):
 
     def count_finite(self, values) -> int:
         """Number of finite (non-``inf``, non-NaN) entries."""
+        ...
+
+    def sssp_column(self, graph: "SocialGraph", source: int) -> Sequence[float]:
+        """Exact shortest-path distances from ``source`` to every vertex
+        of ``graph`` as a dense length-``n`` float64 column (``inf`` for
+        unreachable vertices).  Bit-identical on every backend *and* to
+        the distances an incremental
+        :class:`~repro.graph.traversal.DijkstraIterator` settles: a
+        final Dijkstra label is ``min`` over in-edges ``(u, v)`` of
+        ``fl(d[u] + w)`` with ``d[u]`` itself final, which no heap
+        order or tie-break can change."""
         ...
 
 
@@ -313,3 +329,16 @@ class PythonKernels:
 
     def count_finite(self, values):
         return sum(1 for v in values if v == v and v != INF and v != -INF)
+
+    def sssp_column(self, graph, source):
+        return self.dense_from_dict(graph.n, settle_all(graph, source), INF)
+
+
+def settle_all(graph: "SocialGraph", source: int) -> dict:
+    """The reference expansion behind ``sssp_column``: a
+    :class:`~repro.graph.traversal.DijkstraIterator` run to exhaustion
+    (imported here, not at module level — the graph package's build
+    paths import this package)."""
+    from repro.graph.traversal import DijkstraIterator
+
+    return DijkstraIterator(graph, source).run_to_completion()

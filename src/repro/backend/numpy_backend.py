@@ -7,15 +7,51 @@ part of the input space), blending multiplies by the same pre-divided
 weights, and ALT bounds exploit IEEE special-value arithmetic
 (``inf − inf = NaN`` marks an uninformative landmark, one-sided ``inf``
 survives ``abs`` as the exact disconnection bound).
+
+``sssp_column`` hands the traversal itself to
+``scipy.sparse.csgraph.dijkstra`` (the optional ``fast`` extra), which
+adds the same ``d[u] + w`` float64 sums as the scalar expansion and so
+lands on the same labels; without scipy the kernel falls back to that
+scalar expansion itself.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
+from repro.backend.base import settle_all
+
 INF = math.inf
+
+#: serialises the one-time build of a graph's scipy handle, so
+#: concurrent first queries convert the CSR lists once
+_CSR_BUILD_LOCK = threading.Lock()
+
+
+def _scipy_csr(graph):
+    """``graph``'s CSR as a ``scipy.sparse.csr_matrix``, built once per
+    graph and parked on it; ``None`` when scipy is not importable."""
+    handle = graph._csr
+    if handle is None:
+        try:
+            from scipy.sparse import csr_matrix
+        except ImportError:
+            return None
+        with _CSR_BUILD_LOCK:
+            handle = graph._csr
+            if handle is None:
+                handle = graph._csr = csr_matrix(
+                    (
+                        np.asarray(graph.wts, dtype=np.float64),
+                        np.asarray(graph.nbrs, dtype=np.int32),
+                        np.asarray(graph.indptr, dtype=np.int32),
+                    ),
+                    shape=(graph.n, graph.n),
+                )
+    return handle
 
 
 class NumpyKernels:
@@ -176,3 +212,13 @@ class NumpyKernels:
 
     def count_finite(self, values):
         return int(np.count_nonzero(np.isfinite(np.asarray(values, dtype=np.float64))))
+
+    def sssp_column(self, graph, source):
+        if not 0 <= source < graph.n:  # scipy would wrap a negative index
+            raise ValueError(f"source {source} out of range [0, {graph.n})")
+        csr = _scipy_csr(graph)
+        if csr is None:
+            return self.dense_from_dict(graph.n, settle_all(graph, source), INF)
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra(csr, directed=True, indices=source)

@@ -1,12 +1,13 @@
 """Exact brute-force SSRQ evaluation.
 
-Runs one full Dijkstra from the query vertex and scores every user.
+Takes the full social-distance column of the query vertex (the
+``sssp_column`` kernel) and scores every user.
 Quadratic-ish and indifferent to all of the paper's optimisations — the
 ground truth every algorithm is tested against, and the natural
 definition of correctness for SSRQ (Definition 1).
 
-Scoring is columnar: the Dijkstra distance dict is marshalled into a
-dense social column, the spatial column comes from one
+Everything is columnar: the social column comes from one
+``sssp_column`` kernel call, the spatial column from one
 ``euclidean_to_point`` kernel call over the whole location table, and
 one ``blend`` + ``top_k_by_score`` pass selects the answer (shared with
 every other column consumer via :func:`repro.social.scan.dense_scan`) —
@@ -15,7 +16,7 @@ so the same code path runs scalar (``PythonKernels``) or vectorized
 
 Engines that carry a :class:`~repro.social.cache.SocialColumnCache`
 answer ``method="bruteforce"`` through the pipeline's column step
-(:func:`repro.social.scan.column_step`) instead — the same Dijkstra +
+(:func:`repro.social.scan.column_step`) instead — the same kernel call +
 scan with the column cached in between; this class stays the
 cache-free reference every differential suite compares against.
 """
@@ -30,7 +31,6 @@ from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import SSRQResult
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import DijkstraIterator
 from repro.social.scan import dense_scan
 from repro.spatial.point import LocationTable
 from repro.utils.validation import check_user
@@ -79,12 +79,12 @@ class BruteForceSearch:
         kernels = self.kernels
         n = self.graph.n
 
-        social = {}
         if rank.needs_social:
-            it = DijkstraIterator(self.graph, query_user)
-            social = it.run_to_completion()
-            stats.pops_social = it.heap.pops
-        p = kernels.dense_from_dict(n, social, INF)
+            p = kernels.sssp_column(self.graph, query_user)
+            # one per vertex a scalar expansion would have settled
+            stats.pops_social = kernels.count_finite(p)
+        else:
+            p = kernels.dense_from_dict(n, {}, INF)
 
         # The spatial column (inside dense_scan): distances to the query
         # point, or all-inf when the spatial term is irrelevant / the

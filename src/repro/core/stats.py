@@ -26,7 +26,10 @@ class SearchStats:
         10
     """
 
-    #: pops from social-domain heaps (Dijkstra / A* / CH searches)
+    #: pops from social-domain heaps (Dijkstra / A* / CH searches); a
+    #: column built by the ``sssp_column`` kernel counts its finite
+    #: entries — the vertices a scalar expansion would have settled —
+    #: so the count does not depend on the backend
     pops_social: int = 0
     #: pops from spatial-domain heaps (incremental NN)
     pops_spatial: int = 0

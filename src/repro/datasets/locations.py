@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 
+from repro.backend import resolve_backend
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import dijkstra_distances
 from repro.spatial.point import LocationTable
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_probability
@@ -129,8 +129,13 @@ def correlated_locations(
     if rho == 0:
         raise ValueError("rho must be non-zero; use permuted_locations for independence")
     rng = make_rng(seed)
-    social = dijkstra_distances(graph, anchor)
-    finite = {v: p for v, p in social.items() if p != INF}
+    column = resolve_backend().sssp_column(graph, anchor)
+    # in Dijkstra settle order — (distance, id) ascending — which is the
+    # order the noise and angle draws below have always been dealt in
+    finite = {
+        v: float(p)
+        for p, v in sorted((p, v) for v, p in enumerate(column) if p != INF)
+    }
     if not finite:
         raise ValueError(f"anchor {anchor} reaches no vertex")
     p_max = max(finite.values()) or 1.0

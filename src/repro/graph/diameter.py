@@ -6,14 +6,17 @@ diameter is quadratic; the classic *double sweep* gives a tight lower
 bound in a handful of Dijkstra runs and is the standard estimator for
 this purpose.  Because ``P_max`` is only a fixed normalising constant
 shared by every algorithm, a consistent estimate preserves all rankings.
+Each sweep is one ``sssp_column`` kernel call
+(:mod:`repro.backend`, bit-identical on both backends), so the
+estimate does not depend on which one is installed.
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.backend import resolve_backend
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import dijkstra_distances
 from repro.utils.rng import make_rng
 
 INF = math.inf
@@ -22,13 +25,12 @@ INF = math.inf
 def _farthest(graph: SocialGraph, source: int) -> tuple[int, float]:
     """Reachable vertex maximising distance from ``source`` (ties broken
     by id for determinism)."""
-    dist = dijkstra_distances(graph, source)
+    column = resolve_backend().sssp_column(graph, source)
     best_v, best_d = source, 0.0
-    for v in sorted(dist):
-        d = dist[v]
+    for v, d in enumerate(column):
         if d != INF and d > best_d:
             best_v, best_d = v, d
-    return best_v, best_d
+    return best_v, float(best_d)
 
 
 def double_sweep_diameter(graph: SocialGraph, sweeps: int = 2, seed: int = 0) -> float:

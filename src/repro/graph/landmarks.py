@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from repro.backend import resolve_backend
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import dijkstra_distances
 from repro.utils.rng import make_rng
 
 try:  # soft dependency: the scalar fallback keeps working without it
@@ -33,12 +33,10 @@ INF = math.inf
 
 def _distance_row(graph: SocialGraph, landmark: int) -> list[float]:
     """Distances from ``landmark`` to every vertex (``inf`` when
-    unreachable), as a flat list indexed by vertex id."""
-    dist_map = dijkstra_distances(graph, landmark)
-    row = [INF] * graph.n
-    for v, d in dist_map.items():
-        row[v] = d
-    return row
+    unreachable), as a flat list indexed by vertex id — one
+    ``sssp_column`` kernel call (bit-identical on both backends)."""
+    column = resolve_backend().sssp_column(graph, landmark)
+    return column if isinstance(column, list) else column.tolist()
 
 
 def select_landmarks(
@@ -58,6 +56,16 @@ def select_landmarks(
     - ``"random"``: uniform sample.
     - ``"degree"``: the ``m`` highest-degree vertices (hub landmarks).
     """
+    return _select(graph, m, strategy, seed)[0]
+
+
+def _select(
+    graph: SocialGraph, m: int, strategy: str, seed: int
+) -> "tuple[list[int], list[list[float]] | None]":
+    """:func:`select_landmarks` plus, for the strategy that expands
+    from every vertex it picks, the distance rows those expansions
+    produced (aligned with the returned landmarks; ``None`` otherwise)
+    — so :meth:`LandmarkIndex.build` does not expand from them again."""
     if m < 1:
         raise ValueError(f"need at least one landmark, got {m}")
     if m > graph.n:
@@ -65,35 +73,35 @@ def select_landmarks(
 
     if strategy == "random":
         rng = make_rng(seed)
-        return sorted(rng.sample(range(graph.n), m))
+        return sorted(rng.sample(range(graph.n), m)), None
 
     if strategy == "degree":
         order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-        return sorted(order[:m])
+        return sorted(order[:m]), None
 
     if strategy != "farthest":
         raise ValueError(f"unknown landmark strategy {strategy!r}")
 
     start = max(range(graph.n), key=lambda v: (graph.degree(v), -v))
-    chosen = [start]
-    min_dist = _distance_row(graph, start)
+    rows = {start: _distance_row(graph, start)}
+    min_dist = list(rows[start])
     for _ in range(m - 1):
         candidate = -1
         candidate_d = -1.0
         for v, d in enumerate(min_dist):
-            if d != INF and d > candidate_d and v not in chosen:
+            if d != INF and d > candidate_d and v not in rows:
                 candidate = v
                 candidate_d = d
         if candidate < 0:
             # Graph smaller/more disconnected than m: fall back to any
             # not-yet-chosen vertex.
-            candidate = next(v for v in range(graph.n) if v not in chosen)
-        chosen.append(candidate)
-        row = _distance_row(graph, candidate)
-        for v in range(graph.n):
-            if row[v] < min_dist[v]:
-                min_dist[v] = row[v]
-    return sorted(chosen)
+            candidate = next(v for v in range(graph.n) if v not in rows)
+        row = rows[candidate] = _distance_row(graph, candidate)
+        for v, d in enumerate(row):
+            if d < min_dist[v]:
+                min_dist[v] = d
+    chosen = sorted(rows)
+    return chosen, [rows[v] for v in chosen]
 
 
 class LandmarkIndex:
@@ -115,10 +123,16 @@ class LandmarkIndex:
 
     __slots__ = ("graph", "landmarks", "dist", "dist_rev", "_matrix", "_matrix_rev")
 
-    def __init__(self, graph: SocialGraph, landmarks: Sequence[int]) -> None:
+    def __init__(
+        self,
+        graph: SocialGraph,
+        landmarks: Sequence[int],
+        rows: "list[list[float]] | None" = None,
+    ) -> None:
         self.graph = graph
         self.landmarks = list(landmarks)
-        rows = [_distance_row(graph, l) for l in self.landmarks]
+        if rows is None:  # else: the forward rows, already expanded
+            rows = [_distance_row(graph, l) for l in self.landmarks]
         #: distances landmark -> v (== v -> landmark for undirected)
         self.dist: list = self._adopt_rows(rows, "_matrix", graph.n)
         if graph.directed:
@@ -164,7 +178,7 @@ class LandmarkIndex:
         strategy: str = "farthest",
         seed: int = 0,
     ) -> "LandmarkIndex":
-        return cls(graph, select_landmarks(graph, m, strategy, seed))
+        return cls(graph, *_select(graph, m, strategy, seed))
 
     @property
     def m(self) -> int:

@@ -9,7 +9,12 @@ CSR keeps the three flat arrays ``indptr``, ``nbrs`` and ``wts``; the
 out-neighbourhood of vertex ``v`` is
 ``nbrs[indptr[v]:indptr[v+1]]`` / ``wts[indptr[v]:indptr[v+1]]``.
 Flat Python lists are the fastest random-access container available to
-pure-Python Dijkstra loops, which dominate every algorithm's cost.
+the *incremental* searchers' pure-Python Dijkstra loops (SFA's stream,
+TSA's interleave, AIS's forward search), which settle a few vertices at
+a time.  A *full* expansion does not run here: it is the
+``sssp_column`` kernel of :mod:`repro.backend`, which parks an array
+form of the same CSR on the graph the first time it is asked — this
+module itself imports neither NumPy nor SciPy.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ class SocialGraph:
         [(1, 1.0), (3, 3.0)]
     """
 
-    __slots__ = ("n", "indptr", "nbrs", "wts", "directed", "_num_edges", "_reverse")
+    __slots__ = (
+        "n", "indptr", "nbrs", "wts", "directed", "_num_edges", "_reverse", "_csr",
+    )
 
     def __init__(
         self,
@@ -58,6 +65,10 @@ class SocialGraph:
             _num_edges = len(nbrs) if directed else len(nbrs) // 2
         self._num_edges = _num_edges
         self._reverse: "SocialGraph | None" = None
+        #: array form of the CSR, built and owned by the backend kernel
+        #: that runs full expansions over it
+        #: (:meth:`~repro.backend.base.Kernels.sssp_column`)
+        self._csr = None
 
     # -- construction ---------------------------------------------------
 

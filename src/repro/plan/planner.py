@@ -54,7 +54,7 @@ _TINY = 1e-300  # matches repro.core.ranking's division guard
 
 #: forward-deterministic searcher families the planner picks among by
 #: default: one per cost regime (social stream, spatial stream, twofold
-#: interleave)
+#: interleave, full column + dense scan)
 DEFAULT_CANDIDATES = tuple(name for name, spec in METHOD_TABLE.items() if spec.candidate)
 
 #: (k, alpha) probe grid of the calibration pass — one alpha per
@@ -269,10 +269,17 @@ class AdaptivePlanner:
             # order keeps this deterministic) so estimates exist for
             # every arm before greedy play starts.
             return unexplored[0], True
+        best_method, best = min(estimates, key=lambda pair: pair[1])
         rate = self.epsilon / (1.0 + self.cost.observations(bucket)) ** 0.5
         if rate > 0.0 and self._rng.random() < rate:
-            return candidates[self._rng.randrange(len(candidates))], True
-        best_method, _ = min(estimates, key=lambda pair: pair[1])
+            # Exploration priced by what it costs: a drawn arm is
+            # played with probability best/estimate, so an arm's
+            # expected exploration tax is at most ``rate · best``
+            # however dear the arm is (a 50 ms arm beside a 3 ms one is
+            # tried 6 % as often as uniform draws would try it).
+            method, estimate = estimates[self._rng.randrange(len(estimates))]
+            if self._rng.random() * estimate <= best:
+                return method, True
         return best_method, False
 
     # -- feedback ------------------------------------------------------
@@ -298,6 +305,12 @@ class AdaptivePlanner:
     def calibrate(self, engine, users: "list[int] | None" = None, read_lock=None) -> int:
         """Seed the cost model: run every candidate over a small probe
         grid of located users × calibration alphas, timing each query.
+
+        Every probe pays its own traversal: the probe user's entry is
+        dropped from the engine's social column cache first, or the
+        first probe that exhausted the user's expansion would turn
+        every later probe of that user into a dense scan of the cached
+        column — timing the cache, not the method.
 
         Idempotent (the first caller wins; later calls are no-ops), and
         safe to call eagerly — benchmarks do, so measured serving
@@ -338,6 +351,11 @@ class AdaptivePlanner:
         guard = read_lock() if read_lock is not None else nullcontext()
         with guard:
             probe = QueryRequest(user, CALIBRATION_K, alpha, method)
+            if engine.social_cache is not None:
+                engine.social_cache.discard(user)
+            # the bucket of the (cold) state the probe runs in, as
+            # ``resolve`` extracts it before a live query
+            bucket = extract_features(engine, probe).bucket()
             start = time.perf_counter()
             try:
                 engine.query(probe)
@@ -346,7 +364,6 @@ class AdaptivePlanner:
                     raise
                 return 0
             elapsed = time.perf_counter() - start
-            bucket = extract_features(engine, probe).bucket()
         self.cost.observe(bucket, method, elapsed)
         return 1
 

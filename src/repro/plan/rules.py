@@ -99,7 +99,10 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     "tsa-qc": replace(_TSA, candidate=False),
     "ais": MethodSpec(alpha1="sfa"),
     "approx": MethodSpec(alpha0="spa", delegated=True),
-    "bruteforce": MethodSpec(column="exhaust", delegated=True),
+    # "the column + one dense scan": with the ``sssp_column`` kernel a
+    # full expansion costs less than most early-terminating ones at
+    # bench scale, so the cost model is allowed to pick it
+    "bruteforce": MethodSpec(column="exhaust", delegated=True, candidate=True),
 }
 
 

@@ -281,6 +281,15 @@ class SocialColumnCache:
 
     # -- invalidation / sizing ----------------------------------------
 
+    def discard(self, user: int) -> None:
+        """Drop ``user``'s entry, full or parked (no-op if absent; not
+        an eviction): the next query from ``user`` expands from
+        scratch.  The planner's calibration probes call this so each
+        one times its method's traversal, not a hit on the column an
+        earlier probe left behind."""
+        with self._lock:
+            self._evict_user_locked(user)
+
     def invalidate_all(self) -> None:
         """Drop every entry (the edge-epoch bump: a social-edge update
         may change any distance from any source)."""

@@ -17,7 +17,10 @@ toward smaller ids), with the same ``Neighbor`` field conventions
 the query pipeline (:meth:`repro.core.engine.EngineBase.query`) that
 talks to the :class:`~repro.social.cache.SocialColumnCache`: look the
 query user up; a full column answers through :func:`dense_scan` at
-once; a parked partial expansion is handed to the searcher to resume
+once; a method that needs every distance (``column="exhaust"``) gets
+the column from the ``sssp_column`` kernel
+(:meth:`repro.backend.base.Kernels.sssp_column`) and stores it; a
+parked partial expansion is handed to an incremental searcher to resume
 (or replay); a miss starts a fresh
 :class:`~repro.graph.traversal.DijkstraIterator`; and whatever the
 searcher expanded is checked back in afterwards.  The searchers
@@ -40,7 +43,7 @@ from repro.social.resume import ReplayedDijkstra
 INF = math.inf
 _NAN = math.nan
 
-__all__ = ["column_step", "dense_scan", "peek_scan"]
+__all__ = ["column_step", "dense_scan", "materialize_column", "peek_scan"]
 
 def dense_scan(
     kernels,
@@ -79,6 +82,17 @@ def dense_scan(
             initial.offer(nb.user, nb.score, nb.social, nb.spatial)
         neighbors = initial.neighbors()
     return neighbors, kernels.count_finite(scores)
+
+
+def materialize_column(engine, user: int):
+    """Build ``user``'s full social column with the ``sssp_column``
+    kernel and hand it to the engine's column cache (when it has one)
+    — what every consumer that needs all of a user's distances and
+    found no cached column does."""
+    column = engine.kernels.sssp_column(engine.graph, user)
+    if engine.social_cache is not None:
+        engine.social_cache.store_full(user, column)
+    return column
 
 
 def _checkout(cache, user: int):
@@ -133,10 +147,13 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     stream it is handed (``None``: the searcher opens its own — the
     step does not apply).  On a full column the searcher never runs:
     the answer is one :func:`dense_scan`, marked
-    ``stats.extra["social_column_hits"]``.  Otherwise the searcher
-    enumerates a resumed (or replayed) parked expansion, or a fresh
-    one on a miss, and the step checks the expansion back in — an
-    exhausted one is promoted to a full column by the cache.
+    ``stats.extra["social_column_hits"]``.  An ``exhaust`` method
+    (bruteforce) never runs either: on a miss the kernel builds the
+    column, ``stats.pops_social`` reading its number of finite entries
+    (the vertices a scalar expansion would have settled).  Otherwise
+    the searcher enumerates a resumed (or replayed) parked expansion,
+    or a fresh one on a miss, and the step checks the expansion back
+    in — an exhausted one is promoted to a full column by the cache.
     """
     spec = METHOD_TABLE[method]
     rank = _applies(engine, spec, request)
@@ -151,14 +168,11 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     if column is not None:
         stats.extra["social_column_hits"] = 1
     elif exhaust:
-        # the method needs every distance: finish the expansion (parked
-        # or fresh) here and keep it as a full column
-        it = parked if parked is not None else DijkstraIterator(engine.graph, user)
-        pops_before = it.heap.pops
-        it.run_to_completion()
-        stats.pops_social = it.heap.pops - pops_before
-        column = engine.kernels.dense_from_dict(engine.graph.n, it.settled, INF)
-        cache.store_full(user, column)
+        # the method needs every distance: one kernel call builds the
+        # whole column (a parked partial is dropped, not finished — the
+        # kernel is cheaper than resuming the scalar expansion)
+        column = materialize_column(engine, user)
+        stats.pops_social = engine.kernels.count_finite(column)
     if column is not None:
         result = _scan_result(engine, request, rank, column, initial, stats, start)
         if exhaust:  # the full scan evaluates everyone it scores

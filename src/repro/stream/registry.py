@@ -56,7 +56,7 @@ from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
-from repro.graph.traversal import DijkstraIterator
+from repro.social.scan import materialize_column
 from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, StoredIndex
 from repro.stream.subscription import StreamStats, Subscription
 from repro.utils.validation import check_user
@@ -174,7 +174,6 @@ class SubscriptionRegistry:
                     for sub in self._subs:
                         sub.recompute_pending = True
                         sub.pending.clear()
-                        sub._dijkstra = None
                         sub.rank = RankingFunction(sub.alpha, new_engine.normalization)
                     for group in self._groups.values():
                         group.dirty = True
@@ -207,12 +206,15 @@ class SubscriptionRegistry:
         ``engine.query`` would reject — that resumes automatically once
         the user reports a location.
 
-        ``method="auto"`` is resolved **once**, here, through the
-        engine's adaptive planner: the subscription stores the concrete
-        resolution, every maintenance recompute re-runs that same
-        method, and repairability is classified off it (the planner's
-        default candidates are forward-deterministic, so auto
-        subscriptions repair in place).
+        ``method="auto"`` stays ``auto`` for the subscription's whole
+        life: the initial result and every maintenance recompute go
+        through the engine's adaptive planner, which picks the method
+        by its current cost estimates and observes what the recompute
+        cost — a standing query is never pinned to whatever was
+        cheapest (or was being explored) at subscribe time.
+        ``sub.method`` follows ``result.method``, and repairability is
+        classified off it (the planner's default candidates are
+        forward-deterministic, so auto subscriptions repair in place).
         """
         self._check_open()
         request = QueryRequest.coerce(user, k, alpha, method)
@@ -228,7 +230,8 @@ class SubscriptionRegistry:
             # checked the field types and ranges; the user id and the
             # method name are engine-level checks).
             check_user(request.user, engine.graph.n)
-            request = request.with_method(engine.resolve_method(request))
+            if request.method != AUTO:
+                request = request.with_method(engine.resolve_method(request))
             sub = Subscription(
                 request, RankingFunction(request.alpha, engine.normalization)
             )
@@ -411,17 +414,25 @@ class SubscriptionRegistry:
             buffer.offer(nb.user, nb.score, nb.social, nb.spatial)
         needs_social = rank.needs_social
         member_ids = sub.member_ids
+        # the query user's full social column (exact distances, ``inf``
+        # included, as every forward-stream method computes them),
+        # fetched when the first entrant needs it
+        column = None
         for user in ids:
             if user in member_ids:
                 continue
             d = dist_of[user]
             if d == INF:
                 continue  # unlocated (or the position was since forgotten)
-            p = (
-                self._social_distance_locked(sub, engine, user)
-                if needs_social
-                else INF
-            )
+            p = INF
+            if needs_social:
+                if column is None:
+                    cache = engine.social_cache
+                    column = cache.peek_full(sub.user) if cache is not None else None
+                    if column is None:  # kept for the next repair pass
+                        column = materialize_column(engine, sub.user)
+                self.stats.entrant_evaluations += 1
+                p = float(column[user])
             buffer.offer(user, rank.score(p, d), p, d)
         stats = SearchStats()
         stats.extra["maintained"] = "repair"
@@ -436,31 +447,14 @@ class SubscriptionRegistry:
         self.stats.repairs_applied += 1
         return True
 
-    def _social_distance_locked(self, sub: Subscription, engine, user: int) -> float:
-        """Exact social distance ``p(q, user)`` as every forward-stream
-        method computes it.  A full column in the engine's
-        :class:`~repro.social.cache.SocialColumnCache` answers without
-        any traversal (the column holds exactly the distances
-        ``run_until`` would settle, ``inf`` included); otherwise the
-        resumable per-subscription Dijkstra is kept across repairs —
-        the graph only changes on engine swaps, which drop it."""
-        self.stats.entrant_evaluations += 1
-        cache = getattr(engine, "social_cache", None)
-        if cache is not None:
-            column = cache.peek_full(sub.user)
-            if column is not None:
-                return float(column[user])
-        it = sub._dijkstra
-        if it is None or it.graph is not engine.graph:
-            it = sub._dijkstra = DijkstraIterator(engine.graph, sub.user)
-        return it.run_until(user)
-
     def _recompute_locked(self, sub: Subscription, engine) -> str:
         sub.pending.clear()
         sub.recompute_pending = False
         was_suspended = sub.suspended
         try:
-            result = engine.query(sub.request)
+            result = engine.query(
+                sub.request.with_method(AUTO) if sub.auto else sub.request
+            )
         except ValueError as err:
             if "no known location" not in str(err):
                 raise
@@ -468,12 +462,13 @@ class SubscriptionRegistry:
             self._ungroup_locked(sub)
             sub.suspended = True
             sub.error = str(err)
-            sub._dijkstra = None
             if not was_suspended:
                 self.stats.suspended += 1
         else:
             sub.suspended = False
             sub.error = None
+            if sub.auto:
+                sub.follow(result.method)
             self._install_result_locked(sub, result)
             self._regroup_locked(sub)
             if was_suspended:

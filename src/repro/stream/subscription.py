@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.stream.conditions import StoredTopK, entry_radius
+from repro.plan.rules import AUTO
+from repro.stream.conditions import REPAIRABLE_METHODS, StoredTopK, entry_radius
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ranking import RankingFunction
     from repro.core.request import QueryRequest
-    from repro.graph.traversal import DijkstraIterator
 
 INF = math.inf
 
@@ -35,7 +35,11 @@ class Subscription(StoredTopK):
     stored pre-routed (endpoint α values route exactly like
     :meth:`~repro.core.engine.GeoSocialEngine.query` does), and
     ``repairable`` says whether single-candidate repair applies (see
-    :data:`~repro.stream.conditions.REPAIRABLE_METHODS`).
+    :data:`~repro.stream.conditions.REPAIRABLE_METHODS`).  A
+    subscription requested as ``"auto"`` (:attr:`auto`) is re-resolved
+    by the planner on every recompute; its ``method`` reads ``"auto"``
+    until the first result and then names whatever the latest
+    recompute ran.
 
         >>> from repro import GeoSocialEngine, QueryService, gowalla_like
         >>> from repro.stream import SubscriptionRegistry
@@ -53,6 +57,7 @@ class Subscription(StoredTopK):
         "k",
         "alpha",
         "method",
+        "auto",
         "suspended",
         "error",
         "group",
@@ -61,18 +66,20 @@ class Subscription(StoredTopK):
         "noops",
         "repairs",
         "recomputes",
-        "_dijkstra",
     )
 
     def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
-        # ``request`` (``method`` already resolved) is what every
-        # maintenance recompute re-runs; ``result`` is ``None`` while
-        # suspended
+        # ``request`` is what every maintenance recompute re-runs
+        # (as ``"auto"`` again when :attr:`auto`); ``result`` is
+        # ``None`` while suspended
         super().__init__(request, rank)
         self.user = request.user
         self.k = request.k
         self.alpha = request.alpha
         self.method = request.method
+        #: requested as ``"auto"``: the planner picks the method of
+        #: each recompute, and :meth:`follow` tracks its pick
+        self.auto = request.method == AUTO
         #: True while the query user has no location and the query's
         #: α needs one — a fresh query would raise; so does reading
         self.suspended = False
@@ -86,7 +93,15 @@ class Subscription(StoredTopK):
         self.noops = 0
         self.repairs = 0
         self.recomputes = 0
-        self._dijkstra: "DijkstraIterator | None" = None
+
+    def follow(self, method: str) -> None:
+        """Pin the stored request to the ``method`` the latest
+        recompute resolved to, so the stored result is screened and
+        repaired as what actually produced it."""
+        if method != self.method:
+            self.request = self.request.with_method(method)
+            self.method = method
+            self.repairable = method in REPAIRABLE_METHODS
 
     # -- introspection -------------------------------------------------
 

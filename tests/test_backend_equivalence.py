@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import PythonKernels, resolve_backend
+from repro.backend import Kernels, PythonKernels, resolve_backend
 from repro.core.engine import GeoSocialEngine
 from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import query_with, random_instance
@@ -149,6 +149,38 @@ def test_backend_scores_bitwise_equal_on_ci_hardware():
             assert [(nb.user, float(nb.score)) for nb in a] == [
                 (nb.user, float(nb.score)) for nb in b
             ], method
+
+
+#: every bulk primitive of the ``Kernels`` protocol
+PROTOCOL = (
+    "euclidean_to_point",
+    "alt_lower_bounds",
+    "alt_upper_bounds",
+    "interval_midpoints",
+    "blend",
+    "top_k_by_score",
+    "blend_topk_multi",
+    "nanbbox",
+    "summary_minmax",
+    "dense_from_dict",
+    "count_finite",
+    "sssp_column",
+)
+
+
+def test_both_backends_implement_the_whole_protocol():
+    """The list above *is* the protocol (a kernel added to one side
+    only, or to neither list, fails here), and both backends carry
+    every entry."""
+    declared = {
+        name for name, member in vars(Kernels).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert declared == set(PROTOCOL)
+    for backend in ("python", "numpy"):
+        kernels = resolve_backend(backend)
+        assert isinstance(kernels, Kernels)
+        assert all(callable(getattr(kernels, name)) for name in PROTOCOL), backend
 
 
 def test_default_searcher_kernels_are_scalar():

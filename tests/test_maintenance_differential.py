@@ -50,8 +50,9 @@ from repro.stream import (
 from tests.conftest import cache_put, random_instance
 from tests.test_stream_equivalence import STREAM_CI, assert_maintained_equals_fresh
 
-#: repairable forward methods + one that is screened but never repaired
-METHODS = ("tsa", "sfa", "spa", "bruteforce", "ais")
+#: repairable forward methods, one that is screened but never repaired,
+#: and ``auto``, whose subscriptions re-resolve on every recompute
+METHODS = ("tsa", "sfa", "spa", "bruteforce", "ais", "auto")
 STEPS = 14
 
 

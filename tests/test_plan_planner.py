@@ -63,7 +63,7 @@ class TestRules:
         """The default auto candidate set must stay inside the
         forward-deterministic families: that is what makes auto results
         bit-identical to bruteforce and auto subscriptions repairable."""
-        assert DEFAULT_CANDIDATES == ("sfa", "spa", "tsa")
+        assert DEFAULT_CANDIDATES == ("sfa", "spa", "tsa", "bruteforce")
         assert set(DEFAULT_CANDIDATES) <= FORWARD_DETERMINISTIC_METHODS
         assert set(DEFAULT_CANDIDATES) <= set(METHODS)
 
@@ -71,7 +71,7 @@ class TestRules:
         """Served, but off the planner's default set: naming it as a
         candidate still works and calibration probes it."""
         planner = AdaptivePlanner(candidates=DEFAULT_CANDIDATES + ("tsa-qc",), seed=1)
-        assert planner.calibrate(engine) == 4 * 4 * 2
+        assert planner.calibrate(engine) == 4 * 5 * 2
         assert "tsa-qc" in planner.cost.snapshot()["global"]
 
 
@@ -224,7 +224,7 @@ class TestPlanner:
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
         bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
-        for method, cost in (("sfa", 0.9), ("spa", 0.1), ("tsa", 0.5), ("tsa-qc", 0.7)):
+        for method, cost in (("sfa", 0.9), ("spa", 0.1), ("tsa", 0.5), ("bruteforce", 0.7)):
             planner.cost.observe(bucket, method, cost)
         decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method == "spa" and decision.auto and not decision.explored
@@ -291,8 +291,67 @@ class TestPlanner:
             u for u in range(engine.graph.n) if engine.locations.get(u) is None
         )
         assert planner._probe(engine, unlocated, 0.5, "spa", None) == 0
-        with pytest.raises(ValueError, match="out of range"):
-            planner._probe(engine, engine.graph.n, 0.5, "spa", None)
+        located = next(iter(engine.locations.located_users()))
+        with pytest.raises(ValueError, match="unknown method"):
+            planner._probe(engine, located, 0.5, "tsa_qc", None)
+
+    def test_each_calibration_probe_pays_its_own_traversal(self, engine):
+        """A ``bruteforce`` probe leaves the probe user's full column in
+        the cache; the ``sfa`` probe after it on the same user must
+        still run the searcher (and be priced as a cold query), not
+        time a dense scan of that column."""
+        planner = AdaptivePlanner(seed=1)
+        user = next(iter(engine.locations.located_users()))
+        searches = []
+        sfa = engine.searcher("sfa")
+        original = sfa.search
+
+        def counting_search(*args, **kwargs):
+            searches.append(args)
+            return original(*args, **kwargs)
+
+        sfa.search = counting_search
+        try:
+            assert planner._probe(engine, user, 0.5, "bruteforce", None) == 1
+            assert engine.social_cache.contains_full(user)
+            assert planner._probe(engine, user, 0.5, "sfa", None) == 1
+        finally:
+            del sfa.search
+        assert len(searches) == 1
+        # both observations are keyed cold (social_hit == 0), the state
+        # each probe ran in — not the warm state it left behind
+        cold = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()[:6] + (0,)
+        buckets = planner.cost.snapshot()["buckets"]
+        assert {f"{cold}:bruteforce", f"{cold}:sfa"} <= set(buckets)
+
+    def test_exploratory_draw_is_accepted_in_proportion_to_its_price(self, engine):
+        """Two arms, 10x apart: an exploratory draw of the dear arm is
+        played with probability best/estimate = 0.1, so over many
+        forced explorations it runs about a tenth as often as a uniform
+        draw would run it — and a draw of the cheap arm always plays."""
+        planner = AdaptivePlanner(
+            candidates=("spa", "sfa"), calibrate=False, epsilon=1.0, decay=1.0, seed=4
+        )
+        bucket = (0, 1, 2, 1, 0, 0, 0)
+        draws = 4000
+        dear = explored = 0
+        for _ in range(draws):
+            # the model is reset each round so the rate stays at
+            # epsilon / sqrt(1 + 2): only the acceptance rule varies
+            planner.cost = CostModel(1.0)
+            planner.cost.observe(bucket, "spa", 0.003)
+            planner.cost.observe(bucket, "sfa", 0.030)
+            method, was_explored = planner._choose_locked(bucket, planner.candidates)
+            explored += was_explored
+            dear += method == "sfa"
+            assert was_explored or method == "spa"  # greedy play is the cheap arm
+        rate = 1.0 / 3.0 ** 0.5
+        # uniform draws would play the dear arm rate/2 of the time;
+        # priced draws play it a tenth of that
+        assert dear / draws == pytest.approx(rate / 2 * 0.1, rel=0.25)
+        assert dear / draws < 0.25 * (rate / 2)
+        # the cheap arm's draws are always accepted (best/best == 1)
+        assert (explored - dear) / draws == pytest.approx(rate / 2, rel=0.15)
 
     def test_cold_bucket_zero_cost_neither_starves_nor_freezes(self, engine):
         """Satellite regression, planner level: one 0.0-elapsed

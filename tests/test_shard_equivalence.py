@@ -255,8 +255,11 @@ def test_process_scatter_pool_matches_inline():
         # workers and the pool serves the new placement without a fork
         mover = located[0]
         sharded.move_user(mover, 0.5, 0.5)
-        refreshed = pool.query_many(requests([located[1]], k=5, alpha=0.3))[0]
-        assert refreshed.users == sharded.query(located[1], k=5, alpha=0.3).users
+        # a scattered method by name: the default ``auto`` may resolve to
+        # a delegated one (sfa, bruteforce), which never reaches the
+        # workers and so ships no delta
+        refreshed = pool.query_many(requests([located[1]], k=5, alpha=0.3, method="tsa"))[0]
+        assert refreshed.users == sharded.query(located[1], k=5, alpha=0.3, method="tsa").users
         assert pool.info()["reforks"] == 0
         assert pool.info()["deltas_shipped"] > 0
     sharded.close()

@@ -96,7 +96,7 @@ def test_warm_pool_survives_update_epochs_without_reforking():
                 sharded.forget_location(users[2])
                 single.forget_location(users[2])
             batch = [u for u in users if sharded.locations.has_location(u)]
-            got = pool.query_many(requests(batch, k=5, alpha=0.3))
+            got = pool.query_many(requests(batch, k=5, alpha=0.3, method="tsa"))
             want = [single.query(u, k=5, alpha=0.3) for u in batch]
             assert [r.users for r in got] == [r.users for r in want]
         info = pool.info()
@@ -190,7 +190,7 @@ def test_killed_worker_respawns_with_post_delta_state():
         sharded.move_user(users[0], 0.88, 0.12)
         single.move_user(users[0], 0.88, 0.12)
         kill_one_worker(pool)
-        got = pool.query_many(requests(users, k=5, alpha=0.3))
+        got = pool.query_many(requests(users, k=5, alpha=0.3, method="tsa"))
         want = [single.query(u, k=5, alpha=0.3) for u in users]
         assert [r.users for r in got] == [r.users for r in want]
         assert pool.info()["respawns"] >= 1
@@ -220,7 +220,7 @@ def test_kill_mid_batch_keeps_results_bit_identical():
         killer = threading.Thread(target=assassin)
         killer.start()
         try:
-            got = pool.query_many(requests(users, k=5, alpha=0.3))
+            got = pool.query_many(requests(users, k=5, alpha=0.3, method="tsa"))
         finally:
             killer.join()
         want = [single.query(u, k=5, alpha=0.3) for u in users]
@@ -267,13 +267,13 @@ def test_close_is_idempotent_and_final():
     _, sharded = build_engines(n=40)
     users = list(sharded.located_users())[:2]
     pool = ProcessScatterPool(sharded, processes=2)
-    pool.query_many(requests(users, k=3, alpha=0.3))
+    pool.query_many(requests(users, k=3, alpha=0.3, method="tsa"))
     pool.close()
     pool.close()  # second close: no-op, no error
     assert pool.closed
     assert pool.info()["workers_alive"] == 0
     with pytest.raises(PoolClosedError):
-        pool.query_many(requests(users, k=3, alpha=0.3))
+        pool.query_many(requests(users, k=3, alpha=0.3, method="tsa"))
     pool.close()  # closing after the failed batch is still a no-op
     sharded.close()
 
@@ -288,7 +288,7 @@ def test_close_mid_batch_never_respawns():
     closer = threading.Thread(target=pool.close)
     try:
         closer.start()
-        pool.query_many(requests(users, k=5, alpha=0.3))
+        pool.query_many(requests(users, k=5, alpha=0.3, method="tsa"))
     except (PoolClosedError, BrokenPipeError, OSError, EOFError):
         pass  # the batch may observe the teardown at any pipe operation
     finally:
@@ -311,14 +311,14 @@ def test_replicas_answer_identically_and_stay_coherent():
         assert info["workers_alive"] == info["groups"] * 2
         # several passes so round-robin cycles every replica
         for _ in range(3):
-            got = pool.query_many(requests(users, k=5, alpha=0.3))
+            got = pool.query_many(requests(users, k=5, alpha=0.3, method="tsa"))
             want = [single.query(u, k=5, alpha=0.3) for u in users]
             assert [r.users for r in got] == [r.users for r in want]
         # every replica of every group receives the delta stream
         sharded.move_user(users[0], 0.77, 0.23)
         single.move_user(users[0], 0.77, 0.23)
         for _ in range(3):
-            got = pool.query_many(requests(users, k=5, alpha=0.3))
+            got = pool.query_many(requests(users, k=5, alpha=0.3, method="tsa"))
             want = [single.query(u, k=5, alpha=0.3) for u in users]
             assert [r.users for r in got] == [r.users for r in want]
         assert pool.info()["reforks"] == 0
@@ -350,7 +350,7 @@ def test_per_shard_worker_latencies_surface_in_stats():
     _, sharded = build_engines()
     users = list(sharded.located_users())[:4]
     with ProcessScatterPool(sharded, processes=2) as pool:
-        result = pool.query_many(requests(users, k=5, alpha=0.3))[0]
+        result = pool.query_many(requests(users, k=5, alpha=0.3, method="tsa"))[0]
     assert result.stats.extra["worker_time"] > 0.0
     assert result.stats.extra["shards_searched"] >= 1
     assert result.stats.elapsed > 0.0

@@ -40,8 +40,10 @@ settings.register_profile(
 )
 STREAM_CI = settings.get_profile("stream-ci")
 
-#: repairable forward methods (bitwise maintained scores) + one AIS leg
-METHODS = ("spa", "tsa", "sfa", "bruteforce", "ais")
+#: repairable forward methods (bitwise maintained scores), one AIS leg,
+#: and ``auto`` — re-resolved by the planner on every recompute, so its
+#: subscriptions change method mid-stream
+METHODS = ("spa", "tsa", "sfa", "bruteforce", "ais", "auto")
 SHARD_COUNTS = (1, 4)
 #: update/verify interleaving steps per example; with 16 derandomized
 #: examples per property (x2 properties, x2 CI backend legs) the suite
@@ -270,6 +272,66 @@ def test_suspension_mirrors_fresh_query_errors():
     assert sub.active and registry.stats.suspended == 0
     fresh = engine.query(q, 5, 0.4, "spa")
     assert [(nb.user, nb.score) for nb in result] == [(nb.user, nb.score) for nb in fresh]
+    registry.close()
+    service.close()
+
+
+def test_auto_subscription_follows_the_planner_across_recomputes():
+    """A subscription requested as ``auto`` is not pinned to its
+    subscribe-time pick: every recompute re-resolves through the
+    planner (which observes the cost), ``sub.method`` and the stored
+    request follow ``result.method``, repairability follows the method,
+    and the maintained result equals a fresh query whichever method the
+    latest recompute ran."""
+    from repro.plan import AdaptivePlanner, extract_features
+
+    graph, locations = random_instance(60, seed=17, coverage=1.0)
+    # decay=1: an estimate is the last cost observed, so the test can
+    # script the planner's pick
+    planner = AdaptivePlanner(
+        candidates=("tsa", "bruteforce", "ais"), calibrate=False, epsilon=0.0, decay=1.0
+    )
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, planner=planner)
+    service = QueryService(engine, cache_size=0)
+    registry = SubscriptionRegistry(service)
+    q = next(iter(engine.locations.located_users()))
+    bucket = extract_features(engine, QueryRequest(q, 5, 0.4)).bucket()
+
+    def make_cheapest(method):
+        # far below / above any real timing, at every level of the model
+        for name in planner.candidates:
+            planner.cost.observe(bucket, name, 1e-8 if name == method else 10.0)
+
+    make_cheapest("tsa")
+    sub = registry.subscribe(q, k=5, alpha=0.4, method="auto")
+    assert sub.auto and sub.method == "tsa" and sub.request.method == "tsa"
+    assert sub.repairable
+    observed = planner.stats.observations
+    assert observed >= 1  # the planner saw the subscribe-time recompute
+
+    for method, repairable in (("bruteforce", True), ("ais", False), ("tsa", True)):
+        make_cheapest(method)
+        service.move_user(q, 0.3 + 0.1 * observed, 0.5)  # query user moved: recompute
+        result = registry.result(sub)
+        assert (result.method, sub.method, sub.request.method) == (method,) * 3
+        assert sub.repairable is repairable
+        assert planner.stats.observations > observed
+        observed = planner.stats.observations
+        fresh = engine.query(q, 5, 0.4, method)
+        assert_maintained_equals_fresh(sub, result, fresh, f"recomputed as {method}")
+        # a member's move is repaired in place iff the method that now
+        # backs the result is forward-deterministic
+        member = result.users[0]
+        x, y = engine.locations.get(member)
+        service.move_user(member, x + 1e-4, y)
+        assert (sub.pending == {member}) is repairable
+        assert sub.recompute_pending is (not repairable)
+        check_all(registry, engine, [sub], f"member move under {method}")
+    # a named method is never re-resolved
+    pinned = registry.subscribe(q, k=5, alpha=0.4, method="sfa")
+    make_cheapest("bruteforce")
+    service.move_user(q, 0.2, 0.2)
+    assert registry.result(pinned).method == "sfa" and not pinned.auto
     registry.close()
     service.close()
 
