@@ -7,7 +7,8 @@ turns it into a traffic-serving component.  This example drives a
 Zipf-skewed arrival stream (hot users dominate, as in real check-in
 workloads) through the service, shows the cache paying for repeats,
 then moves a user and shows the invalidation evicting exactly the
-affected entries while every served answer stays correct.
+affected entries while every served answer stays correct, and records
+an edge update that only the next engine rebuild makes visible.
 
 Run:  python examples/service_quickstart.py
 """
@@ -69,9 +70,13 @@ with QueryService(engine, max_workers=4, cache_size=2048) as service:
     assert refreshed.result.users == truth.users
     print(f"fresh answer after the move verified against brute force: True")
 
-    # --- A social-edge change flushes the cache (sound default) --------------
+    # --- A social-edge change is recorded; the rebuild is the epoch ----------
+    held = len(service.cache)
     service.update_edge(located[0], located[1], 0.01)
+    assert len(service.cache) == held and service.pending_edge_updates == 1
+    print(f"edge update recorded: served graph unchanged, cache still {held} entries")
+    service.rebuild_engine()
     print(
-        f"edge update -> epoch-based full invalidation "
+        f"rebuild_engine folded it in -> epoch-based full invalidation "
         f"(cache now {len(service.cache)} entries, epoch {service.cache.epoch})"
     )

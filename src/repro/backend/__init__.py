@@ -29,21 +29,7 @@ from __future__ import annotations
 import os
 
 from repro.backend.base import Kernels, PythonKernels
-
-try:
-    from repro.backend.numpy_backend import NumpyKernels
-
-    HAS_NUMPY = True
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    HAS_NUMPY = False
-
-    def __getattr__(name: str):  # pragma: no cover - numpy-less only
-        if name == "NumpyKernels":
-            raise ImportError(
-                "NumpyKernels requires numpy; install numpy or use "
-                "PythonKernels / resolve_backend('python')"
-            )
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.backend.numpy_backend import NumpyKernels
 
 #: environment override consulted when a backend is requested as "auto"
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -52,8 +38,8 @@ _BACKEND_NAMES = ("auto", "numpy", "python")
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`resolve_backend` on this interpreter."""
-    return _BACKEND_NAMES if HAS_NUMPY else ("auto", "python")
+    """Names accepted by :func:`resolve_backend`."""
+    return _BACKEND_NAMES
 
 
 def resolve_backend(backend: "str | Kernels" = "auto") -> Kernels:
@@ -61,8 +47,7 @@ def resolve_backend(backend: "str | Kernels" = "auto") -> Kernels:
 
     Resolution order: an explicit name (or ready-made kernels object)
     wins; ``"auto"`` defers to the ``REPRO_BACKEND`` environment
-    variable when set; otherwise NumPy is used when importable, with
-    the scalar backend as the universal fallback.
+    variable when set; otherwise the NumPy backend is used.
 
         >>> from repro import resolve_backend
         >>> resolve_backend("python").name
@@ -82,46 +67,14 @@ def resolve_backend(backend: "str | Kernels" = "auto") -> Kernels:
             f"unknown backend {name!r}; choose from {available_backends()} "
             f"(or set ${BACKEND_ENV_VAR} accordingly)"
         )
-    if name == "numpy" and not HAS_NUMPY:
-        raise ValueError(
-            "backend 'numpy' requested but numpy is not importable; "
-            "install numpy or use backend='python'"
-        )
-    if name == "auto":
-        name = "numpy" if HAS_NUMPY else "python"
-    return NumpyKernels() if name == "numpy" else PythonKernels()
-
-
-def resolve_stored_backend(name: str) -> Kernels:
-    """Resolve a backend name recorded in a snapshot manifest.
-
-    Same contract as :func:`resolve_backend` for a name that is
-    resolvable here, but *lenient* when the stored choice is not: a
-    snapshot written on a NumPy machine must still load on an
-    interpreter without it (both backends rank bit-identically, so the
-    fallback changes performance, never answers).  Unknown names are
-    still an error — they signal a corrupt or future-format manifest.
-    """
-    if name == "numpy" and not HAS_NUMPY:
-        import warnings
-
-        warnings.warn(
-            "snapshot was written with backend='numpy' but numpy is not "
-            "importable here; falling back to the scalar backend "
-            "(identical rankings, lower throughput)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return PythonKernels()
-    return resolve_backend(name)
+    return PythonKernels() if name == "python" else NumpyKernels()
 
 
 __all__ = [
     "Kernels",
     "PythonKernels",
+    "NumpyKernels",
     "resolve_backend",
-    "resolve_stored_backend",
     "available_backends",
-    "HAS_NUMPY",
     "BACKEND_ENV_VAR",
-] + (["NumpyKernels"] if HAS_NUMPY else [])
+]

@@ -83,11 +83,6 @@ class NumpyKernels:
 
     def alt_lower_bounds(self, landmarks, query_vector, ids):
         matrix = landmarks.matrix
-        if matrix is None:  # pragma: no cover - numpy-less LandmarkIndex
-            raise RuntimeError(
-                "NumpyKernels needs a LandmarkIndex with a materialised "
-                "matrix (NumPy was unavailable when it was built)"
-            )
         ids = np.asarray(ids, dtype=np.intp)
         if matrix.shape[0] == 0:
             return np.zeros(ids.shape[0])
@@ -102,11 +97,6 @@ class NumpyKernels:
 
     def alt_upper_bounds(self, landmarks, query_vector, ids):
         matrix = landmarks.matrix
-        if matrix is None:  # pragma: no cover - numpy-less LandmarkIndex
-            raise RuntimeError(
-                "NumpyKernels needs a LandmarkIndex with a materialised "
-                "matrix (NumPy was unavailable when it was built)"
-            )
         ids = np.asarray(ids, dtype=np.intp)
         if matrix.shape[0] == 0:
             return np.full(ids.shape[0], INF)
@@ -190,11 +180,6 @@ class NumpyKernels:
 
     def summary_minmax(self, landmarks, ids):
         matrix = landmarks.matrix
-        if matrix is None:  # pragma: no cover - numpy-less LandmarkIndex
-            raise RuntimeError(
-                "NumpyKernels needs a LandmarkIndex with a materialised "
-                "matrix (NumPy was unavailable when it was built)"
-            )
         m = matrix.shape[0]
         ids = np.asarray(ids, dtype=np.intp)
         if ids.shape[0] == 0:

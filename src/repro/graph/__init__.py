@@ -16,16 +16,18 @@ Implements everything the paper relies on in the social domain:
 - :mod:`repro.graph.ch` — Contraction Hierarchies (the comparator of
   Figure 8, reference [44]);
 - :mod:`repro.graph.diameter` — diameter estimation for the social
-  normaliser ``P_max``;
-- :mod:`repro.graph.dynamics` — incremental shortest-path-tree repair
-  for landmark tables under edge updates (Section 5.1 discussion).
+  normaliser ``P_max``.
+
+Edge updates (Section 5.1: rare and batched) have no module here:
+:meth:`~repro.graph.socialgraph.SocialGraph.with_edge_updates` folds a
+batch into a new immutable graph and the landmark tables are rebuilt
+from it, which costs less than keeping a repaired copy current.
 """
 
 from repro.graph.astar import AStarSearch, alt_distance
 from repro.graph.bidirectional import BidirectionalDistanceEngine, bidirectional_dijkstra
 from repro.graph.ch import ContractionHierarchy
 from repro.graph.diameter import double_sweep_diameter
-from repro.graph.dynamics import DynamicLandmarkTables
 from repro.graph.landmarks import LandmarkIndex, select_landmarks
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import (
@@ -49,5 +51,4 @@ __all__ = [
     "bidirectional_dijkstra",
     "ContractionHierarchy",
     "double_sweep_diameter",
-    "DynamicLandmarkTables",
 ]

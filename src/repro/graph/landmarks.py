@@ -19,14 +19,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+import numpy as _np
+
 from repro.backend import resolve_backend
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.rng import make_rng
-
-try:  # soft dependency: the scalar fallback keeps working without it
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    _np = None
 
 INF = math.inf
 
@@ -112,13 +109,10 @@ class LandmarkIndex:
     graphs two tables are kept (to/from each landmark); for undirected
     graphs they coincide.
 
-    Storage is columnar: under NumPy the rows of :attr:`dist` are views
-    into one contiguous ``(n_landmarks, n_users)`` float64 matrix
-    (:attr:`matrix`), so in-place row maintenance (see
-    :class:`~repro.graph.dynamics.DynamicLandmarkTables`) and the
-    vectorized ALT-bound kernels of :mod:`repro.backend` always observe
-    the same numbers.  Without NumPy the rows are plain lists and
-    :attr:`matrix` is ``None``.
+    Storage is columnar: the rows of :attr:`dist` are views into one
+    contiguous ``(n_landmarks, n_users)`` float64 matrix
+    (:attr:`matrix`), so scalar row access and the vectorized ALT-bound
+    kernels of :mod:`repro.backend` always observe the same numbers.
     """
 
     __slots__ = ("graph", "landmarks", "dist", "dist_rev", "_matrix", "_matrix_rev")
@@ -144,12 +138,8 @@ class LandmarkIndex:
             self._matrix_rev = self._matrix
 
     def _adopt_rows(self, rows: list[list[float]], attr: str, n: int) -> list:
-        """Store ``rows`` behind ``attr`` as a contiguous matrix (NumPy)
-        and return per-landmark row *views* of it, so scalar row access
-        and the matrix stay coherent under in-place mutation."""
-        if _np is None:
-            setattr(self, attr, None)
-            return rows
+        """Store ``rows`` behind ``attr`` as a contiguous matrix and
+        return per-landmark row *views* of it."""
         matrix = (
             _np.array(rows, dtype=_np.float64) if rows else _np.empty((0, n))
         )
@@ -159,15 +149,13 @@ class LandmarkIndex:
     @property
     def matrix(self):
         """The ``(n_landmarks, n_users)`` float64 distance matrix (the
-        columnar form of :attr:`dist`; ``None`` without NumPy).  Rows of
-        :attr:`dist` are views into it — mutations through either side
-        stay coherent."""
+        columnar form of :attr:`dist`, whose rows are views into it)."""
         return self._matrix
 
     @property
     def matrix_rev(self):
         """Reverse-orientation matrix (``is matrix`` for undirected
-        graphs; ``None`` without NumPy)."""
+        graphs)."""
         return self._matrix_rev
 
     @classmethod
@@ -185,25 +173,6 @@ class LandmarkIndex:
         """Number of landmarks (``M`` in the paper)."""
         return len(self.landmarks)
 
-    def copy(self) -> "LandmarkIndex":
-        """Deep-copy the distance tables (same graph and landmark
-        choice, no recomputation) — lets
-        :class:`~repro.graph.dynamics.DynamicLandmarkTables` maintain a
-        companion table under edge updates without mutating the
-        original index that live queries depend on."""
-        clone = object.__new__(LandmarkIndex)
-        clone.graph = self.graph
-        clone.landmarks = list(self.landmarks)
-        clone.dist = clone._adopt_rows([list(row) for row in self.dist], "_matrix", self.graph.n)
-        if self.dist_rev is self.dist:
-            clone.dist_rev = clone.dist
-            clone._matrix_rev = clone._matrix
-        else:
-            clone.dist_rev = clone._adopt_rows(
-                [list(row) for row in self.dist_rev], "_matrix_rev", self.graph.n
-            )
-        return clone
-
     @classmethod
     def from_tables(
         cls,
@@ -213,48 +182,35 @@ class LandmarkIndex:
         matrix_rev=None,
     ) -> "LandmarkIndex":
         """Adopt pre-computed distance tables (the restore path of
-        :mod:`repro.store`) — same shape contract as :meth:`copy` but
-        fed from disk instead of a live index.
+        :mod:`repro.store`).
 
-        Under NumPy, ``matrix`` (shape ``(m, n)``, possibly memory-
-        mapped copy-on-write) is adopted without copying and rows of
-        :attr:`dist` become views into it.  Without NumPy, pass
-        list-of-lists.  Directed graphs must supply ``matrix_rev``.
+        ``matrix`` (shape ``(m, n)``, possibly memory-mapped
+        copy-on-write) is adopted without copying and rows of
+        :attr:`dist` become views into it.  Directed graphs must
+        supply ``matrix_rev``.
         """
         clone = object.__new__(cls)
         clone.graph = graph
         clone.landmarks = list(landmarks)
         m = len(clone.landmarks)
-        if _np is not None:
-            if matrix.shape != (m, graph.n):
+        if matrix.shape != (m, graph.n):
+            raise ValueError(
+                f"landmark matrix shape {matrix.shape} != ({m}, {graph.n})"
+            )
+        clone._matrix = matrix
+        clone.dist = [matrix[j] for j in range(m)]
+        if graph.directed:
+            if matrix_rev is None:
+                raise ValueError("directed graph needs matrix_rev")
+            if matrix_rev.shape != (m, graph.n):
                 raise ValueError(
-                    f"landmark matrix shape {matrix.shape} != ({m}, {graph.n})"
+                    f"reverse matrix shape {matrix_rev.shape} != ({m}, {graph.n})"
                 )
-            clone._matrix = matrix
-            clone.dist = [matrix[j] for j in range(m)]
-            if graph.directed:
-                if matrix_rev is None:
-                    raise ValueError("directed graph needs matrix_rev")
-                if matrix_rev.shape != (m, graph.n):
-                    raise ValueError(
-                        f"reverse matrix shape {matrix_rev.shape} != ({m}, {graph.n})"
-                    )
-                clone._matrix_rev = matrix_rev
-                clone.dist_rev = [matrix_rev[j] for j in range(m)]
-            else:
-                clone._matrix_rev = clone._matrix
-                clone.dist_rev = clone.dist
-        else:  # pragma: no cover - exercised only off-CI
-            clone.dist = clone._adopt_rows([list(r) for r in matrix], "_matrix", graph.n)
-            if graph.directed:
-                if matrix_rev is None:
-                    raise ValueError("directed graph needs matrix_rev")
-                clone.dist_rev = clone._adopt_rows(
-                    [list(r) for r in matrix_rev], "_matrix_rev", graph.n
-                )
-            else:
-                clone.dist_rev = clone.dist
-                clone._matrix_rev = clone._matrix
+            clone._matrix_rev = matrix_rev
+            clone.dist_rev = [matrix_rev[j] for j in range(m)]
+        else:
+            clone._matrix_rev = clone._matrix
+            clone.dist_rev = clone.dist
         return clone
 
     def vector(self, v: int) -> tuple[float, ...]:
@@ -362,12 +318,5 @@ class LandmarkIndex:
     def max_finite_distance(self) -> float:
         """Largest finite table entry — a cheap lower bound on the graph
         diameter, used as a sanity fallback for ``P_max``."""
-        if self._matrix is not None and self._matrix.size:
-            finite = self._matrix[_np.isfinite(self._matrix)]
-            return float(finite.max()) if finite.size else 0.0
-        best = 0.0
-        for row in self.dist:
-            for d in row:
-                if d != INF and d > best:
-                    best = d
-        return best
+        finite = self._matrix[_np.isfinite(self._matrix)]
+        return float(finite.max()) if finite.size else 0.0

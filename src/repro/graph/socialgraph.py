@@ -20,7 +20,7 @@ module itself imports neither NumPy nor SciPy.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SocialGraph:
@@ -237,8 +237,7 @@ class SocialGraph:
     # -- derived structures ------------------------------------------------
 
     def to_adjacency(self) -> list[dict[int, float]]:
-        """Mutable adjacency-dict view (used by CH construction and the
-        dynamic-update machinery)."""
+        """Mutable adjacency-dict view (used by CH construction)."""
         adj: list[dict[int, float]] = [{} for _ in range(self.n)]
         for u in range(self.n):
             lo, hi = self.indptr[u], self.indptr[u + 1]
@@ -266,27 +265,36 @@ class SocialGraph:
                     edges.append((new_u, new_v, self.wts[i]))
         return SocialGraph.from_edges(len(vertices), edges, self.directed), mapping
 
-    def with_edge_update(
-        self, u: int, v: int, weight: float | None
+    def edge_key(self, u: int, v: int) -> tuple[int, int]:
+        """The key edge ``(u, v)`` travels under in an update mapping:
+        ``(min, max)`` on an undirected graph, where ``(u, v)`` and
+        ``(v, u)`` are one edge; the pair as given on a directed one."""
+        return (u, v) if self.directed or u < v else (v, u)
+
+    def with_edge_updates(
+        self, updates: Mapping[tuple[int, int], float | None]
     ) -> "SocialGraph":
-        """Copy of the graph with edge ``(u, v)`` set to ``weight`` (new
-        or changed) or removed (``weight is None``)."""
-        edges = []
-        seen = False
-        for a, b, w in self.edges():
-            if self.directed:
-                matches = (a, b) == (u, v)
+        """Copy of the graph with every edge ``(u, v)`` of ``updates``
+        set to its weight (new or changed) or removed (``None``;
+        removing an absent edge changes nothing).  One pass over the
+        edges whatever the batch size; ids and weights are checked by
+        :meth:`from_edges`.
+
+            >>> from repro import SocialGraph
+            >>> g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+            >>> sorted(g.with_edge_updates({(2, 0): 0.5, (0, 1): None}).edges())
+            [(0, 2, 0.5), (1, 2, 2.0)]
+        """
+        weights = {(u, v): w for u, v, w in self.edges()}
+        for (u, v), weight in updates.items():
+            key = self.edge_key(u, v)
+            if weight is None:
+                weights.pop(key, None)
             else:
-                matches = {a, b} == {u, v}
-            if matches:
-                seen = True
-                if weight is not None:
-                    edges.append((a, b, weight))
-            else:
-                edges.append((a, b, w))
-        if weight is not None and not seen:
-            edges.append((u, v, weight))
-        return SocialGraph.from_edges(self.n, edges, self.directed)
+                weights[key] = weight
+        return SocialGraph.from_edges(
+            self.n, ((u, v, w) for (u, v), w in weights.items()), self.directed
+        )
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

@@ -34,13 +34,13 @@ policy to each verdict:
 The screen costs O(cache) per move with an O(1) check per entry; a
 forgotten location examines only the entries it touches directly.
 
-**Social edge update → epoch flush.**  An edge change can alter social
-distances between arbitrarily distant pairs, so every entry goes.
-Under the service layer's *companion-table* model served results do
-not actually change until :meth:`QueryService.rebuild_engine` folds
-the updates in (which flushes anyway); the per-update flush is
-deliberate conservatism, measured and left to its own issue in
-ROADMAP.md.
+**Social edge update → nothing, until the engine swap.**  An edge
+change can alter social distances between arbitrarily distant pairs,
+but :meth:`QueryService.update_edge` only records it: the served graph
+is immutable, so every entry stays exact until
+:meth:`QueryService.rebuild_engine` folds the recorded updates into a
+new engine — and that swap is the edge-epoch: it empties the cache
+(:meth:`ResultCache.invalidate_all`) once per batch, not once per edge.
 """
 
 from __future__ import annotations
@@ -285,6 +285,7 @@ class ResultCache:
         return True
 
     def invalidate_edge_update(self, u: int, v: int) -> "InvalidationOutcome":
-        """Invalidate after a social-edge insert/delete/re-weight: a
-        sound full flush (distance changes can propagate anywhere)."""
+        """Full flush for an edge change applied to a *served* graph.
+        No caller in ``src/`` (the service swaps engines instead):
+        kept because ``perfbench/trace.py`` wraps it by name."""
         return self.invalidate_all()

@@ -123,7 +123,8 @@ class ServiceStats:
     repaired_entries: int = 0
     #: cache entries an update examined and provably kept
     reused_entries: int = 0
-    #: epoch bumps (full cache invalidations)
+    #: epoch bumps (full cache invalidations: one per engine swap;
+    #: ``perfbench/measure.py`` reads the snapshot key)
     full_invalidations: int = 0
     #: wall-clock seconds spent executing queries (sum over queries)
     query_seconds: float = 0.0

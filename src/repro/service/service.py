@@ -9,9 +9,9 @@ component that can absorb realistic load:
   returning responses in request order with rankings identical to a
   sequential ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
-  on the full query signature, invalidated exactly on location moves
-  and social-edge changes via the engine's and
-  :class:`~repro.graph.dynamics.DynamicLandmarkTables`' listener hooks;
+  on the full query signature, repaired or invalidated exactly on
+  location moves via the engine's listener hook and emptied when the
+  engine is swapped (the only moment the served graph changes);
 - **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
   shared by every service over the same engine) lets queries run
   concurrently while serialising updates against in-flight queries (the
@@ -34,12 +34,14 @@ the cache buys throughput on skewed workloads — perfbench's
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.engine import AUTO, GeoSocialEngine, resolve_dispatch
 from repro.core.ranking import RankingFunction
@@ -47,9 +49,7 @@ from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
-
-if TYPE_CHECKING:
-    from repro.graph.dynamics import DynamicLandmarkTables
+from repro.utils.validation import check_user
 
 
 def _default_workers() -> int:
@@ -112,12 +112,10 @@ class QueryService:
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._dynamics: "DynamicLandmarkTables | None" = None
-        self._dynamics_lock = threading.Lock()
-        #: downstream edge-update subscribers (e.g. the stream layer's
-        #: SubscriptionRegistry); fed by _on_edge_update regardless of
-        #: whether result caching is enabled
-        self._edge_listeners: list = []
+        #: edge updates recorded since the last engine swap:
+        #: ``graph.edge_key(u, v)`` -> new weight, ``None`` = removed
+        #: (guarded by the served engine's write lock)
+        self._pending_edges: "dict[tuple[int, int], float | None]" = {}
         self._social_cache_bytes = social_cache_bytes
         self._apply_social_budget(engine)
         if self.cache is not None:
@@ -150,9 +148,6 @@ class QueryService:
         if self.cache is not None:
             self.engine.remove_location_listener(self._on_location_update)
             self.cache.invalidate_all()
-        with self._dynamics_lock:
-            if self._dynamics is not None:
-                self._dynamics.remove_update_listener(self._on_edge_update)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -193,6 +188,16 @@ class QueryService:
                     lock.release_read()
                 return
             lock.release_read()
+
+    @contextmanager
+    def _write_locked_engine(self) -> "Iterator[GeoSocialEngine]":
+        """The exclusive twin of :meth:`_read_locked_engine`."""
+        while True:
+            engine = self.engine
+            with engine.rw_lock.write_locked():
+                if self.engine is engine:
+                    yield engine
+                    return
 
     # -- serving -------------------------------------------------------
 
@@ -370,100 +375,79 @@ class QueryService:
         self._check_open()
         self.engine.forget_location(user)
 
-    @property
-    def dynamics(self) -> "DynamicLandmarkTables":
-        """The dynamic landmark-maintenance companion (created and wired
-        to cache invalidation on first use).
-
-        It operates on a *copy* of the engine's landmark tables: live
-        queries keep using bounds that are admissible for the graph the
-        engine actually searches, while the companion accumulates the
-        repaired topology for the next :meth:`rebuild_engine`.
-        """
-        if self._dynamics is None:
-            from repro.graph.dynamics import DynamicLandmarkTables
-
-            with self._dynamics_lock:
-                if self._dynamics is None:
-                    self._attach_dynamics_locked(
-                        DynamicLandmarkTables(
-                            self.engine.graph, self.engine.landmarks.copy()
-                        )
-                    )
-        return self._dynamics
-
-    def _attach_dynamics_locked(self, tables: "DynamicLandmarkTables") -> None:
-        if self._dynamics is not None:
-            self._dynamics.remove_update_listener(self._on_edge_update)
-        self._dynamics = tables
-        tables.add_update_listener(self._on_edge_update)
-
-    def add_edge_update_listener(self, listener) -> None:
-        """Subscribe ``listener(u, v, weight)`` to every social-edge
-        update flowing through this service's dynamics companion
-        (fired inside the update's write lock, after cache
-        invalidation).  The hook the stream layer's
-        :class:`~repro.stream.SubscriptionRegistry` rides — it stays
-        wired across :meth:`rebuild_engine` re-anchors, because the
-        service re-attaches *itself* to every new companion."""
-        self._edge_listeners.append(listener)
-
-    def remove_edge_update_listener(self, listener) -> None:
-        """Unsubscribe an edge-update listener (no-op if absent)."""
-        try:
-            self._edge_listeners.remove(listener)
-        except ValueError:
-            pass
-
     def update_edge(self, u: int, v: int, weight: float | None) -> None:
-        """Record a social-edge update: maintain the companion landmark
-        tables incrementally and invalidate the result cache.
+        """Record a social-edge update — insert or re-weight (a finite
+        ``weight`` > 0) or delete (``None``) — for the next
+        :meth:`rebuild_engine`.
 
-        Served answers stay exact with respect to the engine's
-        *indexed* graph — edge updates accumulate in :attr:`dynamics`
-        (the paper's Section 5.1 batching model: graph updates are far
-        rarer than location updates) until :meth:`rebuild_engine` folds
-        them into a fresh engine.
+        Nothing served changes: answers and both caches stay exact for
+        the engine's *indexed* graph, and updates only accumulate (the
+        paper's Section 5.1 batching model: graph updates are far rarer
+        than location updates) until :meth:`rebuild_engine` folds them
+        into a fresh engine.  A later update of the same edge replaces
+        the earlier one.  Raises ``ValueError`` for an id out of range,
+        a self-loop or a bad weight, ``KeyError`` for deleting an edge
+        that does not exist; a rejected update records nothing.
         """
         self._check_open()
-        tables = self.dynamics
-        with self.engine.rw_lock.write_locked():
-            tables.update_edge(u, v, weight)
+        with self._write_locked_engine() as engine:
+            graph = engine.graph
+            u, v = check_user(u, graph.n), check_user(v, graph.n)
+            if u == v:
+                raise ValueError("self-loops are not allowed")
+            key = graph.edge_key(u, v)
+            if weight is None:
+                if self._pending_edges.get(key, graph.edge_weight(*key)) is None:
+                    raise KeyError(f"edge ({u}, {v}) does not exist")
+            elif (
+                isinstance(weight, bool)
+                or not isinstance(weight, numbers.Real)
+                or not 0 < weight < math.inf  # NaN fails the chained comparison
+            ):
+                raise ValueError(
+                    f"edge weight must be a positive finite number, got {weight!r}"
+                )
+            else:
+                weight = float(weight)
+            self._pending_edges[key] = weight
 
     def rebuild_engine(self, **engine_kwargs) -> GeoSocialEngine:
-        """Fold every edge update applied through :meth:`update_edge`
+        """Fold every edge update recorded through :meth:`update_edge`
         into a fresh engine and swap it in.
 
         Builds a new engine *of the same kind* (via ``with_graph``; a
-        sharded engine re-shards) from the dynamics snapshot
-        (current topology) with the old engine's parameters
-        (override any via ``engine_kwargs``), flushes the cache, swaps
-        the engine in, and re-anchors the dynamics companion on it.
-        The expensive build (landmark Dijkstras, index construction)
+        sharded engine re-shards) over the served graph with the
+        pending updates applied
+        (:meth:`~repro.graph.socialgraph.SocialGraph.with_edge_updates`),
+        with the old engine's parameters (override any via
+        ``engine_kwargs``), then flushes the cache and swaps the engine
+        in.  The expensive build (landmark rows, index construction)
         runs *outside* the lock — only the snapshot and the swap hold
         the exclusive side, so queries stall for milliseconds, not the
-        whole rebuild; an edge update that slips in mid-build triggers
-        a re-snapshot.  The swapped-out engine's pooled resources are
-        released (``old.close()``) — callers holding a direct reference
-        to it should switch to the returned engine.  Returns the new
-        engine.
+        whole rebuild; an edge update (or another swap) that slips in
+        mid-build triggers a re-snapshot.  The swapped-out engine's
+        pooled resources are released (``old.close()``) — callers
+        holding a direct reference to it should switch to the returned
+        engine.  Returns the new engine.
         """
         self._check_open()
-        tables = self.dynamics
-        old = self.engine
         while True:
-            with old.rw_lock.write_locked():
-                graph = tables.snapshot()
-                version = tables.updates_applied
+            with self._write_locked_engine() as old:
+                pending = dict(self._pending_edges)
             # `with_graph` preserves the engine kind: a sharded engine
-            # re-shards over the repaired topology, a single engine
+            # re-shards over the new topology, a single engine
             # rebuilds its indexes; both keep the old normalization so
             # rankings stay comparable across the swap.
-            new_engine = old.with_graph(graph, **engine_kwargs)
+            new_engine = old.with_graph(
+                old.graph.with_edge_updates(pending), **engine_kwargs
+            )
             with old.rw_lock.write_locked():
-                if tables.updates_applied != version:
-                    continue  # an edge update interleaved: re-snapshot
-                self._swap_engine_locked(old, new_engine)
+                current = self.engine is old and self._pending_edges == pending
+                if current:
+                    self._swap_engine_locked(old, new_engine)
+            if not current:
+                new_engine.close()
+                continue  # an update or a swap interleaved: re-snapshot
             # Outside the write lock (no service reader can still hold
             # the old engine once the swap is visible): release the old
             # engine's worker pools so periodic rebuilds don't leak
@@ -473,57 +457,53 @@ class QueryService:
 
     def _swap_engine_locked(self, old: GeoSocialEngine, new_engine: GeoSocialEngine) -> None:
         """Make ``new_engine`` the served engine (caller holds ``old``'s
-        exclusive lock): re-home the invalidation listeners, flush the
-        cache, publish the engine, and re-anchor the dynamics companion
-        (when one exists) on the new graph.  Downstream swap detection —
-        the stream layer's ``_ensure_current_engine`` identity check —
-        needs nothing more than the ``self.engine`` assignment."""
+        exclusive lock): re-home the invalidation listener, flush the
+        result cache, publish the engine and empty the pending-edge
+        log (folded into ``new_engine``, or discarded with ``old``).
+        Downstream swap detection — the stream layer's
+        ``_ensure_current_engine`` identity check — needs nothing more
+        than the ``self.engine`` assignment."""
         if self.cache is not None:
             old.remove_location_listener(self._on_location_update)
             new_engine.add_location_listener(self._on_location_update)
-            self.cache.invalidate_all()
+            outcome = self.cache.invalidate_all()
+            with self._stats_lock:
+                self.stats.invalidated_entries += int(outcome)
+                self.stats.full_invalidations += 1
         self.engine = new_engine
+        self._pending_edges.clear()
         # The old engine's column cache dies with it; the new engine
         # starts from a fresh (empty) cache, re-sized to this service's
         # requested byte budget so the knob survives rebuilds.
         self._apply_social_budget(new_engine)
-        with self._dynamics_lock:
-            if self._dynamics is not None:
-                from repro.graph.dynamics import DynamicLandmarkTables
-
-                self._attach_dynamics_locked(
-                    DynamicLandmarkTables(new_engine.graph, new_engine.landmarks.copy())
-                )
 
     def replace_engine(self, new_engine: GeoSocialEngine) -> GeoSocialEngine:
         """Swap in an externally built engine — the restore path of
         :class:`~repro.store.SnapshotManager` — through the same
-        cache-flush / listener / dynamics re-anchor sequence as
-        :meth:`rebuild_engine`, so every downstream layer (result cache,
-        update stream, standing subscriptions) observes the swap
-        identically.  Edge updates batched against the old engine are
-        discarded with it: a restore rewinds to the snapshot's topology.
-        The old engine's pools are released; returns the new engine."""
+        cache-flush / listener sequence as :meth:`rebuild_engine`, so
+        every downstream layer (result cache, update stream, standing
+        subscriptions) observes the swap identically.  Edge updates
+        batched against the old engine are discarded with it: a restore
+        rewinds to the snapshot's topology.  The old engine's pools are
+        released; returns the new engine."""
         self._check_open()
         if new_engine.graph.n != self.engine.graph.n:
             raise ValueError(
                 f"replacement engine covers {new_engine.graph.n} users, "
                 f"the served one {self.engine.graph.n}"
             )
-        old = self.engine
-        with old.rw_lock.write_locked():
+        with self._write_locked_engine() as old:
             self._swap_engine_locked(old, new_engine)
         old.close()
         return new_engine
 
     @property
     def pending_edge_updates(self) -> int:
-        """Edge updates applied through :meth:`update_edge` since the
-        last :meth:`rebuild_engine` (0 with no dynamics companion) —
-        what :class:`~repro.store.SnapshotManager` consults to decide
+        """Edges with an update recorded through :meth:`update_edge`
+        since the last engine swap — what
+        :class:`~repro.store.SnapshotManager` consults to decide
         whether a snapshot must fold the update stream first."""
-        tables = self._dynamics
-        return tables.updates_applied if tables is not None else 0
+        return len(self._pending_edges)
 
     def snapshots(self, root) -> "object":
         """A :class:`~repro.store.SnapshotManager` rooted at ``root``
@@ -552,26 +532,6 @@ class QueryService:
             self.stats.invalidated_entries += int(outcome)
             self.stats.repaired_entries += outcome.repaired
             self.stats.reused_entries += outcome.reused
-
-    def _on_edge_update(self, u: int, v: int, weight: float | None) -> None:
-        try:
-            # The social column cache is edge-epoch keyed: an edge update
-            # may change any distance from any source, so drop every
-            # column before any downstream consumer can observe the new
-            # topology.  (Location moves, by contrast, never touch it.)
-            social = getattr(self.engine, "social_cache", None)
-            if social is not None:
-                social.invalidate_all()
-            if self.cache is None:
-                return
-            outcome = self.cache.invalidate_edge_update(u, v)
-            with self._stats_lock:
-                self.stats.invalidated_entries += int(outcome)
-                self.stats.full_invalidations += 1
-        finally:
-            # Snapshot: a listener may detach itself concurrently.
-            for listener in list(self._edge_listeners):
-                listener(u, v, weight)
 
     # -- introspection -------------------------------------------------
 

@@ -39,14 +39,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as _np
+
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.rng import make_rng
-
-try:  # soft dependency, same posture as the landmark tables
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    _np = None
 
 INF = math.inf
 
@@ -156,16 +153,12 @@ class SketchIndex:
                 nbrs.append(v)
                 dists.append(d)
             indptr[u + 1] = len(nbrs)
-        if _np is not None:
-            indptr = _np.asarray(indptr, dtype=_np.int64)
-            nbrs = _np.asarray(nbrs, dtype=_np.int64)
-            dists = _np.asarray(dists, dtype=_np.float64)
         sketch = cls(
             graph,
             landmarks,
-            indptr,
-            nbrs,
-            dists,
+            _np.asarray(indptr, dtype=_np.int64),
+            _np.asarray(nbrs, dtype=_np.int64),
+            _np.asarray(dists, dtype=_np.float64),
             max_entries=max_entries,
             empirical_half=0.0,
         )

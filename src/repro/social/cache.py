@@ -21,13 +21,12 @@ nothing but the graph's edges.  Location moves — the overwhelming
 majority of updates under the paper's workload model — can therefore
 never stale a column, and the cache ignores them entirely; that is what
 keeps hit rates high under mixed read/update traffic.  Edge updates
-accumulate in the service layer's companion tables (the engine's CSR
+accumulate in the service layer's pending-edge log (the engine's CSR
 graph never mutates in place), so within one engine's lifetime every
-cached column stays exact; the service still calls
-:meth:`SocialColumnCache.invalidate_all` on every edge update —
-mirroring the result cache's conservative contract — and an engine
-rebuild (:meth:`~repro.service.QueryService.rebuild_engine`) starts
-from a fresh, empty cache by construction.
+cached column stays exact and nothing flushes it; the edge-epoch is the
+engine swap itself — a rebuild
+(:meth:`~repro.service.QueryService.rebuild_engine`) starts from a
+fresh, empty cache by construction.
 
 **Why bytes, not entries.**  A dense column is ``8·n`` bytes — ~8 MB
 per column on a 1M-user graph — so an entry-counted LRU would be
@@ -92,7 +91,7 @@ class SocialCacheStats:
     promotions: int = 0
     #: entries dropped by the byte-budget LRU
     evictions: int = 0
-    #: full invalidations (edge-epoch bumps)
+    #: :meth:`SocialColumnCache.invalidate_all` calls
     invalidations: int = 0
 
     def snapshot(self) -> dict:
@@ -291,8 +290,9 @@ class SocialColumnCache:
             self._evict_user_locked(user)
 
     def invalidate_all(self) -> None:
-        """Drop every entry (the edge-epoch bump: a social-edge update
-        may change any distance from any source)."""
+        """Drop every entry.  Nothing on the serving path needs it (a
+        column is exact for its engine's lifetime); ``perfbench``'s
+        probes call it so each timed method pays its own traversal."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0

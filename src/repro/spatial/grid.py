@@ -16,15 +16,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as _np
+
 from repro.spatial.point import BBox, LocationTable
 
-try:  # soft dependency: the scalar fallback keeps working without it
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    _np = None
-
-
-_EMPTY_IDS = _np.empty(0, dtype=_np.intp) if _np is not None else None
+_EMPTY_IDS = _np.empty(0, dtype=_np.intp)
 
 
 class UniformGrid:
@@ -205,15 +201,11 @@ class UniformGrid:
 
     def ids_in(self, ix: int, iy: int):
         """Cell membership as a contiguous ``intp`` id-array (cached;
-        rebuilt lazily after a mutation touches the cell).  Falls back
-        to the plain member list when NumPy is unavailable — both forms
-        are valid kernel input."""
+        rebuilt lazily after a mutation touches the cell)."""
         coords = (ix, iy)
         members = self.cells.get(coords)
         if members is None:
-            return _EMPTY_IDS if _np is not None else []
-        if _np is None:
-            return members
+            return _EMPTY_IDS
         ids = self._ids_cache.get(coords)
         if ids is None:
             ids = _np.array(members, dtype=_np.intp)

@@ -7,9 +7,8 @@ encodes a missing location as ``NaN`` coordinates and reports ``inf``
 distances for it.
 
 Coordinates are stored *columnar*: two contiguous ``float64`` arrays
-indexed by user id (plain Python lists when NumPy is unavailable), so
-the vectorized kernels of :mod:`repro.backend` can evaluate whole
-candidate arrays in one call.
+indexed by user id, so the vectorized kernels of :mod:`repro.backend`
+can evaluate whole candidate arrays in one call.
 
 **One distance primitive.**  Every Euclidean distance in this codebase
 is ``sqrt(dx² + dy²)`` — deliberately *not* ``math.hypot``.  The two
@@ -28,10 +27,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-try:  # soft dependency: the scalar fallback keeps working without it
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    _np = None
+import numpy as _np
 
 INF = math.inf
 _sqrt = math.sqrt
@@ -152,15 +148,10 @@ class LocationTable:
     def __init__(self, xs, ys) -> None:
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
-        if _np is not None:
-            #: columnar storage: contiguous float64, NaN = missing
-            self.xs = _np.array(xs, dtype=_np.float64)
-            self.ys = _np.array(ys, dtype=_np.float64)
-            self._n_located = int(_np.count_nonzero(~_np.isnan(self.xs)))
-        else:
-            self.xs = list(xs)
-            self.ys = list(ys)
-            self._n_located = sum(1 for x in self.xs if x == x)  # NaN != NaN
+        #: columnar storage: contiguous float64, NaN = missing
+        self.xs = _np.array(xs, dtype=_np.float64)
+        self.ys = _np.array(ys, dtype=_np.float64)
+        self._n_located = int(_np.count_nonzero(~_np.isnan(self.xs)))
 
     # -- construction -------------------------------------------------
 
@@ -184,11 +175,8 @@ class LocationTable:
         copy would defeat the point of mmap.
 
         The caller guarantees dtype/contiguity (``np.load`` does);
-        only the shape agreement is checked here.  Falls back to
-        :meth:`from_columns` when NumPy is unavailable.
+        only the shape agreement is checked here.
         """
-        if _np is None:  # pragma: no cover - exercised only off-CI
-            return cls.from_columns(xs, ys)
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
         table = object.__new__(cls)
@@ -237,15 +225,13 @@ class LocationTable:
 
     def located_users(self) -> Iterator[int]:
         """Ids of users with a known location, in id order."""
-        if _np is not None:
-            return iter(_np.nonzero(~_np.isnan(self.xs))[0].tolist())
-        return iter([user for user, x in enumerate(self.xs) if x == x])
+        return iter(_np.nonzero(~_np.isnan(self.xs))[0].tolist())
 
     def columns(self) -> tuple[Sequence[float], Sequence[float]]:
         """The raw coordinate columns ``(xs, ys)`` — contiguous
-        ``float64`` arrays under NumPy, plain lists otherwise.  This is
-        the zero-copy feed for :mod:`repro.backend` kernels; treat it as
-        read-only and mutate through :meth:`set`/:meth:`clear`."""
+        ``float64`` arrays.  This is the zero-copy feed for
+        :mod:`repro.backend` kernels; treat it as read-only and mutate
+        through :meth:`set`/:meth:`clear`."""
         return self.xs, self.ys
 
     # -- geometry ------------------------------------------------------
@@ -278,28 +264,22 @@ class LocationTable:
         One vectorized ``nanmin``/``nanmax`` pass over the coordinate
         columns — no per-user scan.
         """
-        if _np is not None:
-            if users is None:
-                xs, ys = self.xs, self.ys
-            else:
-                ids = _np.fromiter(users, dtype=_np.intp)
-                xs = self.xs[ids]
-                ys = self.ys[ids]
-            if xs.size == 0 or _np.isnan(xs).all():
-                raise ValueError("cannot compute bbox of an empty collection")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                return BBox(
-                    float(_np.nanmin(xs)),
-                    float(_np.nanmin(ys)),
-                    float(_np.nanmax(xs)),
-                    float(_np.nanmax(ys)),
-                )
-        candidates = self.located_users() if users is None else (
-            u for u in users if self.has_location(u)
-        )
-        pts = ((self.xs[u], self.ys[u]) for u in candidates)
-        return BBox.of_points(pts)
+        if users is None:
+            xs, ys = self.xs, self.ys
+        else:
+            ids = _np.fromiter(users, dtype=_np.intp)
+            xs = self.xs[ids]
+            ys = self.ys[ids]
+        if xs.size == 0 or _np.isnan(xs).all():
+            raise ValueError("cannot compute bbox of an empty collection")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return BBox(
+                float(_np.nanmin(xs)),
+                float(_np.nanmin(ys)),
+                float(_np.nanmax(xs)),
+                float(_np.nanmax(ys)),
+            )
 
     # -- mutation ------------------------------------------------------
 

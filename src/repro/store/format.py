@@ -39,10 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
-try:  # the columnar store needs numpy for .npy columns and mmap
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    _np = None
+import numpy as _np
 
 FORMAT_NAME = "repro-columnar-store"
 FORMAT_VERSION = 1
@@ -131,15 +128,6 @@ def fault_point(label: str) -> None:
 
 # -- low-level IO -------------------------------------------------------
 
-def require_numpy() -> None:
-    if _np is None:  # pragma: no cover - exercised only off-CI
-        raise StoreError(
-            "the columnar store reads and writes .npy columns and "
-            "requires numpy; the engines themselves keep working "
-            "without it (backend='python'), only persistence does not"
-        )
-
-
 def fsync_dir(path: Path) -> None:
     """fsync a directory so its entries (new files, renames) are
     durable, not just the file contents."""
@@ -156,7 +144,6 @@ def write_column(directory: Path, name: str, array) -> dict:
     return its manifest entry.  Fault points: ``column:<name>:partial``
     (half the payload on disk), ``column:<name>:pre-fsync`` (written,
     not yet durable), ``column:<name>:synced``."""
-    require_numpy()
     buffer = io.BytesIO()
     _np.save(buffer, _np.ascontiguousarray(array), allow_pickle=False)
     payload = buffer.getvalue()
@@ -270,7 +257,6 @@ def read_column(path, entry: dict, *, mmap: bool = True, verify: bool = True):
     copy-on-write (``mmap_mode='c'``): loading is O(page-cache read)
     and in-process mutation never writes back to the snapshot.
     """
-    require_numpy()
     target = Path(path) / entry["file"]
     try:
         if verify:

@@ -45,6 +45,8 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as _np
+
 from repro.store.format import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -53,16 +55,10 @@ from repro.store.format import (
     commit_dir,
     read_column,
     read_manifest,
-    require_numpy,
     temp_sibling,
     write_column,
     write_manifest,
 )
-
-try:
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - exercised only off-CI
-    _np = None
 
 
 # -- writing ------------------------------------------------------------
@@ -90,15 +86,11 @@ def _write_shared_columns(engine, tmp: Path, columns: dict) -> None:
     columns["xs"] = write_column(tmp, "xs", _np.asarray(locations.xs, dtype=_np.float64))
     columns["ys"] = write_column(tmp, "ys", _np.asarray(locations.ys, dtype=_np.float64))
     landmarks = engine.landmarks
-    matrix = landmarks.matrix
-    if matrix is None:  # pragma: no cover - numpy-less landmark tables
-        matrix = _np.array([list(row) for row in landmarks.dist], dtype=_np.float64)
-    columns["landmark_matrix"] = write_column(tmp, "landmark_matrix", matrix)
+    columns["landmark_matrix"] = write_column(tmp, "landmark_matrix", landmarks.matrix)
     if engine.graph.directed:
-        matrix_rev = landmarks.matrix_rev
-        if matrix_rev is None:  # pragma: no cover - numpy-less landmark tables
-            matrix_rev = _np.array([list(row) for row in landmarks.dist_rev], dtype=_np.float64)
-        columns["landmark_matrix_rev"] = write_column(tmp, "landmark_matrix_rev", matrix_rev)
+        columns["landmark_matrix_rev"] = write_column(
+            tmp, "landmark_matrix_rev", landmarks.matrix_rev
+        )
     graph = engine.graph
     columns["graph_indptr"] = write_column(
         tmp, "graph_indptr", _np.asarray(graph.indptr, dtype=_np.int64)
@@ -199,7 +191,6 @@ def save_engine(engine, path) -> Path:
     is deliberately left behind (a simulated crash); on any real error
     it is cleaned up.
     """
-    require_numpy()
     from repro import __version__
     from repro.shard.engine import ShardedGeoSocialEngine
 
@@ -362,7 +353,7 @@ def _load_sketch(path, manifest: dict, graph, landmarks, *, mmap: bool, verify: 
 
 
 def _load_single(path, manifest: dict, *, mmap: bool, verify: bool):
-    from repro.backend import resolve_stored_backend
+    from repro.backend import resolve_backend
     from repro.core.engine import GeoSocialEngine
 
     config = manifest["config"]
@@ -385,7 +376,7 @@ def _load_single(path, manifest: dict, *, mmap: bool, verify: bool):
         landmark_strategy=config["landmark_strategy"],
         landmarks=landmarks,
         index_users=None if index_users is None else [int(u) for u in index_users],
-        backend=resolve_stored_backend(config["backend"]),
+        backend=resolve_backend(config["backend"]),
         grid=grid,
         aggregate=aggregate,
         sketch=sketch,
@@ -393,7 +384,7 @@ def _load_single(path, manifest: dict, *, mmap: bool, verify: bool):
 
 
 def _load_sharded(path, manifest: dict, *, mmap: bool, verify: bool):
-    from repro.backend import resolve_stored_backend
+    from repro.backend import resolve_backend
     from repro.shard.engine import ShardedGeoSocialEngine
     from repro.shard.partitioner import Partitioner
 
@@ -451,7 +442,7 @@ def _load_sharded(path, manifest: dict, *, mmap: bool, verify: bool):
         seed=int(config["seed"]),
         normalization=normalization,
         landmarks=landmarks,
-        backend=resolve_stored_backend(config["backend"]),
+        backend=resolve_backend(config["backend"]),
         _shard_indexes=shard_indexes,
     )
 
@@ -471,7 +462,6 @@ def load_engine(path, *, mmap: bool = True, verify: bool = True):
         ...     [nb.user for nb in engine.query(user=0, k=3, alpha=0.3)]
         True
     """
-    require_numpy()
     path = Path(path)
     manifest = read_manifest(path)
     kind = manifest.get("kind")

@@ -5,9 +5,10 @@ update stream.
 :class:`~repro.service.QueryService` and its engine (single or
 sharded — both expose the same listener/lock surface):
 
-- **ingest** — it subscribes to the engine's location-listener hook
-  (and the service's edge-update stream), so every update applied
-  through *any* path is observed inside the update's write lock;
+- **ingest** — it subscribes to the engine's location-listener hook,
+  so every move applied through *any* path is observed inside the
+  update's write lock (edge updates change nothing served until
+  ``rebuild_engine`` swaps the engine, which the next read detects);
 - **classify** — each (update, subscription) pair is screened with the
   NO-OP / REPAIR / RECOMPUTE rule of :mod:`repro.stream.conditions`
   (the one the result cache calls too): O(1) per subscription, no
@@ -124,13 +125,12 @@ class SubscriptionRegistry:
         self._engine = service.engine
         self._closed = False
         self._engine.add_location_listener(self._on_location_update)
-        service.add_edge_update_listener(self._on_edge_update)
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the engine and the edge stream; further serving
-        calls raise.  Idempotent.
+        """Detach from the engine; further serving calls raise.
+        Idempotent.
 
         Taken under the registry lock so it cannot interleave with
         :meth:`_ensure_current_engine`'s listener re-attachment — a
@@ -139,7 +139,6 @@ class SubscriptionRegistry:
         with self._lock:
             self._closed = True
             self._engine.remove_location_listener(self._on_location_update)
-        self.service.remove_edge_update_listener(self._on_edge_update)
 
     def __enter__(self) -> "SubscriptionRegistry":
         return self
@@ -371,14 +370,6 @@ class SubscriptionRegistry:
         group = self._groups.get(sub.group)
         if group is not None:
             group.dirty = True
-
-    def _on_edge_update(self, u: int, v: int, weight: float | None) -> None:
-        # The service applies edge updates to a *companion* landmark
-        # table: the served engine's graph is unchanged until
-        # rebuild_engine — which swaps the engine and triggers a full
-        # recompute — so standing results stay exact.
-        with self._lock:
-            self.stats.edge_updates += 1
 
     # -- application (read lock + registry lock held) -------------------
 

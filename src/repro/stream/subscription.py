@@ -155,9 +155,8 @@ class StreamStats:
     #: subscriptions ever registered / currently registered
     subscribed: int = 0
     active: int = 0
-    #: location / edge updates observed by the listeners
+    #: location updates observed by the listener
     location_updates: int = 0
-    edge_updates: int = 0
     #: per-(update, subscription) classifications
     noops: int = 0
     repair_marks: int = 0
@@ -187,7 +186,6 @@ class StreamStats:
             "subscribed": self.subscribed,
             "active": self.active,
             "location_updates": self.location_updates,
-            "edge_updates": self.edge_updates,
             "noops": self.noops,
             "repair_marks": self.repair_marks,
             "recompute_marks": self.recompute_marks,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.backend import HAS_NUMPY, PythonKernels, available_backends, resolve_backend
+from repro.backend import PythonKernels, available_backends, resolve_backend
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.bounds import social_lower_bound_vertex
@@ -23,7 +24,7 @@ from repro.spatial.point import LocationTable
 INF = math.inf
 NAN = math.nan
 
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
+BACKENDS = ["python", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -162,8 +163,7 @@ class TestResolveBackend:
 
     def test_default_prefers_numpy_when_present(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        expected = "numpy" if HAS_NUMPY else "python"
-        assert resolve_backend("auto").name == expected
+        assert resolve_backend("auto").name == "numpy"
 
     def test_rejects_unknown_names_and_types(self):
         with pytest.raises(ValueError):
@@ -224,9 +224,6 @@ class TestFromColumns:
         a = LocationTable.from_columns([0.0, 1.0], (0.0, 1.0))
         b = LocationTable.from_columns(a.xs, a.ys)  # arrays round-trip
         assert b.get(1) == (1.0, 1.0)
-        if HAS_NUMPY:
-            import numpy as np
-
-            b.set(0, 9.0, 9.0)  # copies, never aliases the source column
-            assert float(a.xs[0]) == 0.0
-            assert isinstance(a.xs, np.ndarray) and a.xs.dtype == np.float64
+        b.set(0, 9.0, 9.0)  # copies, never aliases the source column
+        assert float(a.xs[0]) == 0.0
+        assert isinstance(a.xs, np.ndarray) and a.xs.dtype == np.float64

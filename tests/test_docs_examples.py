@@ -48,7 +48,6 @@ DOCUMENTED_MODULES = [
     "repro.core.result",
     "repro.core.stats",
     "repro.graph.socialgraph",
-    "repro.graph.dynamics",
     "repro.spatial.point",
     "repro.index.aggregate",
     "repro.datasets.synthetic",

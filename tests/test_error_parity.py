@@ -270,6 +270,61 @@ def test_non_finite_coordinates_are_rejected_before_anything_is_written(
         registry.close()
 
 
+# -- edge updates: ids and weights are checked before anything is recorded
+
+
+EDGE_CASES = [
+    # (case id, (u, v, weight) with N = population size, wire type, fragment)
+    ("u_negative", (-1, 3, 0.5), "unknown_user", "user id -1 out of range"),
+    ("v_negative", (3, -1, 0.5), "unknown_user", "user id -1 out of range"),
+    ("u_past_end", ("N", 3, 0.5), "unknown_user", "out of range"),
+    ("v_past_end", (3, "N", None), "unknown_user", "out of range"),
+    ("self_loop", (3, 3, 0.5), "invalid_argument", "self-loops are not allowed"),
+    ("weight_inf", (3, 4, float("inf")), "invalid_argument",
+     "edge weight must be a positive finite number, got inf"),
+    ("weight_nan", (3, 4, float("nan")), "invalid_argument",
+     "edge weight must be a positive finite number, got nan"),
+    ("weight_zero", (3, 4, 0.0), "invalid_argument",
+     "edge weight must be a positive finite number, got 0.0"),
+    ("weight_negative", (3, 4, -2.0), "invalid_argument",
+     "edge weight must be a positive finite number, got -2.0"),
+]
+
+
+@pytest.mark.parametrize("name,edge,wire_type,fragment", EDGE_CASES)
+def test_bad_edge_updates_are_rejected_before_anything_is_recorded(
+    engine, service, client, name, edge, wire_type, fragment
+):
+    """``update_edge(-1, 3, w)`` used to wrap onto user n-1's adjacency
+    (every later rebuild and folding snapshot then raised "adjacency
+    asymmetric"), ``update_edge(n, 3, w)`` was an ``IndexError`` (500
+    on the wire), and ``inf``/``nan`` weights poisoned the next
+    rebuild.  Both paths now answer with one ``ValueError`` — 400 on
+    the wire — and the log is untouched."""
+    u, v, weight = (engine.graph.n if part == "N" else part for part in edge)
+    pending = service.pending_edge_updates
+    with pytest.raises(ValueError) as excinfo:
+        service.update_edge(u, v, weight)
+    message = str(excinfo.value)
+    assert fragment in message
+    status, _, body = client.request("POST", "/update/edge", {"u": u, "v": v, "weight": weight})
+    assert (status, body["error"]["type"]) == (400, wire_type)
+    assert body["error"]["message"] == message
+    assert classify_exception(ValueError(message)) == (400, wire_type)
+    assert service.pending_edge_updates == pending
+
+
+def test_deleting_an_absent_edge_is_a_key_error_and_a_404(engine, service, client):
+    u = 3
+    v = next(w for w in range(engine.graph.n) if w != u and not engine.graph.has_edge(u, w))
+    pending = service.pending_edge_updates
+    with pytest.raises(KeyError):
+        service.update_edge(u, v, None)
+    status, _, body = client.request("POST", "/update/edge", {"u": u, "v": v, "weight": None})
+    assert (status, body["error"]["type"]) == (404, "not_found")
+    assert service.pending_edge_updates == pending
+
+
 # -- validate once: QueryRequest is the only place the checks run ------
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the CSR social graph."""
 
+import math
+
 import pytest
 
 from repro.graph.socialgraph import SocialGraph
@@ -89,17 +91,32 @@ class TestDerived:
 
     def test_with_edge_update_change_weight(self):
         g = SocialGraph.from_edges(3, TRIANGLE)
-        g2 = g.with_edge_update(0, 1, 9.0)
-        assert g2.edge_weight(0, 1) == 9.0
+        # either orientation names the one undirected edge
+        g2 = g.with_edge_updates({(1, 0): 9.0})
+        assert g2.edge_weight(0, 1) == g2.edge_weight(1, 0) == 9.0
+        assert g2.num_edges == 3
         assert g.edge_weight(0, 1) == 1.0  # original untouched
 
     def test_with_edge_update_insert_and_delete(self):
         g = SocialGraph.from_edges(3, [(0, 1, 1.0)])
-        g2 = g.with_edge_update(1, 2, 0.5)
-        assert g2.has_edge(1, 2)
-        g3 = g2.with_edge_update(0, 1, None)
-        assert not g3.has_edge(0, 1)
-        assert g3.has_edge(1, 2)
+        # one batch: insert, delete, and a delete of an absent edge
+        g2 = g.with_edge_updates({(1, 2): 0.5, (0, 1): None, (0, 2): None})
+        assert sorted(g2.edges()) == [(1, 2, 0.5)]
+        assert sorted(g.with_edge_updates({}).edges()) == [(0, 1, 1.0)]
+
+    def test_with_edge_updates_directed_keeps_orientations_apart(self):
+        g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)], directed=True)
+        g2 = g.with_edge_updates({(1, 0): None, (2, 1): 0.5})
+        assert sorted(g2.edges()) == [(0, 1, 1.0), (2, 1, 0.5)]
+        assert g2.directed
+
+    @pytest.mark.parametrize(
+        "update", [{(0, 0): 1.0}, {(0, 3): 1.0}, {(0, 1): 0.0}, {(0, 1): math.inf}]
+    )
+    def test_with_edge_updates_checks_like_from_edges(self, update):
+        g = SocialGraph.from_edges(3, TRIANGLE)
+        with pytest.raises(ValueError):
+            g.with_edge_updates(update)
 
     def test_repr_mentions_size(self):
         g = SocialGraph.from_edges(3, TRIANGLE)

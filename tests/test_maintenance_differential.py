@@ -16,6 +16,15 @@ checks, after every step:
 - whatever the cache still holds equals a fresh ``engine.query``, and
   so does ``registry.result(sub)``.
 
+Edge updates ride the same suite: a second property interleaves the
+move stream with ``edge`` steps (insert / re-weight / delete, the same
+edge touched twice, delete-then-reinsert, a delete of an absent edge)
+and ``rebuild`` steps, on single and 4-shard engines over undirected
+and directed graphs.  Until a rebuild nothing served may change — both
+consumers untouched, repeats still ``cached`` — and every answer equals
+bruteforce over the *served* edge set; after it every answer equals a
+fresh engine over ``SocialGraph.from_edges`` of the model's edge set.
+
 Same derandomized Hypothesis profile as the stream suite; CI runs the
 file under ``REPRO_BACKEND=python`` and ``=numpy``.  The file also
 pins the one case where the two pre-unification rules differed, and
@@ -39,7 +48,9 @@ import repro.stream.registry
 import repro.stream.subscription
 from repro.core.engine import GeoSocialEngine
 from repro.core.result import Neighbor
+from repro.graph.socialgraph import SocialGraph
 from repro.service import QueryRequest, QueryService, ResultCache
+from repro.shard import ShardedGeoSocialEngine
 from repro.stream import (
     NOOP,
     RECOMPUTE,
@@ -48,12 +59,16 @@ from repro.stream import (
     classify_location_update,
 )
 from tests.conftest import cache_put, random_instance
+from tests.test_graph_directed import random_digraph
 from tests.test_stream_equivalence import STREAM_CI, assert_maintained_equals_fresh
 
 #: repairable forward methods, one that is screened but never repaired,
 #: and ``auto``, whose subscriptions re-resolve on every recompute
 METHODS = ("tsa", "sfa", "spa", "bruteforce", "ais", "auto")
 STEPS = 14
+#: the forward-deterministic ones: pinned bit-identical to bruteforce,
+#: on directed graphs too
+EXACT_METHODS = ("tsa", "sfa", "spa", "bruteforce", "auto")
 
 
 def verdict(stored, engine, mover, x, y):
@@ -180,6 +195,159 @@ def test_cache_and_registry_apply_one_rule_and_stay_fresh(n, seed, alpha, k, met
     service.close()
 
 
+# -- edge updates: recorded, then folded by the rebuild -----------------------
+
+
+def edge_key(u, v, directed):
+    return (u, v) if directed or u < v else (v, u)
+
+
+def pick_edge(rng, model, touched, n, directed):
+    """One edge update aimed at a named case: a new edge, a re-weight,
+    a delete, the edge touched last time once more, a deleted edge
+    re-inserted, or a delete of an edge that is not there.  ``model``
+    maps the expected graph's edges to their weights, ``touched`` lists
+    the keys updated so far.  Returns ``(u, v, weight)``, an undirected
+    edge in either orientation."""
+    case = rng.choice(("insert", "reweight", "delete", "again", "reinsert", "absent"))
+    present = sorted(model)
+    gone = [key for key in touched if key not in model]
+    if case == "reweight" and present:
+        key, weight = rng.choice(present), rng.uniform(0.05, 1.0)
+    elif case == "delete" and present:
+        key, weight = rng.choice(present), None
+    elif case == "again" and touched:
+        key = touched[-1]
+        weight = None if key in model and rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+    elif case == "reinsert" and gone:
+        key, weight = rng.choice(gone), rng.uniform(0.05, 1.0)
+    else:
+        key = edge_key(*rng.sample(range(n), 2), directed)
+        while key in model:
+            key = edge_key(*rng.sample(range(n), 2), directed)
+        weight = None if case == "absent" else rng.uniform(0.05, 1.0)
+    u, v = key
+    return (v, u, weight) if not directed and rng.random() < 0.5 else (u, v, weight)
+
+
+def ranking(result):
+    return [(nb.user, nb.score) for nb in result]
+
+
+@STREAM_CI
+@given(
+    n=st.integers(min_value=30, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_shards=st.sampled_from((1, 4)),
+    directed=st.booleans(),
+    alpha=st.sampled_from((0.3, 0.7, 1.0)),
+    method=st.sampled_from(EXACT_METHODS),
+)
+def test_edge_updates_change_nothing_served_until_a_rebuild_folds_them(
+    n, seed, n_shards, directed, alpha, method
+):
+    rng = random.Random(seed)
+    graph, locations = random_instance(n, seed=seed, coverage=0.7)
+    if directed:
+        graph = random_digraph(n, 3.0, seed)
+    if n_shards == 1:
+        engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+    else:
+        engine = ShardedGeoSocialEngine(
+            graph, locations, n_shards=n_shards, num_landmarks=3, s=4, seed=3, max_workers=1
+        )
+    service = QueryService(engine, cache_size=64, max_workers=1)
+    registry = SubscriptionRegistry(service)
+    query_users = rng.sample(list(engine.locations.located_users()), 3)
+    requests = [QueryRequest(u, k=4, alpha=alpha, method=method) for u in query_users]
+    subs = [registry.subscribe(request) for request in requests]
+    cache = service.cache
+
+    #: the expected graph, and what of it the served engine was built from
+    model = {edge_key(u, v, directed): w for u, v, w in graph.edges()}
+    served = dict(model)
+    touched: list = []
+    pending: set = set()
+
+    def answerable(request):
+        return alpha == 1.0 or service.engine.locations.has_location(request.user)
+
+    for step in range(STEPS):
+        kind = rng.choice(("edge", "edge", "edge", "move", "rebuild"))
+        context = f"step {step}: {kind}"
+        if kind == "edge":
+            warm = [service.query(r) for r in requests if answerable(r)]
+            held = {entry.key: entry.result for entry in cache._entries.values()}
+            u, v, weight = pick_edge(rng, model, touched, n, directed)
+            key = edge_key(u, v, directed)
+            context += f" ({u}, {v}) -> {weight}"
+            if weight is None and key not in model:
+                with pytest.raises(KeyError):
+                    service.update_edge(u, v, None)
+            else:
+                service.update_edge(u, v, weight)
+                touched.append(key)
+                pending.add(key)
+                if weight is None:
+                    del model[key]
+                else:
+                    model[key] = weight
+            # nothing served moved: both consumers untouched, and a
+            # repeat issued across the update is still a hit (``auto``
+            # may re-resolve to another method's line)
+            assert not any(sub.dirty for sub in subs), context
+            now = {entry.key: entry.result for entry in cache._entries.values()}
+            assert now.keys() == held.keys() and all(now[k] is held[k] for k in held), context
+            if method != "auto":
+                for response in warm:
+                    again = service.query(response.request)
+                    assert again.cached and again.result is response.result, context
+        elif kind == "move":
+            mover, x, y = pick_update(rng, service.engine, subs)
+            if x is None:
+                service.forget_location(mover)
+            else:
+                service.move_user(mover, x, y)
+        else:
+            old = service.engine
+            new_engine = service.rebuild_engine()
+            assert service.engine is new_engine is not old, context
+            assert len(cache) == 0, context
+            served = dict(model)
+            pending.clear()
+        assert service.pending_edge_updates == len(pending), context
+        assert sorted(service.engine.graph.edges()) == sorted(
+            (u, v, w) for (u, v), w in served.items()
+        ), context
+
+        # -- every answer equals bruteforce on a fresh single engine
+        # built from the served edge set (the model's, after a rebuild)
+        edges = [(u, v, w) for (u, v), w in served.items()]
+        rng.shuffle(edges)
+        fresh = GeoSocialEngine(
+            SocialGraph.from_edges(n, edges, directed),
+            service.engine.locations.copy(),
+            num_landmarks=3,
+            s=4,
+            seed=3,
+            normalization=service.engine.normalization,
+        )
+        for request, sub in zip(requests, subs):
+            try:
+                answer = service.query(request).result
+            except ValueError:
+                with pytest.raises(ValueError, match="no known location"):
+                    registry.result(sub)
+                continue
+            truth = ranking(fresh.query(sub.user, sub.k, sub.alpha, "bruteforce"))
+            assert ranking(answer) == truth, f"{context}: service, {sub}"
+            assert ranking(registry.result(sub)) == truth, f"{context}: registry, {sub}"
+
+    registry.close()
+    service.close()
+    service.engine.close()
+
+
 # -- the one case the two pre-unification rules disagreed on ----------------
 
 
@@ -270,7 +438,12 @@ def test_removed_options_stay_removed():
         "ResultCache": ["capacity"],
         "SubscriptionRegistry": [],
     }
-    assert not hasattr(QueryService, "attach_dynamics")
+    # one edge-update path: a log folded at rebuild — no companion
+    # tables to attach, no listener chain to hang a second path on
+    for name in (
+        "attach_dynamics", "dynamics", "add_edge_update_listener", "remove_edge_update_listener",
+    ):
+        assert not hasattr(QueryService, name), name
     # ``ais-cache`` left the served tier (repro.bench.variants builds
     # it) and took its list length with it: no ``t`` on the request,
     # the public edges or the CLI, no ``default_t`` on either engine

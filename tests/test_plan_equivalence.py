@@ -49,14 +49,6 @@ ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 STEPS = 8
 
 
-def _backends():
-    try:
-        import numpy  # noqa: F401
-    except ModuleNotFoundError:  # pragma: no cover - numpy-less env
-        return ("python",)
-    return BACKENDS
-
-
 def build_engine(graph, locations, n_shards, backend):
     if n_shards == 1:
         return GeoSocialEngine(
@@ -104,7 +96,7 @@ def verify_queries(engine, users, rng, context):
         assert_bit_identical(auto, brute, f"{context} u={user} k={k} a={alpha}")
 
 
-@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
     @PLAN_CI

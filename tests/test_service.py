@@ -9,6 +9,7 @@ shared-state corruption under a worker pool.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 
@@ -246,17 +247,76 @@ def test_pure_social_entries_survive_location_updates(engine):
         assert service.query(user, k=5, alpha=1.0, method="sfa").cached
 
 
-def test_edge_update_full_flush_by_default(engine):
+def test_edge_update_keeps_caches_warm_until_rebuild(engine):
+    """An edge update leaves both caches warm (the served graph is
+    unchanged, so every entry and column is still exact);
+    ``rebuild_engine`` is the edge-epoch that empties them."""
     users = located(engine, 4)
     with QueryService(engine, cache_size=64) as service:
         for u in users:
-            service.query(u, k=4, alpha=0.5, method="ais")
-        assert len(service.cache) == len(users)
+            service.query(u, k=4, alpha=0.5, method="bruteforce")
+        columns = len(engine.social_cache)
+        assert len(service.cache) == columns == len(users)
         u, v = users[0], users[1]
         service.update_edge(u, v, 0.01)
-        assert len(service.cache) == 0
-        assert service.cache.epoch == 1
-        assert service.stats.full_invalidations == 1
+        assert service.pending_edge_updates == 1
+        assert len(service.cache) == len(engine.social_cache) == len(users)
+        assert service.cache.epoch == 0
+        assert service.stats.full_invalidations == 0
+        assert all(service.query(u, k=4, alpha=0.5, method="bruteforce").cached for u in users)
+        new_engine = service.rebuild_engine()
+        try:
+            assert service.pending_edge_updates == 0
+            assert len(service.cache) == len(new_engine.social_cache) == 0
+            assert service.cache.epoch == 1
+            assert service.stats.full_invalidations == 1
+            assert service.stats.invalidated_entries == len(users)
+            assert not service.query(u, k=4, alpha=0.5, method="bruteforce").cached
+        finally:
+            new_engine.close()
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0, True, "0.5"])
+def test_rejected_edge_weight_records_nothing(engine, weight):
+    """``inf``/``nan`` used to pass the ``weight <= 0`` check and made
+    the next rebuild fail inside ``SocialGraph.from_edges``."""
+    u, v = located(engine, 2)
+    with QueryService(engine, cache_size=0) as service:
+        service.update_edge(u, v, 0.25)
+        with pytest.raises(ValueError, match="edge weight must be a positive finite number"):
+            service.update_edge(v, u, weight)
+        with pytest.raises(ValueError, match="self-loops"):
+            service.update_edge(u, u, 0.5)
+        assert service.pending_edge_updates == 1
+        new_engine = service.rebuild_engine()
+        try:
+            assert new_engine.graph.edge_weight(u, v) == 0.25
+        finally:
+            new_engine.close()
+
+
+def test_edge_log_collapses_repeats_and_checks_deletes(engine):
+    """One entry per edge (either orientation, last write wins); a
+    delete is checked against the served graph *with the log applied*."""
+    u = located(engine, 1)[0]
+    absent = next(w for w in range(engine.graph.n) if w != u and not engine.graph.has_edge(u, w))
+    with QueryService(engine, cache_size=0) as service:
+        with pytest.raises(KeyError):
+            service.update_edge(u, absent, None)
+        assert service.pending_edge_updates == 0
+        service.update_edge(u, absent, 0.5)
+        service.update_edge(absent, u, 0.75)
+        assert service.pending_edge_updates == 1
+        service.update_edge(u, absent, None)  # deletes the logged insert
+        with pytest.raises(KeyError):
+            service.update_edge(absent, u, None)
+        service.update_edge(u, absent, 0.125)  # delete-then-reinsert
+        new_engine = service.rebuild_engine()
+        try:
+            assert new_engine.graph.edge_weight(absent, u) == 0.125
+            assert new_engine.graph.num_edges == engine.graph.num_edges + 1
+        finally:
+            new_engine.close()
 
 
 def test_direct_engine_updates_still_invalidate(engine):
@@ -358,8 +418,8 @@ def test_engine_query_many_honors_changed_max_workers(engine):
 
 
 def test_edge_updates_do_not_corrupt_live_queries(engine):
-    """update_edge maintains a *companion* landmark table: the engine's
-    own bounds must stay admissible for the graph it still searches."""
+    """update_edge only records: the engine's landmark bounds must
+    stay admissible for the graph it still searches."""
     users = located(engine, 6)
     with QueryService(engine, cache_size=32) as service:
         # A batch of weight decreases: applied in place, these would

@@ -137,6 +137,17 @@ def test_invalidation_counters_move_on_update(engine):
             + (after["full_invalidations"] - before["full_invalidations"])
         )
         assert touched >= 1, "an update must account for the cached entry"
+        # an edge update touches nothing; the swap that folds it in is
+        # the one full flush, and it accounts for every entry it drops
+        service.query(user, k=5)
+        held, settled = len(service.cache), service.stats.snapshot()
+        service.update_edge(located[0], located[1], 0.5)
+        assert service.stats.snapshot() == settled
+        service.rebuild_engine()
+        swapped = service.stats.snapshot()
+        assert swapped["full_invalidations"] - settled["full_invalidations"] == 1
+        assert swapped["invalidated_entries"] - settled["invalidated_entries"] == held >= 1
+        assert service.cache_info()["full_invalidations"] == 1
 
 
 # -- PlannerStats -------------------------------------------------------

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import HAS_NUMPY, PythonKernels, resolve_backend
+from repro.backend import PythonKernels, resolve_backend
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 
@@ -101,10 +101,9 @@ def legs():
     """``(label, kernels, needs_block)`` for the legs this interpreter
     can run."""
     out = [("python", PythonKernels(), False)]
-    if HAS_NUMPY:
-        if HAS_SCIPY:
-            out.append(("numpy+scipy", resolve_backend("numpy"), False))
-        out.append(("numpy-scipy-blocked", resolve_backend("numpy"), True))
+    if HAS_SCIPY:
+        out.append(("numpy+scipy", resolve_backend("numpy"), False))
+    out.append(("numpy-scipy-blocked", resolve_backend("numpy"), True))
     return out
 
 
@@ -175,7 +174,7 @@ def test_source_out_of_range_is_a_value_error_on_every_leg(source):
             kernels.sssp_column(graph, source)
 
 
-@pytest.mark.skipif(not (HAS_NUMPY and HAS_SCIPY), reason="needs the scipy leg")
+@pytest.mark.skipif(not HAS_SCIPY, reason="needs the scipy leg")
 def test_array_handle_is_built_once_per_graph_under_concurrent_first_queries():
     """Eight threads ask for their first column of one fresh graph at
     once: one handle is built, every thread reads the same object, and

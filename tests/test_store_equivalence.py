@@ -18,12 +18,14 @@ Property tests run under the suite's fixed, derandomized profile.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GeoSocialEngine, ShardedGeoSocialEngine, gowalla_like
+from repro import GeoSocialEngine, ShardedGeoSocialEngine, SocialGraph, gowalla_like
+from repro.plan.rules import METHOD_TABLE
 from repro.service import QueryService
 from repro.store import MANIFEST_NAME, load_engine
 from tests.conftest import random_instance
@@ -191,6 +193,59 @@ def test_update_fold_then_snapshot_cycle(tmp_path):
         after = [nb.user for nb in restored.query(user=u, k=5, alpha=0.3)]
         before = [nb.user for nb in live.query(user=u, k=5, alpha=0.3)]
         assert after == before
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path, n_shards):
+    """60 seeded edge updates (inserts, re-weights, deletes, edges
+    touched twice, delete-then-reinsert) folded by one
+    ``rebuild_engine`` answer bit-identically — ids, scores,
+    tie-breaks, every exact served method — to an engine built from
+    scratch over ``SocialGraph.from_edges`` of the expected edge set,
+    and the folded engine survives ``save -> load``."""
+    engine = build_engine("numpy", n_shards, n=150)
+    graph = engine.graph
+    rng = random.Random(21)
+    expected = {(u, v): w for u, v, w in graph.edges()}
+    with QueryService(engine) as service:
+        deleted = []
+        for step in range(60):
+            roll = rng.random()
+            if roll < 0.3 and deleted:  # delete-then-reinsert
+                u, v = deleted.pop()
+            elif roll < 0.7:  # an existing edge: re-weight or delete
+                u, v = rng.choice(sorted(expected))
+            else:
+                u, v = sorted(rng.sample(range(graph.n), 2))
+            if (u, v) in expected and rng.random() < 0.4:
+                weight = None
+                deleted.append((u, v))
+                del expected[(u, v)]
+            else:
+                weight = expected[(u, v)] = rng.uniform(0.05, 1.0)
+            if step % 2:
+                u, v = v, u  # either orientation names the undirected edge
+            service.update_edge(u, v, weight)
+        assert 0 < service.pending_edge_updates <= 60
+        folded = service.rebuild_engine()
+        assert service.pending_edge_updates == 0
+        edges = [(u, v, w) for (u, v), w in expected.items()]
+        rng.shuffle(edges)  # the CSR's neighbour order must not matter
+        fresh = GeoSocialEngine(
+            SocialGraph.from_edges(graph.n, edges),
+            folded.locations.copy(),
+            num_landmarks=3,
+            s=3,
+            seed=2,
+            normalization=folded.normalization,
+        )
+        assert sorted(folded.graph.edges()) == sorted(fresh.graph.edges())
+        users = located_sample(folded, count=4)
+        exact = tuple(m for m in METHOD_TABLE if m != "approx")
+        assert_bit_identical(folded, fresh, users, methods=exact)
+        folded.save(tmp_path / "snap")
+        assert_bit_identical(folded, load_engine(tmp_path / "snap"), users, methods=exact)
+        folded.close()
 
 
 @settings(parent=STORE_CI)

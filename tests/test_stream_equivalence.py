@@ -107,8 +107,8 @@ def apply_random_update(rng, service, engine, subs, hot_users, registry=None):
     if registry is not None and roll < 0.12:
         u, v = rng.randrange(engine.graph.n), rng.randrange(engine.graph.n)
         if u != v:
-            # Companion-table model: served topology unchanged, so this
-            # must classify as a no-op for every subscription.
+            # The service only records it: served topology unchanged,
+            # so no subscription may be touched.
             service.update_edge(u, v, rng.uniform(0.05, 1.0))
             return ("edge", (u, v))
         roll = 0.5  # fall through to a move
@@ -209,8 +209,8 @@ def test_batched_bursts_then_read(n, seed, n_shards):
 
 
 def test_edge_updates_and_rebuild_keep_subscriptions_current():
-    """update_edge leaves served results untouched (companion-table
-    model) and rebuild_engine swaps the engine — the registry must
+    """update_edge leaves served results untouched (it only records)
+    and rebuild_engine swaps the engine — the registry must
     detect the swap and recompute against the new topology."""
     graph, locations = random_instance(60, seed=41, coverage=0.9)
     engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
@@ -222,11 +222,11 @@ def test_edge_updates_and_rebuild_keep_subscriptions_current():
         registry.subscribe(located[1], k=5, alpha=0.3, method="spa"),
     ]
     before = {s: registry.result(s).users for s in subs}
-    # Edge updates accumulate in the companion tables: the served graph
+    # Edge updates accumulate in the service's log: the served graph
     # is unchanged, so maintained == fresh == the previous answer.
     service.update_edge(located[0], located[2], 0.01)
     service.update_edge(located[1], located[3], 0.02)
-    assert registry.stats.edge_updates == 2
+    assert service.pending_edge_updates == 2
     for s in subs:
         assert registry.result(s).users == before[s]
         assert registry.result(s).users == engine.query(s.user, 5, s.alpha, s.method).users
