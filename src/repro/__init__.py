@@ -31,6 +31,7 @@ Quickstart::
 
 from repro.backend import resolve_backend
 from repro.core.ais import AggregateIndexSearch, AISVariant
+from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
 from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
@@ -96,6 +97,7 @@ __all__ = [
     "AISVariant",
     "SocialNeighborCache",
     "CachedSocialFirst",
+    "BoundedSearch",
     "BruteForceSearch",
     # bounded-error sketch fast path (method="approx")
     "SketchIndex",

@@ -14,6 +14,7 @@ made of, lifted from per-user scalar calls to whole candidate arrays:
                             :class:`~repro.core.ranking.RankingFunction`
 ``top_k_by_score``          smallest-``(score, id)`` selection with the
                             deterministic smaller-id tie-break
+                            (``ids=None``: positions are the ids)
 ``blend_topk_multi``        fused same-user batch scoring: several
                             ``(k, α)`` variants answered from one pair
                             of shared columns, one blend+top-k pass each
@@ -23,7 +24,9 @@ made of, lifted from per-user scalar calls to whole candidate arrays:
 ``sssp_column``             the dense social-distance column of one
                             source vertex: every *full* expansion
                             (bruteforce, landmark rows, diameter
-                            sweeps, subscription repairs) is this call
+                            sweeps, subscription repairs) is this call;
+                            with ``limit=r`` it settles only the ball
+                            of radius ``r`` (``bounded``)
 ==========================  ==========================================
 
 :class:`PythonKernels` is the *extracted* scalar behavior — the exact
@@ -118,7 +121,10 @@ class Kernels(Protocol):
     def top_k_by_score(self, scores, ids, k: int) -> list[int]:
         """Positions of the ``k`` smallest entries by ``(score, id)``
         (deterministic smaller-id tie-break), in ascending order;
-        ``inf``/NaN scores never qualify."""
+        ``inf``/NaN scores never qualify.  ``ids=None`` (or an
+        ascending ``range``) means *positions are the ids* — the
+        whole-table scans' case, answered without building any O(n)
+        id object."""
         ...
 
     def blend_topk_multi(
@@ -160,7 +166,9 @@ class Kernels(Protocol):
         """Number of finite (non-``inf``, non-NaN) entries."""
         ...
 
-    def sssp_column(self, graph: "SocialGraph", source: int) -> Sequence[float]:
+    def sssp_column(
+        self, graph: "SocialGraph", source: int, limit: float | None = None
+    ) -> Sequence[float]:
         """Exact shortest-path distances from ``source`` to every vertex
         of ``graph`` as a dense length-``n`` float64 column (``inf`` for
         unreachable vertices).  Bit-identical on every backend *and* to
@@ -168,7 +176,13 @@ class Kernels(Protocol):
         :class:`~repro.graph.traversal.DijkstraIterator` settles: a
         final Dijkstra label is ``min`` over in-edges ``(u, v)`` of
         ``fl(d[u] + w)`` with ``d[u]`` itself final, which no heap
-        order or tie-break can change."""
+        order or tie-break can change.
+
+        With ``limit=r`` (``r >= 0``; ``None`` and ``inf`` mean no
+        limit) the expansion stops at radius
+        ``r``: every vertex whose distance is ``<= r`` carries that same
+        final label (a vertex is only ever reached through closer ones,
+        all inside the ball), every other entry reads ``inf``."""
         ...
 
 
@@ -265,19 +279,21 @@ class PythonKernels:
         return [w_social * p + w_spatial * d for p, d in zip(social, spatial)]
 
     def top_k_by_score(self, scores, ids, k):
+        if positions_are_ids(ids):
+            finite = [(s, i) for i, s in enumerate(scores) if s == s and s != INF]
+            return [i for _, i in heapq.nsmallest(k, finite)]
         finite = [
             (s, ids[i], i) for i, s in enumerate(scores) if s == s and s != INF
         ]
         return [i for _, _, i in heapq.nsmallest(k, finite)]
 
     def blend_topk_multi(self, requests, social, spatial, exclude=None):
-        n = len(social) if social is not None else len(spatial)
         out = []
         for k, w_social, w_spatial in requests:
             scores = self.blend(w_social, w_spatial, social, spatial)
             if exclude is not None:
                 scores[exclude] = INF  # blend output is fresh — never a cached column
-            top = self.top_k_by_score(scores, range(n), k)
+            top = self.top_k_by_score(scores, None, k)
             out.append([(int(u), float(scores[u])) for u in top])
         return out
 
@@ -330,15 +346,25 @@ class PythonKernels:
     def count_finite(self, values):
         return sum(1 for v in values if v == v and v != INF and v != -INF)
 
-    def sssp_column(self, graph, source):
-        return self.dense_from_dict(graph.n, settle_all(graph, source), INF)
+    def sssp_column(self, graph, source, limit=None):
+        return self.dense_from_dict(graph.n, settle_all(graph, source, limit), INF)
 
 
-def settle_all(graph: "SocialGraph", source: int) -> dict:
+def positions_are_ids(ids) -> bool:
+    """Whether ``top_k_by_score``'s ``ids`` argument says "the id of a
+    score is its position": ``None``, or an ascending ``range`` (which
+    orders ties exactly as positions do)."""
+    return ids is None or (isinstance(ids, range) and ids.step > 0)
+
+
+def settle_all(graph: "SocialGraph", source: int, limit: float | None = None) -> dict:
     """The reference expansion behind ``sssp_column``: a
-    :class:`~repro.graph.traversal.DijkstraIterator` run to exhaustion
-    (imported here, not at module level — the graph package's build
-    paths import this package)."""
-    from repro.graph.traversal import DijkstraIterator
+    :class:`~repro.graph.traversal.DijkstraIterator` run to exhaustion,
+    or until the popped label exceeds ``limit`` (imported here, not at
+    module level — the graph package's build paths import this
+    package)."""
+    from repro.graph.traversal import dijkstra_distances
 
-    return DijkstraIterator(graph, source).run_to_completion()
+    if limit is not None and limit < 0:  # as scipy does
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    return dijkstra_distances(graph, source, limit)

@@ -12,7 +12,8 @@ survives ``abs`` as the exact disconnection bound).
 ``scipy.sparse.csgraph.dijkstra`` (the optional ``fast`` extra), which
 adds the same ``d[u] + w`` float64 sums as the scalar expansion and so
 lands on the same labels; without scipy the kernel falls back to that
-scalar expansion itself.
+scalar expansion itself.  ``limit`` is scipy's own early exit (labels
+``<= limit`` are kept and final) and the scalar expansion's cutoff.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import threading
 
 import numpy as np
 
-from repro.backend.base import settle_all
+from repro.backend.base import positions_are_ids, settle_all
 
 INF = math.inf
 
@@ -136,29 +137,30 @@ class NumpyKernels:
         if k <= 0:  # match heapq.nsmallest: nothing qualifies
             return []
         scores = np.asarray(scores, dtype=np.float64)
-        ids = np.asarray(ids)
         finite = np.nonzero(scores < INF)[0]  # NaN < inf is False too
         s = scores[finite]
         if 0 < k < s.size:
             # Partition down to the k smallest scores first (O(n)), then
             # widen to every boundary tie so the exact (score, id)
-            # tie-break survives, and lexsort only that sliver.
+            # tie-break survives, and sort only that sliver.
             boundary = s[np.argpartition(s, k - 1)[:k]].max()
-            cand = np.nonzero(s <= boundary)[0]
-            order = np.lexsort((ids[finite[cand]], s[cand]))
-            return finite[cand[order[:k]]].tolist()
-        order = np.lexsort((ids[finite], s))
+            keep = np.nonzero(s <= boundary)[0]
+            finite, s = finite[keep], s[keep]
+        if positions_are_ids(ids):
+            # ``finite`` ascends, so a stable sort on the score alone
+            # breaks ties toward the smaller position = the smaller id
+            order = np.argsort(s, kind="stable")
+        else:
+            order = np.lexsort((np.asarray(ids)[finite], s))
         return finite[order[:k]].tolist()
 
     def blend_topk_multi(self, requests, social, spatial, exclude=None):
-        n = len(social) if social is not None else len(spatial)
-        ids = range(n)
         out = []
         for k, w_social, w_spatial in requests:
             scores = self.blend(w_social, w_spatial, social, spatial)
             if exclude is not None:
                 scores[exclude] = INF  # blend output is fresh — never a cached column
-            top = self.top_k_by_score(scores, ids, k)
+            top = self.top_k_by_score(scores, None, k)
             out.append([(int(u), float(scores[u])) for u in top])
         return out
 
@@ -198,12 +200,14 @@ class NumpyKernels:
     def count_finite(self, values):
         return int(np.count_nonzero(np.isfinite(np.asarray(values, dtype=np.float64))))
 
-    def sssp_column(self, graph, source):
+    def sssp_column(self, graph, source, limit=None):
         if not 0 <= source < graph.n:  # scipy would wrap a negative index
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         csr = _scipy_csr(graph)
         if csr is None:
-            return self.dense_from_dict(graph.n, settle_all(graph, source), INF)
+            return self.dense_from_dict(graph.n, settle_all(graph, source, limit), INF)
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(csr, directed=True, indices=source)
+        return dijkstra(
+            csr, directed=True, indices=source, limit=INF if limit is None else limit
+        )

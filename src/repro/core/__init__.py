@@ -4,6 +4,7 @@ facade tying indexes and algorithms together.
 """
 
 from repro.core.ais import AggregateIndexSearch, AISVariant
+from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.engine import GeoSocialEngine
 from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
@@ -21,6 +22,7 @@ __all__ = [
     "SSRQResult",
     "TopKBuffer",
     "SearchStats",
+    "BoundedSearch",
     "BruteForceSearch",
     "SocialFirstSearch",
     "SpatialFirstSearch",

@@ -91,7 +91,7 @@ class BruteForceSearch:
         # query is unlocated (a NaN query point makes the kernel emit
         # inf everywhere — exactly the scalar `distance()` contract).
         neighbors, finite = dense_scan(
-            kernels, n, rank, p, self.locations, query_user, k, initial
+            kernels, rank, p, self.locations, query_user, k, initial
         )
         stats.evaluations = finite
         stats.candidates_scored = stats.evaluations

@@ -18,6 +18,7 @@ Served methods (paper names; one row each in
 ``tsa-qc``        TSA with Quick Combine probing
 ``ais``           Aggregate Index Search, all optimisations (Section 5)
 ``approx``        bounded-error sketch fast path (:mod:`repro.sketch`)
+``bounded``       SFA's stopping rule as one radius-limited kernel call
 ``bruteforce``    exact reference scan
 ``auto``          cost-based adaptive selection (:mod:`repro.plan`)
 ================  ====================================================
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.backend import Kernels, resolve_backend
 from repro.core.ais import AggregateIndexSearch, AISVariant
+from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.ranking import Normalization
 from repro.core.request import QueryRequest
@@ -730,6 +732,9 @@ SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
     ),
     "approx": lambda e: ApproxSketchSearch(
         e.graph, e.locations, e.normalization, e.sketch, kernels=e.kernels
+    ),
+    "bounded": lambda e: BoundedSearch(
+        e.graph, e.locations, e.normalization, kernels=e.kernels
     ),
     "bruteforce": lambda e: BruteForceSearch(
         e.graph, e.locations, e.normalization, kernels=e.kernels

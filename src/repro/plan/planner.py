@@ -53,8 +53,9 @@ from repro.plan.rules import AUTO, METHOD_TABLE, route_method, static_choice
 _TINY = 1e-300  # matches repro.core.ranking's division guard
 
 #: forward-deterministic searcher families the planner picks among by
-#: default: one per cost regime (social stream, spatial stream, twofold
-#: interleave, full column + dense scan)
+#: default: one per cost regime (spatial stream, twofold interleave,
+#: social ball + dense scan, full column + dense scan).  ``sfa`` is
+#: opt-in: ``bounded`` runs its stopping rule inside the kernel
 DEFAULT_CANDIDATES = tuple(name for name, spec in METHOD_TABLE.items() if spec.candidate)
 
 #: (k, alpha) probe grid of the calibration pass — one alpha per
@@ -269,7 +270,13 @@ class AdaptivePlanner:
             # order keeps this deterministic) so estimates exist for
             # every arm before greedy play starts.
             return unexplored[0], True
-        best_method, best = min(estimates, key=lambda pair: pair[1])
+        # Exact ties only arise on a cached column, where the forward
+        # arms are one cell of the cost model: name the tie after the
+        # arm that builds full columns, so its cold answer and the warm
+        # repeats share one result-cache line.
+        best_method, best = min(
+            estimates, key=lambda pair: (pair[1], METHOD_TABLE[pair[0]].column != "exhaust")
+        )
         rate = self.epsilon / (1.0 + self.cost.observations(bucket)) ** 0.5
         if rate > 0.0 and self._rng.random() < rate:
             # Exploration priced by what it costs: a drawn arm is

@@ -60,7 +60,9 @@ class MethodSpec:
     #: enumeration and TSA's ``settled``-keyed admission need every
     #: settled vertex once, in settle order; ``"resume"``: SPA only
     #: calls ``run_until``; ``"exhaust"``: bruteforce needs every
-    #: distance, so it takes the finished column.
+    #: distance, so it takes the finished column; ``"bounded"``: it
+    #: expands a ball of the column itself and scans a finished one
+    #: when the cache has it.
     column: str | None = None
     #: the searcher rejects an unlocated query user before any social
     #: work, so the column step must leave the cache untouched for it
@@ -91,7 +93,10 @@ _TSA = MethodSpec(
 
 #: one row per served method, in the order ``METHODS`` lists them
 METHOD_TABLE: dict[str, MethodSpec] = {
-    "sfa": MethodSpec(alpha0="spa", column="replay", delegated=True, candidate=True),
+    # the paper's social-first algorithm; the planner plays its rule
+    # through ``bounded`` instead (cheaper at every (n, alpha) measured),
+    # so like ``tsa-qc`` it is served by name and opt-in for ``auto``
+    "sfa": MethodSpec(alpha0="spa", column="replay", delegated=True),
     "spa": MethodSpec(alpha1="sfa", column="resume", needs_location=True, candidate=True),
     "tsa": _TSA,
     # ~1 % of planner picks on every tracked workload: served, opt-in
@@ -99,6 +104,10 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     "tsa-qc": replace(_TSA, candidate=False),
     "ais": MethodSpec(alpha1="sfa"),
     "approx": MethodSpec(alpha0="spa", delegated=True),
+    # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
+    # over the ball that can hold an answer + one dense scan; pure
+    # social (alpha == 1) is just the case with no spatial column
+    "bounded": MethodSpec(alpha0="spa", column="bounded", delegated=True, candidate=True),
     # "the column + one dense scan": with the ``sssp_column`` kernel a
     # full expansion costs less than most early-terminating ones at
     # bench scale, so the cost model is allowed to pick it

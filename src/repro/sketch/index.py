@@ -227,7 +227,7 @@ class SketchIndex:
             lower, upper = self.intervals(q, kernels)
             est, half = kernels.interval_midpoints(lower, upper)
             est[q] = INF
-            top = kernels.top_k_by_score(est, range(n), probe_k)
+            top = kernels.top_k_by_score(est, None, probe_k)
             for u in top:
                 h = float(half[u])
                 if h > worst:

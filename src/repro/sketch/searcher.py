@@ -97,7 +97,7 @@ class ApproxSketchSearch:
 
         scores = kernels.blend(rank.w_social, rank.w_spatial, p, d)
         scores[query_user] = INF  # never report the query user
-        top = kernels.top_k_by_score(scores, range(n), k)
+        top = kernels.top_k_by_score(scores, None, k)
         neighbors = [
             Neighbor(int(u), float(scores[u]), float(p[u]), float(d[u])) for u in top
         ]

@@ -20,6 +20,9 @@ query user up; a full column answers through :func:`dense_scan` at
 once; a method that needs every distance (``column="exhaust"``) gets
 the column from the ``sssp_column`` kernel
 (:meth:`repro.backend.base.Kernels.sssp_column`) and stores it; a
+``column="bounded"`` method expands only a ball of it
+(:class:`~repro.core.bounded.BoundedSearch`) and stores the column
+only when the expansion came back unbounded; a
 parked partial expansion is handed to an incremental searcher to resume
 (or replay); a miss starts a fresh
 :class:`~repro.graph.traversal.DijkstraIterator`; and whatever the
@@ -43,40 +46,55 @@ from repro.social.resume import ReplayedDijkstra
 INF = math.inf
 _NAN = math.nan
 
-__all__ = ["column_step", "dense_scan", "materialize_column", "peek_scan"]
+__all__ = ["column_step", "dense_scan", "materialize_column", "peek_scan", "spatial_column"]
+
+
+def spatial_column(kernels, rank: RankingFunction, locations, query_user: int):
+    """Distances from ``query_user``'s location to every user, the way
+    bruteforce derives them: all-``inf`` when the spatial term is
+    irrelevant or the query user unlocated (a NaN query point makes the
+    kernel emit ``inf`` everywhere)."""
+    location = locations.get(query_user) if rank.needs_spatial else None
+    qx, qy = location if location is not None else (_NAN, _NAN)
+    xs, ys = locations.columns()
+    return kernels.euclidean_to_point(xs, ys, qx, qy)
+
+
+def _take(column, positions: list) -> list:
+    """``column`` at ``positions`` as plain floats — one gather for an
+    array column, not one scalar indexing per position."""
+    take = getattr(column, "take", None)
+    if take is not None:
+        return take(positions).tolist()
+    return [float(column[u]) for u in positions]
+
 
 def dense_scan(
     kernels,
-    n: int,
     rank: RankingFunction,
     social_column,
     locations,
     query_user: int,
     k: int,
     initial=None,
+    spatial=None,
 ) -> tuple[list[Neighbor], int]:
     """Score every user against ``social_column`` in one columnar pass.
 
     ``social_column`` must follow the bruteforce convention: exact
     distances with ``inf`` for unreachable users, or all-``inf`` when
-    ``rank.needs_social`` is false.  The spatial column is derived here
-    the same way bruteforce derives it (a NaN query point — irrelevant
-    term or unlocated query user — makes the kernel emit ``inf``
-    everywhere).  Returns ``(neighbors, finite)`` where ``finite`` is
+    ``rank.needs_social`` is false.  The spatial column is
+    :func:`spatial_column` (``spatial`` hands in one the caller already
+    derived).  Returns ``(neighbors, finite)`` where ``finite`` is
     the number of finitely-scored users (the scan's evaluation count).
     """
-    location = locations.get(query_user) if rank.needs_spatial else None
-    qx, qy = location if location is not None else (_NAN, _NAN)
-    xs, ys = locations.columns()
-    d = kernels.euclidean_to_point(xs, ys, qx, qy)
-
+    d = spatial if spatial is not None else spatial_column(kernels, rank, locations, query_user)
     scores = kernels.blend(rank.w_social, rank.w_spatial, social_column, d)
     scores[query_user] = INF  # never report the query user
-    top = kernels.top_k_by_score(scores, range(n), k)
-    neighbors = [
-        Neighbor(int(u), float(scores[u]), float(social_column[u]), float(d[u]))
-        for u in top
-    ]
+    top = kernels.top_k_by_score(scores, None, k)
+    neighbors = list(
+        map(Neighbor, top, _take(scores, top), _take(social_column, top), _take(d, top))
+    )
     if initial is not None:
         for nb in neighbors:
             initial.offer(nb.user, nb.score, nb.social, nb.spatial)
@@ -112,8 +130,7 @@ def _scan_result(engine, request, rank, column, initial, stats, start) -> SSRQRe
     termination + smaller-id tie-break select exactly the
     ``(score, id)``-minimal set)."""
     neighbors, finite = dense_scan(
-        engine.kernels, engine.graph.n, rank, column,
-        engine.locations, request.user, request.k, initial,
+        engine.kernels, rank, column, engine.locations, request.user, request.k, initial
     )
     stats.candidates_scored = finite
     stats.elapsed = time.perf_counter() - start
@@ -150,7 +167,12 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     ``stats.extra["social_column_hits"]``.  An ``exhaust`` method
     (bruteforce) never runs either: on a miss the kernel builds the
     column, ``stats.pops_social`` reading its number of finite entries
-    (the vertices a scalar expansion would have settled).  Otherwise
+    (the vertices a scalar expansion would have settled).  A
+    ``bounded`` method on a miss runs its own radius-limited expansion
+    and scan; only a column that came back *unbounded* is stored (a
+    radius column is never cached — there is no such cache kind).
+    Either way a parked partial is dropped, not finished: the kernel is
+    cheaper than resuming the scalar expansion.  Otherwise
     the searcher enumerates a resumed (or replayed) parked expansion,
     or a fresh one on a miss, and the step checks the expansion back
     in — an exhausted one is promoted to a full column by the cache.
@@ -167,10 +189,16 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     column, parked = _checkout(cache, user)
     if column is not None:
         stats.extra["social_column_hits"] = 1
+    elif spec.column == "bounded":
+        result, column = engine.searcher(method).scan(
+            user, request.k, request.alpha, initial
+        )
+        if column is not None:
+            cache.store_full(user, column)
+        return result
     elif exhaust:
         # the method needs every distance: one kernel call builds the
-        # whole column (a parked partial is dropped, not finished — the
-        # kernel is cheaper than resuming the scalar expansion)
+        # whole column
         column = materialize_column(engine, user)
         stats.pops_social = engine.kernels.count_finite(column)
     if column is not None:

@@ -130,6 +130,57 @@ class TestTopKKernel:
         assert picked_ids == [3, 5, 7, 100, 101, 102, 103, 104]
 
 
+    def test_positions_are_ids_when_ids_is_none_or_a_range(self, kernels):
+        rng = np.random.default_rng(3)
+        scores = rng.integers(0, 12, size=300) / 8.0  # heavy ties
+        scores[rng.integers(0, 300, size=40)] = INF
+        scores[7] = NAN
+        for k in (1, 5, 60, 299, 1000):
+            want = kernels.top_k_by_score(scores, list(range(300)), k)
+            assert kernels.top_k_by_score(scores, None, k) == want
+            assert kernels.top_k_by_score(scores, range(300), k) == want
+            # an offset range orders ties exactly as positions do
+            assert kernels.top_k_by_score(scores, range(50, 350), k) == want
+        # a descending range is a real id column, not the shortcut
+        down = kernels.top_k_by_score([0.5, 0.5, 0.5], range(2, -1, -1), 2)
+        assert [int(i) for i in down] == [2, 1]
+
+
+def test_whole_table_scan_builds_no_id_array(monkeypatch):
+    """``dense_scan`` used to spend two thirds of its time turning
+    ``range(n)`` into an array: on the numpy leg neither ``ids=None``
+    nor a ``range`` is ever materialised, and the scan hands the kernel
+    ``None``."""
+    from repro.backend import numpy_backend
+    from repro.core.ranking import Normalization, RankingFunction
+    from repro.social.scan import dense_scan
+
+    real = np.asarray
+
+    def guarded(obj, *args, **kwargs):
+        assert not isinstance(obj, range), "an O(n) id array was built"
+        return real(obj, *args, **kwargs)
+
+    kernels = resolve_backend("numpy")
+    n = 64
+    scores = real([(i * 7 % 13) / 13.0 for i in range(n)], dtype=np.float64)
+    want = kernels.top_k_by_score(scores, list(range(n)), 9)
+    seen = []
+    original = kernels.top_k_by_score
+    monkeypatch.setattr(
+        kernels, "top_k_by_score",
+        lambda s, ids, k: seen.append(ids) or original(s, ids, k), raising=False,
+    )
+    monkeypatch.setattr(numpy_backend.np, "asarray", guarded)
+    assert original(scores, None, 9) == want
+    assert original(scores, range(n), 9) == want
+    table = LocationTable.from_columns([i / n for i in range(n)], [0.5] * n)
+    rank = RankingFunction(0.5, Normalization(p_max=1.0, d_max=1.0))
+    neighbors, finite = dense_scan(kernels, rank, scores, table, 0, 5)
+    assert seen == [None] and len(neighbors) == 5 and finite == n - 1
+    assert all(type(nb.user) is int and type(nb.score) is float for nb in neighbors)
+
+
 class TestEnvelopeKernels:
     def test_nanbbox(self, kernels):
         table = LocationTable.from_columns([0.2, NAN, 0.8, 0.5], [0.9, NAN, 0.1, 0.4])

@@ -43,6 +43,7 @@ DOCUMENTED_MODULES = [
     "repro.core.tsa",
     "repro.core.ais",
     "repro.core.precompute",
+    "repro.core.bounded",
     "repro.core.bruteforce",
     "repro.core.ranking",
     "repro.core.result",
@@ -129,7 +130,13 @@ def test_readme_documents_every_method():
     from repro.core.engine import METHODS
 
     for method in METHODS:
-        assert f"`{method}`" in readme, f"method {method!r} missing from README"
+        # a row of the "Served methods" table, not a passing mention
+        assert f"\n| `{method}` |" in readme, f"method {method!r} missing from README"
+    # the planner paragraph names today's default arms and the opt-ins
+    from repro.plan.planner import DEFAULT_CANDIDATES
+
+    assert "/".join(f"`{m}`" for m in DEFAULT_CANDIDATES) in " ".join(readme.split())
+    assert "`sfa` and `tsa-qc` are opt-in" in " ".join(readme.split())
 
 
 def test_citation_is_consistent():

@@ -64,11 +64,11 @@ from tests.test_stream_equivalence import STREAM_CI, assert_maintained_equals_fr
 
 #: repairable forward methods, one that is screened but never repaired,
 #: and ``auto``, whose subscriptions re-resolve on every recompute
-METHODS = ("tsa", "sfa", "spa", "bruteforce", "ais", "auto")
+METHODS = ("tsa", "sfa", "spa", "bounded", "bruteforce", "ais", "auto")
 STEPS = 14
 #: the forward-deterministic ones: pinned bit-identical to bruteforce,
 #: on directed graphs too
-EXACT_METHODS = ("tsa", "sfa", "spa", "bruteforce", "auto")
+EXACT_METHODS = ("tsa", "sfa", "spa", "bounded", "bruteforce", "auto")
 
 
 def verdict(stored, engine, mover, x, y):

@@ -28,8 +28,10 @@ from tests.conftest import random_instance
 SRC = Path(repro.__file__).resolve().parent
 
 
-def test_the_served_tier_is_seven_methods_and_five_parameters():
-    assert METHODS == ("sfa", "spa", "tsa", "tsa-qc", "ais", "approx", "bruteforce")
+def test_the_served_tier_is_eight_methods_and_five_parameters():
+    assert METHODS == (
+        "sfa", "spa", "tsa", "tsa-qc", "ais", "approx", "bounded", "bruteforce"
+    )
     assert [f.name for f in dataclasses.fields(QueryRequest)] == [
         "user", "k", "alpha", "method", "budget",
     ]
@@ -43,7 +45,7 @@ def test_row_invariants(name):
     assert isinstance(spec, MethodSpec)
     for route in (spec.alpha0, spec.alpha1):
         assert route is None or route in METHOD_TABLE, f"{name} routes off the table"
-    assert spec.column in (None, "replay", "resume", "exhaust")
+    assert spec.column in (None, "replay", "resume", "exhaust", "bounded")
     assert spec.forward == (spec.column is not None)
     if spec.candidate:
         assert spec.forward, "a default candidate must stay repairable"
@@ -58,10 +60,13 @@ def test_derived_constants_equal_their_derivations():
     rows = METHOD_TABLE.items()
     assert METHODS == tuple(METHOD_TABLE)
     assert FORWARD_DETERMINISTIC_METHODS == {n for n, s in rows if s.forward}
-    assert FORWARD_DETERMINISTIC_METHODS == {"sfa", "spa", "tsa", "tsa-qc", "bruteforce"}
+    assert FORWARD_DETERMINISTIC_METHODS == {
+        "sfa", "spa", "tsa", "tsa-qc", "bounded", "bruteforce"
+    }
     assert DELEGATED_METHODS == {n for n, s in rows if s.delegated}
-    assert DELEGATED_METHODS == {"sfa", "approx", "bruteforce"}
+    assert DELEGATED_METHODS == {"sfa", "approx", "bounded", "bruteforce"}
     assert DEFAULT_CANDIDATES == tuple(n for n, s in rows if s.candidate)
+    assert len(DEFAULT_CANDIDATES) == 4
 
 
 def test_every_row_has_a_builder_and_every_builder_a_row():

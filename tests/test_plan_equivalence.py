@@ -82,6 +82,7 @@ def verify_queries(engine, users, rng, context):
     for user in users:
         k = rng.choice((1, 3, 8))
         alpha = rng.choice(ALPHAS)
+        brute = engine.query(user, k, alpha, "bruteforce")
         try:
             auto = engine.query(user, k, alpha, AUTO)
         except ValueError as err:
@@ -92,8 +93,10 @@ def verify_queries(engine, users, rng, context):
             with pytest.raises(ValueError, match="no known location"):
                 engine.query(user, k, alpha, "ais")
             continue
-        brute = engine.query(user, k, alpha, "bruteforce")
         assert_bit_identical(auto, brute, f"{context} u={user} k={k} a={alpha}")
+        # ... and the planner's social-first arm by name
+        bounded = engine.query(user, k, alpha, "bounded")
+        assert_bit_identical(bounded, brute, f"{context} bounded u={user} k={k} a={alpha}")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -63,16 +63,19 @@ class TestRules:
         """The default auto candidate set must stay inside the
         forward-deterministic families: that is what makes auto results
         bit-identical to bruteforce and auto subscriptions repairable."""
-        assert DEFAULT_CANDIDATES == ("sfa", "spa", "tsa", "bruteforce")
+        assert DEFAULT_CANDIDATES == ("spa", "tsa", "bounded", "bruteforce")
         assert set(DEFAULT_CANDIDATES) <= FORWARD_DETERMINISTIC_METHODS
         assert set(DEFAULT_CANDIDATES) <= set(METHODS)
 
     def test_tsa_qc_is_an_opt_in_candidate(self, engine):
-        """Served, but off the planner's default set: naming it as a
-        candidate still works and calibration probes it."""
-        planner = AdaptivePlanner(candidates=DEFAULT_CANDIDATES + ("tsa-qc",), seed=1)
-        assert planner.calibrate(engine) == 4 * 5 * 2
-        assert "tsa-qc" in planner.cost.snapshot()["global"]
+        """Served, but off the planner's default set (``sfa`` too: its
+        rule is played through ``bounded``): naming one as a candidate
+        still works and calibration probes it."""
+        for method in ("tsa-qc", "sfa"):
+            assert method in METHODS and method not in DEFAULT_CANDIDATES
+            planner = AdaptivePlanner(candidates=DEFAULT_CANDIDATES + (method,), seed=1)
+            assert planner.calibrate(engine) == 4 * 5 * 2
+            assert method in planner.cost.snapshot()["global"]
 
 
 # -- features ----------------------------------------------------------
@@ -175,6 +178,61 @@ class TestCostModel:
         # untouched method -> None (planner explores it)
         assert model.estimate(seen, "tsa") is None
 
+    def test_no_estimate_crosses_regimes(self):
+        """A cached column turns every forward method into one dense
+        scan, a budget admits the sketch: the fallback levels are keyed
+        on both, so a warm (or budgeted) observation can never price a
+        method for a cold exact bucket — and the other way round."""
+        model = CostModel(decay=1.0)
+        cold = (2, 2, 4, 0, 0, 0, 0)
+        model.observe(cold, "bounded", 0.040)
+        model.observe(cold, "bruteforce", 0.003)
+        warm = cold[:6] + (1,)
+        budgeted = cold[:5] + (2, 0)
+        for other in (warm, budgeted):
+            assert model.estimate(other, "bounded") is None
+            model.observe(other, "bounded", 0.0006)
+        # a never-seen cold bucket reads the cold alpha-marginal and
+        # global levels: 40 ms, whatever the warm regime observed since
+        assert model.estimate((0, 2, 1, 3, 0, 0, 0), "bounded") == pytest.approx(0.040)
+        assert model.estimate((0, 0, 1, 3, 0, 0, 0), "bounded") == pytest.approx(0.040)
+        # ... and a never-seen warm bucket the warm ones
+        assert model.estimate((0, 0, 1, 3, 0, 0, 1), "bounded") == pytest.approx(0.0006)
+        assert model.estimate((0, 0, 1, 3, 0, 0, 1), "ais") is None
+        snap = model.snapshot()
+        assert set(snap["global"]) == {
+            "bounded", "bruteforce", "column-scan@0,1", "bounded@2,0",
+        }
+        assert set(snap["alpha"]) == {
+            "a2:bounded", "a2:bruteforce", "a2:column-scan@0,1", "a2:bounded@2,0",
+        }
+
+    def test_on_a_cached_column_the_forward_methods_are_one_arm(self, engine):
+        """Warm, every forward method runs the same dense scan: one
+        shared cell, so their estimates tie exactly (no noise to chase)
+        and the planner names the tie after the full-column arm — the
+        one whose cold answer the warm repeat can then hit in the
+        result cache.  Non-forward arms keep their own cells."""
+        model = CostModel(decay=1.0)
+        warm = (0, 1, 2, 1, 0, 0, 1)
+        model.observe(warm, "tsa", 0.0004)
+        for method in ("spa", "tsa", "bounded", "bruteforce", "sfa"):
+            assert model.estimate(warm, method) == 0.0004
+        assert model.estimate(warm, "ais") is None
+        model.observe(warm, "ais", 0.05)
+        model.observe(warm, "spa", 0.0002)
+        assert model.estimate(warm, "bruteforce") == 0.0002
+        assert model.estimate(warm, "ais") == 0.05
+        cold = warm[:6] + (0,)
+        assert model.estimate(cold, "tsa") is None  # nothing leaks to the cold regime
+        planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
+        planner.cost = model
+        for _ in range(3):
+            assert planner._choose_locked(warm) == ("bruteforce", False)
+            planner.cost.observe(warm, "bruteforce", 0.0003)
+        # without a full-column arm the tie goes to the first candidate
+        assert planner._choose_locked(warm, ("tsa", "spa")) == ("tsa", False)
+
     def test_ewma_moves_toward_new_costs(self):
         model = CostModel(decay=0.5)
         b = (0, 1, 0, 0)
@@ -224,7 +282,7 @@ class TestPlanner:
         planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
         bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
-        for method, cost in (("sfa", 0.9), ("spa", 0.1), ("tsa", 0.5), ("bruteforce", 0.7)):
+        for method, cost in (("bounded", 0.9), ("spa", 0.1), ("tsa", 0.5), ("bruteforce", 0.7)):
             planner.cost.observe(bucket, method, cost)
         decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method == "spa" and decision.auto and not decision.explored
@@ -353,6 +411,36 @@ class TestPlanner:
         # the cheap arm's draws are always accepted (best/best == 1)
         assert (explored - dear) / draws == pytest.approx(rate / 2, rel=0.15)
 
+    def test_priced_exploration_reads_the_cold_price_of_a_cold_bucket(self, engine):
+        """The regression behind ``sfa GREEDY cost 41.7 ms, estimates
+        {sfa 0.77}``: warm traffic made a dear arm look cheap for a
+        never-seen cold bucket.  With regime-keyed fallbacks the cold
+        bucket's greedy pick is the cold-cheapest arm, and an
+        exploratory draw of the dear arm is accepted at its cold
+        ``best/estimate``, not at the warm one."""
+        planner = AdaptivePlanner(
+            candidates=("bruteforce", "bounded"), calibrate=False, epsilon=1.0,
+            decay=1.0, seed=4,
+        )
+        seen_cold = (0, 1, 2, 1, 0, 0, 0)
+        seen_warm = seen_cold[:6] + (1,)
+        fresh_cold = (1, 1, 5, 3, 0, 0, 0)  # same alpha bucket, never observed
+        draws = 3000
+        dear = 0
+        for _ in range(draws):
+            planner.cost = CostModel(1.0)
+            planner.cost.observe(seen_cold, "bruteforce", 0.003)
+            planner.cost.observe(seen_cold, "bounded", 0.030)
+            for _ in range(5):  # warm hits: every forward arm is one scan
+                planner.cost.observe(seen_warm, "bounded", 0.0006)
+            assert planner.cost.estimate(fresh_cold, "bounded") == pytest.approx(0.030)
+            method, explored = planner._choose_locked(fresh_cold, planner.candidates)
+            assert explored or method == "bruteforce"
+            dear += method == "bounded"
+        # rate = 1 (no observation of this bucket yet); half the draws
+        # land on the dear arm and a tenth of those are accepted
+        assert dear / draws == pytest.approx(0.5 * 0.1, rel=0.3)
+
     def test_cold_bucket_zero_cost_neither_starves_nor_freezes(self, engine):
         """Satellite regression, planner level: one 0.0-elapsed
         observation must not rob the never-observed candidates of their
@@ -379,16 +467,23 @@ class TestPlanner:
         assert decision.method != "tsa"
 
     def test_cost_tie_breaks_toward_canonical_candidate_order(self, engine):
-        """An exact cost tie resolves to the earliest candidate in
-        canonical order — deterministic, pinned."""
-        planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
+        """An exact cost tie resolves deterministically: to the
+        full-column arm when it is a candidate (ties are what a cached
+        column produces, and that arm's cold answers are what the warm
+        repeats should hit), else to the earliest candidate in
+        canonical order — pinned."""
         user = next(iter(engine.locations.located_users()))
         bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
-        for method in DEFAULT_CANDIDATES:
-            planner.cost.observe(bucket, method, 0.5)
-        decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
-        assert decision.method == DEFAULT_CANDIDATES[0]
-        assert not decision.explored
+        for candidates, winner in (
+            (DEFAULT_CANDIDATES, "bruteforce"),
+            (("spa", "tsa", "bounded"), "spa"),
+        ):
+            planner = AdaptivePlanner(candidates=candidates, calibrate=False, epsilon=0.0)
+            for method in candidates:
+                planner.cost.observe(bucket, method, 0.5)
+            decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
+            assert decision.method == winner
+            assert not decision.explored
 
     def test_budget_gates_approx_into_the_candidate_set(self, engine):
         """Exact-required resolutions (budget unset/0) never see

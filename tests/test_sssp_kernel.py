@@ -1,4 +1,5 @@
-"""The ``sssp_column`` kernel: one full expansion, three legs, one answer.
+"""The ``sssp_column`` kernel: one expansion, three legs, one answer —
+and ``bounded``, the method built on its radius-limited form.
 
 Every full social-distance expansion in the tree (bruteforce, landmark
 rows, diameter sweeps, the correlated-dataset anchor, subscription
@@ -20,11 +21,19 @@ that on three legs —
 implementation *could* drift: equal-length alternative paths, weights
 spanning 1e-4…1, disconnected components, directed edges, an isolated
 source.
+
+With ``limit=r`` the kernel settles only the ball of radius ``r``; the
+second half of this file pins that every label ``<= r`` is the final
+one (a label *equal* to ``r`` included) and that ``method="bounded"`` —
+first ball, radius from its k-th score, one more expansion, one dense
+scan — answers bit-identically to ``bruteforce`` on the same three
+legs, with and without a column cache, on 1 and 4 shards.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
 
@@ -33,8 +42,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import PythonKernels, resolve_backend
+from repro.core.bounded import BoundedSearch
+from repro.core.engine import GeoSocialEngine
+from repro.core.ranking import Normalization
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
+from repro.shard import ShardedGeoSocialEngine
+from repro.spatial.point import LocationTable
 
 INF = math.inf
 
@@ -233,3 +247,250 @@ def test_graph_layer_build_paths_agree_with_and_without_scipy():
     want = fast.query(user, 8, 0.4, "bruteforce")
     assert (got.users, got.scores) == (want.users, want.scores)
     assert got.stats.pops_social == want.stats.pops_social
+
+
+# -- limit=r: the radius-limited expansion -------------------------------------
+
+
+@SSSP_CI
+@given(case=weighted_graphs(), data=st.data())
+def test_limited_column_is_the_unbounded_one_inside_the_radius_on_every_leg(case, data):
+    """For any ``limit``: entries ``<= limit`` are bit-identical to the
+    unbounded column, everything else reads ``inf`` — and a limit equal
+    to an existing label keeps that vertex."""
+    graph, source = case
+    full = reference_column(graph, source)
+    labels = sorted({v for v in full if v != INF})
+    limit = data.draw(
+        st.one_of(
+            st.sampled_from(labels),  # a label exactly on the radius
+            st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+        )
+    )
+    want = bits([v if v <= limit else INF for v in full])
+    for label, kernels, blocked in legs():
+        twin = SocialGraph.from_csr(
+            graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                block_scipy(patch)
+            column = kernels.sssp_column(twin, source, limit=limit)
+        assert len(column) == graph.n, label
+        assert bits(column) == want, f"{label}: limit {limit!r} from {source} of {graph!r}"
+
+
+def test_limit_edge_cases_agree_on_every_leg():
+    graph = SocialGraph.from_edges(4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.25)])
+    for label, kernels, blocked in legs():
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                block_scipy(patch)
+            graph._csr = None
+            column = kernels.sssp_column
+            assert [float(v) for v in column(graph, 0, limit=0.0)] == [0.0, INF, INF, INF], label
+            assert [float(v) for v in column(graph, 0, limit=0.75)] == [0.0, 0.5, 0.75, INF], label
+            assert bits(column(graph, 0, limit=INF)) == bits(column(graph, 0)), label
+            assert bits(column(graph, 0, limit=None)) == bits(column(graph, 0)), label
+            with pytest.raises(ValueError):
+                column(graph, 0, limit=-1.0)
+
+
+# -- bounded == bruteforce -----------------------------------------------------
+
+
+def tie_prone_instance(n, seed, coverage, avg_degree=3.0):
+    """A sparse graph over :data:`TIE_WEIGHTS` (equal distances
+    everywhere, several components) with ``coverage`` of its users
+    located on a coarse lattice (equal spatial distances too)."""
+    rng = random.Random(seed)
+    edges = {}
+    for _ in range(int(n * avg_degree / 2)):
+        u, v = rng.sample(range(n), 2)
+        edges[(min(u, v), max(u, v))] = rng.choice(TIE_WEIGHTS)
+    graph = SocialGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
+    locations = LocationTable.empty(n)
+    for u in range(n):
+        if rng.random() < coverage:
+            locations.set(u, rng.randrange(6) / 5.0, rng.randrange(6) / 5.0)
+    return graph, locations
+
+
+def rows(result):
+    return [(nb.user, nb.score, nb.social, nb.spatial) for nb in result]
+
+
+def engine_legs():
+    """``(label, backend, needs_block)`` — the kernel legs, as engines."""
+    out = [("python", "python", False)]
+    if HAS_SCIPY:
+        out.append(("numpy+scipy", "numpy", False))
+    out.append(("numpy-scipy-blocked", "numpy", True))
+    return out
+
+
+@settings(parent=SSSP_CI, max_examples=25)
+@given(
+    n=st.integers(min_value=30, max_value=110),
+    seed=st.integers(min_value=0, max_value=10_000),
+    coverage=st.sampled_from((0.5, 0.9, 1.0)),
+    alpha=st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)),
+    k=st.sampled_from((1, 3, 10, 500)),
+)
+def test_bounded_is_bit_identical_to_bruteforce_on_every_leg(n, seed, coverage, alpha, k):
+    """ids, scores, tie-breaks, ``Neighbor.social`` / ``.spatial`` —
+    over tie-prone weights, several components, unlocated candidates,
+    an unlocated query user, fewer than ``k`` reachable users,
+    ``k >= n``, pure social ``alpha = 1`` (unlocated users are
+    legitimate answers) and the ``alpha = 0`` route to ``spa``; on
+    every kernel leg, with and without a column cache, 1 and 4
+    shards."""
+    graph, locations = tie_prone_instance(n, seed, coverage)
+    if locations.n_located == 0:
+        locations.set(0, 0.4, 0.4)
+    located = sorted(locations.located_users())
+    unlocated = [u for u in range(n) if not locations.has_location(u)]
+    users = located[:2] + located[-1:] + unlocated[:1]
+    oracle = GeoSocialEngine(
+        graph, locations.copy(), num_landmarks=2, s=3, seed=1, backend="python",
+        social_cache_bytes=0,
+    )
+    for label, backend, blocked in engine_legs():
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                block_scipy(patch)
+            for cache_bytes in (None, 0):
+                for n_shards in (1, 4):
+                    twin = SocialGraph.from_csr(
+                        graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
+                    )
+                    common = dict(
+                        num_landmarks=2, s=3, seed=1, backend=backend,
+                        normalization=oracle.normalization, social_cache_bytes=cache_bytes,
+                    )
+                    if n_shards == 1:
+                        engine = GeoSocialEngine(twin, locations.copy(), **common)
+                    else:
+                        engine = ShardedGeoSocialEngine(
+                            twin, locations.copy(), n_shards=n_shards, max_workers=1, **common
+                        )
+                    context = f"{label} cache={cache_bytes} shards={n_shards}"
+                    for user in users:
+                        if alpha == 0.0 and not locations.has_location(user):
+                            # the spa route's contract, not bruteforce's
+                            with pytest.raises(ValueError, match="no known location"):
+                                engine.query(user, k, alpha, "bounded")
+                            continue
+                        want = oracle.query(user, k, alpha, "bruteforce")
+                        # twice: the second may scan a column the first cached
+                        for attempt in range(2):
+                            got = engine.query(user, k, alpha, "bounded")
+                            assert rows(got) == rows(want), f"{context} u={user} #{attempt}"
+                    engine.close()
+
+
+def ring_of_cliques(n=240):
+    """Unit-fraction weights along a ring with chords, everyone at one
+    of two points: every score is shared by many users, so the k-th
+    score always has ties exactly on the radius it implies."""
+    edges = [(v, (v + 1) % n, 0.25) for v in range(n)]
+    edges += [(v, (v + 7) % n, 0.5) for v in range(0, n, 3)]
+    graph = SocialGraph.from_edges(n, edges)
+    locations = LocationTable.from_columns(
+        [0.1 if v % 2 else 0.9 for v in range(n)], [0.5] * n
+    )
+    return graph, locations
+
+
+@pytest.mark.parametrize("p_max", [1.0, 3.7, 0.3])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+def test_a_tie_exactly_on_the_radius_is_inside(alpha, p_max):
+    graph, locations = ring_of_cliques()
+    norm = Normalization(p_max=p_max, d_max=1.0)
+    for label, backend, blocked in engine_legs():
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                block_scipy(patch)
+            graph._csr = None
+            engine = GeoSocialEngine(
+                graph, locations, num_landmarks=2, s=3, seed=1, backend=backend,
+                normalization=norm, social_cache_bytes=0,
+            )
+            bounded_radii = set()
+            for user in (0, 5, 118):
+                for k in (1, 4, 9):
+                    want = engine.query(user, k, alpha, "bruteforce")
+                    got = engine.query(user, k, alpha, "bounded")
+                    assert rows(got) == rows(want), f"{label} u={user} k={k}"
+                    bounded_radii.add(got.stats.extra["bounded_radius"])
+            # the radius path really ran (not only the unbounded fallback)
+            assert any(r < INF for r in bounded_radii), label
+
+
+@SSSP_CI
+@given(
+    p=st.floats(min_value=1e-6, max_value=1e6),
+    w=st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_radius_for_puts_the_boundary_strictly_inside(p, w):
+    """``r = _radius_for(fl(w·p), w)``: ``fl(w·r) > fl(w·p)``, hence
+    ``r > p`` — the user whose score *is* the threshold is in the ball,
+    and so is everyone tied with it."""
+    theta = w * p
+    r = BoundedSearch._radius_for(theta, w)
+    assert w * r > theta and r > p
+    assert r <= p * (1 + 1e-12)  # a few ulps, not a wider ball
+
+
+def test_radius_for_gives_up_to_unbounded_in_the_subnormals():
+    assert BoundedSearch._radius_for(0.0, 1e-3) == INF
+
+
+def test_a_radius_column_is_never_cached_and_an_unbounded_one_is():
+    """The column step stores what ``bounded`` expanded only when it
+    came back unbounded; a cached full column then answers ``bounded``
+    like every forward method, with no expansion at all."""
+    from tests.conftest import random_instance
+
+    graph, locations = random_instance(400, seed=5, coverage=1.0)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=2)
+    cache = engine.social_cache
+    users = sorted(locations.located_users())
+    radius_users, full_users = [], []
+    for user in users[:40]:
+        result = engine.query(user, 2, 0.95, "bounded")
+        stats = result.stats
+        assert stats.extra["bounded_passes"] in (1, 2)
+        if stats.extra["bounded_radius"] < INF:
+            radius_users.append(user)
+            assert not cache.contains_full(user)
+            assert 0 < stats.pops_social < graph.n  # a ball, not the graph
+        else:
+            full_users.append(user)
+            assert cache.contains_full(user)
+        want = engine.searcher("bruteforce").search(user, 2, 0.95)
+        assert rows(result) == rows(want)
+    assert radius_users, "no query stopped at a radius"
+    assert cache.info()["partials"] == 0
+    # alpha small: the radius covers the graph, the column is kept ...
+    user = radius_users[0]
+    first = engine.query(user, 2, 0.05, "bounded")
+    assert first.stats.extra["bounded_radius"] == INF and cache.contains_full(user)
+    assert first.stats.pops_social == engine.kernels.count_finite(cache.peek_full(user))
+    # ... and answers the next bounded query without expanding anything
+    again = engine.query(user, 2, 0.95, "bounded")
+    assert again.stats.extra.get("social_column_hits") == 1
+    assert "bounded_passes" not in again.stats.extra
+    assert rows(again) == rows(engine.searcher("bruteforce").search(user, 2, 0.95))
+
+
+def test_bounded_drops_a_parked_partial_like_the_exhaust_branch():
+    from tests.conftest import random_instance
+
+    graph, locations = random_instance(300, seed=9, coverage=1.0)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=2)
+    user = next(iter(locations.located_users()))
+    engine.query(user, 3, 0.9, "sfa")  # parks a partial expansion
+    assert engine.social_cache.info()["partials"] == 1
+    engine.query(user, 3, 0.9, "bounded")
+    assert engine.social_cache.info()["partials"] == 0

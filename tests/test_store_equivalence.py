@@ -43,7 +43,7 @@ STORE_CI = settings.get_profile("store-ci")
 
 #: every searcher family plus the adaptive router — all of them are
 #: forward-deterministic, so restored rankings must be exact
-METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais", "bruteforce", "auto")
+METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais", "bounded", "bruteforce", "auto")
 ALPHAS = (0.0, 0.3, 1.0)
 BACKENDS = ("python", "numpy")
 SHARD_COUNTS = (1, 4)

@@ -43,7 +43,7 @@ STREAM_CI = settings.get_profile("stream-ci")
 #: repairable forward methods (bitwise maintained scores), one AIS leg,
 #: and ``auto`` — re-resolved by the planner on every recompute, so its
 #: subscriptions change method mid-stream
-METHODS = ("spa", "tsa", "sfa", "bruteforce", "ais", "auto")
+METHODS = ("spa", "tsa", "sfa", "bounded", "bruteforce", "ais", "auto")
 SHARD_COUNTS = (1, 4)
 #: update/verify interleaving steps per example; with 16 derandomized
 #: examples per property (x2 properties, x2 CI backend legs) the suite
@@ -295,10 +295,12 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
     service = QueryService(engine, cache_size=0)
     registry = SubscriptionRegistry(service)
     q = next(iter(engine.locations.located_users()))
-    bucket = extract_features(engine, QueryRequest(q, 5, 0.4)).bucket()
 
     def make_cheapest(method):
-        # far below / above any real timing, at every level of the model
+        # far below / above any real timing, at every level of the
+        # model — of the regime the next resolution is in (a column
+        # cached by the last recompute makes it a warm one)
+        bucket = extract_features(engine, QueryRequest(q, 5, 0.4)).bucket()
         for name in planner.candidates:
             planner.cost.observe(bucket, name, 1e-8 if name == method else 10.0)
 
@@ -309,8 +311,14 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
     observed = planner.stats.observations
     assert observed >= 1  # the planner saw the subscribe-time recompute
 
-    for method, repairable in (("bruteforce", True), ("ais", False), ("tsa", True)):
-        make_cheapest(method)
+    # (cheapest arm, resolved method): on the column the bruteforce
+    # recompute cached, every forward candidate is the same dense scan —
+    # one arm of the cost model, named after the full-column arm — so
+    # "tsa cheapest" resolves to bruteforce there
+    script = (("bruteforce", "bruteforce", True), ("ais", "ais", False),
+              ("tsa", "bruteforce", True))
+    for cheapest, method, repairable in script:
+        make_cheapest(cheapest)
         service.move_user(q, 0.3 + 0.1 * observed, 0.5)  # query user moved: recompute
         result = registry.result(sub)
         assert (result.method, sub.method, sub.request.method) == (method,) * 3
