@@ -148,6 +148,17 @@ class SSRQResult:
     #: reported score.  ``None`` for exact methods (no error, no bound);
     #: ``0.0`` is a *certified-exact* approx answer.
     error_bound: float | None = None
+    #: the encoded wire form, filled on first use by
+    #: :func:`repro.service.model.result_wire`.  A result is never
+    #: mutated once the engine handed it out (a cache repair builds a new
+    #: one), so the bytes stay true; they are derived state, kept out of
+    #: ``==``, ``repr`` and pickles.
+    _wire: bytes | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_wire", None)
+        return state
 
     @property
     def users(self) -> list[int]:

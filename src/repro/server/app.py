@@ -4,14 +4,21 @@
 service, stream, store — with the serving disciplines a shared
 deployment needs:
 
-- **admission control** — every serving request passes a bounded queue
-  (``queue_depth``).  Overflow is shed *immediately* with ``429`` and a
-  ``Retry-After`` hint; an admitted request is never dropped — it
-  always runs to a response, even if the client has stopped waiting.
-  The bound on concurrently admitted work is ``queue_depth + workers``
-  (queued plus executing).
-- **request coalescing** — concurrent single ``/query`` requests that
-  are queued together are drained into one
+- **one hop per query** — a ``/query`` whose answer is in the result
+  cache (:meth:`~repro.service.QueryService.cached`) is written from
+  the connection coroutine, like ``/healthz``: it never leaves the
+  event loop, is never queued and never waits on the engine lock.
+  Everything else crosses to a worker thread exactly once and comes
+  back with its body already encoded.
+- **admission control** — work for the worker threads waits in one
+  FIFO bounded by ``queue_depth``.  Overflow is shed *immediately* with
+  ``429`` and a ``Retry-After`` hint; an admitted request is never
+  dropped — it always runs to a response, even if the client has
+  stopped waiting.  The bound on concurrently admitted work is
+  ``queue_depth + workers`` (waiting plus executing).
+- **request coalescing** — a worker that takes a ``/query`` job also
+  takes the run of ``/query`` jobs queued directly behind it (up to
+  ``max_batch``) into one
   :meth:`~repro.service.QueryService.query_many` call, riding the
   service's dedup/batching path (identical rankings to sequential
   execution, pinned by the service's own suite and the server
@@ -50,9 +57,10 @@ from __future__ import annotations
 import asyncio
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.request import QueryRequest
 from repro.server import http
@@ -78,7 +86,7 @@ from repro.utils.validation import check_user
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
 
-_SENTINEL = object()
+_DEADLINE_BODY = error_body(DEADLINE_EXCEEDED, "request deadline exceeded")
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,11 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back via ``server.port``)
     port: int = 0
-    #: admission-queue depth; overflow sheds with 429
+    #: how many admitted jobs may *wait* for a worker thread; the next
+    #: one is shed with 429 (cache hits are answered on the event loop
+    #: and never wait here)
     queue_depth: int = 64
-    #: executor width and number of queue consumers
+    #: worker threads: how many admitted jobs *execute* at once
     workers: int = 4
     #: ceiling on how many queued ``/query`` jobs one worker coalesces
     #: into a single ``query_many`` batch
@@ -110,10 +120,19 @@ class ServerConfig:
 @dataclass
 class ServerStats:
     """Lifetime counters of one :class:`SSRQServer` (single-threaded:
-    all mutation happens on the event loop)."""
+    all mutation happens on the event loop).
+
+    ``admitted`` and ``completed`` count the jobs that went through the
+    admission queue to a worker thread, so ``admitted == completed +
+    in_flight`` at every instant.  A ``/query`` answered from the
+    result cache on the event loop counts in ``requests`` and
+    ``served_inline`` and in neither of them."""
 
     connections: int = 0
     requests: int = 0
+    #: ``/query`` requests answered on the event loop from the result
+    #: cache, without a worker thread
+    served_inline: int = 0
     admitted: int = 0
     #: requests shed by admission control (429)
     shed: int = 0
@@ -137,46 +156,33 @@ class ServerStats:
     updates_notified: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "connections": self.connections,
-            "requests": self.requests,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "completed": self.completed,
-            "client_errors": self.client_errors,
-            "server_errors": self.server_errors,
-            "deadline_expired": self.deadline_expired,
-            "deadline_timeouts": self.deadline_timeouts,
-            "drained_rejections": self.drained_rejections,
-            "coalesced_batches": self.coalesced_batches,
-            "coalesced_requests": self.coalesced_requests,
-            "streams_opened": self.streams_opened,
-            "streams_closed": self.streams_closed,
-            "events_sent": self.events_sent,
-            "updates_notified": self.updates_notified,
-        }
+        return asdict(self)
 
 
 class _Job:
-    """One admitted unit of work."""
+    """One admitted unit of work: a coalescible ``/query``
+    (``request``) or any other handler closure (``call``)."""
 
-    __slots__ = ("kind", "request", "call", "future", "deadline", "abandoned", "notify")
+    __slots__ = ("request", "call", "future", "deadline", "timer", "abandoned", "notify")
 
     def __init__(
         self,
-        kind: str,
         *,
-        future: "asyncio.Future",
         deadline: float,
         request: "QueryRequest | None" = None,
-        call: "Callable[[], dict] | None" = None,
+        call: "Callable[[], object] | None" = None,
         notify: bool = False,
     ) -> None:
-        self.kind = kind           # "query" (coalescible) or "call"
         self.request = request
         self.call = call
-        self.future = future
         self.deadline = deadline
+        #: set at admission; resolves to ``(status, body)`` — by the
+        #: worker's report or by the deadline ``timer``, whichever
+        #: comes first
+        self.future: "asyncio.Future | None" = None
+        self.timer: "asyncio.TimerHandle | None" = None
+        #: the client was answered 504; a worker that has not started
+        #: the job yet skips it
         self.abandoned = False
         self.notify = notify
 
@@ -205,16 +211,22 @@ class SSRQServer:
         self.config = config
         self.stats = ServerStats()
         self._server: "asyncio.base_events.Server | None" = None
-        self._queue: "asyncio.Queue[object]" = asyncio.Queue(maxsize=config.queue_depth)
+        #: admitted jobs waiting for a worker thread, oldest first; the
+        #: event loop appends, worker threads take under ``_take_lock``
+        self._jobs: "deque[_Job]" = deque()
+        self._take_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="ssrq-http"
         )
-        self._workers: list[asyncio.Task] = []
         self._conn_tasks: "set[asyncio.Task]" = set()
         self._registry = None
         self._registry_lock = threading.Lock()
         self._update_event: "asyncio.Event | None" = None
+        #: admitted jobs no worker has reported yet
         self._inflight = 0
+        #: connections between admitting a job and having written its
+        #: response (shorter than the job's life when a deadline fires)
+        self._answering = 0
         self._active_streams = 0
         self._draining = False
         self._started = False
@@ -243,10 +255,6 @@ class SSRQServer:
             self._on_connection, self.config.host, self.config.port
         )
         self._port = self._server.sockets[0].getsockname()[1]
-        loop = asyncio.get_running_loop()
-        self._workers = [
-            loop.create_task(self._worker()) for _ in range(self.config.workers)
-        ]
         return self
 
     async def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
@@ -267,12 +275,8 @@ class SSRQServer:
             await self._server.wait_closed()
         # wake every subscription stream so it can end promptly
         self._notify_update(count=False)
-        while self._inflight > 0 and loop.time() < deadline:
+        while (self._inflight > 0 or self._answering > 0) and loop.time() < deadline:
             await asyncio.sleep(0.005)
-        for _ in self._workers:
-            await self._queue.put(_SENTINEL)
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
         while self._active_streams > 0 and loop.time() < deadline:
             await asyncio.sleep(0.005)
         if drain and self.config.drain_snapshot_root is not None:
@@ -305,7 +309,7 @@ class SSRQServer:
         open streams)."""
         snap = self.stats.snapshot()
         snap["queue_depth"] = self.config.queue_depth
-        snap["queued"] = self._queue.qsize()
+        snap["queued"] = len(self._jobs)
         snap["in_flight"] = self._inflight
         snap["active_streams"] = self._active_streams
         snap["draining"] = self._draining
@@ -395,14 +399,7 @@ class SSRQServer:
                 self._require(method, "GET")
                 await self._handle_subscribe(request, writer)
                 return True
-            if path not in (
-                "/query",
-                "/query/batch",
-                "/update/location",
-                "/update/edge",
-                "/snapshot",
-                "/restore",
-            ):
+            if path != "/query" and path not in self._CALLS:
                 raise ApiError(404, NOT_FOUND, f"no such endpoint: {path}")
             self._require(method, "POST")
             if self._draining:
@@ -417,6 +414,12 @@ class SSRQServer:
                 writer, 400, error_body(BAD_REQUEST, str(err)), keep_alive=False
             )
             return True
+        if job.request is not None:
+            hit = self.service.cached(job.request)
+            if hit is not None:
+                self.stats.served_inline += 1
+                await self._respond(writer, 200, hit.wire(), keep_alive=keep_alive)
+                return False
         return await self._admit(job, writer, keep_alive)
 
     @staticmethod
@@ -464,39 +467,19 @@ class SSRQServer:
         return loop.time() + ms / 1000.0
 
     def _build_job(self, path: str, request: HTTPRequest) -> _Job:
-        loop = asyncio.get_running_loop()
-        deadline = self._deadline_for(request, loop)
-        future: "asyncio.Future" = loop.create_future()
+        deadline = self._deadline_for(request, asyncio.get_running_loop())
         body = request.json()
         try:
             if path == "/query":
-                req = QueryRequest.from_payload(body)
-                return _Job("query", request=req, future=future, deadline=deadline)
-            if path == "/query/batch":
-                reqs = parse_batch(body)
-                call = lambda: self._run_explicit_batch(reqs)  # noqa: E731
-                return _Job("call", call=call, future=future, deadline=deadline)
-            if path == "/update/location":
-                call = self._location_call(body)
-                return _Job("call", call=call, future=future, deadline=deadline, notify=True)
-            if path == "/update/edge":
-                call = self._edge_call(body)
-                return _Job("call", call=call, future=future, deadline=deadline, notify=True)
-            if path == "/snapshot":
-                call = self._snapshot_call(body)
-                return _Job("call", call=call, future=future, deadline=deadline)
-            if path == "/restore":
-                call = self._restore_call(body)
-                return _Job("call", call=call, future=future, deadline=deadline, notify=True)
+                return _Job(request=QueryRequest.from_payload(body), deadline=deadline)
+            factory, notify = self._CALLS[path]
+            return _Job(call=getattr(self, factory)(body), deadline=deadline, notify=notify)
         except (ValueError, TypeError) as err:
             status, code = classify_exception(err)
             raise ApiError(status, code, str(err)) from None
-        raise AssertionError(f"unrouted path {path}")  # pragma: no cover
 
     async def _admit(self, job: _Job, writer, keep_alive: bool) -> bool:
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if len(self._jobs) >= self.config.queue_depth:
             self.stats.shed += 1
             retry = max(1, math.ceil(self.config.retry_after_s))
             await self._respond(
@@ -507,35 +490,57 @@ class SSRQServer:
                 keep_alive=keep_alive,
             )
             return False
+        loop = asyncio.get_running_loop()
+        job.future = loop.create_future()
+        job.timer = loop.call_at(job.deadline, self._deadline_fired, job)
+        self._jobs.append(job)
         self.stats.admitted += 1
         self._inflight += 1
-        loop = asyncio.get_running_loop()
-        remaining = job.deadline - loop.time()
+        # one drain per admitted job: each takes at least the oldest
+        # waiting job, so none is left behind
+        self._executor.submit(self._drain, loop)
+        self._answering += 1
         try:
-            status, payload = await asyncio.wait_for(
-                asyncio.shield(job.future), timeout=max(remaining, 0.001)
-            )
-        except asyncio.TimeoutError:
+            status, payload = await job.future
+            await self._respond(writer, status, payload, keep_alive=keep_alive)
+        finally:
+            self._answering -= 1
+        return False
+
+    def _deadline_fired(self, job: _Job) -> None:
+        """The client's budget elapsed first: answer 504 now; the job
+        still runs to completion unless no worker has started it."""
+        if not job.future.done():
             job.abandoned = True
             self.stats.deadline_timeouts += 1
-            await self._respond(
-                writer,
-                504,
-                error_body(DEADLINE_EXCEEDED, "request deadline exceeded"),
-                keep_alive=keep_alive,
-            )
-            return False
-        await self._respond(writer, status, payload, keep_alive=keep_alive)
-        return False
+            job.future.set_result((504, _DEADLINE_BODY))
 
     # -- handler closures (run on executor threads) ---------------------
 
-    def _run_explicit_batch(self, reqs: "list[QueryRequest]") -> dict:
-        responses = self.service.query_many(reqs)
-        return {
-            "count": len(responses),
-            "responses": [r.payload() for r in responses],
-        }
+    #: the POST endpoints besides ``/query``: the method that validates
+    #: a body into a closure, and whether its success is an update the
+    #: subscription streams must hear about
+    _CALLS = {
+        "/query/batch": ("_batch_call", False),
+        "/update/location": ("_location_call", True),
+        "/update/edge": ("_edge_call", True),
+        "/snapshot": ("_snapshot_call", False),
+        "/restore": ("_restore_call", True),
+    }
+
+    def _batch_call(self, body: dict) -> "Callable[[], bytes]":
+        reqs = parse_batch(body)
+
+        def call() -> bytes:
+            """``{"count": n, "responses": [...]}``, joined from the
+            responses' own wire forms."""
+            responses = self.service.query_many(reqs)
+            return b'{"count":%d,"responses":[%s]}' % (
+                len(responses),
+                b",".join(r.wire() for r in responses),
+            )
+
+        return call
 
     def _location_call(self, body: dict) -> "Callable[[], dict]":
         if "user" not in body:
@@ -611,101 +616,90 @@ class SSRQServer:
 
         return call
 
-    # -- workers --------------------------------------------------------
+    # -- workers (executor threads; results return through _report) -----
 
-    async def _worker(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await self._queue.get()
-            if job is _SENTINEL:
+    def _drain(self, loop: "asyncio.AbstractEventLoop") -> None:
+        """Take the oldest waiting job — plus, if it is a ``/query``,
+        the run of ``/query`` jobs queued directly behind it, up to
+        ``max_batch`` — execute, and hand every outcome back to the
+        event loop in one call.  A job that is abandoned or past its
+        deadline is reported without running.  Submitted once per
+        admitted job; a drain that finds its job already taken by an
+        earlier drain's batch returns."""
+        with self._take_lock:
+            if not self._jobs:
                 return
-            if job.kind == "query":
-                batch = [job]
-                handoff: "Optional[_Job]" = None
-                while len(batch) < self.config.max_batch:
-                    try:
-                        nxt = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is _SENTINEL:
-                        self._queue.put_nowait(_SENTINEL)
-                        break
-                    if nxt.kind == "query":
-                        batch.append(nxt)
-                    else:
-                        handoff = nxt
-                        break
-                await self._run_query_jobs(batch, loop)
-                if handoff is not None:
-                    await self._run_call_job(handoff, loop)
-            else:
-                await self._run_call_job(job, loop)
-
-    def _expire(self, job: _Job) -> None:
-        self.stats.deadline_expired += 1
-        self._finish(job, 504, error_body(DEADLINE_EXCEEDED, "request deadline exceeded"))
-
-    def _finish(self, job: _Job, status: int, payload: dict) -> None:
-        if not job.future.done():
-            job.future.set_result((status, payload))
-        self.stats.completed += 1
-        self._inflight -= 1
-
-    async def _run_query_jobs(self, jobs: "list[_Job]", loop) -> None:
+            batch = [self._jobs.popleft()]
+            if batch[0].request is not None:
+                while (
+                    len(batch) < self.config.max_batch
+                    and self._jobs
+                    and self._jobs[0].request is not None
+                ):
+                    batch.append(self._jobs.popleft())
         now = loop.time()
+        reports: "list[tuple[_Job, tuple | None]]" = []
         live = []
-        for job in jobs:
+        for job in batch:
             if job.abandoned or job.deadline <= now:
-                self._expire(job)
+                reports.append((job, None))
             else:
                 live.append(job)
+        try:
+            outcomes = self._execute(live)
+        except Exception as err:  # an admitted job always gets an answer
+            outcomes = [self._failure(err)] * len(live)
+        reports.extend(zip(live, outcomes))
+        loop.call_soon_threadsafe(self._report, reports)
+
+    def _execute(self, live: "list[_Job]") -> "list[tuple[int, object]]":
+        """``(status, body)`` per job; query bodies leave here encoded."""
         if not live:
-            return
-        if len(live) == 1:
-            job = live[0]
-            outcome = await loop.run_in_executor(
-                self._executor, self._serve_one, job.request
-            )
-            self._finish(job, *outcome)
-            return
+            return []
+        if live[0].request is None:
+            return [(200, live[0].call())]
         reqs = [job.request for job in live]
-        outcomes = await loop.run_in_executor(self._executor, self._serve_coalesced, reqs)
-        self.stats.coalesced_batches += 1
-        self.stats.coalesced_requests += len(live)
-        for job, outcome in zip(live, outcomes):
-            self._finish(job, *outcome)
+        if len(reqs) > 1:
+            try:
+                return [(200, r.wire()) for r in self.service.query_many(reqs)]
+            except Exception:
+                # a request rejected at execution (e.g. an unlocated
+                # query user) must not fail its batch-mates: run each
+                # on its own
+                pass
+        outcomes = []
+        for req in reqs:
+            try:
+                outcomes.append((200, self.service.query(req).wire()))
+            except Exception as err:
+                outcomes.append(self._failure(err))
+        return outcomes
 
-    def _serve_one(self, req: "QueryRequest") -> "tuple[int, dict]":
-        try:
-            return 200, self.service.query(req).payload()
-        except Exception as err:
-            status, code = classify_exception(err)
-            return status, error_body(code, str(err))
+    @staticmethod
+    def _failure(err: Exception) -> "tuple[int, dict]":
+        status, code = classify_exception(err)
+        return status, error_body(code, str(err))
 
-    def _serve_coalesced(self, reqs: "list[QueryRequest]") -> "list[tuple[int, dict]]":
-        """One ``query_many`` over the coalesced jobs; if any request in
-        the batch is rejected (e.g. an unlocated query user raises at
-        execution), fall back to per-request execution so one bad
-        request cannot fail its batch-mates."""
-        try:
-            responses = self.service.query_many(reqs)
-        except Exception:
-            return [self._serve_one(req) for req in reqs]
-        return [(200, r.payload()) for r in responses]
-
-    async def _run_call_job(self, job: _Job, loop) -> None:
-        if job.abandoned or job.deadline <= loop.time():
-            self._expire(job)
-            return
-        try:
-            payload = await loop.run_in_executor(self._executor, job.call)
-        except Exception as err:
-            status, code = classify_exception(err)
-            self._finish(job, status, error_body(code, str(err)))
-            return
-        self._finish(job, 200, payload)
-        if job.notify:
-            self._notify_update()
+    def _report(self, reports: "list[tuple[_Job, tuple | None]]") -> None:
+        """Resolve one drained batch (event-loop thread: the only place
+        worker outcomes touch the futures and :class:`ServerStats`)."""
+        executed = 0
+        for job, outcome in reports:
+            if outcome is None:
+                self.stats.deadline_expired += 1
+                outcome = (504, _DEADLINE_BODY)
+            else:
+                executed += 1
+            job.timer.cancel()
+            if not job.future.done():
+                job.future.set_result(outcome)
+            self.stats.completed += 1
+            self._inflight -= 1
+            if job.notify and outcome[0] == 200:
+                self._notify_update()
+        if executed > 1:
+            self.stats.coalesced_batches += 1
+            self.stats.coalesced_requests += executed
 
     # -- subscription streams ------------------------------------------
 

@@ -2,12 +2,13 @@
 
 :class:`ServerClient` is the package's own consumer of the wire format
 — the conformance suite, the operator CLI and the load benchmark all
-speak to the server through it.  It is a thin veneer over
-``http.client`` (JSON in, JSON out, typed errors re-raised as
-:class:`ServerApiError`), plus a hand-rolled SSE reader for
-``/subscribe``: ``http.client`` cannot incrementally read a chunked
-``text/event-stream``, so :meth:`ServerClient.tail` opens a raw socket
-and decodes the chunk framing itself.
+speak to the server through it: JSON in, JSON out, typed errors
+re-raised as :class:`ServerApiError`.  It reads HTTP itself: the API
+answers with ``Content-Length`` bodies plus one chunked
+``text/event-stream`` (``/subscribe``, which ``http.client`` cannot
+read incrementally), so one small reader serves both
+:meth:`ServerClient.request`, over a keep-alive socket, and
+:meth:`ServerClient.tail`.
 
 One client holds one keep-alive connection and is **not** thread-safe;
 concurrent callers (the backpressure tests, the load generator) create
@@ -16,7 +17,6 @@ one client per thread.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 from typing import Iterator, Optional
@@ -37,6 +37,13 @@ class ServerApiError(Exception):
         self.message = message
         self.headers = dict(headers or {})
 
+    @classmethod
+    def from_response(cls, status: int, headers: dict, payload: object) -> "ServerApiError":
+        error = payload.get("error", {}) if isinstance(payload, dict) else {}
+        return cls(
+            status, error.get("type", "unknown"), error.get("message", str(payload)), headers=headers
+        )
+
     @property
     def retry_after(self) -> "float | None":
         raw = self.headers.get("Retry-After")
@@ -50,27 +57,43 @@ class ServerClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._conn: "http.client.HTTPConnection | None" = None
+        self._sock: "socket.socket | None" = None
+        self._reader = None
 
     # -- plumbing ------------------------------------------------------
 
-    def _connection(self) -> "http.client.HTTPConnection":
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
+    def _connect(self, timeout: "float | None" = None):
+        """A fresh ``(socket, buffered reader)`` pair."""
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout if timeout is None else timeout
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, sock.makefile("rb")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServerClient":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _message(self, method: str, target: str, headers: dict, body: bytes = b"") -> bytes:
+        lines = [f"{method} {target} HTTP/1.1", f"Host: {self.host}:{self.port}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        lines.append(f"Content-Length: {len(body)}\r\n\r\n")
+        return "\r\n".join(lines).encode("latin-1") + body
+
+    def _exchange(self, message: bytes) -> "tuple[int, dict, object]":
+        if self._sock is None:
+            self._sock, self._reader = self._connect()
+        self._sock.sendall(message)
+        status, headers = _read_response_head(self._reader)
+        return status, headers, _read_body(self._reader, headers)
 
     def request(
         self,
@@ -83,30 +106,20 @@ class ServerClient:
         """One request; returns ``(status, response_headers, payload)``
         without raising on error statuses (the raw-access path the
         tests use to inspect error bodies)."""
-        payload = None if body is None else json.dumps(body).encode("utf-8")
+        payload = b"" if body is None else json.dumps(body).encode("utf-8")
         send_headers = {"Content-Type": "application/json"}
         send_headers.update(headers or {})
-        conn = self._connection()
+        message = self._message(method, path, send_headers, payload)
         try:
-            conn.request(method, path, body=payload, headers=send_headers)
-            response = conn.getresponse()
-            raw = response.read()
-        except (ConnectionError, http.client.HTTPException, socket.timeout):
+            response = self._exchange(message)
+        except (ConnectionError, socket.timeout):
             # the server closes connections after framing errors and
             # during shutdown; retry once on a fresh connection
             self.close()
-            conn = self._connection()
-            conn.request(method, path, body=payload, headers=send_headers)
-            response = conn.getresponse()
-            raw = response.read()
-        if response.getheader("Connection", "").lower() == "close":
+            response = self._exchange(message)
+        if response[1].get("Connection", "").lower() == "close":
             self.close()
-        content_type = response.getheader("Content-Type", "")
-        if content_type.startswith("application/json"):
-            decoded: object = json.loads(raw) if raw else None
-        else:
-            decoded = raw.decode("utf-8")
-        return response.status, dict(response.getheaders()), decoded
+        return response
 
     def call(
         self,
@@ -122,13 +135,7 @@ class ServerClient:
             method, path, body, headers=headers
         )
         if not 200 <= status < 300:
-            error = (payload or {}).get("error", {}) if isinstance(payload, dict) else {}
-            raise ServerApiError(
-                status,
-                error.get("type", "unknown"),
-                error.get("message", str(payload)),
-                headers=response_headers,
-            )
+            raise ServerApiError.from_response(status, response_headers, payload)
         return payload
 
     @staticmethod
@@ -223,27 +230,12 @@ class ServerClient:
         request = QueryRequest.coerce(user, k, alpha, method)
         params = {name: v for name, v in request.payload().items() if v is not None}
         target = f"/subscribe?{urlencode(params)}"
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout if timeout is None else timeout
-        )
+        sock, reader = self._connect(timeout)
         try:
-            request = (
-                f"GET {target} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Accept: text/event-stream\r\n\r\n"
-            )
-            sock.sendall(request.encode("ascii"))
-            reader = sock.makefile("rb")
+            sock.sendall(self._message("GET", target, {"Accept": "text/event-stream"}))
             status, headers = _read_response_head(reader)
             if status != 200:
-                payload = _read_plain_body(reader, headers)
-                error = (payload or {}).get("error", {}) if isinstance(payload, dict) else {}
-                raise ServerApiError(
-                    status,
-                    error.get("type", "unknown"),
-                    error.get("message", str(payload)),
-                    headers=headers,
-                )
+                raise ServerApiError.from_response(status, headers, _read_body(reader, headers))
             for frame in _iter_chunks(reader):
                 parsed = _parse_sse_frame(frame)
                 if parsed is None:
@@ -254,15 +246,21 @@ class ServerClient:
                 if parsed[0] == "end":
                     return
         finally:
+            reader.close()
             sock.close()
 
 
 def _read_response_head(reader) -> "tuple[int, dict]":
+    """Status and headers (names as sent) of the next response.  A
+    connection the server has closed, or anything that is not a status
+    line, is a ``ConnectionError``."""
     status_line = reader.readline()
     if not status_line:
         raise ConnectionError("server closed the connection before responding")
-    parts = status_line.decode("latin-1").split(None, 2)
-    status = int(parts[1])
+    try:
+        status = int(status_line.split(None, 2)[1])
+    except (IndexError, ValueError):
+        raise ConnectionError(f"malformed status line: {status_line!r}") from None
     headers: dict = {}
     while True:
         line = reader.readline()
@@ -273,13 +271,16 @@ def _read_response_head(reader) -> "tuple[int, dict]":
     return status, headers
 
 
-def _read_plain_body(reader, headers: dict) -> "object":
+def _read_body(reader, headers: dict) -> object:
+    """The ``Content-Length`` body of a response whose head was read:
+    JSON decoded (``None`` when empty), anything else as text."""
     length = int(headers.get("Content-Length", 0))
     raw = reader.read(length) if length else b""
-    try:
+    if len(raw) < length:
+        raise ConnectionError("server closed the connection mid-body")
+    if headers.get("Content-Type", "").startswith("application/json"):
         return json.loads(raw) if raw else None
-    except ValueError:
-        return raw.decode("utf-8", "replace")
+    return raw.decode("utf-8", "replace")
 
 
 def _iter_chunks(reader) -> "Iterator[bytes]":

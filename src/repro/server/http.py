@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
+from repro.service.model import json_bytes
+
 if TYPE_CHECKING:  # pragma: no cover
     import asyncio
 
@@ -81,7 +83,12 @@ class HTTPRequest:
 
 
 async def _read_line(reader: "asyncio.StreamReader") -> bytes:
-    line = await reader.readline()
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # no newline within the stream's buffer limit (64 KiB): asyncio
+        # reports the overrun as ValueError before a length can be read
+        raise ProtocolError("header line too long") from None
     if len(line) > MAX_LINE:
         raise ProtocolError("header line too long")
     return line
@@ -161,17 +168,6 @@ def encode_response(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
-def json_bytes(payload: object) -> bytes:
-    """Compact, key-sorted JSON encoding.
-
-    ``inf`` round-trips as the JSON5-style ``Infinity`` literal — the
-    wire format is consumed by this package's own client and CLI, and
-    neighbour records legitimately carry infinite distances (a social
-    distance is never computed at ``alpha == 0``), so preserving the
-    exact float beats a lossy ``null``."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 async def send_response(
     writer: "asyncio.StreamWriter",
     status: int,
@@ -180,9 +176,10 @@ async def send_response(
     headers: "dict | None" = None,
     keep_alive: bool = True,
 ) -> None:
-    writer.write(
-        encode_response(status, json_bytes(payload), headers=headers, keep_alive=keep_alive)
-    )
+    """Send one JSON response; ``payload`` that is already ``bytes``
+    (encoded off the event loop, or a memoised answer) goes out as is."""
+    body = payload if isinstance(payload, bytes) else json_bytes(payload)
+    writer.write(encode_response(status, body, headers=headers, keep_alive=keep_alive))
     await writer.drain()
 
 

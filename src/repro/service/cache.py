@@ -3,9 +3,12 @@
 Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
 enormously *if* the cache can survive a dynamic world where users move
-constantly.  This module provides that: an LRU keyed on the full query
-signature ``(user, k, α, resolved method, normalization, budget)``
-with hit/miss statistics, whose entries carry the request and the
+constantly.  This module provides that: an LRU keyed on the query
+signature ``(user, k, α, line, normalization, budget)`` — ``line`` is
+the resolved method, or ``"auto"`` for an exact ``auto`` request, whose
+answer the question alone determines (the rule lives in
+``QueryService._line``) — with hit/miss statistics, whose entries
+carry the request, pinned to the method that executed it, and the
 :class:`~repro.core.ranking.RankingFunction` that produced them, so a
 location update *repairs or evicts exactly* the entries it can affect
 instead of flushing everything.
@@ -143,7 +146,7 @@ class ResultCache:
         (1, 1)
 
     Keys are opaque to the cache (the service builds them from the
-    full query signature); everything the update-aware paths need
+    query signature); everything the update-aware paths need
     travels on the entry: the request with its method already
     resolved and the ranking function the scores were computed under.
     All operations take an internal lock, so invalidation hooks may
@@ -173,9 +176,18 @@ class ResultCache:
         """The cached result for ``key`` (refreshing its LRU position),
         or ``None`` — counted as a hit or miss respectively."""
         with self._lock:
+            result = self.hit(key)
+            if result is None:
+                self.stats.misses += 1
+            return result
+
+    def hit(self, key: Hashable) -> SSRQResult | None:
+        """:meth:`get` for a caller that will ask again through the
+        full serve path when this comes back empty: a hit refreshes the
+        LRU position and is counted, an absent key counts nothing."""
+        with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

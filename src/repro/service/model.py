@@ -14,11 +14,26 @@ at the serving layer.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from repro.core.request import QueryRequest
 from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def json_bytes(payload: object) -> bytes:
+    """Compact, key-sorted JSON encoding — the wire form of every
+    payload this package sends.
+
+    ``inf`` round-trips as the JSON5-style ``Infinity`` literal — the
+    wire format is consumed by this package's own client and CLI, and
+    neighbour records legitimately carry infinite distances (a social
+    distance is never computed at ``alpha == 0``), so preserving the
+    exact float beats a lossy ``null``."""
+    return _encode(payload).encode("utf-8")
 
 
 def neighbor_payload(nb: Neighbor) -> dict:
@@ -49,6 +64,16 @@ def result_payload(result: SSRQResult) -> dict:
         "users": result.users,
         "neighbors": [neighbor_payload(nb) for nb in result.neighbors],
     }
+
+
+def result_wire(result: SSRQResult) -> bytes:
+    """``json_bytes(result_payload(result))``, encoded once per result
+    object and kept with it (two threads racing the first call store
+    the same bytes)."""
+    wire = result._wire
+    if wire is None:
+        wire = result._wire = json_bytes(result_payload(result))
+    return wire
 
 
 @dataclass(frozen=True)
@@ -90,6 +115,36 @@ class QueryResponse:
             "latency": self.latency,
             "request": self.request.payload(),
         }
+
+    def wire(self) -> bytes:
+        """``json_bytes(self.payload())``, byte for byte, assembled
+        around the result's memoised encoding: a cache hit joins a handful
+        of fragments instead of re-encoding ``k`` neighbour records.
+
+            >>> from repro import Neighbor, SSRQResult
+            >>> from repro.service import QueryRequest, QueryResponse
+            >>> from repro.service.model import json_bytes
+            >>> result = SSRQResult(0, 1, 0.0, [Neighbor(9, 0.25, float("inf"), 0.1)])
+            >>> response = QueryResponse(QueryRequest(0, k=1, alpha=0.0), result, cached=True)
+            >>> response.wire() == json_bytes(response.payload())
+            True
+        """
+        served = {
+            "cached": self.cached,
+            "deduplicated": self.deduplicated,
+            "latency": self.latency,
+        }
+        # key order: cached < deduplicated < latency < request < result
+        return b"".join(
+            (
+                json_bytes(served)[:-1],
+                b',"request":',
+                json_bytes(self.request.payload()),
+                b',"result":',
+                result_wire(self.result),
+                b"}",
+            )
+        )
 
 
 @dataclass

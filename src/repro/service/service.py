@@ -9,9 +9,13 @@ component that can absorb realistic load:
   returning responses in request order with rankings identical to a
   sequential ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
-  on the full query signature, repaired or invalidated exactly on
-  location moves via the engine's listener hook and emptied when the
-  engine is swapped (the only moment the served graph changes);
+  on the question for exact ``auto`` requests and on the resolved
+  method otherwise (:meth:`QueryService._line`), looked up *before*
+  anything is planned or locked (:meth:`QueryService.cached` is that
+  lookup alone, for callers that must not block), repaired or
+  invalidated exactly on location moves via the engine's listener hook
+  and emptied when the engine is swapped (the only moment the served
+  graph changes);
 - **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
   shared by every service over the same engine) lets queries run
   concurrently while serialising updates against in-flight queries (the
@@ -47,6 +51,7 @@ from repro.core.engine import AUTO, GeoSocialEngine, resolve_dispatch
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
+from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.utils.validation import check_user
@@ -201,13 +206,33 @@ class QueryService:
 
     # -- serving -------------------------------------------------------
 
+    @staticmethod
+    def _line(request: QueryRequest) -> "str | None":
+        """The method component of a request's cache line, when it can
+        be told without planning.
+
+        - A named method: its statically routed name, so endpoint
+          aliases (``tsa`` at ``alpha == 0`` and ``spa``, …) share one
+          line and ``result.method`` stays what the caller asked for.
+        - Exact ``auto``: ``AUTO`` itself — the *question line*.  Every
+          arm the planner may pick is forward-deterministic and
+          bit-identical (``tests/test_plan_equivalence.py``), so the
+          question ``(user, k, α, normalization)`` alone names the
+          answer and a repeat hits whichever arm ran first, even while
+          the planner is still exploring.
+        - Budgeted ``auto``: ``None`` — ``approx`` may answer it, so
+          its line is the planner's resolved method plus the budget.
+        """
+        if request.method != AUTO:
+            return route_method(request.method, request.alpha)
+        return None if request.budget else AUTO
+
     def _cache_key(
         self, request: QueryRequest, engine: GeoSocialEngine, resolved: str
     ) -> tuple:
-        """The cache line for one request, keyed on the **resolved**
-        method (endpoint routing applied; ``auto`` pinned to the
-        planner's concrete pick), so endpoint aliases (``tsa`` at
-        ``alpha == 0`` and ``spa``, …) share one line.
+        """The cache line for one request under method component
+        ``resolved`` (:meth:`_line`, or the planner's pick for a
+        budgeted ``auto``).
 
         The accuracy budget is part of the signature: a budgeted answer
         may be approximate, so it must never satisfy an exact request
@@ -223,6 +248,30 @@ class QueryService:
             (norm.p_max, norm.d_max),
             request.budget or None,
         )
+
+    def cached(self, request: QueryRequest) -> "QueryResponse | None":
+        """The stored answer to ``request`` or ``None`` — a read-only
+        probe that never plans, never waits on the engine lock and
+        never executes, so a caller that must not block (the server's
+        event loop) can try it before handing the request to
+        :meth:`query`.
+
+        A hit is accounted exactly as :meth:`query` would (``requests``
+        and ``cache_hits``, LRU position refreshed); a miss counts
+        nothing — the :meth:`query` that follows it counts the one
+        miss.  Safe without the engine lock: an answer read during a
+        concurrent move linearises before the move, and an engine swap
+        flushes the cache under its own lock."""
+        line = self._line(request)
+        if self.cache is None or line is None:
+            return None
+        result = self.cache.hit(self._cache_key(request, self.engine, line))
+        if result is None:
+            return None
+        with self._stats_lock:
+            self.stats.requests += 1
+            self.stats.cache_hits += 1
+        return QueryResponse(request, result, cached=True)
 
     def _precalibrate_planner(self) -> None:
         """One-time planner calibration for ``auto`` traffic, run
@@ -277,47 +326,70 @@ class QueryService:
 
     def _serve(self, reqs: "list[QueryRequest]") -> list[QueryResponse]:
         """The serve path, written once for :meth:`query` (a batch of
-        one) and :meth:`query_many`: resolve → cache lookup →
-        (:meth:`_execute_pending`: execute → planner observe → cache
-        put) → account."""
+        one) and :meth:`query_many`: cache lookup on every line that
+        needs no planning (:meth:`_line`) → for the rest, under the
+        engine's read lock: resolve → (budgeted ``auto`` only: cache
+        lookup) → (:meth:`_execute_pending`: execute → planner observe
+        → cache put) → account.  A batch of hits touches neither the
+        planner nor the engine lock."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
         hits = 0
-        if any(req.method == AUTO for req in reqs):
-            self._precalibrate_planner()
-        with self._read_locked_engine() as engine:
-            # One method resolution per *distinct* request, memoized so
-            # identical auto requests resolve identically inside the
-            # batch (dedup keeps collapsing them even while the planner
-            # explores between batches).  ``decision`` is ``None``
-            # unless the planner was consulted (``method="auto"``).
-            resolutions: dict[QueryRequest, tuple] = {}
-            #: distinct cache key → (the request pinned to its resolved
-            #: method, planner decision, the request indexes waiting)
-            pending: "dict[tuple, tuple[QueryRequest, object, list[int]]]" = {}
-            for i, req in enumerate(reqs):
-                plan = resolutions.get(req)
-                if plan is None:
-                    plan = resolutions[req] = resolve_dispatch(engine, req)
-                resolved, decision = plan
-                key = self._cache_key(req, engine, resolved)
-                if self.cache is not None:
-                    hit = self.cache.get(key)
-                    if hit is not None:
-                        responses[i] = QueryResponse(req, hit, cached=True)
-                        hits += 1
-                        continue
-                waiting = pending.get(key)
-                if waiting is None:
-                    pending[key] = (req.with_method(resolved), decision, [i])
-                else:
-                    waiting[2].append(i)
-            if pending:
-                self._execute_pending(engine, reqs, pending, responses)
+        misses: list[int] = []
+        for i, req in enumerate(reqs):
+            line = self._line(req)
+            if line is not None and self.cache is not None:
+                hit = self.cache.get(self._cache_key(req, self.engine, line))
+                if hit is not None:
+                    responses[i] = QueryResponse(req, hit, cached=True)
+                    hits += 1
+                    continue
+            misses.append(i)
+        if misses:
+            if any(reqs[i].method == AUTO for i in misses):
+                self._precalibrate_planner()
+            with self._read_locked_engine() as engine:
+                hits += self._serve_misses(engine, reqs, misses, responses)
         with self._stats_lock:
             self.stats.requests += len(reqs)
             self.stats.cache_hits += hits
             self.stats.cache_misses += len(reqs) - hits
         return responses  # type: ignore[return-value]
+
+    def _serve_misses(self, engine, reqs, misses, responses) -> int:
+        """Resolve and execute ``reqs[i] for i in misses`` under
+        ``engine``'s read lock; returns how many a budgeted-``auto``
+        line answered from the cache after all."""
+        hits = 0
+        # One method resolution per *distinct* request, memoized so
+        # identical budgeted-auto requests resolve (and so key)
+        # identically inside the batch.  ``decision`` is ``None``
+        # unless the planner was consulted (``method="auto"``).
+        resolutions: dict[QueryRequest, tuple] = {}
+        #: distinct cache key → (the request pinned to its resolved
+        #: method, planner decision, the request indexes waiting)
+        pending: "dict[tuple, tuple[QueryRequest, object, list[int]]]" = {}
+        for i in misses:
+            req = reqs[i]
+            plan = resolutions.get(req)
+            if plan is None:
+                plan = resolutions[req] = resolve_dispatch(engine, req)
+            resolved, decision = plan
+            line = self._line(req)
+            key = self._cache_key(req, engine, line or resolved)
+            if line is None and self.cache is not None:
+                hit = self.cache.get(key)
+                if hit is not None:
+                    responses[i] = QueryResponse(req, hit, cached=True)
+                    hits += 1
+                    continue
+            waiting = pending.get(key)
+            if waiting is None:
+                pending[key] = (req.with_method(resolved), decision, [i])
+            else:
+                waiting[2].append(i)
+        if pending:
+            self._execute_pending(engine, reqs, pending, responses)
+        return hits
 
     def _execute_pending(self, engine, reqs, pending, responses) -> None:
         """Execute the distinct cache misses of one batch (concurrently

@@ -72,16 +72,21 @@ def test_endpoint_dispatch_identical_across_all_paths(single, sharded, method, a
     sharded_batch = sharded.query_many([user], k=k, alpha=alpha, method=method)
     assert sharded_batch[0].method == expected
 
-    # 4. cached service: the executed method, the per-method stats, and
-    #    the cache key all carry the resolved name
+    # 4. cached service: the executed method and the per-method stats
+    #    carry the resolved name; so does the cache key of a named
+    #    method, while an exact auto request is keyed on the question
+    #    alone (its line is looked up before anything is planned)
     service = QueryService(single, cache_size=8, max_workers=1)
     try:
         response = service.query(QueryRequest(user=user, k=k, alpha=alpha, method=method))
         assert response.result.method == expected
         assert service.stats.per_method == {expected: 1}
         (key,) = list(service.cache._entries)
-        assert key[3] == expected, f"cache key stores {key[3]!r}, not the resolved method"
-        # the replay hits the same resolved-method line
+        line = AUTO if method == AUTO else expected
+        assert key[3] == line, f"cache key stores {key[3]!r}, not {line!r}"
+        # the stored request is pinned to the executed method either way
+        assert service.cache._entries[key].request.method == expected
+        # the replay hits the same line
         replay = service.query(QueryRequest(user=user, k=k, alpha=alpha, method=method))
         assert replay.cached and replay.result.method == expected
     finally:
@@ -94,16 +99,23 @@ def test_endpoint_dispatch_identical_across_all_paths(single, sharded, method, a
 
 
 def test_endpoint_aliases_share_one_cache_line(single):
-    """tsa@alpha=0, spa@alpha=0 and auto@alpha=0 are one query now: the
-    resolved-method key collapses them to a single cached entry."""
+    """tsa@alpha=0, spa@alpha=0, … are one query: the resolved-method
+    key collapses the named aliases to a single cached entry.  ``auto``
+    has its own line — the question line — whatever it resolves to."""
     service = QueryService(single, cache_size=8, max_workers=1)
     try:
         first = service.query(QueryRequest(user=2, k=4, alpha=0.0, method="tsa"))
         assert not first.cached
-        for alias in ("spa", "tsa-qc", AUTO, "sfa"):
+        for alias in ("spa", "tsa-qc", "sfa"):
             again = service.query(QueryRequest(user=2, k=4, alpha=0.0, method=alias))
             assert again.cached, f"{alias} missed the shared endpoint line"
         assert len(service.cache) == 1
+        auto = QueryRequest(user=2, k=4, alpha=0.0, method=AUTO)
+        planned = service.query(auto)
+        assert not planned.cached and planned.result.method == "spa"
+        assert planned.users == first.users
+        assert service.query(auto).cached
+        assert len(service.cache) == 2
     finally:
         service.close()
 

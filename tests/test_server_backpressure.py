@@ -14,12 +14,17 @@ asserts the serving disciplines the server promises:
   while still queued is answered ``504`` *without executing at all*;
 - malformed input of every kind maps to typed ``4xx`` bodies, not
   connection resets or 500s;
+- the event loop never does a worker's job: with every worker thread
+  blocked, or the engine write-locked, cached queries and ``/healthz``
+  are still answered at once, and no search, lock wait or encoding of
+  a miss ever runs as a loop callback;
 - a graceful drain completes in-flight work, ends subscription streams
   with a final ``end`` event, and refuses new connections.
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
@@ -290,6 +295,11 @@ def test_malformed_framing_gets_400_and_close(engine):
                 b"POST /query HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: banana\r\n\r\n"
             ),
+            # one header line over MAX_LINE, and two over asyncio's own
+            # 64 KiB stream limit (which raises before a length check)
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 9_000 + b"\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"a" * 70_000,
         ]
         for raw in raw_cases:
             with socket.create_connection(
@@ -302,8 +312,13 @@ def test_malformed_framing_gets_400_and_close(engine):
                     if not chunk:
                         break
                     response += chunk
-                assert response.startswith(b"HTTP/1.1 400 "), (raw, response[:80])
+                assert response.startswith(b"HTTP/1.1 400 "), (raw[:80], response[:80])
                 assert b"Connection: close" in response
+                body = response.split(b"\r\n\r\n", 1)[1] + sock.recv(4096)
+                assert b'"type":"bad_request"' in body
+                assert sock.recv(4096) == b"", "the connection must be closed"
+        with ServerClient(handle.host, handle.port) as client:
+            assert client.healthz() == {"status": "ok"}    # and the server lives on
 
 
 def test_graceful_drain(engine, query_user, expected):
@@ -364,3 +379,223 @@ def test_drain_snapshot_root(engine, tmp_path):
                 assert client.healthz() == {"status": "ok"}
         manager = service.snapshots(str(root))
         assert manager.latest() is not None
+
+
+# ------------------------------------------ the loop never does a worker's job
+
+
+class GatedService(QueryService):
+    """A caching service whose executing paths park on a gate — the
+    worker threads can be held inside ``service.query`` for as long as
+    a test needs them busy."""
+
+    def __init__(self, engine, **kwargs) -> None:
+        super().__init__(engine, **kwargs)
+        self.gate = threading.Event()
+        self.gate.set()
+        self._call_lock = threading.Lock()
+        self.parked = 0
+        self.calls: list = []
+
+    def _park(self, requests) -> None:
+        with self._call_lock:
+            self.calls.append([r.user for r in requests])
+            self.parked += 1
+        assert self.gate.wait(timeout=30), "test never reopened the gate"
+        with self._call_lock:
+            self.parked -= 1
+
+    def query(self, request, **kwargs):
+        self._park([request])
+        return super().query(request, **kwargs)
+
+    def query_many(self, requests, **kwargs):
+        self._park(requests)
+        return super().query_many(requests, **kwargs)
+
+
+def _wait_for(condition, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def _post_in_thread(handle, body, outcomes: dict, name: str, headers=None) -> threading.Thread:
+    def run() -> None:
+        with ServerClient(handle.host, handle.port) as client:
+            outcomes[name] = client.request("POST", "/query", body, headers=headers)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def _prompt(client, method, path, body=None):
+    started = time.monotonic()
+    status, _, payload = client.request(method, path, body)
+    assert time.monotonic() - started < 1.0, f"{path} waited for a worker"
+    return status, payload
+
+
+def test_cached_queries_and_healthz_bypass_busy_workers(engine):
+    """Both worker threads parked inside ``service.query``: a cached
+    ``/query`` and ``/healthz`` are answered from the loop, uncached
+    queries queue behind the workers, the ``queue_depth + 1``-th is
+    shed, a queued job past its deadline is answered 504 and never
+    reaches the service, and ``stop()`` drains the rest."""
+    users = sorted(engine.locations.located_users())
+    hot, a, b, c, d, e = users[:6]
+    body = lambda user: {"user": user, "k": 5}  # noqa: E731
+    service = GatedService(engine, cache_size=64)
+    handle = ServerThread(service, queue_depth=2, workers=2, max_batch=1)
+    outcomes: dict = {}
+    with service:
+        handle.start()
+        with ServerClient(handle.host, handle.port) as client:
+            first = client.query(hot, k=5)
+            assert not first["cached"]
+            service.gate.clear()
+            threads = [_post_in_thread(handle, body(u), outcomes, u) for u in (a, b)]
+            _wait_for(lambda: service.parked == 2, "both workers to park")
+
+            status, payload = _prompt(client, "POST", "/query", body(hot))
+            assert status == 200 and payload["cached"]
+            assert payload["result"] == first["result"]
+            assert _prompt(client, "GET", "/healthz") == (200, {"status": "ok"})
+
+            threads.append(_post_in_thread(handle, body(c), outcomes, c))
+            threads.append(
+                _post_in_thread(handle, body(d), outcomes, d, headers={"X-Deadline-Ms": "50"})
+            )
+            _wait_for(lambda: client.stats()["server"]["queued"] == 2, "two queued jobs")
+            status, payload = _prompt(client, "POST", "/query", body(e))
+            assert (status, payload["error"]["type"]) == (429, "overloaded")
+            _wait_for(lambda: d in outcomes, "the queued job's deadline")
+            assert outcomes[d][0] == 504
+            # the cached answer is still served with the queue full
+            assert _prompt(client, "POST", "/query", body(hot))[0] == 200
+
+            stats = client.stats()["server"]
+            assert stats["served_inline"] == 2
+            assert (stats["admitted"], stats["completed"], stats["in_flight"]) == (5, 1, 4)
+            assert (stats["shed"], stats["deadline_timeouts"]) == (1, 1)
+        service.gate.set()
+        handle.stop()          # drains: the parked and the queued finish
+        for thread in threads:
+            thread.join(timeout=30)
+        assert [outcomes[u][0] for u in (a, b, c)] == [200, 200, 200]
+        stats = handle.server.stats_snapshot()
+        assert (stats["admitted"], stats["completed"], stats["in_flight"]) == (5, 5, 0)
+        assert stats["deadline_expired"] == 1
+        assert sorted(service.calls) == sorted([[hot], [a], [b], [c]])   # never [d]
+        # the service saw every request exactly once, probes included
+        snap = service.stats.snapshot()
+        assert (snap["requests"], snap["cache_hits"], snap["cache_misses"]) == (6, 2, 4)
+
+
+def test_cached_queries_and_healthz_bypass_a_held_write_lock(engine):
+    """A writer holds the engine exclusively: the uncached query waits
+    on a worker thread, the loop keeps answering."""
+    hot, cold = sorted(engine.locations.located_users())[:2]
+    outcomes: dict = {}
+    with QueryService(engine, cache_size=64) as service, ServerThread(
+        service, workers=1
+    ) as handle, ServerClient(handle.host, handle.port) as client:
+        first = client.query(hot, k=5)
+        with engine.rw_lock.write_locked():
+            thread = _post_in_thread(handle, {"user": cold, "k": 5}, outcomes, cold)
+            _wait_for(lambda: client.stats()["server"]["in_flight"] == 1, "admission")
+            status, payload = _prompt(client, "POST", "/query", {"user": hot, "k": 5})
+            assert status == 200 and payload["cached"]
+            assert payload["result"] == first["result"]
+            assert _prompt(client, "GET", "/healthz")[0] == 200
+            assert cold not in outcomes
+        thread.join(timeout=30)
+        assert outcomes[cold][0] == 200 and not outcomes[cold][2]["cached"]
+
+
+def test_identical_queued_queries_coalesce_into_one_batch(engine):
+    """Concurrent identical uncached queries queued behind a busy
+    worker leave the queue together, as one ``query_many``."""
+    occupant, user = sorted(engine.locations.located_users())[:2]
+    service = GatedService(engine, cache_size=64)
+    outcomes: dict = {}
+    with service, ServerThread(service, queue_depth=8, workers=1) as handle:
+        service.gate.clear()
+        threads = [_post_in_thread(handle, {"user": occupant, "k": 5}, outcomes, "occupant")]
+        _wait_for(lambda: service.parked == 1, "the worker to park")
+        threads += [
+            _post_in_thread(handle, {"user": user, "k": 5}, outcomes, i) for i in range(3)
+        ]
+        _wait_for(lambda: handle.server.stats_snapshot()["queued"] == 3, "three queued jobs")
+        service.gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert [outcomes[i][0] for i in range(3)] == [200, 200, 200]
+        assert len({str(outcomes[i][2]["result"]) for i in range(3)}) == 1
+        assert service.calls == [[occupant], [user, user, user]]
+        stats = handle.server.stats_snapshot()
+        assert (stats["coalesced_batches"], stats["coalesced_requests"]) == (1, 3)
+        assert service.stats.deduplicated == 2
+
+
+@pytest.fixture()
+def slow_callbacks():
+    """Arms asyncio's debug-mode watchdog on a server's loop at 50 ms
+    and collects what it reports: ``arm(handle)`` returns the list of
+    "Executing <Handle …> took … seconds" messages logged from then on
+    — the standing guard for "no search, no lock wait and no JSON
+    encoding of a miss on the event loop"."""
+    messages: list = []
+
+    class Collect(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            text = record.getMessage()
+            if text.startswith("Executing ") and " took " in text:
+                messages.append(text)
+
+    collector = Collect(level=logging.WARNING)
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(collector)
+
+    def arm(handle: ServerThread) -> list:
+        armed = threading.Event()
+
+        def configure() -> None:
+            handle._loop.set_debug(True)
+            handle._loop.slow_callback_duration = 0.05
+            armed.set()
+
+        handle._loop.call_soon_threadsafe(configure)
+        assert armed.wait(timeout=10)
+        return messages
+
+    try:
+        yield arm
+    finally:
+        logger.removeHandler(collector)
+
+
+def test_no_loop_callback_runs_a_query(engine, slow_callbacks):
+    """A burst of uncached queries, each 80 ms inside the service, over
+    more connections than workers, then the same burst again as cache
+    hits: no loop callback may take 50 ms.  The watchdog is shown to
+    bite by blocking the loop on purpose afterwards."""
+    users = sorted(engine.locations.located_users())[:8]
+    service = SlowService(engine, delay=0.08, cache_size=64)
+    with service, ServerThread(service, queue_depth=16, workers=2, max_batch=2) as handle:
+        slow = slow_callbacks(handle)
+        for _ in range(2):
+            outcomes: dict = {}
+            threads = [
+                _post_in_thread(handle, {"user": user, "k": 5}, outcomes, user) for user in users
+            ]
+            for thread in threads:
+                thread.join(timeout=30)
+            assert [outcomes[user][0] for user in users] == [200] * len(users)
+        stats = handle.server.stats_snapshot()
+        assert stats["served_inline"] == len(users) == stats["completed"]
+        assert slow == []
+        handle._loop.call_soon_threadsafe(time.sleep, 0.08)
+        _wait_for(lambda: slow, "the watchdog to report the blocked loop")

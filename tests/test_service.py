@@ -10,6 +10,7 @@ shared-state corruption under a worker pool.
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import threading
 
@@ -18,6 +19,7 @@ import pytest
 from repro.bench.workloads import zipf_arrivals
 from repro.core.engine import METHODS, GeoSocialEngine
 from repro.core.result import Neighbor
+from repro.plan import AdaptivePlanner, CostModel, extract_features
 from repro.service import (
     QueryRequest,
     QueryResponse,
@@ -25,6 +27,7 @@ from repro.service import (
     ReadWriteLock,
     ResultCache,
 )
+from repro.service.model import json_bytes
 from tests.conftest import assert_same_scores, cache_put, random_instance
 
 
@@ -611,3 +614,133 @@ def test_service_stats_snapshot_shape(engine):
     assert snap["per_method"] == {"ais": 1}
     assert snap["total_pops"] > 0
     assert isinstance(repr(service), str) and "QueryService" in repr(service)
+
+
+# ------------------------------------------------- look up before you plan
+
+
+def scripted_planner(engine, request, cheapest):
+    """A non-exploring two-arm planner whose cost model says
+    ``cheapest`` wins ``request``'s bucket."""
+    planner = AdaptivePlanner(
+        candidates=("spa", "tsa"), calibrate=False, epsilon=0.0, decay=1.0
+    )
+    script_costs(planner, engine, request, cheapest)
+    return planner
+
+
+def script_costs(planner, engine, request, cheapest):
+    planner.cost = CostModel(1.0)
+    bucket = extract_features(engine, request).bucket()
+    for arm in planner.candidates:
+        planner.cost.observe(bucket, arm, 0.001 if arm == cheapest else 0.1)
+
+
+def test_auto_repeat_hits_the_question_line_whatever_the_planner_now_prefers():
+    graph, locations = random_instance(150, seed=71, coverage=0.8)
+    user = next(iter(locations.located_users()))
+    auto = QueryRequest(user, k=5, alpha=0.4)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=3, seed=3)
+    engine.planner = scripted_planner(engine, auto, "tsa")
+    with QueryService(engine, cache_size=32) as service:
+        first = service.query(auto)
+        assert not first.cached and first.result.method == "tsa"
+        script_costs(engine.planner, engine, auto, "spa")
+        assert engine.planner.resolve(engine, auto).method == "spa"  # the arm flipped
+        resolutions = engine.planner.stats.auto_resolutions
+        again = service.query(auto)
+        assert again.cached and again.result is first.result
+        assert again.result.method == "tsa"
+        # a hit is answered before anything is planned
+        assert engine.planner.stats.auto_resolutions == resolutions
+        # a named request for the same question keeps its own line and label
+        named = service.query(user, k=5, alpha=0.4, method="tsa")
+        assert not named.cached and named.result.method == "tsa"
+        assert named.result.users == first.result.users
+        assert service.query(user, k=5, alpha=0.4, method="tsa").cached
+        assert len(service.cache) == 2
+        # a budgeted auto request is keyed on resolved method + budget:
+        # it cannot be answered from either exact line
+        budgeted = service.query(user, k=5, alpha=0.4, budget=0.25)
+        assert not budgeted.cached
+        assert len(service.cache) == 3
+        assert service.query(user, k=5, alpha=0.4, budget=0.25).cached
+        # budget=0 demands exactness: it *is* the question
+        assert service.query(user, k=5, alpha=0.4, budget=0).cached
+
+
+def test_cached_probe_counts_like_query_and_never_plans(engine):
+    user = located(engine, 1)[0]
+    auto = QueryRequest(user, k=5, alpha=0.4)
+    with QueryService(engine, cache_size=32) as service:
+        assert service.cached(auto) is None
+        assert service.stats.snapshot()["requests"] == 0      # a miss counts nothing
+        assert service.cache.stats.misses == 0
+        assert getattr(engine, "_planner", None) is None      # ... and plans nothing
+        executed = service.query(auto)
+        assert (service.stats.requests, service.stats.cache_misses) == (1, 1)
+        probe = service.cached(auto)
+        assert probe.cached and probe.result is executed.result and probe.latency == 0.0
+        assert (service.stats.requests, service.stats.cache_hits) == (2, 1)
+        assert service.cache.stats.hits == 1 and service.cache.stats.misses == 1
+        # the probe refreshes the LRU position like any hit
+        other = QueryRequest(located(engine, 2)[1], k=5, alpha=0.4, method="tsa")
+        service.query(other)
+        assert service.cached(auto) is not None
+        assert list(service.cache._entries)[-1][0] == user
+        # named methods probe their resolved line; budgeted auto cannot be
+        # keyed without planning, so it is never answered here
+        assert service.cached(other).cached
+        service.query(user, k=5, alpha=0.4, budget=0.25)
+        assert service.cached(QueryRequest(user, k=5, alpha=0.4, budget=0.25)) is None
+        # a held engine write lock does not hold the probe up
+        with engine.rw_lock.write_locked():
+            assert service.cached(auto) is not None
+    with QueryService(engine, cache_size=0) as uncached:
+        uncached.query(auto)
+        assert uncached.cached(auto) is None
+
+
+# ---------------------------------------------------------------- wire form
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 1.0))
+@pytest.mark.parametrize("method", METHODS + ("auto",))
+def test_wire_is_the_encoded_payload(engine, method, alpha):
+    """Executed, deduplicated and cached responses, every method, with
+    (alpha = 0) and without ``inf`` social distances."""
+    user = located(engine, 1)[0]
+    request = QueryRequest(user, k=5, alpha=alpha, method=method)
+    with QueryService(engine, cache_size=32) as service:
+        executed, duplicate = service.query_many([request, request])
+        cached = service.query(request)
+        probed = service.cached(request)
+    assert (executed.cached, duplicate.deduplicated, cached.cached) == (False, True, True)
+    assert executed.latency > 0.0
+    for response in (executed, duplicate, cached, probed):
+        assert response.wire() == json_bytes(response.payload())
+    if alpha == 0.0:
+        assert b'"social":Infinity' in executed.wire()
+    # the memo is derived state: invisible to ==, repr and pickles
+    result = executed.result
+    clone = pickle.loads(pickle.dumps(result))
+    assert result._wire is not None and clone._wire is None
+    assert clone == result and "_wire" not in repr(result)
+    assert QueryResponse(request, clone).wire() == QueryResponse(request, result).wire()
+
+
+def test_repaired_entry_serves_the_repaired_bytes(engine):
+    user = located(engine, 1)[0]
+    request = QueryRequest(user, k=5, alpha=0.4, method="tsa")
+    with QueryService(engine, cache_size=32) as service:
+        before = service.query(request)
+        stale = before.wire()
+        qx, qy = engine.locations.get(user)
+        member = before.result.neighbors[0].user
+        mx, my = engine.locations.get(member)
+        service.move_user(member, (qx + mx) / 2, (qy + my) / 2)   # closer: stays first
+        assert service.stats.repaired_entries == 1
+        after = service.cached(request)
+        assert after is not None and after.result is not before.result
+        assert after.wire() == json_bytes(after.payload()) != stale
+        assert_same_scores(after.result, engine.query(user, 5, 0.4, "bruteforce"))

@@ -186,6 +186,7 @@ def test_server_stats_snapshot_keys():
     for key in (
         "connections",
         "requests",
+        "served_inline",
         "admitted",
         "shed",
         "completed",
