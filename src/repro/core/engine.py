@@ -61,6 +61,7 @@ from repro.sketch.searcher import ApproxSketchSearch
 from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
+from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import LocationTable
 from repro.utils.concurrency import ReadWriteLock
 from repro.utils.validation import check_finite_point, check_user
@@ -241,10 +242,11 @@ class EngineBase:
         """The concrete method one query dispatches to: static endpoint
         routing for explicit methods, the adaptive planner for
         ``"auto"`` (which may resolve to ``"approx"`` only when the
-        request's ``budget`` admits it).  The service layer keys its
-        result cache on this resolution, and the stream layer
-        classifies repairability off it — so screening and repairs
-        always see the method that actually ran."""
+        request's ``budget`` admits it).  The service layer keys a
+        named method's (and a budgeted ``auto``'s) cache line on this
+        resolution, and the stream layer classifies repairability off
+        it — so screening and repairs always see the method that
+        actually ran."""
         return resolve_dispatch(self, request)[0]
 
     def query(
@@ -514,9 +516,8 @@ class GeoSocialEngine(EngineBase):
         >>> result.users == engine.query(0, 5, 0.3, method="bruteforce").users
         True
 
-    Adds to :class:`EngineBase` the spatial indexes (SPA's grid, the
-    aggregate index), the lazily built sketch and one searcher object
-    per method.
+    Adds to :class:`EngineBase` SPA's grid, the lazily built aggregate
+    index and sketch, and one searcher object per method.
 
     Parameters
     ----------
@@ -580,7 +581,6 @@ class GeoSocialEngine(EngineBase):
         backend: "str | Kernels" = "auto",
         planner: "AdaptivePlanner | None" = None,
         grid: UniformGrid | None = None,
-        aggregate: AggregateIndex | None = None,
         sketch: SketchIndex | None = None,
         social_cache_bytes: int | None = None,
         social_cache: "SocialColumnCache | None" = None,
@@ -603,24 +603,39 @@ class GeoSocialEngine(EngineBase):
             None if index_users is None else set(index_users)
         )
         members = None if self.index_users is None else sorted(self.index_users)
-        # grid/aggregate injection is the warm-start path of
-        # :mod:`repro.store`: restored indexes skip the insertion scan
-        # (summaries are still recomputed exactly by AggregateIndex).
+        # grid injection is the warm-start path of :mod:`repro.store`:
+        # a restored grid skips the insertion scan
         self.grid = (
             grid if grid is not None else UniformGrid.build(locations, s * s, users=members)
         )
-        self.aggregate = (
-            aggregate
-            if aggregate is not None
-            else AggregateIndex.build(locations, self.landmarks, s, users=members)
-        )
+        #: AIS's index (see :attr:`aggregate`); maintained by the
+        #: ``_index_*`` primitives only once it exists
+        self._aggregate: AggregateIndex | None = None
         #: the social-distance sketch behind ``method="approx"`` (built
         #: lazily on first approx query; injectable — the store's
         #: restore path adopts persisted sketch columns here)
         self._sketch: SketchIndex | None = sketch
         self._searchers: dict[str, object] = {}
 
-    # -- the lazily-built sketch ------------------------------------------
+    # -- the lazily-built indexes -----------------------------------------
+
+    @property
+    def aggregate(self) -> AggregateIndex:
+        """The aggregate index (built on first use; only ``ais`` and the
+        reproduction tier's AIS variants read it).  Its leaf level is a
+        copy of the maintained SPA grid — same cells, same in-cell
+        order — so an index built late equals one kept from the start.
+        Build it under :attr:`rw_lock`'s read side at least (the service
+        layer's queries are), so no location update races the copy."""
+        if self._aggregate is None:
+            with self._build_lock:
+                if self._aggregate is None:
+                    self._aggregate = AggregateIndex(
+                        MultiLevelGrid.from_grid(self.grid.copy(), self.s),
+                        self.landmarks,
+                        self.locations,
+                    )
+        return self._aggregate
 
     @property
     def sketch(self) -> SketchIndex:
@@ -684,21 +699,24 @@ class GeoSocialEngine(EngineBase):
         """Add ``user`` (already written to the location table) to the
         spatial indexes; tracks membership on filtered engines."""
         self.grid.insert(user, x, y)
-        self.aggregate.insert_user(user, x, y)
+        if self._aggregate is not None:
+            self._aggregate.insert_user(user, x, y)
         if self.index_users is not None:
             self.index_users.add(user)
 
     def _index_remove(self, user: int) -> None:
         """De-index ``user`` from the grid and the aggregate index."""
         self.grid.remove(user)
-        self.aggregate.remove_user(user)
+        if self._aggregate is not None:
+            self._aggregate.remove_user(user)
         if self.index_users is not None:
             self.index_users.discard(user)
 
     def _index_move(self, user: int, x: float, y: float) -> None:
         """Relocate an indexed ``user`` within this engine's indexes."""
         self.grid.move(user, x, y)
-        self.aggregate.move_user(user, x, y)
+        if self._aggregate is not None:
+            self._aggregate.move_user(user, x, y)
 
     # -- introspection ----------------------------------------------------
 

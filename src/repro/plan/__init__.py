@@ -1,8 +1,9 @@
 """plan — cost-based adaptive method selection (``method="auto"``).
 
 The paper's evaluation shows no SSRQ processing method dominates; this
-package turns the repo's library of interchangeable, rank-identical
-algorithms into a self-tuning engine:
+package picks per query among interchangeable, rank-identical methods
+(by default the two that run on the ``sssp_column`` kernel; the
+paper's incremental searchers are opt-in candidates):
 
 - :mod:`repro.plan.rules` — the static endpoint routing every dispatch
   path shares (``route_method``), plus the ``auto`` sentinel;
@@ -15,10 +16,11 @@ algorithms into a self-tuning engine:
   learned costs, seeded by a calibration pass).
 
 Both engine kinds own a lazily-built planner (``engine.planner``) and
-expose ``engine.resolve_method(...)``; the service layer keys its
-result cache on the *resolved* method and feeds measured latencies
-back, and the stream layer resolves subscriptions once at subscribe
-time.
+expose ``engine.resolve_method(...)``; the service layer looks an
+exact ``auto`` request up on the question alone, *before* planning
+(named methods keep one cache line per resolved method), measured
+latencies feed back, and ``auto`` subscriptions re-resolve on every
+recompute.
 """
 
 from repro.plan.cost import CostModel

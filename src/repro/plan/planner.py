@@ -52,10 +52,11 @@ from repro.plan.rules import AUTO, METHOD_TABLE, route_method, static_choice
 
 _TINY = 1e-300  # matches repro.core.ranking's division guard
 
-#: forward-deterministic searcher families the planner picks among by
-#: default: one per cost regime (spatial stream, twofold interleave,
-#: social ball + dense scan, full column + dense scan).  ``sfa`` is
-#: opt-in: ``bounded`` runs its stopping rule inside the kernel
+#: the arms the planner picks among by default — the two that run on
+#: the ``sssp_column`` kernel (social ball + dense scan, full column +
+#: dense scan).  The paper's incremental searchers (``sfa``, ``spa``,
+#: ``tsa``, ``tsa-qc``) are opt-in: ``candidates=DEFAULT_CANDIDATES +
+#: ("tsa",)`` adds one, and calibration then pays to time it
 DEFAULT_CANDIDATES = tuple(name for name, spec in METHOD_TABLE.items() if spec.candidate)
 
 #: (k, alpha) probe grid of the calibration pass — one alpha per
@@ -342,6 +343,13 @@ class AdaptivePlanner:
             rng = random.Random(len(located))
             rng.shuffle(located)
             users = located[: self._calibration_users]
+        # One untimed query per candidate first: it builds the searcher
+        # and whatever that derives lazily from the graph (``bounded``'s
+        # distance profile is three columns), so the timed probes below
+        # price the method, not its one-off set-up.
+        for user in users[:1]:
+            for method in self.candidates:
+                self._probe(engine, user, CALIBRATION_ALPHAS[0], method, read_lock, timed=False)
         executed = 0
         for alpha in CALIBRATION_ALPHAS:
             for method in self.candidates:
@@ -351,10 +359,13 @@ class AdaptivePlanner:
             self.stats.calibration_queries += executed
         return executed
 
-    def _probe(self, engine, user: int, alpha: float, method: str, read_lock) -> int:
-        """One timed calibration query (optionally under its own read
-        lock); returns 1 if it executed, 0 if the probe user's location
-        was forgotten concurrently (any other error is a bug: raise)."""
+    def _probe(
+        self, engine, user: int, alpha: float, method: str, read_lock, timed: bool = True
+    ) -> int:
+        """One calibration query (optionally under its own read lock),
+        its wall time folded into the model when ``timed``; returns 1
+        if it executed, 0 if the probe user's location was forgotten
+        concurrently (any other error is a bug: raise)."""
         guard = read_lock() if read_lock is not None else nullcontext()
         with guard:
             probe = QueryRequest(user, CALIBRATION_K, alpha, method)
@@ -371,7 +382,8 @@ class AdaptivePlanner:
                     raise
                 return 0
             elapsed = time.perf_counter() - start
-        self.cost.observe(bucket, method, elapsed)
+        if timed:
+            self.cost.observe(bucket, method, elapsed)
         return 1
 
     # -- introspection -------------------------------------------------

@@ -30,7 +30,7 @@ so every layer can read the table without an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: the sentinel method name resolved per query by the adaptive planner
 AUTO = "auto"
@@ -87,21 +87,20 @@ class MethodSpec:
         return self.column is not None
 
 
-_TSA = MethodSpec(
-    alpha0="spa", alpha1="sfa", column="replay", needs_location=True, candidate=True
-)
+_TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="replay", needs_location=True)
 
 #: one row per served method, in the order ``METHODS`` lists them
 METHOD_TABLE: dict[str, MethodSpec] = {
-    # the paper's social-first algorithm; the planner plays its rule
-    # through ``bounded`` instead (cheaper at every (n, alpha) measured),
-    # so like ``tsa-qc`` it is served by name and opt-in for ``auto``
+    # the paper's incremental algorithms: served by name and the static
+    # endpoint routes, opt-in for ``auto``
+    # (``AdaptivePlanner(candidates=(..., "tsa"))``) — since the
+    # ``sssp_column`` kernel the two column arms below beat each of
+    # them at every (n, alpha) measured (docs/BENCHMARKS.md, PR 24), so
+    # calibration does not pay to time them
     "sfa": MethodSpec(alpha0="spa", column="replay", delegated=True),
-    "spa": MethodSpec(alpha1="sfa", column="resume", needs_location=True, candidate=True),
+    "spa": MethodSpec(alpha1="sfa", column="resume", needs_location=True),
     "tsa": _TSA,
-    # ~1 % of planner picks on every tracked workload: served, opt-in
-    # for the planner (``AdaptivePlanner(candidates=(..., "tsa-qc"))``)
-    "tsa-qc": replace(_TSA, candidate=False),
+    "tsa-qc": _TSA,
     "ais": MethodSpec(alpha1="sfa"),
     "approx": MethodSpec(alpha0="spa", delegated=True),
     # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``

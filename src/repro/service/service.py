@@ -277,7 +277,7 @@ class QueryService:
         """One-time planner calibration for ``auto`` traffic, run
         *before* this thread takes the engine's read lock: each probe
         acquires the read side itself, so a pending update stalls for
-        one probe query, not the whole ~24-probe pass (the engine lock
+        one probe query, not the whole calibration pass (the engine lock
         is writer-preferring — calibrating under a held read lock would
         stall every other reader behind a queued writer)."""
         engine = self.engine

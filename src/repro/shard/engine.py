@@ -228,7 +228,7 @@ class ShardedGeoSocialEngine(EngineBase):
         journal_capacity: int = 8192,
         social_cache_bytes: int | None = None,
         social_cache: "SocialColumnCache | None" = None,
-        _shard_indexes: dict | None = None,
+        _shard_grids: dict | None = None,
     ) -> None:
         if locations.n_located < 1:
             raise ValueError(
@@ -276,9 +276,9 @@ class ShardedGeoSocialEngine(EngineBase):
             else max(1, min(4, os.cpu_count() or 1, self.partitioner.n_shards))
         )
 
-        #: restored per-shard indexes (``sid -> (grid, aggregate)``),
+        #: restored per-shard grids (``sid -> UniformGrid``),
         #: consumed by ``_build_shard`` on the snapshot warm-start path
-        self._restored_indexes: dict = _shard_indexes or {}
+        self._restored_grids: dict = _shard_grids or {}
         #: located user -> owning shard id
         self._owner: dict[int, int] = {}
         #: shard id -> member-filtered engine (built lazily for shards
@@ -319,19 +319,16 @@ class ShardedGeoSocialEngine(EngineBase):
     # -- shard construction --------------------------------------------
 
     def _build_shard(self, sid: int, users: set[int]) -> GeoSocialEngine:
-        grid = aggregate = None
-        restored = self._restored_indexes.pop(sid, None)
-        if restored is not None:
-            grid, aggregate = restored
-            if set(grid._cell_of_user) != users:
-                # Ownership is always derivable (owner ==
-                # partitioner.shard_of(current location)); a restored
-                # index disagreeing with that computation means the
-                # snapshot's columns are mutually inconsistent.
-                raise ValueError(
-                    f"restored shard {sid} indexes {len(grid)} members, "
-                    f"the partitioner assigns {len(users)}"
-                )
+        grid = self._restored_grids.pop(sid, None)
+        if grid is not None and set(grid._cell_of_user) != users:
+            # Ownership is always derivable (owner ==
+            # partitioner.shard_of(current location)); a restored
+            # index disagreeing with that computation means the
+            # snapshot's columns are mutually inconsistent.
+            raise ValueError(
+                f"restored shard {sid} indexes {len(grid)} members, "
+                f"the partitioner assigns {len(users)}"
+            )
         engine = GeoSocialEngine(
             self.graph,
             self.locations,
@@ -343,7 +340,6 @@ class ShardedGeoSocialEngine(EngineBase):
             index_users=users,
             backend=self.kernels,
             grid=grid,
-            aggregate=aggregate,
             # every shard consults (and feeds) the coordinator's one
             # shared column cache; 0 stops a disabled coordinator's
             # shards from building private ones

@@ -121,6 +121,14 @@ class UniformGrid:
             cell_of_user[user] = coords
         return grid
 
+    def copy(self) -> "UniformGrid":
+        """An independent grid with the same cells, member lists (in
+        order) and extent."""
+        grid = type(self)(self.bbox, self.nx)
+        grid.cells = {coords: list(members) for coords, members in self.cells.items()}
+        grid._cell_of_user = dict(self._cell_of_user)
+        return grid
+
     # -- geometry ---------------------------------------------------------
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:

@@ -34,9 +34,9 @@ bit-identically after a warm start.
 Loading adopts columns zero-copy (``mmap_mode='c'``): the location
 table and the landmark matrix map straight from disk, the CSR arrays
 become the flat Python lists Dijkstra needs, grids rebuild from their
-cell arrays without re-deriving geometry, and aggregate-index social
-summaries are recomputed exactly from the landmark matrix (they are a
-pure function of it — cheaper to recompute than to checksum).
+cell arrays without re-deriving geometry.  The aggregate index is not
+rebuilt on load: like a freshly built engine, a restored one derives it
+from its grid and the landmark matrix on the first ``ais`` query.
 """
 
 from __future__ import annotations
@@ -283,14 +283,10 @@ def _load_shared(path, manifest: dict, *, mmap: bool, verify: bool):
     return graph, locations, landmarks, normalization
 
 
-def _restore_indexes(path, manifest, prefix, bbox4, fanout, landmarks, locations, *, verify):
-    """(UniformGrid, AggregateIndex) from one persisted cell-array
-    triple.  The SPA grid and the aggregate's leaf grid are maintained
-    in lockstep by every engine mutation, so one stored image restores
-    both (as two independent instances); summaries recompute exactly."""
-    from repro.index.aggregate import AggregateIndex
+def _restore_grid(path, manifest, prefix, bbox4, fanout, *, verify):
+    """The :class:`UniformGrid` one persisted cell-array triple encodes
+    (the engine derives its aggregate index from it on first use)."""
     from repro.spatial.grid import UniformGrid
-    from repro.spatial.multigrid import MultiLevelGrid
     from repro.spatial.point import BBox
 
     users = _column(path, manifest, f"{prefix}_users", mmap=False, verify=verify)
@@ -308,15 +304,9 @@ def _restore_indexes(path, manifest, prefix, bbox4, fanout, landmarks, locations
         )
     try:
         bbox = BBox(*(float(v) for v in bbox4))
-        resolution = fanout * fanout
-        grid = UniformGrid.from_arrays(bbox, resolution, users, ixs, iys)
-        leaf = UniformGrid.from_arrays(bbox, resolution, users, ixs, iys)
-        aggregate = AggregateIndex(
-            MultiLevelGrid.from_grid(leaf, fanout), landmarks, locations
-        )
+        return UniformGrid.from_arrays(bbox, fanout * fanout, users, ixs, iys)
     except (TypeError, ValueError) as err:
         raise StoreCorruptionError(f"grid columns {prefix}_* are invalid: {err}") from err
-    return grid, aggregate
 
 
 def _load_sketch(path, manifest: dict, graph, landmarks, *, mmap: bool, verify: bool):
@@ -361,10 +351,7 @@ def _load_single(path, manifest: dict, *, mmap: bool, verify: bool):
         path, manifest, mmap=mmap, verify=verify
     )
     fanout = int(config["s"])
-    grid, aggregate = _restore_indexes(
-        path, manifest, "grid", config["grid_bbox"], fanout, landmarks, locations,
-        verify=verify,
-    )
+    grid = _restore_grid(path, manifest, "grid", config["grid_bbox"], fanout, verify=verify)
     index_users = config.get("index_users")
     sketch = _load_sketch(path, manifest, graph, landmarks, mmap=mmap, verify=verify)
     return GeoSocialEngine(
@@ -378,7 +365,6 @@ def _load_single(path, manifest: dict, *, mmap: bool, verify: bool):
         index_users=None if index_users is None else [int(u) for u in index_users],
         backend=resolve_backend(config["backend"]),
         grid=grid,
-        aggregate=aggregate,
         sketch=sketch,
     )
 
@@ -408,12 +394,11 @@ def _load_sharded(path, manifest: dict, *, mmap: bool, verify: bool):
         expected.setdefault(sid, set()).add(user)
 
     shard_s = int(config["shard_s"])
-    shard_indexes: dict = {}
+    shard_grids: dict = {}
     for entry in config["shards"]:
         sid = int(entry["sid"])
-        grid, aggregate = _restore_indexes(
-            path, manifest, f"shard{sid}_grid", entry["grid_bbox"], shard_s,
-            landmarks, locations, verify=verify,
+        grid = _restore_grid(
+            path, manifest, f"shard{sid}_grid", entry["grid_bbox"], shard_s, verify=verify
         )
         stored_members = set(grid._cell_of_user)
         if stored_members != expected.get(sid, set()):
@@ -423,8 +408,8 @@ def _load_sharded(path, manifest: dict, *, mmap: bool, verify: bool):
                 "snapshot columns are mutually inconsistent"
             )
         if stored_members:
-            shard_indexes[sid] = (grid, aggregate)
-    missing = set(expected) - set(shard_indexes)
+            shard_grids[sid] = grid
+    missing = set(expected) - set(shard_grids)
     if missing:
         raise StoreCorruptionError(
             f"snapshot stores no grid columns for populated shards {sorted(missing)}"
@@ -443,7 +428,7 @@ def _load_sharded(path, manifest: dict, *, mmap: bool, verify: bool):
         normalization=normalization,
         landmarks=landmarks,
         backend=resolve_backend(config["backend"]),
-        _shard_indexes=shard_indexes,
+        _shard_grids=shard_grids,
     )
 
 

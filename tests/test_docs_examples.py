@@ -136,7 +136,7 @@ def test_readme_documents_every_method():
     from repro.plan.planner import DEFAULT_CANDIDATES
 
     assert "/".join(f"`{m}`" for m in DEFAULT_CANDIDATES) in " ".join(readme.split())
-    assert "`sfa` and `tsa-qc` are opt-in" in " ".join(readme.split())
+    assert "`sfa`, `spa`, `tsa` and `tsa-qc` are opt-in" in " ".join(readme.split())
 
 
 def test_citation_is_consistent():

@@ -9,7 +9,8 @@ shared smaller-id tie-break).
 
 Pinned here across the whole stack:
 
-- both backends (``python`` and ``numpy`` kernels),
+- both backends (``python`` and ``numpy`` kernels), and the paper's
+  incremental searchers opted back in as planner arms,
 - shard counts {1, 4} (single engine and scatter-gather coordinator),
 - interleaved location updates (moves, forgets, boundary crossings),
 - the cached service path (resolved-method cache keys), and
@@ -29,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import AUTO, GeoSocialEngine
-from repro.plan import AdaptivePlanner
+from repro.plan import DEFAULT_CANDIDATES, AdaptivePlanner
 from repro.service import QueryRequest, QueryService
 from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance
@@ -43,16 +44,26 @@ settings.register_profile(
 )
 PLAN_CI = settings.get_profile("plan-ci")
 
-BACKENDS = ("python", "numpy")
+#: (backend, planner candidates): the default column arms on both
+#: backends, and the pre-PR-24 default set as an opt-in (explored at
+#: full rate so every arm is really played)
+LEGS = (
+    pytest.param("python", None, id="python"),
+    pytest.param("numpy", None, id="numpy"),
+    pytest.param("numpy", DEFAULT_CANDIDATES + ("spa", "tsa"), id="numpy-opt-in"),
+)
 SHARD_COUNTS = (1, 4)
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 STEPS = 8
 
 
-def build_engine(graph, locations, n_shards, backend):
+def build_engine(graph, locations, n_shards, backend, candidates=None):
+    planner = None
+    if candidates is not None:
+        planner = AdaptivePlanner(candidates=candidates, epsilon=1.0, seed=3)
     if n_shards == 1:
         return GeoSocialEngine(
-            graph, locations, num_landmarks=3, s=4, seed=3, backend=backend
+            graph, locations, num_landmarks=3, s=4, seed=3, backend=backend, planner=planner
         )
     return ShardedGeoSocialEngine(
         graph,
@@ -63,6 +74,7 @@ def build_engine(graph, locations, n_shards, backend):
         seed=3,
         max_workers=1,
         backend=backend,
+        planner=planner,
     )
 
 
@@ -78,7 +90,7 @@ def assert_bit_identical(auto, brute, context):
     assert [nb.spatial for nb in auto] == [nb.spatial for nb in brute], context
 
 
-def verify_queries(engine, users, rng, context):
+def verify_queries(engine, users, rng, context, picked):
     for user in users:
         k = rng.choice((1, 3, 8))
         alpha = rng.choice(ALPHAS)
@@ -94,14 +106,18 @@ def verify_queries(engine, users, rng, context):
                 engine.query(user, k, alpha, "ais")
             continue
         assert_bit_identical(auto, brute, f"{context} u={user} k={k} a={alpha}")
+        if 0.0 < alpha < 1.0:
+            picked.add(auto.method)
         # ... and the planner's social-first arm by name
         bounded = engine.query(user, k, alpha, "bounded")
         assert_bit_identical(bounded, brute, f"{context} bounded u={user} k={k} a={alpha}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend, candidates", LEGS)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
+def test_auto_equals_bruteforce_under_interleaved_updates(backend, candidates, n_shards):
+    picked = set()  # what interior-alpha ``auto`` resolved to, over all examples
+
     @PLAN_CI
     @given(
         n=st.integers(min_value=24, max_value=70),
@@ -112,10 +128,10 @@ def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
         graph, locations = random_instance(n, seed=seed, coverage=coverage)
         if locations.n_located == 0:
             locations.set(0, 0.5, 0.5)
-        engine = build_engine(graph, locations, n_shards, backend)
+        engine = build_engine(graph, locations, n_shards, backend, candidates)
         rng = random.Random(seed + n)
         users = [u for u in locations.located_users()][:3] or [0]
-        verify_queries(engine, users, rng, f"initial b={backend} s={n_shards}")
+        verify_queries(engine, users, rng, f"initial b={backend} s={n_shards}", picked)
         for step in range(STEPS):
             mover = rng.randrange(graph.n)
             if rng.random() < 0.2 and engine.locations.has_location(mover):
@@ -123,10 +139,12 @@ def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
             else:
                 engine.move_user(mover, rng.random(), rng.random())
             verify_queries(
-                engine, users, rng, f"step={step} b={backend} s={n_shards}"
+                engine, users, rng, f"step={step} b={backend} s={n_shards}", picked
             )
 
     property_case()
+    # auto really resolved to every arm it was given, opt-in ones too
+    assert picked == set(candidates or DEFAULT_CANDIDATES)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)

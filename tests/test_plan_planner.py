@@ -26,6 +26,11 @@ from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance
 
 
+#: the default arms plus the two incremental searchers that were
+#: defaults before PR 24 — what the multi-arm scripts below play over
+OPT_IN_CANDIDATES = DEFAULT_CANDIDATES + ("spa", "tsa")
+
+
 @pytest.fixture(scope="module")
 def engine():
     graph, locations = random_instance(250, seed=11, coverage=0.8)
@@ -63,18 +68,19 @@ class TestRules:
         """The default auto candidate set must stay inside the
         forward-deterministic families: that is what makes auto results
         bit-identical to bruteforce and auto subscriptions repairable."""
-        assert DEFAULT_CANDIDATES == ("spa", "tsa", "bounded", "bruteforce")
+        assert DEFAULT_CANDIDATES == ("bounded", "bruteforce")
         assert set(DEFAULT_CANDIDATES) <= FORWARD_DETERMINISTIC_METHODS
         assert set(DEFAULT_CANDIDATES) <= set(METHODS)
 
     def test_tsa_qc_is_an_opt_in_candidate(self, engine):
-        """Served, but off the planner's default set (``sfa`` too: its
-        rule is played through ``bounded``): naming one as a candidate
-        still works and calibration probes it."""
-        for method in ("tsa-qc", "sfa"):
+        """The paper's incremental searchers are served, but off the
+        planner's default set (the column arms beat each of them):
+        naming one as a candidate still works and calibration probes
+        it."""
+        for method in ("tsa-qc", "sfa", "spa", "tsa"):
             assert method in METHODS and method not in DEFAULT_CANDIDATES
             planner = AdaptivePlanner(candidates=DEFAULT_CANDIDATES + (method,), seed=1)
-            assert planner.calibrate(engine) == 4 * 5 * 2
+            assert planner.calibrate(engine) == 4 * 3 * 2
             assert method in planner.cost.snapshot()["global"]
 
 
@@ -279,7 +285,7 @@ class TestPlanner:
         assert planner.stats.static_routes == 2
 
     def test_greedy_picks_cheapest_learned_method(self, engine):
-        planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
+        planner = AdaptivePlanner(candidates=OPT_IN_CANDIDATES, calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
         bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
         for method, cost in (("bounded", 0.9), ("spa", 0.1), ("tsa", 0.5), ("bruteforce", 0.7)):
@@ -446,17 +452,17 @@ class TestPlanner:
         observation must not rob the never-observed candidates of their
         exploration turn, and once the arm's real cost arrives the
         floored artifact does not keep winning min()."""
-        planner = AdaptivePlanner(calibrate=False, epsilon=0.0)
+        planner = AdaptivePlanner(candidates=OPT_IN_CANDIDATES, calibrate=False, epsilon=0.0)
         user = next(iter(engine.locations.located_users()))
         bucket = extract_features(engine, QueryRequest(user, 10, 0.5)).bucket()
         planner.cost.observe(bucket, "tsa", 0.0)  # coarse-clock artifact
         resolved = set()
-        for _ in range(len(DEFAULT_CANDIDATES) - 1):
+        for _ in range(len(OPT_IN_CANDIDATES) - 1):
             decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
             assert decision.explored, "unexplored arms must still go first"
             resolved.add(decision.method)
             planner.observe(decision, 0.5)
-        assert resolved == set(DEFAULT_CANDIDATES) - {"tsa"}
+        assert resolved == set(OPT_IN_CANDIDATES) - {"tsa"}
         # greedy now picks the floored arm (cheapest estimate on record)
         decision = planner.resolve(engine, QueryRequest(user, 10, 0.5, AUTO))
         assert decision.method == "tsa" and not decision.explored

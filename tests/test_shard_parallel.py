@@ -376,9 +376,10 @@ def test_engine_process_backend_routes_queries_through_warm_pool():
     try:
         assert process_engine.scatter_backend_info()["resolved"] == "process"
         users = list(process_engine.located_users())[:5]
+        # a named scattered method: every ``auto`` arm is delegated
         for u in users:
             assert (
-                process_engine.query(u, k=5, alpha=0.3).users
+                process_engine.query(u, k=5, alpha=0.3, method="tsa").users
                 == single.query(u, k=5, alpha=0.3).users
             )
         info = process_engine.scatter_backend_info()
@@ -387,7 +388,7 @@ def test_engine_process_backend_routes_queries_through_warm_pool():
         process_engine.move_user(users[0], 0.66, 0.33)
         single.move_user(users[0], 0.66, 0.33)
         assert (
-            process_engine.query(users[1], k=5, alpha=0.3).users
+            process_engine.query(users[1], k=5, alpha=0.3, method="tsa").users
             == single.query(users[1], k=5, alpha=0.3).users
         )
         assert process_engine.scatter_backend_info()["pool"]["reforks"] == 0
