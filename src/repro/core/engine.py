@@ -272,7 +272,7 @@ class EngineBase:
            routing, or the planner for ``"auto"``);
         3. **column step** — look the query user's social column up
            (:func:`repro.social.scan.column_step`): a cached full
-           column answers at once, a parked expansion is resumed;
+           column answers at once;
         4. **run** the resolved method (:meth:`_run`);
         5. stamp ``result.method`` and let the planner **observe** the
            measured wall time.

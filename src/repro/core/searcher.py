@@ -10,8 +10,8 @@ variants included — satisfies one protocol:
   users (the sharded engine's threshold-propagation hook); the
   forward-deterministic stream searchers (SFA, SPA, TSA) additionally
   accept ``social=``, the Dijkstra stream from ``v_q`` to enumerate —
-  how the query pipeline's column step hands them a resumed expansion
-  (:func:`repro.social.scan.column_step`);
+  how the query pipeline's column step hands them the expansion it
+  checks in afterwards (:func:`repro.social.scan.column_step`);
 - the returned :class:`~repro.core.result.SSRQResult` carries a fully
   populated :class:`~repro.core.stats.SearchStats`: heap pops per
   domain, **cells opened** (grid/aggregate-index cells expanded),

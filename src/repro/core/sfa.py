@@ -67,8 +67,8 @@ class SocialFirstSearch:
         Dijkstra stream stops as soon as its social bound proves no
         unseen user can improve on it.  ``social`` is the Dijkstra
         stream from ``v_q`` to enumerate — the pipeline's column step
-        hands in a replayed parked expansion; a fresh one is opened
-        when omitted."""
+        hands in the expansion it promotes to a cached column if this
+        search exhausts it; a fresh one is opened when omitted."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()

@@ -76,10 +76,10 @@ class SpatialFirstSearch:
         the NN stream terminate as soon as its spatial bound proves no
         local user can improve on it (scatter-gather threshold
         propagation).  ``social`` is the shared Dijkstra from ``v_q``
-        that evaluations advance — SPA only ever calls ``run_until``,
-        which consults ``settled`` first, so the pipeline's column step
-        hands a parked expansion in to be resumed in place; a fresh one
-        is opened when omitted."""
+        that evaluations advance through ``run_until`` — the pipeline's
+        column step hands in the expansion it promotes to a cached
+        column if this search exhausts it; a fresh one is opened when
+        omitted."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()

@@ -111,10 +111,9 @@ class TwofoldSearch:
         """Answer the query; an optional ``initial`` buffer of already
         fully-evaluated users warm-starts ``f_k``, so the twofold bound
         ``θ`` can end both phases before either stream advances far.
-        ``social`` is the Dijkstra stream from ``v_q`` — the pipeline's
-        column step hands in a replayed parked expansion, so the
-        interleaved enumeration (and its ``settled``-keyed candidate
-        admission) sees exactly a cold stream; a fresh one is opened
+        ``social`` is the fresh Dijkstra stream from ``v_q`` — the
+        pipeline's column step hands it in so it can promote an
+        exhausted expansion to a cached column; a fresh one is opened
         when omitted."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()

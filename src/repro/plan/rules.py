@@ -54,15 +54,14 @@ class MethodSpec:
     #: from the spatial indexes, so every index-based method routes to
     #: SFA, whose Dijkstra stream reaches them all.
     alpha1: str | None = None
-    #: how the method takes over a parked forward expansion of the
-    #: query user's social column (``None``: it cannot — its distances
-    #: are not forward-Dijkstra values).  ``"replay"``: SFA's
-    #: enumeration and TSA's ``settled``-keyed admission need every
-    #: settled vertex once, in settle order; ``"resume"``: SPA only
-    #: calls ``run_until``; ``"exhaust"``: bruteforce needs every
-    #: distance, so it takes the finished column; ``"bounded"``: it
-    #: expands a ball of the column itself and scans a finished one
-    #: when the cache has it.
+    #: how the method uses the query user's cached social column
+    #: (``None``: it cannot — its distances are not forward-Dijkstra
+    #: values).  Every other value scans a cached column when there is
+    #: one; on a miss, ``"stream"`` (the incremental searchers) enumerates
+    #: a fresh forward expansion, promoted to a column if it exhausts;
+    #: ``"exhaust"``: bruteforce needs every distance, so the kernel
+    #: builds the column; ``"bounded"``: it expands a ball of the column
+    #: itself and stores only an unbounded one.
     column: str | None = None
     #: the searcher rejects an unlocated query user before any social
     #: work, so the column step must leave the cache untouched for it
@@ -87,7 +86,7 @@ class MethodSpec:
         return self.column is not None
 
 
-_TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="replay", needs_location=True)
+_TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="stream", needs_location=True)
 
 #: one row per served method, in the order ``METHODS`` lists them
 METHOD_TABLE: dict[str, MethodSpec] = {
@@ -97,8 +96,8 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     # ``sssp_column`` kernel the two column arms below beat each of
     # them at every (n, alpha) measured (docs/BENCHMARKS.md, PR 24), so
     # calibration does not pay to time them
-    "sfa": MethodSpec(alpha0="spa", column="replay", delegated=True),
-    "spa": MethodSpec(alpha1="sfa", column="resume", needs_location=True),
+    "sfa": MethodSpec(alpha0="spa", column="stream", delegated=True),
+    "spa": MethodSpec(alpha1="sfa", column="stream", needs_location=True),
     "tsa": _TSA,
     "tsa-qc": _TSA,
     "ais": MethodSpec(alpha1="sfa"),

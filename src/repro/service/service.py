@@ -398,8 +398,7 @@ class QueryService:
 
         Every distinct miss runs ``engine.query``; variants for one hot
         query user still share its social column through the engine's
-        column step (the first parks or fills it, the rest resume or
-        scan).
+        column step (the first fills it, the rest scan).
         """
         work = [request for request, _, _ in pending.values()]
 

@@ -405,10 +405,9 @@ class ShardedGeoSocialEngine(EngineBase):
         """The coordinator's column step only *probes*: a cached full
         column answers a scatter-eligible query in one dense scan (no
         shard touched); anything else falls through to :meth:`_run`,
-        whose shard engines run the real step themselves — so a parked
-        partial expansion is left for the shard search that resumes it.
-        Delegated methods skip the probe: the delegate shard engine's
-        own step consults the shared cache."""
+        whose shard engines run the real step themselves.  Delegated
+        methods skip the probe: the delegate shard engine's own step
+        consults the shared cache."""
         if resolved not in DELEGATED_METHODS:
             result = peek_scan(self, resolved, request, initial)
             if result is not None:

@@ -3,13 +3,10 @@
 Social-distance columns are pure functions of the (immutable-per-
 engine) social graph, so they are cacheable across queries with *zero*
 accuracy cost: :class:`SocialColumnCache` memoizes full dense columns
-and parks partially-expanded :class:`~repro.graph.traversal.
-DijkstraIterator` states per query user, invalidated only when social
-edges change — location moves never touch it.  See
-:mod:`repro.social.cache` for the epoch argument, :mod:`repro.social.
-resume` for the replay contract that keeps resumed streams
-bit-identical to cold ones, and :mod:`repro.social.scan` for the shared
-columnar scoring path and the pipeline's column step.
+per query user, invalidated only when social edges change — location
+moves never touch it.  See :mod:`repro.social.cache` for the epoch
+argument and :mod:`repro.social.scan` for the shared columnar scoring
+path and the pipeline's column step.
 """
 
 from repro.social.cache import (
@@ -17,12 +14,10 @@ from repro.social.cache import (
     SocialCacheStats,
     SocialColumnCache,
 )
-from repro.social.resume import ReplayedDijkstra
 from repro.social.scan import dense_scan
 
 __all__ = [
     "DEFAULT_SOCIAL_CACHE_BYTES",
-    "ReplayedDijkstra",
     "SocialCacheStats",
     "SocialColumnCache",
     "dense_scan",

@@ -6,15 +6,11 @@ stream repairs — derives the same object first: the social distances
 from the query user.  Those distances are a pure
 function of the (immutable-per-engine) social graph, so once one query
 has paid for an expansion, every later query from the same user can
-reuse it **exactly**:
-
-- a *full* column (the query ran the expansion to exhaustion, or a
-  resumed one finished it) answers any later query with one columnar
-  scan — no traversal at all;
-- a *partial* column parks the early-terminated
-  :class:`~repro.graph.traversal.DijkstraIterator` with its settled
-  radius, so the next query *resumes* the expansion instead of
-  restarting it from the source.
+reuse it **exactly**.  The cache holds one kind of entry, a *full*
+dense column — built by the ``sssp_column`` kernel, or marshalled
+from an incremental search whose expansion ran to exhaustion — answers
+any later query with one columnar scan, no traversal at all.  An
+early-terminated expansion is not kept.
 
 **Why edge-epoch invalidation only.**  A social column depends on
 nothing but the graph's edges.  Location moves — the overwhelming
@@ -30,10 +26,9 @@ fresh, empty cache by construction.
 
 **Why bytes, not entries.**  A dense column is ``8·n`` bytes — ~8 MB
 per column on a 1M-user graph — so an entry-counted LRU would be
-unbounded in the dimension that actually matters.  Entries are
-byte-accounted (columns exactly, parked iterators by a documented
-per-settled-vertex estimate) and evicted LRU-first until the budget
-holds.
+unbounded in the dimension that actually matters.  Every entry costs
+exactly ``8·n`` bytes, and entries are evicted LRU-first until the
+budget holds.
 """
 
 from __future__ import annotations
@@ -60,16 +55,6 @@ DEFAULT_SOCIAL_CACHE_BYTES = 32 * 1024 * 1024
 #: a dense column stores one float64 per user
 _COLUMN_ENTRY_BYTES = 8
 
-#: accounting estimate per settled vertex of a parked iterator: the
-#: ``settled``/``parent``/``_best`` dict slots plus the amortised heap
-#: tuple.  An estimate (Python dict internals vary by version) and an
-#: *under*-estimate: tracemalloc measures ≈158 B per settled vertex at
-#: n = 10 000, so a "32 MiB" budget really holds ≈ 80 MiB of parked
-#: partials.  Kept as is here — the constant decides what ``mixed_rw``
-#: can park, so changing it is a measured change of its own (ROADMAP,
-#: earn-your-keep item).
-_PARTIAL_ENTRY_BYTES = 96
-
 
 @dataclass
 class SocialCacheStats:
@@ -83,11 +68,9 @@ class SocialCacheStats:
 
     #: lookups answered by a fully materialised column
     hits: int = 0
-    #: lookups that checked out a parked partial expansion to resume
-    resumes: int = 0
-    #: lookups that found neither (the query expands from scratch)
+    #: lookups that found no column (the query expands from scratch)
     misses: int = 0
-    #: partial columns completed and promoted to full on check-in
+    #: exhausted incremental expansions promoted to columns on check-in
     promotions: int = 0
     #: entries dropped by the byte-budget LRU
     evictions: int = 0
@@ -97,28 +80,11 @@ class SocialCacheStats:
     def snapshot(self) -> dict:
         return {
             "hits": self.hits,
-            "resumes": self.resumes,
             "misses": self.misses,
             "promotions": self.promotions,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
         }
-
-
-class _Full:
-    __slots__ = ("column", "bytes")
-
-    def __init__(self, column, nbytes: int) -> None:
-        self.column = column
-        self.bytes = nbytes
-
-
-class _Partial:
-    __slots__ = ("iterator", "bytes")
-
-    def __init__(self, iterator: DijkstraIterator, nbytes: int) -> None:
-        self.iterator = iterator
-        self.bytes = nbytes
 
 
 class SocialColumnCache:
@@ -141,10 +107,7 @@ class SocialColumnCache:
 
     Thread-safe: every operation holds one internal lock, so concurrent
     queries under the engine's shared read lock never observe a
-    half-updated entry.  A *partial* entry is checked out exclusively
-    (removed on :meth:`acquire`), so only one search ever advances a
-    parked iterator; :meth:`checkin` resolves races by keeping the
-    expansion with the larger settled radius.
+    half-updated entry.  Columns are shared read-only.
     """
 
     def __init__(self, n: int, kernels, max_bytes: int = DEFAULT_SOCIAL_CACHE_BYTES) -> None:
@@ -154,8 +117,7 @@ class SocialColumnCache:
         self.kernels = kernels
         self.max_bytes = max_bytes
         self.stats = SocialCacheStats()
-        self._entries: "OrderedDict[int, _Full | _Partial]" = OrderedDict()
-        self._bytes = 0
+        self._entries: "OrderedDict[int, object]" = OrderedDict()
         self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------
@@ -165,8 +127,13 @@ class SocialColumnCache:
         return self.max_bytes > 0
 
     @property
+    def column_bytes(self) -> int:
+        """What one entry costs: one float64 per user."""
+        return self.n * _COLUMN_ENTRY_BYTES
+
+    @property
     def bytes_used(self) -> int:
-        return self._bytes
+        return len(self._entries) * self.column_bytes
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -175,17 +142,14 @@ class SocialColumnCache:
         """Whether a fully materialised column for ``user`` is cached —
         O(1), no statistics, no LRU touch (the planner's warm-vs-cold
         feature probe, which must never perturb what it observes)."""
-        return isinstance(self._entries.get(user), _Full)
+        return user in self._entries
 
     def info(self) -> dict:
         """State + lifetime counters as one plain dict (stable keys)."""
         with self._lock:
-            columns = sum(1 for e in self._entries.values() if isinstance(e, _Full))
             payload = {
                 "entries": len(self._entries),
-                "columns": columns,
-                "partials": len(self._entries) - columns,
-                "bytes": self._bytes,
+                "bytes": self.bytes_used,
                 "max_bytes": self.max_bytes,
             }
             payload.update(self.stats.snapshot())
@@ -194,28 +158,19 @@ class SocialColumnCache:
     # -- lookup --------------------------------------------------------
 
     def acquire(self, user: int):
-        """``("full", column)``, ``("partial", iterator)``, or
-        ``(None, None)`` for ``user``.
-
-        A full column is shared (callers must treat it as read-only); a
-        partial expansion is **checked out** — removed from the cache so
-        exactly one search advances it — and should come back via
-        :meth:`checkin` whether or not it was advanced."""
+        """``("full", column)`` for ``user`` (recording a hit), or
+        ``(None, None)`` (recording a miss).  The column is shared:
+        callers must treat it as read-only."""
         with self._lock:
             if not self.max_bytes:
                 return None, None
-            entry = self._entries.get(user)
-            if entry is None:
+            column = self._entries.get(user)
+            if column is None:
                 self.stats.misses += 1
                 return None, None
-            if isinstance(entry, _Full):
-                self._entries.move_to_end(user)
-                self.stats.hits += 1
-                return "full", entry.column
-            del self._entries[user]
-            self._bytes -= entry.bytes
-            self.stats.resumes += 1
-            return "partial", entry.iterator
+            self._entries.move_to_end(user)
+            self.stats.hits += 1
+            return "full", column
 
     def peek_full(self, user: int):
         """The full column for ``user`` if one is cached (records a
@@ -223,71 +178,47 @@ class SocialColumnCache:
         (stream repairs, the sharded coordinator's scatter bypass) have
         their own fallback path and are probing, not demanding."""
         with self._lock:
-            entry = self._entries.get(user)
-            if isinstance(entry, _Full):
+            column = self._entries.get(user)
+            if column is not None:
                 self._entries.move_to_end(user)
                 self.stats.hits += 1
-                return entry.column
-            return None
+            return column
 
     # -- store ---------------------------------------------------------
 
     def store_full(self, user: int, column) -> None:
         """Cache a fully materialised column for ``user`` (replaces any
         existing entry; no-op when it cannot fit the budget at all)."""
-        nbytes = self.n * _COLUMN_ENTRY_BYTES
         with self._lock:
-            if not self.max_bytes or nbytes > self.max_bytes:
+            if not self.max_bytes or self.column_bytes > self.max_bytes:
                 return
-            self._evict_user_locked(user)
-            self._entries[user] = _Full(column, nbytes)
-            self._bytes += nbytes
+            self._entries[user] = column
+            self._entries.move_to_end(user)
             self._shrink_locked()
 
     def checkin(self, user: int, iterator: DijkstraIterator) -> None:
-        """Park ``iterator`` (typically just checked out and advanced)
-        as ``user``'s partial column.  An exhausted iterator is
-        *promoted*: its settled map is marshalled into a dense column
-        once, and every later query scans instead of traversing.  If a
-        concurrent search raced a fresh entry in, the expansion with
-        the larger settled radius wins (both are exact — distances are
-        schedule-independent — so either is correct; the larger one
-        simply resumes further along)."""
-        if not self.max_bytes:
+        """Promote ``iterator`` — the fresh expansion an incremental
+        search just enumerated — to ``user``'s column if it ran to
+        exhaustion: its settled map is marshalled into a dense column
+        once, and every later query scans instead of traversing.  An
+        early-terminated expansion is dropped."""
+        if not self.max_bytes or not iterator.exhausted:
             return
-        if iterator.exhausted:
-            column = self.kernels.dense_from_dict(self.n, iterator.settled, INF)
-            with self._lock:
-                self.stats.promotions += 1
-            self.store_full(user, column)
-            return
-        nbytes = max(1, len(iterator.settled)) * _PARTIAL_ENTRY_BYTES
+        column = self.kernels.dense_from_dict(self.n, iterator.settled, INF)
         with self._lock:
-            if nbytes > self.max_bytes:
-                return
-            existing = self._entries.get(user)
-            if isinstance(existing, _Full):
-                return  # a finished column supersedes any partial radius
-            if isinstance(existing, _Partial) and len(existing.iterator.settled) >= len(
-                iterator.settled
-            ):
-                self._entries.move_to_end(user)
-                return
-            self._evict_user_locked(user)
-            self._entries[user] = _Partial(iterator, nbytes)
-            self._bytes += nbytes
-            self._shrink_locked()
+            self.stats.promotions += 1
+        self.store_full(user, column)
 
     # -- invalidation / sizing ----------------------------------------
 
     def discard(self, user: int) -> None:
-        """Drop ``user``'s entry, full or parked (no-op if absent; not
-        an eviction): the next query from ``user`` expands from
-        scratch.  The planner's calibration probes call this so each
-        one times its method's traversal, not a hit on the column an
-        earlier probe left behind."""
+        """Drop ``user``'s column (no-op if absent; not an eviction):
+        the next query from ``user`` expands from scratch.  The
+        planner's calibration probes call this so each one times its
+        method's traversal, not a hit on the column an earlier probe
+        left behind."""
         with self._lock:
-            self._evict_user_locked(user)
+            self._entries.pop(user, None)
 
     def invalidate_all(self) -> None:
         """Drop every entry.  Nothing on the serving path needs it (a
@@ -295,7 +226,6 @@ class SocialColumnCache:
         probes call it so each timed method pays its own traversal."""
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
             self.stats.invalidations += 1
 
     def resize(self, max_bytes: int) -> None:
@@ -311,13 +241,7 @@ class SocialColumnCache:
 
     # -- internals (caller holds the lock) -----------------------------
 
-    def _evict_user_locked(self, user: int) -> None:
-        entry = self._entries.pop(user, None)
-        if entry is not None:
-            self._bytes -= entry.bytes
-
     def _shrink_locked(self) -> None:
-        while self._entries and self._bytes > self.max_bytes:
-            _, entry = self._entries.popitem(last=False)
-            self._bytes -= entry.bytes
+        while self._entries and self.bytes_used > self.max_bytes:
+            self._entries.popitem(last=False)
             self.stats.evictions += 1

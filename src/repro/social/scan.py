@@ -16,18 +16,17 @@ toward smaller ids), with the same ``Neighbor`` field conventions
 **The social-column step.**  :func:`column_step` is the one stage of
 the query pipeline (:meth:`repro.core.engine.EngineBase.query`) that
 talks to the :class:`~repro.social.cache.SocialColumnCache`: look the
-query user up; a full column answers through :func:`dense_scan` at
+query user up; a cached column answers through :func:`dense_scan` at
 once; a method that needs every distance (``column="exhaust"``) gets
 the column from the ``sssp_column`` kernel
 (:meth:`repro.backend.base.Kernels.sssp_column`) and stores it; a
 ``column="bounded"`` method expands only a ball of it
 (:class:`~repro.core.bounded.BoundedSearch`) and stores the column
-only when the expansion came back unbounded; a
-parked partial expansion is handed to an incremental searcher to resume
-(or replay); a miss starts a fresh
-:class:`~repro.graph.traversal.DijkstraIterator`; and whatever the
-searcher expanded is checked back in afterwards.  The searchers
-themselves only enumerate the stream they are given.
+only when the expansion came back unbounded; a ``column="stream"``
+method (an incremental searcher) enumerates a fresh
+:class:`~repro.graph.traversal.DijkstraIterator`, which the cache
+promotes to a column if the search ran it to exhaustion.  The
+searchers themselves only enumerate the stream they are given.
 :func:`peek_scan` is the sharded coordinator's probe-only variant.
 """
 
@@ -41,7 +40,6 @@ from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
 from repro.graph.traversal import DijkstraIterator
 from repro.plan.rules import METHOD_TABLE
-from repro.social.resume import ReplayedDijkstra
 
 INF = math.inf
 _NAN = math.nan
@@ -113,17 +111,6 @@ def materialize_column(engine, user: int):
     return column
 
 
-def _checkout(cache, user: int):
-    """``(column, parked)`` for ``user``: a shared full column, an
-    exclusively checked-out partial expansion, or neither."""
-    kind, payload = cache.acquire(user)
-    if kind == "full":
-        return payload, None
-    if kind == "partial":
-        return None, payload
-    return None, None
-
-
 def _scan_result(engine, request, rank, column, initial, stats, start) -> SSRQResult:
     """Answer ``request`` from a full ``column`` in one columnar pass —
     bit-identical to any forward-deterministic enumeration (strict
@@ -171,11 +158,9 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     ``bounded`` method on a miss runs its own radius-limited expansion
     and scan; only a column that came back *unbounded* is stored (a
     radius column is never cached — there is no such cache kind).
-    Either way a parked partial is dropped, not finished: the kernel is
-    cheaper than resuming the scalar expansion.  Otherwise
-    the searcher enumerates a resumed (or replayed) parked expansion,
-    or a fresh one on a miss, and the step checks the expansion back
-    in — an exhausted one is promoted to a full column by the cache.
+    Otherwise (``stream``) the searcher enumerates a fresh expansion
+    and the step checks it in — an exhausted one is promoted to a full
+    column by the cache, an early-terminated one is dropped.
     """
     spec = METHOD_TABLE[method]
     rank = _applies(engine, spec, request)
@@ -186,7 +171,7 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     user = request.user
     exhaust = spec.column == "exhaust"
     stats = SearchStats()
-    column, parked = _checkout(cache, user)
+    _, column = cache.acquire(user)
     if column is not None:
         stats.extra["social_column_hits"] = 1
     elif spec.column == "bounded":
@@ -206,18 +191,17 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
         if exhaust:  # the full scan evaluates everyone it scores
             stats.evaluations = stats.candidates_scored
         return result
-    inner = parked if parked is not None else DijkstraIterator(engine.graph, user)
-    replay = parked is not None and spec.column == "replay"
-    result = run(ReplayedDijkstra(inner) if replay else inner)
-    cache.checkin(user, inner)
+    social = DijkstraIterator(engine.graph, user)
+    result = run(social)
+    cache.checkin(user, social)
     return result
 
 
 def peek_scan(engine, method: str, request, initial=None) -> "SSRQResult | None":
     """The sharded coordinator's scatter bypass: answer ``request``
     from a cached *full* column without touching any shard, or ``None``
-    to scatter.  Probe-only — no miss is recorded and a parked partial
-    stays parked for whichever shard search resumes it."""
+    to scatter.  Probe-only — no miss is recorded, so the shard search
+    that runs on a ``None`` records its own lookup."""
     rank = _applies(engine, METHOD_TABLE[method], request)
     if rank is None:
         return None

@@ -106,9 +106,11 @@ class TestDijkstraIterator:
 
 
 class TestPauseResumeContracts:
-    """The park/resume contracts the social column cache
-    (:mod:`repro.social`) checks iterators out and back in under: a
-    parked expansion must behave exactly like one that never paused."""
+    """The pause/resume contracts the paper's incremental searchers
+    lean on: SPA and TSA advance one expansion across many
+    ``run_until``/``next`` calls, and the social column cache
+    (:mod:`repro.social`) promotes it to a column once exhausted, so a
+    paused expansion must behave exactly like one that never paused."""
 
     def test_run_until_settled_target_is_idempotent_after_pause(self):
         # Re-querying an already-settled target after a pause reads the
@@ -128,7 +130,7 @@ class TestPauseResumeContracts:
     def test_resumed_completion_matches_fresh_including_settle_order(self):
         # A paused-and-resumed expansion lands on the same distances in
         # the same settle order as an uninterrupted one (settle order =
-        # dict insertion order is what ReplayedDijkstra replays).
+        # dict insertion order).
         g = random_graph(50, 4.0, seed=17)
         fresh = DijkstraIterator(g, 3)
         fresh.run_to_completion()

@@ -45,7 +45,7 @@ def test_row_invariants(name):
     assert isinstance(spec, MethodSpec)
     for route in (spec.alpha0, spec.alpha1):
         assert route is None or route in METHOD_TABLE, f"{name} routes off the table"
-    assert spec.column in (None, "replay", "resume", "exhaust", "bounded")
+    assert spec.column in (None, "stream", "exhaust", "bounded")
     assert spec.forward == (spec.column is not None)
     if spec.candidate:
         assert spec.forward, "a default candidate must stay repairable"

@@ -1,8 +1,9 @@
 """Cross-query social-distance reuse: the exactness differential suite.
 
 The :class:`~repro.social.SocialColumnCache` is a pure performance
-layer — every answer produced through a cached (full or resumed
-partial) column must be **bit-identical** to the cold computation, for
+layer — every answer produced through a cached column, and every
+exhausted expansion it promotes to one, must be **bit-identical** to
+the cold computation, for
 every forward-deterministic method, at every alpha (endpoints
 included), on both kernel backends, on single and sharded engines,
 through engine rebuilds and interleaved location/edge updates.  The
@@ -24,11 +25,7 @@ from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.service import QueryRequest, QueryService
 from repro.shard import ShardedGeoSocialEngine
-from repro.social import (
-    DEFAULT_SOCIAL_CACHE_BYTES,
-    ReplayedDijkstra,
-    SocialColumnCache,
-)
+from repro.social import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
 
@@ -108,15 +105,15 @@ def test_cached_results_bit_identical_to_cold(backend, n_shards):
     "seed_method,seed_alpha", [("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5)]
 )
 def test_partial_resume_paths_bit_identical(backend, seed_method, seed_alpha):
-    """Early-terminating searchers park partial expansions; the next
-    query resumes them.  Seed a partial via each early-terminating
-    method first, then drive every method through the resumed column."""
+    """An early-terminating searcher's expansion is never kept, so the
+    query that needs more of the same user's distances starts fresh.
+    Seed via each early-terminating method, then drive every method
+    over the same user."""
     warm = build_engine(1, backend, None)
     cold = build_engine(1, backend, 0)
     user = query_users(warm)[0]
     warm.query(user, k=3, alpha=seed_alpha, method=seed_method)
-    info = warm.social_cache.info()
-    assert info["entries"] == 1
+    assert warm.social_cache.info()["entries"] == 0
     for method in METHODS:
         for alpha in ALPHAS:
             got = warm.query(user, k=7, alpha=alpha, method=method)
@@ -124,7 +121,7 @@ def test_partial_resume_paths_bit_identical(backend, seed_method, seed_alpha):
             assert fingerprint(got) == fingerprint(ref), (
                 f"seed={seed_method}@{seed_alpha} then {method}@{alpha}"
             )
-    assert warm.social_cache.info()["resumes"] >= 1
+    assert warm.social_cache.info()["hits"] >= 1
 
 
 # -- the one shared column step, per searcher ---------------------------
@@ -135,7 +132,7 @@ STEP_CASES = [("sfa", 0.6), ("spa", 0.3), ("tsa", 0.5), ("bruteforce", 0.4)]
 
 @pytest.mark.parametrize("method,alpha", STEP_CASES)
 def test_column_step_miss_then_resume_then_full_hit(method, alpha):
-    """The miss / partial-resume / full-hit outcomes of the pipeline's
+    """The miss / fresh-restart / full-hit outcomes of the pipeline's
     column step, driven through ``engine.query`` for each searcher —
     with the cache counters and the bit-identity both pinned."""
     warm = build_engine(1, "python", None)
@@ -144,34 +141,29 @@ def test_column_step_miss_then_resume_then_full_hit(method, alpha):
     user = query_users(warm)[0]
     ref = fingerprint(cold.query(user, k=4, alpha=alpha, method=method))
 
-    # miss: a fresh expansion, parked afterwards
+    # miss: a fresh expansion
     first = warm.query(user, k=4, alpha=alpha, method=method)
     assert fingerprint(first) == ref
     info = cache.info()
-    assert (info["misses"], info["resumes"], info["hits"]) == (1, 0, 0)
-    assert info["entries"] == 1
+    assert (info["misses"], info["hits"]) == (1, 0)
     assert "social_column_hits" not in first.stats.extra
 
     if method == "bruteforce":
-        # the full scan exhausts the expansion: its column is cached whole
-        assert (info["columns"], info["partials"]) == (1, 0)
+        # the kernel builds the whole column, and it is cached
+        assert info["entries"] == 1
         assert first.stats.pops_social > 0
     else:
-        # early termination parks a partial; a wider query resumes it
-        # (checked out exclusively, advanced, checked back in)
-        assert (info["columns"], info["partials"]) == (0, 1)
+        # early termination keeps nothing; a wider query starts afresh
+        assert info["entries"] == 0
         wider = warm.query(user, k=9, alpha=alpha, method=method)
         assert fingerprint(wider) == fingerprint(
             cold.query(user, k=9, alpha=alpha, method=method)
         )
         info = cache.info()
-        assert (info["misses"], info["resumes"], info["hits"]) == (1, 1, 0)
-        assert info["entries"] == 1
-        # finish the expansion: bruteforce resumes the parked partial
-        # to exhaustion and stores the full column
+        assert (info["misses"], info["hits"], info["entries"]) == (2, 0, 0)
+        # bruteforce builds and stores the full column
         warm.query(user, k=4, alpha=alpha, method="bruteforce")
-        info = cache.info()
-        assert info["resumes"] == 2 and (info["columns"], info["partials"]) == (1, 0)
+        assert cache.info()["entries"] == 1
 
     # full hit: one dense scan, the searcher never runs
     hits_before = cache.info()["hits"]
@@ -189,15 +181,14 @@ def test_column_step_miss_then_resume_then_full_hit(method, alpha):
     assert hit.stats.extra["social_column_hits"] == 1
     assert hit.stats.pops_social == 0
     assert cache.info()["hits"] == hits_before + 1
-    assert cache.info()["misses"] == 1
+    assert cache.info()["misses"] == (1 if method == "bruteforce" else 3)
 
 
 @pytest.mark.parametrize("method,alpha", STEP_CASES[:3])
 def test_column_step_hands_each_searcher_the_right_stream(method, alpha):
-    """SFA/TSA see a parked expansion through ``ReplayedDijkstra`` (the
-    cold every-vertex-once contract), SPA resumes the iterator itself;
-    a miss hands over a fresh iterator; either way the *inner*
-    iterator is what gets checked back in."""
+    """Every miss hands the searcher a fresh iterator from the query
+    user; an early-terminated one is not kept, so the next query gets
+    a fresh one again."""
     from repro.social.scan import column_step
 
     engine = build_engine(1, "python", None)
@@ -212,13 +203,10 @@ def test_column_step_hands_each_searcher_the_right_stream(method, alpha):
 
     column_step(engine, method, request, None, run)
     assert type(seen[0]) is DijkstraIterator and seen[0].source == user
+    assert not seen[0].exhausted
     column_step(engine, method, request, None, run)
-    if method == "spa":
-        assert seen[1] is seen[0]
-    else:
-        assert type(seen[1]) is ReplayedDijkstra and seen[1].inner is seen[0]
-    kind, parked = cache.acquire(user)
-    assert kind == "partial" and parked is seen[0]
+    assert type(seen[1]) is DijkstraIterator and seen[1] is not seen[0]
+    assert cache.acquire(user) == (None, None)
 
 
 def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
@@ -256,7 +244,8 @@ def test_interleaved_moves_and_edge_updates_stay_exact(n_shards):
     try:
         users = query_users(warm)
         probe = [(u, m, a) for u in users for m, a in
-                 (("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5), ("bruteforce", 0.0))]
+                 (("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5), ("bruteforce", 0.0),
+                  ("bruteforce", 0.4))]
 
         def check(tag):
             for u, m, a in probe:
@@ -496,30 +485,15 @@ class TestSocialColumnCache:
     def _kernels(self):
         return resolve_backend("python")
 
-    def test_partial_checkout_is_exclusive(self):
+    def test_early_terminated_checkin_is_dropped(self):
         g = self._graph()
         cache = SocialColumnCache(g.n, self._kernels())
         it = DijkstraIterator(g, 0)
         it.next()
         cache.checkin(0, it)
-        kind, payload = cache.acquire(0)
-        assert kind == "partial" and payload is it
-        assert cache.acquire(0) == (None, None)  # checked out: gone
-        assert cache.stats.resumes == 1 and cache.stats.misses == 1
-
-    def test_checkin_keeps_larger_settled_radius(self):
-        g = self._graph()
-        cache = SocialColumnCache(g.n, self._kernels())
-        small = DijkstraIterator(g, 0)
-        small.next()
-        large = DijkstraIterator(g, 0)
-        large.next()
-        large.next()
-        large.next()
-        cache.checkin(0, large)
-        cache.checkin(0, small)  # racing smaller radius: discarded
-        kind, payload = cache.acquire(0)
-        assert kind == "partial" and payload is large
+        assert len(cache) == 0 and cache.stats.promotions == 0
+        assert cache.acquire(0) == (None, None)
+        assert cache.stats.misses == 1
 
     def test_exhausted_checkin_promotes_to_full_column(self):
         g = self._graph()
@@ -531,8 +505,7 @@ class TestSocialColumnCache:
         assert kind == "full"
         assert list(column) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert cache.stats.promotions == 1
-        info = cache.info()
-        assert info["columns"] == 1 and info["partials"] == 0
+        assert cache.info()["entries"] == 1 and "partials" not in cache.info()
 
     def test_byte_budget_evicts_lru_first(self):
         g = self._graph()
@@ -594,56 +567,6 @@ class TestSocialColumnCache:
         assert not cache.contains_full(0)  # 0 stayed LRU: evicted first
 
 
-class TestReplayedDijkstra:
-    def test_replay_prefix_then_live_matches_fresh_stream(self):
-        g = SocialGraph.from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        parked = DijkstraIterator(g, 0)
-        parked.next()
-        parked.next()
-        replayed = ReplayedDijkstra(parked)
-        fresh = DijkstraIterator(g, 0)
-        stream = []
-        while True:
-            item = replayed.next()
-            if item is None:
-                break
-            stream.append(item)
-            assert fresh.next() == item
-        assert fresh.next() is None
-        assert [v for v, _d in stream] == [0, 1, 2, 3]
-        assert replayed.exhausted
-        assert replayed.settled == fresh.settled
-        assert list(replayed.settled) == list(fresh.settled)
-
-    def test_replay_pops_count_only_live_work(self):
-        g = SocialGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        parked = DijkstraIterator(g, 0)
-        parked.next()
-        parked.next()
-        pops_parked = parked.heap.pops
-        replayed = ReplayedDijkstra(parked)
-        before = replayed.heap.pops
-        assert before == pops_parked  # delta accounting baseline
-        replayed.next()  # replay: no heap work
-        replayed.next()
-        assert replayed.heap.pops == before
-        replayed.next()  # live
-        assert replayed.heap.pops > before
-
-    def test_last_distance_tracks_replayed_then_live(self):
-        g = SocialGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 2.0)])
-        parked = DijkstraIterator(g, 0)
-        parked.next()
-        parked.next()
-        replayed = ReplayedDijkstra(parked)
-        replayed.next()
-        assert replayed.last_distance == 0.0
-        replayed.next()
-        assert replayed.last_distance == 1.0
-        replayed.next()
-        assert replayed.last_distance == 3.0
-
-
 # -- service / engine plumbing -----------------------------------------
 
 
@@ -664,7 +587,7 @@ def test_service_social_cache_bytes_resizes_live_cache():
     try:
         assert engine.social_cache.max_bytes == 8192
         user = query_users(engine)[0]
-        service.query(QueryRequest(user=user, k=4, alpha=1.0, method="sfa"))
+        service.query(QueryRequest(user=user, k=4, alpha=1.0, method="bruteforce"))
         info = service.cache_info()
         assert info["social"]["max_bytes"] == 8192
         assert info["social"]["entries"] >= 1
