@@ -28,8 +28,8 @@ reference = None
 print(f"{'method':>12} {'avg time':>10} {'pop ratio':>10} {'evals':>7}  result")
 # The served methods, then the paper's figure-only variants (built by
 # the reproduction tier, repro.bench.variants).  "auto" rides along:
-# the adaptive planner resolves it per query (the resolved pick lands
-# on result.method) and must match everyone else.
+# the planner resolves it per query (the resolved method lands on
+# result.method) and must match everyone else.
 for method in METHODS + tuple(VARIANTS) + ("auto",):
     if method in ("sfa-ch", "spa-ch", "tsa-ch"):
         continue  # CH preprocessing is worthwhile only for repeated use

@@ -54,7 +54,7 @@ from repro.datasets.synthetic import (
 )
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
-from repro.plan import AdaptivePlanner, CostModel, PlanDecision, PlannerStats, QueryFeatures
+from repro.plan import Planner, PlannerStats
 from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
@@ -84,12 +84,9 @@ __all__ = [
     "AUTO",
     "route_method",
     "Searcher",
-    # adaptive planner (method="auto")
-    "AdaptivePlanner",
-    "PlanDecision",
+    # the method="auto" resolver
+    "Planner",
     "PlannerStats",
-    "CostModel",
-    "QueryFeatures",
     "SocialFirstSearch",
     "SpatialFirstSearch",
     "TwofoldSearch",

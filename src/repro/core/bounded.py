@@ -18,6 +18,24 @@ loop: any upper bound ``θ̂ ≥ θ`` turns it into "nobody farther than
 3. One :func:`~repro.social.scan.dense_scan` over that column is
    Definition 1.
 
+**When the ball does not pay.**  In a small world the radius of ``θ``
+holds nearly the whole graph at spatial-heavy ``α``, and the first ball
+is then pure overhead.  Before step 1 the searcher predicts ``r`` from
+two profiles sampled once per graph, with no learned state: the social
+profile ``R`` (the radius holding ``m`` users) and the sorted spatial
+distances ``S`` pooled from sampled located users.  The ball holds
+``m = max(8k, n/25)`` users, ``m · located share`` of them located, so
+its k-th spatial neighbour sits near the quantile
+``S(k / (m · located share))`` and
+``r ≈ R(m) + (w_spatial / w_social) · S(…)``.  When that reaches the
+radius holding all but 0.1 % of what a source reaches, the ball is
+skipped: one unbounded column and one dense scan, which is exactly the
+``bruteforce`` path (and the column is cached).  The prediction treats
+spatial and social distance as independent, which overstates ``r``
+where friends live close together; the threshold sits at the tail of
+``R`` for that reason (docs/BENCHMARKS.md has the per-α
+measurements).
+
 **Why the answer is exact.**  Every label ``≤ r`` of a limited column
 is final (a vertex is only reached through closer ones, all inside the
 ball), so everyone inside scores bit-identically to bruteforce.  Anyone
@@ -45,8 +63,18 @@ from repro.utils.validation import check_user
 
 INF = math.inf
 
-#: sources whose columns are pooled into the distance profile
+#: sources pooled into each distance profile
 _PROFILE_SOURCES = 3
+#: the first ball is skipped when the predicted radius holds this share
+#: of what a source reaches
+_WHOLE_GRAPH = 0.999
+
+
+def _pooled(columns: list) -> np.ndarray:
+    """The finite entries of ``columns``, pooled and sorted."""
+    if not columns:
+        return np.empty(0)
+    return np.sort(np.concatenate([c[np.isfinite(c)] for c in columns]))
 
 
 class BoundedSearch:
@@ -71,29 +99,61 @@ class BoundedSearch:
         self.locations = locations
         self.normalization = normalization
         self.kernels = kernels if kernels is not None else resolve_backend("python")
-        # derived lazily from the graph; a racing first query computes
-        # the same value twice, which is harmless
-        self._profile = None
+        # sampled lazily, once; a racing first query computes the same
+        # value twice, which is harmless
+        self._profiles = None
+
+    def _sample_profiles(self):
+        """``(social, spatial, located share)``.  ``social[m - 1]`` is
+        the radius within which a sampled source reaches ``m`` users on
+        average; ``spatial`` the sorted distances from sampled located
+        users to every located user."""
+        if self._profiles is None:
+            graph, kernels = self.graph, self.kernels
+            rng = random.Random(graph.n)
+            # an isolated source reaches nobody: draw among vertices
+            # with an edge, or the profile reads too small a radius
+            sources = np.flatnonzero(np.diff(np.asarray(graph.indptr))).tolist()
+            columns = [
+                np.asarray(kernels.sssp_column(graph, rng.choice(sources)), dtype=np.float64)
+                for _ in range(_PROFILE_SOURCES if sources else 0)
+            ]
+            locations = self.locations
+            xs, ys = locations.columns()
+            located = np.flatnonzero(~np.isnan(xs)).tolist()
+            distances = [
+                np.asarray(kernels.euclidean_to_point(xs, ys, *locations.get(q)), dtype=np.float64)
+                for q in (rng.choice(located) for _ in range(_PROFILE_SOURCES if located else 0))
+            ]
+            # every _PROFILE_SOURCES-th pooled distance: averaged over
+            # the sources
+            social = _pooled(columns)[_PROFILE_SOURCES - 1 :: _PROFILE_SOURCES]
+            self._profiles = (social, _pooled(distances), len(located) / graph.n)
+        return self._profiles
 
     def _radius_holding(self, users: int) -> float:
         """The radius within which a sampled source reaches ``users``
         users on average; ``inf`` when that is the whole profile (the
         ball would be everything reachable)."""
-        profile = self._profile
-        if profile is None:
-            n = self.graph.n
-            rng = random.Random(n)
-            columns = [
-                np.asarray(self.kernels.sssp_column(self.graph, rng.randrange(n)), dtype=np.float64)
-                for _ in range(_PROFILE_SOURCES)
-            ]
-            pooled = np.sort(np.concatenate([c[np.isfinite(c)] for c in columns]))
-            # every _PROFILE_SOURCES-th pooled distance: entry m - 1 is
-            # the radius holding m users averaged over the sources
-            profile = self._profile = pooled[_PROFILE_SOURCES - 1 :: _PROFILE_SOURCES]
-        if users >= len(profile):
+        social = self._sample_profiles()[0]
+        if users >= len(social):
             return INF
-        return float(profile[users - 1])
+        return float(social[users - 1])
+
+    def _first_radius(self, k: int, rank: RankingFunction) -> float:
+        """The first ball's radius, or ``inf`` when the ball is
+        predicted not to pay (module docstring)."""
+        social, spatial, share = self._sample_profiles()
+        m = max(8 * k, self.graph.n // 25)
+        radius = self._radius_holding(m)
+        predicted = radius
+        if rank.needs_spatial:
+            if not len(spatial):
+                return INF  # nobody located: no finite score in any ball
+            at = math.ceil(k / (m * share) * len(spatial)) - 1
+            predicted += rank.w_spatial / rank.w_social * spatial[min(at, len(spatial) - 1)]
+        whole = self._radius_holding(max(1, int(_WHOLE_GRAPH * len(social))))
+        return INF if predicted >= whole else radius
 
     @staticmethod
     def _radius_for(theta: float, w_social: float) -> float:
@@ -135,7 +195,7 @@ class BoundedSearch:
             )
 
         passes = 1
-        radius = self._radius_holding(max(8 * k, n // 25))
+        radius = self._first_radius(k, rank)
         column = expand(radius)
         neighbors, finite = scan_over(column)
         if radius != INF:

@@ -20,7 +20,7 @@ Served methods (paper names; one row each in
 ``approx``        bounded-error sketch fast path (:mod:`repro.sketch`)
 ``bounded``       SFA's stopping rule as one radius-limited kernel call
 ``bruteforce``    exact reference scan
-``auto``          cost-based adaptive selection (:mod:`repro.plan`)
+``auto``          ``bounded`` with the static routes (:mod:`repro.plan`)
 ================  ====================================================
 
 The figure-only variants of the paper's evaluation (``ais-minus``,
@@ -32,9 +32,9 @@ At the preference endpoints the engine routes degenerate requests the
 way the definitions demand: ``alpha == 0`` is a pure spatial query
 (SFA/TSA route to SPA) and ``alpha == 1`` a pure social one
 (SPA/TSA/AIS route to SFA).  ``method="auto"`` resolves per query
-through the engine's :class:`~repro.plan.AdaptivePlanner` — static
-endpoint rules, cheap per-query features, and online cost feedback —
-and returns the same ranking any fixed method would.
+through the engine's :class:`~repro.plan.Planner` — the endpoint routes,
+and ``bounded`` in the interior — and returns the same ranking any
+fixed method would.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from repro.core.tsa import TwofoldSearch
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
+from repro.plan.planner import Planner
 from repro.plan.rules import AUTO, METHOD_TABLE, route_method
 from repro.sketch.index import SketchIndex
 from repro.sketch.searcher import ApproxSketchSearch
@@ -69,8 +70,6 @@ from repro.utils.validation import check_finite_point, check_user
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from repro.plan.planner import AdaptivePlanner
-
 __all__ = [
     "AUTO",
     "FORWARD_DETERMINISTIC_METHODS",
@@ -78,7 +77,6 @@ __all__ = [
     "SEARCHER_BUILDERS",
     "EngineBase",
     "GeoSocialEngine",
-    "resolve_dispatch",
 ]
 
 METHODS = tuple(METHOD_TABLE)
@@ -91,39 +89,10 @@ FORWARD_DETERMINISTIC_METHODS = frozenset(
 )
 
 
-def resolve_dispatch(engine, request: QueryRequest):
-    """``(resolved_method, decision)`` for one query — the single
-    source of the resolution contract.  ``"auto"`` consults the
-    engine's planner (``decision`` carries the feature bucket for the
-    feedback loop); explicit methods validate against :data:`METHODS`
-    and take the static endpoint routing (``decision is None``).  Both
-    engine kinds and the service layer dispatch through this one
-    function, so the contract cannot drift between paths.
-
-    ``request.budget`` is the per-query accuracy budget: ``None``/``0``
-    means exactness required (``auto`` only considers
-    :data:`FORWARD_DETERMINISTIC_METHODS` candidates), a positive value
-    lets the planner offer ``"approx"`` when the sketch's empirical
-    error estimate fits it.  An *explicit* ``method="approx"`` is an
-    opt-in regardless of budget.
-    """
-    method = request.method
-    if method == AUTO:
-        # Validate before feature extraction: an out-of-range user
-        # must surface the engine's ValueError contract, not an
-        # IndexError from the planner's degree/location lookups.
-        check_user(request.user, engine.graph.n)
-        decision = engine.planner.resolve(engine, request)
-        return decision.method, decision
-    if method not in METHOD_TABLE:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return route_method(method, request.alpha), None
-
-
 class EngineBase:
     """The facade both engine kinds share: the data and the shared
-    derived state (kernels, landmarks, normalization, social column
-    cache, planner), the one query pipeline, batch execution,
+    derived state (kernels, the lazily built landmarks, normalization,
+    social column cache, planner), the one query pipeline, batch execution,
     location listeners, rebuild and persistence.
 
     A subclass supplies :meth:`_run` (execute one resolved query) and
@@ -145,7 +114,7 @@ class EngineBase:
         normalization: Normalization | None,
         landmarks: LandmarkIndex | None,
         backend: "str | Kernels",
-        planner: "AdaptivePlanner | None",
+        planner: "Planner | None",
         social_cache_bytes: int | None,
         social_cache: "SocialColumnCache | None",
     ) -> None:
@@ -163,11 +132,9 @@ class EngineBase:
         self.kernels: Kernels = resolve_backend(backend)
         #: resolved backend name ("numpy"/"python"), stable across rebuilds
         self.backend: str = self.kernels.name
-        self.landmarks = (
-            landmarks
-            if landmarks is not None
-            else LandmarkIndex.build(graph, num_landmarks, landmark_strategy, seed)
-        )
+        #: see :attr:`landmarks`
+        self._landmarks: LandmarkIndex | None = landmarks
+        self._num_landmarks = landmarks.m if landmarks is not None else num_landmarks
         self.normalization = (
             normalization
             if normalization is not None
@@ -189,11 +156,11 @@ class EngineBase:
             if budget > 0:
                 social_cache = SocialColumnCache(graph.n, self.kernels, max_bytes=budget)
         self.social_cache: "SocialColumnCache | None" = social_cache
-        #: the ``method="auto"`` resolver (lazily built on first use;
-        #: injectable for custom candidate sets / exploration rates,
-        #: and carried across ``with_graph`` rebuilds so learned costs
-        #: survive ``rebuild_engine``)
-        self._planner: "AdaptivePlanner | None" = planner
+        #: the ``method="auto"`` resolver (one per engine — a sharded
+        #: engine resolves once at the coordinator, so every shard
+        #: searches the same concrete method; carried across
+        #: ``with_graph`` rebuilds, so its counters do too)
+        self.planner: Planner = planner if planner is not None else Planner()
         # Re-entrancy: queries are read-only (audited — every searcher
         # keeps per-query state in locals), so concurrent `query` calls
         # are safe once the searcher exists.  The build lock serialises
@@ -217,37 +184,42 @@ class EngineBase:
         (e.g. :class:`repro.datasets.GeoSocialDataset`)."""
         return cls(dataset.graph, dataset.locations, **kwargs)
 
-    # -- query dispatch -----------------------------------------------------
+    # -- the lazily built landmark index -----------------------------------
 
     @property
-    def planner(self) -> "AdaptivePlanner":
-        """The ``method="auto"`` resolver (built on first use; assign a
-        custom :class:`~repro.plan.AdaptivePlanner` to tune candidates,
-        exploration, or calibration).  One per engine — a sharded
-        engine resolves once at the coordinator, so every shard
-        searches the same concrete method."""
-        if self._planner is None:
-            from repro.plan.planner import AdaptivePlanner
-
+    def landmarks(self) -> LandmarkIndex:
+        """The ALT landmark index (built on first use, once, under the
+        build lock).  ``tsa``, ``ais``, the ``approx`` sketch, the
+        sharded engine's shard bounds and :meth:`save` read it; nothing
+        on the ``auto`` path does.  A snapshot load restores it without
+        a build."""
+        if self._landmarks is None:
             with self._build_lock:
-                if self._planner is None:
-                    self._planner = AdaptivePlanner(seed=self.seed)
-        return self._planner
+                if self._landmarks is None:
+                    self._landmarks = LandmarkIndex.build(
+                        self.graph, self._num_landmarks, self.landmark_strategy, self.seed
+                    )
+        return self._landmarks
 
-    @planner.setter
-    def planner(self, planner: "AdaptivePlanner") -> None:
-        self._planner = planner
+    # -- query dispatch -----------------------------------------------------
 
     def resolve_method(self, request: QueryRequest) -> str:
-        """The concrete method one query dispatches to: static endpoint
-        routing for explicit methods, the adaptive planner for
-        ``"auto"`` (which may resolve to ``"approx"`` only when the
-        request's ``budget`` admits it).  The service layer keys a
-        named method's (and a budgeted ``auto``'s) cache line on this
-        resolution, and the stream layer classifies repairability off
-        it — so screening and repairs always see the method that
-        actually ran."""
-        return resolve_dispatch(self, request)[0]
+        """The concrete method one query dispatches to — the single
+        source of the resolution contract: explicit methods validate
+        against :data:`METHODS` and take the static endpoint routing,
+        ``"auto"`` asks the engine's planner.  The service layer keys a
+        named method's cache line on this resolution, and the stream
+        layer classifies repairability off it — so screening and
+        repairs always see the method that actually ran."""
+        method = request.method
+        if method == AUTO:
+            # an out-of-range user must surface the engine's ValueError
+            # contract, not an IndexError from the location lookup
+            check_user(request.user, self.graph.n)
+            return self.planner.resolve(self, request)
+        if method not in METHOD_TABLE:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        return route_method(method, request.alpha)
 
     def query(
         self,
@@ -268,14 +240,13 @@ class EngineBase:
         ready-made request.  Every query runs one pipeline:
 
         1. **coerce** the arguments into one validated request;
-        2. **resolve** the method (:func:`resolve_dispatch`: endpoint
+        2. **resolve** the method (:meth:`resolve_method`: endpoint
            routing, or the planner for ``"auto"``);
         3. **column step** — look the query user's social column up
            (:func:`repro.social.scan.column_step`): a cached full
            column answers at once;
-        4. **run** the resolved method (:meth:`_run`);
-        5. stamp ``result.method`` and let the planner **observe** the
-           measured wall time.
+        4. **run** the resolved method (:meth:`_run`) and stamp
+           ``result.method``.
 
         The result is identical whatever method runs (all of them
         implement Definition 1 with the shared tie-break).
@@ -286,19 +257,16 @@ class EngineBase:
         engine uses so later shards inherit a tight ``f_k`` and can
         terminate after a bound check.
 
-        ``budget`` (default ``None``: exact) caps the acceptable score
-        error of an ``auto`` resolution: with a positive budget the
-        planner may pick ``method="approx"``, whose certified error
-        bound lands on ``result.error_bound``.  ``budget=0`` or unset
-        keeps ``auto`` bit-identical to the exact families.
+        ``budget`` (default ``None``) is the acceptable score error.
+        ``auto`` answers exactly whatever the budget (an exact answer
+        meets any); ``method="approx"`` is the sketch fast path, whose
+        certified error bound lands on ``result.error_bound``.
         """
         request = QueryRequest.coerce(user, k, alpha, method, budget)
         check_user(request.user, self.graph.n)
-        resolved, decision = resolve_dispatch(self, request)
+        resolved = self.resolve_method(request)
         result = self._column_step(resolved, request, initial)
         result.method = resolved
-        if decision is not None:
-            self.planner.observe(decision, result.stats.elapsed)
         return result
 
     def _column_step(self, resolved: str, request: QueryRequest, initial) -> SSRQResult:
@@ -441,7 +409,7 @@ class EngineBase:
 
     def _rebuild_kwargs(self) -> dict:
         return dict(
-            num_landmarks=self.landmarks.m,
+            num_landmarks=self._num_landmarks,
             landmark_strategy=self.landmark_strategy,
             s=self.s,
             seed=self.seed,
@@ -449,9 +417,8 @@ class EngineBase:
             # the resolved Kernels instance, not the name: a
             # user-supplied custom backend survives the rebuild too
             backend=self.kernels,
-            # the live planner instance: learned per-bucket costs keep
-            # steering method="auto" across the rebuild
-            planner=self._planner,
+            # the live planner instance: its counters carry on
+            planner=self.planner,
             # only the byte budget crosses the rebuild, never the cache
             # instance: the new engine's columns come from the new graph,
             # so the edge-epoch boundary is structural
@@ -537,10 +504,11 @@ class GeoSocialEngine(EngineBase):
     landmarks:
         Optional pre-built :class:`~repro.graph.landmarks.LandmarkIndex`
         over ``graph``; injected by the sharded engine so every shard
-        shares one set of landmark tables instead of rebuilding them.
-        When given, ``num_landmarks``/``landmark_strategy`` are ignored
-        for construction (but ``landmark_strategy`` is still recorded
-        for rebuilds).
+        shares one set of landmark tables instead of rebuilding them,
+        and by a snapshot load.  When given, ``num_landmarks`` /
+        ``landmark_strategy`` are ignored for construction (but
+        ``landmark_strategy`` is still recorded for rebuilds); when
+        omitted the index is built on first use (:attr:`landmarks`).
     index_users:
         Optional user subset to index spatially.  When given, the SPA
         grid and the aggregate index cover only these users (a *member
@@ -559,10 +527,9 @@ class GeoSocialEngine(EngineBase):
         propagated through :meth:`with_graph` rebuilds; both backends
         produce bit-identical rankings, tie-breaks included.
     planner:
-        Optional pre-built :class:`~repro.plan.AdaptivePlanner`
-        resolving ``method="auto"`` (built lazily with this engine's
-        ``seed`` when omitted).  Carried across :meth:`with_graph`
-        rebuilds, so learned per-bucket costs survive
+        Optional :class:`~repro.plan.Planner` resolving
+        ``method="auto"`` (a fresh one when omitted).  Carried across
+        :meth:`with_graph` rebuilds, so its counters survive
         :meth:`~repro.service.QueryService.rebuild_engine`.
     """
 
@@ -579,7 +546,7 @@ class GeoSocialEngine(EngineBase):
         landmarks: LandmarkIndex | None = None,
         index_users: Iterable[int] | None = None,
         backend: "str | Kernels" = "auto",
-        planner: "AdaptivePlanner | None" = None,
+        planner: "Planner | None" = None,
         grid: UniformGrid | None = None,
         sketch: SketchIndex | None = None,
         social_cache_bytes: int | None = None,
@@ -640,7 +607,7 @@ class GeoSocialEngine(EngineBase):
     @property
     def sketch(self) -> SketchIndex:
         """The social-distance sketch (built on first use; required only
-        by ``method="approx"`` and the planner's budget gate)."""
+        by ``method="approx"``)."""
         if self._sketch is None:
             with self._build_lock:
                 if self._sketch is None:
@@ -723,7 +690,7 @@ class GeoSocialEngine(EngineBase):
     def __repr__(self) -> str:
         return (
             f"GeoSocialEngine(n={self.graph.n}, edges={self.graph.num_edges}, "
-            f"located={self.locations.n_located}, M={self.landmarks.m}, s={self.s}, "
+            f"located={self.locations.n_located}, M={self._num_landmarks}, s={self.s}, "
             f"backend={self.backend!r})"
         )
 

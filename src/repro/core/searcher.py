@@ -18,11 +18,10 @@ variants included — satisfies one protocol:
   **candidates scored** (users whose combined score was computed),
   exact evaluations, and wall time.
 
-The stats side of the contract is what feeds the adaptive planner
-(:mod:`repro.plan`): per-query execution cost is observable uniformly
-across methods, so ``method="auto"`` can learn which family is cheap
-in which regime.  ``tests/test_plan_planner.py`` pins conformance for
-every method in :data:`repro.core.engine.METHODS`.
+The stats side of the contract makes per-query execution cost
+observable uniformly across methods (what the benchmarks and the
+paper's figures compare).  ``tests/test_plan_planner.py`` pins
+conformance for every method in :data:`repro.core.engine.METHODS`.
 """
 
 from __future__ import annotations

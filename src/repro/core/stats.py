@@ -39,7 +39,7 @@ class SearchStats:
     #: were enumerated, AIS top/leaf nodes opened)
     cells_opened: int = 0
     #: users whose combined score was computed and offered to the
-    #: interim result (the planner's work-volume proxy)
+    #: interim result (the work-volume proxy)
     candidates_scored: int = 0
     #: exact graph-distance computations performed
     evaluations: int = 0

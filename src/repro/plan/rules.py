@@ -4,13 +4,12 @@
 knows about a processing method: one :class:`MethodSpec` row per served
 name.  Everything else is a derivation — ``METHODS`` and
 ``FORWARD_DETERMINISTIC_METHODS`` (:mod:`repro.core.engine`),
-``DELEGATED_METHODS`` (:mod:`repro.shard.engine`), ``DEFAULT_CANDIDATES``
-(:mod:`repro.plan.planner`), the endpoint routing below and the social
-column step (:mod:`repro.social.scan`) all read the row.  Adding a
-method is one row here plus one builder in
+``DELEGATED_METHODS`` (:mod:`repro.shard.engine`), the endpoint routing
+below and the social column step (:mod:`repro.social.scan`) all read
+the row.  Adding a method is one row here plus one builder in
 ``repro.core.engine.SEARCHER_BUILDERS``.
 
-Two kinds of request resolve without consulting any cost model:
+Two kinds of request resolve by these rules alone:
 
 - **endpoint degeneration** — at ``alpha == 0`` an SSRQ is a pure
   spatial query and at ``alpha == 1`` a pure social one, so the
@@ -19,10 +18,9 @@ Two kinds of request resolve without consulting any cost model:
 - **explicit methods** — a concrete method name passes through
   :func:`route_method` unchanged away from the endpoints.
 
-``method="auto"`` (:data:`AUTO`) is the only request the adaptive
-planner (:mod:`repro.plan.planner`) decides: at the endpoints it takes
-the same static route as everything else, in the interior it picks by
-estimated cost.
+``method="auto"`` (:data:`AUTO`) is resolved by the planner
+(:mod:`repro.plan.planner`): at the endpoints it takes the same static
+route as everything else, in the interior it runs ``bounded``.
 
 This module is import-light on purpose (no :mod:`repro.core` imports),
 so every layer can read the table without an import cycle.
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: the sentinel method name resolved per query by the adaptive planner
+#: the sentinel method name resolved per query by the planner
 AUTO = "auto"
 
 
@@ -70,8 +68,6 @@ class MethodSpec:
     #: (no spatial index involved: the shared graph and global location
     #: table make the answer globally exact)
     delegated: bool = False
-    #: the planner considers it for ``auto`` by default
-    candidate: bool = False
 
     @property
     def forward(self) -> bool:
@@ -91,11 +87,9 @@ _TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="stream", needs_location=Tr
 #: one row per served method, in the order ``METHODS`` lists them
 METHOD_TABLE: dict[str, MethodSpec] = {
     # the paper's incremental algorithms: served by name and the static
-    # endpoint routes, opt-in for ``auto``
-    # (``AdaptivePlanner(candidates=(..., "tsa"))``) — since the
-    # ``sssp_column`` kernel the two column arms below beat each of
-    # them at every (n, alpha) measured (docs/BENCHMARKS.md, PR 24), so
-    # calibration does not pay to time them
+    # endpoint routes — since the ``sssp_column`` kernel the two column
+    # rows below beat each of them at every (n, alpha) measured
+    # (docs/BENCHMARKS.md)
     "sfa": MethodSpec(alpha0="spa", column="stream", delegated=True),
     "spa": MethodSpec(alpha1="sfa", column="stream", needs_location=True),
     "tsa": _TSA,
@@ -103,13 +97,12 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     "ais": MethodSpec(alpha1="sfa"),
     "approx": MethodSpec(alpha0="spa", delegated=True),
     # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
-    # over the ball that can hold an answer + one dense scan; pure
-    # social (alpha == 1) is just the case with no spatial column
-    "bounded": MethodSpec(alpha0="spa", column="bounded", delegated=True, candidate=True),
-    # "the column + one dense scan": with the ``sssp_column`` kernel a
-    # full expansion costs less than most early-terminating ones at
-    # bench scale, so the cost model is allowed to pick it
-    "bruteforce": MethodSpec(column="exhaust", delegated=True, candidate=True),
+    # over the ball that can hold an answer + one dense scan (or the
+    # full column when that ball would hold nearly everyone); what
+    # ``auto`` runs at interior alpha
+    "bounded": MethodSpec(alpha0="spa", column="bounded", delegated=True),
+    # "the column + one dense scan": the exact reference
+    "bruteforce": MethodSpec(column="exhaust", delegated=True),
 }
 
 
@@ -141,7 +134,7 @@ def route_method(method: str, alpha: float) -> str:
 
 def static_choice(alpha: float) -> str | None:
     """The forced ``auto`` resolution at the preference endpoints, or
-    ``None`` in the interior (where the cost model decides).
+    ``None`` in the interior.
 
         >>> from repro.plan.rules import static_choice
         >>> static_choice(0.0), static_choice(1.0), static_choice(0.5)

@@ -50,11 +50,7 @@ def stats_payload(
         "cache": service.cache_info(),
     }
     engine = service.engine
-    # touching ``engine.planner`` would *build* one; only report a
-    # planner that auto traffic has actually instantiated
-    planner = getattr(engine, "_planner", None)
-    if planner is not None:
-        payload["planner"] = planner.stats.snapshot()
+    payload["planner"] = engine.planner.stats.snapshot()
     if registry is not None:
         payload["stream"] = registry.stats.snapshot()
     if server is not None:

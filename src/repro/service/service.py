@@ -9,9 +9,9 @@ component that can absorb realistic load:
   returning responses in request order with rankings identical to a
   sequential ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
-  on the question for exact ``auto`` requests and on the resolved
-  method otherwise (:meth:`QueryService._line`), looked up *before*
-  anything is planned or locked (:meth:`QueryService.cached` is that
+  on the question for ``auto`` requests and on the routed method
+  otherwise (:meth:`QueryService._line`), looked up *before* anything
+  is resolved or locked (:meth:`QueryService.cached` is that
   lookup alone, for callers that must not block), repaired or
   invalidated exactly on location moves via the engine's listener hook
   and emptied when the engine is swapped (the only moment the served
@@ -47,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from repro.core.engine import AUTO, GeoSocialEngine, resolve_dispatch
+from repro.core.engine import AUTO, GeoSocialEngine
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
@@ -207,51 +207,47 @@ class QueryService:
     # -- serving -------------------------------------------------------
 
     @staticmethod
-    def _line(request: QueryRequest) -> "str | None":
-        """The method component of a request's cache line, when it can
-        be told without planning.
+    def _line(request: QueryRequest) -> str:
+        """The method component of a request's cache line, told without
+        resolving anything.
 
         - A named method: its statically routed name, so endpoint
           aliases (``tsa`` at ``alpha == 0`` and ``spa``, …) share one
           line and ``result.method`` stays what the caller asked for.
-        - Exact ``auto``: ``AUTO`` itself — the *question line*.  Every
-          arm the planner may pick is forward-deterministic and
-          bit-identical (``tests/test_plan_equivalence.py``), so the
+        - ``auto``: ``AUTO`` itself — the *question line*.  Whatever
+          ``auto`` resolves to is exact and bit-identical to
+          ``bruteforce`` (``tests/test_plan_equivalence.py``), so the
           question ``(user, k, α, normalization)`` alone names the
-          answer and a repeat hits whichever arm ran first, even while
-          the planner is still exploring.
-        - Budgeted ``auto``: ``None`` — ``approx`` may answer it, so
-          its line is the planner's resolved method plus the budget.
+          answer.
         """
         if request.method != AUTO:
             return route_method(request.method, request.alpha)
-        return None if request.budget else AUTO
+        return AUTO
 
     def _cache_key(
-        self, request: QueryRequest, engine: GeoSocialEngine, resolved: str
+        self, request: QueryRequest, engine: GeoSocialEngine, line: str
     ) -> tuple:
         """The cache line for one request under method component
-        ``resolved`` (:meth:`_line`, or the planner's pick for a
-        budgeted ``auto``).
+        ``line`` (:meth:`_line`).
 
-        The accuracy budget is part of the signature: a budgeted answer
-        may be approximate, so it must never satisfy an exact request
-        with otherwise identical parameters.  ``budget=0`` is
-        normalised to the unset form — both demand exactness, so they
-        share a line."""
+        The accuracy budget is part of the signature: an ``approx``
+        answer is approximate, so a budgeted line never satisfies an
+        exact request with otherwise identical parameters.
+        ``budget=0`` is normalised to the unset form — both demand
+        exactness, so they share a line."""
         norm = engine.normalization
         return (
             request.user,
             request.k,
             request.alpha,
-            resolved,
+            line,
             (norm.p_max, norm.d_max),
             request.budget or None,
         )
 
     def cached(self, request: QueryRequest) -> "QueryResponse | None":
         """The stored answer to ``request`` or ``None`` — a read-only
-        probe that never plans, never waits on the engine lock and
+        probe that never resolves, never waits on the engine lock and
         never executes, so a caller that must not block (the server's
         event loop) can try it before handing the request to
         :meth:`query`.
@@ -262,28 +258,15 @@ class QueryService:
         miss.  Safe without the engine lock: an answer read during a
         concurrent move linearises before the move, and an engine swap
         flushes the cache under its own lock."""
-        line = self._line(request)
-        if self.cache is None or line is None:
+        if self.cache is None:
             return None
-        result = self.cache.hit(self._cache_key(request, self.engine, line))
+        result = self.cache.hit(self._cache_key(request, self.engine, self._line(request)))
         if result is None:
             return None
         with self._stats_lock:
             self.stats.requests += 1
             self.stats.cache_hits += 1
         return QueryResponse(request, result, cached=True)
-
-    def _precalibrate_planner(self) -> None:
-        """One-time planner calibration for ``auto`` traffic, run
-        *before* this thread takes the engine's read lock: each probe
-        acquires the read side itself, so a pending update stalls for
-        one probe query, not the whole calibration pass (the engine lock
-        is writer-preferring — calibrating under a held read lock would
-        stall every other reader behind a queued writer)."""
-        engine = self.engine
-        planner = engine.planner
-        if not planner.calibrated:
-            planner.calibrate(engine, read_lock=engine.rw_lock.read_locked)
 
     def query(
         self,
@@ -326,81 +309,52 @@ class QueryService:
 
     def _serve(self, reqs: "list[QueryRequest]") -> list[QueryResponse]:
         """The serve path, written once for :meth:`query` (a batch of
-        one) and :meth:`query_many`: cache lookup on every line that
-        needs no planning (:meth:`_line`) → for the rest, under the
-        engine's read lock: resolve → (budgeted ``auto`` only: cache
-        lookup) → (:meth:`_execute_pending`: execute → planner observe
-        → cache put) → account.  A batch of hits touches neither the
-        planner nor the engine lock."""
+        one) and :meth:`query_many`: cache lookup (:meth:`_line`) → for
+        the misses, under the engine's read lock: resolve → execute →
+        cache put (:meth:`_serve_misses`) → account.  A batch of hits
+        touches neither the planner nor the engine lock."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
         hits = 0
         misses: list[int] = []
         for i, req in enumerate(reqs):
-            line = self._line(req)
-            if line is not None and self.cache is not None:
-                hit = self.cache.get(self._cache_key(req, self.engine, line))
+            if self.cache is not None:
+                hit = self.cache.get(self._cache_key(req, self.engine, self._line(req)))
                 if hit is not None:
                     responses[i] = QueryResponse(req, hit, cached=True)
                     hits += 1
                     continue
             misses.append(i)
         if misses:
-            if any(reqs[i].method == AUTO for i in misses):
-                self._precalibrate_planner()
             with self._read_locked_engine() as engine:
-                hits += self._serve_misses(engine, reqs, misses, responses)
+                self._serve_misses(engine, reqs, misses, responses)
         with self._stats_lock:
             self.stats.requests += len(reqs)
             self.stats.cache_hits += hits
             self.stats.cache_misses += len(reqs) - hits
         return responses  # type: ignore[return-value]
 
-    def _serve_misses(self, engine, reqs, misses, responses) -> int:
+    def _serve_misses(self, engine, reqs, misses, responses) -> None:
         """Resolve and execute ``reqs[i] for i in misses`` under
-        ``engine``'s read lock; returns how many a budgeted-``auto``
-        line answered from the cache after all."""
-        hits = 0
-        # One method resolution per *distinct* request, memoized so
-        # identical budgeted-auto requests resolve (and so key)
-        # identically inside the batch.  ``decision`` is ``None``
-        # unless the planner was consulted (``method="auto"``).
-        resolutions: dict[QueryRequest, tuple] = {}
-        #: distinct cache key → (the request pinned to its resolved
-        #: method, planner decision, the request indexes waiting)
-        pending: "dict[tuple, tuple[QueryRequest, object, list[int]]]" = {}
-        for i in misses:
-            req = reqs[i]
-            plan = resolutions.get(req)
-            if plan is None:
-                plan = resolutions[req] = resolve_dispatch(engine, req)
-            resolved, decision = plan
-            line = self._line(req)
-            key = self._cache_key(req, engine, line or resolved)
-            if line is None and self.cache is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    responses[i] = QueryResponse(req, hit, cached=True)
-                    hits += 1
-                    continue
-            waiting = pending.get(key)
-            if waiting is None:
-                pending[key] = (req.with_method(resolved), decision, [i])
-            else:
-                waiting[2].append(i)
-        if pending:
-            self._execute_pending(engine, reqs, pending, responses)
-        return hits
-
-    def _execute_pending(self, engine, reqs, pending, responses) -> None:
-        """Execute the distinct cache misses of one batch (concurrently
-        when the batch and the pool allow it), feed the planner, fill
-        the cache, and fan the results out to ``responses``.
+        ``engine``'s read lock (once per distinct cache line,
+        concurrently when the batch and the pool allow it), fill the
+        cache, and fan the results out to ``responses``.
 
         Every distinct miss runs ``engine.query``; variants for one hot
         query user still share its social column through the engine's
         column step (the first fills it, the rest scan).
         """
-        work = [request for request, _, _ in pending.values()]
+        #: distinct cache key → (the request pinned to its resolved
+        #: method, the request indexes waiting)
+        pending: "dict[tuple, tuple[QueryRequest, list[int]]]" = {}
+        for i in misses:
+            req = reqs[i]
+            key = self._cache_key(req, engine, self._line(req))
+            waiting = pending.get(key)
+            if waiting is None:
+                pending[key] = (req.with_method(engine.resolve_method(req)), [i])
+            else:
+                waiting[1].append(i)
+        work = [request for request, _ in pending.values()]
 
         def run(request: QueryRequest) -> "tuple[SSRQResult, float]":
             start = time.perf_counter()
@@ -412,11 +366,7 @@ class QueryService:
         else:
             executed = [run(request) for request in work]
 
-        for (key, (request, decision, indexes)), (result, elapsed) in zip(
-            pending.items(), executed
-        ):
-            if decision is not None:
-                engine.planner.observe(decision, elapsed)
+        for (key, (request, indexes)), (result, elapsed) in zip(pending.items(), executed):
             if self.cache is not None:
                 self.cache.put(
                     key, request, RankingFunction(request.alpha, engine.normalization), result

@@ -74,7 +74,7 @@ from repro.topk.merge import merge_topk
 from repro.utils.concurrency import TaskPool
 
 if TYPE_CHECKING:
-    from repro.plan.planner import AdaptivePlanner
+    from repro.plan.planner import Planner
 
 INF = math.inf
 
@@ -174,7 +174,9 @@ class ShardedGeoSocialEngine(EngineBase):
         results never depend on it, only search cost does).
     num_landmarks, landmark_strategy, s, seed, normalization:
         As on :class:`~repro.core.engine.GeoSocialEngine`; landmarks
-        and normalization are computed once and shared by every shard.
+        and normalization are computed once and shared by every shard
+        (the shard bounds read the landmarks, so a sharded engine
+        builds them at construction).
     landmarks:
         Optional pre-built landmark index to share (rebuilt from the
         graph when omitted).
@@ -222,7 +224,7 @@ class ShardedGeoSocialEngine(EngineBase):
         normalization: Normalization | None = None,
         landmarks: LandmarkIndex | None = None,
         backend: "str | Kernels" = "auto",
-        planner: "AdaptivePlanner | None" = None,
+        planner: "Planner | None" = None,
         scatter_backend: str = "auto",
         replicas: int = 1,
         journal_capacity: int = 8192,
@@ -397,8 +399,7 @@ class ShardedGeoSocialEngine(EngineBase):
     def sketch(self):
         """The shared social-distance sketch (lazily built by the
         delegate shard engine over the shared graph, landmarks, and
-        kernels, so it is globally exact — the planner's budget gate
-        consults it at the coordinator, where ``"approx"`` resolves)."""
+        kernels, so it is globally exact)."""
         return self._delegate_engine().sketch
 
     def _column_step(self, resolved: str, request: QueryRequest, initial) -> SSRQResult:
@@ -418,11 +419,8 @@ class ShardedGeoSocialEngine(EngineBase):
 
     def _run(self, resolved: str, request: QueryRequest, initial, social=None) -> SSRQResult:
         """``resolved`` is what every searched shard executes: the
-        method (and any accuracy budget) was resolved exactly once at
-        the coordinator, so scatter-gather always merges
-        identical-method partials and shards never make their own
-        exact-vs-approx choice — an ``"approx"`` resolution is
-        delegated (global sketch, never scattered)."""
+        method was resolved exactly once at the coordinator, so
+        scatter-gather always merges identical-method partials."""
         request = request.with_method(resolved)
         if resolved in DELEGATED_METHODS:
             result = self._delegate_engine().query(request, initial=initial)

@@ -71,7 +71,6 @@ import traceback
 from multiprocessing import connection as mp_connection
 from typing import Sequence
 
-from repro.core.engine import resolve_dispatch
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
@@ -498,7 +497,7 @@ class ProcessScatterPool:
         ``engine.query`` loop, fanning shard searches across the warm
         worker processes (duplicate requests are computed once,
         ``method="auto"`` is resolved once per distinct request at the
-        coordinator and observed by the planner at merge time)."""
+        coordinator)."""
         computed = self._execute_distinct(list(dict.fromkeys(requests)))
         return [computed[req] for req in requests]
 
@@ -510,10 +509,10 @@ class ProcessScatterPool:
         engine = self.engine
         out: dict[QueryRequest, SSRQResult] = {}
         plans: list[_Plan] = []
-        decisions: list = []
+        asked: list[QueryRequest] = []
         for req in reqs:
             check_user(req.user, engine.graph.n)
-            routed, decision = resolve_dispatch(engine, req)
+            routed = engine.resolve_method(req)
             routed_req = req.with_method(routed)
             candidates = (
                 None if routed in DELEGATED_METHODS else engine._scatter_plan(routed_req)
@@ -527,22 +526,15 @@ class ProcessScatterPool:
                 if routed in DELEGATED_METHODS:
                     with engine._scatter_lock:
                         engine.scatter.delegated_queries += 1
-                if decision is not None:
-                    engine.planner.observe(decision, result.stats.elapsed)
                 out[req] = result
             else:
                 plans.append(_Plan(routed_req, candidates))
-                decisions.append((req, decision))
+                asked.append(req)
 
         if plans:
             self._execute_scatter(plans)
-            for plan, (req, decision) in zip(plans, decisions):
+            for plan, req in zip(plans, asked):
                 out[req] = plan.result
-                if decision is not None:
-                    # Satellite fix: the planner now sees process-backed
-                    # scatter costs too, not just inline ones — observed
-                    # at merge time with the coordinator wall clock.
-                    engine.planner.observe(decision, plan.result.stats.elapsed)
             engine._record_scatter(
                 len(plans),
                 sum(p.considered for p in plans),
@@ -552,8 +544,7 @@ class ProcessScatterPool:
 
     def scatter_one(self, request: QueryRequest) -> SSRQResult:
         """Execute one *already-routed* scatter query (the engine's
-        ``_scatter_query`` hook; planner resolution/observation stays
-        with the caller)."""
+        ``_scatter_query`` hook; resolution stays with the caller)."""
         candidates = self.engine._scatter_plan(request)
         if candidates is None:
             return self.engine._delegate_engine().query(request)

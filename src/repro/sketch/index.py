@@ -21,12 +21,10 @@ the interval midpoint, whose distance error is certifiably at most the
 interval half-width — that is the whole bound argument, and it needs no
 empirical luck to hold.
 
-The *empirical* part is the gate: :meth:`SketchIndex.build` probes a
-seeded sample of query users and records the largest top-of-ranking
-half-width seen (:attr:`empirical_half`, in raw social-distance units).
-:meth:`admissible` converts it through the ranking weights into score
-units, and the planner only offers ``approx`` to a query whose
-``budget`` covers that empirical estimate.
+:meth:`SketchIndex.build` also probes a seeded sample of query users
+and records the largest top-of-ranking half-width seen
+(:attr:`empirical_half`, in raw social-distance units): what a typical
+answer's bound looks like before any query runs.
 
 Storage is three columnar arrays (``indptr``/``nbrs``/``dists`` — the
 CSR idiom the social graph itself uses) plus scalar metadata, which is
@@ -58,16 +56,14 @@ DEFAULT_PROBE_K = 16
 class SketchIndex:
     """Precomputed 2-hop + landmark-interval social-distance sketch.
 
-    Built lazily by the engine the first time ``method="approx"`` (or a
-    budgeted ``auto`` query) needs it, then cached::
+    Built lazily by the engine the first time ``method="approx"`` needs
+    it, then cached::
 
         >>> from repro import GeoSocialEngine, gowalla_like
         >>> engine = GeoSocialEngine.from_dataset(gowalla_like(n=80, seed=3))
         >>> sketch = engine.sketch
         >>> sketch.max_entries
         64
-        >>> sketch.admissible(1.0, 0.0)   # budget 0 never admits approx
-        False
         >>> sketch.entry_count() <= 80 * sketch.max_entries
         True
     """
@@ -233,15 +229,6 @@ class SketchIndex:
                 if h > worst:
                     worst = h
         return worst
-
-    def admissible(self, w_social: float, budget: float) -> bool:
-        """Whether the empirical error estimate fits ``budget``:
-        ``w_social · empirical_half <= budget`` (score units — the same
-        conversion the certified per-query bound uses)."""
-        if budget <= 0.0:
-            return False
-        cost = w_social * self.empirical_half
-        return cost == cost and cost <= budget
 
     def entry_count(self) -> int:
         """Total stored 2-hop entries (sketch size diagnostic)."""

@@ -140,8 +140,8 @@ class SocialColumnCache:
 
     def contains_full(self, user: int) -> bool:
         """Whether a fully materialised column for ``user`` is cached —
-        O(1), no statistics, no LRU touch (the planner's warm-vs-cold
-        feature probe, which must never perturb what it observes)."""
+        O(1), no statistics, no LRU touch (a probe that must never
+        perturb what it observes)."""
         return user in self._entries
 
     def info(self) -> dict:
@@ -210,15 +210,6 @@ class SocialColumnCache:
         self.store_full(user, column)
 
     # -- invalidation / sizing ----------------------------------------
-
-    def discard(self, user: int) -> None:
-        """Drop ``user``'s column (no-op if absent; not an eviction):
-        the next query from ``user`` expands from scratch.  The
-        planner's calibration probes call this so each one times its
-        method's traversal, not a hit on the column an earlier probe
-        left behind."""
-        with self._lock:
-            self._entries.pop(user, None)
 
     def invalidate_all(self) -> None:
         """Drop every entry.  Nothing on the serving path needs it (a

@@ -25,18 +25,21 @@ plus a manifest carrying the format version, the engine config (kind,
 ``s``/``shard_s``, seed, alpha-normalisation constants, backend name,
 landmark ids, partitioner layout) and a sha256 per column.
 
-What is *not* persisted — planner cost tables, contraction
-hierarchies, neighbour caches, worker pools — is runtime state every
-engine rebuilds lazily; the default planner candidates are all
-forward-deterministic methods, so even ``method="auto"`` answers
+What is *not* persisted — contraction hierarchies, neighbour caches,
+worker pools, ``bounded``'s sampled distance profiles — is runtime
+state every engine rebuilds lazily; ``method="auto"`` resolves by
+static rules to forward-deterministic methods, so it answers
 bit-identically after a warm start.
 
 Loading adopts columns zero-copy (``mmap_mode='c'``): the location
 table and the landmark matrix map straight from disk, the CSR arrays
 become the flat Python lists Dijkstra needs, grids rebuild from their
-cell arrays without re-deriving geometry.  The aggregate index is not
-rebuilt on load: like a freshly built engine, a restored one derives it
-from its grid and the landmark matrix on the first ``ais`` query.
+cell arrays without re-deriving geometry.  The landmark index is
+stored, so saving an engine that never needed it builds it once
+(:attr:`~repro.core.engine.EngineBase.landmarks`), and a load adopts
+the matrix without a build.  The aggregate index is not rebuilt on
+load: like a freshly built engine, a restored one derives it from its
+grid and the landmark matrix on the first ``ais`` query.
 """
 
 from __future__ import annotations

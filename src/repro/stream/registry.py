@@ -207,21 +207,15 @@ class SubscriptionRegistry:
 
         ``method="auto"`` stays ``auto`` for the subscription's whole
         life: the initial result and every maintenance recompute go
-        through the engine's adaptive planner, which picks the method
-        by its current cost estimates and observes what the recompute
-        cost — a standing query is never pinned to whatever was
-        cheapest (or was being explored) at subscribe time.
+        through the engine's planner, so a standing query follows its
+        query user's state (an unlocated user's ``auto`` resolves to the
+        suspending SPA route, a located one's to ``bounded``).
         ``sub.method`` follows ``result.method``, and repairability is
-        classified off it (the planner's default candidates are
-        forward-deterministic, so auto subscriptions repair in place).
+        classified off it (``bounded`` is forward-deterministic, so auto
+        subscriptions repair in place).
         """
         self._check_open()
         request = QueryRequest.coerce(user, k, alpha, method)
-        if request.method == AUTO:
-            # One-time planner calibration *before* taking the read
-            # lock (each probe acquires the read side itself, so a
-            # pending update never queues behind the whole pass).
-            self.service._precalibrate_planner()
         engine = self._read_locked_engine()
         try:
             # Validate everything *before* registering, so a bad request

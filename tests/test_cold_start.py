@@ -1,14 +1,19 @@
 """Cold start pays only for what serving uses — held by counts, not
 wall time.
 
-Two structural facts behind ``setup_s``:
+Three structural facts behind ``setup_s``:
 
-- every default ``auto`` arm is a column arm, so calibration is
-  4 alphas x 2 arms x 2 users = 16 probes of one or two ``sssp_column``
-  calls each, and neither it nor any later ``auto`` query opens a
-  :class:`~repro.graph.traversal.DijkstraIterator` (outside the kernel,
-  whose python leg *is* the iterator loop), builds an incremental
-  searcher, or scatters;
+- interior ``auto`` resolves to ``bounded`` by static rules, so an
+  engine and a service serving it run no calibration probe and build no
+  landmark index (a sharded engine builds one at construction, for its
+  shard bounds); after ``bounded``'s one-time profiles (three columns)
+  a miss makes at most two ``sssp_column`` calls, opens no
+  :class:`~repro.graph.traversal.DijkstraIterator` outside the kernel
+  (whose python leg *is* the iterator loop), builds no incremental
+  searcher and never scatters;
+- the landmark index is built once, by its first reader (``tsa``,
+  ``ais``, ``save_engine``), and a snapshot load restores it without a
+  build;
 - the aggregate index is derived state of the incremental tier: built
   by the first ``ais`` query from the maintained grid, kept in step by
   every later location update, and never built by a snapshot load.
@@ -20,10 +25,11 @@ import random
 
 import pytest
 
-from repro import GeoSocialEngine, gowalla_like, load_engine, save_engine
+from repro import GeoSocialEngine, QueryService, gowalla_like, load_engine, save_engine
+from repro.graph.landmarks import LandmarkIndex
 from repro.graph.traversal import DijkstraIterator
 from repro.index.aggregate import AggregateIndex
-from repro.plan.planner import CALIBRATION_ALPHAS, DEFAULT_CANDIDATES, AdaptivePlanner
+from repro.server.protocol import stats_payload
 from repro.shard import ShardedGeoSocialEngine
 
 N_SHARDS = (1, 4)
@@ -70,64 +76,115 @@ class KernelTally:
         monkeypatch.setattr(DijkstraIterator, "__init__", counted_init)
 
 
+class LandmarkTally:
+    """Counts landmark index builds (a snapshot load adopts the stored
+    matrix through ``LandmarkIndex.from_tables``, which builds
+    nothing)."""
+
+    def __init__(self, monkeypatch):
+        self.builds = 0
+        init = LandmarkIndex.__init__
+
+        def counted_init(index, *args, **kwargs):
+            self.builds += 1
+            init(index, *args, **kwargs)
+
+        monkeypatch.setattr(LandmarkIndex, "__init__", counted_init)
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return gowalla_like(n=2000)
 
 
-# -- the plan layer ----------------------------------------------------
+# -- the auto path -----------------------------------------------------
 
 
 @pytest.mark.parametrize("n_shards", N_SHARDS)
 def test_calibration_and_auto_run_on_the_kernel_alone(dataset, n_shards, monkeypatch):
+    landmarks = LandmarkTally(monkeypatch)
     engine = build(dataset, n_shards)
+    at_construction = 0 if n_shards == 1 else 1  # the shard bounds read them
+    service = QueryService(engine, max_workers=1)
     tally = KernelTally(monkeypatch, engine)
-    per_probe = []  # (method, alpha, kernel calls) of every timed probe
-    probe = AdaptivePlanner._probe
+    executed = []
+    query = engine.query
 
-    def tallied_probe(planner, engine, user, alpha, method, read_lock, timed=True):
-        before = tally.columns
-        executed = probe(planner, engine, user, alpha, method, read_lock, timed)
-        if timed:
-            per_probe.append((method, alpha, tally.columns - before))
-        return executed
+    def counted_query(*args, **kwargs):
+        executed.append(args)
+        return query(*args, **kwargs)
 
-    monkeypatch.setattr(AdaptivePlanner, "_probe", tallied_probe)
+    monkeypatch.setattr(engine, "query", counted_query)
     try:
-        assert engine.planner.calibrate(engine) == 16
-        assert engine.planner.stats.calibration_queries == 16
-        assert len(per_probe) == len(CALIBRATION_ALPHAS) * len(DEFAULT_CANDIDATES) * 2
-        # one or two columns per probe: the searchers' one-off lazy
-        # builds (``bounded``'s three-column profile) are not timed
-        assert all(1 <= columns <= 2 for _, _, columns in per_probe), per_probe
-        first, second = (
-            columns
-            for method, alpha, columns in per_probe
-            if method == "bounded" and alpha == CALIBRATION_ALPHAS[0]
-        )
-        assert max(first, second) <= 3 * min(first, second)
-
+        assert engine.planner.calibrate(engine) == 0
         rng = random.Random(3)
         users = rng.sample(engine.located_users(), 40)
+        per_miss = []
         for user in users:
-            result = engine.query(user, k=10, alpha=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
-            assert result.method in DEFAULT_CANDIDATES
+            before = tally.columns
+            response = service.query(user, k=10, alpha=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert not response.cached and response.result.method == "bounded"
+            per_miss.append(tally.columns - before)
+        # the first miss also samples bounded's social profile
+        assert per_miss[0] <= 2 + 3 and max(per_miss[1:]) <= 2, per_miss
+        assert len(executed) == len(users)  # no query but the served ones
         assert tally.stray_iterators == 0
-        for shard in single_engines(engine):
-            assert set(shard._searchers) <= set(DEFAULT_CANDIDATES)
-            assert shard._aggregate is None
+        shards = single_engines(engine)
+        assert set().union(*(shard._searchers for shard in shards)) == {"bounded"}
+        assert all(shard._aggregate is None for shard in shards)
         if n_shards > 1:
             assert engine.scatter.scatter_queries == 0
             assert engine.scatter.shards_searched == 0
+        repr(engine)
+        stats_payload(service)
+        assert landmarks.builds == at_construction
+        if n_shards == 1:
+            service.update_edge(users[0], users[1], 0.5)
+            rebuilt = service.rebuild_engine()
+            service.query(users[0], k=10, alpha=0.5)
+            assert landmarks.builds == 0 and rebuilt._landmarks is None
     finally:
+        service.close()
         engine.close()
 
 
-def test_opting_the_incremental_arms_in_is_priced(dataset):
+# -- the lazily built landmark index -----------------------------------
+
+
+@pytest.mark.parametrize("reader", ["tsa", "ais", "save"])
+def test_the_first_reader_builds_the_landmarks_once(dataset, reader, monkeypatch, tmp_path):
+    landmarks = LandmarkTally(monkeypatch)
     engine = build(dataset, 1)
-    planner = AdaptivePlanner(candidates=DEFAULT_CANDIDATES + ("spa", "tsa"), seed=1)
-    assert planner.calibrate(engine) == 32
-    assert {"spa", "tsa"} <= set(planner.cost.snapshot()["global"])
+    users = engine.located_users()
+    engine.query(users[0], k=10, alpha=0.3)
+    assert landmarks.builds == 0 and engine._landmarks is None
+    for i, user in enumerate(users[1:3]):
+        if reader == "save":
+            save_engine(engine, tmp_path / f"snap{i}")
+        else:
+            engine.query(user, k=10, alpha=0.3, method=reader)
+        assert landmarks.builds == 1
+    assert engine.landmarks.m == 8
+
+
+@pytest.mark.parametrize("n_shards", N_SHARDS)
+def test_a_snapshot_load_builds_no_landmarks(dataset, n_shards, monkeypatch, tmp_path):
+    engine = build(dataset, n_shards)
+    try:
+        path = save_engine(engine, tmp_path / "snap")
+        landmarks = LandmarkTally(monkeypatch)
+        restored = load_engine(path, mmap=True)
+        try:
+            user = restored.located_users()[0]
+            want = engine.query(user, k=10, alpha=0.3, method="tsa")
+            got = restored.query(user, k=10, alpha=0.3, method="tsa")
+            assert (got.users, got.scores) == (want.users, want.scores)
+            assert landmarks.builds == 0
+            assert (restored.landmarks.matrix == engine.landmarks.matrix).all()
+        finally:
+            restored.close()
+    finally:
+        engine.close()
 
 
 # -- the lazily built aggregate index ----------------------------------

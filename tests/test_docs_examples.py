@@ -53,8 +53,6 @@ DOCUMENTED_MODULES = [
     "repro.index.aggregate",
     "repro.datasets.synthetic",
     "repro.plan.rules",
-    "repro.plan.features",
-    "repro.plan.cost",
     "repro.plan.planner",
     "repro.service.model",
     "repro.service.cache",
@@ -132,11 +130,10 @@ def test_readme_documents_every_method():
     for method in METHODS:
         # a row of the "Served methods" table, not a passing mention
         assert f"\n| `{method}` |" in readme, f"method {method!r} missing from README"
-    # the planner paragraph names today's default arms and the opt-ins
-    from repro.plan.planner import DEFAULT_CANDIDATES
+    # the planner paragraph names what interior ``auto`` runs
+    from repro.plan.planner import AUTO_METHOD
 
-    assert "/".join(f"`{m}`" for m in DEFAULT_CANDIDATES) in " ".join(readme.split())
-    assert "`sfa`, `spa`, `tsa` and `tsa-qc` are opt-in" in " ".join(readme.split())
+    assert f"interior `auto` resolves to `{AUTO_METHOD}`" in " ".join(readme.split())
 
 
 def test_citation_is_consistent():

@@ -20,7 +20,6 @@ from repro.core.engine import (
     GeoSocialEngine,
 )
 from repro.core.request import QueryRequest
-from repro.plan.planner import DEFAULT_CANDIDATES
 from repro.plan.rules import AUTO, METHOD_TABLE, MethodSpec, route_method
 from repro.shard.engine import DELEGATED_METHODS
 from tests.conftest import random_instance
@@ -47,11 +46,6 @@ def test_row_invariants(name):
         assert route is None or route in METHOD_TABLE, f"{name} routes off the table"
     assert spec.column in (None, "stream", "exhaust", "bounded")
     assert spec.forward == (spec.column is not None)
-    if spec.candidate:
-        assert spec.forward, "a default candidate must stay repairable"
-        # every default arm is a column arm: one or two kernel columns
-        # + one dense scan, never an iterator and never a scatter
-        assert spec.column in ("bounded", "exhaust") and spec.delegated
     if spec.needs_location:
         assert spec.column is not None
     # an endpoint route is final: the target does not route again there
@@ -68,8 +62,6 @@ def test_derived_constants_equal_their_derivations():
     }
     assert DELEGATED_METHODS == {n for n, s in rows if s.delegated}
     assert DELEGATED_METHODS == {"sfa", "approx", "bounded", "bruteforce"}
-    assert DEFAULT_CANDIDATES == tuple(n for n, s in rows if s.candidate)
-    assert len(DEFAULT_CANDIDATES) == 2
 
 
 def test_every_row_has_a_builder_and_every_builder_a_row():

@@ -1,21 +1,23 @@
 """Planner differential harness: ``method="auto"`` ≡ ``bruteforce``.
 
-The adaptive planner's correctness promise is absolute: whatever
-concrete method it resolves per query, the answer is **bit-identical**
-— ids, scores, *and* tie-breaks — to the brute-force reference,
-because every default candidate is a forward-deterministic family
+``auto``'s correctness promise is absolute: whichever path it takes per
+query — ``bounded`` with its first ball, or without it (the
+``bruteforce`` path, when the profile rule predicts the ball would not
+pay), or a static endpoint route — the answer is **bit-identical** —
+ids, scores, *and* tie-breaks — to the brute-force reference, because
+every one of them is a forward-deterministic family
 (schedule-independent social distances, shared Euclidean primitive,
 shared smaller-id tie-break).
 
 Pinned here across the whole stack:
 
-- both backends (``python`` and ``numpy`` kernels), and the paper's
-  incremental searchers opted back in as planner arms,
+- both backends (``python`` and ``numpy`` kernels), and both paths of
+  the rule,
 - shard counts {1, 4} (single engine and scatter-gather coordinator),
 - interleaved location updates (moves, forgets, boundary crossings),
-- the cached service path (resolved-method cache keys), and
-- ``rebuild_engine`` (the planner instance and its learned costs
-  survive the swap; results stay exact against the new engine).
+- the cached service path (question-keyed cache lines), and
+- ``rebuild_engine`` (the planner instance survives the swap; results
+  stay exact against the new engine).
 
 Runs under the same fixed, derandomized Hypothesis profile as the
 other equivalence suites, applied per test.
@@ -30,7 +32,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import AUTO, GeoSocialEngine
-from repro.plan import DEFAULT_CANDIDATES, AdaptivePlanner
 from repro.service import QueryRequest, QueryService
 from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance
@@ -44,27 +45,15 @@ settings.register_profile(
 )
 PLAN_CI = settings.get_profile("plan-ci")
 
-#: (backend, planner candidates): the default column arms on both
-#: backends, and the pre-PR-24 default set as an opt-in (explored at
-#: full rate so every arm is really played)
-LEGS = (
-    pytest.param("python", None, id="python"),
-    pytest.param("numpy", None, id="numpy"),
-    pytest.param("numpy", DEFAULT_CANDIDATES + ("spa", "tsa"), id="numpy-opt-in"),
-)
+BACKENDS = ("python", "numpy")
 SHARD_COUNTS = (1, 4)
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 STEPS = 8
 
 
-def build_engine(graph, locations, n_shards, backend, candidates=None):
-    planner = None
-    if candidates is not None:
-        planner = AdaptivePlanner(candidates=candidates, epsilon=1.0, seed=3)
+def build_engine(graph, locations, n_shards, backend):
     if n_shards == 1:
-        return GeoSocialEngine(
-            graph, locations, num_landmarks=3, s=4, seed=3, backend=backend, planner=planner
-        )
+        return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, backend=backend)
     return ShardedGeoSocialEngine(
         graph,
         locations,
@@ -74,7 +63,6 @@ def build_engine(graph, locations, n_shards, backend, candidates=None):
         seed=3,
         max_workers=1,
         backend=backend,
-        planner=planner,
     )
 
 
@@ -95,6 +83,8 @@ def verify_queries(engine, users, rng, context, picked):
         k = rng.choice((1, 3, 8))
         alpha = rng.choice(ALPHAS)
         brute = engine.query(user, k, alpha, "bruteforce")
+        if engine.social_cache is not None and rng.random() < 0.5:
+            engine.social_cache.invalidate_all()  # so the rule decides
         try:
             auto = engine.query(user, k, alpha, AUTO)
         except ValueError as err:
@@ -107,16 +97,21 @@ def verify_queries(engine, users, rng, context, picked):
             continue
         assert_bit_identical(auto, brute, f"{context} u={user} k={k} a={alpha}")
         if 0.0 < alpha < 1.0:
-            picked.add(auto.method)
-        # ... and the planner's social-first arm by name
+            assert auto.method == "bounded"
+            extra = auto.stats.extra
+            # a cached column answers before the rule is consulted
+            if "bounded_passes" in extra:
+                ball = extra["bounded_passes"] == 2 or extra["bounded_radius"] < float("inf")
+                picked.add("ball" if ball else "full column")
+        # ... and ``bounded`` by name
         bounded = engine.query(user, k, alpha, "bounded")
         assert_bit_identical(bounded, brute, f"{context} bounded u={user} k={k} a={alpha}")
 
 
-@pytest.mark.parametrize("backend, candidates", LEGS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_auto_equals_bruteforce_under_interleaved_updates(backend, candidates, n_shards):
-    picked = set()  # what interior-alpha ``auto`` resolved to, over all examples
+def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
+    picked = set()  # the paths interior-alpha ``auto`` took, over all examples
 
     @PLAN_CI
     @given(
@@ -128,7 +123,7 @@ def test_auto_equals_bruteforce_under_interleaved_updates(backend, candidates, n
         graph, locations = random_instance(n, seed=seed, coverage=coverage)
         if locations.n_located == 0:
             locations.set(0, 0.5, 0.5)
-        engine = build_engine(graph, locations, n_shards, backend, candidates)
+        engine = build_engine(graph, locations, n_shards, backend)
         rng = random.Random(seed + n)
         users = [u for u in locations.located_users()][:3] or [0]
         verify_queries(engine, users, rng, f"initial b={backend} s={n_shards}", picked)
@@ -143,8 +138,8 @@ def test_auto_equals_bruteforce_under_interleaved_updates(backend, candidates, n
             )
 
     property_case()
-    # auto really resolved to every arm it was given, opt-in ones too
-    assert picked == set(candidates or DEFAULT_CANDIDATES)
+    # both paths of the rule really ran
+    assert picked == {"ball", "full column"}
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
@@ -177,26 +172,10 @@ def test_auto_equals_bruteforce_through_cached_service_and_rebuild(n_shards):
         planner = service.engine.planner
         service.update_edge(users[0], users[1], 0.25)
         new_engine = service.rebuild_engine()
-        assert new_engine.planner is planner  # learned costs survive the swap
+        assert new_engine.planner is planner  # its counters survive the swap
         for user in users:
             response = service.query(QueryRequest(user=user, k=5, alpha=0.5, method=AUTO))
             brute = new_engine.query(user, 5, 0.5, "bruteforce")
             assert_bit_identical(response.result, brute, f"post-rebuild u={user}")
     finally:
         service.close()
-
-
-def test_auto_with_ais_candidates_keeps_rankings_exact():
-    """Opting AIS into the candidate set trades bit-identical scores
-    (1-ulp schedule noise) for speed — rankings must still be exact."""
-    graph, locations = random_instance(80, seed=5, coverage=0.9)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    engine.planner = AdaptivePlanner(candidates=("ais",), seed=1)
-    users = [u for u in locations.located_users()][:4]
-    for user in users:
-        auto = engine.query(user, 6, 0.5, AUTO)
-        assert auto.method == "ais"
-        brute = engine.query(user, 6, 0.5, "bruteforce")
-        assert auto.users == brute.users
-        for nb_a, nb_b in zip(auto, brute):
-            assert abs(nb_a.score - nb_b.score) <= 1e-9

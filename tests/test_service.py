@@ -19,7 +19,7 @@ import pytest
 from repro.bench.workloads import zipf_arrivals
 from repro.core.engine import METHODS, GeoSocialEngine
 from repro.core.result import Neighbor
-from repro.plan import AdaptivePlanner, CostModel, extract_features
+from repro.plan import Planner
 from repro.service import (
     QueryRequest,
     QueryResponse,
@@ -619,21 +619,15 @@ def test_service_stats_snapshot_shape(engine):
 # ------------------------------------------------- look up before you plan
 
 
-def scripted_planner(engine, request, cheapest):
-    """A non-exploring two-arm planner whose cost model says
-    ``cheapest`` wins ``request``'s bucket."""
-    planner = AdaptivePlanner(
-        candidates=("spa", "tsa"), calibrate=False, epsilon=0.0, decay=1.0
-    )
-    script_costs(planner, engine, request, cheapest)
-    return planner
+class ScriptedPlanner(Planner):
+    """Resolves interior ``auto`` to whatever ``pick`` names — a
+    stand-in for a resolver whose choice changes between two asks."""
 
+    pick = "bounded"
 
-def script_costs(planner, engine, request, cheapest):
-    planner.cost = CostModel(1.0)
-    bucket = extract_features(engine, request).bucket()
-    for arm in planner.candidates:
-        planner.cost.observe(bucket, arm, 0.001 if arm == cheapest else 0.1)
+    def resolve(self, engine, request):
+        method = super().resolve(engine, request)
+        return self.pick if method == "bounded" else method
 
 
 def test_auto_repeat_hits_the_question_line_whatever_the_planner_now_prefers():
@@ -641,12 +635,13 @@ def test_auto_repeat_hits_the_question_line_whatever_the_planner_now_prefers():
     user = next(iter(locations.located_users()))
     auto = QueryRequest(user, k=5, alpha=0.4)
     engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=3, seed=3)
-    engine.planner = scripted_planner(engine, auto, "tsa")
+    engine.planner = ScriptedPlanner()
+    engine.planner.pick = "tsa"
     with QueryService(engine, cache_size=32) as service:
         first = service.query(auto)
         assert not first.cached and first.result.method == "tsa"
-        script_costs(engine.planner, engine, auto, "spa")
-        assert engine.planner.resolve(engine, auto).method == "spa"  # the arm flipped
+        engine.planner.pick = "spa"
+        assert engine.planner.resolve(engine, auto) == "spa"  # the pick flipped
         resolutions = engine.planner.stats.auto_resolutions
         again = service.query(auto)
         assert again.cached and again.result is first.result
@@ -659,8 +654,8 @@ def test_auto_repeat_hits_the_question_line_whatever_the_planner_now_prefers():
         assert named.result.users == first.result.users
         assert service.query(user, k=5, alpha=0.4, method="tsa").cached
         assert len(service.cache) == 2
-        # a budgeted auto request is keyed on resolved method + budget:
-        # it cannot be answered from either exact line
+        # a budgeted auto request keeps its own line (the budget is part
+        # of every key): it is not answered from either unbudgeted line
         budgeted = service.query(user, k=5, alpha=0.4, budget=0.25)
         assert not budgeted.cached
         assert len(service.cache) == 3
@@ -676,7 +671,7 @@ def test_cached_probe_counts_like_query_and_never_plans(engine):
         assert service.cached(auto) is None
         assert service.stats.snapshot()["requests"] == 0      # a miss counts nothing
         assert service.cache.stats.misses == 0
-        assert getattr(engine, "_planner", None) is None      # ... and plans nothing
+        assert engine.planner.stats.auto_resolutions == 0     # ... and resolves nothing
         executed = service.query(auto)
         assert (service.stats.requests, service.stats.cache_misses) == (1, 1)
         probe = service.cached(auto)
@@ -688,11 +683,12 @@ def test_cached_probe_counts_like_query_and_never_plans(engine):
         service.query(other)
         assert service.cached(auto) is not None
         assert list(service.cache._entries)[-1][0] == user
-        # named methods probe their resolved line; budgeted auto cannot be
-        # keyed without planning, so it is never answered here
+        # named methods probe their routed line, a budgeted auto its own
         assert service.cached(other).cached
-        service.query(user, k=5, alpha=0.4, budget=0.25)
-        assert service.cached(QueryRequest(user, k=5, alpha=0.4, budget=0.25)) is None
+        budgeted = QueryRequest(user, k=5, alpha=0.4, budget=0.25)
+        assert service.cached(budgeted) is None
+        service.query(budgeted)
+        assert service.cached(budgeted).cached
         # a held engine write lock does not hold the probe up
         with engine.rw_lock.write_locked():
             assert service.cached(auto) is not None

@@ -13,8 +13,8 @@ The :class:`~repro.shard.ProcessScatterPool` contract under test:
   multiprocessing context is built, and ``close()`` is idempotent and
   safe against concurrent respawn;
 - read replicas answer identically to unreplicated workers;
-- ``method="auto"`` resolved at the coordinator feeds the planner from
-  process-backed scatter too.
+- ``method="auto"`` is resolved once per distinct request at the
+  coordinator of the process-backed pool too.
 
 Everything here needs the ``fork`` start method (skipped otherwise) —
 but none of it needs more than one core: exactness and lifecycle are
@@ -330,15 +330,16 @@ def test_replicas_answer_identically_and_stay_coherent():
 
 
 def test_auto_method_feeds_planner_from_process_scatter():
-    """The satellite fix: per-shard work executed in workers still
-    produces coordinator-side planner observations at merge time."""
+    """``auto`` requests sent through the process pool feed the
+    coordinator's planner: each distinct one is resolved once, there
+    (to the delegated ``bounded``: nothing scatters)."""
     _, sharded = build_engines()
     users = list(sharded.located_users())[:6]
-    sharded.planner.calibrate(sharded)
-    before = sharded.planner.stats.observations
+    before = sharded.planner.stats.auto_resolutions
     with ProcessScatterPool(sharded, processes=2) as pool:
-        results = pool.query_many(requests(users, k=5, alpha=0.5, method="auto"))
-    assert sharded.planner.stats.observations > before
+        results = pool.query_many(requests(users, k=5, alpha=0.5, method="auto") * 2)
+    assert sharded.planner.stats.auto_resolutions == before + len(users)
+    assert {result.method for result in results} == {"bounded"}
     # auto resolves once at the coordinator: the answer matches the
     # engine's own auto resolution for the same request
     for user, result in zip(users, results):

@@ -9,6 +9,9 @@ The contract under test, end to end:
 - **exactness on demand is bit-exact** — ``budget=0`` (or unset) is
   bit-identical to ``bruteforce`` through the engine, the sharded
   engine, the cached service, and the HTTP server;
+- ``auto`` answers exactly whatever the budget (an exact answer meets
+  any): a budgeted ``auto`` never reads the sketch, let alone builds
+  it;
 - ``method="approx"`` is an explicit opt-in independent of any budget,
   routes to SPA at ``alpha == 0`` (the sketch has nothing to offer a
   pure-spatial query) and stays valid at ``alpha == 1``;
@@ -162,17 +165,22 @@ def test_budget_zero_bit_identical_through_every_path(engine, sharded, sample_us
     assert wire["result"]["error_bound"] is None
 
 
-def test_budgeted_auto_stays_within_budget(engine, sample_users):
-    """When the planner does pick approx under a budget, the certified
-    per-query bound it records respects that budget."""
-    user = sample_users[1]
-    for _ in range(8):  # enough resolutions to get past exploration
-        result = engine.query(user, k=8, alpha=0.3, method="auto", budget=0.5)
-        if result.method == "approx":
-            assert 0.0 <= result.error_bound <= 0.5 + TOL
-            break
-    else:
-        pytest.fail("a generous budget never resolved to approx")
+def test_budgeted_auto_stays_within_budget(dataset, sample_users):
+    """An exact answer meets any budget, so a budgeted ``auto`` runs
+    what an unbudgeted one runs: bit-identical to bruteforce (no error
+    to bound), the approx searcher never built and no sketch either."""
+    fresh = GeoSocialEngine.from_dataset(dataset, num_landmarks=4, s=5, seed=3)
+    with QueryService(fresh, cache_size=64) as service:
+        for user in sample_users[:3]:
+            for alpha in ALPHAS:
+                brute = fresh.query(user, k=8, alpha=alpha, method="bruteforce")
+                for budget in (0.05, 0.5, 1.0):
+                    auto = service.query(user, k=8, alpha=alpha, budget=budget).result
+                    assert (auto.users, auto.scores) == (brute.users, brute.scores)
+                    assert auto.method == fresh.resolve_method(QueryRequest(user, 8, alpha))
+                    assert auto.error_bound is None
+    assert "approx" not in fresh._searchers
+    assert fresh._sketch is None
 
 
 def test_budget_validation_on_direct_engine_path(engine, sample_users):

@@ -365,9 +365,9 @@ def test_fused_query_many_matches_sequential_engine_queries(backend):
 
 def test_fusion_skips_planner_and_unlocated_spatial_requests():
     """Same-user batches run per query: SPA/TSA for an unlocated user
-    raise the searcher's exact error, ``auto`` requests feed the
-    planner one observation each, and social-only methods answer
-    unlocated users exactly as a cold engine does."""
+    raise the searcher's exact error, ``auto`` requests are resolved
+    once each, and social-only methods answer unlocated users exactly
+    as a cold engine does."""
     engine = build_engine(1, "python", None)
     service = QueryService(engine, max_workers=1, cache_size=0)
     try:
@@ -390,7 +390,7 @@ def test_fusion_skips_planner_and_unlocated_spatial_requests():
                 QueryRequest(user=located, k=4, alpha=0.5, method="auto"),
             ]
         )
-        assert engine.planner.stats.observations == 2
+        assert engine.planner.stats.auto_resolutions == 2
         # unlocated + social-only methods (all-inf spatial)
         responses = service.query_many(
             [
@@ -610,16 +610,3 @@ def test_shards_share_one_cache_instance():
     for shard in disabled._engines.values():
         assert shard.social_cache is None
 
-
-def test_planner_social_hit_feature_probes_without_perturbing():
-    from repro.plan.features import extract_features
-
-    engine = build_engine(1, "python", None)
-    user = query_users(engine)[0]
-    assert extract_features(engine, QueryRequest(user, 10, 0.5)).social_hit is False
-    engine.query(user, k=5, alpha=0.5, method="bruteforce")
-    before = engine.social_cache.info()
-    features = extract_features(engine, QueryRequest(user, 10, 0.5))
-    assert features.social_hit is True
-    assert engine.social_cache.info() == before
-    assert features.bucket()[-1] == 1

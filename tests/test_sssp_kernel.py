@@ -446,6 +446,38 @@ def test_radius_for_gives_up_to_unbounded_in_the_subnormals():
     assert BoundedSearch._radius_for(0.0, 1e-3) == INF
 
 
+def test_isolated_users_never_source_the_distance_profile(monkeypatch):
+    """A third of the users have no edge: a profile source drawn among
+    them reaches only itself and shrinks every radius the profile
+    reads (the n/25 ball's radius read 0.0070 against 0.0133 from a
+    connected source).  Sources are drawn among users with an edge."""
+    from repro import gowalla_like
+
+    connected = gowalla_like(n=3000)
+    n = 4500
+    graph = SocialGraph.from_edges(n, list(connected.graph.edges()))
+    xs, ys = connected.locations.columns()
+    locations = LocationTable.from_columns(
+        list(xs) + [math.nan] * (n - 3000), list(ys) + [math.nan] * (n - 3000)
+    )
+    kernels = resolve_backend("auto")
+    sources = []
+    kernel = kernels.sssp_column
+
+    def recorded(graph, source, *args, **kwargs):
+        sources.append(source)
+        return kernel(graph, source, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "sssp_column", recorded)
+    bounded = BoundedSearch(graph, locations, Normalization(1.0, 1.0), kernels=kernels)
+    radius = bounded._radius_holding(n // 25)
+    assert len(sources) == 3 and all(graph.degree(s) > 0 for s in sources)
+    # every source reaches its whole component, and the profile says so
+    assert len(bounded._sample_profiles()[0]) == 3000
+    single = sorted(kernel(graph, sources[0]))[n // 25 - 1]
+    assert radius == pytest.approx(single, rel=0.5)
+
+
 def test_a_radius_column_is_never_cached_and_an_unbounded_one_is():
     """The column step stores what ``bounded`` expanded only when it
     came back unbounded; a cached full column then answers ``bounded``

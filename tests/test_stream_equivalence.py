@@ -279,52 +279,44 @@ def test_suspension_mirrors_fresh_query_errors():
 def test_auto_subscription_follows_the_planner_across_recomputes():
     """A subscription requested as ``auto`` is not pinned to its
     subscribe-time pick: every recompute re-resolves through the
-    planner (which observes the cost), ``sub.method`` and the stored
-    request follow ``result.method``, repairability follows the method,
-    and the maintained result equals a fresh query whichever method the
-    latest recompute ran."""
-    from repro.plan import AdaptivePlanner, extract_features
+    planner, ``sub.method`` and the stored request follow
+    ``result.method``, repairability follows the method, and the
+    maintained result equals a fresh query whichever method the latest
+    recompute ran."""
+    from repro.plan import Planner
+
+    class ScriptedPlanner(Planner):
+        """Resolves interior ``auto`` to whatever ``pick`` names."""
+
+        pick = "tsa"
+
+        def resolve(self, engine, request):
+            method = super().resolve(engine, request)
+            return self.pick if method == "bounded" else method
 
     graph, locations = random_instance(60, seed=17, coverage=1.0)
-    # decay=1: an estimate is the last cost observed, so the test can
-    # script the planner's pick
-    planner = AdaptivePlanner(
-        candidates=("tsa", "bruteforce", "ais"), calibrate=False, epsilon=0.0, decay=1.0
-    )
+    planner = ScriptedPlanner()
     engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, planner=planner)
     service = QueryService(engine, cache_size=0)
     registry = SubscriptionRegistry(service)
     q = next(iter(engine.locations.located_users()))
 
-    def make_cheapest(method):
-        # far below / above any real timing, at every level of the
-        # model — of the regime the next resolution is in (a column
-        # cached by the last recompute makes it a warm one)
-        bucket = extract_features(engine, QueryRequest(q, 5, 0.4)).bucket()
-        for name in planner.candidates:
-            planner.cost.observe(bucket, name, 1e-8 if name == method else 10.0)
-
-    make_cheapest("tsa")
     sub = registry.subscribe(q, k=5, alpha=0.4, method="auto")
     assert sub.auto and sub.method == "tsa" and sub.request.method == "tsa"
     assert sub.repairable
-    observed = planner.stats.observations
-    assert observed >= 1  # the planner saw the subscribe-time recompute
+    resolved = planner.stats.auto_resolutions
+    assert resolved >= 1  # the subscribe-time recompute resolved
 
-    # (cheapest arm, resolved method): on the column the bruteforce
-    # recompute cached, every forward candidate is the same dense scan —
-    # one arm of the cost model, named after the full-column arm — so
-    # "tsa cheapest" resolves to bruteforce there
-    script = (("bruteforce", "bruteforce", True), ("ais", "ais", False),
-              ("tsa", "bruteforce", True))
-    for cheapest, method, repairable in script:
-        make_cheapest(cheapest)
-        service.move_user(q, 0.3 + 0.1 * observed, 0.5)  # query user moved: recompute
+    for step, (method, repairable) in enumerate(
+        (("bruteforce", True), ("ais", False), ("bounded", True))
+    ):
+        planner.pick = method
+        service.move_user(q, 0.3 + 0.1 * step, 0.5)  # query user moved: recompute
         result = registry.result(sub)
         assert (result.method, sub.method, sub.request.method) == (method,) * 3
         assert sub.repairable is repairable
-        assert planner.stats.observations > observed
-        observed = planner.stats.observations
+        assert planner.stats.auto_resolutions > resolved
+        resolved = planner.stats.auto_resolutions
         fresh = engine.query(q, 5, 0.4, method)
         assert_maintained_equals_fresh(sub, result, fresh, f"recomputed as {method}")
         # a member's move is repaired in place iff the method that now
@@ -337,7 +329,7 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
         check_all(registry, engine, [sub], f"member move under {method}")
     # a named method is never re-resolved
     pinned = registry.subscribe(q, k=5, alpha=0.4, method="sfa")
-    make_cheapest("bruteforce")
+    planner.pick = "bruteforce"
     service.move_user(q, 0.2, 0.2)
     assert registry.result(pinned).method == "sfa" and not pinned.auto
     registry.close()
