@@ -10,9 +10,6 @@ indexes, the aggregate index with social summaries), calibrated dataset
 generators, a benchmark harness regenerating the paper's evaluation,
 a serving layer (:mod:`repro.service`) adding batching, worker-pool
 concurrency, and an update-aware result cache on top of the engine,
-a sharding layer (:mod:`repro.shard`) that partitions users across
-spatial shards and answers by scatter-gather with bound-based shard
-pruning — rankings identical to the single engine, property-tested —
 and a network boundary: an asyncio HTTP server with admission
 control, request coalescing, and SSE subscription streams
 (:mod:`repro.server`) plus the ``repro`` operator CLI
@@ -59,7 +56,6 @@ from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.service.service import QueryService
-from repro.shard.engine import ShardedGeoSocialEngine
 from repro.sketch import ApproxSketchSearch, SketchIndex
 from repro.social import SocialCacheStats, SocialColumnCache
 from repro.spatial.point import BBox, LocationTable
@@ -115,8 +111,6 @@ __all__ = [
     "QueryResponse",
     "ServiceStats",
     "ResultCache",
-    # sharding layer
-    "ShardedGeoSocialEngine",
     # durable store (snapshots & warm-start)
     "SnapshotManager",
     "StoreError",

@@ -21,7 +21,7 @@ backend-equivalence test suite for where it is pinned.
 
 Backend choice is resolved **once** per engine via
 :func:`resolve_backend` and propagated through rebuilds
-(``with_graph``/``rebuild_engine``) and shard construction.
+(``with_graph``/``rebuild_engine``).
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ standalone scripts alike — writes a small JSON file next to the working
 directory (or under ``REPRO_BENCH_JSON_DIR``), readable with plain
 tooling instead of parsing stdout:
 
-- the standalone scripts (``benchmarks/bench_sharded_scaling.py``,
-  ``benchmarks/bench_approx.py``) call :func:`write_bench_json` from
-  their ``main()`` with their workload parameters, medians, and
-  speedups;
+- the standalone script ``benchmarks/bench_approx.py`` calls
+  :func:`write_bench_json` from its ``main()`` with its workload
+  parameters, medians, and speedups;
 - pytest runs are harvested by ``benchmarks/conftest.py``: an autouse
   fixture collects every measured pytest-benchmark case per bench
   module and a session-finish hook writes one ``BENCH_<module>.json``

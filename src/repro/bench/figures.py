@@ -402,14 +402,6 @@ def fig14b(profile: BenchProfile | None = None) -> list[ExperimentTable]:
     return [table]
 
 
-def sharded(profile: BenchProfile | None = None) -> list[ExperimentTable]:
-    """Sharded-engine scaling (not a paper figure: scatter-gather
-    throughput and shard pruning versus shard count)."""
-    from repro.bench.sharded_workload import sharded_scaling
-
-    return sharded_scaling(profile)
-
-
 ALL_EXPERIMENTS = {
     "table2": table2,
     "fig7a": fig7a,
@@ -422,5 +414,4 @@ ALL_EXPERIMENTS = {
     "fig13": fig13,
     "fig14a": fig14a,
     "fig14b": fig14b,
-    "sharded": sharded,
 }

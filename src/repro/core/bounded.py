@@ -168,7 +168,7 @@ class BoundedSearch:
             radius = math.nextafter(radius, INF)
         return INF
 
-    def scan(self, query_user: int, k: int, alpha: float, initial=None):
+    def scan(self, query_user: int, k: int, alpha: float):
         """``(result, column)``: the answer, plus the query user's full
         social column when the expansion went unbounded (the pipeline's
         column step caches it) and ``None`` when it stopped at a
@@ -189,10 +189,8 @@ class BoundedSearch:
         def expand(limit):  # ``inf`` is the unbounded column
             return kernels.sssp_column(self.graph, query_user, limit=limit)
 
-        def scan_over(column, into=None):
-            return dense_scan(
-                kernels, rank, column, self.locations, query_user, k, into, spatial=d
-            )
+        def scan_over(column):
+            return dense_scan(kernels, rank, column, self.locations, query_user, k, spatial=d)
 
         passes = 1
         radius = self._first_radius(k, rank)
@@ -209,8 +207,6 @@ class BoundedSearch:
                 radius = needed
                 column = expand(radius)
                 neighbors, finite = scan_over(column)
-        if initial is not None:
-            neighbors, _ = scan_over(column, initial)
 
         stats.pops_social = kernels.count_finite(column)
         stats.evaluations = stats.candidates_scored = finite
@@ -220,7 +216,6 @@ class BoundedSearch:
         result = SSRQResult(query_user, k, alpha, neighbors, stats)
         return result, (column if radius == INF else None)
 
-    def search(self, query_user: int, k: int, alpha: float, initial=None) -> SSRQResult:
-        """Answer the query (uniform searcher signature; an ``initial``
-        buffer of already evaluated users is merged in)."""
-        return self.scan(query_user, k, alpha, initial)[0]
+    def search(self, query_user: int, k: int, alpha: float) -> SSRQResult:
+        """Answer the query (uniform searcher signature)."""
+        return self.scan(query_user, k, alpha)[0]

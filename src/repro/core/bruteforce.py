@@ -67,11 +67,8 @@ class BruteForceSearch:
         query_user: int,
         k: int,
         alpha: float,
-        initial=None,
     ) -> SSRQResult:
-        """Score every user; an optional ``initial`` buffer of already
-        evaluated users is merged in (uniform searcher signature — the
-        full scan gains nothing from a warm threshold)."""
+        """Score every user."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -90,9 +87,7 @@ class BruteForceSearch:
         # point, or all-inf when the spatial term is irrelevant / the
         # query is unlocated (a NaN query point makes the kernel emit
         # inf everywhere — exactly the scalar `distance()` contract).
-        neighbors, finite = dense_scan(
-            kernels, rank, p, self.locations, query_user, k, initial
-        )
+        neighbors, finite = dense_scan(kernels, rank, p, self.locations, query_user, k)
         stats.evaluations = finite
         stats.candidates_scored = stats.evaluations
         stats.elapsed = time.perf_counter() - start

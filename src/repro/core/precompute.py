@@ -126,10 +126,9 @@ class CachedSocialFirst:
         query_user: int,
         k: int,
         alpha: float,
-        initial: TopKBuffer | None = None,
     ) -> SSRQResult:
-        """Answer the query; an optional ``initial`` buffer warm-starts
-        ``f_k`` for both the cached-list scan and the AIS fallback."""
+        """Answer the query: the cached-list scan, then (unless the list
+        proved termination) the AIS fallback warm-started from it."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -139,7 +138,7 @@ class CachedSocialFirst:
                 "AIS-Cache requires alpha > 0 (the cached lists are ordered "
                 "by social distance); use SPA for alpha == 0"
             )
-        buffer = initial if initial is not None else TopKBuffer(k)
+        buffer = TopKBuffer(k)
         locations = self.locations
         terminated = False
         for p, v in self.cache.list_for(query_user):

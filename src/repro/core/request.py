@@ -5,8 +5,8 @@ this codebase adds the processing ``method`` and the accuracy
 ``budget``.  :class:`QueryRequest` is that tuple: the **only** place
 the defaults are written and the only place the per-field checks run
 (each delegating to :mod:`repro.utils.validation`, so every layer
-rejects a bad request with one wording).  The engines, the planner, the service's cache
-keys, the shard wire format and the HTTP protocol all take or derive
+rejects a bad request with one wording).  The engine, the planner, the service's cache
+keys and the HTTP protocol all take or derive
 from it; the loose ``(user, k, alpha, method, budget)`` spelling
 survives only at the public edges, which fold it through
 :meth:`QueryRequest.coerce`.

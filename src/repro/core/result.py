@@ -108,15 +108,6 @@ class TopKBuffer:
     def __contains__(self, user: int) -> bool:
         return user in self._users
 
-    def copy(self) -> "TopKBuffer":
-        """An independent buffer with the same entries (used to
-        warm-start one search per shard from a shared interim result —
-        searches mutate their buffer, so each needs its own)."""
-        clone = TopKBuffer(self.k)
-        clone._heap = list(self._heap)
-        clone._users = set(self._users)
-        return clone
-
     def neighbors(self) -> list[Neighbor]:
         """Buffered entries, best first (ties toward smaller id)."""
         return sorted((e[2] for e in self._heap), key=lambda nb: (nb.score, nb.user))

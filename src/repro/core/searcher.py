@@ -4,10 +4,7 @@ Every query processor the engine dispatches to — the five families
 SFA / SPA / TSA / AIS / brute force, their CH-backed and cached
 variants included — satisfies one protocol:
 
-- ``search(query_user, k, alpha, initial=None)`` answers one SSRQ,
-  optionally warm-started from an ``initial``
-  :class:`~repro.core.result.TopKBuffer` of already fully-evaluated
-  users (the sharded engine's threshold-propagation hook); the
+- ``search(query_user, k, alpha)`` answers one SSRQ; the
   forward-deterministic stream searchers (SFA, SPA, TSA) additionally
   accept ``social=``, the Dijkstra stream from ``v_q`` to enumerate —
   how the query pipeline's column step hands them the expansion it
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from repro.core.result import SSRQResult, TopKBuffer
+from repro.core.result import SSRQResult
 
 
 @runtime_checkable
@@ -46,7 +43,6 @@ class Searcher(Protocol):
         query_user: int,
         k: int,
         alpha: float,
-        initial: TopKBuffer | None = None,
     ) -> SSRQResult:
         """Answer one SSRQ with per-query execution stats populated."""
         ...

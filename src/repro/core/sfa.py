@@ -59,14 +59,10 @@ class SocialFirstSearch:
         query_user: int,
         k: int,
         alpha: float,
-        initial: TopKBuffer | None = None,
         social=None,
     ) -> SSRQResult:
-        """Answer the query; an optional ``initial`` buffer of already
-        fully-evaluated users warm-starts the threshold ``f_k`` so the
-        Dijkstra stream stops as soon as its social bound proves no
-        unseen user can improve on it.  ``social`` is the Dijkstra
-        stream from ``v_q`` to enumerate — the pipeline's column step
+        """Answer the query.  ``social`` is the Dijkstra stream from
+        ``v_q`` to enumerate — the pipeline's column step
         hands in the expansion it promotes to a cached column if this
         search exhausts it; a fresh one is opened when omitted."""
         check_user(query_user, self.graph.n)
@@ -78,7 +74,7 @@ class SocialFirstSearch:
                 "SFA requires alpha > 0: with alpha == 0 its social bound "
                 "never grows; use SPA (the engine routes this automatically)"
             )
-        buffer = initial if initial is not None else TopKBuffer(k)
+        buffer = TopKBuffer(k)
         oracle = self.point_to_point
         if social is None:
             social = DijkstraIterator(self.graph, query_user)

@@ -6,7 +6,7 @@ stop when ``θ = (1 − α) · d(u_q, u_last)`` exceeds ``f_k``.  (The
 paper terminates at ``θ ≥ f_k``; we stop only on *strict* excess so
 users exactly tied with the k-th score are still enumerated and the
 result's tie-break — smaller ids win — is deterministic across all
-methods, enumeration orders, and shard layouts.)
+methods and enumeration orders.)
 
 Social distances are produced by one *shared* incremental Dijkstra from
 ``v_q`` that is advanced just far enough to settle each candidate — the
@@ -68,15 +68,10 @@ class SpatialFirstSearch:
         query_user: int,
         k: int,
         alpha: float,
-        initial: TopKBuffer | None = None,
         social=None,
     ) -> SSRQResult:
-        """Answer the query; an optional ``initial`` buffer of already
-        fully-evaluated users warm-starts the threshold ``f_k``, letting
-        the NN stream terminate as soon as its spatial bound proves no
-        local user can improve on it (scatter-gather threshold
-        propagation).  ``social`` is the shared Dijkstra from ``v_q``
-        that evaluations advance through ``run_until`` — the pipeline's
+        """Answer the query.  ``social`` is the shared Dijkstra from
+        ``v_q`` that evaluations advance through ``run_until`` — the pipeline's
         column step hands in the expansion it promotes to a cached
         column if this search exhausts it; a fresh one is opened when
         omitted."""
@@ -97,7 +92,7 @@ class SpatialFirstSearch:
             )
         qx, qy = location
 
-        buffer = initial if initial is not None else TopKBuffer(k)
+        buffer = TopKBuffer(k)
         oracle = self.point_to_point
         nn = IncrementalNearestNeighbors(
             self.grid, self.locations, qx, qy, exclude=query_user, kernels=self.kernels

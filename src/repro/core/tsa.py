@@ -17,8 +17,8 @@ and a spatial lower bound for unseen users:
 
 Every bound comparison is *strict* (the paper terminates at
 ``θ ≥ f_k``): users exactly tied with the k-th score stay in play, so
-the tie-break toward smaller ids is deterministic across methods,
-enumeration orders, and shard layouts (see :mod:`repro.core.spa`).
+the tie-break toward smaller ids is deterministic across methods
+and enumeration orders (see :mod:`repro.core.spa`).
 
 The landmark-aided version (the paper's default "TSA") prunes ``Q``
 between the phases using per-candidate landmark lower bounds.  With a
@@ -105,13 +105,10 @@ class TwofoldSearch:
         query_user: int,
         k: int,
         alpha: float,
-        initial: TopKBuffer | None = None,
         social=None,
     ) -> SSRQResult:
-        """Answer the query; an optional ``initial`` buffer of already
-        fully-evaluated users warm-starts ``f_k``, so the twofold bound
-        ``θ`` can end both phases before either stream advances far.
-        ``social`` is the fresh Dijkstra stream from ``v_q`` — the
+        """Answer the query.  ``social`` is the fresh Dijkstra stream
+        from ``v_q`` — the
         pipeline's column step hands it in so it can promote an
         exhausted expansion to a cached column; a fresh one is opened
         when omitted."""
@@ -132,7 +129,7 @@ class TwofoldSearch:
             )
         qx, qy = location
 
-        buffer = initial if initial is not None else TopKBuffer(k)
+        buffer = TopKBuffer(k)
         oracle = self.point_to_point
         if social is None:
             social = DijkstraIterator(self.graph, query_user)

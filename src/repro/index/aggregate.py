@@ -17,7 +17,7 @@ changes propagate recursively to parent nodes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.graph.landmarks import LandmarkIndex
 from repro.index.summaries import SocialSummary
@@ -58,14 +58,10 @@ class AggregateIndex:
         locations: LocationTable,
         landmarks: LandmarkIndex,
         s: int = 10,
-        users: Iterable[int] | None = None,
     ) -> "AggregateIndex":
         """Index every located user at grid fanout ``s`` (leaf
-        resolution ``s² x s²``).  With ``users``, only that subset is
-        indexed — the member-filtered form a spatial shard's engine
-        builds, where the location table stays global but the index
-        covers one partition."""
-        return cls(MultiLevelGrid.build(locations, s, users), landmarks, locations)
+        resolution ``s² x s²``)."""
+        return cls(MultiLevelGrid.build(locations, s), landmarks, locations)
 
     def _rebuild_summaries(self) -> None:
         m = self.landmarks.m

@@ -9,15 +9,15 @@ itself decides per query whether its first ball pays
 the ``bruteforce`` path).  Resolving ``auto`` is therefore a few static
 rules (an explicit method only takes the endpoint routing of
 :func:`~repro.plan.rules.route_method`, in
-:meth:`~repro.core.engine.EngineBase.resolve_method`):
+:meth:`~repro.core.engine.GeoSocialEngine.resolve_method`):
 
 1. at ``alpha == 0`` / ``alpha == 1`` the endpoint route
    (:func:`~repro.plan.rules.static_choice`: SPA / SFA);
-2. for an unlocated query user at interior ``alpha``, SPA, which raises
-   the fresh-query contract error ("no known location") — stably, so
-   the stream layer can suspend on it;
-3. everywhere else ``bounded``, budgeted or not: an exact answer meets
+2. everywhere else ``bounded``, budgeted or not: an exact answer meets
    any accuracy budget (``approx`` is served by name).
+
+(An unlocated query user below ``alpha == 1`` is rejected by the
+engine itself, for ``auto`` and every named method alike.)
 
 The same ``(user, k, alpha)`` therefore takes the same path whatever
 was asked before it, and ``auto`` answers are bit-identical to
@@ -53,7 +53,7 @@ class PlannerStats:
 
     #: ``auto`` requests resolved (static routes included)
     auto_resolutions: int = 0
-    #: ``auto`` requests resolved by an endpoint or unlocated-user route
+    #: ``auto`` requests resolved by an endpoint route
     static_routes: int = 0
     #: resolved-method counts over ``auto`` requests
     per_method: dict = field(default_factory=dict)
@@ -96,10 +96,7 @@ class Planner:
 
     def resolve(self, engine, request: "QueryRequest") -> str:
         """The concrete method an ``auto`` ``request`` runs on ``engine``."""
-        method = static_choice(request.alpha)
-        if method is None:
-            located = engine.locations.get(request.user) is not None
-            method = AUTO_METHOD if located else "spa"
+        method = static_choice(request.alpha) or AUTO_METHOD
         with self._lock:
             stats = self.stats
             stats.auto_resolutions += 1

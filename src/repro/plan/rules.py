@@ -3,11 +3,10 @@
 :data:`METHOD_TABLE` is the one place that says what the serving stack
 knows about a processing method: one :class:`MethodSpec` row per served
 name.  Everything else is a derivation — ``METHODS`` and
-``FORWARD_DETERMINISTIC_METHODS`` (:mod:`repro.core.engine`),
-``DELEGATED_METHODS`` (:mod:`repro.shard.engine`), the endpoint routing
-below and the social column step (:mod:`repro.social.scan`) all read
-the row.  Adding a method is one row here plus one builder in
-``repro.core.engine.SEARCHER_BUILDERS``.
+``FORWARD_DETERMINISTIC_METHODS`` (:mod:`repro.core.engine`), the
+endpoint routing below and the social column step
+(:mod:`repro.social.scan`) all read the row.  Adding a method is one
+row here plus one builder in ``repro.core.engine.SEARCHER_BUILDERS``.
 
 Two kinds of request resolve by these rules alone:
 
@@ -61,13 +60,6 @@ class MethodSpec:
     #: builds the column; ``"bounded"``: it expands a ball of the column
     #: itself and stores only an unbounded one.
     column: str | None = None
-    #: the searcher rejects an unlocated query user before any social
-    #: work, so the column step must leave the cache untouched for it
-    needs_location: bool = False
-    #: sharded engines run it on the delegate shard, never scattered
-    #: (no spatial index involved: the shared graph and global location
-    #: table make the answer globally exact)
-    delegated: bool = False
 
     @property
     def forward(self) -> bool:
@@ -82,7 +74,7 @@ class MethodSpec:
         return self.column is not None
 
 
-_TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="stream", needs_location=True)
+_TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="stream")
 
 #: one row per served method, in the order ``METHODS`` lists them
 METHOD_TABLE: dict[str, MethodSpec] = {
@@ -90,19 +82,19 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     # endpoint routes — since the ``sssp_column`` kernel the two column
     # rows below beat each of them at every (n, alpha) measured
     # (docs/BENCHMARKS.md)
-    "sfa": MethodSpec(alpha0="spa", column="stream", delegated=True),
-    "spa": MethodSpec(alpha1="sfa", column="stream", needs_location=True),
+    "sfa": MethodSpec(alpha0="spa", column="stream"),
+    "spa": MethodSpec(alpha1="sfa", column="stream"),
     "tsa": _TSA,
     "tsa-qc": _TSA,
     "ais": MethodSpec(alpha1="sfa"),
-    "approx": MethodSpec(alpha0="spa", delegated=True),
+    "approx": MethodSpec(alpha0="spa"),
     # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
     # over the ball that can hold an answer + one dense scan (or the
     # full column when that ball would hold nearly everyone); what
     # ``auto`` runs at interior alpha
-    "bounded": MethodSpec(alpha0="spa", column="bounded", delegated=True),
+    "bounded": MethodSpec(alpha0="spa", column="bounded"),
     # "the column + one dense scan": the exact reference
-    "bruteforce": MethodSpec(column="exhaust", delegated=True),
+    "bruteforce": MethodSpec(column="exhaust"),
 }
 
 
@@ -113,10 +105,10 @@ def route_method(method: str, alpha: float) -> str:
     is a pure spatial query (social-first variants route to SPA) and
     ``alpha == 1`` a pure social one (index-based variants route to
     SFA, whose Dijkstra stream also reaches users without a location).
-    Every dispatch path — ``GeoSocialEngine.query``, the sharded
-    engine, the service layer's cache keys, and the stream layer's
-    subscriptions — applies this same routing, so behavior at the
-    endpoints is identical everywhere.
+    Every dispatch path — ``GeoSocialEngine.query``, the service
+    layer's cache keys, and the stream layer's subscriptions — applies
+    this same routing, so behavior at the endpoints is identical
+    everywhere.
 
         >>> from repro.plan import route_method
         >>> route_method("tsa", 0.0), route_method("ais", 1.0)

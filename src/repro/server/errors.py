@@ -10,8 +10,8 @@ cannot drift from the library's exception contract: the three request
 errors the engine raises as ``ValueError`` — invalid parameters,
 unknown user id, unlocated query user — all surface as **400** with a
 distinguishing ``type``, exactly as they surface as ``ValueError``
-through ``engine.query``, ``QueryService.query`` and the sharded
-engine (pinned by ``tests/test_error_parity.py``).
+through ``engine.query`` and ``QueryService.query`` (pinned by
+``tests/test_error_parity.py``).
 """
 
 from __future__ import annotations

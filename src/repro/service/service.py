@@ -21,15 +21,6 @@ component that can absorb realistic load:
   concurrently while serialising updates against in-flight queries (the
   engine's grid/aggregate-index mutation is not safe under readers).
 
-The service is engine-kind agnostic: it serves a single
-:class:`~repro.core.engine.GeoSocialEngine` or a
-:class:`~repro.shard.ShardedGeoSocialEngine` identically — both expose
-the same ``query``/update/listener/lock surface, and the sharded
-engine's location listeners fire with the same semantics, so
-update-aware cache invalidation (including boundary-crossing moves that
-re-home a user onto another shard) needs no sharding-specific code
-here.
-
 The algorithms are read-mostly and pure-Python; a thread pool therefore
 buys latency overlap (and true parallelism on GIL-free builds) while
 the cache buys throughput on skewed workloads — perfbench's
@@ -82,9 +73,8 @@ class QueryService:
     Parameters
     ----------
     engine:
-        The (already built) engine to serve from — a
-        :class:`~repro.core.engine.GeoSocialEngine` or a
-        :class:`~repro.shard.ShardedGeoSocialEngine`.
+        The (already built) :class:`~repro.core.engine.GeoSocialEngine`
+        to serve from.
     max_workers:
         Worker-pool width for batches (default: ``min(8, cpus)``).
         ``1`` executes batches inline with no pool.
@@ -133,7 +123,7 @@ class QueryService:
         ``social_cache_bytes=0``)."""
         if self._social_cache_bytes is None:
             return
-        social = getattr(engine, "social_cache", None)
+        social = engine.social_cache
         if social is not None:
             social.resize(self._social_cache_bytes)
 
@@ -436,9 +426,8 @@ class QueryService:
         """Fold every edge update recorded through :meth:`update_edge`
         into a fresh engine and swap it in.
 
-        Builds a new engine *of the same kind* (via ``with_graph``; a
-        sharded engine re-shards) over the served graph with the
-        pending updates applied
+        Builds a new engine (via ``with_graph``) over the served graph
+        with the pending updates applied
         (:meth:`~repro.graph.socialgraph.SocialGraph.with_edge_updates`),
         with the old engine's parameters (override any via
         ``engine_kwargs``), then flushes the cache and swaps the engine
@@ -455,10 +444,8 @@ class QueryService:
         while True:
             with self._write_locked_engine() as old:
                 pending = dict(self._pending_edges)
-            # `with_graph` preserves the engine kind: a sharded engine
-            # re-shards over the new topology, a single engine
-            # rebuilds its indexes; both keep the old normalization so
-            # rankings stay comparable across the swap.
+            # `with_graph` rebuilds the indexes and keeps the old
+            # normalization, so rankings stay comparable across the swap.
             new_engine = old.with_graph(
                 old.graph.with_edge_updates(pending), **engine_kwargs
             )
@@ -580,7 +567,7 @@ class QueryService:
                     "epoch": self.cache.epoch,
                 }
             )
-        social = getattr(self.engine, "social_cache", None)
+        social = self.engine.social_cache
         if social is not None:
             info["social"] = social.info()
         return info

@@ -71,11 +71,8 @@ class ApproxSketchSearch:
         query_user: int,
         k: int,
         alpha: float,
-        initial=None,
     ) -> SSRQResult:
-        """Score every user from the sketch midpoint; an optional
-        ``initial`` buffer of already (exactly) evaluated users is
-        merged in, contributing zero to the error bound."""
+        """Score every user from the sketch midpoint."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -108,10 +105,6 @@ class ApproxSketchSearch:
             if half is not None
             else {}
         )
-        if initial is not None:
-            for nb in neighbors:
-                initial.offer(nb.user, nb.score, nb.social, nb.spatial)
-            neighbors = initial.neighbors()
         bound = max((radii.get(nb.user, 0.0) for nb in neighbors), default=0.0)
         stats.evaluations = kernels.count_finite(scores)
         stats.candidates_scored = stats.evaluations

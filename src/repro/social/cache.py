@@ -174,9 +174,9 @@ class SocialColumnCache:
 
     def peek_full(self, user: int):
         """The full column for ``user`` if one is cached (records a
-        hit), else ``None`` — *without* recording a miss: peek callers
-        (stream repairs, the sharded coordinator's scatter bypass) have
-        their own fallback path and are probing, not demanding."""
+        hit), else ``None`` — *without* recording a miss: the peek
+        caller (stream repairs) has its own fallback path and is
+        probing, not demanding."""
         with self._lock:
             column = self._entries.get(user)
             if column is not None:

@@ -2,9 +2,9 @@
 
 :func:`dense_scan` is the scoring tail of
 :class:`~repro.core.bruteforce.BruteForceSearch`, factored out so every
-consumer of a cached column — a full-column hit inside SFA/SPA/TSA and
-the sharded coordinator's scatter bypass — scores through literally
-the same kernel calls as bruteforce.  That is what makes the cache's
+consumer of a cached column — a full-column hit inside SFA/SPA/TSA,
+``bounded``'s ball scan — scores through literally the same kernel
+calls as bruteforce.  That is what makes the cache's
 exactness invariant a *structural* property rather than a
 per-call-site proof: a dense ``blend`` +
 ``top_k_by_score`` over exact columns selects, for any ``(k, α)``, the
@@ -14,7 +14,7 @@ toward smaller ids), with the same ``Neighbor`` field conventions
 (a term the ranking does not need reads ``inf``).
 
 **The social-column step.**  :func:`column_step` is the one stage of
-the query pipeline (:meth:`repro.core.engine.EngineBase.query`) that
+the query pipeline (:meth:`repro.core.engine.GeoSocialEngine.query`) that
 talks to the :class:`~repro.social.cache.SocialColumnCache`: look the
 query user up; a cached column answers through :func:`dense_scan` at
 once; a method that needs every distance (``column="exhaust"``) gets
@@ -27,7 +27,6 @@ method (an incremental searcher) enumerates a fresh
 :class:`~repro.graph.traversal.DijkstraIterator`, which the cache
 promotes to a column if the search ran it to exhaustion.  The
 searchers themselves only enumerate the stream they are given.
-:func:`peek_scan` is the sharded coordinator's probe-only variant.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.plan.rules import METHOD_TABLE
 INF = math.inf
 _NAN = math.nan
 
-__all__ = ["column_step", "dense_scan", "materialize_column", "peek_scan", "spatial_column"]
+__all__ = ["column_step", "dense_scan", "materialize_column", "spatial_column"]
 
 
 def spatial_column(kernels, rank: RankingFunction, locations, query_user: int):
@@ -74,7 +73,6 @@ def dense_scan(
     locations,
     query_user: int,
     k: int,
-    initial=None,
     spatial=None,
 ) -> tuple[list[Neighbor], int]:
     """Score every user against ``social_column`` in one columnar pass.
@@ -93,10 +91,6 @@ def dense_scan(
     neighbors = list(
         map(Neighbor, top, _take(scores, top), _take(social_column, top), _take(d, top))
     )
-    if initial is not None:
-        for nb in neighbors:
-            initial.offer(nb.user, nb.score, nb.social, nb.spatial)
-        neighbors = initial.neighbors()
     return neighbors, kernels.count_finite(scores)
 
 
@@ -111,40 +105,7 @@ def materialize_column(engine, user: int):
     return column
 
 
-def _scan_result(engine, request, rank, column, initial, stats, start) -> SSRQResult:
-    """Answer ``request`` from a full ``column`` in one columnar pass —
-    bit-identical to any forward-deterministic enumeration (strict
-    termination + smaller-id tie-break select exactly the
-    ``(score, id)``-minimal set)."""
-    neighbors, finite = dense_scan(
-        engine.kernels, rank, column, engine.locations, request.user, request.k, initial
-    )
-    stats.candidates_scored = finite
-    stats.elapsed = time.perf_counter() - start
-    return SSRQResult(request.user, request.k, request.alpha, neighbors, stats)
-
-
-def _applies(engine, spec, request) -> "RankingFunction | None":
-    """The ranking function when ``request`` may be answered off the
-    query user's social column, else ``None``: the engine must carry a
-    cache, the method (``spec``: its :data:`METHOD_TABLE` row) must be
-    forward-deterministic (its evaluation distances *are* the
-    column's), the ranking must use the social term (at ``alpha == 0``
-    the ``Neighbor`` fields follow the all-``inf`` social convention a
-    real column would violate), and a spatial-stream searcher's query
-    user must be located (an unlocated one must raise that searcher's
-    exact error on the normal path)."""
-    if engine.social_cache is None or spec.column is None:
-        return None
-    rank = RankingFunction(request.alpha, engine.normalization)
-    if not rank.needs_social:
-        return None
-    if spec.needs_location and engine.locations.get(request.user) is None:
-        return None
-    return rank
-
-
-def column_step(engine, method: str, request, initial, run) -> SSRQResult:
+def column_step(engine, method: str, request, run) -> SSRQResult:
     """The social-column step of the query pipeline.
 
     ``run(social)`` executes the resolved searcher over the social
@@ -162,9 +123,16 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     and the step checks it in — an exhausted one is promoted to a full
     column by the cache, an early-terminated one is dropped.
     """
+    # The step applies only when the engine carries a cache, the method
+    # is forward-deterministic (its evaluation distances *are* the
+    # column's) and the ranking uses the social term (at ``alpha == 0``
+    # the ``Neighbor`` fields follow the all-``inf`` social convention a
+    # real column would violate).
     spec = METHOD_TABLE[method]
-    rank = _applies(engine, spec, request)
-    if rank is None:
+    if engine.social_cache is None or spec.column is None:
+        return run(None)
+    rank = RankingFunction(request.alpha, engine.normalization)
+    if not rank.needs_social:
         return run(None)
     start = time.perf_counter()
     cache = engine.social_cache
@@ -175,9 +143,7 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
     if column is not None:
         stats.extra["social_column_hits"] = 1
     elif spec.column == "bounded":
-        result, column = engine.searcher(method).scan(
-            user, request.k, request.alpha, initial
-        )
+        result, column = engine.searcher(method).scan(user, request.k, request.alpha)
         if column is not None:
             cache.store_full(user, column)
         return result
@@ -187,29 +153,19 @@ def column_step(engine, method: str, request, initial, run) -> SSRQResult:
         column = materialize_column(engine, user)
         stats.pops_social = engine.kernels.count_finite(column)
     if column is not None:
-        result = _scan_result(engine, request, rank, column, initial, stats, start)
+        # one columnar pass, bit-identical to any forward-deterministic
+        # enumeration (strict termination + smaller-id tie-break select
+        # exactly the ``(score, id)``-minimal set)
+        neighbors, finite = dense_scan(
+            engine.kernels, rank, column, engine.locations, user, request.k
+        )
+        stats.candidates_scored = finite
         if exhaust:  # the full scan evaluates everyone it scores
-            stats.evaluations = stats.candidates_scored
-        return result
+            stats.evaluations = finite
+        stats.elapsed = time.perf_counter() - start
+        return SSRQResult(user, request.k, request.alpha, neighbors, stats)
     social = DijkstraIterator(engine.graph, user)
     result = run(social)
     cache.checkin(user, social)
     return result
 
-
-def peek_scan(engine, method: str, request, initial=None) -> "SSRQResult | None":
-    """The sharded coordinator's scatter bypass: answer ``request``
-    from a cached *full* column without touching any shard, or ``None``
-    to scatter.  Probe-only — no miss is recorded, so the shard search
-    that runs on a ``None`` records its own lookup."""
-    rank = _applies(engine, METHOD_TABLE[method], request)
-    if rank is None:
-        return None
-    start = time.perf_counter()
-    column = engine.social_cache.peek_full(request.user)
-    if column is None:
-        return None
-    stats = SearchStats()
-    stats.extra["social_column_hits"] = 1
-    stats.extra["column_scan"] = 1
-    return _scan_result(engine, request, rank, column, initial, stats, start)

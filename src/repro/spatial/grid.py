@@ -56,18 +56,9 @@ class UniformGrid:
         cls,
         locations: LocationTable,
         resolution: int,
-        users: Iterable[int] | None = None,
     ) -> "UniformGrid":
-        """Build a grid over every located user in ``locations``.
-
-        With ``users``, only that subset is indexed (unlocated members
-        are skipped) and the grid extent is the subset's bounding box —
-        the member-filtered form a spatial shard uses.
-        """
-        if users is None:
-            members = list(locations.located_users())
-        else:
-            members = [u for u in users if locations.has_location(u)]
+        """Build a grid over every located user in ``locations``."""
+        members = list(locations.located_users())
         grid = cls(locations.bbox(members), resolution)
         xs, ys = locations.xs, locations.ys
         for user in members:

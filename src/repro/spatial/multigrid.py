@@ -18,7 +18,7 @@ social summaries.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.spatial.grid import UniformGrid
 from repro.spatial.point import BBox, LocationTable
@@ -45,14 +45,9 @@ class MultiLevelGrid:
         cls,
         locations: LocationTable,
         s: int,
-        users: Iterable[int] | None = None,
     ) -> "MultiLevelGrid":
-        """Index every located user (or, with ``users``, only the
-        located members of that subset over the subset's extent)."""
-        if users is None:
-            members = list(locations.located_users())
-        else:
-            members = [u for u in users if locations.has_location(u)]
+        """Index every located user."""
+        members = list(locations.located_users())
         grid = cls(locations.bbox(members), s)
         xs, ys = locations.xs, locations.ys
         for user in members:

@@ -12,16 +12,15 @@ O(rebuild).
 
 Entry points:
 
-- :meth:`GeoSocialEngine.save` / ``.load`` and
-  :meth:`ShardedGeoSocialEngine.save` / ``.load`` — one engine, one
+- :meth:`GeoSocialEngine.save` / ``.load`` — one engine, one
   snapshot directory;
 - :class:`SnapshotManager` (via
   :meth:`QueryService.snapshots <repro.service.QueryService.snapshots>`)
   — snapshot history with a crash-safe last-committed pointer,
   update-stream folding, and restore through the service's engine-swap
   path;
-- :func:`save_engine` / :func:`load_engine` — the functional core both
-  ride on.
+- :func:`save_engine` / :func:`load_engine` — the functional core
+  both ride on.
 
 Corruption (torn manifests, checksum mismatches, mutually inconsistent
 columns) raises the typed :class:`StoreCorruptionError`; the crash-test

@@ -46,7 +46,6 @@ from repro.stream.conditions import (
     REPAIRABLE_METHODS,
     classify_location_update,
     entry_lower_bound,
-    entry_radius,
 )
 from repro.stream.registry import SubscriptionRegistry
 from repro.stream.subscription import StreamStats, Subscription
@@ -61,5 +60,4 @@ __all__ = [
     "RECOMPUTE",
     "classify_location_update",
     "entry_lower_bound",
-    "entry_radius",
 ]

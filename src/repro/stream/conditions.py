@@ -74,7 +74,7 @@ Repairs reuse stored social distances, so they are only offered for
 methods whose social distances are schedule-independent (forward
 Dijkstra values — :data:`REPAIRABLE_METHODS`).  The AIS family's
 bidirectional evaluations may legitimately differ by float association
-(≤ 1 ulp, see :mod:`repro.shard.engine`), so AIS subscriptions skip
+(≤ 1 ulp between schedules), so AIS subscriptions skip
 REPAIR and fall through to RECOMPUTE — NO-OP screening, the common
 case, still applies.
 """
@@ -128,30 +128,6 @@ def entry_lower_bound(
         2.5
     """
     return w_spatial * euclidean(qx, qy, x, y)
-
-
-def entry_radius(fk: float, w_spatial: float) -> float:
-    """The spatial *reach* of a standing query: the distance beyond
-    which no mover can enter its top-k.
-
-    Conservatively inflated (relative ``1e-9`` + absolute ``1e-12``,
-    far beyond 1-ulp rounding of the division) so that
-    ``d > entry_radius(fk, w)`` implies ``fl(w·d) > fk`` — the
-    per-subscription screen — for *any* ``d`` at least that far away.
-    Used by the shard-aware delta router to skip whole groups of
-    subscriptions in O(1).
-
-        >>> from repro.stream.conditions import entry_radius
-        >>> entry_radius(1.0, 0.5) >= 2.0
-        True
-        >>> entry_radius(float("inf"), 0.5)
-        inf
-        >>> entry_radius(1.0, 0.0)
-        inf
-    """
-    if w_spatial <= 0.0 or fk == INF:
-        return INF
-    return (fk * (1.0 + 1e-9) + 1e-12) / w_spatial
 
 
 def classify_location_update(

@@ -2,8 +2,7 @@
 update stream.
 
 :class:`SubscriptionRegistry` sits on top of a
-:class:`~repro.service.QueryService` and its engine (single or
-sharded — both expose the same listener/lock surface):
+:class:`~repro.service.QueryService` and its engine:
 
 - **ingest** — it subscribes to the engine's location-listener hook,
   so every move applied through *any* path is observed inside the
@@ -13,13 +12,6 @@ sharded — both expose the same listener/lock surface):
   NO-OP / REPAIR / RECOMPUTE rule of :mod:`repro.stream.conditions`
   (the one the result cache calls too): O(1) per subscription, no
   queries, no social distances;
-- **route** — subscriptions are grouped by the *owning shard of their
-  query user*; a group whose shard envelope (the widen-only
-  :class:`~repro.shard.bounds.ShardBounds` bbox, which always contains
-  its members) lies farther from the update than the group's
-  :meth:`~repro.stream.subscription.Subscription.entry_reach` is
-  skipped whole — on a sharded engine an update fans out only to
-  shards whose pruning envelopes intersect it;
 - **apply** — classifications only *mark*; the marked work is applied
   in one batched pass per subscription at read time (or via
   :meth:`SubscriptionRegistry.flush`), so a burst of moves costs one
@@ -73,25 +65,6 @@ INF = math.inf
 PENDING_LIMIT = 64
 
 
-class _Group:
-    """Subscriptions routed together (same owning shard of their query
-    users), with a cached conservative entry radius."""
-
-    __slots__ = ("sid", "subs", "radius", "dirty")
-
-    def __init__(self, sid: int | None) -> None:
-        self.sid = sid
-        self.subs: set[Subscription] = set()
-        self.radius = INF
-        self.dirty = True
-
-    def refresh_radius(self) -> None:
-        self.radius = max(
-            (sub.entry_reach() for sub in self.subs), default=0.0
-        )
-        self.dirty = False
-
-
 class SubscriptionRegistry:
     """Continuous top-k subscriptions over a query service.
 
@@ -121,7 +94,6 @@ class SubscriptionRegistry:
         self._lock = threading.Lock()
         self._subs: set[Subscription] = set()
         self._index = StoredIndex()
-        self._groups: dict[int | None, _Group] = {}
         self._engine = service.engine
         self._closed = False
         self._engine.add_location_listener(self._on_location_update)
@@ -174,8 +146,6 @@ class SubscriptionRegistry:
                         sub.recompute_pending = True
                         sub.pending.clear()
                         sub.rank = RankingFunction(sub.alpha, new_engine.normalization)
-                    for group in self._groups.values():
-                        group.dirty = True
                     self.stats.engine_swaps += 1
 
     def _read_locked_engine(self):
@@ -207,9 +177,7 @@ class SubscriptionRegistry:
 
         ``method="auto"`` stays ``auto`` for the subscription's whole
         life: the initial result and every maintenance recompute go
-        through the engine's planner, so a standing query follows its
-        query user's state (an unlocated user's ``auto`` resolves to the
-        suspending SPA route, a located one's to ``bounded``).
+        through the engine's planner (``bounded`` at interior ``alpha``).
         ``sub.method`` follows ``result.method``, and repairability is
         classified off it (``bounded`` is forward-deterministic, so auto
         subscriptions repair in place).
@@ -245,7 +213,6 @@ class SubscriptionRegistry:
                 return
             self._subs.discard(sub)
             self._index.remove(sub)
-            self._ungroup_locked(sub)
             if sub.suspended:
                 self.stats.suspended -= 1
             self.stats.active -= 1
@@ -310,23 +277,12 @@ class SubscriptionRegistry:
                 self._classify_locked(sub, user, x, y)
             if x is None or y is None:
                 return  # a forgotten location cannot create entrants
-            # Entrant fan-out, shard-aware: a group is skipped whole
-            # when the update lies beyond every member subscription's
-            # entry reach from the group's shard envelope.
-            mindist_fn = getattr(self._engine, "envelope_mindist", None)
-            for group in self._groups.values():
-                if group.dirty:
-                    group.refresh_radius()
-                if (
-                    mindist_fn is not None
-                    and group.sid is not None
-                    and mindist_fn(group.sid, x, y) > group.radius
-                ):
-                    self.stats.group_skips += 1
-                    continue
-                for sub in group.subs:
-                    if sub not in handled:
-                        self._classify_locked(sub, user, x, y)
+            # Entrant fan-out: every subscription holding a result is
+            # screened (a suspended one holds none and resumes only
+            # through its own query user, whom ``touched`` handed over).
+            for sub in self._subs:
+                if sub.result is not None and sub not in handled:
+                    self._classify_locked(sub, user, x, y)
 
     def _classify_locked(
         self, sub: Subscription, user: int, x: float | None, y: float | None
@@ -361,9 +317,6 @@ class SubscriptionRegistry:
         sub.recompute_pending = True
         sub.pending.clear()
         self.stats.recompute_marks += 1
-        group = self._groups.get(sub.group)
-        if group is not None:
-            group.dirty = True
 
     # -- application (read lock + registry lock held) -------------------
 
@@ -422,7 +375,7 @@ class SubscriptionRegistry:
         stats = SearchStats()
         stats.extra["maintained"] = "repair"
         stats.extra["deltas_applied"] = len(ids)
-        self._install_result_locked(
+        self._index.install(
             sub,
             SSRQResult(
                 sub.user, sub.k, sub.alpha, buffer.neighbors(), stats, method=sub.method
@@ -444,7 +397,6 @@ class SubscriptionRegistry:
             if "no known location" not in str(err):
                 raise
             self._index.install(sub, None)
-            self._ungroup_locked(sub)
             sub.suspended = True
             sub.error = str(err)
             if not was_suspended:
@@ -454,48 +406,12 @@ class SubscriptionRegistry:
             sub.error = None
             if sub.auto:
                 sub.follow(result.method)
-            self._install_result_locked(sub, result)
-            self._regroup_locked(sub)
+            self._index.install(sub, result)
             if was_suspended:
                 self.stats.suspended -= 1
         sub.recomputes += 1
         self.stats.recomputes_applied += 1
         return RECOMPUTE
-
-    # -- index / group maintenance (registry lock held) -----------------
-
-    def _install_result_locked(self, sub: Subscription, result: SSRQResult) -> None:
-        self._index.install(sub, result)
-        group = self._groups.get(sub.group)
-        if group is not None:
-            group.dirty = True
-
-    def _group_key(self, sub: Subscription) -> int | None:
-        shard_of_user = getattr(self._engine, "shard_of_user", None)
-        if shard_of_user is None:
-            return None
-        return shard_of_user(sub.user)
-
-    def _regroup_locked(self, sub: Subscription) -> None:
-        key = self._group_key(sub)
-        group = self._groups.get(key)
-        if group is not None and sub in group.subs:
-            group.dirty = True
-            return
-        self._ungroup_locked(sub)
-        if group is None:
-            group = self._groups[key] = _Group(key)
-        group.subs.add(sub)
-        sub.group = key
-        group.dirty = True
-
-    def _ungroup_locked(self, sub: Subscription) -> None:
-        group = self._groups.get(sub.group)
-        if group is not None and sub in group.subs:
-            group.subs.discard(sub)
-            group.dirty = True
-            if not group.subs:
-                del self._groups[sub.group]
 
     # -- introspection -------------------------------------------------
 

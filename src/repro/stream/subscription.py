@@ -10,19 +10,15 @@ proven irrelevant versus repaired versus recomputed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.plan.rules import AUTO
-from repro.stream.conditions import REPAIRABLE_METHODS, StoredTopK, entry_radius
+from repro.stream.conditions import REPAIRABLE_METHODS, StoredTopK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ranking import RankingFunction
     from repro.core.request import QueryRequest
-
-INF = math.inf
-
 
 class Subscription(StoredTopK):
     """One registered standing query ``(user, k, α, method)`` — a
@@ -60,7 +56,6 @@ class Subscription(StoredTopK):
         "auto",
         "suspended",
         "error",
-        "group",
         "pending",
         "recompute_pending",
         "noops",
@@ -84,8 +79,6 @@ class Subscription(StoredTopK):
         #: α needs one — a fresh query would raise; so does reading
         self.suspended = False
         self.error: str | None = None
-        #: delta-routing group key (owning shard id, or ``None``)
-        self.group: int | None = None
         #: users whose moves await application — ids only: the repair
         #: pass reads their *current* positions from the location table
         self.pending: set[int] = set()
@@ -119,18 +112,6 @@ class Subscription(StoredTopK):
     def members(self) -> frozenset:
         """Current result membership (empty while suspended)."""
         return self.member_ids
-
-    def entry_reach(self) -> float:
-        """Spatial radius beyond which no mover can enter this top-k
-        (``inf`` while the buffer has an open slot; ``0`` when
-        locations cannot matter)."""
-        if self.alpha == 1.0 or self.rank.w_spatial == 0.0:
-            return 0.0
-        if self.suspended or self.recompute_pending or self.result is None:
-            return 0.0  # already marked / nothing maintained: no screen needed
-        if len(self.result.neighbors) < self.k:
-            return INF
-        return entry_radius(self.result.fk, self.rank.w_spatial)
 
     def __repr__(self) -> str:
         state = "suspended" if self.suspended else ("dirty" if self.dirty else "clean")
@@ -166,8 +147,6 @@ class StreamStats:
     recomputes_applied: int = 0
     #: exact social-distance evaluations paid by repairs
     entrant_evaluations: int = 0
-    #: whole subscription groups skipped by the shard-aware router
-    group_skips: int = 0
     #: engine swaps detected (rebuild_engine): everything recomputed
     engine_swaps: int = 0
     #: subscriptions currently suspended (query user unlocated)
@@ -192,7 +171,6 @@ class StreamStats:
             "repairs_applied": self.repairs_applied,
             "recomputes_applied": self.recomputes_applied,
             "entrant_evaluations": self.entrant_evaluations,
-            "group_skips": self.group_skips,
             "engine_swaps": self.engine_swaps,
             "suspended": self.suspended,
             "maintained_fraction": self.maintained_fraction,

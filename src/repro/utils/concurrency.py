@@ -1,5 +1,5 @@
-"""Concurrency primitives shared by the engine, service, and shard
-layers: a readers-writer lock and a lazily-created worker pool.
+"""The readers-writer lock shared by the engine, service and stream
+layers.
 
 SSRQ serving is read-mostly: queries only read the graph, the location
 table, and the indexes, so any number may run concurrently — but a
@@ -13,20 +13,14 @@ Each :class:`~repro.core.engine.GeoSocialEngine` owns one instance
 (``engine.rw_lock``) guarding *its* indexes; every
 :class:`~repro.service.QueryService` over the same engine shares that
 one lock, so updates through any path exclude queries through all
-paths.  :class:`TaskPool` is the thread-pool utility behind the
-scatter-gather fan-out of
-:class:`~repro.shard.ShardedGeoSocialEngine`.
+paths.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence, TypeVar
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+from typing import Iterator
 
 
 class ReadWriteLock:
@@ -95,74 +89,3 @@ class ReadWriteLock:
         finally:
             self.release_write()
 
-
-class TaskPool:
-    """Lazily-created worker pool with an order-preserving :meth:`map`.
-
-    A thin wrapper over :class:`~concurrent.futures.ThreadPoolExecutor`
-    that (a) defers pool creation until the first parallel call, so
-    single-shard or ``max_workers == 1`` configurations never spawn
-    threads, and (b) executes inline whenever parallelism cannot help
-    (one task, or a single worker).
-
-        >>> from repro.utils.concurrency import TaskPool
-        >>> pool = TaskPool(max_workers=2)
-        >>> pool.map(lambda v: v * v, [1, 2, 3])
-        [1, 4, 9]
-        >>> pool.close()
-    """
-
-    def __init__(self, max_workers: int, thread_name_prefix: str = "taskpool") -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._thread_name_prefix = thread_name_prefix
-        self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called (callers may fall back
-        to inline execution)."""
-        return self._closed
-
-    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-        """Apply ``fn`` to every item, returning results in item order.
-
-        Runs inline (no threads) when the pool width or the task count
-        makes concurrency pointless — or when the pool has been closed,
-        so a caller racing :meth:`close` degrades to sequential
-        execution instead of failing (no check-then-act window)."""
-        if self.max_workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with self._lock:
-            if self._closed:
-                executor = None
-            else:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix=self._thread_name_prefix,
-                    )
-                executor = self._pool
-        if executor is None:
-            return [fn(item) for item in items]
-        try:
-            return list(executor.map(fn, items))
-        except RuntimeError as exc:
-            # Only the close()-raced-the-submit shutdown error falls
-            # back inline; a RuntimeError raised by fn itself (or by a
-            # live pool) must propagate, not trigger a silent re-run.
-            if self._closed and "shutdown" in str(exc):
-                return [fn(item) for item in items]
-            raise
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); further :meth:`map` calls
-        raise ``RuntimeError``."""
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)

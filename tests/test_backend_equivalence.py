@@ -8,11 +8,10 @@ one ALT bound definition built from IEEE-exact elementwise operations,
 so their scores should agree bit-for-bit — this suite pins top-k ids
 exactly (tie-breaks included) and scores within 1e-9 (the acceptance
 tolerance; on CI hardware they are in fact equal) across methods, α
-values (endpoints included), coverage levels, and shard counts {1, 4}.
+values (endpoints included) and coverage levels.
 
-Runs under the same fixed, derandomized profile as the cross-shard
-equivalence suite (PR 2), applied per test, so CI runs are
-deterministic.
+Runs under a fixed, derandomized profile, applied per test, so CI runs
+are deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.backend import Kernels, PythonKernels, resolve_backend
 from repro.core.engine import GeoSocialEngine
-from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import query_with, random_instance
 
 pytest.importorskip("numpy", reason="backend equivalence needs the numpy backend")
@@ -42,7 +40,6 @@ BACKEND_CI = settings.get_profile("backend-ci")
 #: (ais/ais-minus), plus the scalar-stream control (sfa)
 METHODS = ("bruteforce", "spa", "tsa", "tsa-qc", "ais", "ais-minus", "sfa")
 ALPHAS = (0.0, 0.25, 0.3123, 0.5, 1.0)
-SHARD_COUNTS = (1, 4)
 
 
 def build_backend_pair(n, seed, coverage, avg_degree=6.0):
@@ -100,37 +97,6 @@ def test_single_engine_backends_rank_identically(n, seed, coverage, alpha, k):
                 continue
             b = query_with(vector, user, k, alpha, method)
             assert_backend_rankings_equal(a, b, f"{method}@alpha={alpha}")
-
-
-@BACKEND_CI
-@given(
-    n=st.integers(min_value=30, max_value=80),
-    seed=st.integers(min_value=0, max_value=2**16),
-    n_shards=st.sampled_from(SHARD_COUNTS),
-    alpha=st.sampled_from((0.0, 0.3, 1.0)),
-)
-def test_sharded_backends_rank_identically(n, seed, n_shards, alpha):
-    graph, locations = random_instance(n, seed=seed, coverage=0.8)
-    if locations.n_located == 0:
-        locations.set(0, 0.5, 0.5)
-    scalar = ShardedGeoSocialEngine(
-        graph, locations.copy(), n_shards=n_shards,
-        num_landmarks=3, s=3, seed=3, max_workers=1, backend="python",
-    )
-    vector = ShardedGeoSocialEngine(
-        graph, locations.copy(), n_shards=n_shards,
-        num_landmarks=3, s=3, seed=3, max_workers=1, backend="numpy",
-        landmarks=scalar.landmarks, normalization=scalar.normalization,
-    )
-    assert scalar.backend == "python" and vector.backend == "numpy"
-    queries = [u for u in scalar.locations.located_users()][:4] or [0]
-    for method in ("spa", "tsa", "ais", "bruteforce"):
-        for user in queries:
-            a = scalar.query(user, 8, alpha, method)
-            b = vector.query(user, 8, alpha, method)
-            assert_backend_rankings_equal(
-                a, b, f"sharded[{n_shards}] {method}@alpha={alpha}"
-            )
 
 
 def test_backend_scores_bitwise_equal_on_ci_hardware():
@@ -228,13 +194,6 @@ def test_custom_kernels_instance_survives_rebuild():
     assert engine.backend == "traced"
     rebuilt = engine.with_graph(graph)
     assert rebuilt.kernels is kernels
-
-    sharded = ShardedGeoSocialEngine(
-        graph, locations, n_shards=2, num_landmarks=2, s=3, max_workers=1, backend=kernels
-    )
-    assert sharded.kernels is kernels
-    assert all(e.kernels is kernels for e in sharded._engines.values())
-    assert sharded.with_graph(graph).kernels is kernels
 
 
 def test_resolve_backend_env_override(monkeypatch):

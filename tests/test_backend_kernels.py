@@ -2,8 +2,6 @@
 backends, plus the columnar regression pins of the refactor:
 
 - ``LocationTable.bbox`` runs as one vectorized nanmin/nanmax pass;
-- shard-bound refreshes are bulk reductions — repeated refreshes never
-  re-scan per-user (no ``LandmarkIndex.vector`` calls);
 - ``LocationTable.from_columns`` accepts lists, tuples and arrays
   uniformly and always copies.
 """
@@ -247,27 +245,6 @@ class TestColumnarRegressions:
         assert (box.minx, box.miny, box.maxx, box.maxy) == (0.1, 0.2, 0.9, 0.8)
         assert (subset.minx, subset.maxx) == (0.1, 0.9)
         assert calls["n"] == 0  # one vectorized nanmin/nanmax pass
-
-    def test_repeated_shard_bound_refreshes_do_not_rescan_per_user(self, monkeypatch):
-        from repro.shard import ShardedGeoSocialEngine
-        from tests.conftest import random_instance
-
-        graph, locations = random_instance(60, seed=11, coverage=0.8)
-        engine = ShardedGeoSocialEngine(
-            graph, locations, n_shards=4, num_landmarks=3, s=3, max_workers=1
-        )
-        before = {sid: (b.minx, b.miny, b.maxx, b.maxy, b.summary.as_tuple())
-                  for sid, b in engine._bounds.items()}
-
-        def forbidden(self, v):
-            raise AssertionError("refresh_bounds must not re-scan per-user vectors")
-
-        monkeypatch.setattr(LandmarkIndex, "vector", forbidden)
-        for _ in range(3):
-            engine.refresh_bounds()  # bulk bbox + matrix min/max only
-        after = {sid: (b.minx, b.miny, b.maxx, b.maxy, b.summary.as_tuple())
-                 for sid, b in engine._bounds.items()}
-        assert after == before  # exact recomputation, not a widen drift
 
 
 class TestFromColumns:

@@ -146,14 +146,13 @@ class TestFigureDrivers:
             assert table.rows
             assert all(len(row) == len(table.headers) for row in table.rows)
 
-    def test_registry_is_the_paper_set_plus_sharded(self):
-        """Per-feature serving experiments live in perfbench/, not here;
-        ``sharded`` stays until perfbench grows a sharded workload."""
+    def test_registry_is_the_paper_set(self):
+        """Per-feature serving experiments live in perfbench/, not here."""
         from repro.bench.figures import ALL_EXPERIMENTS
 
         assert set(ALL_EXPERIMENTS) == {
             "table2", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "fig13", "fig14a", "fig14b", "sharded",
+            "fig12", "fig13", "fig14a", "fig14b",
         }
 
     def test_fig8_structure(self):

@@ -5,12 +5,11 @@ Three structural facts behind ``setup_s``:
 
 - interior ``auto`` resolves to ``bounded`` by static rules, so an
   engine and a service serving it run no calibration probe and build no
-  landmark index (a sharded engine builds one at construction, for its
-  shard bounds); after ``bounded``'s one-time profiles (three columns)
+  landmark index; after ``bounded``'s one-time profiles (three columns)
   a miss makes at most two ``sssp_column`` calls, opens no
   :class:`~repro.graph.traversal.DijkstraIterator` outside the kernel
-  (whose python leg *is* the iterator loop), builds no incremental
-  searcher and never scatters;
+  (whose python leg *is* the iterator loop) and builds no incremental
+  searcher;
 - the landmark index is built once, by its first reader (``tsa``,
   ``ais``, ``save_engine``), and a snapshot load restores it without a
   build;
@@ -30,23 +29,11 @@ from repro.graph.landmarks import LandmarkIndex
 from repro.graph.traversal import DijkstraIterator
 from repro.index.aggregate import AggregateIndex
 from repro.server.protocol import stats_payload
-from repro.shard import ShardedGeoSocialEngine
-
-N_SHARDS = (1, 4)
 
 
-def build(dataset, n_shards):
+def build(dataset):
     # a private location table: the suites below move users
-    locations = dataset.locations.copy()
-    if n_shards == 1:
-        return GeoSocialEngine(dataset.graph, locations)
-    return ShardedGeoSocialEngine(dataset.graph, locations, n_shards=n_shards, max_workers=1)
-
-
-def single_engines(engine):
-    """The engines that own spatial indexes: the engine itself, or a
-    sharded engine's shards."""
-    return list(getattr(engine, "_engines", {0: engine}).values())
+    return GeoSocialEngine(dataset.graph, dataset.locations.copy())
 
 
 class KernelTally:
@@ -100,11 +87,9 @@ def dataset():
 # -- the auto path -----------------------------------------------------
 
 
-@pytest.mark.parametrize("n_shards", N_SHARDS)
-def test_calibration_and_auto_run_on_the_kernel_alone(dataset, n_shards, monkeypatch):
+def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch):
     landmarks = LandmarkTally(monkeypatch)
-    engine = build(dataset, n_shards)
-    at_construction = 0 if n_shards == 1 else 1  # the shard bounds read them
+    engine = build(dataset)
     service = QueryService(engine, max_workers=1)
     tally = KernelTally(monkeypatch, engine)
     executed = []
@@ -129,20 +114,15 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, n_shards, monkeyp
         assert per_miss[0] <= 2 + 3 and max(per_miss[1:]) <= 2, per_miss
         assert len(executed) == len(users)  # no query but the served ones
         assert tally.stray_iterators == 0
-        shards = single_engines(engine)
-        assert set().union(*(shard._searchers for shard in shards)) == {"bounded"}
-        assert all(shard._aggregate is None for shard in shards)
-        if n_shards > 1:
-            assert engine.scatter.scatter_queries == 0
-            assert engine.scatter.shards_searched == 0
+        assert set(engine._searchers) == {"bounded"}
+        assert engine._aggregate is None
         repr(engine)
         stats_payload(service)
-        assert landmarks.builds == at_construction
-        if n_shards == 1:
-            service.update_edge(users[0], users[1], 0.5)
-            rebuilt = service.rebuild_engine()
-            service.query(users[0], k=10, alpha=0.5)
-            assert landmarks.builds == 0 and rebuilt._landmarks is None
+        assert landmarks.builds == 0
+        service.update_edge(users[0], users[1], 0.5)
+        rebuilt = service.rebuild_engine()
+        service.query(users[0], k=10, alpha=0.5)
+        assert landmarks.builds == 0 and rebuilt._landmarks is None
     finally:
         service.close()
         engine.close()
@@ -154,7 +134,7 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, n_shards, monkeyp
 @pytest.mark.parametrize("reader", ["tsa", "ais", "save"])
 def test_the_first_reader_builds_the_landmarks_once(dataset, reader, monkeypatch, tmp_path):
     landmarks = LandmarkTally(monkeypatch)
-    engine = build(dataset, 1)
+    engine = build(dataset)
     users = engine.located_users()
     engine.query(users[0], k=10, alpha=0.3)
     assert landmarks.builds == 0 and engine._landmarks is None
@@ -167,9 +147,8 @@ def test_the_first_reader_builds_the_landmarks_once(dataset, reader, monkeypatch
     assert engine.landmarks.m == 8
 
 
-@pytest.mark.parametrize("n_shards", N_SHARDS)
-def test_a_snapshot_load_builds_no_landmarks(dataset, n_shards, monkeypatch, tmp_path):
-    engine = build(dataset, n_shards)
+def test_a_snapshot_load_builds_no_landmarks(dataset, monkeypatch, tmp_path):
+    engine = build(dataset)
     try:
         path = save_engine(engine, tmp_path / "snap")
         landmarks = LandmarkTally(monkeypatch)
@@ -217,27 +196,20 @@ def apply(engine, script):
             engine.move_user(user, x, y)
 
 
-@pytest.mark.parametrize("n_shards", N_SHARDS)
-def test_aggregate_is_built_by_the_first_ais_query_and_follows_updates(
-    dataset, n_shards, tmp_path
-):
-    lazy, eager = build(dataset, n_shards), build(dataset, n_shards)
+def test_aggregate_is_built_by_the_first_ais_query_and_follows_updates(dataset, tmp_path):
+    lazy, eager = build(dataset), build(dataset)
     try:
-        for shard in single_engines(eager):
-            # before anything else happens, by the insertion scan rather
-            # than from the grid
-            members = None if shard.index_users is None else sorted(shard.index_users)
-            shard._aggregate = AggregateIndex.build(
-                shard.locations, shard.landmarks, shard.s, users=members
-            )
+        # before anything else happens, by the insertion scan rather than
+        # from the grid
+        eager._aggregate = AggregateIndex.build(eager.locations, eager.landmarks, eager.s)
         first, second = (update_script(dataset.graph.n, seed) for seed in (9, 10))
         # query users no step touches, so they keep a location
         touched = {user for user, _, _ in first + second}
         users = [u for u in lazy.located_users() if u not in touched][:6]
 
-        assert all(shard._aggregate is None for shard in single_engines(lazy))
+        assert lazy._aggregate is None
         assert ais_answers(lazy, users) == ais_answers(eager, users)
-        assert any(shard._aggregate is not None for shard in single_engines(lazy))
+        assert lazy._aggregate is not None
 
         for engine in (lazy, eager):
             apply(engine, first)
@@ -247,7 +219,7 @@ def test_aggregate_is_built_by_the_first_ais_query_and_follows_updates(
         # engine derives it on its first ais query and maintains it
         restored = load_engine(save_engine(lazy, tmp_path / "snap"), mmap=True)
         try:
-            assert all(shard._aggregate is None for shard in single_engines(restored))
+            assert restored._aggregate is None
             assert ais_answers(restored, users) == ais_answers(eager, users)
             for engine in (restored, eager):
                 apply(engine, second)

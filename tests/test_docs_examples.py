@@ -57,10 +57,6 @@ DOCUMENTED_MODULES = [
     "repro.service.model",
     "repro.service.cache",
     "repro.service.service",
-    "repro.shard.engine",
-    "repro.shard.partitioner",
-    "repro.shard.bounds",
-    "repro.shard.parallel",
     "repro.sketch.index",
     "repro.sketch.searcher",
     "repro.store",
@@ -75,7 +71,6 @@ DOCUMENTED_MODULES = [
     "repro.server.client",
     "repro.server.errors",
     "repro.cli.format",
-    "repro.topk.merge",
     "repro.utils.concurrency",
     "repro.bench.workloads",
     "repro.bench.variants",

@@ -3,14 +3,13 @@
 The engine's contract is ``ValueError`` with pinned wording for the
 request-error families — invalid parameters (``k``/``alpha``/method),
 unknown user id, unlocated query user.  This suite drives each family
-through all four call paths:
+through all three call paths:
 
 1. ``engine.query`` (the paper's algorithms),
 2. ``QueryService.query`` (the serving layer),
-3. ``ShardedGeoSocialEngine.query`` (the scale-out layer),
-4. the HTTP server (``POST /query``),
+3. the HTTP server (``POST /query``),
 
-and asserts they agree: same exception type and message on the three
+and asserts they agree: same exception type and message on the two
 in-process paths, and the matching ``400`` + typed body (via
 :func:`repro.server.errors.classify_exception`) on the wire.
 """
@@ -20,10 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    METHODS,
     GeoSocialEngine,
     QueryRequest,
     QueryService,
-    ShardedGeoSocialEngine,
     SubscriptionRegistry,
 )
 from repro.datasets.synthetic import build_dataset
@@ -39,13 +38,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def engine(dataset) -> GeoSocialEngine:
     return GeoSocialEngine.from_dataset(dataset, num_landmarks=4, s=5, seed=1)
-
-
-@pytest.fixture(scope="module")
-def sharded(dataset):
-    engine = ShardedGeoSocialEngine.from_dataset(dataset, n_shards=2, num_landmarks=4, s=5, seed=1)
-    yield engine
-    engine.close()
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +97,10 @@ def _request_params(case_params: dict, user: int) -> dict:
 
 @pytest.mark.parametrize("name,params,wire_type,fragment", CASES)
 def test_parameter_errors_agree_across_layers(
-    engine, sharded, service, client, located, name, params, wire_type, fragment
+    engine, service, client, located, name, params, wire_type, fragment
 ):
     messages = set()
-    for path in (engine.query, service.query, sharded.query):
+    for path in (engine.query, service.query):
         with pytest.raises(ValueError) as excinfo:
             path(located, **params)
         messages.add(str(excinfo.value))
@@ -137,10 +129,10 @@ def test_t_is_no_longer_a_query_parameter(engine, client, located):
     assert with_t[2]["result"]["users"] == plain[2]["result"]["users"]
 
 
-def test_unknown_user_parity(engine, sharded, service, client):
+def test_unknown_user_parity(engine, service, client):
     ghost = engine.graph.n + 7
     messages = set()
-    for path in (engine.query, service.query, sharded.query):
+    for path in (engine.query, service.query):
         with pytest.raises(ValueError) as excinfo:
             path(ghost, k=5)
         messages.add(str(excinfo.value))
@@ -153,9 +145,9 @@ def test_unknown_user_parity(engine, sharded, service, client):
     assert classify_exception(ValueError(message)) == (400, "unknown_user")
 
 
-def test_unlocated_user_parity(engine, sharded, service, client, unlocated):
+def test_unlocated_user_parity(engine, service, client, unlocated):
     messages = set()
-    for path in (engine.query, service.query, sharded.query):
+    for path in (engine.query, service.query):
         with pytest.raises(ValueError) as excinfo:
             path(unlocated, k=5, alpha=0.3)
         messages.add(str(excinfo.value))
@@ -177,6 +169,59 @@ def test_unlocated_user_is_fine_social_only(engine, service, client, unlocated):
     via_service = service.query(unlocated, k=5, alpha=1.0)
     served = client.query(unlocated, k=5, alpha=1.0)
     assert served["result"]["users"] == direct.users == via_service.result.users
+
+
+SERVED = [*METHODS, "auto"]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("method", SERVED)
+def test_every_method_rejects_an_unlocated_user_with_one_message(
+    engine, service, client, unlocated, method, alpha
+):
+    """One rule for a query user with no location: below ``alpha == 1``
+    every served name — the ones that used to answer an empty top-k and
+    ``auto``, which used to borrow SPA's wording — raises the engine's
+    one ``ValueError`` before any search, on every path."""
+    expected = str(pytest.raises(ValueError, engine.query, unlocated, 5, 0.5, "bruteforce").value)
+    assert "no known location" in expected
+    for path in (engine.query, service.query):
+        with pytest.raises(ValueError) as excinfo:
+            path(unlocated, k=5, alpha=alpha, method=method)
+        assert str(excinfo.value) == expected
+    status, _, body = client.request(
+        "POST", "/query", {"user": unlocated, "k": 5, "alpha": alpha, "method": method}
+    )
+    assert (status, body["error"]["type"]) == (400, "unlocated_user")
+    assert body["error"]["message"] == expected
+
+
+@pytest.mark.parametrize("method", SERVED)
+def test_every_method_answers_an_unlocated_user_at_alpha_one(
+    engine, service, client, unlocated, method
+):
+    direct = engine.query(unlocated, k=5, alpha=1.0, method=method)
+    via_service = service.query(unlocated, k=5, alpha=1.0, method=method)
+    served = client.query(unlocated, k=5, alpha=1.0, method=method)
+    assert served["result"]["users"] == direct.users == via_service.result.users
+    if method != "approx":  # the sketch answers within its bound, not exactly
+        assert direct.users == engine.query(unlocated, 5, 1.0, "bruteforce").users
+
+
+def test_a_subscription_for_an_unlocated_user_suspends_whatever_the_method(
+    engine, unlocated
+):
+    """The stream layer suspends on the same message: ``bruteforce``
+    (which used to hold an empty top-k) suspends like ``spa`` does."""
+    with QueryService(engine, cache_size=0) as fresh:
+        registry = SubscriptionRegistry(fresh)
+        for method in ("bruteforce", "bounded", "spa", "auto"):
+            sub = registry.subscribe(unlocated, k=5, alpha=0.5, method=method)
+            assert sub.suspended and not sub.active, method
+            with pytest.raises(ValueError, match="no known location"):
+                registry.result(sub)
+        assert registry.stats.suspended == 4
+        registry.close()
 
 
 def test_batch_member_errors_do_not_poison_batch_mates(client, located, unlocated):
@@ -210,12 +255,12 @@ def test_server_never_hides_message_detail(client, located):
     assert "'five'" in body["error"]["message"]
 
 
-def test_non_numeric_alpha_parity(engine, sharded, service, client, located):
+def test_non_numeric_alpha_parity(engine, service, client, located):
     """A non-numeric alpha is rejected with the *number* wording (not a
     TypeError traceback) identically on every in-process path, and the
     wire model uses the same message for a string alpha in JSON."""
     messages = set()
-    for path in (engine.query, service.query, sharded.query):
+    for path in (engine.query, service.query):
         with pytest.raises(ValueError) as excinfo:
             path(located, k=5, alpha="lots")
         messages.add(str(excinfo.value))
@@ -234,7 +279,7 @@ def test_non_numeric_alpha_parity(engine, sharded, service, client, located):
     "x,y", [(float("inf"), 0.5), (0.5, float("-inf")), (float("nan"), 0.5)], ids=repr
 )
 def test_non_finite_coordinates_are_rejected_before_anything_is_written(
-    engine, sharded, service, client, located, x, y
+    engine, service, client, located, x, y
 ):
     """``move_user`` with ``inf``/``nan`` used to write the location
     table, then die in the grid's cell arithmetic *before* the
@@ -246,9 +291,9 @@ def test_non_finite_coordinates_are_rejected_before_anything_is_written(
         registry = SubscriptionRegistry(caching)
         sub = registry.subscribe(located, k=3, alpha=0.3, method="tsa")
         warm = caching.query(located, k=3, alpha=0.3, method="tsa")
-        before = engine.locations.get(located), sharded.locations.get(located)
+        before = engine.locations.get(located)
         messages = set()
-        for move in (engine.move_user, service.move_user, caching.move_user, sharded.move_user):
+        for move in (engine.move_user, service.move_user, caching.move_user):
             with pytest.raises(ValueError) as excinfo:
                 move(located, x, y)
             messages.add(str(excinfo.value))
@@ -260,7 +305,7 @@ def test_non_finite_coordinates_are_rejected_before_anything_is_written(
         )
         assert (status, body["error"]["type"]) == (400, "invalid_argument")
         assert body["error"]["message"] == message
-        assert (engine.locations.get(located), sharded.locations.get(located)) == before
+        assert engine.locations.get(located) == before
         again = caching.query(located, k=3, alpha=0.3, method="tsa")
         assert again.cached and again.result is warm.result
         assert caching.cache_info()["reused"] == caching.cache_info()["invalidated"] == 0
@@ -329,7 +374,7 @@ def test_deleting_an_absent_edge_is_a_key_error_and_a_404(engine, service, clien
 
 
 def test_numpy_scalars_are_accepted_identically_and_stored_as_builtins(
-    engine, sharded, service, client, located
+    engine, service, client, located
 ):
     """Ids and weights often come off NumPy columns.  Every in-process
     path accepts exactly what ``check_user/check_k/check_alpha`` accept
@@ -339,8 +384,7 @@ def test_numpy_scalars_are_accepted_identically_and_stored_as_builtins(
     np = pytest.importorskip("numpy")
     user, k, alpha = np.int64(located), np.int64(5), np.float32(0.25)
     want = engine.query(located, k=5, alpha=float(alpha), method="spa")
-    for path in (engine.query, sharded.query):
-        assert path(user, k=k, alpha=alpha, method="spa").users == want.users
+    assert engine.query(user, k=k, alpha=alpha, method="spa").users == want.users
     response = service.query(user, k=k, alpha=alpha, method="spa")
     assert response.result.users == want.users
     request = response.request
@@ -364,18 +408,18 @@ TYPE_CASES = [
 
 @pytest.mark.parametrize("name,params,message", TYPE_CASES)
 def test_malformed_field_types_agree_across_layers(
-    engine, sharded, service, client, located, name, params, message
+    engine, service, client, located, name, params, message
 ):
     """Non-integer ``user``/``k``, non-numeric ``budget`` and
     non-string ``method`` are rejected with one wording by the request model itself (it used to
     accept ``QueryRequest(user="x")`` silently), so the engine, the
-    service, the sharded engine and the wire all answer identically."""
+    service and the wire all answer identically."""
     params = dict({"user": located}, **params)
     user = params.pop("user")
     with pytest.raises(ValueError) as excinfo:
         QueryRequest(user, **params)
     assert str(excinfo.value) == message
-    for path in (engine.query, service.query, sharded.query):
+    for path in (engine.query, service.query):
         with pytest.raises(ValueError) as excinfo:
             path(user, **params)
         assert str(excinfo.value) == message

@@ -34,7 +34,6 @@ def test_examples_exist():
         "location_updates.py",
         "algorithm_comparison.py",
         "service_quickstart.py",
-        "sharded_quickstart.py",
         "stream_quickstart.py",
         "store_quickstart.py",
         "server_quickstart.py",
@@ -75,13 +74,6 @@ def test_stream_quickstart_runs():
     assert "standing queries" in out
     assert "maintained results identical to fresh recompute: True" in out
     assert "repaired" in out and "NO-OP" in out
-
-
-def test_sharded_quickstart_runs():
-    out = run_example("sharded_quickstart.py")
-    assert "identical to the single engine: True" in out
-    assert "cached before move: True, after move: False" in out
-    assert "cumulative scatter stats" in out
 
 
 def test_server_quickstart_runs():

@@ -19,11 +19,11 @@ checks, after every step:
 Edge updates ride the same suite: a second property interleaves the
 move stream with ``edge`` steps (insert / re-weight / delete, the same
 edge touched twice, delete-then-reinsert, a delete of an absent edge)
-and ``rebuild`` steps, on single and 4-shard engines over undirected
-and directed graphs.  Until a rebuild nothing served may change — both
-consumers untouched, repeats still ``cached`` — and every answer equals
-bruteforce over the *served* edge set; after it every answer equals a
-fresh engine over ``SocialGraph.from_edges`` of the model's edge set.
+and ``rebuild`` steps, over undirected and directed graphs.  Until a
+rebuild nothing served may change — both consumers untouched, repeats
+still ``cached`` — and every answer equals bruteforce over the
+*served* edge set; after it every answer equals a fresh engine over
+``SocialGraph.from_edges`` of the model's edge set.
 
 Same derandomized Hypothesis profile as the stream suite; CI runs the
 file under ``REPRO_BACKEND=python`` and ``=numpy``.  The file also
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import pkgutil
 import random
 
 import pytest
@@ -50,7 +51,6 @@ from repro.core.engine import GeoSocialEngine
 from repro.core.result import Neighbor
 from repro.graph.socialgraph import SocialGraph
 from repro.service import QueryRequest, QueryService, ResultCache
-from repro.shard import ShardedGeoSocialEngine
 from repro.stream import (
     NOOP,
     RECOMPUTE,
@@ -238,24 +238,18 @@ def ranking(result):
 @given(
     n=st.integers(min_value=30, max_value=60),
     seed=st.integers(min_value=0, max_value=2**16),
-    n_shards=st.sampled_from((1, 4)),
     directed=st.booleans(),
     alpha=st.sampled_from((0.3, 0.7, 1.0)),
     method=st.sampled_from(EXACT_METHODS),
 )
 def test_edge_updates_change_nothing_served_until_a_rebuild_folds_them(
-    n, seed, n_shards, directed, alpha, method
+    n, seed, directed, alpha, method
 ):
     rng = random.Random(seed)
     graph, locations = random_instance(n, seed=seed, coverage=0.7)
     if directed:
         graph = random_digraph(n, 3.0, seed)
-    if n_shards == 1:
-        engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    else:
-        engine = ShardedGeoSocialEngine(
-            graph, locations, n_shards=n_shards, num_landmarks=3, s=4, seed=3, max_workers=1
-        )
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
     service = QueryService(engine, cache_size=64, max_workers=1)
     registry = SubscriptionRegistry(service)
     query_users = rng.sample(list(engine.locations.located_users()), 3)
@@ -446,10 +440,9 @@ def test_removed_options_stay_removed():
         assert not hasattr(QueryService, name), name
     # ``ais-cache`` left the served tier (repro.bench.variants builds
     # it) and took its list length with it: no ``t`` on the request,
-    # the public edges or the CLI, no ``default_t`` on either engine
+    # the public edges or the CLI, no ``default_t`` on the engine
     from repro.cli.commands import query as query_command
     from repro.server.client import ServerClient
-    from repro.shard import ShardedGeoSocialEngine
 
     assert "t" not in {f.name for f in dataclasses.fields(QueryRequest)}
     for edge in (
@@ -458,6 +451,11 @@ def test_removed_options_stay_removed():
         SubscriptionRegistry.subscribe, ServerClient.query, ServerClient.tail,
     ):
         assert "t" not in inspect.signature(edge).parameters, edge.__qualname__
-    for cls in (GeoSocialEngine, ShardedGeoSocialEngine):
-        assert "default_t" not in inspect.signature(cls.__init__).parameters
+    assert "default_t" not in inspect.signature(GeoSocialEngine.__init__).parameters
     assert "-t" not in {opt for p in query_command.params for opt in p.opts}
+    # one engine kind: no sharded engine, no member filter, no warm start
+    assert "shard" not in {module.name for module in pkgutil.iter_modules(repro.__path__)}
+    assert {"index_users", "social_cache"}.isdisjoint(
+        inspect.signature(GeoSocialEngine.__init__).parameters
+    )
+    assert "initial" not in inspect.signature(GeoSocialEngine.query).parameters

@@ -21,7 +21,6 @@ from repro.core.engine import (
 )
 from repro.core.request import QueryRequest
 from repro.plan.rules import AUTO, METHOD_TABLE, MethodSpec, route_method
-from repro.shard.engine import DELEGATED_METHODS
 from tests.conftest import random_instance
 
 SRC = Path(repro.__file__).resolve().parent
@@ -46,8 +45,6 @@ def test_row_invariants(name):
         assert route is None or route in METHOD_TABLE, f"{name} routes off the table"
     assert spec.column in (None, "stream", "exhaust", "bounded")
     assert spec.forward == (spec.column is not None)
-    if spec.needs_location:
-        assert spec.column is not None
     # an endpoint route is final: the target does not route again there
     assert route_method(route_method(name, 0.0), 0.0) == route_method(name, 0.0)
     assert route_method(route_method(name, 1.0), 1.0) == route_method(name, 1.0)
@@ -60,8 +57,6 @@ def test_derived_constants_equal_their_derivations():
     assert FORWARD_DETERMINISTIC_METHODS == {
         "sfa", "spa", "tsa", "tsa-qc", "bounded", "bruteforce"
     }
-    assert DELEGATED_METHODS == {n for n, s in rows if s.delegated}
-    assert DELEGATED_METHODS == {"sfa", "approx", "bounded", "bruteforce"}
 
 
 def test_every_row_has_a_builder_and_every_builder_a_row():

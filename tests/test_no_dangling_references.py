@@ -91,10 +91,10 @@ def test_the_reference_scanner_sees_what_it_should():
     ]
 
 
-def test_only_the_two_unsuperseded_gate_switches_remain():
+def test_only_the_one_unsuperseded_gate_switch_remains():
     """``perfbench/compare.py`` is the one wall-clock gate and has no
-    report-only mode; the sharded and approx scripts keep theirs until
-    perfbench has a workload for those layers."""
+    report-only mode; the approx script keeps its switch until perfbench
+    has a workload for that layer."""
     history = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
     found: dict[str, set[str]] = {}
     for path in ROOT.rglob("*"):
@@ -104,4 +104,4 @@ def test_only_the_two_unsuperseded_gate_switches_remain():
             continue
         for name in re.findall(r"REPRO_[A-Z]+_GATE", path.read_text(encoding="utf-8")):
             found.setdefault(name, set()).add(str(path.relative_to(ROOT)))
-    assert set(found) == {"REPRO_SHARDED_GATE", "REPRO_APPROX_GATE"}, found
+    assert set(found) == {"REPRO_APPROX_GATE"}, found

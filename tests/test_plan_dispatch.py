@@ -5,8 +5,7 @@ consulted in some dispatch paths but not others (e.g. the service's
 cache keys stored the *requested* method while the engine executed the
 *routed* one).  After folding the routing tables into the planner's
 rule layer (:mod:`repro.plan.rules`), every path — ``engine.query``,
-``engine.query_many``, the sharded engine, and the cached service —
-must resolve an ``alpha ∈ {0, 1}`` endpoint query to the same concrete
+``engine.query_many`` and the cached service — must resolve an ``alpha ∈ {0, 1}`` endpoint query to the same concrete
 method, observable on ``result.method`` and in the service's cache
 keys / per-method stats.
 """
@@ -18,7 +17,6 @@ import pytest
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
 from repro.plan.rules import route_method
 from repro.service import QueryRequest, QueryService
-from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance
 
 #: requested methods covering every routing family plus auto
@@ -38,14 +36,6 @@ def single(instance):
     return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=5)
 
 
-@pytest.fixture(scope="module")
-def sharded(instance):
-    graph, locations = instance
-    return ShardedGeoSocialEngine(
-        graph, locations, n_shards=4, num_landmarks=3, s=4, seed=5, max_workers=1
-    )
-
-
 def expected_endpoint(method: str, alpha: float) -> str:
     if method == AUTO:
         return "spa" if alpha == 0.0 else "sfa"
@@ -54,7 +44,7 @@ def expected_endpoint(method: str, alpha: float) -> str:
 
 @pytest.mark.parametrize("alpha", ENDPOINTS)
 @pytest.mark.parametrize("method", REQUESTED)
-def test_endpoint_dispatch_identical_across_all_paths(single, sharded, method, alpha):
+def test_endpoint_dispatch_identical_across_all_paths(single, method, alpha):
     user, k = 3, 5
     expected = expected_endpoint(method, alpha)
 
@@ -66,13 +56,7 @@ def test_endpoint_dispatch_identical_across_all_paths(single, sharded, method, a
     batch = single.query_many([user, user + 1], k=k, alpha=alpha, method=method)
     assert [r.method for r in batch] == [expected, expected]
 
-    # 3. sharded engine (scatter or delegated — same resolution)
-    via_shards = sharded.query(user, k, alpha, method)
-    assert via_shards.method == expected, f"sharded dispatched {via_shards.method}"
-    sharded_batch = sharded.query_many([user], k=k, alpha=alpha, method=method)
-    assert sharded_batch[0].method == expected
-
-    # 4. cached service: the executed method and the per-method stats
+    # 3. cached service: the executed method and the per-method stats
     #    carry the resolved name; so does the cache key of a named
     #    method, while an exact auto request is keyed on the question
     #    alone (its line is looked up before anything is planned)
@@ -92,7 +76,7 @@ def test_endpoint_dispatch_identical_across_all_paths(single, sharded, method, a
     finally:
         service.close()
 
-    # 5. results agree with the explicitly-routed method bit-for-bit
+    # 4. results agree with the explicitly-routed method bit-for-bit
     explicit = single.query(user, k, alpha, expected)
     assert direct.users == explicit.users
     assert direct.scores == explicit.scores

@@ -13,8 +13,7 @@ Pinned here across the whole stack:
 
 - both backends (``python`` and ``numpy`` kernels), and both paths of
   the rule,
-- shard counts {1, 4} (single engine and scatter-gather coordinator),
-- interleaved location updates (moves, forgets, boundary crossings),
+- interleaved location updates (moves and forgets),
 - the cached service path (question-keyed cache lines), and
 - ``rebuild_engine`` (the planner instance survives the swap; results
   stay exact against the new engine).
@@ -33,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro.core.engine import AUTO, GeoSocialEngine
 from repro.service import QueryRequest, QueryService
-from repro.shard import ShardedGeoSocialEngine
 from tests.conftest import random_instance
 
 settings.register_profile(
@@ -46,24 +44,12 @@ settings.register_profile(
 PLAN_CI = settings.get_profile("plan-ci")
 
 BACKENDS = ("python", "numpy")
-SHARD_COUNTS = (1, 4)
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 STEPS = 8
 
 
-def build_engine(graph, locations, n_shards, backend):
-    if n_shards == 1:
-        return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, backend=backend)
-    return ShardedGeoSocialEngine(
-        graph,
-        locations,
-        n_shards=n_shards,
-        num_landmarks=3,
-        s=4,
-        seed=3,
-        max_workers=1,
-        backend=backend,
-    )
+def build_engine(graph, locations, backend):
+    return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, backend=backend)
 
 
 def assert_bit_identical(auto, brute, context):
@@ -82,19 +68,17 @@ def verify_queries(engine, users, rng, context, picked):
     for user in users:
         k = rng.choice((1, 3, 8))
         alpha = rng.choice(ALPHAS)
-        brute = engine.query(user, k, alpha, "bruteforce")
-        if engine.social_cache is not None and rng.random() < 0.5:
-            engine.social_cache.invalidate_all()  # so the rule decides
         try:
-            auto = engine.query(user, k, alpha, AUTO)
+            brute = engine.query(user, k, alpha, "bruteforce")
         except ValueError as err:
-            # Unlocated query user: auto mirrors the engine's default
-            # spatial-method contract (bruteforce, the reference scan,
-            # deliberately tolerates unlocated query users instead).
+            # Unlocated query user: one rule for every method, auto too
             assert "no known location" in str(err)
             with pytest.raises(ValueError, match="no known location"):
-                engine.query(user, k, alpha, "ais")
+                engine.query(user, k, alpha, AUTO)
             continue
+        if engine.social_cache is not None and rng.random() < 0.5:
+            engine.social_cache.invalidate_all()  # so the rule decides
+        auto = engine.query(user, k, alpha, AUTO)
         assert_bit_identical(auto, brute, f"{context} u={user} k={k} a={alpha}")
         if 0.0 < alpha < 1.0:
             assert auto.method == "bounded"
@@ -109,8 +93,7 @@ def verify_queries(engine, users, rng, context, picked):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
+def test_auto_equals_bruteforce_under_interleaved_updates(backend):
     picked = set()  # the paths interior-alpha ``auto`` took, over all examples
 
     @PLAN_CI
@@ -123,32 +106,29 @@ def test_auto_equals_bruteforce_under_interleaved_updates(backend, n_shards):
         graph, locations = random_instance(n, seed=seed, coverage=coverage)
         if locations.n_located == 0:
             locations.set(0, 0.5, 0.5)
-        engine = build_engine(graph, locations, n_shards, backend)
+        engine = build_engine(graph, locations, backend)
         rng = random.Random(seed + n)
         users = [u for u in locations.located_users()][:3] or [0]
-        verify_queries(engine, users, rng, f"initial b={backend} s={n_shards}", picked)
+        verify_queries(engine, users, rng, f"initial b={backend}", picked)
         for step in range(STEPS):
             mover = rng.randrange(graph.n)
             if rng.random() < 0.2 and engine.locations.has_location(mover):
                 engine.forget_location(mover)
             else:
                 engine.move_user(mover, rng.random(), rng.random())
-            verify_queries(
-                engine, users, rng, f"step={step} b={backend} s={n_shards}", picked
-            )
+            verify_queries(engine, users, rng, f"step={step} b={backend}", picked)
 
     property_case()
     # both paths of the rule really ran
     assert picked == {"ball", "full column"}
 
 
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_auto_equals_bruteforce_through_cached_service_and_rebuild(n_shards):
+def test_auto_equals_bruteforce_through_cached_service_and_rebuild():
     """The service path: resolved-method cache keys, update-aware
     invalidation, then an edge update + ``rebuild_engine`` swap — auto
     responses stay bit-identical to fresh bruteforce at every point."""
     graph, locations = random_instance(90, seed=21, coverage=0.85)
-    engine = build_engine(graph, locations, n_shards, "auto")
+    engine = build_engine(graph, locations, "auto")
     service = QueryService(engine, cache_size=64)
     rng = random.Random(77)
     users = [u for u in locations.located_users()][:4]

@@ -96,21 +96,23 @@ class TestPlanner:
         assert planner.resolve(engine, QueryRequest(0, 10, 1.0, AUTO)) == "sfa"
         assert planner.stats.static_routes == 2
 
-    def test_interior_auto_is_bounded_and_an_unlocated_user_routes_to_spa(self, engine):
-        """SPA raises the fresh-query contract error for an unlocated
-        query user — stably, so the stream layer can suspend on it."""
+    def test_interior_auto_is_bounded_and_the_engine_refuses_an_unlocated_user(self, engine):
+        """The planner has no location route: an unlocated query user
+        below ``alpha == 1`` is refused by the engine itself, with the
+        one error every method raises (the stream layer suspends on
+        it)."""
         planner = Planner()
         unlocated = next(u for u in range(engine.graph.n) if engine.locations.get(u) is None)
         for alpha in (1e-9, 0.3, 0.999):
             for budget in (None, 0.0, 0.5):
                 request = QueryRequest(located(engine)[0], 10, alpha, AUTO, budget)
                 assert planner.resolve(engine, request) == "bounded"
-                assert planner.resolve(engine, QueryRequest(unlocated, 10, alpha, AUTO)) == "spa"
         assert planner.stats.snapshot() == {
-            "auto_resolutions": 18, "static_routes": 9, "per_method": {"bounded": 9, "spa": 9},
+            "auto_resolutions": 9, "static_routes": 0, "per_method": {"bounded": 9},
         }
-        with pytest.raises(ValueError, match="no known location"):
-            engine.query(unlocated, 10, 0.3)
+        for method in (AUTO, "bruteforce"):
+            with pytest.raises(ValueError, match="no known location"):
+                engine.query(unlocated, 10, 0.3, method)
 
     def test_auto_takes_the_same_path_whatever_the_call_history(self):
         """``bounded`` decides on its first ball from profiles sampled

@@ -7,16 +7,14 @@ The contract under test, end to end:
   most ``result.error_bound`` (checked differentially against a full
   brute-force scan across users × alphas);
 - **exactness on demand is bit-exact** — ``budget=0`` (or unset) is
-  bit-identical to ``bruteforce`` through the engine, the sharded
-  engine, the cached service, and the HTTP server;
+  bit-identical to ``bruteforce`` through the engine, the cached
+  service, and the HTTP server;
 - ``auto`` answers exactly whatever the budget (an exact answer meets
   any): a budgeted ``auto`` never reads the sketch, let alone builds
   it;
 - ``method="approx"`` is an explicit opt-in independent of any budget,
   routes to SPA at ``alpha == 0`` (the sketch has nothing to offer a
   pure-spatial query) and stays valid at ``alpha == 1``;
-- the sharded engine delegates approx to one shard engine over the
-  shared graph — answers identical to the single engine's;
 - cache lines: budgeted and exact requests never share an entry,
   ``budget=0`` and unset do, and approx entries are non-repairable
   (recomputed after an invalidating move, never patched in place);
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GeoSocialEngine, QueryService, ShardedGeoSocialEngine, SketchIndex
+from repro import GeoSocialEngine, QueryService, SketchIndex
 from repro.backend import resolve_backend
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS, METHODS
 from repro.datasets.synthetic import gowalla_like
@@ -48,22 +46,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def engine(dataset) -> GeoSocialEngine:
     return GeoSocialEngine.from_dataset(dataset, num_landmarks=4, s=5, seed=3)
-
-
-@pytest.fixture(scope="module")
-def sharded(engine, dataset):
-    shard_engine = ShardedGeoSocialEngine(
-        engine.graph,
-        engine.locations.copy(),
-        n_shards=3,
-        seed=3,
-        landmarks=engine.landmarks,
-        normalization=engine.normalization,
-        max_workers=1,
-        scatter_backend="inline",
-    )
-    yield shard_engine
-    shard_engine.close()
 
 
 @pytest.fixture(scope="module")
@@ -141,18 +123,16 @@ def test_alpha_endpoint_routing(engine, sample_users):
 # -- budget semantics --------------------------------------------------
 
 
-def test_budget_zero_bit_identical_through_every_path(engine, sharded, sample_users):
+def test_budget_zero_bit_identical_through_every_path(engine, sample_users):
     """``budget=0`` and unset demand exactness: auto resolutions are
-    bit-identical to bruteforce through the engine, the sharded
-    engine, the cached service, and HTTP."""
+    bit-identical to bruteforce through the engine, the cached service,
+    and HTTP."""
     user, k, alpha = sample_users[0], 8, 0.3
     brute = engine.query(user, k=k, alpha=alpha, method="bruteforce")
     for budget in (None, 0, 0.0):
         auto = engine.query(user, k=k, alpha=alpha, method="auto", budget=budget)
         assert auto.users == brute.users and auto.scores == brute.scores
         assert auto.error_bound is None
-        via_shards = sharded.query(user, k=k, alpha=alpha, method="auto", budget=budget)
-        assert via_shards.users == brute.users and via_shards.scores == brute.scores
     with QueryService(engine, cache_size=256) as service:
         served = service.query(user, k=k, alpha=alpha, method="auto", budget=0.0)
         assert served.result.users == brute.users
@@ -188,24 +168,6 @@ def test_budget_validation_on_direct_engine_path(engine, sample_users):
         engine.query(sample_users[0], k=5, alpha=0.3, budget=1.5)
     with pytest.raises(ValueError, match="budget must be a number"):
         engine.query(sample_users[0], k=5, alpha=0.3, budget="lots")
-
-
-# -- sharded delegation ------------------------------------------------
-
-
-def test_sharded_approx_matches_single_engine(engine, sharded, sample_users):
-    """Approx is delegated (global columnar sketch — it never
-    scatters), so the sharded answer is the single engine's answer,
-    bound included."""
-    assert sharded.sketch is engine.sketch or (
-        sharded.sketch.empirical_half == pytest.approx(engine.sketch.empirical_half)
-    )
-    for user in sample_users[:3]:
-        got = sharded.query(user, k=6, alpha=0.3, method="approx")
-        want = engine.query(user, k=6, alpha=0.3, method="approx")
-        assert got.users == want.users
-        assert got.scores == want.scores
-        assert got.error_bound == want.error_bound
 
 
 # -- cache discipline --------------------------------------------------

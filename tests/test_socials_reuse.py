@@ -5,8 +5,8 @@ layer — every answer produced through a cached column, and every
 exhausted expansion it promotes to one, must be **bit-identical** to
 the cold computation, for
 every forward-deterministic method, at every alpha (endpoints
-included), on both kernel backends, on single and sharded engines,
-through engine rebuilds and interleaved location/edge updates.  The
+included), on both kernel backends, through engine rebuilds and
+interleaved location/edge updates.  The
 poisoned-column canary additionally pins that cached columns are
 *actually consulted* (reuse is observable) and that an edge update
 *strictly* invalidates them while location moves never do — the
@@ -24,7 +24,6 @@ from repro.core.engine import FORWARD_DETERMINISTIC_METHODS, GeoSocialEngine
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.service import QueryRequest, QueryService
-from repro.shard import ShardedGeoSocialEngine
 from repro.social import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
@@ -33,7 +32,6 @@ INF = math.inf
 
 METHODS = tuple(sorted(FORWARD_DETERMINISTIC_METHODS))
 ALPHAS = (0.0, 0.3, 0.5, 1.0)
-SHARD_COUNTS = (1, 4)
 
 BACKENDS = ["python"]
 try:  # numpy leg runs wherever the vectorized backend is available
@@ -50,19 +48,13 @@ def fingerprint(result):
     return [(nb.user, nb.score, nb.social, nb.spatial) for nb in result.neighbors]
 
 
-def build_engine(n_shards: int, backend: str, cache_bytes: "int | None", *,
+def build_engine(backend: str, cache_bytes: "int | None", *,
                  n: int = 130, seed: int = 13, coverage: float = 0.85):
     graph, locations = random_instance(n, seed=seed, coverage=coverage)
     if locations.n_located == 0:
         locations.set(0, 0.5, 0.5)
-    if n_shards == 1:
-        return GeoSocialEngine(
-            graph, locations, num_landmarks=3, s=4, seed=5, backend=backend,
-            social_cache_bytes=cache_bytes,
-        )
-    return ShardedGeoSocialEngine(
-        graph, locations, n_shards=n_shards, num_landmarks=3, s=4, seed=5,
-        max_workers=1, backend=backend, scatter_backend="inline",
+    return GeoSocialEngine(
+        graph, locations, num_landmarks=3, s=4, seed=5, backend=backend,
         social_cache_bytes=cache_bytes,
     )
 
@@ -76,13 +68,12 @@ def query_users(engine, count: int = 3):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_cached_results_bit_identical_to_cold(backend, n_shards):
+def test_cached_results_bit_identical_to_cold(backend):
     """Three passes over methods x alphas x users: pass 0 populates the
     cache, passes 1-2 answer from full columns — every result must be
     bit-identical to a cache-disabled engine's."""
-    warm = build_engine(n_shards, backend, None)
-    cold = build_engine(n_shards, backend, 0)
+    warm = build_engine(backend, None)
+    cold = build_engine(backend, 0)
     users = query_users(warm)
     for rep in range(3):
         for user in users:
@@ -91,8 +82,7 @@ def test_cached_results_bit_identical_to_cold(backend, n_shards):
                     got = warm.query(user, k=7, alpha=alpha, method=method)
                     ref = cold.query(user, k=7, alpha=alpha, method=method)
                     assert fingerprint(got) == fingerprint(ref), (
-                        f"rep={rep} user={user} {method}@{alpha} "
-                        f"backend={backend} shards={n_shards}"
+                        f"rep={rep} user={user} {method}@{alpha} backend={backend}"
                     )
     cache = warm.social_cache
     assert cache is not None
@@ -109,8 +99,8 @@ def test_partial_resume_paths_bit_identical(backend, seed_method, seed_alpha):
     query that needs more of the same user's distances starts fresh.
     Seed via each early-terminating method, then drive every method
     over the same user."""
-    warm = build_engine(1, backend, None)
-    cold = build_engine(1, backend, 0)
+    warm = build_engine(backend, None)
+    cold = build_engine(backend, 0)
     user = query_users(warm)[0]
     warm.query(user, k=3, alpha=seed_alpha, method=seed_method)
     assert warm.social_cache.info()["entries"] == 0
@@ -135,8 +125,8 @@ def test_column_step_miss_then_resume_then_full_hit(method, alpha):
     """The miss / fresh-restart / full-hit outcomes of the pipeline's
     column step, driven through ``engine.query`` for each searcher —
     with the cache counters and the bit-identity both pinned."""
-    warm = build_engine(1, "python", None)
-    cold = build_engine(1, "python", 0)
+    warm = build_engine("python", None)
+    cold = build_engine("python", 0)
     cache = warm.social_cache
     user = query_users(warm)[0]
     ref = fingerprint(cold.query(user, k=4, alpha=alpha, method=method))
@@ -191,7 +181,7 @@ def test_column_step_hands_each_searcher_the_right_stream(method, alpha):
     a fresh one again."""
     from repro.social.scan import column_step
 
-    engine = build_engine(1, "python", None)
+    engine = build_engine("python", None)
     cache = engine.social_cache
     user = query_users(engine)[0]
     request = QueryRequest(user, k=4, alpha=alpha, method=method)
@@ -199,21 +189,22 @@ def test_column_step_hands_each_searcher_the_right_stream(method, alpha):
 
     def run(social):
         seen.append(social)
-        return engine._run(method, request, None, social)
+        return engine._run(method, request, social)
 
-    column_step(engine, method, request, None, run)
+    column_step(engine, method, request, run)
     assert type(seen[0]) is DijkstraIterator and seen[0].source == user
     assert not seen[0].exhausted
-    column_step(engine, method, request, None, run)
+    column_step(engine, method, request, run)
     assert type(seen[1]) is DijkstraIterator and seen[1] is not seen[0]
     assert cache.acquire(user) == (None, None)
 
 
 def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
     """No social term, a non-forward-deterministic method, or an
-    unlocated query user on a spatial searcher: the searcher opens its
-    own stream (or raises its own error) and no counter moves."""
-    engine = build_engine(1, "python", None)
+    unlocated query user below ``alpha == 1`` (the engine raises before
+    the step): the searcher opens its own stream (or nothing runs) and
+    no counter moves."""
+    engine = build_engine("python", None)
     cache = engine.social_cache
     user = query_users(engine)[0]
     unlocated = next(u for u in range(engine.graph.n) if engine.locations.get(u) is None)
@@ -221,24 +212,23 @@ def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
     engine.query(user, k=4, alpha=0.0, method="spa")
     engine.query(user, k=4, alpha=0.0, method="bruteforce")
     engine.query(user, k=4, alpha=0.4, method="ais")
-    for method in ("spa", "tsa", "tsa-qc"):
+    for method in METHODS:
         with pytest.raises(ValueError, match="no known location"):
             engine.query(unlocated, k=4, alpha=0.4, method=method)
     assert cache.info() == before
-    # SFA and bruteforce answer unlocated users, so the step applies
-    engine.query(unlocated, k=4, alpha=0.4, method="sfa")
+    # a pure-social query answers unlocated users, so the step applies
+    engine.query(unlocated, k=4, alpha=1.0, method="sfa")
     assert cache.info()["misses"] == before["misses"] + 1
 
 
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_interleaved_moves_and_edge_updates_stay_exact(n_shards):
+def test_interleaved_moves_and_edge_updates_stay_exact():
     """Queries interleaved with location moves and service-recorded
     edge updates (neither may touch the column cache: the served graph
     is immutable until the rebuild, whose engine starts from an empty
     one) stay bit-identical to a cold engine driven through the
     identical update sequence."""
-    warm = build_engine(n_shards, "python", None)
-    cold = build_engine(n_shards, "python", 0)
+    warm = build_engine("python", None)
+    cold = build_engine("python", 0)
     warm_service = QueryService(warm, cache_size=0)
     cold_service = QueryService(cold, cache_size=0)
     try:
@@ -252,7 +242,7 @@ def test_interleaved_moves_and_edge_updates_stay_exact(n_shards):
                 got = warm_service.query(QueryRequest(user=u, k=6, alpha=a, method=m))
                 ref = cold_service.query(QueryRequest(user=u, k=6, alpha=a, method=m))
                 assert fingerprint(got.result) == fingerprint(ref.result), (
-                    f"{tag}: user={u} {m}@{a} shards={n_shards}"
+                    f"{tag}: user={u} {m}@{a}"
                 )
 
         check("initial")
@@ -287,10 +277,10 @@ def test_poisoned_column_canary():
     consulted — then pin the invalidation semantics: neither a
     location move nor a recorded edge update touches the column, and
     the rebuild that folds the edge in serves from a fresh cache."""
-    engine = build_engine(1, "python", None)
+    engine = build_engine("python", None)
     service = QueryService(engine, cache_size=0)
     try:
-        cold = build_engine(1, "python", 0)
+        cold = build_engine("python", 0)
         user = query_users(engine)[0]
         baseline = fingerprint(engine.query(user, k=5, alpha=1.0, method="sfa"))
         # bruteforce at a social-bearing alpha caches the full column
@@ -342,8 +332,8 @@ def test_fused_query_many_matches_sequential_engine_queries(backend):
     column through the engine's column step; every response must be
     bit-identical to a sequential engine.query loop on a
     cache-disabled engine."""
-    engine = build_engine(1, backend, None)
-    cold = build_engine(1, backend, 0)
+    engine = build_engine(backend, None)
+    cold = build_engine(backend, 0)
     service = QueryService(engine, max_workers=2, cache_size=0)
     try:
         u1, u2, u3 = query_users(engine)
@@ -364,11 +354,11 @@ def test_fused_query_many_matches_sequential_engine_queries(backend):
 
 
 def test_fusion_skips_planner_and_unlocated_spatial_requests():
-    """Same-user batches run per query: SPA/TSA for an unlocated user
-    raise the searcher's exact error, ``auto`` requests are resolved
-    once each, and social-only methods answer unlocated users exactly
-    as a cold engine does."""
-    engine = build_engine(1, "python", None)
+    """Same-user batches run per query: an unlocated user below
+    ``alpha == 1`` raises the engine's error, ``auto`` requests are
+    resolved once each, and pure-social queries answer unlocated users
+    exactly as a cold engine does."""
+    engine = build_engine("python", None)
     service = QueryService(engine, max_workers=1, cache_size=0)
     try:
         unlocated = next(
@@ -391,19 +381,19 @@ def test_fusion_skips_planner_and_unlocated_spatial_requests():
             ]
         )
         assert engine.planner.stats.auto_resolutions == 2
-        # unlocated + social-only methods (all-inf spatial)
+        # unlocated + pure-social queries (all-inf spatial)
         responses = service.query_many(
             [
                 QueryRequest(user=unlocated, k=3, alpha=1.0, method="sfa"),
-                QueryRequest(user=unlocated, k=5, alpha=0.4, method="bruteforce"),
+                QueryRequest(user=unlocated, k=5, alpha=1.0, method="bruteforce"),
             ]
         )
-        cold = build_engine(1, "python", 0)
+        cold = build_engine("python", 0)
         assert fingerprint(responses[0].result) == fingerprint(
             cold.query(unlocated, k=3, alpha=1.0, method="sfa")
         )
         assert fingerprint(responses[1].result) == fingerprint(
-            cold.query(unlocated, k=5, alpha=0.4, method="bruteforce")
+            cold.query(unlocated, k=5, alpha=1.0, method="bruteforce")
         )
     finally:
         service.close()
@@ -418,7 +408,7 @@ def test_stream_repair_consults_cached_columns_exactly():
     the cache disabled under the same update sequence."""
     stacks = {}
     for tag, cache_bytes in (("warm", None), ("cold", 0)):
-        engine = build_engine(1, "python", cache_bytes, n=90, seed=29, coverage=0.9)
+        engine = build_engine("python", cache_bytes, n=90, seed=29, coverage=0.9)
         service = QueryService(engine, cache_size=0)
         registry = SubscriptionRegistry(service)
         stacks[tag] = (engine, service, registry)
@@ -452,25 +442,6 @@ def test_stream_repair_consults_cached_columns_exactly():
         for _engine, service, registry in stacks.values():
             registry.close()
             service.close()
-
-
-# -- sharded coordinator bypass ----------------------------------------
-
-
-def test_sharded_coordinator_column_scan_counted_and_exact():
-    sharded = build_engine(4, "python", None)
-    cold = build_engine(4, "python", 0)
-    user = query_users(sharded)[0]
-    first = sharded.query(user, k=6, alpha=0.5, method="tsa")
-    assert sharded.scatter.column_scans == 0  # cold: full scatter
-    # the delegated full scan completes the expansion -> full column
-    sharded.query(user, k=6, alpha=0.5, method="bruteforce")
-    second = sharded.query(user, k=6, alpha=0.5, method="tsa")
-    assert sharded.scatter.column_scans >= 1  # warm: coordinator scan
-    assert second.stats.extra.get("column_scan") == 1
-    ref = cold.query(user, k=6, alpha=0.5, method="tsa")
-    assert fingerprint(first) == fingerprint(second) == fingerprint(ref)
-    assert "column_scans" in sharded.scatter_info()
 
 
 # -- cache unit behaviour ----------------------------------------------
@@ -571,10 +542,10 @@ class TestSocialColumnCache:
 
 
 def test_engine_cache_budget_knobs():
-    engine = build_engine(1, "python", None)
+    engine = build_engine("python", None)
     assert engine.social_cache.max_bytes == DEFAULT_SOCIAL_CACHE_BYTES
-    assert build_engine(1, "python", 0).social_cache is None
-    sized = build_engine(1, "python", 4096)
+    assert build_engine("python", 0).social_cache is None
+    sized = build_engine("python", 4096)
     assert sized.social_cache.max_bytes == 4096
     rebuilt = sized.with_graph(sized.graph)
     assert rebuilt.social_cache is not sized.social_cache
@@ -582,7 +553,7 @@ def test_engine_cache_budget_knobs():
 
 
 def test_service_social_cache_bytes_resizes_live_cache():
-    engine = build_engine(1, "python", None)
+    engine = build_engine("python", None)
     service = QueryService(engine, cache_size=0, social_cache_bytes=8192)
     try:
         assert engine.social_cache.max_bytes == 8192
@@ -598,15 +569,3 @@ def test_service_social_cache_bytes_resizes_live_cache():
         assert len(new_engine.social_cache) == 0
     finally:
         service.close()
-
-
-def test_shards_share_one_cache_instance():
-    sharded = build_engine(4, "python", None)
-    assert sharded.social_cache is not None
-    for shard in sharded._engines.values():
-        assert shard.social_cache is sharded.social_cache
-    disabled = build_engine(4, "python", 0)
-    assert disabled.social_cache is None
-    for shard in disabled._engines.values():
-        assert shard.social_cache is None
-

@@ -27,7 +27,7 @@ second half of this file pins that every label ``<= r`` is the final
 one (a label *equal* to ``r`` included) and that ``method="bounded"`` —
 first ball, radius from its k-th score, one more expansion, one dense
 scan — answers bit-identically to ``bruteforce`` on the same three
-legs, with and without a column cache, on 1 and 4 shards.
+legs, with and without a column cache.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.core.engine import GeoSocialEngine
 from repro.core.ranking import Normalization
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
-from repro.shard import ShardedGeoSocialEngine
 from repro.spatial.point import LocationTable
 
 INF = math.inf
@@ -343,8 +342,7 @@ def test_bounded_is_bit_identical_to_bruteforce_on_every_leg(n, seed, coverage, 
     an unlocated query user, fewer than ``k`` reachable users,
     ``k >= n``, pure social ``alpha = 1`` (unlocated users are
     legitimate answers) and the ``alpha = 0`` route to ``spa``; on
-    every kernel leg, with and without a column cache, 1 and 4
-    shards."""
+    every kernel leg, with and without a column cache."""
     graph, locations = tie_prone_instance(n, seed, coverage)
     if locations.n_located == 0:
         locations.set(0, 0.4, 0.4)
@@ -360,33 +358,26 @@ def test_bounded_is_bit_identical_to_bruteforce_on_every_leg(n, seed, coverage, 
             if blocked:
                 block_scipy(patch)
             for cache_bytes in (None, 0):
-                for n_shards in (1, 4):
-                    twin = SocialGraph.from_csr(
-                        graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
-                    )
-                    common = dict(
-                        num_landmarks=2, s=3, seed=1, backend=backend,
-                        normalization=oracle.normalization, social_cache_bytes=cache_bytes,
-                    )
-                    if n_shards == 1:
-                        engine = GeoSocialEngine(twin, locations.copy(), **common)
-                    else:
-                        engine = ShardedGeoSocialEngine(
-                            twin, locations.copy(), n_shards=n_shards, max_workers=1, **common
-                        )
-                    context = f"{label} cache={cache_bytes} shards={n_shards}"
-                    for user in users:
-                        if alpha == 0.0 and not locations.has_location(user):
-                            # the spa route's contract, not bruteforce's
-                            with pytest.raises(ValueError, match="no known location"):
-                                engine.query(user, k, alpha, "bounded")
-                            continue
-                        want = oracle.query(user, k, alpha, "bruteforce")
-                        # twice: the second may scan a column the first cached
-                        for attempt in range(2):
-                            got = engine.query(user, k, alpha, "bounded")
-                            assert rows(got) == rows(want), f"{context} u={user} #{attempt}"
-                    engine.close()
+                twin = SocialGraph.from_csr(
+                    graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
+                )
+                engine = GeoSocialEngine(
+                    twin, locations.copy(), num_landmarks=2, s=3, seed=1, backend=backend,
+                    normalization=oracle.normalization, social_cache_bytes=cache_bytes,
+                )
+                context = f"{label} cache={cache_bytes}"
+                for user in users:
+                    if alpha < 1.0 and not locations.has_location(user):
+                        # one rule for every method below alpha == 1
+                        with pytest.raises(ValueError, match="no known location"):
+                            engine.query(user, k, alpha, "bounded")
+                        continue
+                    want = oracle.query(user, k, alpha, "bruteforce")
+                    # twice: the second may scan a column the first cached
+                    for attempt in range(2):
+                        got = engine.query(user, k, alpha, "bounded")
+                        assert rows(got) == rows(want), f"{context} u={user} #{attempt}"
+                engine.close()
 
 
 def ring_of_cliques(n=240):

@@ -26,7 +26,7 @@ import shutil
 
 import pytest
 
-from repro import GeoSocialEngine, ShardedGeoSocialEngine, gowalla_like
+from repro import GeoSocialEngine, gowalla_like
 from repro.service import QueryService
 from repro.store import (
     FORMAT_NAME,
@@ -203,24 +203,6 @@ def test_crash_between_rename_and_pointer_is_recoverable(tmp_path):
         assert set(manager.snapshots()) == {first, orphans[1]}
 
 
-def test_crash_during_sharded_snapshot(tmp_path):
-    engine = ShardedGeoSocialEngine.from_dataset(
-        gowalla_like(n=150, seed=5), n_shards=4, max_workers=1, num_landmarks=3, seed=2
-    )
-    reference = reference_answers(engine)
-    with QueryService(engine) as service:
-        manager = service.snapshots(tmp_path / "snaps")
-        first = manager.snapshot()
-        for label in ("column:xs:partial", "manifest:partial", "commit:pre-rename"):
-            with fault_injection(crash_at(label)):
-                with pytest.raises(InjectedFault):
-                    manager.snapshot()
-            assert manager.latest() == first
-            recovered = load_engine(first)
-            assert isinstance(recovered, ShardedGeoSocialEngine)
-            assert_matches_reference(recovered, reference)
-
-
 def test_injected_fault_leaves_debris_but_real_errors_clean_up(tmp_path):
     engine = make_engine(n=80)
     # injected fault: temp dir survives, as after a real crash
@@ -290,6 +272,26 @@ def test_foreign_and_future_manifests_are_rejected(saved):
     manifest.write_text(json.dumps(future))
     with pytest.raises(StoreError, match="format version"):
         load_engine(path)
+
+
+def test_a_sharded_snapshot_gets_a_typed_error_and_old_manifests_still_load(saved):
+    """The sharded engine kind is gone: its snapshots raise a
+    :class:`StoreError` that says so (not the generic unknown-kind
+    corruption), while a single-engine manifest still carrying the
+    member-filter field of the two-kind format (``index_users: null``)
+    loads unchanged."""
+    engine, path = saved
+    manifest = path / MANIFEST_NAME
+    original = json.loads(manifest.read_text())
+    legacy = json.loads(manifest.read_text())
+    legacy["config"]["index_users"] = None
+    manifest.write_text(json.dumps(legacy))
+    assert_matches_reference(load_engine(path), reference_answers(engine))
+    manifest.write_text(json.dumps(dict(original, kind="sharded")))
+    with pytest.raises(StoreError, match="no longer loadable") as excinfo:
+        load_engine(path)
+    assert not isinstance(excinfo.value, StoreCorruptionError)
+    assert "re-save it from a GeoSocialEngine" in str(excinfo.value)
 
 
 def test_missing_column_file_raises_corruption(saved):

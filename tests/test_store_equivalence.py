@@ -7,8 +7,8 @@ computes from, the manifest round-trips the exact normalization
 constants through JSON (Python floats survive json exactly), and the
 loaded engine rebuilds its indexes from the *same* cell arrays the
 live engine maintains — so ids, scores, and tie-breaks must all match
-with ``==``, across backends × shard counts × methods (including the
-cost-based ``auto`` route), through a save→load→save cycle (the
+with ``==``, across backends × methods (including the ``auto``
+route), through a save→load→save cycle (the
 second snapshot is byte-identical), and through an
 update-fold-then-snapshot cycle on the service.
 
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GeoSocialEngine, ShardedGeoSocialEngine, SocialGraph, gowalla_like
+from repro import GeoSocialEngine, SocialGraph, gowalla_like
 from repro.plan.rules import METHOD_TABLE
 from repro.service import QueryService
 from repro.store import MANIFEST_NAME, load_engine
@@ -46,22 +46,11 @@ STORE_CI = settings.get_profile("store-ci")
 METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais", "bounded", "bruteforce", "auto")
 ALPHAS = (0.0, 0.3, 1.0)
 BACKENDS = ("python", "numpy")
-SHARD_COUNTS = (1, 4)
 
 
-def build_engine(backend, n_shards, n=140, seed=13):
-    dataset = gowalla_like(n=n, seed=seed)
-    if n_shards == 1:
-        return GeoSocialEngine.from_dataset(
-            dataset, num_landmarks=3, s=3, seed=2, backend=backend
-        )
-    return ShardedGeoSocialEngine.from_dataset(
-        dataset,
-        n_shards=n_shards,
-        max_workers=1,
-        num_landmarks=3,
-        seed=2,
-        backend=backend,
+def build_engine(backend, n=140, seed=13):
+    return GeoSocialEngine.from_dataset(
+        gowalla_like(n=n, seed=seed), num_landmarks=3, s=3, seed=2, backend=backend
     )
 
 
@@ -87,9 +76,8 @@ def located_sample(engine, count=3):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_roundtrip_bit_identical(tmp_path, backend, n_shards):
-    live = build_engine(backend, n_shards)
+def test_roundtrip_bit_identical(tmp_path, backend):
+    live = build_engine(backend)
     live.save(tmp_path / "snap")
     loaded = load_engine(tmp_path / "snap")
     assert type(loaded) is type(live)
@@ -99,9 +87,8 @@ def test_roundtrip_bit_identical(tmp_path, backend, n_shards):
     assert_bit_identical(live, loaded, located_sample(live))
 
 
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_mmap_and_eager_loads_agree(tmp_path, n_shards):
-    live = build_engine("numpy", n_shards, n=100)
+def test_mmap_and_eager_loads_agree(tmp_path):
+    live = build_engine("numpy", n=100)
     live.save(tmp_path / "snap")
     warm = load_engine(tmp_path / "snap", mmap=True)
     cold = load_engine(tmp_path / "snap", mmap=False, verify=False)
@@ -111,7 +98,7 @@ def test_mmap_and_eager_loads_agree(tmp_path, n_shards):
 def test_save_load_save_is_byte_stable(tmp_path):
     """Persisting a loaded engine reproduces the identical columns —
     nothing drifts through a snapshot generation."""
-    live = build_engine("numpy", 1, n=100)
+    live = build_engine("numpy", n=100)
     live.save(tmp_path / "a")
     load_engine(tmp_path / "a").save(tmp_path / "b")
     manifest_a = json.loads((tmp_path / "a" / MANIFEST_NAME).read_text())
@@ -120,12 +107,11 @@ def test_save_load_save_is_byte_stable(tmp_path):
     assert manifest_a["config"] == manifest_b["config"]
 
 
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path, n_shards):
+def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path):
     """Snapshots written before ``ais-cache`` left the served tier carry
     ``default_t`` in their config (same ``format_version``); the loader
     no longer reads the key, so they load and answer identically."""
-    live = build_engine("numpy", n_shards, n=100)
+    live = build_engine("numpy", n=100)
     live.save(tmp_path / "snap")
     target = tmp_path / "snap" / MANIFEST_NAME
     manifest = json.loads(target.read_text())
@@ -138,24 +124,14 @@ def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path, n_shards)
 
 
 def test_loaded_engine_serves_typed_class_loaders(tmp_path):
-    single = build_engine("numpy", 1, n=80)
-    sharded = build_engine("numpy", 4, n=80)
-    single.save(tmp_path / "single")
-    sharded.save(tmp_path / "sharded")
+    build_engine("numpy", n=80).save(tmp_path / "single")
     assert isinstance(GeoSocialEngine.load(tmp_path / "single"), GeoSocialEngine)
-    assert isinstance(
-        ShardedGeoSocialEngine.load(tmp_path / "sharded"), ShardedGeoSocialEngine
-    )
-    with pytest.raises(TypeError):
-        GeoSocialEngine.load(tmp_path / "sharded")
-    with pytest.raises(TypeError):
-        ShardedGeoSocialEngine.load(tmp_path / "single")
 
 
 def test_loaded_engine_stays_mutable_without_touching_snapshot(tmp_path):
     """Copy-on-write mmap: updates to a warm-started engine never leak
     back into the snapshot another process may be reading."""
-    live = build_engine("numpy", 1, n=100)
+    live = build_engine("numpy", n=100)
     live.save(tmp_path / "snap")
     first = GeoSocialEngine.load(tmp_path / "snap")
     user = located_sample(first, 1)[0]
@@ -170,7 +146,7 @@ def test_update_fold_then_snapshot_cycle(tmp_path):
     """Batched edge updates fold into the snapshot through the same
     rebuild path the serving layer uses; the restored engine answers
     exactly like the live post-fold engine."""
-    engine = build_engine("numpy", 1)
+    engine = build_engine("numpy")
     with QueryService(engine) as service:
         manager = service.snapshots(tmp_path / "snaps")
         manager.snapshot()
@@ -195,15 +171,14 @@ def test_update_fold_then_snapshot_cycle(tmp_path):
         assert after == before
 
 
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path, n_shards):
+def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path):
     """60 seeded edge updates (inserts, re-weights, deletes, edges
     touched twice, delete-then-reinsert) folded by one
     ``rebuild_engine`` answer bit-identically — ids, scores,
     tie-breaks, every exact served method — to an engine built from
     scratch over ``SocialGraph.from_edges`` of the expected edge set,
     and the folded engine survives ``save -> load``."""
-    engine = build_engine("numpy", n_shards, n=150)
+    engine = build_engine("numpy", n=150)
     graph = engine.graph
     rng = random.Random(21)
     expected = {(u, v): w for u, v, w in graph.edges()}

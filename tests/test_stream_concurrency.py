@@ -1,9 +1,9 @@
 """Concurrency stress for the stream layer: movers vs subscribers.
 
-Mirrors ``test_shard_concurrency``'s patterns for the subscription
-registry: update classification fires inside the engine's write lock,
-repairs/recomputes apply under the read lock, so concurrent movers and
-subscription readers must neither deadlock nor observe a result an
+For the subscription registry, update classification fires inside
+the engine's write lock and repairs/recomputes apply under the read
+lock, so concurrent movers and subscription readers must neither
+deadlock nor observe a result an
 already-applied update should have changed ("no torn reads") — and the
 counters everything increments from multiple threads must add up.
 
@@ -24,7 +24,6 @@ from repro.core.engine import GeoSocialEngine
 from repro.core.result import Neighbor
 from repro.service import QueryRequest, QueryService
 from repro.service.cache import ResultCache
-from repro.shard import ShardedGeoSocialEngine
 from repro.stream import SubscriptionRegistry
 from tests.conftest import cache_put, random_instance
 
@@ -34,11 +33,9 @@ JOIN_TIMEOUT = 60.0
 @pytest.fixture()
 def setup():
     graph, locations = random_instance(90, seed=911, coverage=0.85)
-    sharded = ShardedGeoSocialEngine(
-        graph, locations, n_shards=4, num_landmarks=3, s=3, seed=3, max_workers=2
-    )
-    yield graph, sharded
-    sharded.close()
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=3, seed=3)
+    yield graph, engine
+    engine.close()
 
 
 def snapshot_engine(graph, engine):
@@ -53,10 +50,10 @@ def snapshot_engine(graph, engine):
 
 
 def test_movers_and_subscribers_do_not_deadlock_and_stay_exact(setup):
-    graph, sharded = setup
-    service = QueryService(sharded, cache_size=256, max_workers=2)
+    graph, engine = setup
+    service = QueryService(engine, cache_size=256, max_workers=2)
     registry = SubscriptionRegistry(service)
-    located = list(sharded.locations.located_users())
+    located = list(engine.locations.located_users())
     subs = [
         registry.subscribe(u, k=4, alpha=a, method=m)
         for u, a, m in zip(located[:6], (0.3, 0.5, 0.3, 0.7, 0.5, 0.3),
@@ -74,7 +71,7 @@ def test_movers_and_subscribers_do_not_deadlock_and_stay_exact(setup):
                 u = rng.randrange(graph.n)
                 if rng.random() < 0.85:
                     service.move_user(u, rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3))
-                elif sharded.locations.has_location(u):
+                elif engine.locations.has_location(u):
                     service.forget_location(u)
         except Exception as exc:  # pragma: no cover - failure path
             failures.append(f"mover: {exc!r}")
@@ -113,7 +110,7 @@ def test_movers_and_subscribers_do_not_deadlock_and_stay_exact(setup):
 
     # Quiesced: every maintained result equals a fresh single engine
     # over a snapshot of the same data.
-    fresh = snapshot_engine(graph, sharded)
+    fresh = snapshot_engine(graph, engine)
     for sub in subs:
         try:
             maintained = registry.result(sub)
@@ -130,11 +127,11 @@ def test_movers_and_subscribers_do_not_deadlock_and_stay_exact(setup):
 def test_no_stale_result_survives_its_invalidating_update(setup):
     """Sequential read-after-update: every update that can affect a
     subscription must be reflected by the very next read."""
-    graph, sharded = setup
-    service = QueryService(sharded, cache_size=128, max_workers=1)
+    graph, engine = setup
+    service = QueryService(engine, cache_size=128, max_workers=1)
     registry = SubscriptionRegistry(service)
     rng = random.Random(31)
-    located = list(sharded.locations.located_users())
+    located = list(engine.locations.located_users())
     sub = registry.subscribe(located[0], k=5, alpha=0.4, method="tsa")
     for round_no in range(25):
         # Move a current member (repair), a random user (screen), or
@@ -148,7 +145,7 @@ def test_no_stale_result_survives_its_invalidating_update(setup):
             mover = rng.randrange(graph.n)
         service.move_user(mover, rng.random(), rng.random())
         maintained = registry.result(sub)
-        fresh = sharded.query(sub.user, 5, 0.4, "tsa")
+        fresh = engine.query(sub.user, 5, 0.4, "tsa")
         assert [(nb.user, nb.score) for nb in maintained] == [
             (nb.user, nb.score) for nb in fresh
         ], f"round {round_no}: stale result after moving {mover}"
@@ -162,10 +159,10 @@ def test_stream_counters_are_consistent_after_concurrent_churn(setup):
     """Every location update observed must be accounted: the sum of
     per-(update, subscription) classifications equals what the fan-out
     actually visited, and applied passes never exceed marks."""
-    graph, sharded = setup
-    service = QueryService(sharded, cache_size=64, max_workers=2)
+    graph, engine = setup
+    service = QueryService(engine, cache_size=64, max_workers=2)
     registry = SubscriptionRegistry(service)
-    located = list(sharded.locations.located_users())
+    located = list(engine.locations.located_users())
     for u in located[:5]:
         registry.subscribe(u, k=4, alpha=0.4, method="spa")
     updates_sent = 120
@@ -288,16 +285,16 @@ def test_cache_repair_is_restricted_to_forward_methods():
 
 def test_service_stats_expose_reuse_repair_recompute(setup):
     """The serving layer surfaces the cache's repair-awareness."""
-    graph, sharded = setup
-    service = QueryService(sharded, cache_size=128, max_workers=1)
+    graph, engine = setup
+    service = QueryService(engine, cache_size=128, max_workers=1)
     rng = random.Random(9)
-    located = list(sharded.locations.located_users())
+    located = list(engine.locations.located_users())
     q = located[0]
     for _ in range(30):
         resp = service.query(QueryRequest(q, k=5, alpha=0.4, method="tsa"))
         members = resp.result.users
         mover = rng.choice(members) if rng.random() < 0.7 else rng.randrange(graph.n)
-        x, y = sharded.locations.get(mover) or (rng.random(), rng.random())
+        x, y = engine.locations.get(mover) or (rng.random(), rng.random())
         service.move_user(
             mover,
             min(1.0, max(0.0, x + rng.uniform(-0.02, 0.02))),

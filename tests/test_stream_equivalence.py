@@ -7,14 +7,13 @@ scores, and tie-breaks.  For the repairable (forward-Dijkstra) methods
 the scores must match *bit for bit*: repairs reuse stored social
 distances and re-derive spatial ones with the engine's own primitives.
 The AIS family recomputes rather than repairs, and its fresh scores
-are legitimately schedule-dependent up to float association (the 1-ulp
-caveat the sharded suite documents), so AIS legs assert identical
-rankings with the repo's 1e-9 score tolerance.
+are legitimately schedule-dependent up to float association (1 ulp),
+so AIS legs assert identical rankings with the repo's 1e-9 score
+tolerance.
 
-Runs under the same fixed, derandomized Hypothesis profile as the
-cross-shard and backend equivalence suites, applied per test, on both
-backends (CI runs the file under ``REPRO_BACKEND=python`` and
-``=numpy``) and shard counts {1, 4}.
+Runs under a fixed, derandomized Hypothesis profile like the backend
+equivalence suite, applied per test, on both backends (CI runs the file
+under ``REPRO_BACKEND=python`` and ``=numpy``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core.engine import GeoSocialEngine
 from repro.service import QueryRequest, QueryService
-from repro.shard import ShardedGeoSocialEngine
 from repro.stream import REPAIRABLE_METHODS, SubscriptionRegistry
 from tests.conftest import random_instance
 
@@ -44,7 +42,6 @@ STREAM_CI = settings.get_profile("stream-ci")
 #: and ``auto`` — re-resolved by the planner on every recompute, so its
 #: subscriptions change method mid-stream
 METHODS = ("spa", "tsa", "sfa", "bounded", "bruteforce", "ais", "auto")
-SHARD_COUNTS = (1, 4)
 #: update/verify interleaving steps per example; with 16 derandomized
 #: examples per property (x2 properties, x2 CI backend legs) the suite
 #: verifies maintained == fresh at well over 200 randomized
@@ -52,12 +49,8 @@ SHARD_COUNTS = (1, 4)
 STEPS = 10
 
 
-def build_engine(graph, locations, n_shards):
-    if n_shards == 1:
-        return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    return ShardedGeoSocialEngine(
-        graph, locations, n_shards=n_shards, num_landmarks=3, s=4, seed=3, max_workers=1
-    )
+def build_engine(graph, locations):
+    return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
 
 
 def assert_maintained_equals_fresh(sub, maintained, fresh, context):
@@ -136,18 +129,17 @@ def apply_random_update(rng, service, engine, subs, hot_users, registry=None):
 @given(
     n=st.integers(min_value=30, max_value=80),
     seed=st.integers(min_value=0, max_value=2**16),
-    n_shards=st.sampled_from(SHARD_COUNTS),
     alpha=st.sampled_from((0.0, 0.3, 0.5, 1.0)),
     k=st.sampled_from((1, 4, 8)),
 )
-def test_maintained_results_equal_fresh_after_every_step(n, seed, n_shards, alpha, k):
+def test_maintained_results_equal_fresh_after_every_step(n, seed, alpha, k):
     """Read-after-every-update: the maintained result must equal a
     fresh query at every instant, across methods, α (endpoints
-    included), k, and shard counts."""
+    included) and k."""
     graph, locations = random_instance(n, seed=seed, coverage=0.8)
     if locations.n_located == 0:
         locations.set(0, 0.5, 0.5)
-    engine = build_engine(graph, locations, n_shards)
+    engine = build_engine(graph, locations)
     service = QueryService(engine, cache_size=64)
     registry = SubscriptionRegistry(service)
     rng = random.Random(seed * 31 + n)
@@ -173,16 +165,15 @@ def test_maintained_results_equal_fresh_after_every_step(n, seed, n_shards, alph
 @given(
     n=st.integers(min_value=30, max_value=70),
     seed=st.integers(min_value=0, max_value=2**16),
-    n_shards=st.sampled_from(SHARD_COUNTS),
 )
-def test_batched_bursts_then_read(n, seed, n_shards):
+def test_batched_bursts_then_read(n, seed):
     """Bursts of updates accumulate as pending deltas and are applied
     in one pass per subscription at read time — the batched path must
     land on exactly the fresh answer too."""
     graph, locations = random_instance(n, seed=seed, coverage=0.85)
     if locations.n_located == 0:
         locations.set(0, 0.5, 0.5)
-    engine = build_engine(graph, locations, n_shards)
+    engine = build_engine(graph, locations)
     service = QueryService(engine, cache_size=0)
     registry = SubscriptionRegistry(service)
     rng = random.Random(seed + 7)
@@ -399,32 +390,5 @@ def test_subscribe_validates_before_registering():
     assert len(registry) == 0 and registry.stats.subscribed == 0
     # A poisoned half-registration would make every later flush raise.
     assert registry.flush() == {"repaired": 0, "recomputed": 0}
-    registry.close()
-    service.close()
-
-
-def test_sharded_delta_routing_skips_remote_groups_exactly():
-    """On a sharded engine, an update far outside a group's shard
-    envelope is routed away from its subscriptions in O(1) — without
-    ever changing what reads return."""
-    graph, locations = random_instance(120, seed=77, coverage=1.0)
-    engine = ShardedGeoSocialEngine(
-        graph, locations, n_shards=4, num_landmarks=3, s=4, seed=3, max_workers=1
-    )
-    service = QueryService(engine, cache_size=0)
-    registry = SubscriptionRegistry(service)
-    located = list(engine.locations.located_users())
-    subs = [registry.subscribe(u, k=4, alpha=0.5, method="tsa") for u in located[:6]]
-    registry.flush()
-    rng = random.Random(4)
-    for _ in range(40):  # far-away churn: outside every shard envelope
-        service.move_user(rng.randrange(graph.n), rng.uniform(30.0, 40.0), rng.uniform(30.0, 40.0))
-    assert registry.stats.group_skips > 0, "router never skipped a group"
-    for sub in subs:
-        maintained = registry.result(sub)
-        fresh = engine.query(sub.user, 4, 0.5, "tsa")
-        assert [(nb.user, nb.score) for nb in maintained] == [
-            (nb.user, nb.score) for nb in fresh
-        ]
     registry.close()
     service.close()

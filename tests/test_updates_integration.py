@@ -119,66 +119,3 @@ def test_cached_searchers_see_updates(engine):
     expected = engine.query(q, k=5, alpha=0.3, method="bruteforce")
     assert_same_scores(expected, engine.query(q, k=5, alpha=0.3, method="ais"))
     assert_same_scores(expected, engine.query(q, k=5, alpha=0.3, method="spa"))
-
-
-def test_boundary_crossing_move_rehomes_and_refreshes_cache():
-    """A user moving between shard cells must be evicted from the old
-    shard's indexes (and any cached lines), then served correctly from
-    the new owner."""
-    from repro.service import QueryRequest, QueryService
-    from repro.shard import ShardedGeoSocialEngine
-
-    graph, locations = random_instance(100, seed=421, coverage=0.9)
-    sharded = ShardedGeoSocialEngine(
-        graph, locations, n_shards=4, num_landmarks=3, s=3, seed=3
-    )
-    service = QueryService(sharded, cache_size=256, max_workers=1)
-    located = list(sharded.locations.located_users())
-    mover = located[0]
-    old_shard = sharded.shard_of_user(mover)
-    old_engine = sharded._engines[old_shard]
-    assert mover in old_engine.grid and mover in old_engine.index_users
-
-    # Cache a line for the mover, then push them into a different cell.
-    assert not service.query(QueryRequest(mover, k=5, alpha=0.3, method="ais")).cached
-    assert service.query(QueryRequest(mover, k=5, alpha=0.3, method="ais")).cached
-    part = sharded.partitioner
-    x, y = sharded.locations.get(mover)
-    target = next(
-        (tx, ty)
-        for tx in (0.05, 0.5, 0.95)
-        for ty in (0.05, 0.5, 0.95)
-        if part.shard_of(tx, ty) != old_shard
-    )
-    service.move_user(mover, *target)
-
-    new_shard = sharded.shard_of_user(mover)
-    assert new_shard != old_shard
-    # Old shard fully forgets the mover (grid, aggregate, membership)...
-    assert mover not in old_engine.grid
-    assert mover not in old_engine.index_users
-    assert mover not in set(old_engine.aggregate.grid.leaf_grid._cell_of_user)
-    # ... the new owner indexes them ...
-    new_engine = sharded._engines[new_shard]
-    assert mover in new_engine.grid and mover in new_engine.index_users
-    # ... the stale cache line is gone, and the fresh answer is exact.
-    response = service.query(QueryRequest(mover, k=5, alpha=0.3, method="ais"))
-    assert not response.cached
-    fresh = GeoSocialEngine(
-        graph,
-        sharded.locations.copy(),
-        num_landmarks=3,
-        s=3,
-        seed=3,
-        normalization=sharded.normalization,
-    )
-    assert response.result.users == fresh.query(mover, k=5, alpha=0.3).users
-
-    # The same holds for every method and for other query users whose
-    # result could have contained the mover.
-    for q in located[1:5]:
-        for method in ("spa", "tsa", "ais"):
-            got = sharded.query(q, k=6, alpha=0.4, method=method)
-            assert got.users == fresh.query(q, k=6, alpha=0.4, method=method).users
-    service.close()
-    sharded.close()

@@ -1,8 +1,6 @@
 """``repro.utils.concurrency`` — the readers-writer lock guarding
-every engine's indexes and the lazy worker pool behind sharded
-scatter-gather.  Focus: exclusion semantics, the shutdown/exception
-paths of :class:`TaskPool`, and the inline fast paths that must never
-spawn threads."""
+every engine's indexes.  Focus: exclusion semantics and release on
+exceptions."""
 
 from __future__ import annotations
 
@@ -11,7 +9,7 @@ import time
 
 import pytest
 
-from repro.utils.concurrency import ReadWriteLock, TaskPool
+from repro.utils.concurrency import ReadWriteLock
 
 
 def run_in_thread(fn):
@@ -103,95 +101,3 @@ class TestReadWriteLock:
                 raise RuntimeError("boom")
         with lock.read_locked():
             pass
-
-
-class TestTaskPool:
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            TaskPool(max_workers=0)
-
-    def test_map_preserves_item_order(self):
-        pool = TaskPool(max_workers=4)
-        try:
-            # staggered sleeps: out-of-order completion, in-order results
-            items = [0.03, 0.0, 0.02, 0.0, 0.01]
-
-            def tag(delay):
-                time.sleep(delay)
-                return delay
-
-            assert pool.map(tag, items) == items
-        finally:
-            pool.close()
-
-    def test_single_worker_never_creates_a_pool(self):
-        pool = TaskPool(max_workers=1)
-        assert pool.map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
-        assert pool._pool is None
-        pool.close()
-
-    def test_single_item_runs_inline(self):
-        pool = TaskPool(max_workers=4)
-        main = threading.current_thread().name
-        assert pool.map(lambda _: threading.current_thread().name, ["x"]) == [main]
-        assert pool._pool is None  # creation is deferred until truly needed
-        pool.close()
-
-    def test_parallel_calls_use_worker_threads(self):
-        pool = TaskPool(max_workers=2, thread_name_prefix="probe")
-        try:
-            names = pool.map(lambda _: threading.current_thread().name, range(4))
-            assert all(name.startswith("probe") for name in names)
-        finally:
-            pool.close()
-
-    def test_exception_in_fn_propagates(self):
-        pool = TaskPool(max_workers=2)
-        try:
-            def explode(v):
-                if v == 2:
-                    raise KeyError("item 2")
-                return v
-
-            with pytest.raises(KeyError):
-                pool.map(explode, [1, 2, 3])
-        finally:
-            pool.close()
-
-    def test_runtime_error_from_fn_is_not_swallowed(self):
-        """The shutdown-race fallback must not catch RuntimeErrors the
-        mapped function itself raises."""
-        pool = TaskPool(max_workers=2)
-        try:
-            def explode(v):
-                raise RuntimeError("from fn, not from shutdown")
-
-            with pytest.raises(RuntimeError, match="from fn"):
-                pool.map(explode, [1, 2, 3])
-        finally:
-            pool.close()
-
-    def test_close_is_idempotent_and_observable(self):
-        pool = TaskPool(max_workers=2)
-        assert not pool.closed
-        pool.map(lambda v: v, [1, 2])  # force pool creation
-        pool.close()
-        pool.close()
-        assert pool.closed
-        assert pool._pool is None
-
-    def test_map_after_close_degrades_to_inline(self):
-        """A caller racing ``close`` gets sequential execution, not a
-        failure — the shard layer relies on this during shutdown."""
-        pool = TaskPool(max_workers=4)
-        pool.map(lambda v: v, [1, 2])
-        pool.close()
-        main = threading.current_thread().name
-        names = pool.map(lambda _: threading.current_thread().name, range(3))
-        assert names == [main] * 3
-
-    def test_close_without_use_never_spawns(self):
-        pool = TaskPool(max_workers=8)
-        pool.close()
-        assert pool._pool is None
-        assert pool.map(lambda v: v * 2, [1, 2, 3]) == [2, 4, 6]

@@ -1,5 +1,5 @@
 """``repro.utils.validation`` — the argument guards shared across the
-public API (engine, service, shard, dataset builders).  Each helper
+public API (engine, service, dataset builders).  Each helper
 must reject exactly the invalid domain, accept the boundary, and
 return the validated value so call sites can validate inline."""
 
