@@ -56,7 +56,6 @@ from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.service.service import QueryService
-from repro.sketch import ApproxSketchSearch, SketchIndex
 from repro.social import SocialCacheStats, SocialColumnCache
 from repro.spatial.point import BBox, LocationTable
 from repro.store import (
@@ -92,9 +91,6 @@ __all__ = [
     "CachedSocialFirst",
     "BoundedSearch",
     "BruteForceSearch",
-    # bounded-error sketch fast path (method="approx")
-    "SketchIndex",
-    "ApproxSketchSearch",
     # cross-query social-distance reuse
     "SocialColumnCache",
     "SocialCacheStats",

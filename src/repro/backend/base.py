@@ -99,14 +99,18 @@ class Kernels(Protocol):
         """Per-user ALT upper bounds ``p̂(v_q, v_i) = min_j (m_qj + m_ij)``
         over the landmark tables (``inf`` when no landmark reaches both
         sides) — the batched form of
-        :meth:`~repro.graph.landmarks.LandmarkIndex.upper_bound`."""
+        :meth:`~repro.graph.landmarks.LandmarkIndex.upper_bound`.  No
+        searcher calls it; it is kept only because the benchmark tracer
+        (``perfbench/trace.py``) wraps it by name."""
         ...
 
     def interval_midpoints(self, lower, upper) -> tuple:
         """``(estimate, halfwidth)`` columns for per-user distance
         intervals ``[lower, upper]``: the midpoint ``lo + (hi − lo)/2``
         and its certified error radius ``(hi − lo)/2``.  An infinite
-        upper bound (no finite certificate) yields ``inf`` for both."""
+        upper bound (no finite certificate) yields ``inf`` for both.  No
+        searcher calls it; it is kept only because the benchmark tracer
+        (``perfbench/trace.py``) wraps it by name."""
         ...
 
     def blend(

@@ -1,17 +1,11 @@
 """Machine-readable benchmark artifacts (``BENCH_<name>.json``).
 
-Every run under ``benchmarks/`` — pytest-benchmark suites and
-standalone scripts alike — writes a small JSON file next to the working
-directory (or under ``REPRO_BENCH_JSON_DIR``), readable with plain
-tooling instead of parsing stdout:
-
-- the standalone script ``benchmarks/bench_approx.py`` calls
-  :func:`write_bench_json` from its ``main()`` with its workload
-  parameters, medians, and speedups;
-- pytest runs are harvested by ``benchmarks/conftest.py``: an autouse
-  fixture collects every measured pytest-benchmark case per bench
-  module and a session-finish hook writes one ``BENCH_<module>.json``
-  each.
+Every pytest-benchmark run under ``benchmarks/`` writes a small JSON
+file next to the working directory (or under ``REPRO_BENCH_JSON_DIR``),
+readable with plain tooling instead of parsing stdout:
+``benchmarks/conftest.py``'s autouse fixture collects every measured
+case per bench module and a session-finish hook writes one
+``BENCH_<module>.json`` each (:func:`write_bench_json`).
 
 The envelope is stable: ``bench`` (name), ``profile`` (active scale
 profile), ``backend``, and the caller's payload.

@@ -90,15 +90,6 @@ def _parse_alpha(raw) -> float:
         raise click.ClickException(f"alpha must be a number, got {raw!r}") from None
 
 
-def _parse_budget(raw) -> "float | None":
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise click.ClickException(f"budget must be a number, got {raw!r}") from None
-
-
 def _result_rows(result: dict) -> "list[dict]":
     return [
         dict(rank=i, **neighbor)
@@ -144,19 +135,15 @@ def load(out: str, dataset: str, n: int, seed: int) -> None:
 @click.option("--alpha", type=str, default=str(QueryRequest.alpha), show_default=True,
               help="Social/spatial preference in [0, 1].")
 @click.option("--method", default=QueryRequest.method, show_default=True, help="Search method.")
-@click.option("--budget", type=str, default=None,
-              help="Accuracy budget in [0, 1] (unset/0: exact; positive values "
-                   "let method=auto answer from the sketch fast path).")
 @format_option
-def query(user, engine_path, server_address, k, alpha, method, budget, fmt) -> None:
+def query(user, engine_path, server_address, k, alpha, method, fmt) -> None:
     """Run one SSRQ for USER and print the ranked neighbours."""
     if (engine_path is None) == (server_address is None):
         raise click.UsageError("pass exactly one of --engine or --server")
     k = _parse_k(k)
     alpha = _parse_alpha(alpha)
-    budget = _parse_budget(budget)
     try:
-        request = QueryRequest.coerce(user, k, alpha, method, budget)
+        request = QueryRequest.coerce(user, k, alpha, method)
         if server_address is not None:
             with _client(server_address) as client:
                 result = client.query(request)["result"]

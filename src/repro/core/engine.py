@@ -17,7 +17,6 @@ Served methods (paper names; one row each in
 ``tsa``           Twofold Search, landmark-aided (Section 4.2)
 ``tsa-qc``        TSA with Quick Combine probing
 ``ais``           Aggregate Index Search, all optimisations (Section 5)
-``approx``        bounded-error sketch fast path (:mod:`repro.sketch`)
 ``bounded``       SFA's stopping rule as one radius-limited kernel call
 ``bruteforce``    exact reference scan
 ``auto``          ``bounded`` with the static routes (:mod:`repro.plan`)
@@ -58,8 +57,6 @@ from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
 from repro.plan.planner import Planner
 from repro.plan.rules import AUTO, METHOD_TABLE, route_method
-from repro.sketch.index import SketchIndex
-from repro.sketch.searcher import ApproxSketchSearch
 from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
@@ -102,7 +99,7 @@ class GeoSocialEngine:
 
     Owns the data and the derived state every searcher shares (kernels,
     normalization, social column cache, planner, SPA's grid and the
-    lazily built landmark index, aggregate index and sketch), one
+    lazily built landmark index and aggregate index), one
     searcher object per method, the one query pipeline, batch
     execution, location listeners, rebuild and persistence.
 
@@ -141,10 +138,9 @@ class GeoSocialEngine:
         ``method="auto"`` (a fresh one when omitted).  Carried across
         :meth:`with_graph` rebuilds, so its counters survive
         :meth:`~repro.service.QueryService.rebuild_engine`.
-    grid, sketch:
-        Restored indexes (the warm-start path of :mod:`repro.store`):
-        a restored grid skips the insertion scan, a restored sketch the
-        build.
+    grid:
+        A restored grid (the warm-start path of :mod:`repro.store`)
+        skips the insertion scan.
     social_cache_bytes:
         Byte budget of the cross-query social column cache (``None``:
         the default budget; ``0`` disables it).
@@ -164,7 +160,6 @@ class GeoSocialEngine:
         backend: "str | Kernels" = "auto",
         planner: "Planner | None" = None,
         grid: UniformGrid | None = None,
-        sketch: SketchIndex | None = None,
         social_cache_bytes: int | None = None,
     ) -> None:
         if len(locations) != graph.n:
@@ -208,9 +203,6 @@ class GeoSocialEngine:
         #: AIS's index (see :attr:`aggregate`); maintained by location
         #: updates only once it exists
         self._aggregate: AggregateIndex | None = None
-        #: the social-distance sketch behind ``method="approx"`` (see
-        #: :attr:`sketch`)
-        self._sketch: SketchIndex | None = sketch
         self._searchers: dict[str, object] = {}
         # Re-entrancy: queries are read-only (audited — every searcher
         # keeps per-query state in locals), so concurrent `query` calls
@@ -240,9 +232,9 @@ class GeoSocialEngine:
     @property
     def landmarks(self) -> LandmarkIndex:
         """The ALT landmark index (built on first use, once, under the
-        build lock).  ``tsa``, ``ais``, the ``approx`` sketch and
-        :meth:`save` read it; nothing on the ``auto`` path does.  A
-        snapshot load restores it without a build."""
+        build lock).  ``tsa``, ``ais`` and :meth:`save` read it; nothing
+        on the ``auto`` path does.  A snapshot load restores it without a
+        build."""
         if self._landmarks is None:
             with self._build_lock:
                 if self._landmarks is None:
@@ -268,18 +260,6 @@ class GeoSocialEngine:
                         self.locations,
                     )
         return self._aggregate
-
-    @property
-    def sketch(self) -> SketchIndex:
-        """The social-distance sketch (built on first use; required only
-        by ``method="approx"``)."""
-        if self._sketch is None:
-            with self._build_lock:
-                if self._sketch is None:
-                    self._sketch = SketchIndex.build(
-                        self.graph, self.landmarks, seed=self.seed, kernels=self.kernels
-                    )
-        return self._sketch
 
     # -- query dispatch -----------------------------------------------------
 
@@ -320,13 +300,11 @@ class GeoSocialEngine:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        *,
-        budget: float | None = None,
     ) -> SSRQResult:
         """Answer one SSRQ: the top-``k`` users by
         ``f = α·p/P_max + (1−α)·d/D_max`` around ``user``.
 
-        ``user`` is a user id — with ``k``/``alpha``/``method``/``budget``
+        ``user`` is a user id — with ``k``/``alpha``/``method``
         overriding the :class:`~repro.core.request.
         QueryRequest` defaults (``None``: keep the default) — or a
         ready-made request.  Every query runs one pipeline:
@@ -345,13 +323,8 @@ class GeoSocialEngine:
         without a location raises ``ValueError`` ("no known location")
         for every method unless ``alpha == 1``, where the spatial term
         is gone.
-
-        ``budget`` (default ``None``) is the acceptable score error.
-        ``auto`` answers exactly whatever the budget (an exact answer
-        meets any); ``method="approx"`` is the sketch fast path, whose
-        certified error bound lands on ``result.error_bound``.
         """
-        request = QueryRequest.coerce(user, k, alpha, method, budget)
+        request = QueryRequest.coerce(user, k, alpha, method)
         check_user(request.user, self.graph.n)
         resolved = self.resolve_method(request)
         if request.alpha < 1.0 and self.locations.get(request.user) is None:
@@ -381,7 +354,6 @@ class GeoSocialEngine:
         alpha: float | None = None,
         method: str | None = None,
         max_workers: int | None = None,
-        budget: float | None = None,
     ) -> list[SSRQResult]:
         """Answer a heterogeneous batch of SSRQs concurrently.
 
@@ -406,7 +378,7 @@ class GeoSocialEngine:
             if service is None:
                 service = QueryService(self, cache_size=0, max_workers=max_workers)
                 self._services[max_workers] = service
-        responses = service.query_many(requests, k, alpha, method, budget)
+        responses = service.query_many(requests, k, alpha, method)
         return [response.result for response in responses]
 
     def close(self) -> None:
@@ -581,9 +553,6 @@ SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
     "ais": lambda e: AggregateIndexSearch(
         e.graph, e.locations, e.landmarks, e.aggregate, e.normalization,
         AISVariant.full(), kernels=e.kernels,
-    ),
-    "approx": lambda e: ApproxSketchSearch(
-        e.graph, e.locations, e.normalization, e.sketch, kernels=e.kernels
     ),
     "bounded": lambda e: BoundedSearch(
         e.graph, e.locations, e.normalization, kernels=e.kernels

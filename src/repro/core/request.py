@@ -1,15 +1,14 @@
 """The one value a query's parameters travel as.
 
 Definition 1 of the paper makes an SSRQ one tuple ``⟨u_q, k, α⟩``;
-this codebase adds the processing ``method`` and the accuracy
-``budget``.  :class:`QueryRequest` is that tuple: the **only** place
-the defaults are written and the only place the per-field checks run
-(each delegating to :mod:`repro.utils.validation`, so every layer
-rejects a bad request with one wording).  The engine, the planner, the service's cache
-keys and the HTTP protocol all take or derive
-from it; the loose ``(user, k, alpha, method, budget)`` spelling
-survives only at the public edges, which fold it through
-:meth:`QueryRequest.coerce`.
+this codebase adds the processing ``method``.  :class:`QueryRequest` is
+that tuple: the **only** place the defaults are written and the only
+place the per-field checks run (each delegating to
+:mod:`repro.utils.validation`, so every layer rejects a bad request with
+one wording).  The engine, the planner, the service's cache keys and the
+HTTP protocol all take or derive from it; the loose
+``(user, k, alpha, method)`` spelling survives only at the public edges,
+which fold it through :meth:`QueryRequest.coerce`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 from repro.utils.validation import (
     check_alpha,
-    check_budget,
+    check_fields,
     check_k,
     check_method,
     check_user,
@@ -40,7 +39,7 @@ class QueryRequest:
 
         >>> from repro import QueryRequest
         >>> QueryRequest(user=42, k=10, alpha=0.3)
-        QueryRequest(user=42, k=10, alpha=0.3, method='auto', budget=None)
+        QueryRequest(user=42, k=10, alpha=0.3, method='auto')
         >>> QueryRequest.coerce(42, k=10) == QueryRequest(42, k=10)
         True
     """
@@ -49,8 +48,6 @@ class QueryRequest:
     k: int = 30
     alpha: float = 0.3
     method: str = "auto"
-    #: per-query accuracy budget (``None``/``0``: exact required)
-    budget: float | None = None
 
     def __post_init__(self) -> None:
         put = object.__setattr__
@@ -58,7 +55,6 @@ class QueryRequest:
         put(self, "k", check_k(self.k))
         put(self, "alpha", check_alpha(self.alpha))
         check_method(self.method)
-        put(self, "budget", check_budget(self.budget))
 
     @classmethod
     def coerce(
@@ -67,7 +63,6 @@ class QueryRequest:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        budget: float | None = None,
     ) -> "QueryRequest":
         """The public edges' one normalisation: an existing request
         passes through unchanged; a plain user id becomes a request,
@@ -75,24 +70,30 @@ class QueryRequest:
         this class"."""
         if isinstance(item, QueryRequest):
             return item
-        given = {"k": k, "alpha": alpha, "method": method, "budget": budget}
+        given = {"k": k, "alpha": alpha, "method": method}
         return cls(item, **{name: v for name, v in given.items() if v is not None})
 
     @classmethod
     def from_payload(cls, obj: dict, defaults: dict | None = None) -> "QueryRequest":
         """Build a request from a plain dict (the wire shape); omitted
         fields take their value from ``defaults`` (another such dict —
-        a batch body's top level), then the class defaults.  Raises
-        ``ValueError`` with the same wording contract every in-process
-        path uses, so the HTTP layer maps parse failures and engine
-        rejections identically.
+        a batch body's top level), then the class defaults.  A field this
+        class does not have is refused, never ignored, so a typo cannot
+        silently turn into a default.  Raises ``ValueError`` with the same
+        wording contract every in-process path uses, so the HTTP layer
+        maps parse failures and engine rejections identically.
 
             >>> from repro import QueryRequest
             >>> QueryRequest.from_payload({"user": 3, "k": 5})
-            QueryRequest(user=3, k=5, alpha=0.3, method='auto', budget=None)
+            QueryRequest(user=3, k=5, alpha=0.3, method='auto')
+            >>> QueryRequest.from_payload({"user": 3, "kk": 5})
+            Traceback (most recent call last):
+            ...
+            ValueError: unknown request field 'kk'; expected one of ('user', 'k', 'alpha', 'method')
         """
         if not isinstance(obj, dict):
             raise ValueError(f"expected a request object, got {obj!r}")
+        check_fields(obj, _FIELDS)
         if "user" not in obj:
             raise ValueError("request is missing required field 'user'")
         given = {name: defaults[name] for name in _FIELDS[1:] if name in (defaults or ())}

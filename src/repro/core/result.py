@@ -134,11 +134,6 @@ class SSRQResult:
     #: directly); for ``method="auto"`` requests this is the planner's
     #: per-query resolution
     method: str | None = None
-    #: certified score-error bound of an approximate result: every
-    #: reported neighbour's true ``f`` is within this distance of its
-    #: reported score.  ``None`` for exact methods (no error, no bound);
-    #: ``0.0`` is a *certified-exact* approx answer.
-    error_bound: float | None = None
     #: the encoded wire form, filled on first use by
     #: :func:`repro.service.model.result_wire`.  A result is never
     #: mutated once the engine handed it out (a cache repair builds a new

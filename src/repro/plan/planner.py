@@ -13,8 +13,7 @@ rules (an explicit method only takes the endpoint routing of
 
 1. at ``alpha == 0`` / ``alpha == 1`` the endpoint route
    (:func:`~repro.plan.rules.static_choice`: SPA / SFA);
-2. everywhere else ``bounded``, budgeted or not: an exact answer meets
-   any accuracy budget (``approx`` is served by name).
+2. everywhere else ``bounded``.
 
 (An unlocated query user below ``alpha == 1`` is rejected by the
 engine itself, for ``auto`` and every named method alike.)

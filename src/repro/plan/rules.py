@@ -44,7 +44,7 @@ class MethodSpec:
 
     #: the method dispatched instead at ``alpha == 0`` (``None``: itself).
     #: The social term is gated off, so social-first streams route to
-    #: SPA; ``approx`` has no social term left to approximate.
+    #: SPA.
     alpha0: str | None = None
     #: the method dispatched instead at ``alpha == 1`` (``None``: itself).
     #: Unlocated users are legitimate pure-social answers but absent
@@ -87,7 +87,6 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     "tsa": _TSA,
     "tsa-qc": _TSA,
     "ais": MethodSpec(alpha1="sfa"),
-    "approx": MethodSpec(alpha0="spa"),
     # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
     # over the ball that can hold an answer + one dense scan (or the
     # full column when that ball would hold nearly everyone); what

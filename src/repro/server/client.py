@@ -151,14 +151,13 @@ class ServerClient:
         k: "int | None" = None,
         alpha: "float | None" = None,
         method: "str | None" = None,
-        budget: "float | None" = None,
         deadline_ms: "float | None" = None,
     ) -> dict:
         """``POST /query`` for one request (a user id plus overrides of
         the :class:`~repro.core.request.QueryRequest` defaults, or a
         ready-made request — validated here, with the wording the
         server would answer)."""
-        request = QueryRequest.coerce(user, k, alpha, method, budget)
+        request = QueryRequest.coerce(user, k, alpha, method)
         return self.call(
             "POST", "/query", request.payload(), headers=self._deadline_headers(deadline_ms)
         )

@@ -15,10 +15,16 @@ flattens into Prometheus text format via :mod:`repro.server.metrics`.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from repro.core.request import QueryRequest
 from repro.server.errors import ApiError, INVALID_ARGUMENT
+from repro.utils.validation import check_fields
+
+#: what a batch body's top level may carry: the requests and the
+#: request fields that act as their defaults (every one but ``user``)
+_BATCH_FIELDS = ("requests", *(f.name for f in fields(QueryRequest) if f.name != "user"))
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
@@ -31,8 +37,10 @@ def parse_batch(obj: dict) -> "list[QueryRequest]":
          "k": 10, "alpha": 0.5, "method": "auto"}
 
     Top-level request fields act as defaults for the per-request
-    objects, mirroring ``QueryService.query_many``.
+    objects, mirroring ``QueryService.query_many``; any other top-level
+    field is refused like an unknown request field.
     """
+    check_fields(obj, _BATCH_FIELDS, "batch")
     requests = obj.get("requests")
     if not isinstance(requests, list) or not requests:
         raise ApiError(

@@ -2,8 +2,7 @@
 
 The service layer speaks in small immutable dataclasses rather than
 positional arguments: a :class:`~repro.core.request.QueryRequest`
-carries everything one SSRQ needs (user, ``k``, ``α``, method,
-accuracy ``budget``), a :class:`QueryResponse` pairs the request with
+carries everything one SSRQ needs (user, ``k``, ``α``, method), a :class:`QueryResponse` pairs the request with
 its :class:`~repro.core.result.SSRQResult` and serving metadata (was it
 a cache hit? how long did it take?), and :class:`ServiceStats` aggregates latency and cache behaviour across the
 service's lifetime — including a cumulative
@@ -60,7 +59,6 @@ def result_payload(result: SSRQResult) -> dict:
         "k": result.k,
         "alpha": result.alpha,
         "method": result.method,
-        "error_bound": result.error_bound,
         "users": result.users,
         "neighbors": [neighbor_payload(nb) for nb in result.neighbors],
     }

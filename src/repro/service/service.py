@@ -218,13 +218,7 @@ class QueryService:
         self, request: QueryRequest, engine: GeoSocialEngine, line: str
     ) -> tuple:
         """The cache line for one request under method component
-        ``line`` (:meth:`_line`).
-
-        The accuracy budget is part of the signature: an ``approx``
-        answer is approximate, so a budgeted line never satisfies an
-        exact request with otherwise identical parameters.
-        ``budget=0`` is normalised to the unset form — both demand
-        exactness, so they share a line."""
+        ``line`` (:meth:`_line`)."""
         norm = engine.normalization
         return (
             request.user,
@@ -232,7 +226,6 @@ class QueryService:
             request.alpha,
             line,
             (norm.p_max, norm.d_max),
-            request.budget or None,
         )
 
     def cached(self, request: QueryRequest) -> "QueryResponse | None":
@@ -264,13 +257,12 @@ class QueryService:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        budget: float | None = None,
     ) -> QueryResponse:
         """Serve one SSRQ (cache-first); a plain user id takes the
         keyword overrides (``None``: the
         :class:`~repro.core.request.QueryRequest` default)."""
         self._check_open()
-        return self._serve([QueryRequest.coerce(request, k, alpha, method, budget)])[0]
+        return self._serve([QueryRequest.coerce(request, k, alpha, method)])[0]
 
     def query_many(
         self,
@@ -278,7 +270,6 @@ class QueryService:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        budget: float | None = None,
     ) -> list[QueryResponse]:
         """Serve a batch: cache lookups, in-batch deduplication, then
         concurrent execution of the distinct remainder.
@@ -291,7 +282,7 @@ class QueryService:
         """
         self._check_open()
         responses = self._serve(
-            [QueryRequest.coerce(item, k, alpha, method, budget) for item in requests]
+            [QueryRequest.coerce(item, k, alpha, method) for item in requests]
         )
         with self._stats_lock:
             self.stats.batches += 1

@@ -13,10 +13,6 @@ What goes to disk is exactly the columnar data plane:
 ``graph_wts``
 ``grid_*``             the grid's cell arrays, encoding cell
                        coordinates *and* in-cell insertion order
-``sketch_*``           optional social-distance sketch CSR columns
-                       (only when the engine has materialised one;
-                       older snapshots simply lack them and the sketch
-                       rebuilds lazily on first use)
 =====================  ================================================
 
 plus a manifest carrying the format version, the engine config (kind,
@@ -102,20 +98,6 @@ def _write_engine(engine, tmp: Path) -> dict:
         "landmarks": [int(l) for l in landmarks.landmarks],
         "grid_bbox": [bbox.minx, bbox.miny, bbox.maxx, bbox.maxy],
     }
-    # The social-distance sketch is persisted only once the engine has
-    # actually materialised one (it is expensive to build and optional
-    # to have): the section is additive, so snapshots without it load
-    # unchanged on every format-1 reader.
-    sketch = engine._sketch
-    if sketch is not None:
-        put("sketch_indptr", _np.asarray(sketch.indptr, dtype=_np.int64))
-        put("sketch_nbrs", _np.asarray(sketch.nbrs, dtype=_np.int64))
-        put("sketch_dists", _np.asarray(sketch.dists, dtype=_np.float64))
-        config["sketch"] = {
-            "version": 1,
-            "max_entries": int(sketch.max_entries),
-            "empirical_half": float(sketch.empirical_half),
-        }
     return {"kind": "engine", "config": config, "columns": columns}
 
 
@@ -172,7 +154,8 @@ def _column(path, manifest: dict, name: str, *, mmap: bool, verify: bool):
 def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
     """The engine a ``kind: "engine"`` manifest describes.  Config keys
     older writers added and nothing reads any more (``index_users``,
-    ``default_t``) are ignored, so their snapshots load unchanged."""
+    ``default_t``, the ``sketch`` section and its ``sketch_*``
+    columns) are ignored, so their snapshots load unchanged."""
     from repro.backend import resolve_backend
     from repro.core.engine import GeoSocialEngine
     from repro.core.ranking import Normalization
@@ -236,7 +219,6 @@ def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
         landmarks=landmarks,
         backend=resolve_backend(config["backend"]),
         grid=_restore_grid(path, manifest, config["grid_bbox"], fanout, verify=verify),
-        sketch=_load_sketch(path, manifest, graph, landmarks, mmap=mmap, verify=verify),
     )
 
 
@@ -264,39 +246,6 @@ def _restore_grid(path, manifest, bbox4, fanout, *, verify):
         return UniformGrid.from_arrays(bbox, fanout * fanout, users, ixs, iys)
     except (TypeError, ValueError) as err:
         raise StoreCorruptionError(f"grid columns grid_* are invalid: {err}") from err
-
-
-def _load_sketch(path, manifest: dict, graph, landmarks, *, mmap: bool, verify: bool):
-    """The persisted sketch, or ``None`` when the snapshot predates the
-    sketch section.  Absence is *not* corruption — the engine rebuilds
-    its sketch lazily on first approx/budgeted use — but a half-present
-    section (columns without metadata, or inconsistent CSR shapes) is.
-    """
-    from repro.sketch.index import SketchIndex
-
-    if manifest["columns"].get("sketch_indptr") is None:
-        return None
-    meta = manifest["config"].get("sketch")
-    if not isinstance(meta, dict):
-        raise StoreCorruptionError(
-            f"snapshot at {path} stores sketch columns but no sketch "
-            "metadata section — the manifest is mutually inconsistent"
-        )
-    indptr = _column(path, manifest, "sketch_indptr", mmap=mmap, verify=verify)
-    nbrs = _column(path, manifest, "sketch_nbrs", mmap=mmap, verify=verify)
-    dists = _column(path, manifest, "sketch_dists", mmap=mmap, verify=verify)
-    try:
-        return SketchIndex.from_tables(
-            graph,
-            landmarks,
-            indptr,
-            nbrs,
-            dists,
-            max_entries=int(meta["max_entries"]),
-            empirical_half=float(meta["empirical_half"]),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise StoreCorruptionError(f"sketch columns are inconsistent: {err}") from err
 
 
 def load_engine(path, *, mmap: bool = True, verify: bool = True):

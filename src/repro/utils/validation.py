@@ -33,16 +33,13 @@ def check_k(k: int) -> int:
     return int(k)
 
 
-def check_budget(budget: float | None) -> float | None:
-    """Validate a per-query accuracy budget (``None`` means exact)."""
-    if budget is None:
-        return None
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)):
-        raise ValueError(f"budget must be a number, got {budget!r}")
-    value = float(budget)
-    if not 0.0 <= value <= 1.0:  # NaN fails the chained comparison too
-        raise ValueError(f"budget must be in [0, 1], got {budget!r}")
-    return value
+def check_fields(obj: dict, allowed: tuple, what: str = "request") -> None:
+    """Refuse a wire object carrying a field outside ``allowed``, naming
+    the first such field (a typo'd or retired field is an error, never a
+    silent default)."""
+    for name in obj:
+        if name not in allowed:
+            raise ValueError(f"unknown {what} field {name!r}; expected one of {allowed}")
 
 
 def check_positive(name: str, value: float) -> float:

@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 from repro.core.engine import GeoSocialEngine
 from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
 
-# "approx" is excluded by construction: it answers from sketches with a
-# bounded rank error, so its property is |score - exact| <= error_bound
-# (pinned in tests/test_sketch.py), not score equality.
-ALL_BUT_BRUTE = [m for m in ALL_METHODS if m not in ("bruteforce", "approx")]
+ALL_BUT_BRUTE = [m for m in ALL_METHODS if m != "bruteforce"]
 
 
 class TestOnSharedEngine:

@@ -63,11 +63,6 @@ def assert_matches_bruteforce(engine, method, result, user, k, alpha):
     reference = engine.searcher("bruteforce").search(user, k, alpha)
     if METHOD_TABLE[result.method].forward:
         assert fingerprint(result) == fingerprint(reference), (method, user, alpha)
-    elif result.method == "approx":
-        truth = {nb.user: nb.score for nb in
-                 engine.searcher("bruteforce").search(user, engine.graph.n, alpha)}
-        for nb in result.neighbors:
-            assert abs(nb.score - truth[nb.user]) <= result.error_bound + 1e-9
     else:  # AIS: bidirectional evaluation may differ in the last ulp
         assert_same_scores(reference, result)
 

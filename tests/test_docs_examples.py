@@ -57,8 +57,6 @@ DOCUMENTED_MODULES = [
     "repro.service.model",
     "repro.service.cache",
     "repro.service.service",
-    "repro.sketch.index",
-    "repro.sketch.searcher",
     "repro.store",
     "repro.store.format",
     "repro.store.snapshot",

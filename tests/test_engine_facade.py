@@ -19,8 +19,7 @@ REQUESTS = [
     QueryRequest(3),
     QueryRequest(3, k=7, alpha=0.0, method="spa"),
     QueryRequest(3, k=7, alpha=1.0, method="ais"),
-    QueryRequest(3, k=7, alpha=0.5, method="auto", budget=0.05),
-    QueryRequest(3, k=7, alpha=0.5, method="auto", budget=0),
+    QueryRequest(3, k=7, alpha=0.5, method="auto"),
 ]
 
 
@@ -35,15 +34,16 @@ def test_request_round_trips_every_boundary_unchanged(request_):
 
 
 def test_cache_key_is_built_from_the_request_and_exactness_collapses():
+    """Every answer is exact, so the key is the question and the line
+    alone: ``(user, k, α, line, normalization)``, with no accuracy
+    component to tell two exact requests apart."""
     graph, locations = random_instance(60, seed=11, coverage=0.9)
     engine = GeoSocialEngine(graph, locations, num_landmarks=2, s=3, seed=1)
     with QueryService(engine, cache_size=8) as service:
-        unset = QueryRequest(3, k=7, alpha=0.5, method="spa")
-        zero = QueryRequest(3, k=7, alpha=0.5, method="spa", budget=0)
-        budgeted = QueryRequest(3, k=7, alpha=0.5, method="spa", budget=0.05)
-        key = service._cache_key(unset, engine, "spa")
-        assert key[:4] == (3, 7, 0.5, "spa")
-        assert service._cache_key(zero, engine, "spa") == key  # budget=0 ≡ None
-        assert service._cache_key(budgeted, engine, "spa") != key
-        via_wire = QueryRequest.from_payload(json.loads(json.dumps(unset.payload())))
+        request = QueryRequest(3, k=7, alpha=0.5, method="spa")
+        key = service._cache_key(request, engine, "spa")
+        norm = engine.normalization
+        assert key == (3, 7, 0.5, "spa", (norm.p_max, norm.d_max))
+        via_wire = QueryRequest.from_payload(json.loads(json.dumps(request.payload())))
         assert service._cache_key(via_wire, engine, "spa") == key
+        assert QueryRequest.coerce(3, 7, 0.5, "spa") == request

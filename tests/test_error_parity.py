@@ -77,12 +77,14 @@ CASES = [
     ("alpha_nan", dict(k=5, alpha=float("nan")), "invalid_argument",
      "alpha must be in [0, 1], got nan"),
     ("bad_method", dict(k=5, method="warp"), "invalid_argument", "unknown method 'warp'"),
-    ("budget_high", dict(k=5, budget=1.5), "invalid_argument",
-     "budget must be in [0, 1]"),
-    ("budget_negative", dict(k=5, budget=-0.1), "invalid_argument",
-     "budget must be in [0, 1]"),
-    ("budget_nan", dict(k=5, budget=float("nan")), "invalid_argument",
-     "budget must be in [0, 1], got nan"),
+    # the retired bounded-error method is unknown at every alpha, the
+    # endpoints (where it used to be routed) included
+    ("approx_method", dict(k=5, method="approx"), "invalid_argument",
+     "unknown method 'approx'"),
+    ("approx_alpha0", dict(k=5, alpha=0.0, method="approx"), "invalid_argument",
+     "unknown method 'approx'"),
+    ("approx_alpha1", dict(k=5, alpha=1.0, method="approx"), "invalid_argument",
+     "unknown method 'approx'"),
     # the figure-only variants are not served, under any alias
     ("variant_name", dict(k=5, method="ais-minus"), "invalid_argument",
      "unknown method 'ais-minus'"),
@@ -117,16 +119,75 @@ def test_parameter_errors_agree_across_layers(
 def test_t_is_no_longer_a_query_parameter(engine, client, located):
     """``ais-cache`` left the served tier and took its list length
     with it: the request model has no ``t`` field, and a ``"t"`` key in
-    a JSON body is ignored like any other unknown key."""
+    a JSON body is refused like any other unknown field."""
     with pytest.raises(TypeError):
         QueryRequest(located, t=5)
     with pytest.raises(TypeError):
         engine.query(located, t=5)
     plain = client.request("POST", "/query", {"user": located, "method": "tsa"})
-    with_t = client.request("POST", "/query", {"user": located, "method": "tsa", "t": 5})
-    assert with_t[0] == plain[0] == 200
-    assert with_t[2]["request"] == plain[2]["request"] and "t" not in with_t[2]["request"]
-    assert with_t[2]["result"]["users"] == plain[2]["result"]["users"]
+    assert plain[0] == 200 and "t" not in plain[2]["request"]
+    status, _, body = client.request(
+        "POST", "/query", {"user": located, "method": "tsa", "t": 5}
+    )
+    assert (status, body["error"]["type"]) == (400, "invalid_argument")
+    assert "unknown request field 't'" in body["error"]["message"]
+
+
+UNKNOWN_FIELDS = [
+    # (case id, body beyond "user", the field the error must name)
+    ("retired_budget", {"budget": 0.05}, "budget"),
+    ("typo_k", {"kk": 5}, "kk"),
+    ("typo_method", {"kk": 5, "methd": "spa"}, "kk"),
+]
+
+
+@pytest.mark.parametrize("name,extra,field", UNKNOWN_FIELDS)
+def test_unknown_request_fields_are_refused_on_every_path(
+    engine, service, client, located, name, extra, field
+):
+    """A typo'd or retired field used to be dropped silently, so
+    ``{"user": 3, "kk": 5, "methd": "spa"}`` answered ``k=30`` with
+    ``auto``.  The request model refuses it with one ``ValueError``
+    naming the field; the wire answers that message as a typed 400 for
+    ``/query``, for each object of ``/query/batch`` and for the batch's
+    own top level; the keyword edges refuse it as Python does."""
+    body = dict({"user": located}, **extra)
+    with pytest.raises(ValueError) as excinfo:
+        QueryRequest.from_payload(body)
+    message = str(excinfo.value)
+    assert f"unknown request field {field!r}" in message
+    for path in (engine.query, service.query):
+        with pytest.raises(TypeError):
+            path(located, **extra)
+    for route, payload in (
+        ("/query", body),
+        ("/query/batch", {"requests": [{"user": located}, body]}),
+    ):
+        status, _, reply = client.request("POST", route, payload)
+        assert (status, reply["error"]["type"]) == (400, "invalid_argument"), route
+        assert reply["error"]["message"] == message, route
+    assert classify_exception(ValueError(message)) == (400, "invalid_argument")
+    status, _, reply = client.request(
+        "POST", "/query/batch", dict({"requests": [{"user": located}]}, **extra)
+    )
+    assert (status, reply["error"]["type"]) == (400, "invalid_argument")
+    assert f"unknown batch field {field!r}" in reply["error"]["message"]
+
+
+def test_batch_top_level_takes_requests_and_request_defaults_only(client, located):
+    """The batch body's top level carries ``requests`` and the request
+    fields that default its members; a top-level ``user`` defaults
+    nothing, so it is refused too."""
+    ok = client.request(
+        "POST", "/query/batch",
+        {"requests": [{"user": located}], "k": 4, "alpha": 0.5, "method": "spa"},
+    )
+    assert ok[0] == 200 and ok[2]["responses"][0]["request"]["k"] == 4
+    status, _, reply = client.request(
+        "POST", "/query/batch", {"requests": [{"user": located}], "user": located}
+    )
+    assert (status, reply["error"]["type"]) == (400, "invalid_argument")
+    assert "unknown batch field 'user'" in reply["error"]["message"]
 
 
 def test_unknown_user_parity(engine, service, client):
@@ -204,8 +265,7 @@ def test_every_method_answers_an_unlocated_user_at_alpha_one(
     via_service = service.query(unlocated, k=5, alpha=1.0, method=method)
     served = client.query(unlocated, k=5, alpha=1.0, method=method)
     assert served["result"]["users"] == direct.users == via_service.result.users
-    if method != "approx":  # the sketch answers within its bound, not exactly
-        assert direct.users == engine.query(unlocated, 5, 1.0, "bruteforce").users
+    assert direct.users == engine.query(unlocated, 5, 1.0, "bruteforce").users
 
 
 def test_a_subscription_for_an_unlocated_user_suspends_whatever_the_method(
@@ -401,7 +461,7 @@ TYPE_CASES = [
     ("user_float", dict(user=1.5), "user must be an integer id, got 1.5"),
     ("k_bool", dict(k=True), "k must be an integer, got True"),
     ("k_float", dict(k=2.5), "k must be an integer, got 2.5"),
-    ("budget_word", dict(budget="lots"), "budget must be a number, got 'lots'"),
+    ("alpha_bool", dict(alpha=True), "alpha must be a number, got True"),
     ("method_number", dict(method=7), "method must be a string, got 7"),
 ]
 
@@ -410,7 +470,7 @@ TYPE_CASES = [
 def test_malformed_field_types_agree_across_layers(
     engine, service, client, located, name, params, message
 ):
-    """Non-integer ``user``/``k``, non-numeric ``budget`` and
+    """Non-integer ``user``/``k``, non-numeric ``alpha`` and
     non-string ``method`` are rejected with one wording by the request model itself (it used to
     accept ``QueryRequest(user="x")`` silently), so the engine, the
     service and the wire all answer identically."""
@@ -429,8 +489,8 @@ def test_malformed_field_types_agree_across_layers(
     assert body["error"]["message"] == message
 
 
-# -- CLI parity (satellite: `repro query` maps malformed k/alpha/budget
-# -- to the engine's wording, exit code 1, no stack trace) -------------
+# -- CLI parity: `repro query` maps malformed k/alpha/method to the
+# -- engine's wording, exit code 1, no stack trace ----------------------
 
 CLI_CASES = [
     # (case id, extra argv, the engine's pinned message)
@@ -439,8 +499,7 @@ CLI_CASES = [
     ("alpha_word", ["--alpha", "lots"], "alpha must be a number, got 'lots'"),
     ("alpha_nan", ["--alpha", "nan"], "alpha must be in [0, 1], got nan"),
     ("alpha_high", ["--alpha", "2.5"], "alpha must be in [0, 1], got 2.5"),
-    ("budget_word", ["--budget", "much"], "budget must be a number, got 'much'"),
-    ("budget_high", ["--budget", "1.5"], "budget must be in [0, 1], got 1.5"),
+    ("approx_method", ["--method", "approx"], "unknown method 'approx'"),
 ]
 
 
@@ -461,7 +520,7 @@ def cli_runner():
 def test_cli_malformed_parameters_match_engine_wording(
     cli_runner, engine_dir, handle, located, name, argv, message
 ):
-    """`repro query` rejects malformed k/alpha/budget with exactly the
+    """`repro query` rejects malformed k/alpha/method with exactly the
     engine's message — locally and through --server — as a clean
     exit-1 error, never a click usage error or a traceback."""
     from repro.cli.commands import cli

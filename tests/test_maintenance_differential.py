@@ -48,8 +48,9 @@ import repro.stream.conditions
 import repro.stream.registry
 import repro.stream.subscription
 from repro.core.engine import GeoSocialEngine
-from repro.core.result import Neighbor
+from repro.core.result import Neighbor, SSRQResult
 from repro.graph.socialgraph import SocialGraph
+from repro.plan.rules import METHOD_TABLE
 from repro.service import QueryRequest, QueryService, ResultCache
 from repro.stream import (
     NOOP,
@@ -459,3 +460,17 @@ def test_removed_options_stay_removed():
         inspect.signature(GeoSocialEngine.__init__).parameters
     )
     assert "initial" not in inspect.signature(GeoSocialEngine.query).parameters
+    # exact answers only: no sketch package, no ``approx`` method, no
+    # ``budget`` at any edge, no ``sketch=`` and no ``error_bound``
+    assert "sketch" not in {module.name for module in pkgutil.iter_modules(repro.__path__)}
+    assert "approx" not in METHOD_TABLE
+    assert "budget" not in {f.name for f in dataclasses.fields(QueryRequest)}
+    for edge in (
+        QueryRequest.coerce, GeoSocialEngine.query, GeoSocialEngine.query_many,
+        QueryService.query, QueryService.query_many, ServerClient.query,
+    ):
+        assert "budget" not in inspect.signature(edge).parameters, edge.__qualname__
+    assert "--budget" not in {opt for p in query_command.params for opt in p.opts}
+    assert "sketch" not in inspect.signature(GeoSocialEngine.__init__).parameters
+    assert not hasattr(GeoSocialEngine, "sketch")
+    assert "error_bound" not in {f.name for f in dataclasses.fields(SSRQResult)}

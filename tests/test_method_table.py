@@ -26,12 +26,12 @@ from tests.conftest import random_instance
 SRC = Path(repro.__file__).resolve().parent
 
 
-def test_the_served_tier_is_eight_methods_and_five_parameters():
+def test_the_served_tier_is_seven_methods_and_four_parameters():
     assert METHODS == (
-        "sfa", "spa", "tsa", "tsa-qc", "ais", "approx", "bounded", "bruteforce"
+        "sfa", "spa", "tsa", "tsa-qc", "ais", "bounded", "bruteforce"
     )
     assert [f.name for f in dataclasses.fields(QueryRequest)] == [
-        "user", "k", "alpha", "method", "budget",
+        "user", "k", "alpha", "method",
     ]
     assert AUTO not in METHOD_TABLE
     assert not set(VARIANTS) & set(METHOD_TABLE), "a variant is served"

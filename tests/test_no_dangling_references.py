@@ -8,8 +8,11 @@ Structural pins for the bench estate after it was folded into
   workflow, the verify skill and the ``repro.bench`` / ``benchmarks``
   docstrings is in the tree (deleted scripts and never-written design
   notes used to be cited for years);
-- the only wall-clock-gate escape switches left are the two whose
-  layers perfbench does not measure yet.
+- no wall-clock-gate escape switch is left: ``perfbench/compare.py``
+  is the one gate;
+- the retired bounded-error path (the sketch package, ``approx``,
+  ``budget``, ``error_bound``) is named nowhere a reader would follow
+  it.
 """
 
 from __future__ import annotations
@@ -91,17 +94,38 @@ def test_the_reference_scanner_sees_what_it_should():
     ]
 
 
-def test_only_the_one_unsuperseded_gate_switch_remains():
-    """``perfbench/compare.py`` is the one wall-clock gate and has no
-    report-only mode; the approx script keeps its switch until perfbench
-    has a workload for that layer."""
+def _scan(pattern: str, paths) -> dict[str, set[str]]:
+    """``{match: files}`` for ``pattern`` over the ``.py``/``.md``/
+    ``.yml``/``.toml`` files under ``paths`` (the history documents and
+    ``.git`` skipped)."""
     history = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
     found: dict[str, set[str]] = {}
-    for path in ROOT.rglob("*"):
-        if path.suffix not in {".py", ".md", ".yml", ".toml"} or not path.is_file():
-            continue
-        if path.name in history or ".git" in path.relative_to(ROOT).parts:
-            continue
-        for name in re.findall(r"REPRO_[A-Z]+_GATE", path.read_text(encoding="utf-8")):
-            found.setdefault(name, set()).add(str(path.relative_to(ROOT)))
-    assert set(found) == {"REPRO_APPROX_GATE"}, found
+    for root in paths:
+        for path in [root] if root.is_file() else root.rglob("*"):
+            if path.suffix not in {".py", ".md", ".yml", ".toml"} or not path.is_file():
+                continue
+            if path.name in history or ".git" in path.relative_to(ROOT).parts:
+                continue
+            for name in re.findall(pattern, path.read_text(encoding="utf-8")):
+                found.setdefault(name, set()).add(str(path.relative_to(ROOT)))
+    return found
+
+
+def test_no_report_only_gate_switch_remains():
+    """``perfbench/compare.py`` is the one wall-clock gate and has no
+    report-only mode; the last ``REPRO_*_GATE`` switch left with the
+    approx script."""
+    assert _scan(r"REPRO_[A-Z]+_GATE", [ROOT]) == {}
+
+
+def test_the_bounded_error_path_is_named_nowhere():
+    """Every method answers exactly: the code, benchmarks, examples, CI
+    and the two reader-facing documents name neither the sketch package
+    nor ``approx``'s certified-bound plumbing (its gate switch is the
+    test above's)."""
+    retired = (
+        r"repro\.sketch|SketchIndex|ApproxSketchSearch|error_bound|check_budget"
+        r"|BENCH_approx|bench_approx"
+    )
+    homes = ["src", "benchmarks", "examples", ".github", "README.md", "docs/ARCHITECTURE.md"]
+    assert _scan(retired, [ROOT / home for home in homes]) == {}

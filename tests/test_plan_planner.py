@@ -33,7 +33,6 @@ class TestRules:
         for method in METHODS:
             assert route_method(method, 0.4) == method
         assert route_method("tsa", 0.0) == "spa"
-        assert route_method("approx", 0.0) == "spa"
         assert route_method("ais", 1.0) == "sfa"
         assert route_method("ais", 0.0) == "ais"
         assert route_method("bruteforce", 0.0) == "bruteforce"
@@ -104,11 +103,10 @@ class TestPlanner:
         planner = Planner()
         unlocated = next(u for u in range(engine.graph.n) if engine.locations.get(u) is None)
         for alpha in (1e-9, 0.3, 0.999):
-            for budget in (None, 0.0, 0.5):
-                request = QueryRequest(located(engine)[0], 10, alpha, AUTO, budget)
-                assert planner.resolve(engine, request) == "bounded"
+            request = QueryRequest(located(engine)[0], 10, alpha, AUTO)
+            assert planner.resolve(engine, request) == "bounded"
         assert planner.stats.snapshot() == {
-            "auto_resolutions": 9, "static_routes": 0, "per_method": {"bounded": 9},
+            "auto_resolutions": 3, "static_routes": 0, "per_method": {"bounded": 3},
         }
         for method in (AUTO, "bruteforce"):
             with pytest.raises(ValueError, match="no known location"):
@@ -205,22 +203,6 @@ class TestPlanner:
         for candidates in (("sfa", "tsa_qc"), ("sfa", AUTO), Planner.candidates):
             with pytest.raises(TypeError, match="candidates"):
                 AdaptivePlanner(candidates=candidates)
-
-    def test_inadmissible_budget_strips_approx(self):
-        """A budget too tight for the sketch to certify keeps ``auto``
-        exact, as does every other budget: ``approx`` is served by name
-        only, and resolving a budgeted request never builds the sketch
-        to price it."""
-        graph, locations = random_instance(250, seed=11, coverage=0.8)
-        fresh = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=5)
-        user = located(fresh)[0]
-        brute = fresh.query(user, 10, 0.5, method="bruteforce")
-        for budget in (1e-9, 1e-3):
-            assert fresh.resolve_method(QueryRequest(user, 10, 0.5, AUTO, budget)) == "bounded"
-            result = fresh.query(user, 10, 0.5, budget=budget)
-            assert result.method == "bounded" and result.error_bound is None
-            assert (result.users, result.scores) == (brute.users, brute.scores)
-        assert fresh._sketch is None
 
     def test_planner_survives_with_graph_rebuild(self, engine):
         rebuilt = engine.with_graph(engine.graph)

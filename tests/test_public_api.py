@@ -21,7 +21,6 @@ SUBPACKAGES = [
     "repro.bench",
     "repro.plan",
     "repro.service",
-    "repro.sketch",
     "repro.store",
     "repro.stream",
     "repro.utils",

@@ -543,7 +543,11 @@ def test_concurrent_queries_and_updates_no_corruption(engine):
 
 def test_lazy_searcher_construction_is_race_free():
     graph, locations = random_instance(80, seed=5, coverage=1.0)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=2, s=3, seed=1)
+    # no column cache: a cached column would answer before some
+    # searchers are ever built
+    engine = GeoSocialEngine(
+        graph, locations, num_landmarks=2, s=3, seed=1, social_cache_bytes=0
+    )
     user = next(iter(locations.located_users()))
     results: list = []
 
@@ -552,7 +556,7 @@ def test_lazy_searcher_construction_is_race_free():
 
     threads = [
         threading.Thread(target=build, args=(m,))
-        for m in ("ais", "ais", "approx", "approx", "tsa", "tsa")
+        for m in ("ais", "ais", "bounded", "bounded", "tsa", "tsa")
     ]
     for t in threads:
         t.start()
@@ -563,9 +567,8 @@ def test_lazy_searcher_construction_is_race_free():
         by_method.setdefault(method, set()).add(tuple(users_))
     for method, outcomes in by_method.items():
         assert len(outcomes) == 1, f"non-deterministic {method}: {outcomes}"
-    # Exactly one searcher instance per method key survives (and one
-    # lazily built sketch behind "approx").
-    assert sorted(engine._searchers) == ["ais", "approx", "tsa"]
+    # Exactly one searcher instance per method key survives.
+    assert sorted(engine._searchers) == ["ais", "bounded", "tsa"]
 
 
 # ---------------------------------------------------------------- primitives
@@ -654,14 +657,6 @@ def test_auto_repeat_hits_the_question_line_whatever_the_planner_now_prefers():
         assert named.result.users == first.result.users
         assert service.query(user, k=5, alpha=0.4, method="tsa").cached
         assert len(service.cache) == 2
-        # a budgeted auto request keeps its own line (the budget is part
-        # of every key): it is not answered from either unbudgeted line
-        budgeted = service.query(user, k=5, alpha=0.4, budget=0.25)
-        assert not budgeted.cached
-        assert len(service.cache) == 3
-        assert service.query(user, k=5, alpha=0.4, budget=0.25).cached
-        # budget=0 demands exactness: it *is* the question
-        assert service.query(user, k=5, alpha=0.4, budget=0).cached
 
 
 def test_cached_probe_counts_like_query_and_never_plans(engine):
@@ -683,12 +678,8 @@ def test_cached_probe_counts_like_query_and_never_plans(engine):
         service.query(other)
         assert service.cached(auto) is not None
         assert list(service.cache._entries)[-1][0] == user
-        # named methods probe their routed line, a budgeted auto its own
+        # named methods probe their routed line
         assert service.cached(other).cached
-        budgeted = QueryRequest(user, k=5, alpha=0.4, budget=0.25)
-        assert service.cached(budgeted) is None
-        service.query(budgeted)
-        assert service.cached(budgeted).cached
         # a held engine write lock does not hold the probe up
         with engine.rw_lock.write_locked():
             assert service.cached(auto) is not None

@@ -331,82 +331,33 @@ def test_committed_snapshot_with_gutted_directory_fails_loudly(tmp_path):
             manager.latest()
 
 
-# -- sketch persistence (satellite: torn/absent sketch sections) ---------
+# -- retired sections: snapshots written with a sketch still load --------
 
 
-@pytest.fixture()
-def saved_with_sketch(tmp_path):
-    engine = make_engine(n=80)
-    engine.sketch  # materialise so save() persists the sketch columns
-    path = tmp_path / "snap-sketch"
-    engine.save(path)
-    return engine, path
+def test_snapshot_with_retired_sketch_columns_loads_and_ignores_them(saved):
+    """Snapshots once carried an optional social-distance sketch: three
+    ``sketch_*`` CSR columns plus a ``config["sketch"]`` section.  The
+    bounded-error path that read them is gone; such a snapshot loads
+    (checksums verified, columns mapped or not) with the extra columns
+    and section ignored, and answers like the engine that saved it."""
+    import numpy as np
 
+    from repro.store.format import write_column
 
-def test_sketch_round_trips_through_snapshot(saved_with_sketch):
-    """A persisted sketch warm-starts without re-enumeration or
-    re-probing: identical metadata, identical approx answers."""
-    engine, path = saved_with_sketch
-    warm = load_engine(path)
-    assert warm._sketch is not None, "sketch columns must restore eagerly"
-    assert warm._sketch.empirical_half == engine.sketch.empirical_half
-    assert warm._sketch.entry_count() == engine.sketch.entry_count()
-    assert warm._sketch.max_entries == engine.sketch.max_entries
-    user = sorted(engine.locations.located_users())[0]
-    got = warm.query(user=user, k=5, alpha=0.3, method="approx")
-    want = engine.query(user=user, k=5, alpha=0.3, method="approx")
-    assert got.users == want.users
-    assert got.scores == want.scores
-    assert got.error_bound == want.error_bound
-
-
-def test_torn_sketch_column_raises_corruption(saved_with_sketch):
-    """A torn/bit-flipped sketch column is detected like any other
-    column — corruption, never a silently wrong sketch."""
-    _, path = saved_with_sketch
-    for name in ("sketch_indptr", "sketch_nbrs", "sketch_dists"):
-        column = path / f"{name}.npy"
-        original = column.read_bytes()
-        damaged = bytearray(original)
-        damaged[len(damaged) // 2] ^= 0xFF
-        column.write_bytes(bytes(damaged))
-        with pytest.raises(StoreCorruptionError, match="checksum mismatch"):
-            load_engine(path)
-        column.write_bytes(original)
-    load_engine(path)  # pristine again
-
-
-def test_sketch_columns_without_metadata_are_corruption(saved_with_sketch):
-    _, path = saved_with_sketch
-    manifest = path / MANIFEST_NAME
-    doc = json.loads(manifest.read_text())
-    del doc["config"]["sketch"]
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(StoreCorruptionError, match="sketch"):
-        load_engine(path, verify=False)
-
-
-def test_inconsistent_sketch_metadata_is_corruption(saved_with_sketch):
-    _, path = saved_with_sketch
-    manifest = path / MANIFEST_NAME
-    doc = json.loads(manifest.read_text())
-    doc["config"]["sketch"]["max_entries"] = "not-a-number"
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(StoreCorruptionError, match="sketch columns are inconsistent"):
-        load_engine(path, verify=False)
-
-
-def test_snapshot_without_sketch_section_rebuilds_lazily(saved):
-    """An old-format snapshot (no sketch was ever built) loads cleanly
-    with no sketch — *not* a corruption error — and the first approx
-    query rebuilds one whose answers match the saved engine's."""
     engine, path = saved
-    assert engine._sketch is None, "fixture must predate the sketch"
-    loaded = load_engine(path)
-    assert loaded._sketch is None
-    user = sorted(engine.locations.located_users())[0]
-    got = loaded.query(user=user, k=5, alpha=0.3, method="approx")
-    want = engine.query(user=user, k=5, alpha=0.3, method="approx")
-    assert loaded._sketch is not None  # rebuilt on demand
-    assert got.users == want.users and got.scores == want.scores
-    assert got.error_bound == want.error_bound
+    manifest = path / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    n = engine.graph.n
+    doc["columns"]["sketch_indptr"] = write_column(path, "sketch_indptr", np.zeros(n + 1, np.int64))
+    doc["columns"]["sketch_nbrs"] = write_column(path, "sketch_nbrs", np.zeros(0, np.int64))
+    doc["columns"]["sketch_dists"] = write_column(path, "sketch_dists", np.zeros(0, np.float64))
+    doc["config"]["sketch"] = {"version": 1, "max_entries": 64, "empirical_half": 0.25}
+    manifest.write_text(json.dumps(doc))
+    reference = reference_answers(engine)
+    for mmap in (True, False):
+        loaded = load_engine(path, mmap=mmap, verify=True)
+        assert not hasattr(loaded, "sketch")
+        assert_matches_reference(loaded, reference)
+    # the columns are never read: a listed-but-absent one is no error
+    (path / "sketch_dists.npy").unlink()
+    assert_matches_reference(load_engine(path), reference)

@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GeoSocialEngine, SocialGraph, gowalla_like
-from repro.plan.rules import METHOD_TABLE
 from repro.service import QueryService
 from repro.store import MANIFEST_NAME, load_engine
 from tests.conftest import random_instance
@@ -216,10 +215,9 @@ def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path):
         )
         assert sorted(folded.graph.edges()) == sorted(fresh.graph.edges())
         users = located_sample(folded, count=4)
-        exact = tuple(m for m in METHOD_TABLE if m != "approx")
-        assert_bit_identical(folded, fresh, users, methods=exact)
+        assert_bit_identical(folded, fresh, users)
         folded.save(tmp_path / "snap")
-        assert_bit_identical(folded, load_engine(tmp_path / "snap"), users, methods=exact)
+        assert_bit_identical(folded, load_engine(tmp_path / "snap"), users)
         folded.close()
 
 

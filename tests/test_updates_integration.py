@@ -14,8 +14,7 @@ from repro.core.engine import GeoSocialEngine
 from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
 
 #: every method that must equal brute force — served and variant alike
-#: (``approx`` answers within a certified bound instead)
-EXACT_METHODS = [m for m in ALL_METHODS if m not in ("approx", "bruteforce")]
+EXACT_METHODS = [m for m in ALL_METHODS if m != "bruteforce"]
 
 
 @pytest.fixture()
