@@ -28,13 +28,14 @@ from repro.backend.base import positions_are_ids, settle_all
 INF = math.inf
 
 #: serialises the one-time build of a graph's scipy handle, so
-#: concurrent first queries convert the CSR lists once
+#: concurrent first queries share one
 _CSR_BUILD_LOCK = threading.Lock()
 
 
 def _scipy_csr(graph):
-    """``graph``'s CSR as a ``scipy.sparse.csr_matrix``, built once per
-    graph and parked on it; ``None`` when scipy is not importable."""
+    """``graph``'s CSR as a ``scipy.sparse.csr_matrix`` over the graph's
+    own arrays (adopted, not copied), built once per graph and parked on
+    it; ``None`` when scipy is not importable."""
     handle = graph._csr
     if handle is None:
         try:
@@ -45,12 +46,7 @@ def _scipy_csr(graph):
             handle = graph._csr
             if handle is None:
                 handle = graph._csr = csr_matrix(
-                    (
-                        np.asarray(graph.wts, dtype=np.float64),
-                        np.asarray(graph.nbrs, dtype=np.int32),
-                        np.asarray(graph.indptr, dtype=np.int32),
-                    ),
-                    shape=(graph.n, graph.n),
+                    (graph.wts, graph.nbrs, graph.indptr), shape=(graph.n, graph.n)
                 )
     return handle
 

@@ -113,7 +113,7 @@ class BoundedSearch:
             rng = random.Random(graph.n)
             # an isolated source reaches nobody: draw among vertices
             # with an edge, or the profile reads too small a radius
-            sources = np.flatnonzero(np.diff(np.asarray(graph.indptr))).tolist()
+            sources = np.flatnonzero(np.diff(graph.indptr)).tolist()
             columns = [
                 np.asarray(kernels.sssp_column(graph, rng.choice(sources)), dtype=np.float64)
                 for _ in range(_PROFILE_SOURCES if sources else 0)

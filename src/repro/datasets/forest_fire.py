@@ -38,7 +38,7 @@ def forest_fire_sample(
     rng = make_rng(seed)
     burned: set[int] = set()
     burned_order: list[int] = []
-    indptr, nbrs = graph.indptr, graph.nbrs
+    indptr, nbrs, _ = graph.list_view()
 
     def burn(v: int) -> None:
         burned.add(v)

@@ -14,6 +14,8 @@ degree; determinism follows from the explicit seed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.utils.rng import make_rng
 
 
@@ -25,39 +27,52 @@ def barabasi_albert_edges(n: int, m_attach: int, seed: int = 0) -> list[tuple[in
     Uses the repeated-endpoints trick: sampling uniformly from the list
     of all edge endpoints *is* degree-proportional sampling.
     """
+    return list(map(tuple, barabasi_albert_array(n, m_attach, seed).tolist()))
+
+
+def barabasi_albert_array(n: int, m_attach: int, seed: int = 0) -> np.ndarray:
+    """:func:`barabasi_albert_edges` as one ``(m, 2)`` int64 array (rows
+    ``(u, v)``, ``u < v``, ascending) — the dataset builders' form.
+
+        >>> from repro.datasets.generators import barabasi_albert_array
+        >>> barabasi_albert_array(5, 1, seed=3).tolist()
+        [[0, 1], [0, 2], [0, 3], [1, 4]]
+    """
     if m_attach < 1:
         raise ValueError(f"m_attach must be >= 1, got {m_attach}")
     if n <= m_attach:
         raise ValueError(f"need n > m_attach, got n={n}, m_attach={m_attach}")
     rng = make_rng(seed)
-    edges: set[tuple[int, int]] = set()
+    random, choice, randrange = rng.random, rng.choice, rng.randrange
     # Seed clique-ish core: connect the first m_attach+1 vertices in a ring.
     core = m_attach + 1
+    # every edge as its two endpoints (smaller first), in creation order
     endpoints: list[int] = []
+    ring: set[tuple[int, int]] = set()
     for v in range(core):
         u = (v + 1) % core
         a, b = (v, u) if v < u else (u, v)
-        if (a, b) not in edges:
-            edges.add((a, b))
+        if (a, b) not in ring:
+            ring.add((a, b))
             endpoints.append(a)
             endpoints.append(b)
     for v in range(core, n):
+        # a new vertex's edges are new: no duplicate check needed
         targets: set[int] = set()
         while len(targets) < m_attach:
             # Mix uniform picks in occasionally so early hubs do not
             # absorb everything (standard BA still dominates).
-            if endpoints and rng.random() < 0.9:
-                candidate = rng.choice(endpoints)
+            if endpoints and random() < 0.9:
+                candidate = choice(endpoints)
             else:
-                candidate = rng.randrange(v)
+                candidate = randrange(v)
             if candidate != v:
                 targets.add(candidate)
         for u in targets:
-            a, b = (u, v) if u < v else (v, u)
-            edges.add((a, b))
-            endpoints.append(a)
-            endpoints.append(b)
-    return sorted(edges)
+            endpoints.append(u)  # u < v: only earlier vertices are picked
+            endpoints.append(v)
+    edges = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    return edges[np.argsort(edges[:, 0] * n + edges[:, 1])]
 
 
 def watts_strogatz_edges(n: int, k: int, beta: float, seed: int = 0) -> list[tuple[int, int]]:

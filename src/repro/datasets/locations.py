@@ -20,6 +20,9 @@ shuffling an existing assignment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+
+import numpy as np
 
 from repro.backend import resolve_backend
 from repro.graph.socialgraph import SocialGraph
@@ -65,19 +68,16 @@ def clustered_locations(
         acc += p / total
         cumulative.append(acc)
 
-    def pick_center() -> tuple[float, float]:
-        r = rng.random()
-        for i, threshold in enumerate(cumulative):
-            if r <= threshold:
-                return centers[i]
-        return centers[-1]
-
+    # the first centre whose cumulative share reaches the draw (the
+    # last one should rounding leave the draw above every share)
+    last = len(centers) - 1
+    random, gauss = rng.random, rng.gauss
     xs = []
     ys = []
     for _ in range(n):
-        cx, cy = pick_center()
-        xs.append(min(1.0, max(0.0, rng.gauss(cx, spread))))
-        ys.append(min(1.0, max(0.0, rng.gauss(cy, spread))))
+        cx, cy = centers[min(bisect_left(cumulative, random()), last)]
+        xs.append(min(1.0, max(0.0, gauss(cx, spread))))
+        ys.append(min(1.0, max(0.0, gauss(cy, spread))))
     return LocationTable.from_columns(xs, ys)
 
 
@@ -87,12 +87,10 @@ def apply_coverage(locations: LocationTable, coverage: float, seed: int = 0) -> 
     check_probability("coverage", coverage)
     n = len(locations)
     rng = make_rng(seed)
-    keep = set(rng.sample(range(n), int(round(coverage * n))))
-    table = locations.copy()
-    for user in range(n):
-        if user not in keep:
-            table.clear(user)
-    return table
+    drop = np.ones(n, dtype=bool)
+    drop[rng.sample(range(n), int(round(coverage * n)))] = False
+    xs, ys = (np.where(drop, math.nan, column) for column in locations.columns())
+    return LocationTable.adopt_columns(xs, ys)
 
 
 def permuted_locations(locations: LocationTable, seed: int = 0) -> LocationTable:

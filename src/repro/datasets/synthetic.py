@@ -24,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.datasets.forest_fire import forest_fire_sample
-from repro.datasets.generators import barabasi_albert_edges
+from repro.datasets.generators import barabasi_albert_array
 from repro.datasets.locations import (
     apply_coverage,
     clustered_locations,
     correlated_locations,
     permuted_locations,
 )
-from repro.datasets.weights import degree_product_weights
+from repro.datasets.weights import degree_product_column
 from repro.graph.socialgraph import SocialGraph
 from repro.spatial.point import LocationTable
 
@@ -82,9 +82,8 @@ def build_dataset(
         (200, 160)
     """
     m_attach = max(1, round(avg_degree / 2))
-    raw_edges = barabasi_albert_edges(n, m_attach, seed=seed)
-    weighted = degree_product_weights(n, raw_edges)
-    graph = SocialGraph.from_edges(n, weighted)
+    us, vs = barabasi_albert_array(n, m_attach, seed=seed).T
+    graph = SocialGraph.from_edge_arrays(n, us, vs, degree_product_column(n, us, vs))
     locations = clustered_locations(n, clusters=clusters, spread=spread, seed=seed + 1)
     if coverage < 1.0:
         locations = apply_coverage(locations, coverage, seed=seed + 2)

@@ -14,20 +14,34 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def degree_product_weights(
     n: int, edges: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int, float]]:
     """Attach degree-product weights to an unweighted edge list."""
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    max_degree = max(degree, default=0)
-    if max_degree == 0:
+    if not len(edges):
         return []
-    denom = float(max_degree * max_degree)
-    return [(u, v, (degree[u] * degree[v]) / denom) for u, v in edges]
+    us, vs = zip(*edges)
+    return list(zip(us, vs, degree_product_column(n, us, vs).tolist()))
+
+
+def degree_product_column(n: int, us, vs) -> np.ndarray:
+    """The weight of every edge ``(us[i], vs[i])``, as one float64
+    column (degrees by one ``bincount``).
+
+        >>> from repro.datasets.weights import degree_product_column
+        >>> degree_product_column(4, [0, 0, 0], [1, 2, 3]).tolist()
+        [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if not len(us):
+        return np.empty(0)
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    max_degree = int(degree.max())
+    return (degree[us] * degree[vs]) / float(max_degree * max_degree)
 
 
 def uniform_weights(

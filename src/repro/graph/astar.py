@@ -34,7 +34,10 @@ class AStarSearch:
     that the forward search has already covered.
     """
 
-    __slots__ = ("graph", "source", "h", "expand_filter", "settled", "parent", "heap", "_best", "_last_fkey")
+    __slots__ = (
+        "graph", "source", "h", "expand_filter", "settled", "parent", "heap", "_best",
+        "_last_fkey", "_lists",
+    )
 
     def __init__(
         self,
@@ -48,6 +51,7 @@ class AStarSearch:
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         self.graph = graph
         self.source = source
+        self._lists = graph.list_view()
         self.h = h
         self.expand_filter = expand_filter
         #: vertex -> exact g (distance from source), in settle order
@@ -66,9 +70,7 @@ class AStarSearch:
         best = self._best
         parent = self.parent
         h = self.h
-        indptr = self.graph.indptr
-        nbrs = self.graph.nbrs
-        wts = self.graph.wts
+        indptr, nbrs, wts = self._lists
         while heap:
             fkey, v = heap.pop()
             if v in settled:

@@ -48,7 +48,7 @@ def bidirectional_dijkstra(graph: SocialGraph, source: int, target: int) -> floa
 
     if source == target:
         return 0.0
-    graphs = (graph, graph.reverse() if graph.directed else graph)
+    views = (graph.list_view(), (graph.reverse() if graph.directed else graph).list_view())
     dist: tuple[dict[int, float], dict[int, float]] = ({source: 0.0}, {target: 0.0})
     settled: tuple[dict[int, float], dict[int, float]] = ({}, {})
     heaps: tuple[list, list] = ([(0.0, source)], [(0.0, target)])
@@ -66,11 +66,10 @@ def bidirectional_dijkstra(graph: SocialGraph, source: int, target: int) -> floa
         my_settled[v] = d
         other_settled = settled[1 - side]
         my_dist = dist[side]
-        g = graphs[side]
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        for i in range(lo, hi):
-            u = g.nbrs[i]
-            nd = d + g.wts[i]
+        indptr, nbrs, wts = views[side]
+        for i in range(indptr[v], indptr[v + 1]):
+            u = nbrs[i]
+            nd = d + wts[i]
             ou = other_settled.get(u)
             if ou is not None and nd + ou < best:
                 best = nd + ou

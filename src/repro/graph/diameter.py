@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.backend import resolve_backend
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.rng import make_rng
@@ -25,12 +27,10 @@ INF = math.inf
 def _farthest(graph: SocialGraph, source: int) -> tuple[int, float]:
     """Reachable vertex maximising distance from ``source`` (ties broken
     by id for determinism)."""
-    column = resolve_backend().sssp_column(graph, source)
-    best_v, best_d = source, 0.0
-    for v, d in enumerate(column):
-        if d != INF and d > best_d:
-            best_v, best_d = v, d
-    return best_v, float(best_d)
+    column = np.asarray(resolve_backend().sssp_column(graph, source), dtype=np.float64)
+    reached = np.where(column == INF, 0.0, column)
+    far = int(np.argmax(reached))  # the first vertex at the largest finite distance
+    return (far, float(reached[far])) if reached[far] > 0.0 else (source, 0.0)
 
 
 def double_sweep_diameter(graph: SocialGraph, sweeps: int = 2, seed: int = 0) -> float:

@@ -72,14 +72,15 @@ def _select(
         rng = make_rng(seed)
         return sorted(rng.sample(range(graph.n), m)), None
 
+    degrees = _np.diff(graph.indptr)
     if strategy == "degree":
-        order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-        return sorted(order[:m]), None
+        # highest degree first, ties to the smaller id
+        return sorted(_np.argsort(-degrees, kind="stable")[:m].tolist()), None
 
     if strategy != "farthest":
         raise ValueError(f"unknown landmark strategy {strategy!r}")
 
-    start = max(range(graph.n), key=lambda v: (graph.degree(v), -v))
+    start = int(_np.argmax(degrees))  # the first vertex of maximum degree
     rows = {start: _distance_row(graph, start)}
     min_dist = list(rows[start])
     for _ in range(m - 1):

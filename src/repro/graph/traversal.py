@@ -34,13 +34,16 @@ class DijkstraIterator:
     calls, so interleaving with other work costs nothing.
     """
 
-    __slots__ = ("graph", "source", "settled", "parent", "heap", "_best", "_last_distance")
+    __slots__ = (
+        "graph", "source", "settled", "parent", "heap", "_best", "_last_distance", "_lists",
+    )
 
     def __init__(self, graph: SocialGraph, source: int, heap: MinHeap | None = None) -> None:
         if not 0 <= source < graph.n:
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         self.graph = graph
         self.source = source
+        self._lists = graph.list_view()
         #: vertex -> exact (final) distance, in settle order
         self.settled: dict[int, float] = {}
         #: vertex -> predecessor on a shortest path from the source
@@ -59,9 +62,7 @@ class DijkstraIterator:
         settled = self.settled
         best = self._best
         parent = self.parent
-        indptr = self.graph.indptr
-        nbrs = self.graph.nbrs
-        wts = self.graph.wts
+        indptr, nbrs, wts = self._lists
         while heap:
             d, v = heap.pop()
             if v in settled:
@@ -173,7 +174,7 @@ def hop_counts(graph: SocialGraph, source: int) -> dict[int, int]:
     vertex."""
     hops = {source: 0}
     queue = deque([source])
-    indptr, nbrs = graph.indptr, graph.nbrs
+    indptr, nbrs, _ = graph.list_view()
     while queue:
         v = queue.popleft()
         h = hops[v] + 1

@@ -57,12 +57,32 @@ class UniformGrid:
         locations: LocationTable,
         resolution: int,
     ) -> "UniformGrid":
-        """Build a grid over every located user in ``locations``."""
-        members = list(locations.located_users())
-        grid = cls(locations.bbox(members), resolution)
-        xs, ys = locations.xs, locations.ys
-        for user in members:
-            grid.insert(user, xs[user], ys[user])
+        """Build a grid over every located user in ``locations``: the
+        cells and in-cell order (ascending id) of inserting them one by
+        one, in one vectorised pass.  With no located user the grid is
+        empty, over the point box at the origin; the first insert lands
+        in a (clamped) border cell."""
+        xs, ys = locations.columns()
+        users = _np.flatnonzero(~_np.isnan(xs))
+        if not users.size:
+            return cls(BBox(0.0, 0.0, 0.0, 0.0), resolution)
+        grid = cls(locations.bbox(users), resolution)
+        box = grid.bbox
+        # cell_of, per column: truncate toward zero, then clamp
+        ixs = ((xs[users] - box.minx) / grid.cell_w).astype(_np.intp).clip(0, grid.nx - 1)
+        iys = ((ys[users] - box.miny) / grid.cell_h).astype(_np.intp).clip(0, grid.ny - 1)
+        keys = ixs * grid.ny + iys
+        order = _np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = _np.flatnonzero(_np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        bounds = _np.append(starts, len(keys)).tolist()
+        coords = [divmod(key, grid.ny) for key in sorted_keys[starts].tolist()]
+        members = users[order].tolist()
+        # cells in the order their first (smallest) member opened them
+        for cell in _np.argsort(order[starts]).tolist():
+            grid.cells[coords[cell]] = members[bounds[cell]:bounds[cell + 1]]
+        cell_of = _np.searchsorted(sorted_keys[starts], keys).tolist()
+        grid._cell_of_user = dict(zip(users.tolist(), map(coords.__getitem__, cell_of)))
         return grid
 
     # -- persistence ------------------------------------------------------

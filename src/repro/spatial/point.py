@@ -267,7 +267,9 @@ class LocationTable:
         if users is None:
             xs, ys = self.xs, self.ys
         else:
-            ids = _np.fromiter(users, dtype=_np.intp)
+            ids = (
+                users if isinstance(users, _np.ndarray) else _np.fromiter(users, dtype=_np.intp)
+            )
             xs = self.xs[ids]
             ys = self.ys[ids]
         if xs.size == 0 or _np.isnan(xs).all():

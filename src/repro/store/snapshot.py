@@ -8,9 +8,9 @@ What goes to disk is exactly the columnar data plane:
 ``xs``, ``ys``         :class:`LocationTable` coordinate columns
 ``landmark_matrix``    the ``(M, n)`` landmark distance matrix
                        (``landmark_matrix_rev`` too when directed)
-``graph_indptr`` /     CSR social adjacency
-``graph_nbrs`` /
-``graph_wts``
+``graph_indptr`` /     CSR social adjacency, in the graph's own
+``graph_nbrs`` /       dtypes (``int32`` / ``int32`` / ``float64``;
+``graph_wts``          older snapshots hold ``int64`` ids)
 ``grid_*``             the grid's cell arrays, encoding cell
                        coordinates *and* in-cell insertion order
 =====================  ================================================
@@ -28,9 +28,10 @@ static rules to forward-deterministic methods, so it answers
 bit-identically after a warm start.
 
 Loading adopts columns zero-copy (``mmap_mode='c'``): the location
-table and the landmark matrix map straight from disk, the CSR arrays
-become the flat Python lists Dijkstra needs, grids rebuild from their
-cell arrays without re-deriving geometry.  The landmark index is
+table, the landmark matrix and the CSR arrays map straight from disk
+(``int64`` CSR ids of an older snapshot are cast once, after the range
+checks), grids rebuild from their cell arrays without re-deriving
+geometry.  The landmark index is
 stored, so saving an engine that never needed it builds it once
 (:attr:`~repro.core.engine.GeoSocialEngine.landmarks`), and a load adopts
 the matrix without a build.  The aggregate index is not rebuilt on
@@ -77,9 +78,9 @@ def _write_engine(engine, tmp: Path) -> dict:
     put("landmark_matrix", landmarks.matrix)
     if graph.directed:
         put("landmark_matrix_rev", landmarks.matrix_rev)
-    put("graph_indptr", _np.asarray(graph.indptr, dtype=_np.int64))
-    put("graph_nbrs", _np.asarray(graph.nbrs, dtype=_np.int64))
-    put("graph_wts", _np.asarray(graph.wts, dtype=_np.float64))
+    put("graph_indptr", graph.indptr)
+    put("graph_nbrs", graph.nbrs)
+    put("graph_wts", graph.wts)
     users, ixs, iys = engine.grid.to_arrays()
     put("grid_users", _np.asarray(users, dtype=_np.int64))
     put("grid_ixs", _np.asarray(ixs, dtype=_np.int64))
@@ -174,17 +175,16 @@ def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
         )
     locations = LocationTable.adopt_columns(xs, ys)
 
-    # CSR arrays become the flat Python lists the Dijkstra hot loops
-    # index — mmap buys nothing for data that is .tolist()'ed anyway.
-    indptr = _column(path, manifest, "graph_indptr", mmap=False, verify=verify)
-    nbrs = _column(path, manifest, "graph_nbrs", mmap=False, verify=verify)
-    wts = _column(path, manifest, "graph_wts", mmap=False, verify=verify)
+    # the graph adopts the CSR columns as they are mapped
+    indptr = _column(path, manifest, "graph_indptr", mmap=mmap, verify=verify)
+    nbrs = _column(path, manifest, "graph_nbrs", mmap=mmap, verify=verify)
+    wts = _column(path, manifest, "graph_wts", mmap=mmap, verify=verify)
     try:
         graph = SocialGraph.from_csr(
             n,
-            indptr.tolist(),
-            nbrs.tolist(),
-            wts.tolist(),
+            indptr,
+            nbrs,
+            wts,
             directed=bool(config["directed"]),
             num_edges=int(config["num_edges"]),
         )

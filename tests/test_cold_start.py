@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import GeoSocialEngine, QueryService, gowalla_like, load_engine, save_engine
 from repro.graph.landmarks import LandmarkIndex
+from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.index.aggregate import AggregateIndex
 from repro.server.protocol import stats_payload
@@ -125,6 +127,42 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch):
         assert landmarks.builds == 0 and rebuilt._landmarks is None
     finally:
         service.close()
+        engine.close()
+
+
+def test_a_served_graph_holds_one_csr(dataset):
+    """With scipy, an engine build plus interior ``auto`` queries run on
+    the graph's arrays alone: the Python list view is never built and
+    scipy's handle aliases the arrays.  Where the scalar expansion runs
+    (``REPRO_BACKEND=python``, or no scipy) the view is built once, by
+    the engine build, and kept."""
+    try:
+        import scipy.sparse  # noqa: F401
+
+        has_scipy = True
+    except ImportError:
+        has_scipy = False
+    # a fresh graph over the shared arrays: other tests here build the
+    # fixture graph's list view
+    graph = SocialGraph.from_csr(
+        dataset.graph.n, dataset.graph.indptr, dataset.graph.nbrs, dataset.graph.wts
+    )
+    engine = GeoSocialEngine(graph, dataset.locations.copy())
+    try:
+        arrays_only = engine.backend == "numpy" and has_scipy
+        built = graph._lists
+        assert (built is None) == arrays_only
+        rng = random.Random(5)
+        for user in rng.sample(engine.located_users(), 40):
+            result = engine.query(user, k=10, alpha=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert result.method == "bounded"
+            assert graph._lists is built
+        if arrays_only:
+            handle = graph._csr
+            for mine, scipys in ((graph.indptr, handle.indptr), (graph.nbrs, handle.indices),
+                                 (graph.wts, handle.data)):
+                assert np.shares_memory(mine, scipys)
+    finally:
         engine.close()
 
 

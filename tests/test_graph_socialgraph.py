@@ -1,10 +1,19 @@
 """Unit tests for the CSR social graph."""
 
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import gowalla_like
+from repro.datasets.generators import barabasi_albert_edges
+from repro.datasets.weights import degree_product_weights
 from repro.graph.socialgraph import SocialGraph
+from repro.graph.traversal import DijkstraIterator
 
 TRIANGLE = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)]
 
@@ -121,3 +130,199 @@ class TestDerived:
     def test_repr_mentions_size(self):
         g = SocialGraph.from_edges(3, TRIANGLE)
         assert "n=3" in repr(g)
+
+
+# -- the array CSR against the dict-loop builder it replaced ------------
+
+
+def reference_from_edges(n, edges, directed=False):
+    """The dict-loop ``from_edges`` the array build replaced, returning
+    ``(indptr, nbrs, wts, num_edges)`` as lists: the contract the
+    arrays must reproduce element for element."""
+    best = {}
+    for u, v, w in edges:
+        if u == v:
+            raise ValueError(f"self-loop on vertex {u}")
+        if not 0 <= u < n or not 0 <= v < n:
+            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
+        if w <= 0 or not math.isfinite(w):
+            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+        if not directed and u > v:
+            u, v = v, u
+        old = best.get((u, v))
+        if old is None or w < old:
+            best[(u, v)] = w
+    indptr = [0] * (n + 1)
+    for u, v in best:
+        indptr[u + 1] += 1
+        if not directed:
+            indptr[v + 1] += 1
+    for i in range(1, n + 1):
+        indptr[i] += indptr[i - 1]
+    nbrs = [0] * indptr[n]
+    wts = [0.0] * indptr[n]
+    cursor = indptr[:n]
+    for (u, v), w in best.items():
+        nbrs[cursor[u]], wts[cursor[u]] = v, w
+        cursor[u] += 1
+        if not directed:
+            nbrs[cursor[v]], wts[cursor[v]] = u, w
+            cursor[v] += 1
+    return indptr, nbrs, wts, len(best)
+
+
+def reference_with_edge_updates(graph, updates):
+    """The dict-merge ``with_edge_updates`` the array one replaced."""
+    weights = {(u, v): w for u, v, w in graph.edges()}
+    for (u, v), weight in updates.items():
+        key = graph.edge_key(u, v)
+        if weight is None:
+            weights.pop(key, None)
+        else:
+            weights[key] = weight
+    return reference_from_edges(
+        graph.n, [(u, v, w) for (u, v), w in weights.items()], graph.directed
+    )
+
+
+def csr(graph):
+    return graph.indptr.tolist(), graph.nbrs.tolist(), graph.wts.tolist(), graph.num_edges
+
+
+CSR_CI = settings(
+    max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def id_pairs(n):
+    return st.tuples(
+        st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=n - 1)
+    ).filter(lambda uv: uv[0] != uv[1])
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, edges, directed)`` over a few ids and weights, so duplicate
+    and reversed pairs are common."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    weight = st.one_of(
+        st.sampled_from((0.25, 0.5, 1.0, 2.0)),
+        st.floats(min_value=1e-6, max_value=10.0, allow_nan=False),
+    )
+    edges = draw(st.lists(st.tuples(id_pairs(n), weight), max_size=4 * n))
+    return n, [(u, v, w) for (u, v), w in edges], draw(st.booleans())
+
+
+def test_dataset_csr_equals_the_dict_loop_build():
+    n = 2000
+    weighted = degree_product_weights(n, barabasi_albert_edges(n, 5, seed=7))
+    want = reference_from_edges(n, weighted)
+    assert csr(gowalla_like(n=n, seed=7).graph) == want
+    assert csr(SocialGraph.from_edges(n, weighted)) == want
+
+
+@CSR_CI
+@given(case=edge_lists())
+def test_from_edges_equals_the_dict_loop_build(case):
+    n, edges, directed = case
+    assert csr(SocialGraph.from_edges(n, edges, directed)) == reference_from_edges(
+        n, edges, directed
+    )
+
+
+@CSR_CI
+@given(case=edge_lists(), data=st.data())
+def test_with_edge_updates_equals_the_dict_merge(case, data):
+    n, edges, directed = case
+    graph = SocialGraph.from_edges(n, edges, directed)
+    updates = data.draw(
+        st.dictionaries(
+            id_pairs(n), st.one_of(st.none(), st.sampled_from((0.1, 0.5, 3.0))), max_size=8
+        )
+    )
+    assert csr(graph.with_edge_updates(updates)) == reference_with_edge_updates(graph, updates)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)], "self-loop on vertex 2"),
+        ([(0, 1, 1.0), (2, 4, -1.0), (1, 1, 1.0)], "edge (2, 4) out of range [0, 3)"),
+        ([(0, 1, 1.0), (-1, 2, 1.0)], "edge (-1, 2) out of range [0, 3)"),
+        ([(0, 1, 1.0), (2, 1, 0.0), (1, 9, 1.0)], "edge (2, 1) has non-positive weight 0.0"),
+        ([(0, 1, 2.0), (1, 2, math.inf), (2, 2, 1.0)], "edge (1, 2) has non-positive weight inf"),
+        ([(1, 0, math.nan), (0, 0, 1.0)], "edge (1, 0) has non-positive weight nan"),
+    ],
+)
+def test_the_first_offending_edge_gets_the_dict_loop_message(edges, message):
+    with pytest.raises(ValueError) as want:
+        reference_from_edges(3, edges)
+    with pytest.raises(ValueError) as got:
+        SocialGraph.from_edges(3, edges)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_accessors_return_python_scalars():
+    g = SocialGraph.from_edges(3, TRIANGLE)
+    assert all(
+        type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges()
+    )
+    assert all(type(v) is int and type(w) is float for v, w in g.neighbors(1))
+    assert type(g.degree(0)) is int and type(g.max_degree) is int
+    assert type(g.edge_weight(1, 2)) is float
+
+
+def test_the_arrays_are_read_only_and_typed():
+    g = SocialGraph.from_edges(3, TRIANGLE)
+    assert (g.indptr.dtype, g.nbrs.dtype, g.wts.dtype) == (np.int32, np.int32, np.float64)
+    for array in (g.indptr, g.nbrs, g.wts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_from_csr_casts_wide_ids_once_and_adopts_its_own_dtypes():
+    g = SocialGraph.from_edges(3, TRIANGLE)
+    wide = SocialGraph.from_csr(3, g.indptr.astype(np.int64), g.nbrs.astype(np.int64), g.wts)
+    assert csr(wide) == csr(g) and wide.nbrs.dtype == np.int32
+    same = SocialGraph.from_csr(3, g.indptr, g.nbrs, g.wts)
+    assert same.indptr is g.indptr and same.nbrs is g.nbrs and same.wts is g.wts
+
+
+def test_concurrent_first_readers_share_one_list_view():
+    n = 3000
+    graph = SocialGraph.from_edges(n, [(v, (v * 7 + 1) % n, 1.0 + v % 5) for v in range(n - 1)])
+    start = threading.Barrier(8)
+    views, errors = [], []
+
+    def first_read():
+        try:
+            start.wait(timeout=10)
+            views.append(graph.list_view())
+        except Exception as err:  # surfaced below
+            errors.append(err)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=first_read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(views) == 8 and all(view is graph._lists for view in views)
+    assert views[0] == csr(graph)[:3]
+
+
+def test_the_list_view_is_built_by_its_first_reader_only():
+    g = SocialGraph.from_edges(3, TRIANGLE)
+    sorted(g.edges()), g.degree(0), g.edge_weight(0, 1), g.with_edge_updates({(0, 1): 2.0})
+    assert g._lists is None
+    DijkstraIterator(g, 0).run_to_completion()
+    view = g._lists
+    assert view == csr(g)[:3]
+    DijkstraIterator(g, 1)
+    assert g.list_view() is view

@@ -19,6 +19,28 @@ def make_locations(points):
 UNIT = BBox(0.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("resolution", [1, 7, 100])
+def test_build_equals_inserting_every_located_user_in_id_order(resolution):
+    """The vectorised build: same cells, in-cell order, cell order and
+    user -> cell map as one ``insert`` per located user."""
+    from repro import gowalla_like
+
+    locations = gowalla_like(n=3000, seed=7).locations
+    built = UniformGrid.build(locations, resolution)
+    inserted = UniformGrid(locations.bbox(), resolution)
+    for user in locations.located_users():
+        inserted.insert(user, *locations.get(user))
+    assert list(built.cells.items()) == list(inserted.cells.items())
+    assert list(built._cell_of_user.items()) == list(inserted._cell_of_user.items())
+
+
+def test_build_over_no_located_user_is_empty_and_takes_inserts():
+    grid = UniformGrid.build(LocationTable.empty(5), 4)
+    assert len(grid) == 0 and not grid.cells
+    grid.insert(2, 0.3, 0.6)
+    assert 2 in grid and grid.users_in(*grid.cell_of_user(2)) == [2]
+
+
 class TestGeometry:
     def test_cell_of_maps_interior_points(self):
         grid = UniformGrid(UNIT, 4)

@@ -331,6 +331,36 @@ def test_committed_snapshot_with_gutted_directory_fails_loudly(tmp_path):
             manager.latest()
 
 
+def test_snapshot_with_int64_csr_ids_loads_cast_and_range_checked(saved):
+    """Snapshots once stored ``graph_indptr`` / ``graph_nbrs`` as
+    ``int64``.  They load (mapped or not), cast once to the graph's
+    ``int32``, and answer like the engine that saved them; a wide id
+    out of range is still typed corruption."""
+    import numpy as np
+
+    from repro.store.format import write_column
+
+    engine, path = saved
+    manifest = path / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    graph = engine.graph
+    for name, column in (("graph_indptr", graph.indptr), ("graph_nbrs", graph.nbrs)):
+        doc["columns"][name] = write_column(path, name, column.astype(np.int64))
+    manifest.write_text(json.dumps(doc))
+    reference = reference_answers(engine)
+    for mmap in (True, False):
+        loaded = load_engine(path, mmap=mmap, verify=True)
+        assert loaded.graph.nbrs.dtype == np.int32 and loaded.graph.indptr.dtype == np.int32
+        assert loaded.graph.nbrs.tolist() == graph.nbrs.tolist()
+        assert_matches_reference(loaded, reference)
+    wide = graph.nbrs.astype(np.int64)
+    wide[0] = 2**32  # would wrap to 0 in int32
+    doc["columns"]["graph_nbrs"] = write_column(path, "graph_nbrs", wide)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StoreCorruptionError, match="neighbour id out of range"):
+        load_engine(path)
+
+
 # -- retired sections: snapshots written with a sketch still load --------
 
 
