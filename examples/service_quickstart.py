@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Serving SSRQ traffic: batching, worker-pool concurrency, and the
+"""Serving SSRQ traffic: batching, in-batch deduplication, and the
 update-aware result cache.
 
 The engine answers one query at a time; `repro.service.QueryService`
@@ -27,7 +27,7 @@ located = list(engine.located_users())
 arrivals = zipf_arrivals(located, count=400, skew=1.1, seed=3)
 requests = [QueryRequest(user=u, k=10, alpha=0.3, method="ais") for u in arrivals]
 
-with QueryService(engine, max_workers=4, cache_size=2048) as service:
+with QueryService(engine, cache_size=2048) as service:
     start = time.perf_counter()
     for lo in range(0, len(requests), 64):
         batch = requests[lo : lo + 64]

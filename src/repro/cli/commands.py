@@ -199,19 +199,19 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
         cache_size=0 if no_cache else 1024,
         social_cache_bytes=social_cache_bytes,
     ) as service:
-        handle = ServerThread(
-            service,
-            host=host,
-            port=port,
-            workers=workers,
-            queue_depth=queue_depth,
-            max_batch=max_batch,
-            default_deadline_ms=deadline_ms,
-            drain_snapshot_root=drain_snapshot_root,
-        )
         try:
+            handle = ServerThread(
+                service,
+                host=host,
+                port=port,
+                workers=workers,
+                queue_depth=queue_depth,
+                max_batch=max_batch,
+                default_deadline_ms=deadline_ms,
+                drain_snapshot_root=drain_snapshot_root,
+            )
             handle.start()
-        except OSError as err:
+        except (ValueError, OSError) as err:
             raise _fail(err) from err
         click.echo(
             f"serving {engine.graph.n} users on http://{handle.host}:{handle.port} "

@@ -100,8 +100,8 @@ class GeoSocialEngine:
     Owns the data and the derived state every searcher shares (kernels,
     normalization, social column cache, planner, SPA's grid and the
     lazily built landmark index and aggregate index), one
-    searcher object per method, the one query pipeline, batch
-    execution, location listeners, rebuild and persistence.
+    searcher object per method, the one query pipeline, location
+    listeners, rebuild and persistence.
 
     Parameters
     ----------
@@ -216,10 +216,6 @@ class GeoSocialEngine:
         #: one lock per engine, shared by every QueryService over it
         self.rw_lock = ReadWriteLock()
         self._location_listeners: list[Callable[[int, float | None, float | None], None]] = []
-        # lazily-built default QueryServices for query_many, one per
-        # requested pool width (never closed mid-flight: another thread
-        # may still be running a batch on an earlier width's pool)
-        self._services: dict[int | None, object] = {}
 
     @classmethod
     def from_dataset(cls, dataset, **kwargs):
@@ -353,44 +349,25 @@ class GeoSocialEngine:
         k: int | None = None,
         alpha: float | None = None,
         method: str | None = None,
-        max_workers: int | None = None,
     ) -> list[SSRQResult]:
-        """Answer a heterogeneous batch of SSRQs concurrently.
+        """Answer a heterogeneous batch of SSRQs: :meth:`query` on each,
+        in request order, on the calling thread.
 
-        Delegates to the service layer (:class:`repro.service.QueryService`)
-        with result caching *disabled*: pure batch execution over a
-        worker pool, with results returned in request order and rankings
-        identical to a sequential :meth:`query` loop.  ``requests`` may
-        mix plain user ids (which take the keyword overrides) and
-        :class:`~repro.core.request.QueryRequest` objects carrying their
-        own parameters.  For caching, update-aware invalidation, and
-        statistics, instantiate a :class:`~repro.service.QueryService`
-        directly.
-
-        Backing services (and their worker pools) are cached per
-        requested ``max_workers`` width, so concurrent callers with
-        different widths never tear down each other's pools.
+        ``requests`` may mix plain user ids (which take the keyword
+        overrides) and :class:`~repro.core.request.QueryRequest` objects
+        carrying their own parameters; every one is validated before any
+        runs.  The batch holds :attr:`rw_lock`'s read side, so no
+        location update lands between two of its answers.  For caching,
+        in-batch deduplication and statistics, use a
+        :class:`~repro.service.QueryService`.
         """
-        from repro.service.service import QueryService
-
-        with self._build_lock:
-            service = self._services.get(max_workers)
-            if service is None:
-                service = QueryService(self, cache_size=0, max_workers=max_workers)
-                self._services[max_workers] = service
-        responses = service.query_many(requests, k, alpha, method)
-        return [response.result for response in responses]
+        batch = [QueryRequest.coerce(item, k, alpha, method) for item in requests]
+        with self.rw_lock.read_locked():
+            return [self.query(request) for request in batch]
 
     def close(self) -> None:
-        """Release pooled resources (the worker pools behind cached
-        :meth:`query_many` services).  Queries keep working — the pools
-        are rebuilt lazily on the next :meth:`query_many` — so closing
-        a swapped-out engine after
-        :meth:`~repro.service.QueryService.rebuild_engine` is safe."""
-        with self._build_lock:
-            services, self._services = list(self._services.values()), {}
-        for service in services:
-            service.close()
+        """Nothing to release: an engine holds no threads or handles.
+        Kept so callers that close what they build keep working."""
 
     # -- dynamic locations -----------------------------------------------
 

@@ -29,7 +29,7 @@ class CHOracle:
 
     The memoised forward search space (and the pop-counting heap) is
     kept in thread-local storage: the searchers that share one oracle
-    may run concurrently under the service layer's worker pool, and a
+    may run concurrently on the threads that share one service, and a
     source switch by one thread must not invalidate (or corrupt) the
     forward space another thread is still probing.
     """

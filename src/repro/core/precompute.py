@@ -48,7 +48,7 @@ class SocialNeighborCache:
         self._lists: dict[int, list[tuple[float, int]]] = {}
         #: True for users whose reachable component fit entirely in t
         self._complete: dict[int, bool] = {}
-        # Lazy fills may race under the service layer's worker pool; the
+        # Lazy fills may race between threads sharing one engine; the
         # lock makes the two-dict update atomic (lists are immutable
         # once published, so readers never need it).
         self._build_lock = threading.Lock()

@@ -81,12 +81,15 @@ from repro.server.metrics import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.server.metrics import render_prometheus
 from repro.server.protocol import parse_batch, stats_payload
 from repro.stream.deltas import diff_results, subscription_payload
-from repro.utils.validation import check_user
+from repro.utils.validation import check_fields, check_user
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
 
 _DEADLINE_BODY = error_body(DEADLINE_EXCEEDED, "request deadline exceeded")
+
+#: the URL parameters ``/subscribe`` takes: the request fields
+_SUBSCRIBE_PARAMS = ("user", "k", "alpha", "method")
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,15 @@ class SSRQServer:
             raise ValueError(f"workers must be >= 1, got {config.workers}")
         if config.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {config.max_batch}")
+        # NaN fails both comparisons
+        if not config.default_deadline_ms > 0:
+            raise ValueError(
+                f"default_deadline_ms must be positive, got {config.default_deadline_ms}"
+            )
+        if not 0 < config.heartbeat_s < math.inf:
+            raise ValueError(
+                f"heartbeat_s must be positive and finite, got {config.heartbeat_s}"
+            )
         self.service = service
         self.config = config
         self.stats = ServerStats()
@@ -460,7 +472,7 @@ class SSRQServer:
                 raise ApiError(
                     400, INVALID_ARGUMENT, f"malformed X-Deadline-Ms header: {raw!r}"
                 ) from None
-            if not ms > 0 or math.isnan(ms):
+            if not ms > 0:  # NaN included
                 raise ApiError(
                     400, INVALID_ARGUMENT, f"X-Deadline-Ms must be positive, got {raw}"
                 )
@@ -543,10 +555,14 @@ class SSRQServer:
         return call
 
     def _location_call(self, body: dict) -> "Callable[[], dict]":
+        check_fields(body, ("user", "x", "y", "forget"), "location update")
         if "user" not in body:
             raise ValueError("location update is missing required field 'user'")
         user = check_user(body["user"])
-        if body.get("forget"):
+        forget = body.get("forget", False)
+        if not isinstance(forget, bool):
+            raise ValueError(f"forget must be a boolean, got {forget!r}")
+        if forget:
             return lambda: (self.service.forget_location(user), {"ok": True, "user": user, "forgotten": True})[1]
         if "x" not in body or "y" not in body:
             raise ValueError("location update needs 'x' and 'y' (or 'forget': true)")
@@ -560,6 +576,7 @@ class SSRQServer:
         )[1]
 
     def _edge_call(self, body: dict) -> "Callable[[], dict]":
+        check_fields(body, ("u", "v", "weight"), "edge update")
         for name in ("u", "v"):
             if name not in body:
                 raise ValueError(f"edge update is missing required field {name!r}")
@@ -591,6 +608,7 @@ class SSRQServer:
         return root
 
     def _snapshot_call(self, body: dict) -> "Callable[[], dict]":
+        check_fields(body, ("root", "fold"), "snapshot")
         root = self._snapshot_root(body)
         fold = body.get("fold", True)
         if not isinstance(fold, bool):
@@ -603,6 +621,7 @@ class SSRQServer:
         return call
 
     def _restore_call(self, body: dict) -> "Callable[[], dict]":
+        check_fields(body, ("root",), "restore")
         root = self._snapshot_root(body)
 
         def call() -> dict:
@@ -708,6 +727,10 @@ class SSRQServer:
         (strings on the wire: the numeric ones are cast here, the
         request model validates the values)."""
         params = request.params
+        try:
+            check_fields(params, _SUBSCRIBE_PARAMS, "subscribe")
+        except ValueError as err:
+            raise ApiError(400, INVALID_ARGUMENT, str(err)) from None
         if "user" not in params:
             raise ApiError(400, INVALID_ARGUMENT, "subscribe needs a 'user' parameter")
         parsed: dict = {}

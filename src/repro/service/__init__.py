@@ -1,11 +1,11 @@
-"""Traffic-serving layer: batched + concurrent + cached SSRQ serving.
+"""Traffic-serving layer: batched, cached SSRQ serving.
 
 This package turns the single-query :class:`~repro.core.engine.GeoSocialEngine`
 into a component built for heavy, skewed, dynamic traffic:
 
-- :class:`QueryService` — batch endpoint with a worker pool, in-batch
-  deduplication, and a readers-writer lock serialising updates against
-  in-flight queries;
+- :class:`QueryService` — batch endpoint with in-batch deduplication,
+  run on the calling thread, and a readers-writer lock serialising
+  updates against in-flight queries from any number of caller threads;
 - :class:`ResultCache` — update-aware LRU over full top-k results:
   keep / repair-in-place / evict on location moves (the rule of
   :mod:`repro.stream.conditions`), epoch flush on social-edge changes;
@@ -18,7 +18,7 @@ Quickstart::
     from repro.service import QueryRequest, QueryService
 
     engine = GeoSocialEngine.from_dataset(gowalla_like(n=2000, seed=7))
-    service = QueryService(engine, max_workers=4, cache_size=4096)
+    service = QueryService(engine, cache_size=4096)
     responses = service.query_many(
         [QueryRequest(user=u, k=10, alpha=0.3) for u in (1, 2, 5, 6, 7, 8)]
     )

@@ -5,9 +5,9 @@ component that can absorb realistic load:
 
 - **batching** — :meth:`QueryService.query_many` accepts a heterogeneous
   batch (per-request method/α/k), deduplicates identical requests, and
-  executes the distinct remainder concurrently on a thread pool, while
-  returning responses in request order with rankings identical to a
-  sequential ``engine.query`` loop;
+  executes the distinct remainder in request order on the calling
+  thread, returning responses with rankings identical to a sequential
+  ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
   on the question for ``auto`` requests and on the routed method
   otherwise (:meth:`QueryService._line`), looked up *before* anything
@@ -17,48 +17,43 @@ component that can absorb realistic load:
   and emptied when the engine is swapped (the only moment the served
   graph changes);
 - **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
-  shared by every service over the same engine) lets queries run
-  concurrently while serialising updates against in-flight queries (the
-  engine's grid/aggregate-index mutation is not safe under readers).
+  shared by every service over the same engine) lets queries from many
+  caller threads run concurrently while serialising updates against
+  in-flight queries (the engine's grid/aggregate-index mutation is not
+  safe under readers).
 
-The algorithms are read-mostly and pure-Python; a thread pool therefore
-buys latency overlap (and true parallelism on GIL-free builds) while
-the cache buys throughput on skewed workloads — perfbench's
-``hot_zipf`` workload (``service.result_hit_share``) measures it.
+Concurrency comes from the callers (the server's worker threads, or
+any threads sharing one service); a batch adds none of its own, because
+the social-distance kernel holds the GIL.  The cache buys throughput on
+skewed workloads — perfbench's ``hot_zipf`` workload
+(``service.result_hit_share``) measures it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.core.engine import AUTO, GeoSocialEngine
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
-from repro.core.result import SSRQResult
 from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.utils.validation import check_user
 
 
-def _default_workers() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 class QueryService:
-    """Concurrent, caching SSRQ serving layer.
+    """Caching SSRQ serving layer, safe to share between threads.
 
         >>> from repro import GeoSocialEngine, gowalla_like
         >>> from repro.service import QueryRequest, QueryService
         >>> engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
-        >>> service = QueryService(engine, max_workers=2, cache_size=64)
+        >>> service = QueryService(engine, cache_size=64)
         >>> hot = QueryRequest(user=8, k=5, method="tsa")
         >>> batch = [hot, QueryRequest(user=11, k=3, alpha=0.7, method="tsa")]
         >>> responses = service.query_many(batch)
@@ -76,8 +71,7 @@ class QueryService:
         The (already built) :class:`~repro.core.engine.GeoSocialEngine`
         to serve from.
     max_workers:
-        Worker-pool width for batches (default: ``min(8, cpus)``).
-        ``1`` executes batches inline with no pool.
+        Accepted and ignored: every batch runs on the calling thread.
     cache_size:
         LRU capacity; ``0`` disables result caching entirely.
     social_cache_bytes:
@@ -97,15 +91,10 @@ class QueryService:
         cache_size: int = 1024,
         social_cache_bytes: int | None = None,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.engine = engine
-        self.max_workers = max_workers if max_workers is not None else _default_workers()
         self.cache: ResultCache | None = ResultCache(cache_size) if cache_size > 0 else None
         self.stats = ServiceStats()
         self._closed = False
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         #: edge updates recorded since the last engine swap:
         #: ``graph.edge_key(u, v)`` -> new weight, ``None`` = removed
@@ -130,16 +119,11 @@ class QueryService:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the service: stop the worker pool, detach the
-        engine listeners, and flush the cache.  Any further serving or
-        update call raises ``RuntimeError`` (the listeners are gone, so
-        a reused service could otherwise silently serve stale
-        results)."""
+        """Shut down the service: detach the engine listeners and
+        flush the cache.  Any further serving or update call raises
+        ``RuntimeError`` (the listeners are gone, so a reused service
+        could otherwise silently serve stale results)."""
         self._closed = True
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
         if self.cache is not None:
             self.engine.remove_location_listener(self._on_location_update)
             self.cache.invalidate_all()
@@ -153,17 +137,6 @@ class QueryService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            # Re-checked under the pool lock: a query racing close()
-            # must not resurrect the pool after shutdown.
-            self._check_open()
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="ssrq-worker"
-                )
-            return self._pool
 
     @contextmanager
     def _read_locked_engine(self) -> "Iterator[GeoSocialEngine]":
@@ -272,7 +245,7 @@ class QueryService:
         method: str | None = None,
     ) -> list[QueryResponse]:
         """Serve a batch: cache lookups, in-batch deduplication, then
-        concurrent execution of the distinct remainder.
+        execution of the distinct remainder on the calling thread.
 
         Responses come back in request order, and each ranking is
         identical to what a sequential ``engine.query`` loop would have
@@ -316,13 +289,15 @@ class QueryService:
 
     def _serve_misses(self, engine, reqs, misses, responses) -> None:
         """Resolve and execute ``reqs[i] for i in misses`` under
-        ``engine``'s read lock (once per distinct cache line,
-        concurrently when the batch and the pool allow it), fill the
-        cache, and fan the results out to ``responses``.
+        ``engine``'s read lock (once per distinct cache line, in request
+        order, on the calling thread), fill the cache, and fan the
+        results out to ``responses``.
 
         Every distinct miss runs ``engine.query``; variants for one hot
         query user still share its social column through the engine's
-        column step (the first fills it, the rest scan).
+        column step (the first fills it, the rest scan).  All of them
+        run before anything is cached or counted, so a request that
+        raises leaves the cache and the stats as they were.
         """
         #: distinct cache key → (the request pinned to its resolved
         #: method, the request indexes waiting)
@@ -335,17 +310,11 @@ class QueryService:
                 pending[key] = (req.with_method(engine.resolve_method(req)), [i])
             else:
                 waiting[1].append(i)
-        work = [request for request, _ in pending.values()]
-
-        def run(request: QueryRequest) -> "tuple[SSRQResult, float]":
+        executed = []
+        for request, _ in pending.values():
             start = time.perf_counter()
             result = engine.query(request)
-            return result, time.perf_counter() - start
-
-        if len(work) > 1 and self.max_workers > 1:
-            executed = list(self._executor().map(run, work))
-        else:
-            executed = [run(request) for request in work]
+            executed.append((result, time.perf_counter() - start))
 
         for (key, (request, indexes)), (result, elapsed) in zip(pending.items(), executed):
             if self.cache is not None:
@@ -426,10 +395,9 @@ class QueryService:
         runs *outside* the lock — only the snapshot and the swap hold
         the exclusive side, so queries stall for milliseconds, not the
         whole rebuild; an edge update (or another swap) that slips in
-        mid-build triggers a re-snapshot.  The swapped-out engine's
-        pooled resources are released (``old.close()``) — callers
-        holding a direct reference to it should switch to the returned
-        engine.  Returns the new engine.
+        mid-build triggers a re-snapshot.  Callers holding a direct
+        reference to the swapped-out engine should switch to the
+        returned one.  Returns the new engine.
         """
         self._check_open()
         while True:
@@ -441,18 +409,10 @@ class QueryService:
                 old.graph.with_edge_updates(pending), **engine_kwargs
             )
             with old.rw_lock.write_locked():
-                current = self.engine is old and self._pending_edges == pending
-                if current:
+                if self.engine is old and self._pending_edges == pending:
                     self._swap_engine_locked(old, new_engine)
-            if not current:
-                new_engine.close()
-                continue  # an update or a swap interleaved: re-snapshot
-            # Outside the write lock (no service reader can still hold
-            # the old engine once the swap is visible): release the old
-            # engine's worker pools so periodic rebuilds don't leak
-            # threads for the process lifetime.
-            old.close()
-            return new_engine
+                    return new_engine
+            # an update or a swap interleaved: re-snapshot
 
     def _swap_engine_locked(self, old: GeoSocialEngine, new_engine: GeoSocialEngine) -> None:
         """Make ``new_engine`` the served engine (caller holds ``old``'s
@@ -483,8 +443,7 @@ class QueryService:
         every downstream layer (result cache, update stream, standing
         subscriptions) observes the swap identically.  Edge updates
         batched against the old engine are discarded with it: a restore
-        rewinds to the snapshot's topology.  The old engine's pools are
-        released; returns the new engine."""
+        rewinds to the snapshot's topology.  Returns the new engine."""
         self._check_open()
         if new_engine.graph.n != self.engine.graph.n:
             raise ValueError(
@@ -493,7 +452,6 @@ class QueryService:
             )
         with self._write_locked_engine() as old:
             self._swap_engine_locked(old, new_engine)
-        old.close()
         return new_engine
 
     @property
@@ -565,7 +523,4 @@ class QueryService:
 
     def __repr__(self) -> str:
         cache = len(self.cache) if self.cache is not None else "off"
-        return (
-            f"QueryService(workers={self.max_workers}, cache={cache}, "
-            f"served={self.stats.requests})"
-        )
+        return f"QueryService(cache={cache}, served={self.stats.requests})"

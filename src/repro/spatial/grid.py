@@ -144,17 +144,10 @@ class UniformGrid:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell coordinates containing point ``(x, y)``, clamped to the
-        grid extent."""
-        ix = int((x - self.bbox.minx) / self.cell_w)
-        iy = int((y - self.bbox.miny) / self.cell_h)
-        if ix < 0:
-            ix = 0
-        elif ix >= self.nx:
-            ix = self.nx - 1
-        if iy < 0:
-            iy = 0
-        elif iy >= self.ny:
-            iy = self.ny - 1
+        grid extent.  Clamped before the integer cast: over a
+        subnormal-sized cell the offset divides out to ``inf``."""
+        ix = int(min(max((x - self.bbox.minx) / self.cell_w, 0.0), self.nx - 1))
+        iy = int(min(max((y - self.bbox.miny) / self.cell_h, 0.0), self.ny - 1))
         return ix, iy
 
     def cell_bbox(self, ix: int, iy: int) -> BBox:

@@ -22,7 +22,7 @@ kind (``kind: "sharded"``) no longer load: :func:`load_engine` raises
 :class:`~repro.store.StoreError` for them.
 
 What is *not* persisted — contraction hierarchies, neighbour caches,
-worker pools, ``bounded``'s sampled distance profiles — is runtime
+``bounded``'s sampled distance profiles — is runtime
 state every engine rebuilds lazily; ``method="auto"`` resolves by
 static rules to forward-deterministic methods, so it answers
 bit-identically after a warm start.

@@ -32,12 +32,6 @@ def query_with(engine, user, k, alpha, method, t=None) -> SSRQResult:
     return run_query(engine, method, user, k, alpha, t)
 
 
-def requests(users, **params) -> "list[QueryRequest]":
-    """One ``QueryRequest`` per user — what request-only batch APIs
-    (``ProcessScatterPool.query_many``) take."""
-    return [QueryRequest(user, **params) for user in users]
-
-
 def random_graph(n: int, avg_degree: float, seed: int) -> SocialGraph:
     """Small random weighted graph (uniform weights in (0, 1]).
 

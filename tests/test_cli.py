@@ -245,6 +245,24 @@ def test_tail_table_has_header(runner, served, address, query_user):
     assert lines[1].startswith(("snapshot", "suspended"))
 
 
+def test_serve_refuses_a_non_positive_deadline(runner, monkeypatch):
+    """`repro serve --deadline-ms 0` is a click error before the server
+    binds, not a server that times every request out.  (Were it to
+    start, the patched sleep would stop it at once with exit 0.)"""
+
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(time, "sleep", interrupt)
+    result = runner.invoke(
+        cli, ["serve", "--dataset", "gowalla", "--n", "60", "--port", "0", "--deadline-ms", "0"]
+    )
+    assert result.exit_code == 1, result.output
+    assert "default_deadline_ms must be positive" in result.output
+    assert "Traceback" not in result.output
+    assert "serving" not in result.output
+
+
 def test_dataset_registry_is_complete():
     assert set(DATASETS) == {"gowalla", "foursquare", "twitter", "correlated"}
 

@@ -174,6 +174,66 @@ def test_unknown_request_fields_are_refused_on_every_path(
     assert f"unknown batch field {field!r}" in reply["error"]["message"]
 
 
+BODY_UNKNOWN_FIELDS = [
+    # (case id, route, body(user, root), the field the error must name,
+    # the body's name in the error)
+    ("location_typo", "/update/location",
+     lambda user, root: {"user": user, "x": 0.5, "y": 0.5, "forgot": True},
+     "forgot", "location update"),
+    ("edge_typo", "/update/edge", lambda user, root: {"u": 3, "v": 4, "wieght": 3},
+     "wieght", "edge update"),
+    ("snapshot_typo", "/snapshot", lambda user, root: {"root": root, "flod": False},
+     "flod", "snapshot"),
+    ("restore_extra", "/restore", lambda user, root: {"root": root, "fold": True},
+     "fold", "restore"),
+]
+
+
+@pytest.mark.parametrize("name,route,body,field,what", BODY_UNKNOWN_FIELDS)
+def test_unknown_update_and_snapshot_fields_are_refused(
+    engine, service, client, located, tmp_path, name, route, body, field, what
+):
+    """The update, snapshot and restore bodies used to drop a field they
+    did not know: ``"forgot": true`` moved the user, ``"wieght"`` recorded
+    the edge, ``"flod": false`` took a folding snapshot.  Each is now a
+    typed 400 naming the field, and nothing is applied."""
+    root = tmp_path / "snaps"
+    where, pending = engine.locations.get(located), service.pending_edge_updates
+    status, _, reply = client.request("POST", route, body(located, str(root)))
+    assert (status, reply["error"]["type"]) == (400, "invalid_argument")
+    assert f"unknown {what} field {field!r}" in reply["error"]["message"]
+    assert engine.locations.get(located) == where
+    assert service.pending_edge_updates == pending
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("forget", ["no", 1, 0, None, "true"])
+def test_forget_must_be_a_boolean(engine, client, located, forget):
+    """``{"forget": "no"}`` used to erase the location (a truthy
+    string); only a JSON boolean is a forget flag now."""
+    where = engine.locations.get(located)
+    status, _, reply = client.request(
+        "POST", "/update/location", {"user": located, "forget": forget}
+    )
+    assert (status, reply["error"]["type"]) == (400, "invalid_argument")
+    assert reply["error"]["message"] == f"forget must be a boolean, got {forget!r}"
+    assert engine.locations.get(located) == where
+    # false with coordinates is a plain move
+    assert client.request(
+        "POST", "/update/location", {"user": located, "x": where[0], "y": where[1], "forget": False}
+    )[0] == 200
+    assert engine.locations.get(located) == where
+
+
+def test_unknown_subscribe_parameters_are_refused(handle, located):
+    """``/subscribe`` takes the request fields as URL parameters and
+    nothing else."""
+    with ServerClient(handle.host, handle.port) as fresh:
+        status, _, reply = fresh.request("GET", f"/subscribe?user={located}&kk=5")
+    assert (status, reply["error"]["type"]) == (400, "invalid_argument")
+    assert "unknown subscribe field 'kk'" in reply["error"]["message"]
+
+
 def test_batch_top_level_takes_requests_and_request_defaults_only(client, located):
     """The batch body's top level carries ``requests`` and the request
     fields that default its members; a top-level ``user`` defaults

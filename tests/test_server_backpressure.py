@@ -271,6 +271,29 @@ def test_malformed_requests_get_typed_400s(engine, query_user):
             assert client.stats()["server"]["server_errors"] == 0
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("default_deadline_ms", 0.0),
+        ("default_deadline_ms", -5.0),
+        ("default_deadline_ms", float("nan")),
+        ("heartbeat_s", 0.0),
+        ("heartbeat_s", -1.0),
+        ("heartbeat_s", float("inf")),
+        ("heartbeat_s", float("nan")),
+    ],
+    ids=repr,
+)
+def test_config_refuses_a_deadline_or_heartbeat_that_cannot_work(engine, field, value):
+    """``default_deadline_ms=0`` used to build a server that answered
+    every admitted ``/query`` 504 without running it; a non-positive or
+    non-finite heartbeat never ticks.  Both are refused at construction,
+    naming the field, like the integer settings."""
+    with QueryService(engine, cache_size=0) as service:
+        with pytest.raises(ValueError, match=field):
+            ServerThread(service, **{field: value})
+
+
 def test_malformed_framing_gets_400_and_close(engine):
     """Raw-socket abuse: garbage framing, non-JSON bodies and chunked
     request bodies are answered with a typed 400, then the connection

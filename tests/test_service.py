@@ -3,8 +3,9 @@
 The contracts pinned here are the ones the serving layer sells:
 batched results identical to a sequential ``engine.query`` loop for
 every method, cache invalidation that is *exact* under location
-updates (surviving entries still verify against brute force), and no
-shared-state corruption under a worker pool.
+updates (surviving entries still verify against brute force), no
+shared-state corruption when many caller threads share one service, and
+a batch that runs on the thread that called it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import pickle
 import random
 import threading
+import time
 
 import pytest
 
@@ -131,6 +133,64 @@ def test_engine_query_many_delegate(engine):
     # Mixed request batches flow through too.
     mixed = engine.query_many([users[0], QueryRequest(users[1], k=2, alpha=0.8, method="ais")])
     assert len(mixed[1]) <= 2
+
+
+def test_query_many_runs_on_the_calling_thread(engine):
+    """A batch starts no thread, whatever ``max_workers`` says: the
+    distinct misses run in request order on the caller, and the answers
+    are those of a sequential ``engine.query`` loop."""
+    users = located(engine, 16)
+    expected = [engine.query(u, 4, 0.4) for u in users]
+    before = threading.active_count()
+    with QueryService(engine, max_workers=8, cache_size=0) as service:
+        responses = service.query_many(users, k=4, alpha=0.4)
+        assert threading.active_count() == before
+        assert not any(t.name.startswith("ssrq-worker") for t in threading.enumerate())
+        assert service.stats.executed == len(users)
+        assert not hasattr(service, "_pool")
+    assert [r.request.user for r in responses] == users
+    for response, want in zip(responses, expected):
+        assert response.result.users == want.users
+        assert response.result.scores == want.scores
+
+
+def test_engine_query_many_holds_the_read_lock_on_the_calling_thread(engine, monkeypatch):
+    """``engine.query_many`` answers every request on the caller under
+    the read side of ``rw_lock``: a move issued mid-batch waits until
+    the last answer is in."""
+    users = located(engine, 4)
+    mover = users[-1]
+    log: list = []
+    inside, release = threading.Event(), threading.Event()
+    query = engine.query
+
+    def traced(request, *args, **kwargs):
+        log.append(("query", threading.current_thread().name))
+        inside.set()
+        assert release.wait(timeout=30)
+        return query(request, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "query", traced)
+    engine.add_location_listener(lambda user, x, y: log.append(("move", user)))
+    outcome: dict = {}
+    batch = threading.Thread(
+        target=lambda: outcome.setdefault("results", engine.query_many(users, k=3, alpha=0.5)),
+        name="batch-caller",
+    )
+    batch.start()
+    assert inside.wait(timeout=30)
+    move = threading.Thread(target=engine.move_user, args=(mover, 0.5, 0.5))
+    move.start()
+    deadline = time.monotonic() + 30
+    while not engine.rw_lock._writers_waiting:         # the move is queued
+        assert time.monotonic() < deadline, "the move never reached the lock"
+        time.sleep(0.001)
+    release.set()
+    batch.join(timeout=30)
+    move.join(timeout=30)
+    assert not batch.is_alive() and not move.is_alive()
+    assert log == [("query", "batch-caller")] * len(users) + [("move", mover)]
+    assert len(outcome["results"]) == len(users)
 
 
 # ---------------------------------------------------------------- caching
@@ -406,18 +466,6 @@ def test_result_cache_refresh_reindexes_members():
     )
     assert evicted == 1, "entry containing refreshed member 9 must be evicted"
     assert len(cache) == 0
-
-
-def test_engine_query_many_honors_changed_max_workers(engine):
-    users = located(engine, 3)
-    engine.query_many(users, k=3, method="ais", max_workers=2)
-    assert engine._services[2].max_workers == 2
-    engine.query_many(users, k=3, method="ais", max_workers=1)
-    assert engine._services[1].max_workers == 1
-    # Earlier widths keep their (possibly in-flight) services alive.
-    assert set(engine._services) == {1, 2}
-    engine.query_many(users, k=3, method="ais")  # default width gets its own entry
-    assert None in engine._services
 
 
 def test_edge_updates_do_not_corrupt_live_queries(engine):

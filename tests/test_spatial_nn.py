@@ -3,7 +3,7 @@
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.spatial.grid import UniformGrid
@@ -114,6 +114,8 @@ def test_count_tracks_reported_users():
     st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
     st.integers(min_value=1, max_value=9),
 )
+# a subnormal-high box: the query's offset over the cell height is inf
+@example(points=[(0.0, 0.0), (0.0, 5e-324)], qx=0.0, qy=1.0, resolution=1)
 def test_property_matches_brute_force(points, qx, qy, resolution):
     table, grid = build(points, resolution=resolution)
     expected = [d for d, _ in brute_force_order(table, qx, qy)]
