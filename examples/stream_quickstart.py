@@ -6,10 +6,11 @@ One-shot queries recompute from scratch; production traffic asks the
 *same* questions continuously while everybody moves.  This example
 registers a handful of standing queries with
 `repro.stream.SubscriptionRegistry`, replays location updates, and
-shows (a) the repair-aware result cache fixing entries in place when a
-cached companion drifts, (b) the NO-OP / REPAIR / RECOMPUTE
-classification doing almost all updates for free, and (c) every
-maintained result staying exactly equal to a fresh recompute.
+shows (a) a drifting companion repairing the subscriptions it belongs
+to in one batched pass, while the result cache simply keeps or evicts
+its entries, (b) the NO-OP / REPAIR / RECOMPUTE classification doing
+almost all updates for free, and (c) every maintained result staying
+exactly equal to a fresh recompute.
 
 Run:  python examples/stream_quickstart.py
 """
@@ -33,11 +34,11 @@ query_users = located[:8]
 subs = [registry.subscribe(u, k=10, alpha=0.3, method="tsa") for u in query_users]
 print(f"registered {len(subs)} standing queries (k=10, alpha=0.3, method=tsa)")
 
-# Prime the (repair-aware) result cache with one-shot traffic too.
+# Prime the (keep-or-evict) result cache with one-shot traffic too.
 for u in located[:40]:
     service.query(u, k=10, alpha=0.3, method="tsa")
 
-# --- Phase 1: cached companions drift — entries repair in place -------------
+# --- Phase 1: companions drift — subscriptions repair, cache entries go ------
 rng = random.Random(42)
 watched = sorted({m for sub in subs for m in registry.result(sub).users})
 for mover in watched[:30]:
@@ -47,10 +48,12 @@ for mover in watched[:30]:
         min(1.0, max(0.0, x + rng.uniform(-0.002, 0.002))),
         min(1.0, max(0.0, y + rng.uniform(-0.002, 0.002))),
     )
+applied = registry.flush()
 info = service.cache_info()
 print(
-    f"30 cached companions drifted: {info['repaired']} cache entries repaired "
-    f"in place, {info['reused']} proven reusable, {info['invalidated']} evicted"
+    f"30 companions drifted: {applied['repaired']} subscriptions repaired in "
+    f"one batched pass, {applied['recomputed']} recomputed; cache entries "
+    f"{info['reused']} proven reusable, {info['invalidated']} evicted"
 )
 
 # --- Phase 2: full-population churn -----------------------------------------

@@ -142,10 +142,6 @@ class _BundleCache:
             users = sample_query_users(ds, count, seed=profile.seed)
         return DatasetBundle(ds, engine, users)
 
-    def clear(self) -> None:
-        self._datasets.clear()
-        self._engines.clear()
-
 
 _CACHE = _BundleCache()
 
@@ -163,8 +159,3 @@ def get_bundle(
     ``correlated-negative`` | ``scale-0`` / ``scale-1`` / ``scale-2``.
     """
     return _CACHE.bundle(kind, profile, s, queries)
-
-
-def clear_cache() -> None:
-    """Drop all cached datasets/engines (tests of the harness itself)."""
-    _CACHE.clear()

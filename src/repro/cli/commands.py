@@ -194,11 +194,15 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
         engine = GeoSocialEngine.load(engine_path)
     else:
         engine = GeoSocialEngine.from_dataset(DATASETS[dataset](n=n, seed=seed))
-    with QueryService(
-        engine,
-        cache_size=0 if no_cache else 1024,
-        social_cache_bytes=social_cache_bytes,
-    ) as service:
+    try:
+        service = QueryService(
+            engine,
+            cache_size=0 if no_cache else 1024,
+            social_cache_bytes=social_cache_bytes,
+        )
+    except ValueError as err:
+        raise _fail(err) from err
+    with service:
         try:
             handle = ServerThread(
                 service,

@@ -63,7 +63,7 @@ from repro.spatial.grid import UniformGrid
 from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import LocationTable
 from repro.utils.concurrency import ReadWriteLock
-from repro.utils.validation import check_finite_point, check_user
+from repro.utils.validation import check_finite_point, check_size, check_user
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -143,7 +143,8 @@ class GeoSocialEngine:
         skips the insertion scan.
     social_cache_bytes:
         Byte budget of the cross-query social column cache (``None``:
-        the default budget; ``0`` disables it).
+        the default budget; ``0`` disables it; anything but a
+        non-negative integer is a ``ValueError``).
     """
 
     def __init__(
@@ -190,7 +191,9 @@ class GeoSocialEngine:
         #: invalidate it and ``with_graph`` rebuilds start fresh by
         #: construction.
         budget = (
-            DEFAULT_SOCIAL_CACHE_BYTES if social_cache_bytes is None else social_cache_bytes
+            DEFAULT_SOCIAL_CACHE_BYTES
+            if social_cache_bytes is None
+            else check_size("social_cache_bytes", social_cache_bytes)
         )
         self.social_cache: "SocialColumnCache | None" = (
             SocialColumnCache(graph.n, self.kernels, max_bytes=budget) if budget > 0 else None

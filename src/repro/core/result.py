@@ -136,9 +136,9 @@ class SSRQResult:
     method: str | None = None
     #: the encoded wire form, filled on first use by
     #: :func:`repro.service.model.result_wire`.  A result is never
-    #: mutated once the engine handed it out (a cache repair builds a new
-    #: one), so the bytes stay true; they are derived state, kept out of
-    #: ``==``, ``repr`` and pickles.
+    #: mutated once the engine handed it out (a subscription repair
+    #: builds a new one), so the bytes stay true; they are derived state,
+    #: kept out of ``==``, ``repr`` and pickles.
     _wire: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable
 
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.heaps import MinHeap
@@ -93,9 +92,6 @@ class DijkstraIterator:
     @property
     def exhausted(self) -> bool:
         return not self.heap
-
-    def is_settled(self, v: int) -> bool:
-        return v in self.settled
 
     def distance(self, v: int) -> float | None:
         """Exact distance of ``v`` if already settled, else ``None``."""
@@ -184,12 +180,3 @@ def hop_counts(graph: SocialGraph, source: int) -> dict[int, int]:
                 hops[u] = h
                 queue.append(u)
     return hops
-
-
-def path_hops(iterator: DijkstraIterator, targets: Iterable[int]) -> dict[int, int]:
-    """Number of edges on the weighted shortest path from the iterator's
-    source to each settled target (the 'hops' statistic of Figure 7a)."""
-    result = {}
-    for t in targets:
-        result[t] = len(iterator.path_to(t)) - 1
-    return result

@@ -68,9 +68,6 @@ class SocialSummary:
         for vector in vectors:
             self.widen(vector)
 
-    def as_tuple(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return tuple(self.m_check), tuple(self.m_hat)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialSummary):
             return NotImplemented

@@ -1,4 +1,5 @@
-"""Update-aware, repair-aware LRU cache of SSRQ results.
+"""Update-aware LRU cache of SSRQ results: each entry is kept or
+evicted, never rewritten.
 
 Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
@@ -10,32 +11,29 @@ answer the question alone determines (the rule lives in
 ``QueryService._line``) — with hit/miss statistics, whose entries
 carry the request, pinned to the method that executed it, and the
 :class:`~repro.core.ranking.RankingFunction` that produced them, so a
-location update *repairs or evicts exactly* the entries it can affect
-instead of flushing everything.
+location update *evicts exactly* the entries it can affect instead of
+flushing everything.
 
-**Location update of user m → the shared rule, the cache's policy.**
-Whether a move can change a stored top-k, and how it is fixed, is
-decided in one place for every layer that keeps results —
-:mod:`repro.stream.conditions` (the NO-OP / REPAIR / RECOMPUTE screen,
-the single-member re-score, the query-user/member index; the safety
-argument lives there too).  This module only applies the cache's
-policy to each verdict:
+**Location update of user m → the shared screen, the cache's policy.**
+Whether a move can change a stored top-k is decided in one place for
+every layer that keeps results — :mod:`repro.stream.conditions` (the
+NO-OP / REPAIR / RECOMPUTE screen and its safety argument).  The cache
+applies the simplest policy to each verdict:
 
-- **NO-OP → keep** (counted *reused*): pure-social entries, and every
-  entry whose spatial lower bound proves the mover out;
-- **REPAIR → re-score in place** when the mover is a *member* of an
-  entry whose method stores schedule-independent social distances
-  (:data:`~repro.stream.conditions.REPAIRABLE_METHODS`): only its
-  spatial term changed, so re-scoring it and re-sorting is the fresh
-  answer — unless the re-score escalates (the mover may have dropped
-  below the unknown (k+1)-th);
-- **otherwise → evict**: the query user moved, a member forgot its
-  location, the mover might newly enter (the cache does not pay an
-  exact social distance to find out), the method is not repairable,
-  or the re-score escalated.  The next miss recomputes.
+- **NO-OP → keep** the entry untouched (counted *reused*): pure-social
+  entries, every entry whose spatial lower bound proves the mover out,
+  and, for a forgotten location, every entry the mover neither issued
+  nor belongs to;
+- **anything else → evict** (counted *invalidated*): the query user
+  moved, a member moved or forgot its location, or the mover might
+  newly enter.  The next miss recomputes.
 
-The screen costs O(cache) per move with an O(1) check per entry; a
-forgotten location examines only the entries it touches directly.
+Repairing an entry in place does not pay here: a hot entry's next
+change is usually another move that evicts it before anyone reads the
+repair (docs/BENCHMARKS.md, "What does not pay").  The one layer that
+repairs is the subscription registry, which folds a burst of moves
+into one pass per standing query.  The screen costs O(cache) per move
+or forget, with an O(1) check per entry and no index.
 
 **Social edge update → nothing, until the engine swap.**  An edge
 change can alter social distances between arbitrarily distant pairs,
@@ -54,8 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.result import SSRQResult
-from repro.spatial.point import euclidean
-from repro.stream.conditions import NOOP, REPAIR, StoredIndex, StoredTopK
+from repro.stream.conditions import NOOP, StoredTopK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ranking import RankingFunction
@@ -67,27 +64,21 @@ class InvalidationOutcome(int):
 
     Behaves as the number of *evicted* entries (an ``int`` subclass, so
     arithmetic and assertions on the count keep working) and
-    additionally reports how many entries were repaired in place and
-    how many were examined and provably kept.
+    additionally reports how many entries were examined and provably
+    kept.
 
         >>> from repro.service.cache import InvalidationOutcome
-        >>> out = InvalidationOutcome(2, repaired=1, reused=5)
-        >>> out == 2, out.repaired, out.reused
-        (True, 1, 5)
+        >>> out = InvalidationOutcome(2, reused=5)
+        >>> out == 2, out.reused
+        (True, 5)
     """
 
-    repaired: int
     reused: int
 
-    def __new__(cls, evicted: int, *, repaired: int = 0, reused: int = 0) -> "InvalidationOutcome":
+    def __new__(cls, evicted: int, *, reused: int = 0) -> "InvalidationOutcome":
         self = super().__new__(cls, evicted)
-        self.repaired = repaired
         self.reused = reused
         return self
-
-    @property
-    def evicted(self) -> int:
-        return int(self)
 
 
 @dataclass
@@ -102,9 +93,6 @@ class CacheStats:
     #: entries removed by update-aware invalidation (each one forces a
     #: recompute on its next lookup)
     invalidated: int = 0
-    #: entries *repaired in place* by an update (single-candidate
-    #: re-score; see the module docstring) instead of evicted
-    repaired: int = 0
     #: entries an update examined and provably kept (screen NO-OP)
     reused: int = 0
     #: epoch bumps (full flushes)
@@ -115,16 +103,6 @@ class CacheStats:
         """Hits over lookups (0.0 before the first lookup)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class _Entry(StoredTopK):
-    """One cache line: the stored result plus the key it lives under."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Hashable, request: "QueryRequest", rank: "RankingFunction") -> None:
-        super().__init__(request, rank)
-        self.key = key
 
 
 class ResultCache:
@@ -161,8 +139,7 @@ class ResultCache:
         #: monotonically increasing; bumped on every full invalidation
         self.epoch = 0
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._index = StoredIndex()
+        self._entries: "OrderedDict[Hashable, StoredTopK]" = OrderedDict()
 
     # -- plain cache operations ---------------------------------------
 
@@ -214,13 +191,11 @@ class ResultCache:
                 self._entries.move_to_end(key)
             else:
                 while len(self._entries) >= self.capacity:
-                    _, victim = self._entries.popitem(last=False)
-                    self._index.remove(victim)
+                    self._entries.popitem(last=False)
                     self.stats.evictions += 1
-                entry = self._entries[key] = _Entry(key, request, rank)
-                self._index.add(entry)
+                entry = self._entries[key] = StoredTopK(request, rank)
                 self.stats.insertions += 1
-            self._index.install(entry, result)
+            entry.install(result)
 
     # -- update-aware invalidation ------------------------------------
 
@@ -229,7 +204,6 @@ class ResultCache:
         with self._lock:
             removed = len(self._entries)
             self._entries.clear()
-            self._index.clear()
             self.epoch += 1
             self.stats.invalidated += removed
             self.stats.full_invalidations += 1
@@ -243,58 +217,27 @@ class ResultCache:
         *,
         query_location: Callable[[int], tuple[float, float] | None],
     ) -> "InvalidationOutcome":
-        """Keep, repair or evict each entry a location update can
-        affect (the module docstring's policy).
+        """Keep each entry the screen proves unaffected and evict every
+        other one (the module docstring's policy).
 
         ``(x, y)`` is the user's *new* position (``None`` for a
         forgotten location); ``query_location`` resolves a query user's
         current position.  Returns an :class:`InvalidationOutcome`
         (``int``-compatible: the number of entries evicted) that also
-        counts in-place repairs and entries provably kept.
+        counts the entries kept.
         """
         with self._lock:
-            # A forgotten location cannot create entrants: only the
-            # entries it touches directly need a verdict.
-            examined = self._index.touched(user) if x is None else self._entries.values()
-            evict = []
-            repaired = reused = 0
-            for entry in examined:
-                query_xy = query_location(entry.request.user)
-                kind = entry.classify(user, x, y, query_xy)
-                if kind == NOOP:
-                    reused += 1
-                elif (
-                    kind == REPAIR
-                    and entry.repairable
-                    and user in entry.member_ids
-                    and query_xy is not None
-                    and self._repair_member_locked(entry, user, euclidean(*query_xy, x, y))
-                ):
-                    repaired += 1
-                else:
-                    evict.append(entry)
-            for entry in evict:
-                del self._entries[entry.key]
-                self._index.remove(entry)
+            evict = [
+                key
+                for key, entry in self._entries.items()
+                if entry.classify(user, x, y, query_location(entry.request.user)) != NOOP
+            ]
+            for key in evict:
+                del self._entries[key]
+            reused = len(self._entries)
             self.stats.invalidated += len(evict)
-            self.stats.repaired += repaired
             self.stats.reused += reused
-            return InvalidationOutcome(len(evict), repaired=repaired, reused=reused)
-
-    def _repair_member_locked(self, entry: _Entry, user: int, d: float) -> bool:
-        """Re-score member ``user`` of ``entry`` at its new spatial
-        distance ``d`` and re-sort, in place (LRU position kept);
-        ``False`` when the re-score escalates and the entry must go."""
-        neighbors = entry.rescore_members({user: d})
-        if neighbors is None:
-            return False
-        neighbors.sort(key=lambda nb: (nb.score, nb.user))
-        old = entry.result
-        self._index.install(
-            entry,
-            SSRQResult(old.query_user, old.k, old.alpha, neighbors, old.stats, method=old.method),
-        )
-        return True
+            return InvalidationOutcome(len(evict), reused=reused)
 
     def invalidate_edge_update(self, u: int, v: int) -> "InvalidationOutcome":
         """Full flush for an edge change applied to a *served* graph.

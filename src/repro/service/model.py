@@ -172,8 +172,6 @@ class ServiceStats:
     #: cache entries evicted by update-aware invalidation (each one
     #: forces a recompute on its next lookup)
     invalidated_entries: int = 0
-    #: cache entries repaired in place by an update instead of evicted
-    repaired_entries: int = 0
     #: cache entries an update examined and provably kept
     reused_entries: int = 0
     #: epoch bumps (full cache invalidations: one per engine swap;
@@ -219,7 +217,6 @@ class ServiceStats:
             "deduplicated": self.deduplicated,
             "executed": self.executed,
             "invalidated_entries": self.invalidated_entries,
-            "repaired_entries": self.repaired_entries,
             "reused_entries": self.reused_entries,
             "full_invalidations": self.full_invalidations,
             "query_seconds": self.query_seconds,

@@ -12,10 +12,10 @@ component that can absorb realistic load:
   on the question for ``auto`` requests and on the routed method
   otherwise (:meth:`QueryService._line`), looked up *before* anything
   is resolved or locked (:meth:`QueryService.cached` is that
-  lookup alone, for callers that must not block), repaired or
-  invalidated exactly on location moves via the engine's listener hook
-  and emptied when the engine is swapped (the only moment the served
-  graph changes);
+  lookup alone, for callers that must not block), whose entries are
+  kept or evicted exactly on location moves via the engine's listener
+  hook and emptied when the engine is swapped (the only moment the
+  served graph changes);
 - **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
   shared by every service over the same engine) lets queries from many
   caller threads run concurrently while serialising updates against
@@ -44,7 +44,7 @@ from repro.core.request import QueryRequest
 from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
-from repro.utils.validation import check_user
+from repro.utils.validation import check_size, check_user
 
 
 class QueryService:
@@ -77,7 +77,9 @@ class QueryService:
     social_cache_bytes:
         Byte budget for the engine's
         :class:`~repro.social.cache.SocialColumnCache` (``None`` keeps
-        the engine's own setting, ``0`` disables column reuse).  Applied
+        the engine's own setting, ``0`` disables column reuse).  Both
+        sizes must be non-negative integers; anything else is a
+        ``ValueError`` naming the field.  Applied
         by resizing the live cache in place, and re-applied to every
         engine this service swaps in (:meth:`rebuild_engine` /
         :meth:`replace_engine`), so the knob survives rebuilds.
@@ -91,6 +93,9 @@ class QueryService:
         cache_size: int = 1024,
         social_cache_bytes: int | None = None,
     ) -> None:
+        cache_size = check_size("cache_size", cache_size)
+        if social_cache_bytes is not None:
+            social_cache_bytes = check_size("social_cache_bytes", social_cache_bytes)
         self.engine = engine
         self.cache: ResultCache | None = ResultCache(cache_size) if cache_size > 0 else None
         self.stats = ServiceStats()
@@ -487,7 +492,6 @@ class QueryService:
         # concurrent invalidations attribute their counters exactly.
         with self._stats_lock:
             self.stats.invalidated_entries += int(outcome)
-            self.stats.repaired_entries += outcome.repaired
             self.stats.reused_entries += outcome.reused
 
     # -- introspection -------------------------------------------------
@@ -510,7 +514,6 @@ class QueryService:
                     "hit_rate": stats.hit_rate,
                     "evictions": stats.evictions,
                     "invalidated": stats.invalidated,
-                    "repaired": stats.repaired,
                     "reused": stats.reused,
                     "full_invalidations": stats.full_invalidations,
                     "epoch": self.cache.epoch,

@@ -19,9 +19,10 @@ This package provides that maintenance layer:
   :class:`~repro.core.result.SSRQResult` equal to what a fresh
   ``engine.query`` would return *right now*;
 - :mod:`repro.stream.conditions` — the NO-OP / REPAIR / RECOMPUTE
-  rule (screen, single-member re-score, inverted index), written once
-  and called by the registry and by the repair-aware
-  :class:`~repro.service.cache.ResultCache` alike;
+  rule (screen, single-member re-score), written once; the registry
+  applies all three verdicts, and the keep-or-evict
+  :class:`~repro.service.cache.ResultCache` calls the same screen
+  (NO-OP keeps an entry, anything else evicts it);
 - :class:`Subscription` / :class:`StreamStats` — the standing-query
   handle and the maintenance counters.
 
@@ -43,12 +44,11 @@ from repro.stream.conditions import (
     NOOP,
     RECOMPUTE,
     REPAIR,
-    REPAIRABLE_METHODS,
     classify_location_update,
     entry_lower_bound,
 )
 from repro.stream.registry import SubscriptionRegistry
-from repro.stream.subscription import StreamStats, Subscription
+from repro.stream.subscription import REPAIRABLE_METHODS, StreamStats, Subscription
 
 __all__ = [
     "SubscriptionRegistry",

@@ -3,15 +3,14 @@ once, for every layer that keeps a top-k result past the query that
 produced it.
 
 This module is the single home of the maintenance rule:
-:func:`classify_location_update` (the screen),
+:func:`classify_location_update` (the screen) and
 :meth:`StoredTopK.rescore_members` (the single-member re-score with its
-escalation test) and :class:`StoredIndex` (the query-user/member
-inverted index that finds the results an update touches directly).
-Two consumers call it and keep only their *policy*:
+escalation test).  Two consumers call it and keep only their *policy*;
+each screens every result it holds on every update, so neither keeps
+an index of who is in which result:
 
-- :class:`repro.service.cache.ResultCache` — NO-OP keeps the entry;
-  REPAIR re-scores in place when the mover is a member of a repairable
-  entry; everything else evicts (the next miss recomputes);
+- :class:`repro.service.cache.ResultCache` — NO-OP keeps the entry
+  untouched; every other verdict evicts it (the next miss recomputes);
 - :class:`repro.stream.registry.SubscriptionRegistry` — NO-OP counts;
   REPAIR queues the mover for one batched pass at read time (members
   re-scored, possible entrants scored exactly and offered); RECOMPUTE
@@ -70,11 +69,12 @@ differential suites (``tests/test_stream_equivalence.py`` and, across
 both consumers, ``tests/test_maintenance_differential.py``) pin
 maintained ≡ fresh over randomized interleavings.
 
-Repairs reuse stored social distances, so they are only offered for
-methods whose social distances are schedule-independent (forward
-Dijkstra values — :data:`REPAIRABLE_METHODS`).  The AIS family's
-bidirectional evaluations may legitimately differ by float association
-(≤ 1 ulp between schedules), so AIS subscriptions skip
+Repairs reuse stored social distances, so the registry offers them only
+for methods whose social distances are schedule-independent (forward
+Dijkstra values —
+:data:`~repro.stream.subscription.REPAIRABLE_METHODS`).  The AIS
+family's bidirectional evaluations may legitimately differ by float
+association (≤ 1 ulp between schedules), so AIS subscriptions skip
 REPAIR and fall through to RECOMPUTE — NO-OP screening, the common
 case, still applies.
 """
@@ -82,9 +82,8 @@ case, still applies.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, AbstractSet, Container, Mapping
+from typing import TYPE_CHECKING, Container, Mapping
 
-from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
 from repro.core.result import Neighbor
 from repro.spatial.point import euclidean
 
@@ -99,16 +98,6 @@ INF = math.inf
 NOOP = "noop"
 REPAIR = "repair"
 RECOMPUTE = "recompute"
-
-#: the methods single-candidate repair applies to: exactly the ones
-#: whose per-neighbor social distances are schedule-independent
-#: forward-Dijkstra values, so a stored distance is bit-identical to
-#: what a fresh search would recompute (a *core* property — see
-#: :data:`repro.core.engine.FORWARD_DETERMINISTIC_METHODS`).  The AIS
-#: family and the CH-backed methods evaluate bidirectionally
-#: (association may differ by 1 ulp between schedules) and are not
-#: repaired.
-REPAIRABLE_METHODS = FORWARD_DETERMINISTIC_METHODS
 
 
 def entry_lower_bound(
@@ -200,20 +189,24 @@ class StoredTopK:
     :class:`~repro.core.ranking.RankingFunction`, the current result
     and its membership.  A result-cache entry is one of these; a
     :class:`~repro.stream.subscription.Subscription` extends it with
-    the stream state.  ``result``/``member_ids`` change only through
-    :meth:`StoredIndex.install`, which keeps the member index in
-    lockstep.
+    the stream state.  ``result``/``member_ids`` change together,
+    through :meth:`install`.
     """
 
-    __slots__ = ("request", "rank", "repairable", "result", "member_ids")
+    __slots__ = ("request", "rank", "result", "member_ids")
 
     def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
         self.request = request
         self.rank = rank
-        #: whether single-member repair applies (:data:`REPAIRABLE_METHODS`)
-        self.repairable = request.method in REPAIRABLE_METHODS
         self.result: "SSRQResult | None" = None
         self.member_ids: frozenset = _NONE
+
+    def install(self, result: "SSRQResult | None") -> None:
+        """Hold ``result`` (``None``: hold none) and its membership."""
+        self.result = result
+        self.member_ids = (
+            frozenset(nb.user for nb in result.neighbors) if result is not None else _NONE
+        )
 
     def classify(
         self,
@@ -270,62 +263,3 @@ class StoredTopK:
                 nb = Neighbor(nb.user, new_score, nb.social, d)
             out.append(nb)
         return out
-
-
-class StoredIndex:
-    """The inverted index over :class:`StoredTopK` holders: by query
-    user and by current member — the two ways a location update of one
-    user touches a stored result *directly* (everything else is the
-    entrant screen).  Not thread-safe: each consumer guards it with its
-    own lock.
-    """
-
-    __slots__ = ("_by_query_user", "_by_member")
-
-    def __init__(self) -> None:
-        self._by_query_user: dict[int, set[StoredTopK]] = {}
-        self._by_member: dict[int, set[StoredTopK]] = {}
-
-    @staticmethod
-    def _link(table: dict, users, stored: StoredTopK) -> None:
-        for user in users:
-            table.setdefault(user, set()).add(stored)
-
-    @staticmethod
-    def _unlink(table: dict, users, stored: StoredTopK) -> None:
-        for user in users:
-            holders = table.get(user)
-            if holders is not None:
-                holders.discard(stored)
-                if not holders:
-                    del table[user]
-
-    def add(self, stored: StoredTopK) -> None:
-        """Start tracking ``stored`` (by its query user, and by the
-        members of whatever result it already holds)."""
-        self._link(self._by_query_user, (stored.request.user,), stored)
-        self._link(self._by_member, stored.member_ids, stored)
-
-    def remove(self, stored: StoredTopK) -> None:
-        """Stop tracking ``stored`` (no-op if it never was)."""
-        self._unlink(self._by_query_user, (stored.request.user,), stored)
-        self._unlink(self._by_member, stored.member_ids, stored)
-
-    def install(self, stored: StoredTopK, result: "SSRQResult | None") -> None:
-        """Give a tracked ``stored`` a new result (``None``: it holds
-        none now), swapping its membership in the member index."""
-        self._unlink(self._by_member, stored.member_ids, stored)
-        stored.result = result
-        stored.member_ids = (
-            frozenset(nb.user for nb in result.neighbors) if result is not None else _NONE
-        )
-        self._link(self._by_member, stored.member_ids, stored)
-
-    def touched(self, user: int) -> "AbstractSet[StoredTopK]":
-        """The holders ``user`` issued or is a member of (a fresh set:
-        callers may re-install while iterating it)."""
-        return self._by_query_user.get(user, _NONE) | self._by_member.get(user, _NONE)
-
-    def clear(self) -> None:
-        self._by_query_user.clear()
-        self._by_member.clear()

@@ -8,10 +8,11 @@ update stream.
   so every move applied through *any* path is observed inside the
   update's write lock (edge updates change nothing served until
   ``rebuild_engine`` swaps the engine, which the next read detects);
-- **classify** — each (update, subscription) pair is screened with the
-  NO-OP / REPAIR / RECOMPUTE rule of :mod:`repro.stream.conditions`
-  (the one the result cache calls too): O(1) per subscription, no
-  queries, no social distances;
+- **classify** — every update, a move or a forget, is screened
+  against every subscription with the NO-OP / REPAIR / RECOMPUTE rule
+  of :mod:`repro.stream.conditions` (the screen the result cache calls
+  too): O(1) per subscription, no queries, no social distances, and no
+  index of who is in which result;
 - **apply** — classifications only *mark*; the marked work is applied
   in one batched pass per subscription at read time (or via
   :meth:`SubscriptionRegistry.flush`), so a burst of moves costs one
@@ -20,6 +21,8 @@ update stream.
   :meth:`~repro.backend.base.Kernels.euclidean_to_point` call for the
   spatial column, a :class:`~repro.core.result.TopKBuffer` rebuild —
   and escalate to a recompute the moment the safe condition fails.
+  This is the only layer that repairs: the result cache keeps an entry
+  on NO-OP and evicts it otherwise.
 
 Reads are *linearizable with updates*: :meth:`SubscriptionRegistry.result`
 applies pending work under the engine's read lock before returning, so
@@ -50,7 +53,7 @@ from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.social.scan import materialize_column
-from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, StoredIndex
+from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR
 from repro.stream.subscription import StreamStats, Subscription
 from repro.utils.validation import check_user
 
@@ -93,7 +96,6 @@ class SubscriptionRegistry:
         self.stats = StreamStats()
         self._lock = threading.Lock()
         self._subs: set[Subscription] = set()
-        self._index = StoredIndex()
         self._engine = service.engine
         self._closed = False
         self._engine.add_location_listener(self._on_location_update)
@@ -198,7 +200,6 @@ class SubscriptionRegistry:
             )
             with self._lock:
                 self._subs.add(sub)
-                self._index.add(sub)
                 self.stats.subscribed += 1
                 self.stats.active += 1
                 self._recompute_locked(sub, engine)
@@ -212,7 +213,6 @@ class SubscriptionRegistry:
             if sub not in self._subs:
                 return
             self._subs.discard(sub)
-            self._index.remove(sub)
             if sub.suspended:
                 self.stats.suspended -= 1
             self.stats.active -= 1
@@ -270,19 +270,12 @@ class SubscriptionRegistry:
     # -- classification (fires inside the update's write lock) ---------
 
     def _on_location_update(self, user: int, x: float | None, y: float | None) -> None:
+        # Every subscription is screened, for a move or a forget: the
+        # mover may be its query user, a member or a possible entrant.
         with self._lock:
             self.stats.location_updates += 1
-            handled = self._index.touched(user)
-            for sub in handled:
-                self._classify_locked(sub, user, x, y)
-            if x is None or y is None:
-                return  # a forgotten location cannot create entrants
-            # Entrant fan-out: every subscription holding a result is
-            # screened (a suspended one holds none and resumes only
-            # through its own query user, whom ``touched`` handed over).
             for sub in self._subs:
-                if sub.result is not None and sub not in handled:
-                    self._classify_locked(sub, user, x, y)
+                self._classify_locked(sub, user, x, y)
 
     def _classify_locked(
         self, sub: Subscription, user: int, x: float | None, y: float | None
@@ -375,11 +368,8 @@ class SubscriptionRegistry:
         stats = SearchStats()
         stats.extra["maintained"] = "repair"
         stats.extra["deltas_applied"] = len(ids)
-        self._index.install(
-            sub,
-            SSRQResult(
-                sub.user, sub.k, sub.alpha, buffer.neighbors(), stats, method=sub.method
-            ),
+        sub.install(
+            SSRQResult(sub.user, sub.k, sub.alpha, buffer.neighbors(), stats, method=sub.method)
         )
         sub.repairs += 1
         self.stats.repairs_applied += 1
@@ -396,7 +386,7 @@ class SubscriptionRegistry:
         except ValueError as err:
             if "no known location" not in str(err):
                 raise
-            self._index.install(sub, None)
+            sub.install(None)
             sub.suspended = True
             sub.error = str(err)
             if not was_suspended:
@@ -406,7 +396,7 @@ class SubscriptionRegistry:
             sub.error = None
             if sub.auto:
                 sub.follow(result.method)
-            self._index.install(sub, result)
+            sub.install(result)
             if was_suspended:
                 self.stats.suspended -= 1
         sub.recomputes += 1

@@ -13,12 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
 from repro.plan.rules import AUTO
-from repro.stream.conditions import REPAIRABLE_METHODS, StoredTopK
+from repro.stream.conditions import StoredTopK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ranking import RankingFunction
     from repro.core.request import QueryRequest
+
+#: the methods the registry's batched repair applies to: exactly the
+#: ones whose per-neighbor social distances are schedule-independent
+#: forward-Dijkstra values, so a stored distance is bit-identical to
+#: what a fresh search would recompute (a *core* property — see
+#: :data:`repro.core.engine.FORWARD_DETERMINISTIC_METHODS`).  The AIS
+#: family and the CH-backed methods evaluate bidirectionally
+#: (association may differ by 1 ulp between schedules) and are not
+#: repaired.
+REPAIRABLE_METHODS = FORWARD_DETERMINISTIC_METHODS
+
 
 class Subscription(StoredTopK):
     """One registered standing query ``(user, k, α, method)`` — a
@@ -31,7 +43,7 @@ class Subscription(StoredTopK):
     stored pre-routed (endpoint α values route exactly like
     :meth:`~repro.core.engine.GeoSocialEngine.query` does), and
     ``repairable`` says whether single-candidate repair applies (see
-    :data:`~repro.stream.conditions.REPAIRABLE_METHODS`).  A
+    :data:`REPAIRABLE_METHODS`).  A
     subscription requested as ``"auto"`` (:attr:`auto`) is re-resolved
     by the planner on every recompute; its ``method`` reads ``"auto"``
     until the first result and then names whatever the latest
@@ -54,6 +66,7 @@ class Subscription(StoredTopK):
         "alpha",
         "method",
         "auto",
+        "repairable",
         "suspended",
         "error",
         "pending",
@@ -75,6 +88,8 @@ class Subscription(StoredTopK):
         #: requested as ``"auto"``: the planner picks the method of
         #: each recompute, and :meth:`follow` tracks its pick
         self.auto = request.method == AUTO
+        #: whether single-member repair applies (:data:`REPAIRABLE_METHODS`)
+        self.repairable = request.method in REPAIRABLE_METHODS
         #: True while the query user has no location and the query's
         #: α needs one — a fresh query would raise; so does reading
         self.suspended = False

@@ -33,6 +33,17 @@ def check_k(k: int) -> int:
     return int(k)
 
 
+def check_size(name: str, value: int) -> int:
+    """Validate a cache capacity or byte budget: a non-negative integer
+    (NumPy integer scalars accepted, bools not), where ``0`` turns the
+    cache off."""
+    if isinstance(value, bool) or not isinstance(value, _numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 def check_fields(obj: dict, allowed: tuple, what: str = "request") -> None:
     """Refuse a wire object carrying a field outside ``allowed``, naming
     the first such field (a typo'd or retired field is an error, never a

@@ -263,6 +263,26 @@ def test_serve_refuses_a_non_positive_deadline(runner, monkeypatch):
     assert "serving" not in result.output
 
 
+def test_serve_refuses_a_negative_column_budget(runner, monkeypatch):
+    """`repro serve --social-cache-bytes -5` is a click error naming the
+    field before the server binds, not a traceback."""
+
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(time, "sleep", interrupt)
+    result = runner.invoke(
+        cli,
+        ["serve", "--dataset", "gowalla", "--n", "60", "--port", "0",
+         "--social-cache-bytes", "-5"],
+    )
+    assert result.exit_code == 1, result.output
+    assert "social_cache_bytes must be >= 0, got -5" in result.output
+    assert "Traceback" not in result.output
+    assert "serving" not in result.output
+    assert not isinstance(result.exception, ValueError)
+
+
 def test_dataset_registry_is_complete():
     assert set(DATASETS) == {"gowalla", "foursquare", "twitter", "correlated"}
 

@@ -8,6 +8,7 @@ public edges, and the service's result-cache key.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -75,3 +76,25 @@ def test_an_engine_over_a_table_with_no_located_user_builds_and_answers(tmp_path
             want = served.query(3, k=10, alpha=0.5, method="bruteforce")
             assert (got.users, got.scores) == (want.users, want.scores), method
         served.close()
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        (-1, "social_cache_bytes must be >= 0, got -1"),
+        (True, "social_cache_bytes must be an integer, got True"),
+        (2.5, "social_cache_bytes must be an integer, got 2.5"),
+    ],
+    ids=["negative", "bool", "float"],
+)
+def test_the_column_budget_is_checked_like_the_service_checks_it(value, message):
+    """The engine refuses what :class:`QueryService` refuses, with the
+    same words; ``0`` still builds no column cache and ``None`` the
+    default one."""
+    graph, locations = random_instance(30, seed=5, coverage=0.8)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GeoSocialEngine(graph, locations, num_landmarks=2, social_cache_bytes=value)
+    assert GeoSocialEngine(
+        graph, locations, num_landmarks=2, social_cache_bytes=0
+    ).social_cache is None
+    assert GeoSocialEngine(graph, locations, num_landmarks=2).social_cache is not None

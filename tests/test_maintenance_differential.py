@@ -9,10 +9,10 @@ checks, after every step:
 
 - each consumer applied its policy to the rule's verdict
   (:func:`~repro.stream.conditions.classify_location_update`, computed
-  here from the stored result alone): the cache kept NO-OP entries
-  untouched, evicted RECOMPUTE ones, and for REPAIR either re-scored a
-  repairable member in place or evicted; the registry left NO-OPs
-  clean, queued repairable REPAIRs, and marked the rest;
+  here from the stored result alone): the cache kept every NO-OP entry
+  as the same result object and evicted every other one; the registry
+  left NO-OPs clean, queued repairable REPAIRs, and marked the rest.
+  Moves and forgets alike run through both consumers' full scans;
 - whatever the cache still holds equals a fresh ``engine.query``, and
   so does ``registry.result(sub)``.
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import random
 
@@ -52,7 +53,8 @@ from repro.core.engine import GeoSocialEngine
 from repro.core.result import Neighbor, SSRQResult
 from repro.graph.socialgraph import SocialGraph
 from repro.plan.rules import METHOD_TABLE
-from repro.service import QueryRequest, QueryService, ResultCache
+from repro.service import CacheStats, QueryRequest, QueryService, ResultCache, ServiceStats
+from repro.service.cache import InvalidationOutcome
 from repro.stream import (
     NOOP,
     RECOMPUTE,
@@ -149,8 +151,8 @@ def test_cache_and_registry_apply_one_rule_and_stay_fresh(n, seed, alpha, k, met
         mover, x, y = pick_update(rng, engine, subs)
         context = f"step {step}: {'forget' if x is None else 'move'} {mover} -> ({x}, {y})"
         before = {
-            entry: (entry.result, verdict(entry, engine, mover, x, y))
-            for entry in cache._entries.values()
+            key: (entry.result, verdict(entry, engine, mover, x, y))
+            for key, entry in cache._entries.items()
         }
         expected = {
             sub: verdict(sub, engine, mover, x, y) for sub in subs if sub.result is not None
@@ -162,15 +164,13 @@ def test_cache_and_registry_apply_one_rule_and_stay_fresh(n, seed, alpha, k, met
         else:
             service.move_user(mover, x, y)
 
-        # -- the cache's policy over the rule's verdict
-        for entry, (old, kind) in before.items():
-            held = cache.peek(entry.key)
+        # -- the cache's policy over the rule's verdict: keep or evict
+        for key, (old, kind) in before.items():
+            held = cache.peek(key)
             if kind == NOOP:
                 assert held is old, f"{context}: NO-OP entry was touched"
-            elif kind == RECOMPUTE:
-                assert held is None, f"{context}: RECOMPUTE entry survived"
-            elif held is not None:  # REPAIR, and the cache kept the line
-                assert held is not old and entry.repairable and mover in old.users, context
+            else:
+                assert held is None, f"{context}: {kind} entry survived"
         # -- the registry's policy over the same verdict
         for sub, kind in expected.items():
             if kind == NOOP:
@@ -273,7 +273,7 @@ def test_edge_updates_change_nothing_served_until_a_rebuild_folds_them(
         context = f"step {step}: {kind}"
         if kind == "edge":
             warm = [service.query(r) for r in requests if answerable(r)]
-            held = {entry.key: entry.result for entry in cache._entries.values()}
+            held = {key: entry.result for key, entry in cache._entries.items()}
             u, v, weight = pick_edge(rng, model, touched, n, directed)
             key = edge_key(u, v, directed)
             context += f" ({u}, {v}) -> {weight}"
@@ -292,7 +292,7 @@ def test_edge_updates_change_nothing_served_until_a_rebuild_folds_them(
             # repeat issued across the update is still a hit (``auto``
             # may re-resolve to another method's line)
             assert not any(sub.dirty for sub in subs), context
-            now = {entry.key: entry.result for entry in cache._entries.values()}
+            now = {key: entry.result for key, entry in cache._entries.items()}
             assert now.keys() == held.keys() and all(now[k] is held[k] for k in held), context
             if method != "auto":
                 for response in warm:
@@ -362,7 +362,7 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
     cache = ResultCache(capacity=4)
     key = cache_put(cache, 0, 3, 0.5, "tsa", members)
     out = cache.invalidate_location_update(9, None, None, query_location=lambda u: (0.0, 0.0))
-    assert (int(out), out.repaired, out.reused) == (1, 0, 0)
+    assert (int(out), out.reused) == (1, 0)
     assert cache.peek(key) is None
 
     graph, locations = random_instance(40, seed=11, coverage=0.5)
@@ -376,7 +376,7 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
         leaver = next(u for u in response.result.users if u != q)
         service.forget_location(leaver)
         assert sub.recompute_pending and not sub.pending
-        assert service.cache_info()["repaired"] == 0 and len(service.cache) == 0
+        assert len(service.cache) == 0
         fresh = engine.query(sub.request)
         assert leaver not in fresh.users
         assert_maintained_equals_fresh(sub, registry.result(sub), fresh, "open-slot forget")
@@ -394,27 +394,21 @@ CONSUMERS = (
 
 
 def test_the_maintenance_rule_is_written_once():
-    """The screen bound, the k-th-key escalation test and the inverted
-    index live in :mod:`repro.stream.conditions` only; the consumers
-    carry no copy to drift."""
+    """The screen bound and the k-th-key escalation test live in
+    :mod:`repro.stream.conditions` only; the consumers carry no copy to
+    drift, and the re-score has one caller, the registry."""
     cache_source = inspect.getsource(repro.service.cache)
     for token in ("sqrt", "_TINY", "_KEY_"):
         assert token not in cache_source, f"repro.service.cache re-derives {token}"
     for module in CONSUMERS:
         source = inspect.getsource(module)
-        for token in ("_by_query_user", "_by_member", "kth_key", "w_spatial *", "sqrt"):
+        for token in ("kth_key", "w_spatial *", "sqrt"):
             assert token not in source, f"{module.__name__} carries its own {token}"
+        if module is not repro.stream.registry:
+            assert "rescore_members" not in source, f"{module.__name__} repairs"
     rule = inspect.getsource(repro.stream.conditions)
-    assert rule.count("class StoredIndex") == 1
     assert rule.count("> kth_key") == 1
     assert rule.count("w_spatial * euclidean(") == 1
-    owners = [
-        name
-        for name, cls in inspect.getmembers(repro.stream.conditions, inspect.isclass)
-        if cls.__module__ == repro.stream.conditions.__name__
-        and "_by_member" in inspect.getsource(cls)
-    ]
-    assert owners == ["StoredIndex"]
 
 
 #: names accepted only because the benchmark harness passes them; they
@@ -491,3 +485,18 @@ def test_removed_options_stay_removed():
     assert "sketch" not in inspect.signature(GeoSocialEngine.__init__).parameters
     assert not hasattr(GeoSocialEngine, "sketch")
     assert "error_bound" not in {f.name for f in dataclasses.fields(SSRQResult)}
+    # the result cache keeps or evicts; only the registry repairs, and
+    # both find the affected results by screening every one (no index)
+    src = pathlib.Path(repro.__file__).parent
+    for path in src.rglob("*.py"):
+        assert "StoredIndex" not in path.read_text(encoding="utf-8"), path
+    cache = ResultCache(capacity=1)
+    for name in ("_index", "_repair_member_locked"):
+        assert not hasattr(cache, name), name
+    assert not hasattr(InvalidationOutcome(0), "repaired")
+    assert "repaired" not in {f.name for f in dataclasses.fields(CacheStats)}
+    assert "repaired_entries" not in {f.name for f in dataclasses.fields(ServiceStats)}
+    graph, locations = random_instance(20, seed=1, coverage=0.8)
+    with QueryService(GeoSocialEngine(graph, locations, num_landmarks=2)) as service:
+        assert "repaired" not in service.cache_info()
+        assert "repaired_entries" not in service.stats.snapshot()

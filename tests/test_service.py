@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import pickle
 import random
+import re
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.workloads import zipf_arrivals
@@ -764,18 +766,38 @@ def test_wire_is_the_encoded_payload(engine, method, alpha):
     assert QueryResponse(request, clone).wire() == QueryResponse(request, result).wire()
 
 
-def test_repaired_entry_serves_the_repaired_bytes(engine):
-    user = located(engine, 1)[0]
-    request = QueryRequest(user, k=5, alpha=0.4, method="tsa")
-    with QueryService(engine, cache_size=32) as service:
-        before = service.query(request)
-        stale = before.wire()
-        qx, qy = engine.locations.get(user)
-        member = before.result.neighbors[0].user
-        mx, my = engine.locations.get(member)
-        service.move_user(member, (qx + mx) / 2, (qy + my) / 2)   # closer: stays first
-        assert service.stats.repaired_entries == 1
-        after = service.cached(request)
-        assert after is not None and after.result is not before.result
-        assert after.wire() == json_bytes(after.payload()) != stale
-        assert_same_scores(after.result, engine.query(user, 5, 0.4, "bruteforce"))
+# ------------------------------------------------------ cache-size settings
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("cache_size", -1, "cache_size must be >= 0, got -1"),
+        ("cache_size", True, "cache_size must be an integer, got True"),
+        ("cache_size", 2.5, "cache_size must be an integer, got 2.5"),
+        ("cache_size", "8", "cache_size must be an integer, got '8'"),
+        ("social_cache_bytes", -1, "social_cache_bytes must be >= 0, got -1"),
+        ("social_cache_bytes", False, "social_cache_bytes must be an integer, got False"),
+        ("social_cache_bytes", 1.5, "social_cache_bytes must be an integer, got 1.5"),
+    ],
+    ids=["size-neg", "size-bool", "size-float", "size-str", "bytes-neg", "bytes-bool", "bytes-float"],
+)
+@pytest.mark.parametrize("engine_cache", [None, 0], ids=["columns-on", "columns-off"])
+def test_cache_sizes_are_checked_one_way(field, value, message, engine_cache):
+    """Both sizes refuse a bool, a non-integer and a negative value with
+    a ``ValueError`` naming the field — whether or not the engine carries
+    a column cache to resize — and leave the engine's listeners alone."""
+    graph, locations = random_instance(30, seed=4, coverage=0.8)
+    engine = GeoSocialEngine(
+        graph, locations, num_landmarks=2, social_cache_bytes=engine_cache
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QueryService(engine, **{field: value})
+    assert not engine._location_listeners
+
+
+def test_zero_still_turns_each_cache_off(engine):
+    with QueryService(engine, cache_size=0, social_cache_bytes=0) as service:
+        assert service.cache is None and service.engine.social_cache.max_bytes == 0
+    with QueryService(engine, cache_size=np.int64(3)) as service:
+        assert service.cache.capacity == 3 and type(service.cache.capacity) is int

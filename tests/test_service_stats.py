@@ -132,7 +132,6 @@ def test_invalidation_counters_move_on_update(engine):
         after = service.stats.snapshot()
         touched = (
             (after["invalidated_entries"] - before["invalidated_entries"])
-            + (after["repaired_entries"] - before["repaired_entries"])
             + (after["reused_entries"] - before["reused_entries"])
             + (after["full_invalidations"] - before["full_invalidations"])
         )

@@ -230,69 +230,54 @@ def test_result_cache_counters_are_thread_safe_off_the_engine_lock():
     # Two threads may miss the same key and both put (the second is a
     # refresh, which by design does not count as an insertion) — so
     # insertions never exceed misses, and the size balance is *exact*:
-    # repaired-in-place entries stay, so repairs must not appear in it.
+    # every entry either stays as it was or leaves through one counter.
     assert stats.insertions <= stats.misses
     assert len(cache) == stats.insertions - stats.evictions - stats.invalidated
 
 
 def test_cache_repair_counters_attribute_exactly_single_threaded():
-    """Deterministic pin of the reuse/repair/recompute split: a member
-    move on a repairable method repairs in place, a far-away move is
-    reused, a query-user move evicts."""
+    """Deterministic pin of the keep-or-evict split: a far-away move is
+    reused, a member move evicts whatever the method (forward ``tsa``
+    and bidirectional ``ais`` alike: the cache never re-scores), a
+    query-user move evicts.  ``int(outcome)`` is the eviction count and
+    ``outcome.reused`` the entries kept — what the benchmark tracer
+    reads off every screen."""
+    members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
+    here = lambda u: (0.0, 0.0) if u == 0 else (50.0, 50.0)  # noqa: E731
     cache = ResultCache(capacity=8)
-    key = cache_put(
-        cache, 0, 2, 0.5, "tsa", [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
-    )
-    result = cache.peek(key)
-    # 1. far-away non-member: provably out -> reused, entry intact.
-    out = cache.invalidate_location_update(
-        7, 100.0, 100.0, query_location=lambda u: (0.0, 0.0)
-    )
-    assert (int(out), out.repaired, out.reused) == (0, 0, 1)
-    assert cache.peek(key) is result
-    # 2. member 9 moves closer: repaired in place (scores re-sorted).
-    out = cache.invalidate_location_update(
-        9, 0.0, 0.0, query_location=lambda u: (0.0, 0.0)
-    )
-    assert (int(out), out.repaired) == (0, 1)
-    repaired = cache.peek(key)
-    assert repaired is not None and repaired is not result
-    assert repaired.users[0] == 9 and repaired.neighbors[0].spatial == 0.0
-    # 3. member 9 moves past the k-th key: the old (k+1)-th is unknown,
-    # so the entry must be evicted, not repaired.
-    out = cache.invalidate_location_update(
-        9, 50.0, 50.0, query_location=lambda u: (0.0, 0.0)
-    )
-    assert (int(out), out.repaired) == (1, 0)
-    assert cache.peek(key) is None
-    assert cache.stats.repaired == 1
-    assert cache.stats.invalidated == 1
-    assert cache.stats.reused >= 1
-
-
-def test_cache_repair_is_restricted_to_forward_methods():
-    """AIS entries must still evict on member moves: their stored
-    scores are schedule-dependent, so an in-place repair could not
-    promise bitwise equality with a fresh query."""
-    cache = ResultCache(capacity=8)
-    key = cache_put(cache, 0, 1, 0.5, "ais", [Neighbor(9, 0.2, 0.1, 0.1)])
-    out = cache.invalidate_location_update(
-        9, 0.0, 0.0, query_location=lambda u: (0.0, 0.0)
-    )
-    assert (int(out), out.repaired) == (1, 0)
-    assert cache.peek(key) is None
+    tsa = cache_put(cache, 0, 2, 0.5, "tsa", members)
+    ais = cache_put(cache, 0, 2, 0.5, "ais", members)
+    other = cache_put(cache, 3, 1, 0.5, "tsa", [Neighbor(4, 0.2, 0.1, 0.1)])
+    held = {key: cache.peek(key) for key in (tsa, ais, other)}
+    # 1. far-away non-member: provably out -> reused, entries intact.
+    out = cache.invalidate_location_update(7, 100.0, 100.0, query_location=here)
+    assert isinstance(out, int) and (int(out), out.reused) == (0, 3)
+    assert all(cache.peek(key) is result for key, result in held.items())
+    # 2. member 9 moves closer: both of user 0's entries go, the other stays.
+    out = cache.invalidate_location_update(9, 0.0, 0.0, query_location=here)
+    assert (int(out), out.reused) == (2, 1)
+    assert cache.peek(tsa) is None and cache.peek(ais) is None
+    assert cache.peek(other) is held[other]
+    # 3. the query user moves: its entry goes.
+    out = cache.invalidate_location_update(3, 0.5, 0.5, query_location=here)
+    assert (int(out), out.reused) == (1, 0)
+    assert len(cache) == 0
+    assert (cache.stats.invalidated, cache.stats.reused) == (3, 4)
 
 
 def test_service_stats_expose_reuse_repair_recompute(setup):
-    """The serving layer surfaces the cache's repair-awareness."""
+    """The serving layer attributes every screened entry exactly:
+    kept (``reused``) or evicted (``invalidated``), and a member move
+    always evicts."""
     graph, engine = setup
     service = QueryService(engine, cache_size=128, max_workers=1)
     rng = random.Random(9)
     located = list(engine.locations.located_users())
     q = located[0]
+    request = QueryRequest(q, k=5, alpha=0.4, method="tsa")
+    member_moves = 0
     for _ in range(30):
-        resp = service.query(QueryRequest(q, k=5, alpha=0.4, method="tsa"))
-        members = resp.result.users
+        members = service.query(request).result.users
         mover = rng.choice(members) if rng.random() < 0.7 else rng.randrange(graph.n)
         x, y = engine.locations.get(mover) or (rng.random(), rng.random())
         service.move_user(
@@ -300,10 +285,12 @@ def test_service_stats_expose_reuse_repair_recompute(setup):
             min(1.0, max(0.0, x + rng.uniform(-0.02, 0.02))),
             min(1.0, max(0.0, y + rng.uniform(-0.02, 0.02))),
         )
+        if mover in members:
+            member_moves += 1
+            assert service.cached(request) is None, "a member move must evict"
     info = service.cache_info()
     snap = service.stats.snapshot()
-    assert info["repaired"] == snap["repaired_entries"]
-    assert info["reused"] == snap["reused_entries"]
-    assert info["repaired"] > 0, "member jitter must exercise in-place repair"
-    assert info["reused"] > 0
+    assert info["invalidated"] == snap["invalidated_entries"] >= member_moves > 0
+    assert info["reused"] == snap["reused_entries"] > 0
+    assert "repaired" not in info and "repaired_entries" not in snap
     service.close()
