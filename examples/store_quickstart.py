@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Durable snapshots and mmap warm-start: restart in O(read), not
-O(rebuild).
+"""Durable snapshots and mmap warm-start: restart by reading the data
+back, not by deriving it again.
 
-An engine cold-starts by re-running landmark selection and M Dijkstra
-sweeps; `engine.save(path)` persists the columnar data plane once —
-checksummed `.npy` columns behind an atomically-renamed manifest — and
+A cold start generates (or parses) the dataset and estimates the
+normalization constants with double-sweep Dijkstra passes;
+`engine.save(path)` persists the data once — the coordinate and CSR
+columns as checksummed `.npy` files behind an atomically-renamed
+manifest that also holds the config and those constants — and
 `load_engine(path)` memory-maps it back in a fraction of the time,
-answering every query bit-identically.  This example times both paths,
+answering every query bit-identically.  Neither path builds an index:
+the grid, the landmark index and the aggregate index are built by
+their first reader (`spa`, `tsa`, `ais`), in a loaded engine as in a
+fresh one, and interior `auto` reads none.  This example times both paths,
 shows the snapshot history a `QueryService` keeps through
 `SnapshotManager` (update folding, crash-safe `CURRENT` pointer,
 restore through the engine-swap path), and demonstrates the typed
@@ -38,7 +43,7 @@ cold_s = time.perf_counter() - start
 snap = engine.save(workdir / "snap")
 print(f"cold build: {cold_s:.2f}s -> snapshot at {snap.name}/")
 
-# --- Warm start: mmap'd columns, no Dijkstra re-run -------------------------
+# --- Warm start: mmap'd columns, no normalization sweep ---------------------
 start = time.perf_counter()
 warm = load_engine(snap)  # verify=True: sha256 per column
 warm_s = time.perf_counter() - start

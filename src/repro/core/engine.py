@@ -52,7 +52,7 @@ from repro.core.result import SSRQResult
 from repro.core.sfa import SocialFirstSearch
 from repro.core.spa import SpatialFirstSearch
 from repro.core.tsa import TwofoldSearch
-from repro.graph.landmarks import LandmarkIndex
+from repro.graph.landmarks import LANDMARK_STRATEGIES, LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
 from repro.plan.planner import Planner
@@ -98,33 +98,28 @@ class GeoSocialEngine:
         True
 
     Owns the data and the derived state every searcher shares (kernels,
-    normalization, social column cache, planner, SPA's grid and the
-    lazily built landmark index and aggregate index), one
-    searcher object per method, the one query pipeline, location
-    listeners, rebuild and persistence.
+    normalization, social column cache, planner, and the three indexes
+    derived from the data: SPA's grid, the landmark index and the
+    aggregate index, each built by its first reader), one searcher
+    object per method, the one query pipeline, location listeners,
+    rebuild and persistence.
 
     Parameters
     ----------
     graph, locations:
         The social graph and the user location table.
     num_landmarks:
-        ``M``; the paper fine-tunes it to 8.
+        ``M``, a positive integer; the paper fine-tunes it to 8.  More
+        landmarks than users is refused when the index is built.
     landmark_strategy:
         ``"farthest"`` (default), ``"random"`` or ``"degree"``.
     s:
-        Grid fanout (Table 3 default 10): the aggregate index keeps an
-        ``s x s`` top level over ``s² x s²`` leaves; SPA's single-level
-        grid uses the leaf resolution.
+        Grid fanout, a positive integer (Table 3 default 10): the
+        aggregate index keeps an ``s x s`` top level over ``s² x s²``
+        leaves; SPA's single-level grid uses the leaf resolution.
     normalization:
         Optional pre-computed :class:`Normalization` (estimated from the
         data when omitted).
-    landmarks:
-        Optional pre-built :class:`~repro.graph.landmarks.LandmarkIndex`
-        over ``graph`` (a snapshot load injects the stored one).  When
-        given, ``num_landmarks`` / ``landmark_strategy`` are ignored for
-        construction (but ``landmark_strategy`` is still recorded for
-        rebuilds); when omitted the index is built on first use
-        (:attr:`landmarks`).
     backend:
         Candidate-evaluation backend: ``"auto"`` (the default — NumPy
         when importable, honouring the ``REPRO_BACKEND`` environment
@@ -138,9 +133,6 @@ class GeoSocialEngine:
         ``method="auto"`` (a fresh one when omitted).  Carried across
         :meth:`with_graph` rebuilds, so its counters survive
         :meth:`~repro.service.QueryService.rebuild_engine`.
-    grid:
-        A restored grid (the warm-start path of :mod:`repro.store`)
-        skips the insertion scan.
     social_cache_bytes:
         Byte budget of the cross-query social column cache (``None``:
         the default budget; ``0`` disables it; anything but a
@@ -157,10 +149,8 @@ class GeoSocialEngine:
         s: int = 10,
         seed: int = 0,
         normalization: Normalization | None = None,
-        landmarks: LandmarkIndex | None = None,
         backend: "str | Kernels" = "auto",
         planner: "Planner | None" = None,
-        grid: UniformGrid | None = None,
         social_cache_bytes: int | None = None,
     ) -> None:
         if len(locations) != graph.n:
@@ -168,9 +158,16 @@ class GeoSocialEngine:
                 f"location table covers {len(locations)} users but the graph "
                 f"has {graph.n} vertices"
             )
+        if landmark_strategy not in LANDMARK_STRATEGIES:
+            raise ValueError(
+                f"landmark_strategy must be one of {LANDMARK_STRATEGIES}, "
+                f"got {landmark_strategy!r}"
+            )
         self.graph = graph
         self.locations = locations
-        self.s = s
+        self.s = check_size("s", s, minimum=1)
+        #: ``M``, the landmark count :attr:`landmarks` is built with
+        self.num_landmarks = check_size("num_landmarks", num_landmarks, minimum=1)
         self.landmark_strategy = landmark_strategy
         self.seed = seed
         #: resolved batched-evaluation kernels (shared by every searcher)
@@ -178,8 +175,7 @@ class GeoSocialEngine:
         #: resolved backend name ("numpy"/"python"), stable across rebuilds
         self.backend: str = self.kernels.name
         #: see :attr:`landmarks`
-        self._landmarks: LandmarkIndex | None = landmarks
-        self._num_landmarks = landmarks.m if landmarks is not None else num_landmarks
+        self._landmarks: LandmarkIndex | None = None
         self.normalization = (
             normalization
             if normalization is not None
@@ -201,10 +197,9 @@ class GeoSocialEngine:
         #: the ``method="auto"`` resolver (carried across ``with_graph``
         #: rebuilds, so its counters do too)
         self.planner: Planner = planner if planner is not None else Planner()
-        #: SPA's grid, maintained by every location update
-        self.grid = grid if grid is not None else UniformGrid.build(locations, s * s)
-        #: AIS's index (see :attr:`aggregate`); maintained by location
-        #: updates only once it exists
+        #: SPA's grid and AIS's index (see :attr:`grid`, :attr:`aggregate`);
+        #: maintained by location updates only once they exist
+        self._grid: UniformGrid | None = None
         self._aggregate: AggregateIndex | None = None
         self._searchers: dict[str, object] = {}
         # Re-entrancy: queries are read-only (audited — every searcher
@@ -229,16 +224,30 @@ class GeoSocialEngine:
     # -- the lazily-built indexes -----------------------------------------
 
     @property
+    def grid(self) -> UniformGrid:
+        """SPA's grid: ``s² x s²`` cells over the located users (built
+        on first use, once, under the build lock, from the current
+        locations; kept current by every later location update).
+        ``spa``, ``tsa`` and the aggregate index read it; nothing on the
+        interior ``auto`` path does.  Like :attr:`aggregate`, build it
+        under :attr:`rw_lock`'s read side at least, so no location
+        update races the scan."""
+        if self._grid is None:
+            with self._build_lock:
+                if self._grid is None:
+                    self._grid = UniformGrid.build(self.locations, self.s * self.s)
+        return self._grid
+
+    @property
     def landmarks(self) -> LandmarkIndex:
         """The ALT landmark index (built on first use, once, under the
-        build lock).  ``tsa``, ``ais`` and :meth:`save` read it; nothing
-        on the ``auto`` path does.  A snapshot load restores it without a
-        build."""
+        build lock).  ``tsa`` and ``ais`` read it; nothing on the
+        ``auto`` path and no snapshot does."""
         if self._landmarks is None:
             with self._build_lock:
                 if self._landmarks is None:
                     self._landmarks = LandmarkIndex.build(
-                        self.graph, self._num_landmarks, self.landmark_strategy, self.seed
+                        self.graph, self.num_landmarks, self.landmark_strategy, self.seed
                     )
         return self._landmarks
 
@@ -246,10 +255,10 @@ class GeoSocialEngine:
     def aggregate(self) -> AggregateIndex:
         """The aggregate index (built on first use; only ``ais`` and the
         reproduction tier's AIS variants read it).  Its leaf level is a
-        copy of the maintained SPA grid — same cells, same in-cell
-        order — so an index built late equals one kept from the start.
-        Build it under :attr:`rw_lock`'s read side at least (the service
-        layer's queries are), so no location update races the copy."""
+        copy of :attr:`grid` — same cells, same in-cell order — so an
+        index built late equals one kept from the start.  Build it under
+        :attr:`rw_lock`'s read side at least (the service layer's
+        queries are), so no location update races the copy."""
         if self._aggregate is None:
             with self._build_lock:
                 if self._aggregate is None:
@@ -402,8 +411,8 @@ class GeoSocialEngine:
             listener(user, x, y)
 
     def move_user(self, user: int, x: float, y: float) -> None:
-        """Process a location update: refresh the location table, the
-        grid and (once built) the aggregate index, then fire the
+        """Process a location update: refresh the location table and
+        (once built) the grid and the aggregate index, then fire the
         location listeners, so service-layer caches invalidate exactly
         the affected entries.
 
@@ -418,11 +427,13 @@ class GeoSocialEngine:
             had_location = self.locations.has_location(user)
             self.locations.set(user, x, y)
             if had_location:
-                self.grid.move(user, x, y)
+                if self._grid is not None:
+                    self._grid.move(user, x, y)
                 if self._aggregate is not None:
                     self._aggregate.move_user(user, x, y)
             else:
-                self.grid.insert(user, x, y)
+                if self._grid is not None:
+                    self._grid.insert(user, x, y)
                 if self._aggregate is not None:
                     self._aggregate.insert_user(user, x, y)
             self._notify_location(user, x, y)
@@ -435,7 +446,8 @@ class GeoSocialEngine:
             if not self.locations.has_location(user):
                 return
             self.locations.clear(user)
-            self.grid.remove(user)
+            if self._grid is not None:
+                self._grid.remove(user)
             if self._aggregate is not None:
                 self._aggregate.remove_user(user)
             self._notify_location(user, None, None)
@@ -452,7 +464,7 @@ class GeoSocialEngine:
         kept (a shared constant preserves rankings).
         """
         kwargs = dict(
-            num_landmarks=self._num_landmarks,
+            num_landmarks=self.num_landmarks,
             landmark_strategy=self.landmark_strategy,
             s=self.s,
             seed=self.seed,
@@ -492,11 +504,11 @@ class GeoSocialEngine:
     @classmethod
     def load(cls, path, *, mmap: bool = True, verify: bool = True) -> "GeoSocialEngine":
         """Warm-start an engine from a snapshot directory written by
-        :meth:`save` — O(read) instead of O(rebuild): no Dijkstra
-        sweeps, no index insertion scans.  With ``mmap=True`` the
-        coordinate columns and the landmark matrix are memory-mapped
-        copy-on-write, so load cost is page-cache reads and mutation
-        stays private to this process."""
+        :meth:`save`: the data columns are read back and no normalization
+        sweep runs; every index is built by its first reader, as in a
+        freshly built engine.  With ``mmap=True`` the coordinate and CSR
+        columns are memory-mapped copy-on-write, so load cost is
+        page-cache reads and mutation stays private to this process."""
         from repro.store import load_engine
 
         return load_engine(path, mmap=mmap, verify=verify)
@@ -509,7 +521,7 @@ class GeoSocialEngine:
     def __repr__(self) -> str:
         return (
             f"GeoSocialEngine(n={self.graph.n}, edges={self.graph.num_edges}, "
-            f"located={self.locations.n_located}, M={self._num_landmarks}, s={self.s}, "
+            f"located={self.locations.n_located}, M={self.num_landmarks}, s={self.s}, "
             f"backend={self.backend!r})"
         )
 

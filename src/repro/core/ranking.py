@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from repro.utils.validation import check_alpha
@@ -47,8 +48,11 @@ class Normalization:
     d_max: float
 
     def __post_init__(self) -> None:
-        if self.p_max < 0 or self.d_max < 0:
-            raise ValueError(f"normalisers must be non-negative: {self!r}")
+        for name in ("p_max", "d_max"):
+            value = getattr(self, name)
+            # NaN fails the chained comparison too
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < INF:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     @classmethod
     def estimate(

@@ -27,6 +27,9 @@ from repro.utils.rng import make_rng
 
 INF = math.inf
 
+#: the landmark selection strategies :func:`select_landmarks` knows
+LANDMARK_STRATEGIES = ("farthest", "random", "degree")
+
 
 def _distance_row(graph: SocialGraph, landmark: int) -> list[float]:
     """Distances from ``landmark`` to every vertex (``inf`` when
@@ -173,46 +176,6 @@ class LandmarkIndex:
     def m(self) -> int:
         """Number of landmarks (``M`` in the paper)."""
         return len(self.landmarks)
-
-    @classmethod
-    def from_tables(
-        cls,
-        graph: SocialGraph,
-        landmarks: Sequence[int],
-        matrix,
-        matrix_rev=None,
-    ) -> "LandmarkIndex":
-        """Adopt pre-computed distance tables (the restore path of
-        :mod:`repro.store`).
-
-        ``matrix`` (shape ``(m, n)``, possibly memory-mapped
-        copy-on-write) is adopted without copying and rows of
-        :attr:`dist` become views into it.  Directed graphs must
-        supply ``matrix_rev``.
-        """
-        clone = object.__new__(cls)
-        clone.graph = graph
-        clone.landmarks = list(landmarks)
-        m = len(clone.landmarks)
-        if matrix.shape != (m, graph.n):
-            raise ValueError(
-                f"landmark matrix shape {matrix.shape} != ({m}, {graph.n})"
-            )
-        clone._matrix = matrix
-        clone.dist = [matrix[j] for j in range(m)]
-        if graph.directed:
-            if matrix_rev is None:
-                raise ValueError("directed graph needs matrix_rev")
-            if matrix_rev.shape != (m, graph.n):
-                raise ValueError(
-                    f"reverse matrix shape {matrix_rev.shape} != ({m}, {graph.n})"
-                )
-            clone._matrix_rev = matrix_rev
-            clone.dist_rev = [matrix_rev[j] for j in range(m)]
-        else:
-            clone._matrix_rev = clone._matrix
-            clone.dist_rev = clone.dist
-        return clone
 
     def vector(self, v: int) -> tuple[float, ...]:
         """Landmark distance vector of vertex ``v`` (``m_v*``)."""

@@ -14,7 +14,7 @@ of distances, and border cells are conceptually unbounded outward.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as _np
 
@@ -83,53 +83,6 @@ class UniformGrid:
             grid.cells[coords[cell]] = members[bounds[cell]:bounds[cell + 1]]
         cell_of = _np.searchsorted(sorted_keys[starts], keys).tolist()
         grid._cell_of_user = dict(zip(users.tolist(), map(coords.__getitem__, cell_of)))
-        return grid
-
-    # -- persistence ------------------------------------------------------
-
-    def to_arrays(self) -> tuple[list[int], list[int], list[int]]:
-        """Flatten the grid contents to three parallel columns
-        ``(users, ixs, iys)`` — the columnar image :mod:`repro.store`
-        persists.  Cells are emitted in sorted coordinate order and
-        members in their in-cell insertion order, so
-        ``from_arrays(grid.to_arrays())`` reproduces every member list
-        exactly (cell iteration order aside, which no search depends
-        on beyond the sorted traversal seeding of the AIS index).
-        """
-        users: list[int] = []
-        ixs: list[int] = []
-        iys: list[int] = []
-        for (ix, iy) in sorted(self.cells):
-            for user in self.cells[(ix, iy)]:
-                users.append(user)
-                ixs.append(ix)
-                iys.append(iy)
-        return users, ixs, iys
-
-    @classmethod
-    def from_arrays(
-        cls,
-        bbox: BBox,
-        resolution: int,
-        users: Iterable[int],
-        ixs: Iterable[int],
-        iys: Iterable[int],
-    ) -> "UniformGrid":
-        """Rebuild a grid from :meth:`to_arrays` columns without
-        re-deriving cell coordinates from locations.  Preserves the
-        per-cell member order the arrays encode."""
-        grid = cls(bbox, resolution)
-        cells = grid.cells
-        cell_of_user = grid._cell_of_user
-        for user, ix, iy in zip(users, ixs, iys):
-            user = int(user)
-            coords = (int(ix), int(iy))
-            if not (0 <= coords[0] < grid.nx and 0 <= coords[1] < grid.ny):
-                raise ValueError(f"cell {coords} out of range {grid.nx}x{grid.ny}")
-            if user in cell_of_user:
-                raise ValueError(f"user {user} appears twice in grid arrays")
-            cells.setdefault(coords, []).append(user)
-            cell_of_user[user] = coords
         return grid
 
     def copy(self) -> "UniformGrid":

@@ -1,14 +1,14 @@
 """Durable columnar store: crash-consistent engine snapshots with mmap
 warm-start.
 
-The persistence layer of the PR-3 columnar data plane, in the
-build-once-then-query idiom: an engine's columns — coordinate arrays,
-the ``(M, n)`` landmark matrix, CSR social adjacency, grid cell
-arrays — persist as checksummed ``.npy`` files next to a versioned
-JSON manifest, written crash-consistently (temp dir + fsync + atomic
-rename; the manifest is the commit point) and loaded back zero-copy
-via copy-on-write mmap, so restart cost is O(read) instead of
-O(rebuild).
+The persistence layer of the columnar data plane.  A snapshot holds
+the data, not the indexes: an engine's coordinate arrays and CSR social
+adjacency persist as checksummed ``.npy`` files next to a versioned
+JSON manifest carrying the engine config, written crash-consistently
+(temp dir + fsync + atomic rename; the manifest is the commit point)
+and loaded back zero-copy via copy-on-write mmap.  A load skips the
+normalization sweep, and every index (grid, landmarks, aggregate) is
+built by its first reader, as in a freshly built engine.
 
 Entry points:
 
@@ -22,8 +22,8 @@ Entry points:
 - :func:`save_engine` / :func:`load_engine` — the functional core
   both ride on.
 
-Corruption (torn manifests, checksum mismatches, mutually inconsistent
-columns) raises the typed :class:`StoreCorruptionError`; the crash-test
+Corruption (torn or malformed manifests, checksum mismatches, mutually
+inconsistent columns) raises the typed :class:`StoreCorruptionError`; the crash-test
 fault hooks (:func:`fault_injection`, :class:`InjectedFault`) let tests
 kill the writer at every intermediate step.
 """

@@ -42,7 +42,10 @@ from typing import Callable, Iterator
 import numpy as _np
 
 FORMAT_NAME = "repro-columnar-store"
-FORMAT_VERSION = 1
+#: the version this build writes; it also reads version 1, whose
+#: persisted indexes it ignores
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
 MANIFEST_NAME = "MANIFEST.json"
 
 #: distinguishes parallel writers' temp dirs within one process
@@ -224,7 +227,8 @@ def commit_dir(tmp: Path, final: Path) -> None:
 def read_manifest(path) -> dict:
     """Read and validate a snapshot's manifest.  Missing, torn, or
     non-JSON manifests raise :class:`StoreCorruptionError`; a manifest
-    from a future format version raises :class:`StoreError`."""
+    of a format version this build does not read raises
+    :class:`StoreError`."""
     target = Path(path) / MANIFEST_NAME
     try:
         payload = target.read_bytes()
@@ -241,10 +245,10 @@ def read_manifest(path) -> dict:
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise StoreCorruptionError(f"{target} is not a {FORMAT_NAME} manifest")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise StoreError(
             f"snapshot at {path} has format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions {_READABLE_VERSIONS}"
         )
     return manifest
 

@@ -2,46 +2,43 @@
 
 :func:`save_engine` serialises a :class:`~repro.core.engine.GeoSocialEngine`
 to one snapshot directory; :func:`load_engine` warm-starts it back.
-What goes to disk is exactly the columnar data plane:
+A snapshot holds the data, not the indexes.  What goes to disk is:
 
 =====================  ================================================
 ``xs``, ``ys``         :class:`LocationTable` coordinate columns
-``landmark_matrix``    the ``(M, n)`` landmark distance matrix
-                       (``landmark_matrix_rev`` too when directed)
 ``graph_indptr`` /     CSR social adjacency, in the graph's own
 ``graph_nbrs`` /       dtypes (``int32`` / ``int32`` / ``float64``;
 ``graph_wts``          older snapshots hold ``int64`` ids)
-``grid_*``             the grid's cell arrays, encoding cell
-                       coordinates *and* in-cell insertion order
 =====================  ================================================
 
-plus a manifest carrying the format version, the engine config (kind,
-``s``, seed, alpha-normalisation constants, backend name, landmark
-ids) and a sha256 per column.  Snapshots of the retired sharded engine
+plus a manifest carrying the format version, a sha256 per column and
+the engine config: ``n``, ``directed``, ``num_edges``, ``s``, ``seed``,
+``num_landmarks``, ``landmark_strategy``, ``backend`` and the
+alpha-normalisation constants.  Snapshots of the retired sharded engine
 kind (``kind: "sharded"``) no longer load: :func:`load_engine` raises
 :class:`~repro.store.StoreError` for them.
 
-What is *not* persisted — contraction hierarchies, neighbour caches,
-``bounded``'s sampled distance profiles — is runtime
-state every engine rebuilds lazily; ``method="auto"`` resolves by
-static rules to forward-deterministic methods, so it answers
-bit-identically after a warm start.
+Every index — SPA's grid, the landmark index, the aggregate index — is
+derived from the data, so none is persisted: a loaded engine builds
+each on first use, exactly as a freshly built one does (its first
+``tsa`` or ``ais`` query pays the landmark build; interior ``auto``
+reads none of them).  Neither is the runtime state every engine
+rebuilds lazily (contraction hierarchies, neighbour caches,
+``bounded``'s sampled distance profiles).  Every method therefore
+answers bit-identically after a warm start.
 
 Loading adopts columns zero-copy (``mmap_mode='c'``): the location
-table, the landmark matrix and the CSR arrays map straight from disk
-(``int64`` CSR ids of an older snapshot are cast once, after the range
-checks), grids rebuild from their cell arrays without re-deriving
-geometry.  The landmark index is
-stored, so saving an engine that never needed it builds it once
-(:attr:`~repro.core.engine.GeoSocialEngine.landmarks`), and a load adopts
-the matrix without a build.  The aggregate index is not rebuilt on
-load: like a freshly built engine, a restored one derives it from its
-grid and the landmark matrix on the first ``ais`` query.
+table and the CSR arrays map straight from disk (``int64`` CSR ids of
+an older snapshot are cast once, after the range checks).  The reader
+also accepts format version 1, whose landmark matrix, grid columns and
+``landmarks`` / ``grid_bbox`` keys it ignores (``M`` is the length of
+the stored landmark list).  A malformed manifest — a missing key, a
+mistyped or out-of-range config value — raises
+:class:`~repro.store.StoreCorruptionError` naming the key.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 from pathlib import Path
 
@@ -72,20 +69,12 @@ def _write_engine(engine, tmp: Path) -> dict:
     def put(name: str, array) -> None:
         columns[name] = write_column(tmp, name, array)
 
-    locations, graph, landmarks = engine.locations, engine.graph, engine.landmarks
+    locations, graph = engine.locations, engine.graph
     put("xs", _np.asarray(locations.xs, dtype=_np.float64))
     put("ys", _np.asarray(locations.ys, dtype=_np.float64))
-    put("landmark_matrix", landmarks.matrix)
-    if graph.directed:
-        put("landmark_matrix_rev", landmarks.matrix_rev)
     put("graph_indptr", graph.indptr)
     put("graph_nbrs", graph.nbrs)
     put("graph_wts", graph.wts)
-    users, ixs, iys = engine.grid.to_arrays()
-    put("grid_users", _np.asarray(users, dtype=_np.int64))
-    put("grid_ixs", _np.asarray(ixs, dtype=_np.int64))
-    put("grid_iys", _np.asarray(iys, dtype=_np.int64))
-    bbox = engine.grid.bbox
     norm = engine.normalization
     config = {
         "n": graph.n,
@@ -93,11 +82,10 @@ def _write_engine(engine, tmp: Path) -> dict:
         "num_edges": graph.num_edges,
         "s": engine.s,
         "seed": engine.seed,
+        "num_landmarks": engine.num_landmarks,
         "landmark_strategy": engine.landmark_strategy,
         "backend": engine.backend,
         "normalization": {"p_max": norm.p_max, "d_max": norm.d_max},
-        "landmarks": [int(l) for l in landmarks.landmarks],
-        "grid_bbox": [bbox.minx, bbox.miny, bbox.maxx, bbox.maxy],
     }
     return {"kind": "engine", "config": config, "columns": columns}
 
@@ -145,27 +133,50 @@ def save_engine(engine, path) -> Path:
 
 def _column(path, manifest: dict, name: str, *, mmap: bool, verify: bool):
     entry = manifest["columns"].get(name)
-    if entry is None:
+    if not isinstance(entry, dict):
         raise StoreCorruptionError(
             f"snapshot at {path} lists no column {name!r} in its manifest"
         )
     return read_column(path, entry, mmap=mmap, verify=verify)
 
 
+def _typed(config: dict, key: str, kind: type):
+    """``config[key]``, refused unless it is a ``kind`` (a bool is no
+    ``int`` here)."""
+    value = config[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
-    """The engine a ``kind: "engine"`` manifest describes.  Config keys
-    older writers added and nothing reads any more (``index_users``,
-    ``default_t``, the ``sketch`` section and its ``sketch_*``
-    columns) are ignored, so their snapshots load unchanged."""
-    from repro.backend import resolve_backend
+    """The engine a ``kind: "engine"`` manifest describes.  A missing
+    key and a mistyped or out-of-range config value are corruption;
+    the engine's own checks judge the build parameters."""
+    for section in ("config", "columns"):
+        if not isinstance(manifest.get(section), dict):
+            raise StoreCorruptionError(f"manifest at {path} has no {section!r} object")
+    try:
+        return _build_engine(path, manifest, mmap=mmap, verify=verify)
+    except KeyError as err:
+        raise StoreCorruptionError(f"manifest at {path} has no key {err}") from err
+    except (TypeError, ValueError) as err:
+        raise StoreCorruptionError(f"manifest at {path} has a bad config: {err}") from err
+
+
+def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
+    """Config keys older writers added and nothing reads any more
+    (``index_users``, ``default_t``, the ``sketch`` section, version
+    1's ``landmarks`` and ``grid_bbox``) and their columns are ignored,
+    so their snapshots load unchanged."""
     from repro.core.engine import GeoSocialEngine
     from repro.core.ranking import Normalization
-    from repro.graph.landmarks import LandmarkIndex
     from repro.graph.socialgraph import SocialGraph
     from repro.spatial.point import LocationTable
+    from repro.utils.validation import check_size
 
     config = manifest["config"]
-    n = int(config["n"])
+    n = check_size("n", config["n"])
     xs = _column(path, manifest, "xs", mmap=mmap, verify=verify)
     ys = _column(path, manifest, "ys", mmap=mmap, verify=verify)
     if len(xs) != n or len(ys) != n:
@@ -185,73 +196,32 @@ def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
             indptr,
             nbrs,
             wts,
-            directed=bool(config["directed"]),
-            num_edges=int(config["num_edges"]),
+            directed=_typed(config, "directed", bool),
+            num_edges=check_size("num_edges", config["num_edges"]),
         )
     except ValueError as err:
         raise StoreCorruptionError(f"CSR columns are inconsistent: {err}") from err
 
-    matrix = _column(path, manifest, "landmark_matrix", mmap=mmap, verify=verify)
-    matrix_rev = (
-        _column(path, manifest, "landmark_matrix_rev", mmap=mmap, verify=verify)
-        if graph.directed
-        else None
-    )
-    try:
-        landmarks = LandmarkIndex.from_tables(
-            graph, [int(l) for l in config["landmarks"]], matrix, matrix_rev
-        )
-    except ValueError as err:
-        raise StoreCorruptionError(f"landmark tables are inconsistent: {err}") from err
-
-    norm_cfg = config["normalization"]
-    normalization = Normalization(
-        p_max=float(norm_cfg["p_max"]), d_max=float(norm_cfg["d_max"])
-    )
-    fanout = int(config["s"])
     return GeoSocialEngine(
         graph,
         locations,
-        s=fanout,
-        seed=int(config["seed"]),
-        normalization=normalization,
+        s=config["s"],
+        seed=_typed(config, "seed", int),
+        normalization=Normalization(**config["normalization"]),
+        num_landmarks=(
+            len(config["landmarks"])
+            if manifest["format_version"] == 1
+            else config["num_landmarks"]
+        ),
         landmark_strategy=config["landmark_strategy"],
-        landmarks=landmarks,
-        backend=resolve_backend(config["backend"]),
-        grid=_restore_grid(path, manifest, config["grid_bbox"], fanout, verify=verify),
+        backend=config["backend"],
     )
-
-
-def _restore_grid(path, manifest, bbox4, fanout, *, verify):
-    """The :class:`UniformGrid` the persisted cell-array triple encodes
-    (the engine derives its aggregate index from it on first use)."""
-    from repro.spatial.grid import UniformGrid
-    from repro.spatial.point import BBox
-
-    users = _column(path, manifest, "grid_users", mmap=False, verify=verify)
-    ixs = _column(path, manifest, "grid_ixs", mmap=False, verify=verify)
-    iys = _column(path, manifest, "grid_iys", mmap=False, verify=verify)
-    n = int(manifest["config"]["n"])
-    if users.size and (users.min() < 0 or users.max() >= n):
-        raise StoreCorruptionError(
-            f"grid column grid_users references user ids outside [0, {n})"
-        )
-    if not (users.shape == ixs.shape == iys.shape):
-        raise StoreCorruptionError(
-            "grid columns grid_* have mismatched lengths "
-            f"{users.shape}/{ixs.shape}/{iys.shape}"
-        )
-    try:
-        bbox = BBox(*(float(v) for v in bbox4))
-        return UniformGrid.from_arrays(bbox, fanout * fanout, users, ixs, iys)
-    except (TypeError, ValueError) as err:
-        raise StoreCorruptionError(f"grid columns grid_* are invalid: {err}") from err
 
 
 def load_engine(path, *, mmap: bool = True, verify: bool = True):
     """Warm-start the engine stored at ``path``.  ``verify=True`` checks
-    every column's sha256; ``mmap=True`` maps the coordinate and
-    landmark columns copy-on-write.
+    every column's sha256; ``mmap=True`` maps the coordinate and CSR
+    columns copy-on-write.
 
         >>> import tempfile
         >>> from repro import GeoSocialEngine, gowalla_like, load_engine

@@ -21,26 +21,20 @@ def check_alpha(alpha: float) -> float:
 
 def check_k(k: int) -> int:
     """Validate a result-set size ``k`` (the wording every layer pins:
-    the same messages ``TopKBuffer`` and the wire model raise).
-
-    NumPy integer scalars are accepted (ids often arrive off columnar
-    arrays); bools and non-integral values are not.
-    """
-    if isinstance(k, bool) or not isinstance(k, _numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return int(k)
+    the same messages ``TopKBuffer`` and the wire model raise)."""
+    return check_size("k", k, minimum=1)
 
 
-def check_size(name: str, value: int) -> int:
-    """Validate a cache capacity or byte budget: a non-negative integer
-    (NumPy integer scalars accepted, bools not), where ``0`` turns the
+def check_size(name: str, value: int, minimum: int = 0) -> int:
+    """Validate a count: an integer of at least ``minimum``.  NumPy
+    integer scalars are accepted (they often arrive off columnar
+    arrays); bools and non-integral values are not.  Cache capacities
+    and byte budgets take the default minimum, where ``0`` turns the
     cache off."""
     if isinstance(value, bool) or not isinstance(value, _numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 

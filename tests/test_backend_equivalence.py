@@ -44,7 +44,8 @@ ALPHAS = (0.0, 0.25, 0.3123, 0.5, 1.0)
 
 def build_backend_pair(n, seed, coverage, avg_degree=6.0):
     """(python-backend, numpy-backend) single engines over one dataset,
-    sharing landmarks and normalization so only the kernels differ."""
+    sharing the normalization and building the same landmarks (same
+    graph, strategy and seed) so only the kernels differ."""
     graph, locations = random_instance(n, seed=seed, coverage=coverage, avg_degree=avg_degree)
     if locations.n_located == 0:
         locations.set(0, 0.5, 0.5)
@@ -58,7 +59,6 @@ def build_backend_pair(n, seed, coverage, avg_degree=6.0):
         s=3,
         seed=3,
         backend="numpy",
-        landmarks=scalar.landmarks,
         normalization=scalar.normalization,
     )
     return scalar, vector

@@ -11,11 +11,12 @@ Three structural facts behind ``setup_s``:
   (whose python leg *is* the iterator loop) and builds no incremental
   searcher;
 - the landmark index is built once, by its first reader (``tsa``,
-  ``ais``, ``save_engine``), and a snapshot load restores it without a
-  build;
-- the aggregate index is derived state of the incremental tier: built
-  by the first ``ais`` query from the maintained grid, kept in step by
-  every later location update, and never built by a snapshot load.
+  ``ais``); neither a snapshot save nor a load builds it;
+- SPA's grid and the aggregate index are derived state too: the grid is
+  built by its first reader (``spa``, ``tsa``, the aggregate index),
+  the aggregate index by the first ``ais`` query as a copy of the grid,
+  each kept in step by every later location update, and neither built
+  by a location update, a save or a snapshot load.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ class KernelTally:
 
 
 class LandmarkTally:
-    """Counts landmark index builds (a snapshot load adopts the stored
-    matrix through ``LandmarkIndex.from_tables``, which builds
-    nothing)."""
+    """Counts landmark index builds."""
 
     def __init__(self, monkeypatch):
         self.builds = 0
@@ -89,7 +88,7 @@ def dataset():
 # -- the auto path -----------------------------------------------------
 
 
-def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch):
+def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch, tmp_path):
     landmarks = LandmarkTally(monkeypatch)
     engine = build(dataset)
     service = QueryService(engine, max_workers=1)
@@ -117,14 +116,25 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch):
         assert len(executed) == len(users)  # no query but the served ones
         assert tally.stray_iterators == 0
         assert set(engine._searchers) == {"bounded"}
-        assert engine._aggregate is None
+        assert engine._aggregate is None and engine._grid is None
         repr(engine)
         stats_payload(service)
+        assert landmarks.builds == 0
+        # moves, a save and a load build no index either
+        for user in users[:5]:
+            service.move_user(user, rng.random(), rng.random())
+        engine.forget_location(users[5])
+        restored = load_engine(engine.save(tmp_path / "snap"))
+        restored.query(users[0], k=10, alpha=0.5)
+        for served in (engine, restored):
+            assert served._grid is None and served._aggregate is None
+            assert served._landmarks is None
         assert landmarks.builds == 0
         service.update_edge(users[0], users[1], 0.5)
         rebuilt = service.rebuild_engine()
         service.query(users[0], k=10, alpha=0.5)
         assert landmarks.builds == 0 and rebuilt._landmarks is None
+        assert rebuilt._grid is None
     finally:
         service.close()
         engine.close()
@@ -169,34 +179,35 @@ def test_a_served_graph_holds_one_csr(dataset):
 # -- the lazily built landmark index -----------------------------------
 
 
-@pytest.mark.parametrize("reader", ["tsa", "ais", "save"])
-def test_the_first_reader_builds_the_landmarks_once(dataset, reader, monkeypatch, tmp_path):
+@pytest.mark.parametrize("reader", ["tsa", "ais"])
+def test_the_first_reader_builds_the_landmarks_once(dataset, reader, monkeypatch):
     landmarks = LandmarkTally(monkeypatch)
     engine = build(dataset)
     users = engine.located_users()
     engine.query(users[0], k=10, alpha=0.3)
     assert landmarks.builds == 0 and engine._landmarks is None
-    for i, user in enumerate(users[1:3]):
-        if reader == "save":
-            save_engine(engine, tmp_path / f"snap{i}")
-        else:
-            engine.query(user, k=10, alpha=0.3, method=reader)
+    for user in users[1:3]:
+        engine.query(user, k=10, alpha=0.3, method=reader)
         assert landmarks.builds == 1
     assert engine.landmarks.m == 8
 
 
 def test_a_snapshot_load_builds_no_landmarks(dataset, monkeypatch, tmp_path):
+    """Neither the save nor the load builds the index; the restored
+    engine's first ``tsa`` query does, to the same matrix."""
     engine = build(dataset)
     try:
-        path = save_engine(engine, tmp_path / "snap")
         landmarks = LandmarkTally(monkeypatch)
+        path = save_engine(engine, tmp_path / "snap")
         restored = load_engine(path, mmap=True)
         try:
+            assert landmarks.builds == 0
+            assert restored._landmarks is None and restored._grid is None
             user = restored.located_users()[0]
             want = engine.query(user, k=10, alpha=0.3, method="tsa")
             got = restored.query(user, k=10, alpha=0.3, method="tsa")
             assert (got.users, got.scores) == (want.users, want.scores)
-            assert landmarks.builds == 0
+            assert landmarks.builds == 2
             assert (restored.landmarks.matrix == engine.landmarks.matrix).all()
         finally:
             restored.close()

@@ -87,6 +87,15 @@ class TestNormalization:
         with pytest.raises(ValueError):
             Normalization(p_max=-1.0, d_max=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1.0", True, None])
+    def test_non_finite_or_non_numeric_rejected(self, bad):
+        """NaN passed the old ``< 0`` check and every query then
+        answered ``[]``; ``inf`` made ``auto`` raise at alpha 0.3."""
+        for field in ("p_max", "d_max"):
+            kwargs = {"p_max": 1.0, "d_max": 1.0, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0"):
+                Normalization(**kwargs)
+
     def test_degenerate_normalisers_no_crash(self):
         rank = RankingFunction(0.5, Normalization(p_max=0.0, d_max=0.0))
         assert rank.score(0.0, 0.0) == 0.0

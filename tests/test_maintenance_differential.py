@@ -500,3 +500,14 @@ def test_removed_options_stay_removed():
     with QueryService(GeoSocialEngine(graph, locations, num_landmarks=2)) as service:
         assert "repaired" not in service.cache_info()
         assert "repaired_entries" not in service.stats.snapshot()
+    # a snapshot holds the data, not the indexes: nothing injects a
+    # grid or a landmark index into an engine, and neither index has a
+    # persistence format
+    from repro.graph.landmarks import LandmarkIndex
+    from repro.spatial.grid import UniformGrid
+
+    assert {"grid", "landmarks"}.isdisjoint(inspect.signature(GeoSocialEngine.__init__).parameters)
+    for cls, name in (
+        (UniformGrid, "to_arrays"), (UniformGrid, "from_arrays"), (LandmarkIndex, "from_tables"),
+    ):
+        assert not hasattr(cls, name), name

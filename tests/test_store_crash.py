@@ -22,6 +22,7 @@ garbage rankings.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -98,9 +99,9 @@ def test_fault_labels_cover_every_writer_stage(tmp_path):
     with QueryService(engine) as service:
         labels = record_labels(service, tmp_path / "snaps")
     # every column passes through partial / pre-fsync / synced
+    # a snapshot holds the data columns only, no index
     columns = {l.split(":")[1] for l in labels if l.startswith("column:")}
-    assert {"xs", "ys", "landmark_matrix", "graph_indptr", "graph_nbrs", "graph_wts"} <= columns
-    assert any(c.endswith("grid_users") for c in columns)
+    assert columns == {"xs", "ys", "graph_indptr", "graph_nbrs", "graph_wts"}
     for column in columns:
         for stage in ("partial", "pre-fsync", "synced"):
             assert f"column:{column}:{stage}" in labels
@@ -138,7 +139,8 @@ def test_crash_at_every_fault_point_preserves_last_committed(tmp_path):
         manager = service.snapshots(tmp_path / "snaps")
         first = manager.snapshot()
         labels = record_labels(service, tmp_path / "labels-probe")
-        assert len(labels) > 25
+        # five columns x three stages, four manifest, two commit, three pointer
+        assert len(labels) == 5 * 3 + 4 + 2 + 3
         for label in labels:
             before = set((tmp_path / "snaps").iterdir())
             with fault_injection(crash_at(label)):
@@ -292,6 +294,78 @@ def test_a_sharded_snapshot_gets_a_typed_error_and_old_manifests_still_load(save
         load_engine(path)
     assert not isinstance(excinfo.value, StoreCorruptionError)
     assert "re-save it from a GeoSocialEngine" in str(excinfo.value)
+
+
+def _drop(doc, *keys):
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
+def _set(value, *keys):
+    def edit(doc):
+        *parents, last = keys
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+MALFORMED_MANIFESTS = [
+    # (case id, edit of the manifest document, what the error names)
+    ("no_config", lambda doc: _drop(doc, "config"), "'config'"),
+    ("no_columns", lambda doc: _drop(doc, "columns"), "'columns'"),
+    ("no_n", lambda doc: _drop(doc, "config", "n"), "'n'"),
+    ("no_normalization", lambda doc: _drop(doc, "config", "normalization"), "'normalization'"),
+    ("no_column_file", lambda doc: _drop(doc, "columns", "xs", "file"), "'file'"),
+    ("n_text", _set("abc", "config", "n"), "n must be an integer"),
+    ("n_fraction", _set(80.5, "config", "n"), "n must be an integer"),
+    ("directed_text", _set("no", "config", "directed"), "directed must be bool"),
+    ("s_text", _set("x", "config", "s"), "s must be an integer"),
+    ("p_max_negative", _set(-1.0, "config", "normalization", "p_max"), "p_max must be"),
+    ("p_max_nan", _set(float("nan"), "config", "normalization", "p_max"), "p_max must be"),
+    ("backend_unknown", _set("gpu", "config", "backend"), "unknown backend 'gpu'"),
+    ("columns_list", _set([], "columns"), "'columns'"),
+    ("config_list", _set([], "config"), "'config'"),
+]
+
+
+@pytest.mark.parametrize("name,edit,named", MALFORMED_MANIFESTS, ids=[c[0] for c in MALFORMED_MANIFESTS])
+def test_a_malformed_manifest_is_typed_corruption_naming_the_key(saved, name, edit, named):
+    """A manifest missing a key, or holding a mistyped or out-of-range
+    config value, is :class:`StoreCorruptionError` naming the key —
+    never a ``KeyError`` (a 404 over HTTP), a ``ValueError`` (a 400
+    that blames the client), nor a silent load of a truncated or NaN
+    value."""
+    _, path = saved
+    manifest = path / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StoreCorruptionError, match=re.escape(named)):
+        load_engine(path)
+
+
+def test_restoring_a_malformed_manifest_over_http_is_a_store_corruption(tmp_path):
+    from repro.server import ServerClient, ServerThread
+
+    engine = make_engine(n=80)
+    with QueryService(engine) as service:
+        latest = service.snapshots(tmp_path / "snaps").snapshot()
+        manifest = latest / MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        del doc["config"]
+        manifest.write_text(json.dumps(doc))
+        with ServerThread(service, workers=1) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                status, _, reply = client.request(
+                    "POST", "/restore", {"root": str(tmp_path / "snaps")}
+                )
+        assert (status, reply["error"]["type"]) == (500, "store_corruption")
+        assert "'config'" in reply["error"]["message"]
+        assert service.engine is engine
 
 
 def test_missing_column_file_raises_corruption(saved):

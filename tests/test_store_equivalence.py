@@ -5,12 +5,14 @@ The store's correctness contract is stronger than "approximately the
 same results": the persisted columns are the exact arrays the engine
 computes from, the manifest round-trips the exact normalization
 constants through JSON (Python floats survive json exactly), and the
-loaded engine rebuilds its indexes from the *same* cell arrays the
-live engine maintains — so ids, scores, and tie-breaks must all match
-with ``==``, across backends × methods (including the ``auto``
-route), through a save→load→save cycle (the
-second snapshot is byte-identical), and through an
-update-fold-then-snapshot cycle on the service.
+loaded engine derives every index from those columns on first use —
+so ids, scores, and tie-breaks must all match with ``==``, across
+backends × methods (including the ``auto`` route), after moves made
+once the live engine's indexes were built, through a save→load→save
+cycle (the second snapshot is byte-identical), through an
+update-fold-then-snapshot cycle on the service, and from a snapshot
+of format version 1, which still carried the grid and the landmark
+matrix.
 
 Property tests run under the suite's fixed, derandomized profile.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -84,6 +87,47 @@ def test_roundtrip_bit_identical(tmp_path, backend):
     assert loaded.graph.n == live.graph.n
     assert loaded.normalization == live.normalization
     assert_bit_identical(live, loaded, located_sample(live))
+
+
+def test_a_snapshot_saved_after_moves_answers_like_the_live_engine(tmp_path):
+    """The live engine's grid, aggregate index and landmarks are built,
+    then 200 users move (first locations, cell changes and forgets
+    among them); the snapshot, taken without a fold, rebuilds its grid
+    from the current locations, without that move history, and answers
+    every method bit-identically."""
+    live = build_engine("numpy", n=400)
+    users = located_sample(live, count=4)
+    for user in users:
+        live.query(user, k=6, alpha=0.3, method="ais")
+    assert live._grid is not None and live._aggregate is not None
+    rng = random.Random(8)
+    moved = [u for u in range(live.graph.n) if u not in users]
+    for user in rng.sample(moved, 200):
+        if rng.random() < 0.1:
+            live.forget_location(user)
+        else:
+            live.move_user(user, rng.random(), rng.random())
+    loaded = load_engine(live.save(tmp_path / "snap"))
+    assert loaded._grid is None and loaded._landmarks is None
+    assert_bit_identical(live, loaded, users)
+
+
+def test_a_format_version_1_snapshot_loads_and_answers_like_a_fresh_build():
+    """``tests/data/store_v1_n60`` was written by the last build of
+    format version 1 (landmark matrix, grid columns, ``landmarks`` and
+    ``grid_bbox`` keys) from ``gowalla_like(n=60, seed=1)`` with
+    ``num_landmarks=3, s=3, seed=2``.  It loads, its stored indexes
+    ignored, and answers like an engine built from the same dataset."""
+    path = Path(__file__).parent / "data" / "store_v1_n60"
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    assert manifest["format_version"] == 1 and "landmark_matrix" in manifest["columns"]
+    loaded = load_engine(path)
+    fresh = GeoSocialEngine.from_dataset(
+        gowalla_like(n=60, seed=1), num_landmarks=3, s=3, seed=2
+    )
+    assert (loaded.num_landmarks, loaded.s, loaded.seed) == (3, 3, 2)
+    assert loaded.normalization == fresh.normalization
+    assert_bit_identical(fresh, loaded, located_sample(fresh, count=4))
 
 
 def test_mmap_and_eager_loads_agree(tmp_path):
