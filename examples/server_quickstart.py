@@ -2,9 +2,10 @@
 """The network boundary: serve SSRQ over HTTP and operate it.
 
 `repro.server` puts a socket in front of `QueryService`: an asyncio
-HTTP/1.1 server with admission control (bounded queue + 429 shedding),
-request coalescing into `query_many`, Server-Sent-Event streams for
-standing subscriptions, and `/stats` + `/metrics` observability.  This
+HTTP/1.1 server with admission control (bounded queue + 429 shedding;
+one admitted request, one job on one worker thread), cache hits
+answered on the event loop, Server-Sent-Event streams for standing
+subscriptions, and `/stats` + `/metrics` observability.  This
 example boots one in-process, proves the wire answer equals the
 library answer, tails a subscription through a location move, inspects
 the counters, and drains gracefully.
@@ -32,7 +33,7 @@ with QueryService(engine, cache_size=1024) as service:
         same = served["result"]["users"] == direct.users
         print(f"HTTP answer identical to in-process engine.query: {same}")
 
-        # --- Batches ride the coalescing/batching path ----------------------
+        # --- A batch is one job: one query_many on one worker --------------
         batch = client.query_batch(
             [{"user": u} for u in sorted(engine.located_users())[:8]],
             k=5,
@@ -83,7 +84,7 @@ with QueryService(engine, cache_size=1024) as service:
         print(
             f"server counters: requests={server['requests']} "
             f"admitted={server['admitted']} shed={server['shed']} "
-            f"coalesced_batches={server['coalesced_batches']}"
+            f"served_inline={server['served_inline']} completed={server['completed']}"
         )
         prom = client.metrics()
         print(f"/metrics exposes {sum(1 for l in prom.splitlines() if l and not l.startswith('#'))} Prometheus samples")

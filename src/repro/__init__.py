@@ -8,12 +8,12 @@ every substrate it depends on (weighted graph search, ALT landmarks,
 bidirectional distance modules, Contraction Hierarchies, grid spatial
 indexes, the aggregate index with social summaries), calibrated dataset
 generators, a benchmark harness regenerating the paper's evaluation,
-a serving layer (:mod:`repro.service`) adding batching, worker-pool
-concurrency, and an update-aware result cache on top of the engine,
-and a network boundary: an asyncio HTTP server with admission
-control, request coalescing, and SSE subscription streams
-(:mod:`repro.server`) plus the ``repro`` operator CLI
-(:mod:`repro.cli`, optional ``[cli]`` extra).
+a serving layer (:mod:`repro.service`) adding batching and an
+update-aware result cache on top of the engine, and a network
+boundary: an asyncio HTTP server with admission control (one admitted
+request, one job) and SSE subscription streams (:mod:`repro.server`)
+plus the ``repro`` operator CLI (:mod:`repro.cli`, optional ``[cli]``
+extra).
 
 Quickstart::
 

@@ -174,8 +174,6 @@ def query(user, engine_path, server_address, k, alpha, method, fmt) -> None:
 @click.option("--workers", type=int, default=4, show_default=True)
 @click.option("--queue-depth", type=int, default=64, show_default=True,
               help="Admission-queue depth (overflow sheds with 429).")
-@click.option("--max-batch", type=int, default=32, show_default=True,
-              help="Coalescing ceiling for concurrent /query requests.")
 @click.option("--deadline-ms", type=float, default=30_000.0, show_default=True,
               help="Default per-request deadline.")
 @click.option("--no-cache", is_flag=True, help="Disable the service result cache.")
@@ -185,8 +183,7 @@ def query(user, engine_path, server_address, k, alpha, method, fmt) -> None:
 @click.option("--drain-snapshot-root", type=click.Path(file_okay=False), default=None,
               help="Take a final snapshot here on graceful shutdown.")
 def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
-          max_batch, deadline_ms, no_cache, social_cache_bytes,
-          drain_snapshot_root) -> None:
+          deadline_ms, no_cache, social_cache_bytes, drain_snapshot_root) -> None:
     """Serve the HTTP API over an engine until interrupted."""
     if (engine_path is None) == (dataset is None):
         raise click.UsageError("pass exactly one of --engine or --dataset")
@@ -210,7 +207,6 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
                 port=port,
                 workers=workers,
                 queue_depth=queue_depth,
-                max_batch=max_batch,
                 default_deadline_ms=deadline_ms,
                 drain_snapshot_root=drain_snapshot_root,
             )

@@ -7,8 +7,8 @@ error bodies and the single exception → status mapping),
 :mod:`~repro.server.protocol` (wire shapes: batch parsing, the
 ``/stats`` aggregate), :mod:`~repro.server.metrics` (Prometheus text
 rendering) and :mod:`~repro.server.app` (the server itself: admission
-control, request coalescing, deadlines, SSE subscription streams,
-graceful drain).  :mod:`~repro.server.client` is the matching stdlib
+control, one admitted request as one job, deadlines, SSE subscription
+streams, graceful drain).  :mod:`~repro.server.client` is the matching stdlib
 client, shared by the conformance tests, the operator CLI and the load
 benchmark.
 """

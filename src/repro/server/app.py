@@ -16,13 +16,13 @@ deployment needs:
   dropped — it always runs to a response, even if the client has
   stopped waiting.  The bound on concurrently admitted work is
   ``queue_depth + workers`` (waiting plus executing).
-- **request coalescing** — a worker that takes a ``/query`` job also
-  takes the run of ``/query`` jobs queued directly behind it (up to
-  ``max_batch``) into one
-  :meth:`~repro.service.QueryService.query_many` call, riding the
-  service's dedup/batching path (identical rankings to sequential
-  execution, pinned by the service's own suite and the server
-  conformance suite).
+- **one admitted request, one job** — every admitted request is one
+  closure that one worker thread runs: a ``/query`` miss is one
+  :meth:`~repro.service.QueryService.query` call, a ``/query/batch``
+  one :meth:`~repro.service.QueryService.query_many` call.  Nothing
+  merges queued requests, so two identical misses that reach two
+  workers at once both execute (with a result cache, a duplicate still
+  queued when the first finishes is a cache hit on its worker).
 - **deadline propagation** — each request carries a deadline (the
   ``X-Deadline-Ms`` header, default ``default_deadline_ms``).  A job
   whose deadline passes before execution is answered ``504`` without
@@ -38,7 +38,7 @@ Endpoints (all JSON; errors use the typed bodies of
 :mod:`repro.server.errors`):
 
 ====================  ==================================================
-``POST /query``        one SSRQ (coalesced into the batcher under load)
+``POST /query``        one SSRQ
 ``POST /query/batch``  many SSRQs through ``query_many``
 ``POST /update/location``  move (``{"user","x","y"}``) or forget
                        (``{"user","forget":true}``)
@@ -81,7 +81,7 @@ from repro.server.metrics import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.server.metrics import render_prometheus
 from repro.server.protocol import parse_batch, stats_payload
 from repro.stream.deltas import diff_results, subscription_payload
-from repro.utils.validation import check_fields, check_user
+from repro.utils.validation import check_fields, check_size, check_user
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
@@ -105,9 +105,6 @@ class ServerConfig:
     queue_depth: int = 64
     #: worker threads: how many admitted jobs *execute* at once
     workers: int = 4
-    #: ceiling on how many queued ``/query`` jobs one worker coalesces
-    #: into a single ``query_many`` batch
-    max_batch: int = 32
     #: default per-request deadline (``X-Deadline-Ms`` overrides)
     default_deadline_ms: float = 30_000.0
     #: the ``Retry-After`` hint (seconds) sent with 429 responses
@@ -149,9 +146,10 @@ class ServerStats:
     deadline_timeouts: int = 0
     #: requests rejected 503 during drain
     drained_rejections: int = 0
-    #: multi-request ``query_many`` executions assembled by coalescing
+    #: always 0: the server runs one job per admitted request and
+    #: merges none.  Both stay in ``/stats`` and ``/metrics`` only
+    #: because perfbench's traced ladder reads them
     coalesced_batches: int = 0
-    #: single ``/query`` requests served through those batches
     coalesced_requests: int = 0
     streams_opened: int = 0
     streams_closed: int = 0
@@ -163,20 +161,13 @@ class ServerStats:
 
 
 class _Job:
-    """One admitted unit of work: a coalescible ``/query``
-    (``request``) or any other handler closure (``call``)."""
+    """One admitted request: the closure one worker thread runs."""
 
-    __slots__ = ("request", "call", "future", "deadline", "timer", "abandoned", "notify")
+    __slots__ = ("call", "future", "deadline", "timer", "abandoned", "notify")
 
     def __init__(
-        self,
-        *,
-        deadline: float,
-        request: "QueryRequest | None" = None,
-        call: "Callable[[], object] | None" = None,
-        notify: bool = False,
+        self, call: "Callable[[], object]", *, deadline: float, notify: bool = False
     ) -> None:
-        self.request = request
         self.call = call
         self.deadline = deadline
         #: set at admission; resolves to ``(status, body)`` — by the
@@ -204,29 +195,26 @@ class SSRQServer:
             config = ServerConfig(**overrides)
         elif overrides:
             raise TypeError("pass either a ServerConfig or keyword overrides, not both")
-        if config.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {config.queue_depth}")
-        if config.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {config.workers}")
-        if config.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {config.max_batch}")
-        # NaN fails both comparisons
+        check_size("queue_depth", config.queue_depth, minimum=1)
+        check_size("workers", config.workers, minimum=1)
+        if check_size("port", config.port) > 65535:
+            raise ValueError(f"port must be <= 65535, got {config.port}")
+        # NaN fails every comparison
         if not config.default_deadline_ms > 0:
             raise ValueError(
                 f"default_deadline_ms must be positive, got {config.default_deadline_ms}"
             )
-        if not 0 < config.heartbeat_s < math.inf:
-            raise ValueError(
-                f"heartbeat_s must be positive and finite, got {config.heartbeat_s}"
-            )
+        for name in ("retry_after_s", "heartbeat_s"):
+            value = getattr(config, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.service = service
         self.config = config
         self.stats = ServerStats()
         self._server: "asyncio.base_events.Server | None" = None
         #: admitted jobs waiting for a worker thread, oldest first; the
-        #: event loop appends, worker threads take under ``_take_lock``
+        #: event loop appends, each ``_run`` pops one (both atomic)
         self._jobs: "deque[_Job]" = deque()
-        self._take_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="ssrq-http"
         )
@@ -417,7 +405,20 @@ class SSRQServer:
             if self._draining:
                 self.stats.drained_rejections += 1
                 raise ApiError(503, SHUTTING_DOWN, "server is draining")
-            job = self._build_job(path, request)
+            deadline = self._deadline_for(request, asyncio.get_running_loop())
+            if path == "/query":
+                query = self._parse(request, QueryRequest.from_payload)
+                hit = self.service.cached(query)
+                if hit is not None:
+                    self.stats.served_inline += 1
+                    await self._respond(writer, 200, hit.wire(), keep_alive=keep_alive)
+                    return False
+                job = _Job(lambda: self.service.query(query).wire(), deadline=deadline)
+            else:
+                factory, notify = self._CALLS[path]
+                job = _Job(
+                    self._parse(request, getattr(self, factory)), deadline=deadline, notify=notify
+                )
         except ApiError as err:
             await self._respond(writer, err.status, err.body(), keep_alive=keep_alive)
             return False
@@ -426,12 +427,6 @@ class SSRQServer:
                 writer, 400, error_body(BAD_REQUEST, str(err)), keep_alive=False
             )
             return True
-        if job.request is not None:
-            hit = self.service.cached(job.request)
-            if hit is not None:
-                self.stats.served_inline += 1
-                await self._respond(writer, 200, hit.wire(), keep_alive=keep_alive)
-                return False
         return await self._admit(job, writer, keep_alive)
 
     @staticmethod
@@ -478,14 +473,12 @@ class SSRQServer:
                 )
         return loop.time() + ms / 1000.0
 
-    def _build_job(self, path: str, request: HTTPRequest) -> _Job:
-        deadline = self._deadline_for(request, asyncio.get_running_loop())
+    @staticmethod
+    def _parse(request: HTTPRequest, parse: Callable):
+        """``parse(body)``, a refused body raised as a typed ``ApiError``."""
         body = request.json()
         try:
-            if path == "/query":
-                return _Job(request=QueryRequest.from_payload(body), deadline=deadline)
-            factory, notify = self._CALLS[path]
-            return _Job(call=getattr(self, factory)(body), deadline=deadline, notify=notify)
+            return parse(body)
         except (ValueError, TypeError) as err:
             status, code = classify_exception(err)
             raise ApiError(status, code, str(err)) from None
@@ -508,9 +501,8 @@ class SSRQServer:
         self._jobs.append(job)
         self.stats.admitted += 1
         self._inflight += 1
-        # one drain per admitted job: each takes at least the oldest
-        # waiting job, so none is left behind
-        self._executor.submit(self._drain, loop)
+        # one run per admitted job, each popping the oldest waiting one
+        self._executor.submit(self._run, loop)
         self._answering += 1
         try:
             status, payload = await job.future
@@ -637,88 +629,33 @@ class SSRQServer:
 
     # -- workers (executor threads; results return through _report) -----
 
-    def _drain(self, loop: "asyncio.AbstractEventLoop") -> None:
-        """Take the oldest waiting job — plus, if it is a ``/query``,
-        the run of ``/query`` jobs queued directly behind it, up to
-        ``max_batch`` — execute, and hand every outcome back to the
-        event loop in one call.  A job that is abandoned or past its
-        deadline is reported without running.  Submitted once per
-        admitted job; a drain that finds its job already taken by an
-        earlier drain's batch returns."""
-        with self._take_lock:
-            if not self._jobs:
-                return
-            batch = [self._jobs.popleft()]
-            if batch[0].request is not None:
-                while (
-                    len(batch) < self.config.max_batch
-                    and self._jobs
-                    and self._jobs[0].request is not None
-                ):
-                    batch.append(self._jobs.popleft())
-        now = loop.time()
-        reports: "list[tuple[_Job, tuple | None]]" = []
-        live = []
-        for job in batch:
-            if job.abandoned or job.deadline <= now:
-                reports.append((job, None))
-            else:
-                live.append(job)
-        try:
-            outcomes = self._execute(live)
-        except Exception as err:  # an admitted job always gets an answer
-            outcomes = [self._failure(err)] * len(live)
-        reports.extend(zip(live, outcomes))
-        loop.call_soon_threadsafe(self._report, reports)
-
-    def _execute(self, live: "list[_Job]") -> "list[tuple[int, object]]":
-        """``(status, body)`` per job; query bodies leave here encoded."""
-        if not live:
-            return []
-        if live[0].request is None:
-            return [(200, live[0].call())]
-        reqs = [job.request for job in live]
-        if len(reqs) > 1:
+    def _run(self, loop: "asyncio.AbstractEventLoop") -> None:
+        """Pop the oldest waiting job, run it unless it was abandoned or
+        its deadline passed, and hand the outcome to the event loop."""
+        job = self._jobs.popleft()
+        outcome = None
+        if not job.abandoned and job.deadline > loop.time():
             try:
-                return [(200, r.wire()) for r in self.service.query_many(reqs)]
-            except Exception:
-                # a request rejected at execution (e.g. an unlocated
-                # query user) must not fail its batch-mates: run each
-                # on its own
-                pass
-        outcomes = []
-        for req in reqs:
-            try:
-                outcomes.append((200, self.service.query(req).wire()))
-            except Exception as err:
-                outcomes.append(self._failure(err))
-        return outcomes
+                outcome = (200, job.call())
+            except Exception as err:  # an admitted job always gets an answer
+                status, code = classify_exception(err)
+                outcome = (status, error_body(code, str(err)))
+        loop.call_soon_threadsafe(self._report, job, outcome)
 
-    @staticmethod
-    def _failure(err: Exception) -> "tuple[int, dict]":
-        status, code = classify_exception(err)
-        return status, error_body(code, str(err))
-
-    def _report(self, reports: "list[tuple[_Job, tuple | None]]") -> None:
-        """Resolve one drained batch (event-loop thread: the only place
-        worker outcomes touch the futures and :class:`ServerStats`)."""
-        executed = 0
-        for job, outcome in reports:
-            if outcome is None:
-                self.stats.deadline_expired += 1
-                outcome = (504, _DEADLINE_BODY)
-            else:
-                executed += 1
-            job.timer.cancel()
-            if not job.future.done():
-                job.future.set_result(outcome)
-            self.stats.completed += 1
-            self._inflight -= 1
-            if job.notify and outcome[0] == 200:
-                self._notify_update()
-        if executed > 1:
-            self.stats.coalesced_batches += 1
-            self.stats.coalesced_requests += executed
+    def _report(self, job: _Job, outcome: "tuple[int, object] | None") -> None:
+        """Resolve one job (event-loop thread: the only place worker
+        outcomes touch the futures and :class:`ServerStats`); ``None``
+        is a job that never ran."""
+        if outcome is None:
+            self.stats.deadline_expired += 1
+            outcome = (504, _DEADLINE_BODY)
+        job.timer.cancel()
+        if not job.future.done():
+            job.future.set_result(outcome)
+        self.stats.completed += 1
+        self._inflight -= 1
+        if job.notify and outcome[0] == 200:
+            self._notify_update()
 
     # -- subscription streams ------------------------------------------
 

@@ -283,6 +283,24 @@ def test_serve_refuses_a_negative_column_budget(runner, monkeypatch):
     assert not isinstance(result.exception, ValueError)
 
 
+def test_serve_refuses_a_port_out_of_range(runner, monkeypatch):
+    """`repro serve --port 70000` is a click error naming the field, not
+    an ``OverflowError`` traceback from bind."""
+
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(time, "sleep", interrupt)
+    result = runner.invoke(
+        cli, ["serve", "--dataset", "gowalla", "--n", "60", "--port", "70000"]
+    )
+    assert result.exit_code == 1, result.output
+    assert "port must be <= 65535, got 70000" in result.output
+    assert "Traceback" not in result.output
+    assert "serving" not in result.output
+    assert not isinstance(result.exception, OverflowError)
+
+
 def test_dataset_registry_is_complete():
     assert set(DATASETS) == {"gowalla", "foursquare", "twitter", "correlated"}
 

@@ -345,11 +345,11 @@ def test_a_subscription_for_an_unlocated_user_suspends_whatever_the_method(
 
 
 def test_batch_member_errors_do_not_poison_batch_mates(client, located, unlocated):
-    """A bad request coalesced or batched with good ones fails alone:
-    the good requests still return 200-equivalent entries.  (Batch
-    endpoint semantics: the whole batch is rejected with the first
-    member's error — per-member isolation applies to *coalesced
-    singles*, which ride separate HTTP requests.)"""
+    """A bad request sent beside good ones as its own ``/query`` fails
+    alone: the good requests still return 200.  (Batch endpoint
+    semantics: the whole batch is rejected with the first member's
+    error — per-request isolation applies to single ``/query``
+    requests, each its own job.)"""
     status, _, body = client.request(
         "POST",
         "/query/batch",

@@ -511,3 +511,17 @@ def test_removed_options_stay_removed():
         (UniformGrid, "to_arrays"), (UniformGrid, "from_arrays"), (LandmarkIndex, "from_tables"),
     ):
         assert not hasattr(cls, name), name
+    # one admitted request, one job: the server merges no queued
+    # requests, so there is no batch ceiling and no batch drain
+    from repro.cli.commands import serve as serve_command
+    from repro.server import ServerConfig, SSRQServer
+
+    assert {f.name for f in dataclasses.fields(ServerConfig)} == {
+        "host", "port", "queue_depth", "workers", "default_deadline_ms",
+        "retry_after_s", "heartbeat_s", "drain_snapshot_root",
+    }
+    assert "--max-batch" not in {opt for p in serve_command.params for opt in p.opts}
+    with QueryService(GeoSocialEngine(graph, locations, num_landmarks=2)) as service:
+        server = SSRQServer(service)
+        for name in ("_drain", "_execute", "_take_lock"):
+            assert not hasattr(server, name), name

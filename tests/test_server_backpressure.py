@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import sys
 import threading
 import time
 
@@ -113,7 +114,7 @@ def test_overflow_sheds_and_admitted_complete(engine, query_user, expected):
     admitted == completed identity afterwards."""
     service = SlowService(engine, delay=0.15, cache_size=0)
     with service, ServerThread(
-        service, queue_depth=2, workers=1, max_batch=1, retry_after_s=2.0
+        service, queue_depth=2, workers=1, retry_after_s=2.0
     ) as handle:
         outcomes = _storm(handle, query_user, 12)
         statuses = [status for status, _, _ in outcomes]
@@ -141,7 +142,7 @@ def test_shed_connection_stays_usable(engine, query_user, expected):
     connection serves a normal query once the storm passes."""
     service = SlowService(engine, delay=0.2, cache_size=0)
     with service, ServerThread(
-        service, queue_depth=1, workers=1, max_batch=1
+        service, queue_depth=1, workers=1
     ) as handle:
         client = ServerClient(handle.host, handle.port)
         shed_status = None
@@ -208,7 +209,7 @@ def test_queued_job_expires_without_executing(engine, query_user):
     answered 504 and never reaches the service at all."""
     service = SlowService(engine, delay=0.4, cache_size=0)
     with service, ServerThread(
-        service, queue_depth=4, workers=1, max_batch=1
+        service, queue_depth=4, workers=1
     ) as handle:
         results: dict = {}
 
@@ -281,14 +282,28 @@ def test_malformed_requests_get_typed_400s(engine, query_user):
         ("heartbeat_s", -1.0),
         ("heartbeat_s", float("inf")),
         ("heartbeat_s", float("nan")),
+        ("retry_after_s", 0.0),
+        ("retry_after_s", float("nan")),
+        ("retry_after_s", float("inf")),
+        ("port", 70000),
+        ("port", -1),
+        ("port", True),
+        ("workers", 0),
+        ("workers", True),
+        ("workers", 2.5),
+        ("queue_depth", 0),
+        ("queue_depth", True),
     ],
     ids=repr,
 )
-def test_config_refuses_a_deadline_or_heartbeat_that_cannot_work(engine, field, value):
+def test_config_refuses_every_setting_that_cannot_work(engine, field, value):
     """``default_deadline_ms=0`` used to build a server that answered
     every admitted ``/query`` 504 without running it; a non-positive or
-    non-finite heartbeat never ticks.  Both are refused at construction,
-    naming the field, like the integer settings."""
+    non-finite heartbeat never ticks; a NaN or infinite ``retry_after_s``
+    broke the first 429 into a dropped connection; a port outside
+    0–65535 failed at bind with an ``OverflowError``.  Each is refused
+    at construction, naming the field, and so are counts that are not
+    integers."""
     with QueryService(engine, cache_size=0) as service:
         with pytest.raises(ValueError, match=field):
             ServerThread(service, **{field: value})
@@ -349,7 +364,7 @@ def test_graceful_drain(engine, query_user, expected):
     stream ends with an ``end`` event, new connections are refused."""
     service = SlowService(engine, delay=0.3, cache_size=0)
     handle = ServerThread(
-        service, queue_depth=8, workers=2, max_batch=1, heartbeat_s=0.2
+        service, queue_depth=8, workers=2, heartbeat_s=0.2
     )
     with service:
         handle.start()
@@ -471,7 +486,7 @@ def test_cached_queries_and_healthz_bypass_busy_workers(engine):
     hot, a, b, c, d, e = users[:6]
     body = lambda user: {"user": user, "k": 5}  # noqa: E731
     service = GatedService(engine, cache_size=64)
-    handle = ServerThread(service, queue_depth=2, workers=2, max_batch=1)
+    handle = ServerThread(service, queue_depth=2, workers=2)
     outcomes: dict = {}
     with service:
         handle.start()
@@ -538,9 +553,10 @@ def test_cached_queries_and_healthz_bypass_a_held_write_lock(engine):
         assert outcomes[cold][0] == 200 and not outcomes[cold][2]["cached"]
 
 
-def test_identical_queued_queries_coalesce_into_one_batch(engine):
-    """Concurrent identical uncached queries queued behind a busy
-    worker leave the queue together, as one ``query_many``."""
+def test_identical_queued_queries_run_one_job_each(engine):
+    """Identical uncached queries queued behind a busy worker leave the
+    queue one job at a time: the first executes, the two behind it are
+    result-cache hits on the worker, and nothing is merged."""
     occupant, user = sorted(engine.locations.located_users())[:2]
     service = GatedService(engine, cache_size=64)
     outcomes: dict = {}
@@ -557,10 +573,39 @@ def test_identical_queued_queries_coalesce_into_one_batch(engine):
             thread.join(timeout=30)
         assert [outcomes[i][0] for i in range(3)] == [200, 200, 200]
         assert len({str(outcomes[i][2]["result"]) for i in range(3)}) == 1
-        assert service.calls == [[occupant], [user, user, user]]
+        assert service.calls == [[occupant], [user], [user], [user]]
+        assert sorted(outcomes[i][2]["cached"] for i in range(3)) == [False, True, True]
         stats = handle.server.stats_snapshot()
-        assert (stats["coalesced_batches"], stats["coalesced_requests"]) == (1, 3)
-        assert service.stats.deduplicated == 2
+        assert (stats["completed"], stats["served_inline"]) == (4, 0)
+        assert (stats["coalesced_batches"], stats["coalesced_requests"]) == (0, 0)
+
+
+def test_workers_pop_every_admitted_job_once(engine):
+    """More worker threads than cores pop the shared job deque without
+    a lock, with the switch interval shortened so they interleave
+    often: every admitted request is answered once, with its own
+    answer, and the counters balance."""
+    users = sorted(engine.locations.located_users())[:24]
+    with QueryService(engine, cache_size=0) as reference:
+        expected = {u: result_payload(reference.query(QueryRequest(u, k=5)).result) for u in users}
+    outcomes: dict = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        service = QueryService(engine, cache_size=0)
+        with service, ServerThread(service, queue_depth=64, workers=4) as handle:
+            threads = [_post_in_thread(handle, {"user": u, "k": 5}, outcomes, u) for u in users]
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a request hung"
+            stats = handle.server.stats_snapshot()
+    finally:
+        sys.setswitchinterval(interval)
+    assert {u: (outcomes[u][0], outcomes[u][2]["result"]) for u in users} == {
+        u: (200, expected[u]) for u in users
+    }
+    assert stats["admitted"] == stats["completed"] == len(users)
+    assert (stats["queued"], stats["in_flight"]) == (0, 0)
 
 
 @pytest.fixture()
@@ -607,7 +652,7 @@ def test_no_loop_callback_runs_a_query(engine, slow_callbacks):
     bite by blocking the loop on purpose afterwards."""
     users = sorted(engine.locations.located_users())[:8]
     service = SlowService(engine, delay=0.08, cache_size=64)
-    with service, ServerThread(service, queue_depth=16, workers=2, max_batch=2) as handle:
+    with service, ServerThread(service, queue_depth=16, workers=2) as handle:
         slow = slow_callbacks(handle)
         for _ in range(2):
             outcomes: dict = {}

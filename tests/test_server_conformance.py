@@ -3,7 +3,7 @@ answers to direct :class:`QueryService` calls.
 
 Every test here compares a response that travelled the full network
 path — JSON encoding, asyncio framing, the admission queue, the
-coalescing worker, JSON decoding — against a reference computed by a
+worker thread, JSON decoding — against a reference computed by a
 second, cache-free ``QueryService`` over the *same* engine.  Equality
 is exact dict equality (ids, float scores via repr round-tripping,
 tie-break order, ``result.method``), not approximate: the serving
@@ -134,8 +134,9 @@ def test_batch_conformance(client, reference, users):
 
 
 def test_concurrent_queries_conform(handle, reference, engine):
-    """Many concurrent single queries — the coalescing path — each come
-    back identical to their individually computed reference."""
+    """Many concurrent single queries — queued, one job each, across the
+    worker threads — each come back identical to their individually
+    computed reference."""
     located = sorted(engine.locations.located_users())
     pool = [located[i % len(located)] for i in range(16)]
     expected = {
