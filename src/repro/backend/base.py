@@ -351,7 +351,14 @@ class PythonKernels:
         return sum(1 for v in values if v == v and v != INF and v != -INF)
 
     def sssp_column(self, graph, source, limit=None):
-        return self.dense_from_dict(graph.n, settle_all(graph, source, limit), INF)
+        # a DijkstraIterator run to exhaustion, or until the popped label
+        # exceeds ``limit`` (imported here, not at module level: the
+        # graph package's build paths import this package)
+        from repro.graph.traversal import dijkstra_distances
+
+        if limit is not None and limit < 0:  # as scipy does
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        return self.dense_from_dict(graph.n, dijkstra_distances(graph, source, limit), INF)
 
 
 def positions_are_ids(ids) -> bool:
@@ -359,16 +366,3 @@ def positions_are_ids(ids) -> bool:
     score is its position": ``None``, or an ascending ``range`` (which
     orders ties exactly as positions do)."""
     return ids is None or (isinstance(ids, range) and ids.step > 0)
-
-
-def settle_all(graph: "SocialGraph", source: int, limit: float | None = None) -> dict:
-    """The reference expansion behind ``sssp_column``: a
-    :class:`~repro.graph.traversal.DijkstraIterator` run to exhaustion,
-    or until the popped label exceeds ``limit`` (imported here, not at
-    module level — the graph package's build paths import this
-    package)."""
-    from repro.graph.traversal import dijkstra_distances
-
-    if limit is not None and limit < 0:  # as scipy does
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    return dijkstra_distances(graph, source, limit)

@@ -9,11 +9,11 @@ weights, and ALT bounds exploit IEEE special-value arithmetic
 survives ``abs`` as the exact disconnection bound).
 
 ``sssp_column`` hands the traversal itself to
-``scipy.sparse.csgraph.dijkstra`` (the optional ``fast`` extra), which
-adds the same ``d[u] + w`` float64 sums as the scalar expansion and so
-lands on the same labels; without scipy the kernel falls back to that
-scalar expansion itself.  ``limit`` is scipy's own early exit (labels
-``<= limit`` are kept and final) and the scalar expansion's cutoff.
+``scipy.sparse.csgraph.dijkstra`` (scipy is a dependency), which adds
+the same ``d[u] + w`` float64 sums as the scalar expansion of
+:class:`~repro.backend.base.PythonKernels` and so lands on the same
+labels.  ``limit`` is scipy's own early exit (labels ``<= limit`` are
+kept and final).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import threading
 
 import numpy as np
 
-from repro.backend.base import positions_are_ids, settle_all
+from repro.backend.base import positions_are_ids
 
 INF = math.inf
 
@@ -35,13 +35,12 @@ _CSR_BUILD_LOCK = threading.Lock()
 def _scipy_csr(graph):
     """``graph``'s CSR as a ``scipy.sparse.csr_matrix`` over the graph's
     own arrays (adopted, not copied), built once per graph and parked on
-    it; ``None`` when scipy is not importable."""
+    it.  scipy is imported on first use, so ``import repro`` does not
+    pay for it."""
     handle = graph._csr
     if handle is None:
-        try:
-            from scipy.sparse import csr_matrix
-        except ImportError:
-            return None
+        from scipy.sparse import csr_matrix
+
         with _CSR_BUILD_LOCK:
             handle = graph._csr
             if handle is None:
@@ -199,11 +198,9 @@ class NumpyKernels:
     def sssp_column(self, graph, source, limit=None):
         if not 0 <= source < graph.n:  # scipy would wrap a negative index
             raise ValueError(f"source {source} out of range [0, {graph.n})")
-        csr = _scipy_csr(graph)
-        if csr is None:
-            return self.dense_from_dict(graph.n, settle_all(graph, source, limit), INF)
         from scipy.sparse.csgraph import dijkstra
 
         return dijkstra(
-            csr, directed=True, indices=source, limit=INF if limit is None else limit
+            _scipy_csr(graph), directed=True, indices=source,
+            limit=INF if limit is None else limit,
         )

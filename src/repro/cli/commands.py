@@ -232,14 +232,19 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
 @cli.command()
 @click.argument("user", type=int)
 @click.option("--server", "server_address", metavar="HOST:PORT", required=True)
-@click.option("-k", type=int, default=10, show_default=True)
-@click.option("--alpha", type=float, default=QueryRequest.alpha, show_default=True)
+@click.option("-k", type=str, default="10", show_default=True, help="Result size.")
+@click.option("--alpha", type=str, default=str(QueryRequest.alpha), show_default=True,
+              help="Social/spatial preference in [0, 1].")
 @click.option("--method", default=QueryRequest.method, show_default=True)
 @click.option("--count", type=int, default=None,
               help="Exit after this many events (default: stream forever).")
 @format_option
 def tail(user, server_address, k, alpha, method, count, fmt) -> None:
     """Follow a standing query's delta stream for USER."""
+    try:
+        request = QueryRequest.coerce(user, _parse_k(k), _parse_alpha(alpha), method)
+    except ValueError as err:
+        raise _fail(err) from err
     import csv as _csv
     import io as _io
     import json as _json
@@ -266,7 +271,7 @@ def tail(user, server_address, k, alpha, method, count, fmt) -> None:
     seen = 0
     client = _client(server_address)
     try:
-        for event, payload in client.tail(user, k=k, alpha=alpha, method=method):
+        for event, payload in client.tail(request):
             if fmt == "json":
                 click.echo(_json.dumps({"event": event, "payload": payload}))
             else:
@@ -291,7 +296,9 @@ def tail(user, server_address, k, alpha, method, count, fmt) -> None:
             seen += 1
             if event == "end" or (count is not None and seen >= count):
                 break
-    except (ServerApiError, ConnectionError) as err:
+    except ServerApiError as err:
+        raise click.ClickException(err.message) from err
+    except ConnectionError as err:
         raise _fail(err) from err
     except KeyboardInterrupt:
         pass

@@ -144,6 +144,7 @@ class BoundedSearch:
         """The first ball's radius, or ``inf`` when the ball is
         predicted not to pay (module docstring)."""
         social, spatial, share = self._sample_profiles()
+        k = min(k, self.graph.n)  # a k past n predicts as n: k / (m * share) must fit a float
         m = max(8 * k, self.graph.n // 25)
         radius = self._radius_holding(m)
         predicted = radius

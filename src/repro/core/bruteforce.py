@@ -15,10 +15,10 @@ so the same code path runs scalar (``PythonKernels``) or vectorized
 (``NumpyKernels``) with bit-identical output.
 
 Engines that carry a :class:`~repro.social.cache.SocialColumnCache`
-answer ``method="bruteforce"`` through the pipeline's column step
-(:func:`repro.social.scan.column_step`) instead — the same kernel call +
-scan with the column cached in between; this class stays the
-cache-free reference every differential suite compares against.
+call :meth:`BruteForceSearch.scan` from the pipeline's column step
+(:func:`repro.social.scan.column_step`), which caches the column it
+returns; :meth:`~BruteForceSearch.search` stays the cache-free
+reference every differential suite compares against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.spatial.point import LocationTable
 from repro.utils.validation import check_user
 
 INF = math.inf
-_NAN = math.nan
 
 
 class BruteForceSearch:
@@ -62,33 +61,34 @@ class BruteForceSearch:
         self.normalization = normalization
         self.kernels = kernels if kernels is not None else resolve_backend("python")
 
-    def search(
-        self,
-        query_user: int,
-        k: int,
-        alpha: float,
-    ) -> SSRQResult:
-        """Score every user."""
+    def scan(self, query_user: int, k: int, alpha: float):
+        """``(result, column)``: the answer, plus the query user's full
+        social column (``None`` when the ranking has no social term and
+        no column was built)."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
         rank = RankingFunction(alpha, self.normalization)
         kernels = self.kernels
-        n = self.graph.n
 
         if rank.needs_social:
-            p = kernels.sssp_column(self.graph, query_user)
+            column = kernels.sssp_column(self.graph, query_user)
             # one per vertex a scalar expansion would have settled
-            stats.pops_social = kernels.count_finite(p)
+            stats.pops_social = kernels.count_finite(column)
+            p = column
         else:
-            p = kernels.dense_from_dict(n, {}, INF)
+            column = None
+            p = kernels.dense_from_dict(self.graph.n, {}, INF)
 
         # The spatial column (inside dense_scan): distances to the query
         # point, or all-inf when the spatial term is irrelevant / the
         # query is unlocated (a NaN query point makes the kernel emit
         # inf everywhere — exactly the scalar `distance()` contract).
         neighbors, finite = dense_scan(kernels, rank, p, self.locations, query_user, k)
-        stats.evaluations = finite
-        stats.candidates_scored = stats.evaluations
+        stats.evaluations = stats.candidates_scored = finite
         stats.elapsed = time.perf_counter() - start
-        return SSRQResult(query_user, k, alpha, neighbors, stats)
+        return SSRQResult(query_user, k, alpha, neighbors, stats), column
+
+    def search(self, query_user: int, k: int, alpha: float) -> SSRQResult:
+        """Score every user."""
+        return self.scan(query_user, k, alpha)[0]

@@ -321,10 +321,10 @@ class GeoSocialEngine:
         2. **resolve** the method (:meth:`resolve_method`: endpoint
            routing, or the planner for ``"auto"``);
         3. **column step** — look the query user's social column up
-           (:func:`repro.social.scan.column_step`): a cached full
-           column answers at once;
-        4. **run** the resolved method's searcher and stamp
-           ``result.method``.
+           (:func:`repro.social.scan.column_step`): a cached column
+           answers at once, otherwise the resolved method's searcher
+           runs (and a full column it built is cached);
+        4. stamp ``result.method``.
 
         The result is identical whatever method runs (all of them
         implement Definition 1 with the shared tie-break).  A query user
@@ -340,20 +340,9 @@ class GeoSocialEngine:
                 f"query user {request.user} has no known location; SSRQ with "
                 "alpha < 1 is undefined (paper assumes located query users)"
             )
-        result = column_step(
-            self, resolved, request, lambda social: self._run(resolved, request, social)
-        )
+        result = column_step(self, resolved, request)
         result.method = resolved
         return result
-
-    def _run(self, resolved: str, request: QueryRequest, social=None) -> SSRQResult:
-        """Pipeline stage 4: execute ``request`` with the concrete
-        method ``resolved`` over the social stream the column step hands
-        in (``None``: the searcher opens its own)."""
-        stream = {} if social is None else {"social": social}
-        return self.searcher(resolved).search(
-            request.user, request.k, request.alpha, **stream
-        )
 
     def query_many(
         self,

@@ -4,11 +4,11 @@ Every query processor the engine dispatches to — the five families
 SFA / SPA / TSA / AIS / brute force, their CH-backed and cached
 variants included — satisfies one protocol:
 
-- ``search(query_user, k, alpha)`` answers one SSRQ; the
-  forward-deterministic stream searchers (SFA, SPA, TSA) additionally
-  accept ``social=``, the Dijkstra stream from ``v_q`` to enumerate —
-  how the query pipeline's column step hands them the expansion it
-  checks in afterwards (:func:`repro.social.scan.column_step`);
+- ``search(query_user, k, alpha)`` answers one SSRQ; the column
+  searchers (``bounded``, ``bruteforce``) additionally have
+  ``scan(query_user, k, alpha)``, which returns the full social column
+  they built beside the answer, for the query pipeline's column step
+  to cache (:func:`repro.social.scan.column_step`);
 - the returned :class:`~repro.core.result.SSRQResult` carries a fully
   populated :class:`~repro.core.stats.SearchStats`: heap pops per
   domain, **cells opened** (grid/aggregate-index cells expanded),

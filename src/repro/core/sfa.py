@@ -54,17 +54,8 @@ class SocialFirstSearch:
         self.normalization = normalization
         self.point_to_point = point_to_point
 
-    def search(
-        self,
-        query_user: int,
-        k: int,
-        alpha: float,
-        social=None,
-    ) -> SSRQResult:
-        """Answer the query.  ``social`` is the Dijkstra stream from
-        ``v_q`` to enumerate — the pipeline's column step
-        hands in the expansion it promotes to a cached column if this
-        search exhausts it; a fresh one is opened when omitted."""
+    def search(self, query_user: int, k: int, alpha: float) -> SSRQResult:
+        """Answer the query over a fresh Dijkstra stream from ``v_q``."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -76,11 +67,9 @@ class SocialFirstSearch:
             )
         buffer = TopKBuffer(k)
         oracle = self.point_to_point
-        if social is None:
-            social = DijkstraIterator(self.graph, query_user)
+        social = DijkstraIterator(self.graph, query_user)
         locations = self.locations
         oracle_pops_before = oracle.pops if oracle is not None else 0
-        pops_before = social.heap.pops
 
         while True:
             item = social.next()
@@ -100,7 +89,7 @@ class SocialFirstSearch:
             if theta > buffer.fk:
                 break
 
-        stats.pops_social = social.heap.pops - pops_before
+        stats.pops_social = social.heap.pops
         if oracle is not None:
             stats.pops_social += oracle.pops - oracle_pops_before
         stats.elapsed = time.perf_counter() - start

@@ -63,18 +63,9 @@ class SpatialFirstSearch:
         self.point_to_point = point_to_point
         self.kernels = kernels
 
-    def search(
-        self,
-        query_user: int,
-        k: int,
-        alpha: float,
-        social=None,
-    ) -> SSRQResult:
-        """Answer the query.  ``social`` is the shared Dijkstra from
-        ``v_q`` that evaluations advance through ``run_until`` — the pipeline's
-        column step hands in the expansion it promotes to a cached
-        column if this search exhausts it; a fresh one is opened when
-        omitted."""
+    def search(self, query_user: int, k: int, alpha: float) -> SSRQResult:
+        """Answer the query; evaluations advance one shared Dijkstra from
+        ``v_q`` through ``run_until``."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -98,9 +89,11 @@ class SpatialFirstSearch:
             self.grid, self.locations, qx, qy, exclude=query_user, kernels=self.kernels
         )
         oracle_pops_before = oracle.pops if oracle is not None else 0
-        if social is None and rank.needs_social and oracle is None:
-            social = DijkstraIterator(self.graph, query_user)
-        social_pops_before = social.heap.pops if social is not None else 0
+        social = (
+            DijkstraIterator(self.graph, query_user)
+            if rank.needs_social and oracle is None
+            else None
+        )
 
         while True:
             item = nn.next()
@@ -125,7 +118,7 @@ class SpatialFirstSearch:
         stats.pops_spatial = nn.heap.pops
         stats.cells_opened = nn.cells_opened
         if social is not None:
-            stats.pops_social = social.heap.pops - social_pops_before
+            stats.pops_social = social.heap.pops
         if oracle is not None:
             stats.pops_social += oracle.pops - oracle_pops_before
         stats.elapsed = time.perf_counter() - start

@@ -100,18 +100,8 @@ class TwofoldSearch:
 
     # -- query ----------------------------------------------------------------
 
-    def search(
-        self,
-        query_user: int,
-        k: int,
-        alpha: float,
-        social=None,
-    ) -> SSRQResult:
-        """Answer the query.  ``social`` is the fresh Dijkstra stream
-        from ``v_q`` — the
-        pipeline's column step hands it in so it can promote an
-        exhausted expansion to a cached column; a fresh one is opened
-        when omitted."""
+    def search(self, query_user: int, k: int, alpha: float) -> SSRQResult:
+        """Answer the query over a fresh Dijkstra stream from ``v_q``."""
         check_user(query_user, self.graph.n)
         stats = SearchStats()
         start = time.perf_counter()
@@ -131,9 +121,7 @@ class TwofoldSearch:
 
         buffer = TopKBuffer(k)
         oracle = self.point_to_point
-        if social is None:
-            social = DijkstraIterator(self.graph, query_user)
-        social_pops_before = social.heap.pops
+        social = DijkstraIterator(self.graph, query_user)
         oracle_pops_before = oracle.pops if oracle is not None else 0
         nn = IncrementalNearestNeighbors(
             self.grid, self.locations, qx, qy, exclude=query_user, kernels=self.kernels
@@ -211,7 +199,7 @@ class TwofoldSearch:
                     query_user, rank, buffer, candidates, cand_heap, social, social_live, stats
                 )
 
-        stats.pops_social += social.heap.pops - social_pops_before
+        stats.pops_social += social.heap.pops
         if oracle is not None:
             stats.pops_social += oracle.pops - oracle_pops_before
         stats.pops_spatial = nn.heap.pops

@@ -51,30 +51,18 @@ class MethodSpec:
     #: from the spatial indexes, so every index-based method routes to
     #: SFA, whose Dijkstra stream reaches them all.
     alpha1: str | None = None
-    #: how the method uses the query user's cached social column
-    #: (``None``: it cannot — its distances are not forward-Dijkstra
-    #: values).  Every other value scans a cached column when there is
-    #: one; on a miss, ``"stream"`` (the incremental searchers) enumerates
-    #: a fresh forward expansion, promoted to a column if it exhausts;
-    #: ``"exhaust"``: bruteforce needs every distance, so the kernel
-    #: builds the column; ``"bounded"``: it expands a ball of the column
-    #: itself and stores only an unbounded one.
-    column: str | None = None
-
-    @property
-    def forward(self) -> bool:
-        """Whether per-neighbor social distances are forward-Dijkstra
-        values — deterministic functions of (graph, query, candidate),
-        independent of evaluation schedule and location state, so a
-        stored distance is bit-identical to what a fresh search would
-        recompute.  Exactly the methods that can scan a social column;
-        the update-stream layers repair results in place only for
-        these.  (AIS evaluates bidirectionally: float association may
-        differ by 1 ulp between schedules.)"""
-        return self.column is not None
+    #: whether per-neighbor social distances are forward-Dijkstra
+    #: values — deterministic functions of (graph, query, candidate),
+    #: independent of evaluation schedule and location state, so a
+    #: stored distance is bit-identical to what a fresh search would
+    #: recompute.  Exactly the methods that can answer off a cached
+    #: social column; the update-stream layers repair results in place
+    #: only for these.  (AIS evaluates bidirectionally: float
+    #: association may differ by 1 ulp between schedules.)
+    forward: bool = True
 
 
-_TSA = MethodSpec(alpha0="spa", alpha1="sfa", column="stream")
+_TSA = MethodSpec(alpha0="spa", alpha1="sfa")
 
 #: one row per served method, in the order ``METHODS`` lists them
 METHOD_TABLE: dict[str, MethodSpec] = {
@@ -82,18 +70,18 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     # endpoint routes — since the ``sssp_column`` kernel the two column
     # rows below beat each of them at every (n, alpha) measured
     # (docs/BENCHMARKS.md)
-    "sfa": MethodSpec(alpha0="spa", column="stream"),
-    "spa": MethodSpec(alpha1="sfa", column="stream"),
+    "sfa": MethodSpec(alpha0="spa"),
+    "spa": MethodSpec(alpha1="sfa"),
     "tsa": _TSA,
     "tsa-qc": _TSA,
-    "ais": MethodSpec(alpha1="sfa"),
+    "ais": MethodSpec(alpha1="sfa", forward=False),
     # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
     # over the ball that can hold an answer + one dense scan (or the
     # full column when that ball would hold nearly everyone); what
     # ``auto`` runs at interior alpha
-    "bounded": MethodSpec(alpha0="spa", column="bounded"),
+    "bounded": MethodSpec(alpha0="spa"),
     # "the column + one dense scan": the exact reference
-    "bruteforce": MethodSpec(column="exhaust"),
+    "bruteforce": MethodSpec(),
 }
 
 

@@ -92,6 +92,18 @@ _DEADLINE_BODY = error_body(DEADLINE_EXCEEDED, "request deadline exceeded")
 _SUBSCRIBE_PARAMS = ("user", "k", "alpha", "method")
 
 
+def _number(name: str, value, what: str = "a number") -> float:
+    """A JSON number body field as a float, converted while the body is
+    parsed: an integer literal too large for a float is refused here,
+    naming the field, not on a worker or the event loop."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Tunables of one :class:`SSRQServer`."""
@@ -558,13 +570,10 @@ class SSRQServer:
             return lambda: (self.service.forget_location(user), {"ok": True, "user": user, "forgotten": True})[1]
         if "x" not in body or "y" not in body:
             raise ValueError("location update needs 'x' and 'y' (or 'forget': true)")
-        x, y = body["x"], body["y"]
-        for name, value in (("x", x), ("y", y)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        x, y = _number("x", body["x"]), _number("y", body["y"])
         return lambda: (
-            self.service.move_user(user, float(x), float(y)),
-            {"ok": True, "user": user, "x": float(x), "y": float(y)},
+            self.service.move_user(user, x, y),
+            {"ok": True, "user": user, "x": x, "y": y},
         )[1]
 
     def _edge_call(self, body: dict) -> "Callable[[], dict]":
@@ -577,11 +586,8 @@ class SSRQServer:
                 raise ValueError(f"{name} must be an integer id, got {value!r}")
         u, v = body["u"], body["v"]
         weight = body.get("weight")
-        if weight is not None and (
-            isinstance(weight, bool) or not isinstance(weight, (int, float))
-        ):
-            raise ValueError(f"weight must be a number or null, got {weight!r}")
-        weight = None if weight is None else float(weight)
+        if weight is not None:
+            weight = _number("weight", weight, "a number or null")
         return lambda: (
             self.service.update_edge(u, v, weight),
             {

@@ -7,10 +7,10 @@ from the query user.  Those distances are a pure
 function of the (immutable-per-engine) social graph, so once one query
 has paid for an expansion, every later query from the same user can
 reuse it **exactly**.  The cache holds one kind of entry, a *full*
-dense column — built by the ``sssp_column`` kernel, or marshalled
-from an incremental search whose expansion ran to exhaustion — answers
-any later query with one columnar scan, no traversal at all.  An
-early-terminated expansion is not kept.
+dense column, built by the ``sssp_column`` kernel inside ``bruteforce``
+or an unbounded ``bounded`` expansion (or by a subscription repair);
+it answers any later query with one columnar scan, no traversal at
+all.  The incremental searchers (SFA, SPA, TSA) keep nothing.
 
 **Why edge-epoch invalidation only.**  A social column depends on
 nothing but the graph's edges.  Location moves — the overwhelming
@@ -70,7 +70,7 @@ class SocialCacheStats:
     hits: int = 0
     #: lookups that found no column (the query expands from scratch)
     misses: int = 0
-    #: exhausted incremental expansions promoted to columns on check-in
+    #: exhausted expansions promoted to columns by :meth:`SocialColumnCache.checkin`
     promotions: int = 0
     #: entries dropped by the byte-budget LRU
     evictions: int = 0
@@ -96,14 +96,13 @@ class SocialColumnCache:
         >>> from repro.social import SocialColumnCache
         >>> g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         >>> cache = SocialColumnCache(3, PythonKernels())
-        >>> cache.acquire(0)
-        (None, None)
+        >>> cache.acquire(0) is None
+        True
         >>> it = DijkstraIterator(g, 0)
         >>> _ = it.run_to_completion()
         >>> cache.checkin(0, it)      # exhausted: promoted to a column
-        >>> kind, column = cache.acquire(0)
-        >>> kind, list(column)
-        ('full', [0.0, 1.0, 2.0])
+        >>> list(cache.acquire(0))
+        [0.0, 1.0, 2.0]
 
     Thread-safe: every operation holds one internal lock, so concurrent
     queries under the engine's shared read lock never observe a
@@ -158,19 +157,19 @@ class SocialColumnCache:
     # -- lookup --------------------------------------------------------
 
     def acquire(self, user: int):
-        """``("full", column)`` for ``user`` (recording a hit), or
-        ``(None, None)`` (recording a miss).  The column is shared:
-        callers must treat it as read-only."""
+        """``user``'s column (recording a hit), or ``None`` (recording a
+        miss).  The column is shared: callers must treat it as
+        read-only."""
         with self._lock:
             if not self.max_bytes:
-                return None, None
+                return None
             column = self._entries.get(user)
             if column is None:
                 self.stats.misses += 1
-                return None, None
+                return None
             self._entries.move_to_end(user)
             self.stats.hits += 1
-            return "full", column
+            return column
 
     def peek_full(self, user: int):
         """The full column for ``user`` if one is cached (records a
@@ -197,11 +196,12 @@ class SocialColumnCache:
             self._shrink_locked()
 
     def checkin(self, user: int, iterator: DijkstraIterator) -> None:
-        """Promote ``iterator`` — the fresh expansion an incremental
-        search just enumerated — to ``user``'s column if it ran to
-        exhaustion: its settled map is marshalled into a dense column
-        once, and every later query scans instead of traversing.  An
-        early-terminated expansion is dropped."""
+        """Promote ``iterator``, an expansion from ``user``, to
+        ``user``'s column if it ran to exhaustion: its settled map is
+        marshalled into a dense column once.  An early-terminated
+        expansion is dropped.  Nothing in the query pipeline calls this
+        (it caches only kernel columns); it stays because ``perfbench``'s
+        tracer wraps it by name."""
         if not self.max_bytes or not iterator.exhausted:
             return
         column = self.kernels.dense_from_dict(self.n, iterator.settled, INF)

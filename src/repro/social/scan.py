@@ -17,16 +17,12 @@ toward smaller ids), with the same ``Neighbor`` field conventions
 the query pipeline (:meth:`repro.core.engine.GeoSocialEngine.query`) that
 talks to the :class:`~repro.social.cache.SocialColumnCache`: look the
 query user up; a cached column answers through :func:`dense_scan` at
-once; a method that needs every distance (``column="exhaust"``) gets
-the column from the ``sssp_column`` kernel
-(:meth:`repro.backend.base.Kernels.sssp_column`) and stores it; a
-``column="bounded"`` method expands only a ball of it
-(:class:`~repro.core.bounded.BoundedSearch`) and stores the column
-only when the expansion came back unbounded; a ``column="stream"``
-method (an incremental searcher) enumerates a fresh
-:class:`~repro.graph.traversal.DijkstraIterator`, which the cache
-promotes to a column if the search ran it to exhaustion.  The
-searchers themselves only enumerate the stream they are given.
+once.  On a miss a searcher with ``scan()`` (``bounded``,
+``bruteforce``) returns its answer with the full column when it built
+one, and the step stores that column; every other searcher opens its
+own expansion and leaves nothing behind.  So every cached column comes
+from the ``sssp_column`` kernel
+(:meth:`repro.backend.base.Kernels.sssp_column`).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import time
 from repro.core.ranking import RankingFunction
 from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
-from repro.graph.traversal import DijkstraIterator
 from repro.plan.rules import METHOD_TABLE
 
 INF = math.inf
@@ -105,67 +100,44 @@ def materialize_column(engine, user: int):
     return column
 
 
-def column_step(engine, method: str, request, run) -> SSRQResult:
-    """The social-column step of the query pipeline.
+def column_step(engine, method: str, request) -> SSRQResult:
+    """The social-column step of the query pipeline: answer ``request``
+    with the concrete method ``method``.
 
-    ``run(social)`` executes the resolved searcher over the social
-    stream it is handed (``None``: the searcher opens its own — the
-    step does not apply).  On a full column the searcher never runs:
-    the answer is one :func:`dense_scan`, marked
-    ``stats.extra["social_column_hits"]``.  An ``exhaust`` method
-    (bruteforce) never runs either: on a miss the kernel builds the
-    column, ``stats.pops_social`` reading its number of finite entries
-    (the vertices a scalar expansion would have settled).  A
-    ``bounded`` method on a miss runs its own radius-limited expansion
-    and scan; only a column that came back *unbounded* is stored (a
-    radius column is never cached — there is no such cache kind).
-    Otherwise (``stream``) the searcher enumerates a fresh expansion
-    and the step checks it in — an exhausted one is promoted to a full
-    column by the cache, an early-terminated one is dropped.
+    On a cached column the searcher never runs: the answer is one
+    :func:`dense_scan`, marked ``stats.extra["social_column_hits"]``.
+    On a miss a searcher with ``scan()`` returns ``(result, full
+    column or None)`` and the step stores the column (a radius column
+    is never cached — there is no such cache kind); any other searcher
+    answers with ``search()`` over its own expansion.
     """
+    searcher = engine.searcher(method)
+    user, k, alpha = request.user, request.k, request.alpha
+    cache = engine.social_cache
+    rank = RankingFunction(alpha, engine.normalization)
     # The step applies only when the engine carries a cache, the method
     # is forward-deterministic (its evaluation distances *are* the
     # column's) and the ranking uses the social term (at ``alpha == 0``
     # the ``Neighbor`` fields follow the all-``inf`` social convention a
     # real column would violate).
-    spec = METHOD_TABLE[method]
-    if engine.social_cache is None or spec.column is None:
-        return run(None)
-    rank = RankingFunction(request.alpha, engine.normalization)
-    if not rank.needs_social:
-        return run(None)
+    if cache is None or not METHOD_TABLE[method].forward or not rank.needs_social:
+        return searcher.search(user, k, alpha)
     start = time.perf_counter()
-    cache = engine.social_cache
-    user = request.user
-    exhaust = spec.column == "exhaust"
-    stats = SearchStats()
-    _, column = cache.acquire(user)
-    if column is not None:
-        stats.extra["social_column_hits"] = 1
-    elif spec.column == "bounded":
-        result, column = engine.searcher(method).scan(user, request.k, request.alpha)
-        if column is not None:
-            cache.store_full(user, column)
-        return result
-    elif exhaust:
-        # the method needs every distance: one kernel call builds the
-        # whole column
-        column = materialize_column(engine, user)
-        stats.pops_social = engine.kernels.count_finite(column)
+    column = cache.acquire(user)
     if column is not None:
         # one columnar pass, bit-identical to any forward-deterministic
         # enumeration (strict termination + smaller-id tie-break select
-        # exactly the ``(score, id)``-minimal set)
-        neighbors, finite = dense_scan(
-            engine.kernels, rank, column, engine.locations, user, request.k
-        )
-        stats.candidates_scored = finite
-        if exhaust:  # the full scan evaluates everyone it scores
-            stats.evaluations = finite
+        # exactly the ``(score, id)``-minimal set); it evaluates everyone
+        # it scores
+        neighbors, finite = dense_scan(engine.kernels, rank, column, engine.locations, user, k)
+        stats = SearchStats(candidates_scored=finite, evaluations=finite)
+        stats.extra["social_column_hits"] = 1
         stats.elapsed = time.perf_counter() - start
-        return SSRQResult(user, request.k, request.alpha, neighbors, stats)
-    social = DijkstraIterator(engine.graph, user)
-    result = run(social)
-    cache.checkin(user, social)
+        return SSRQResult(user, k, alpha, neighbors, stats)
+    scan = getattr(searcher, "scan", None)
+    if scan is None:
+        return searcher.search(user, k, alpha)
+    result, column = scan(user, k, alpha)
+    if column is not None:
+        cache.store_full(user, column)
     return result
-

@@ -245,6 +245,30 @@ def test_tail_table_has_header(runner, served, address, query_user):
     assert lines[1].startswith(("snapshot", "suspended"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["-k", "0"], ["-k", "abc"], ["--alpha", "abc"], ["--alpha", "2.5"], ["--method", "warp"]],
+    ids=["k_zero", "k_text", "alpha_text", "alpha_high", "unknown_method"],
+)
+def test_tail_refuses_bad_parameters_like_query(runner, address, query_user, argv):
+    """`repro tail` used to print its header and then a traceback for
+    ``-k 0``, exit 2 with click's wording for ``-k abc``, and print
+    ``[400 invalid_argument] ...`` for an API error.  It now fails
+    like `repro query`: exit 1 with the same one-line message, and a
+    parameter it can check itself fails before the header."""
+    outputs = {}
+    for command in ("query", "tail"):
+        result = runner.invoke(cli, [command, str(query_user), "--server", address, *argv])
+        assert result.exit_code == 1, (command, result.output)
+        assert "Traceback" not in result.output and "[400" not in result.output
+        outputs[command] = result.output
+    assert outputs["query"].startswith("Error: ") and outputs["query"].count("\n") == 1
+    if argv[0] == "--method":  # only the server knows the method table
+        assert outputs["tail"].endswith(outputs["query"])
+    else:
+        assert outputs["tail"] == outputs["query"]
+
+
 def test_serve_refuses_a_non_positive_deadline(runner, monkeypatch):
     """`repro serve --deadline-ms 0` is a click error before the server
     binds, not a server that times every request out.  (Were it to

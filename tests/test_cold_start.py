@@ -141,17 +141,11 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch, tmp_
 
 
 def test_a_served_graph_holds_one_csr(dataset):
-    """With scipy, an engine build plus interior ``auto`` queries run on
-    the graph's arrays alone: the Python list view is never built and
-    scipy's handle aliases the arrays.  Where the scalar expansion runs
-    (``REPRO_BACKEND=python``, or no scipy) the view is built once, by
+    """On the NumPy backend an engine build plus interior ``auto``
+    queries run on the graph's arrays alone: the Python list view is
+    never built and scipy's handle aliases the arrays.  Where the scalar
+    expansion runs (``REPRO_BACKEND=python``) the view is built once, by
     the engine build, and kept."""
-    try:
-        import scipy.sparse  # noqa: F401
-
-        has_scipy = True
-    except ImportError:
-        has_scipy = False
     # a fresh graph over the shared arrays: other tests here build the
     # fixture graph's list view
     graph = SocialGraph.from_csr(
@@ -159,7 +153,7 @@ def test_a_served_graph_holds_one_csr(dataset):
     )
     engine = GeoSocialEngine(graph, dataset.locations.copy())
     try:
-        arrays_only = engine.backend == "numpy" and has_scipy
+        arrays_only = engine.backend == "numpy"
         built = graph._lists
         assert (built is None) == arrays_only
         rng = random.Random(5)

@@ -2,17 +2,13 @@
 
 A scripted mix of every served method plus ``auto`` — endpoint and
 mixed alphas, repeats, and an unlocated query user — runs on each
-kernel leg (scalar python, numpy over scipy, numpy with scipy blocked).
-After every query the cache must hold only dense columns
-(``bytes_used == len(cache) * 8 * n``); an incremental search whose
-fresh expansion exhausts is promoted, and its repeat is a column hit;
-every answer equals the cache-free bruteforce reference.  Everything
-asserted is a count, never a wall time.
+kernel leg (scalar python, numpy over scipy).  After every query the
+cache must hold only dense columns (``bytes_used == len(cache) * 8 *
+n``), and every answer equals the cache-free bruteforce reference.
+Everything asserted is a count, never a wall time.
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 
@@ -23,28 +19,13 @@ from tests.conftest import assert_same_scores, random_instance
 ALPHAS = (0.0, 0.3, 1.0)
 N = 120
 
-LEGS = ["python", "numpy"]
-try:
-    import scipy.sparse.csgraph  # noqa: F401
 
-    LEGS.append("numpy-scipy-blocked")
-except ImportError:  # pragma: no cover - a scipy-less install is the blocked leg
-    pass
-
-
-@pytest.fixture(params=LEGS)
-def leg(request, monkeypatch):
-    if request.param == "numpy-scipy-blocked":
-        for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
-            monkeypatch.setitem(sys.modules, name, None)
-    return request.param
-
-
-@pytest.fixture
-def engine(leg):
+@pytest.fixture(params=["python", "numpy"])
+def engine(request):
     graph, locations = random_instance(N, seed=41, coverage=0.8, avg_degree=4.0)
-    backend = "python" if leg == "python" else "numpy"
-    return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, backend=backend)
+    return GeoSocialEngine(
+        graph, locations, num_landmarks=3, s=4, seed=3, backend=request.param
+    )
 
 
 def fingerprint(result):
@@ -67,7 +48,7 @@ def assert_matches_bruteforce(engine, method, result, user, k, alpha):
         assert_same_scores(reference, result)
 
 
-def test_scripted_mix_keeps_only_dense_columns_and_exact_answers(leg, engine):
+def test_scripted_mix_keeps_only_dense_columns_and_exact_answers(engine):
     located = sorted(engine.locations.located_users())
     unlocated = next(u for u in range(N) if engine.locations.get(u) is None)
     users = located[:3] + [unlocated]
@@ -85,22 +66,3 @@ def test_scripted_mix_keeps_only_dense_columns_and_exact_answers(leg, engine):
                     assert_dense_columns_only(engine)
     stats = engine.social_cache.stats
     assert stats.hits > 0 and stats.misses > 0 and len(engine.social_cache) > 0
-    if leg == "numpy-scipy-blocked":  # scipy would park a handle on the graph
-        assert engine.graph._csr is None
-
-
-def test_an_exhausted_incremental_expansion_is_promoted(engine):
-    user = sorted(engine.locations.located_users())[-1]
-    cache = engine.social_cache
-    # an early-terminated expansion is dropped
-    engine.query(user, k=2, alpha=1.0, method="sfa")
-    assert len(cache) == 0 and cache.stats.promotions == 0
-    # k at least the component size: SFA runs its expansion dry
-    first = engine.query(user, k=N, alpha=1.0, method="sfa")
-    assert "social_column_hits" not in first.stats.extra
-    assert cache.stats.promotions == 1 and cache.contains_full(user)
-    assert_dense_columns_only(engine)
-    again = engine.query(user, k=5, alpha=1.0, method="sfa")
-    assert again.stats.extra["social_column_hits"] == 1
-    for result, k in ((first, N), (again, 5)):
-        assert_matches_bruteforce(engine, "sfa", result, user, k, 1.0)

@@ -479,6 +479,47 @@ def test_bad_edge_updates_are_rejected_before_anything_is_recorded(
     assert service.pending_edge_updates == pending
 
 
+#: an integer literal no float holds (``float(HUGE)`` is an OverflowError)
+HUGE = 10**400
+
+HUGE_BODIES = [
+    # (route, body for a located user, the field named)
+    ("/update/location", lambda u: {"user": u, "x": HUGE, "y": 0.5}, "x"),
+    ("/update/location", lambda u: {"user": u, "x": 0.5, "y": -HUGE}, "y"),
+    ("/update/edge", lambda u: {"u": u, "v": u + 1, "weight": HUGE}, "weight"),
+]
+
+
+@pytest.mark.parametrize("route,body,field", HUGE_BODIES, ids=["x", "y", "weight"])
+def test_a_number_past_the_float_range_is_a_typed_400(
+    engine, service, client, located, route, body, field
+):
+    """A coordinate used to overflow on the worker (500 ``internal``)
+    and a weight on the event loop (the connection closed with no
+    response).  Both are converted while the body is parsed: 400
+    ``invalid_argument`` naming the field, nothing written, and the
+    connection keeps answering."""
+    where, pending = engine.locations.get(located), service.pending_edge_updates
+    status, _, reply = client.request("POST", route, body(located))
+    assert (status, reply["error"]) == (
+        400, {"type": "invalid_argument", "message": f"{field} is too large for a float"}
+    )
+    assert engine.locations.get(located) == where
+    assert service.pending_edge_updates == pending
+    assert client.request("GET", "/healthz")[0] == 200
+
+
+def test_a_k_past_the_float_range_answers_on_a_cold_user(engine, client):
+    """``k = 10**400`` used to overflow ``bounded``'s first-ball
+    prediction: 500 ``internal`` for a user with no cached column."""
+    cache = engine.social_cache
+    user = next(u for u in sorted(engine.locations.located_users()) if not cache.contains_full(u))
+    status, _, reply = client.request("POST", "/query", {"user": user, "k": HUGE, "alpha": 0.3})
+    assert status == 200, reply
+    assert reply["result"]["k"] == HUGE and reply["result"]["method"] == "bounded"
+    assert reply["result"]["users"] == engine.query(user, HUGE, 0.3, "bruteforce").users
+
+
 def test_deleting_an_absent_edge_is_a_key_error_and_a_404(engine, service, client):
     u = 3
     v = next(w for w in range(engine.graph.n) if w != u and not engine.graph.has_edge(u, w))

@@ -525,3 +525,26 @@ def test_removed_options_stay_removed():
         server = SSRQServer(service)
         for name in ("_drain", "_execute", "_take_lock"):
             assert not hasattr(server, name), name
+    # one source of social columns: the column step hands no searcher a
+    # stream and promotes none, the method table says only ``forward``,
+    # and the NumPy backend's only Dijkstra is scipy's (a dependency)
+    from repro.core.bruteforce import BruteForceSearch
+    from repro.plan.rules import MethodSpec
+    from repro.social.scan import column_step
+
+    assert [f.name for f in dataclasses.fields(MethodSpec)] == ["alpha0", "alpha1", "forward"]
+    assert list(inspect.signature(column_step).parameters) == ["engine", "method", "request"]
+    assert not hasattr(GeoSocialEngine, "_run")
+    engine = GeoSocialEngine(graph, locations, num_landmarks=2)
+    for name in METHOD_TABLE:
+        assert "social" not in inspect.signature(engine.searcher(name).search).parameters, name
+    assert hasattr(BruteForceSearch, "scan")
+    scan_source = inspect.getsource(importlib.import_module("repro.social.scan"))
+    for token in ("DijkstraIterator", "checkin", "exhaust"):
+        assert token not in scan_source, token
+    numpy_source = inspect.getsource(importlib.import_module("repro.backend.numpy_backend"))
+    for token in ("settle_all", "ImportError", "dense_from_dict(graph.n"):
+        assert token not in numpy_source, token
+    pyproject = (src.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'dependencies = ["numpy>=1.22", "scipy>=1.8"]' in pyproject
+    assert "fast = " not in pyproject

@@ -1,10 +1,9 @@
 """Cross-query social-distance reuse: the exactness differential suite.
 
 The :class:`~repro.social.SocialColumnCache` is a pure performance
-layer — every answer produced through a cached column, and every
-exhausted expansion it promotes to one, must be **bit-identical** to
-the cold computation, for
-every forward-deterministic method, at every alpha (endpoints
+layer — every answer produced through a cached column must be
+**bit-identical** to the cold computation, for every
+forward-deterministic method, at every alpha (endpoints
 included), on both kernel backends, through engine rebuilds and
 interleaved location/edge updates.  The
 poisoned-column canary additionally pins that cached columns are
@@ -174,29 +173,27 @@ def test_column_step_miss_then_resume_then_full_hit(method, alpha):
     assert cache.info()["misses"] == (1 if method == "bruteforce" else 3)
 
 
-@pytest.mark.parametrize("method,alpha", STEP_CASES[:3])
-def test_column_step_hands_each_searcher_the_right_stream(method, alpha):
-    """Every miss hands the searcher a fresh iterator from the query
-    user; an early-terminated one is not kept, so the next query gets
-    a fresh one again."""
-    from repro.social.scan import column_step
-
+@pytest.mark.parametrize("method,alpha", STEP_CASES)
+def test_a_miss_stores_only_a_kernel_column(method, alpha):
+    """A miss on an incremental searcher stores nothing, even when its
+    expansion ran dry (``k = n``); a bruteforce miss stores the column
+    its ``sssp_column`` call built, and the repeat scans it."""
     engine = build_engine("python", None)
+    cold = build_engine("python", 0)
     cache = engine.social_cache
     user = query_users(engine)[0]
-    request = QueryRequest(user, k=4, alpha=alpha, method=method)
-    seen = []
-
-    def run(social):
-        seen.append(social)
-        return engine._run(method, request, social)
-
-    column_step(engine, method, request, run)
-    assert type(seen[0]) is DijkstraIterator and seen[0].source == user
-    assert not seen[0].exhausted
-    column_step(engine, method, request, run)
-    assert type(seen[1]) is DijkstraIterator and seen[1] is not seen[0]
-    assert cache.acquire(user) == (None, None)
+    request = QueryRequest(user, k=engine.graph.n, alpha=alpha, method=method)
+    first = engine.query(request)
+    assert fingerprint(first) == fingerprint(cold.query(request))
+    assert "social_column_hits" not in first.stats.extra
+    if method == "bruteforce":
+        assert list(cache.peek_full(user)) == engine.kernels.sssp_column(engine.graph, user)
+        again = engine.query(request)
+        assert again.stats.extra["social_column_hits"] == 1
+        assert fingerprint(again) == fingerprint(first)
+    else:
+        assert len(cache) == 0 and cache.stats.promotions == 0
+        assert cache.acquire(user) is None
 
 
 def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
@@ -463,7 +460,7 @@ class TestSocialColumnCache:
         it.next()
         cache.checkin(0, it)
         assert len(cache) == 0 and cache.stats.promotions == 0
-        assert cache.acquire(0) == (None, None)
+        assert cache.acquire(0) is None
         assert cache.stats.misses == 1
 
     def test_exhausted_checkin_promotes_to_full_column(self):
@@ -472,8 +469,7 @@ class TestSocialColumnCache:
         it = DijkstraIterator(g, 0)
         it.run_to_completion()
         cache.checkin(0, it)
-        kind, column = cache.acquire(0)
-        assert kind == "full"
+        column = cache.acquire(0)
         assert list(column) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert cache.stats.promotions == 1
         assert cache.info()["entries"] == 1 and "partials" not in cache.info()
@@ -510,7 +506,7 @@ class TestSocialColumnCache:
         assert len(cache) == 1 and cache.bytes_used == g.n * 8
         cache.resize(0)
         assert len(cache) == 0 and not cache.enabled
-        assert cache.acquire(0) == (None, None)
+        assert cache.acquire(0) is None
         cache.checkin(0, DijkstraIterator(g, 0))  # no-op while disabled
         assert len(cache) == 0
         with pytest.raises(ValueError):

@@ -1,21 +1,19 @@
-"""The ``sssp_column`` kernel: one expansion, three legs, one answer —
+"""The ``sssp_column`` kernel: one expansion, two legs, one answer —
 and ``bounded``, the method built on its radius-limited form.
 
 Every full social-distance expansion in the tree (bruteforce, landmark
 rows, diameter sweeps, the correlated-dataset anchor, subscription
-repairs, the column step's ``exhaust`` branch) is one
-``Kernels.sssp_column`` call, and the incremental searchers next to it
+repairs) is one ``Kernels.sssp_column`` call, and the incremental
+searchers next to it
 still settle vertices with :class:`~repro.graph.traversal.
 DijkstraIterator`.  The exactness contract between them is
 **bit-identity**, not a tolerance: a final Dijkstra label is the
 ``min`` over in-edges ``(u, v)`` of ``fl(d[u] + w)`` with ``d[u]``
 final, so heap order and tie-breaks cannot move it.  This file pins
-that on three legs —
+that on two legs —
 
 - ``PythonKernels`` (the iterator run to exhaustion),
-- ``NumpyKernels`` over ``scipy.sparse.csgraph.dijkstra``,
-- ``NumpyKernels`` with the scipy import blocked (the in-kernel
-  fallback every scipy-less install runs)
+- ``NumpyKernels`` over ``scipy.sparse.csgraph.dijkstra``
 
 — over random weighted graphs built to provoke the cases where an
 implementation *could* drift: equal-length alternative paths, weights
@@ -26,7 +24,7 @@ With ``limit=r`` the kernel settles only the ball of radius ``r``; the
 second half of this file pins that every label ``<= r`` is the final
 one (a label *equal* to ``r`` included) and that ``method="bounded"`` —
 first ball, radius from its k-th score, one more expansion, one dense
-scan — answers bit-identically to ``bruteforce`` on the same three
+scan — answers bit-identically to ``bruteforce`` on the same two
 legs, with and without a column cache.
 """
 
@@ -50,13 +48,6 @@ from repro.graph.traversal import DijkstraIterator
 from repro.spatial.point import LocationTable
 
 INF = math.inf
-
-try:
-    import scipy.sparse.csgraph  # noqa: F401
-
-    HAS_SCIPY = True
-except ImportError:  # pragma: no cover - the scipy-less CI legs
-    HAS_SCIPY = False
 
 SSSP_CI = settings(
     max_examples=60,
@@ -103,21 +94,9 @@ def bits(column) -> list:
     return [float(value).hex() for value in column]
 
 
-def block_scipy(monkeypatch) -> None:
-    """Make every ``import scipy…`` raise, loaded or not."""
-    for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
-        monkeypatch.setitem(sys.modules, name, None)
-    monkeypatch.setitem(sys.modules, "scipy", None)
-
-
 def legs():
-    """``(label, kernels, needs_block)`` for the legs this interpreter
-    can run."""
-    out = [("python", PythonKernels(), False)]
-    if HAS_SCIPY:
-        out.append(("numpy+scipy", resolve_backend("numpy"), False))
-    out.append(("numpy-scipy-blocked", resolve_backend("numpy"), True))
-    return out
+    """``(label, kernels)``: the scalar oracle and scipy's Dijkstra."""
+    return [("python", PythonKernels()), ("numpy+scipy", resolve_backend("numpy"))]
 
 
 @SSSP_CI
@@ -125,16 +104,12 @@ def legs():
 def test_sssp_column_is_bit_identical_to_the_iterator_on_every_leg(case):
     graph, source = case
     want = bits(reference_column(graph, source))
-    for label, kernels, blocked in legs():
-        # a fresh graph per leg: the array handle parked on it by the
-        # scipy leg must not be what the blocked leg reads
+    for label, kernels in legs():
+        # a fresh graph per leg, to see which leg parks a handle on it
         twin = SocialGraph.from_csr(
             graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
         )
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            column = kernels.sssp_column(twin, source)
+        column = kernels.sssp_column(twin, source)
         # the leg really is the leg: only the scipy one parks a handle
         assert (twin._csr is not None) == (label == "numpy+scipy"), label
         assert len(column) == graph.n, label
@@ -154,13 +129,9 @@ def test_equal_length_alternative_paths_and_an_isolated_source():
             (3, 4, 0.3),
         ],
     )  # vertex 5 isolated
-    for label, kernels, blocked in legs():
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            graph._csr = None
-            from_hub = kernels.sssp_column(graph, 0)
-            from_island = kernels.sssp_column(graph, 5)
+    for label, kernels in legs():
+        from_hub = kernels.sssp_column(graph, 0)
+        from_island = kernels.sssp_column(graph, 5)
         assert bits(from_hub) == bits(reference_column(graph, 0)), label
         assert float(from_hub[4]) == (0.1 + 0.2) + 0.3, label
         assert float(from_hub[5]) == INF, label
@@ -169,25 +140,20 @@ def test_equal_length_alternative_paths_and_an_isolated_source():
 
 def test_directed_edges_are_followed_forward_only():
     graph = SocialGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)], directed=True)
-    for label, kernels, blocked in legs():
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            graph._csr = None
-            assert [float(v) for v in kernels.sssp_column(graph, 0)] == [0.0, 0.5, 0.75], label
-            assert [float(v) for v in kernels.sssp_column(graph, 2)] == [INF, INF, 0.0], label
+    for label, kernels in legs():
+        assert [float(v) for v in kernels.sssp_column(graph, 0)] == [0.0, 0.5, 0.75], label
+        assert [float(v) for v in kernels.sssp_column(graph, 2)] == [INF, INF, 0.0], label
 
 
 @pytest.mark.parametrize("source", [-1, 3])
 def test_source_out_of_range_is_a_value_error_on_every_leg(source):
     """scipy alone would wrap ``-1`` to the last vertex."""
     graph = SocialGraph.from_edges(3, [(0, 1, 1.0)])
-    for label, kernels, _ in legs():
+    for label, kernels in legs():
         with pytest.raises(ValueError, match="out of range"):
             kernels.sssp_column(graph, source)
 
 
-@pytest.mark.skipif(not HAS_SCIPY, reason="needs the scipy leg")
 def test_array_handle_is_built_once_per_graph_under_concurrent_first_queries():
     """Eight threads ask for their first column of one fresh graph at
     once: one handle is built, every thread reads the same object, and
@@ -224,30 +190,6 @@ def test_array_handle_is_built_once_per_graph_under_concurrent_first_queries():
         assert bits(column) == bits(reference_column(graph, source))
 
 
-def test_graph_layer_build_paths_agree_with_and_without_scipy():
-    """Landmark rows, the diameter sweep and bruteforce all go through
-    the kernel, so blocking scipy must change none of them."""
-    pytest.importorskip("numpy")
-    from repro.core.engine import GeoSocialEngine
-    from tests.conftest import random_instance
-
-    graph, locations = random_instance(60, seed=21, coverage=0.8)
-    fast = GeoSocialEngine(graph, locations.copy(), num_landmarks=3, s=3, seed=2)
-    twin = SocialGraph.from_csr(graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed)
-    with pytest.MonkeyPatch.context() as patch:
-        block_scipy(patch)
-        slow = GeoSocialEngine(twin, locations.copy(), num_landmarks=3, s=3, seed=2)
-        assert twin._csr is None
-        user = next(iter(slow.locations.located_users()))
-        got = slow.query(user, 8, 0.4, "bruteforce")
-    assert fast.landmarks.landmarks == slow.landmarks.landmarks
-    assert [bits(row) for row in fast.landmarks.dist] == [bits(row) for row in slow.landmarks.dist]
-    assert fast.normalization.p_max == slow.normalization.p_max
-    want = fast.query(user, 8, 0.4, "bruteforce")
-    assert (got.users, got.scores) == (want.users, want.scores)
-    assert got.stats.pops_social == want.stats.pops_social
-
-
 # -- limit=r: the radius-limited expansion -------------------------------------
 
 
@@ -267,32 +209,22 @@ def test_limited_column_is_the_unbounded_one_inside_the_radius_on_every_leg(case
         )
     )
     want = bits([v if v <= limit else INF for v in full])
-    for label, kernels, blocked in legs():
-        twin = SocialGraph.from_csr(
-            graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
-        )
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            column = kernels.sssp_column(twin, source, limit=limit)
+    for label, kernels in legs():
+        column = kernels.sssp_column(graph, source, limit=limit)
         assert len(column) == graph.n, label
         assert bits(column) == want, f"{label}: limit {limit!r} from {source} of {graph!r}"
 
 
 def test_limit_edge_cases_agree_on_every_leg():
     graph = SocialGraph.from_edges(4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.25)])
-    for label, kernels, blocked in legs():
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            graph._csr = None
-            column = kernels.sssp_column
-            assert [float(v) for v in column(graph, 0, limit=0.0)] == [0.0, INF, INF, INF], label
-            assert [float(v) for v in column(graph, 0, limit=0.75)] == [0.0, 0.5, 0.75, INF], label
-            assert bits(column(graph, 0, limit=INF)) == bits(column(graph, 0)), label
-            assert bits(column(graph, 0, limit=None)) == bits(column(graph, 0)), label
-            with pytest.raises(ValueError):
-                column(graph, 0, limit=-1.0)
+    for label, kernels in legs():
+        column = kernels.sssp_column
+        assert [float(v) for v in column(graph, 0, limit=0.0)] == [0.0, INF, INF, INF], label
+        assert [float(v) for v in column(graph, 0, limit=0.75)] == [0.0, 0.5, 0.75, INF], label
+        assert bits(column(graph, 0, limit=INF)) == bits(column(graph, 0)), label
+        assert bits(column(graph, 0, limit=None)) == bits(column(graph, 0)), label
+        with pytest.raises(ValueError):
+            column(graph, 0, limit=-1.0)
 
 
 # -- bounded == bruteforce -----------------------------------------------------
@@ -319,13 +251,8 @@ def rows(result):
     return [(nb.user, nb.score, nb.social, nb.spatial) for nb in result]
 
 
-def engine_legs():
-    """``(label, backend, needs_block)`` — the kernel legs, as engines."""
-    out = [("python", "python", False)]
-    if HAS_SCIPY:
-        out.append(("numpy+scipy", "numpy", False))
-    out.append(("numpy-scipy-blocked", "numpy", True))
-    return out
+#: ``(label, backend)`` — the kernel legs, as engines
+ENGINE_LEGS = [("python", "python"), ("numpy+scipy", "numpy")]
 
 
 @settings(parent=SSSP_CI, max_examples=25)
@@ -353,31 +280,46 @@ def test_bounded_is_bit_identical_to_bruteforce_on_every_leg(n, seed, coverage, 
         graph, locations.copy(), num_landmarks=2, s=3, seed=1, backend="python",
         social_cache_bytes=0,
     )
-    for label, backend, blocked in engine_legs():
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            for cache_bytes in (None, 0):
-                twin = SocialGraph.from_csr(
-                    graph.n, graph.indptr, graph.nbrs, graph.wts, graph.directed
-                )
-                engine = GeoSocialEngine(
-                    twin, locations.copy(), num_landmarks=2, s=3, seed=1, backend=backend,
-                    normalization=oracle.normalization, social_cache_bytes=cache_bytes,
-                )
-                context = f"{label} cache={cache_bytes}"
-                for user in users:
-                    if alpha < 1.0 and not locations.has_location(user):
-                        # one rule for every method below alpha == 1
-                        with pytest.raises(ValueError, match="no known location"):
-                            engine.query(user, k, alpha, "bounded")
-                        continue
-                    want = oracle.query(user, k, alpha, "bruteforce")
-                    # twice: the second may scan a column the first cached
-                    for attempt in range(2):
-                        got = engine.query(user, k, alpha, "bounded")
-                        assert rows(got) == rows(want), f"{context} u={user} #{attempt}"
-                engine.close()
+    for label, backend in ENGINE_LEGS:
+        for cache_bytes in (None, 0):
+            engine = GeoSocialEngine(
+                graph, locations.copy(), num_landmarks=2, s=3, seed=1, backend=backend,
+                normalization=oracle.normalization, social_cache_bytes=cache_bytes,
+            )
+            context = f"{label} cache={cache_bytes}"
+            for user in users:
+                if alpha < 1.0 and not locations.has_location(user):
+                    # one rule for every method below alpha == 1
+                    with pytest.raises(ValueError, match="no known location"):
+                        engine.query(user, k, alpha, "bounded")
+                    continue
+                want = oracle.query(user, k, alpha, "bruteforce")
+                # twice: the second may scan a column the first cached
+                for attempt in range(2):
+                    got = engine.query(user, k, alpha, "bounded")
+                    assert rows(got) == rows(want), f"{context} u={user} #{attempt}"
+
+
+def test_a_k_past_the_float_range_answers_like_bruteforce():
+    """``k = 10**400`` on a cold user used to overflow the first-ball
+    prediction (``k / (m * share)``).  The prediction reads such a
+    ``k`` as ``n``; the answer is everyone reachable, as bruteforce's,
+    and ``result.k`` stays as requested."""
+    from tests.conftest import random_instance
+
+    k = 10**400
+    graph, locations = random_instance(200, seed=9, coverage=0.8)
+    user = sorted(locations.located_users())[0]
+    for label, backend in ENGINE_LEGS:
+        engine = GeoSocialEngine(
+            graph, locations, num_landmarks=2, s=3, seed=1, backend=backend,
+            social_cache_bytes=0,
+        )
+        want = engine.query(user, k, 0.3, "bruteforce")
+        for method in ("auto", "bounded"):
+            got = engine.query(user, k, 0.3, method)
+            assert got.method == "bounded" and got.k == k, label
+            assert rows(got) == rows(want), f"{label} {method}"
 
 
 def ring_of_cliques(n=240):
@@ -398,24 +340,20 @@ def ring_of_cliques(n=240):
 def test_a_tie_exactly_on_the_radius_is_inside(alpha, p_max):
     graph, locations = ring_of_cliques()
     norm = Normalization(p_max=p_max, d_max=1.0)
-    for label, backend, blocked in engine_legs():
-        with pytest.MonkeyPatch.context() as patch:
-            if blocked:
-                block_scipy(patch)
-            graph._csr = None
-            engine = GeoSocialEngine(
-                graph, locations, num_landmarks=2, s=3, seed=1, backend=backend,
-                normalization=norm, social_cache_bytes=0,
-            )
-            bounded_radii = set()
-            for user in (0, 5, 118):
-                for k in (1, 4, 9):
-                    want = engine.query(user, k, alpha, "bruteforce")
-                    got = engine.query(user, k, alpha, "bounded")
-                    assert rows(got) == rows(want), f"{label} u={user} k={k}"
-                    bounded_radii.add(got.stats.extra["bounded_radius"])
-            # the radius path really ran (not only the unbounded fallback)
-            assert any(r < INF for r in bounded_radii), label
+    for label, backend in ENGINE_LEGS:
+        engine = GeoSocialEngine(
+            graph, locations, num_landmarks=2, s=3, seed=1, backend=backend,
+            normalization=norm, social_cache_bytes=0,
+        )
+        bounded_radii = set()
+        for user in (0, 5, 118):
+            for k in (1, 4, 9):
+                want = engine.query(user, k, alpha, "bruteforce")
+                got = engine.query(user, k, alpha, "bounded")
+                assert rows(got) == rows(want), f"{label} u={user} k={k}"
+                bounded_radii.add(got.stats.extra["bounded_radius"])
+        # the radius path really ran (not only the unbounded fallback)
+        assert any(r < INF for r in bounded_radii), label
 
 
 @SSSP_CI
