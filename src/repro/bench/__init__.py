@@ -1,14 +1,18 @@
 """Benchmark harness regenerating the paper's evaluation (Section 6).
 
-One driver per table/figure lives in :mod:`repro.bench.figures`; each
-returns an :class:`~repro.bench.reporting.ExperimentTable` whose rows
-mirror the series the paper plots.  ``python -m repro.bench`` runs the
-whole evaluation and prints each table (``--output FILE`` also writes a
-markdown report).
+One driver per table/figure lives in :mod:`repro.bench.figures`
+(``ALL_EXPERIMENTS``); each returns
+:class:`~repro.bench.reporting.ExperimentTable` objects whose rows
+mirror the series the paper plots and whose claims state which of the
+paper's findings hold on those numbers.  ``python -m repro.bench`` is
+the one entry point: it runs the whole evaluation (or the named
+experiments) and prints each table with one verdict line per claim
+(``--output FILE`` also writes a markdown report).
 
-Scale is controlled by the ``REPRO_BENCH_PROFILE`` environment variable
-(``smoke`` / ``quick`` / ``full``; default ``quick``) — see
-:mod:`repro.bench.config` for the exact dataset sizes and query counts.
+Scale is the ``--profile`` option (``smoke`` / ``quick`` / ``full``;
+default ``quick``); every driver and :func:`get_bundle` takes the
+profile explicitly — see :mod:`repro.bench.config` for the exact
+dataset sizes and query counts.
 """
 
 from repro.bench.config import BenchProfile, get_profile

@@ -4,11 +4,13 @@ Options::
 
     python -m repro.bench                     # all experiments, quick profile
     python -m repro.bench fig8 fig9           # a subset
-    REPRO_BENCH_PROFILE=full python -m repro.bench
+    python -m repro.bench --profile full      # smoke | quick | full
     python -m repro.bench --output results.md # also write markdown
 
-Prints each regenerated table to stdout and (with ``--output``) writes
-the same tables as a markdown report.
+Prints each regenerated table to stdout, with one verdict line ("holds"
+or "does not hold") per claim of the paper the driver checks, and (with
+``--output``) writes the same tables as a markdown report.  The exit
+code does not depend on the verdicts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import sys
 import time
 
-from repro.bench.config import get_profile
+from repro.bench.config import PROFILES
 from repro.bench.figures import ALL_EXPERIMENTS
 
 
@@ -32,11 +34,11 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         help=f"subset to run (default: all of {', '.join(ALL_EXPERIMENTS)})",
     )
-    parser.add_argument("--profile", default=None, help="smoke | quick | full")
+    parser.add_argument("--profile", default="quick", choices=list(PROFILES))
     parser.add_argument("--output", default=None, help="write a markdown report here")
     args = parser.parse_args(argv)
 
-    profile = get_profile(args.profile)
+    profile = PROFILES[args.profile]
     names = args.experiments or list(ALL_EXPERIMENTS)
     unknown = [name for name in names if name not in ALL_EXPERIMENTS]
     if unknown:

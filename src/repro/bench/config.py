@@ -5,10 +5,10 @@ The paper runs 1,000 random queries per data point on datasets of up to
 every result (method ordering, trends versus k/α/s, crossovers) is
 preserved at these scales — see docs/BENCHMARKS.md ("Scale profiles").
 
-Profiles (override via ``REPRO_BENCH_PROFILE``):
+Profiles (``python -m repro.bench --profile NAME``):
 
-- ``smoke`` — seconds; used by the harness's own tests
-- ``quick`` — minutes; the default for ``pytest benchmarks/``
+- ``smoke`` — seconds; tier-1 runs every driver at this scale
+- ``quick`` — minutes; the command line's default
 - ``full``  — the calibrated sizes; tens of minutes
 
 Table 3 of the paper (query/system parameters) is mirrored here:
@@ -18,7 +18,6 @@ Table 3 of the paper (query/system parameters) is mirrored here:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -98,11 +97,9 @@ PROFILES = {
 }
 
 
-def get_profile(name: str | None = None) -> BenchProfile:
-    """The active profile: explicit name, else ``REPRO_BENCH_PROFILE``,
-    else ``quick``."""
-    if name is None:
-        name = os.environ.get("REPRO_BENCH_PROFILE", "quick")
+def get_profile(name: str) -> BenchProfile:
+    """The profile called ``name`` (a ``ValueError`` naming the choices
+    otherwise)."""
     try:
         return PROFILES[name]
     except KeyError:

@@ -1,36 +1,78 @@
 """Experiment drivers: one function per table/figure of the paper.
 
-Every driver returns a list of :class:`ExperimentTable` objects whose
-rows correspond to the series the paper plots (x-axis value per row,
-one column per method/statistic).  Absolute numbers differ from the
-paper (Python vs C++, scaled datasets); what reproduces is the shape
+Every driver takes a :class:`BenchProfile` and returns a list of
+:class:`ExperimentTable` objects whose rows correspond to the series
+the paper plots (x-axis value per row, one column per method/statistic)
+and whose claims are the paper's findings that driver checks, decided
+on the numbers it measured.  Absolute numbers differ from the paper
+(Python vs C++, scaled datasets); what reproduces is the shape
 (docs/BENCHMARKS.md, "Scale profiles").
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from repro.bench.config import BenchProfile, get_profile
+from repro.bench.config import BenchProfile
 from repro.bench.reporting import ExperimentTable
-from repro.bench.runner import jaccard, run_method
+from repro.bench.runner import MethodAggregate, jaccard, run_method
 from repro.bench.variants import neighbor_cache
-from repro.bench.workloads import get_bundle
+from repro.bench.workloads import DatasetBundle, get_bundle
+from repro.core.engine import GeoSocialEngine
 from repro.graph.traversal import DijkstraIterator
 
 MAIN_METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais")
 CH_METHODS = ("sfa-ch", "spa-ch", "tsa-ch")
 AIS_VERSIONS = ("ais-bid", "ais-minus", "ais")
 
-_DATASET_LABELS = {"gowalla": "Gowalla-like", "foursquare": "Foursquare-like"}
+_DATASET_LABELS = {
+    "gowalla": "Gowalla-like",
+    "foursquare": "Foursquare-like",
+    "gowalla-ch": "Gowalla-like (CH instance)",
+    "foursquare-ch": "Foursquare-like (CH instance)",
+}
+
+
+def _sweep(
+    experiment: str, what: str, x_name: str, methods: tuple[str, ...], points, notes: str = ""
+) -> tuple[ExperimentTable, ExperimentTable, dict[tuple, MethodAggregate]]:
+    """One row per point — an ``(x, bundle, k, alpha)`` tuple — one
+    column per method, one :func:`run_method` per cell.  Returns the
+    run-time table, the pop-ratio table and each cell's aggregate keyed
+    ``(x, method)`` (what the claims read)."""
+    headers = [x_name] + [method.upper() for method in methods]
+    times = ExperimentTable(experiment, f"running time (s) vs {what}", headers, notes=notes)
+    pops = ExperimentTable(f"{experiment} (pop)", f"pop ratio vs {what}", headers, notes=notes)
+    cells: dict[tuple, MethodAggregate] = {}
+    for x, bundle, k, alpha in points:
+        for method in methods:
+            agg = run_method(bundle.engine, bundle.query_users, method, k=k, alpha=alpha)
+            cells[x, method] = agg
+        times.add_row([x] + [cells[x, method].avg_time for method in methods])
+        pops.add_row([x] + [cells[x, method].pop_ratio for method in methods])
+    return times, pops, cells
+
+
+def _by_k(bundle: DatasetBundle, profile: BenchProfile) -> list:
+    return [(k, bundle, k, profile.default_alpha) for k in profile.k_values]
+
+
+def _by_alpha(bundle: DatasetBundle, profile: BenchProfile) -> list:
+    return [(alpha, bundle, profile.default_k, alpha) for alpha in profile.alpha_values]
+
+
+def _span(values) -> str:
+    values = list(values)
+    return f"{min(values):.4f}–{max(values):.4f}"
 
 
 # ---------------------------------------------------------------- Table 2
 
 
-def table2(profile: BenchProfile | None = None) -> list[ExperimentTable]:
-    """Table 2: dataset statistics."""
-    profile = profile or get_profile()
+def table2(profile: BenchProfile) -> list[ExperimentTable]:
+    """Table 2: dataset statistics, and the calibration each stand-in
+    is built to (degree and location coverage of the paper's data)."""
     table = ExperimentTable(
         "Table 2",
         "Data statistics (calibrated synthetic stand-ins)",
@@ -38,68 +80,82 @@ def table2(profile: BenchProfile | None = None) -> list[ExperimentTable]:
         notes="paper: Gowalla 196,590/1,900,654/107,092/9.7 — "
         "Foursquare 1,880,405/17,838,254/1,133,936/9.5 — Twitter 124K/deg 57.7",
     )
-    for kind in ("gowalla", "foursquare", "twitter"):
+    for kind, coverage in (("gowalla", 0.544), ("foursquare", 0.603), ("twitter", None)):
         stats = get_bundle(kind, profile).dataset.stats()
-        table.add_row(
-            [
-                stats["name"],
-                stats["V"],
-                stats["E"],
-                stats["locations"],
-                stats["avg_degree"],
-                stats["coverage"],
-            ]
-        )
+        keys = ("name", "V", "E", "locations", "avg_degree", "coverage")
+        table.add_row([stats[key] for key in keys])
+        degree, covered = stats["avg_degree"], stats["coverage"]
+        if coverage is None:
+            table.claim(
+                f"{stats['name']}: degree {degree:.1f} > 40 (paper 57.7), "
+                f"coverage {covered:.3f} = 1",
+                degree > 40 and covered == 1.0,
+            )
+        else:
+            table.claim(
+                f"{stats['name']}: degree {degree:.1f} in [8, 12] (paper 9.7 / 9.5), "
+                f"coverage {covered:.3f} within 0.03 of {coverage}",
+                8 <= degree <= 12 and abs(covered - coverage) < 0.03,
+            )
     return [table]
 
 
 # ---------------------------------------------------------------- Figure 7
 
 
-def fig7a(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def _furthest_hops(
+    bundle: DatasetBundle, k_values, alpha: float, method: str
+) -> dict[int, list[int]]:
+    """Per ``k``: the hops (edges of the weighted shortest path) from
+    each query user to its furthest top-``k`` result.  One max-``k``
+    query per user; a smaller ``k``'s result is its prefix."""
+    hops: dict[int, list[int]] = {k: [] for k in k_values}
+    for user in bundle.query_users:
+        result = bundle.engine.query(user, max(k_values), alpha, method)
+        if not result.neighbors:
+            continue
+        social_tree = DijkstraIterator(bundle.engine.graph, user)
+        for k in k_values:
+            furthest = result.neighbors[: min(k, len(result.neighbors))][-1].user
+            if social_tree.run_until(furthest) == math.inf:
+                continue
+            hops[k].append(len(social_tree.path_to(furthest)) - 1)
+    return hops
+
+
+def _mean(values) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def fig7a(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 7(a): hops (weighted-shortest-path edges) to the furthest
     SSRQ result, AVG and MAX over queries, versus k."""
-    profile = profile or get_profile()
     table = ExperimentTable(
         "Figure 7a",
         "Hop distance of the furthest SSRQ result vs k",
         ["k", "G. Avg. hop", "G. Max. hop", "F. Avg. hop", "F. Max. hop"],
         notes="paper: results reach up to ~8 hops; Foursquare deeper than Gowalla",
     )
-    k_max = max(profile.k_values)
-    per_dataset: dict[str, dict[int, tuple[float, int]]] = {}
-    for kind in ("gowalla", "foursquare"):
-        bundle = get_bundle(kind, profile)
-        # One max-k query per user; smaller k results are prefixes.
-        hops_per_k: dict[int, list[int]] = {k: [] for k in profile.k_values}
-        for user in bundle.query_users:
-            result = bundle.engine.query(
-                user, k=k_max, alpha=profile.default_alpha, method="ais"
-            )
-            if not result.neighbors:
-                continue
-            social_tree = DijkstraIterator(bundle.engine.graph, user)
-            for k in profile.k_values:
-                prefix = result.neighbors[: min(k, len(result.neighbors))]
-                furthest = prefix[-1].user
-                if social_tree.run_until(furthest) == math.inf:
-                    continue
-                hops_per_k[k].append(len(social_tree.path_to(furthest)) - 1)
-        per_dataset[kind] = {
-            k: (sum(h) / len(h) if h else 0.0, max(h) if h else 0)
-            for k, h in hops_per_k.items()
-        }
+    hops = {
+        kind: _furthest_hops(
+            get_bundle(kind, profile), profile.k_values, profile.default_alpha, "ais"
+        )
+        for kind in ("gowalla", "foursquare")
+    }
     for k in profile.k_values:
-        g_avg, g_max = per_dataset["gowalla"][k]
-        f_avg, f_max = per_dataset["foursquare"][k]
-        table.add_row([k, round(g_avg, 2), g_max, round(f_avg, 2), f_max])
+        row: list = [k]
+        for kind in ("gowalla", "foursquare"):
+            row += [round(_mean(hops[kind][k]), 2), max(hops[kind][k], default=0)]
+        table.add_row(row)
+    for kind in ("gowalla", "foursquare"):
+        deepest = max((max(h, default=0) for h in hops[kind].values()), default=0)
+        table.claim(f"{_DATASET_LABELS[kind]}: results reach {deepest} ≥ 2 hops", deepest >= 2)
     return [table]
 
 
-def fig7b(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig7b(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 7(b): Jaccard similarity of the SSRQ result versus pure
     social / pure spatial top-k, across α (Foursquare-like)."""
-    profile = profile or get_profile()
     table = ExperimentTable(
         "Figure 7b",
         "SSRQ vs social-only and spatial-only top-k (Jaccard)",
@@ -107,159 +163,120 @@ def fig7b(profile: BenchProfile | None = None) -> list[ExperimentTable]:
         notes="paper: Jaccard below 0.1 for all alpha — SSRQ is its own query type",
     )
     bundle = get_bundle("foursquare", profile)
-    k = profile.default_k
-    social_sets = {}
-    spatial_sets = {}
-    for user in bundle.query_users:
-        social_sets[user] = set(bundle.engine.query(user, k=k, alpha=1.0, method="sfa").users)
-        spatial_sets[user] = set(bundle.engine.query(user, k=k, alpha=0.0, method="spa").users)
+    engine, k = bundle.engine, profile.default_k
+    social_sets = {u: set(engine.query(u, k, 1.0, "sfa").users) for u in bundle.query_users}
+    spatial_sets = {u: set(engine.query(u, k, 0.0, "spa").users) for u in bundle.query_users}
     for alpha in profile.alpha_values:
         js, jd = [], []
         for user in bundle.query_users:
-            ssrq = set(bundle.engine.query(user, k=k, alpha=alpha, method="ais").users)
+            ssrq = set(engine.query(user, k, alpha, "ais").users)
             js.append(jaccard(ssrq, social_sets[user]))
             jd.append(jaccard(ssrq, spatial_sets[user]))
-        table.add_row(
-            [alpha, round(sum(js) / len(js), 4), round(sum(jd) / len(jd), 4)]
-        )
+        table.add_row([alpha, round(_mean(js), 4), round(_mean(jd), 4)])
+    social, spatial = table.column("vs. social"), table.column("vs. spatial")
+    table.claim(
+        f"Jaccard with the social-only top-k rises with alpha ({social[0]} → {social[-1]})",
+        social[-1] >= social[0],
+    )
+    table.claim(
+        f"Jaccard with the spatial-only top-k falls with alpha ({spatial[0]} → {spatial[-1]})",
+        spatial[-1] <= spatial[0],
+    )
     return [table]
 
 
 # ---------------------------------------------------------------- Figure 8
 
 
-def _sweep_k(
-    kind: str,
-    methods: tuple[str, ...],
-    profile: BenchProfile,
-    queries: int | None = None,
-    experiment: str = "Figure 8",
-    notes: str = "",
-    with_pops: bool = True,
-) -> list[ExperimentTable]:
-    """One pass over (k, method); emits a run-time table and (optionally)
-    the matching pop-ratio table."""
-    label = _DATASET_LABELS.get(kind, kind)
-    headers = ["k"] + [m.upper() for m in methods]
-    time_table = ExperimentTable(
-        experiment, f"running time (s) vs k in {label}", headers, notes=notes
-    )
-    pop_table = ExperimentTable(
-        f"{experiment} (pop)", f"pop ratio vs k in {label}", headers, notes=notes
-    )
-    bundle = get_bundle(kind, profile, queries=queries)
-    users = bundle.query_users if queries is None else bundle.query_users[:queries]
-    for k in profile.k_values:
-        time_row: list = [k]
-        pop_row: list = [k]
-        for method in methods:
-            agg = run_method(bundle.engine, users, method, k=k, alpha=profile.default_alpha)
-            time_row.append(agg.avg_time)
-            pop_row.append(agg.pop_ratio)
-        time_table.add_row(time_row)
-        pop_table.add_row(pop_row)
-    return [time_table, pop_table] if with_pops else [time_table]
-
-
-def fig8(profile: BenchProfile | None = None, include_ch: bool = True) -> list[ExperimentTable]:
+def fig8(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 8: effect of k — run-time (a, b) and pop ratio (c, d) on
     both datasets.  The CH-backed variants (in the paper's run-time
     charts only) run on reduced instances: a per-evaluation CH query is
     orders of magnitude costlier than a shared-Dijkstra read in Python —
     the very effect the figure demonstrates — and the method ordering is
     scale-free."""
-    profile = profile or get_profile()
-    gowalla = _sweep_k("gowalla", MAIN_METHODS, profile)
-    foursquare = _sweep_k("foursquare", MAIN_METHODS, profile)
-    tables = [gowalla[0], foursquare[0], gowalla[1], foursquare[1]]
-    if include_ch:
-        ch_note = (
-            "reduced scale for CH variants; vanilla methods re-measured "
-            "on the same instance for a fair ratio"
+    tables: list[ExperimentTable] = []
+    for kind in ("gowalla", "foursquare"):
+        bundle = get_bundle(kind, profile)
+        times, pops, _ = _sweep(
+            "Figure 8", f"k in {_DATASET_LABELS[kind]}", "k", MAIN_METHODS, _by_k(bundle, profile)
         )
-        for kind in ("gowalla-ch", "foursquare-ch"):
-            tables.extend(
-                _sweep_k(
-                    kind, ("sfa", "spa", "tsa") + CH_METHODS, profile,
-                    queries=profile.ch_queries, experiment="Figure 8 (CH)",
-                    notes=ch_note, with_pops=False,
-                )
-            )
+        tables += [times, pops]
+    for kind in ("gowalla-ch", "foursquare-ch"):
+        bundle = get_bundle(kind, profile, queries=profile.ch_queries)
+        times, pops, cells = _sweep(
+            "Figure 8 (CH)", f"k in {_DATASET_LABELS[kind]}", "k",
+            ("sfa", "spa", "tsa") + CH_METHODS, _by_k(bundle, profile),
+            notes="reduced scale for CH variants; vanilla methods re-measured "
+            "on the same instance for a fair ratio",
+        )
+        ch = [cells[k, "sfa-ch"].avg_time for k in profile.k_values]
+        vanilla = [cells[k, "sfa"].avg_time for k in profile.k_values]
+        times.claim(
+            f"SFA-CH is slower than SFA at every k ({_span(ch)} s against {_span(vanilla)} s)",
+            all(c > v for c, v in zip(ch, vanilla)),
+        )
+        tables += [times, pops]
     return tables
 
 
 # ---------------------------------------------------------------- Figure 9
 
 
-def fig9(profile: BenchProfile | None = None) -> list[ExperimentTable]:
-    """Figure 9: effect of α on run-time, both datasets."""
-    profile = profile or get_profile()
-    tables = []
+def fig9(profile: BenchProfile) -> list[ExperimentTable]:
+    """Figure 9: effect of α on run-time and pop ratio, both datasets."""
+    tables: list[ExperimentTable] = []
+    lo, hi = min(profile.alpha_values), max(profile.alpha_values)
     for kind in ("gowalla", "foursquare"):
-        table = ExperimentTable(
-            "Figure 9",
-            f"running time (s) vs alpha in {_DATASET_LABELS[kind]}",
-            ["alpha"] + [m.upper() for m in MAIN_METHODS],
+        times, pops, cells = _sweep(
+            "Figure 9", f"alpha in {_DATASET_LABELS[kind]}", "alpha", MAIN_METHODS,
+            _by_alpha(get_bundle(kind, profile), profile),
             notes="paper: SFA/TSA improve with larger alpha, SPA degrades, AIS robust",
         )
-        bundle = get_bundle(kind, profile)
-        for alpha in profile.alpha_values:
-            row = [alpha]
-            for method in MAIN_METHODS:
-                agg = run_method(
-                    bundle.engine, bundle.query_users, method, k=profile.default_k, alpha=alpha
-                )
-                row.append(agg.avg_time)
-            table.add_row(row)
-        tables.append(table)
+        at_lo, at_hi = cells[lo, "sfa"].avg_pops, cells[hi, "sfa"].avg_pops
+        pops.claim(
+            f"SFA pops at alpha {hi} ({at_hi:.1f}) ≤ at alpha {lo} ({at_lo:.1f})",
+            at_hi <= at_lo,
+        )
+        tables += [times, pops]
     return tables
 
 
 # ---------------------------------------------------------------- Figure 10
 
 
-def fig10(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig10(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 10: AIS-BID vs AIS− vs AIS (run-time and pop ratio)."""
-    profile = profile or get_profile()
-    notes = "paper: AIS-BID worst by far; delayed evaluation a moderate extra gain"
-    tables = []
+    tables: list[ExperimentTable] = []
     for kind in ("gowalla", "foursquare"):
-        headers = ["k", "AIS-BID", "AIS-", "AIS"]
-        time_table = ExperimentTable(
-            "Figure 10",
-            f"running time (s) vs k in {_DATASET_LABELS[kind]} (AIS versions)",
-            headers,
-            notes=notes,
+        times, pops, cells = _sweep(
+            "Figure 10", f"k in {_DATASET_LABELS[kind]} (AIS versions)", "k", AIS_VERSIONS,
+            _by_k(get_bundle(kind, profile), profile),
+            notes="paper: AIS-BID worst by far; delayed evaluation a moderate extra gain",
         )
-        pop_table = ExperimentTable(
-            "Figure 10 (pop)",
-            f"pop ratio vs k in {_DATASET_LABELS[kind]} (AIS versions)",
-            headers,
-            notes=notes,
+        bid, minus, full = ([cells[k, m] for k in profile.k_values] for m in AIS_VERSIONS)
+        times.claim(
+            f"AIS-MINUS is faster than AIS-BID at every k ({_span(a.avg_time for a in minus)}"
+            f" s against {_span(a.avg_time for a in bid)} s)",
+            all(m.avg_time < b.avg_time for m, b in zip(minus, bid)),
         )
-        bundle = get_bundle(kind, profile)
-        for k in profile.k_values:
-            time_row: list = [k]
-            pop_row: list = [k]
-            for method in AIS_VERSIONS:
-                agg = run_method(
-                    bundle.engine, bundle.query_users, method, k=k,
-                    alpha=profile.default_alpha,
-                )
-                time_row.append(agg.avg_time)
-                pop_row.append(agg.pop_ratio)
-            time_table.add_row(time_row)
-            pop_table.add_row(pop_row)
-        tables.extend([time_table, pop_table])
+        pops.claim(
+            "AIS-MINUS pops fewer than AIS-BID at every k",
+            all(m.avg_pops < b.avg_pops for m, b in zip(minus, bid)),
+        )
+        pops.claim(
+            "AIS evaluates no more than AIS-MINUS at every k",
+            all(f.avg_evaluations <= m.avg_evaluations for f, m in zip(full, minus)),
+        )
+        tables += [times, pops]
     return tables
 
 
 # ---------------------------------------------------------------- Figure 11
 
 
-def fig11(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig11(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 11: pre-computation (AIS-Cache) vs cache size t."""
-    profile = profile or get_profile()
     tables = []
     for kind in ("gowalla", "foursquare"):
         table = ExperimentTable(
@@ -270,21 +287,21 @@ def fig11(profile: BenchProfile | None = None) -> list[ExperimentTable]:
             "(deeper searches exhaust the cache)",
         )
         bundle = get_bundle(kind, profile)
-        baseline = run_method(
-            bundle.engine, bundle.query_users, "ais",
-            k=profile.default_k, alpha=profile.default_alpha,
-        )
+        engine, users = bundle.engine, bundle.query_users
+        k, alpha = profile.default_k, profile.default_alpha
+        baseline = run_method(engine, users, "ais", k=k, alpha=alpha)
         for t in profile.t_values:
             # Pre-computation is offline: build lists before timing.
-            neighbor_cache(bundle.engine, t).prebuild(bundle.query_users)
-            agg = run_method(
-                bundle.engine, bundle.query_users, "ais-cache",
-                k=profile.default_k, alpha=profile.default_alpha, t=t, keep_results=True,
-            )
+            neighbor_cache(engine, t).prebuild(users)
+            agg = run_method(engine, users, "ais-cache", k=k, alpha=alpha, t=t, keep_results=True)
             fallbacks = sum(r.stats.extra.get("fallback", 0) for r in agg.results)
-            table.add_row(
-                [t, baseline.avg_time, agg.avg_time, round(fallbacks / agg.queries, 2)]
-            )
+            table.add_row([t, baseline.avg_time, agg.avg_time, round(fallbacks / agg.queries, 2)])
+        rates = table.column("fallback rate")
+        table.claim(
+            f"the fallback rate at t = {profile.t_values[-1]} ({rates[-1]}) ≤ "
+            f"at t = {profile.t_values[0]} ({rates[0]})",
+            rates[-1] <= rates[0],
+        )
         tables.append(table)
     return tables
 
@@ -292,126 +309,147 @@ def fig11(profile: BenchProfile | None = None) -> list[ExperimentTable]:
 # ---------------------------------------------------------------- Figure 12
 
 
-def fig12(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig12(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 12: effect of grid granularity s."""
-    profile = profile or get_profile()
-    methods = ("spa", "ais-bid", "ais-minus", "ais")
-    tables = []
+    tables: list[ExperimentTable] = []
     for kind in ("gowalla", "foursquare"):
-        table = ExperimentTable(
-            "Figure 12",
-            f"running time (s) vs s in {_DATASET_LABELS[kind]}",
-            ["s", "SPA", "AIS-BID", "AIS-", "AIS"],
+        points = [
+            (s, get_bundle(kind, profile, s=s), profile.default_k, profile.default_alpha)
+            for s in profile.s_values
+        ]
+        times, pops, _ = _sweep(
+            "Figure 12", f"s in {_DATASET_LABELS[kind]}", "s", ("spa",) + AIS_VERSIONS, points,
             notes="paper: s=10 a good balance; methods not very sensitive",
         )
-        for s in profile.s_values:
-            bundle = get_bundle(kind, profile, s=s)
-            row = [s]
-            for method in methods:
-                agg = run_method(
-                    bundle.engine, bundle.query_users, method,
-                    k=profile.default_k, alpha=profile.default_alpha,
-                )
-                row.append(agg.avg_time)
-            table.add_row(row)
-        tables.append(table)
+        tables += [times, pops]
     return tables
 
 
 # ---------------------------------------------------------------- Figure 13
 
 
-def fig13(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig13(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 13: the high-degree Twitter-like dataset, vs k and α."""
-    profile = profile or get_profile()
     bundle = get_bundle("twitter", profile)
-    by_k = ExperimentTable(
-        "Figure 13a",
-        "running time (s) vs k in Twitter-like (avg degree ~57.7)",
-        ["k"] + [m.upper() for m in MAIN_METHODS],
+    by_k = _sweep(
+        "Figure 13a", "k in Twitter-like (avg degree ~57.7)", "k", MAIN_METHODS,
+        _by_k(bundle, profile),
         notes="paper: same trends; run-time grows less sharply with k (fewer hops needed)",
     )
-    for k in profile.k_values:
-        row = [k]
-        for method in MAIN_METHODS:
-            agg = run_method(bundle.engine, bundle.query_users, method, k=k, alpha=profile.default_alpha)
-            row.append(agg.avg_time)
-        by_k.add_row(row)
-    by_alpha = ExperimentTable(
-        "Figure 13b",
-        "running time (s) vs alpha in Twitter-like",
-        ["alpha"] + [m.upper() for m in MAIN_METHODS],
+    by_alpha = _sweep(
+        "Figure 13b", "alpha in Twitter-like", "alpha", MAIN_METHODS, _by_alpha(bundle, profile)
     )
-    for alpha in profile.alpha_values:
-        row = [alpha]
-        for method in MAIN_METHODS:
-            agg = run_method(bundle.engine, bundle.query_users, method, k=profile.default_k, alpha=alpha)
-            row.append(agg.avg_time)
-        by_alpha.add_row(row)
-    return [by_k, by_alpha]
+    k, alpha = profile.default_k, profile.default_alpha
+    twitter = _mean(_furthest_hops(bundle, (k,), alpha, "ais")[k])
+    gowalla = _mean(_furthest_hops(get_bundle("gowalla", profile), (k,), alpha, "ais")[k])
+    by_k[0].claim(
+        f"Twitter-like reaches its furthest result in {twitter:.2f} hops on average, "
+        f"≤ Gowalla-like's {gowalla:.2f} + 1",
+        twitter <= gowalla + 1.0,
+    )
+    return [*by_k[:2], *by_alpha[:2]]
 
 
 # ---------------------------------------------------------------- Figure 14
 
 
-def fig14a(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig14a(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 14(a): social/spatial correlation effect (queries issued
     from the construction anchor)."""
-    profile = profile or get_profile()
-    table = ExperimentTable(
-        "Figure 14a",
-        "running time (s) vs social-spatial correlation",
-        ["correlation"] + [m.upper() for m in MAIN_METHODS],
-        notes="paper: positive fastest, negative slowest, AIS best everywhere",
-    )
     repeats = max(3, profile.queries // 2)
+    points = []
     for correlation in ("positive", "independent", "negative"):
         bundle = get_bundle(f"correlated-{correlation}", profile)
-        users = bundle.query_users * repeats  # timing stability
-        row = [correlation]
-        for method in MAIN_METHODS:
-            agg = run_method(
-                bundle.engine, users, method, k=profile.default_k, alpha=profile.default_alpha
-            )
-            row.append(agg.avg_time)
-        table.add_row(row)
-    return [table]
+        # the anchor, repeated for timing stability
+        bundle = dataclasses.replace(bundle, query_users=bundle.query_users * repeats)
+        points.append((correlation, bundle, profile.default_k, profile.default_alpha))
+    times, pops, cells = _sweep(
+        "Figure 14a", "social-spatial correlation", "correlation", MAIN_METHODS, points,
+        notes="paper: positive fastest, negative slowest, AIS best everywhere",
+    )
+    positive, negative = cells["positive", "tsa"].avg_pops, cells["negative", "tsa"].avg_pops
+    pops.claim(
+        f"TSA pops on positive ({positive:.1f}) ≤ on negative ({negative:.1f})",
+        positive <= negative,
+    )
+    return [times, pops]
 
 
-def fig14b(profile: BenchProfile | None = None) -> list[ExperimentTable]:
+def fig14b(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 14(b): scalability over Forest-Fire samples of the
     Foursquare-like network."""
-    profile = profile or get_profile()
-    table = ExperimentTable(
-        "Figure 14b",
-        "running time (s) vs |V| (Forest-Fire samples)",
-        ["|V|"] + [m.upper() for m in MAIN_METHODS],
+    bundles = [get_bundle(f"scale-{index}", profile) for index in range(len(profile.scale_sizes))]
+    points = [(b.engine.graph.n, b, profile.default_k, profile.default_alpha) for b in bundles]
+    times, pops, cells = _sweep(
+        "Figure 14b", "|V| (Forest-Fire samples)", "|V|", MAIN_METHODS, points,
         notes="paper: near-linear growth for all; AIS scales most gracefully",
     )
-    sizes = [s for s in profile.scale_sizes]
-    for index, size in enumerate(sizes):
-        bundle = get_bundle(f"scale-{index}", profile)
-        row = [bundle.engine.graph.n]
-        for method in MAIN_METHODS:
-            agg = run_method(
-                bundle.engine, bundle.query_users, method,
-                k=profile.default_k, alpha=profile.default_alpha,
-            )
-            row.append(agg.avg_time)
-        table.add_row(row)
+    small, large = points[0][0], points[-1][0]
+    at_small, at_large = cells[small, "sfa"].avg_pops, cells[large, "sfa"].avg_pops
+    pops.claim(
+        f"SFA pops grow from |V| = {small} ({at_small:.1f}) to |V| = {large} ({at_large:.1f})",
+        large > small and at_large > at_small,
+    )
+    return [times, pops]
+
+
+# ---------------------------------------------------------------- Ablations
+
+
+def ablations(profile: BenchProfile) -> list[ExperimentTable]:
+    """Beyond the paper: AIS with one load-bearing design choice changed
+    at a time, on the Gowalla-like bundle — social summaries in the
+    aggregate index, the 1:1 forward/reverse interleave of Algorithm 3,
+    the landmark count ``M`` (the paper tuned M = 8) and the landmark
+    selection strategy.  TSA, the other landmark reader, gets no row:
+    its counters do not move with ``M``."""
+    table = ExperimentTable(
+        "Ablations",
+        "AIS with one design choice changed (Gowalla-like)",
+        ["ablation", "setting", "time (s)", "avg pops"],
+    )
+    bundle = get_bundle("gowalla", profile)
+    dataset, engine, users = bundle.dataset, bundle.engine, bundle.query_users
+    k, alpha = profile.default_k, profile.default_alpha
+
+    def add(ablation: str, setting, agg: MethodAggregate) -> float:
+        table.add_row([ablation, setting, agg.avg_time, agg.avg_pops])
+        return agg.avg_pops
+
+    with_summaries, without = [
+        add("social summaries", setting, run_method(engine, users, method, k=k, alpha=alpha))
+        for setting, method in (("on", "ais"), ("off", "ais-nosummary"))
+    ]
+    for interleave, method in ((1, "ais"), (4, "ais-interleave4")):
+        add("forward interleave", interleave, run_method(engine, users, method, k=k, alpha=alpha))
+
+    def rebuilt(**landmarks) -> GeoSocialEngine:
+        return GeoSocialEngine(
+            dataset.graph, dataset.locations, s=profile.default_s, seed=1, **landmarks
+        )
+
+    by_count = []
+    for count in (2, 8, 16):
+        agg = run_method(rebuilt(num_landmarks=count), users, "ais", k=k, alpha=alpha)
+        by_count.append(add("landmarks M", count, agg))
+    for strategy in ("farthest", "random", "degree"):
+        engine = rebuilt(num_landmarks=profile.num_landmarks, landmark_strategy=strategy)
+        add("landmark strategy", strategy, run_method(engine, users, "ais", k=k, alpha=alpha))
+    table.claim(
+        f"social summaries cut AIS pops ({with_summaries:.1f} against {without:.1f} without)",
+        with_summaries < without,
+    )
+    table.claim(
+        "AIS pops fall as the landmark count M grows (M = 2 / 8 / 16: "
+        + " / ".join(f"{pops:.1f}" for pops in by_count) + ")",
+        all(a > b for a, b in zip(by_count, by_count[1:])),
+    )
     return [table]
 
 
 ALL_EXPERIMENTS = {
-    "table2": table2,
-    "fig7a": fig7a,
-    "fig7b": fig7b,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-    "fig14a": fig14a,
-    "fig14b": fig14b,
+    driver.__name__: driver
+    for driver in (
+        table2, fig7a, fig7b, fig8, fig9, fig10, fig11, fig12, fig13, fig14a, fig14b, ablations
+    )
 }

@@ -10,13 +10,15 @@ from typing import Sequence
 class ExperimentTable:
     """One regenerated table/figure: a title, column headers, and rows
     printed exactly as the paper's series (one row per x-axis point or
-    per dataset, one column per method/statistic)."""
+    per dataset, one column per method/statistic), plus the paper's
+    claims checked on those numbers, each ``(statement, holds)``."""
 
     experiment: str
     title: str
     headers: list[str]
     rows: list[list] = field(default_factory=list)
     notes: str = ""
+    claims: list[tuple[str, bool]] = field(default_factory=list)
 
     def add_row(self, row: Sequence) -> None:
         if len(row) != len(self.headers):
@@ -24,6 +26,15 @@ class ExperimentTable:
                 f"row width {len(row)} != header width {len(self.headers)}"
             )
         self.rows.append(list(row))
+
+    def claim(self, statement: str, holds: bool) -> None:
+        self.claims.append((statement, bool(holds)))
+
+    def _verdicts(self) -> list[str]:
+        return [
+            f"claim: {statement}: {'holds' if holds else 'does not hold'}"
+            for statement, holds in self.claims
+        ]
 
     def _fmt(self, value) -> str:
         if isinstance(value, float):
@@ -47,6 +58,7 @@ class ExperimentTable:
                 lines.append("  ".join("-" * w for w in widths))
         if self.notes:
             lines.append(f"({self.notes})")
+        lines += self._verdicts()
         return "\n".join(lines)
 
     def to_markdown(self) -> str:
@@ -58,6 +70,9 @@ class ExperimentTable:
         if self.notes:
             lines.append("")
             lines.append(f"*{self.notes}*")
+        if self.claims:
+            lines.append("")
+            lines += [f"- {verdict}" for verdict in self._verdicts()]
         return "\n".join(lines)
 
     def column(self, header: str) -> list:

@@ -6,12 +6,12 @@ Section 6 compares five algorithms (the served ``sfa``/``spa``/``tsa``/
 ``ais-minus``/``ais-bid`` (AIS without delayed evaluation / with
 per-evaluation bidirectional search, Figures 10 and 12), ``ais-cache``
 (pre-computed social lists of length ``t`` with an AIS fallback,
-Figure 11) and the ``tsa-plain``/``ais-nosummary`` ablations.  None is
-served; :data:`VARIANTS` builds each from an engine's public parts, and
-:func:`run_query` is the one seam the figure drivers, the benchmarks
-and the examples call.  The CH, the neighbour lists and the searchers
-are memoised per engine, without locks: figure drivers are
-single-threaded.
+Figure 11) and the ``tsa-plain``/``ais-nosummary``/``ais-interleave4``
+ablations.  None is served; :data:`VARIANTS` builds each from an
+engine's public parts, and :func:`run_query` is the one seam the
+figure drivers and the examples call.  The CH, the neighbour lists and
+the searchers are memoised per engine, without locks: figure drivers
+are single-threaded.
 
     >>> from repro import GeoSocialEngine, gowalla_like
     >>> from repro.bench.variants import run_query
@@ -83,6 +83,7 @@ VARIANTS: "dict[str, Callable]" = {
     "ais-minus": lambda e, t: _ais(e, AISVariant.minus()),
     "ais-bid": lambda e, t: _ais(e, AISVariant.bid()),
     "ais-nosummary": lambda e, t: _ais(e, AISVariant.no_summaries()),
+    "ais-interleave4": lambda e, t: _ais(e, AISVariant(forward_interleave=4)),
     "sfa-ch": lambda e, t: SocialFirstSearch(
         e.graph, e.locations, e.normalization, point_to_point=_oracle(e)
     ),
@@ -123,7 +124,7 @@ def run_query(
     request = QueryRequest(user, k, alpha, method)
     route = static_choice(request.alpha)
     if route is not None:
-        return engine.query(request.with_method(route))
+        return engine.query(request.user, request.k, request.alpha, route)
     result = variant_searcher(engine, method, t).search(request.user, request.k, request.alpha)
     result.method = method
     return result

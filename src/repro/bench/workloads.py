@@ -1,15 +1,15 @@
 """Benchmark datasets, engines and query workloads (built once, cached).
 
 Engines are keyed by ``(dataset, s, M)`` so parameter sweeps (Figure 12
-varies ``s``) can share datasets without rebuilding graphs, and repeated
-pytest-benchmark cases reuse everything.
+varies ``s``) can share datasets without rebuilding graphs, and the
+drivers of one run reuse everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.config import BenchProfile, get_profile
+from repro.bench.config import BenchProfile
 from repro.core.engine import GeoSocialEngine
 from repro.datasets.synthetic import (
     GeoSocialDataset,
@@ -117,11 +117,10 @@ class _BundleCache:
     def bundle(
         self,
         kind: str,
-        profile: BenchProfile | None = None,
+        profile: BenchProfile,
         s: int | None = None,
         queries: int | None = None,
     ) -> DatasetBundle:
-        profile = profile or get_profile()
         s = s if s is not None else profile.default_s
         ds = self.dataset(kind, profile)
         engine_key = (kind, profile.name, s, profile.num_landmarks)
@@ -148,7 +147,7 @@ _CACHE = _BundleCache()
 
 def get_bundle(
     kind: str,
-    profile: BenchProfile | None = None,
+    profile: BenchProfile,
     s: int | None = None,
     queries: int | None = None,
 ) -> DatasetBundle:

@@ -23,6 +23,16 @@ from repro.spatial.point import BBox, LocationTable
 _EMPTY_IDS = _np.empty(0, dtype=_np.intp)
 
 
+def _cell_size(lo: float, hi: float, cells: int) -> float:
+    """Extent of one of ``cells`` equal cells over ``[lo, hi]``: finite
+    even when ``hi - lo`` overflows (then each end is divided first),
+    and 1.0 over a zero-extent box."""
+    size = (hi - lo) / cells
+    if size == _np.inf:
+        size = hi / cells - lo / cells
+    return size or 1.0
+
+
 class UniformGrid:
     """Uniform grid mapping cell coordinates to lists of user ids.
 
@@ -40,9 +50,8 @@ class UniformGrid:
         self.bbox = bbox
         self.nx = resolution
         self.ny = resolution
-        # Guard against degenerate (zero-extent) boxes.
-        self.cell_w = (bbox.width / self.nx) or 1.0
-        self.cell_h = (bbox.height / self.ny) or 1.0
+        self.cell_w = _cell_size(bbox.minx, bbox.maxx, self.nx)
+        self.cell_h = _cell_size(bbox.miny, bbox.maxy, self.ny)
         #: sparse storage: (ix, iy) -> list of user ids
         self.cells: dict[tuple[int, int], list[int]] = {}
         self._cell_of_user: dict[int, tuple[int, int]] = {}
@@ -68,9 +77,10 @@ class UniformGrid:
             return cls(BBox(0.0, 0.0, 0.0, 0.0), resolution)
         grid = cls(locations.bbox(users), resolution)
         box = grid.bbox
-        # cell_of, per column: truncate toward zero, then clamp
-        ixs = ((xs[users] - box.minx) / grid.cell_w).astype(_np.intp).clip(0, grid.nx - 1)
-        iys = ((ys[users] - box.miny) / grid.cell_h).astype(_np.intp).clip(0, grid.ny - 1)
+        # cell_of, per column: clamp, then truncate toward zero
+        with _np.errstate(over="ignore"):
+            ixs = ((xs[users] - box.minx) / grid.cell_w).clip(0, grid.nx - 1).astype(_np.intp)
+            iys = ((ys[users] - box.miny) / grid.cell_h).clip(0, grid.ny - 1).astype(_np.intp)
         keys = ixs * grid.ny + iys
         order = _np.argsort(keys, kind="stable")
         sorted_keys = keys[order]

@@ -99,3 +99,13 @@ def test_cli_rejects_unknown_experiment():
 
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+def test_cli_rejects_unknown_profile(capsys):
+    """A bad ``--profile`` is a usage error (exit 2), not a traceback."""
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table2", "--profile", "gigantic"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'gigantic'" in capsys.readouterr().err

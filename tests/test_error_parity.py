@@ -24,6 +24,7 @@ from repro import (
     QueryRequest,
     QueryService,
     SubscriptionRegistry,
+    gowalla_like,
 )
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
@@ -518,6 +519,29 @@ def test_a_k_past_the_float_range_answers_on_a_cold_user(engine, client):
     assert status == 200, reply
     assert reply["result"]["k"] == HUGE and reply["result"]["method"] == "bounded"
     assert reply["result"]["users"] == engine.query(user, HUGE, 0.3, "bruteforce").users
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_moves_past_the_grid_span_answer_at_alpha_zero():
+    """Two accepted moves to x = ∓1e308 overflow the grid's span, and
+    the first α = 0 query used to die in ``cell_of`` on a NaN: a
+    ``ValueError`` for every method (α = 0 routes to SPA) and a 400 on
+    the wire.  Every distance from the query user now overflows to inf,
+    so each method answers like ``bruteforce``: no result."""
+    engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
+    far, user = sorted(engine.located_users())[:2]
+    with QueryService(engine, cache_size=0) as svc, ServerThread(svc, workers=1) as h:
+        with ServerClient(h.host, h.port) as wire:
+            for who, x in ((far, -1e308), (user, 1e308)):
+                body = {"user": who, "x": x, "y": 0.5}
+                assert wire.request("POST", "/update/location", body)[0] == 200
+            status, _, reply = wire.request("POST", "/query", {"user": user, "k": 5, "alpha": 0})
+    assert status == 200, reply
+    assert reply["result"]["users"] == engine.query(user, 5, 0.0, "bruteforce").users
+    for alpha in (0.0, 0.3):
+        truth = engine.query(user, 5, alpha, "bruteforce").users
+        for method in ("spa", "tsa", "tsa-qc", "ais", "bounded", "auto"):
+            assert engine.query(user, 5, alpha, method).users == truth, (method, alpha)
 
 
 def test_deleting_an_absent_edge_is_a_key_error_and_a_404(engine, service, client):

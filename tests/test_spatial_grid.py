@@ -41,6 +41,24 @@ def test_build_over_no_located_user_is_empty_and_takes_inserts():
     assert 2 in grid and grid.users_in(*grid.cell_of_user(2)) == [2]
 
 
+def test_a_box_whose_span_overflows_keeps_finite_cells():
+    """Points at ±1e308 make ``maxx - minx`` overflow to inf: the cell
+    size used to be inf, ``cell_of`` divided inf by inf and raised on
+    the NaN, and ``build`` cast the NaN into arbitrary cells."""
+    import warnings
+
+    points = [(-1e308, 0.5), (0.25, 0.5), (1e308, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = UniformGrid.build(make_locations(points), 4)
+    assert math.isfinite(built.cell_w) and built.cell_w > 0
+    assert [built.cell_of(x, y) for x, y in points] == [(0, 0), (2, 0), (3, 0)]
+    inserted = UniformGrid(built.bbox, 4)
+    for user, point in enumerate(points):
+        inserted.insert(user, *point)
+    assert list(built.cells.items()) == list(inserted.cells.items())
+
+
 class TestGeometry:
     def test_cell_of_maps_interior_points(self):
         grid = UniformGrid(UNIT, 4)
