@@ -4,9 +4,10 @@ back, not by deriving it again.
 
 A cold start generates (or parses) the dataset and estimates the
 normalization constants with double-sweep Dijkstra passes;
-`engine.save(path)` persists the data once — the coordinate and CSR
-columns as checksummed `.npy` files behind an atomically-renamed
-manifest that also holds the config and those constants — and
+`save_engine(engine, path)` persists the data once — the coordinate and
+CSR columns as checksummed `.npy` files behind an atomically-renamed
+manifest that also holds the config and those constants, written under
+the engine's read lock so the image is one instant — and
 `load_engine(path)` memory-maps it back in a fraction of the time,
 answering every query bit-identically.  Neither path builds an index:
 the grid, the landmark index and the aggregate index are built by
@@ -29,6 +30,7 @@ from repro import (
     StoreCorruptionError,
     gowalla_like,
     load_engine,
+    save_engine,
 )
 from repro.service import QueryService
 
@@ -40,7 +42,7 @@ dataset = gowalla_like(n=20_000, seed=7)
 engine = GeoSocialEngine.from_dataset(dataset, num_landmarks=4, seed=2)
 cold_s = time.perf_counter() - start
 
-snap = engine.save(workdir / "snap")
+snap = save_engine(engine, workdir / "snap")
 print(f"cold build: {cold_s:.2f}s -> snapshot at {snap.name}/")
 
 # --- Warm start: mmap'd columns, no normalization sweep ---------------------

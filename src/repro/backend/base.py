@@ -90,7 +90,9 @@ class Kernels(Protocol):
         """Per-user ALT lower bounds ``p̌(v_q, v_i) = max_j |m_qj − m_ij|``
         over the landmark tables (``inf`` when exactly one side is
         disconnected from some landmark; uninformative landmarks
-        contribute 0)."""
+        contribute 0).  On a digraph only the forward side
+        ``m_ij − m_qj`` bounds ``p(v_q → v_i)``, so a landmark with
+        ``m_ij < m_qj`` contributes 0 there."""
         ...
 
     def alt_upper_bounds(
@@ -98,9 +100,8 @@ class Kernels(Protocol):
     ) -> Sequence[float]:
         """Per-user ALT upper bounds ``p̂(v_q, v_i) = min_j (m_qj + m_ij)``
         over the landmark tables (``inf`` when no landmark reaches both
-        sides) — the batched form of
-        :meth:`~repro.graph.landmarks.LandmarkIndex.upper_bound`.  No
-        searcher calls it; it is kept only because the benchmark tracer
+        sides; an upper bound on an undirected graph only).  No searcher
+        calls it; it is kept only because the benchmark tracer
         (``perfbench/trace.py``) wraps it by name."""
         ...
 
@@ -230,13 +231,14 @@ class PythonKernels:
 
     def alt_lower_bounds(self, landmarks, query_vector, ids):
         rows = landmarks.dist
+        forward_only = landmarks.graph.directed
         out = []
         append = out.append
         for u in ids:
             best = 0.0
             for j, mqj in enumerate(query_vector):
                 mij = rows[j][u]
-                if mqj == mij:
+                if mqj == mij or (forward_only and mij < mqj):
                     continue
                 if mqj == INF or mij == INF:
                     best = INF

@@ -83,12 +83,15 @@ class NumpyKernels:
         if matrix.shape[0] == 0:
             return np.zeros(ids.shape[0])
         q = np.asarray(query_vector, dtype=np.float64)
-        # inf − inf = NaN: both sides disconnected from the landmark —
-        # uninformative, contributes 0.  A one-sided inf survives |·| as
-        # the exact "different components" bound.
         with np.errstate(invalid="ignore"):
-            diff = np.abs(q[:, None] - matrix[:, ids])
-        diff[np.isnan(diff)] = 0.0
+            diff = matrix[:, ids] - q[:, None]
+        if not landmarks.graph.directed:
+            np.abs(diff, out=diff)
+        # inf − inf = NaN: both sides disconnected from the landmark —
+        # uninformative, contributes 0, as does a negative forward
+        # difference on a digraph.  A one-sided inf stays the exact
+        # "unreachable" bound.
+        diff[~(diff > 0.0)] = 0.0
         return diff.max(axis=0)
 
     def alt_upper_bounds(self, landmarks, query_vector, ids):

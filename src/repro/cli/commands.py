@@ -26,6 +26,8 @@ from repro import (
     correlated_dataset,
     foursquare_like,
     gowalla_like,
+    load_engine,
+    save_engine,
     twitter_like,
 )
 from repro.cli.format import FORMATS, flatten_stats, format_output
@@ -117,7 +119,7 @@ def cli() -> None:
 def load(out: str, dataset: str, n: int, seed: int) -> None:
     """Build a synthetic dataset and save the engine to OUT."""
     engine = GeoSocialEngine.from_dataset(DATASETS[dataset](n=n, seed=seed))
-    path = engine.save(out)
+    path = save_engine(engine, out)
     located = sum(1 for user in range(engine.graph.n) if engine.locations.get(user))
     click.echo(
         f"saved {dataset} engine: {engine.graph.n} users "
@@ -150,7 +152,7 @@ def query(user, engine_path, server_address, k, alpha, method, fmt) -> None:
         else:
             from repro.service.model import result_payload
 
-            result = result_payload(GeoSocialEngine.load(engine_path).query(request))
+            result = result_payload(load_engine(engine_path).query(request))
     except ServerApiError as err:
         # the wire body carries the engine's message verbatim; show that
         # (not the "[status code]" repr) so CLI output matches a local run
@@ -178,8 +180,9 @@ def query(user, engine_path, server_address, k, alpha, method, fmt) -> None:
               help="Default per-request deadline.")
 @click.option("--no-cache", is_flag=True, help="Disable the service result cache.")
 @click.option("--social-cache-bytes", type=int, default=None,
-              help="Byte budget of the social column cache "
-                   "(0 disables; default: the engine's setting).")
+              help="Byte budget of the served engine's social column cache, "
+                   "kept across rebuilds and restores (0 disables; default: "
+                   "the engine default).")
 @click.option("--drain-snapshot-root", type=click.Path(file_okay=False), default=None,
               help="Take a final snapshot here on graceful shutdown.")
 def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
@@ -188,15 +191,14 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
     if (engine_path is None) == (dataset is None):
         raise click.UsageError("pass exactly one of --engine or --dataset")
     if engine_path is not None:
-        engine = GeoSocialEngine.load(engine_path)
+        engine = load_engine(engine_path)
     else:
         engine = GeoSocialEngine.from_dataset(DATASETS[dataset](n=n, seed=seed))
     try:
-        service = QueryService(
-            engine,
-            cache_size=0 if no_cache else 1024,
-            social_cache_bytes=social_cache_bytes,
-        )
+        if social_cache_bytes is not None:
+            # the column budget is the engine's: the same data, rebuilt with it
+            engine = engine.with_graph(engine.graph, social_cache_bytes=social_cache_bytes)
+        service = QueryService(engine, cache_size=0 if no_cache else 1024)
     except ValueError as err:
         raise _fail(err) from err
     with service:
@@ -340,7 +342,7 @@ def snapshot(root, server_address, engine_path, no_fold) -> None:
                 payload = client.snapshot(root, fold=not no_fold)
             click.echo(f"snapshot {payload['name']} -> {payload['path']}")
         else:
-            engine = GeoSocialEngine.load(engine_path)
+            engine = load_engine(engine_path)
             with QueryService(engine, cache_size=0) as service:
                 path = service.snapshots(root).snapshot(fold=not no_fold)
             click.echo(f"snapshot {path.name} -> {path}")

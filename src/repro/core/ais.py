@@ -174,11 +174,14 @@ class AggregateIndexSearch:
         kernels = self.kernels
         xs, ys = locations.columns()
         use_summaries = variant.use_social_summaries
+        # On a digraph only Lemma 2's forward side m̌ − p(l, q) bounds
+        # p(q → ·): an infinite ceiling m̂ switches the other side off.
+        ceiling = [INF] * len(query_vector) if self.graph.directed else None
         seq = 0  # deterministic tie-break for equal keys
 
         for top, summary, bbox in index.tops():
             social_lb = (
-                social_lower_bound(query_vector, summary.m_check, summary.m_hat)
+                social_lower_bound(query_vector, summary.m_check, ceiling or summary.m_hat)
                 if use_summaries
                 else 0.0
             )
@@ -199,7 +202,7 @@ class AggregateIndexSearch:
                 stats.cells_opened += 1
                 for leaf, summary, bbox in index.children(payload):
                     social_lb = (
-                        social_lower_bound(query_vector, summary.m_check, summary.m_hat)
+                        social_lower_bound(query_vector, summary.m_check, ceiling or summary.m_hat)
                         if use_summaries
                         else 0.0
                     )

@@ -40,7 +40,7 @@ at ``alpha == 1``; below it every method raises the same ``ValueError``.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.backend import Kernels, resolve_backend
 from repro.core.ais import AggregateIndexSearch, AISVariant
@@ -64,9 +64,6 @@ from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import LocationTable
 from repro.utils.concurrency import ReadWriteLock
 from repro.utils.validation import check_finite_point, check_size, check_user
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 __all__ = [
     "AUTO",
@@ -101,8 +98,10 @@ class GeoSocialEngine:
     normalization, social column cache, planner, and the three indexes
     derived from the data: SPA's grid, the landmark index and the
     aggregate index, each built by its first reader), one searcher
-    object per method, the one query pipeline, location listeners,
-    rebuild and persistence.
+    object per method, the one query pipeline, location listeners and
+    rebuild.  Snapshots are :func:`repro.store.save_engine` /
+    :func:`repro.store.load_engine`; batches, caching and engine swaps
+    are :class:`~repro.service.QueryService`'s.
 
     Parameters
     ----------
@@ -128,15 +127,11 @@ class GeoSocialEngine:
         at construction (see :func:`repro.backend.resolve_backend`) and
         propagated through :meth:`with_graph` rebuilds; both backends
         produce bit-identical rankings, tie-breaks included.
-    planner:
-        Optional :class:`~repro.plan.Planner` resolving
-        ``method="auto"`` (a fresh one when omitted).  Carried across
-        :meth:`with_graph` rebuilds, so its counters survive
-        :meth:`~repro.service.QueryService.rebuild_engine`.
     social_cache_bytes:
         Byte budget of the cross-query social column cache (``None``:
         the default budget; ``0`` disables it; anything but a
-        non-negative integer is a ``ValueError``).
+        non-negative integer is a ``ValueError``).  Set here only:
+        :meth:`with_graph` carries it into a rebuilt engine.
     """
 
     def __init__(
@@ -150,7 +145,6 @@ class GeoSocialEngine:
         seed: int = 0,
         normalization: Normalization | None = None,
         backend: "str | Kernels" = "auto",
-        planner: "Planner | None" = None,
         social_cache_bytes: int | None = None,
     ) -> None:
         if len(locations) != graph.n:
@@ -194,9 +188,9 @@ class GeoSocialEngine:
         self.social_cache: "SocialColumnCache | None" = (
             SocialColumnCache(graph.n, self.kernels, max_bytes=budget) if budget > 0 else None
         )
-        #: the ``method="auto"`` resolver (carried across ``with_graph``
-        #: rebuilds, so its counters do too)
-        self.planner: Planner = planner if planner is not None else Planner()
+        #: the ``method="auto"`` resolver (handed to every ``with_graph``
+        #: rebuild, so its counters carry on)
+        self.planner = Planner()
         #: SPA's grid and AIS's index (see :attr:`grid`, :attr:`aggregate`);
         #: maintained by location updates only once they exist
         self._grid: UniformGrid | None = None
@@ -344,28 +338,6 @@ class GeoSocialEngine:
         result.method = resolved
         return result
 
-    def query_many(
-        self,
-        requests: "Iterable[int | QueryRequest]",
-        k: int | None = None,
-        alpha: float | None = None,
-        method: str | None = None,
-    ) -> list[SSRQResult]:
-        """Answer a heterogeneous batch of SSRQs: :meth:`query` on each,
-        in request order, on the calling thread.
-
-        ``requests`` may mix plain user ids (which take the keyword
-        overrides) and :class:`~repro.core.request.QueryRequest` objects
-        carrying their own parameters; every one is validated before any
-        runs.  The batch holds :attr:`rw_lock`'s read side, so no
-        location update lands between two of its answers.  For caching,
-        in-batch deduplication and statistics, use a
-        :class:`~repro.service.QueryService`.
-        """
-        batch = [QueryRequest.coerce(item, k, alpha, method) for item in requests]
-        with self.rw_lock.read_locked():
-            return [self.query(request) for request in batch]
-
     def close(self) -> None:
         """Nothing to release: an engine holds no threads or handles.
         Kept so callers that close what they build keep working."""
@@ -461,8 +433,6 @@ class GeoSocialEngine:
             # the resolved Kernels instance, not the name: a
             # user-supplied custom backend survives the rebuild too
             backend=self.kernels,
-            # the live planner instance: its counters carry on
-            planner=self.planner,
             # only the byte budget crosses the rebuild, never the cache
             # instance: the new engine's columns come from the new graph,
             # so the edge-epoch boundary is structural
@@ -471,36 +441,10 @@ class GeoSocialEngine:
             ),
         )
         kwargs.update(overrides)
-        return type(self)(graph, self.locations, **kwargs)
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> "Path":
-        """Write a crash-consistent columnar snapshot of this engine to
-        directory ``path`` (see :mod:`repro.store`): the columns land in
-        a temp sibling first, the manifest is the commit point, and the
-        final atomic rename makes the snapshot visible all-or-nothing.
-        Returns the snapshot directory.
-
-        Takes the engine's shared read lock, so the image is a
-        consistent cut with respect to concurrent location updates.
-        """
-        from repro.store import save_engine
-
-        with self.rw_lock.read_locked():
-            return save_engine(self, path)
-
-    @classmethod
-    def load(cls, path, *, mmap: bool = True, verify: bool = True) -> "GeoSocialEngine":
-        """Warm-start an engine from a snapshot directory written by
-        :meth:`save`: the data columns are read back and no normalization
-        sweep runs; every index is built by its first reader, as in a
-        freshly built engine.  With ``mmap=True`` the coordinate and CSR
-        columns are memory-mapped copy-on-write, so load cost is
-        page-cache reads and mutation stays private to this process."""
-        from repro.store import load_engine
-
-        return load_engine(path, mmap=mmap, verify=verify)
+        engine = type(self)(graph, self.locations, **kwargs)
+        # the live planner instance: its counters carry on
+        engine.planner = self.planner
+        return engine
 
     # -- introspection ----------------------------------------------------
 

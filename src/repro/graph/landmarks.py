@@ -2,14 +2,15 @@
 
 Landmarks (Goldberg & Harrelson, the paper's reference [25]) are a small
 set of vertices with pre-computed distances to every vertex.  By the
-triangle inequality, for any landmark ``l``::
+triangle inequality, for any landmark ``l`` of an undirected graph::
 
-    p(u, v) >= |p(l, u) - p(l, v)|          (lower bound)
-    p(u, v) <= p(l, u) + p(l, v)            (upper bound)
+    p(u, v) >= |p(l, u) - p(l, v)|
 
-The tightest bound over all landmarks drives A* search, TSA's candidate
-pruning, per-user bounds in the AIS heap, and — aggregated per cell via
-min/max vectors — the social summaries of the AIS index (Section 5.1).
+(a digraph needs the orientation-aware forms of
+:meth:`LandmarkIndex.lower_bound`).  The tightest bound over all
+landmarks drives A* search, TSA's candidate pruning, per-user bounds in
+the AIS heap, and — aggregated per cell via min/max vectors — the social
+summaries of the AIS index (Section 5.1).
 
 The paper fine-tunes the number of landmarks to ``M = 8``.
 """
@@ -222,15 +223,6 @@ class LandmarkIndex:
                     best = diff
         return best
 
-    def upper_bound(self, u: int, v: int) -> float:
-        """Tightest triangle-inequality upper bound on ``p(u, v)``."""
-        best = INF
-        for row in self.dist:
-            s = row[u] + row[v]
-            if s < best:
-                best = s
-        return best
-
     def heuristic_to(self, target: int) -> Callable[[int], float]:
         """Admissible, consistent A* heuristic estimating ``p(v, target)``.
 
@@ -278,9 +270,3 @@ class LandmarkIndex:
             return best
 
         return h
-
-    def max_finite_distance(self) -> float:
-        """Largest finite table entry — a cheap lower bound on the graph
-        diameter, used as a sanity fallback for ``P_max``."""
-        finite = self._matrix[_np.isfinite(self._matrix)]
-        return float(finite.max()) if finite.size else 0.0

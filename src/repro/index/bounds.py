@@ -47,6 +47,9 @@ def social_lower_bound(
     symmetric case (``m_qj = inf``, ``m̂[j]`` finite) is analogous.  When
     both sides are infinite the landmark is simply uninformative (the
     comparisons are false and contribute 0).
+
+    On a digraph (forward tables ``m = p(l → ·)``) only the first case
+    bounds ``p(v_q → v_i)``; an all-``inf`` ``m̂`` leaves exactly that.
     """
     best = 0.0
     for j, mqj in enumerate(query_vector):

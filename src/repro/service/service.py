@@ -10,12 +10,12 @@ component that can absorb realistic load:
   ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
   on the question for ``auto`` requests and on the routed method
-  otherwise (:meth:`QueryService._line`), looked up *before* anything
-  is resolved or locked (:meth:`QueryService.cached` is that
-  lookup alone, for callers that must not block), whose entries are
-  kept or evicted exactly on location moves via the engine's listener
-  hook and emptied when the engine is swapped (the only moment the
-  served graph changes);
+  otherwise (:meth:`QueryService._line`), looked up under the engine's
+  read lock *before* anything is resolved (:meth:`QueryService.cached`
+  is that lookup alone, lock-free, for callers that must not block),
+  whose entries are kept or evicted exactly on location moves via the
+  engine's listener hook and emptied when the engine is swapped (the
+  only moment the served graph changes);
 - **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
   shared by every service over the same engine) lets queries from many
   caller threads run concurrently while serialising updates against
@@ -44,6 +44,7 @@ from repro.core.request import QueryRequest
 from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
+from repro.social.cache import SocialColumnCache
 from repro.utils.validation import check_size, check_user
 
 
@@ -73,16 +74,14 @@ class QueryService:
     max_workers:
         Accepted and ignored: every batch runs on the calling thread.
     cache_size:
-        LRU capacity; ``0`` disables result caching entirely.
-    social_cache_bytes:
-        Byte budget for the engine's
-        :class:`~repro.social.cache.SocialColumnCache` (``None`` keeps
-        the engine's own setting, ``0`` disables column reuse).  Both
-        sizes must be non-negative integers; anything else is a
-        ``ValueError`` naming the field.  Applied
-        by resizing the live cache in place, and re-applied to every
-        engine this service swaps in (:meth:`rebuild_engine` /
-        :meth:`replace_engine`), so the knob survives rebuilds.
+        LRU capacity; ``0`` disables result caching entirely.  A
+        non-negative integer; anything else is a ``ValueError`` naming
+        the field.
+
+    The social column cache's byte budget is the engine's
+    (``GeoSocialEngine(social_cache_bytes=)``); every engine this
+    service swaps in keeps it (:meth:`rebuild_engine`,
+    :meth:`replace_engine`).
     """
 
     def __init__(
@@ -91,11 +90,8 @@ class QueryService:
         *,
         max_workers: int | None = None,
         cache_size: int = 1024,
-        social_cache_bytes: int | None = None,
     ) -> None:
         cache_size = check_size("cache_size", cache_size)
-        if social_cache_bytes is not None:
-            social_cache_bytes = check_size("social_cache_bytes", social_cache_bytes)
         self.engine = engine
         self.cache: ResultCache | None = ResultCache(cache_size) if cache_size > 0 else None
         self.stats = ServiceStats()
@@ -105,21 +101,8 @@ class QueryService:
         #: ``graph.edge_key(u, v)`` -> new weight, ``None`` = removed
         #: (guarded by the served engine's write lock)
         self._pending_edges: "dict[tuple[int, int], float | None]" = {}
-        self._social_cache_bytes = social_cache_bytes
-        self._apply_social_budget(engine)
         if self.cache is not None:
             engine.add_location_listener(self._on_location_update)
-
-    def _apply_social_budget(self, engine: GeoSocialEngine) -> None:
-        """Resize ``engine``'s social column cache to this service's
-        requested byte budget (no-op when no budget was requested or the
-        engine carries no cache — e.g. one built with
-        ``social_cache_bytes=0``)."""
-        if self._social_cache_bytes is None:
-            return
-        social = engine.social_cache
-        if social is not None:
-            social.resize(self._social_cache_bytes)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -254,9 +237,9 @@ class QueryService:
 
         Responses come back in request order, and each ranking is
         identical to what a sequential ``engine.query`` loop would have
-        produced (queries are read-only and deterministic; updates are
-        excluded for the duration of the batch by the engine's
-        readers-writer lock).
+        produced: queries are read-only and deterministic, and the
+        engine's read lock is held from the first cache lookup to the
+        last answer, so no update lands inside the batch.
         """
         self._check_open()
         responses = self._serve(
@@ -268,23 +251,24 @@ class QueryService:
 
     def _serve(self, reqs: "list[QueryRequest]") -> list[QueryResponse]:
         """The serve path, written once for :meth:`query` (a batch of
-        one) and :meth:`query_many`: cache lookup (:meth:`_line`) → for
-        the misses, under the engine's read lock: resolve → execute →
-        cache put (:meth:`_serve_misses`) → account.  A batch of hits
-        touches neither the planner nor the engine lock."""
+        one) and :meth:`query_many`, all under the engine's read lock —
+        so a batch is one consistent cut, its hits and its misses alike:
+        cache lookup (:meth:`_line`) → for the misses: resolve → execute
+        → cache put (:meth:`_serve_misses`) → account.  A batch of hits
+        never touches the planner."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
         hits = 0
         misses: list[int] = []
-        for i, req in enumerate(reqs):
-            if self.cache is not None:
-                hit = self.cache.get(self._cache_key(req, self.engine, self._line(req)))
-                if hit is not None:
-                    responses[i] = QueryResponse(req, hit, cached=True)
-                    hits += 1
-                    continue
-            misses.append(i)
-        if misses:
-            with self._read_locked_engine() as engine:
+        with self._read_locked_engine() as engine:
+            for i, req in enumerate(reqs):
+                if self.cache is not None:
+                    hit = self.cache.get(self._cache_key(req, engine, self._line(req)))
+                    if hit is not None:
+                        responses[i] = QueryResponse(req, hit, cached=True)
+                        hits += 1
+                        continue
+                misses.append(i)
+            if misses:
                 self._serve_misses(engine, reqs, misses, responses)
         with self._stats_lock:
             self.stats.requests += len(reqs)
@@ -436,10 +420,6 @@ class QueryService:
                 self.stats.full_invalidations += 1
         self.engine = new_engine
         self._pending_edges.clear()
-        # The old engine's column cache dies with it; the new engine
-        # starts from a fresh (empty) cache, re-sized to this service's
-        # requested byte budget so the knob survives rebuilds.
-        self._apply_social_budget(new_engine)
 
     def replace_engine(self, new_engine: GeoSocialEngine) -> GeoSocialEngine:
         """Swap in an externally built engine — the restore path of
@@ -448,7 +428,9 @@ class QueryService:
         every downstream layer (result cache, update stream, standing
         subscriptions) observes the swap identically.  Edge updates
         batched against the old engine are discarded with it: a restore
-        rewinds to the snapshot's topology.  Returns the new engine."""
+        rewinds to the snapshot's topology.  The new engine takes the
+        old one's social column budget, starting from an empty cache (no
+        cache stays no cache).  Returns the new engine."""
         self._check_open()
         if new_engine.graph.n != self.engine.graph.n:
             raise ValueError(
@@ -456,6 +438,12 @@ class QueryService:
                 f"the served one {self.engine.graph.n}"
             )
         with self._write_locked_engine() as old:
+            social = old.social_cache
+            new_engine.social_cache = (
+                None
+                if social is None
+                else SocialColumnCache(new_engine.graph.n, new_engine.kernels, social.max_bytes)
+            )
             self._swap_engine_locked(old, new_engine)
         return new_engine
 

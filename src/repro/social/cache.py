@@ -209,7 +209,7 @@ class SocialColumnCache:
             self.stats.promotions += 1
         self.store_full(user, column)
 
-    # -- invalidation / sizing ----------------------------------------
+    # -- invalidation --------------------------------------------------
 
     def invalidate_all(self) -> None:
         """Drop every entry.  Nothing on the serving path needs it (a
@@ -218,17 +218,6 @@ class SocialColumnCache:
         with self._lock:
             self._entries.clear()
             self.stats.invalidations += 1
-
-    def resize(self, max_bytes: int) -> None:
-        """Change the byte budget in place (the searchers hold this
-        instance by reference, so the service-layer knob resizes the
-        live cache rather than rebuilding engines); shrinking evicts
-        LRU-first immediately, ``0`` empties and disables."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        with self._lock:
-            self.max_bytes = max_bytes
-            self._shrink_locked()
 
     # -- internals (caller holds the lock) -----------------------------
 

@@ -12,15 +12,13 @@ built by its first reader, as in a freshly built engine.
 
 Entry points:
 
-- :meth:`GeoSocialEngine.save` / ``.load`` — one engine, one
-  snapshot directory;
+- :func:`save_engine` / :func:`load_engine` — one engine, one
+  snapshot directory (the save holds the engine's read lock);
 - :class:`SnapshotManager` (via
   :meth:`QueryService.snapshots <repro.service.QueryService.snapshots>`)
-  — snapshot history with a crash-safe last-committed pointer,
-  update-stream folding, and restore through the service's engine-swap
-  path;
-- :func:`save_engine` / :func:`load_engine` — the functional core
-  both ride on.
+  — snapshot history over those two, with a crash-safe last-committed
+  pointer, update-stream folding, and restore through the service's
+  engine-swap path.
 
 Corruption (torn or malformed manifests, checksum mismatches, mutually
 inconsistent columns) raises the typed :class:`StoreCorruptionError`; the crash-test

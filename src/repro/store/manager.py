@@ -43,7 +43,7 @@ from repro.store.format import (
     fault_point,
     fsync_dir,
 )
-from repro.store.snapshot import load_engine
+from repro.store.snapshot import load_engine, save_engine
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)$")
 _DEBRIS_RE = re.compile(r"^snapshot-(\d+)\.tmp-")
@@ -78,16 +78,17 @@ class SnapshotManager:
         With ``fold=True`` (default), edge updates batched since the
         last rebuild are folded into a fresh engine first via the
         service's :meth:`~repro.service.QueryService.rebuild_engine`,
-        so the snapshot captures the applied update stream.  The
-        engine's own ``save`` runs under its read lock — concurrent
-        queries proceed, concurrent updates wait — and the returned
-        directory is fully durable before ``CURRENT`` names it.
+        so the snapshot captures the applied update stream.
+        :func:`~repro.store.save_engine` runs under the engine's read
+        lock — concurrent queries proceed, concurrent updates wait — and
+        the returned directory is fully durable before ``CURRENT``
+        names it.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         if fold and self.service.pending_edge_updates > 0:
             self.service.rebuild_engine()
         dest = self.root / f"snapshot-{self._next_seq():06d}"
-        self.service.engine.save(dest)
+        save_engine(self.service.engine, dest)
         self._commit_current(dest.name)
         return dest
 

@@ -101,12 +101,14 @@ def save_engine(engine, path) -> Path:
         >>> load_engine(path).graph.n
         60
 
-    The caller is responsible for quiescing or read-locking the engine
-    (:meth:`GeoSocialEngine.save` does); this function owns the
-    durability protocol: temp sibling → columns fsynced → manifest
-    fsynced (the commit point) → directory fsync → atomic rename.  On an :class:`InjectedFault` the temp state
-    is deliberately left behind (a simulated crash); on any real error
-    it is cleaned up.
+    Holds the engine's read lock while it writes, so the snapshot is
+    one instant: concurrent queries proceed, a concurrent location
+    update waits until the save returns (the caller must not hold the
+    lock already — it is not re-entrant).  Owns the durability
+    protocol: temp sibling → columns fsynced → manifest fsynced (the
+    commit point) → directory fsync → atomic rename.  On an
+    :class:`InjectedFault` the temp state is deliberately left behind
+    (a simulated crash); on any real error it is cleaned up.
     """
     from repro import __version__
 
@@ -115,7 +117,8 @@ def save_engine(engine, path) -> Path:
     tmp = temp_sibling(path)
     tmp.mkdir(parents=True)
     try:
-        manifest = _write_engine(engine, tmp)
+        with engine.rw_lock.read_locked():
+            manifest = _write_engine(engine, tmp)
         manifest["format"] = FORMAT_NAME
         manifest["format_version"] = FORMAT_VERSION
         manifest["library_version"] = __version__
@@ -224,9 +227,9 @@ def load_engine(path, *, mmap: bool = True, verify: bool = True):
     columns copy-on-write.
 
         >>> import tempfile
-        >>> from repro import GeoSocialEngine, gowalla_like, load_engine
+        >>> from repro import GeoSocialEngine, gowalla_like, load_engine, save_engine
         >>> engine = GeoSocialEngine.from_dataset(gowalla_like(n=60, seed=1))
-        >>> path = engine.save(tempfile.mkdtemp() + "/snap")
+        >>> path = save_engine(engine, tempfile.mkdtemp() + "/snap")
         >>> warm = load_engine(path)
         >>> [nb.user for nb in warm.query(user=0, k=3, alpha=0.3)] == \\
         ...     [nb.user for nb in engine.query(user=0, k=3, alpha=0.3)]

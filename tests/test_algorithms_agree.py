@@ -14,8 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import GeoSocialEngine
-from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
+from repro.core.engine import AUTO, METHODS, GeoSocialEngine
+from repro.graph.socialgraph import SocialGraph
+from tests.conftest import (
+    ALL_METHODS,
+    assert_same_scores,
+    query_with,
+    random_instance,
+    random_locations,
+)
 
 ALL_BUT_BRUTE = [m for m in ALL_METHODS if m != "bruteforce"]
 
@@ -111,3 +118,49 @@ def test_property_ch_variants_agree(seed):
     for method in ("sfa-ch", "spa-ch", "tsa-ch", "ais-cache"):
         got = query_with(engine, user, k=5, alpha=0.3, method=method, t=8)
         assert_same_scores(expected, got)
+
+
+def _random_digraph_engine(seed: int) -> GeoSocialEngine:
+    """``n = 60`` users with locations, 150 random arcs, ``M = 4``."""
+    rng = random.Random(seed)
+    arcs: set = set()
+    while len(arcs) < 150:
+        u, v = rng.randrange(60), rng.randrange(60)
+        if u != v:
+            arcs.add((u, v))
+    graph = SocialGraph.from_edges(
+        60, [(u, v, rng.uniform(0.05, 1.0)) for u, v in sorted(arcs)], directed=True
+    )
+    return GeoSocialEngine(graph, random_locations(60, seed + 1), num_landmarks=4, s=3, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def digraph_cases():
+    """40 random digraphs with 9 query users each, and bruteforce's
+    answer at ``k = 5`` for every user and ``α ∈ {0.2, 0.5, 0.8}``."""
+    cases = []
+    for seed in range(40):
+        engine = _random_digraph_engine(seed)
+        for user in random.Random(seed).sample(range(60), 9):
+            for alpha in (0.2, 0.5, 0.8):
+                expected = engine.query(user, 5, alpha, "bruteforce")
+                cases.append((seed, engine, user, alpha, expected))
+    return cases
+
+
+@pytest.mark.parametrize("method", [*METHODS, AUTO])
+def test_every_served_method_matches_bruteforce_on_random_digraphs(digraph_cases, method):
+    """On a digraph ``p(q, v)`` is the forward distance, so only the
+    forward landmark bounds hold (``p(l, v) − p(l, q)`` for a user,
+    ``m̌ − p(l, q)`` for a cell); a symmetric bound prunes true
+    answers.  Scores may differ in the last bits (bidirectional
+    searches sum a path in another order), as :func:`assert_same_scores`
+    allows."""
+    mismatches = []
+    for seed, engine, user, alpha, expected in digraph_cases:
+        got = engine.query(user, 5, alpha, method).scores
+        if len(got) != len(expected.scores) or any(
+            abs(a - b) > 1e-9 for a, b in zip(got, expected.scores)
+        ):
+            mismatches.append((seed, user, alpha))
+    assert not mismatches, f"{len(mismatches)} of {len(digraph_cases)} differ: {mismatches[:5]}"

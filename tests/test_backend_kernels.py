@@ -91,6 +91,20 @@ class TestAltBoundKernel:
         assert float(out[0]) == INF
         assert float(out[1]) == 0.0
 
+    def test_digraph_takes_the_forward_side_only(self, kernels):
+        # landmark 0: p(l,1) = 1, p(l,2) = 3.  From query 2 the
+        # symmetric form |3 - 1| = 2 exceeds p(2 -> 1) = 0.5; only
+        # p(l,v) - p(l,q) holds.  Vertex 3 is unreachable from l, so
+        # from 2 as well.
+        g = SocialGraph.from_edges(
+            4, [(0, 1, 1.0), (1, 2, 2.0), (2, 1, 0.5), (3, 0, 1.0)], directed=True
+        )
+        lm = LandmarkIndex(g, [0])
+        out = kernels.alt_lower_bounds(lm, lm.vector(2), [0, 1, 3])
+        assert [float(v) for v in out] == [0.0, 0.0, INF]
+        out = kernels.alt_lower_bounds(lm, lm.vector(1), [2])
+        assert [float(v) for v in out] == [2.0]
+
 
 class TestBlendKernel:
     def test_zero_weight_ignores_infinite_distance(self, kernels):

@@ -22,8 +22,9 @@ click = pytest.importorskip("click", reason="the CLI is an optional extra")
 
 from click.testing import CliRunner  # noqa: E402
 
-from repro import GeoSocialEngine, QueryService  # noqa: E402
+from repro import GeoSocialEngine, QueryService, load_engine  # noqa: E402
 from repro.cli.format import flatten_stats, format_output  # noqa: E402
+from repro.cli import commands  # noqa: E402
 from repro.cli.commands import DATASETS, cli  # noqa: E402
 from repro.server import ServerClient, ServerThread  # noqa: E402
 from repro.service.model import result_payload  # noqa: E402
@@ -46,7 +47,7 @@ def engine_dir(runner, tmp_path_factory) -> str:
 
 @pytest.fixture(scope="module")
 def engine(engine_dir) -> GeoSocialEngine:
-    return GeoSocialEngine.load(engine_dir)
+    return load_engine(engine_dir)
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +306,49 @@ def test_serve_refuses_a_negative_column_budget(runner, monkeypatch):
     assert "Traceback" not in result.output
     assert "serving" not in result.output
     assert not isinstance(result.exception, ValueError)
+
+
+@pytest.mark.parametrize("budget", [8192, 0])
+def test_serve_keeps_its_column_budget_across_rebuild_and_restore(
+    runner, monkeypatch, engine_dir, tmp_path, budget
+):
+    """`repro serve --social-cache-bytes N` sets N on the engine it
+    loads, and the engines a folding snapshot rebuilds and `/restore`
+    swaps in keep it (0: no column cache, before and after)."""
+    started = []
+
+    class Recorded(ServerThread):
+        def start(self):
+            started.append(self)
+            return super().start()
+
+    budgets = []
+    sleep = time.sleep
+
+    def drive(seconds):
+        if seconds != 3600:  # not the serve loop's idle wait
+            return sleep(seconds)
+        with ServerClient(started[0].host, started[0].port) as client:
+            def served_budget():
+                return client.stats()["cache"].get("social", {}).get("max_bytes")
+
+            budgets.append(served_budget())
+            client.update_edge(0, 1, 0.5)
+            client.snapshot(str(tmp_path / "snaps"))  # folds: rebuild_engine
+            budgets.append(served_budget())
+            client.restore(str(tmp_path / "snaps"))
+            budgets.append(served_budget())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(commands, "ServerThread", Recorded)
+    monkeypatch.setattr(time, "sleep", drive)
+    result = runner.invoke(
+        cli,
+        ["serve", "--engine", engine_dir, "--port", "0", "--no-cache",
+         "--social-cache-bytes", str(budget)],
+    )
+    assert result.exit_code == 0, result.output
+    assert budgets == [budget or None] * 3
 
 
 def test_serve_refuses_a_port_out_of_range(runner, monkeypatch):

@@ -124,7 +124,7 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch, tmp_
         for user in users[:5]:
             service.move_user(user, rng.random(), rng.random())
         engine.forget_location(users[5])
-        restored = load_engine(engine.save(tmp_path / "snap"))
+        restored = load_engine(save_engine(engine, tmp_path / "snap"))
         restored.query(users[0], k=10, alpha=0.5)
         for served in (engine, restored):
             assert served._grid is None and served._aggregate is None

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.variants import variant_searcher
 from repro.core.engine import GeoSocialEngine
+from repro.service import QueryService
 from tests.conftest import ALL_METHODS, assert_same_scores, query_with, random_instance
 
 INF = math.inf
@@ -48,10 +49,13 @@ class TestDispatch:
             assert len(result) <= 3
 
     def test_query_many_matches_a_sequential_query_loop(self, engine):
-        """query_many is the one (service-backed) batch entry point."""
+        """The service's query_many is the one batch entry point; the
+        engine has none."""
         users = list(engine.located_users())[:4]
-        assert not hasattr(engine, "batch_query")
-        via_service = engine.query_many(users, k=5, alpha=0.3, method="ais")
+        assert not hasattr(engine, "batch_query") and not hasattr(engine, "query_many")
+        with QueryService(engine, cache_size=0) as service:
+            responses = service.query_many(users, k=5, alpha=0.3, method="ais")
+        via_service = [response.result for response in responses]
         assert [r.query_user for r in via_service] == users
         sequential = [engine.query(u, k=5, alpha=0.3, method="ais") for u in users]
         for modern, loop in zip(via_service, sequential):

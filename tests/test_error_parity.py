@@ -25,6 +25,7 @@ from repro import (
     QueryService,
     SubscriptionRegistry,
     gowalla_like,
+    save_engine,
 )
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
@@ -630,7 +631,7 @@ CLI_CASES = [
 
 @pytest.fixture(scope="module")
 def engine_dir(engine, tmp_path_factory) -> str:
-    return str(engine.save(tmp_path_factory.mktemp("parity") / "engine.store"))
+    return str(save_engine(engine, tmp_path_factory.mktemp("parity") / "engine.store"))
 
 
 @pytest.fixture(scope="module")

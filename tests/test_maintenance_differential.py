@@ -417,9 +417,10 @@ PINNED_NO_EFFECT = {"QueryService": ["max_workers"]}
 
 
 def test_removed_options_stay_removed():
-    """Three independently settable options across the three
+    """Two independently settable options across the three
     constructors (11 before): nothing the benchmark or a caller ever
-    set to a second value comes back unnoticed."""
+    set to a second value comes back unnoticed.  The social column
+    budget is the engine's alone."""
     settable = {
         cls.__name__: sorted(
             name
@@ -430,15 +431,16 @@ def test_removed_options_stay_removed():
         for cls in (QueryService, ResultCache, SubscriptionRegistry)
     }
     assert settable == {
-        "QueryService": ["cache_size", "social_cache_bytes"],
+        "QueryService": ["cache_size"],
         "ResultCache": ["capacity"],
         "SubscriptionRegistry": [],
     }
-    # one execution path per batch: the caller's thread.  ``max_workers``
-    # is accepted, has no effect, and is pinned by perfbench; the engine's
-    # batch call has no width at all and the core imports no service
+    # one execution path per batch: the service's, on the caller's
+    # thread.  ``max_workers`` is accepted, has no effect, and is pinned
+    # by perfbench; the engine has no batch call and the core imports
+    # no service
     assert "max_workers" in inspect.signature(QueryService.__init__).parameters
-    assert "max_workers" not in inspect.signature(GeoSocialEngine.query_many).parameters
+    assert not hasattr(GeoSocialEngine, "query_many")
     assert not hasattr(QueryService, "_executor")
     for module in pkgutil.iter_modules(repro.core.__path__, "repro.core."):
         source = inspect.getsource(importlib.import_module(module.name))
@@ -458,9 +460,9 @@ def test_removed_options_stay_removed():
 
     assert "t" not in {f.name for f in dataclasses.fields(QueryRequest)}
     for edge in (
-        QueryRequest.coerce, GeoSocialEngine.query, GeoSocialEngine.query_many,
-        GeoSocialEngine.searcher, QueryService.query, QueryService.query_many,
-        SubscriptionRegistry.subscribe, ServerClient.query, ServerClient.tail,
+        QueryRequest.coerce, GeoSocialEngine.query, GeoSocialEngine.searcher,
+        QueryService.query, QueryService.query_many, SubscriptionRegistry.subscribe,
+        ServerClient.query, ServerClient.tail,
     ):
         assert "t" not in inspect.signature(edge).parameters, edge.__qualname__
     assert "default_t" not in inspect.signature(GeoSocialEngine.__init__).parameters
@@ -477,8 +479,8 @@ def test_removed_options_stay_removed():
     assert "approx" not in METHOD_TABLE
     assert "budget" not in {f.name for f in dataclasses.fields(QueryRequest)}
     for edge in (
-        QueryRequest.coerce, GeoSocialEngine.query, GeoSocialEngine.query_many,
-        QueryService.query, QueryService.query_many, ServerClient.query,
+        QueryRequest.coerce, GeoSocialEngine.query, QueryService.query,
+        QueryService.query_many, ServerClient.query,
     ):
         assert "budget" not in inspect.signature(edge).parameters, edge.__qualname__
     assert "--budget" not in {opt for p in query_command.params for opt in p.opts}

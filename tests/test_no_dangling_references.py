@@ -12,7 +12,9 @@ Structural pins for the bench estate after it was folded into
   is the one gate;
 - the retired bounded-error path (the sketch package, ``approx``,
   ``budget``, ``error_bound``) is named nowhere a reader would follow
-  it.
+  it, and neither are the deleted engine duplicates (``engine.save``,
+  ``GeoSocialEngine.load``, ``engine.query_many``, the service-level
+  ``social_cache_bytes``).
 """
 
 from __future__ import annotations
@@ -128,4 +130,14 @@ def test_the_bounded_error_path_is_named_nowhere():
         r"|BENCH_approx|bench_approx"
     )
     homes = ["src", "benchmarks", "examples", ".github", "README.md", "docs/ARCHITECTURE.md"]
+    assert _scan(retired, [ROOT / home for home in homes]) == {}
+
+
+def test_the_deleted_engine_entry_points_are_named_nowhere():
+    """Batches are the service's, snapshots ``repro.store``'s and the
+    column budget the engine's: the README, the docs, the examples, the
+    CI workflow and the verify skill name none of the deleted
+    duplicates."""
+    retired = r"[Ee]ngine\.(?:save|load|query_many)\b|QueryService\([^)]*social_cache_bytes="
+    homes = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
     assert _scan(retired, [ROOT / home for home in homes]) == {}

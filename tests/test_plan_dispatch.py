@@ -5,9 +5,10 @@ consulted in some dispatch paths but not others (e.g. the service's
 cache keys stored the *requested* method while the engine executed the
 *routed* one).  After folding the routing tables into the planner's
 rule layer (:mod:`repro.plan.rules`), every path — ``engine.query``,
-``engine.query_many`` and the cached service — must resolve an ``alpha ∈ {0, 1}`` endpoint query to the same concrete
-method, observable on ``result.method`` and in the service's cache
-keys / per-method stats.
+the service's ``query_many`` and the cached service — must resolve an
+``alpha ∈ {0, 1}`` endpoint query to the same concrete method,
+observable on ``result.method`` and in the service's cache keys /
+per-method stats.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ def test_endpoint_dispatch_identical_across_all_paths(single, method, alpha):
     direct = single.query(user, k, alpha, method)
     assert direct.method == expected, f"engine.query dispatched {direct.method}"
 
-    # 2. engine.query_many (service-backed batch)
-    batch = single.query_many([user, user + 1], k=k, alpha=alpha, method=method)
-    assert [r.method for r in batch] == [expected, expected]
+    # 2. the service's batch, uncached
+    with QueryService(single, cache_size=0) as batcher:
+        batch = batcher.query_many([user, user + 1], k=k, alpha=alpha, method=method)
+    assert [r.result.method for r in batch] == [expected, expected]
 
     # 3. cached service: the executed method and the per-method stats
     #    carry the resolved name; so does the cache key of a named

@@ -53,6 +53,22 @@ def test_readme_quickstart_names_exist():
     assert hasattr(GeoSocialEngine, "move_user")
 
 
+def test_the_engine_surface_has_one_home_per_operation():
+    """Batches are ``QueryService.query_many``'s and snapshots
+    ``save_engine`` / ``load_engine``'s; the engine builds its own
+    planner and alone carries the social column budget."""
+    from repro import GeoSocialEngine, QueryService
+
+    assert sorted(name for name in vars(GeoSocialEngine) if not name.startswith("_")) == [
+        "add_location_listener", "aggregate", "close", "forget_location",
+        "from_dataset", "grid", "landmarks", "located_users", "move_user", "query",
+        "remove_location_listener", "resolve_method", "searcher", "with_graph",
+    ]
+    engine_options = inspect.signature(GeoSocialEngine.__init__).parameters
+    assert "planner" not in engine_options and "social_cache_bytes" in engine_options
+    assert "social_cache_bytes" not in inspect.signature(QueryService.__init__).parameters
+
+
 def test_methods_constant_documented_in_engine():
     from repro.core.engine import METHODS, GeoSocialEngine
 

@@ -125,18 +125,6 @@ def test_in_batch_deduplication(engine):
     assert len({tuple(r.result.users) for r in responses}) == 1
 
 
-def test_engine_query_many_delegate(engine):
-    users = located(engine, 5)
-    results = engine.query_many(users, k=4, alpha=0.3, method="ais")
-    for user, result in zip(users, results):
-        expected = engine.query(user, 4, 0.3, "ais")
-        assert result.users == expected.users
-        assert result.scores == expected.scores
-    # Mixed request batches flow through too.
-    mixed = engine.query_many([users[0], QueryRequest(users[1], k=2, alpha=0.8, method="ais")])
-    assert len(mixed[1]) <= 2
-
-
 def test_query_many_runs_on_the_calling_thread(engine):
     """A batch starts no thread, whatever ``max_workers`` says: the
     distinct misses run in request order on the caller, and the answers
@@ -156,43 +144,61 @@ def test_query_many_runs_on_the_calling_thread(engine):
         assert response.result.scores == want.scores
 
 
-def test_engine_query_many_holds_the_read_lock_on_the_calling_thread(engine, monkeypatch):
-    """``engine.query_many`` answers every request on the caller under
-    the read side of ``rw_lock``: a move issued mid-batch waits until
-    the last answer is in."""
+def test_query_many_holds_the_read_lock_from_its_first_lookup_to_its_last_answer(
+    engine, monkeypatch
+):
+    """``service.query_many`` takes the engine's read lock before its
+    first cache lookup and answers every request on the caller under
+    it: a move issued while the batch is still looking up its hits
+    waits until the last miss is answered, so the batch is one cut."""
     users = located(engine, 4)
     mover = users[-1]
     log: list = []
     inside, release = threading.Event(), threading.Event()
-    query = engine.query
+    with QueryService(engine, cache_size=16) as service:
+        service.query(users[0], k=3, alpha=0.5)  # the batch's one hit
+        get, query = service.cache.get, engine.query
 
-    def traced(request, *args, **kwargs):
-        log.append(("query", threading.current_thread().name))
-        inside.set()
-        assert release.wait(timeout=30)
-        return query(request, *args, **kwargs)
+        def traced_get(key):
+            log.append(("lookup", key[0]))
+            if not inside.is_set():
+                inside.set()
+                assert release.wait(timeout=30)
+            return get(key)
 
-    monkeypatch.setattr(engine, "query", traced)
-    engine.add_location_listener(lambda user, x, y: log.append(("move", user)))
-    outcome: dict = {}
-    batch = threading.Thread(
-        target=lambda: outcome.setdefault("results", engine.query_many(users, k=3, alpha=0.5)),
-        name="batch-caller",
+        def traced_query(request, *args, **kwargs):
+            log.append(("query", threading.current_thread().name))
+            return query(request, *args, **kwargs)
+
+        monkeypatch.setattr(service.cache, "get", traced_get)
+        monkeypatch.setattr(engine, "query", traced_query)
+        engine.add_location_listener(lambda user, x, y: log.append(("move", user)))
+        outcome: dict = {}
+        batch = threading.Thread(
+            target=lambda: outcome.setdefault(
+                "responses", service.query_many(users, k=3, alpha=0.5)
+            ),
+            name="batch-caller",
+        )
+        batch.start()
+        assert inside.wait(timeout=30)
+        move = threading.Thread(target=service.move_user, args=(mover, 0.5, 0.5))
+        move.start()
+        deadline = time.monotonic() + 30
+        # the move is queued behind the batch (or, unlocked, has landed)
+        while not engine.rw_lock._writers_waiting and ("move", mover) not in log:
+            assert time.monotonic() < deadline, "the move never reached the lock"
+            time.sleep(0.001)
+        release.set()
+        batch.join(timeout=30)
+        move.join(timeout=30)
+        assert not batch.is_alive() and not move.is_alive()
+    assert log == (
+        [("lookup", user) for user in users]
+        + [("query", "batch-caller")] * (len(users) - 1)
+        + [("move", mover)]
     )
-    batch.start()
-    assert inside.wait(timeout=30)
-    move = threading.Thread(target=engine.move_user, args=(mover, 0.5, 0.5))
-    move.start()
-    deadline = time.monotonic() + 30
-    while not engine.rw_lock._writers_waiting:         # the move is queued
-        assert time.monotonic() < deadline, "the move never reached the lock"
-        time.sleep(0.001)
-    release.set()
-    batch.join(timeout=30)
-    move.join(timeout=30)
-    assert not batch.is_alive() and not move.is_alive()
-    assert log == [("query", "batch-caller")] * len(users) + [("move", mover)]
-    assert len(outcome["results"]) == len(users)
+    assert [r.cached for r in outcome["responses"]] == [True, False, False, False]
 
 
 # ---------------------------------------------------------------- caching
@@ -785,19 +791,25 @@ def test_wire_is_the_encoded_payload(engine, method, alpha):
 @pytest.mark.parametrize("engine_cache", [None, 0], ids=["columns-on", "columns-off"])
 def test_cache_sizes_are_checked_one_way(field, value, message, engine_cache):
     """Both sizes refuse a bool, a non-integer and a negative value with
-    a ``ValueError`` naming the field — whether or not the engine carries
-    a column cache to resize — and leave the engine's listeners alone."""
+    a ``ValueError`` naming the field, each at its one home — the result
+    cache's on the service, the column budget on the engine (a rebuild
+    from an engine with or without columns included) — and leave the
+    engine's listeners alone."""
     graph, locations = random_instance(30, seed=4, coverage=0.8)
     engine = GeoSocialEngine(
         graph, locations, num_landmarks=2, social_cache_bytes=engine_cache
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        QueryService(engine, **{field: value})
+        if field == "social_cache_bytes":
+            engine.with_graph(graph, social_cache_bytes=value)
+        else:
+            QueryService(engine, cache_size=value)
     assert not engine._location_listeners
 
 
 def test_zero_still_turns_each_cache_off(engine):
-    with QueryService(engine, cache_size=0, social_cache_bytes=0) as service:
-        assert service.cache is None and service.engine.social_cache.max_bytes == 0
+    without_columns = engine.with_graph(engine.graph, social_cache_bytes=0)
+    with QueryService(without_columns, cache_size=0) as service:
+        assert service.cache is None and service.engine.social_cache is None
     with QueryService(engine, cache_size=np.int64(3)) as service:
         assert service.cache.capacity == 3 and type(service.cache.capacity) is int

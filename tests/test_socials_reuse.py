@@ -496,22 +496,6 @@ class TestSocialColumnCache:
         cache.store_full(0, kernels.dense_from_dict(g.n, {}, INF))
         assert len(cache) == 0 and cache.stats.evictions == 0
 
-    def test_resize_shrinks_and_zero_disables(self):
-        g = self._graph()
-        kernels = self._kernels()
-        cache = SocialColumnCache(g.n, kernels)
-        for u in range(3):
-            cache.store_full(u, kernels.dense_from_dict(g.n, {u: 0.0}, INF))
-        cache.resize(g.n * 8)  # room for exactly one column
-        assert len(cache) == 1 and cache.bytes_used == g.n * 8
-        cache.resize(0)
-        assert len(cache) == 0 and not cache.enabled
-        assert cache.acquire(0) is None
-        cache.checkin(0, DijkstraIterator(g, 0))  # no-op while disabled
-        assert len(cache) == 0
-        with pytest.raises(ValueError):
-            cache.resize(-1)
-
     def test_invalidate_all_counts_and_empties(self):
         g = self._graph()
         kernels = self._kernels()
@@ -548,20 +532,25 @@ def test_engine_cache_budget_knobs():
     assert rebuilt.social_cache.max_bytes == 4096
 
 
-def test_service_social_cache_bytes_resizes_live_cache():
-    engine = build_engine("python", None)
-    service = QueryService(engine, cache_size=0, social_cache_bytes=8192)
+@pytest.mark.parametrize("budget", [8192, 0])
+def test_every_engine_swap_keeps_the_engine_column_budget(budget):
+    """The budget is set on the engine alone: a rebuild carries it
+    through ``with_graph`` and a restore through ``replace_engine`` —
+    the entries do not cross either swap, and no cache stays no cache."""
+    engine = build_engine("python", budget)
+    service = QueryService(engine, cache_size=0)
     try:
-        assert engine.social_cache.max_bytes == 8192
         user = query_users(engine)[0]
         service.query(QueryRequest(user=user, k=4, alpha=1.0, method="bruteforce"))
-        info = service.cache_info()
-        assert info["social"]["max_bytes"] == 8192
-        assert info["social"]["entries"] >= 1
+        assert ("social" in service.cache_info()) == (budget > 0)
         service.update_edge(user, (user + 1) % engine.graph.n, 0.3)
-        new_engine = service.rebuild_engine()
-        # the budget knob survives the swap, the entries do not
-        assert new_engine.social_cache.max_bytes == 8192
-        assert len(new_engine.social_cache) == 0
+        rebuilt = service.rebuild_engine()
+        restored = service.replace_engine(build_engine("python", None))
+        for swapped in (rebuilt, restored):
+            if budget:
+                assert swapped.social_cache.max_bytes == budget
+                assert len(swapped.social_cache) == 0
+            else:
+                assert swapped.social_cache is None
     finally:
         service.close()

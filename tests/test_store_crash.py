@@ -232,7 +232,7 @@ def test_injected_fault_leaves_debris_but_real_errors_clean_up(tmp_path):
 def saved(tmp_path):
     engine = make_engine(n=80)
     path = tmp_path / "snap"
-    engine.save(path)
+    save_engine(engine, path)
     return engine, path
 
 

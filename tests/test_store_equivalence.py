@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import GeoSocialEngine, SocialGraph, gowalla_like
 from repro.service import QueryService
-from repro.store import MANIFEST_NAME, load_engine
+from repro.store import MANIFEST_NAME, load_engine, save_engine
 from tests.conftest import random_instance
 
 pytest.importorskip("numpy", reason="the columnar store persists .npy columns")
@@ -80,7 +82,7 @@ def located_sample(engine, count=3):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_roundtrip_bit_identical(tmp_path, backend):
     live = build_engine(backend)
-    live.save(tmp_path / "snap")
+    save_engine(live, tmp_path / "snap")
     loaded = load_engine(tmp_path / "snap")
     assert type(loaded) is type(live)
     assert loaded.backend == live.backend
@@ -107,7 +109,7 @@ def test_a_snapshot_saved_after_moves_answers_like_the_live_engine(tmp_path):
             live.forget_location(user)
         else:
             live.move_user(user, rng.random(), rng.random())
-    loaded = load_engine(live.save(tmp_path / "snap"))
+    loaded = load_engine(save_engine(live, tmp_path / "snap"))
     assert loaded._grid is None and loaded._landmarks is None
     assert_bit_identical(live, loaded, users)
 
@@ -132,7 +134,7 @@ def test_a_format_version_1_snapshot_loads_and_answers_like_a_fresh_build():
 
 def test_mmap_and_eager_loads_agree(tmp_path):
     live = build_engine("numpy", n=100)
-    live.save(tmp_path / "snap")
+    save_engine(live, tmp_path / "snap")
     warm = load_engine(tmp_path / "snap", mmap=True)
     cold = load_engine(tmp_path / "snap", mmap=False, verify=False)
     assert_bit_identical(warm, cold, located_sample(live), methods=("ais", "auto"))
@@ -142,8 +144,8 @@ def test_save_load_save_is_byte_stable(tmp_path):
     """Persisting a loaded engine reproduces the identical columns —
     nothing drifts through a snapshot generation."""
     live = build_engine("numpy", n=100)
-    live.save(tmp_path / "a")
-    load_engine(tmp_path / "a").save(tmp_path / "b")
+    save_engine(live, tmp_path / "a")
+    save_engine(load_engine(tmp_path / "a"), tmp_path / "b")
     manifest_a = json.loads((tmp_path / "a" / MANIFEST_NAME).read_text())
     manifest_b = json.loads((tmp_path / "b" / MANIFEST_NAME).read_text())
     assert manifest_a["columns"] == manifest_b["columns"]
@@ -155,7 +157,7 @@ def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path):
     ``default_t`` in their config (same ``format_version``); the loader
     no longer reads the key, so they load and answer identically."""
     live = build_engine("numpy", n=100)
-    live.save(tmp_path / "snap")
+    save_engine(live, tmp_path / "snap")
     target = tmp_path / "snap" / MANIFEST_NAME
     manifest = json.loads(target.read_text())
     assert "default_t" not in manifest["config"]
@@ -167,19 +169,58 @@ def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path):
 
 
 def test_loaded_engine_serves_typed_class_loaders(tmp_path):
-    build_engine("numpy", n=80).save(tmp_path / "single")
-    assert isinstance(GeoSocialEngine.load(tmp_path / "single"), GeoSocialEngine)
+    save_engine(build_engine("numpy", n=80), tmp_path / "single")
+    assert isinstance(load_engine(tmp_path / "single"), GeoSocialEngine)
+
+
+def test_a_move_waits_for_a_running_save(tmp_path, monkeypatch):
+    """``save_engine`` holds the engine's read lock while it writes, so
+    a move from another thread lands after the save returns and the
+    snapshot is one instant (the pre-move location)."""
+    import repro.store.snapshot as snapshot
+
+    live = build_engine("numpy", n=80)
+    mover = located_sample(live, 1)[0]
+    before = live.locations.get(mover)
+    log: list = []
+    inside, release = threading.Event(), threading.Event()
+    write = snapshot._write_engine
+
+    def blocked_write(engine, tmp):
+        inside.set()
+        assert release.wait(timeout=30)
+        log.append("written")
+        return write(engine, tmp)
+
+    monkeypatch.setattr(snapshot, "_write_engine", blocked_write)
+    live.add_location_listener(lambda user, x, y: log.append("moved"))
+    save = threading.Thread(target=save_engine, args=(live, tmp_path / "snap"))
+    save.start()
+    assert inside.wait(timeout=30)
+    move = threading.Thread(target=live.move_user, args=(mover, 0.111, 0.222))
+    move.start()
+    deadline = time.monotonic() + 30
+    # the move is queued behind the save (or, unlocked, has landed)
+    while not live.rw_lock._writers_waiting and "moved" not in log:
+        assert time.monotonic() < deadline, "the move never reached the lock"
+        time.sleep(0.001)
+    release.set()
+    save.join(timeout=30)
+    move.join(timeout=30)
+    assert not save.is_alive() and not move.is_alive()
+    assert log == ["written", "moved"]
+    assert load_engine(tmp_path / "snap").locations.get(mover) == before
 
 
 def test_loaded_engine_stays_mutable_without_touching_snapshot(tmp_path):
     """Copy-on-write mmap: updates to a warm-started engine never leak
     back into the snapshot another process may be reading."""
     live = build_engine("numpy", n=100)
-    live.save(tmp_path / "snap")
-    first = GeoSocialEngine.load(tmp_path / "snap")
+    save_engine(live, tmp_path / "snap")
+    first = load_engine(tmp_path / "snap")
     user = located_sample(first, 1)[0]
     first.move_user(user, 0.111, 0.222)
-    second = GeoSocialEngine.load(tmp_path / "snap")
+    second = load_engine(tmp_path / "snap")
     assert second.locations.get(user) == live.locations.get(user)
     assert second.locations.get(user) != first.locations.get(user)
     assert_bit_identical(live, second, located_sample(live))
@@ -260,7 +301,7 @@ def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path):
         assert sorted(folded.graph.edges()) == sorted(fresh.graph.edges())
         users = located_sample(folded, count=4)
         assert_bit_identical(folded, fresh, users)
-        folded.save(tmp_path / "snap")
+        save_engine(folded, tmp_path / "snap")
         assert_bit_identical(folded, load_engine(tmp_path / "snap"), users)
         folded.close()
 
@@ -281,7 +322,7 @@ def test_roundtrip_property(tmp_path_factory, n, seed, coverage, alpha, k):
         graph, locations, num_landmarks=3, s=3, seed=3, backend="numpy"
     )
     path = tmp_path_factory.mktemp("store") / "snap"
-    live.save(path)
+    save_engine(live, path)
     loaded = load_engine(path)
     users = sorted(live.locations.located_users())[:2]
     for user in users:

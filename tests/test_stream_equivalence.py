@@ -287,7 +287,8 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
 
     graph, locations = random_instance(60, seed=17, coverage=1.0)
     planner = ScriptedPlanner()
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, planner=planner)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+    engine.planner = planner
     service = QueryService(engine, cache_size=0)
     registry = SubscriptionRegistry(service)
     q = next(iter(engine.locations.located_users()))
