@@ -26,7 +26,6 @@ Quickstart::
         print(nb.user, nb.score, nb.social, nb.spatial)
 """
 
-from repro.backend import resolve_backend
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
@@ -74,7 +73,6 @@ __all__ = [
     "__version__",
     # engine & algorithms
     "GeoSocialEngine",
-    "resolve_backend",
     "METHODS",
     "AUTO",
     "route_method",

@@ -1,19 +1,49 @@
 """Vectorized kernels over contiguous NumPy columns.
 
-Every method matches :class:`~repro.backend.base.PythonKernels`
-bit-for-bit: distances are ``sqrt(dx² + dy²)`` (the repo-wide primitive
-— *not* ``np.hypot``, which differs from ``math.hypot`` by 1 ulp on
-part of the input space), blending multiplies by the same pre-divided
-weights, and ALT bounds exploit IEEE special-value arithmetic
-(``inf − inf = NaN`` marks an uninformative landmark, one-sided ``inf``
-survives ``abs`` as the exact disconnection bound).
+==========================  ==========================================
+``euclidean_to_point``      distances from a query point to a batch of
+                            users (``NaN`` coordinates → ``inf``)
+``alt_lower_bounds``        per-user ALT landmark lower bounds on the
+                            social distance (Lemma 2's vertex form)
+``blend``                   the α-blended rank score
+                            ``w_social·p + w_spatial·d`` with the
+                            zero-weight/∞ contract of
+                            :class:`~repro.core.ranking.RankingFunction`
+``top_k_by_score``          smallest-``(score, id)`` selection with the
+                            deterministic smaller-id tie-break
+                            (``ids=None``: positions are the ids)
+``sssp_column``             the dense social-distance column of one
+                            source vertex: every *full* expansion
+                            (bruteforce, landmark rows, diameter
+                            sweeps, subscription repairs) is this call;
+                            with ``limit=r`` it settles only the ball
+                            of radius ``r`` (``bounded``)
+==========================  ==========================================
+
+plus ``dense_from_dict``, ``count_finite``, and five kernels no
+searcher calls (``alt_upper_bounds``, ``interval_midpoints``,
+``blend_topk_multi``, ``nanbbox``, ``summary_minmax``), kept because
+the benchmark tracer (``perfbench/trace.py``) wraps them by name.
+
+Every score is what the scalar Definition 1 arithmetic gives,
+bit-for-bit: distances are ``sqrt(dx² + dy²)`` (the repo-wide
+primitive — *not* ``np.hypot``, which differs from ``math.hypot`` by 1
+ulp on part of the input space), blending multiplies by the same
+pre-divided weights as :class:`~repro.core.ranking.RankingFunction`,
+and ALT bounds exploit IEEE special-value arithmetic (``inf − inf =
+NaN`` marks an uninformative landmark, one-sided ``inf`` survives
+``abs`` as the exact disconnection bound).  The test suite pins this
+against a scalar reference of every kernel and a scalar model of
+Definition 1.
 
 ``sssp_column`` hands the traversal itself to
 ``scipy.sparse.csgraph.dijkstra`` (scipy is a dependency), which adds
-the same ``d[u] + w`` float64 sums as the scalar expansion of
-:class:`~repro.backend.base.PythonKernels` and so lands on the same
-labels.  ``limit`` is scipy's own early exit (labels ``<= limit`` are
-kept and final).
+the same ``d[u] + w`` float64 sums as an incremental
+:class:`~repro.graph.traversal.DijkstraIterator` and so lands on the
+same labels: a final Dijkstra label is ``min`` over in-edges ``(u, v)``
+of ``fl(d[u] + w)`` with ``d[u]`` itself final, which no heap order or
+tie-break can change.  ``limit`` is scipy's own early exit (labels
+``<= limit`` are kept and final; every other entry reads ``inf``).
 """
 
 from __future__ import annotations
@@ -22,8 +52,6 @@ import math
 import threading
 
 import numpy as np
-
-from repro.backend.base import positions_are_ids
 
 INF = math.inf
 
@@ -50,8 +78,15 @@ def _scipy_csr(graph):
     return handle
 
 
+def positions_are_ids(ids) -> bool:
+    """Whether ``top_k_by_score``'s ``ids`` argument says "the id of a
+    score is its position": ``None``, or an ascending ``range`` (which
+    orders ties exactly as positions do)."""
+    return ids is None or (isinstance(ids, range) and ids.step > 0)
+
+
 class NumpyKernels:
-    """Array kernels; bit-identical to the scalar reference.
+    """Array kernels over the engine's columns.
 
         >>> from repro.backend import NumpyKernels
         >>> kernels = NumpyKernels()
@@ -60,7 +95,6 @@ class NumpyKernels:
     """
 
     name = "numpy"
-    vectorized = True
 
     def euclidean_to_point(self, xs, ys, qx, qy, ids=None):
         if qx != qx or qy != qy:  # unlocated query point: all-inf, no math
@@ -71,9 +105,13 @@ class NumpyKernels:
             ids = np.asarray(ids, dtype=np.intp)
             xs = xs[ids]
             ys = ys[ids]
-        dx = qx - xs
-        dy = qy - ys
-        d = np.sqrt(dx * dx + dy * dy)
+        # a coordinate near the float range (a move accepts any finite
+        # one) overflows to inf: the answer "infinitely far" is the
+        # contract, so the overflow is not worth a warning
+        with np.errstate(over="ignore"):
+            dx = qx - xs
+            dy = qy - ys
+            d = np.sqrt(dx * dx + dy * dy)
         # NaN coordinates (unlocated user, either axis) mean "infinitely far".
         return np.where(np.isnan(d), INF, d)
 

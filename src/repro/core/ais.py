@@ -35,6 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 
+from repro.backend import NumpyKernels
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
@@ -122,17 +123,13 @@ class AggregateIndexSearch:
         variant: AISVariant | None = None,
         kernels=None,
     ) -> None:
-        if kernels is None:
-            from repro.backend import resolve_backend
-
-            kernels = resolve_backend("python")
         self.graph = graph
         self.locations = locations
         self.landmarks = landmarks
         self.index = index
         self.normalization = normalization
         self.variant = variant if variant is not None else AISVariant.full()
-        self.kernels = kernels
+        self.kernels = kernels if kernels is not None else NumpyKernels()
 
     def search(
         self,

@@ -52,7 +52,7 @@ import time
 
 import numpy as np
 
-from repro.backend import Kernels, resolve_backend
+from repro.backend import NumpyKernels
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import SSRQResult
 from repro.core.stats import SearchStats
@@ -93,12 +93,12 @@ class BoundedSearch:
         graph: SocialGraph,
         locations: LocationTable,
         normalization: Normalization,
-        kernels: Kernels | None = None,
+        kernels: NumpyKernels | None = None,
     ) -> None:
         self.graph = graph
         self.locations = locations
         self.normalization = normalization
-        self.kernels = kernels if kernels is not None else resolve_backend("python")
+        self.kernels = kernels if kernels is not None else NumpyKernels()
         # sampled lazily, once; a racing first query computes the same
         # value twice, which is harmless
         self._profiles = None
@@ -115,14 +115,14 @@ class BoundedSearch:
             # with an edge, or the profile reads too small a radius
             sources = np.flatnonzero(np.diff(graph.indptr)).tolist()
             columns = [
-                np.asarray(kernels.sssp_column(graph, rng.choice(sources)), dtype=np.float64)
+                kernels.sssp_column(graph, rng.choice(sources))
                 for _ in range(_PROFILE_SOURCES if sources else 0)
             ]
             locations = self.locations
             xs, ys = locations.columns()
             located = np.flatnonzero(~np.isnan(xs)).tolist()
             distances = [
-                np.asarray(kernels.euclidean_to_point(xs, ys, *locations.get(q)), dtype=np.float64)
+                kernels.euclidean_to_point(xs, ys, *locations.get(q))
                 for q in (rng.choice(located) for _ in range(_PROFILE_SOURCES if located else 0))
             ]
             # every _PROFILE_SOURCES-th pooled distance: averaged over

@@ -10,9 +10,7 @@ Everything is columnar: the social column comes from one
 ``sssp_column`` kernel call, the spatial column from one
 ``euclidean_to_point`` kernel call over the whole location table, and
 one ``blend`` + ``top_k_by_score`` pass selects the answer (shared with
-every other column consumer via :func:`repro.social.scan.dense_scan`) —
-so the same code path runs scalar (``PythonKernels``) or vectorized
-(``NumpyKernels``) with bit-identical output.
+every other column consumer via :func:`repro.social.scan.dense_scan`).
 
 Engines that carry a :class:`~repro.social.cache.SocialColumnCache`
 call :meth:`BruteForceSearch.scan` from the pipeline's column step
@@ -26,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 
-from repro.backend import Kernels, resolve_backend
+from repro.backend import NumpyKernels
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import SSRQResult
 from repro.core.stats import SearchStats
@@ -54,12 +52,12 @@ class BruteForceSearch:
         graph: SocialGraph,
         locations: LocationTable,
         normalization: Normalization,
-        kernels: Kernels | None = None,
+        kernels: NumpyKernels | None = None,
     ) -> None:
         self.graph = graph
         self.locations = locations
         self.normalization = normalization
-        self.kernels = kernels if kernels is not None else resolve_backend("python")
+        self.kernels = kernels if kernels is not None else NumpyKernels()
 
     def scan(self, query_user: int, k: int, alpha: float):
         """``(result, column)``: the answer, plus the query user's full

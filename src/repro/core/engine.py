@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Sequence
 
-from repro.backend import Kernels, resolve_backend
+from repro.backend import NumpyKernels
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
@@ -119,14 +119,6 @@ class GeoSocialEngine:
     normalization:
         Optional pre-computed :class:`Normalization` (estimated from the
         data when omitted).
-    backend:
-        Candidate-evaluation backend: ``"auto"`` (the default — NumPy
-        when importable, honouring the ``REPRO_BACKEND`` environment
-        variable), ``"numpy"``, ``"python"``, or a ready-made
-        :class:`~repro.backend.base.Kernels` instance.  Resolved once
-        at construction (see :func:`repro.backend.resolve_backend`) and
-        propagated through :meth:`with_graph` rebuilds; both backends
-        produce bit-identical rankings, tie-breaks included.
     social_cache_bytes:
         Byte budget of the cross-query social column cache (``None``:
         the default budget; ``0`` disables it; anything but a
@@ -144,7 +136,6 @@ class GeoSocialEngine:
         s: int = 10,
         seed: int = 0,
         normalization: Normalization | None = None,
-        backend: "str | Kernels" = "auto",
         social_cache_bytes: int | None = None,
     ) -> None:
         if len(locations) != graph.n:
@@ -164,10 +155,9 @@ class GeoSocialEngine:
         self.num_landmarks = check_size("num_landmarks", num_landmarks, minimum=1)
         self.landmark_strategy = landmark_strategy
         self.seed = seed
-        #: resolved batched-evaluation kernels (shared by every searcher)
-        self.kernels: Kernels = resolve_backend(backend)
-        #: resolved backend name ("numpy"/"python"), stable across rebuilds
-        self.backend: str = self.kernels.name
+        #: the batched-evaluation kernels every searcher of this engine
+        #: shares (one instance per engine)
+        self.kernels = NumpyKernels()
         #: see :attr:`landmarks`
         self._landmarks: LandmarkIndex | None = None
         self.normalization = (
@@ -430,9 +420,6 @@ class GeoSocialEngine:
             s=self.s,
             seed=self.seed,
             normalization=self.normalization,
-            # the resolved Kernels instance, not the name: a
-            # user-supplied custom backend survives the rebuild too
-            backend=self.kernels,
             # only the byte budget crosses the rebuild, never the cache
             # instance: the new engine's columns come from the new graph,
             # so the edge-epoch boundary is structural
@@ -454,8 +441,7 @@ class GeoSocialEngine:
     def __repr__(self) -> str:
         return (
             f"GeoSocialEngine(n={self.graph.n}, edges={self.graph.num_edges}, "
-            f"located={self.locations.n_located}, M={self.num_landmarks}, s={self.s}, "
-            f"backend={self.backend!r})"
+            f"located={self.locations.n_located}, M={self.num_landmarks}, s={self.s})"
         )
 
 

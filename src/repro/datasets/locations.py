@@ -24,7 +24,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro.backend import resolve_backend
+from repro.backend import NumpyKernels
 from repro.graph.socialgraph import SocialGraph
 from repro.spatial.point import LocationTable
 from repro.utils.rng import make_rng
@@ -127,7 +127,7 @@ def correlated_locations(
     if rho == 0:
         raise ValueError("rho must be non-zero; use permuted_locations for independence")
     rng = make_rng(seed)
-    column = resolve_backend().sssp_column(graph, anchor)
+    column = NumpyKernels().sssp_column(graph, anchor)
     # in Dijkstra settle order — (distance, id) ascending — which is the
     # order the noise and angle draws below have always been dealt in
     finite = {

@@ -6,9 +6,7 @@ diameter is quadratic; the classic *double sweep* gives a tight lower
 bound in a handful of Dijkstra runs and is the standard estimator for
 this purpose.  Because ``P_max`` is only a fixed normalising constant
 shared by every algorithm, a consistent estimate preserves all rankings.
-Each sweep is one ``sssp_column`` kernel call
-(:mod:`repro.backend`, bit-identical on both backends), so the
-estimate does not depend on which one is installed.
+Each sweep is one ``sssp_column`` kernel call (:mod:`repro.backend`).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import math
 
 import numpy as np
 
-from repro.backend import resolve_backend
+from repro.backend import NumpyKernels
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.rng import make_rng
 
@@ -27,7 +25,7 @@ INF = math.inf
 def _farthest(graph: SocialGraph, source: int) -> tuple[int, float]:
     """Reachable vertex maximising distance from ``source`` (ties broken
     by id for determinism)."""
-    column = np.asarray(resolve_backend().sssp_column(graph, source), dtype=np.float64)
+    column = NumpyKernels().sssp_column(graph, source)
     reached = np.where(column == INF, 0.0, column)
     far = int(np.argmax(reached))  # the first vertex at the largest finite distance
     return (far, float(reached[far])) if reached[far] > 0.0 else (source, 0.0)

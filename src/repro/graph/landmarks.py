@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as _np
 
-from repro.backend import resolve_backend
+from repro.backend import NumpyKernels
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.rng import make_rng
 
@@ -35,9 +35,8 @@ LANDMARK_STRATEGIES = ("farthest", "random", "degree")
 def _distance_row(graph: SocialGraph, landmark: int) -> list[float]:
     """Distances from ``landmark`` to every vertex (``inf`` when
     unreachable), as a flat list indexed by vertex id — one
-    ``sssp_column`` kernel call (bit-identical on both backends)."""
-    column = resolve_backend().sssp_column(graph, landmark)
-    return column if isinstance(column, list) else column.tolist()
+    ``sssp_column`` kernel call."""
+    return NumpyKernels().sssp_column(graph, landmark).tolist()
 
 
 def select_landmarks(
@@ -106,6 +105,11 @@ def _select(
     return chosen, [rows[v] for v in chosen]
 
 
+def _matrix(rows: "list[list[float]]", n: int):
+    """``rows`` as one contiguous ``(len(rows), n)`` float64 matrix."""
+    return _np.array(rows, dtype=_np.float64) if rows else _np.empty((0, n))
+
+
 class LandmarkIndex:
     """Pre-computed landmark distance tables with bound queries.
 
@@ -120,7 +124,7 @@ class LandmarkIndex:
     kernels of :mod:`repro.backend` always observe the same numbers.
     """
 
-    __slots__ = ("graph", "landmarks", "dist", "dist_rev", "_matrix", "_matrix_rev")
+    __slots__ = ("graph", "landmarks", "dist", "dist_rev", "matrix")
 
     def __init__(
         self,
@@ -132,36 +136,17 @@ class LandmarkIndex:
         self.landmarks = list(landmarks)
         if rows is None:  # else: the forward rows, already expanded
             rows = [_distance_row(graph, l) for l in self.landmarks]
+        #: the ``(n_landmarks, n_users)`` float64 distance matrix (the
+        #: columnar form of :attr:`dist`, whose rows are views into it)
+        self.matrix = _matrix(rows, graph.n)
         #: distances landmark -> v (== v -> landmark for undirected)
-        self.dist: list = self._adopt_rows(rows, "_matrix", graph.n)
+        self.dist: list = list(self.matrix)
         if graph.directed:
             rev = graph.reverse()
             rev_rows = [_distance_row(rev, l) for l in self.landmarks]
-            self.dist_rev = self._adopt_rows(rev_rows, "_matrix_rev", graph.n)
+            self.dist_rev = list(_matrix(rev_rows, graph.n))
         else:
             self.dist_rev = self.dist
-            self._matrix_rev = self._matrix
-
-    def _adopt_rows(self, rows: list[list[float]], attr: str, n: int) -> list:
-        """Store ``rows`` behind ``attr`` as a contiguous matrix and
-        return per-landmark row *views* of it."""
-        matrix = (
-            _np.array(rows, dtype=_np.float64) if rows else _np.empty((0, n))
-        )
-        setattr(self, attr, matrix)
-        return [matrix[j] for j in range(matrix.shape[0])]
-
-    @property
-    def matrix(self):
-        """The ``(n_landmarks, n_users)`` float64 distance matrix (the
-        columnar form of :attr:`dist`, whose rows are views into it)."""
-        return self._matrix
-
-    @property
-    def matrix_rev(self):
-        """Reverse-orientation matrix (``is matrix`` for undirected
-        graphs)."""
-        return self._matrix_rev
 
     @classmethod
     def build(

@@ -16,7 +16,7 @@ copy, and :mod:`repro.store` writes them and maps them back.
 
 The *incremental* searchers' pure-Python Dijkstra loops (SFA's stream,
 TSA's interleave, AIS's forward search, A*, the bidirectional oracle,
-the CH build, forest-fire sampling and the scalar kernels) settle a few
+the CH build, forest-fire sampling) settle a few
 vertices at a time, and flat Python lists are the fastest random-access
 container for them.  They read :meth:`SocialGraph.list_view`, which the
 graph builds once, on first use — so a process that only runs the array
@@ -112,7 +112,7 @@ class SocialGraph:
         self._reverse: "SocialGraph | None" = None
         #: scipy's sparse-matrix handle over the arrays, built and owned
         #: by the backend kernel that runs full expansions over them
-        #: (:meth:`~repro.backend.base.Kernels.sssp_column`)
+        #: (:meth:`~repro.backend.NumpyKernels.sssp_column`)
         self._csr = None
         #: see :meth:`list_view`
         self._lists: "tuple[list[int], list[int], list[float]] | None" = None

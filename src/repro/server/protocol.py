@@ -66,6 +66,6 @@ def stats_payload(
     payload["engine"] = {
         "kind": type(engine).__name__,
         "users": engine.graph.n,
-        "backend": getattr(getattr(engine, "kernels", None), "name", "unknown"),
+        "backend": engine.kernels.name,
     }
     return payload

@@ -91,17 +91,17 @@ class SocialColumnCache:
     """Byte-bounded LRU of social-distance columns, keyed by query user.
 
         >>> from repro import SocialGraph
-        >>> from repro.backend import PythonKernels
+        >>> from repro.backend import NumpyKernels
         >>> from repro.graph.traversal import DijkstraIterator
         >>> from repro.social import SocialColumnCache
         >>> g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        >>> cache = SocialColumnCache(3, PythonKernels())
+        >>> cache = SocialColumnCache(3, NumpyKernels())
         >>> cache.acquire(0) is None
         True
         >>> it = DijkstraIterator(g, 0)
         >>> _ = it.run_to_completion()
         >>> cache.checkin(0, it)      # exhausted: promoted to a column
-        >>> list(cache.acquire(0))
+        >>> cache.acquire(0).tolist()
         [0.0, 1.0, 2.0]
 
     Thread-safe: every operation holds one internal lock, so concurrent
@@ -120,10 +120,6 @@ class SocialColumnCache:
         self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_bytes > 0
 
     @property
     def column_bytes(self) -> int:

@@ -22,7 +22,7 @@ once.  On a miss a searcher with ``scan()`` (``bounded``,
 one, and the step stores that column; every other searcher opens its
 own expansion and leaves nothing behind.  So every cached column comes
 from the ``sssp_column`` kernel
-(:meth:`repro.backend.base.Kernels.sssp_column`).
+(:meth:`repro.backend.NumpyKernels.sssp_column`).
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ def spatial_column(kernels, rank: RankingFunction, locations, query_user: int):
     return kernels.euclidean_to_point(xs, ys, qx, qy)
 
 
-def _take(column, positions: list) -> list:
-    """``column`` at ``positions`` as plain floats — one gather for an
-    array column, not one scalar indexing per position."""
-    take = getattr(column, "take", None)
-    if take is not None:
-        return take(positions).tolist()
-    return [float(column[u]) for u in positions]
-
-
 def dense_scan(
     kernels,
     rank: RankingFunction,
@@ -83,8 +74,15 @@ def dense_scan(
     scores = kernels.blend(rank.w_social, rank.w_spatial, social_column, d)
     scores[query_user] = INF  # never report the query user
     top = kernels.top_k_by_score(scores, None, k)
+    # one gather per column, as plain floats
     neighbors = list(
-        map(Neighbor, top, _take(scores, top), _take(social_column, top), _take(d, top))
+        map(
+            Neighbor,
+            top,
+            scores.take(top).tolist(),
+            social_column.take(top).tolist(),
+            d.take(top).tolist(),
+        )
     )
     return neighbors, kernels.count_finite(scores)
 

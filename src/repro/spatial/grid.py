@@ -14,6 +14,7 @@ of distances, and border cells are conceptually unbounded outward.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
 import numpy as _np
@@ -21,16 +22,50 @@ import numpy as _np
 from repro.spatial.point import BBox, LocationTable
 
 _EMPTY_IDS = _np.empty(0, dtype=_np.intp)
+_INF = float("inf")
 
 
 def _cell_size(lo: float, hi: float, cells: int) -> float:
     """Extent of one of ``cells`` equal cells over ``[lo, hi]``: finite
-    even when ``hi - lo`` overflows (then each end is divided first),
-    and 1.0 over a zero-extent box."""
+    even when ``hi - lo`` overflows (then each end is divided first; one
+    cell over such a span is as wide as a float goes, and
+    :meth:`UniformGrid.cell_bbox` closes it at the box edge), and 1.0
+    over a zero-extent box."""
     size = (hi - lo) / cells
-    if size == _np.inf:
-        size = hi / cells - lo / cells
+    if size == _INF:
+        size = min(hi / cells - lo / cells, sys.float_info.max)
     return size or 1.0
+
+
+def _offset(value: float, lo: float, size: float) -> float:
+    """``(value - lo) / size``, in cells; when ``value - lo`` overflows
+    (a span past the float range) both sides are halved first."""
+    gap = value - lo
+    if gap == _INF:
+        return (value * 0.5 - lo * 0.5) / (size * 0.5)
+    return gap / size
+
+
+def _edge(lo: float, size: float, i: int) -> float:
+    """``lo + i * size``, the low edge of cell ``i``; when ``i * size``
+    overflows both terms are halved first."""
+    edge = lo + i * size
+    if edge == _INF:
+        return (lo * 0.5 + i * (size * 0.5)) * 2.0
+    return edge
+
+
+def _cells(values, lo: float, size: float, cells: int):
+    """:func:`_offset` over a column, clamped to ``[0, cells)`` and
+    truncated: the cell index of every entry."""
+    # over a subnormal-sized cell an offset divides out to inf: clamped
+    with _np.errstate(over="ignore"):
+        gap = values - lo
+        offsets = gap / size
+    over = _np.isinf(gap)
+    if over.any():
+        offsets[over] = (values[over] * 0.5 - lo * 0.5) / (size * 0.5)
+    return offsets.clip(0, cells - 1).astype(_np.intp)
 
 
 class UniformGrid:
@@ -78,9 +113,8 @@ class UniformGrid:
         grid = cls(locations.bbox(users), resolution)
         box = grid.bbox
         # cell_of, per column: clamp, then truncate toward zero
-        with _np.errstate(over="ignore"):
-            ixs = ((xs[users] - box.minx) / grid.cell_w).clip(0, grid.nx - 1).astype(_np.intp)
-            iys = ((ys[users] - box.miny) / grid.cell_h).clip(0, grid.ny - 1).astype(_np.intp)
+        ixs = _cells(xs[users], box.minx, grid.cell_w, grid.nx)
+        iys = _cells(ys[users], box.miny, grid.cell_h, grid.ny)
         keys = ixs * grid.ny + iys
         order = _np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
@@ -109,15 +143,25 @@ class UniformGrid:
         """Cell coordinates containing point ``(x, y)``, clamped to the
         grid extent.  Clamped before the integer cast: over a
         subnormal-sized cell the offset divides out to ``inf``."""
-        ix = int(min(max((x - self.bbox.minx) / self.cell_w, 0.0), self.nx - 1))
-        iy = int(min(max((y - self.bbox.miny) / self.cell_h, 0.0), self.ny - 1))
+        ix = int(min(max(_offset(x, self.bbox.minx, self.cell_w), 0.0), self.nx - 1))
+        iy = int(min(max(_offset(y, self.bbox.miny, self.cell_h), 0.0), self.ny - 1))
         return ix, iy
 
     def cell_bbox(self, ix: int, iy: int) -> BBox:
-        """Spatial extent of cell ``(ix, iy)``."""
-        minx = self.bbox.minx + ix * self.cell_w
-        miny = self.bbox.miny + iy * self.cell_h
-        return BBox(minx, miny, minx + self.cell_w, miny + self.cell_h)
+        """Spatial extent of cell ``(ix, iy)``.  The last cell on each
+        axis reaches at least the box edge, so every user
+        :meth:`cell_of` puts in a cell lies in its extent (or, clamped,
+        outward of the grid)."""
+        box = self.bbox
+        minx = _edge(box.minx, self.cell_w, ix)
+        miny = _edge(box.miny, self.cell_h, iy)
+        maxx = minx + self.cell_w
+        maxy = miny + self.cell_h
+        if ix == self.nx - 1 and maxx < box.maxx:
+            maxx = box.maxx
+        if iy == self.ny - 1 and maxy < box.maxy:
+            maxy = box.maxy
+        return BBox(minx, miny, maxx, maxy)
 
     def cell_mindist(self, ix: int, iy: int, x: float, y: float) -> float:
         """Lower bound on the distance from ``(x, y)`` to any point in

@@ -49,9 +49,8 @@ class MultiLevelGrid:
         """Index every located user."""
         members = list(locations.located_users())
         grid = cls(locations.bbox(members), s)
-        xs, ys = locations.xs, locations.ys
         for user in members:
-            grid.leaf_grid.insert(user, xs[user], ys[user])
+            grid.leaf_grid.insert(user, *locations.get(user))
         return grid
 
     @classmethod
@@ -90,12 +89,12 @@ class MultiLevelGrid:
                     yield coords
 
     def top_bbox(self, top: tuple[int, int]) -> BBox:
-        g = self.leaf_grid
-        w = g.cell_w * self.s
-        h = g.cell_h * self.s
-        minx = g.bbox.minx + top[0] * w
-        miny = g.bbox.miny + top[1] * h
-        return BBox(minx, miny, minx + w, miny + h)
+        """The extent of top node ``top``: from its first leaf's low
+        corner to its last leaf's high corner."""
+        s = self.s
+        first = self.leaf_grid.cell_bbox(top[0] * s, top[1] * s)
+        last = self.leaf_grid.cell_bbox(top[0] * s + s - 1, top[1] * s + s - 1)
+        return BBox(first.minx, first.miny, last.maxx, last.maxy)
 
     def leaf_bbox(self, leaf: tuple[int, int]) -> BBox:
         return self.leaf_grid.cell_bbox(leaf[0], leaf[1])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.backend import NumpyKernels
 from repro.spatial.grid import UniformGrid
 from repro.spatial.point import LocationTable
 from repro.utils.heaps import MinHeap
@@ -42,10 +43,9 @@ class IncrementalNearestNeighbors:
         Optional externally-owned heap, letting callers aggregate pop
         statistics across search structures.
     kernels:
-        Optional :class:`~repro.backend.base.Kernels` evaluating a
-        popped cell's user distances in one batched call (scalar
-        fallback when omitted); both backends produce bit-identical
-        distances.
+        Optional :class:`~repro.backend.NumpyKernels` evaluating a
+        popped cell's user distances in one batched call (a fresh
+        instance when omitted).
     """
 
     __slots__ = ("grid", "locations", "x", "y", "exclude", "heap", "_ring", "_max_ring", "_exhausted", "count", "cells_opened", "_kernels", "_xs", "_ys")
@@ -60,17 +60,13 @@ class IncrementalNearestNeighbors:
         heap: MinHeap | None = None,
         kernels=None,
     ) -> None:
-        if kernels is None:
-            from repro.backend import resolve_backend
-
-            kernels = resolve_backend("python")
         self.grid = grid
         self.locations = locations
         self.x = x
         self.y = y
         self.exclude = exclude
         self.heap = heap if heap is not None else MinHeap()
-        self._kernels = kernels
+        self._kernels = kernels if kernels is not None else NumpyKernels()
         self._xs, self._ys = locations.columns()
         self._ring = 0
         center = grid.cell_of(x, y)

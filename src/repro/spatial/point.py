@@ -7,17 +7,20 @@ encodes a missing location as ``NaN`` coordinates and reports ``inf``
 distances for it.
 
 Coordinates are stored *columnar*: two contiguous ``float64`` arrays
-indexed by user id, so the vectorized kernels of :mod:`repro.backend`
-can evaluate whole candidate arrays in one call.
+indexed by user id, so the kernels of :mod:`repro.backend` can
+evaluate whole candidate arrays in one call.  A location is two finite
+coordinates or two ``NaN`` ones: a table refuses a half-missing or an
+infinite pair, whichever way it is built.
 
 **One distance primitive.**  Every Euclidean distance in this codebase
 is ``sqrt(dx² + dy²)`` — deliberately *not* ``math.hypot``.  The two
 can differ by 1 ulp, and ``numpy.hypot`` differs from ``math.hypot`` on
 some platforms; ``sqrt``, ``*`` and ``+`` are IEEE-exact operations, so
-the scalar and the vectorized backend produce bit-identical distances
-(and therefore bit-identical rankings and tie-breaks).  All operands
-here are unit-square scale, far from the overflow range ``hypot``
-exists to protect.
+a scalar loop and a vectorized kernel produce bit-identical distances
+(and therefore bit-identical rankings and tie-breaks).  Where
+``hypot`` would rescue a square past the float range, this primitive
+reads ``inf``: a user that far away is infinitely far, the contract
+for an unknown location too.
 """
 
 from __future__ import annotations
@@ -122,6 +125,21 @@ class BBox:
         return BBox(minx, miny, maxx, maxy)
 
 
+def _count_located(xs, ys) -> int:
+    """The number of located users in two coordinate columns; a
+    ``ValueError`` naming the first user whose pair has exactly one
+    ``NaN`` or an infinite coordinate."""
+    missing = _np.isnan(xs)
+    bad = (missing != _np.isnan(ys)) | _np.isinf(xs) | _np.isinf(ys)
+    if bad.any():
+        user = int(_np.argmax(bad))
+        raise ValueError(
+            f"user {user} has location ({xs[user]}, {ys[user]}): a location is two "
+            "finite coordinates, or NaN in both for none"
+        )
+    return int(missing.size - _np.count_nonzero(missing))
+
+
 class LocationTable:
     """Current (last reported) locations for ``n`` users, stored as two
     columnar coordinate arrays.
@@ -151,7 +169,7 @@ class LocationTable:
         #: columnar storage: contiguous float64, NaN = missing
         self.xs = _np.array(xs, dtype=_np.float64)
         self.ys = _np.array(ys, dtype=_np.float64)
-        self._n_located = int(_np.count_nonzero(~_np.isnan(self.xs)))
+        self._n_located = _count_located(self.xs, self.ys)
 
     # -- construction -------------------------------------------------
 
@@ -174,15 +192,16 @@ class LocationTable:
         columns are memory-mapped (copy-on-write) ``.npy`` files and a
         copy would defeat the point of mmap.
 
-        The caller guarantees dtype/contiguity (``np.load`` does);
-        only the shape agreement is checked here.
+        The caller guarantees dtype/contiguity (``np.load`` does); the
+        shape agreement and the pairs are checked here, as the
+        constructor checks them.
         """
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
         table = object.__new__(cls)
+        table._n_located = _count_located(xs, ys)
         table.xs = xs
         table.ys = ys
-        table._n_located = int(_np.count_nonzero(~_np.isnan(xs)))
         return table
 
     @classmethod
@@ -238,22 +257,24 @@ class LocationTable:
 
     def distance(self, u: int, v: int) -> float:
         """Euclidean distance between users ``u`` and ``v``; ``inf`` if
-        either location is unknown."""
-        ux = self.xs[u]
-        vx = self.xs[v]
+        either location is unknown.  Python floats, not NumPy scalars:
+        a distance past the float range is ``inf`` without a warning."""
+        xs = self.xs
+        ux = xs.item(u)
+        vx = xs.item(v)
         if ux != ux or vx != vx:
             return INF
         dx = ux - vx
-        dy = self.ys[u] - self.ys[v]
+        dy = self.ys.item(u) - self.ys.item(v)
         return _sqrt(dx * dx + dy * dy)
 
     def distance_to(self, u: int, x: float, y: float) -> float:
         """Distance from user ``u`` to an explicit point."""
-        ux = self.xs[u]
+        ux = self.xs.item(u)
         if ux != ux:
             return INF
         dx = ux - x
-        dy = self.ys[u] - y
+        dy = self.ys.item(u) - y
         return _sqrt(dx * dx + dy * dy)
 
     def bbox(self, users: Iterable[int] | None = None) -> BBox:
@@ -286,9 +307,12 @@ class LocationTable:
     # -- mutation ------------------------------------------------------
 
     def set(self, user: int, x: float, y: float) -> None:
-        """Set/overwrite the location of ``user``."""
+        """Set/overwrite the location of ``user`` (two finite
+        coordinates)."""
         if x != x or y != y:
             raise ValueError("use clear() to remove a location, not NaN")
+        if math.isinf(x) or math.isinf(y):
+            raise ValueError(f"a location must be finite, got ({x}, {y})")
         if not self.has_location(user):
             self._n_located += 1
         self.xs[user] = x

@@ -13,8 +13,8 @@ A snapshot holds the data, not the indexes.  What goes to disk is:
 
 plus a manifest carrying the format version, a sha256 per column and
 the engine config: ``n``, ``directed``, ``num_edges``, ``s``, ``seed``,
-``num_landmarks``, ``landmark_strategy``, ``backend`` and the
-alpha-normalisation constants.  Snapshots of the retired sharded engine
+``num_landmarks``, ``landmark_strategy`` and the alpha-normalisation
+constants.  Snapshots of the retired sharded engine
 kind (``kind: "sharded"``) no longer load: :func:`load_engine` raises
 :class:`~repro.store.StoreError` for them.
 
@@ -84,7 +84,6 @@ def _write_engine(engine, tmp: Path) -> dict:
         "seed": engine.seed,
         "num_landmarks": engine.num_landmarks,
         "landmark_strategy": engine.landmark_strategy,
-        "backend": engine.backend,
         "normalization": {"p_max": norm.p_max, "d_max": norm.d_max},
     }
     return {"kind": "engine", "config": config, "columns": columns}
@@ -169,9 +168,11 @@ def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
 
 def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
     """Config keys older writers added and nothing reads any more
-    (``index_users``, ``default_t``, the ``sketch`` section, version
-    1's ``landmarks`` and ``grid_bbox``) and their columns are ignored,
-    so their snapshots load unchanged."""
+    (``index_users``, ``default_t``, ``backend``, the ``sketch``
+    section, version 1's ``landmarks`` and ``grid_bbox``) and their
+    columns are ignored, so their snapshots load unchanged: a snapshot
+    that names the retired scalar backend loads onto the one backend
+    there is."""
     from repro.core.engine import GeoSocialEngine
     from repro.core.ranking import Normalization
     from repro.graph.socialgraph import SocialGraph
@@ -217,7 +218,6 @@ def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
             else config["num_landmarks"]
         ),
         landmark_strategy=config["landmark_strategy"],
-        backend=config["backend"],
     )
 
 

@@ -18,7 +18,7 @@ update stream.
   :meth:`SubscriptionRegistry.flush`), so a burst of moves costs one
   repair pass, not one per move.  Repairs re-score exactly the moved
   users — stored social distances, one
-  :meth:`~repro.backend.base.Kernels.euclidean_to_point` call for the
+  :meth:`~repro.backend.NumpyKernels.euclidean_to_point` call for the
   spatial column, a :class:`~repro.core.result.TopKBuffer` rebuild —
   and escalate to a recompute the moment the safe condition fails.
   This is the only layer that repairs: the result cache keeps an entry

@@ -1,5 +1,7 @@
-"""Unit contracts of the data-plane kernels, parametrized over both
-backends, plus the columnar regression pins of the refactor:
+"""Unit contracts of the data-plane kernels, each run on
+:class:`~repro.backend.NumpyKernels` and on its scalar reference
+(``tests/scalar_kernels.py``), plus the columnar regression pins of the
+refactor:
 
 - ``LocationTable.bbox`` runs as one vectorized nanmin/nanmax pass;
 - ``LocationTable.from_columns`` accepts lists, tuples and arrays
@@ -9,25 +11,28 @@ backends, plus the columnar regression pins of the refactor:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.backend import PythonKernels, available_backends, resolve_backend
+from repro.backend import NumpyKernels
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.bounds import social_lower_bound_vertex
 from repro.spatial.point import LocationTable
+from tests.scalar_kernels import PythonKernels
 
 INF = math.inf
 NAN = math.nan
 
-BACKENDS = ["python", "numpy"]
+#: the kernels under test and their scalar reference
+KERNELS = {"python": PythonKernels, "numpy": NumpyKernels}
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=list(KERNELS))
 def kernels(request):
-    return resolve_backend(request.param)
+    return KERNELS[request.param]()
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +68,25 @@ class TestEuclideanKernel:
     def test_half_located_coordinate_yields_inf(self, kernels):
         # LocationTable never stores (finite, NaN) pairs, but the kernel
         # contract is per-coordinate: any NaN on either axis means
-        # "infinitely far", identically on both backends.
+        # "infinitely far", on the kernels and their reference alike.
         xs = [0.3, NAN, 0.5]
         ys = [NAN, 0.2, 0.5]
         out = kernels.euclidean_to_point(xs, ys, 0.5, 0.5, [0, 1, 2])
         assert [float(v) for v in out] == [INF, INF, 0.0]
         out = kernels.euclidean_to_point(xs, ys, 0.5, 0.5)
         assert [float(v) for v in out] == [INF, INF, 0.0]
+
+    def test_a_distance_past_the_float_range_is_inf_without_a_warning(self, kernels):
+        # a move accepts any finite coordinate; dx² or dx itself
+        # overflows, and "infinitely far" is the contract, not a
+        # RuntimeWarning (subnormal squares underflow to 0 quietly)
+        xs, ys = [-1e308, 5e-324, 1e308], [0.0, -5e-324, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernels.euclidean_to_point(xs, ys, 0.0, 0.0)
+            far = kernels.euclidean_to_point(xs, ys, 1e308, 0.0, [0])
+        assert [float(v) for v in out] == [INF, 0.0, INF]
+        assert [float(v) for v in far] == [INF]
 
 
 class TestAltBoundKernel:
@@ -173,7 +190,7 @@ def test_whole_table_scan_builds_no_id_array(monkeypatch):
         assert not isinstance(obj, range), "an O(n) id array was built"
         return real(obj, *args, **kwargs)
 
-    kernels = resolve_backend("numpy")
+    kernels = NumpyKernels()
     n = 64
     scores = real([(i * 7 % 13) / 13.0 for i in range(n)], dtype=np.float64)
     want = kernels.top_k_by_score(scores, list(range(n)), 9)
@@ -218,25 +235,6 @@ class TestEnvelopeKernels:
         column = kernels.dense_from_dict(4, {1: 2.0, 3: 0.5}, INF)
         assert [float(v) for v in column] == [INF, 2.0, INF, 0.5]
         assert kernels.count_finite(column) == 2
-
-
-class TestResolveBackend:
-    def test_available_backends_lists_python(self):
-        assert "python" in available_backends()
-
-    def test_default_prefers_numpy_when_present(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend("auto").name == "numpy"
-
-    def test_rejects_unknown_names_and_types(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-        with pytest.raises(TypeError):
-            resolve_backend(42)
-
-    def test_passthrough_instance(self):
-        kernels = PythonKernels()
-        assert resolve_backend(kernels) is kernels
 
 
 class TestColumnarRegressions:

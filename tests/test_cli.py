@@ -3,9 +3,8 @@
 Outputs are asserted *relationally* rather than against frozen float
 literals: the same rows must render through every format, and the
 rendered values must equal what the engine itself returns — so the
-suite stays meaningful under both kernel backends (whose floats can
-legitimately differ at the last ulp) while still pinning the exact
-output contract (headers, column order, row order, value formatting).
+suite pins the exact output contract (headers, column order, row
+order, value formatting) without freezing any float.
 """
 
 from __future__ import annotations

@@ -141,11 +141,9 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch, tmp_
 
 
 def test_a_served_graph_holds_one_csr(dataset):
-    """On the NumPy backend an engine build plus interior ``auto``
-    queries run on the graph's arrays alone: the Python list view is
-    never built and scipy's handle aliases the arrays.  Where the scalar
-    expansion runs (``REPRO_BACKEND=python``) the view is built once, by
-    the engine build, and kept."""
+    """An engine build plus interior ``auto`` queries run on the graph's
+    arrays alone: the Python list view is never built and scipy's handle
+    aliases the arrays."""
     # a fresh graph over the shared arrays: other tests here build the
     # fixture graph's list view
     graph = SocialGraph.from_csr(
@@ -153,19 +151,16 @@ def test_a_served_graph_holds_one_csr(dataset):
     )
     engine = GeoSocialEngine(graph, dataset.locations.copy())
     try:
-        arrays_only = engine.backend == "numpy"
-        built = graph._lists
-        assert (built is None) == arrays_only
+        assert graph._lists is None
         rng = random.Random(5)
         for user in rng.sample(engine.located_users(), 40):
             result = engine.query(user, k=10, alpha=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
             assert result.method == "bounded"
-            assert graph._lists is built
-        if arrays_only:
-            handle = graph._csr
-            for mine, scipys in ((graph.indptr, handle.indptr), (graph.nbrs, handle.indices),
-                                 (graph.wts, handle.data)):
-                assert np.shares_memory(mine, scipys)
+            assert graph._lists is None
+        handle = graph._csr
+        for mine, scipys in ((graph.indptr, handle.indptr), (graph.nbrs, handle.indices),
+                             (graph.wts, handle.data)):
+            assert np.shares_memory(mine, scipys)
     finally:
         engine.close()
 

@@ -1,10 +1,11 @@
 """The social column cache holds one kind of entry: a dense full column.
 
 A scripted mix of every served method plus ``auto`` — endpoint and
-mixed alphas, repeats, and an unlocated query user — runs on each
-kernel leg (scalar python, numpy over scipy).  After every query the
-cache must hold only dense columns (``bytes_used == len(cache) * 8 *
-n``), and every answer equals the cache-free bruteforce reference.
+mixed alphas, repeats, and an unlocated query user — runs against each
+reference (the scalar Definition 1 model of ``tests/model.py``, the
+cache-free bruteforce searcher).  After every query the cache must hold
+only dense columns (``bytes_used == len(cache) * 8 * n``), and every
+answer equals the reference.
 Everything asserted is a count, never a wall time.
 """
 
@@ -14,18 +15,27 @@ import pytest
 
 from repro.core.engine import METHODS, GeoSocialEngine
 from repro.plan.rules import METHOD_TABLE
-from tests.conftest import assert_same_scores, random_instance
+from tests.conftest import random_instance
+from tests.model import Model
 
 ALPHAS = (0.0, 0.3, 1.0)
 N = 120
 
 
-@pytest.fixture(params=["python", "numpy"])
-def engine(request):
+@pytest.fixture
+def engine():
     graph, locations = random_instance(N, seed=41, coverage=0.8, avg_degree=4.0)
-    return GeoSocialEngine(
-        graph, locations, num_landmarks=3, s=4, seed=3, backend=request.param
-    )
+    return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+
+
+@pytest.fixture(params=["python", "numpy"])
+def reference(request, engine):
+    """``(user, k, alpha)`` -> the rows every answer must equal: the
+    model's ("python") or the cache-free bruteforce searcher's
+    ("numpy")."""
+    if request.param == "python":
+        return Model.of_engine(engine).rows
+    return lambda user, k, alpha: fingerprint(engine.searcher("bruteforce").search(user, k, alpha))
 
 
 def fingerprint(result):
@@ -40,15 +50,16 @@ def assert_dense_columns_only(engine):
     assert info["entries"] == len(cache)
 
 
-def assert_matches_bruteforce(engine, method, result, user, k, alpha):
-    reference = engine.searcher("bruteforce").search(user, k, alpha)
+def assert_matches(want, method, result, user, alpha):
+    got = fingerprint(result)
     if METHOD_TABLE[result.method].forward:
-        assert fingerprint(result) == fingerprint(reference), (method, user, alpha)
+        assert got == want, (method, user, alpha)
     else:  # AIS: bidirectional evaluation may differ in the last ulp
-        assert_same_scores(reference, result)
+        assert [r[0] for r in got] == [r[0] for r in want], (method, user, alpha)
+        assert all(abs(a[1] - b[1]) <= 1e-9 for a, b in zip(got, want)), (method, user, alpha)
 
 
-def test_scripted_mix_keeps_only_dense_columns_and_exact_answers(engine):
+def test_scripted_mix_keeps_only_dense_columns_and_exact_answers(engine, reference):
     located = sorted(engine.locations.located_users())
     unlocated = next(u for u in range(N) if engine.locations.get(u) is None)
     users = located[:3] + [unlocated]
@@ -62,7 +73,7 @@ def test_scripted_mix_keeps_only_dense_columns_and_exact_answers(engine):
                         assert user == unlocated and alpha < 1.0, error
                         assert "no known location" in str(error)
                         continue
-                    assert_matches_bruteforce(engine, method, result, user, k, alpha)
+                    assert_matches(reference(user, k, alpha), method, result, user, alpha)
                     assert_dense_columns_only(engine)
     stats = engine.social_cache.stats
     assert stats.hits > 0 and stats.misses > 0 and len(engine.social_cache) > 0

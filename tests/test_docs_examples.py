@@ -34,7 +34,6 @@ DOC_FILES = [
 DOCUMENTED_MODULES = [
     "repro",
     "repro.backend",
-    "repro.backend.base",
     "repro.backend.numpy_backend",
     "repro.core.engine",
     "repro.core.searcher",

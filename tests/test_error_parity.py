@@ -522,7 +522,6 @@ def test_a_k_past_the_float_range_answers_on_a_cold_user(engine, client):
     assert reply["result"]["users"] == engine.query(user, HUGE, 0.3, "bruteforce").users
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_moves_past_the_grid_span_answer_at_alpha_zero():
     """Two accepted moves to x = ∓1e308 overflow the grid's span, and
     the first α = 0 query used to die in ``cell_of`` on a NaN: a

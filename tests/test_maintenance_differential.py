@@ -25,8 +25,7 @@ still ``cached`` — and every answer equals bruteforce over the
 *served* edge set; after it every answer equals a fresh engine over
 ``SocialGraph.from_edges`` of the model's edge set.
 
-Same derandomized Hypothesis profile as the stream suite; CI runs the
-file under ``REPRO_BACKEND=python`` and ``=numpy``.  The file also
+Same derandomized Hypothesis profile as the stream suite.  The file also
 pins the one case where the two pre-unification rules differed, and
 guards that the rule stays written once.
 """

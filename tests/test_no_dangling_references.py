@@ -14,7 +14,7 @@ Structural pins for the bench estate after it was folded into
   ``budget``, ``error_bound``) is named nowhere a reader would follow
   it, and neither are the deleted engine duplicates (``engine.save``,
   ``GeoSocialEngine.load``, ``engine.query_many``, the service-level
-  ``social_cache_bytes``).
+  ``social_cache_bytes``), nor the retired scalar backend switch.
 """
 
 from __future__ import annotations
@@ -139,5 +139,15 @@ def test_the_deleted_engine_entry_points_are_named_nowhere():
     CI workflow and the verify skill name none of the deleted
     duplicates."""
     retired = r"[Ee]ngine\.(?:save|load|query_many)\b|QueryService\([^)]*social_cache_bytes="
+    homes = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
+    assert _scan(retired, [ROOT / home for home in homes]) == {}
+
+
+def test_the_scalar_backend_switch_is_named_nowhere():
+    """NumPy is the one runtime backend: the README, the docs, the
+    examples, the CI workflow and the verify skill name no backend
+    selector, no environment switch and no scalar kernels class (the
+    scalar reference lives in ``tests/`` as a test oracle)."""
+    retired = r"REPRO_BACKEND|resolve_backend|PythonKernels|backend="
     homes = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
     assert _scan(retired, [ROOT / home for home in homes]) == {}

@@ -11,8 +11,9 @@ shared smaller-id tie-break).
 
 Pinned here across the whole stack:
 
-- both backends (``python`` and ``numpy`` kernels), and both paths of
-  the rule,
+- against two references — the engine's own ``bruteforce``, and the
+  scalar Definition 1 model of ``tests/model.py`` kept in step with
+  every update — and both paths of the rule,
 - interleaved location updates (moves and forgets),
 - the cached service path (question-keyed cache lines), and
 - ``rebuild_engine`` (the planner instance survives the swap; results
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 from repro.core.engine import AUTO, GeoSocialEngine
 from repro.service import QueryRequest, QueryService
 from tests.conftest import random_instance
+from tests.model import Model
 
 settings.register_profile(
     "plan-ci",
@@ -43,33 +45,34 @@ settings.register_profile(
 )
 PLAN_CI = settings.get_profile("plan-ci")
 
-BACKENDS = ("python", "numpy")
+#: the reference ``auto`` must equal: the scalar Definition 1 model
+#: ("python") or the engine's ``bruteforce`` ("numpy")
+REFERENCES = ("python", "numpy")
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 STEPS = 8
 
 
-def build_engine(graph, locations, backend):
-    return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3, backend=backend)
+def build_engine(graph, locations):
+    return GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+
+
+def rows(result):
+    return [(nb.user, nb.score, nb.social, nb.spatial) for nb in result]
 
 
 def assert_bit_identical(auto, brute, context):
-    ids_a = [nb.user for nb in auto]
-    ids_b = [nb.user for nb in brute]
-    assert ids_a == ids_b, f"{context}: ranking differs: {ids_a} vs {ids_b}"
-    assert [nb.score for nb in auto] == [nb.score for nb in brute], (
-        f"{context} ({auto.method}): scores not bit-identical:\n"
-        f"{[nb.score for nb in auto]}\n{[nb.score for nb in brute]}"
-    )
-    assert [nb.social for nb in auto] == [nb.social for nb in brute], context
-    assert [nb.spatial for nb in auto] == [nb.spatial for nb in brute], context
+    got = rows(auto)
+    assert [r[0] for r in got] == [r[0] for r in brute], f"{context}: ranking differs"
+    assert got == brute, f"{context} ({auto.method}): not bit-identical:\n{got}\n{brute}"
 
 
-def verify_queries(engine, users, rng, context, picked):
+def verify_queries(engine, reference, users, rng, context, picked):
+    """``reference(user, k, alpha)``: the rows every answer must equal."""
     for user in users:
         k = rng.choice((1, 3, 8))
         alpha = rng.choice(ALPHAS)
         try:
-            brute = engine.query(user, k, alpha, "bruteforce")
+            brute = reference(user, k, alpha)
         except ValueError as err:
             # Unlocated query user: one rule for every method, auto too
             assert "no known location" in str(err)
@@ -92,8 +95,8 @@ def verify_queries(engine, users, rng, context, picked):
         assert_bit_identical(bounded, brute, f"{context} bounded u={user} k={k} a={alpha}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_auto_equals_bruteforce_under_interleaved_updates(backend):
+@pytest.mark.parametrize("leg", REFERENCES)
+def test_auto_equals_bruteforce_under_interleaved_updates(leg):
     picked = set()  # the paths interior-alpha ``auto`` took, over all examples
 
     @PLAN_CI
@@ -106,17 +109,26 @@ def test_auto_equals_bruteforce_under_interleaved_updates(backend):
         graph, locations = random_instance(n, seed=seed, coverage=coverage)
         if locations.n_located == 0:
             locations.set(0, 0.5, 0.5)
-        engine = build_engine(graph, locations, backend)
+        engine = build_engine(graph, locations)
+        model = Model.of_engine(engine)
+        if leg == "python":
+            reference = model.rows
+        else:
+            def reference(user, k, alpha):
+                return rows(engine.query(user, k, alpha, "bruteforce"))
         rng = random.Random(seed + n)
         users = [u for u in locations.located_users()][:3] or [0]
-        verify_queries(engine, users, rng, f"initial b={backend}", picked)
+        verify_queries(engine, reference, users, rng, f"initial {leg}", picked)
         for step in range(STEPS):
             mover = rng.randrange(graph.n)
             if rng.random() < 0.2 and engine.locations.has_location(mover):
                 engine.forget_location(mover)
+                del model.locations[mover]
             else:
-                engine.move_user(mover, rng.random(), rng.random())
-            verify_queries(engine, users, rng, f"step={step} b={backend}", picked)
+                x, y = rng.random(), rng.random()
+                engine.move_user(mover, x, y)
+                model.locations[mover] = (x, y)
+            verify_queries(engine, reference, users, rng, f"step={step} {leg}", picked)
 
     property_case()
     # both paths of the rule really ran
@@ -128,7 +140,7 @@ def test_auto_equals_bruteforce_through_cached_service_and_rebuild():
     invalidation, then an edge update + ``rebuild_engine`` swap — auto
     responses stay bit-identical to fresh bruteforce at every point."""
     graph, locations = random_instance(90, seed=21, coverage=0.85)
-    engine = build_engine(graph, locations, "auto")
+    engine = build_engine(graph, locations)
     service = QueryService(engine, cache_size=64)
     rng = random.Random(77)
     users = [u for u in locations.located_users()][:4]
@@ -139,7 +151,7 @@ def test_auto_equals_bruteforce_through_cached_service_and_rebuild():
                 response = service.query(
                     QueryRequest(user=user, k=5, alpha=alpha, method=AUTO)
                 )
-                brute = service.engine.query(user, 5, alpha, "bruteforce")
+                brute = rows(service.engine.query(user, 5, alpha, "bruteforce"))
                 assert_bit_identical(
                     response.result, brute, f"service r={round_no} u={user} a={alpha}"
                 )
@@ -155,7 +167,7 @@ def test_auto_equals_bruteforce_through_cached_service_and_rebuild():
         assert new_engine.planner is planner  # its counters survive the swap
         for user in users:
             response = service.query(QueryRequest(user=user, k=5, alpha=0.5, method=AUTO))
-            brute = new_engine.query(user, 5, 0.5, "bruteforce")
+            brute = rows(new_engine.query(user, 5, 0.5, "bruteforce"))
             assert_bit_identical(response.result, brute, f"post-rebuild u={user}")
     finally:
         service.close()

@@ -69,6 +69,24 @@ def test_the_engine_surface_has_one_home_per_operation():
     assert "social_cache_bytes" not in inspect.signature(QueryService.__init__).parameters
 
 
+def test_one_backend_and_no_selector(monkeypatch):
+    """NumPy is the one backend: ``repro`` exports no backend selector,
+    ``repro.backend`` exports only ``NumpyKernels``, the engine takes no
+    ``backend=`` and every engine runs ``NumpyKernels``, whatever the
+    environment says."""
+    monkeypatch.setenv("REPRO_BACKEND", "python")
+    import repro.backend
+    from repro import GeoSocialEngine, gowalla_like
+    from repro.backend import NumpyKernels
+
+    assert not [name for name in repro.__all__ if "backend" in name.lower()]
+    assert not hasattr(repro, "resolve_backend")
+    assert repro.backend.__all__ == ["NumpyKernels"]
+    assert "backend" not in inspect.signature(GeoSocialEngine.__init__).parameters
+    engine = GeoSocialEngine.from_dataset(gowalla_like(n=60, seed=1))
+    assert type(engine.kernels) is NumpyKernels and not hasattr(engine, "backend")
+
+
 def test_methods_constant_documented_in_engine():
     from repro.core.engine import METHODS, GeoSocialEngine
 

@@ -8,9 +8,6 @@ second, cache-free ``QueryService`` over the *same* engine.  Equality
 is exact dict equality (ids, float scores via repr round-tripping,
 tie-break order, ``result.method``), not approximate: the serving
 boundary is not allowed to perturb the paper's rankings in any way.
-
-The suite runs under both kernel backends via the CI matrix
-(``REPRO_BACKEND=python`` / ``numpy``).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The :class:`~repro.social.SocialColumnCache` is a pure performance
 layer — every answer produced through a cached column must be
 **bit-identical** to the cold computation, for every
 forward-deterministic method, at every alpha (endpoints
-included), on both kernel backends, through engine rebuilds and
-interleaved location/edge updates.  The
+included), and equal to the scalar Definition 1 model of
+``tests/model.py``, through engine rebuilds and interleaved
+location/edge updates.  The
 poisoned-column canary additionally pins that cached columns are
 *actually consulted* (reuse is observable) and that an edge update
 *strictly* invalidates them while location moves never do — the
@@ -18,7 +19,7 @@ import math
 
 import pytest
 
-from repro.backend import resolve_backend
+from repro.backend import NumpyKernels
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS, GeoSocialEngine
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
@@ -26,19 +27,16 @@ from repro.service import QueryRequest, QueryService
 from repro.social import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
+from tests.model import Model
 
 INF = math.inf
 
 METHODS = tuple(sorted(FORWARD_DETERMINISTIC_METHODS))
 ALPHAS = (0.0, 0.3, 0.5, 1.0)
 
-BACKENDS = ["python"]
-try:  # numpy leg runs wherever the vectorized backend is available
-    import numpy  # noqa: F401
-
-    BACKENDS.append("numpy")
-except ImportError:  # pragma: no cover - numpy is a test dependency in CI
-    pass
+#: what a warm engine's answers are checked against: the scalar
+#: Definition 1 model ("python") or a cache-disabled engine ("numpy")
+REFERENCES = ("python", "numpy")
 
 
 def fingerprint(result):
@@ -47,14 +45,26 @@ def fingerprint(result):
     return [(nb.user, nb.score, nb.social, nb.spatial) for nb in result.neighbors]
 
 
-def build_engine(backend: str, cache_bytes: "int | None", *,
+def build_engine(cache_bytes: "int | None", *,
                  n: int = 130, seed: int = 13, coverage: float = 0.85):
     graph, locations = random_instance(n, seed=seed, coverage=coverage)
     if locations.n_located == 0:
         locations.set(0, 0.5, 0.5)
     return GeoSocialEngine(
-        graph, locations, num_landmarks=3, s=4, seed=5, backend=backend,
-        social_cache_bytes=cache_bytes,
+        graph, locations, num_landmarks=3, s=4, seed=5, social_cache_bytes=cache_bytes
+    )
+
+
+def reference(leg: str, engine):
+    """``answer(user, k, alpha, method)`` -> the fingerprint ``engine``
+    must reproduce: the model's rows of the data ``engine`` serves, or a
+    cache-disabled engine's answer over the same data."""
+    if leg == "python":
+        model = Model.of_engine(engine)
+        return lambda user, k, alpha, method: model.rows(user, k, alpha)
+    cold = build_engine(0)
+    return lambda user, k, alpha, method: fingerprint(
+        cold.query(user, k=k, alpha=alpha, method=method)
     )
 
 
@@ -66,22 +76,21 @@ def query_users(engine, count: int = 3):
 # -- warm == cold, everywhere ------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cached_results_bit_identical_to_cold(backend):
+@pytest.mark.parametrize("leg", REFERENCES)
+def test_cached_results_bit_identical_to_cold(leg):
     """Three passes over methods x alphas x users: pass 0 populates the
     cache, passes 1-2 answer from full columns — every result must be
-    bit-identical to a cache-disabled engine's."""
-    warm = build_engine(backend, None)
-    cold = build_engine(backend, 0)
+    bit-identical to a cache-disabled engine's, and to the model's."""
+    warm = build_engine(None)
+    want = reference(leg, warm)
     users = query_users(warm)
     for rep in range(3):
         for user in users:
             for method in METHODS:
                 for alpha in ALPHAS:
                     got = warm.query(user, k=7, alpha=alpha, method=method)
-                    ref = cold.query(user, k=7, alpha=alpha, method=method)
-                    assert fingerprint(got) == fingerprint(ref), (
-                        f"rep={rep} user={user} {method}@{alpha} backend={backend}"
+                    assert fingerprint(got) == want(user, 7, alpha, method), (
+                        f"rep={rep} user={user} {method}@{alpha} against {leg}"
                     )
     cache = warm.social_cache
     assert cache is not None
@@ -89,26 +98,25 @@ def test_cached_results_bit_identical_to_cold(backend):
     assert info["hits"] > 0, "warm passes never hit the cache"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", REFERENCES)
 @pytest.mark.parametrize(
     "seed_method,seed_alpha", [("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5)]
 )
-def test_partial_resume_paths_bit_identical(backend, seed_method, seed_alpha):
+def test_partial_resume_paths_bit_identical(leg, seed_method, seed_alpha):
     """An early-terminating searcher's expansion is never kept, so the
     query that needs more of the same user's distances starts fresh.
     Seed via each early-terminating method, then drive every method
     over the same user."""
-    warm = build_engine(backend, None)
-    cold = build_engine(backend, 0)
+    warm = build_engine(None)
+    want = reference(leg, warm)
     user = query_users(warm)[0]
     warm.query(user, k=3, alpha=seed_alpha, method=seed_method)
     assert warm.social_cache.info()["entries"] == 0
     for method in METHODS:
         for alpha in ALPHAS:
             got = warm.query(user, k=7, alpha=alpha, method=method)
-            ref = cold.query(user, k=7, alpha=alpha, method=method)
-            assert fingerprint(got) == fingerprint(ref), (
-                f"seed={seed_method}@{seed_alpha} then {method}@{alpha}"
+            assert fingerprint(got) == want(user, 7, alpha, method), (
+                f"seed={seed_method}@{seed_alpha} then {method}@{alpha} against {leg}"
             )
     assert warm.social_cache.info()["hits"] >= 1
 
@@ -124,8 +132,8 @@ def test_column_step_miss_then_resume_then_full_hit(method, alpha):
     """The miss / fresh-restart / full-hit outcomes of the pipeline's
     column step, driven through ``engine.query`` for each searcher —
     with the cache counters and the bit-identity both pinned."""
-    warm = build_engine("python", None)
-    cold = build_engine("python", 0)
+    warm = build_engine(None)
+    cold = build_engine(0)
     cache = warm.social_cache
     user = query_users(warm)[0]
     ref = fingerprint(cold.query(user, k=4, alpha=alpha, method=method))
@@ -178,8 +186,8 @@ def test_a_miss_stores_only_a_kernel_column(method, alpha):
     """A miss on an incremental searcher stores nothing, even when its
     expansion ran dry (``k = n``); a bruteforce miss stores the column
     its ``sssp_column`` call built, and the repeat scans it."""
-    engine = build_engine("python", None)
-    cold = build_engine("python", 0)
+    engine = build_engine(None)
+    cold = build_engine(0)
     cache = engine.social_cache
     user = query_users(engine)[0]
     request = QueryRequest(user, k=engine.graph.n, alpha=alpha, method=method)
@@ -187,7 +195,8 @@ def test_a_miss_stores_only_a_kernel_column(method, alpha):
     assert fingerprint(first) == fingerprint(cold.query(request))
     assert "social_column_hits" not in first.stats.extra
     if method == "bruteforce":
-        assert list(cache.peek_full(user)) == engine.kernels.sssp_column(engine.graph, user)
+        column = engine.kernels.sssp_column(engine.graph, user)
+        assert cache.peek_full(user).tolist() == column.tolist()
         again = engine.query(request)
         assert again.stats.extra["social_column_hits"] == 1
         assert fingerprint(again) == fingerprint(first)
@@ -201,7 +210,7 @@ def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
     unlocated query user below ``alpha == 1`` (the engine raises before
     the step): the searcher opens its own stream (or nothing runs) and
     no counter moves."""
-    engine = build_engine("python", None)
+    engine = build_engine(None)
     cache = engine.social_cache
     user = query_users(engine)[0]
     unlocated = next(u for u in range(engine.graph.n) if engine.locations.get(u) is None)
@@ -224,8 +233,8 @@ def test_interleaved_moves_and_edge_updates_stay_exact():
     is immutable until the rebuild, whose engine starts from an empty
     one) stay bit-identical to a cold engine driven through the
     identical update sequence."""
-    warm = build_engine("python", None)
-    cold = build_engine("python", 0)
+    warm = build_engine(None)
+    cold = build_engine(0)
     warm_service = QueryService(warm, cache_size=0)
     cold_service = QueryService(cold, cache_size=0)
     try:
@@ -274,10 +283,10 @@ def test_poisoned_column_canary():
     consulted — then pin the invalidation semantics: neither a
     location move nor a recorded edge update touches the column, and
     the rebuild that folds the edge in serves from a fresh cache."""
-    engine = build_engine("python", None)
+    engine = build_engine(None)
     service = QueryService(engine, cache_size=0)
     try:
-        cold = build_engine("python", 0)
+        cold = build_engine(0)
         user = query_users(engine)[0]
         baseline = fingerprint(engine.query(user, k=5, alpha=1.0, method="sfa"))
         # bruteforce at a social-bearing alpha caches the full column
@@ -323,14 +332,14 @@ def test_poisoned_column_canary():
 # -- same-user batches --------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fused_query_many_matches_sequential_engine_queries(backend):
+@pytest.mark.parametrize("leg", REFERENCES)
+def test_fused_query_many_matches_sequential_engine_queries(leg):
     """Distinct (k, alpha) variants for one user share its social
     column through the engine's column step; every response must be
     bit-identical to a sequential engine.query loop on a
-    cache-disabled engine."""
-    engine = build_engine(backend, None)
-    cold = build_engine(backend, 0)
+    cache-disabled engine, and to the model's answer."""
+    engine = build_engine(None)
+    want = reference(leg, engine)
     service = QueryService(engine, max_workers=2, cache_size=0)
     try:
         u1, u2, u3 = query_users(engine)
@@ -343,8 +352,7 @@ def test_fused_query_many_matches_sequential_engine_queries(backend):
                 batch.append(QueryRequest(user=user, k=k, alpha=alpha, method=method))
         responses = service.query_many(batch)
         for req, resp in zip(batch, responses):
-            ref = cold.query(req.user, k=req.k, alpha=req.alpha, method=req.method)
-            assert fingerprint(resp.result) == fingerprint(ref), req
+            assert fingerprint(resp.result) == want(req.user, req.k, req.alpha, req.method), req
         assert sum(1 for r in responses if r.deduplicated) > 0
     finally:
         service.close()
@@ -355,7 +363,7 @@ def test_fusion_skips_planner_and_unlocated_spatial_requests():
     ``alpha == 1`` raises the engine's error, ``auto`` requests are
     resolved once each, and pure-social queries answer unlocated users
     exactly as a cold engine does."""
-    engine = build_engine("python", None)
+    engine = build_engine(None)
     service = QueryService(engine, max_workers=1, cache_size=0)
     try:
         unlocated = next(
@@ -385,7 +393,7 @@ def test_fusion_skips_planner_and_unlocated_spatial_requests():
                 QueryRequest(user=unlocated, k=5, alpha=1.0, method="bruteforce"),
             ]
         )
-        cold = build_engine("python", 0)
+        cold = build_engine(0)
         assert fingerprint(responses[0].result) == fingerprint(
             cold.query(unlocated, k=3, alpha=1.0, method="sfa")
         )
@@ -405,7 +413,7 @@ def test_stream_repair_consults_cached_columns_exactly():
     the cache disabled under the same update sequence."""
     stacks = {}
     for tag, cache_bytes in (("warm", None), ("cold", 0)):
-        engine = build_engine("python", cache_bytes, n=90, seed=29, coverage=0.9)
+        engine = build_engine(cache_bytes, n=90, seed=29, coverage=0.9)
         service = QueryService(engine, cache_size=0)
         registry = SubscriptionRegistry(service)
         stacks[tag] = (engine, service, registry)
@@ -451,7 +459,7 @@ class TestSocialColumnCache:
         )
 
     def _kernels(self):
-        return resolve_backend("python")
+        return NumpyKernels()
 
     def test_early_terminated_checkin_is_dropped(self):
         g = self._graph()
@@ -522,10 +530,10 @@ class TestSocialColumnCache:
 
 
 def test_engine_cache_budget_knobs():
-    engine = build_engine("python", None)
+    engine = build_engine(None)
     assert engine.social_cache.max_bytes == DEFAULT_SOCIAL_CACHE_BYTES
-    assert build_engine("python", 0).social_cache is None
-    sized = build_engine("python", 4096)
+    assert build_engine(0).social_cache is None
+    sized = build_engine(4096)
     assert sized.social_cache.max_bytes == 4096
     rebuilt = sized.with_graph(sized.graph)
     assert rebuilt.social_cache is not sized.social_cache
@@ -537,7 +545,7 @@ def test_every_engine_swap_keeps_the_engine_column_budget(budget):
     """The budget is set on the engine alone: a rebuild carries it
     through ``with_graph`` and a restore through ``replace_engine`` —
     the entries do not cross either swap, and no cache stays no cache."""
-    engine = build_engine("python", budget)
+    engine = build_engine(budget)
     service = QueryService(engine, cache_size=0)
     try:
         user = query_users(engine)[0]
@@ -545,7 +553,7 @@ def test_every_engine_swap_keeps_the_engine_column_budget(budget):
         assert ("social" in service.cache_info()) == (budget > 0)
         service.update_edge(user, (user + 1) % engine.graph.n, 0.3)
         rebuilt = service.rebuild_engine()
-        restored = service.replace_engine(build_engine("python", None))
+        restored = service.replace_engine(build_engine(None))
         for swapped in (rebuilt, restored):
             if budget:
                 assert swapped.social_cache.max_bytes == budget

@@ -84,3 +84,18 @@ def test_every_user_under_its_parent():
         leaf = grid.leaf_of_user(user)
         top = grid.parent_of(leaf)
         assert leaf in set(grid.children_of(top))
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_a_span_past_the_float_range_keeps_every_user_in_its_boxes(s):
+    """Users at ±1e308 (any finite coordinate is a legal move) span
+    more than a float can hold: every user still lands in a cell, and
+    lies inside its leaf's box and its top node's box — the boxes the
+    AIS and SPA lower bounds are read from."""
+    points = [(-1e308, -1e308), (1e308, 1e308), (1e308, -1e308), (0.5, 5e-324), (-1e307, 3e307)]
+    table = LocationTable.from_columns([p[0] for p in points], [p[1] for p in points])
+    grid = MultiLevelGrid.build(table, s)
+    for user, (x, y) in enumerate(points):
+        leaf = grid.leaf_grid.cell_of_user(user)
+        assert grid.leaf_bbox(leaf).contains(x, y), (user, leaf)
+        assert grid.top_bbox(grid.parent_of(leaf)).contains(x, y), (user, leaf)

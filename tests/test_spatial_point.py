@@ -154,3 +154,45 @@ class TestLocationTable:
         table.set(0, 0.0, 0.0)
         assert table.distance_to(0, 3.0, 4.0) == 5.0
         assert table.distance_to(1, 0.0, 0.0) == INF
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "xs,ys,user",
+    [
+        ([0.5, 0.0, 1.0], [NAN, 0.0, 1.0], 0),  # x known, y missing
+        ([0.0, NAN, 1.0], [0.0, 0.2, 1.0], 1),  # y known, x missing
+        ([0.0, 0.5, math.inf], [0.0, 0.5, 1.0], 2),
+        ([0.0, NAN, 1.0], [-math.inf, NAN, 1.0], 0),
+    ],
+)
+def test_a_half_missing_or_infinite_pair_is_refused_naming_the_user(xs, ys, user):
+    """``(0.5, NaN)`` used to count as located: ``sfa``, ``bounded``,
+    ``bruteforce`` and ``auto`` answered ``[]`` at α = 0.5 where
+    ``spa``, ``tsa`` and ``tsa-qc`` raised from the grid, and an
+    infinite coordinate was refused only as an infinite ``D_max``.  A
+    location is two finite coordinates or two NaNs, however the table
+    is built."""
+    import numpy as np
+
+    match = f"user {user} has location"
+    with pytest.raises(ValueError, match=match):
+        LocationTable(xs, ys)
+    with pytest.raises(ValueError, match=match):
+        LocationTable.from_columns(xs, ys)
+    with pytest.raises(ValueError, match=match):
+        LocationTable.adopt_columns(np.array(xs), np.array(ys))
+
+
+def test_a_location_set_one_at_a_time_is_finite():
+    table = LocationTable.empty(2)
+    for x, y in ((math.inf, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            table.set(0, x, y)
+    with pytest.raises(ValueError, match="clear"):
+        table.set(0, 0.0, NAN)
+    assert table.n_located == 0
+    table.set(1, 1e308, -5e-324)
+    assert table.get(1) == (1e308, -5e-324) and table.n_located == 1

@@ -12,7 +12,8 @@ DijkstraIterator`.  The exactness contract between them is
 final, so heap order and tie-breaks cannot move it.  This file pins
 that on two legs —
 
-- ``PythonKernels`` (the iterator run to exhaustion),
+- the scalar reference ``PythonKernels`` of ``tests/scalar_kernels.py``
+  (the iterator run to exhaustion),
 - ``NumpyKernels`` over ``scipy.sparse.csgraph.dijkstra``
 
 — over random weighted graphs built to provoke the cases where an
@@ -24,8 +25,8 @@ With ``limit=r`` the kernel settles only the ball of radius ``r``; the
 second half of this file pins that every label ``<= r`` is the final
 one (a label *equal* to ``r`` included) and that ``method="bounded"`` —
 first ball, radius from its k-th score, one more expansion, one dense
-scan — answers bit-identically to ``bruteforce`` on the same two
-legs, with and without a column cache.
+scan — answers bit-identically to the Definition 1 model of
+``tests/model.py``, with and without a column cache.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import PythonKernels, resolve_backend
+from repro.backend import NumpyKernels
 from repro.core.bounded import BoundedSearch
 from repro.core.engine import GeoSocialEngine
 from repro.core.ranking import Normalization
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.spatial.point import LocationTable
+from tests.model import Model
+from tests.scalar_kernels import PythonKernels
 
 INF = math.inf
 
@@ -96,7 +99,7 @@ def bits(column) -> list:
 
 def legs():
     """``(label, kernels)``: the scalar oracle and scipy's Dijkstra."""
-    return [("python", PythonKernels()), ("numpy+scipy", resolve_backend("numpy"))]
+    return [("python", PythonKernels()), ("numpy+scipy", NumpyKernels())]
 
 
 @SSSP_CI
@@ -161,7 +164,7 @@ def test_array_handle_is_built_once_per_graph_under_concurrent_first_queries():
     n = 400
     edges = [(v, (v * 7 + 1) % n, 0.001 + (v % 13) / 13.0) for v in range(n) if (v * 7 + 1) % n != v]
     graph = SocialGraph.from_edges(n, edges)
-    kernels = resolve_backend("numpy")
+    kernels = NumpyKernels()
     assert graph._csr is None
     start = threading.Barrier(8)
     handles, columns, errors = [], {}, []
@@ -251,10 +254,6 @@ def rows(result):
     return [(nb.user, nb.score, nb.social, nb.spatial) for nb in result]
 
 
-#: ``(label, backend)`` — the kernel legs, as engines
-ENGINE_LEGS = [("python", "python"), ("numpy+scipy", "numpy")]
-
-
 @settings(parent=SSSP_CI, max_examples=25)
 @given(
     n=st.integers(min_value=30, max_value=110),
@@ -268,36 +267,36 @@ def test_bounded_is_bit_identical_to_bruteforce_on_every_leg(n, seed, coverage, 
     over tie-prone weights, several components, unlocated candidates,
     an unlocated query user, fewer than ``k`` reachable users,
     ``k >= n``, pure social ``alpha = 1`` (unlocated users are
-    legitimate answers) and the ``alpha = 0`` route to ``spa``; on
-    every kernel leg, with and without a column cache."""
+    legitimate answers) and the ``alpha = 0`` route to ``spa``; against
+    the Definition 1 model (bruteforce's conventions), with and without
+    a column cache."""
     graph, locations = tie_prone_instance(n, seed, coverage)
     if locations.n_located == 0:
         locations.set(0, 0.4, 0.4)
     located = sorted(locations.located_users())
     unlocated = [u for u in range(n) if not locations.has_location(u)]
     users = located[:2] + located[-1:] + unlocated[:1]
-    oracle = GeoSocialEngine(
-        graph, locations.copy(), num_landmarks=2, s=3, seed=1, backend="python",
-        social_cache_bytes=0,
-    )
-    for label, backend in ENGINE_LEGS:
-        for cache_bytes in (None, 0):
-            engine = GeoSocialEngine(
-                graph, locations.copy(), num_landmarks=2, s=3, seed=1, backend=backend,
-                normalization=oracle.normalization, social_cache_bytes=cache_bytes,
-            )
-            context = f"{label} cache={cache_bytes}"
-            for user in users:
-                if alpha < 1.0 and not locations.has_location(user):
-                    # one rule for every method below alpha == 1
-                    with pytest.raises(ValueError, match="no known location"):
-                        engine.query(user, k, alpha, "bounded")
-                    continue
-                want = oracle.query(user, k, alpha, "bruteforce")
-                # twice: the second may scan a column the first cached
-                for attempt in range(2):
-                    got = engine.query(user, k, alpha, "bounded")
-                    assert rows(got) == rows(want), f"{context} u={user} #{attempt}"
+    engines = {
+        cache_bytes: GeoSocialEngine(
+            graph, locations.copy(), num_landmarks=2, s=3, seed=1,
+            social_cache_bytes=cache_bytes,
+        )
+        for cache_bytes in (None, 0)
+    }
+    model = Model.of_engine(engines[0])
+    for cache_bytes, engine in engines.items():
+        context = f"cache={cache_bytes}"
+        for user in users:
+            if alpha < 1.0 and not locations.has_location(user):
+                # one rule for every method below alpha == 1
+                with pytest.raises(ValueError, match="no known location"):
+                    engine.query(user, k, alpha, "bounded")
+                continue
+            want = model.rows(user, k, alpha)
+            # twice: the second may scan a column the first cached
+            for attempt in range(2):
+                got = engine.query(user, k, alpha, "bounded")
+                assert rows(got) == want, f"{context} u={user} #{attempt}"
 
 
 def test_a_k_past_the_float_range_answers_like_bruteforce():
@@ -310,16 +309,14 @@ def test_a_k_past_the_float_range_answers_like_bruteforce():
     k = 10**400
     graph, locations = random_instance(200, seed=9, coverage=0.8)
     user = sorted(locations.located_users())[0]
-    for label, backend in ENGINE_LEGS:
-        engine = GeoSocialEngine(
-            graph, locations, num_landmarks=2, s=3, seed=1, backend=backend,
-            social_cache_bytes=0,
-        )
-        want = engine.query(user, k, 0.3, "bruteforce")
-        for method in ("auto", "bounded"):
-            got = engine.query(user, k, 0.3, method)
-            assert got.method == "bounded" and got.k == k, label
-            assert rows(got) == rows(want), f"{label} {method}"
+    engine = GeoSocialEngine(
+        graph, locations, num_landmarks=2, s=3, seed=1, social_cache_bytes=0
+    )
+    want = Model.of_engine(engine).rows(user, k, 0.3)
+    for method in ("auto", "bounded", "bruteforce"):
+        got = engine.query(user, k, 0.3, method)
+        assert got.k == k and got.method == ("bruteforce" if method == "bruteforce" else "bounded")
+        assert rows(got) == want, method
 
 
 def ring_of_cliques(n=240):
@@ -340,20 +337,21 @@ def ring_of_cliques(n=240):
 def test_a_tie_exactly_on_the_radius_is_inside(alpha, p_max):
     graph, locations = ring_of_cliques()
     norm = Normalization(p_max=p_max, d_max=1.0)
-    for label, backend in ENGINE_LEGS:
-        engine = GeoSocialEngine(
-            graph, locations, num_landmarks=2, s=3, seed=1, backend=backend,
-            normalization=norm, social_cache_bytes=0,
-        )
-        bounded_radii = set()
-        for user in (0, 5, 118):
-            for k in (1, 4, 9):
-                want = engine.query(user, k, alpha, "bruteforce")
-                got = engine.query(user, k, alpha, "bounded")
-                assert rows(got) == rows(want), f"{label} u={user} k={k}"
-                bounded_radii.add(got.stats.extra["bounded_radius"])
-        # the radius path really ran (not only the unbounded fallback)
-        assert any(r < INF for r in bounded_radii), label
+    engine = GeoSocialEngine(
+        graph, locations, num_landmarks=2, s=3, seed=1, normalization=norm,
+        social_cache_bytes=0,
+    )
+    model = Model.of_engine(engine)
+    bounded_radii = set()
+    for user in (0, 5, 118):
+        for k in (1, 4, 9):
+            want = model.rows(user, k, alpha)
+            assert rows(engine.query(user, k, alpha, "bruteforce")) == want
+            got = engine.query(user, k, alpha, "bounded")
+            assert rows(got) == want, f"u={user} k={k}"
+            bounded_radii.add(got.stats.extra["bounded_radius"])
+    # the radius path really ran (not only the unbounded fallback)
+    assert any(r < INF for r in bounded_radii)
 
 
 @SSSP_CI
@@ -389,7 +387,7 @@ def test_isolated_users_never_source_the_distance_profile(monkeypatch):
     locations = LocationTable.from_columns(
         list(xs) + [math.nan] * (n - 3000), list(ys) + [math.nan] * (n - 3000)
     )
-    kernels = resolve_backend("auto")
+    kernels = NumpyKernels()
     sources = []
     kernel = kernels.sssp_column
 

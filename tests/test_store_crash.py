@@ -326,7 +326,6 @@ MALFORMED_MANIFESTS = [
     ("s_text", _set("x", "config", "s"), "s must be an integer"),
     ("p_max_negative", _set(-1.0, "config", "normalization", "p_max"), "p_max must be"),
     ("p_max_nan", _set(float("nan"), "config", "normalization", "p_max"), "p_max must be"),
-    ("backend_unknown", _set("gpu", "config", "backend"), "unknown backend 'gpu'"),
     ("columns_list", _set([], "columns"), "'columns'"),
     ("config_list", _set([], "config"), "'config'"),
 ]
@@ -465,3 +464,20 @@ def test_snapshot_with_retired_sketch_columns_loads_and_ignores_them(saved):
     # the columns are never read: a listed-but-absent one is no error
     (path / "sketch_dists.npy").unlink()
     assert_matches_reference(load_engine(path), reference)
+
+
+@pytest.mark.parametrize("x,y", [(0.5, float("nan")), (float("nan"), 0.5), (float("inf"), 0.5)])
+def test_a_half_missing_or_infinite_location_is_typed_corruption(saved, x, y):
+    """A coordinate pair with exactly one NaN, or an infinite
+    coordinate, is no location the table can hold: the columns' sha256
+    can match (verify off here) and the load still refuses them,
+    naming the user."""
+    import numpy as np
+
+    _, path = saved
+    xs, ys = np.load(path / "xs.npy"), np.load(path / "ys.npy")
+    xs[7], ys[7] = x, y
+    np.save(path / "xs.npy", xs)
+    np.save(path / "ys.npy", ys)
+    with pytest.raises(StoreCorruptionError, match="user 7 has location"):
+        load_engine(path, verify=False)

@@ -7,12 +7,13 @@ computes from, the manifest round-trips the exact normalization
 constants through JSON (Python floats survive json exactly), and the
 loaded engine derives every index from those columns on first use —
 so ids, scores, and tie-breaks must all match with ``==``, across
-backends × methods (including the ``auto`` route), after moves made
+methods (including the ``auto`` route), after moves made
 once the live engine's indexes were built, through a save→load→save
 cycle (the second snapshot is byte-identical), through an
 update-fold-then-snapshot cycle on the service, and from a snapshot
 of format version 1, which still carried the grid and the landmark
-matrix.
+matrix, or of version 2 naming the retired scalar backend, which loads
+onto the one backend there is.
 
 Property tests run under the suite's fixed, derandomized profile.
 """
@@ -30,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GeoSocialEngine, SocialGraph, gowalla_like
+from repro.backend import NumpyKernels
 from repro.service import QueryService
 from repro.store import MANIFEST_NAME, load_engine, save_engine
 from tests.conftest import random_instance
@@ -49,12 +51,14 @@ STORE_CI = settings.get_profile("store-ci")
 #: forward-deterministic, so restored rankings must be exact
 METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais", "bounded", "bruteforce", "auto")
 ALPHAS = (0.0, 0.3, 1.0)
-BACKENDS = ("python", "numpy")
+#: the ``backend`` config key snapshots used to carry (retired: the
+#: loader ignores it)
+BACKEND_KEYS = ("python", "numpy")
 
 
-def build_engine(backend, n=140, seed=13):
+def build_engine(n=140, seed=13):
     return GeoSocialEngine.from_dataset(
-        gowalla_like(n=n, seed=seed), num_landmarks=3, s=3, seed=2, backend=backend
+        gowalla_like(n=n, seed=seed), num_landmarks=3, s=3, seed=2
     )
 
 
@@ -79,13 +83,21 @@ def located_sample(engine, count=3):
     return sorted(engine.locations.located_users())[:count]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_KEYS)
 def test_roundtrip_bit_identical(tmp_path, backend):
-    live = build_engine(backend)
+    """A snapshot no longer records a backend; one whose manifest names
+    either retired value, as older writers did, loads onto
+    ``NumpyKernels`` and answers like the live engine."""
+    live = build_engine()
     save_engine(live, tmp_path / "snap")
+    target = tmp_path / "snap" / MANIFEST_NAME
+    manifest = json.loads(target.read_text())
+    assert "backend" not in manifest["config"]
+    manifest["config"]["backend"] = backend
+    target.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     loaded = load_engine(tmp_path / "snap")
     assert type(loaded) is type(live)
-    assert loaded.backend == live.backend
+    assert type(loaded.kernels) is NumpyKernels
     assert loaded.graph.n == live.graph.n
     assert loaded.normalization == live.normalization
     assert_bit_identical(live, loaded, located_sample(live))
@@ -97,7 +109,7 @@ def test_a_snapshot_saved_after_moves_answers_like_the_live_engine(tmp_path):
     among them); the snapshot, taken without a fold, rebuilds its grid
     from the current locations, without that move history, and answers
     every method bit-identically."""
-    live = build_engine("numpy", n=400)
+    live = build_engine(n=400)
     users = located_sample(live, count=4)
     for user in users:
         live.query(user, k=6, alpha=0.3, method="ais")
@@ -132,8 +144,28 @@ def test_a_format_version_1_snapshot_loads_and_answers_like_a_fresh_build():
     assert_bit_identical(fresh, loaded, located_sample(fresh, count=4))
 
 
+def test_a_snapshot_the_scalar_backend_saved_loads_onto_numpy():
+    """``tests/data/store_v2_python_n60`` was saved, in format version
+    2, by the last build that had the scalar backend, from
+    ``gowalla_like(n=60, seed=1)`` with ``num_landmarks=3, s=3,
+    seed=2`` and ``backend="python"``.  It used to restore onto the
+    scalar kernels whatever the loading process asked for; it loads
+    onto ``NumpyKernels`` and answers bit-identically to an engine
+    built from the same dataset."""
+    path = Path(__file__).parent / "data" / "store_v2_python_n60"
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    assert manifest["format_version"] == 2 and manifest["config"]["backend"] == "python"
+    loaded = load_engine(path)
+    assert type(loaded.kernels) is NumpyKernels
+    fresh = GeoSocialEngine.from_dataset(
+        gowalla_like(n=60, seed=1), num_landmarks=3, s=3, seed=2
+    )
+    assert loaded.normalization == fresh.normalization
+    assert_bit_identical(fresh, loaded, located_sample(fresh, count=4))
+
+
 def test_mmap_and_eager_loads_agree(tmp_path):
-    live = build_engine("numpy", n=100)
+    live = build_engine(n=100)
     save_engine(live, tmp_path / "snap")
     warm = load_engine(tmp_path / "snap", mmap=True)
     cold = load_engine(tmp_path / "snap", mmap=False, verify=False)
@@ -143,7 +175,7 @@ def test_mmap_and_eager_loads_agree(tmp_path):
 def test_save_load_save_is_byte_stable(tmp_path):
     """Persisting a loaded engine reproduces the identical columns —
     nothing drifts through a snapshot generation."""
-    live = build_engine("numpy", n=100)
+    live = build_engine(n=100)
     save_engine(live, tmp_path / "a")
     save_engine(load_engine(tmp_path / "a"), tmp_path / "b")
     manifest_a = json.loads((tmp_path / "a" / MANIFEST_NAME).read_text())
@@ -156,7 +188,7 @@ def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path):
     """Snapshots written before ``ais-cache`` left the served tier carry
     ``default_t`` in their config (same ``format_version``); the loader
     no longer reads the key, so they load and answer identically."""
-    live = build_engine("numpy", n=100)
+    live = build_engine(n=100)
     save_engine(live, tmp_path / "snap")
     target = tmp_path / "snap" / MANIFEST_NAME
     manifest = json.loads(target.read_text())
@@ -169,7 +201,7 @@ def test_manifest_with_the_retired_default_t_key_still_loads(tmp_path):
 
 
 def test_loaded_engine_serves_typed_class_loaders(tmp_path):
-    save_engine(build_engine("numpy", n=80), tmp_path / "single")
+    save_engine(build_engine(n=80), tmp_path / "single")
     assert isinstance(load_engine(tmp_path / "single"), GeoSocialEngine)
 
 
@@ -179,7 +211,7 @@ def test_a_move_waits_for_a_running_save(tmp_path, monkeypatch):
     snapshot is one instant (the pre-move location)."""
     import repro.store.snapshot as snapshot
 
-    live = build_engine("numpy", n=80)
+    live = build_engine(n=80)
     mover = located_sample(live, 1)[0]
     before = live.locations.get(mover)
     log: list = []
@@ -215,7 +247,7 @@ def test_a_move_waits_for_a_running_save(tmp_path, monkeypatch):
 def test_loaded_engine_stays_mutable_without_touching_snapshot(tmp_path):
     """Copy-on-write mmap: updates to a warm-started engine never leak
     back into the snapshot another process may be reading."""
-    live = build_engine("numpy", n=100)
+    live = build_engine(n=100)
     save_engine(live, tmp_path / "snap")
     first = load_engine(tmp_path / "snap")
     user = located_sample(first, 1)[0]
@@ -230,7 +262,7 @@ def test_update_fold_then_snapshot_cycle(tmp_path):
     """Batched edge updates fold into the snapshot through the same
     rebuild path the serving layer uses; the restored engine answers
     exactly like the live post-fold engine."""
-    engine = build_engine("numpy")
+    engine = build_engine()
     with QueryService(engine) as service:
         manager = service.snapshots(tmp_path / "snaps")
         manager.snapshot()
@@ -262,7 +294,7 @@ def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path):
     tie-breaks, every exact served method — to an engine built from
     scratch over ``SocialGraph.from_edges`` of the expected edge set,
     and the folded engine survives ``save -> load``."""
-    engine = build_engine("numpy", n=150)
+    engine = build_engine(n=150)
     graph = engine.graph
     rng = random.Random(21)
     expected = {(u, v): w for u, v, w in graph.edges()}
@@ -318,9 +350,7 @@ def test_roundtrip_property(tmp_path_factory, n, seed, coverage, alpha, k):
     graph, locations = random_instance(n, seed=seed, coverage=coverage)
     if locations.n_located == 0:
         locations.set(0, 0.5, 0.5)
-    live = GeoSocialEngine(
-        graph, locations, num_landmarks=3, s=3, seed=3, backend="numpy"
-    )
+    live = GeoSocialEngine(graph, locations, num_landmarks=3, s=3, seed=3)
     path = tmp_path_factory.mktemp("store") / "snap"
     save_engine(live, path)
     loaded = load_engine(path)

@@ -12,8 +12,7 @@ so AIS legs assert identical rankings with the repo's 1e-9 score
 tolerance.
 
 Runs under a fixed, derandomized Hypothesis profile like the backend
-equivalence suite, applied per test, on both backends (CI runs the file
-under ``REPRO_BACKEND=python`` and ``=numpy``).
+equivalence suite, applied per test.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ STREAM_CI = settings.get_profile("stream-ci")
 #: subscriptions change method mid-stream
 METHODS = ("spa", "tsa", "sfa", "bounded", "bruteforce", "ais", "auto")
 #: update/verify interleaving steps per example; with 16 derandomized
-#: examples per property (x2 properties, x2 CI backend legs) the suite
-#: verifies maintained == fresh at well over 200 randomized
-#: interleaving points
+#: examples per property (x2 properties) the suite verifies
+#: maintained == fresh at well over 200 randomized interleaving points
 STEPS = 10
 
 
