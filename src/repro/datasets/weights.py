@@ -12,7 +12,7 @@ the smallest (strongest) weights.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,11 +43,3 @@ def degree_product_column(n: int, us, vs) -> np.ndarray:
     max_degree = int(degree.max())
     return (degree[us] * degree[vs]) / float(max_degree * max_degree)
 
-
-def uniform_weights(
-    edges: Iterable[tuple[int, int]], weight: float = 1.0
-) -> list[tuple[int, int, float]]:
-    """Constant weights (hop-count semantics), for controlled tests."""
-    if weight <= 0:
-        raise ValueError(f"weight must be positive, got {weight}")
-    return [(u, v, weight) for u, v in edges]

@@ -220,21 +220,6 @@ class SocialGraph:
             raise ValueError("CSR edge weights must be positive and finite")
         return cls(n, indptr, nbrs, wts, directed, _num_edges=num_edges)
 
-    @classmethod
-    def from_adjacency(
-        cls, adjacency: Sequence[dict[int, float]], directed: bool = False
-    ) -> "SocialGraph":
-        """Build from a list of ``{neighbor: weight}`` dicts."""
-        n = len(adjacency)
-        edges = []
-        for u, nbrs in enumerate(adjacency):
-            for v, w in nbrs.items():
-                if directed or u < v:
-                    edges.append((u, v, w))
-                elif v not in range(n) or u not in adjacency[v]:
-                    raise ValueError(f"undirected adjacency asymmetric at ({u}, {v})")
-        return cls.from_edges(n, edges, directed)
-
     # -- the list view ----------------------------------------------------
 
     def list_view(self) -> "tuple[list[int], list[int], list[float]]":

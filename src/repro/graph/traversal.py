@@ -112,13 +112,6 @@ class DijkstraIterator:
             if item[0] == target:
                 return item[1]
 
-    def run_past(self, distance: float) -> None:
-        """Advance until the frontier distance exceeds ``distance`` (or
-        the component is exhausted)."""
-        while self._last_distance <= distance:
-            if self.next() is None:
-                return
-
     def run_to_completion(self) -> dict[int, float]:
         """Settle everything reachable; return the distance map."""
         while self.next() is not None:

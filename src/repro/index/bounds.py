@@ -69,25 +69,6 @@ def social_lower_bound(
     return best
 
 
-def social_lower_bound_vertex(
-    query_vector: Sequence[float], vertex_vector: Sequence[float]
-) -> float:
-    """Per-vertex landmark lower bound ``p̌(v_q, v_i)`` (the degenerate
-    cell with ``m̌ = m̂ = m_i``), used when leaf cells push individual
-    users into the AIS heap."""
-    best = 0.0
-    for j, mqj in enumerate(query_vector):
-        mij = vertex_vector[j]
-        if mqj == mij:
-            continue
-        if mqj == INF or mij == INF:
-            return INF
-        diff = mqj - mij if mqj > mij else mij - mqj
-        if diff > best:
-            best = diff
-    return best
-
-
 def minf(
     rank: RankingFunction,
     social_bound: float,

@@ -20,8 +20,9 @@ engine itself, for ``auto`` and every named method alike.)
 
 The same ``(user, k, alpha)`` therefore takes the same path whatever
 was asked before it, and ``auto`` answers are bit-identical to
-``bruteforce`` (``tests/test_plan_equivalence.py``) and repairable in
-the stream registry (``bounded`` is forward-deterministic).
+``bruteforce``'s, both equal to Definition 1
+(``tests/test_service_model.py``), and repairable in the stream
+registry (``bounded`` is forward-deterministic).
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ class QueryService:
           line and ``result.method`` stays what the caller asked for.
         - ``auto``: ``AUTO`` itself — the *question line*.  Whatever
           ``auto`` resolves to is exact and bit-identical to
-          ``bruteforce`` (``tests/test_plan_equivalence.py``), so the
+          ``bruteforce`` (``tests/test_service_model.py``), so the
           question ``(user, k, α, normalization)`` alone names the
           answer.
         """

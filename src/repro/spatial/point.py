@@ -96,34 +96,6 @@ class BBox:
             return 0.0
         return _sqrt(dx * dx + dy * dy)
 
-    def maxdist(self, x: float, y: float) -> float:
-        """Maximum Euclidean distance from ``(x, y)`` to any point of the
-        box (distance to the farthest corner)."""
-        dx = max(x - self.minx, self.maxx - x)
-        dy = max(y - self.miny, self.maxy - y)
-        return _sqrt(dx * dx + dy * dy)
-
-    @staticmethod
-    def of_points(points: Iterable[tuple[float, float]]) -> "BBox":
-        """Tight bounding box of a non-empty point collection."""
-        it = iter(points)
-        try:
-            x0, y0 = next(it)
-        except StopIteration:
-            raise ValueError("cannot compute bbox of an empty collection") from None
-        minx = maxx = x0
-        miny = maxy = y0
-        for x, y in it:
-            if x < minx:
-                minx = x
-            elif x > maxx:
-                maxx = x
-            if y < miny:
-                miny = y
-            elif y > maxy:
-                maxy = y
-        return BBox(minx, miny, maxx, maxy)
-
 
 def _count_located(xs, ys) -> int:
     """The number of located users in two coordinate columns; a
@@ -266,15 +238,6 @@ class LocationTable:
             return INF
         dx = ux - vx
         dy = self.ys.item(u) - self.ys.item(v)
-        return _sqrt(dx * dx + dy * dy)
-
-    def distance_to(self, u: int, x: float, y: float) -> float:
-        """Distance from user ``u`` to an explicit point."""
-        ux = self.xs.item(u)
-        if ux != ux:
-            return INF
-        dx = ux - x
-        dy = self.ys.item(u) - y
         return _sqrt(dx * dx + dy * dy)
 
     def bbox(self, users: Iterable[int] | None = None) -> BBox:

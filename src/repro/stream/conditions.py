@@ -65,9 +65,9 @@ repair; the moved users are re-scored with the engine's own primitives
 :class:`~repro.core.ranking.RankingFunction` float association), so
 admitted scores are bit-identical to what the search would have
 produced.  The rule is therefore *exact*, not heuristic — the
-differential suites (``tests/test_stream_equivalence.py`` and, across
-both consumers, ``tests/test_maintenance_differential.py``) pin
-maintained ≡ fresh over randomized interleavings.
+whole-stack model (``tests/test_service_model.py``) checks both
+consumers' policies on every update and every maintained result
+against Definition 1 over randomized interleavings.
 
 Repairs reuse stored social distances, so the registry offers them only
 for methods whose social distances are schedule-independent (forward

@@ -22,8 +22,10 @@ implementation:
 
 It also carries what the serving layer adds around Definition 1: edge
 updates are recorded and change no answer until :meth:`Model.rebuild`,
-exactly as ``QueryService.update_edge`` / ``rebuild_engine`` behave, and
-a query user without a location is answerable only at ``α = 1``.
+exactly as ``QueryService.update_edge`` / ``rebuild_engine`` behave; a
+snapshot is :meth:`Model.copy`, which drops the recorded updates as a
+restore does; and a query user without a location is answerable only
+at ``α = 1``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class Model:
         self.pending: "dict[tuple[int, int], float | None]" = {}
         self.locations = dict(locations)
         self.normalization = normalization
+        #: ``social_distances`` per source, until the edges change
+        self._columns: "dict[int, dict[int, float]]" = {}
 
     @classmethod
     def of_engine(cls, engine) -> "Model":
@@ -77,6 +81,12 @@ class Model:
         edges = {(u, v): w for u, v, w in graph.edges()}
         located = {u: engine.locations.get(u) for u in engine.locations.located_users()}
         return cls(graph.n, edges, located, engine.normalization, graph.directed)
+
+    def copy(self) -> "Model":
+        """What this model serves now, as a snapshot holds it: the
+        served edges and the current locations, without the recorded
+        edge updates (a restore discards them)."""
+        return Model(self.n, self.edges, self.locations, self.normalization, self.directed)
 
     # -- updates ------------------------------------------------------
 
@@ -94,6 +104,8 @@ class Model:
         self.pending[self.key(u, v)] = weight
 
     def rebuild(self) -> None:
+        if self.pending:
+            self._columns.clear()
         for key, weight in self.pending.items():
             if weight is None:
                 self.edges.pop(key, None)
@@ -105,6 +117,8 @@ class Model:
 
     def social_distances(self, source: int) -> "dict[int, float]":
         """``p(source, v)`` for every ``v`` the served edges reach."""
+        if source in self._columns:
+            return self._columns[source]
         adjacency: "dict[int, list[tuple[int, float]]]" = {}
         for (u, v), w in self.edges.items():
             adjacency.setdefault(u, []).append((v, w))
@@ -120,6 +134,7 @@ class Model:
             for v, w in adjacency.get(u, ()):
                 if v not in settled:
                     heapq.heappush(heap, (d + w, v))
+        self._columns[source] = settled
         return settled
 
     def distance(self, u: int, v: int) -> float:

@@ -6,7 +6,8 @@ as the reference :class:`~repro.backend.NumpyKernels` is checked
 against kernel by kernel (``test_backend_kernels.py``,
 ``test_sssp_kernel.py``, ``test_backend_equivalence.py``).  No engine
 runs it: the whole-query oracle is the Definition 1 model in
-``tests/model.py``.
+``tests/model.py``.  :func:`social_lower_bound_vertex` is the one-pair
+form of ``alt_lower_bounds`` on an undirected graph.
 """
 
 from __future__ import annotations
@@ -18,6 +19,24 @@ from repro.backend.numpy_backend import positions_are_ids
 
 INF = math.inf
 _sqrt = math.sqrt
+
+
+def social_lower_bound_vertex(query_vector, vertex_vector) -> float:
+    """The landmark lower bound ``p̌(v_q, v_i)`` of one vertex pair: the
+    largest ``|m_qj − m_ij|`` over the landmarks, ``inf`` when exactly
+    one side is disconnected from a landmark (Lemma 2's cell with
+    ``m̌ = m̂ = m_i``)."""
+    best = 0.0
+    for j, mqj in enumerate(query_vector):
+        mij = vertex_vector[j]
+        if mqj == mij:
+            continue
+        if mqj == INF or mij == INF:
+            return INF
+        diff = mqj - mij if mqj > mij else mij - mqj
+        if diff > best:
+            best = diff
+    return best
 
 
 class PythonKernels:

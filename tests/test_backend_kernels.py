@@ -19,9 +19,8 @@ import pytest
 from repro.backend import NumpyKernels
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
-from repro.index.bounds import social_lower_bound_vertex
-from repro.spatial.point import LocationTable
-from tests.scalar_kernels import PythonKernels
+from repro.spatial.point import LocationTable, euclidean
+from tests.scalar_kernels import PythonKernels, social_lower_bound_vertex
 
 INF = math.inf
 NAN = math.nan
@@ -51,7 +50,7 @@ class TestEuclideanKernel:
         assert float(out[0]) == 0.0
         assert float(out[1]) == 0.5
         assert float(out[2]) == INF
-        assert float(out[3]) == table.distance_to(3, 0.0, 0.0)
+        assert float(out[3]) == euclidean(*table.get(3), 0.0, 0.0)
 
     def test_all_users_when_ids_omitted(self, kernels):
         table = LocationTable.from_columns([0.0, 3.0], [0.0, 4.0])

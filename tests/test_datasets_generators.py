@@ -7,7 +7,7 @@ from repro.datasets.generators import (
     erdos_renyi_edges,
     watts_strogatz_edges,
 )
-from repro.datasets.weights import degree_product_weights, uniform_weights
+from repro.datasets.weights import degree_product_weights
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import hop_counts
 
@@ -110,8 +110,3 @@ class TestWeights:
 
     def test_empty_graph(self):
         assert degree_product_weights(5, []) == []
-
-    def test_uniform_weights(self):
-        assert uniform_weights([(0, 1)], 2.5) == [(0, 1, 2.5)]
-        with pytest.raises(ValueError):
-            uniform_weights([(0, 1)], 0.0)

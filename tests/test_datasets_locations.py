@@ -12,6 +12,7 @@ from repro.datasets.locations import (
     uniform_locations,
 )
 from repro.graph.traversal import dijkstra_distances
+from repro.spatial.point import euclidean
 from tests.conftest import random_graph
 
 INF = math.inf
@@ -86,7 +87,7 @@ class TestCorrelatedLocations:
             if v == anchor or not table.has_location(v):
                 continue
             xs.append(p)
-            ys.append(table.distance_to(v, ax, ay))
+            ys.append(euclidean(*table.get(v), ax, ay))
         return pearson(xs, ys)
 
     def test_positive_correlation(self, graph):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from repro.core.ranking import Normalization, RankingFunction
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.traversal import dijkstra_distances
-from repro.index.bounds import minf, social_lower_bound, social_lower_bound_vertex
+from repro.index.bounds import minf, social_lower_bound
 from repro.index.summaries import SocialSummary
 from tests.conftest import random_graph
+from tests.scalar_kernels import social_lower_bound_vertex
 
 INF = math.inf
 

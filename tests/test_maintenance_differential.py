@@ -25,43 +25,26 @@ still ``cached`` — and every answer equals bruteforce over the
 *served* edge set; after it every answer equals a fresh engine over
 ``SocialGraph.from_edges`` of the model's edge set.
 
-Same derandomized Hypothesis profile as the stream suite.  The file also
-pins the one case where the two pre-unification rules differed, and
-guards that the rule stays written once.
+Same derandomized Hypothesis profile as the stream suite.  The pin of
+the one case where the two pre-unification rules differed lives in
+``tests/test_service_model.py``; the guards that the rule stays written
+once and that removed options stay removed live in
+``tests/test_method_table.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
-import inspect
-import pathlib
-import pkgutil
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.service.cache
-import repro.service.service
-import repro.stream.conditions
-import repro.stream.registry
-import repro.stream.subscription
 from repro.core.engine import GeoSocialEngine
-from repro.core.result import Neighbor, SSRQResult
 from repro.graph.socialgraph import SocialGraph
-from repro.plan.rules import METHOD_TABLE
-from repro.service import CacheStats, QueryRequest, QueryService, ResultCache, ServiceStats
-from repro.service.cache import InvalidationOutcome
-from repro.stream import (
-    NOOP,
-    RECOMPUTE,
-    REPAIR,
-    SubscriptionRegistry,
-    classify_location_update,
-)
-from tests.conftest import cache_put, random_instance
+from repro.service import QueryRequest, QueryService
+from repro.stream import NOOP, REPAIR, SubscriptionRegistry, classify_location_update
+from tests.conftest import random_instance
 from tests.test_graph_directed import random_digraph
 from tests.test_stream_equivalence import STREAM_CI, assert_maintained_equals_fresh
 
@@ -341,211 +324,3 @@ def test_edge_updates_change_nothing_served_until_a_rebuild_folds_them(
     registry.close()
     service.close()
     service.engine.close()
-
-
-# -- the one case the two pre-unification rules disagreed on ----------------
-
-
-def test_forgetting_member_of_open_slot_result_is_a_recompute():
-    """A member that forgets its location leaves the result.  With an
-    open slot (``|R| < k``) dropping it would be exact — the cache used
-    to do that while the registry recomputed.  One rule now: RECOMPUTE,
-    so the cache evicts the line and the registry marks the
-    subscription."""
-    members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
-    kind = classify_location_update(
-        9, None, None, query_user=0, alpha=0.5, w_spatial=0.5,
-        members=frozenset({5, 9}), size=2, k=3, fk=0.4, query_xy=(0.0, 0.0),
-    )
-    assert kind == RECOMPUTE
-    cache = ResultCache(capacity=4)
-    key = cache_put(cache, 0, 3, 0.5, "tsa", members)
-    out = cache.invalidate_location_update(9, None, None, query_location=lambda u: (0.0, 0.0))
-    assert (int(out), out.reused) == (1, 0)
-    assert cache.peek(key) is None
-
-    graph, locations = random_instance(40, seed=11, coverage=0.5)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    with QueryService(engine, cache_size=8) as service:
-        registry = SubscriptionRegistry(service)
-        q = next(iter(engine.locations.located_users()))
-        sub = registry.subscribe(q, k=64, alpha=0.5, method="tsa")
-        response = service.query(sub.request)
-        assert len(response.result.neighbors) < 64, "needs an open slot"
-        leaver = next(u for u in response.result.users if u != q)
-        service.forget_location(leaver)
-        assert sub.recompute_pending and not sub.pending
-        assert len(service.cache) == 0
-        fresh = engine.query(sub.request)
-        assert leaver not in fresh.users
-        assert_maintained_equals_fresh(sub, registry.result(sub), fresh, "open-slot forget")
-        registry.close()
-
-
-# -- written once (in the style of tests/test_engine_facade.py) -------------
-
-CONSUMERS = (
-    repro.service.cache,
-    repro.service.service,
-    repro.stream.registry,
-    repro.stream.subscription,
-)
-
-
-def test_the_maintenance_rule_is_written_once():
-    """The screen bound and the k-th-key escalation test live in
-    :mod:`repro.stream.conditions` only; the consumers carry no copy to
-    drift, and the re-score has one caller, the registry."""
-    cache_source = inspect.getsource(repro.service.cache)
-    for token in ("sqrt", "_TINY", "_KEY_"):
-        assert token not in cache_source, f"repro.service.cache re-derives {token}"
-    for module in CONSUMERS:
-        source = inspect.getsource(module)
-        for token in ("kth_key", "w_spatial *", "sqrt"):
-            assert token not in source, f"{module.__name__} carries its own {token}"
-        if module is not repro.stream.registry:
-            assert "rescore_members" not in source, f"{module.__name__} repairs"
-    rule = inspect.getsource(repro.stream.conditions)
-    assert rule.count("> kth_key") == 1
-    assert rule.count("w_spatial * euclidean(") == 1
-
-
-#: names accepted only because the benchmark harness passes them; they
-#: change nothing
-PINNED_NO_EFFECT = {"QueryService": ["max_workers"]}
-
-
-def test_removed_options_stay_removed():
-    """Two independently settable options across the three
-    constructors (11 before): nothing the benchmark or a caller ever
-    set to a second value comes back unnoticed.  The social column
-    budget is the engine's alone."""
-    settable = {
-        cls.__name__: sorted(
-            name
-            for name, p in inspect.signature(cls.__init__).parameters.items()
-            if p.default is not inspect.Parameter.empty
-            and name not in PINNED_NO_EFFECT.get(cls.__name__, ())
-        )
-        for cls in (QueryService, ResultCache, SubscriptionRegistry)
-    }
-    assert settable == {
-        "QueryService": ["cache_size"],
-        "ResultCache": ["capacity"],
-        "SubscriptionRegistry": [],
-    }
-    # one execution path per batch: the service's, on the caller's
-    # thread.  ``max_workers`` is accepted, has no effect, and is pinned
-    # by perfbench; the engine has no batch call and the core imports
-    # no service
-    assert "max_workers" in inspect.signature(QueryService.__init__).parameters
-    assert not hasattr(GeoSocialEngine, "query_many")
-    assert not hasattr(QueryService, "_executor")
-    for module in pkgutil.iter_modules(repro.core.__path__, "repro.core."):
-        source = inspect.getsource(importlib.import_module(module.name))
-        assert "from repro.service" not in source, module.name
-        assert "import repro.service" not in source, module.name
-    # one edge-update path: a log folded at rebuild — no companion
-    # tables to attach, no listener chain to hang a second path on
-    for name in (
-        "attach_dynamics", "dynamics", "add_edge_update_listener", "remove_edge_update_listener",
-    ):
-        assert not hasattr(QueryService, name), name
-    # ``ais-cache`` left the served tier (repro.bench.variants builds
-    # it) and took its list length with it: no ``t`` on the request,
-    # the public edges or the CLI, no ``default_t`` on the engine
-    from repro.cli.commands import query as query_command
-    from repro.server.client import ServerClient
-
-    assert "t" not in {f.name for f in dataclasses.fields(QueryRequest)}
-    for edge in (
-        QueryRequest.coerce, GeoSocialEngine.query, GeoSocialEngine.searcher,
-        QueryService.query, QueryService.query_many, SubscriptionRegistry.subscribe,
-        ServerClient.query, ServerClient.tail,
-    ):
-        assert "t" not in inspect.signature(edge).parameters, edge.__qualname__
-    assert "default_t" not in inspect.signature(GeoSocialEngine.__init__).parameters
-    assert "-t" not in {opt for p in query_command.params for opt in p.opts}
-    # one engine kind: no sharded engine, no member filter, no warm start
-    assert "shard" not in {module.name for module in pkgutil.iter_modules(repro.__path__)}
-    assert {"index_users", "social_cache"}.isdisjoint(
-        inspect.signature(GeoSocialEngine.__init__).parameters
-    )
-    assert "initial" not in inspect.signature(GeoSocialEngine.query).parameters
-    # exact answers only: no sketch package, no ``approx`` method, no
-    # ``budget`` at any edge, no ``sketch=`` and no ``error_bound``
-    assert "sketch" not in {module.name for module in pkgutil.iter_modules(repro.__path__)}
-    assert "approx" not in METHOD_TABLE
-    assert "budget" not in {f.name for f in dataclasses.fields(QueryRequest)}
-    for edge in (
-        QueryRequest.coerce, GeoSocialEngine.query, QueryService.query,
-        QueryService.query_many, ServerClient.query,
-    ):
-        assert "budget" not in inspect.signature(edge).parameters, edge.__qualname__
-    assert "--budget" not in {opt for p in query_command.params for opt in p.opts}
-    assert "sketch" not in inspect.signature(GeoSocialEngine.__init__).parameters
-    assert not hasattr(GeoSocialEngine, "sketch")
-    assert "error_bound" not in {f.name for f in dataclasses.fields(SSRQResult)}
-    # the result cache keeps or evicts; only the registry repairs, and
-    # both find the affected results by screening every one (no index)
-    src = pathlib.Path(repro.__file__).parent
-    for path in src.rglob("*.py"):
-        assert "StoredIndex" not in path.read_text(encoding="utf-8"), path
-    cache = ResultCache(capacity=1)
-    for name in ("_index", "_repair_member_locked"):
-        assert not hasattr(cache, name), name
-    assert not hasattr(InvalidationOutcome(0), "repaired")
-    assert "repaired" not in {f.name for f in dataclasses.fields(CacheStats)}
-    assert "repaired_entries" not in {f.name for f in dataclasses.fields(ServiceStats)}
-    graph, locations = random_instance(20, seed=1, coverage=0.8)
-    with QueryService(GeoSocialEngine(graph, locations, num_landmarks=2)) as service:
-        assert "repaired" not in service.cache_info()
-        assert "repaired_entries" not in service.stats.snapshot()
-    # a snapshot holds the data, not the indexes: nothing injects a
-    # grid or a landmark index into an engine, and neither index has a
-    # persistence format
-    from repro.graph.landmarks import LandmarkIndex
-    from repro.spatial.grid import UniformGrid
-
-    assert {"grid", "landmarks"}.isdisjoint(inspect.signature(GeoSocialEngine.__init__).parameters)
-    for cls, name in (
-        (UniformGrid, "to_arrays"), (UniformGrid, "from_arrays"), (LandmarkIndex, "from_tables"),
-    ):
-        assert not hasattr(cls, name), name
-    # one admitted request, one job: the server merges no queued
-    # requests, so there is no batch ceiling and no batch drain
-    from repro.cli.commands import serve as serve_command
-    from repro.server import ServerConfig, SSRQServer
-
-    assert {f.name for f in dataclasses.fields(ServerConfig)} == {
-        "host", "port", "queue_depth", "workers", "default_deadline_ms",
-        "retry_after_s", "heartbeat_s", "drain_snapshot_root",
-    }
-    assert "--max-batch" not in {opt for p in serve_command.params for opt in p.opts}
-    with QueryService(GeoSocialEngine(graph, locations, num_landmarks=2)) as service:
-        server = SSRQServer(service)
-        for name in ("_drain", "_execute", "_take_lock"):
-            assert not hasattr(server, name), name
-    # one source of social columns: the column step hands no searcher a
-    # stream and promotes none, the method table says only ``forward``,
-    # and the NumPy backend's only Dijkstra is scipy's (a dependency)
-    from repro.core.bruteforce import BruteForceSearch
-    from repro.plan.rules import MethodSpec
-    from repro.social.scan import column_step
-
-    assert [f.name for f in dataclasses.fields(MethodSpec)] == ["alpha0", "alpha1", "forward"]
-    assert list(inspect.signature(column_step).parameters) == ["engine", "method", "request"]
-    assert not hasattr(GeoSocialEngine, "_run")
-    engine = GeoSocialEngine(graph, locations, num_landmarks=2)
-    for name in METHOD_TABLE:
-        assert "social" not in inspect.signature(engine.searcher(name).search).parameters, name
-    assert hasattr(BruteForceSearch, "scan")
-    scan_source = inspect.getsource(importlib.import_module("repro.social.scan"))
-    for token in ("DijkstraIterator", "checkin", "exhaust"):
-        assert token not in scan_source, token
-    numpy_source = inspect.getsource(importlib.import_module("repro.backend.numpy_backend"))
-    for token in ("settle_all", "ImportError", "dense_from_dict(graph.n"):
-        assert token not in numpy_source, token
-    pyproject = (src.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
-    assert 'dependencies = ["numpy>=1.22", "scipy>=1.8"]' in pyproject
-    assert "fast = " not in pyproject

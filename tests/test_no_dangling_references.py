@@ -1,13 +1,13 @@
-"""No dangling references: what the docs, CI and bench docstrings name
-exists.
+"""No dangling references: what the docs, CI and docstrings name exists.
 
-Structural pins for the bench estate after it was folded into
-``perfbench/``:
+Structural pins, first for the bench estate after it was folded into
+``perfbench/``, then for the test suites the whole-stack model
+subsumed:
 
 - every repo-relative file named in the README, ``docs/``, the CI
-  workflow, the verify skill and the ``repro.bench`` / ``benchmarks``
-  docstrings is in the tree (deleted scripts and never-written design
-  notes used to be cited for years);
+  workflow, the verify skill and the docstrings of every ``src/repro``
+  module is in the tree (deleted scripts, deleted suites and
+  never-written design notes used to be cited for years);
 - no wall-clock-gate escape switch is left: ``perfbench/compare.py``
   is the one gate;
 - the retired bounded-error path (the sketch package, ``approx``,
@@ -34,10 +34,7 @@ PROSE = [
     ROOT / ".github" / "workflows" / "ci.yml",
     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
 ]
-DOCSTRINGED = [
-    *sorted((ROOT / "src" / "repro" / "bench").glob("*.py")),
-    *sorted((ROOT / "benchmarks").glob("*.py")),
-]
+DOCSTRINGED = sorted((ROOT / "src" / "repro").rglob("*.py"))
 
 #: a path under one of the repo's top-level directories (a placeholder
 #: such as ``bench_<name>.py`` or a glob is not a reference)

@@ -1,41 +1,90 @@
 """The serving stack against the Definition 1 model, one step at a time.
 
 A Hypothesis ``RuleBasedStateMachine`` drives one
-:class:`~repro.service.QueryService` (its result cache on, over an
-engine with its social column cache on) and a :class:`tests.model.Model`
-through the same interleaving of
+:class:`~repro.service.QueryService`, a
+:class:`~repro.stream.SubscriptionRegistry` over it and a
+:class:`tests.model.Model` through the same interleaving of
 
-- **query**: every served method plus ``auto``; ``α`` = 0, 1 or an
+- **query** and **batch** (``query_many`` over one user, a repeat
+  included): every served method plus ``auto``; ``α`` = 0, 1 or an
   interior value; ``k`` from 1 to past ``n``;
-- **move**: lattice points (co-located users, equal distances), the unit
-  square, and hostile finite values: ``±1e308`` and subnormals;
+- **move** (a burst of one to three, each maybe followed by a registry
+  ``flush``): lattice points (co-located users, equal distances), the
+  unit square, and hostile finite values: ``±1e308`` and subnormals;
 - **forget** a location;
 - **edge update**: insert, re-weight or delete (deleting an absent edge
   is a ``KeyError`` in both), recorded and not yet served;
-- **rebuild_engine**, which folds the recorded updates in.
+- **rebuild_engine**, which folds the recorded updates in;
+- **subscribe** (every served method plus ``auto``), **unsubscribe**
+  and **flush**;
+- **snapshot**, through a ``SnapshotManager`` (which folds recorded
+  edge updates first) or ``save_engine``, and **restore** of the latest
+  one, through the manager or ``load_engine(mmap=True)`` +
+  ``replace_engine`` (recorded updates are discarded; the same snapshot
+  may be restored again after the restored engine moved users).
 
-Every query's answer must equal the model's: ids and tie-breaks exact,
-scores bit-equal (``ais`` sums its bounds in another order: within
-1e-9).  A query user without a location below ``α = 1`` must raise
-``ValueError`` in both.  Small tables and few distinct weights and
-coordinates keep repeats, ties and result-cache hits frequent.
+The build draws the table (2–12 users drawn element by element, or
+40–150 users from a seed, where ``bounded`` takes its first ball), the
+landmarks and grid, the result-cache size (0, 1 or 64) and the column
+cache budget (none, one column or the default).
+
+Every answer equals the model's: ids and tie-breaks exact, scores
+bit-equal (``ais`` sums its bounds in another order: within 1e-9); a
+query user without a location below ``α = 1`` raises the same
+``ValueError`` in both.  After every step:
+
+- every live subscription's ``registry.result(sub)`` is the model's
+  answer, and after an update the six most recent requests, asked
+  again through the result cache, are too;
+- the served engine's column cache has the drawn budget and holds only
+  full columns: each entry is its user's dense column, equal to the
+  model's, and ``bytes_used == len(cache) · 8n``.
+
+On every location update the result cache keeps each NO-OP entry as
+the same object and evicts every other one, and the registry leaves a
+NO-OP subscription as it was, queues a repairable REPAIR and marks the
+rest for recompute (the verdicts are :mod:`repro.stream.conditions`'s).
+An edge update touches neither.  Small tables and few distinct weights
+and coordinates keep repeats, ties and cache hits frequent.
 
 Runs under a registered, derandomized profile, so every run checks the
-same steps.
+same steps; :class:`TestServiceModel` also asserts that the run reached
+every rule and both of ``bounded``'s paths (:data:`FLOORS`).  The pins
+at the end check what one model run cannot: a scripted planner, a
+patched pending limit, subscribe-time validation, an ``α = 1``
+subscription no move may touch, and the open-slot forget the result
+cache and the registry once treated differently.
 """
 
 from __future__ import annotations
 
+import math
+import random
+import re
+import shutil
+import tempfile
+from collections import Counter
+from functools import partial
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
+from repro.core.result import Neighbor
 from repro.graph.socialgraph import SocialGraph
-from repro.service import QueryRequest, QueryService
+from repro.service import QueryRequest, QueryService, ResultCache
+from repro.social import DEFAULT_SOCIAL_CACHE_BYTES
 from repro.spatial.point import LocationTable
+from repro.store import load_engine, save_engine
+from repro.stream import NOOP, RECOMPUTE, REPAIR, SubscriptionRegistry, classify_location_update
+from tests.conftest import cache_put, random_instance
 from tests.model import Model
+
+INF = math.inf
 
 settings.register_profile(
     "service-model-ci",
@@ -64,6 +113,7 @@ alphas = st.one_of(
     st.sampled_from((0.3, 0.7)),
     st.floats(min_value=0.01, max_value=0.99),
 )
+methods = st.sampled_from(METHODS + (AUTO,))
 
 
 @st.composite
@@ -84,18 +134,42 @@ def instances(draw):
     return n, directed, edges, locations
 
 
-def answers_like_the_model(service, model, request) -> bool:
-    """Assert that ``service`` answers ``request`` as ``model`` does:
-    the same ids in the same order, bit-equal scores (``ais``: within
-    1e-9), or the same ``ValueError`` for an unlocated query user.
+@st.composite
+def large_instances(draw):
+    """The same shape at 40–150 users, drawn from a seed: one to three
+    edges per user, half of them weighted off the lattice of
+    :data:`WEIGHTS`, and 60–100 % of users located in the unit square.
+    On these ``bounded`` takes its first ball at small ``k``."""
+    n = draw(st.integers(min_value=40, max_value=150))
+    directed = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = {}
+    for _ in range(rng.choice((1, 2, 3)) * n):
+        u, v = rng.sample(range(n), 2)
+        weight = rng.choice(WEIGHTS) if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+        edges[(u, v) if directed or u < v else (v, u)] = weight
+    coverage = rng.choice((0.6, 0.9, 1.0))
+    locations = {u: (rng.random(), rng.random()) for u in range(n) if rng.random() < coverage}
+    return n, directed, edges, locations
+
+
+def like_the_model(model, request, ask):
+    """Assert that ``ask()`` answers ``request`` as ``model`` does, or
+    raises the same ``ValueError`` for an unlocated query user.
     Returns whether there was an answer."""
     try:
         want = model.answer(request.user, request.k, request.alpha)
-    except ValueError:
-        with pytest.raises(ValueError, match="no known location"):
-            service.query(request)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            ask()
         return False
-    result = service.query(request).result
+    assert_answer(ask(), want, request)
+    return True
+
+
+def assert_answer(result, want, request):
+    """The same ids in the same order as ``want``, and bit-equal scores
+    (``ais``: within 1e-9)."""
     got = [(nb.user, nb.score) for nb in result]
     context = f"{request} ran {result.method}: {got} != {want}"
     assert [u for u, _ in got] == [u for u, _ in want], context
@@ -103,96 +177,368 @@ def answers_like_the_model(service, model, request) -> bool:
         assert all(abs(a - b) <= 1e-9 for (_, a), (_, b) in zip(got, want)), context
     else:
         assert got == want, context
-    return True
+
+
+def answers_like_the_model(service, model, request) -> bool:
+    """:func:`like_the_model` for one ``service.query``."""
+    return like_the_model(model, request, lambda: service.query(request).result)
+
+
+#: the least each derandomized run of :class:`TestServiceModel` must
+#: reach, well below what a run reaches: a strategy change that stops
+#: drawing a build parameter, firing a rule or taking one of
+#: ``bounded``'s paths fails here instead of going quiet
+FLOORS = {
+    "large tables": 15,
+    **{f"result cache {size}": 8 for size in (0, 1, 64)},
+    **{f"column budget {columns}": 8 for columns in (0, 1, None)},
+    "batch": 80,
+    "subscribe": 50,
+    "unsubscribe": 20,
+    "flush applied": 5,
+    "snapshot manager": 20,
+    "snapshot store": 15,
+    "restore manager": 4,
+    "restore store": 3,
+    "bounded ball": 8,
+    "bounded skip": 40,
+}
 
 
 class ServiceModel(RuleBasedStateMachine):
-    """One service and one model, stepped in lockstep."""
+    """One service, one registry and one model, stepped in lockstep."""
 
-    #: what the runs so far checked (steps include each build), for
-    #: reporting
-    counts = {"steps": 0, "queries": 0, "raised": 0}
-    #: requests re-asked after every step (the most recent distinct ones)
+    #: what the runs so far reached, by rule and path
+    counts: Counter = Counter()
+    #: requests re-asked after each update (the most recent distinct ones)
     REMEMBERED = 6
+    #: live subscriptions at most
+    SUBSCRIPTIONS = 4
 
-    @initialize(instance=instances(), landmarks=st.integers(1, 3), s=st.integers(1, 4))
-    def build(self, instance, landmarks, s):
+    @initialize(
+        instance=st.one_of(instances(), large_instances()),
+        landmarks=st.integers(1, 3),
+        s=st.integers(1, 4),
+        cache_size=st.sampled_from((0, 1, 64)),
+        columns=st.sampled_from((0, 1, None)),
+    )
+    def build(self, instance, landmarks, s, cache_size, columns):
+        """``columns``: the column cache budget in columns (``None``:
+        the default budget)."""
         n, directed, edges, locations = instance
         graph = SocialGraph.from_edges(
             n, [(u, v, w) for (u, v), w in edges.items()], directed=directed
         )
         table = LocationTable.from_dict(n, locations)
-        engine = GeoSocialEngine(graph, table, num_landmarks=min(landmarks, n), s=s, seed=1)
-        self.service = QueryService(engine, cache_size=64)
+        budget = None if columns is None else 8 * n * columns
+        engine = GeoSocialEngine(
+            graph, table, num_landmarks=min(landmarks, n), s=s, seed=1, social_cache_bytes=budget
+        )
+        self.budget = DEFAULT_SOCIAL_CACHE_BYTES if budget is None else budget
+        self.service = QueryService(engine, cache_size=cache_size)
+        self.registry = SubscriptionRegistry(self.service)
+        self.root = Path(tempfile.mkdtemp(prefix="service-model-"))
+        self.manager = self.service.snapshots(self.root / "managed")
         self.model = Model(n, edges, locations, engine.normalization, directed)
         self.n = n
+        self.users = st.integers(0, n - 1)
         self.asked: "dict[QueryRequest, None]" = {}
+        self.subs: list = []
+        #: the latest snapshot: ``(through, path, model)``
+        self.saved = None
+        #: cached columns already checked against the model
+        self.verified: dict = {}
+        #: the model's answers (or errors) since the last update
+        self.answers: dict = {}
+        #: whether this step updated anything served or recorded
+        self.updated = False
+        self.counts["large tables"] += n >= 40
+        self.counts[f"result cache {cache_size}"] += 1
+        self.counts[f"column budget {columns}"] += 1
 
     def teardown(self):
-        service = getattr(self, "service", None)
-        if service is not None:
-            service.close()
+        if hasattr(self, "service"):
+            self.registry.close()
+            self.service.close()
+            shutil.rmtree(self.root, ignore_errors=True)
 
     def _user(self, data):
-        return data.draw(st.integers(0, self.n - 1))
+        return data.draw(self.users)
 
-    @rule(data=st.data(), method=st.sampled_from(METHODS + (AUTO,)), alpha=alphas)
-    def query(self, data, method, alpha):
-        user = self._user(data)
+    def _request(self, data, method, alpha, user=None):
+        user = self._user(data) if user is None else user
         # n - 1 is everyone but the query user
-        k = data.draw(st.sampled_from((1, 2, self.n - 1, self.n, self.n + 5)))
-        request = QueryRequest(user, k=k, alpha=alpha, method=method)
+        k = data.draw(st.sampled_from((1, 2, 3, 10, self.n - 1, self.n + 5)))
+        return QueryRequest(user, k=k, alpha=alpha, method=method)
+
+    def answer(self, user, k, alpha):
+        """``self.model.answer``, kept until the next update (the
+        machine is the model :func:`like_the_model` asks)."""
+        key = (user, k, alpha)
+        if key not in self.answers:
+            try:
+                self.answers[key] = self.model.answer(user, k, alpha)
+            except ValueError as error:
+                self.answers[key] = error
+        found = self.answers[key]
+        if isinstance(found, ValueError):
+            raise found
+        return found
+
+    def _note(self, response):
+        """Count which path a fresh ``bounded`` run took (a cached
+        column answers before the rule is consulted)."""
+        extra = response.result.stats.extra
+        if not response.cached and "bounded_passes" in extra:
+            ball = extra["bounded_passes"] == 2 or extra["bounded_radius"] < INF
+            self.counts["bounded ball" if ball else "bounded skip"] += 1
+
+    # -- queries ----------------------------------------------------------
+
+    @rule(data=st.data(), method=methods, alpha=alphas)
+    def query(self, data, method, alpha):
+        request = self._request(data, method, alpha)
         self.asked.pop(request, None)
         self.asked[request] = None
         if len(self.asked) > self.REMEMBERED:
             del self.asked[next(iter(self.asked))]
         self.check(request)
 
+    def check(self, request):
+        def ask():
+            response = self.service.query(request)
+            self._note(response)
+            return response.result
+
+        like_the_model(self, request, ask)
+
+    @rule(data=st.data(), picked=st.lists(st.tuples(methods, alphas), min_size=1, max_size=3))
+    def batch(self, data, picked):
+        """One ``query_many`` over one user's requests and a repeat of
+        the first; an unlocated user below ``α = 1`` fails the batch."""
+        user = self._user(data)
+        requests = [self._request(data, m, a, user) for m, a in picked]
+        requests.append(requests[0])
+        self.counts["batch"] += 1
+        try:
+            wants = [self.answer(r.user, r.k, r.alpha) for r in requests]
+        except ValueError:
+            with pytest.raises(ValueError, match="no known location"):
+                self.service.query_many(requests)
+            return
+        for request, want, response in zip(requests, wants, self.service.query_many(requests)):
+            self._note(response)
+            assert_answer(response.result, want, request)
+
     @invariant()
     def remembered_answers_hold(self):
-        """Every remembered request, asked again after this step: a
-        result-cache hit or a fresh search, it must still be the
-        model's answer."""
-        self.counts["steps"] += 1
-        for request in list(getattr(self, "asked", ())):
-            self.check(request)
+        """With the result cache on, every remembered request is asked
+        again after each update: a hit or a fresh search, it must still
+        be the model's answer.  (Without the cache a repeat is one more
+        fresh search, which the query rule already checks.)"""
+        if getattr(self, "updated", False):
+            self.updated = False
+            if self.service.cache is not None:
+                for request in list(self.asked):
+                    self.check(request)
 
-    def check(self, request):
-        self.counts["queries"] += 1
-        self.counts["raised"] += not answers_like_the_model(self.service, self.model, request)
+    # -- location updates ---------------------------------------------------
 
-    @rule(data=st.data(), x=coordinates, y=coordinates)
-    def move(self, data, x, y):
-        user = self._user(data)
-        self.service.move_user(user, x, y)
-        self.model.locations[user] = (x, y)
+    @rule(
+        data=st.data(),
+        moves=st.lists(st.tuples(coordinates, coordinates, st.booleans()), min_size=1, max_size=3),
+    )
+    def move(self, data, moves):
+        """A burst of moves, each maybe followed by a registry flush."""
+        for x, y, flush in moves:
+            self.relocate(self._user(data), x, y)
+            if flush:
+                self.flush()
 
     @rule(data=st.data())
     def forget(self, data):
-        user = self._user(data)
-        self.service.forget_location(user)
-        self.model.locations.pop(user, None)
+        self.relocate(self._user(data), None, None)
+
+    def relocate(self, user, x, y):
+        """Move ``user`` to ``(x, y)`` (``x is None``: forget it) in
+        both, then check what the result cache and the registry did
+        with the rule's verdict on each result they hold."""
+        where = self.service.engine.locations.get
+        # forgetting an unlocated user is no update at all
+        fires = x is not None or where(user) is not None
+        cache = self.service.cache
+        entries = cache._entries.items() if cache is not None else ()
+        held = {
+            key: (entry.result,
+                  entry.classify(user, x, y, where(entry.request.user)) if fires else NOOP)
+            for key, entry in entries
+        }
+        subs = {
+            sub: (self._verdict(sub, user, x, y) if fires else None, set(sub.pending),
+                  sub.recompute_pending)
+            for sub in self.subs
+        }
+        if x is None:
+            self.service.forget_location(user)
+            self.model.locations.pop(user, None)
+        else:
+            self.service.move_user(user, x, y)
+            self.model.locations[user] = (x, y)
+        self.answers.clear()
+        self.updated = True
+        for key, (result, verdict) in held.items():
+            if verdict == NOOP:
+                assert cache.peek(key) is result, f"a NO-OP entry was touched: {key}"
+            else:
+                assert cache.peek(key) is None, f"a {verdict} entry survived: {key}"
+        for sub, (verdict, pending, recompute) in subs.items():
+            if verdict is None:
+                assert (sub.pending, sub.recompute_pending) == (pending, recompute), sub
+            elif verdict == NOOP:
+                assert (sub.pending, sub.recompute_pending) == (pending - {user}, recompute), sub
+            elif verdict == REPAIR and sub.repairable and not recompute:
+                # past the pending limit a repair escalates
+                assert user in sub.pending or sub.recompute_pending, sub
+            else:
+                assert sub.recompute_pending, f"{verdict} not marked on {sub}"
+
+    def _verdict(self, sub, user, x, y):
+        """The registry's classification of one update for ``sub``."""
+        if sub.result is None:  # suspended: only its query user matters
+            return RECOMPUTE if user == sub.user else NOOP
+        return sub.classify(user, x, y, self.service.engine.locations.get(sub.user))
+
+    # -- edge updates and engine swaps --------------------------------------
+
+    def _stored(self):
+        """What is maintained right now: the result cache's entries and
+        each subscription's queued work."""
+        cache = self.service.cache
+        entries = {} if cache is None else {key: e.result for key, e in cache._entries.items()}
+        return entries, [(set(sub.pending), sub.recompute_pending) for sub in self.subs]
 
     @rule(data=st.data(), weight=st.one_of(st.none(), st.sampled_from(WEIGHTS)))
     def update_edge(self, data, weight):
         u = self._user(data)
-        v = data.draw(st.integers(0, self.n - 1).filter(lambda v: v != u))
+        v = data.draw(self.users.filter(lambda v: v != u))
         if weight is None and not self.model.has_edge(u, v):
             with pytest.raises(KeyError):
                 self.service.update_edge(u, v, None)
             return
+        entries, queued = self._stored()
         self.service.update_edge(u, v, weight)
         self.model.update_edge(u, v, weight)
+        self.updated = True
+        assert self.service.pending_edge_updates == len(self.model.pending)
+        # recorded only: nothing maintained moves
+        now, queued_now = self._stored()
+        assert now.keys() == entries.keys() and all(now[k] is entries[k] for k in now)
+        assert queued_now == queued
 
     @precondition(lambda self: self.model.pending)
     @rule()
     def rebuild_engine(self):
+        swaps = self.registry.stats.engine_swaps
         self.service.rebuild_engine()
+        self.rebuilt()
+        # the registry notices the swap on its next call, once
+        self.registry.flush()
+        assert self.registry.stats.engine_swaps == swaps + 1
+
+    def rebuilt(self):
+        """The model folds its recorded edge updates, as the service did."""
         self.model.rebuild()
+        self.answers.clear()
+        self.updated = True
+
+    # restoring is drawn as often as taking a snapshot
+    @rule(action=st.sampled_from(("snapshot manager", "restore", "snapshot store", "restore")))
+    def persist(self, action):
+        """Snapshot through a ``SnapshotManager``, which folds the
+        recorded edge updates first, or through ``save_engine``; or
+        restore the latest snapshot the way it was taken: its edges and
+        locations, the recorded edge updates discarded."""
+        if action == "restore":
+            if self.saved is None:
+                return
+            through, path, model = self.saved
+            if through == "manager":
+                self.manager.restore()
+            else:
+                self.service.replace_engine(load_engine(path, mmap=True))
+            self.model = model.copy()
+            self.answers.clear()
+            self.updated = True
+            action += " " + through
+        elif action == "snapshot manager":
+            path = self.manager.snapshot()
+            self.rebuilt()
+            self.saved = ("manager", path, self.model.copy())
+        else:
+            path = save_engine(self.service.engine, self.root / f"saved-{self.counts[action]}")
+            self.saved = ("store", path, self.model.copy())
+        self.counts[action] += 1
+
+    # -- subscriptions ------------------------------------------------------
+
+    @precondition(lambda self: len(self.subs) < self.SUBSCRIPTIONS)
+    @rule(data=st.data(), method=methods, alpha=alphas)
+    def subscribe(self, data, method, alpha):
+        self.subs.append(self.registry.subscribe(self._request(data, method, alpha)))
+        self.counts["subscribe"] += 1
+
+    @precondition(lambda self: self.subs)
+    @rule(data=st.data())
+    def unsubscribe(self, data):
+        sub = self.subs.pop(data.draw(st.integers(0, len(self.subs) - 1)))
+        self.registry.unsubscribe(sub)
+        with pytest.raises(KeyError):
+            self.registry.result(sub)
+        self.counts["unsubscribe"] += 1
+
+    @rule()
+    def flush(self):
+        applied = self.registry.flush()
+        self.counts["flush applied"] += applied["repaired"] + applied["recomputed"] > 0
+
+    @invariant()
+    def subscriptions_answer_like_the_model(self):
+        for sub in getattr(self, "subs", ()):
+            like_the_model(self, sub.request, partial(self.registry.result, sub))
+
+    # -- the column cache ---------------------------------------------------
+
+    @invariant()
+    def column_cache_holds_full_columns(self):
+        if not hasattr(self, "service"):
+            return
+        cache = self.service.engine.social_cache
+        if self.budget == 0:
+            assert cache is None
+            return
+        assert cache.max_bytes == self.budget
+        assert cache.bytes_used == len(cache) * 8 * self.n
+        for user, column in list(cache._entries.items()):
+            if self.verified.get(user) is column:
+                continue
+            assert column.dtype == np.float64 and column.shape == (self.n,), user
+            social = self.model.social_distances(user)
+            want = [social.get(v, INF) for v in range(self.n)]
+            assert column.tolist() == want, f"the cached column of {user} is not its full column"
+            self.verified[user] = column
 
 
-TestServiceModel = ServiceModel.TestCase
-TestServiceModel.settings = settings.get_profile("service-model-ci")
+class TestServiceModel(ServiceModel.TestCase):
+    """The machine's run, then its :data:`FLOORS`."""
+
+    settings = settings.get_profile("service-model-ci")
+
+    def runTest(self):
+        ServiceModel.counts.clear()
+        super().runTest()
+        reached = ServiceModel.counts
+        short = {name: (reached[name], at) for name, at in FLOORS.items() if reached[name] < at}
+        assert not short, f"(reached, floor) below the floor: {short}"
 
 
 def test_hostile_moves_answer_like_the_model():
@@ -218,3 +564,158 @@ def test_hostile_moves_answer_like_the_model():
         model.rebuild()
         for method in METHODS + (AUTO,):
             assert answers_like_the_model(service, model, QueryRequest(0, k=4, alpha=0.0, method=method))
+
+
+# -- pins the model cannot check ----------------------------------------------
+
+
+def stack(n, seed, coverage=1.0, cache_size=0):
+    """A small engine, a service and a registry over it."""
+    graph, locations = random_instance(n, seed=seed, coverage=coverage)
+    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
+    service = QueryService(engine, cache_size=cache_size)
+    return engine, service, SubscriptionRegistry(service)
+
+
+def test_pending_limit_escalates_to_recompute(monkeypatch):
+    """More buffered deltas than ``PENDING_LIMIT`` escalate to one
+    recompute (a repair pass would approach recompute cost anyway)."""
+    monkeypatch.setattr("repro.stream.registry.PENDING_LIMIT", 3)
+    engine, service, registry = stack(60, seed=17)
+    q = next(iter(engine.locations.located_users()))
+    sub = registry.subscribe(q, k=4, alpha=0.3, method="spa")
+    qx, qy = engine.locations.get(q)
+    movers = [u for u in range(engine.graph.n) if u != q][:6]
+    for i, m in enumerate(movers):  # all land next to q: all repair-marked
+        service.move_user(m, min(1.0, qx + 1e-4 * (i + 1)), qy)
+    assert sub.recompute_pending, "pending cap must escalate"
+    model = Model.of_engine(engine)
+    assert like_the_model(model, sub.request, lambda: registry.result(sub))
+    registry.close()
+    service.close()
+
+
+def test_subscribe_validates_before_registering():
+    """A bad request must not leave a half-registered subscription."""
+    engine, service, registry = stack(20, seed=3)
+    with pytest.raises(ValueError):
+        registry.subscribe(engine.graph.n + 5, k=4)  # out of range
+    with pytest.raises(ValueError):
+        registry.subscribe(0, k=0)  # invalid k
+    with pytest.raises(ValueError):
+        registry.subscribe(0, k=4, alpha=1.5)  # invalid alpha
+    with pytest.raises(ValueError, match="unknown method"):
+        registry.subscribe(0, k=4, method="bogus")
+    assert len(registry) == 0 and registry.stats.subscribed == 0
+    # A poisoned half-registration would make every later flush raise.
+    assert registry.flush() == {"repaired": 0, "recomputed": 0}
+    registry.close()
+    service.close()
+
+
+def test_auto_subscription_follows_the_planner_across_recomputes():
+    """A subscription requested as ``auto`` is not pinned to its
+    subscribe-time pick: every recompute re-resolves through the
+    planner, ``sub.method`` and the stored request follow
+    ``result.method``, repairability follows the method, and the
+    maintained result equals the model whichever method the latest
+    recompute ran."""
+    from repro.plan import Planner
+
+    class ScriptedPlanner(Planner):
+        """Resolves interior ``auto`` to whatever ``pick`` names."""
+
+        pick = "tsa"
+
+        def resolve(self, engine, request):
+            method = super().resolve(engine, request)
+            return self.pick if method == "bounded" else method
+
+    engine, service, registry = stack(60, seed=17)
+    planner = engine.planner = ScriptedPlanner()
+    model = Model.of_engine(engine)
+    q = next(iter(engine.locations.located_users()))
+
+    sub = registry.subscribe(q, k=5, alpha=0.4, method="auto")
+    assert sub.auto and sub.method == "tsa" and sub.request.method == "tsa"
+    assert sub.repairable
+    resolved = planner.stats.auto_resolutions
+    assert resolved >= 1  # the subscribe-time recompute resolved
+
+    for step, (method, repairable) in enumerate(
+        (("bruteforce", True), ("ais", False), ("bounded", True))
+    ):
+        planner.pick = method
+        service.move_user(q, 0.3 + 0.1 * step, 0.5)  # query user moved: recompute
+        model.locations[q] = (0.3 + 0.1 * step, 0.5)
+        result = registry.result(sub)
+        assert (result.method, sub.method, sub.request.method) == (method,) * 3
+        assert sub.repairable is repairable
+        assert planner.stats.auto_resolutions > resolved
+        resolved = planner.stats.auto_resolutions
+        assert like_the_model(model, sub.request, lambda: registry.result(sub))
+        # a member's move is repaired in place iff the method that now
+        # backs the result is forward-deterministic
+        member = result.users[0]
+        x, y = engine.locations.get(member)
+        service.move_user(member, x + 1e-4, y)
+        model.locations[member] = (x + 1e-4, y)
+        assert (sub.pending == {member}) is repairable
+        assert sub.recompute_pending is (not repairable)
+        assert like_the_model(model, sub.request, lambda: registry.result(sub))
+    # a named method is never re-resolved
+    pinned = registry.subscribe(q, k=5, alpha=0.4, method="sfa")
+    planner.pick = "bruteforce"
+    service.move_user(q, 0.2, 0.2)
+    assert registry.result(pinned).method == "sfa" and not pinned.auto
+    registry.close()
+    service.close()
+
+
+def test_pure_social_subscriptions_ignore_location_churn():
+    """α = 1 routes to SFA and never touches locations: every location
+    update classifies NO-OP and the initial result object survives."""
+    engine, service, registry = stack(50, seed=29, coverage=0.8)
+    sub = registry.subscribe(0, k=6, alpha=1.0, method="ais")  # routes to sfa
+    assert sub.method == "sfa"
+    initial = registry.result(sub)
+    rng = random.Random(2)
+    for _ in range(20):
+        service.move_user(rng.randrange(engine.graph.n), rng.random(), rng.random())
+    assert registry.result(sub) is initial  # not even rebuilt
+    assert registry.stats.recompute_marks == 0 and registry.stats.repair_marks == 0
+    registry.close()
+    service.close()
+
+
+def test_forgetting_member_of_open_slot_result_is_a_recompute():
+    """A member that forgets its location leaves the result.  With an
+    open slot (``|R| < k``) dropping it would be exact — the cache used
+    to do that while the registry recomputed.  One rule now: RECOMPUTE,
+    so the cache evicts the line and the registry marks the
+    subscription."""
+    members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
+    kind = classify_location_update(
+        9, None, None, query_user=0, alpha=0.5, w_spatial=0.5,
+        members=frozenset({5, 9}), size=2, k=3, fk=0.4, query_xy=(0.0, 0.0),
+    )
+    assert kind == RECOMPUTE
+    cache = ResultCache(capacity=4)
+    key = cache_put(cache, 0, 3, 0.5, "tsa", members)
+    out = cache.invalidate_location_update(9, None, None, query_location=lambda u: (0.0, 0.0))
+    assert (int(out), out.reused) == (1, 0)
+    assert cache.peek(key) is None
+
+    engine, service, registry = stack(40, seed=11, coverage=0.5, cache_size=8)
+    q = next(iter(engine.locations.located_users()))
+    sub = registry.subscribe(q, k=64, alpha=0.5, method="tsa")
+    response = service.query(sub.request)
+    assert len(response.result.neighbors) < 64, "needs an open slot"
+    leaver = next(u for u in response.result.users if u != q)
+    service.forget_location(leaver)
+    assert sub.recompute_pending and not sub.pending
+    assert len(service.cache) == 0
+    assert leaver not in registry.result(sub).users
+    assert like_the_model(Model.of_engine(engine), sub.request, lambda: registry.result(sub))
+    registry.close()
+    service.close()

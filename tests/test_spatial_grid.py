@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.spatial.grid import UniformGrid
-from repro.spatial.point import BBox, LocationTable
+from repro.spatial.point import BBox, LocationTable, euclidean
 
 
 def make_locations(points):
@@ -183,7 +183,7 @@ class TestRings:
         for (ix, iy), users in grid.cells.items():
             bound = grid.cell_mindist(ix, iy, qx, qy)
             for u in users:
-                assert table.distance_to(u, qx, qy) >= bound - 1e-12
+                assert euclidean(*table.get(u), qx, qy) >= bound - 1e-12
 
     def test_cell_mindist_safe_for_clamped_out_of_box_users(self):
         """Users moved outside the construction bbox are clamped into
@@ -194,4 +194,4 @@ class TestRings:
         grid.move(1, 1.7, 0.5)
         ix, iy = grid.cell_of_user(1)
         qx, qy = 0.1, 0.5
-        assert grid.cell_mindist(ix, iy, qx, qy) <= table.distance_to(1, qx, qy) + 1e-12
+        assert grid.cell_mindist(ix, iy, qx, qy) <= euclidean(*table.get(1), qx, qy) + 1e-12

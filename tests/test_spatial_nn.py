@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
-from repro.spatial.point import LocationTable
+from repro.spatial.point import LocationTable, euclidean
 
 
 def build(points, resolution=6):
@@ -20,7 +20,7 @@ def build(points, resolution=6):
 
 def brute_force_order(table, qx, qy, exclude=None):
     entries = [
-        (table.distance_to(u, qx, qy), u)
+        (euclidean(*table.get(u), qx, qy), u)
         for u in table.located_users()
         if u != exclude
     ]
@@ -30,7 +30,7 @@ def brute_force_order(table, qx, qy, exclude=None):
 def test_single_point():
     table, grid = build([(0.5, 0.5)])
     nn = IncrementalNearestNeighbors(grid, table, 0.0, 0.0)
-    assert nn.next() == (0, table.distance_to(0, 0.0, 0.0))
+    assert nn.next() == (0, euclidean(*table.get(0), 0.0, 0.0))
     assert nn.next() is None
 
 

@@ -50,27 +50,10 @@ class TestBBox:
     def test_mindist_corner(self):
         assert BBox(1, 1, 2, 2).mindist(0.0, 0.0) == pytest.approx(math.sqrt(2))
 
-    def test_maxdist_reaches_far_corner(self):
-        assert BBox(0, 0, 1, 1).maxdist(0.0, 0.0) == pytest.approx(math.sqrt(2))
-
-    @given(coords, coords)
-    def test_mindist_below_maxdist(self, x, y):
-        box = BBox(-1, -2, 3, 4)
-        assert box.mindist(x, y) <= box.maxdist(x, y) + 1e-9
-
-    @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=20))
-    def test_of_points_contains_all(self, points):
-        box = BBox.of_points(points)
-        for x, y in points:
-            assert box.contains(x, y)
-
-    def test_of_points_empty_raises(self):
-        with pytest.raises(ValueError):
-            BBox.of_points([])
-
     @given(st.lists(st.tuples(coords, coords), min_size=2, max_size=15))
     def test_diagonal_bounds_pairwise_distances(self, points):
-        box = BBox.of_points(points)
+        xs, ys = zip(*points)
+        box = BBox(min(xs), min(ys), max(xs), max(ys))
         for ax, ay in points:
             for bx, by in points:
                 assert euclidean(ax, ay, bx, by) <= box.diagonal + 1e-9
@@ -148,12 +131,6 @@ class TestLocationTable:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             LocationTable.from_columns([0.0], [0.0, 1.0])
-
-    def test_distance_to_point(self):
-        table = LocationTable.empty(2)
-        table.set(0, 0.0, 0.0)
-        assert table.distance_to(0, 3.0, 4.0) == 5.0
-        assert table.distance_to(1, 0.0, 0.0) == INF
 
 
 NAN = math.nan

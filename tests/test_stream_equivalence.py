@@ -12,7 +12,9 @@ so AIS legs assert identical rankings with the repo's 1e-9 score
 tolerance.
 
 Runs under a fixed, derandomized Hypothesis profile like the backend
-equivalence suite, applied per test.
+equivalence suite, applied per test.  The registry's single-case pins
+(``auto`` following the planner, pure-social churn, the pending limit,
+validation before registering) live in ``tests/test_service_model.py``.
 """
 
 from __future__ import annotations
@@ -261,133 +263,5 @@ def test_suspension_mirrors_fresh_query_errors():
     assert sub.active and registry.stats.suspended == 0
     fresh = engine.query(q, 5, 0.4, "spa")
     assert [(nb.user, nb.score) for nb in result] == [(nb.user, nb.score) for nb in fresh]
-    registry.close()
-    service.close()
-
-
-def test_auto_subscription_follows_the_planner_across_recomputes():
-    """A subscription requested as ``auto`` is not pinned to its
-    subscribe-time pick: every recompute re-resolves through the
-    planner, ``sub.method`` and the stored request follow
-    ``result.method``, repairability follows the method, and the
-    maintained result equals a fresh query whichever method the latest
-    recompute ran."""
-    from repro.plan import Planner
-
-    class ScriptedPlanner(Planner):
-        """Resolves interior ``auto`` to whatever ``pick`` names."""
-
-        pick = "tsa"
-
-        def resolve(self, engine, request):
-            method = super().resolve(engine, request)
-            return self.pick if method == "bounded" else method
-
-    graph, locations = random_instance(60, seed=17, coverage=1.0)
-    planner = ScriptedPlanner()
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    engine.planner = planner
-    service = QueryService(engine, cache_size=0)
-    registry = SubscriptionRegistry(service)
-    q = next(iter(engine.locations.located_users()))
-
-    sub = registry.subscribe(q, k=5, alpha=0.4, method="auto")
-    assert sub.auto and sub.method == "tsa" and sub.request.method == "tsa"
-    assert sub.repairable
-    resolved = planner.stats.auto_resolutions
-    assert resolved >= 1  # the subscribe-time recompute resolved
-
-    for step, (method, repairable) in enumerate(
-        (("bruteforce", True), ("ais", False), ("bounded", True))
-    ):
-        planner.pick = method
-        service.move_user(q, 0.3 + 0.1 * step, 0.5)  # query user moved: recompute
-        result = registry.result(sub)
-        assert (result.method, sub.method, sub.request.method) == (method,) * 3
-        assert sub.repairable is repairable
-        assert planner.stats.auto_resolutions > resolved
-        resolved = planner.stats.auto_resolutions
-        fresh = engine.query(q, 5, 0.4, method)
-        assert_maintained_equals_fresh(sub, result, fresh, f"recomputed as {method}")
-        # a member's move is repaired in place iff the method that now
-        # backs the result is forward-deterministic
-        member = result.users[0]
-        x, y = engine.locations.get(member)
-        service.move_user(member, x + 1e-4, y)
-        assert (sub.pending == {member}) is repairable
-        assert sub.recompute_pending is (not repairable)
-        check_all(registry, engine, [sub], f"member move under {method}")
-    # a named method is never re-resolved
-    pinned = registry.subscribe(q, k=5, alpha=0.4, method="sfa")
-    planner.pick = "bruteforce"
-    service.move_user(q, 0.2, 0.2)
-    assert registry.result(pinned).method == "sfa" and not pinned.auto
-    registry.close()
-    service.close()
-
-
-def test_pure_social_subscriptions_ignore_location_churn():
-    """α = 1 routes to SFA and never touches locations: every location
-    update must classify NO-OP and the initial result must survive
-    unchanged (and stay equal to fresh)."""
-    graph, locations = random_instance(50, seed=29, coverage=0.8)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    service = QueryService(engine, cache_size=0)
-    registry = SubscriptionRegistry(service)
-    sub = registry.subscribe(0, k=6, alpha=1.0, method="ais")  # routes to sfa
-    assert sub.method == "sfa"
-    initial = registry.result(sub)
-    rng = random.Random(2)
-    for _ in range(20):
-        service.move_user(rng.randrange(graph.n), rng.random(), rng.random())
-    assert registry.result(sub) is initial  # not even rebuilt
-    assert registry.stats.recompute_marks == 0 and registry.stats.repair_marks == 0
-    fresh = engine.query(0, 6, 1.0, "ais")
-    assert [(nb.user, nb.score) for nb in initial] == [(nb.user, nb.score) for nb in fresh]
-    registry.close()
-    service.close()
-
-
-def test_pending_limit_escalates_to_recompute(monkeypatch):
-    """More buffered deltas than ``PENDING_LIMIT`` escalate to one
-    recompute (a repair pass would approach recompute cost anyway)."""
-    monkeypatch.setattr("repro.stream.registry.PENDING_LIMIT", 3)
-    graph, locations = random_instance(60, seed=17, coverage=1.0)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    service = QueryService(engine, cache_size=0)
-    registry = SubscriptionRegistry(service)
-    q = next(iter(engine.locations.located_users()))
-    sub = registry.subscribe(q, k=4, alpha=0.3, method="spa")
-    qx, qy = engine.locations.get(q)
-    movers = [u for u in range(graph.n) if u != q][:6]
-    for i, m in enumerate(movers):  # all land next to q: all repair-marked
-        service.move_user(m, min(1.0, qx + 1e-4 * (i + 1)), qy)
-    assert sub.recompute_pending, "pending cap must escalate"
-    maintained = registry.result(sub)
-    fresh = engine.query(q, 4, 0.3, "spa")
-    assert [(nb.user, nb.score) for nb in maintained] == [
-        (nb.user, nb.score) for nb in fresh
-    ]
-    registry.close()
-    service.close()
-
-
-def test_subscribe_validates_before_registering():
-    """A bad request must not leave a half-registered subscription."""
-    graph, locations = random_instance(20, seed=3, coverage=1.0)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=2, s=3, seed=3)
-    service = QueryService(engine, cache_size=0)
-    registry = SubscriptionRegistry(service)
-    with pytest.raises(ValueError):
-        registry.subscribe(graph.n + 5, k=4)  # out of range
-    with pytest.raises(ValueError):
-        registry.subscribe(0, k=0)  # invalid k
-    with pytest.raises(ValueError):
-        registry.subscribe(0, k=4, alpha=1.5)  # invalid alpha
-    with pytest.raises(ValueError, match="unknown method"):
-        registry.subscribe(0, k=4, method="bogus")
-    assert len(registry) == 0 and registry.stats.subscribed == 0
-    # A poisoned half-registration would make every later flush raise.
-    assert registry.flush() == {"repaired": 0, "recomputed": 0}
     registry.close()
     service.close()
