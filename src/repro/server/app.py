@@ -166,6 +166,8 @@ class ServerStats:
     streams_opened: int = 0
     streams_closed: int = 0
     events_sent: int = 0
+    #: moves, forgets and engine swaps heard since the first
+    #: subscription, each waking every open stream
     updates_notified: int = 0
 
     def snapshot(self) -> dict:
@@ -175,11 +177,9 @@ class ServerStats:
 class _Job:
     """One admitted request: the closure one worker thread runs."""
 
-    __slots__ = ("call", "future", "deadline", "timer", "abandoned", "notify")
+    __slots__ = ("call", "future", "deadline", "timer", "abandoned")
 
-    def __init__(
-        self, call: "Callable[[], object]", *, deadline: float, notify: bool = False
-    ) -> None:
+    def __init__(self, call: "Callable[[], object]", *, deadline: float) -> None:
         self.call = call
         self.deadline = deadline
         #: set at admission; resolves to ``(status, body)`` — by the
@@ -190,7 +190,6 @@ class _Job:
         #: the client was answered 504; a worker that has not started
         #: the job yet skips it
         self.abandoned = False
-        self.notify = notify
 
 
 class SSRQServer:
@@ -198,8 +197,9 @@ class SSRQServer:
 
     The server owns a lazily created
     :class:`~repro.stream.SubscriptionRegistry` for ``/subscribe``
-    streams; the service (and its engine) belong to the caller and are
-    not closed by :meth:`stop`.
+    streams and from then on follows the service, so every move,
+    forget and engine swap wakes every open stream.  The service (and
+    its engine) belong to the caller; :meth:`stop` unfollows it.
     """
 
     def __init__(self, service: "QueryService", config: "ServerConfig | None" = None, **overrides) -> None:
@@ -232,8 +232,9 @@ class SSRQServer:
         )
         self._conn_tasks: "set[asyncio.Task]" = set()
         self._registry = None
-        self._registry_lock = threading.Lock()
-        self._update_event: "asyncio.Event | None" = None
+        self._loop: "asyncio.AbstractEventLoop | None" = None
+        #: one event per open stream (event loop only)
+        self._wakeups: "set[asyncio.Event]" = set()
         #: admitted jobs no worker has reported yet
         self._inflight = 0
         #: connections between admitting a job and having written its
@@ -262,7 +263,7 @@ class SSRQServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        self._update_event = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
         )
@@ -286,7 +287,8 @@ class SSRQServer:
             self._server.close()
             await self._server.wait_closed()
         # wake every subscription stream so it can end promptly
-        self._notify_update(count=False)
+        for wakeup in self._wakeups:
+            wakeup.set()
         while (self._inflight > 0 or self._answering > 0) and loop.time() < deadline:
             await asyncio.sleep(0.005)
         while self._active_streams > 0 and loop.time() < deadline:
@@ -302,19 +304,18 @@ class SSRQServer:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         registry = self._registry
         if registry is not None:
+            self.service.unfollow(self)
             registry.close()
         self._executor.shutdown(wait=True)
 
     def _get_registry(self):
-        registry = self._registry
-        if registry is None:
+        """The registry, made by the first subscription (event loop)."""
+        if self._registry is None:
             from repro.stream.registry import SubscriptionRegistry
 
-            with self._registry_lock:
-                if self._registry is None:
-                    self._registry = SubscriptionRegistry(self.service)
-                registry = self._registry
-        return registry
+            self._registry = SubscriptionRegistry(self.service)
+            self.service.follow(self)
+        return self._registry
 
     def stats_snapshot(self) -> dict:
         """Counters plus the live gauges (queue fill, in-flight work,
@@ -327,16 +328,22 @@ class SSRQServer:
         snap["draining"] = self._draining
         return snap
 
-    # -- update fan-out (event-loop thread only) ------------------------
+    # -- following the service -----------------------------------------
 
-    def _notify_update(self, *, count: bool = True) -> None:
-        event = self._update_event
-        if event is None:
-            return
-        self._update_event = asyncio.Event()
-        event.set()
-        if count:
-            self.stats.updates_notified += 1
+    def location_updated(self, *change) -> None:
+        """(the updating thread, inside the change's write lock) Wake
+        every stream on the loop; a closed loop has none left."""
+        try:
+            self._loop.call_soon_threadsafe(self._wake_streams)
+        except RuntimeError:
+            pass
+
+    engine_swapped = location_updated
+
+    def _wake_streams(self) -> None:
+        self.stats.updates_notified += 1
+        for wakeup in self._wakeups:
+            wakeup.set()
 
     # -- connection handling -------------------------------------------
 
@@ -427,10 +434,8 @@ class SSRQServer:
                     return False
                 job = _Job(lambda: self.service.query(query).wire(), deadline=deadline)
             else:
-                factory, notify = self._CALLS[path]
-                job = _Job(
-                    self._parse(request, getattr(self, factory)), deadline=deadline, notify=notify
-                )
+                factory = self._CALLS[path]
+                job = _Job(self._parse(request, getattr(self, factory)), deadline=deadline)
         except ApiError as err:
             await self._respond(writer, err.status, err.body(), keep_alive=keep_alive)
             return False
@@ -534,14 +539,13 @@ class SSRQServer:
     # -- handler closures (run on executor threads) ---------------------
 
     #: the POST endpoints besides ``/query``: the method that validates
-    #: a body into a closure, and whether its success is an update the
-    #: subscription streams must hear about
+    #: a body into a closure (streams hear of updates from the service)
     _CALLS = {
-        "/query/batch": ("_batch_call", False),
-        "/update/location": ("_location_call", True),
-        "/update/edge": ("_edge_call", True),
-        "/snapshot": ("_snapshot_call", False),
-        "/restore": ("_restore_call", True),
+        "/query/batch": "_batch_call",
+        "/update/location": "_location_call",
+        "/update/edge": "_edge_call",
+        "/snapshot": "_snapshot_call",
+        "/restore": "_restore_call",
     }
 
     def _batch_call(self, body: dict) -> "Callable[[], bytes]":
@@ -660,8 +664,6 @@ class SSRQServer:
             job.future.set_result(outcome)
         self.stats.completed += 1
         self._inflight -= 1
-        if job.notify and outcome[0] == 200:
-            self._notify_update()
 
     # -- subscription streams ------------------------------------------
 
@@ -716,12 +718,15 @@ class SSRQServer:
             return
         self._active_streams += 1
         self.stats.streams_opened += 1
+        wakeup = asyncio.Event()
+        self._wakeups.add(wakeup)
         try:
             await http.start_sse(writer)
-            await self._stream_subscription(registry, sub, writer, loop)
+            await self._stream_subscription(registry, sub, writer, loop, wakeup)
         except (ConnectionError, BrokenPipeError):
             pass
         finally:
+            self._wakeups.discard(wakeup)
             self._active_streams -= 1
             self.stats.streams_closed += 1
             try:
@@ -740,7 +745,10 @@ class SSRQServer:
         await http.send_sse(writer, event, payload)
         self.stats.events_sent += 1
 
-    async def _stream_subscription(self, registry, sub, writer, loop) -> None:
+    async def _stream_subscription(self, registry, sub, writer, loop, wakeup) -> None:
+        """Send the subscription's state, then a delta after each wake-up
+        that changed it.  ``wakeup`` is cleared before every read, so a
+        change that lands mid-read wakes the stream again."""
         last = await loop.run_in_executor(
             self._executor, self._read_subscription, registry, sub
         )
@@ -748,12 +756,12 @@ class SSRQServer:
             writer, "suspended" if last is None else "snapshot", subscription_payload(sub)
         )
         while not self._draining:
-            event = self._update_event
             try:
-                await asyncio.wait_for(event.wait(), timeout=self.config.heartbeat_s)
+                await asyncio.wait_for(wakeup.wait(), timeout=self.config.heartbeat_s)
             except asyncio.TimeoutError:
                 await http.send_sse_comment(writer)
                 continue
+            wakeup.clear()
             current = await loop.run_in_executor(
                 self._executor, self._read_subscription, registry, sub
             )

@@ -13,9 +13,12 @@ component that can absorb realistic load:
   otherwise (:meth:`QueryService._line`), looked up under the engine's
   read lock *before* anything is resolved (:meth:`QueryService.cached`
   is that lookup alone, lock-free, for callers that must not block),
-  whose entries are kept or evicted exactly on location moves via the
-  engine's listener hook and emptied when the engine is swapped (the
-  only moment the served graph changes);
+  whose entries are kept or evicted exactly on location moves and
+  emptied when the engine is swapped (the only moment the served graph
+  changes);
+- **following** — the one engine listener screens the cache, then
+  hands each move or forget, and each engine swap, to every follower
+  (:meth:`QueryService.follow`) inside the change's write lock;
 - **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
   shared by every service over the same engine) lets queries from many
   caller threads run concurrently while serialising updates against
@@ -101,20 +104,32 @@ class QueryService:
         #: ``graph.edge_key(u, v)`` -> new weight, ``None`` = removed
         #: (guarded by the served engine's write lock)
         self._pending_edges: "dict[tuple[int, int], float | None]" = {}
-        if self.cache is not None:
-            engine.add_location_listener(self._on_location_update)
+        self._followers: list = []
+        engine.add_location_listener(self._on_location_update)
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the service: detach the engine listeners and
-        flush the cache.  Any further serving or update call raises
-        ``RuntimeError`` (the listeners are gone, so a reused service
+        """Shut down the service: detach the engine listener and flush
+        the cache.  Any further serving, update or follower read raises
+        ``RuntimeError`` (the listener is gone, so a reused service
         could otherwise silently serve stale results)."""
         self._closed = True
+        self.engine.remove_location_listener(self._on_location_update)
         if self.cache is not None:
-            self.engine.remove_location_listener(self._on_location_update)
             self.cache.invalidate_all()
+
+    def follow(self, follower) -> None:
+        """Call ``follower.location_updated(user, x, y)`` after each
+        move or forget (``x is None``) has screened the result cache,
+        and ``follower.engine_swapped(engine)`` on each swap, before the
+        new engine is served: on the updating thread, inside the
+        change's write lock.  A follower must never raise."""
+        self._followers.append(follower)
+
+    def unfollow(self, follower) -> None:
+        if follower in self._followers:
+            self._followers.remove(follower)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -132,7 +147,9 @@ class QueryService:
 
         :meth:`rebuild_engine` can swap ``self.engine``; the loop
         guarantees the lock we hold belongs to the engine we hand out
-        (a swap between the read and the acquire retries)."""
+        (a swap between the read and the acquire retries).  Followers
+        read through it too, so it refuses a closed service."""
+        self._check_open()
         while True:
             engine = self.engine
             lock = engine.rw_lock
@@ -405,28 +422,29 @@ class QueryService:
 
     def _swap_engine_locked(self, old: GeoSocialEngine, new_engine: GeoSocialEngine) -> None:
         """Make ``new_engine`` the served engine (caller holds ``old``'s
-        exclusive lock): re-home the invalidation listener, flush the
-        result cache, publish the engine and empty the pending-edge
-        log (folded into ``new_engine``, or discarded with ``old``).
-        Downstream swap detection — the stream layer's
-        ``_ensure_current_engine`` identity check — needs nothing more
-        than the ``self.engine`` assignment."""
+        exclusive lock): move the location listener, flush the result
+        cache, tell every follower, then publish the engine and empty
+        the pending-edge log (folded into ``new_engine``, or discarded
+        with ``old``).  Followers hear of the swap before a reader can
+        reach ``new_engine``, so none serves an answer of ``old``."""
+        old.remove_location_listener(self._on_location_update)
+        new_engine.add_location_listener(self._on_location_update)
         if self.cache is not None:
-            old.remove_location_listener(self._on_location_update)
-            new_engine.add_location_listener(self._on_location_update)
             outcome = self.cache.invalidate_all()
             with self._stats_lock:
                 self.stats.invalidated_entries += int(outcome)
                 self.stats.full_invalidations += 1
+        for follower in list(self._followers):
+            follower.engine_swapped(new_engine)
         self.engine = new_engine
         self._pending_edges.clear()
 
     def replace_engine(self, new_engine: GeoSocialEngine) -> GeoSocialEngine:
         """Swap in an externally built engine — the restore path of
         :class:`~repro.store.SnapshotManager` — through the same
-        cache-flush / listener sequence as :meth:`rebuild_engine`, so
-        every downstream layer (result cache, update stream, standing
-        subscriptions) observes the swap identically.  Edge updates
+        cache-flush / follower sequence as :meth:`rebuild_engine`, so
+        every downstream layer (result cache, standing subscriptions,
+        their streams) observes the swap identically.  Edge updates
         batched against the old engine are discarded with it: a restore
         rewinds to the snapshot's topology.  The new engine takes the
         old one's social column budget, starting from an empty cache (no
@@ -463,24 +481,20 @@ class QueryService:
 
         return SnapshotManager(self, root)
 
-    # -- invalidation listeners (fire inside the update's write lock
-    #    when driven through this service; the cache takes its own lock
-    #    so direct engine updates stay safe too) -----------------------
+    # -- the engine's one listener (inside the update's write lock) ----
 
     def _on_location_update(self, user: int, x: float | None, y: float | None) -> None:
-        if self.cache is None:
-            return
-        outcome = self.cache.invalidate_location_update(
-            user,
-            x,
-            y,
-            query_location=self.engine.locations.get,
-        )
-        # Counted from the outcome, not from the shared cache stats, so
-        # concurrent invalidations attribute their counters exactly.
-        with self._stats_lock:
-            self.stats.invalidated_entries += int(outcome)
-            self.stats.reused_entries += outcome.reused
+        if self.cache is not None:
+            outcome = self.cache.invalidate_location_update(
+                user, x, y, query_location=self.engine.locations.get
+            )
+            # Counted from the outcome, not from the shared cache stats,
+            # so concurrent invalidations attribute their counters exactly.
+            with self._stats_lock:
+                self.stats.invalidated_entries += int(outcome)
+                self.stats.reused_entries += outcome.reused
+        for follower in list(self._followers):
+            follower.location_updated(user, x, y)
 
     # -- introspection -------------------------------------------------
 

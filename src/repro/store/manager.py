@@ -26,7 +26,7 @@ folds them by calling the service's existing
 serving path uses — so the image on disk always reflects the applied
 stream.  :meth:`restore` swaps the loaded engine in through
 :meth:`~repro.service.QueryService.replace_engine`, the same swap path
-the stream layer already detects by engine identity.
+every follower of the service hears.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class SnapshotManager:
         """Load the last committed snapshot and swap it into the
         service through
         :meth:`~repro.service.QueryService.replace_engine` — the same
-        rebuild-swap path the stream layer detects, so standing
-        subscriptions recompute against the restored engine.  Returns
+        swap path as a rebuild, so standing subscriptions recompute
+        against the restored engine.  Returns
         the restored engine."""
         engine = self.load(mmap=mmap, verify=verify)
         self.service.replace_engine(engine)

@@ -13,8 +13,8 @@ This package provides that maintenance layer:
 
 - :class:`SubscriptionRegistry` — clients register standing queries
   ``(user, k, α, method)`` against a :class:`~repro.service.QueryService`;
-  the registry hooks the engine's location-listener stream (and
-  detects the engine swap that folds edge updates in) and keeps every
+  the registry follows the service (every move, forget and engine
+  swap, inside the change's write lock) and keeps every
   subscription's
   :class:`~repro.core.result.SSRQResult` equal to what a fresh
   ``engine.query`` would return *right now*;

@@ -4,10 +4,12 @@ update stream.
 :class:`SubscriptionRegistry` sits on top of a
 :class:`~repro.service.QueryService` and its engine:
 
-- **ingest** — it subscribes to the engine's location-listener hook,
-  so every move applied through *any* path is observed inside the
-  update's write lock (edge updates change nothing served until
-  ``rebuild_engine`` swaps the engine, which the next read detects);
+- **ingest** — it follows the service
+  (:meth:`~repro.service.QueryService.follow`), so every move or
+  forget applied through *any* path reaches it inside the update's
+  write lock, and so does every engine swap (edge updates change
+  nothing served until ``rebuild_engine`` swaps the engine, and the
+  swap marks every subscription for recompute);
 - **classify** — every update, a move or a forget, is screened
   against every subscription with the NO-OP / REPAIR / RECOMPUTE rule
   of :mod:`repro.stream.conditions` (the screen the result cache calls
@@ -25,8 +27,8 @@ update stream.
   on NO-OP and evicts it otherwise.
 
 Reads are *linearizable with updates*: :meth:`SubscriptionRegistry.result`
-applies pending work under the engine's read lock before returning, so
-no stale result survives its invalidating update.
+applies pending work under the service's engine read lock before
+returning, so no stale result survives its invalidating update.
 
     >>> from repro import GeoSocialEngine, QueryService, gowalla_like
     >>> from repro.stream import SubscriptionRegistry
@@ -85,10 +87,11 @@ class SubscriptionRegistry:
     Parameters
     ----------
     service:
-        The serving layer whose engine's update stream to follow.  The
-        registry detects :meth:`~repro.service.QueryService.rebuild_engine`
-        swaps on the next read and recomputes every subscription
-        against the new engine.
+        The serving layer to follow.  Each engine swap it makes
+        (:meth:`~repro.service.QueryService.rebuild_engine`, a restore)
+        marks every subscription for recompute against the new engine.
+        Once the service is closed, every serving call raises
+        ``RuntimeError``.
     """
 
     def __init__(self, service: "QueryService") -> None:
@@ -96,23 +99,16 @@ class SubscriptionRegistry:
         self.stats = StreamStats()
         self._lock = threading.Lock()
         self._subs: set[Subscription] = set()
-        self._engine = service.engine
         self._closed = False
-        self._engine.add_location_listener(self._on_location_update)
+        service.follow(self)
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the engine; further serving calls raise.
-        Idempotent.
-
-        Taken under the registry lock so it cannot interleave with
-        :meth:`_ensure_current_engine`'s listener re-attachment — a
-        closed registry must never end up wired to a freshly swapped-in
-        engine."""
-        with self._lock:
-            self._closed = True
-            self._engine.remove_location_listener(self._on_location_update)
+        """Stop following the service; further serving calls raise.
+        Idempotent."""
+        self._closed = True
+        self.service.unfollow(self)
 
     def __enter__(self) -> "SubscriptionRegistry":
         return self
@@ -129,37 +125,6 @@ class SubscriptionRegistry:
 
     def __iter__(self) -> Iterator[Subscription]:
         return iter(list(self._subs))
-
-    # -- engine currency ----------------------------------------------
-
-    def _ensure_current_engine(self) -> None:
-        """Detect a :meth:`~repro.service.QueryService.rebuild_engine`
-        swap: re-attach the listener to the new engine and mark every
-        subscription for recompute (updates between the swap and this
-        detection were applied to indexes we never observed)."""
-        if self.service.engine is not self._engine:
-            with self._lock:
-                new_engine = self.service.engine
-                if new_engine is not self._engine and not self._closed:
-                    self._engine.remove_location_listener(self._on_location_update)
-                    new_engine.add_location_listener(self._on_location_update)
-                    self._engine = new_engine
-                    for sub in self._subs:
-                        sub.recompute_pending = True
-                        sub.pending.clear()
-                        sub.rank = RankingFunction(sub.alpha, new_engine.normalization)
-                    self.stats.engine_swaps += 1
-
-    def _read_locked_engine(self):
-        """Acquire the read side of the current engine's lock (retrying
-        across a concurrent engine swap, like the service does)."""
-        while True:
-            self._ensure_current_engine()
-            engine = self._engine
-            engine.rw_lock.acquire_read()
-            if self._engine is engine and self.service.engine is engine:
-                return engine
-            engine.rw_lock.release_read()
 
     # -- registration --------------------------------------------------
 
@@ -186,8 +151,7 @@ class SubscriptionRegistry:
         """
         self._check_open()
         request = QueryRequest.coerce(user, k, alpha, method)
-        engine = self._read_locked_engine()
-        try:
+        with self.service._read_locked_engine() as engine:
             # Validate everything *before* registering, so a bad request
             # cannot leave a half-registered subscription behind (coerce
             # checked the field types and ranges; the user id and the
@@ -204,8 +168,6 @@ class SubscriptionRegistry:
                 self.stats.active += 1
                 self._recompute_locked(sub, engine)
             return sub
-        finally:
-            engine.rw_lock.release_read()
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Deregister (no-op if already removed)."""
@@ -228,17 +190,13 @@ class SubscriptionRegistry:
         self._check_open()
         if sub not in self._subs:
             raise KeyError("subscription is not registered here")
-        engine = self._read_locked_engine()
-        try:
-            with self._lock:
-                if sub.dirty:
-                    self._refresh_locked(sub, engine)
-                if sub.suspended:
-                    raise ValueError(sub.error or "subscription is suspended")
-                assert sub.result is not None
-                return sub.result
-        finally:
-            engine.rw_lock.release_read()
+        with self.service._read_locked_engine() as engine, self._lock:
+            if sub.dirty:
+                self._refresh_locked(sub, engine)
+            if sub.suspended:
+                raise ValueError(sub.error or "subscription is suspended")
+            assert sub.result is not None
+            return sub.result
 
     def results(self) -> dict[Subscription, SSRQResult | None]:
         """Flush everything and return each subscription's current
@@ -251,31 +209,37 @@ class SubscriptionRegistry:
         """Apply all pending deltas in one pass per dirty subscription;
         returns ``{"repaired": r, "recomputed": c}`` for this pass."""
         self._check_open()
-        engine = self._read_locked_engine()
-        try:
-            with self._lock:
-                repaired = recomputed = 0
-                for sub in self._subs:
-                    if not sub.dirty:
-                        continue
-                    kind = self._refresh_locked(sub, engine)
-                    if kind == REPAIR:
-                        repaired += 1
-                    elif kind == RECOMPUTE:
-                        recomputed += 1
-                return {"repaired": repaired, "recomputed": recomputed}
-        finally:
-            engine.rw_lock.release_read()
+        with self.service._read_locked_engine() as engine, self._lock:
+            repaired = recomputed = 0
+            for sub in self._subs:
+                if not sub.dirty:
+                    continue
+                kind = self._refresh_locked(sub, engine)
+                if kind == REPAIR:
+                    repaired += 1
+                elif kind == RECOMPUTE:
+                    recomputed += 1
+            return {"repaired": repaired, "recomputed": recomputed}
 
-    # -- classification (fires inside the update's write lock) ---------
+    # -- following the service (inside the change's write lock) --------
 
-    def _on_location_update(self, user: int, x: float | None, y: float | None) -> None:
-        # Every subscription is screened, for a move or a forget: the
-        # mover may be its query user, a member or a possible entrant.
+    def location_updated(self, user: int, x: float | None, y: float | None) -> None:
+        """Screen every subscription against one move or forget: the
+        mover may be its query user, a member or a possible entrant."""
         with self._lock:
             self.stats.location_updates += 1
             for sub in self._subs:
                 self._classify_locked(sub, user, x, y)
+
+    def engine_swapped(self, engine) -> None:
+        """Mark every subscription for recompute against ``engine``
+        (its graph, and so every social distance, may differ)."""
+        with self._lock:
+            for sub in self._subs:
+                sub.recompute_pending = True
+                sub.pending.clear()
+                sub.rank = RankingFunction(sub.alpha, engine.normalization)
+            self.stats.engine_swaps += 1
 
     def _classify_locked(
         self, sub: Subscription, user: int, x: float | None, y: float | None
@@ -291,7 +255,7 @@ class SubscriptionRegistry:
                 sub.noops += 1
                 self.stats.noops += 1
             return
-        kind = sub.classify(user, x, y, self._engine.locations.get(sub.user))
+        kind = sub.classify(user, x, y, self.service.engine.locations.get(sub.user))
         if kind == NOOP:
             # The mover is provably out *at its current position*; a
             # queued earlier mark (it is not a member) is obsolete.

@@ -151,7 +151,7 @@ class StreamStats:
     #: subscriptions ever registered / currently registered
     subscribed: int = 0
     active: int = 0
-    #: location updates observed by the listener
+    #: location updates (moves and forgets) heard from the service
     location_updates: int = 0
     #: per-(update, subscription) classifications
     noops: int = 0
@@ -162,7 +162,7 @@ class StreamStats:
     recomputes_applied: int = 0
     #: exact social-distance evaluations paid by repairs
     entrant_evaluations: int = 0
-    #: engine swaps detected (rebuild_engine): everything recomputed
+    #: engine swaps heard (a rebuild or a restore): everything recomputed
     engine_swaps: int = 0
     #: subscriptions currently suspended (query user unlocated)
     suspended: int = 0

@@ -148,3 +148,28 @@ def test_the_scalar_backend_switch_is_named_nowhere():
     retired = r"REPRO_BACKEND|resolve_backend|PythonKernels|backend="
     homes = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
     assert _scan(retired, [ROOT / home for home in homes]) == {}
+
+
+def test_the_retired_wake_up_machinery_is_named_nowhere():
+    """The service is its engine's one follower: the README, the docs,
+    the verify skill and the ``src/`` docstrings name neither the
+    registry's own swap detection nor the server's replaced update
+    event, nor the subscription class's old name."""
+    retired = r"_ensure_current_engine|_notify_update|_update_event|TopKSubscription"
+    prose = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    found = {path.name for path in prose if re.search(retired, path.read_text(encoding="utf-8"))}
+    found |= {path.name for path in DOCSTRINGED if re.search(retired, _docstrings(path))}
+    assert found == set()
+
+
+def test_only_the_service_follows_an_engine():
+    """One module decides which changes reach a standing answer:
+    ``QueryService`` is the only ``src/`` caller of
+    ``add_location_listener``."""
+    callers = {
+        str(path.relative_to(ROOT))
+        for path in DOCSTRINGED
+        if ".add_location_listener(" in path.read_text(encoding="utf-8")
+    }
+    assert callers == {"src/repro/service/service.py"}

@@ -209,6 +209,14 @@ class TestPlanner:
         assert rebuilt.planner is engine.planner
         assert rebuilt._landmarks is None  # built again only if read
 
+    def test_planner_survives_a_service_rebuild(self, engine):
+        """The swap ``rebuild_engine`` makes keeps the planner (and so
+        its counters)."""
+        u, v = sorted(engine.locations.located_users())[:2]
+        with QueryService(engine, cache_size=0) as service:
+            service.update_edge(u, v, 0.25)
+            assert service.rebuild_engine().planner is engine.planner
+
 
 # -- the unified searcher contract ------------------------------------
 

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro import METHODS, GeoSocialEngine, QueryService, route_method
+from repro import METHODS, GeoSocialEngine, QueryService, gowalla_like, route_method
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.core.request import QueryRequest
@@ -301,3 +301,160 @@ def test_snapshot_restore_roundtrip(tmp_path):
             assert svc.engine is not engine
             assert tuple(svc.engine.locations.get(mover) or ()) != (0.111, 0.222)
             assert diverged["k"] == before["k"]
+
+
+# -- streams hear every change that can alter a standing answer ---------------
+
+
+class Tail:
+    """One ``/subscribe`` stream consumed on a thread: the events so far
+    (heartbeats included) and the top-k they reconstruct."""
+
+    def __init__(self, handle, user: int, **params) -> None:
+        self.events: list[str] = []
+        self.members: dict[int, float] = {}
+        self._changed = threading.Condition()
+        client = ServerClient(handle.host, handle.port)
+        stream = client.tail(user, heartbeats=True, timeout=30, **params)
+        threading.Thread(target=self._consume, args=(stream,), daemon=True).start()
+
+    def _consume(self, stream) -> None:
+        for event, payload in stream:
+            with self._changed:
+                if event == "snapshot":
+                    self.members = {nb["user"]: nb["score"] for nb in payload["result"]["neighbors"]}
+                elif event == "delta":
+                    for user in payload["left"]:
+                        del self.members[user]
+                    for nb in payload["entered"] + payload["moved"]:
+                        self.members[nb["user"]] = nb["score"]
+                self.events.append(event)
+                self._changed.notify_all()
+
+    def top(self) -> list:
+        """``(user, score)`` in rank order: score, then the smaller id."""
+        return sorted(self.members.items(), key=lambda item: (item[1], item[0]))
+
+    def shows(self, answer: list, timeout: float = 10.0) -> bool:
+        with self._changed:
+            return self._changed.wait_for(lambda: self.top() == answer, timeout)
+
+    def beats(self, count: int, timeout: float = 10.0) -> bool:
+        """Wait for ``count`` more heartbeats."""
+        with self._changed:
+            target = self.events.count("heartbeat") + count
+            return self._changed.wait_for(
+                lambda: self.events.count("heartbeat") >= target, timeout
+            )
+
+
+@pytest.fixture()
+def streamed():
+    """A fresh service behind a server, the stream's query user and its
+    current answer as ``(user, score)`` pairs."""
+    engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
+    with QueryService(engine) as service, ServerThread(
+        service, workers=2, heartbeat_s=0.2
+    ) as handle:
+        user = sorted(engine.locations.located_users())[3]
+        yield service, handle, user
+
+
+def answer(service, user: int) -> list:
+    result = service.query(QueryRequest(user, k=5, alpha=0.3)).result
+    return [(nb.user, nb.score) for nb in result]
+
+
+def test_a_folding_snapshot_is_streamed(streamed, tmp_path):
+    """``POST /snapshot`` folds a recorded edge into a fresh engine; the
+    swap changes the answer, and the stream sends that change."""
+    service, handle, user = streamed
+    before = answer(service, user)
+    tail = Tail(handle, user, k=5, alpha=0.3)
+    assert tail.shows(before)
+    # a near-zero edge to the nearest located non-member pulls it in
+    where = service.engine.locations
+    qx, qy = where.get(user)
+    members = {member for member, _ in before}
+    newcomer = min(
+        (v for v in where.located_users() if v != user and v not in members),
+        key=lambda v: math.dist((qx, qy), where.get(v)),
+    )
+    with ServerClient(handle.host, handle.port) as client:
+        client.update_edge(user, newcomer, 1e-6)
+        client.snapshot(str(tmp_path / "snaps"))
+    after = answer(service, user)
+    assert newcomer in {member for member, _ in after}
+    assert tail.shows(after), f"stream still shows {tail.top()}, not {after}"
+    assert tail.events.count("delta") == 1
+
+
+def test_b_an_update_landing_mid_read_is_streamed(streamed, monkeypatch):
+    """A move that lands while the stream reads the registry (the read
+    is held open once) wakes the stream again."""
+    service, handle, user = streamed
+    tail = Tail(handle, user, k=5, alpha=0.3)
+    assert tail.shows(answer(service, user))
+    registry = handle.server._registry
+    reading, landed = threading.Event(), threading.Event()
+    read = registry.result
+
+    def held_once(sub):
+        result = read(sub)
+        if not reading.is_set():
+            reading.set()
+            landed.wait(10)
+        return result
+
+    monkeypatch.setattr(registry, "result", held_once)
+    bystander = sorted(service.engine.locations.located_users())[-1]
+    with ServerClient(handle.host, handle.port) as client:
+        client.move(bystander, *service.engine.locations.get(bystander))  # wakes it
+        assert reading.wait(10)
+        client.move(user, 0.99, 0.01)  # lands mid-read
+        landed.set()
+    after = answer(service, user)
+    assert tail.shows(after), f"stream still shows {tail.top()}, not {after}"
+
+
+def test_c_an_in_process_move_is_streamed(streamed):
+    """A move made on the service, not over HTTP, reaches the stream."""
+    service, handle, user = streamed
+    before = answer(service, user)
+    tail = Tail(handle, user, k=5, alpha=0.3)
+    assert tail.shows(before)
+    service.move_user(user, 0.99, 0.01)
+    after = answer(service, user)
+    assert after != before
+    assert tail.shows(after), f"stream still shows {tail.top()}, not {after}"
+
+
+def test_d_a_recorded_edge_update_wakes_no_stream(streamed):
+    """``POST /update/edge`` only records: nothing served changes, so no
+    stream wakes and ``updates_notified`` stays put."""
+    service, handle, user = streamed
+    tail = Tail(handle, user, k=5, alpha=0.3)
+    assert tail.shows(answer(service, user))
+    other = sorted(service.engine.locations.located_users())[-1]
+    with ServerClient(handle.host, handle.port) as client:
+        notified = client.stats()["server"]["updates_notified"]
+        assert client.update_edge(user, other, 1e-6)["pending_edge_updates"] == 1
+        assert tail.beats(3)
+        assert client.stats()["server"]["updates_notified"] == notified
+    assert set(tail.events) == {"snapshot", "heartbeat"}
+
+
+def test_stop_unfollows_the_service():
+    """``stop()`` removes the server from the service's followers, so an
+    in-process move after it reaches no closed loop."""
+    engine = GeoSocialEngine.from_dataset(gowalla_like(n=120, seed=7))
+    with QueryService(engine) as service:
+        handle = ServerThread(service, workers=1, heartbeat_s=0.2).start()
+        user = sorted(engine.locations.located_users())[0]
+        tail = Tail(handle, user, k=3, alpha=0.3)
+        assert tail.shows(answer(service, user)[:3])
+        server = handle.server
+        assert server in service._followers and server._registry in service._followers
+        handle.stop()
+        assert service._followers == []
+        service.move_user(user, 0.5, 0.5)

@@ -441,7 +441,8 @@ class ServiceModel(RuleBasedStateMachine):
         swaps = self.registry.stats.engine_swaps
         self.service.rebuild_engine()
         self.rebuilt()
-        # the registry notices the swap on its next call, once
+        # the registry heard the swap from the service, once; the flush
+        # applies the recomputes it marked
         self.registry.flush()
         assert self.registry.stats.engine_swaps == swaps + 1
 
@@ -718,4 +719,40 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
     assert leaver not in registry.result(sub).users
     assert like_the_model(Model.of_engine(engine), sub.request, lambda: registry.result(sub))
     registry.close()
+    service.close()
+
+
+def test_a_registry_follows_only_an_open_service():
+    """The registry reads through its service: once the service is
+    closed, every serving call raises; ``close()`` unfollows."""
+    engine, service, registry = stack(30, seed=5)
+    sub = registry.subscribe(0, k=3, alpha=1.0)
+    assert service._followers == [registry]
+    service.close()
+    for call in (lambda: registry.subscribe(1, k=3, alpha=1.0),
+                 lambda: registry.result(sub), registry.flush):
+        with pytest.raises(RuntimeError, match="QueryService is closed"):
+            call()
+    engine.move_user(0, 0.5, 0.5)  # the registry has no listener of its own
+    assert registry.stats.location_updates == 0
+    registry.close()
+    assert service._followers == []
+
+
+def test_two_registries_each_hear_one_swap_per_rebuild():
+    """Every follower hears each swap exactly once and answers like the
+    new engine."""
+    engine, service, first = stack(60, seed=17, coverage=0.9)
+    second = SubscriptionRegistry(service)
+    q = next(iter(engine.locations.located_users()))
+    subs = [registry.subscribe(q, k=5, alpha=0.4) for registry in (first, second)]
+    other = next(u for u in range(engine.graph.n) if u != q and not engine.graph.edge_weight(q, u))
+    for rebuild in (1, 2):
+        service.update_edge(q, other, 0.01 * rebuild)
+        new_engine = service.rebuild_engine()
+        for registry, sub in zip((first, second), subs):
+            assert registry.stats.engine_swaps == rebuild
+            assert registry.result(sub).users == new_engine.query(q, 5, 0.4).users
+    second.close()
+    first.close()
     service.close()

@@ -480,7 +480,9 @@ class TestSocialColumnCache:
         column = cache.acquire(0)
         assert list(column) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert cache.stats.promotions == 1
-        assert cache.info()["entries"] == 1 and "partials" not in cache.info()
+        info = cache.info()
+        assert info["entries"] == len(cache) == 1
+        assert "partials" not in info and "resumes" not in info
 
     def test_byte_budget_evicts_lru_first(self):
         g = self._graph()
