@@ -6,8 +6,9 @@ A cold start generates (or parses) the dataset and estimates the
 normalization constants with double-sweep Dijkstra passes;
 `save_engine(engine, path)` persists the data once — the coordinate and
 CSR columns as checksummed `.npy` files behind an atomically-renamed
-manifest that also holds the config and those constants, written under
-the engine's read lock so the image is one instant — and
+manifest that also holds the config and those constants; a service's
+`SnapshotManager` writes it under the service's read lock so the image
+is one instant — and
 `load_engine(path)` memory-maps it back in a fraction of the time,
 answering every query bit-identically.  Neither path builds an index:
 the grid, the landmark index and the aggregate index are built by

@@ -62,7 +62,6 @@ from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
 from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import LocationTable
-from repro.utils.concurrency import ReadWriteLock
 from repro.utils.validation import check_finite_point, check_size, check_user
 
 __all__ = [
@@ -98,10 +97,12 @@ class GeoSocialEngine:
     normalization, social column cache, planner, and the three indexes
     derived from the data: SPA's grid, the landmark index and the
     aggregate index, each built by its first reader), one searcher
-    object per method, the one query pipeline, location listeners and
-    rebuild.  Snapshots are :func:`repro.store.save_engine` /
-    :func:`repro.store.load_engine`; batches, caching and engine swaps
-    are :class:`~repro.service.QueryService`'s.
+    object per method, the one query pipeline, the location update
+    primitives and rebuild.  It is a plain value with no lock of its
+    own: snapshots are :func:`repro.store.save_engine` /
+    :func:`repro.store.load_engine`; batches, caching, locking and
+    engine swaps are :class:`~repro.service.QueryService`'s, and an
+    engine a service serves is mutated only through that service.
 
     Parameters
     ----------
@@ -193,11 +194,6 @@ class GeoSocialEngine:
         # never build the same component twice or observe a half-built
         # one.
         self._build_lock = threading.RLock()
-        #: serialises index mutation (move_user/forget_location and the
-        #: service layer's edge updates) against concurrent queries —
-        #: one lock per engine, shared by every QueryService over it
-        self.rw_lock = ReadWriteLock()
-        self._location_listeners: list[Callable[[int, float | None, float | None], None]] = []
 
     @classmethod
     def from_dataset(cls, dataset, **kwargs):
@@ -213,9 +209,10 @@ class GeoSocialEngine:
         on first use, once, under the build lock, from the current
         locations; kept current by every later location update).
         ``spa``, ``tsa`` and the aggregate index read it; nothing on the
-        interior ``auto`` path does.  Like :attr:`aggregate`, build it
-        under :attr:`rw_lock`'s read side at least, so no location
-        update races the scan."""
+        interior ``auto`` path does.  Like :attr:`aggregate`, it must
+        not be built while a location update runs: a service's queries
+        build it under the service's read lock, which excludes its
+        moves."""
         if self._grid is None:
             with self._build_lock:
                 if self._grid is None:
@@ -240,9 +237,10 @@ class GeoSocialEngine:
         """The aggregate index (built on first use; only ``ais`` and the
         reproduction tier's AIS variants read it).  Its leaf level is a
         copy of :attr:`grid` — same cells, same in-cell order — so an
-        index built late equals one kept from the start.  Build it under
-        :attr:`rw_lock`'s read side at least (the service layer's
-        queries are), so no location update races the copy."""
+        index built late equals one kept from the start.  Like
+        :attr:`grid`, it must not be built while a location update
+        runs (a service's queries build it under the service's read
+        lock)."""
         if self._aggregate is None:
             with self._build_lock:
                 if self._aggregate is None:
@@ -334,74 +332,44 @@ class GeoSocialEngine:
 
     # -- dynamic locations -----------------------------------------------
 
-    def add_location_listener(
-        self, listener: Callable[[int, float | None, float | None], None]
-    ) -> None:
-        """Subscribe ``listener(user, x, y)`` to every location update
-        applied through this engine (``x is None`` signals a forgotten
-        location).  Used by the service layer's result cache for
-        update-aware invalidation."""
-        self._location_listeners.append(listener)
-
-    def remove_location_listener(
-        self, listener: Callable[[int, float | None, float | None], None]
-    ) -> None:
-        """Unsubscribe a previously added location listener (no-op if
-        absent)."""
-        try:
-            self._location_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_location(self, user: int, x: float | None, y: float | None) -> None:
-        """Fire the location listeners (caller holds the write lock).
-        Iterates a snapshot: a listener may detach itself (or a
-        sibling) from another thread without this write lock; mutating
-        the live list mid-iteration could silently skip a listener."""
-        for listener in list(self._location_listeners):
-            listener(user, x, y)
-
     def move_user(self, user: int, x: float, y: float) -> None:
         """Process a location update: refresh the location table and
-        (once built) the grid and the aggregate index, then fire the
-        location listeners, so service-layer caches invalidate exactly
-        the affected entries.
+        (once built) the grid and the aggregate index.
 
-        Takes :attr:`rw_lock`'s exclusive side, so the mutation is
-        serialised against every query flowing through the service
-        layer (direct concurrent :meth:`query` calls that bypass the
-        lock remain unsafe).
+        Takes no lock, so it must not run beside a query or another
+        update.  A served engine is moved through
+        :meth:`~repro.service.QueryService.move_user`, which calls this
+        under the service's write lock and then screens its caches and
+        tells its followers.
         """
         check_user(user, self.graph.n)
         check_finite_point(x, y)
-        with self.rw_lock.write_locked():
-            had_location = self.locations.has_location(user)
-            self.locations.set(user, x, y)
-            if had_location:
-                if self._grid is not None:
-                    self._grid.move(user, x, y)
-                if self._aggregate is not None:
-                    self._aggregate.move_user(user, x, y)
-            else:
-                if self._grid is not None:
-                    self._grid.insert(user, x, y)
-                if self._aggregate is not None:
-                    self._aggregate.insert_user(user, x, y)
-            self._notify_location(user, x, y)
-
-    def forget_location(self, user: int) -> None:
-        """Mark a user's location as unknown and de-index them
-        (exclusively, like :meth:`move_user`)."""
-        check_user(user, self.graph.n)
-        with self.rw_lock.write_locked():
-            if not self.locations.has_location(user):
-                return
-            self.locations.clear(user)
+        had_location = self.locations.has_location(user)
+        self.locations.set(user, x, y)
+        if had_location:
             if self._grid is not None:
-                self._grid.remove(user)
+                self._grid.move(user, x, y)
             if self._aggregate is not None:
-                self._aggregate.remove_user(user)
-            self._notify_location(user, None, None)
+                self._aggregate.move_user(user, x, y)
+        else:
+            if self._grid is not None:
+                self._grid.insert(user, x, y)
+            if self._aggregate is not None:
+                self._aggregate.insert_user(user, x, y)
+
+    def forget_location(self, user: int) -> bool:
+        """Mark a user's location as unknown and de-index them, like
+        :meth:`move_user` (unlocked).  Returns whether the user had a
+        location to forget."""
+        check_user(user, self.graph.n)
+        if not self.locations.has_location(user):
+            return False
+        self.locations.clear(user)
+        if self._grid is not None:
+            self._grid.remove(user)
+        if self._aggregate is not None:
+            self._aggregate.remove_user(user)
+        return True
 
     # -- rebuild ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ deployment needs:
 - **one hop per query** — a ``/query`` whose answer is in the result
   cache (:meth:`~repro.service.QueryService.cached`) is written from
   the connection coroutine, like ``/healthz``: it never leaves the
-  event loop, is never queued and never waits on the engine lock.
+  event loop, is never queued and never waits on the service's lock.
   Everything else crosses to a worker thread exactly once and comes
   back with its body already encoded.
 - **admission control** — work for the worker threads waits in one

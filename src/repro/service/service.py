@@ -10,20 +10,22 @@ component that can absorb realistic load:
   ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
   on the question for ``auto`` requests and on the routed method
-  otherwise (:meth:`QueryService._line`), looked up under the engine's
+  otherwise (:meth:`QueryService._line`), looked up under the service's
   read lock *before* anything is resolved (:meth:`QueryService.cached`
   is that lookup alone, lock-free, for callers that must not block),
   whose entries are kept or evicted exactly on location moves and
   emptied when the engine is swapped (the only moment the served graph
   changes);
-- **following** — the one engine listener screens the cache, then
-  hands each move or forget, and each engine swap, to every follower
-  (:meth:`QueryService.follow`) inside the change's write lock;
-- **consistency** — the engine's readers-writer lock (``engine.rw_lock``,
-  shared by every service over the same engine) lets queries from many
-  caller threads run concurrently while serialising updates against
-  in-flight queries (the engine's grid/aggregate-index mutation is not
-  safe under readers).
+- **following** — each move or forget screens the cache, then reaches
+  every follower (:meth:`QueryService.follow`), and so does each engine
+  swap, inside the change's write lock;
+- **consistency** — the service owns one readers-writer lock, made with
+  the service and kept across every engine swap: queries from many
+  caller threads hold its read side together, and a move, a forget, an
+  edge update, a swap and :meth:`QueryService.close` hold its write
+  side (the engine's grid/aggregate-index mutation is not safe under
+  readers).  The engine is a plain value the service mutates: a served
+  engine is mutated only through its service.
 
 Concurrency comes from the callers (the server's worker threads, or
 any threads sharing one service); a batch adds none of its own, because
@@ -48,6 +50,7 @@ from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.social.cache import SocialColumnCache
+from repro.utils.concurrency import ReadWriteLock
 from repro.utils.validation import check_size, check_user
 
 
@@ -100,24 +103,25 @@ class QueryService:
         self.stats = ServiceStats()
         self._closed = False
         self._stats_lock = threading.Lock()
+        #: the one lock over the served engine, whichever it is
+        self._lock = ReadWriteLock()
         #: edge updates recorded since the last engine swap:
         #: ``graph.edge_key(u, v)`` -> new weight, ``None`` = removed
-        #: (guarded by the served engine's write lock)
+        #: (guarded by the write side of ``_lock``)
         self._pending_edges: "dict[tuple[int, int], float | None]" = {}
         self._followers: list = []
-        engine.add_location_listener(self._on_location_update)
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the service: detach the engine listener and flush
-        the cache.  Any further serving, update or follower read raises
-        ``RuntimeError`` (the listener is gone, so a reused service
-        could otherwise silently serve stale results)."""
-        self._closed = True
-        self.engine.remove_location_listener(self._on_location_update)
-        if self.cache is not None:
-            self.cache.invalidate_all()
+        """Shut down the service under its write lock and flush the
+        cache.  Any further serving, update, swap or follower read
+        raises ``RuntimeError``, a rebuild that was building included:
+        nothing changes what a closed service would serve."""
+        with self._lock.write_locked():
+            self._closed = True
+            if self.cache is not None:
+                self.cache.invalidate_all()
 
     def follow(self, follower) -> None:
         """Call ``follower.location_updated(user, x, y)`` after each
@@ -143,34 +147,19 @@ class QueryService:
 
     @contextmanager
     def _read_locked_engine(self) -> "Iterator[GeoSocialEngine]":
-        """Hold the read side of the *current* engine's lock.
-
-        :meth:`rebuild_engine` can swap ``self.engine``; the loop
-        guarantees the lock we hold belongs to the engine we hand out
-        (a swap between the read and the acquire retries).  Followers
-        read through it too, so it refuses a closed service."""
-        self._check_open()
-        while True:
-            engine = self.engine
-            lock = engine.rw_lock
-            lock.acquire_read()
-            if self.engine is engine:
-                try:
-                    yield engine
-                finally:
-                    lock.release_read()
-                return
-            lock.release_read()
+        """Hold the read side of the service's lock and yield the served
+        engine (no swap lands until it is released).  Followers read
+        through it too, so it refuses a closed service."""
+        with self._lock.read_locked():
+            self._check_open()
+            yield self.engine
 
     @contextmanager
     def _write_locked_engine(self) -> "Iterator[GeoSocialEngine]":
         """The exclusive twin of :meth:`_read_locked_engine`."""
-        while True:
-            engine = self.engine
-            with engine.rw_lock.write_locked():
-                if self.engine is engine:
-                    yield engine
-                    return
+        with self._lock.write_locked():
+            self._check_open()
+            yield self.engine
 
     # -- serving -------------------------------------------------------
 
@@ -208,7 +197,7 @@ class QueryService:
 
     def cached(self, request: QueryRequest) -> "QueryResponse | None":
         """The stored answer to ``request`` or ``None`` — a read-only
-        probe that never resolves, never waits on the engine lock and
+        probe that never resolves, never waits on the service's lock and
         never executes, so a caller that must not block (the server's
         event loop) can try it before handing the request to
         :meth:`query`.
@@ -216,7 +205,7 @@ class QueryService:
         A hit is accounted exactly as :meth:`query` would (``requests``
         and ``cache_hits``, LRU position refreshed); a miss counts
         nothing — the :meth:`query` that follows it counts the one
-        miss.  Safe without the engine lock: an answer read during a
+        miss.  Safe without the service's lock: an answer read during a
         concurrent move linearises before the move, and an engine swap
         flushes the cache under its own lock."""
         if self.cache is None:
@@ -255,7 +244,7 @@ class QueryService:
         Responses come back in request order, and each ranking is
         identical to what a sequential ``engine.query`` loop would have
         produced: queries are read-only and deterministic, and the
-        engine's read lock is held from the first cache lookup to the
+        service's read lock is held from the first cache lookup to the
         last answer, so no update lands inside the batch.
         """
         self._check_open()
@@ -268,7 +257,7 @@ class QueryService:
 
     def _serve(self, reqs: "list[QueryRequest]") -> list[QueryResponse]:
         """The serve path, written once for :meth:`query` (a batch of
-        one) and :meth:`query_many`, all under the engine's read lock —
+        one) and :meth:`query_many`, all under the service's read lock —
         so a batch is one consistent cut, its hits and its misses alike:
         cache lookup (:meth:`_line`) → for the misses: resolve → execute
         → cache put (:meth:`_serve_misses`) → account.  A batch of hits
@@ -294,8 +283,8 @@ class QueryService:
         return responses  # type: ignore[return-value]
 
     def _serve_misses(self, engine, reqs, misses, responses) -> None:
-        """Resolve and execute ``reqs[i] for i in misses`` under
-        ``engine``'s read lock (once per distinct cache line, in request
+        """Resolve and execute ``reqs[i] for i in misses`` under the
+        service's read lock (once per distinct cache line, in request
         order, on the calling thread), fill the cache, and fan the
         results out to ``responses``.
 
@@ -338,19 +327,21 @@ class QueryService:
     # -- updates -------------------------------------------------------
 
     def move_user(self, user: int, x: float, y: float) -> None:
-        """Apply a location update exclusively (no queries in flight)
-        and invalidate exactly the affected cache entries.
-
-        Delegates to :meth:`GeoSocialEngine.move_user`, which takes the
-        engine lock's exclusive side itself — so direct engine updates
-        are serialised (and invalidate the cache) identically."""
-        self._check_open()
-        self.engine.move_user(user, x, y)
+        """Apply a location update under the write lock (no queries in
+        flight): :meth:`GeoSocialEngine.move_user` moves the user in the
+        served engine, then the result cache evicts exactly the affected
+        entries and every follower hears of the move.  The one way to
+        move a user of a served engine."""
+        with self._write_locked_engine() as engine:
+            engine.move_user(user, x, y)
+            self._location_changed(user, x, y)
 
     def forget_location(self, user: int) -> None:
-        """Forget a user's location (exclusive), with invalidation."""
-        self._check_open()
-        self.engine.forget_location(user)
+        """Forget a user's location like :meth:`move_user` (nothing to
+        screen or tell when the user had none)."""
+        with self._write_locked_engine() as engine:
+            if engine.forget_location(user):
+                self._location_changed(user, None, None)
 
     def update_edge(self, u: int, v: int, weight: float | None) -> None:
         """Record a social-edge update — insert or re-weight (a finite
@@ -366,7 +357,6 @@ class QueryService:
         a self-loop or a bad weight, ``KeyError`` for deleting an edge
         that does not exist; a rejected update records nothing.
         """
-        self._check_open()
         with self._write_locked_engine() as engine:
             graph = engine.graph
             u, v = check_user(u, graph.n), check_user(v, graph.n)
@@ -399,36 +389,34 @@ class QueryService:
         ``engine_kwargs``), then flushes the cache and swaps the engine
         in.  The expensive build (landmark rows, index construction)
         runs *outside* the lock — only the snapshot and the swap hold
-        the exclusive side, so queries stall for milliseconds, not the
-        whole rebuild; an edge update (or another swap) that slips in
-        mid-build triggers a re-snapshot.  Callers holding a direct
-        reference to the swapped-out engine should switch to the
-        returned one.  Returns the new engine.
+        it, so queries stall for milliseconds, not the whole rebuild;
+        an edge update (or another swap) that slips in mid-build
+        triggers a re-snapshot.  A :meth:`close` that lands mid-build
+        wins: the rebuild raises ``RuntimeError`` and swaps nothing.
+        Callers holding a direct reference to the swapped-out engine
+        should switch to the returned one.  Returns the new engine.
         """
-        self._check_open()
         while True:
-            with self._write_locked_engine() as old:
+            with self._read_locked_engine() as old:
                 pending = dict(self._pending_edges)
             # `with_graph` rebuilds the indexes and keeps the old
             # normalization, so rankings stay comparable across the swap.
             new_engine = old.with_graph(
                 old.graph.with_edge_updates(pending), **engine_kwargs
             )
-            with old.rw_lock.write_locked():
-                if self.engine is old and self._pending_edges == pending:
-                    self._swap_engine_locked(old, new_engine)
+            with self._write_locked_engine() as served:
+                if served is old and self._pending_edges == pending:
+                    self._swap_engine_locked(new_engine)
                     return new_engine
             # an update or a swap interleaved: re-snapshot
 
-    def _swap_engine_locked(self, old: GeoSocialEngine, new_engine: GeoSocialEngine) -> None:
-        """Make ``new_engine`` the served engine (caller holds ``old``'s
-        exclusive lock): move the location listener, flush the result
-        cache, tell every follower, then publish the engine and empty
-        the pending-edge log (folded into ``new_engine``, or discarded
-        with ``old``).  Followers hear of the swap before a reader can
-        reach ``new_engine``, so none serves an answer of ``old``."""
-        old.remove_location_listener(self._on_location_update)
-        new_engine.add_location_listener(self._on_location_update)
+    def _swap_engine_locked(self, new_engine: GeoSocialEngine) -> None:
+        """Make ``new_engine`` the served engine (caller holds the write
+        lock): flush the result cache, tell every follower, then publish
+        the engine and empty the pending-edge log (folded into
+        ``new_engine``, or discarded with the old one).  Followers hear
+        of the swap before a reader can reach ``new_engine``, so none
+        serves an answer of the old engine."""
         if self.cache is not None:
             outcome = self.cache.invalidate_all()
             with self._stats_lock:
@@ -448,21 +436,21 @@ class QueryService:
         batched against the old engine are discarded with it: a restore
         rewinds to the snapshot's topology.  The new engine takes the
         old one's social column budget, starting from an empty cache (no
-        cache stays no cache).  Returns the new engine."""
-        self._check_open()
-        if new_engine.graph.n != self.engine.graph.n:
-            raise ValueError(
-                f"replacement engine covers {new_engine.graph.n} users, "
-                f"the served one {self.engine.graph.n}"
-            )
+        cache stays no cache).  Raises ``RuntimeError`` once the service
+        is closed.  Returns the new engine."""
         with self._write_locked_engine() as old:
+            if new_engine.graph.n != old.graph.n:
+                raise ValueError(
+                    f"replacement engine covers {new_engine.graph.n} users, "
+                    f"the served one {old.graph.n}"
+                )
             social = old.social_cache
             new_engine.social_cache = (
                 None
                 if social is None
                 else SocialColumnCache(new_engine.graph.n, new_engine.kernels, social.max_bytes)
             )
-            self._swap_engine_locked(old, new_engine)
+            self._swap_engine_locked(new_engine)
         return new_engine
 
     @property
@@ -481,9 +469,9 @@ class QueryService:
 
         return SnapshotManager(self, root)
 
-    # -- the engine's one listener (inside the update's write lock) ----
+    # -- after a move or forget (inside its write lock) -----------------
 
-    def _on_location_update(self, user: int, x: float | None, y: float | None) -> None:
+    def _location_changed(self, user: int, x: float | None, y: float | None) -> None:
         if self.cache is not None:
             outcome = self.cache.invalidate_location_update(
                 user, x, y, query_location=self.engine.locations.get

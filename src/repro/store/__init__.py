@@ -13,7 +13,7 @@ built by its first reader, as in a freshly built engine.
 Entry points:
 
 - :func:`save_engine` / :func:`load_engine` — one engine, one
-  snapshot directory (the save holds the engine's read lock);
+  snapshot directory (the save takes no lock);
 - :class:`SnapshotManager` (via
   :meth:`QueryService.snapshots <repro.service.QueryService.snapshots>`)
   — snapshot history over those two, with a crash-safe last-committed

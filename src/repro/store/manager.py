@@ -79,16 +79,17 @@ class SnapshotManager:
         last rebuild are folded into a fresh engine first via the
         service's :meth:`~repro.service.QueryService.rebuild_engine`,
         so the snapshot captures the applied update stream.
-        :func:`~repro.store.save_engine` runs under the engine's read
-        lock — concurrent queries proceed, concurrent updates wait — and
-        the returned directory is fully durable before ``CURRENT``
-        names it.
+        The served engine is read and saved under the service's read
+        lock — concurrent queries proceed, concurrent updates and swaps
+        wait until the save returns — and the returned directory is
+        fully durable before ``CURRENT`` names it.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         if fold and self.service.pending_edge_updates > 0:
             self.service.rebuild_engine()
         dest = self.root / f"snapshot-{self._next_seq():06d}"
-        save_engine(self.service.engine, dest)
+        with self.service._read_locked_engine() as engine:
+            save_engine(engine, dest)
         self._commit_current(dest.name)
         return dest
 

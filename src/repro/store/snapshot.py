@@ -100,11 +100,11 @@ def save_engine(engine, path) -> Path:
         >>> load_engine(path).graph.n
         60
 
-    Holds the engine's read lock while it writes, so the snapshot is
-    one instant: concurrent queries proceed, a concurrent location
-    update waits until the save returns (the caller must not hold the
-    lock already — it is not re-entrant).  Owns the durability
-    protocol: temp sibling → columns fsynced → manifest fsynced (the
+    Takes no lock: nothing may move the engine while it writes.  A
+    served engine is saved through
+    :meth:`~repro.store.SnapshotManager.snapshot`, which holds the
+    service's read lock around the save, so the snapshot is one
+    instant.  Owns the durability protocol: temp sibling → columns fsynced → manifest fsynced (the
     commit point) → directory fsync → atomic rename.  On an
     :class:`InjectedFault` the temp state is deliberately left behind
     (a simulated crash); on any real error it is cleaned up.
@@ -116,8 +116,7 @@ def save_engine(engine, path) -> Path:
     tmp = temp_sibling(path)
     tmp.mkdir(parents=True)
     try:
-        with engine.rw_lock.read_locked():
-            manifest = _write_engine(engine, tmp)
+        manifest = _write_engine(engine, tmp)
         manifest["format"] = FORMAT_NAME
         manifest["format_version"] = FORMAT_VERSION
         manifest["library_version"] = __version__

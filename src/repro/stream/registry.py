@@ -6,8 +6,8 @@ update stream.
 
 - **ingest** — it follows the service
   (:meth:`~repro.service.QueryService.follow`), so every move or
-  forget applied through *any* path reaches it inside the update's
-  write lock, and so does every engine swap (edge updates change
+  forget reaches it inside the update's write lock, and so does every
+  engine swap (edge updates change
   nothing served until ``rebuild_engine`` swaps the engine, and the
   swap marks every subscription for recompute);
 - **classify** — every update, a move or a forget, is screened
@@ -27,7 +27,7 @@ update stream.
   on NO-OP and evicts it otherwise.
 
 Reads are *linearizable with updates*: :meth:`SubscriptionRegistry.result`
-applies pending work under the service's engine read lock before
+applies pending work under the service's read lock before
 returning, so no stale result survives its invalidating update.
 
     >>> from repro import GeoSocialEngine, QueryService, gowalla_like
@@ -76,9 +76,10 @@ class SubscriptionRegistry:
         >>> from repro import GeoSocialEngine, QueryService, gowalla_like
         >>> from repro.stream import SubscriptionRegistry
         >>> engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
-        >>> registry = SubscriptionRegistry(QueryService(engine, cache_size=0))
+        >>> service = QueryService(engine, cache_size=0)
+        >>> registry = SubscriptionRegistry(service)
         >>> sub = registry.subscribe(user=8, k=5, alpha=0.3, method="spa")
-        >>> engine.move_user(8, 0.5, 0.5)     # query user moved: recompute
+        >>> service.move_user(8, 0.5, 0.5)    # query user moved: recompute
         >>> registry.result(sub).users == engine.query(8, 5, 0.3, "spa").users
         True
         >>> registry.stats.recompute_marks

@@ -1,5 +1,4 @@
-"""The readers-writer lock shared by the engine, service and stream
-layers.
+"""The readers-writer lock of the serving layer.
 
 SSRQ serving is read-mostly: queries only read the graph, the location
 table, and the indexes, so any number may run concurrently — but a
@@ -9,11 +8,12 @@ module carries a small writer-preferring implementation: once a writer
 is waiting, new readers queue behind it, bounding update latency under
 sustained query traffic.
 
-Each :class:`~repro.core.engine.GeoSocialEngine` owns one instance
-(``engine.rw_lock``) guarding *its* indexes; every
-:class:`~repro.service.QueryService` over the same engine shares that
-one lock, so updates through any path exclude queries through all
-paths.
+Each :class:`~repro.service.QueryService` owns one instance, made
+with the service and kept across every engine swap.  The engine is a
+plain value with no lock of its own: the service's queries, its stream
+registry's reads and its snapshots hold the read side, and its moves,
+forgets, edge updates, swaps and ``close`` the write side, so a served
+engine is mutated only through its service.
 """
 
 from __future__ import annotations

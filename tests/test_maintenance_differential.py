@@ -25,7 +25,7 @@ still ``cached`` — and every answer equals bruteforce over the
 *served* edge set; after it every answer equals a fresh engine over
 ``SocialGraph.from_edges`` of the model's edge set.
 
-Same derandomized Hypothesis profile as the stream suite.  The pin of
+Runs under a fixed, derandomized Hypothesis profile.  The pin of
 the one case where the two pre-unification rules differed lives in
 ``tests/test_service_model.py``; the guards that the rule stays written
 once and that removed options stay removed live in
@@ -37,16 +37,30 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import GeoSocialEngine
 from repro.graph.socialgraph import SocialGraph
 from repro.service import QueryRequest, QueryService
-from repro.stream import NOOP, REPAIR, SubscriptionRegistry, classify_location_update
+from repro.stream import (
+    NOOP,
+    REPAIR,
+    REPAIRABLE_METHODS,
+    SubscriptionRegistry,
+    classify_location_update,
+)
 from tests.conftest import random_instance
 from tests.test_graph_directed import random_digraph
-from tests.test_stream_equivalence import STREAM_CI, assert_maintained_equals_fresh
+
+settings.register_profile(
+    "stream-ci",
+    max_examples=16,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+STREAM_CI = settings.get_profile("stream-ci")
 
 #: repairable forward methods, one that is screened but never repaired,
 #: and ``auto``, whose subscriptions re-resolve on every recompute
@@ -55,6 +69,28 @@ STEPS = 14
 #: the forward-deterministic ones: pinned bit-identical to bruteforce,
 #: on directed graphs too
 EXACT_METHODS = ("tsa", "sfa", "spa", "bounded", "bruteforce", "auto")
+
+
+def assert_maintained_equals_fresh(sub, maintained, fresh, context):
+    """The same ranking as ``fresh``; bit-equal scores and both distance
+    columns for a repairable method, scores within 1e-9 for ``ais``
+    (which sums its bounds in another order)."""
+    ids_m = [nb.user for nb in maintained]
+    ids_f = [nb.user for nb in fresh]
+    assert ids_m == ids_f, f"{context}: ranking differs: {ids_m} vs {ids_f}"
+    if sub.method in REPAIRABLE_METHODS:
+        scores_m = [nb.score for nb in maintained]
+        scores_f = [nb.score for nb in fresh]
+        assert scores_m == scores_f, (
+            f"{context}: maintained scores not bit-identical:\n{scores_m}\n{scores_f}"
+        )
+        assert [nb.social for nb in maintained] == [nb.social for nb in fresh], context
+        assert [nb.spatial for nb in maintained] == [nb.spatial for nb in fresh], context
+    else:
+        for nb_m, nb_f in zip(maintained, fresh):
+            assert abs(nb_m.score - nb_f.score) <= 1e-9, (
+                f"{context}: score for {nb_m.user}: {nb_m.score!r} vs {nb_f.score!r}"
+            )
 
 
 def verdict(stored, engine, mover, x, y):

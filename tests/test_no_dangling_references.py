@@ -164,12 +164,17 @@ def test_the_retired_wake_up_machinery_is_named_nowhere():
 
 
 def test_only_the_service_follows_an_engine():
-    """One module decides which changes reach a standing answer:
-    ``QueryService`` is the only ``src/`` caller of
-    ``add_location_listener``."""
-    callers = {
+    """The engine is a value: it has no lock and no listeners, so only
+    its service decides which changes reach a standing answer.  The
+    retired engine lock and listener API is named nowhere in ``src/``,
+    the README, the docs, the examples or the verify skill."""
+    retired = r"\brw_lock\b|add_location_listener|remove_location_listener|_notify_location"
+    homes = [*sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md",
+             *sorted((ROOT / "docs").glob("*.md")), *sorted((ROOT / "examples").glob("*.py")),
+             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    found = {
         str(path.relative_to(ROOT))
-        for path in DOCSTRINGED
-        if ".add_location_listener(" in path.read_text(encoding="utf-8")
+        for path in homes
+        if re.search(retired, path.read_text(encoding="utf-8"))
     }
-    assert callers == {"src/repro/service/service.py"}
+    assert found == set()

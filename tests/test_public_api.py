@@ -60,9 +60,9 @@ def test_the_engine_surface_has_one_home_per_operation():
     from repro import GeoSocialEngine, QueryService
 
     assert sorted(name for name in vars(GeoSocialEngine) if not name.startswith("_")) == [
-        "add_location_listener", "aggregate", "close", "forget_location",
-        "from_dataset", "grid", "landmarks", "located_users", "move_user", "query",
-        "remove_location_listener", "resolve_method", "searcher", "with_graph",
+        "aggregate", "close", "forget_location", "from_dataset", "grid",
+        "landmarks", "located_users", "move_user", "query", "resolve_method",
+        "searcher", "with_graph",
     ]
     engine_options = inspect.signature(GeoSocialEngine.__init__).parameters
     assert "planner" not in engine_options and "social_cache_bytes" in engine_options

@@ -533,15 +533,15 @@ def test_cached_queries_and_healthz_bypass_busy_workers(engine):
 
 
 def test_cached_queries_and_healthz_bypass_a_held_write_lock(engine):
-    """A writer holds the engine exclusively: the uncached query waits
-    on a worker thread, the loop keeps answering."""
+    """A writer holds the service's lock exclusively: the uncached
+    query waits on a worker thread, the loop keeps answering."""
     hot, cold = sorted(engine.locations.located_users())[:2]
     outcomes: dict = {}
     with QueryService(engine, cache_size=64) as service, ServerThread(
         service, workers=1
     ) as handle, ServerClient(handle.host, handle.port) as client:
         first = client.query(hot, k=5)
-        with engine.rw_lock.write_locked():
+        with service._lock.write_locked():
             thread = _post_in_thread(handle, {"user": cold, "k": 5}, outcomes, cold)
             _wait_for(lambda: client.stats()["server"]["in_flight"] == 1, "admission")
             status, payload = _prompt(client, "POST", "/query", {"user": hot, "k": 5})

@@ -32,6 +32,7 @@ from repro.service import (
     ResultCache,
 )
 from repro.service.model import json_bytes
+from repro.stream import SubscriptionRegistry
 from tests.conftest import assert_same_scores, cache_put, random_instance
 
 
@@ -147,7 +148,7 @@ def test_query_many_runs_on_the_calling_thread(engine):
 def test_query_many_holds_the_read_lock_from_its_first_lookup_to_its_last_answer(
     engine, monkeypatch
 ):
-    """``service.query_many`` takes the engine's read lock before its
+    """``service.query_many`` takes the service's read lock before its
     first cache lookup and answers every request on the caller under
     it: a move issued while the batch is still looking up its hits
     waits until the last miss is answered, so the batch is one cut."""
@@ -170,9 +171,15 @@ def test_query_many_holds_the_read_lock_from_its_first_lookup_to_its_last_answer
             log.append(("query", threading.current_thread().name))
             return query(request, *args, **kwargs)
 
+        move_user = engine.move_user
+
+        def traced_move(user, *xy):
+            move_user(user, *xy)
+            log.append(("move", user))
+
         monkeypatch.setattr(service.cache, "get", traced_get)
         monkeypatch.setattr(engine, "query", traced_query)
-        engine.add_location_listener(lambda user, x, y: log.append(("move", user)))
+        monkeypatch.setattr(engine, "move_user", traced_move)
         outcome: dict = {}
         batch = threading.Thread(
             target=lambda: outcome.setdefault(
@@ -186,7 +193,7 @@ def test_query_many_holds_the_read_lock_from_its_first_lookup_to_its_last_answer
         move.start()
         deadline = time.monotonic() + 30
         # the move is queued behind the batch (or, unlocked, has landed)
-        while not engine.rw_lock._writers_waiting and ("move", mover) not in log:
+        while not service._lock._writers_waiting and ("move", mover) not in log:
             assert time.monotonic() < deadline, "the move never reached the lock"
             time.sleep(0.001)
         release.set()
@@ -390,73 +397,109 @@ def test_edge_log_collapses_repeats_and_checks_deletes(engine):
             new_engine.close()
 
 
-def test_direct_engine_updates_still_invalidate(engine):
-    """Updates applied straight to the engine (bypassing the service)
-    must reach the cache through the engine's listener hooks."""
-    user = located(engine, 1)[0]
-    with QueryService(engine, cache_size=32) as service:
-        service.query(user, k=5, alpha=0.4, method="ais")
-        engine.move_user(user, 0.42, 0.42)
-        assert not service.query(user, k=5, alpha=0.4, method="ais").cached
-
-
 def test_close_flushes_and_rejects_further_use(engine):
     user = located(engine, 1)[0]
     service = QueryService(engine, cache_size=32)
     service.query(user, k=5, method="ais")
     service.close()
-    # The cache is flushed (its listeners are gone, so keeping entries
-    # would mean serving stale results) and every entry point raises.
+    # The cache is flushed and every entry point raises.
     assert len(service.cache) == 0
     for call in (
         lambda: service.query(user, k=5, method="ais"),
         lambda: service.query_many([user], k=5, method="ais"),
         lambda: service.move_user(user, 0.3, 0.3),
+        lambda: service.forget_location(user),
         lambda: service.update_edge(0, 1, 0.5),
         lambda: service.rebuild_engine(),
+        lambda: service.replace_engine(engine),
     ):
         with pytest.raises(RuntimeError):
             call()
-    # Listeners are detached: direct engine updates no longer touch it.
-    before = service.cache.stats.invalidated
-    engine.move_user(user, 0.3, 0.3)
-    assert service.cache.stats.invalidated == before
+    assert service.engine is engine and engine.locations.get(user) != (0.3, 0.3)
 
 
-def test_services_share_the_engines_lock(engine):
-    """Updates through one service (or the bare engine) must exclude
-    queries through every other service over the same engine."""
+def test_a_close_during_a_rebuild_wins(engine, monkeypatch):
+    """``close()`` takes the write side, and a rebuild re-checks under
+    it before it swaps: a close that lands while the new engine is
+    being built leaves the old engine served, raises in the rebuild and
+    tells no follower of a swap."""
+    service = QueryService(engine, cache_size=8)
+    registry = SubscriptionRegistry(service)
+    inside, release = threading.Event(), threading.Event()
+    with_graph = GeoSocialEngine.with_graph
+
+    def blocked_with_graph(self, *args, **kwargs):
+        inside.set()
+        assert release.wait(timeout=30)
+        return with_graph(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeoSocialEngine, "with_graph", blocked_with_graph)
+    outcome: dict = {}
+
+    def rebuild() -> None:
+        try:
+            outcome["engine"] = service.rebuild_engine()
+        except RuntimeError as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=rebuild)
+    thread.start()
+    assert inside.wait(timeout=30)
+    service.close()
+    release.set()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert "engine" not in outcome and "closed" in str(outcome["error"])
+    assert service.engine is engine
+    assert registry.stats.engine_swaps == 0
+    registry.close()
+
+
+def test_readers_and_writers_share_the_services_lock(engine):
+    """Moves, forgets, edge updates and rebuilds through one service
+    exclude the queries of every other thread over it, across swaps."""
     users = located(engine, 8)
     failures: list[str] = []
-    with QueryService(engine, cache_size=64) as svc_a, QueryService(
-        engine, cache_size=0
-    ) as svc_b:
+    with QueryService(engine, cache_size=64) as service:
 
-        def reader() -> None:
-            rng = random.Random(3)
-            for _ in range(30):
-                for response in svc_a.query_many(
-                    [QueryRequest(rng.choice(users), k=4, alpha=0.4, method="ais") for _ in range(3)]
-                ):
-                    ranked = response.result.users
-                    if len(ranked) != len(set(ranked)):
-                        failures.append(f"duplicates: {ranked}")
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(30):
+                    for response in service.query_many(
+                        [QueryRequest(rng.choice(users), k=4, alpha=0.4, method="ais")
+                         for _ in range(3)]
+                    ):
+                        ranked = response.result.users
+                        if len(ranked) != len(set(ranked)):
+                            failures.append(f"duplicates: {ranked}")
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(repr(error))
 
         def writer() -> None:
             rng = random.Random(4)
-            for _ in range(30):
-                svc_b.move_user(rng.randrange(engine.graph.n), rng.random(), rng.random())
-                engine.move_user(rng.randrange(engine.graph.n), rng.random(), rng.random())
+            n = engine.graph.n
+            others = [u for u in range(n) if u not in users]
+            for step in range(30):
+                service.move_user(rng.randrange(n), rng.random(), rng.random())
+                service.forget_location(rng.choice(others))
+                u, v = rng.sample(range(n), 2)
+                service.update_edge(u, v, rng.uniform(0.05, 1.0))
+                if step % 10 == 9:
+                    service.rebuild_engine()
 
-        threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in (3, 5)]
+        threads.append(threading.Thread(target=writer))
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert not failures, failures[:3]
-        for u in users[:3]:
-            got = svc_a.query(u, k=4, alpha=0.4, method="ais")
-            truth = engine.query(u, 4, 0.4, "bruteforce")
+        served = service.engine
+        assert served is not engine
+        for u in located(served, 3):
+            got = service.query(u, k=4, alpha=0.4, method="ais")
+            truth = served.query(u, 4, 0.4, "bruteforce")
             assert_same_scores(got.result, truth)
 
 
@@ -736,8 +779,8 @@ def test_cached_probe_counts_like_query_and_never_plans(engine):
         assert list(service.cache._entries)[-1][0] == user
         # named methods probe their routed line
         assert service.cached(other).cached
-        # a held engine write lock does not hold the probe up
-        with engine.rw_lock.write_locked():
+        # a held write lock does not hold the probe up
+        with service._lock.write_locked():
             assert service.cached(auto) is not None
     with QueryService(engine, cache_size=0) as uncached:
         uncached.query(auto)
@@ -793,8 +836,7 @@ def test_cache_sizes_are_checked_one_way(field, value, message, engine_cache):
     """Both sizes refuse a bool, a non-integer and a negative value with
     a ``ValueError`` naming the field, each at its one home — the result
     cache's on the service, the column budget on the engine (a rebuild
-    from an engine with or without columns included) — and leave the
-    engine's listeners alone."""
+    from an engine with or without columns included)."""
     graph, locations = random_instance(30, seed=4, coverage=0.8)
     engine = GeoSocialEngine(
         graph, locations, num_landmarks=2, social_cache_bytes=engine_cache
@@ -804,7 +846,6 @@ def test_cache_sizes_are_checked_one_way(field, value, message, engine_cache):
             engine.with_graph(graph, social_cache_bytes=value)
         else:
             QueryService(engine, cache_size=value)
-    assert not engine._location_listeners
 
 
 def test_zero_still_turns_each_cache_off(engine):

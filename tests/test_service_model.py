@@ -29,7 +29,8 @@ landmarks and grid, the result-cache size (0, 1 or 64) and the column
 cache budget (none, one column or the default).
 
 Every answer equals the model's: ids and tie-breaks exact, scores
-bit-equal (``ais`` sums its bounds in another order: within 1e-9); a
+bit-equal (``ais`` sums its bounds in another order: within 1e-9,
+relative above a score of 1); a
 query user without a location below ``α = 1`` raises the same
 ``ValueError`` in both.  After every step:
 
@@ -52,8 +53,9 @@ same steps; :class:`TestServiceModel` also asserts that the run reached
 every rule and both of ``bounded``'s paths (:data:`FLOORS`).  The pins
 at the end check what one model run cannot: a scripted planner, a
 patched pending limit, subscribe-time validation, an ``α = 1``
-subscription no move may touch, and the open-slot forget the result
-cache and the registry once treated differently.
+subscription no move may touch, the open-slot forget the result
+cache and the registry once treated differently, and a suspended
+subscription that resumes.
 """
 
 from __future__ import annotations
@@ -169,12 +171,15 @@ def like_the_model(model, request, ask):
 
 def assert_answer(result, want, request):
     """The same ids in the same order as ``want``, and bit-equal scores
-    (``ais``: within 1e-9)."""
+    (``ais``: within 1e-9, relative above a score of 1, where one ulp
+    outgrows any absolute bound)."""
     got = [(nb.user, nb.score) for nb in result]
     context = f"{request} ran {result.method}: {got} != {want}"
     assert [u for u, _ in got] == [u for u, _ in want], context
     if result.method == "ais":
-        assert all(abs(a - b) <= 1e-9 for (_, a), (_, b) in zip(got, want)), context
+        assert all(
+            abs(a - b) <= 1e-9 * max(1.0, abs(b)) for (_, a), (_, b) in zip(got, want)
+        ), context
     else:
         assert got == want, context
 
@@ -722,6 +727,27 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
     service.close()
 
 
+def test_a_suspended_subscription_resumes_when_its_user_returns():
+    """Forgetting the query user suspends its subscription (a read
+    raises like the model), another user's move leaves it suspended,
+    and its own user's return resumes it.  The derandomized run never
+    moves the query user of a suspended subscription."""
+    engine, service, registry = stack(50, seed=13)
+    q = next(iter(engine.locations.located_users()))
+    sub = registry.subscribe(q, k=5, alpha=0.4, method="spa")
+    other = next(u for u in engine.locations.located_users() if u != q)
+    service.forget_location(q)
+    for mover, xy in ((other, (0.9, 0.9)), (q, (0.4, 0.6))):
+        model = Model.of_engine(engine)
+        assert not like_the_model(model, sub.request, lambda: registry.result(sub))
+        assert not sub.active and registry.stats.suspended == 1
+        service.move_user(mover, *xy)
+    assert like_the_model(Model.of_engine(engine), sub.request, lambda: registry.result(sub))
+    assert sub.active and registry.stats.suspended == 0
+    registry.close()
+    service.close()
+
+
 def test_a_registry_follows_only_an_open_service():
     """The registry reads through its service: once the service is
     closed, every serving call raises; ``close()`` unfollows."""
@@ -733,7 +759,8 @@ def test_a_registry_follows_only_an_open_service():
                  lambda: registry.result(sub), registry.flush):
         with pytest.raises(RuntimeError, match="QueryService is closed"):
             call()
-    engine.move_user(0, 0.5, 0.5)  # the registry has no listener of its own
+    with pytest.raises(RuntimeError, match="QueryService is closed"):
+        service.move_user(0, 0.5, 0.5)  # a closed service moves no one
     assert registry.stats.location_updates == 0
     registry.close()
     assert service._followers == []

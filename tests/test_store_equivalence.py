@@ -205,43 +205,103 @@ def test_loaded_engine_serves_typed_class_loaders(tmp_path):
     assert isinstance(load_engine(tmp_path / "single"), GeoSocialEngine)
 
 
-def test_a_move_waits_for_a_running_save(tmp_path, monkeypatch):
-    """``save_engine`` holds the engine's read lock while it writes, so
-    a move from another thread lands after the save returns and the
-    snapshot is one instant (the pre-move location)."""
-    import repro.store.snapshot as snapshot
+class ChangeLog:
+    """A service follower that logs each move and swap it hears."""
 
-    live = build_engine(n=80)
-    mover = located_sample(live, 1)[0]
-    before = live.locations.get(mover)
-    log: list = []
+    def __init__(self, log: list) -> None:
+        self.log = log
+
+    def location_updated(self, user, x, y) -> None:
+        self.log.append("moved")
+
+    def engine_swapped(self, engine) -> None:
+        self.log.append("swapped")
+
+
+def blocked_saves(monkeypatch, log: list):
+    """Make ``SnapshotManager``'s saves wait on ``release`` once
+    ``inside`` is set, and log ``"written"`` as each one starts
+    writing.  Returns ``(inside, release)``."""
+    import repro.store.manager as manager
+
     inside, release = threading.Event(), threading.Event()
-    write = snapshot._write_engine
+    save = manager.save_engine
 
-    def blocked_write(engine, tmp):
+    def blocked_save(engine, path):
         inside.set()
         assert release.wait(timeout=30)
         log.append("written")
-        return write(engine, tmp)
+        return save(engine, path)
 
-    monkeypatch.setattr(snapshot, "_write_engine", blocked_write)
-    live.add_location_listener(lambda user, x, y: log.append("moved"))
-    save = threading.Thread(target=save_engine, args=(live, tmp_path / "snap"))
-    save.start()
-    assert inside.wait(timeout=30)
-    move = threading.Thread(target=live.move_user, args=(mover, 0.111, 0.222))
-    move.start()
+    monkeypatch.setattr(manager, "save_engine", blocked_save)
+    return inside, release
+
+
+def wait_until_queued(service, writers: int, done) -> None:
+    """Wait until ``writers`` writers queue on the service's lock (or,
+    unlocked, ``done()`` says they have landed)."""
     deadline = time.monotonic() + 30
-    # the move is queued behind the save (or, unlocked, has landed)
-    while not live.rw_lock._writers_waiting and "moved" not in log:
-        assert time.monotonic() < deadline, "the move never reached the lock"
+    while service._lock._writers_waiting < writers and not done():
+        assert time.monotonic() < deadline, "a writer never reached the lock"
         time.sleep(0.001)
-    release.set()
-    save.join(timeout=30)
-    move.join(timeout=30)
-    assert not save.is_alive() and not move.is_alive()
+
+
+def test_a_move_waits_for_a_running_save(tmp_path, monkeypatch):
+    """``SnapshotManager.snapshot`` saves under the service's read lock,
+    so a move from another thread lands after the save returns and the
+    snapshot is one instant (the pre-move location)."""
+    log: list = []
+    inside, release = blocked_saves(monkeypatch, log)
+    with QueryService(build_engine(n=80)) as service:
+        service.follow(ChangeLog(log))
+        mover = located_sample(service.engine, 1)[0]
+        before = service.engine.locations.get(mover)
+        manager = service.snapshots(tmp_path / "snaps")
+        save = threading.Thread(target=manager.snapshot)
+        save.start()
+        assert inside.wait(timeout=30)
+        move = threading.Thread(target=service.move_user, args=(mover, 0.111, 0.222))
+        move.start()
+        wait_until_queued(service, 1, lambda: "moved" in log)
+        release.set()
+        save.join(timeout=30)
+        move.join(timeout=30)
+        assert not save.is_alive() and not move.is_alive()
     assert log == ["written", "moved"]
-    assert load_engine(tmp_path / "snap").locations.get(mover) == before
+    assert load_engine(manager.latest()).locations.get(mover) == before
+
+
+def test_a_swap_waits_for_a_running_save(tmp_path, monkeypatch):
+    """The manager reads the served engine and saves it inside one hold
+    of the service's read lock: a rebuild started during the save swaps
+    only after the save returns, and a move started after it waits too,
+    so the snapshot is the engine that was served, as it was."""
+    log: list = []
+    inside, release = blocked_saves(monkeypatch, log)
+    live = build_engine(n=80)
+    with QueryService(live) as service:
+        service.follow(ChangeLog(log))
+        mover = located_sample(live, 1)[0]
+        before = live.locations.get(mover)
+        manager = service.snapshots(tmp_path / "snaps")
+        save = threading.Thread(target=manager.snapshot)
+        save.start()
+        assert inside.wait(timeout=30)
+        rebuild = threading.Thread(target=service.rebuild_engine)
+        rebuild.start()
+        wait_until_queued(service, 1, lambda: "swapped" in log)
+        move = threading.Thread(target=service.move_user, args=(mover, 0.111, 0.222))
+        move.start()
+        wait_until_queued(service, 2, lambda: "moved" in log)
+        release.set()
+        for thread in (save, rebuild, move):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert service.engine is not live
+    assert log[0] == "written" and sorted(log[1:]) == ["moved", "swapped"]
+    snapshot = load_engine(manager.latest())
+    assert snapshot.locations.get(mover) == before
+    assert_bit_identical(build_engine(n=80), snapshot, located_sample(snapshot))
 
 
 def test_loaded_engine_stays_mutable_without_touching_snapshot(tmp_path):
