@@ -113,17 +113,17 @@ class BoundedSearch:
             rng = random.Random(graph.n)
             # an isolated source reaches nobody: draw among vertices
             # with an edge, or the profile reads too small a radius
-            sources = np.flatnonzero(np.diff(graph.indptr)).tolist()
+            sources = np.flatnonzero(np.diff(graph.indptr))
             columns = [
                 kernels.sssp_column(graph, rng.choice(sources))
-                for _ in range(_PROFILE_SOURCES if sources else 0)
+                for _ in range(_PROFILE_SOURCES if len(sources) else 0)
             ]
             locations = self.locations
             xs, ys = locations.columns()
-            located = np.flatnonzero(~np.isnan(xs)).tolist()
+            located = np.flatnonzero(~np.isnan(xs))
             distances = [
-                kernels.euclidean_to_point(xs, ys, *locations.get(q))
-                for q in (rng.choice(located) for _ in range(_PROFILE_SOURCES if located else 0))
+                kernels.euclidean_to_point(xs, ys, *locations.get(rng.choice(located)))
+                for _ in range(_PROFILE_SOURCES if len(located) else 0)
             ]
             # every _PROFILE_SOURCES-th pooled distance: averaged over
             # the sources

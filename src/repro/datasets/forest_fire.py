@@ -38,7 +38,7 @@ def forest_fire_sample(
     rng = make_rng(seed)
     burned: set[int] = set()
     burned_order: list[int] = []
-    indptr, nbrs, _ = graph.list_view()
+    indptr, nbrs = graph.indptr, graph.nbrs
 
     def burn(v: int) -> None:
         burned.add(v)
@@ -52,9 +52,7 @@ def forest_fire_sample(
                 spreads += 1
             if spreads == 0:
                 continue
-            unburned = [
-                nbrs[i] for i in range(indptr[x], indptr[x + 1]) if nbrs[i] not in burned
-            ]
+            unburned = [y for y in nbrs[indptr[x]:indptr[x + 1]].tolist() if y not in burned]
             if not unburned:
                 continue
             rng.shuffle(unburned)

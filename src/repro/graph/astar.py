@@ -36,7 +36,7 @@ class AStarSearch:
 
     __slots__ = (
         "graph", "source", "h", "expand_filter", "settled", "parent", "heap", "_best",
-        "_last_fkey", "_lists",
+        "_last_fkey",
     )
 
     def __init__(
@@ -51,7 +51,6 @@ class AStarSearch:
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         self.graph = graph
         self.source = source
-        self._lists = graph.list_view()
         self.h = h
         self.expand_filter = expand_filter
         #: vertex -> exact g (distance from source), in settle order
@@ -70,7 +69,6 @@ class AStarSearch:
         best = self._best
         parent = self.parent
         h = self.h
-        indptr, nbrs, wts = self._lists
         while heap:
             fkey, v = heap.pop()
             if v in settled:
@@ -80,12 +78,10 @@ class AStarSearch:
             self._last_fkey = fkey
             if self.expand_filter is not None and not self.expand_filter(v):
                 return v, g
-            lo, hi = indptr[v], indptr[v + 1]
-            for i in range(lo, hi):
-                u = nbrs[i]
+            for u, w in self.graph.neighbors(v):
                 if u in settled:
                     continue
-                ng = g + wts[i]
+                ng = g + w
                 old = best.get(u)
                 if old is None or ng < old:
                     best[u] = ng

@@ -48,7 +48,7 @@ def bidirectional_dijkstra(graph: SocialGraph, source: int, target: int) -> floa
 
     if source == target:
         return 0.0
-    views = (graph.list_view(), (graph.reverse() if graph.directed else graph).list_view())
+    graphs = (graph, graph.reverse())  # reverse() is the graph itself when undirected
     dist: tuple[dict[int, float], dict[int, float]] = ({source: 0.0}, {target: 0.0})
     settled: tuple[dict[int, float], dict[int, float]] = ({}, {})
     heaps: tuple[list, list] = ([(0.0, source)], [(0.0, target)])
@@ -66,10 +66,8 @@ def bidirectional_dijkstra(graph: SocialGraph, source: int, target: int) -> floa
         my_settled[v] = d
         other_settled = settled[1 - side]
         my_dist = dist[side]
-        indptr, nbrs, wts = views[side]
-        for i in range(indptr[v], indptr[v + 1]):
-            u = nbrs[i]
-            nd = d + wts[i]
+        for u, w in graphs[side].neighbors(v):
+            nd = d + w
             ou = other_settled.get(u)
             if ou is not None and nd + ou < best:
                 best = nd + ou

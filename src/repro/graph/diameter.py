@@ -36,16 +36,20 @@ def double_sweep_diameter(graph: SocialGraph, sweeps: int = 2, seed: int = 0) ->
 
     Runs ``sweeps`` independent sweeps (each: Dijkstra from a random
     start, then Dijkstra from the farthest vertex found) and returns the
-    largest eccentricity observed.  Returns 0 for edgeless graphs.
+    largest eccentricity either half of a sweep observed: on a digraph
+    the farthest vertex may be a sink, whose own sweep reaches nobody.
+    A start with no out-edge reaches nobody either, so it moves to the
+    next vertex that has one (no extra draw).  Returns 0 for edgeless
+    graphs.
     """
-    if graph.n == 0:
+    starts = np.flatnonzero(np.diff(graph.indptr))
+    if not len(starts):
         return 0.0
     rng = make_rng(seed)
     best = 0.0
     for _ in range(max(1, sweeps)):
-        start = rng.randrange(graph.n)
-        far, _ = _farthest(graph, start)
-        _, ecc = _farthest(graph, far)
-        if ecc > best:
-            best = ecc
+        start = int(starts[np.searchsorted(starts, rng.randrange(graph.n)) % len(starts)])
+        far, ecc = _farthest(graph, start)
+        _, back = _farthest(graph, far)
+        best = max(best, ecc, back)
     return best

@@ -16,17 +16,16 @@ copy, and :mod:`repro.store` writes them and maps them back.
 
 The *incremental* searchers' pure-Python Dijkstra loops (SFA's stream,
 TSA's interleave, AIS's forward search, A*, the bidirectional oracle,
-the CH build, forest-fire sampling) settle a few
-vertices at a time, and flat Python lists are the fastest random-access
-container for them.  They read :meth:`SocialGraph.list_view`, which the
-graph builds once, on first use — so a process that only runs the array
-kernels never holds the lists.
+the CH build, forest-fire sampling) settle a few vertices at a time and
+read each settled vertex's row off the arrays, as two slices turned into
+Python lists (:meth:`SocialGraph.neighbors`): a query pays for the rows
+it settles, and no process holds a second, list-shaped copy of the
+graph.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -34,10 +33,6 @@ import numpy as np
 #: the CSR's index dtype (what scipy's sparse graphs take without a copy)
 _INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(_INDEX_DTYPE).max)
-
-#: serialises the one-time build of a graph's list view, so concurrent
-#: first readers convert the arrays once
-_LIST_VIEW_LOCK = threading.Lock()
 
 
 def _readonly(values, dtype) -> np.ndarray:
@@ -79,9 +74,7 @@ class SocialGraph:
         ('int32', 'int32', 'float64')
     """
 
-    __slots__ = (
-        "n", "indptr", "nbrs", "wts", "directed", "_num_edges", "_reverse", "_csr", "_lists",
-    )
+    __slots__ = ("n", "indptr", "nbrs", "wts", "directed", "_num_edges", "_reverse", "_csr")
 
     def __init__(
         self,
@@ -114,8 +107,6 @@ class SocialGraph:
         #: by the backend kernel that runs full expansions over them
         #: (:meth:`~repro.backend.NumpyKernels.sssp_column`)
         self._csr = None
-        #: see :meth:`list_view`
-        self._lists: "tuple[list[int], list[int], list[float]] | None" = None
 
     # -- construction ---------------------------------------------------
 
@@ -220,30 +211,6 @@ class SocialGraph:
             raise ValueError("CSR edge weights must be positive and finite")
         return cls(n, indptr, nbrs, wts, directed, _num_edges=num_edges)
 
-    # -- the list view ----------------------------------------------------
-
-    def list_view(self) -> "tuple[list[int], list[int], list[float]]":
-        """``(indptr, nbrs, wts)`` as flat Python lists, for the
-        pure-Python traversal loops.  Built on the first call (once,
-        under a lock) and kept; the arrays stay the canonical CSR.
-
-            >>> from repro import SocialGraph
-            >>> g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
-            >>> g.list_view()
-            ([0, 1, 3, 4], [1, 0, 2, 1], [1.0, 1.0, 2.0, 2.0])
-            >>> g.list_view() is g.list_view()
-            True
-        """
-        view = self._lists
-        if view is None:
-            with _LIST_VIEW_LOCK:
-                view = self._lists
-                if view is None:
-                    view = self._lists = (
-                        self.indptr.tolist(), self.nbrs.tolist(), self.wts.tolist()
-                    )
-        return view
-
     # -- accessors --------------------------------------------------------
 
     @property
@@ -309,11 +276,7 @@ class SocialGraph:
 
     def to_adjacency(self) -> list[dict[int, float]]:
         """Mutable adjacency-dict view (used by CH construction)."""
-        indptr, nbrs, wts = self.list_view()
-        return [
-            dict(zip(nbrs[indptr[u]:indptr[u + 1]], wts[indptr[u]:indptr[u + 1]]))
-            for u in range(self.n)
-        ]
+        return [dict(self.neighbors(u)) for u in range(self.n)]
 
     def subgraph(self, vertices: Sequence[int]) -> tuple["SocialGraph", dict[int, int]]:
         """Induced subgraph on ``vertices``.
@@ -321,18 +284,18 @@ class SocialGraph:
         Returns the new graph (vertices relabelled ``0..len-1``) and the
         old-id -> new-id mapping.  Used by Forest-Fire sampling (Fig 14b).
         """
-        indptr, nbrs, wts = self.list_view()
         mapping = {old: new for new, old in enumerate(vertices)}
-        edges = []
-        for old_u in vertices:
-            new_u = mapping[old_u]
-            for i in range(indptr[old_u], indptr[old_u + 1]):
-                new_v = mapping.get(nbrs[i])
-                if new_v is None:
-                    continue
-                if self.directed or new_u < new_v:
-                    edges.append((new_u, new_v, wts[i]))
-        return SocialGraph.from_edges(len(vertices), edges, self.directed), mapping
+        new_id = np.full(self.n, -1, dtype=np.int64)
+        new_id[list(mapping)] = list(mapping.values())
+        rows = new_id[np.repeat(np.arange(self.n), np.diff(self.indptr))]
+        cols = new_id[self.nbrs]
+        # each edge once (undirected: from its lower new id's row), by
+        # row and then in CSR order, as a walk over ``vertices`` meets it
+        keep = (rows >= 0) & (cols >= 0) & (self.directed | (rows < cols))
+        order = np.flatnonzero(keep)[np.argsort(rows[keep], kind="stable")]
+        return SocialGraph.from_edge_arrays(
+            len(vertices), rows[order], cols[order], self.wts[order], self.directed
+        ), mapping
 
     def edge_key(self, u: int, v: int) -> tuple[int, int]:
         """The key edge ``(u, v)`` travels under in an update mapping:

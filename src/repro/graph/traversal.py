@@ -33,16 +33,13 @@ class DijkstraIterator:
     calls, so interleaving with other work costs nothing.
     """
 
-    __slots__ = (
-        "graph", "source", "settled", "parent", "heap", "_best", "_last_distance", "_lists",
-    )
+    __slots__ = ("graph", "source", "settled", "parent", "heap", "_best", "_last_distance")
 
     def __init__(self, graph: SocialGraph, source: int, heap: MinHeap | None = None) -> None:
         if not 0 <= source < graph.n:
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         self.graph = graph
         self.source = source
-        self._lists = graph.list_view()
         #: vertex -> exact (final) distance, in settle order
         self.settled: dict[int, float] = {}
         #: vertex -> predecessor on a shortest path from the source
@@ -61,19 +58,16 @@ class DijkstraIterator:
         settled = self.settled
         best = self._best
         parent = self.parent
-        indptr, nbrs, wts = self._lists
         while heap:
             d, v = heap.pop()
             if v in settled:
                 continue  # stale entry
             settled[v] = d
             self._last_distance = d
-            lo, hi = indptr[v], indptr[v + 1]
-            for i in range(lo, hi):
-                u = nbrs[i]
+            for u, w in self.graph.neighbors(v):
                 if u in settled:
                     continue
-                nd = d + wts[i]
+                nd = d + w
                 old = best.get(u)
                 if old is None or nd < old:
                     best[u] = nd
@@ -163,12 +157,11 @@ def hop_counts(graph: SocialGraph, source: int) -> dict[int, int]:
     vertex."""
     hops = {source: 0}
     queue = deque([source])
-    indptr, nbrs, _ = graph.list_view()
+    indptr, nbrs = graph.indptr, graph.nbrs
     while queue:
         v = queue.popleft()
         h = hops[v] + 1
-        for i in range(indptr[v], indptr[v + 1]):
-            u = nbrs[i]
+        for u in nbrs[indptr[v]:indptr[v + 1]].tolist():
             if u not in hops:
                 hops[u] = h
                 queue.append(u)

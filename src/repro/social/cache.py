@@ -105,7 +105,7 @@ class SocialColumnCache:
         [0.0, 1.0, 2.0]
 
     Thread-safe: every operation holds one internal lock, so concurrent
-    queries under the engine's shared read lock never observe a
+    queries under the service's shared read lock never observe a
     half-updated entry.  Columns are shared read-only.
     """
 

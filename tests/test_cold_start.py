@@ -22,13 +22,13 @@ Three structural facts behind ``setup_s``:
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import GeoSocialEngine, QueryService, gowalla_like, load_engine, save_engine
 from repro.graph.landmarks import LandmarkIndex
-from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.index.aggregate import AggregateIndex
 from repro.server.protocol import stats_payload
@@ -142,27 +142,38 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch, tmp_
 
 def test_a_served_graph_holds_one_csr(dataset):
     """An engine build plus interior ``auto`` queries run on the graph's
-    arrays alone: the Python list view is never built and scipy's handle
-    aliases the arrays."""
-    # a fresh graph over the shared arrays: other tests here build the
-    # fixture graph's list view
-    graph = SocialGraph.from_csr(
-        dataset.graph.n, dataset.graph.indptr, dataset.graph.nbrs, dataset.graph.wts
-    )
-    engine = GeoSocialEngine(graph, dataset.locations.copy())
+    arrays alone, and scipy's handle aliases them."""
+    engine = build(dataset)
+    graph = engine.graph
     try:
-        assert graph._lists is None
         rng = random.Random(5)
         for user in rng.sample(engine.located_users(), 40):
             result = engine.query(user, k=10, alpha=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
             assert result.method == "bounded"
-            assert graph._lists is None
         handle = graph._csr
         for mine, scipys in ((graph.indptr, handle.indptr), (graph.nbrs, handle.indices),
                              (graph.wts, handle.data)):
             assert np.shares_memory(mine, scipys)
     finally:
         engine.close()
+
+
+def test_the_first_social_query_copies_no_graph():
+    """A fresh engine's first ``α = 1`` query (SFA, a Dijkstra that
+    settles a few vertices) reads rows off the CSR arrays: at its peak
+    it holds less than one more copy of them."""
+    engine = build(gowalla_like(n=10_000, seed=7))
+    graph = engine.graph
+    arrays = graph.indptr.nbytes + graph.nbrs.nbytes + graph.wts.nbytes
+    user = engine.located_users()[0]
+    tracemalloc.start()
+    try:
+        result = engine.query(user, k=10, alpha=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.method == "sfa" and len(result) == 10
+    assert peak < arrays, f"peak {peak} B against {arrays} B of CSR arrays"
 
 
 # -- the lazily built landmark index -----------------------------------

@@ -1,9 +1,12 @@
 """Tests for diameter estimation."""
 
 import math
+import random
 
 import networkx as nx
+import numpy as np
 
+from repro.backend import NumpyKernels
 from repro.graph.diameter import double_sweep_diameter
 from repro.graph.socialgraph import SocialGraph
 from tests.conftest import random_graph
@@ -60,3 +63,30 @@ def test_empty_graph():
 def test_edgeless_graph():
     g = SocialGraph.from_edges(3, [])
     assert double_sweep_diameter(g) == 0.0
+
+
+def random_digraph(seed: int, n: int = 40) -> SocialGraph:
+    """``n`` users and ``2n`` random arcs: sinks and out-edgeless
+    starts are common."""
+    rng = random.Random(seed)
+    arcs = [(*rng.sample(range(n), 2), rng.uniform(0.05, 1.0)) for _ in range(2 * n)]
+    return SocialGraph.from_edges(n, arcs, directed=True)
+
+
+def test_digraphs_with_arcs_get_a_positive_estimate_below_the_diameter():
+    """A sweep from a sink (or a start with no out-edge) reaches
+    nobody; the estimate counts both halves of every sweep and moves
+    an out-edgeless start on, so no digraph with an arc reads 0."""
+    kernels = NumpyKernels()
+    zeros = []
+    for seed in range(60):
+        g = random_digraph(seed)
+        estimate = double_sweep_diameter(g)
+        exact = max(
+            float(np.max(column[np.isfinite(column)]))
+            for column in (kernels.sssp_column(g, v) for v in range(g.n))
+        )
+        assert estimate <= exact, seed
+        if estimate == 0:
+            zeros.append(seed)
+    assert zeros == []

@@ -1,8 +1,7 @@
 """Unit tests for the CSR social graph."""
 
 import math
-import sys
-import threading
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro import gowalla_like
 from repro.datasets.generators import barabasi_albert_edges
 from repro.datasets.weights import degree_product_weights
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import DijkstraIterator
 
 TRIANGLE = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)]
 
@@ -99,6 +97,26 @@ class TestDerived:
         assert sub.n == 3
         # Only the (0,1) edge survives; 3 connects to 2 which is absent.
         assert sorted(sub.edges()) == [(mapping[0], mapping[1], 1.0)]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_subgraph_lists_edges_as_a_walk_over_its_vertices_meets_them(self, directed):
+        """Each kept edge sits where a walk over ``vertices``, in the
+        order given, meets it (an undirected edge at its lower new id)."""
+        rng = random.Random(4)
+        pairs = (rng.sample(range(60), 2) for _ in range(150))
+        g = SocialGraph.from_edges(60, [(u, v, rng.choice((0.5, 1.0, 2.0))) for u, v in pairs],
+                                   directed)
+        vertices = rng.sample(range(60), 35)
+        mapping = {old: new for new, old in enumerate(vertices)}
+        walked = [
+            (mapping[old_u], mapping[old_v], w)
+            for old_u in vertices
+            for old_v, w in g.neighbors(old_u)
+            if old_v in mapping and (directed or mapping[old_u] < mapping[old_v])
+        ]
+        sub, got = g.subgraph(vertices)
+        assert got == mapping
+        assert csr(sub) == csr(SocialGraph.from_edges(35, walked, directed))
 
     def test_with_edge_update_change_weight(self):
         g = SocialGraph.from_edges(3, TRIANGLE)
@@ -289,42 +307,3 @@ def test_from_csr_casts_wide_ids_once_and_adopts_its_own_dtypes():
     assert csr(wide) == csr(g) and wide.nbrs.dtype == np.int32
     same = SocialGraph.from_csr(3, g.indptr, g.nbrs, g.wts)
     assert same.indptr is g.indptr and same.nbrs is g.nbrs and same.wts is g.wts
-
-
-def test_concurrent_first_readers_share_one_list_view():
-    n = 3000
-    graph = SocialGraph.from_edges(n, [(v, (v * 7 + 1) % n, 1.0 + v % 5) for v in range(n - 1)])
-    start = threading.Barrier(8)
-    views, errors = [], []
-
-    def first_read():
-        try:
-            start.wait(timeout=10)
-            views.append(graph.list_view())
-        except Exception as err:  # surfaced below
-            errors.append(err)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=first_read) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not errors and not any(t.is_alive() for t in threads)
-    assert len(views) == 8 and all(view is graph._lists for view in views)
-    assert views[0] == csr(graph)[:3]
-
-
-def test_the_list_view_is_built_by_its_first_reader_only():
-    g = SocialGraph.from_edges(3, TRIANGLE)
-    sorted(g.edges()), g.degree(0), g.edge_weight(0, 1), g.with_edge_updates({(0, 1): 2.0})
-    assert g._lists is None
-    DijkstraIterator(g, 0).run_to_completion()
-    view = g._lists
-    assert view == csr(g)[:3]
-    DijkstraIterator(g, 1)
-    assert g.list_view() is view

@@ -14,7 +14,8 @@ subsumed:
   ``budget``, ``error_bound``) is named nowhere a reader would follow
   it, and neither are the deleted engine duplicates (``engine.save``,
   ``GeoSocialEngine.load``, ``engine.query_many``, the service-level
-  ``social_cache_bytes``), nor the retired scalar backend switch.
+  ``social_cache_bytes``), nor the retired scalar backend switch, nor
+  the graph's retired list view.
 """
 
 from __future__ import annotations
@@ -163,18 +164,37 @@ def test_the_retired_wake_up_machinery_is_named_nowhere():
     assert found == set()
 
 
+#: ``src/``, the README, the docs, the examples and the verify skill
+CODE_AND_PROSE = [
+    *sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md",
+    *sorted((ROOT / "docs").glob("*.md")), *sorted((ROOT / "examples").glob("*.py")),
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+
+def _naming(pattern: str, paths) -> set[str]:
+    """The files among ``paths`` whose text matches ``pattern``."""
+    return {
+        str(path.relative_to(ROOT))
+        for path in paths
+        if re.search(pattern, path.read_text(encoding="utf-8"))
+    }
+
+
 def test_only_the_service_follows_an_engine():
     """The engine is a value: it has no lock and no listeners, so only
     its service decides which changes reach a standing answer.  The
     retired engine lock and listener API is named nowhere in ``src/``,
     the README, the docs, the examples or the verify skill."""
     retired = r"\brw_lock\b|add_location_listener|remove_location_listener|_notify_location"
-    homes = [*sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md",
-             *sorted((ROOT / "docs").glob("*.md")), *sorted((ROOT / "examples").glob("*.py")),
-             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
-    found = {
-        str(path.relative_to(ROOT))
-        for path in homes
-        if re.search(retired, path.read_text(encoding="utf-8"))
-    }
-    assert found == set()
+    assert _naming(retired, CODE_AND_PROSE) == set()
+
+
+def test_the_csr_arrays_are_the_graphs_only_form():
+    """Every traversal reads rows off the CSR arrays: the retired list
+    view, its build lock and the graph's ``_lists`` slot are named
+    nowhere in ``src/``, the README, the docs, the examples or the
+    verify skill (``repro.graph`` holds the slot's class and its
+    loops; elsewhere only a graph's ``_lists`` is the slot)."""
+    assert _naming(r"list_view|_LIST_VIEW_LOCK|\bg(?:raph)?\._lists\b", CODE_AND_PROSE) == set()
+    assert _naming(r"_lists\b", sorted((ROOT / "src" / "repro" / "graph").glob("*.py"))) == set()

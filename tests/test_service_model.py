@@ -11,7 +11,9 @@ A Hypothesis ``RuleBasedStateMachine`` drives one
 - **move** (a burst of one to three, each maybe followed by a registry
   ``flush``): lattice points (co-located users, equal distances), the
   unit square, and hostile finite values: ``±1e308`` and subnormals;
-- **forget** a location;
+- **forget** a location (a mover is any user, or half the time a live
+  subscription's query user, so subscriptions are suspended and
+  resume);
 - **edge update**: insert, re-weight or delete (deleting an absent edge
   is a ``KeyError`` in both), recorded and not yet served;
 - **rebuild_engine**, which folds the recorded updates in;
@@ -50,12 +52,13 @@ and coordinates keep repeats, ties and cache hits frequent.
 
 Runs under a registered, derandomized profile, so every run checks the
 same steps; :class:`TestServiceModel` also asserts that the run reached
-every rule and both of ``bounded``'s paths (:data:`FLOORS`).  The pins
+every rule, both of ``bounded``'s paths and suspended subscriptions
+that resume (:data:`FLOORS`).  The pins
 at the end check what one model run cannot: a scripted planner, a
 patched pending limit, subscribe-time validation, an ``α = 1``
 subscription no move may touch, the open-slot forget the result
-cache and the registry once treated differently, and a suspended
-subscription that resumes.
+cache and the registry once treated differently, and the registry's
+suspended count while a subscription is suspended and resumes.
 """
 
 from __future__ import annotations
@@ -191,8 +194,9 @@ def answers_like_the_model(service, model, request) -> bool:
 
 #: the least each derandomized run of :class:`TestServiceModel` must
 #: reach, well below what a run reaches: a strategy change that stops
-#: drawing a build parameter, firing a rule or taking one of
-#: ``bounded``'s paths fails here instead of going quiet
+#: drawing a build parameter, firing a rule, taking one of
+#: ``bounded``'s paths or resuming a suspended subscription fails here
+#: instead of going quiet
 FLOORS = {
     "large tables": 15,
     **{f"result cache {size}": 8 for size in (0, 1, 64)},
@@ -207,6 +211,7 @@ FLOORS = {
     "restore store": 3,
     "bounded ball": 8,
     "bounded skip": 40,
+    "suspended resumes": 4,
 }
 
 
@@ -269,6 +274,15 @@ class ServiceModel(RuleBasedStateMachine):
 
     def _user(self, data):
         return data.draw(self.users)
+
+    def _mover(self, data):
+        """A user to move or forget: any user, or half the time a live
+        subscription's query user, so subscriptions get suspended and
+        resume."""
+        subscribed = [sub.user for sub in self.subs]
+        if subscribed and data.draw(st.booleans()):
+            return data.draw(st.sampled_from(subscribed))
+        return self._user(data)
 
     def _request(self, data, method, alpha, user=None):
         user = self._user(data) if user is None else user
@@ -356,13 +370,13 @@ class ServiceModel(RuleBasedStateMachine):
     def move(self, data, moves):
         """A burst of moves, each maybe followed by a registry flush."""
         for x, y, flush in moves:
-            self.relocate(self._user(data), x, y)
+            self.relocate(self._mover(data), x, y)
             if flush:
                 self.flush()
 
     @rule(data=st.data())
     def forget(self, data):
-        self.relocate(self._user(data), None, None)
+        self.relocate(self._mover(data), None, None)
 
     def relocate(self, user, x, y):
         """Move ``user`` to ``(x, y)`` (``x is None``: forget it) in
@@ -510,7 +524,9 @@ class ServiceModel(RuleBasedStateMachine):
     @invariant()
     def subscriptions_answer_like_the_model(self):
         for sub in getattr(self, "subs", ()):
+            suspended = sub.suspended
             like_the_model(self, sub.request, partial(self.registry.result, sub))
+            self.counts["suspended resumes"] += suspended and sub.active
 
     # -- the column cache ---------------------------------------------------
 
@@ -730,8 +746,7 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
 def test_a_suspended_subscription_resumes_when_its_user_returns():
     """Forgetting the query user suspends its subscription (a read
     raises like the model), another user's move leaves it suspended,
-    and its own user's return resumes it.  The derandomized run never
-    moves the query user of a suspended subscription."""
+    and its own user's return resumes it, step by step."""
     engine, service, registry = stack(50, seed=13)
     q = next(iter(engine.locations.located_users()))
     sub = registry.subscribe(q, k=5, alpha=0.4, method="spa")

@@ -41,7 +41,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import NumpyKernels
-from repro.core.bounded import BoundedSearch
+from repro.core.bounded import BoundedSearch, _pooled
 from repro.core.engine import GeoSocialEngine
 from repro.core.ranking import Normalization
 from repro.graph.socialgraph import SocialGraph
@@ -403,6 +403,29 @@ def test_isolated_users_never_source_the_distance_profile(monkeypatch):
     assert len(bounded._sample_profiles()[0]) == 3000
     single = sorted(kernel(graph, sources[0]))[n // 25 - 1]
     assert radius == pytest.approx(single, rel=0.5)
+
+
+def test_the_profiles_draw_what_list_draws_would():
+    """``random.Random.choice`` indexes the id arrays exactly as it
+    indexes lists: the profiles are those of list draws, bit for bit."""
+    from tests.conftest import random_instance
+
+    graph, locations = random_instance(300, seed=8, coverage=0.6, avg_degree=1.5)
+    bounded = BoundedSearch(graph, locations, Normalization(1.0, 1.0))
+    social, spatial, share = bounded._sample_profiles()
+    kernels = NumpyKernels()
+    rng = random.Random(graph.n)
+    sources = [v for v in range(graph.n) if graph.degree(v)]
+    located = list(locations.located_users())
+    assert len(sources) < graph.n and len(located) < graph.n
+    columns = [kernels.sssp_column(graph, rng.choice(sources)) for _ in range(3)]
+    xs, ys = locations.columns()
+    distances = [
+        kernels.euclidean_to_point(xs, ys, *locations.get(rng.choice(located))) for _ in range(3)
+    ]
+    assert social.tolist() == _pooled(columns)[2::3].tolist()
+    assert spatial.tolist() == _pooled(distances).tolist()
+    assert share == len(located) / graph.n
 
 
 def test_a_radius_column_is_never_cached_and_an_unbounded_one_is():
