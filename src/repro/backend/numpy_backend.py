@@ -105,15 +105,13 @@ class NumpyKernels:
             ids = np.asarray(ids, dtype=np.intp)
             xs = xs[ids]
             ys = ys[ids]
-        # a coordinate near the float range (a move accepts any finite
-        # one) overflows to inf: the answer "infinitely far" is the
-        # contract, so the overflow is not worth a warning
-        with np.errstate(over="ignore"):
-            dx = qx - xs
-            dy = qy - ys
-            d = np.sqrt(dx * dx + dy * dy)
-        # NaN coordinates (unlocated user, either axis) mean "infinitely far".
-        return np.where(np.isnan(d), INF, d)
+        # sqrt(dx·dx + dy·dy) in two buffers; a NaN coordinate (an
+        # unlocated user, either axis) is "infinitely far"
+        d = qx - xs
+        dy = qy - ys
+        d *= d
+        d += np.multiply(dy, dy, out=dy)
+        return np.fmin(np.sqrt(d, out=d), INF, out=d)
 
     def alt_lower_bounds(self, landmarks, query_vector, ids):
         matrix = landmarks.matrix
@@ -162,33 +160,30 @@ class NumpyKernels:
         if w_social == 0.0:
             if w_spatial == 0.0:
                 return np.zeros(len(spatial))
-            return w_spatial * np.asarray(spatial, dtype=np.float64)
-        if w_spatial == 0.0:
-            return w_social * np.asarray(social, dtype=np.float64)
-        return w_social * np.asarray(social, dtype=np.float64) + w_spatial * np.asarray(
-            spatial, dtype=np.float64
-        )
+            return np.multiply(w_spatial, spatial, dtype=np.float64)
+        out = np.multiply(w_social, social, dtype=np.float64)
+        if w_spatial != 0.0:
+            out += np.multiply(w_spatial, spatial, dtype=np.float64)
+        return out
 
     def top_k_by_score(self, scores, ids, k):
         if k <= 0:  # match heapq.nsmallest: nothing qualifies
             return []
         scores = np.asarray(scores, dtype=np.float64)
-        finite = np.nonzero(scores < INF)[0]  # NaN < inf is False too
-        s = scores[finite]
-        if 0 < k < s.size:
-            # Partition down to the k smallest scores first (O(n)), then
-            # widen to every boundary tie so the exact (score, id)
-            # tie-break survives, and sort only that sliver.
-            boundary = s[np.argpartition(s, k - 1)[:k]].max()
-            keep = np.nonzero(s <= boundary)[0]
-            finite, s = finite[keep], s[keep]
+        # The k-th smallest score (O(n); NaN and inf partition last),
+        # widened to every boundary tie so the exact (score, id)
+        # tie-break survives; with k past n or fewer than k finite
+        # scores, every finite score qualifies.
+        kth = scores[np.argpartition(scores, k - 1)[k - 1]] if k < scores.size else INF
+        keep = np.flatnonzero(scores <= kth if kth < INF else scores < INF)
+        s = scores[keep]
         if positions_are_ids(ids):
-            # ``finite`` ascends, so a stable sort on the score alone
+            # ``keep`` ascends, so a stable sort on the score alone
             # breaks ties toward the smaller position = the smaller id
             order = np.argsort(s, kind="stable")
         else:
-            order = np.lexsort((np.asarray(ids)[finite], s))
-        return finite[order[:k]].tolist()
+            order = np.lexsort((np.asarray(ids)[keep], s))
+        return keep[order[:k]].tolist()
 
     def blend_topk_multi(self, requests, social, spatial, exclude=None):
         out = []

@@ -62,7 +62,7 @@ from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
 from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import LocationTable
-from repro.utils.validation import check_finite_point, check_size, check_user
+from repro.utils.validation import check_size, check_user
 
 __all__ = [
     "AUTO",
@@ -343,9 +343,8 @@ class GeoSocialEngine:
         tells its followers.
         """
         check_user(user, self.graph.n)
-        check_finite_point(x, y)
         had_location = self.locations.has_location(user)
-        self.locations.set(user, x, y)
+        self.locations.set(user, x, y)  # checks the input domain first
         if had_location:
             if self._grid is not None:
                 self._grid.move(user, x, y)

@@ -18,25 +18,23 @@ socially and ``α = 0`` purely spatially without NaN surprises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import TYPE_CHECKING
 
-from repro.utils.validation import check_alpha
+from repro.utils.validation import NORMALISER_MIN, check_alpha, check_normaliser
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.socialgraph import SocialGraph
     from repro.spatial.point import LocationTable
 
-INF = math.inf
-_TINY = 1e-300  # guards divisions for degenerate (single-point) datasets
+_TINY = 1e-300  # divides for a normaliser of 0: the input domain's one exception
 
 
 @dataclass(frozen=True)
 class Normalization:
     """Per-dataset normalising constants ``P_max`` (social) and
-    ``D_max`` (spatial).
+    ``D_max`` (spatial), each 0 or in the input domain's normaliser
+    range ``[2**-480, 2**520]`` (:mod:`repro.utils.validation`).
 
         >>> from repro import Normalization
         >>> norm = Normalization(p_max=4.0, d_max=1.5)
@@ -48,11 +46,8 @@ class Normalization:
     d_max: float
 
     def __post_init__(self) -> None:
-        for name in ("p_max", "d_max"):
-            value = getattr(self, name)
-            # NaN fails the chained comparison too
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < INF:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        check_normaliser("p_max", self.p_max)
+        check_normaliser("d_max", self.d_max)
 
     @classmethod
     def estimate(
@@ -61,17 +56,19 @@ class Normalization:
         """Estimate both constants from the data.
 
         ``D_max`` is the diagonal of the location bounding box — an
-        exact upper bound on any pairwise Euclidean distance.  ``P_max``
-        is the double-sweep diameter estimate (see
+        exact upper bound on any pairwise Euclidean distance, raised to
+        ``NORMALISER_MIN`` if smaller but nonzero.  ``P_max`` is the
+        double-sweep diameter estimate (see
         :mod:`repro.graph.diameter`); being a shared constant, a
         consistent estimate preserves all rankings.
         """
         from repro.graph.diameter import double_sweep_diameter
 
+        d_max = 0.0
         if locations.n_located >= 2:
-            d_max = locations.bbox().diagonal
-        else:
-            d_max = 0.0
+            box = locations.bbox()
+            if box.width or box.height:
+                d_max = max(box.diagonal, NORMALISER_MIN)
         p_max = double_sweep_diameter(graph, sweeps=2, seed=seed)
         return cls(p_max=p_max, d_max=d_max)
 

@@ -25,10 +25,11 @@ graph.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from repro.utils.validation import check_weight, weight_faults
 
 #: the CSR's index dtype (what scipy's sparse graphs take without a copy)
 _INDEX_DTYPE = np.int32
@@ -52,8 +53,7 @@ def _check_edge(n: int, u, v, w) -> None:
         raise ValueError(f"self-loop on vertex {u}")
     if not 0 <= u < n or not 0 <= v < n:
         raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-    if w <= 0 or not math.isfinite(w):
-        raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+    check_weight(f"edge ({u}, {v}) weight", w)
 
 
 class SocialGraph:
@@ -145,8 +145,7 @@ class SocialGraph:
         ws = np.asarray(ws, dtype=np.float64)
         if not len(us) == len(vs) == len(ws):
             raise ValueError("edge columns must have equal length")
-        bad = (us == vs) | (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
-        bad |= ~(ws > 0) | ~np.isfinite(ws)
+        bad = (us == vs) | (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | weight_faults(ws)
         if bad.any():
             first = int(np.argmax(bad))
             _check_edge(n, int(us[first]), int(vs[first]), float(ws[first]))
@@ -184,8 +183,8 @@ class SocialGraph:
         Unlike :meth:`from_edges`, the input is trusted to be a valid
         CSR image produced by this class — but since the columns may
         come from disk, the cheap invariants (monotone ``indptr``,
-        neighbour ids in range, positive finite weights) are checked so
-        a corrupted file fails loudly instead of corrupting a search.
+        neighbour ids in range, weights in the input domain) are checked
+        so a corrupted file fails loudly instead of corrupting a search.
 
             >>> from repro import SocialGraph
             >>> g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
@@ -207,8 +206,9 @@ class SocialGraph:
             raise ValueError("CSR indptr must be non-decreasing")
         if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= n):
             raise ValueError(f"CSR neighbour id out of range [0, {n})")
-        if not ((wts > 0) & np.isfinite(wts)).all():
-            raise ValueError("CSR edge weights must be positive and finite")
+        bad = np.flatnonzero(weight_faults(wts))
+        if bad.size:
+            check_weight(f"CSR weight wts[{bad[0]}]", float(wts[bad[0]]))
         return cls(n, indptr, nbrs, wts, directed, _num_edges=num_edges)
 
     # -- accessors --------------------------------------------------------

@@ -81,7 +81,9 @@ from repro.server.metrics import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.server.metrics import render_prometheus
 from repro.server.protocol import parse_batch, stats_payload
 from repro.stream.deltas import diff_results, subscription_payload
-from repro.utils.validation import check_fields, check_size, check_user
+from repro.utils.validation import (
+    check_coordinate, check_fields, check_size, check_user, check_weight,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
@@ -90,18 +92,6 @@ _DEADLINE_BODY = error_body(DEADLINE_EXCEEDED, "request deadline exceeded")
 
 #: the URL parameters ``/subscribe`` takes: the request fields
 _SUBSCRIBE_PARAMS = ("user", "k", "alpha", "method")
-
-
-def _number(name: str, value, what: str = "a number") -> float:
-    """A JSON number body field as a float, converted while the body is
-    parsed: an integer literal too large for a float is refused here,
-    naming the field, not on a worker or the event loop."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -574,7 +564,8 @@ class SSRQServer:
             return lambda: (self.service.forget_location(user), {"ok": True, "user": user, "forgotten": True})[1]
         if "x" not in body or "y" not in body:
             raise ValueError("location update needs 'x' and 'y' (or 'forget': true)")
-        x, y = _number("x", body["x"]), _number("y", body["y"])
+        # the input domain, checked while parsing (an int is compared, never float()-ed)
+        x, y = check_coordinate("x", body["x"]), check_coordinate("y", body["y"])
         return lambda: (
             self.service.move_user(user, x, y),
             {"ok": True, "user": user, "x": x, "y": y},
@@ -591,7 +582,7 @@ class SSRQServer:
         u, v = body["u"], body["v"]
         weight = body.get("weight")
         if weight is not None:
-            weight = _number("weight", weight, "a number or null")
+            weight = check_weight("edge weight", weight)
         return lambda: (
             self.service.update_edge(u, v, weight),
             {

@@ -36,8 +36,6 @@ skewed workloads — perfbench's ``hot_zipf`` workload
 
 from __future__ import annotations
 
-import math
-import numbers
 import threading
 import time
 from contextlib import contextmanager
@@ -51,7 +49,7 @@ from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.social.cache import SocialColumnCache
 from repro.utils.concurrency import ReadWriteLock
-from repro.utils.validation import check_size, check_user
+from repro.utils.validation import check_size, check_user, check_weight
 
 
 class QueryService:
@@ -344,8 +342,8 @@ class QueryService:
                 self._location_changed(user, None, None)
 
     def update_edge(self, u: int, v: int, weight: float | None) -> None:
-        """Record a social-edge update — insert or re-weight (a finite
-        ``weight`` > 0) or delete (``None``) — for the next
+        """Record a social-edge update — insert or re-weight (a ``weight``
+        in the input domain) or delete (``None``) — for the next
         :meth:`rebuild_engine`.
 
         Nothing served changes: answers and both caches stay exact for
@@ -366,16 +364,8 @@ class QueryService:
             if weight is None:
                 if self._pending_edges.get(key, graph.edge_weight(*key)) is None:
                     raise KeyError(f"edge ({u}, {v}) does not exist")
-            elif (
-                isinstance(weight, bool)
-                or not isinstance(weight, numbers.Real)
-                or not 0 < weight < math.inf  # NaN fails the chained comparison
-            ):
-                raise ValueError(
-                    f"edge weight must be a positive finite number, got {weight!r}"
-                )
             else:
-                weight = float(weight)
+                weight = check_weight("edge weight", weight)
             self._pending_edges[key] = weight
 
     def rebuild_engine(self, **engine_kwargs) -> GeoSocialEngine:

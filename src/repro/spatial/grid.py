@@ -14,7 +14,6 @@ of distances, and border cells are conceptually unbounded outward.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator
 
 import numpy as _np
@@ -22,50 +21,14 @@ import numpy as _np
 from repro.spatial.point import BBox, LocationTable
 
 _EMPTY_IDS = _np.empty(0, dtype=_np.intp)
-_INF = float("inf")
-
-
-def _cell_size(lo: float, hi: float, cells: int) -> float:
-    """Extent of one of ``cells`` equal cells over ``[lo, hi]``: finite
-    even when ``hi - lo`` overflows (then each end is divided first; one
-    cell over such a span is as wide as a float goes, and
-    :meth:`UniformGrid.cell_bbox` closes it at the box edge), and 1.0
-    over a zero-extent box."""
-    size = (hi - lo) / cells
-    if size == _INF:
-        size = min(hi / cells - lo / cells, sys.float_info.max)
-    return size or 1.0
-
-
-def _offset(value: float, lo: float, size: float) -> float:
-    """``(value - lo) / size``, in cells; when ``value - lo`` overflows
-    (a span past the float range) both sides are halved first."""
-    gap = value - lo
-    if gap == _INF:
-        return (value * 0.5 - lo * 0.5) / (size * 0.5)
-    return gap / size
-
-
-def _edge(lo: float, size: float, i: int) -> float:
-    """``lo + i * size``, the low edge of cell ``i``; when ``i * size``
-    overflows both terms are halved first."""
-    edge = lo + i * size
-    if edge == _INF:
-        return (lo * 0.5 + i * (size * 0.5)) * 2.0
-    return edge
 
 
 def _cells(values, lo: float, size: float, cells: int):
-    """:func:`_offset` over a column, clamped to ``[0, cells)`` and
-    truncated: the cell index of every entry."""
-    # over a subnormal-sized cell an offset divides out to inf: clamped
-    with _np.errstate(over="ignore"):
-        gap = values - lo
-        offsets = gap / size
-    over = _np.isinf(gap)
-    if over.any():
-        offsets[over] = (values[over] * 0.5 - lo * 0.5) / (size * 0.5)
-    return offsets.clip(0, cells - 1).astype(_np.intp)
+    """The cell index of every entry of a coordinate column inside the
+    box: its offset ``(value - lo) / size`` in cells, clamped to
+    ``[0, cells)`` (the box's far edge divides out to ``cells``) and
+    truncated."""
+    return ((values - lo) / size).clip(0, cells - 1).astype(_np.intp)
 
 
 class UniformGrid:
@@ -85,8 +48,10 @@ class UniformGrid:
         self.bbox = bbox
         self.nx = resolution
         self.ny = resolution
-        self.cell_w = _cell_size(bbox.minx, bbox.maxx, self.nx)
-        self.cell_h = _cell_size(bbox.miny, bbox.maxy, self.ny)
+        # one cell's extent (the input domain keeps a span within
+        # 2**501), and 1.0 over a zero-extent box
+        self.cell_w = (bbox.maxx - bbox.minx) / self.nx or 1.0
+        self.cell_h = (bbox.maxy - bbox.miny) / self.ny or 1.0
         #: sparse storage: (ix, iy) -> list of user ids
         self.cells: dict[tuple[int, int], list[int]] = {}
         self._cell_of_user: dict[int, tuple[int, int]] = {}
@@ -143,8 +108,9 @@ class UniformGrid:
         """Cell coordinates containing point ``(x, y)``, clamped to the
         grid extent.  Clamped before the integer cast: over a
         subnormal-sized cell the offset divides out to ``inf``."""
-        ix = int(min(max(_offset(x, self.bbox.minx, self.cell_w), 0.0), self.nx - 1))
-        iy = int(min(max(_offset(y, self.bbox.miny, self.cell_h), 0.0), self.ny - 1))
+        box = self.bbox
+        ix = int(min(max((x - box.minx) / self.cell_w, 0.0), self.nx - 1))
+        iy = int(min(max((y - box.miny) / self.cell_h, 0.0), self.ny - 1))
         return ix, iy
 
     def cell_bbox(self, ix: int, iy: int) -> BBox:
@@ -153,8 +119,8 @@ class UniformGrid:
         :meth:`cell_of` puts in a cell lies in its extent (or, clamped,
         outward of the grid)."""
         box = self.bbox
-        minx = _edge(box.minx, self.cell_w, ix)
-        miny = _edge(box.miny, self.cell_h, iy)
+        minx = box.minx + ix * self.cell_w
+        miny = box.miny + iy * self.cell_h
         maxx = minx + self.cell_w
         maxy = miny + self.cell_h
         if ix == self.nx - 1 and maxx < box.maxx:

@@ -8,29 +8,29 @@ distances for it.
 
 Coordinates are stored *columnar*: two contiguous ``float64`` arrays
 indexed by user id, so the kernels of :mod:`repro.backend` can
-evaluate whole candidate arrays in one call.  A location is two finite
-coordinates or two ``NaN`` ones: a table refuses a half-missing or an
-infinite pair, whichever way it is built.
+evaluate whole candidate arrays in one call.  A location is two
+coordinates in the input domain (:mod:`repro.utils.validation`) or two
+``NaN`` ones: a table refuses anything else, however it is written.
 
 **One distance primitive.**  Every Euclidean distance in this codebase
 is ``sqrt(dx² + dy²)`` — deliberately *not* ``math.hypot``.  The two
 can differ by 1 ulp, and ``numpy.hypot`` differs from ``math.hypot`` on
 some platforms; ``sqrt``, ``*`` and ``+`` are IEEE-exact operations, so
 a scalar loop and a vectorized kernel produce bit-identical distances
-(and therefore bit-identical rankings and tie-breaks).  Where
-``hypot`` would rescue a square past the float range, this primitive
-reads ``inf``: a user that far away is infinitely far, the contract
-for an unknown location too.
+(and therefore bit-identical rankings and tie-breaks).  Inside the
+domain the square never overflows (``dx² + dy² <= 2**1003``), so two
+located users are always a finite distance apart.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as _np
+
+from repro.utils.validation import check_coordinate, check_coordinate_columns
 
 INF = math.inf
 _sqrt = math.sqrt
@@ -97,21 +97,6 @@ class BBox:
         return _sqrt(dx * dx + dy * dy)
 
 
-def _count_located(xs, ys) -> int:
-    """The number of located users in two coordinate columns; a
-    ``ValueError`` naming the first user whose pair has exactly one
-    ``NaN`` or an infinite coordinate."""
-    missing = _np.isnan(xs)
-    bad = (missing != _np.isnan(ys)) | _np.isinf(xs) | _np.isinf(ys)
-    if bad.any():
-        user = int(_np.argmax(bad))
-        raise ValueError(
-            f"user {user} has location ({xs[user]}, {ys[user]}): a location is two "
-            "finite coordinates, or NaN in both for none"
-        )
-    return int(missing.size - _np.count_nonzero(missing))
-
-
 class LocationTable:
     """Current (last reported) locations for ``n`` users, stored as two
     columnar coordinate arrays.
@@ -141,7 +126,7 @@ class LocationTable:
         #: columnar storage: contiguous float64, NaN = missing
         self.xs = _np.array(xs, dtype=_np.float64)
         self.ys = _np.array(ys, dtype=_np.float64)
-        self._n_located = _count_located(self.xs, self.ys)
+        self._n_located = check_coordinate_columns(self.xs, self.ys)
 
     # -- construction -------------------------------------------------
 
@@ -171,7 +156,7 @@ class LocationTable:
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
         table = object.__new__(cls)
-        table._n_located = _count_located(xs, ys)
+        table._n_located = check_coordinate_columns(xs, ys)
         table.xs = xs
         table.ys = ys
         return table
@@ -229,8 +214,8 @@ class LocationTable:
 
     def distance(self, u: int, v: int) -> float:
         """Euclidean distance between users ``u`` and ``v``; ``inf`` if
-        either location is unknown.  Python floats, not NumPy scalars:
-        a distance past the float range is ``inf`` without a warning."""
+        either location is unknown.  Python floats, not NumPy
+        scalars."""
         xs = self.xs
         ux = xs.item(u)
         vx = xs.item(v)
@@ -258,24 +243,17 @@ class LocationTable:
             ys = self.ys[ids]
         if xs.size == 0 or _np.isnan(xs).all():
             raise ValueError("cannot compute bbox of an empty collection")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return BBox(
-                float(_np.nanmin(xs)),
-                float(_np.nanmin(ys)),
-                float(_np.nanmax(xs)),
-                float(_np.nanmax(ys)),
-            )
+        # a table holds no half-missing pair, so neither column is all-NaN
+        return BBox(
+            float(_np.nanmin(xs)), float(_np.nanmin(ys)), float(_np.nanmax(xs)), float(_np.nanmax(ys))
+        )
 
     # -- mutation ------------------------------------------------------
 
     def set(self, user: int, x: float, y: float) -> None:
-        """Set/overwrite the location of ``user`` (two finite
-        coordinates)."""
-        if x != x or y != y:
-            raise ValueError("use clear() to remove a location, not NaN")
-        if math.isinf(x) or math.isinf(y):
-            raise ValueError(f"a location must be finite, got ({x}, {y})")
+        """Set/overwrite the location of ``user``: two coordinates in the
+        domain (forget one with :meth:`clear`)."""
+        x, y = check_coordinate("x", x), check_coordinate("y", y)
         if not self.has_location(user):
             self._n_located += 1
         self.xs[user] = x

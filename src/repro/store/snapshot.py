@@ -187,7 +187,10 @@ def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
             f"coordinate columns cover {len(xs)}/{len(ys)} users, "
             f"the manifest says n={n}"
         )
-    locations = LocationTable.adopt_columns(xs, ys)
+    try:
+        locations = LocationTable.adopt_columns(xs, ys)
+    except ValueError as err:
+        raise StoreCorruptionError(f"coordinate columns xs / ys are corrupt: {err}") from err
 
     # the graph adopts the CSR columns as they are mapped
     indptr = _column(path, manifest, "graph_indptr", mmap=mmap, verify=verify)

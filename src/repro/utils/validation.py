@@ -1,9 +1,95 @@
-"""Argument validation helpers shared across the public API."""
+"""Argument validation helpers shared across the public API, and the
+input domain.
+
+**The input domain.**  Every coordinate, edge weight and normaliser is
+checked once, where it enters, against the constants below: one scalar
+check per quantity, and a column check for coordinates and weights.
+Inside the domain *every score is finite* for any ``n < 2**31``, so
+Definition 1's ``(score, id)`` order is total:
+
+1. ``|dx|, |dy| <= 2**501``: ``dx*dx + dy*dy <= 2**1003``, and a
+   distance ``d <= 2**501.5``.
+2. A shortest path sums under ``2**31`` weights of at most ``2**480``,
+   rounding up by under ``(1 + 2**-53)**(2**31) < 1 + 2**-21``:
+   ``p < 2**512``.
+3. A nonzero normaliser is ``>= 2**-480``: a given one is checked; an
+   estimated ``P_max`` is a path length, so at least one weight; an
+   estimated ``D_max``, the location box's diagonal, is raised to
+   ``NORMALISER_MIN`` when the box has extent but a smaller diagonal.
+4. So each ranking weight, ``α / P_max`` or ``(1 − α) / D_max``, is
+   ``<= 2**480``, each term ``<= 2**992``, and their sum is finite.
+
+*The one exception* is a normaliser of 0 (an edgeless graph's
+``P_max``, ``D_max`` over fewer than two distinct located users, or
+either given as 0): :class:`~repro.core.ranking.RankingFunction`
+divides by a ``1e-300`` floor, and a distance that appears later (an
+edge added by a rebuild, a user moved away) overflows its term to
+``inf`` once it passes about ``1.8e8``: that user ranks as unreachable.
+"""
 
 from __future__ import annotations
 
-import math as _math
 import numbers as _numbers
+
+import numpy as _np
+
+#: a located user's coordinates lie in ``[-COORDINATE_BOUND, COORDINATE_BOUND]``
+COORDINATE_BOUND = 2.0**500
+#: every edge weight lies in ``[WEIGHT_MIN, WEIGHT_MAX]``
+WEIGHT_MIN = 2.0**-480
+WEIGHT_MAX = 2.0**480
+#: a normaliser is 0 or lies in ``[NORMALISER_MIN, NORMALISER_MAX]``
+NORMALISER_MIN = WEIGHT_MIN
+NORMALISER_MAX = 2.0**520
+
+
+def _in_range(value, lo: float, hi: float) -> bool:
+    """Whether ``value`` is a real number (not a bool) in ``[lo, hi]``;
+    NaN fails, and an ``int`` is compared exactly, never ``float()``-ed."""
+    return not isinstance(value, bool) and isinstance(value, _numbers.Real) and lo <= value <= hi
+
+
+def check_coordinate(name: str, value) -> float:
+    """Check one coordinate (the field ``name``); returns a ``float``."""
+    if not _in_range(value, -COORDINATE_BOUND, COORDINATE_BOUND):
+        raise ValueError(f"{name} must be a number in [-2**500, 2**500], got {value!r}")
+    return float(value)
+
+
+def check_coordinate_columns(xs, ys) -> int:
+    """:func:`check_coordinate` over two ``float64`` columns, where a NaN
+    pair is "no location": the number of located users, or a
+    ``ValueError`` naming the first user with a bad pair."""
+    missing = _np.isnan(xs)
+    bad = missing != _np.isnan(ys)
+    bad |= _np.abs(xs) > COORDINATE_BOUND  # NaN compares False
+    bad |= _np.abs(ys) > COORDINATE_BOUND
+    if bad.any():
+        user = int(_np.argmax(bad))
+        raise ValueError(
+            f"user {user} has location ({xs[user]}, {ys[user]}): a location is two "
+            "numbers in [-2**500, 2**500], or NaN in both for none"
+        )
+    return int(missing.size - _np.count_nonzero(missing))
+
+
+def check_weight(name: str, value) -> float:
+    """Check one edge weight (``name`` says which); returns a ``float``."""
+    if not _in_range(value, WEIGHT_MIN, WEIGHT_MAX):
+        raise ValueError(f"{name} must be a number in [2**-480, 2**480], got {value!r}")
+    return float(value)
+
+
+def weight_faults(ws) -> "_np.ndarray":
+    """The entries of a ``float64`` column :func:`check_weight` refuses."""
+    return ~((ws >= WEIGHT_MIN) & (ws <= WEIGHT_MAX))
+
+
+def check_normaliser(name: str, value) -> float:
+    """Check ``p_max`` or ``d_max``: 0 or in range; returns a ``float``."""
+    if not (_in_range(value, 0.0, 0.0) or _in_range(value, NORMALISER_MIN, NORMALISER_MAX)):
+        raise ValueError(f"{name} must be 0 or a number in [2**-480, 2**520], got {value!r}")
+    return float(value)
 
 
 def check_alpha(alpha: float) -> float:
@@ -68,15 +154,6 @@ def check_user(user: int, n: int | None = None) -> int:
     if n is not None and not 0 <= user < n:
         raise ValueError(f"user id {user} out of range [0, {n})")
     return int(user)
-
-
-def check_finite_point(x: float, y: float) -> None:
-    """Validate a location update's new position: both coordinates
-    finite.  ``inf`` overflows the grid's cell arithmetic *after* the
-    location table was written, and ``nan`` is the table's own
-    "unlocated" marker (forgetting a location has its own call)."""
-    if not (_math.isfinite(x) and _math.isfinite(y)):
-        raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
 
 
 def check_method(method: str) -> str:

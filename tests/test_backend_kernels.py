@@ -20,6 +20,7 @@ from repro.backend import NumpyKernels
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.spatial.point import LocationTable, euclidean
+from repro.utils.validation import COORDINATE_BOUND
 from tests.scalar_kernels import PythonKernels, social_lower_bound_vertex
 
 INF = math.inf
@@ -75,17 +76,53 @@ class TestEuclideanKernel:
         out = kernels.euclidean_to_point(xs, ys, 0.5, 0.5)
         assert [float(v) for v in out] == [INF, INF, 0.0]
 
-    def test_a_distance_past_the_float_range_is_inf_without_a_warning(self, kernels):
-        # a move accepts any finite coordinate; dx² or dx itself
-        # overflows, and "infinitely far" is the contract, not a
-        # RuntimeWarning (subnormal squares underflow to 0 quietly)
-        xs, ys = [-1e308, 5e-324, 1e308], [0.0, -5e-324, 1e308]
+    def test_a_distance_at_the_coordinate_bound_is_finite_without_a_warning(self, kernels):
+        # the input domain keeps |x|, |y| <= 2**500, so dx² + dy² stays
+        # finite: users at the bound are a finite distance away, and
+        # subnormal squares underflow to 0 quietly
+        bound = COORDINATE_BOUND
+        xs, ys = [-bound, 5e-324, bound], [0.0, -5e-324, bound]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = kernels.euclidean_to_point(xs, ys, 0.0, 0.0)
-            far = kernels.euclidean_to_point(xs, ys, 1e308, 0.0, [0])
-        assert [float(v) for v in out] == [INF, 0.0, INF]
-        assert [float(v) for v in far] == [INF]
+            far = kernels.euclidean_to_point(xs, ys, bound, -bound, [0, 2])
+        assert [float(v) for v in out] == [bound, 0.0, euclidean(bound, bound, 0.0, 0.0)]
+        assert [float(v) for v in far] == [euclidean(-bound, 0.0, bound, -bound), 2 * bound]
+        assert all(math.isfinite(v) for v in far)
+
+
+def test_the_scoring_tail_matches_the_scalar_reference():
+    """The tail every dense scan and column hit pays over all n users,
+    ``euclidean_to_point`` → ``blend`` → ``top_k_by_score``, runs in
+    place on the numpy kernels and stays bit-equal to the scalar loops:
+    NaN coordinates on either axis, ties at the k-th score, fewer than
+    k finite scores, ``k >= n``, and a given id column as well as
+    ``ids=None``."""
+    rng = np.random.default_rng(44)
+    fast, scalar = NumpyKernels(), PythonKernels()
+    for trial in range(60):
+        n = int(rng.integers(1, 50))
+        # lattice coordinates and halves: equal distances and tied scores
+        xs = rng.integers(0, 4, n) / 4.0
+        ys = rng.integers(0, 4, n) / 4.0
+        xs[rng.random(n) < 0.2] = NAN
+        ys[rng.random(n) < 0.1] = NAN
+        social = rng.integers(0, 6, n) / 2.0
+        social[rng.random(n) < 0.3 * (trial % 4)] = INF  # often fewer than k finite
+        given = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        for ids in (None, given):
+            distances = fast.euclidean_to_point(xs, ys, 0.5, 0.25, ids)
+            assert distances.tolist() == scalar.euclidean_to_point(xs, ys, 0.5, 0.25, ids)
+            column = social if ids is None else social[ids]
+            for w_social, w_spatial in ((0.0, 0.0), (0.0, 0.75), (0.5, 0.0), (0.5, 0.75)):
+                scores = fast.blend(w_social, w_spatial, column, distances)
+                assert scores.tolist() == scalar.blend(
+                    w_social, w_spatial, column.tolist(), distances.tolist()
+                )
+                size = len(scores)
+                for k in sorted({1, 2, size // 2 + 1, size, size + 3}):
+                    want = scalar.top_k_by_score(scores.tolist(), None if ids is None else ids, k)
+                    assert fast.top_k_by_score(scores, ids, k) == want, (trial, k)
 
 
 class TestAltBoundKernel:

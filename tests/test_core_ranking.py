@@ -93,7 +93,7 @@ class TestNormalization:
         answered ``[]``; ``inf`` made ``auto`` raise at alpha 0.3."""
         for field in ("p_max", "d_max"):
             kwargs = {"p_max": 1.0, "d_max": 1.0, field: bad}
-            with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0"):
+            with pytest.raises(ValueError, match=rf"^{field} must be 0 or a number in \[2\*\*-480"):
                 Normalization(**kwargs)
 
     def test_degenerate_normalisers_no_crash(self):

@@ -30,6 +30,7 @@ from repro import (
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.server.errors import classify_exception
+from repro.utils.validation import COORDINATE_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +422,7 @@ def test_non_finite_coordinates_are_rejected_before_anything_is_written(
             messages.add(str(excinfo.value))
         assert len(messages) == 1, f"in-process wordings diverge: {messages}"
         (message,) = messages
-        assert "coordinates must be finite" in message
+        assert "must be a number in [-2**500, 2**500]" in message
         status, _, body = client.request(
             "POST", "/update/location", {"user": located, "x": x, "y": y}
         )
@@ -448,13 +449,13 @@ EDGE_CASES = [
     ("v_past_end", (3, "N", None), "unknown_user", "out of range"),
     ("self_loop", (3, 3, 0.5), "invalid_argument", "self-loops are not allowed"),
     ("weight_inf", (3, 4, float("inf")), "invalid_argument",
-     "edge weight must be a positive finite number, got inf"),
+     "edge weight must be a number in [2**-480, 2**480], got inf"),
     ("weight_nan", (3, 4, float("nan")), "invalid_argument",
-     "edge weight must be a positive finite number, got nan"),
+     "edge weight must be a number in [2**-480, 2**480], got nan"),
     ("weight_zero", (3, 4, 0.0), "invalid_argument",
-     "edge weight must be a positive finite number, got 0.0"),
+     "edge weight must be a number in [2**-480, 2**480], got 0.0"),
     ("weight_negative", (3, 4, -2.0), "invalid_argument",
-     "edge weight must be a positive finite number, got -2.0"),
+     "edge weight must be a number in [2**-480, 2**480], got -2.0"),
 ]
 
 
@@ -485,27 +486,29 @@ def test_bad_edge_updates_are_rejected_before_anything_is_recorded(
 HUGE = 10**400
 
 HUGE_BODIES = [
-    # (route, body for a located user, the field named)
-    ("/update/location", lambda u: {"user": u, "x": HUGE, "y": 0.5}, "x"),
-    ("/update/location", lambda u: {"user": u, "x": 0.5, "y": -HUGE}, "y"),
-    ("/update/edge", lambda u: {"u": u, "v": u + 1, "weight": HUGE}, "weight"),
+    # (route, body for a located user, the message naming the field)
+    ("/update/location", lambda u: {"user": u, "x": HUGE, "y": 0.5},
+     f"x must be a number in [-2**500, 2**500], got {HUGE!r}"),
+    ("/update/location", lambda u: {"user": u, "x": 0.5, "y": -HUGE},
+     f"y must be a number in [-2**500, 2**500], got {-HUGE!r}"),
+    ("/update/edge", lambda u: {"u": u, "v": u + 1, "weight": HUGE},
+     f"edge weight must be a number in [2**-480, 2**480], got {HUGE!r}"),
 ]
 
 
-@pytest.mark.parametrize("route,body,field", HUGE_BODIES, ids=["x", "y", "weight"])
+@pytest.mark.parametrize("route,body,message", HUGE_BODIES, ids=["x", "y", "weight"])
 def test_a_number_past_the_float_range_is_a_typed_400(
-    engine, service, client, located, route, body, field
+    engine, service, client, located, route, body, message
 ):
     """A coordinate used to overflow on the worker (500 ``internal``)
     and a weight on the event loop (the connection closed with no
-    response).  Both are converted while the body is parsed: 400
-    ``invalid_argument`` naming the field, nothing written, and the
-    connection keeps answering."""
+    response).  Both are checked against the input domain while the
+    body is parsed (the integer literal is compared with the bound,
+    never passed to ``float()``): 400 ``invalid_argument`` naming the
+    field, nothing written, and the connection keeps answering."""
     where, pending = engine.locations.get(located), service.pending_edge_updates
     status, _, reply = client.request("POST", route, body(located))
-    assert (status, reply["error"]) == (
-        400, {"type": "invalid_argument", "message": f"{field} is too large for a float"}
-    )
+    assert (status, reply["error"]) == (400, {"type": "invalid_argument", "message": message})
     assert engine.locations.get(located) == where
     assert service.pending_edge_updates == pending
     assert client.request("GET", "/healthz")[0] == 200
@@ -523,16 +526,23 @@ def test_a_k_past_the_float_range_answers_on_a_cold_user(engine, client):
 
 
 def test_moves_past_the_grid_span_answer_at_alpha_zero():
-    """Two accepted moves to x = ∓1e308 overflow the grid's span, and
-    the first α = 0 query used to die in ``cell_of`` on a NaN: a
+    """Two moves to x = ∓1e308 used to overflow the grid's span, and
+    the first α = 0 query died in ``cell_of`` on a NaN: a
     ``ValueError`` for every method (α = 0 routes to SPA) and a 400 on
-    the wire.  Every distance from the query user now overflows to inf,
-    so each method answers like ``bruteforce``: no result."""
+    the wire.  The input domain now refuses a coordinate past 2**500
+    (a 400 naming the field), and moves to ∓2**500, far past the span
+    the grid was built over, answer like ``bruteforce``."""
+    bound = COORDINATE_BOUND
     engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
     far, user = sorted(engine.located_users())[:2]
     with QueryService(engine, cache_size=0) as svc, ServerThread(svc, workers=1) as h:
         with ServerClient(h.host, h.port) as wire:
-            for who, x in ((far, -1e308), (user, 1e308)):
+            status, _, reply = wire.request(
+                "POST", "/update/location", {"user": far, "x": -1e308, "y": 0.5}
+            )
+            assert (status, reply["error"]["type"]) == (400, "invalid_argument")
+            assert reply["error"]["message"].startswith("x must be a number")
+            for who, x in ((far, -bound), (user, bound)):
                 body = {"user": who, "x": x, "y": 0.5}
                 assert wire.request("POST", "/update/location", body)[0] == 200
             status, _, reply = wire.request("POST", "/query", {"user": user, "k": 5, "alpha": 0})
@@ -540,6 +550,7 @@ def test_moves_past_the_grid_span_answer_at_alpha_zero():
     assert reply["result"]["users"] == engine.query(user, 5, 0.0, "bruteforce").users
     for alpha in (0.0, 0.3):
         truth = engine.query(user, 5, alpha, "bruteforce").users
+        assert len(truth) == 5  # every distance is finite now
         for method in ("spa", "tsa", "tsa-qc", "ais", "bounded", "auto"):
             assert engine.query(user, 5, alpha, method).users == truth, (method, alpha)
 

@@ -165,8 +165,8 @@ def reference_from_edges(n, edges, directed=False):
             raise ValueError(f"self-loop on vertex {u}")
         if not 0 <= u < n or not 0 <= v < n:
             raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-        if w <= 0 or not math.isfinite(w):
-            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+        if not 2.0**-480 <= w <= 2.0**480:  # the input domain's weight range
+            raise ValueError(f"edge ({u}, {v}) weight must be a number in [2**-480, 2**480], got {w}")
         if not directed and u > v:
             u, v = v, u
         old = best.get((u, v))
@@ -269,9 +269,9 @@ def test_with_edge_updates_equals_the_dict_merge(case, data):
         ([(0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)], "self-loop on vertex 2"),
         ([(0, 1, 1.0), (2, 4, -1.0), (1, 1, 1.0)], "edge (2, 4) out of range [0, 3)"),
         ([(0, 1, 1.0), (-1, 2, 1.0)], "edge (-1, 2) out of range [0, 3)"),
-        ([(0, 1, 1.0), (2, 1, 0.0), (1, 9, 1.0)], "edge (2, 1) has non-positive weight 0.0"),
-        ([(0, 1, 2.0), (1, 2, math.inf), (2, 2, 1.0)], "edge (1, 2) has non-positive weight inf"),
-        ([(1, 0, math.nan), (0, 0, 1.0)], "edge (1, 0) has non-positive weight nan"),
+        ([(0, 1, 1.0), (2, 1, 0.0), (1, 9, 1.0)], "edge (2, 1) weight must be a number in [2**-480, 2**480], got 0.0"),
+        ([(0, 1, 2.0), (1, 2, math.inf), (2, 2, 1.0)], "edge (1, 2) weight must be a number in [2**-480, 2**480], got inf"),
+        ([(1, 0, math.nan), (0, 0, 1.0)], "edge (1, 0) weight must be a number in [2**-480, 2**480], got nan"),
     ],
 )
 def test_the_first_offending_edge_gets_the_dict_loop_message(edges, message):

@@ -1,35 +1,23 @@
-"""Cross-consumer differential: one maintenance rule, two policies.
+"""Edge updates through a cached service and a registry: recorded,
+then folded by the rebuild.
 
-The result cache and the subscription registry both keep top-k results
-past the query that produced them, and both decide what a location
-update does to a stored result through :mod:`repro.stream.conditions`.
-This suite drives *one* randomized move/forget stream through a
-``ResultCache``-backed service and a registry over the same engine and
-checks, after every step:
+One randomized stream interleaves moves and forgets (aimed at named
+cases: the query user, a member, an outsider landing near or far, an
+unlocated user appearing) with ``edge`` steps (insert / re-weight /
+delete, the same edge touched twice, delete-then-reinsert, a delete of
+an absent edge) and ``rebuild`` steps, over undirected and directed
+graphs.  Until a rebuild nothing served may change — the result cache
+and the registry untouched, repeats still ``cached`` — and every
+answer equals bruteforce over the *served* edge set; after it every
+answer equals a fresh engine over ``SocialGraph.from_edges`` of the
+model's edge set.
 
-- each consumer applied its policy to the rule's verdict
-  (:func:`~repro.stream.conditions.classify_location_update`, computed
-  here from the stored result alone): the cache kept every NO-OP entry
-  as the same result object and evicted every other one; the registry
-  left NO-OPs clean, queued repairable REPAIRs, and marked the rest.
-  Moves and forgets alike run through both consumers' full scans;
-- whatever the cache still holds equals a fresh ``engine.query``, and
-  so does ``registry.result(sub)``.
-
-Edge updates ride the same suite: a second property interleaves the
-move stream with ``edge`` steps (insert / re-weight / delete, the same
-edge touched twice, delete-then-reinsert, a delete of an absent edge)
-and ``rebuild`` steps, over undirected and directed graphs.  Until a
-rebuild nothing served may change — both consumers untouched, repeats
-still ``cached`` — and every answer equals bruteforce over the
-*served* edge set; after it every answer equals a fresh engine over
-``SocialGraph.from_edges`` of the model's edge set.
-
-Runs under a fixed, derandomized Hypothesis profile.  The pin of
-the one case where the two pre-unification rules differed lives in
-``tests/test_service_model.py``; the guards that the rule stays written
-once and that removed options stay removed live in
-``tests/test_method_table.py``.
+Runs under a fixed, derandomized Hypothesis profile.  What one
+location update does to each stored result (the rule's verdict and
+each consumer's policy over it) is checked step by step by the
+whole-stack model in ``tests/test_service_model.py``; the guards that
+the rule stays written once and that removed options stay removed live
+in ``tests/test_method_table.py``.
 """
 
 from __future__ import annotations
@@ -43,13 +31,7 @@ from hypothesis import strategies as st
 from repro.core.engine import GeoSocialEngine
 from repro.graph.socialgraph import SocialGraph
 from repro.service import QueryRequest, QueryService
-from repro.stream import (
-    NOOP,
-    REPAIR,
-    REPAIRABLE_METHODS,
-    SubscriptionRegistry,
-    classify_location_update,
-)
+from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
 from tests.test_graph_directed import random_digraph
 
@@ -62,53 +44,10 @@ settings.register_profile(
 )
 STREAM_CI = settings.get_profile("stream-ci")
 
-#: repairable forward methods, one that is screened but never repaired,
-#: and ``auto``, whose subscriptions re-resolve on every recompute
-METHODS = ("tsa", "sfa", "spa", "bounded", "bruteforce", "ais", "auto")
 STEPS = 14
 #: the forward-deterministic ones: pinned bit-identical to bruteforce,
 #: on directed graphs too
 EXACT_METHODS = ("tsa", "sfa", "spa", "bounded", "bruteforce", "auto")
-
-
-def assert_maintained_equals_fresh(sub, maintained, fresh, context):
-    """The same ranking as ``fresh``; bit-equal scores and both distance
-    columns for a repairable method, scores within 1e-9 for ``ais``
-    (which sums its bounds in another order)."""
-    ids_m = [nb.user for nb in maintained]
-    ids_f = [nb.user for nb in fresh]
-    assert ids_m == ids_f, f"{context}: ranking differs: {ids_m} vs {ids_f}"
-    if sub.method in REPAIRABLE_METHODS:
-        scores_m = [nb.score for nb in maintained]
-        scores_f = [nb.score for nb in fresh]
-        assert scores_m == scores_f, (
-            f"{context}: maintained scores not bit-identical:\n{scores_m}\n{scores_f}"
-        )
-        assert [nb.social for nb in maintained] == [nb.social for nb in fresh], context
-        assert [nb.spatial for nb in maintained] == [nb.spatial for nb in fresh], context
-    else:
-        for nb_m, nb_f in zip(maintained, fresh):
-            assert abs(nb_m.score - nb_f.score) <= 1e-9, (
-                f"{context}: score for {nb_m.user}: {nb_m.score!r} vs {nb_f.score!r}"
-            )
-
-
-def verdict(stored, engine, mover, x, y):
-    """The rule's verdict for one stored result, from its fields alone."""
-    result = stored.result
-    return classify_location_update(
-        mover,
-        x,
-        y,
-        query_user=stored.request.user,
-        alpha=stored.request.alpha,
-        w_spatial=stored.rank.w_spatial,
-        members=frozenset(result.users),
-        size=len(result.neighbors),
-        k=stored.request.k,
-        fk=result.fk,
-        query_xy=engine.locations.get(stored.request.user),
-    )
 
 
 def pick_update(rng, engine, subs):
@@ -141,78 +80,6 @@ def pick_update(rng, engine, subs):
     if case == "forget" and len(located) > 2:
         return rng.choice(located), None, None
     return rng.choice(outsiders or located), rng.uniform(4.0, 5.0), rng.uniform(4.0, 5.0)
-
-
-@STREAM_CI
-@given(
-    n=st.integers(min_value=30, max_value=70),
-    seed=st.integers(min_value=0, max_value=2**16),
-    alpha=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
-    k=st.sampled_from((1, 4, 64)),  # 64 > located users: every result has an open slot
-    method=st.sampled_from(METHODS),
-)
-def test_cache_and_registry_apply_one_rule_and_stay_fresh(n, seed, alpha, k, method):
-    rng = random.Random(seed)
-    graph, locations = random_instance(n, seed=seed, coverage=0.7)
-    engine = GeoSocialEngine(graph, locations, num_landmarks=3, s=4, seed=3)
-    service = QueryService(engine, cache_size=64, max_workers=1)
-    registry = SubscriptionRegistry(service)
-    query_users = rng.sample(list(engine.locations.located_users()), 3)
-    requests = [QueryRequest(u, k=k, alpha=alpha, method=method) for u in query_users]
-    subs = [registry.subscribe(request) for request in requests]
-    cache = service.cache
-
-    for step in range(STEPS):
-        for request in requests:  # (re)fill what the last step evicted
-            if engine.locations.has_location(request.user) or alpha == 1.0:
-                service.query(request)
-        mover, x, y = pick_update(rng, engine, subs)
-        context = f"step {step}: {'forget' if x is None else 'move'} {mover} -> ({x}, {y})"
-        before = {
-            key: (entry.result, verdict(entry, engine, mover, x, y))
-            for key, entry in cache._entries.items()
-        }
-        expected = {
-            sub: verdict(sub, engine, mover, x, y) for sub in subs if sub.result is not None
-        }
-        assert not any(sub.dirty for sub in subs), context
-
-        if x is None:
-            service.forget_location(mover)
-        else:
-            service.move_user(mover, x, y)
-
-        # -- the cache's policy over the rule's verdict: keep or evict
-        for key, (old, kind) in before.items():
-            held = cache.peek(key)
-            if kind == NOOP:
-                assert held is old, f"{context}: NO-OP entry was touched"
-            else:
-                assert held is None, f"{context}: {kind} entry survived"
-        # -- the registry's policy over the same verdict
-        for sub, kind in expected.items():
-            if kind == NOOP:
-                assert not sub.dirty, f"{context}: NO-OP dirtied {sub}"
-            elif kind == REPAIR and sub.repairable:
-                assert sub.pending == {mover} and not sub.recompute_pending, context
-            else:
-                assert sub.recompute_pending, f"{context}: {kind} not marked on {sub}"
-
-        # -- both stay equal to a fresh query
-        for sub in subs:
-            try:
-                fresh = engine.query(sub.request)
-            except ValueError:
-                with pytest.raises(ValueError, match="no known location"):
-                    registry.result(sub)
-                continue
-            assert_maintained_equals_fresh(sub, registry.result(sub), fresh, context)
-            for entry in cache._entries.values():
-                if entry.request == sub.request:
-                    assert_maintained_equals_fresh(sub, entry.result, fresh, f"{context} (cache)")
-
-    registry.close()
-    service.close()
 
 
 # -- edge updates: recorded, then folded by the rebuild -----------------------

@@ -15,7 +15,8 @@ subsumed:
   it, and neither are the deleted engine duplicates (``engine.save``,
   ``GeoSocialEngine.load``, ``engine.query_many``, the service-level
   ``social_cache_bytes``), nor the retired scalar backend switch, nor
-  the graph's retired list view.
+  the graph's retired list view;
+- the overflow guards the input domain subsumed stay deleted.
 """
 
 from __future__ import annotations
@@ -198,3 +199,17 @@ def test_the_csr_arrays_are_the_graphs_only_form():
     loops; elsewhere only a graph's ``_lists`` is the slot)."""
     assert _naming(r"list_view|_LIST_VIEW_LOCK|\bg(?:raph)?\._lists\b", CODE_AND_PROSE) == set()
     assert _naming(r"_lists\b", sorted((ROOT / "src" / "repro" / "graph").glob("*.py"))) == set()
+
+
+def test_the_overflow_guards_the_domain_subsumes_stay_gone():
+    """Coordinates, weights and normalisers are checked once where they
+    enter (:mod:`repro.utils.validation`), so the local overflow guards
+    that grew one per hostile value stay deleted: the old point check
+    in ``src/``, the grid's ``float_info`` cap under ``spatial/``, an
+    overflow-silencing ``errstate`` in the kernels and the server's
+    ``OverflowError`` branch."""
+    src = ROOT / "src" / "repro"
+    assert _naming(r"check_finite_point", sorted(src.rglob("*.py"))) == set()
+    assert _naming(r"float_info", sorted((src / "spatial").glob("*.py"))) == set()
+    assert _naming(r"errstate\(over=", sorted((src / "backend").glob("*.py"))) == set()
+    assert _naming(r"except OverflowError", [src / "server" / "app.py"]) == set()

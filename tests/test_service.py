@@ -361,7 +361,7 @@ def test_rejected_edge_weight_records_nothing(engine, weight):
     u, v = located(engine, 2)
     with QueryService(engine, cache_size=0) as service:
         service.update_edge(u, v, 0.25)
-        with pytest.raises(ValueError, match="edge weight must be a positive finite number"):
+        with pytest.raises(ValueError, match=re.escape("edge weight must be a number in [2**-480")):
             service.update_edge(v, u, weight)
         with pytest.raises(ValueError, match="self-loops"):
             service.update_edge(u, u, 0.5)

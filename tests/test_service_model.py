@@ -10,7 +10,10 @@ A Hypothesis ``RuleBasedStateMachine`` drives one
   interior value; ``k`` from 1 to past ``n``;
 - **move** (a burst of one to three, each maybe followed by a registry
   ``flush``): lattice points (co-located users, equal distances), the
-  unit square, and hostile finite values: ``±1e308`` and subnormals;
+  unit square, and hostile values: the input domain's bound ``±2**500``
+  and subnormals, which a move accepts, and one ulp past the bound,
+  which it refuses with a ``ValueError`` naming the field, changing
+  nothing;
 - **forget** a location (a mover is any user, or half the time a live
   subscription's query user, so subscriptions are suspended and
   resume);
@@ -86,6 +89,7 @@ from repro.social import DEFAULT_SOCIAL_CACHE_BYTES
 from repro.spatial.point import LocationTable
 from repro.store import load_engine, save_engine
 from repro.stream import NOOP, RECOMPUTE, REPAIR, SubscriptionRegistry, classify_location_update
+from repro.utils.validation import COORDINATE_BOUND
 from tests.conftest import cache_put, random_instance
 from tests.model import Model
 
@@ -105,13 +109,16 @@ settings.register_profile(
 WEIGHTS = (0.125, 0.25, 0.375, 0.5, 1.0)
 #: a coarse lattice: co-located users and equal distances
 LATTICE = (0.0, 0.25, 0.5, 0.75, 1.0)
-#: finite coordinates a move accepts at the edges of the float range
-HOSTILE = (1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308)
+#: coordinates a move accepts at the edges of the input domain: its
+#: bound and the subnormals
+HOSTILE = (COORDINATE_BOUND, -COORDINATE_BOUND, 5e-324, -5e-324, 2.2250738585072014e-308)
+#: one ulp past the bound: a move refuses them
+PAST = (math.nextafter(COORDINATE_BOUND, INF), math.nextafter(-COORDINATE_BOUND, -INF))
 
 coordinates = st.one_of(
     st.sampled_from(LATTICE),
     st.floats(min_value=0.0, max_value=1.0),
-    st.sampled_from(HOSTILE),
+    st.sampled_from(HOSTILE + PAST),
 )
 alphas = st.one_of(
     st.sampled_from((0.0, 1.0)),
@@ -212,6 +219,7 @@ FLOORS = {
     "bounded ball": 8,
     "bounded skip": 40,
     "suspended resumes": 4,
+    "refused moves": 10,
 }
 
 
@@ -250,6 +258,13 @@ class ServiceModel(RuleBasedStateMachine):
         self.root = Path(tempfile.mkdtemp(prefix="service-model-"))
         self.manager = self.service.snapshots(self.root / "managed")
         self.model = Model(n, edges, locations, engine.normalization, directed)
+        # a zero normaliser is the input domain's one exception to finite
+        # scores (repro.utils.validation): a far move or a heavy edge can
+        # overflow a score to inf, which the model does silently on
+        # Python floats and the kernels with NumPy's overflow warning,
+        # silenced for such tables only (the normalisers never change)
+        norm = engine.normalization
+        self.errors = np.seterr(over="ignore") if 0.0 in (norm.p_max, norm.d_max) else None
         self.n = n
         self.users = st.integers(0, n - 1)
         self.asked: "dict[QueryRequest, None]" = {}
@@ -271,6 +286,8 @@ class ServiceModel(RuleBasedStateMachine):
             self.registry.close()
             self.service.close()
             shutil.rmtree(self.root, ignore_errors=True)
+            if self.errors is not None:
+                np.seterr(**self.errors)
 
     def _user(self, data):
         return data.draw(self.users)
@@ -383,6 +400,10 @@ class ServiceModel(RuleBasedStateMachine):
         both, then check what the result cache and the registry did
         with the rule's verdict on each result they hold."""
         where = self.service.engine.locations.get
+        if x is not None and (x in PAST or y in PAST):
+            # refused one ulp past the bound, then moved to the bound
+            self.refused(user, x, y)
+            x, y = (min(max(c, -COORDINATE_BOUND), COORDINATE_BOUND) for c in (x, y))
         # forgetting an unlocated user is no update at all
         fires = x is not None or where(user) is not None
         cache = self.service.cache
@@ -420,6 +441,20 @@ class ServiceModel(RuleBasedStateMachine):
                 assert user in sub.pending or sub.recompute_pending, sub
             else:
                 assert sub.recompute_pending, f"{verdict} not marked on {sub}"
+
+    def refused(self, user, x, y):
+        """A move one ulp past the domain's bound: a ``ValueError``
+        naming the field, and nothing served, cached or queued moves."""
+        entries, queued = self._stored()
+        before = self.service.engine.locations.get(user)
+        field = "x" if x in PAST else "y"
+        with pytest.raises(ValueError, match=rf"^{field} must be a number in \[-2\*\*500"):
+            self.service.move_user(user, x, y)
+        assert self.service.engine.locations.get(user) == before
+        now, queued_now = self._stored()
+        assert now.keys() == entries.keys() and all(now[k] is entries[k] for k in now)
+        assert queued_now == queued
+        self.counts["refused moves"] += 1
 
     def _verdict(self, sub, user, x, y):
         """The registry's classification of one update for ``sub``."""
@@ -565,15 +600,25 @@ class TestServiceModel(ServiceModel.TestCase):
 
 def test_hostile_moves_answer_like_the_model():
     """A fixed walk through the hostile corner, whatever the profile
-    draws: users at ±1e308 and in the subnormals, where a spatial
-    distance overflows to ``inf`` (no answer) or underflows to 0, over
-    a grid whose span is past the float range."""
+    draws: users at the input domain's bound ±2**500 and in the
+    subnormals, where a spatial distance reaches 2**501.5 or underflows
+    to 0, over a grid whose span is 2**501.  Every score stays finite,
+    so every other user is ranked; one ulp past the bound a move is
+    refused and nothing moves."""
+    bound = COORDINATE_BOUND
     graph = SocialGraph.from_edges(4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 1.0)])
     table = LocationTable.from_dict(4, {u: (u / 4, 0.5) for u in range(4)})
     engine = GeoSocialEngine(graph, table, num_landmarks=2, s=4, seed=1)
     model = Model.of_engine(engine)
     with QueryService(engine, cache_size=16) as service:
-        for user, (x, y) in enumerate([(1e308, 1e308), (-1e308, 5e-324), (5e-324, -5e-324)]):
+        for user, (x, y) in enumerate([(bound, bound), (-bound, 5e-324), (5e-324, -bound)]):
+            # one ulp past the bound on the coordinate at it
+            at = 0 if abs(x) == bound else 1
+            past = [x, y]
+            past[at] = math.nextafter(past[at], math.copysign(INF, past[at]))
+            with pytest.raises(ValueError, match=rf"^{'xy'[at]} must be a number in \[-2\*\*500"):
+                service.move_user(user, *past)
+            assert service.engine.locations.get(user) == model.locations[user]
             service.move_user(user, x, y)
             model.locations[user] = (x, y)
             for method in METHODS + (AUTO,):
@@ -581,11 +626,48 @@ def test_hostile_moves_answer_like_the_model():
                     for asked in range(4):
                         request = QueryRequest(asked, k=4, alpha=alpha, method=method)
                         assert answers_like_the_model(service, model, request)
+                        assert len(model.answer(asked, 4, alpha)) == 3
         # a grid built over that span, not moved into it
         service.rebuild_engine(s=1)
         model.rebuild()
         for method in METHODS + (AUTO,):
             assert answers_like_the_model(service, model, QueryRequest(0, k=4, alpha=0.0, method=method))
+
+
+def test_a_zero_normaliser_is_the_one_exception_to_finite_scores():
+    """The finiteness proof of :mod:`repro.utils.validation` names one
+    exception, a normaliser at ``RankingFunction``'s ``1e-300`` floor:
+    ``D_max = 0`` over fewer than two distinct located users, and
+    ``P_max = 0`` on an edgeless graph.  A user moved to the bound, or
+    an edge added by a rebuild, then overflows its term to ``inf``
+    (NumPy warns) and drops out of the answer like an unreachable one,
+    in the engine and the model alike."""
+    bound = COORDINATE_BOUND
+    graph = SocialGraph.from_edges(3, [])
+    table = LocationTable.from_dict(3, {0: (0.5, 0.5), 1: (0.5, 0.5), 2: (0.5, 0.5)})
+    engine = GeoSocialEngine(graph, table, num_landmarks=1, s=2, seed=1)
+    assert (engine.normalization.p_max, engine.normalization.d_max) == (0.0, 0.0)
+    model = Model.of_engine(engine)
+    with QueryService(engine, cache_size=0) as service:
+        service.move_user(1, bound, 0.5)
+        model.locations[1] = (bound, 0.5)
+        service.update_edge(0, 2, 2.0**30)
+        service.rebuild_engine()
+        model.update_edge(0, 2, 2.0**30)
+        model.rebuild()
+        # finite distances, infinite scores: user 1 is 2**500 away, user
+        # 2 is 2**30 away socially (and co-located)
+        assert model.distance(0, 1) < INF and model.social_distances(0)[2] == 2.0**30
+        for alpha, ranked in ((0.0, [2]), (0.5, []), (1.0, [])):
+            request = QueryRequest(0, k=3, alpha=alpha, method="bruteforce")
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert answers_like_the_model(service, model, request)
+            assert [user for user, _ in model.answer(0, 3, alpha)] == ranked
+        # a user at distance 0 keeps its score of 0
+        service.move_user(1, 0.5, 0.5)
+        model.locations[1] = (0.5, 0.5)
+        assert model.answer(0, 3, 0.0) == [(1, 0.0), (2, 0.0)]
+        assert answers_like_the_model(service, model, QueryRequest(0, k=3, alpha=0.0, method="bruteforce"))
 
 
 # -- pins the model cannot check ----------------------------------------------

@@ -5,8 +5,9 @@ layer — every answer produced through a cached column must be
 **bit-identical** to the cold computation, for every
 forward-deterministic method, at every alpha (endpoints
 included), and equal to the scalar Definition 1 model of
-``tests/model.py``, through engine rebuilds and interleaved
-location/edge updates.  The
+``tests/model.py``, through engine rebuilds (interleaved location
+and edge updates are stepped by the whole-stack model,
+``tests/test_service_model.py``).  The
 poisoned-column canary additionally pins that cached columns are
 *actually consulted* (reuse is observable) and that an edge update
 *strictly* invalidates them while location moves never do — the
@@ -225,53 +226,6 @@ def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
     # a pure-social query answers unlocated users, so the step applies
     engine.query(unlocated, k=4, alpha=1.0, method="sfa")
     assert cache.info()["misses"] == before["misses"] + 1
-
-
-def test_interleaved_moves_and_edge_updates_stay_exact():
-    """Queries interleaved with location moves and service-recorded
-    edge updates (neither may touch the column cache: the served graph
-    is immutable until the rebuild, whose engine starts from an empty
-    one) stay bit-identical to a cold engine driven through the
-    identical update sequence."""
-    warm = build_engine(None)
-    cold = build_engine(0)
-    warm_service = QueryService(warm, cache_size=0)
-    cold_service = QueryService(cold, cache_size=0)
-    try:
-        users = query_users(warm)
-        probe = [(u, m, a) for u in users for m, a in
-                 (("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5), ("bruteforce", 0.0),
-                  ("bruteforce", 0.4))]
-
-        def check(tag):
-            for u, m, a in probe:
-                got = warm_service.query(QueryRequest(user=u, k=6, alpha=a, method=m))
-                ref = cold_service.query(QueryRequest(user=u, k=6, alpha=a, method=m))
-                assert fingerprint(got.result) == fingerprint(ref.result), (
-                    f"{tag}: user={u} {m}@{a}"
-                )
-
-        check("initial")
-        for service in (warm_service, cold_service):
-            service.move_user(users[0], 0.11, 0.93)
-            service.move_user(users[1], 0.77, 0.04)
-        check("after moves")
-        assert warm.social_cache.info()["invalidations"] == 0  # moves never flush
-        for service in (warm_service, cold_service):
-            service.update_edge(users[0], users[2], 0.07)
-        assert warm.social_cache.info()["invalidations"] == 0  # nor do edges
-        assert len(warm.social_cache) > 0
-        check("after edge update")
-        warm_new = warm_service.rebuild_engine()
-        cold_new = cold_service.rebuild_engine()
-        assert warm_new.social_cache is not None
-        assert warm_new.social_cache is not warm.social_cache  # never crosses rebuild
-        assert len(warm_new.social_cache) == 0
-        assert cold_new.social_cache is None
-        check("after rebuild")
-    finally:
-        warm_service.close()
-        cold_service.close()
 
 
 # -- the poisoned-column canary ----------------------------------------

@@ -1,12 +1,12 @@
 """Unit tests for the uniform grid index."""
 
-import math
 import random
 
 import pytest
 
 from repro.spatial.grid import UniformGrid
 from repro.spatial.point import BBox, LocationTable, euclidean
+from repro.utils.validation import COORDINATE_BOUND
 
 
 def make_locations(points):
@@ -41,22 +41,43 @@ def test_build_over_no_located_user_is_empty_and_takes_inserts():
     assert 2 in grid and grid.users_in(*grid.cell_of_user(2)) == [2]
 
 
-def test_a_box_whose_span_overflows_keeps_finite_cells():
-    """Points at ±1e308 make ``maxx - minx`` overflow to inf: the cell
-    size used to be inf, ``cell_of`` divided inf by inf and raised on
-    the NaN, and ``build`` cast the NaN into arbitrary cells."""
+def test_a_box_at_the_coordinate_bound_keeps_finite_cells():
+    """Points at ±1e308 used to make ``maxx - minx`` overflow to inf,
+    and the grid grew halving guards for it.  The input domain keeps
+    every coordinate within ±2**500, so a box at the bound spans a
+    finite 2**501 and the plain arithmetic holds: finite cells, no
+    warning, and a build equal to inserting one by one."""
     import warnings
 
-    points = [(-1e308, 0.5), (0.25, 0.5), (1e308, 0.5)]
+    bound = COORDINATE_BOUND
+    points = [(-bound, 0.5), (0.25, 0.5), (bound, 0.5)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         built = UniformGrid.build(make_locations(points), 4)
-    assert math.isfinite(built.cell_w) and built.cell_w > 0
+    assert built.cell_w == 2.0**499
     assert [built.cell_of(x, y) for x, y in points] == [(0, 0), (2, 0), (3, 0)]
     inserted = UniformGrid(built.bbox, 4)
     for user, point in enumerate(points):
         inserted.insert(user, *point)
     assert list(built.cells.items()) == list(inserted.cells.items())
+    for user, (x, y) in enumerate(points):
+        assert built.cell_bbox(*built.cell_of_user(user)).contains(x, y)
+
+
+def test_a_subnormal_box_clamps_a_far_insert_without_a_warning():
+    """Over users a few subnormals apart the cells are subnormal: a
+    later insert at the coordinate bound divides out to ``inf`` cells
+    in ``cell_of`` and is clamped to the border cell, and the build's
+    column offsets stay finite."""
+    import warnings
+
+    points = [(0.0, 0.0), (2.0**-1070, 2.0**-1072), (0.0, 2.0**-1070)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = UniformGrid.build(make_locations(points), 4)
+        assert 0.0 < grid.cell_w < 2.0**-1022
+        assert grid.insert(3, COORDINATE_BOUND, -COORDINATE_BOUND) == (3, 0)
+    assert grid.cell_of_user(1) == (3, 1)
 
 
 class TestGeometry:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import BBox, LocationTable
+from repro.utils.validation import COORDINATE_BOUND
 
 
 def make_table(points):
@@ -87,12 +88,13 @@ def test_every_user_under_its_parent():
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
-def test_a_span_past_the_float_range_keeps_every_user_in_its_boxes(s):
-    """Users at ±1e308 (any finite coordinate is a legal move) span
-    more than a float can hold: every user still lands in a cell, and
-    lies inside its leaf's box and its top node's box — the boxes the
-    AIS and SPA lower bounds are read from."""
-    points = [(-1e308, -1e308), (1e308, 1e308), (1e308, -1e308), (0.5, 5e-324), (-1e307, 3e307)]
+def test_a_span_at_the_coordinate_bound_keeps_every_user_in_its_boxes(s):
+    """Users at ±2**500 (the input domain's bound) span 2**501: every
+    user lands in a cell, and lies inside its leaf's box and its top
+    node's box — the boxes the AIS and SPA lower bounds are read
+    from."""
+    bound = COORDINATE_BOUND
+    points = [(-bound, -bound), (bound, bound), (bound, -bound), (0.5, 5e-324), (-bound / 10, bound / 3)]
     table = LocationTable.from_columns([p[0] for p in points], [p[1] for p in points])
     grid = MultiLevelGrid.build(table, s)
     for user, (x, y) in enumerate(points):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.spatial.point import BBox, LocationTable, euclidean
+from repro.utils.validation import COORDINATE_BOUND
 
 INF = math.inf
 
@@ -164,12 +165,16 @@ def test_a_half_missing_or_infinite_pair_is_refused_naming_the_user(xs, ys, user
 
 
 def test_a_location_set_one_at_a_time_is_finite():
+    """Finite, and inside the input domain: a coordinate past 2**500
+    (one ulp is enough) is refused like ``inf``, naming the field, and
+    NaN is no location (``clear`` forgets one)."""
+    bound = COORDINATE_BOUND
     table = LocationTable.empty(2)
-    for x, y in ((math.inf, 0.0), (0.0, -math.inf)):
-        with pytest.raises(ValueError, match="finite"):
+    for x, y, field in ((math.inf, 0.0, "x"), (0.0, -math.inf, "y"), (0.0, NAN, "y"),
+                        (math.nextafter(bound, math.inf), 0.0, "x"),
+                        (0.0, math.nextafter(-bound, -math.inf), "y")):
+        with pytest.raises(ValueError, match=rf"^{field} must be a number in \[-2\*\*500"):
             table.set(0, x, y)
-    with pytest.raises(ValueError, match="clear"):
-        table.set(0, 0.0, NAN)
     assert table.n_located == 0
-    table.set(1, 1e308, -5e-324)
-    assert table.get(1) == (1e308, -5e-324) and table.n_located == 1
+    table.set(1, bound, -5e-324)
+    assert table.get(1) == (bound, -5e-324) and table.n_located == 1

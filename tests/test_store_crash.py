@@ -481,3 +481,20 @@ def test_a_half_missing_or_infinite_location_is_typed_corruption(saved, x, y):
     np.save(path / "ys.npy", ys)
     with pytest.raises(StoreCorruptionError, match="user 7 has location"):
         load_engine(path, verify=False)
+
+
+def test_a_bad_coordinate_is_corruption_of_the_coordinate_columns(saved):
+    """A lone NaN in ``xs.npy`` used to be reported as "a bad config",
+    though the config was sound: the load names the coordinate columns,
+    as it names the CSR columns for a bad weight."""
+    import numpy as np
+
+    _, path = saved
+    xs = np.load(path / "xs.npy")
+    xs[3] = float("nan")
+    np.save(path / "xs.npy", xs)
+    with pytest.raises(StoreCorruptionError) as refused:
+        load_engine(path, verify=False)
+    message = str(refused.value)
+    assert "coordinate columns xs / ys are corrupt: user 3 has location" in message
+    assert "config" not in message

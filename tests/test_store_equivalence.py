@@ -7,13 +7,14 @@ computes from, the manifest round-trips the exact normalization
 constants through JSON (Python floats survive json exactly), and the
 loaded engine derives every index from those columns on first use —
 so ids, scores, and tie-breaks must all match with ``==``, across
-methods (including the ``auto`` route), after moves made
-once the live engine's indexes were built, through a save→load→save
+methods (including the ``auto`` route), through a save→load→save
 cycle (the second snapshot is byte-identical), through an
 update-fold-then-snapshot cycle on the service, and from a snapshot
 of format version 1, which still carried the grid and the landmark
 matrix, or of version 2 naming the retired scalar backend, which loads
-onto the one backend there is.
+onto the one backend there is.  A snapshot taken after moves (a grid
+rebuilt from the current locations, not the move history) is stepped
+by the whole-stack model, ``tests/test_service_model.py``.
 
 Property tests run under the suite's fixed, derandomized profile.
 """
@@ -101,29 +102,6 @@ def test_roundtrip_bit_identical(tmp_path, backend):
     assert loaded.graph.n == live.graph.n
     assert loaded.normalization == live.normalization
     assert_bit_identical(live, loaded, located_sample(live))
-
-
-def test_a_snapshot_saved_after_moves_answers_like_the_live_engine(tmp_path):
-    """The live engine's grid, aggregate index and landmarks are built,
-    then 200 users move (first locations, cell changes and forgets
-    among them); the snapshot, taken without a fold, rebuilds its grid
-    from the current locations, without that move history, and answers
-    every method bit-identically."""
-    live = build_engine(n=400)
-    users = located_sample(live, count=4)
-    for user in users:
-        live.query(user, k=6, alpha=0.3, method="ais")
-    assert live._grid is not None and live._aggregate is not None
-    rng = random.Random(8)
-    moved = [u for u in range(live.graph.n) if u not in users]
-    for user in rng.sample(moved, 200):
-        if rng.random() < 0.1:
-            live.forget_location(user)
-        else:
-            live.move_user(user, rng.random(), rng.random())
-    loaded = load_engine(save_engine(live, tmp_path / "snap"))
-    assert loaded._grid is None and loaded._landmarks is None
-    assert_bit_identical(live, loaded, users)
 
 
 def test_a_format_version_1_snapshot_loads_and_answers_like_a_fresh_build():
