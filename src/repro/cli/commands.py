@@ -196,8 +196,12 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
         engine = GeoSocialEngine.from_dataset(DATASETS[dataset](n=n, seed=seed))
     try:
         if social_cache_bytes is not None:
-            # the column budget is the engine's: the same data, rebuilt with it
-            engine = engine.with_graph(engine.graph, social_cache_bytes=social_cache_bytes)
+            # the column budget is the engine's: the same data and
+            # normalisers, rebuilt with it
+            engine = engine.with_graph(
+                engine.graph, normalization=engine.normalization,
+                social_cache_bytes=social_cache_bytes,
+            )
         service = QueryService(engine, cache_size=0 if no_cache else 1024)
     except ValueError as err:
         raise _fail(err) from err

@@ -378,15 +378,22 @@ class GeoSocialEngine:
 
         The service layer's :meth:`~repro.service.QueryService.rebuild_engine`
         calls this to fold batched edge updates into a new engine.
-        Landmarks are rebuilt (the graph changed), the normalization is
-        kept (a shared constant preserves rankings).
+        Landmarks are rebuilt (the graph changed).  Each positive
+        normaliser is kept (a shared constant preserves rankings); one
+        that is 0 is re-estimated from ``graph`` and the current
+        locations, so the rebuild that gives an edgeless graph its first
+        edges normalises by that graph's diameter.
         """
+        norm = self.normalization
+        if 0.0 in (norm.p_max, norm.d_max) and "normalization" not in overrides:
+            fresh = Normalization.estimate(graph, self.locations, seed=self.seed)
+            norm = Normalization(norm.p_max or fresh.p_max, norm.d_max or fresh.d_max)
         kwargs = dict(
             num_landmarks=self.num_landmarks,
             landmark_strategy=self.landmark_strategy,
             s=self.s,
             seed=self.seed,
-            normalization=self.normalization,
+            normalization=norm,
             # only the byte budget crosses the rebuild, never the cache
             # instance: the new engine's columns come from the new graph,
             # so the edge-epoch boundary is structural

@@ -8,7 +8,9 @@ Smaller is better.  ``p`` is weighted shortest-path distance in the
 social graph, ``d`` Euclidean distance; both are normalised by the
 maximum pairwise distance in their domain (the paper omits the
 denominators "for simplicity" but uses them in the implementation, as
-do we).
+do we).  A normaliser of 0 (an edgeless graph's ``P_max``, ``D_max``
+over fewer than two distinct located users) leaves its term unscaled,
+so every score stays finite (:mod:`repro.utils.validation`).
 
 Infinite distances — unreachable vertices, users without a known
 location — are first-class citizens: a term with zero weight contributes
@@ -26,8 +28,6 @@ from repro.utils.validation import NORMALISER_MIN, check_alpha, check_normaliser
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.socialgraph import SocialGraph
     from repro.spatial.point import LocationTable
-
-_TINY = 1e-300  # divides for a normaliser of 0: the input domain's one exception
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class Normalization:
 class RankingFunction:
     """``f`` for a fixed ``α`` and normalisation.
 
-    The two weights are pre-divided by the normalisers, so scoring is a
-    two-multiply operation in the hot loops.
+    The two weights are pre-divided by the normalisers (a normaliser of
+    0 divides by 1), so scoring is a two-multiply operation in the hot
+    loops.
 
         >>> from repro import Normalization, RankingFunction
         >>> rank = RankingFunction(0.5, Normalization(p_max=4.0, d_max=1.5))
@@ -90,8 +91,8 @@ class RankingFunction:
     def __init__(self, alpha: float, normalization: Normalization) -> None:
         self.alpha = check_alpha(alpha)
         self.normalization = normalization
-        self.w_social = alpha / max(normalization.p_max, _TINY)
-        self.w_spatial = (1.0 - alpha) / max(normalization.d_max, _TINY)
+        self.w_social = alpha / (normalization.p_max or 1.0)
+        self.w_spatial = (1.0 - alpha) / (normalization.d_max or 1.0)
 
     def social_part(self, p: float) -> float:
         """Weighted, normalised social term (0 when ``α == 0``)."""

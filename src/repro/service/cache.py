@@ -5,10 +5,11 @@ Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
 enormously *if* the cache can survive a dynamic world where users move
 constantly.  This module provides that: an LRU keyed on the query
-signature ``(user, k, α, line, normalization)`` — ``line`` is the
+signature ``(user, k, α, line)`` — ``line`` is the
 resolved method, or ``"auto"`` for an ``auto`` request, whose
 answer the question alone determines (the rule lives in
-``QueryService._line``) — with hit/miss statistics, whose entries
+``QueryService._line``); no engine component is needed, as every engine
+swap empties the cache first — with hit/miss statistics, whose entries
 carry the request, pinned to the method that executed it, and the
 :class:`~repro.core.ranking.RankingFunction` that produced them, so a
 location update *evicts exactly* the entries it can affect instead of

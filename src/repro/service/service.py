@@ -172,26 +172,18 @@ class QueryService:
         - ``auto``: ``AUTO`` itself — the *question line*.  Whatever
           ``auto`` resolves to is exact and bit-identical to
           ``bruteforce`` (``tests/test_service_model.py``), so the
-          question ``(user, k, α, normalization)`` alone names the
-          answer.
+          question ``(user, k, α)`` alone names the answer.
         """
         if request.method != AUTO:
             return route_method(request.method, request.alpha)
         return AUTO
 
-    def _cache_key(
-        self, request: QueryRequest, engine: GeoSocialEngine, line: str
-    ) -> tuple:
+    @staticmethod
+    def _cache_key(request: QueryRequest, line: str) -> tuple:
         """The cache line for one request under method component
-        ``line`` (:meth:`_line`)."""
-        norm = engine.normalization
-        return (
-            request.user,
-            request.k,
-            request.alpha,
-            line,
-            (norm.p_max, norm.d_max),
-        )
+        ``line`` (:meth:`_line`).  It names no engine: every swap
+        flushes the cache before it publishes the new one."""
+        return (request.user, request.k, request.alpha, line)
 
     def cached(self, request: QueryRequest) -> "QueryResponse | None":
         """The stored answer to ``request`` or ``None`` — a read-only
@@ -208,7 +200,7 @@ class QueryService:
         flushes the cache under its own lock."""
         if self.cache is None:
             return None
-        result = self.cache.hit(self._cache_key(request, self.engine, self._line(request)))
+        result = self.cache.hit(self._cache_key(request, self._line(request)))
         if result is None:
             return None
         with self._stats_lock:
@@ -266,7 +258,7 @@ class QueryService:
         with self._read_locked_engine() as engine:
             for i, req in enumerate(reqs):
                 if self.cache is not None:
-                    hit = self.cache.get(self._cache_key(req, engine, self._line(req)))
+                    hit = self.cache.get(self._cache_key(req, self._line(req)))
                     if hit is not None:
                         responses[i] = QueryResponse(req, hit, cached=True)
                         hits += 1
@@ -297,7 +289,7 @@ class QueryService:
         pending: "dict[tuple, tuple[QueryRequest, list[int]]]" = {}
         for i in misses:
             req = reqs[i]
-            key = self._cache_key(req, engine, self._line(req))
+            key = self._cache_key(req, self._line(req))
             waiting = pending.get(key)
             if waiting is None:
                 pending[key] = (req.with_method(engine.resolve_method(req)), [i])
@@ -389,8 +381,8 @@ class QueryService:
         while True:
             with self._read_locked_engine() as old:
                 pending = dict(self._pending_edges)
-            # `with_graph` rebuilds the indexes and keeps the old
-            # normalization, so rankings stay comparable across the swap.
+            # `with_graph` rebuilds the indexes, keeps each positive
+            # normaliser and re-estimates one that is 0.
             new_engine = old.with_graph(
                 old.graph.with_edge_updates(pending), **engine_kwargs
             )

@@ -16,15 +16,9 @@ Definition 1's ``(score, id)`` order is total:
    estimated ``P_max`` is a path length, so at least one weight; an
    estimated ``D_max``, the location box's diagonal, is raised to
    ``NORMALISER_MIN`` when the box has extent but a smaller diagonal.
+   A normaliser of 0 leaves its term unscaled (it divides by 1).
 4. So each ranking weight, ``α / P_max`` or ``(1 − α) / D_max``, is
    ``<= 2**480``, each term ``<= 2**992``, and their sum is finite.
-
-*The one exception* is a normaliser of 0 (an edgeless graph's
-``P_max``, ``D_max`` over fewer than two distinct located users, or
-either given as 0): :class:`~repro.core.ranking.RankingFunction`
-divides by a ``1e-300`` floor, and a distance that appears later (an
-edge added by a rebuild, a user moved away) overflows its term to
-``inf`` once it passes about ``1.8e8``: that user ranks as unreachable.
 """
 
 from __future__ import annotations

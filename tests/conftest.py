@@ -78,7 +78,7 @@ def cache_put(cache, user, k, alpha, method, neighbors, norm=(1.0, 1.0)):
     """Store a hand-built result in a :class:`ResultCache` the way the
     service does (service-shaped key, resolved request, the ranking
     function of ``norm = (P_max, D_max)``); returns the key."""
-    key = (user, k, alpha, method, norm, None)
+    key = (user, k, alpha, method)
     cache.put(
         key,
         QueryRequest(user, k=k, alpha=alpha, method=method),

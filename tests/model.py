@@ -15,8 +15,10 @@ implementation:
   (the weights pre-divided by the normalisers; a zero-weight term adds
   exactly 0, even at ``inf``), so a correct engine's scores are
   bit-equal to the model's;
-- the normalisers themselves (an engine estimates them once and keeps
-  them through moves and rebuilds);
+- the normalisers themselves: an engine estimates them once and keeps
+  them through moves and rebuilds, except that a rebuild re-estimates
+  one that is 0 (:meth:`Model.rebuild` calls the same
+  ``Normalization.estimate`` on its edges and locations);
 - the ``(score, id)`` order, and bruteforce's exclusions: the query user
   and every infinite score.
 
@@ -34,6 +36,8 @@ import heapq
 import math
 
 from repro.core.ranking import Normalization, RankingFunction
+from repro.graph.socialgraph import SocialGraph
+from repro.spatial.point import LocationTable
 
 INF = math.inf
 
@@ -59,9 +63,12 @@ class Model:
         locations: "dict[int, tuple[float, float]]",
         normalization: Normalization,
         directed: bool = False,
+        seed: int = 0,
     ) -> None:
         self.n = n
         self.directed = directed
+        #: the engine's seed, which a re-estimate's diameter sweeps draw from
+        self.seed = seed
         #: the served edge set: ``(u, v) -> weight`` (``u < v`` when
         #: undirected)
         self.edges = dict(edges)
@@ -76,17 +83,19 @@ class Model:
     @classmethod
     def of_engine(cls, engine) -> "Model":
         """The model of what ``engine`` serves: its graph's edges, its
-        located users and its normalisers."""
+        located users, its normalisers and its seed."""
         graph = engine.graph
         edges = {(u, v): w for u, v, w in graph.edges()}
         located = {u: engine.locations.get(u) for u in engine.locations.located_users()}
-        return cls(graph.n, edges, located, engine.normalization, graph.directed)
+        return cls(graph.n, edges, located, engine.normalization, graph.directed, engine.seed)
 
     def copy(self) -> "Model":
         """What this model serves now, as a snapshot holds it: the
         served edges and the current locations, without the recorded
         edge updates (a restore discards them)."""
-        return Model(self.n, self.edges, self.locations, self.normalization, self.directed)
+        return Model(
+            self.n, self.edges, self.locations, self.normalization, self.directed, self.seed
+        )
 
     # -- updates ------------------------------------------------------
 
@@ -104,6 +113,8 @@ class Model:
         self.pending[self.key(u, v)] = weight
 
     def rebuild(self) -> None:
+        """Fold the recorded updates in, and re-estimate a normaliser of
+        0 over the new edges and the current locations."""
         if self.pending:
             self._columns.clear()
         for key, weight in self.pending.items():
@@ -112,6 +123,17 @@ class Model:
             else:
                 self.edges[key] = weight
         self.pending.clear()
+        norm = self.normalization
+        if 0.0 in (norm.p_max, norm.d_max):
+            graph = SocialGraph.from_edges(
+                self.n, [(u, v, w) for (u, v), w in self.edges.items()], directed=self.directed
+            )
+            fresh = Normalization.estimate(
+                graph, LocationTable.from_dict(self.n, self.locations), seed=self.seed
+            )
+            self.normalization = Normalization(
+                norm.p_max or fresh.p_max, norm.d_max or fresh.d_max
+            )
 
     # -- Definition 1 -------------------------------------------------
 
@@ -149,7 +171,8 @@ class Model:
     def rows(self, user: int, k: int, alpha: float) -> "list[tuple[int, float, float, float]]":
         """The answer as ``(user, score, social, spatial)`` rows, with
         bruteforce's ``Neighbor`` conventions: a term the ranking does
-        not use reads ``inf``."""
+        not use reads ``inf``.  Inside the input domain every score is
+        finite unless a distance it uses is infinite (asserted)."""
         if alpha < 1.0 and user not in self.locations:
             raise ValueError(f"query user {user} has no known location")
         rank = RankingFunction(alpha, self.normalization)
@@ -161,6 +184,8 @@ class Model:
             p = social.get(v, INF)
             d = self.distance(user, v) if rank.needs_spatial else INF
             score = rank.score(p, d)
+            used = (p if rank.needs_social else 0.0, d if rank.needs_spatial else 0.0)
+            assert score < INF or INF in used, f"f({user}, {v}) overflowed: p={p}, d={d}"
             if score != INF:
                 ranked.append((score, v, p, d))
         ranked.sort()

@@ -16,7 +16,9 @@ subsumed:
   ``GeoSocialEngine.load``, ``engine.query_many``, the service-level
   ``social_cache_bytes``), nor the retired scalar backend switch, nor
   the graph's retired list view;
-- the overflow guards the input domain subsumed stay deleted.
+- the overflow guards the input domain subsumed stay deleted, and so
+  do the zero-normaliser floor and the model's NumPy overflow switch
+  that existed for the domain's one former exception.
 """
 
 from __future__ import annotations
@@ -213,3 +215,12 @@ def test_the_overflow_guards_the_domain_subsumes_stay_gone():
     assert _naming(r"float_info", sorted((src / "spatial").glob("*.py"))) == set()
     assert _naming(r"errstate\(over=", sorted((src / "backend").glob("*.py"))) == set()
     assert _naming(r"except OverflowError", [src / "server" / "app.py"]) == set()
+
+
+def test_the_zero_normaliser_exception_stays_gone():
+    """A normaliser of 0 leaves its term unscaled, so every score is
+    finite and nothing floors a divisor or silences an overflow: no
+    ``_TINY`` or ``1e-300`` under ``src/``, no ``seterr`` in the state
+    machine."""
+    assert _naming(r"_TINY|1e-300", sorted((ROOT / "src").rglob("*.py"))) == set()
+    assert _naming(r"seterr", [ROOT / "tests" / "test_service_model.py"]) == set()

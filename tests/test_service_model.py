@@ -18,7 +18,8 @@ A Hypothesis ``RuleBasedStateMachine`` drives one
   subscription's query user, so subscriptions are suspended and
   resume);
 - **edge update**: insert, re-weight or delete (deleting an absent edge
-  is a ``KeyError`` in both), recorded and not yet served;
+  is a ``KeyError`` in both) on any pair, or half the time on a served
+  edge named in either orientation, recorded and not yet served;
 - **rebuild_engine**, which folds the recorded updates in;
 - **subscribe** (every served method plus ``auto``), **unsubscribe**
   and **flush**;
@@ -28,16 +29,20 @@ A Hypothesis ``RuleBasedStateMachine`` drives one
   ``replace_engine`` (recorded updates are discarded; the same snapshot
   may be restored again after the restored engine moved users).
 
-The build draws the table (2–12 users drawn element by element, or
-40–150 users from a seed, where ``bounded`` takes its first ball), the
-landmarks and grid, the result-cache size (0, 1 or 64) and the column
-cache budget (none, one column or the default).
+The build draws the table (2–12 users drawn element by element, some
+edgeless or with every located user on one position, so that ``P_max``
+or ``D_max`` is 0 until a rebuild re-estimates it; or 40–150 users from
+a seed, where ``bounded`` takes its first ball), the landmarks and grid, the result-cache size (0, 1 or 64) and the column cache
+budget (none, one column or the default).
 
 Every answer equals the model's: ids and tie-breaks exact, scores
 bit-equal (``ais`` sums its bounds in another order: within 1e-9,
-relative above a score of 1); a
+relative above a score of 1) and finite for every table, a zero
+normaliser's included (the model asserts that a score is infinite only
+where a distance it uses is); a
 query user without a location below ``α = 1`` raises the same
-``ValueError`` in both.  After every step:
+``ValueError`` in both.  After every rebuild the served edges and
+normalisers are the model's.  After every step:
 
 - every live subscription's ``registry.result(sub)`` is the model's
   answer, and after an update the six most recent requests, asked
@@ -54,9 +59,12 @@ An edge update touches neither.  Small tables and few distinct weights
 and coordinates keep repeats, ties and cache hits frequent.
 
 Runs under a registered, derandomized profile, so every run checks the
-same steps; :class:`TestServiceModel` also asserts that the run reached
-every rule, both of ``bounded``'s paths and suspended subscriptions
-that resume (:data:`FLOORS`).  The pins
+same steps; it skips Hypothesis's shrink phase, so a failure reports in
+seconds (replay it under the default profile to shrink it).
+:class:`TestServiceModel` also asserts that the run reached every rule,
+both of ``bounded``'s paths, suspended subscriptions that resume, both
+zero normalisers, their re-estimates and moves to the bound over
+``D_max = 0`` (:data:`FLOORS`).  The pins
 at the end check what one model run cannot: a scripted planner, a
 patched pending limit, subscribe-time validation, an ``α = 1``
 subscription no move may touch, the open-slot forget the result
@@ -71,17 +79,19 @@ import random
 import re
 import shutil
 import tempfile
+import warnings
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
+from repro.core.ranking import Normalization
 from repro.core.result import Neighbor
 from repro.graph.socialgraph import SocialGraph
 from repro.service import QueryRequest, QueryService, ResultCache
@@ -102,6 +112,9 @@ settings.register_profile(
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    # shrinking a failing run took minutes; the derandomized run replays
+    # it exactly, and the default profile shrinks it locally
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 
 #: few distinct weights, several of them sums of others: equal-length
@@ -126,21 +139,28 @@ alphas = st.one_of(
     st.floats(min_value=0.01, max_value=0.99),
 )
 methods = st.sampled_from(METHODS + (AUTO,))
+#: which normalisers a small table makes 0
+ZEROS = ((), (), ("P_max",), ("D_max",), ("P_max", "D_max"))
 
 
 @st.composite
 def instances(draw):
     """``(n, directed, edges, locations)`` with ``u < v`` edge keys
-    when undirected."""
+    when undirected.  Some are edgeless (``P_max = 0``), some put
+    every located user on one position (``D_max = 0``), some both."""
     n = draw(st.integers(min_value=2, max_value=12))
     directed = draw(st.booleans())
+    zero = draw(st.sampled_from(ZEROS))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda uv: uv[0] != uv[1]
     )
     edges = {}
-    for (u, v), w in draw(st.lists(st.tuples(pairs, st.sampled_from(WEIGHTS)), max_size=2 * n)):
-        edges[(u, v) if directed or u < v else (v, u)] = w
+    if "P_max" not in zero:
+        for (u, v), w in draw(st.lists(st.tuples(pairs, st.sampled_from(WEIGHTS)), max_size=2 * n)):
+            edges[(u, v) if directed or u < v else (v, u)] = w
     point = st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE))
+    if "D_max" in zero:
+        point = st.just(draw(point))
     located = draw(st.lists(st.sampled_from((True, True, False)), min_size=n, max_size=n))
     locations = {u: draw(point) for u in range(n) if located[u]}
     return n, directed, edges, locations
@@ -180,11 +200,12 @@ def like_the_model(model, request, ask):
 
 
 def assert_answer(result, want, request):
-    """The same ids in the same order as ``want``, and bit-equal scores
-    (``ais``: within 1e-9, relative above a score of 1, where one ulp
-    outgrows any absolute bound)."""
+    """The same ids in the same order as ``want``, and finite,
+    bit-equal scores (``ais``: within 1e-9, relative above a score of
+    1, where one ulp outgrows any absolute bound)."""
     got = [(nb.user, nb.score) for nb in result]
     context = f"{request} ran {result.method}: {got} != {want}"
+    assert all(math.isfinite(score) for _, score in got), context
     assert [u for u, _ in got] == [u for u, _ in want], context
     if result.method == "ais":
         assert all(
@@ -220,6 +241,13 @@ FLOORS = {
     "bounded skip": 40,
     "suspended resumes": 4,
     "refused moves": 10,
+    "P_max 0": 10,
+    "D_max 0": 8,
+    "re-estimated P_max": 3,
+    "re-estimated D_max": 3,
+    "bound moves, D_max 0": 3,
+    "folded re-weights": 3,
+    "folded deletes": 3,
 }
 
 
@@ -257,14 +285,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.registry = SubscriptionRegistry(self.service)
         self.root = Path(tempfile.mkdtemp(prefix="service-model-"))
         self.manager = self.service.snapshots(self.root / "managed")
-        self.model = Model(n, edges, locations, engine.normalization, directed)
-        # a zero normaliser is the input domain's one exception to finite
-        # scores (repro.utils.validation): a far move or a heavy edge can
-        # overflow a score to inf, which the model does silently on
-        # Python floats and the kernels with NumPy's overflow warning,
-        # silenced for such tables only (the normalisers never change)
-        norm = engine.normalization
-        self.errors = np.seterr(over="ignore") if 0.0 in (norm.p_max, norm.d_max) else None
+        self.model = Model(n, edges, locations, engine.normalization, directed, seed=1)
         self.n = n
         self.users = st.integers(0, n - 1)
         self.asked: "dict[QueryRequest, None]" = {}
@@ -280,23 +301,25 @@ class ServiceModel(RuleBasedStateMachine):
         self.counts["large tables"] += n >= 40
         self.counts[f"result cache {cache_size}"] += 1
         self.counts[f"column budget {columns}"] += 1
+        self.counts["P_max 0"] += engine.normalization.p_max == 0.0
+        self.counts["D_max 0"] += engine.normalization.d_max == 0.0
 
     def teardown(self):
         if hasattr(self, "service"):
             self.registry.close()
             self.service.close()
             shutil.rmtree(self.root, ignore_errors=True)
-            if self.errors is not None:
-                np.seterr(**self.errors)
 
     def _user(self, data):
         return data.draw(self.users)
 
     def _mover(self, data):
         """A user to move or forget: any user, or half the time a live
-        subscription's query user, so subscriptions get suspended and
-        resume."""
-        subscribed = [sub.user for sub in self.subs]
+        subscription's query user (a suspended one's, if any), so
+        subscriptions get suspended and resume."""
+        subscribed = [sub.user for sub in self.subs if sub.suspended] or [
+            sub.user for sub in self.subs
+        ]
         if subscribed and data.draw(st.booleans()):
             return data.draw(st.sampled_from(subscribed))
         return self._user(data)
@@ -424,6 +447,9 @@ class ServiceModel(RuleBasedStateMachine):
         else:
             self.service.move_user(user, x, y)
             self.model.locations[user] = (x, y)
+            self.counts["bound moves, D_max 0"] += (
+                COORDINATE_BOUND in (abs(x), abs(y)) and self.model.normalization.d_max == 0.0
+            )
         self.answers.clear()
         self.updated = True
         for key, (result, verdict) in held.items():
@@ -473,8 +499,15 @@ class ServiceModel(RuleBasedStateMachine):
 
     @rule(data=st.data(), weight=st.one_of(st.none(), st.sampled_from(WEIGHTS)))
     def update_edge(self, data, weight):
-        u = self._user(data)
-        v = data.draw(self.users.filter(lambda v: v != u))
+        """An edge update on any pair, or half the time on a served
+        edge (a re-weight or a delete), named in either orientation."""
+        if self.model.edges and data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(sorted(self.model.edges)))
+            if not self.model.directed and data.draw(st.booleans()):
+                u, v = v, u
+        else:
+            u = self._user(data)
+            v = data.draw(self.users.filter(lambda v: v != u))
         if weight is None and not self.model.has_edge(u, v):
             with pytest.raises(KeyError):
                 self.service.update_edge(u, v, None)
@@ -500,9 +533,45 @@ class ServiceModel(RuleBasedStateMachine):
         self.registry.flush()
         assert self.registry.stats.engine_swaps == swaps + 1
 
+    @precondition(
+        lambda self: 0.0 in (self.model.normalization.p_max, self.model.normalization.d_max)
+    )
+    @rule(
+        data=st.data(),
+        x=st.sampled_from((COORDINATE_BOUND, -COORDINATE_BOUND) + PAST),
+        y=coordinates,
+        weight=st.sampled_from(WEIGHTS),
+        fold=st.sampled_from(("rebuild", "snapshot manager")),
+    )
+    def renormalise(self, data, x, y, weight, fold):
+        """A zero normaliser's way out: a move to the bound, a recorded
+        edge, then a rebuild or a folding snapshot, which re-estimates
+        it."""
+        self.relocate(self._mover(data), x, y)
+        self.update_edge(data, weight)
+        if fold == "rebuild":
+            self.rebuild_engine()
+        else:
+            self.persist(fold)
+
     def rebuilt(self):
-        """The model folds its recorded edge updates, as the service did."""
+        """The model folds its recorded edge updates and re-estimates a
+        zero normaliser, as the service did."""
+        before = self.model.normalization
+        edges, pending = self.model.edges, self.model.pending
+        self.counts["folded re-weights"] += any(
+            edges.get(key, w) != w for key, w in pending.items() if w is not None
+        )
+        self.counts["folded deletes"] += any(
+            key in edges for key, w in pending.items() if w is None
+        )
         self.model.rebuild()
+        after = self.model.normalization
+        served = self.service.engine
+        assert {(u, v): w for u, v, w in served.graph.edges()} == self.model.edges
+        assert served.normalization == after
+        self.counts["re-estimated P_max"] += before.p_max != after.p_max
+        self.counts["re-estimated D_max"] += before.d_max != after.d_max
         self.answers.clear()
         self.updated = True
 
@@ -526,8 +595,10 @@ class ServiceModel(RuleBasedStateMachine):
             self.updated = True
             action += " " + through
         elif action == "snapshot manager":
+            folds = bool(self.model.pending)  # the manager rebuilds only then
             path = self.manager.snapshot()
-            self.rebuilt()
+            if folds:
+                self.rebuilt()
             self.saved = ("manager", path, self.model.copy())
         else:
             path = save_engine(self.service.engine, self.root / f"saved-{self.counts[action]}")
@@ -634,40 +705,89 @@ def test_hostile_moves_answer_like_the_model():
             assert answers_like_the_model(service, model, QueryRequest(0, k=4, alpha=0.0, method=method))
 
 
-def test_a_zero_normaliser_is_the_one_exception_to_finite_scores():
-    """The finiteness proof of :mod:`repro.utils.validation` names one
-    exception, a normaliser at ``RankingFunction``'s ``1e-300`` floor:
-    ``D_max = 0`` over fewer than two distinct located users, and
-    ``P_max = 0`` on an edgeless graph.  A user moved to the bound, or
-    an edge added by a rebuild, then overflows its term to ``inf``
-    (NumPy warns) and drops out of the answer like an unreachable one,
-    in the engine and the model alike."""
+def test_a_zero_normaliser_leaves_every_score_finite():
+    """A normaliser of 0 (``P_max`` on an edgeless graph, ``D_max``
+    over fewer than two distinct located positions) leaves its term
+    unscaled, so every score stays finite: a user moved to the bound
+    ``±2**500`` ranks at its plain distance, in the engine and the
+    model alike, and NumPy warns of nothing."""
     bound = COORDINATE_BOUND
     graph = SocialGraph.from_edges(3, [])
     table = LocationTable.from_dict(3, {0: (0.5, 0.5), 1: (0.5, 0.5), 2: (0.5, 0.5)})
     engine = GeoSocialEngine(graph, table, num_landmarks=1, s=2, seed=1)
     assert (engine.normalization.p_max, engine.normalization.d_max) == (0.0, 0.0)
     model = Model.of_engine(engine)
-    with QueryService(engine, cache_size=0) as service:
-        service.move_user(1, bound, 0.5)
-        model.locations[1] = (bound, 0.5)
+    with QueryService(engine, cache_size=0) as service, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x, y in ((bound, -bound), (-bound, 5e-324), (0.5, 0.5)):
+            service.move_user(1, x, y)
+            model.locations[1] = (x, y)
+            for method in METHODS + (AUTO,):
+                for alpha in (0.0, 0.5, 1.0):
+                    request = QueryRequest(0, k=3, alpha=alpha, method=method)
+                    assert answers_like_the_model(service, model, request)
+            # α = 0 ranks both others at their distance; with no edge,
+            # every social term is infinite
+            assert model.answer(0, 3, 0.0) == sorted(
+                [(2, 0.0), (1, model.distance(0, 1))], key=lambda row: (row[1], row[0])
+            )
+            assert model.answer(0, 3, 0.5) == model.answer(0, 3, 1.0) == []
+
+
+@pytest.mark.parametrize("fold", ("rebuild_engine", "snapshot"))
+@pytest.mark.parametrize("spread", (False, True), ids=("D_max-0", "D_max-positive"))
+def test_a_rebuild_re_estimates_a_zero_normaliser(fold, spread, tmp_path):
+    """An edgeless engine has ``P_max = 0`` until a rebuild gives its
+    graph edges.  The rebuild (``rebuild_engine``, or a folding
+    ``SnapshotManager.snapshot``) re-estimates each normaliser that is
+    0 over the new graph and the current locations, and keeps a
+    positive one even where a re-estimate would differ.  The new
+    neighbour then ranks with a finite score equal to the model's, and
+    a repeat of an earlier question is a miss answered by the new
+    engine, through ``query`` and ``cached`` alike."""
+    where = {0: (0.5, 0.5), 1: (0.5, 0.5), 2: (0.75 if spread else 0.5, 0.5)}
+    engine = GeoSocialEngine(
+        SocialGraph.from_edges(3, []), LocationTable.from_dict(3, where),
+        num_landmarks=1, s=2, seed=1,
+    )
+    before = engine.normalization
+    assert before.p_max == 0.0 and (before.d_max > 0.0) is spread
+    model = Model.of_engine(engine)
+    question = QueryRequest(0, k=3, alpha=0.5, method="auto")
+    with QueryService(engine, cache_size=8) as service, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        service.move_user(1, COORDINATE_BOUND, 0.5)
+        model.locations[1] = (COORDINATE_BOUND, 0.5)
         service.update_edge(0, 2, 2.0**30)
-        service.rebuild_engine()
         model.update_edge(0, 2, 2.0**30)
+        # nobody is reachable yet: the question's answer is empty, and cached
+        assert answers_like_the_model(service, model, question)
+        assert service.cached(question).result.users == []
+        # a normalisation given to the rebuild is taken as given
+        assert engine.with_graph(engine.graph, normalization=before).normalization is before
+        if fold == "rebuild_engine":
+            service.rebuild_engine()
+        else:
+            service.snapshots(tmp_path).snapshot()
         model.rebuild()
-        # finite distances, infinite scores: user 1 is 2**500 away, user
-        # 2 is 2**30 away socially (and co-located)
-        assert model.distance(0, 1) < INF and model.social_distances(0)[2] == 2.0**30
-        for alpha, ranked in ((0.0, [2]), (0.5, []), (1.0, [])):
-            request = QueryRequest(0, k=3, alpha=alpha, method="bruteforce")
-            with pytest.warns(RuntimeWarning, match="overflow"):
+        new = service.engine
+        assert new is not engine
+        fresh = Normalization.estimate(new.graph, new.locations, seed=1)
+        assert new.normalization.p_max == fresh.p_max == 2.0**30
+        assert new.normalization.d_max == (before.d_max if spread else fresh.d_max)
+        assert fresh.d_max != before.d_max  # the move to the bound widened the box
+        assert model.normalization == new.normalization
+        # the repeat is a miss, answered by the new engine
+        assert service.cached(question) is None
+        response = service.query(question)
+        assert not response.cached and 2 in response.result.users
+        assert service.cached(question).result is response.result
+        for alpha in (0.5, 1.0):
+            for method in METHODS + (AUTO,):
+                request = QueryRequest(0, k=3, alpha=alpha, method=method)
                 assert answers_like_the_model(service, model, request)
-            assert [user for user, _ in model.answer(0, 3, alpha)] == ranked
-        # a user at distance 0 keeps its score of 0
-        service.move_user(1, 0.5, 0.5)
-        model.locations[1] = (0.5, 0.5)
-        assert model.answer(0, 3, 0.0) == [(1, 0.0), (2, 0.0)]
-        assert answers_like_the_model(service, model, QueryRequest(0, k=3, alpha=0.0, method="bruteforce"))
+            [(user, score)] = model.answer(0, 3, alpha)
+            assert user == 2 and math.isfinite(score)
 
 
 # -- pins the model cannot check ----------------------------------------------

@@ -287,7 +287,7 @@ def test_poisoned_column_canary():
 
 
 @pytest.mark.parametrize("leg", REFERENCES)
-def test_fused_query_many_matches_sequential_engine_queries(leg):
+def test_a_same_user_batch_answers_like_sequential_queries(leg):
     """Distinct (k, alpha) variants for one user share its social
     column through the engine's column step; every response must be
     bit-identical to a sequential engine.query loop on a
@@ -312,7 +312,7 @@ def test_fused_query_many_matches_sequential_engine_queries(leg):
         service.close()
 
 
-def test_fusion_skips_planner_and_unlocated_spatial_requests():
+def test_a_batch_resolves_each_auto_and_answers_unlocated_users_at_alpha_1():
     """Same-user batches run per query: an unlocated user below
     ``alpha == 1`` raises the engine's error, ``auto`` requests are
     resolved once each, and pure-social queries answer unlocated users

@@ -8,13 +8,14 @@ constants through JSON (Python floats survive json exactly), and the
 loaded engine derives every index from those columns on first use —
 so ids, scores, and tie-breaks must all match with ``==``, across
 methods (including the ``auto`` route), through a save→load→save
-cycle (the second snapshot is byte-identical), through an
-update-fold-then-snapshot cycle on the service, and from a snapshot
+cycle (the second snapshot is byte-identical), and from a snapshot
 of format version 1, which still carried the grid and the landmark
 matrix, or of version 2 naming the retired scalar backend, which loads
 onto the one backend there is.  A snapshot taken after moves (a grid
-rebuilt from the current locations, not the move history) is stepped
-by the whole-stack model, ``tests/test_service_model.py``.
+rebuilt from the current locations, not the move history), edge
+updates folded by a rebuild or a folding snapshot, and restores are
+stepped by the whole-stack model, ``tests/test_service_model.py``,
+which checks the served edge set after every fold.
 
 Property tests run under the suite's fixed, derandomized profile.
 """
@@ -22,7 +23,6 @@ Property tests run under the suite's fixed, derandomized profile.
 from __future__ import annotations
 
 import json
-import random
 import threading
 import time
 from pathlib import Path
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GeoSocialEngine, SocialGraph, gowalla_like
+from repro import GeoSocialEngine, gowalla_like
 from repro.backend import NumpyKernels
 from repro.service import QueryService
 from repro.store import MANIFEST_NAME, load_engine, save_engine
@@ -294,86 +294,6 @@ def test_loaded_engine_stays_mutable_without_touching_snapshot(tmp_path):
     assert second.locations.get(user) == live.locations.get(user)
     assert second.locations.get(user) != first.locations.get(user)
     assert_bit_identical(live, second, located_sample(live))
-
-
-def test_update_fold_then_snapshot_cycle(tmp_path):
-    """Batched edge updates fold into the snapshot through the same
-    rebuild path the serving layer uses; the restored engine answers
-    exactly like the live post-fold engine."""
-    engine = build_engine()
-    with QueryService(engine) as service:
-        manager = service.snapshots(tmp_path / "snaps")
-        manager.snapshot()
-        users = located_sample(service.engine)
-        u, v = users[0], users[1]
-        service.update_edge(u, v, 0.123)
-        service.move_user(u, 0.321, 0.654)
-        assert service.pending_edge_updates == 1
-        path = manager.snapshot()  # folds, then persists
-        assert service.pending_edge_updates == 0
-        live = service.engine
-        assert live.graph.edge_weight(u, v) == 0.123
-        loaded = load_engine(path)
-        assert loaded.graph.edge_weight(u, v) == 0.123
-        assert loaded.locations.get(u) == (0.321, 0.654)
-        assert_bit_identical(live, loaded, users)
-        # restore swaps the loaded engine into the service
-        restored = manager.restore()
-        assert service.engine is restored
-        after = [nb.user for nb in restored.query(user=u, k=5, alpha=0.3)]
-        before = [nb.user for nb in live.query(user=u, k=5, alpha=0.3)]
-        assert after == before
-
-
-def test_long_edge_stream_folds_to_the_fresh_build_and_round_trips(tmp_path):
-    """60 seeded edge updates (inserts, re-weights, deletes, edges
-    touched twice, delete-then-reinsert) folded by one
-    ``rebuild_engine`` answer bit-identically — ids, scores,
-    tie-breaks, every exact served method — to an engine built from
-    scratch over ``SocialGraph.from_edges`` of the expected edge set,
-    and the folded engine survives ``save -> load``."""
-    engine = build_engine(n=150)
-    graph = engine.graph
-    rng = random.Random(21)
-    expected = {(u, v): w for u, v, w in graph.edges()}
-    with QueryService(engine) as service:
-        deleted = []
-        for step in range(60):
-            roll = rng.random()
-            if roll < 0.3 and deleted:  # delete-then-reinsert
-                u, v = deleted.pop()
-            elif roll < 0.7:  # an existing edge: re-weight or delete
-                u, v = rng.choice(sorted(expected))
-            else:
-                u, v = sorted(rng.sample(range(graph.n), 2))
-            if (u, v) in expected and rng.random() < 0.4:
-                weight = None
-                deleted.append((u, v))
-                del expected[(u, v)]
-            else:
-                weight = expected[(u, v)] = rng.uniform(0.05, 1.0)
-            if step % 2:
-                u, v = v, u  # either orientation names the undirected edge
-            service.update_edge(u, v, weight)
-        assert 0 < service.pending_edge_updates <= 60
-        folded = service.rebuild_engine()
-        assert service.pending_edge_updates == 0
-        edges = [(u, v, w) for (u, v), w in expected.items()]
-        rng.shuffle(edges)  # the CSR's neighbour order must not matter
-        fresh = GeoSocialEngine(
-            SocialGraph.from_edges(graph.n, edges),
-            folded.locations.copy(),
-            num_landmarks=3,
-            s=3,
-            seed=2,
-            normalization=folded.normalization,
-        )
-        assert sorted(folded.graph.edges()) == sorted(fresh.graph.edges())
-        users = located_sample(folded, count=4)
-        assert_bit_identical(folded, fresh, users)
-        save_engine(folded, tmp_path / "snap")
-        assert_bit_identical(folded, load_engine(tmp_path / "snap"), users)
-        folded.close()
 
 
 @settings(parent=STORE_CI)
