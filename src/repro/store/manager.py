@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import threading
 from pathlib import Path
 
 from repro.store.format import (
@@ -50,10 +51,26 @@ _DEBRIS_RE = re.compile(r"^snapshot-(\d+)\.tmp-")
 
 CURRENT_NAME = "CURRENT"
 
+#: one lock per snapshot root (by real path), shared by its managers
+_ROOT_LOCKS: "dict[str, threading.Lock]" = {}
+_ROOT_LOCKS_GUARD = threading.Lock()
+
+
+def _root_lock(root: Path) -> threading.Lock:
+    with _ROOT_LOCKS_GUARD:
+        return _ROOT_LOCKS.setdefault(os.path.realpath(root), threading.Lock())
+
 
 class SnapshotManager:
     """Takes, lists, restores, and prunes snapshots of one service's
     engine.
+
+    Within one process every manager of one root shares one lock, held
+    from claiming a sequence number to moving the pointer, and by
+    :meth:`prune`: concurrent snapshots (two ``POST /snapshot`` requests
+    on two server workers, say) each commit their own directory, in
+    sequence order, so ``CURRENT`` names the highest.  Writers in two
+    processes sharing a root are not supported.
 
         >>> import tempfile
         >>> from repro import GeoSocialEngine, gowalla_like
@@ -69,6 +86,7 @@ class SnapshotManager:
     def __init__(self, service, root) -> None:
         self.service = service
         self.root = Path(root)
+        self._lock = _root_lock(self.root)
 
     # -- taking snapshots ----------------------------------------------
 
@@ -82,15 +100,17 @@ class SnapshotManager:
         The served engine is read and saved under the service's read
         lock — concurrent queries proceed, concurrent updates and swaps
         wait until the save returns — and the returned directory is
-        fully durable before ``CURRENT`` names it.
+        fully durable before ``CURRENT`` names it.  A concurrent
+        snapshot of the same root waits for this one to commit.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         if fold and self.service.pending_edge_updates > 0:
             self.service.rebuild_engine()
-        dest = self.root / f"snapshot-{self._next_seq():06d}"
-        with self.service._read_locked_engine() as engine:
-            save_engine(engine, dest)
-        self._commit_current(dest.name)
+        with self._lock:
+            dest = self.root / f"snapshot-{self._next_seq():06d}"
+            with self.service._read_locked_engine() as engine:
+                save_engine(engine, dest)
+            self._commit_current(dest.name)
         return dest
 
     def _next_seq(self) -> int:
@@ -177,22 +197,23 @@ class SnapshotManager:
         ``*.tmp-*`` debris.  Returns the removed paths."""
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
-        removed = []
-        committed = self.snapshots()
-        current = self.latest() if committed else None
-        survivors = set(committed[-keep:])
-        if current is not None:
-            survivors.add(current)
-        for path in committed:
-            if path not in survivors:
-                shutil.rmtree(path)
-                removed.append(path)
-        if self.root.exists():
-            for entry in list(self.root.iterdir()):
-                if _DEBRIS_RE.match(entry.name) and entry.is_dir():
-                    shutil.rmtree(entry)
-                    removed.append(entry)
-        return removed
+        with self._lock:
+            removed = []
+            committed = self.snapshots()
+            current = self.latest() if committed else None
+            survivors = set(committed[-keep:])
+            if current is not None:
+                survivors.add(current)
+            for path in committed:
+                if path not in survivors:
+                    shutil.rmtree(path)
+                    removed.append(path)
+            if self.root.exists():
+                for entry in list(self.root.iterdir()):
+                    if _DEBRIS_RE.match(entry.name) and entry.is_dir():
+                        shutil.rmtree(entry)
+                        removed.append(entry)
+            return removed
 
     def __repr__(self) -> str:
         return f"SnapshotManager(root={str(self.root)!r}, committed={len(self.snapshots())})"

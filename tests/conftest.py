@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -105,3 +106,23 @@ def query_users(small_engine) -> list[int]:
     located = list(small_engine.locations.located_users())
     rng = random.Random(9)
     return rng.sample(located, 8)
+
+
+def paired_saves(monkeypatch) -> None:
+    """Make ``SnapshotManager``'s saves wait, up to half a second,
+    until two are inside at once: two snapshots the manager does not
+    serialise then save together, and serialised ones each wait the
+    half second out."""
+    import repro.store.manager as manager
+
+    both = threading.Barrier(2)
+    save = manager.save_engine
+
+    def paired_save(engine, path):
+        try:
+            both.wait(timeout=0.5)
+        except threading.BrokenBarrierError:
+            pass
+        return save(engine, path)
+
+    monkeypatch.setattr(manager, "save_engine", paired_save)

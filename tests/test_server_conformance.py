@@ -22,6 +22,7 @@ from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.core.request import QueryRequest
 from repro.service.model import result_payload
+from tests.conftest import paired_saves
 
 ALPHAS = (0.0, 0.3, 1.0)  # both endpoints (spatial-only, social-only) + mixed
 
@@ -301,6 +302,32 @@ def test_snapshot_restore_roundtrip(tmp_path):
             assert svc.engine is not engine
             assert tuple(svc.engine.locations.get(mover) or ()) != (0.111, 0.222)
             assert diverged["k"] == before["k"]
+
+
+def test_concurrent_snapshots_commit_distinct_directories(tmp_path, monkeypatch):
+    """Two ``POST /snapshot`` on one root at once, one per worker: both
+    answer 200, each with its own directory, and ``CURRENT`` names the
+    higher."""
+    paired_saves(monkeypatch)
+    root = str(tmp_path / "snaps")
+    answers = []
+    engine = GeoSocialEngine.from_dataset(gowalla_like(n=120, seed=7))
+    with QueryService(engine) as svc, ServerThread(svc, workers=2) as h:
+
+        def snapshot():
+            with ServerClient(h.host, h.port) as c:
+                answers.append(c.snapshot(root))
+
+        threads = [threading.Thread(target=snapshot) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answer["name"] for answer in answers) == [
+            "snapshot-000001", "snapshot-000002",
+        ]
+        assert svc.snapshots(root).latest().name == "snapshot-000002"
 
 
 # -- streams hear every change that can alter a standing answer ---------------

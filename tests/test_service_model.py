@@ -14,12 +14,9 @@ A Hypothesis ``RuleBasedStateMachine`` drives one
   and subnormals, which a move accepts, and one ulp past the bound,
   which it refuses with a ``ValueError`` naming the field, changing
   nothing;
-- **forget** a location (a mover is any user, or half the time a live
-  subscription's query user, so subscriptions are suspended and
-  resume);
+- **forget** a location;
 - **edge update**: insert, re-weight or delete (deleting an absent edge
-  is a ``KeyError`` in both) on any pair, or half the time on a served
-  edge named in either orientation, recorded and not yet served;
+  is a ``KeyError`` in both) on any pair, recorded and not yet served;
 - **rebuild_engine**, which folds the recorded updates in;
 - **subscribe** (every served method plus ``auto``), **unsubscribe**
   and **flush**;
@@ -27,13 +24,35 @@ A Hypothesis ``RuleBasedStateMachine`` drives one
   edge updates first) or ``save_engine``, and **restore** of the latest
   one, through the manager or ``load_engine(mmap=True)`` +
   ``replace_engine`` (recorded updates are discarded; the same snapshot
-  may be restored again after the restored engine moved users).
+  may be restored again after the restored engine moved users);
 
-The build draws the table (2–12 users drawn element by element, some
-edgeless or with every located user on one position, so that ``P_max``
-or ``D_max`` is 0 until a rebuild re-estimates it; or 40–150 users from
-a seed, where ``bounded`` takes its first ball), the landmarks and grid, the result-cache size (0, 1 or 64) and the column cache
-budget (none, one column or the default).
+and one rule per path a floor counts, each gated by a precondition
+that holds whenever the state allows the path:
+
+- **fresh_bounded**: ``bounded`` from a located user with no cached
+  column, which takes its first ball at ``k ≤ 3`` on a large table and
+  skips it on a small one or at ``k`` past ``n``;
+- **resume**: a suspended subscription's query user returns;
+- **reweight** and **delete** of a served edge (named in either
+  orientation), then a fold by ``rebuild_engine`` or a folding
+  snapshot;
+- **renormalise**: with a normaliser of 0, a move to the bound, a
+  recorded edge and a fold, which re-estimates it.
+
+The machine runs once per build **stratum** (:data:`STRATA`).  A
+stratum fixes the table kind (2–12 users drawn element by element:
+both normalisers positive, edgeless so that ``P_max = 0``, every
+located user on one position so that ``D_max = 0``, or both; or 40–150
+users from a seed on a ring, where ``bounded`` takes its first ball),
+the result-cache size (0, 1 or 64) and the column cache budget (none,
+one column or the default); the build draws the rest, and asserts the
+stratum's zero normalisers.  Every example opens with one call of each
+counted rule, these gated ones included (:meth:`ServiceModel.opening`),
+so Hypothesis's choice of rules decides how often a path is taken
+again, never whether it is taken at all: its runs start from the
+all-simplest example, follow each fresh example with mutated copies
+of it, and switch each rule off for whole examples (swarm testing), so
+a stratum's few examples would leave a gated rule to chance.
 
 Every answer equals the model's: ids and tie-breaks exact, scores
 bit-equal (``ais`` sums its bounds in another order: within 1e-9,
@@ -42,14 +61,15 @@ normaliser's included (the model asserts that a score is infinite only
 where a distance it uses is); a
 query user without a location below ``α = 1`` raises the same
 ``ValueError`` in both.  After every rebuild the served edges and
-normalisers are the model's.  After every step:
+normalisers are the model's, and the column cache is empty.  After
+every step:
 
 - every live subscription's ``registry.result(sub)`` is the model's
   answer, and after an update the six most recent requests, asked
   again through the result cache, are too;
-- the served engine's column cache has the drawn budget and holds only
-  full columns: each entry is its user's dense column, equal to the
-  model's, and ``bytes_used == len(cache) · 8n``.
+- the served engine's column cache has the stratum's budget and holds
+  only full columns: each entry is its user's dense column, equal to
+  the model's, and ``bytes_used == len(cache) · 8n``.
 
 On every location update the result cache keeps each NO-OP entry as
 the same object and evicts every other one, and the registry leaves a
@@ -58,13 +78,14 @@ rest for recompute (the verdicts are :mod:`repro.stream.conditions`'s).
 An edge update touches neither.  Small tables and few distinct weights
 and coordinates keep repeats, ties and cache hits frequent.
 
-Runs under a registered, derandomized profile, so every run checks the
-same steps; it skips Hypothesis's shrink phase, so a failure reports in
-seconds (replay it under the default profile to shrink it).
-:class:`TestServiceModel` also asserts that the run reached every rule,
-both of ``bounded``'s paths, suspended subscriptions that resume, both
-zero normalisers, their re-estimates and moves to the bound over
-``D_max = 0`` (:data:`FLOORS`).  The pins
+Each stratum runs seeded from a hash of the stratum and of the
+machine's source, so any edit to :class:`ServiceModel` re-rolls it,
+and, smaller, under each of the fixed :data:`SEEDS` (the re-roll
+check).  Runs use a registered profile that skips Hypothesis's shrink
+phase, so a failure reports in seconds; :func:`run` replays one
+stratum and seed with the shrink phase back on.
+:func:`test_service_model` asserts, for each stratum and seed, that
+every example reached every rule and path :func:`floors` names.  The pins
 at the end check what one model run cannot: a scripted planner, a
 patched pending limit, subscribe-time validation, an ``α = 1``
 subscription no move may touch, the open-slot forget the result
@@ -74,21 +95,30 @@ suspended count while a subscription is suspended and resumes.
 
 from __future__ import annotations
 
+import hashlib
+import inspect
 import math
 import random
 import re
 import shutil
 import tempfile
 import warnings
-from collections import Counter
-from functools import partial
+from collections import Counter, namedtuple
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, settings
+from hypothesis import HealthCheck, Phase, seed, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
 from repro.core.ranking import Normalization
@@ -99,6 +129,7 @@ from repro.social import DEFAULT_SOCIAL_CACHE_BYTES
 from repro.spatial.point import LocationTable
 from repro.store import load_engine, save_engine
 from repro.stream import NOOP, RECOMPUTE, REPAIR, SubscriptionRegistry, classify_location_update
+from repro.stream.subscription import REPAIRABLE_METHODS
 from repro.utils.validation import COORDINATE_BOUND
 from tests.conftest import cache_put, random_instance
 from tests.model import Model
@@ -107,13 +138,16 @@ INF = math.inf
 
 settings.register_profile(
     "service-model-ci",
-    max_examples=100,
-    stateful_step_count=40,
+    # per stratum: 15 strata, 105 examples in all, each of about 40 rule
+    # calls (an opening of 16 to 19, then 25 drawn)
+    max_examples=7,
+    stateful_step_count=25,
+    # every run is seeded (run()); this keeps the example database off
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-    # shrinking a failing run took minutes; the derandomized run replays
-    # it exactly, and the default profile shrinks it locally
+    # shrinking a failing run took minutes; the seeded run replays it
+    # exactly, and run(..., phases=list(Phase)) shrinks it locally
     phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 
@@ -138,50 +172,91 @@ alphas = st.one_of(
     st.sampled_from((0.3, 0.7)),
     st.floats(min_value=0.01, max_value=0.99),
 )
+#: the ``α`` below 1, where a query user needs a location
+below_one = st.one_of(st.sampled_from((0.0, 0.3, 0.7)), st.floats(min_value=0.01, max_value=0.99))
 methods = st.sampled_from(METHODS + (AUTO,))
-#: which normalisers a small table makes 0
-ZEROS = ((), (), ("P_max",), ("D_max",), ("P_max", "D_max"))
+#: how a recorded edge update is folded in
+folds = st.sampled_from(("rebuild", "snapshot manager"))
+
+#: the table kinds, each with the normalisers it makes 0 at build
+TABLES = {
+    "small": (),
+    "P_max 0": ("P_max",),
+    "D_max 0": ("D_max",),
+    "both 0": ("P_max", "D_max"),
+    "large": (),
+}
+CACHE_SIZES = (0, 1, 64)
+#: column cache budgets, in columns (``None``: the default budget)
+BUDGETS = (0, 1, None)
+
+Stratum = namedtuple("Stratum", "table cache_size columns")
+Stratum.__str__ = lambda s: "{}-cache{}-budget{}".format(
+    s.table.replace(" ", ""), s.cache_size, "default" if s.columns is None else s.columns
+)
+
+#: a covering set of the three factors: every (table, cache size) pair
+#: once, the budget rotated so that every (table, budget) and (cache
+#: size, budget) pair appears too.  Each table kind is in 3 strata, each
+#: cache size and budget in 5.
+STRATA = tuple(
+    Stratum(table, size, BUDGETS[(i + j) % len(BUDGETS)])
+    for i, table in enumerate(TABLES)
+    for j, size in enumerate(CACHE_SIZES)
+)
+#: the re-roll check: every stratum also runs under each of these
+#: seeds, beside the roll its source hash draws
+SEEDS = (1, 2, 3)
 
 
 @st.composite
-def instances(draw):
+def instances(draw, zero=()):
     """``(n, directed, edges, locations)`` with ``u < v`` edge keys
-    when undirected.  Some are edgeless (``P_max = 0``), some put
-    every located user on one position (``D_max = 0``), some both."""
+    when undirected.  ``zero`` names the normalisers the table makes 0:
+    with ``P_max`` it is edgeless, with ``D_max`` every located user
+    sits on one position; otherwise it has an edge, and users 0 and 1
+    sit apart.  User 0 is always located."""
     n = draw(st.integers(min_value=2, max_value=12))
     directed = draw(st.booleans())
-    zero = draw(st.sampled_from(ZEROS))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda uv: uv[0] != uv[1]
-    )
     edges = {}
     if "P_max" not in zero:
-        for (u, v), w in draw(st.lists(st.tuples(pairs, st.sampled_from(WEIGHTS)), max_size=2 * n)):
+        # (u, v) with v != u: v is drawn among the n - 1 others
+        drawn = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.sampled_from(WEIGHTS))
+        for u, v, w in draw(st.lists(drawn, min_size=1, max_size=2 * n)):
+            v += v >= u
             edges[(u, v) if directed or u < v else (v, u)] = w
     point = st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE))
     if "D_max" in zero:
         point = st.just(draw(point))
     located = draw(st.lists(st.sampled_from((True, True, False)), min_size=n, max_size=n))
-    locations = {u: draw(point) for u in range(n) if located[u]}
+    locations = {u: draw(point) for u in range(n) if located[u] or u == 0}
+    if "D_max" not in zero:
+        apart = [(x, y) for x in LATTICE for y in LATTICE if (x, y) != locations[0]]
+        locations[1] = draw(st.sampled_from(apart))
     return n, directed, edges, locations
 
 
 @st.composite
 def large_instances(draw):
-    """The same shape at 40–150 users, drawn from a seed: one to three
+    """The same shape at 40–150 users, drawn from a seed: a ring through
+    every user, so every source reaches everyone, and one to three more
     edges per user, half of them weighted off the lattice of
-    :data:`WEIGHTS`, and 60–100 % of users located in the unit square.
-    On these ``bounded`` takes its first ball at small ``k``."""
+    :data:`WEIGHTS`; user 0 and 60–100 % of the rest located in the
+    unit square.  On these ``bounded`` takes its first ball at
+    ``k ≤ 3``."""
     n = draw(st.integers(min_value=40, max_value=150))
     directed = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ring = [(u, (u + 1) % n) for u in range(n)]
+    chords = [rng.sample(range(n), 2) for _ in range(rng.choice((1, 2, 3)) * n)]
     edges = {}
-    for _ in range(rng.choice((1, 2, 3)) * n):
-        u, v = rng.sample(range(n), 2)
+    for u, v in ring + chords:
         weight = rng.choice(WEIGHTS) if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
         edges[(u, v) if directed or u < v else (v, u)] = weight
     coverage = rng.choice((0.6, 0.9, 1.0))
-    locations = {u: (rng.random(), rng.random()) for u in range(n) if rng.random() < coverage}
+    locations = {
+        u: (rng.random(), rng.random()) for u in range(n) if u == 0 or rng.random() < coverage
+    }
     return n, directed, edges, locations
 
 
@@ -220,72 +295,68 @@ def answers_like_the_model(service, model, request) -> bool:
     return like_the_model(model, request, lambda: service.query(request).result)
 
 
-#: the least each derandomized run of :class:`TestServiceModel` must
-#: reach, well below what a run reaches: a strategy change that stops
-#: drawing a build parameter, firing a rule, taking one of
-#: ``bounded``'s paths or resuming a suspended subscription fails here
-#: instead of going quiet
-FLOORS = {
-    "large tables": 15,
-    **{f"result cache {size}": 8 for size in (0, 1, 64)},
-    **{f"column budget {columns}": 8 for columns in (0, 1, None)},
-    "batch": 80,
-    "subscribe": 50,
-    "unsubscribe": 20,
-    "flush applied": 5,
-    "snapshot manager": 20,
-    "snapshot store": 15,
-    "restore manager": 4,
-    "restore store": 3,
-    "bounded ball": 8,
-    "bounded skip": 40,
-    "suspended resumes": 4,
-    "refused moves": 10,
-    "P_max 0": 10,
-    "D_max 0": 8,
-    "re-estimated P_max": 3,
-    "re-estimated D_max": 3,
-    "bound moves, D_max 0": 3,
-    "folded re-weights": 3,
-    "folded deletes": 3,
-}
+#: what every example reaches in its opening, whatever its stratum: a
+#: rule or path a strategy or precondition change stops reaching fails
+#: here instead of going quiet
+FLOORS = (
+    "batch", "subscribe", "unsubscribe", "flush applied", "snapshot manager", "snapshot store",
+    "restore manager", "restore store", "refused moves", "bounded skip", "suspended resumes",
+    "folded re-weights", "folded deletes",
+)
+
+
+def floors(stratum) -> "list[str]":
+    """What every example of ``stratum`` reaches: :data:`FLOORS`, the
+    first ball on a large table, and each zero normaliser's re-estimate
+    (and, for ``D_max``, a move to the bound while it is 0)."""
+    zeros = TABLES[stratum.table]
+    return (
+        list(FLOORS)
+        + ["bounded ball"] * (stratum.table == "large")
+        + [f"re-estimated {name}" for name in zeros]
+        + ["bound moves, D_max 0"] * ("D_max" in zeros)
+    )
 
 
 class ServiceModel(RuleBasedStateMachine):
     """One service, one registry and one model, stepped in lockstep."""
 
-    #: what the runs so far reached, by rule and path
-    counts: Counter = Counter()
     #: requests re-asked after each update (the most recent distinct ones)
     REMEMBERED = 6
     #: live subscriptions at most
     SUBSCRIPTIONS = 4
 
-    @initialize(
-        instance=st.one_of(instances(), large_instances()),
-        landmarks=st.integers(1, 3),
-        s=st.integers(1, 4),
-        cache_size=st.sampled_from((0, 1, 64)),
-        columns=st.sampled_from((0, 1, None)),
-    )
-    def build(self, instance, landmarks, s, cache_size, columns):
-        """``columns``: the column cache budget in columns (``None``:
-        the default budget)."""
-        n, directed, edges, locations = instance
+    def __init__(self, stratum, counts: Counter) -> None:
+        super().__init__()
+        self.stratum = stratum
+        #: what the run reached so far, by rule and path
+        self.counts = counts
+
+    @initialize(data=st.data(), landmarks=st.integers(1, 3), s=st.integers(1, 4))
+    def build(self, data, landmarks, s):
+        """The stratum's table, result cache and column budget, the
+        drawn landmarks and grid; then :meth:`opening`."""
+        table, cache_size, columns = self.stratum
+        zeros = TABLES[table]
+        instance = large_instances() if table == "large" else instances(zeros)
+        n, directed, edges, locations = data.draw(instance)
         graph = SocialGraph.from_edges(
             n, [(u, v, w) for (u, v), w in edges.items()], directed=directed
         )
-        table = LocationTable.from_dict(n, locations)
         budget = None if columns is None else 8 * n * columns
         engine = GeoSocialEngine(
-            graph, table, num_landmarks=min(landmarks, n), s=s, seed=1, social_cache_bytes=budget
+            graph, LocationTable.from_dict(n, locations),
+            num_landmarks=min(landmarks, n), s=s, seed=1, social_cache_bytes=budget,
         )
+        norm = engine.normalization
+        assert {name for name, value in (("P_max", norm.p_max), ("D_max", norm.d_max))
+                if value == 0.0} == set(zeros), f"{table}: {norm}"
         self.budget = DEFAULT_SOCIAL_CACHE_BYTES if budget is None else budget
         self.service = QueryService(engine, cache_size=cache_size)
         self.registry = SubscriptionRegistry(self.service)
         self.root = Path(tempfile.mkdtemp(prefix="service-model-"))
         self.manager = self.service.snapshots(self.root / "managed")
-        self.model = Model(n, edges, locations, engine.normalization, directed, seed=1)
+        self.model = Model(n, edges, locations, norm, directed, seed=1)
         self.n = n
         self.users = st.integers(0, n - 1)
         self.asked: "dict[QueryRequest, None]" = {}
@@ -298,11 +369,65 @@ class ServiceModel(RuleBasedStateMachine):
         self.answers: dict = {}
         #: whether this step updated anything served or recorded
         self.updated = False
-        self.counts["large tables"] += n >= 40
-        self.counts[f"result cache {cache_size}"] += 1
-        self.counts[f"column budget {columns}"] += 1
-        self.counts["P_max 0"] += engine.normalization.p_max == 0.0
-        self.counts["D_max 0"] += engine.normalization.d_max == 0.0
+        self.opening(data)
+
+    def opening(self, data):
+        """One call of each counted rule, in an order where each one's
+        precondition holds, with drawn arguments, so that every example
+        reaches every path its stratum allows whatever Hypothesis draws
+        next:
+
+        - a fresh ``bounded`` at ``k ≤ 3``: its first ball on a large
+          table (the ring reaches everyone until an edge goes), a skip
+          on a small one; on a large table also at ``k`` past ``n``, a
+          skip;
+        - with a zero normaliser, its way out, which re-estimates it;
+        - a query, which the result cache keeps;
+        - a subscription whose query user is forgotten: the flush that
+          applies its recompute suspends it;
+        - a served edge re-weighted and folded in by a rebuild, then
+          one deleted and folded in by the manager's snapshot (after a
+          re-estimate even an edgeless table has an edge), restored;
+        - the query user's return one ulp past the bound: refused, it
+          lands on the bound and resumes the subscription;
+        - a ``save_engine`` snapshot of the moved engine, restored;
+        - a user moved onto the query user: an entrant that a
+          repairable ``α = 0`` subscription repairs in; then that
+          snapshot restored again, after the restored engine moved;
+        - a batch, and an unsubscribe.
+        """
+        interior = st.floats(min_value=0.5, max_value=0.99)
+        self.fresh_bounded(data, data.draw(interior), data.draw(st.sampled_from((1, 2, 3))))
+        if self.stratum.table == "large":
+            self.fresh_bounded(data, data.draw(interior), self.n + 5)
+        if TABLES[self.stratum.table]:
+            self.renormalise(
+                data, data.draw(st.sampled_from((COORDINATE_BOUND, -COORDINATE_BOUND) + PAST)),
+                data.draw(coordinates), data.draw(st.sampled_from(WEIGHTS)), data.draw(folds),
+            )
+        self.query(data, data.draw(methods), data.draw(alphas))
+        user = data.draw(st.sampled_from(sorted(self.model.locations)))
+        self.subscribe(data, data.draw(methods), data.draw(below_one), user)
+        self.relocate(user, None, None)
+        self.flush()
+        self.reweight(data, "rebuild")
+        self.delete(data, "snapshot manager")
+        self.persist("restore")
+        self.resume(data, data.draw(st.sampled_from(PAST)), data.draw(coordinates))
+        self.persist("snapshot store")
+        self.persist("restore")
+        k = data.draw(st.sampled_from((1, 2, 3)))
+        method = data.draw(st.sampled_from(sorted(REPAIRABLE_METHODS)))
+        entrant = self.registry.subscribe(QueryRequest(user, k=k, alpha=0.0, method=method))
+        self.subs.append(entrant)
+        outside = [u for u in range(self.n) if u != user and u not in entrant.member_ids]
+        if outside:
+            self.relocate(data.draw(st.sampled_from(outside)), *self.model.locations[user])
+        like_the_model(self, entrant.request, partial(self.registry.result, entrant))
+        self.persist("restore")
+        self.batch(data, data.draw(st.lists(st.tuples(methods, alphas), min_size=1, max_size=3)))
+        self.unsubscribe(data)
+        self.counts["examples"] += 1
 
     def teardown(self):
         if hasattr(self, "service"):
@@ -312,17 +437,6 @@ class ServiceModel(RuleBasedStateMachine):
 
     def _user(self, data):
         return data.draw(self.users)
-
-    def _mover(self, data):
-        """A user to move or forget: any user, or half the time a live
-        subscription's query user (a suspended one's, if any), so
-        subscriptions get suspended and resume."""
-        subscribed = [sub.user for sub in self.subs if sub.suspended] or [
-            sub.user for sub in self.subs
-        ]
-        if subscribed and data.draw(st.booleans()):
-            return data.draw(st.sampled_from(subscribed))
-        return self._user(data)
 
     def _request(self, data, method, alpha, user=None):
         user = self._user(data) if user is None else user
@@ -369,7 +483,25 @@ class ServiceModel(RuleBasedStateMachine):
             self._note(response)
             return response.result
 
-        like_the_model(self, request, ask)
+        return like_the_model(self, request, ask)
+
+    def _columnless(self):
+        """Located users whose social column is not cached."""
+        cache = self.service.engine.social_cache
+        return [u for u in self.model.locations if cache is None or not cache.contains_full(u)]
+
+    @precondition(lambda self: self._columnless())
+    @rule(
+        data=st.data(),
+        alpha=st.floats(min_value=0.5, max_value=0.99),
+        k=st.sampled_from((1, 2, 3)),
+    )
+    def fresh_bounded(self, data, alpha, k):
+        """``bounded`` from a located user with no cached column, so it
+        runs fresh and decides on its first ball: taken at ``k ≤ 3`` on
+        a large table, skipped on a small one or at ``k`` past ``n``."""
+        user = data.draw(st.sampled_from(self._columnless()))
+        assert self.check(QueryRequest(user, k=k, alpha=alpha, method="bounded"))
 
     @rule(data=st.data(), picked=st.lists(st.tuples(methods, alphas), min_size=1, max_size=3))
     def batch(self, data, picked):
@@ -410,13 +542,13 @@ class ServiceModel(RuleBasedStateMachine):
     def move(self, data, moves):
         """A burst of moves, each maybe followed by a registry flush."""
         for x, y, flush in moves:
-            self.relocate(self._mover(data), x, y)
+            self.relocate(self._user(data), x, y)
             if flush:
                 self.flush()
 
     @rule(data=st.data())
     def forget(self, data):
-        self.relocate(self._mover(data), None, None)
+        self.relocate(self._user(data), None, None)
 
     def relocate(self, user, x, y):
         """Move ``user`` to ``(x, y)`` (``x is None``: forget it) in
@@ -499,15 +631,15 @@ class ServiceModel(RuleBasedStateMachine):
 
     @rule(data=st.data(), weight=st.one_of(st.none(), st.sampled_from(WEIGHTS)))
     def update_edge(self, data, weight):
-        """An edge update on any pair, or half the time on a served
-        edge (a re-weight or a delete), named in either orientation."""
-        if self.model.edges and data.draw(st.booleans()):
-            u, v = data.draw(st.sampled_from(sorted(self.model.edges)))
-            if not self.model.directed and data.draw(st.booleans()):
-                u, v = v, u
-        else:
-            u = self._user(data)
-            v = data.draw(self.users.filter(lambda v: v != u))
+        """An edge update on any pair: an insert, a re-weight or a
+        delete."""
+        u = self._user(data)
+        v = data.draw(st.integers(0, self.n - 2))  # one of the n - 1 others
+        self.record(u, v + (v >= u), weight)
+
+    def record(self, u, v, weight):
+        """Record one edge update in both (deleting an absent edge is a
+        ``KeyError``); nothing maintained moves."""
         if weight is None and not self.model.has_edge(u, v):
             with pytest.raises(KeyError):
                 self.service.update_edge(u, v, None)
@@ -517,10 +649,40 @@ class ServiceModel(RuleBasedStateMachine):
         self.model.update_edge(u, v, weight)
         self.updated = True
         assert self.service.pending_edge_updates == len(self.model.pending)
-        # recorded only: nothing maintained moves
         now, queued_now = self._stored()
         assert now.keys() == entries.keys() and all(now[k] is entries[k] for k in now)
         assert queued_now == queued
+
+    def _served_edge(self, data):
+        """A served edge, named in either orientation."""
+        u, v = data.draw(st.sampled_from(sorted(self.model.edges)))
+        if not self.model.directed and data.draw(st.booleans()):
+            u, v = v, u
+        return u, v
+
+    @precondition(lambda self: self.model.edges)
+    @rule(data=st.data(), fold=folds)
+    def reweight(self, data, fold):
+        """A served edge given another weight, then folded in."""
+        u, v = self._served_edge(data)
+        served = self.model.edges[self.model.key(u, v)]
+        self.record(u, v, data.draw(st.sampled_from([w for w in WEIGHTS if w != served])))
+        self.fold(fold)
+
+    @precondition(lambda self: self.model.edges)
+    @rule(data=st.data(), fold=folds)
+    def delete(self, data, fold):
+        """A served edge deleted, then folded in."""
+        self.record(*self._served_edge(data), None)
+        self.fold(fold)
+
+    def fold(self, how):
+        """Fold the recorded edge updates in: ``rebuild_engine`` or a
+        folding snapshot."""
+        if how == "rebuild":
+            self.rebuild_engine()
+        else:
+            self.persist(how)
 
     @precondition(lambda self: self.model.pending)
     @rule()
@@ -541,18 +703,17 @@ class ServiceModel(RuleBasedStateMachine):
         x=st.sampled_from((COORDINATE_BOUND, -COORDINATE_BOUND) + PAST),
         y=coordinates,
         weight=st.sampled_from(WEIGHTS),
-        fold=st.sampled_from(("rebuild", "snapshot manager")),
+        fold=folds,
     )
     def renormalise(self, data, x, y, weight, fold):
-        """A zero normaliser's way out: a move to the bound, a recorded
-        edge, then a rebuild or a folding snapshot, which re-estimates
-        it."""
-        self.relocate(self._mover(data), x, y)
+        """A zero normaliser's way out: a move to the bound that leaves
+        another located user behind (when one is left), a recorded edge
+        update, then a fold, which re-estimates it."""
+        located = set(self.model.locations)
+        movers = [u for u in range(self.n) if located - {u}] or range(self.n)
+        self.relocate(data.draw(st.sampled_from(movers)), x, y)
         self.update_edge(data, weight)
-        if fold == "rebuild":
-            self.rebuild_engine()
-        else:
-            self.persist(fold)
+        self.fold(fold)
 
     def rebuilt(self):
         """The model folds its recorded edge updates and re-estimates a
@@ -570,9 +731,18 @@ class ServiceModel(RuleBasedStateMachine):
         served = self.service.engine
         assert {(u, v): w for u, v, w in served.graph.edges()} == self.model.edges
         assert served.normalization == after
+        # only the column budget crosses a rebuild, never a column
+        assert served.social_cache is None or len(served.social_cache) == 0
         self.counts["re-estimated P_max"] += before.p_max != after.p_max
         self.counts["re-estimated D_max"] += before.d_max != after.d_max
+        self.swapped()
+
+    def swapped(self):
+        """After an engine swap: forget the model's answers, and which
+        cached columns were checked (a column carried across the swap
+        must be checked again)."""
         self.answers.clear()
+        self.verified.clear()
         self.updated = True
 
     # restoring is drawn as often as taking a snapshot
@@ -591,8 +761,7 @@ class ServiceModel(RuleBasedStateMachine):
             else:
                 self.service.replace_engine(load_engine(path, mmap=True))
             self.model = model.copy()
-            self.answers.clear()
-            self.updated = True
+            self.swapped()
             action += " " + through
         elif action == "snapshot manager":
             folds = bool(self.model.pending)  # the manager rebuilds only then
@@ -609,8 +778,10 @@ class ServiceModel(RuleBasedStateMachine):
 
     @precondition(lambda self: len(self.subs) < self.SUBSCRIPTIONS)
     @rule(data=st.data(), method=methods, alpha=alphas)
-    def subscribe(self, data, method, alpha):
-        self.subs.append(self.registry.subscribe(self._request(data, method, alpha)))
+    def subscribe(self, data, method, alpha, user=None):
+        """A subscription; below ``α = 1`` an unlocated ``user``'s is
+        suspended from the start."""
+        self.subs.append(self.registry.subscribe(self._request(data, method, alpha, user)))
         self.counts["subscribe"] += 1
 
     @precondition(lambda self: self.subs)
@@ -622,6 +793,17 @@ class ServiceModel(RuleBasedStateMachine):
             self.registry.result(sub)
         self.counts["unsubscribe"] += 1
 
+    @precondition(lambda self: any(sub.suspended for sub in self.subs))
+    @rule(data=st.data(), x=coordinates, y=coordinates)
+    def resume(self, data, x, y):
+        """A suspended subscription's query user returns: the next read
+        resumes it with the model's answer."""
+        sub = data.draw(st.sampled_from([sub for sub in self.subs if sub.suspended]))
+        self.relocate(sub.user, x, y)
+        assert like_the_model(self, sub.request, partial(self.registry.result, sub))
+        assert sub.active
+        self.counts["suspended resumes"] += 1
+
     @rule()
     def flush(self):
         applied = self.registry.flush()
@@ -630,9 +812,7 @@ class ServiceModel(RuleBasedStateMachine):
     @invariant()
     def subscriptions_answer_like_the_model(self):
         for sub in getattr(self, "subs", ()):
-            suspended = sub.suspended
             like_the_model(self, sub.request, partial(self.registry.result, sub))
-            self.counts["suspended resumes"] += suspended and sub.active
 
     # -- the column cache ---------------------------------------------------
 
@@ -656,53 +836,53 @@ class ServiceModel(RuleBasedStateMachine):
             self.verified[user] = column
 
 
-class TestServiceModel(ServiceModel.TestCase):
-    """The machine's run, then its :data:`FLOORS`."""
-
-    settings = settings.get_profile("service-model-ci")
-
-    def runTest(self):
-        ServiceModel.counts.clear()
-        super().runTest()
-        reached = ServiceModel.counts
-        short = {name: (reached[name], at) for name, at in FLOORS.items() if reached[name] < at}
-        assert not short, f"(reached, floor) below the floor: {short}"
+@cache
+def _source() -> str:
+    return inspect.getsource(ServiceModel)
 
 
-def test_hostile_moves_answer_like_the_model():
-    """A fixed walk through the hostile corner, whatever the profile
-    draws: users at the input domain's bound ±2**500 and in the
-    subnormals, where a spatial distance reaches 2**501.5 or underflows
-    to 0, over a grid whose span is 2**501.  Every score stays finite,
-    so every other user is ranked; one ulp past the bound a move is
-    refused and nothing moves."""
-    bound = COORDINATE_BOUND
-    graph = SocialGraph.from_edges(4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 1.0)])
-    table = LocationTable.from_dict(4, {u: (u / 4, 0.5) for u in range(4)})
-    engine = GeoSocialEngine(graph, table, num_landmarks=2, s=4, seed=1)
-    model = Model.of_engine(engine)
-    with QueryService(engine, cache_size=16) as service:
-        for user, (x, y) in enumerate([(bound, bound), (-bound, 5e-324), (5e-324, -bound)]):
-            # one ulp past the bound on the coordinate at it
-            at = 0 if abs(x) == bound else 1
-            past = [x, y]
-            past[at] = math.nextafter(past[at], math.copysign(INF, past[at]))
-            with pytest.raises(ValueError, match=rf"^{'xy'[at]} must be a number in \[-2\*\*500"):
-                service.move_user(user, *past)
-            assert service.engine.locations.get(user) == model.locations[user]
-            service.move_user(user, x, y)
-            model.locations[user] = (x, y)
-            for method in METHODS + (AUTO,):
-                for alpha in (0.0, 0.5, 1.0):
-                    for asked in range(4):
-                        request = QueryRequest(asked, k=4, alpha=alpha, method=method)
-                        assert answers_like_the_model(service, model, request)
-                        assert len(model.answer(asked, 4, alpha)) == 3
-        # a grid built over that span, not moved into it
-        service.rebuild_engine(s=1)
-        model.rebuild()
-        for method in METHODS + (AUTO,):
-            assert answers_like_the_model(service, model, QueryRequest(0, k=4, alpha=0.0, method=method))
+def roll(stratum, fixed=None) -> int:
+    """The Hypothesis seed of one run: a hash of the stratum and of
+    ``fixed``, or of :class:`ServiceModel`'s source when ``fixed`` is
+    ``None``, so that any edit to the machine re-rolls that run."""
+    salt = _source() if fixed is None else str(fixed)
+    return int.from_bytes(hashlib.sha256(f"{salt}\n{stratum}".encode()).digest()[:8], "big")
+
+
+#: a fixed seed's run: the profile's first example is the same for
+#: every seed (Hypothesis starts from the simplest draws), then one of
+#: the seed's own
+REROLL = {"max_examples": 2, "stateful_step_count": 5}
+
+
+def run(stratum, fixed=None, **overrides) -> Counter:
+    """Run the machine over one stratum under :func:`roll`'s seed and
+    the ``service-model-ci`` profile (:data:`REROLL`'s size for a fixed
+    seed), changed by ``overrides`` (``phases=list(Phase)`` shrinks a
+    failure); returns what it reached, ``"examples"`` counting the
+    examples that finished their opening."""
+    reached = Counter()
+
+    @seed(roll(stratum, fixed))
+    def machine():
+        return ServiceModel(stratum, reached)
+
+    size = {} if fixed is None else REROLL
+    profile = settings(settings.get_profile("service-model-ci"), **{**size, **overrides})
+    run_state_machine_as_test(machine, settings=profile)
+    return reached
+
+
+@pytest.mark.parametrize("stratum", STRATA, ids=str)
+@pytest.mark.parametrize("fixed", (None,) + SEEDS, ids=lambda s: f"seed{s}" if s else "source")
+def test_service_model(fixed, stratum):
+    """One stratum's run, then its floors: every example reached
+    everything :func:`floors` names."""
+    reached = run(stratum, fixed)
+    short = {name: reached[name] for name in floors(stratum) if reached[name] < reached["examples"]}
+    assert reached["examples"] and not short, (
+        f"reached less often than the {reached['examples']} examples: {short}"
+    )
 
 
 def test_a_zero_normaliser_leaves_every_score_finite():
