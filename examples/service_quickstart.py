@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Serving SSRQ traffic: batching, in-batch deduplication, and the
-update-aware result cache.
+result cache.
 
 The engine answers one query at a time; `repro.service.QueryService`
 turns it into a traffic-serving component.  This example drives a
 Zipf-skewed arrival stream (hot users dominate, as in real check-in
 workloads) through the service, shows the cache paying for repeats,
-then moves a user and shows the invalidation evicting exactly the
-affected entries while every served answer stays correct, and records
-an edge update that only the next engine rebuild makes visible.
+then moves a user and shows the move evicting every cached answer that
+reads locations (alpha < 1) while the pure-social ones (alpha = 1) stay
+and every served answer stays correct, and records an edge update that
+only the next engine rebuild makes visible.
 
 Run:  python examples/service_quickstart.py
 """
@@ -54,16 +55,19 @@ with QueryService(engine, cache_size=2048) as service:
         assert response.result.users == sequential.users
     print("batched rankings identical to sequential engine.query: True")
 
-    # --- A location update invalidates exactly what it must ------------------
+    # --- A location update evicts every answer that reads locations ---------
     hot_user = arrivals[0]
     assert service.query(QueryRequest(user=hot_user, k=10, alpha=0.3, method="ais")).cached
+    social = QueryRequest(user=hot_user, k=10, alpha=1.0)
+    service.query(social)
     cached_before = len(service.cache)
     service.move_user(hot_user, 0.05, 0.95)
     evicted = stats.invalidated_entries
     print(
-        f"moved user {hot_user}: evicted {evicted} of {cached_before} "
-        f"cached results (exact screening, no full flush)"
+        f"moved user {hot_user}: evicted {evicted} of {cached_before} cached "
+        f"results (every answer below alpha = 1), kept {len(service.cache)}"
     )
+    assert evicted == cached_before - 1 and service.query(social).cached
     refreshed = service.query(QueryRequest(user=hot_user, k=10, alpha=0.3, method="ais"))
     assert not refreshed.cached, "the mover's cache line must be gone"
     truth = engine.query(hot_user, k=10, alpha=0.3, method="bruteforce")

@@ -7,10 +7,10 @@ One-shot queries recompute from scratch; production traffic asks the
 registers a handful of standing queries with
 `repro.stream.SubscriptionRegistry`, replays location updates, and
 shows (a) a drifting companion repairing the subscriptions it belongs
-to in one batched pass, while the result cache simply keeps or evicts
-its entries, (b) the NO-OP / REPAIR / RECOMPUTE classification doing
-almost all updates for free, and (c) every maintained result staying
-exactly equal to a fresh recompute.
+to in one batched pass, while the result cache simply evicts every
+entry below alpha = 1, (b) the NO-OP / REPAIR / RECOMPUTE
+classification doing almost all updates for free, and (c) every
+maintained result staying exactly equal to a fresh recompute.
 
 Run:  python examples/stream_quickstart.py
 """
@@ -34,7 +34,7 @@ query_users = located[:8]
 subs = [registry.subscribe(u, k=10, alpha=0.3, method="tsa") for u in query_users]
 print(f"registered {len(subs)} standing queries (k=10, alpha=0.3, method=tsa)")
 
-# Prime the (keep-or-evict) result cache with one-shot traffic too.
+# Prime the result cache with one-shot traffic too (a move evicts all of it).
 for u in located[:40]:
     service.query(u, k=10, alpha=0.3, method="tsa")
 
@@ -52,8 +52,8 @@ applied = registry.flush()
 info = service.cache_info()
 print(
     f"30 companions drifted: {applied['repaired']} subscriptions repaired in "
-    f"one batched pass, {applied['recomputed']} recomputed; cache entries "
-    f"{info['reused']} proven reusable, {info['invalidated']} evicted"
+    f"one batched pass, {applied['recomputed']} recomputed; the result "
+    f"cache evicted {info['invalidated']} entries below alpha = 1"
 )
 
 # --- Phase 2: full-population churn -----------------------------------------

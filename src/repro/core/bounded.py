@@ -20,19 +20,21 @@ loop: any upper bound ``θ̂ ≥ θ`` turns it into "nobody farther than
 
 **When the ball does not pay.**  In a small world the radius of ``θ``
 holds nearly the whole graph at spatial-heavy ``α``, and the first ball
-is then pure overhead.  Before step 1 the searcher predicts ``r`` from
+is then pure overhead.  Before step 1 the searcher predicts ``θ`` from
 two profiles sampled once per graph, with no learned state: the social
 profile ``R`` (the radius holding ``m`` users) and the sorted spatial
 distances ``S`` pooled from sampled located users.  The ball holds
 ``m = max(8k, n/25)`` users, ``m · located share`` of them located, so
 its k-th spatial neighbour sits near the quantile
 ``S(k / (m · located share))`` and
-``r ≈ R(m) + (w_spatial / w_social) · S(…)``.  When that reaches the
-radius holding all but 0.1 % of what a source reaches, the ball is
-skipped: one unbounded column and one dense scan, which is exactly the
-``bruteforce`` path (and the column is cached).  The prediction treats
-spatial and social distance as independent, which overstates ``r``
-where friends live close together; the threshold sits at the tail of
+``θ ≈ w_social · R(m) + w_spatial · S(…)`` (in score units: at a
+subnormal ``α`` the ratio of the weights overflows).  When that
+reaches ``w_social`` times the radius holding all but 0.1 % of what a
+source reaches, the ball is skipped: one unbounded column and one
+dense scan, which is exactly the ``bruteforce`` path (and the column
+is cached).  The prediction treats spatial and social distance as
+independent, which overstates ``θ`` where friends live close
+together; the threshold sits at the tail of
 ``R`` for that reason (docs/BENCHMARKS.md has the per-α
 measurements).
 
@@ -53,6 +55,7 @@ import time
 import numpy as np
 
 from repro.backend import NumpyKernels
+from repro.core.bruteforce import BruteForceSearch
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import SSRQResult
 from repro.core.stats import SearchStats
@@ -147,14 +150,15 @@ class BoundedSearch:
         k = min(k, self.graph.n)  # a k past n predicts as n: k / (m * share) must fit a float
         m = max(8 * k, self.graph.n // 25)
         radius = self._radius_holding(m)
-        predicted = radius
+        # in score units (module docstring)
+        predicted = rank.w_social * radius
         if rank.needs_spatial:
             if not len(spatial):
                 return INF  # nobody located: no finite score in any ball
             at = math.ceil(k / (m * share) * len(spatial)) - 1
-            predicted += rank.w_spatial / rank.w_social * spatial[min(at, len(spatial) - 1)]
+            predicted += rank.w_spatial * spatial[min(at, len(spatial) - 1)]
         whole = self._radius_holding(max(1, int(_WHOLE_GRAPH * len(social))))
-        return INF if predicted >= whole else radius
+        return INF if predicted >= rank.w_social * whole else radius
 
     @staticmethod
     def _radius_for(theta: float, w_social: float) -> float:
@@ -175,15 +179,16 @@ class BoundedSearch:
         column step caches it) and ``None`` when it stopped at a
         radius."""
         check_user(query_user, self.graph.n)
+        rank = RankingFunction(alpha, self.normalization)
+        kernels = self.kernels
+        if not rank.needs_social:
+            # no social term (the engine routes α = 0 to SPA; a subnormal
+            # α can underflow the weight): no radius bounds the answer
+            return BruteForceSearch(
+                self.graph, self.locations, self.normalization, kernels
+            ).scan(query_user, k, alpha)
         stats = SearchStats()
         start = time.perf_counter()
-        rank = RankingFunction(alpha, self.normalization)
-        if not rank.needs_social:
-            raise ValueError(
-                "bounded requires alpha > 0: with alpha == 0 no social radius "
-                "bounds the answer; use SPA (the engine routes this automatically)"
-            )
-        kernels = self.kernels
         n = self.graph.n
         d = spatial_column(kernels, rank, self.locations, query_user)
 

@@ -259,8 +259,8 @@ class GeoSocialEngine:
         against :data:`METHODS` and take the static endpoint routing,
         ``"auto"`` asks the engine's planner.  The service layer keys a
         named method's cache line on this resolution, and the stream
-        layer classifies repairability off it — so screening and
-        repairs always see the method that actually ran."""
+        layer classifies repairability off it — so repairs always see
+        the method that actually ran."""
         method = request.method
         if method == AUTO:
             # an out-of-range user must surface the engine's ValueError

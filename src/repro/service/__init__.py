@@ -6,9 +6,9 @@ into a component built for heavy, skewed, dynamic traffic:
 - :class:`QueryService` — batch endpoint with in-batch deduplication,
   run on the calling thread, and a readers-writer lock serialising
   updates against in-flight queries from any number of caller threads;
-- :class:`ResultCache` — update-aware LRU over full top-k results:
-  keep / repair-in-place / evict on location moves (the rule of
-  :mod:`repro.stream.conditions`), epoch flush on social-edge changes;
+- :class:`ResultCache` — LRU over full top-k results: a location
+  update evicts every answer below ``α = 1`` and keeps the pure-social
+  ones, and an engine swap flushes it (epoch);
 - :class:`QueryRequest` / :class:`QueryResponse` / :class:`ServiceStats`
   — the request/response dataclasses and serving statistics.
 

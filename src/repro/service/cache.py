@@ -1,40 +1,27 @@
-"""Update-aware LRU cache of SSRQ results: each entry is kept or
-evicted, never rewritten.
+"""LRU cache of SSRQ results: each entry is kept or evicted, never
+rewritten.
 
 Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
-enormously *if* the cache can survive a dynamic world where users move
-constantly.  This module provides that: an LRU keyed on the query
-signature ``(user, k, α, line)`` — ``line`` is the
-resolved method, or ``"auto"`` for an ``auto`` request, whose
-answer the question alone determines (the rule lives in
-``QueryService._line``); no engine component is needed, as every engine
-swap empties the cache first — with hit/miss statistics, whose entries
-carry the request, pinned to the method that executed it, and the
-:class:`~repro.core.ranking.RankingFunction` that produced them, so a
-location update *evicts exactly* the entries it can affect instead of
-flushing everything.
+on repeats.  This module provides an LRU keyed on the query signature
+``(user, k, α, line)`` — ``line`` is the resolved method, or
+``"auto"`` for an ``auto`` request, whose answer the question alone
+determines (the rule lives in ``QueryService._line``); no engine
+component is needed, as every engine swap empties the cache first —
+with hit/miss statistics.  An entry is the plain
+:class:`~repro.core.result.SSRQResult`.
 
-**Location update of user m → the shared screen, the cache's policy.**
-Whether a move can change a stored top-k is decided in one place for
-every layer that keeps results — :mod:`repro.stream.conditions` (the
-NO-OP / REPAIR / RECOMPUTE screen and its safety argument).  The cache
-applies the simplest policy to each verdict:
-
-- **NO-OP → keep** the entry untouched (counted *reused*): pure-social
-  entries, every entry whose spatial lower bound proves the mover out,
-  and, for a forgotten location, every entry the mover neither issued
-  nor belongs to;
-- **anything else → evict** (counted *invalidated*): the query user
-  moved, a member moved or forgot its location, or the mover might
-  newly enter.  The next miss recomputes.
-
-Repairing an entry in place does not pay here: a hot entry's next
-change is usually another move that evicts it before anyone reads the
-repair (docs/BENCHMARKS.md, "What does not pay").  The one layer that
-repairs is the subscription registry, which folds a burst of moves
-into one pass per standing query.  The screen costs O(cache) per move
-or forget, with an O(1) check per entry and no index.
+**Location update (a move or a forget) → evict every answer that reads
+locations.**  An answer with ``α < 1`` has a spatial term, so any move
+may change it; an ``α = 1`` answer reads no location and is kept
+(counted *reused*).  Every other entry is evicted (counted
+*invalidated*), and the next miss recomputes.  Screening each entry
+with the subscription registry's NO-OP test does not pay here: on a
+move-heavy workload the per-entry screen cost more time than the few
+hits it kept saved (docs/BENCHMARKS.md, "What does not pay").  The
+one layer that screens and repairs is the subscription registry
+(:mod:`repro.stream.conditions`), which folds a burst of moves into
+one pass per standing query.
 
 **Social edge update → nothing, until the engine swap.**  An edge
 change can alter social distances between arbitrarily distant pairs,
@@ -50,14 +37,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import Hashable
 
 from repro.core.result import SSRQResult
-from repro.stream.conditions import NOOP, StoredTopK
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.ranking import RankingFunction
-    from repro.core.request import QueryRequest
 
 
 class InvalidationOutcome(int):
@@ -94,7 +76,7 @@ class CacheStats:
     #: entries removed by update-aware invalidation (each one forces a
     #: recompute on its next lookup)
     invalidated: int = 0
-    #: entries an update examined and provably kept (screen NO-OP)
+    #: entries an update kept (``α = 1``: no location read)
     reused: int = 0
     #: epoch bumps (full flushes)
     full_invalidations: int = 0
@@ -107,16 +89,14 @@ class CacheStats:
 
 
 class ResultCache:
-    """LRU result cache with exact update-aware invalidation.
+    """LRU result cache that a location update empties of every answer
+    below ``α = 1``.
 
-        >>> from repro import Neighbor, Normalization, RankingFunction, SSRQResult
-        >>> from repro.service import QueryRequest
+        >>> from repro import Neighbor, SSRQResult
         >>> from repro.service.cache import ResultCache
         >>> cache = ResultCache(capacity=2)
-        >>> request = QueryRequest(0, k=1, alpha=0.5, method="tsa")
-        >>> rank = RankingFunction(0.5, Normalization(p_max=1.0, d_max=1.0))
         >>> result = SSRQResult(0, 1, 0.5, [Neighbor(9, 0.2, 0.1, 0.3)])
-        >>> cache.put("a", request, rank, result)
+        >>> cache.put("a", result)
         >>> cache.get("a") is result
         True
         >>> cache.get("b") is None
@@ -125,11 +105,9 @@ class ResultCache:
         (1, 1)
 
     Keys are opaque to the cache (the service builds them from the
-    query signature); everything the update-aware paths need
-    travels on the entry: the request with its method already
-    resolved and the ranking function the scores were computed under.
-    All operations take an internal lock, so invalidation hooks may
-    fire from any thread.
+    query signature); the one thing an update reads off an entry is
+    its result's ``alpha``.  All operations take an internal lock, so
+    invalidation hooks may fire from any thread.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -140,7 +118,7 @@ class ResultCache:
         #: monotonically increasing; bumped on every full invalidation
         self.epoch = 0
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[Hashable, StoredTopK]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, SSRQResult]" = OrderedDict()
 
     # -- plain cache operations ---------------------------------------
 
@@ -164,39 +142,28 @@ class ResultCache:
         full serve path when this comes back empty: a hit refreshes the
         LRU position and is counted, an absent key counts nothing."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry.result
+            result = self._entries.get(key)
+            if result is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+            return result
 
     def peek(self, key: Hashable) -> SSRQResult | None:
         """Like :meth:`get` but without touching LRU order or stats."""
-        entry = self._entries.get(key)
-        return entry.result if entry is not None else None
+        return self._entries.get(key)
 
-    def put(
-        self,
-        key: Hashable,
-        request: "QueryRequest",
-        rank: "RankingFunction",
-        result: SSRQResult,
-    ) -> None:
+    def put(self, key: Hashable, result: SSRQResult) -> None:
         """Insert (or refresh) ``key``, evicting the LRU tail at
-        capacity.  ``request`` is the query with its method resolved,
-        ``rank`` the ranking function ``result`` was scored under."""
+        capacity."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            if key in self._entries:
                 self._entries.move_to_end(key)
             else:
                 while len(self._entries) >= self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
-                entry = self._entries[key] = StoredTopK(request, rank)
                 self.stats.insertions += 1
-            entry.install(result)
+            self._entries[key] = result
 
     # -- update-aware invalidation ------------------------------------
 
@@ -210,29 +177,16 @@ class ResultCache:
             self.stats.full_invalidations += 1
             return InvalidationOutcome(removed)
 
-    def invalidate_location_update(
-        self,
-        user: int,
-        x: float | None,
-        y: float | None,
-        *,
-        query_location: Callable[[int], tuple[float, float] | None],
-    ) -> "InvalidationOutcome":
-        """Keep each entry the screen proves unaffected and evict every
-        other one (the module docstring's policy).
+    def invalidate_location_update(self) -> "InvalidationOutcome":
+        """Evict every entry below ``α = 1`` and keep each ``α = 1``
+        entry, which reads no location (the module docstring's policy),
+        after a move or a forget of any user.
 
-        ``(x, y)`` is the user's *new* position (``None`` for a
-        forgotten location); ``query_location`` resolves a query user's
-        current position.  Returns an :class:`InvalidationOutcome`
-        (``int``-compatible: the number of entries evicted) that also
-        counts the entries kept.
+        Returns an :class:`InvalidationOutcome` (``int``-compatible: the
+        number of entries evicted) that also counts the entries kept.
         """
         with self._lock:
-            evict = [
-                key
-                for key, entry in self._entries.items()
-                if entry.classify(user, x, y, query_location(entry.request.user)) != NOOP
-            ]
+            evict = [key for key, result in self._entries.items() if result.alpha != 1.0]
             for key in evict:
                 del self._entries[key]
             reused = len(self._entries)

@@ -172,7 +172,7 @@ class ServiceStats:
     #: cache entries evicted by update-aware invalidation (each one
     #: forces a recompute on its next lookup)
     invalidated_entries: int = 0
-    #: cache entries an update examined and provably kept
+    #: cache entries a location update kept (``α = 1``: no location read)
     reused_entries: int = 0
     #: epoch bumps (full cache invalidations: one per engine swap;
     #: ``perfbench/measure.py`` reads the snapshot key)

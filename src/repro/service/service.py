@@ -13,10 +13,10 @@ component that can absorb realistic load:
   otherwise (:meth:`QueryService._line`), looked up under the service's
   read lock *before* anything is resolved (:meth:`QueryService.cached`
   is that lookup alone, lock-free, for callers that must not block),
-  whose entries are kept or evicted exactly on location moves and
-  emptied when the engine is swapped (the only moment the served graph
-  changes);
-- **following** — each move or forget screens the cache, then reaches
+  which a location update empties of every answer below ``α = 1`` and
+  an engine swap (the only moment the served graph changes) empties
+  entirely;
+- **following** — each move or forget evicts from the cache, then reaches
   every follower (:meth:`QueryService.follow`), and so does each engine
   swap, inside the change's write lock;
 - **consistency** — the service owns one readers-writer lock, made with
@@ -42,7 +42,6 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.core.engine import AUTO, GeoSocialEngine
-from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
@@ -66,7 +65,7 @@ class QueryService:
         [False, False]
         >>> service.query(hot).cached                         # repeat: cache hit
         True
-        >>> service.move_user(8, 0.25, 0.75)                  # evicts user 8's line
+        >>> service.move_user(8, 0.25, 0.75)                  # evicts every α < 1 line
         >>> service.query(hot).cached
         False
 
@@ -123,7 +122,7 @@ class QueryService:
 
     def follow(self, follower) -> None:
         """Call ``follower.location_updated(user, x, y)`` after each
-        move or forget (``x is None``) has screened the result cache,
+        move or forget (``x is None``) has evicted from the result cache,
         and ``follower.engine_swapped(engine)`` on each swap, before the
         new engine is served: on the updating thread, inside the
         change's write lock.  A follower must never raise."""
@@ -303,9 +302,7 @@ class QueryService:
 
         for (key, (request, indexes)), (result, elapsed) in zip(pending.items(), executed):
             if self.cache is not None:
-                self.cache.put(
-                    key, request, RankingFunction(request.alpha, engine.normalization), result
-                )
+                self.cache.put(key, result)
             first = indexes[0]
             responses[first] = QueryResponse(reqs[first], result, latency=elapsed)
             for j in indexes[1:]:
@@ -319,8 +316,8 @@ class QueryService:
     def move_user(self, user: int, x: float, y: float) -> None:
         """Apply a location update under the write lock (no queries in
         flight): :meth:`GeoSocialEngine.move_user` moves the user in the
-        served engine, then the result cache evicts exactly the affected
-        entries and every follower hears of the move.  The one way to
+        served engine, then the result cache evicts every answer below
+        ``α = 1`` and every follower hears of the move.  The one way to
         move a user of a served engine."""
         with self._write_locked_engine() as engine:
             engine.move_user(user, x, y)
@@ -328,7 +325,7 @@ class QueryService:
 
     def forget_location(self, user: int) -> None:
         """Forget a user's location like :meth:`move_user` (nothing to
-        screen or tell when the user had none)."""
+        evict or tell when the user had none)."""
         with self._write_locked_engine() as engine:
             if engine.forget_location(user):
                 self._location_changed(user, None, None)
@@ -455,9 +452,7 @@ class QueryService:
 
     def _location_changed(self, user: int, x: float | None, y: float | None) -> None:
         if self.cache is not None:
-            outcome = self.cache.invalidate_location_update(
-                user, x, y, query_location=self.engine.locations.get
-            )
+            outcome = self.cache.invalidate_location_update()
             # Counted from the outcome, not from the shared cache stats,
             # so concurrent invalidations attribute their counters exactly.
             with self._stats_lock:

@@ -19,10 +19,9 @@ This package provides that maintenance layer:
   :class:`~repro.core.result.SSRQResult` equal to what a fresh
   ``engine.query`` would return *right now*;
 - :mod:`repro.stream.conditions` — the NO-OP / REPAIR / RECOMPUTE
-  rule (screen, single-member re-score), written once; the registry
-  applies all three verdicts, and the keep-or-evict
-  :class:`~repro.service.cache.ResultCache` calls the same screen
-  (NO-OP keeps an entry, anything else evicts it);
+  rule (screen, single-member re-score), which the registry applies
+  (the :class:`~repro.service.cache.ResultCache` screens nothing: a
+  location update evicts every cached answer below ``α = 1``);
 - :class:`Subscription` / :class:`StreamStats` — the standing-query
   handle and the maintenance counters.
 

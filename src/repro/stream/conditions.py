@@ -1,20 +1,17 @@
-"""The NO-OP / REPAIR / RECOMPUTE rule for one update — written here,
-once, for every layer that keeps a top-k result past the query that
-produced it.
+"""The NO-OP / REPAIR / RECOMPUTE rule for one update, the subscription
+registry's screen and repair.
 
 This module is the single home of the maintenance rule:
 :func:`classify_location_update` (the screen) and
-:meth:`StoredTopK.rescore_members` (the single-member re-score with its
-escalation test).  Two consumers call it and keep only their *policy*;
-each screens every result it holds on every update, so neither keeps
-an index of who is in which result:
-
-- :class:`repro.service.cache.ResultCache` — NO-OP keeps the entry
-  untouched; every other verdict evicts it (the next miss recomputes);
-- :class:`repro.stream.registry.SubscriptionRegistry` — NO-OP counts;
-  REPAIR queues the mover for one batched pass at read time (members
-  re-scored, possible entrants scored exactly and offered); RECOMPUTE
-  marks the subscription.
+:func:`rescore_members` (the single-member re-score with its
+escalation test).  :class:`repro.stream.registry.SubscriptionRegistry`
+is its one consumer and keeps only its *policy*: NO-OP counts; REPAIR
+queues the mover for one batched pass at read time (members re-scored,
+possible entrants scored exactly and offered); RECOMPUTE marks the
+subscription.  It screens every subscription on every update, so it
+keeps no index of who is in which result.  The result cache screens
+nothing: a location update evicts every cached answer below ``α = 1``
+(:mod:`repro.service.cache`).
 
 A stored top-k result ``R`` for query ``(q, k, α)`` changes under a
 location update of user ``m`` in exactly three ways, and each is
@@ -65,9 +62,9 @@ repair; the moved users are re-scored with the engine's own primitives
 :class:`~repro.core.ranking.RankingFunction` float association), so
 admitted scores are bit-identical to what the search would have
 produced.  The rule is therefore *exact*, not heuristic — the
-whole-stack model (``tests/test_service_model.py``) checks both
-consumers' policies on every update and every maintained result
-against Definition 1 over randomized interleavings.
+whole-stack model (``tests/test_service_model.py``) checks the
+registry's policy on every update and every maintained result against
+Definition 1 over randomized interleavings.
 
 Repairs reuse stored social distances, so the registry offers them only
 for methods whose social distances are schedule-independent (forward
@@ -89,7 +86,6 @@ from repro.spatial.point import euclidean
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ranking import RankingFunction
-    from repro.core.request import QueryRequest
     from repro.core.result import SSRQResult
 
 INF = math.inf
@@ -180,86 +176,35 @@ def classify_location_update(
     return REPAIR
 
 
-_NONE: frozenset = frozenset()
-
-
-class StoredTopK:
-    """One stored top-k result and what the rule needs to maintain it:
-    the query that produced it (``method`` already resolved), its
-    :class:`~repro.core.ranking.RankingFunction`, the current result
-    and its membership.  A result-cache entry is one of these; a
-    :class:`~repro.stream.subscription.Subscription` extends it with
-    the stream state.  ``result``/``member_ids`` change together,
-    through :meth:`install`.
+def rescore_members(
+    result: "SSRQResult", rank: "RankingFunction", distance_of: Mapping[int, float]
+) -> "list[Neighbor] | None":
+    """The single-member re-score: ``result``'s neighbours with every
+    member named in ``distance_of`` (user → its *new* spatial distance
+    to the query user) re-scored under ``rank`` from its stored social
+    distance, in stored order (callers re-sort).  ``None`` escalates to
+    RECOMPUTE: a re-scored key exceeds the old k-th key ``(f_k, id_k)``
+    of a full result — the member may have dropped below the unknown
+    (k+1)-th — or the new score is not finite (the location vanished).
+    Ids that are not members are ignored.
     """
-
-    __slots__ = ("request", "rank", "result", "member_ids")
-
-    def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
-        self.request = request
-        self.rank = rank
-        self.result: "SSRQResult | None" = None
-        self.member_ids: frozenset = _NONE
-
-    def install(self, result: "SSRQResult | None") -> None:
-        """Hold ``result`` (``None``: hold none) and its membership."""
-        self.result = result
-        self.member_ids = (
-            frozenset(nb.user for nb in result.neighbors) if result is not None else _NONE
-        )
-
-    def classify(
-        self,
-        mover: int,
-        x: float | None,
-        y: float | None,
-        query_xy: tuple[float, float] | None,
-    ) -> str:
-        """:func:`classify_location_update` against this result
-        (``query_xy``: the query user's current position)."""
-        request = self.request
-        result = self.result
-        return classify_location_update(
-            mover,
-            x,
-            y,
-            query_user=request.user,
-            alpha=request.alpha,
-            w_spatial=self.rank.w_spatial,
-            members=self.member_ids,
-            size=len(result.neighbors),
-            k=request.k,
-            fk=result.fk,
-            query_xy=query_xy,
-        )
-
-    def rescore_members(self, distance_of: Mapping[int, float]) -> "list[Neighbor] | None":
-        """The single-member re-score: the stored neighbours with every
-        member named in ``distance_of`` (user → its *new* spatial
-        distance to the query user) re-scored from its stored social
-        distance, in stored order (callers re-sort).  ``None`` escalates
-        to RECOMPUTE: a re-scored key exceeds the old k-th key
-        ``(f_k, id_k)`` of a full result — the member may have dropped
-        below the unknown (k+1)-th — or the new score is not finite
-        (the location vanished).  Ids that are not members are ignored.
-        """
-        neighbors = self.result.neighbors
-        kth_key = None
-        if len(neighbors) >= self.request.k:
-            worst = neighbors[-1]
-            kth_key = (worst.score, worst.user)
-        score = self.rank.score
-        out = []
-        for nb in neighbors:
-            d = distance_of.get(nb.user)
-            if d is not None:
-                # The move changed only the spatial term: the social
-                # distance is location-independent and already stored.
-                new_score = score(nb.social, d)
-                if new_score != new_score or new_score == INF:
-                    return None
-                if kth_key is not None and (new_score, nb.user) > kth_key:
-                    return None
-                nb = Neighbor(nb.user, new_score, nb.social, d)
-            out.append(nb)
-        return out
+    neighbors = result.neighbors
+    kth_key = None
+    if len(neighbors) >= result.k:
+        worst = neighbors[-1]
+        kth_key = (worst.score, worst.user)
+    score = rank.score
+    out = []
+    for nb in neighbors:
+        d = distance_of.get(nb.user)
+        if d is not None:
+            # The move changed only the spatial term: the social
+            # distance is location-independent and already stored.
+            new_score = score(nb.social, d)
+            if new_score != new_score or new_score == INF:
+                return None
+            if kth_key is not None and (new_score, nb.user) > kth_key:
+                return None
+            nb = Neighbor(nb.user, new_score, nb.social, d)
+        out.append(nb)
+    return out

@@ -12,9 +12,9 @@ update stream.
   swap marks every subscription for recompute);
 - **classify** — every update, a move or a forget, is screened
   against every subscription with the NO-OP / REPAIR / RECOMPUTE rule
-  of :mod:`repro.stream.conditions` (the screen the result cache calls
-  too): O(1) per subscription, no queries, no social distances, and no
-  index of who is in which result;
+  of :mod:`repro.stream.conditions`: O(1) per subscription, no
+  queries, no social distances, and no index of who is in which
+  result;
 - **apply** — classifications only *mark*; the marked work is applied
   in one batched pass per subscription at read time (or via
   :meth:`SubscriptionRegistry.flush`), so a burst of moves costs one
@@ -23,8 +23,8 @@ update stream.
   :meth:`~repro.backend.NumpyKernels.euclidean_to_point` call for the
   spatial column, a :class:`~repro.core.result.TopKBuffer` rebuild —
   and escalate to a recompute the moment the safe condition fails.
-  This is the only layer that repairs: the result cache keeps an entry
-  on NO-OP and evicts it otherwise.
+  This is the only layer that screens or repairs: the result cache
+  evicts every answer below ``α = 1`` on each location update.
 
 Reads are *linearizable with updates*: :meth:`SubscriptionRegistry.result`
 applies pending work under the service's read lock before
@@ -55,7 +55,7 @@ from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.social.scan import materialize_column
-from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR
+from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, rescore_members
 from repro.stream.subscription import StreamStats, Subscription
 from repro.utils.validation import check_user
 
@@ -302,7 +302,7 @@ class SubscriptionRegistry:
         xs, ys = engine.locations.columns()
         distances = engine.kernels.euclidean_to_point(xs, ys, qx, qy, ids)
         dist_of = {user: float(d) for user, d in zip(ids, distances)}
-        members = sub.rescore_members(dist_of)
+        members = rescore_members(sub.result, rank, dist_of)
         if members is None:
             return False  # a moved member may have dropped out (or vanished)
         buffer = TopKBuffer(sub.k)

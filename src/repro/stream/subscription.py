@@ -15,11 +15,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
 from repro.plan.rules import AUTO
-from repro.stream.conditions import StoredTopK
+from repro.stream.conditions import classify_location_update
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ranking import RankingFunction
     from repro.core.request import QueryRequest
+    from repro.core.result import SSRQResult
 
 #: the methods the registry's batched repair applies to: exactly the
 #: ones whose per-neighbor social distances are schedule-independent
@@ -32,10 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover
 REPAIRABLE_METHODS = FORWARD_DETERMINISTIC_METHODS
 
 
-class Subscription(StoredTopK):
-    """One registered standing query ``(user, k, α, method)`` — a
-    :class:`~repro.stream.conditions.StoredTopK` (request, ranking
-    function, maintained result and membership) plus the stream state.
+class Subscription:
+    """One registered standing query ``(user, k, α, method)``: the
+    request that produced its result, the
+    :class:`~repro.core.ranking.RankingFunction` that result was scored
+    under, the maintained result and its membership, plus the stream
+    state.
 
     Created by :meth:`SubscriptionRegistry.subscribe
     <repro.stream.registry.SubscriptionRegistry.subscribe>`; treat it
@@ -61,6 +64,10 @@ class Subscription(StoredTopK):
     """
 
     __slots__ = (
+        "request",
+        "rank",
+        "result",
+        "member_ids",
         "user",
         "k",
         "alpha",
@@ -79,8 +86,12 @@ class Subscription(StoredTopK):
     def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
         # ``request`` is what every maintenance recompute re-runs
         # (as ``"auto"`` again when :attr:`auto`); ``result`` is
-        # ``None`` while suspended
-        super().__init__(request, rank)
+        # ``None`` while suspended, and ``result``/``member_ids`` change
+        # together, through :meth:`install`
+        self.request = request
+        self.rank = rank
+        self.result: "SSRQResult | None" = None
+        self.member_ids: frozenset = frozenset()
         self.user = request.user
         self.k = request.k
         self.alpha = request.alpha
@@ -110,6 +121,38 @@ class Subscription(StoredTopK):
             self.request = self.request.with_method(method)
             self.method = method
             self.repairable = method in REPAIRABLE_METHODS
+
+    def install(self, result: "SSRQResult | None") -> None:
+        """Hold ``result`` (``None``: hold none) and its membership."""
+        self.result = result
+        self.member_ids = (
+            frozenset(nb.user for nb in result.neighbors) if result is not None else frozenset()
+        )
+
+    def classify(
+        self,
+        mover: int,
+        x: float | None,
+        y: float | None,
+        query_xy: tuple[float, float] | None,
+    ) -> str:
+        """:func:`~repro.stream.conditions.classify_location_update`
+        against the held result (``query_xy``: the query user's current
+        position)."""
+        result = self.result
+        return classify_location_update(
+            mover,
+            x,
+            y,
+            query_user=self.user,
+            alpha=self.alpha,
+            w_spatial=self.rank.w_spatial,
+            members=self.member_ids,
+            size=len(result.neighbors),
+            k=self.k,
+            fk=result.fk,
+            query_xy=query_xy,
+        )
 
     # -- introspection -------------------------------------------------
 

@@ -10,8 +10,6 @@ import pytest
 
 from repro.bench.variants import VARIANTS, run_query
 from repro.core.engine import METHODS, GeoSocialEngine
-from repro.core.ranking import Normalization, RankingFunction
-from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.datasets.generators import erdos_renyi_edges
 from repro.datasets.synthetic import GeoSocialDataset, build_dataset
@@ -75,17 +73,11 @@ def assert_same_scores(result_a, result_b, tol: float = 1e-9) -> None:
         assert abs(a - b) <= tol, f"score {i} differs: {a} vs {b}"
 
 
-def cache_put(cache, user, k, alpha, method, neighbors, norm=(1.0, 1.0)):
+def cache_put(cache, user, k, alpha, method, neighbors):
     """Store a hand-built result in a :class:`ResultCache` the way the
-    service does (service-shaped key, resolved request, the ranking
-    function of ``norm = (P_max, D_max)``); returns the key."""
+    service does (service-shaped key); returns the key."""
     key = (user, k, alpha, method)
-    cache.put(
-        key,
-        QueryRequest(user, k=k, alpha=alpha, method=method),
-        RankingFunction(alpha, Normalization(*norm)),
-        SSRQResult(user, k, alpha, list(neighbors), method=method),
-    )
+    cache.put(key, SSRQResult(user, k, alpha, list(neighbors), method=method))
     return key
 
 

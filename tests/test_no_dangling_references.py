@@ -18,7 +18,8 @@ subsumed:
   the graph's retired list view;
 - the overflow guards the input domain subsumed stay deleted, and so
   do the zero-normaliser floor and the model's NumPy overflow switch
-  that existed for the domain's one former exception.
+  that existed for the domain's one former exception;
+- the result cache's per-entry move screen stays deleted.
 """
 
 from __future__ import annotations
@@ -224,3 +225,12 @@ def test_the_zero_normaliser_exception_stays_gone():
     machine."""
     assert _naming(r"_TINY|1e-300", sorted((ROOT / "src").rglob("*.py"))) == set()
     assert _naming(r"seterr", [ROOT / "tests" / "test_service_model.py"]) == set()
+
+
+def test_the_result_caches_move_screen_is_named_nowhere():
+    """A location update evicts every cached answer below ``α = 1``,
+    and only the subscription registry screens: the deleted per-entry
+    screen's ``query_location`` callback and the stored-result class
+    the cache shared with the registry are named nowhere in ``src/``,
+    the README, the docs, the examples or the verify skill."""
+    assert _naming(r"\bquery_location\b|\bStoredTopK\b", CODE_AND_PROSE) == set()

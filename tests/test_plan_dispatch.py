@@ -70,8 +70,8 @@ def test_endpoint_dispatch_identical_across_all_paths(single, method, alpha):
         (key,) = list(service.cache._entries)
         line = AUTO if method == AUTO else expected
         assert key[3] == line, f"cache key stores {key[3]!r}, not {line!r}"
-        # the stored request is pinned to the executed method either way
-        assert service.cache._entries[key].request.method == expected
+        # the stored result names the executed method either way
+        assert service.cache._entries[key].method == expected
         # the replay hits the same line
         replay = service.query(QueryRequest(user=user, k=k, alpha=alpha, method=method))
         assert replay.cached and replay.result.method == expected

@@ -507,15 +507,17 @@ def test_readers_and_writers_share_the_services_lock(engine):
 
 
 def test_result_cache_refresh_reindexes_members():
-    """Refreshing a key with a different result must swap the inverted
-    indexes, or later invalidation misses the new members."""
+    """Refreshing a key replaces its stored answer under the same key,
+    and a later location update still reaches the refreshed entry: an
+    answer below ``α = 1`` is evicted whoever moved, so no per-member
+    index has to follow the refresh."""
     cache = ResultCache(capacity=4)
     key = cache_put(cache, 0, 1, 0.5, "ais", [Neighbor(5, 0.2, 0.1, 0.1)])
     assert cache_put(cache, 0, 1, 0.5, "ais", [Neighbor(9, 0.2, 0.1, 0.1)]) == key
-    evicted = cache.invalidate_location_update(
-        9, 100.0, 100.0, query_location=lambda u: (0.0, 0.0)
-    )
-    assert evicted == 1, "entry containing refreshed member 9 must be evicted"
+    assert len(cache) == 1 and cache.stats.insertions == 1
+    assert cache.peek(key).users == [9], "the refresh must replace the stored answer"
+    evicted = cache.invalidate_location_update()
+    assert evicted == 1, "the refreshed entry must be evicted"
     assert len(cache) == 0
 
 

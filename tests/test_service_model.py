@@ -71,12 +71,14 @@ every step:
   only full columns: each entry is its user's dense column, equal to
   the model's, and ``bytes_used == len(cache) · 8n``.
 
-On every location update the result cache keeps each NO-OP entry as
-the same object and evicts every other one, and the registry leaves a
-NO-OP subscription as it was, queues a repairable REPAIR and marks the
-rest for recompute (the verdicts are :mod:`repro.stream.conditions`'s).
-An edge update touches neither.  Small tables and few distinct weights
-and coordinates keep repeats, ties and cache hits frequent.
+On every location update the result cache evicts every entry below
+``α = 1`` and keeps each ``α = 1`` entry as the same object, and the
+registry leaves a NO-OP subscription as it was, queues a repairable
+REPAIR and marks the rest for recompute (the verdicts are
+:mod:`repro.stream.conditions`'s).  A forget of an unlocated user is
+no update and touches neither, and neither does an edge update.  Small
+tables and few distinct weights and coordinates keep repeats, ties and
+cache hits frequent.
 
 Each stratum runs seeded from a hash of the stratum and of the
 machine's source, so any edit to :class:`ServiceModel` re-rolls it,
@@ -562,12 +564,7 @@ class ServiceModel(RuleBasedStateMachine):
         # forgetting an unlocated user is no update at all
         fires = x is not None or where(user) is not None
         cache = self.service.cache
-        entries = cache._entries.items() if cache is not None else ()
-        held = {
-            key: (entry.result,
-                  entry.classify(user, x, y, where(entry.request.user)) if fires else NOOP)
-            for key, entry in entries
-        }
+        held = dict(cache._entries) if cache is not None else {}
         subs = {
             sub: (self._verdict(sub, user, x, y) if fires else None, set(sub.pending),
                   sub.recompute_pending)
@@ -584,11 +581,11 @@ class ServiceModel(RuleBasedStateMachine):
             )
         self.answers.clear()
         self.updated = True
-        for key, (result, verdict) in held.items():
-            if verdict == NOOP:
-                assert cache.peek(key) is result, f"a NO-OP entry was touched: {key}"
+        for key, result in held.items():
+            if fires and result.alpha < 1.0:
+                assert cache.peek(key) is None, f"an entry below alpha = 1 survived: {key}"
             else:
-                assert cache.peek(key) is None, f"a {verdict} entry survived: {key}"
+                assert cache.peek(key) is result, f"an entry was touched: {key}"
         for sub, (verdict, pending, recompute) in subs.items():
             if verdict is None:
                 assert (sub.pending, sub.recompute_pending) == (pending, recompute), sub
@@ -626,7 +623,7 @@ class ServiceModel(RuleBasedStateMachine):
         """What is maintained right now: the result cache's entries and
         each subscription's queued work."""
         cache = self.service.cache
-        entries = {} if cache is None else {key: e.result for key, e in cache._entries.items()}
+        entries = {} if cache is None else dict(cache._entries)
         return entries, [(set(sub.pending), sub.recompute_pending) for sub in self.subs]
 
     @rule(data=st.data(), weight=st.one_of(st.none(), st.sampled_from(WEIGHTS)))
@@ -1094,10 +1091,10 @@ def test_pure_social_subscriptions_ignore_location_churn():
 
 def test_forgetting_member_of_open_slot_result_is_a_recompute():
     """A member that forgets its location leaves the result.  With an
-    open slot (``|R| < k``) dropping it would be exact — the cache used
-    to do that while the registry recomputed.  One rule now: RECOMPUTE,
-    so the cache evicts the line and the registry marks the
-    subscription."""
+    open slot (``|R| < k``) dropping it would be exact, but the rule
+    says RECOMPUTE, so the registry marks the subscription; the cache
+    evicts the line as it evicts every line below ``α = 1`` on any
+    update."""
     members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
     kind = classify_location_update(
         9, None, None, query_user=0, alpha=0.5, w_spatial=0.5,
@@ -1106,7 +1103,7 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
     assert kind == RECOMPUTE
     cache = ResultCache(capacity=4)
     key = cache_put(cache, 0, 3, 0.5, "tsa", members)
-    out = cache.invalidate_location_update(9, None, None, query_location=lambda u: (0.0, 0.0))
+    out = cache.invalidate_location_update()
     assert (int(out), out.reused) == (1, 0)
     assert cache.peek(key) is None
 

@@ -35,6 +35,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -317,6 +318,25 @@ def test_a_k_past_the_float_range_answers_like_bruteforce():
         got = engine.query(user, k, 0.3, method)
         assert got.k == k and got.method == ("bruteforce" if method == "bruteforce" else "bounded")
         assert rows(got) == want, method
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.25])
+@pytest.mark.parametrize("alpha", [5e-324, 2.225073858507203e-309])
+def test_a_subnormal_alpha_answers_like_bruteforce(alpha, weight):
+    """On a 3-user path, a subnormal ``alpha`` made the first-ball
+    prediction's ``w_spatial / w_social`` overflow, and ``inf`` times
+    the spatial profile's zero entry raised NumPy's invalid-value
+    warning.  At ``P_max = 2`` (unit weights) the smallest ``alpha``
+    underflows the social weight to 0, which ``bounded`` refused.  Both
+    now answer like bruteforce and warn of nothing."""
+    graph = SocialGraph.from_edges(3, [(0, 1, weight), (1, 2, weight)])
+    locations = LocationTable.from_columns([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    engine = GeoSocialEngine(graph, locations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = engine.query(0, k=2, alpha=alpha, method="auto")
+        want = engine.query(0, k=2, alpha=alpha, method="bruteforce")
+    assert got.method == "bounded" and rows(got) == rows(want)
 
 
 def ring_of_cliques(n=240):

@@ -9,8 +9,8 @@ counters everything increments from multiple threads must add up.
 
 Also pins the thread-safety of the :class:`ResultCache` counters: the
 ``get`` fast path runs under the engine's *read* lock (many threads at
-once), so hit/miss/repair accounting has to be consistent without any
-help from the engine's RW lock.
+once), so hit/miss/eviction accounting has to be consistent without
+any help from the engine's RW lock.
 """
 
 from __future__ import annotations
@@ -208,15 +208,10 @@ def test_result_cache_counters_are_thread_safe_off_the_engine_lock():
         barrier.wait()
         for i in range(lookups_per_thread):
             user = rng.randrange(32)
-            if cache.get((user, 1, 0.5, "tsa", None, (1.0, 1.0), None)) is None:
+            if cache.get((user, 1, 0.5, "tsa")) is None:
                 cache_put(cache, user, 1, 0.5, "tsa", [Neighbor(user + 1, 0.5, 1.0, 0.5)])
             if i % 50 == 49:
-                cache.invalidate_location_update(
-                    rng.randrange(64),
-                    rng.random(),
-                    rng.random(),
-                    query_location=lambda u: (0.0, 0.0),
-                )
+                cache.invalidate_location_update()
 
     threads = [threading.Thread(target=hammer, args=(s,)) for s in range(threads_n)]
     for t in threads:
@@ -227,6 +222,7 @@ def test_result_cache_counters_are_thread_safe_off_the_engine_lock():
     stats = cache.stats
     # Exactly one hit-or-miss per get: nothing lost to racy increments.
     assert stats.hits + stats.misses == threads_n * lookups_per_thread
+    assert stats.hits > 0, "the lookups must reach the entries the puts store"
     # Two threads may miss the same key and both put (the second is a
     # refresh, which by design does not count as an insertion) — so
     # insertions never exceed misses, and the size balance is *exact*:
@@ -236,61 +232,56 @@ def test_result_cache_counters_are_thread_safe_off_the_engine_lock():
 
 
 def test_cache_repair_counters_attribute_exactly_single_threaded():
-    """Deterministic pin of the keep-or-evict split: a far-away move is
-    reused, a member move evicts whatever the method (forward ``tsa``
-    and bidirectional ``ais`` alike: the cache never re-scores), a
-    query-user move evicts.  ``int(outcome)`` is the eviction count and
-    ``outcome.reused`` the entries kept — what the benchmark tracer
-    reads off every screen."""
-    members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
-    here = lambda u: (0.0, 0.0) if u == 0 else (50.0, 50.0)  # noqa: E731
+    """Deterministic pin of the keep-or-evict split: a location update
+    evicts every entry below ``α = 1`` (forward ``tsa`` and
+    bidirectional ``ais`` alike: the cache never re-scores) and keeps
+    each ``α = 1`` entry as the same object.  ``int(outcome)`` is the
+    eviction count and ``outcome.reused`` the entries kept — what the
+    benchmark tracer reads off every update."""
+    member = [Neighbor(5, 0.2, 0.1, 0.1)]
     cache = ResultCache(capacity=8)
-    tsa = cache_put(cache, 0, 2, 0.5, "tsa", members)
-    ais = cache_put(cache, 0, 2, 0.5, "ais", members)
-    other = cache_put(cache, 3, 1, 0.5, "tsa", [Neighbor(4, 0.2, 0.1, 0.1)])
-    held = {key: cache.peek(key) for key in (tsa, ais, other)}
-    # 1. far-away non-member: provably out -> reused, entries intact.
-    out = cache.invalidate_location_update(7, 100.0, 100.0, query_location=here)
-    assert isinstance(out, int) and (int(out), out.reused) == (0, 3)
-    assert all(cache.peek(key) is result for key, result in held.items())
-    # 2. member 9 moves closer: both of user 0's entries go, the other stays.
-    out = cache.invalidate_location_update(9, 0.0, 0.0, query_location=here)
-    assert (int(out), out.reused) == (2, 1)
-    assert cache.peek(tsa) is None and cache.peek(ais) is None
-    assert cache.peek(other) is held[other]
-    # 3. the query user moves: its entry goes.
-    out = cache.invalidate_location_update(3, 0.5, 0.5, query_location=here)
-    assert (int(out), out.reused) == (1, 0)
-    assert len(cache) == 0
-    assert (cache.stats.invalidated, cache.stats.reused) == (3, 4)
+    spatial = [
+        cache_put(cache, 0, 1, 0.5, "tsa", member),
+        cache_put(cache, 0, 1, 0.5, "ais", member),
+        cache_put(cache, 3, 2, 0.0, "spa", member),
+    ]
+    social = cache_put(cache, 0, 1, 1.0, "sfa", member)
+    kept = cache.peek(social)
+    # 1. any update: every entry below alpha = 1 goes, the alpha = 1 one stays.
+    out = cache.invalidate_location_update()
+    assert isinstance(out, int) and (int(out), out.reused) == (3, 1)
+    assert all(cache.peek(key) is None for key in spatial)
+    assert cache.peek(social) is kept
+    # 2. a second update finds nothing left to evict.
+    out = cache.invalidate_location_update()
+    assert (int(out), out.reused) == (0, 1)
+    assert (cache.stats.invalidated, cache.stats.reused) == (3, 2)
 
 
 def test_service_stats_expose_reuse_repair_recompute(setup):
-    """The serving layer attributes every screened entry exactly:
-    kept (``reused``) or evicted (``invalidated``), and a member move
-    always evicts."""
+    """The serving layer attributes every entry a move touches exactly:
+    kept (``reused``: the ``α = 1`` entries, which read no location) or
+    evicted (``invalidated``: every entry below ``α = 1``, whoever
+    moved)."""
     graph, engine = setup
     service = QueryService(engine, cache_size=128, max_workers=1)
     rng = random.Random(9)
     located = list(engine.locations.located_users())
-    q = located[0]
-    request = QueryRequest(q, k=5, alpha=0.4, method="tsa")
-    member_moves = 0
+    spatial = QueryRequest(located[0], k=5, alpha=0.4, method="tsa")
+    social = [QueryRequest(q, k=5, alpha=1.0, method="sfa") for q in located[:3]]
+    kept = {}
     for _ in range(30):
-        members = service.query(request).result.users
-        mover = rng.choice(members) if rng.random() < 0.7 else rng.randrange(graph.n)
-        x, y = engine.locations.get(mover) or (rng.random(), rng.random())
-        service.move_user(
-            mover,
-            min(1.0, max(0.0, x + rng.uniform(-0.02, 0.02))),
-            min(1.0, max(0.0, y + rng.uniform(-0.02, 0.02))),
-        )
-        if mover in members:
-            member_moves += 1
-            assert service.cached(request) is None, "a member move must evict"
+        service.query(spatial)
+        for request in social:
+            kept.setdefault(request, service.query(request).result)
+        mover = rng.randrange(graph.n)
+        service.move_user(mover, rng.random(), rng.random())
+        assert service.cached(spatial) is None, "a move evicts every answer below alpha = 1"
+        for request, result in kept.items():
+            assert service.cached(request).result is result
     info = service.cache_info()
     snap = service.stats.snapshot()
-    assert info["invalidated"] == snap["invalidated_entries"] >= member_moves > 0
-    assert info["reused"] == snap["reused_entries"] > 0
+    assert info["invalidated"] == snap["invalidated_entries"] == 30
+    assert info["reused"] == snap["reused_entries"] == 30 * len(social)
     assert "repaired" not in info and "repaired_entries" not in snap
     service.close()
