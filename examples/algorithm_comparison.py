@@ -18,7 +18,7 @@ from repro.core.engine import METHODS
 dataset = gowalla_like(n=4_000, seed=7)
 engine = GeoSocialEngine.from_dataset(dataset)
 
-users = list(engine.located_users())[:10]
+users = engine.located_users()[:10].tolist()
 k, alpha = 20, 0.3
 
 print(f"dataset: {dataset.stats()}")

@@ -20,7 +20,7 @@ print(f"engine:  {engine}")
 
 # 3. Ask a social-and-spatial ranking query (SSRQ): the top-10 users
 #    around user 42 weighting social proximity 30% / spatial 70%.
-query_user = next(iter(engine.located_users()))
+query_user = int(engine.located_users()[0])
 result = engine.query(query_user, k=10, alpha=0.3, method="ais")
 
 print(f"\ntop-{result.k} companions for user {query_user} (alpha={result.alpha}):")

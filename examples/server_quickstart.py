@@ -20,7 +20,7 @@ from repro.server import ServerClient, ServerThread
 
 dataset = gowalla_like(n=1_000, seed=7)
 engine = GeoSocialEngine.from_dataset(dataset)
-user = sorted(engine.located_users())[0]
+user = int(engine.located_users()[0])
 
 with QueryService(engine, cache_size=1024) as service:
     with ServerThread(service, workers=2, queue_depth=32) as handle:
@@ -35,7 +35,7 @@ with QueryService(engine, cache_size=1024) as service:
 
         # --- A batch is one job: one query_many on one worker --------------
         batch = client.query_batch(
-            [{"user": u} for u in sorted(engine.located_users())[:8]],
+            [{"user": u} for u in engine.located_users()[:8].tolist()],
             k=5,
             alpha=0.3,
         )

@@ -22,7 +22,7 @@ from repro.service import QueryRequest, QueryService
 
 dataset = gowalla_like(n=2_000, seed=7)
 engine = GeoSocialEngine.from_dataset(dataset)
-located = list(engine.located_users())
+located = engine.located_users().tolist()
 
 # --- Skewed traffic through the service -------------------------------------
 arrivals = zipf_arrivals(located, count=400, skew=1.1, seed=3)

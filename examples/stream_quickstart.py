@@ -24,7 +24,7 @@ from repro.stream import SubscriptionRegistry
 
 dataset = gowalla_like(n=2_000, seed=7)
 engine = GeoSocialEngine.from_dataset(dataset)
-located = list(engine.located_users())
+located = engine.located_users().tolist()
 
 service = QueryService(engine, cache_size=1024)
 registry = SubscriptionRegistry(service)

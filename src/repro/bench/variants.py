@@ -103,12 +103,17 @@ VARIANTS: "dict[str, Callable]" = {
 
 def variant_searcher(engine, method: str, t: int | None = None):
     """The searcher object behind variant ``method`` over ``engine``'s
-    graph, location table and indexes (cached per engine)."""
+    graph, location table and indexes (cached per engine, and built
+    again once a location update has dropped the engine's grid)."""
     if method != "ais-cache":
         t = None  # one searcher whatever ``t`` rides along
     elif t is None:
         t = DEFAULT_T
-    return _memoised(engine, (method, t), lambda: VARIANTS[method](engine, t))
+    grid = engine.grid
+    held = _MEMO.setdefault(engine, {}).get((method, t))
+    if held is None or held[0] is not grid:
+        held = _MEMO[engine][(method, t)] = (grid, VARIANTS[method](engine, t))
+    return held[1]
 
 
 def run_query(
@@ -122,7 +127,7 @@ def run_query(
     if method not in VARIANTS:
         return engine.query(user, k, alpha, method)
     request = QueryRequest(user, k, alpha, method)
-    route = static_choice(request.alpha)
+    route = "spa" if request.alpha == 0.0 else static_choice(request.alpha)
     if route is not None:
         return engine.query(request.user, request.k, request.alpha, route)
     result = variant_searcher(engine, method, t).search(request.user, request.k, request.alpha)

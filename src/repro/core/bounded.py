@@ -44,20 +44,32 @@ ball), so everyone inside scores bit-identically to bruteforce.  Anyone
 outside has ``p > r``, hence ``score ≥ fl(w_social·p) ≥ fl(w_social·r)
 > θ̂``, and at least ``k`` users inside score ``≤ θ̂`` — so no outsider
 is among the ``(score, id)``-smallest ``k``, ties included.
+
+**No social term** (``α = 0``, or an ``α`` whose social weight
+underflows to 0): the same rule in space, over one k-d tree of the
+located users (:class:`LocatedTree`, which a location update only
+marks).  The tree proposes the query point's ``k`` nearest users;
+their ``k``-th score is ``θ̂``, and the tree's ball at
+``r = _radius_for(θ̂, w_spatial)`` (widened for the tree's rounding)
+holds everyone who can score ``≤ θ̂``, boundary ties and ties that
+underflow to 0 included.  Every candidate is re-scored with the
+``sqrt(dx² + dy²)`` bruteforce uses, so the ``(score, id)`` order is
+bruteforce's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 import time
+from itertools import repeat
 
 import numpy as np
 
 from repro.backend import NumpyKernels
-from repro.core.bruteforce import BruteForceSearch
 from repro.core.ranking import Normalization, RankingFunction
-from repro.core.result import SSRQResult
+from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
 from repro.social.scan import dense_scan, spatial_column
@@ -71,6 +83,73 @@ _PROFILE_SOURCES = 3
 #: the first ball is skipped when the predicted radius holds this share
 #: of what a source reaches
 _WHOLE_GRAPH = 0.999
+
+
+class LocatedTree:
+    """A ``cKDTree`` over the located users, built by the first reader
+    under ``lock``.  A location update only marks its user dirty
+    (:meth:`mark`); a reader drops the dirty users from what the tree
+    proposes and adds each one located now, so it proposes the current
+    table.  Like the grid, it is derived data and never saved."""
+
+    def __init__(self, locations: LocationTable, lock=None) -> None:
+        self.locations = locations
+        self._lock = lock if lock is not None else threading.Lock()
+        #: ``[tree, ids, dirty, view]``: ``ids``' positions at build
+        #: time, the users updated since, and what readers derive from
+        #: them (``None`` until the first reader after an update)
+        self._built = None
+
+    def mark(self, user: int) -> None:
+        """``user`` moved, arrived or left (unlocked, like the update)."""
+        built = self._built
+        if built is not None:
+            built[2].add(user)
+            built[3] = None
+
+    def refresh(self) -> "tuple[int, bool]":
+        """Build the tree if there is none, or again if more users are
+        dirty than the square root of its size: ``(dirty users found,
+        whether it built)``."""
+        built = self._built
+        found = 0 if built is None else len(built[2])
+        stale = built is None or found > math.isqrt(len(built[1]))
+        if stale:
+            # imported here: scipy.spatial costs ≈ 0.12 s and 8 MiB, which
+            # only an α = 0 query should pay
+            from scipy.spatial import cKDTree
+
+            with self._lock:
+                if self._built is built:
+                    xs, ys = self.locations.columns()
+                    ids = np.flatnonzero(~np.isnan(xs))
+                    self._built = [cKDTree(np.column_stack((xs[ids], ys[ids]))), ids, set(), None]
+        return found, stale
+
+    def near(self, x: float, y: float, user: int, count=None, radius=None) -> np.ndarray:
+        """The users located now, ``user`` excepted, who may lie nearest
+        ``(x, y)``: the clean ones among the tree's ``count + 1``
+        nearest, or every clean one within ``radius`` (``inf``: all),
+        and every dirty user located now.  :meth:`refresh` first.  The
+        tree compares squared distances, so the ball's square is
+        widened past ``radius²`` by a relative 2**-43 and four subnormal
+        ulps, for its rounding."""
+        built = self._built
+        tree, ids, dirty, view = built
+        if view is None:  # the tree positions to drop, the dirty users located now
+            moved = np.fromiter(dirty, np.intp, len(dirty))
+            at = np.searchsorted(ids, moved).clip(max=len(ids) - 1)
+            drop = np.zeros(len(ids), bool)
+            drop[at[ids[at] == moved]] = True
+            view = built[3] = (drop, moved[~np.isnan(self.locations.xs[moved])])
+        drop, moved = view
+        if radius is None:
+            found = np.atleast_1d(tree.query((x, y), min(count + 1, len(ids)))[1])
+        else:
+            ball = math.sqrt(radius * radius * (1 + 2**-43) + 2**-1072)
+            found = np.asarray(tree.query_ball_point((x, y), ball), np.intp)
+        here = np.concatenate((ids[found[~drop[found]]], moved))
+        return here[here != user]
 
 
 def _pooled(columns: list) -> np.ndarray:
@@ -89,6 +168,12 @@ class BoundedSearch:
         >>> bounded = BoundedSearch(g, loc, Normalization(p_max=4.0, d_max=1.5))
         >>> bounded.search(0, k=2, alpha=0.5).users
         [1, 3]
+        >>> bounded.search(0, k=2, alpha=0.0).users
+        [1, 3]
+
+    ``tree`` is the k-d tree ``α = 0`` reads: the engine's, which its
+    location updates mark; by default one of the searcher's own, which
+    nothing marks, so its table must then not move.
     """
 
     def __init__(
@@ -97,11 +182,13 @@ class BoundedSearch:
         locations: LocationTable,
         normalization: Normalization,
         kernels: NumpyKernels | None = None,
+        tree: LocatedTree | None = None,
     ) -> None:
         self.graph = graph
         self.locations = locations
         self.normalization = normalization
         self.kernels = kernels if kernels is not None else NumpyKernels()
+        self.tree = tree if tree is not None else LocatedTree(locations)
         # sampled lazily, once; a racing first query computes the same
         # value twice, which is harmless
         self._profiles = None
@@ -181,14 +268,12 @@ class BoundedSearch:
         check_user(query_user, self.graph.n)
         rank = RankingFunction(alpha, self.normalization)
         kernels = self.kernels
-        if not rank.needs_social:
-            # no social term (the engine routes α = 0 to SPA; a subnormal
-            # α can underflow the weight): no radius bounds the answer
-            return BruteForceSearch(
-                self.graph, self.locations, self.normalization, kernels
-            ).scan(query_user, k, alpha)
         stats = SearchStats()
         start = time.perf_counter()
+        if not rank.needs_social:
+            neighbors = self._nearest(query_user, k, rank, stats)
+            stats.elapsed = time.perf_counter() - start
+            return SSRQResult(query_user, k, alpha, neighbors, stats), None
         n = self.graph.n
         d = spatial_column(kernels, rank, self.locations, query_user)
 
@@ -221,6 +306,34 @@ class BoundedSearch:
         stats.elapsed = time.perf_counter() - start
         result = SSRQResult(query_user, k, alpha, neighbors, stats)
         return result, (column if radius == INF else None)
+
+    def _nearest(self, query_user: int, k: int, rank: RankingFunction, stats) -> list:
+        """The answer without a social term, off the k-d tree (module
+        docstring).  An unlocated query user has no finite score."""
+        where = self.locations.get(query_user)
+        if where is None:
+            return []
+        tree, kernels, w = self.tree, self.kernels, rank.w_spatial
+        xs, ys = self.locations.columns()
+        found, rebuilt = tree.refresh()
+        stats.extra["tree_dirty"] = found
+        stats.extra["tree_rebuilt"] = int(rebuilt)
+
+        def scored(ids):
+            d = kernels.euclidean_to_point(xs, ys, *where, ids=ids)
+            return d, kernels.blend(0.0, w, None, d)
+
+        ids = tree.near(*where, query_user, count=k)
+        d, scores = scored(ids)
+        # fewer than k candidates bound nothing: the ball is everyone
+        theta = float(np.partition(scores, k - 1)[k - 1]) if len(ids) >= k else INF
+        ids = tree.near(*where, query_user, radius=self._radius_for(theta, w))
+        d, scores = scored(ids)
+        stats.evaluations = stats.candidates_scored = len(ids)
+        top = kernels.top_k_by_score(scores, ids, k)
+        return list(
+            map(Neighbor, ids[top].tolist(), scores[top].tolist(), repeat(INF), d[top].tolist())
+        )
 
     def search(self, query_user: int, k: int, alpha: float) -> SSRQResult:
         """Answer the query (uniform searcher signature)."""

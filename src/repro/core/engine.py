@@ -18,8 +18,9 @@ Served methods (paper names; one row each in
 ``tsa-qc``        TSA with Quick Combine probing
 ``ais``           Aggregate Index Search, all optimisations (Section 5)
 ``bounded``       SFA's stopping rule as one radius-limited kernel call
+                  (at ``alpha == 0``: over a k-d tree)
 ``bruteforce``    exact reference scan
-``auto``          ``bounded`` with the static routes (:mod:`repro.plan`)
+``auto``          ``bounded``, and SFA at ``alpha == 1`` (:mod:`repro.plan`)
 ================  ====================================================
 
 The figure-only variants of the paper's evaluation (``ais-minus``,
@@ -31,20 +32,25 @@ At the preference endpoints the engine routes degenerate requests the
 way the definitions demand: ``alpha == 0`` is a pure spatial query
 (SFA/TSA route to SPA) and ``alpha == 1`` a pure social one
 (SPA/TSA/AIS route to SFA).  ``method="auto"`` resolves per query
-through the engine's :class:`~repro.plan.Planner` — the endpoint routes,
-and ``bounded`` in the interior — and returns the same ranking any
-fixed method would.  A query user without a location is answerable only
+through the engine's :class:`~repro.plan.Planner` — SFA at
+``alpha == 1``, ``bounded`` below it — and returns the same ranking
+any fixed method would.  The paper's grid and aggregate index serve
+only the named ``spa`` / ``tsa`` / ``tsa-qc`` / ``ais``: a location
+update drops them, and it only marks the k-d tree ``bounded`` reads at
+``alpha == 0``.  A query user without a location is answerable only
 at ``alpha == 1``; below it every method raises the same ``ValueError``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from repro.backend import NumpyKernels
 from repro.core.ais import AggregateIndexSearch, AISVariant
-from repro.core.bounded import BoundedSearch
+from repro.core.bounded import BoundedSearch, LocatedTree
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.ranking import Normalization
 from repro.core.request import QueryRequest
@@ -94,7 +100,8 @@ class GeoSocialEngine:
         True
 
     Owns the data and the derived state every searcher shares (kernels,
-    normalization, social column cache, planner, and the three indexes
+    normalization, social column cache, planner, the k-d tree
+    ``bounded`` answers ``alpha == 0`` from, and the three indexes
     derived from the data: SPA's grid, the landmark index and the
     aggregate index, each built by its first reader), one searcher
     object per method, the one query pipeline, the location update
@@ -183,7 +190,7 @@ class GeoSocialEngine:
         #: rebuild, so its counters carry on)
         self.planner = Planner()
         #: SPA's grid and AIS's index (see :attr:`grid`, :attr:`aggregate`);
-        #: maintained by location updates only once they exist
+        #: a location update drops both
         self._grid: UniformGrid | None = None
         self._aggregate: AggregateIndex | None = None
         self._searchers: dict[str, object] = {}
@@ -194,6 +201,9 @@ class GeoSocialEngine:
         # never build the same component twice or observe a half-built
         # one.
         self._build_lock = threading.RLock()
+        #: the k-d tree ``bounded`` answers ``alpha == 0`` from; a
+        #: location update only marks it
+        self.tree = LocatedTree(locations, self._build_lock)
 
     @classmethod
     def from_dataset(cls, dataset, **kwargs):
@@ -206,13 +216,12 @@ class GeoSocialEngine:
     @property
     def grid(self) -> UniformGrid:
         """SPA's grid: ``s² x s²`` cells over the located users (built
-        on first use, once, under the build lock, from the current
-        locations; kept current by every later location update).
-        ``spa``, ``tsa`` and the aggregate index read it; nothing on the
-        interior ``auto`` path does.  Like :attr:`aggregate`, it must
-        not be built while a location update runs: a service's queries
-        build it under the service's read lock, which excludes its
-        moves."""
+        on first use, under the build lock, from the current locations;
+        a location update drops it, and the next reader builds it
+        again).  ``spa``, ``tsa`` and the aggregate index read it;
+        nothing ``auto`` runs does.  Like :attr:`aggregate`, it must not
+        be built while a location update runs: a service's queries build
+        it under the service's read lock, which excludes its moves."""
         if self._grid is None:
             with self._build_lock:
                 if self._grid is None:
@@ -235,17 +244,16 @@ class GeoSocialEngine:
     @property
     def aggregate(self) -> AggregateIndex:
         """The aggregate index (built on first use; only ``ais`` and the
-        reproduction tier's AIS variants read it).  Its leaf level is a
-        copy of :attr:`grid` — same cells, same in-cell order — so an
-        index built late equals one kept from the start.  Like
-        :attr:`grid`, it must not be built while a location update
-        runs (a service's queries build it under the service's read
-        lock)."""
+        reproduction tier's AIS variants read it).  Its leaf level is
+        :attr:`grid` itself, which neither mutates; a location update
+        drops both.  Like :attr:`grid`, it must not be built while a
+        location update runs (a service's queries build it under the
+        service's read lock)."""
         if self._aggregate is None:
             with self._build_lock:
                 if self._aggregate is None:
                     self._aggregate = AggregateIndex(
-                        MultiLevelGrid.from_grid(self.grid.copy(), self.s),
+                        MultiLevelGrid.from_grid(self.grid, self.s),
                         self.landmarks,
                         self.locations,
                     )
@@ -333,8 +341,10 @@ class GeoSocialEngine:
     # -- dynamic locations -----------------------------------------------
 
     def move_user(self, user: int, x: float, y: float) -> None:
-        """Process a location update: refresh the location table and
-        (once built) the grid and the aggregate index.
+        """Process a location update: write the location table, mark
+        the k-d tree, and drop the grid, the aggregate index and the
+        searchers built over them (their next reader builds them again
+        from the table).
 
         Takes no lock, so it must not run beside a query or another
         update.  A served engine is moved through
@@ -343,32 +353,26 @@ class GeoSocialEngine:
         tells its followers.
         """
         check_user(user, self.graph.n)
-        had_location = self.locations.has_location(user)
         self.locations.set(user, x, y)  # checks the input domain first
-        if had_location:
-            if self._grid is not None:
-                self._grid.move(user, x, y)
-            if self._aggregate is not None:
-                self._aggregate.move_user(user, x, y)
-        else:
-            if self._grid is not None:
-                self._grid.insert(user, x, y)
-            if self._aggregate is not None:
-                self._aggregate.insert_user(user, x, y)
+        self._moved(user)
 
     def forget_location(self, user: int) -> bool:
-        """Mark a user's location as unknown and de-index them, like
-        :meth:`move_user` (unlocked).  Returns whether the user had a
-        location to forget."""
+        """Mark a user's location as unknown, like :meth:`move_user`
+        (unlocked).  Returns whether the user had a location to
+        forget."""
         check_user(user, self.graph.n)
         if not self.locations.has_location(user):
             return False
         self.locations.clear(user)
-        if self._grid is not None:
-            self._grid.remove(user)
-        if self._aggregate is not None:
-            self._aggregate.remove_user(user)
+        self._moved(user)
         return True
+
+    def _moved(self, user: int) -> None:
+        self.tree.mark(user)
+        if self._grid is not None or self._aggregate is not None:
+            self._grid = self._aggregate = None
+            for method in _OVER_THE_GRID:
+                self._searchers.pop(method, None)
 
     # -- rebuild ----------------------------------------------------------
 
@@ -409,8 +413,9 @@ class GeoSocialEngine:
 
     # -- introspection ----------------------------------------------------
 
-    def located_users(self) -> Sequence[int]:
-        return list(self.locations.located_users())
+    def located_users(self) -> np.ndarray:
+        """The located users' ids, ascending, as an ``intp`` array."""
+        return np.flatnonzero(~np.isnan(self.locations.xs))
 
     def __repr__(self) -> str:
         return (
@@ -426,6 +431,11 @@ def _twofold(engine: GeoSocialEngine, **options) -> TwofoldSearch:
     )
 
 
+#: the searchers built over the grid or the aggregate index, which a
+#: location update drops with them: the index-based rows, which route
+#: ``alpha == 1`` to SFA (:attr:`repro.plan.rules.MethodSpec.alpha1`)
+_OVER_THE_GRID = frozenset(name for name, spec in METHOD_TABLE.items() if spec.alpha1)
+
 #: ``name -> builder(engine)``: how each :data:`METHODS` row's searcher
 #: is made from an engine's parts
 SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
@@ -440,7 +450,7 @@ SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
         AISVariant.full(), kernels=e.kernels,
     ),
     "bounded": lambda e: BoundedSearch(
-        e.graph, e.locations, e.normalization, kernels=e.kernels
+        e.graph, e.locations, e.normalization, kernels=e.kernels, tree=e.tree
     ),
     "bruteforce": lambda e: BruteForceSearch(
         e.graph, e.locations, e.normalization, kernels=e.kernels

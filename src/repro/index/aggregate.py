@@ -8,16 +8,20 @@ spatial extent this yields ``MINF``, a lower bound on the ranking score
 of every user in the cell (Theorem 1), enabling the unified
 branch-and-bound search of :class:`~repro.core.ais.AggregateIndexSearch`.
 
-Location updates follow the paper's protocol: deletion from the old
-leaf, insertion into the new one; summaries shrink by recomputation when
-a boundary-defining member leaves, widen in O(M) on insertion, and
-changes propagate recursively to parent nodes.
+The paper maintains the index on every location update (deletion from
+the old leaf, insertion into the new one, summaries widened or
+recomputed up the hierarchy).  Here an index is built once over a
+location table, in one pass, and the engine drops it on a location
+update: its next ``ais`` query builds another from the current table.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 from repro.graph.landmarks import LandmarkIndex
 from repro.index.summaries import SocialSummary
@@ -64,22 +68,29 @@ class AggregateIndex:
         return cls(MultiLevelGrid.build(locations, s), landmarks, locations)
 
     def _rebuild_summaries(self) -> None:
-        m = self.landmarks.m
-        vector = self.landmarks.vector
-        self.leaf_summaries = {}
-        for leaf, users in self.grid.leaf_grid.cells.items():
-            self.leaf_summaries[leaf] = SocialSummary.of_vectors(
-                m, (vector(u) for u in users)
-            )
-        self.top_summaries = {}
-        for leaf, summary in self.leaf_summaries.items():
-            top = self.grid.parent_of(leaf)
-            parent = self.top_summaries.get(top)
-            if parent is None:
-                parent = SocialSummary(m)
-                self.top_summaries[top] = parent
-            parent.widen(summary.m_check)
-            parent.widen(summary.m_hat)
+        """Every node's summary in one pass: a min and a max
+        ``reduceat`` over the landmark matrix's columns, grouped by leaf,
+        then over the leaves' bounds, grouped by top node."""
+        cells = self.grid.leaf_grid.cells
+        if not cells:
+            return
+        leaves = list(cells)
+        sizes = [len(members) for members in cells.values()]
+        members = np.fromiter(chain.from_iterable(cells.values()), np.intp, sum(sizes))
+        rows = self.landmarks.matrix[:, members]
+        starts = np.cumsum([0] + sizes[:-1])
+        low = np.minimum.reduceat(rows, starts, axis=1)
+        high = np.maximum.reduceat(rows, starts, axis=1)
+        self.leaf_summaries = _summaries(leaves, low, high)
+        parents = [self.grid.parent_of(leaf) for leaf in leaves]
+        order = sorted(range(len(leaves)), key=parents.__getitem__)
+        tops = [parents[i] for i in order]
+        starts = [i for i, top in enumerate(tops) if i == 0 or top != tops[i - 1]]
+        self.top_summaries = _summaries(
+            [tops[i] for i in starts],
+            np.minimum.reduceat(low[:, order], starts, axis=1),
+            np.maximum.reduceat(high[:, order], starts, axis=1),
+        )
 
     # -- search-facing accessors ----------------------------------------
 
@@ -126,86 +137,10 @@ class AggregateIndex:
     def __contains__(self, user: int) -> bool:
         return user in self.grid
 
-    # -- maintenance -------------------------------------------------------
 
-    def insert_user(self, user: int, x: float, y: float) -> None:
-        """Index a (newly located) user at ``(x, y)``.
-
-        The caller is responsible for having updated the location table
-        first (the index reads member coordinates on recomputation).
-        """
-        leaf = self.grid.insert(user, x, y)
-        self._widen(leaf, self.landmarks.vector(user))
-
-    def remove_user(self, user: int) -> None:
-        """De-index a user (e.g. their location became unknown)."""
-        leaf = self.grid.leaf_of_user(user)
-        if leaf is None:
-            raise KeyError(f"user {user} is not indexed")
-        self.grid.remove(user)
-        self._shrink(leaf, self.landmarks.vector(user))
-
-    def move_user(self, user: int, x: float, y: float) -> None:
-        """Relocate an indexed user (paper's update protocol: deletion
-        from the old cell + insertion into the new one; an intra-cell
-        move touches no summaries)."""
-        old_leaf = self.grid.leaf_of_user(user)
-        if old_leaf is None:
-            self.insert_user(user, x, y)
-            return
-        new_leaf = self.grid.leaf_of(x, y)
-        if new_leaf == old_leaf:
-            return  # footnote 2: same cell, no maintenance needed
-        vector = self.landmarks.vector(user)
-        self.grid.remove(user)
-        self._shrink(old_leaf, vector)
-        relanded = self.grid.insert(user, x, y)
-        self._widen(relanded, vector)
-
-    # -- summary maintenance helpers ------------------------------------
-
-    def _widen(self, leaf: tuple[int, int], vector: tuple[float, ...]) -> None:
-        summary = self.leaf_summaries.get(leaf)
-        if summary is None:
-            summary = SocialSummary(self.landmarks.m)
-            self.leaf_summaries[leaf] = summary
-        if not summary.widen(vector):
-            return
-        top = self.grid.parent_of(leaf)
-        parent = self.top_summaries.get(top)
-        if parent is None:
-            parent = SocialSummary(self.landmarks.m)
-            self.top_summaries[top] = parent
-        parent.widen(vector)
-
-    def _shrink(self, leaf: tuple[int, int], vector: tuple[float, ...]) -> None:
-        summary = self.leaf_summaries[leaf]
-        members = self.grid.users_in_leaf(leaf)
-        if not members:
-            del self.leaf_summaries[leaf]
-        elif summary.touches(vector):
-            lm_vector = self.landmarks.vector
-            summary.replace_from(lm_vector(u) for u in members)
-        else:
-            # The departing vector defined no bound: nothing changes here
-            # or above.
-            return
-        self._shrink_parent(leaf, vector)
-
-    def _shrink_parent(self, leaf: tuple[int, int], vector: tuple[float, ...]) -> None:
-        top = self.grid.parent_of(leaf)
-        parent = self.top_summaries.get(top)
-        if parent is None:
-            return
-        children = [
-            self.leaf_summaries[child]
-            for child in self.grid.children_of(top)
-            if child in self.leaf_summaries
-        ]
-        if not children:
-            del self.top_summaries[top]
-            return
-        if parent.touches(vector):
-            parent.replace_from(
-                vec for child in children for vec in (child.m_check, child.m_hat)
-            )
+def _summaries(keys: list, low: np.ndarray, high: np.ndarray) -> dict:
+    """``{key: summary}`` from per-key bound columns."""
+    return {
+        key: SocialSummary.of_bounds(m_check, m_hat)
+        for key, m_check, m_hat in zip(keys, low.T.tolist(), high.T.tolist())
+    }

@@ -4,7 +4,7 @@ A summary over a set of vertices keeps, per landmark ``j``, the minimum
 (``m̌[j]``) and maximum (``m̂[j]``) landmark distance among its members
 (paper Section 5.1).  Summaries compose: a parent node's summary is the
 component-wise min/max over its children's, which is how leaf summaries
-propagate upward and how location updates ripple through the index.
+propagate upward.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ INF = math.inf
 
 
 class SocialSummary:
-    """Mutable min/max landmark-distance vectors for one index node."""
+    """Min/max landmark-distance vectors for one index node."""
 
     __slots__ = ("m_check", "m_hat")
 
@@ -29,6 +29,13 @@ class SocialSummary:
     @property
     def empty(self) -> bool:
         return self.m_hat[0] == -INF if self.m_hat else True
+
+    @classmethod
+    def of_bounds(cls, m_check: list, m_hat: list) -> "SocialSummary":
+        """A summary with these bound vectors (lists, adopted)."""
+        summary = cls(0)
+        summary.m_check, summary.m_hat = m_check, m_hat
+        return summary
 
     @classmethod
     def of_vectors(cls, m: int, vectors: Iterable[Sequence[float]]) -> "SocialSummary":
@@ -50,23 +57,6 @@ class SocialSummary:
                 m_hat[j] = value
                 changed = True
         return changed
-
-    def touches(self, vector: Sequence[float]) -> bool:
-        """Whether a member with this vector defines any min/max
-        component — i.e. whether removing it may shrink the summary."""
-        m_check, m_hat = self.m_check, self.m_hat
-        for j, value in enumerate(vector):
-            if value == m_check[j] or value == m_hat[j]:
-                return True
-        return False
-
-    def replace_from(self, vectors: Iterable[Sequence[float]]) -> None:
-        """Recompute both bound vectors from scratch over ``vectors``."""
-        m = len(self.m_check)
-        self.m_check = [INF] * m
-        self.m_hat = [-INF] * m
-        for vector in vectors:
-            self.widen(vector)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialSummary):

@@ -4,9 +4,9 @@
   routing every dispatch path shares (``route_method``), plus the
   ``auto`` sentinel;
 - :mod:`repro.plan.planner` — the :class:`Planner` resolving ``auto``
-  per query by static rules: the endpoint routes, the unlocated-user
-  route, and ``bounded`` everywhere else (which decides for itself
-  whether its first ball pays).
+  per query by static rules: SFA at ``alpha == 1`` and ``bounded``
+  everywhere else (which decides for itself whether its first ball
+  pays, and at ``alpha == 0`` reads a k-d tree).
 
 Both engine kinds own one planner (``engine.planner``) and expose
 ``engine.resolve_method(...)``; the service layer looks an ``auto``

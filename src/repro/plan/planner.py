@@ -11,9 +11,9 @@ rules (an explicit method only takes the endpoint routing of
 :func:`~repro.plan.rules.route_method`, in
 :meth:`~repro.core.engine.GeoSocialEngine.resolve_method`):
 
-1. at ``alpha == 0`` / ``alpha == 1`` the endpoint route
-   (:func:`~repro.plan.rules.static_choice`: SPA / SFA);
-2. everywhere else ``bounded``.
+1. at ``alpha == 1`` SFA (:func:`~repro.plan.rules.static_choice`);
+2. everywhere else ``bounded``, which at ``alpha == 0`` reads its k-d
+   tree instead of a social column.
 
 (An unlocated query user below ``alpha == 1`` is rejected by the
 engine itself, for ``auto`` and every named method alike.)
@@ -52,7 +52,7 @@ class PlannerStats:
 
     #: ``auto`` requests resolved (static routes included)
     auto_resolutions: int = 0
-    #: ``auto`` requests resolved by an endpoint route
+    #: ``auto`` requests resolved by the ``alpha == 1`` route
     static_routes: int = 0
     #: resolved-method counts over ``auto`` requests
     per_method: dict = field(default_factory=dict)

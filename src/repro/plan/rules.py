@@ -11,15 +11,15 @@ row here plus one builder in ``repro.core.engine.SEARCHER_BUILDERS``.
 Two kinds of request resolve by these rules alone:
 
 - **endpoint degeneration** — at ``alpha == 0`` an SSRQ is a pure
-  spatial query and at ``alpha == 1`` a pure social one, so the
-  requested method *must* be replaced by the one whose candidate stream
-  is complete there (the row's ``alpha0`` / ``alpha1``);
+  spatial query and at ``alpha == 1`` a pure social one, so a paper
+  method whose candidate stream is incomplete there *must* be replaced
+  by one whose stream is complete (the row's ``alpha0`` / ``alpha1``);
 - **explicit methods** — a concrete method name passes through
   :func:`route_method` unchanged away from the endpoints.
 
 ``method="auto"`` (:data:`AUTO`) is resolved by the planner
-(:mod:`repro.plan.planner`): at the endpoints it takes the same static
-route as everything else, in the interior it runs ``bounded``.
+(:mod:`repro.plan.planner`): SFA at ``alpha == 1``, ``bounded``
+everywhere else (at ``alpha == 0`` off its k-d tree).
 
 This module is import-light on purpose (no :mod:`repro.core` imports),
 so every layer can read the table without an import cycle.
@@ -77,9 +77,10 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     "ais": MethodSpec(alpha1="sfa", forward=False),
     # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
     # over the ball that can hold an answer + one dense scan (or the
-    # full column when that ball would hold nearly everyone); what
-    # ``auto`` runs at interior alpha
-    "bounded": MethodSpec(alpha0="spa"),
+    # full column when that ball would hold nearly everyone), and at
+    # alpha == 0 the same rule over a k-d tree; what ``auto`` runs
+    # below alpha == 1
+    "bounded": MethodSpec(),
     # "the column + one dense scan": the exact reference
     "bruteforce": MethodSpec(),
 }
@@ -112,15 +113,12 @@ def route_method(method: str, alpha: float) -> str:
 
 
 def static_choice(alpha: float) -> str | None:
-    """The forced ``auto`` resolution at the preference endpoints, or
-    ``None`` in the interior.
+    """The forced ``auto`` resolution: SFA at ``alpha == 1``, where no
+    spatial index reaches the unlocated users a pure social answer
+    holds; ``None`` below it.
 
         >>> from repro.plan.rules import static_choice
         >>> static_choice(0.0), static_choice(1.0), static_choice(0.5)
-        ('spa', 'sfa', None)
+        (None, 'sfa', None)
     """
-    if alpha == 0.0:
-        return "spa"
-    if alpha == 1.0:
-        return "sfa"
-    return None
+    return "sfa" if alpha == 1.0 else None

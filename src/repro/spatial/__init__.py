@@ -1,15 +1,17 @@
 """Spatial substrate: points, bounding boxes, grid indexes, NN search.
 
-The paper keeps user locations in a main-memory regular grid and
-retrieves nearest neighbours with a branch-and-bound incremental search
-(the combination recommended for dynamic in-memory spatial data, its
-reference [35]).  This package provides:
+The paper keeps user locations in a main-memory regular grid, updated
+in place on every move, and retrieves nearest neighbours with a
+branch-and-bound incremental search (the combination recommended for
+dynamic in-memory spatial data, its reference [35]).  Here the grids
+serve only the paper's named methods and are rebuilt by their next
+reader after a move.  This package provides:
 
 - :mod:`repro.spatial.point` — Euclidean geometry, bounding boxes, and
   the :class:`~repro.spatial.point.LocationTable` storing (possibly
   missing) user locations;
-- :mod:`repro.spatial.grid` — a single-level uniform grid with O(1)
-  location updates;
+- :mod:`repro.spatial.grid` — a single-level uniform grid, built once
+  over a location table;
 - :mod:`repro.spatial.nn` — incremental (distance-ordered) nearest
   neighbour search over the grid;
 - :mod:`repro.spatial.multigrid` — the multi-level grid underlying the

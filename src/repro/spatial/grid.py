@@ -2,14 +2,16 @@
 
 A regular grid with ``resolution x resolution`` cells over the bounding
 box of the data.  This is the index used by the Spatial First Approach
-(paper Section 4.1): it supports O(1) location updates and, together
-with :mod:`repro.spatial.nn`, incremental branch-and-bound nearest
-neighbour retrieval.
+(paper Section 4.1): together with :mod:`repro.spatial.nn`, it serves
+incremental branch-and-bound nearest neighbour retrieval.  The paper
+updates it in place on every move; here a grid is built once over a
+location table and never changes, and the engine drops it on a
+location update (its next reader builds another).
 
-Points that fall outside the construction bounding box (possible after
-location updates) are clamped to the border cells, which keeps lookups
-correct: a cell's spatial extent is only used to compute *lower* bounds
-of distances, and border cells are conceptually unbounded outward.
+Points that fall outside the bounding box are clamped to the border
+cells, which keeps lookups correct: a cell's spatial extent is only
+used to compute *lower* bounds of distances, and border cells are
+conceptually unbounded outward.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ def _cells(values, lo: float, size: float, cells: int):
 class UniformGrid:
     """Uniform grid mapping cell coordinates to lists of user ids.
 
-    Cell membership is kept in Python lists (O(1) append on insert);
-    :meth:`ids_in` serves the same membership as a cached contiguous
-    id-array — the columnar form the vectorized kernels of
-    :mod:`repro.backend` consume — invalidated per cell on mutation.
+    Cell membership is kept in Python lists; :meth:`ids_in` serves the
+    same membership as a cached contiguous id-array — the columnar form
+    the vectorized kernels of :mod:`repro.backend` consume.
     """
 
     __slots__ = ("bbox", "nx", "ny", "cell_w", "cell_h", "cells", "_cell_of_user", "_ids_cache")
@@ -66,11 +67,10 @@ class UniformGrid:
         locations: LocationTable,
         resolution: int,
     ) -> "UniformGrid":
-        """Build a grid over every located user in ``locations``: the
-        cells and in-cell order (ascending id) of inserting them one by
-        one, in one vectorised pass.  With no located user the grid is
-        empty, over the point box at the origin; the first insert lands
-        in a (clamped) border cell."""
+        """Build a grid over every located user in ``locations``, in one
+        vectorised pass: members in ascending id within a cell, and
+        cells in the order of their smallest member.  With no located
+        user the grid is empty, over the point box at the origin."""
         xs, ys = locations.columns()
         users = _np.flatnonzero(~_np.isnan(xs))
         if not users.size:
@@ -92,14 +92,6 @@ class UniformGrid:
             grid.cells[coords[cell]] = members[bounds[cell]:bounds[cell + 1]]
         cell_of = _np.searchsorted(sorted_keys[starts], keys).tolist()
         grid._cell_of_user = dict(zip(users.tolist(), map(coords.__getitem__, cell_of)))
-        return grid
-
-    def copy(self) -> "UniformGrid":
-        """An independent grid with the same cells, member lists (in
-        order) and extent."""
-        grid = type(self)(self.bbox, self.nx)
-        grid.cells = {coords: list(members) for coords, members in self.cells.items()}
-        grid._cell_of_user = dict(self._cell_of_user)
         return grid
 
     # -- geometry ---------------------------------------------------------
@@ -134,49 +126,13 @@ class UniformGrid:
         cell ``(ix, iy)``.  Border cells are treated as unbounded outward
         so that clamped out-of-box points never violate the bound."""
         if (ix == 0 or ix == self.nx - 1) and not self.bbox.contains(x, y):
-            # Conservative: out-of-box geometry only arises via clamped
-            # insertions; bound from the inner edges only.
+            # Conservative: bound from the inner edges only.
             return 0.0
         if (iy == 0 or iy == self.ny - 1) and not self.bbox.contains(x, y):
             return 0.0
         return self.cell_bbox(ix, iy).mindist(x, y)
 
     # -- contents ---------------------------------------------------------
-
-    def insert(self, user: int, x: float, y: float) -> tuple[int, int]:
-        """Add ``user`` at ``(x, y)``; returns the cell it landed in."""
-        if user in self._cell_of_user:
-            raise ValueError(f"user {user} already present; use move()")
-        coords = self.cell_of(x, y)
-        self.cells.setdefault(coords, []).append(user)
-        self._cell_of_user[user] = coords
-        self._ids_cache.pop(coords, None)
-        return coords
-
-    def remove(self, user: int) -> tuple[int, int]:
-        """Remove ``user``; returns the cell it was removed from."""
-        coords = self._cell_of_user.pop(user)
-        members = self.cells[coords]
-        members.remove(user)
-        if not members:
-            del self.cells[coords]
-        self._ids_cache.pop(coords, None)
-        return coords
-
-    def move(self, user: int, x: float, y: float) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Relocate ``user``; returns ``(old_cell, new_cell)``.
-
-        A move within the same cell only requires updating the caller's
-        coordinate table, mirroring the paper's footnote 2.
-        """
-        old = self._cell_of_user[user]
-        new = self.cell_of(x, y)
-        if new != old:
-            self.remove(user)
-            self.cells.setdefault(new, []).append(user)
-            self._cell_of_user[user] = new
-            self._ids_cache.pop(new, None)
-        return old, new
 
     def cell_of_user(self, user: int) -> tuple[int, int] | None:
         return self._cell_of_user.get(user)
@@ -185,8 +141,7 @@ class UniformGrid:
         return self.cells.get((ix, iy), [])
 
     def ids_in(self, ix: int, iy: int):
-        """Cell membership as a contiguous ``intp`` id-array (cached;
-        rebuilt lazily after a mutation touches the cell)."""
+        """Cell membership as a contiguous ``intp`` id-array (cached)."""
         coords = (ix, iy)
         members = self.cells.get(coords)
         if members is None:

@@ -10,10 +10,10 @@ below, and only the lowest two levels of the hierarchy are materialised
   resolution of ``s^2 x s^2``.
 
 Cells are stored sparsely; empty cells occupy no memory and are never
-visited by a search.  The structure supports the location-update
-workflow of the paper: deletion from the old leaf, insertion into the
-new one, with the caller (the aggregate index) maintaining per-cell
-social summaries.
+visited by a search.  The paper updates the structure in place on every
+move (deletion from the old leaf, insertion into the new one); here it
+is built once over a location table, like its leaf grid, and the engine
+drops it on a location update.
 """
 
 from __future__ import annotations
@@ -46,17 +46,14 @@ class MultiLevelGrid:
         locations: LocationTable,
         s: int,
     ) -> "MultiLevelGrid":
-        """Index every located user."""
-        members = list(locations.located_users())
-        grid = cls(locations.bbox(members), s)
-        for user in members:
-            grid.leaf_grid.insert(user, *locations.get(user))
-        return grid
+        """Index every located user (:meth:`UniformGrid.build` at the
+        leaf resolution)."""
+        return cls.from_grid(UniformGrid.build(locations, s * s), s)
 
     @classmethod
     def from_grid(cls, leaf_grid: UniformGrid, s: int) -> "MultiLevelGrid":
-        """Adopt an already-populated leaf grid (the restore path of
-        :mod:`repro.store`).  The leaf resolution must be ``s * s``."""
+        """Adopt an already-populated leaf grid (the engine's, which
+        neither mutates).  The leaf resolution must be ``s * s``."""
         if leaf_grid.nx != s * s or leaf_grid.ny != s * s:
             raise ValueError(
                 f"leaf grid resolution {leaf_grid.nx}x{leaf_grid.ny} != {s * s}x{s * s}"
@@ -114,15 +111,6 @@ class MultiLevelGrid:
         """Leaf membership as a cached contiguous id-array (see
         :meth:`UniformGrid.ids_in`)."""
         return self.leaf_grid.ids_in(leaf[0], leaf[1])
-
-    def leaf_of_user(self, user: int) -> tuple[int, int] | None:
-        return self.leaf_grid.cell_of_user(user)
-
-    def insert(self, user: int, x: float, y: float) -> tuple[int, int]:
-        return self.leaf_grid.insert(user, x, y)
-
-    def remove(self, user: int) -> tuple[int, int]:
-        return self.leaf_grid.remove(user)
 
     def __len__(self) -> int:
         return len(self.leaf_grid)

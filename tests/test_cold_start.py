@@ -14,9 +14,9 @@ Three structural facts behind ``setup_s``:
   ``ais``); neither a snapshot save nor a load builds it;
 - SPA's grid and the aggregate index are derived state too: the grid is
   built by its first reader (``spa``, ``tsa``, the aggregate index),
-  the aggregate index by the first ``ais`` query as a copy of the grid,
-  each kept in step by every later location update, and neither built
-  by a location update, a save or a snapshot load.
+  the aggregate index by the first ``ais`` query over the grid; a
+  location update drops both, and neither is built by a location
+  update, a save or a snapshot load.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def test_calibration_and_auto_run_on_the_kernel_alone(dataset, monkeypatch, tmp_
     try:
         assert engine.planner.calibrate(engine) == 0
         rng = random.Random(3)
-        users = rng.sample(engine.located_users(), 40)
+        users = rng.sample(engine.located_users().tolist(), 40)
         per_miss = []
         for user in users:
             before = tally.columns
@@ -147,7 +147,7 @@ def test_a_served_graph_holds_one_csr(dataset):
     graph = engine.graph
     try:
         rng = random.Random(5)
-        for user in rng.sample(engine.located_users(), 40):
+        for user in rng.sample(engine.located_users().tolist(), 40):
             result = engine.query(user, k=10, alpha=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
             assert result.method == "bounded"
         handle = graph._csr
@@ -226,6 +226,11 @@ def ais_answers(engine, users):
     return out
 
 
+def bruteforce_ids(engine, users):
+    """The ids :func:`ais_answers` must find, as bruteforce ranks them."""
+    return [engine.query(u, k=10, alpha=0.3, method="bruteforce").users for u in users]
+
+
 def update_script(n, seed, count=50):
     """``(user, x, y)`` steps, ``x is None`` a removal: teleporting
     moves (so cells change) that are first-location inserts for the
@@ -248,8 +253,8 @@ def apply(engine, script):
 def test_aggregate_is_built_by_the_first_ais_query_and_follows_updates(dataset, tmp_path):
     lazy, eager = build(dataset), build(dataset)
     try:
-        # before anything else happens, by the insertion scan rather than
-        # from the grid
+        # before anything else happens, by its own build rather than
+        # over the engine's grid
         eager._aggregate = AggregateIndex.build(eager.locations, eager.landmarks, eager.s)
         first, second = (update_script(dataset.graph.n, seed) for seed in (9, 10))
         # query users no step touches, so they keep a location
@@ -260,12 +265,15 @@ def test_aggregate_is_built_by_the_first_ais_query_and_follows_updates(dataset, 
         assert ais_answers(lazy, users) == ais_answers(eager, users)
         assert lazy._aggregate is not None
 
+        # a move drops the index; the next ais query builds it again
         for engine in (lazy, eager):
             apply(engine, first)
+            assert engine._aggregate is None and engine._grid is None
         assert ais_answers(lazy, users) == ais_answers(eager, users)
+        assert [ids for ids, _ in ais_answers(lazy, users)] == bruteforce_ids(lazy, users)
 
         # a snapshot neither stores nor rebuilds the index; the restored
-        # engine derives it on its first ais query and maintains it
+        # engine derives it on its first ais query, and drops it on a move
         restored = load_engine(save_engine(lazy, tmp_path / "snap"), mmap=True)
         try:
             assert restored._aggregate is None
@@ -273,6 +281,9 @@ def test_aggregate_is_built_by_the_first_ais_query_and_follows_updates(dataset, 
             for engine in (restored, eager):
                 apply(engine, second)
             assert ais_answers(restored, users) == ais_answers(eager, users)
+            assert [ids for ids, _ in ais_answers(restored, users)] == bruteforce_ids(
+                restored, users
+            )
         finally:
             restored.close()
     finally:

@@ -534,7 +534,7 @@ def test_moves_past_the_grid_span_answer_at_alpha_zero():
     the grid was built over, answer like ``bruteforce``."""
     bound = COORDINATE_BOUND
     engine = GeoSocialEngine.from_dataset(gowalla_like(n=300, seed=7))
-    far, user = sorted(engine.located_users())[:2]
+    far, user = engine.located_users()[:2].tolist()
     with QueryService(engine, cache_size=0) as svc, ServerThread(svc, workers=1) as h:
         with ServerClient(h.host, h.port) as wire:
             status, _, reply = wire.request(

@@ -1,11 +1,12 @@
-"""Tests for the aggregate index: construction, bound validity, and
-update maintenance vs. full rebuild."""
+"""Tests for the aggregate index: construction, bound validity, and an
+engine's index after location updates vs. a fresh build."""
 
 import math
 import random
 
 import pytest
 
+from repro.core.engine import GeoSocialEngine
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.traversal import dijkstra_distances
 from repro.index.aggregate import AggregateIndex
@@ -72,81 +73,55 @@ class TestBuild:
 
 
 class TestUpdates:
-    def rebuild(self, locations, lm, index, s=4):
-        """Fresh index over the current locations, reusing the original
-        bounding box (updates never re-derive the grid geometry)."""
-        from repro.spatial.multigrid import MultiLevelGrid
+    """A location update drops the engine's index; the next reader's
+    index equals a fresh build over the current table."""
 
-        grid = MultiLevelGrid(index.grid.bbox, s)
-        for user in locations.located_users():
-            x, y = locations.get(user)
-            grid.insert(user, x, y)
-        return AggregateIndex(grid, lm, locations)
+    @pytest.fixture()
+    def engine(self, setup):
+        g, locations, _, _ = setup
+        engine = GeoSocialEngine(g, locations.copy(), num_landmarks=3, s=4)
+        engine.aggregate  # built before the updates
+        return engine
 
-    def test_move_between_cells_matches_rebuild(self, setup):
-        _, locations, lm, index = setup
-        user = next(locations.located_users())
-        locations.set(user, 0.987, 0.013)
-        index.move_user(user, 0.987, 0.013)
-        assert summaries_equal(index, self.rebuild(locations, lm, index))
+    def fresh(self, engine):
+        return AggregateIndex.build(engine.locations, engine.landmarks, s=4)
 
-    def test_move_within_cell_is_noop(self, setup):
-        _, locations, lm, index = setup
-        user = next(locations.located_users())
-        x, y = locations.get(user)
-        leaf = index.grid.leaf_of(x, y)
-        box = index.grid.leaf_bbox(leaf)
-        nx = (box.minx + box.maxx) / 2
-        ny = (box.miny + box.maxy) / 2
-        locations.set(user, nx, ny)
-        index.move_user(user, nx, ny)
-        assert index.grid.leaf_of_user(user) == leaf
-        assert summaries_equal(index, self.rebuild(locations, lm, index))
+    def test_move_between_cells_matches_rebuild(self, engine):
+        user = int(engine.located_users()[0])
+        engine.move_user(user, 0.987, 0.013)
+        assert summaries_equal(engine.aggregate, self.fresh(engine))
 
-    def test_insert_previously_unlocated(self, setup):
-        _, locations, lm, index = setup
-        user = next(u for u in range(120) if not locations.has_location(u))
-        locations.set(user, 0.5, 0.5)
-        index.insert_user(user, 0.5, 0.5)
-        assert summaries_equal(index, self.rebuild(locations, lm, index))
+    def test_insert_previously_unlocated(self, engine):
+        user = next(u for u in range(120) if not engine.locations.has_location(u))
+        engine.move_user(user, 0.5, 0.5)
+        assert user in engine.aggregate
+        assert summaries_equal(engine.aggregate, self.fresh(engine))
 
-    def test_remove_user(self, setup):
-        _, locations, lm, index = setup
-        user = next(locations.located_users())
-        index.remove_user(user)
-        locations.clear(user)
-        assert summaries_equal(index, self.rebuild(locations, lm, index))
+    def test_remove_user(self, engine):
+        user = int(engine.located_users()[0])
+        assert engine.forget_location(user)
+        assert user not in engine.aggregate
+        assert summaries_equal(engine.aggregate, self.fresh(engine))
 
-    def test_remove_unindexed_raises(self, setup):
-        _, locations, _, index = setup
-        user = next(u for u in range(120) if not locations.has_location(u))
-        with pytest.raises(KeyError):
-            index.remove_user(user)
-
-    def test_random_update_storm_matches_rebuild(self, setup):
-        _, locations, lm, index = setup
+    def test_random_update_storm_matches_rebuild(self, engine):
         rng = random.Random(7)
-        for _ in range(120):
+        for step in range(120):
             user = rng.randrange(120)
-            action = rng.random()
-            if action < 0.7:
-                x, y = rng.random(), rng.random()
-                locations.set(user, x, y)
-                index.move_user(user, x, y)
-            elif locations.has_location(user):
-                index.remove_user(user)
-                locations.clear(user)
-        assert summaries_equal(index, self.rebuild(locations, lm, index))
+            if rng.random() < 0.7:
+                engine.move_user(user, rng.random(), rng.random())
+            else:
+                engine.forget_location(user)
+            if step % 10 == 0:
+                assert summaries_equal(engine.aggregate, self.fresh(engine))
+        assert summaries_equal(engine.aggregate, self.fresh(engine))
 
-    def test_empty_cell_summaries_are_dropped(self, setup):
-        _, locations, lm, index = setup
-        # Move every user into one corner cell: all other summaries gone.
-        for user in list(locations.located_users()):
-            locations.set(user, 0.001, 0.001)
-            index.move_user(user, 0.001, 0.001)
-        assert len(index.leaf_summaries) == 1
-        assert len(index.top_summaries) == 1
-        assert summaries_equal(index, self.rebuild(locations, lm, index))
+    def test_empty_cell_summaries_are_dropped(self, engine):
+        # Move every user onto one point: all other summaries gone.
+        for user in engine.located_users().tolist():
+            engine.move_user(user, 0.001, 0.001)
+        assert len(engine.aggregate.leaf_summaries) == 1
+        assert len(engine.aggregate.top_summaries) == 1
+        assert summaries_equal(engine.aggregate, self.fresh(engine))
 
 
 class TestSpatialMindist:

@@ -1,4 +1,4 @@
-"""Tests for per-cell social summary maintenance."""
+"""Tests for per-cell social summaries."""
 
 import math
 
@@ -28,20 +28,6 @@ def test_widen_reports_changes():
     assert s.widen((5.0,)) is True
     assert s.widen((3.0,)) is False  # inside [2, 5]
     assert s.m_hat == [5.0]
-
-
-def test_touches_boundary_vectors():
-    s = SocialSummary.of_vectors(2, [(1.0, 5.0), (3.0, 2.0)])
-    assert s.touches((1.0, 9.9))  # defines m_check[0]
-    assert s.touches((2.0, 5.0))  # defines m_hat[1]
-    assert not s.touches((2.0, 3.0))
-
-
-def test_replace_from_recomputes():
-    s = SocialSummary.of_vectors(1, [(1.0,), (9.0,)])
-    s.replace_from([(4.0,), (6.0,)])
-    assert s.m_check == [4.0]
-    assert s.m_hat == [6.0]
 
 
 def test_infinite_vectors_supported():

@@ -282,3 +282,65 @@ def test_one_domain_at_every_entry_point(entry, side, past, tmp_path):
             for method in METHODS + (AUTO,):
                 request = QueryRequest(user, k=N, alpha=alpha, method=method)
                 assert_answer(engine.query(request), want, request)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["low", "high"])
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_alpha_0_reads_each_coordinate_bound_through_the_k_d_tree(field, side):
+    """``auto`` at ``α = 0`` (and at an ``α`` whose social weight
+    underflows to 0) after ``bounded``'s k-d tree is built: a user moved
+    to the bound is a dirty user the tree's answer merges, and users
+    moved to the bound past the rebuild bound are read from a rebuilt
+    tree; every user and ``k`` ranks like the model."""
+    at = BOUNDS["coordinate"][side][0]
+    engine = base_engine()
+    engine.query(0, 1, 0.0)  # builds the tree over the base table
+
+    def ranks_like_the_model(dirty, rebuilt):
+        model = Model.of_engine(engine)
+        for user in range(N):
+            for k in range(1, N + 1):
+                for alpha in (0.0, 5e-324):
+                    request = QueryRequest(user, k=k, alpha=alpha, method=AUTO)
+                    result = engine.query(request)
+                    extra = result.stats.extra
+                    assert (extra["tree_dirty"], extra["tree_rebuilt"]) == (dirty, rebuilt)
+                    assert_answer(result, model.answer(user, k, alpha), request)
+                    dirty, rebuilt = (0, 0) if rebuilt else (dirty, rebuilt)
+
+    engine.move_user(MOVER, *point(field, at))
+    ranks_like_the_model(1, 0)
+    for user in (0, 3, 5):  # four dirty users: past the bound of ⌊√6⌋
+        engine.move_user(user, *point(field, -at if user == 3 else at))
+    ranks_like_the_model(4, 1)
+
+
+@pytest.mark.parametrize(
+    "tie",
+    [
+        # D_max = 4: a subnormal distance scores fl(d / 4) = 0, as a
+        # co-located user does (at α = 5e-324 the social weight α / 4
+        # underflows to 0 as well)
+        (5e-324, 0.0, Normalization(p_max=4.0, d_max=4.0)),
+        # D_max = 2**520: 2**-516 and 2**-516·(1 + 2**-39) both score
+        # 2**-1036 (a subnormal score rounds to even), though the tree
+        # tells their squares apart
+        (2.0**-516 * (1 + 2.0**-39), 2.0**-516, Normalization(p_max=4.0, d_max=2.0**520)),
+    ],
+    ids=["underflow to 0", "subnormal rounding"],
+)
+def test_a_score_tie_past_the_k_th_distance_is_inside_the_ball(tie):
+    """At ``α = 0`` user 0 lies farther from the query user than user 1
+    but scores the same, so the smaller id wins.  The tree's ball is
+    taken at the radius that the k-th *score* needs, not at the k-th
+    distance, so user 0 is inside."""
+    far, near, norm = tie
+    locations = LocationTable([far, near, 0.0, 4.0], [0.0, 0.0, 0.0, 0.0])
+    engine = GeoSocialEngine(
+        SocialGraph.from_edges(4, [(0, 1, 4.0)]), locations, normalization=norm
+    )
+    for alpha in (0.0, 5e-324):
+        request = QueryRequest(2, k=1, alpha=alpha, method=AUTO)
+        result = engine.query(request)
+        assert result.users == [0]
+        assert_answer(result, Model.of_engine(engine).answer(2, 1, alpha), request)

@@ -19,7 +19,8 @@ subsumed:
 - the overflow guards the input domain subsumed stay deleted, and so
   do the zero-normaliser floor and the model's NumPy overflow switch
   that existed for the domain's one former exception;
-- the result cache's per-entry move screen stays deleted.
+- the result cache's per-entry move screen stays deleted, and so does
+  the in-place upkeep of the grid and the aggregate index.
 """
 
 from __future__ import annotations
@@ -234,3 +235,19 @@ def test_the_result_caches_move_screen_is_named_nowhere():
     the cache shared with the registry are named nowhere in ``src/``,
     the README, the docs, the examples or the verify skill."""
     assert _naming(r"\bquery_location\b|\bStoredTopK\b", CODE_AND_PROSE) == set()
+
+
+def test_no_spatial_index_is_maintained_in_place():
+    """A location update marks the k-d tree and drops the grid and the
+    aggregate index; their next reader builds them from the table.  The
+    in-place upkeep they had stays deleted from ``src/``: the grids'
+    insert / remove / move / copy, the multigrid's ``leaf_of_user``, the
+    aggregate index's per-user maintenance and its summary helpers."""
+    src = ROOT / "src" / "repro"
+    grids = [src / "spatial" / "grid.py", src / "spatial" / "multigrid.py"]
+    assert _naming(r"def (insert|remove|move|copy)\b", grids) == set()
+    upkeep = (
+        r"\b(leaf_of_user|insert_user|remove_user|_widen|_shrink_parent|touches|replace_from)\("
+    )
+    assert _naming(upkeep, sorted(src.rglob("*.py"))) == set()
+    assert _naming(r"def (move_user|_shrink)\b", sorted((src / "index").glob("*.py"))) == set()

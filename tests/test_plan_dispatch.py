@@ -39,7 +39,7 @@ def single(instance):
 
 def expected_endpoint(method: str, alpha: float) -> str:
     if method == AUTO:
-        return "spa" if alpha == 0.0 else "sfa"
+        return "bounded" if alpha == 0.0 else "sfa"
     return route_method(method, alpha)
 
 
@@ -98,7 +98,7 @@ def test_endpoint_aliases_share_one_cache_line(single):
         assert len(service.cache) == 1
         auto = QueryRequest(user=2, k=4, alpha=0.0, method=AUTO)
         planned = service.query(auto)
-        assert not planned.cached and planned.result.method == "spa"
+        assert not planned.cached and planned.result.method == "bounded"
         assert planned.users == first.users
         assert service.query(auto).cached
         assert len(service.cache) == 2

@@ -46,7 +46,7 @@ class TestRules:
         assert "route_method" not in engine_module.__all__
 
     def test_static_choice_endpoints_only(self):
-        assert static_choice(0.0) == "spa"
+        assert static_choice(0.0) is None
         assert static_choice(1.0) == "sfa"
         assert static_choice(0.5) is None
         assert static_choice(1e-9) is None
@@ -91,9 +91,9 @@ class TestPlanner:
 
     def test_static_endpoint_resolutions(self, engine):
         planner = Planner()
-        assert planner.resolve(engine, QueryRequest(0, 10, 0.0, AUTO)) == "spa"
+        assert planner.resolve(engine, QueryRequest(0, 10, 0.0, AUTO)) == "bounded"
         assert planner.resolve(engine, QueryRequest(0, 10, 1.0, AUTO)) == "sfa"
-        assert planner.stats.static_routes == 2
+        assert planner.stats.static_routes == 1
 
     def test_interior_auto_is_bounded_and_the_engine_refuses_an_unlocated_user(self, engine):
         """The planner has no location route: an unlocated query user

@@ -32,6 +32,9 @@ that holds whenever the state allows the path:
 - **fresh_bounded**: ``bounded`` from a located user with no cached
   column, which takes its first ball at ``k ≤ 3`` on a large table and
   skips it on a small one or at ``k`` past ``n``;
+- **nearest**: ``auto`` at ``α = 0`` after a move, after a forget and
+  after moves past the k-d tree's rebuild bound, which it answers by
+  merging the tree's dirty users or by rebuilding the tree;
 - **resume**: a suspended subscription's query user returns;
 - **reweight** and **delete** of a served edge (named in either
   orientation), then a fold by ``rebuild_engine`` or a folding
@@ -303,7 +306,7 @@ def answers_like_the_model(service, model, request) -> bool:
 FLOORS = (
     "batch", "subscribe", "unsubscribe", "flush applied", "snapshot manager", "snapshot store",
     "restore manager", "restore store", "refused moves", "bounded skip", "suspended resumes",
-    "folded re-weights", "folded deletes",
+    "folded re-weights", "folded deletes", "α = 0 dirty", "tree rebuilds",
 )
 
 
@@ -383,6 +386,8 @@ class ServiceModel(RuleBasedStateMachine):
           table (the ring reaches everyone until an edge goes), a skip
           on a small one; on a large table also at ``k`` past ``n``, a
           skip;
+        - ``auto`` at ``α = 0`` over a k-d tree with dirty users, and
+          past the rebuild bound (:meth:`nearest`);
         - with a zero normaliser, its way out, which re-estimates it;
         - a query, which the result cache keeps;
         - a subscription whose query user is forgotten: the flush that
@@ -402,6 +407,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.fresh_bounded(data, data.draw(interior), data.draw(st.sampled_from((1, 2, 3))))
         if self.stratum.table == "large":
             self.fresh_bounded(data, data.draw(interior), self.n + 5)
+        self.nearest(data)
         if TABLES[self.stratum.table]:
             self.renormalise(
                 data, data.draw(st.sampled_from((COORDINATE_BOUND, -COORDINATE_BOUND) + PAST)),
@@ -462,11 +468,17 @@ class ServiceModel(RuleBasedStateMachine):
 
     def _note(self, response):
         """Count which path a fresh ``bounded`` run took (a cached
-        column answers before the rule is consulted)."""
+        column answers before the rule is consulted): its first ball or
+        not, and at ``α = 0`` whether its k-d tree had dirty users to
+        merge or rebuilt past the bound."""
         extra = response.result.stats.extra
-        if not response.cached and "bounded_passes" in extra:
+        if response.cached:
+            return
+        if "bounded_passes" in extra:
             ball = extra["bounded_passes"] == 2 or extra["bounded_radius"] < INF
             self.counts["bounded ball" if ball else "bounded skip"] += 1
+        if extra.get("tree_dirty"):
+            self.counts["tree rebuilds" if extra["tree_rebuilt"] else "α = 0 dirty"] += 1
 
     # -- queries ----------------------------------------------------------
 
@@ -504,6 +516,31 @@ class ServiceModel(RuleBasedStateMachine):
         a large table, skipped on a small one or at ``k`` past ``n``."""
         user = data.draw(st.sampled_from(self._columnless()))
         assert self.check(QueryRequest(user, k=k, alpha=alpha, method="bounded"))
+
+    @precondition(lambda self: self.model.locations)
+    @rule(data=st.data())
+    def nearest(self, data):
+        """``auto`` at ``α = 0``, which builds ``bounded``'s k-d tree if
+        there is none; then again after a move, after a forget (of a
+        user who leaves someone located), and after moves of more users
+        than the square root of the table's size, each of which marks
+        the tree dirty: the last query rebuilds it."""
+
+        def ask():
+            user = data.draw(st.sampled_from(sorted(self.model.locations)))
+            k = data.draw(st.sampled_from((1, 2, 3, self.n + 5)))
+            assert self.check(QueryRequest(user, k=k, alpha=0.0, method=AUTO))
+
+        ask()
+        self.relocate(self._user(data), data.draw(coordinates), data.draw(coordinates))
+        ask()
+        located = set(self.model.locations)
+        self.relocate(data.draw(st.sampled_from([u for u in range(self.n) if located - {u}])),
+                      None, None)
+        ask()
+        for user in data.draw(st.permutations(range(self.n)))[: math.isqrt(self.n) + 1]:
+            self.relocate(user, data.draw(coordinates), data.draw(coordinates))
+        ask()
 
     @rule(data=st.data(), picked=st.lists(st.tuples(methods, alphas), min_size=1, max_size=3))
     def batch(self, data, picked):

@@ -6,8 +6,9 @@ layer — every answer produced through a cached column must be
 Definition 1 model of ``tests/model.py``.  The whole-stack model
 (``tests/test_service_model.py``) checks that for every served answer,
 cached column or not, through interleaved location and edge updates
-and engine rebuilds; this suite pins each path of the column step
-against a cache-disabled engine and the model.  The poisoned-column
+and engine rebuilds, same-user batches and subscription repairs
+included; this suite pins each path of the column step against a
+cache-disabled engine and the model.  The poisoned-column
 canary additionally pins that cached columns are *actually consulted*
 (reuse is observable) and that an edge update *strictly* invalidates
 them while location moves never do — the epoch-safety contract the
@@ -26,7 +27,6 @@ from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.service import QueryRequest, QueryService
 from repro.social import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
-from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
 from tests.model import Model
 
@@ -264,32 +264,6 @@ def test_poisoned_column_canary():
 # -- same-user batches --------------------------------------------------
 
 
-@pytest.mark.parametrize("leg", REFERENCES)
-def test_a_same_user_batch_answers_like_sequential_queries(leg):
-    """Distinct (k, alpha) variants for one user share its social
-    column through the engine's column step; every response must be
-    bit-identical to a sequential engine.query loop on a
-    cache-disabled engine, and to the model's answer."""
-    engine = build_engine(None)
-    want = reference(leg, engine)
-    service = QueryService(engine, max_workers=2, cache_size=0)
-    try:
-        u1, u2, u3 = query_users(engine)
-        batch = []
-        for user in (u1, u1, u2, u3):
-            for k, alpha, method in (
-                (5, 0.3, "spa"), (7, 0.5, "tsa"), (3, 1.0, "sfa"),
-                (4, 0.0, "spa"), (6, 0.4, "bruteforce"), (5, 0.25, "tsa-qc"),
-            ):
-                batch.append(QueryRequest(user=user, k=k, alpha=alpha, method=method))
-        responses = service.query_many(batch)
-        for req, resp in zip(batch, responses):
-            assert fingerprint(resp.result) == want(req.user, req.k, req.alpha, req.method), req
-        assert sum(1 for r in responses if r.deduplicated) > 0
-    finally:
-        service.close()
-
-
 def test_a_batch_resolves_each_auto_and_answers_unlocated_users_at_alpha_1():
     """Same-user batches run per query: an unlocated user below
     ``alpha == 1`` raises the engine's error, ``auto`` requests are
@@ -334,51 +308,6 @@ def test_a_batch_resolves_each_auto_and_answers_unlocated_users_at_alpha_1():
         )
     finally:
         service.close()
-
-
-# -- stream repair reuse -----------------------------------------------
-
-
-def test_stream_repair_consults_cached_columns_exactly():
-    """Entrant evaluation during REPAIR reads a cached full column when
-    one exists; maintained results must stay identical to a stack with
-    the cache disabled under the same update sequence."""
-    stacks = {}
-    for tag, cache_bytes in (("warm", None), ("cold", 0)):
-        engine = build_engine(cache_bytes, n=90, seed=29, coverage=0.9)
-        service = QueryService(engine, cache_size=0)
-        registry = SubscriptionRegistry(service)
-        stacks[tag] = (engine, service, registry)
-    try:
-        user = query_users(stacks["warm"][0])[0]
-        # cache the full column on the warm side only
-        stacks["warm"][0].query(user, k=5, alpha=0.5, method="bruteforce")
-        hits_before = stacks["warm"][0].social_cache.info()["hits"]
-        subs = {
-            tag: registry.subscribe(user, k=5, alpha=0.5, method="spa")
-            for tag, (_e, _s, registry) in stacks.items()
-        }
-        qx, qy = stacks["warm"][0].locations.get(user)
-        movers = [
-            v for v in query_users(stacks["warm"][0], count=6) if v != user
-        ][:3]
-        for i, mover in enumerate(movers):
-            for _engine, service, _registry in stacks.values():
-                service.move_user(mover, qx + 1e-4 * (i + 1), qy)
-            results = {}
-            for tag, (_e, _s, registry) in stacks.items():
-                registry.flush()
-                results[tag] = registry.result(subs[tag])
-            assert fingerprint(results["warm"]) == fingerprint(results["cold"]), (
-                f"repair diverged after moving {mover}"
-            )
-        assert stacks["warm"][0].social_cache.info()["hits"] > hits_before, (
-            "repair pass never consulted the cached column"
-        )
-    finally:
-        for _engine, service, registry in stacks.values():
-            registry.close()
-            service.close()
 
 
 # -- cache unit behaviour ----------------------------------------------

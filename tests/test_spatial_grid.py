@@ -19,26 +19,33 @@ def make_locations(points):
 UNIT = BBox(0.0, 0.0, 1.0, 1.0)
 
 
+def inserted(grid, locations):
+    """``(cells, cell of each user)`` of placing every located user of
+    ``locations`` by ``grid.cell_of``, one by one in id order."""
+    cells, cell_of_user = {}, {}
+    for user in locations.located_users():
+        cell = cell_of_user[user] = grid.cell_of(*locations.get(user))
+        cells.setdefault(cell, []).append(user)
+    return cells, cell_of_user
+
+
 @pytest.mark.parametrize("resolution", [1, 7, 100])
 def test_build_equals_inserting_every_located_user_in_id_order(resolution):
     """The vectorised build: same cells, in-cell order, cell order and
-    user -> cell map as one ``insert`` per located user."""
+    user -> cell map as placing one located user at a time."""
     from repro import gowalla_like
 
     locations = gowalla_like(n=3000, seed=7).locations
     built = UniformGrid.build(locations, resolution)
-    inserted = UniformGrid(locations.bbox(), resolution)
-    for user in locations.located_users():
-        inserted.insert(user, *locations.get(user))
-    assert list(built.cells.items()) == list(inserted.cells.items())
-    assert list(built._cell_of_user.items()) == list(inserted._cell_of_user.items())
+    cells, cell_of_user = inserted(UniformGrid(locations.bbox(), resolution), locations)
+    assert list(built.cells.items()) == list(cells.items())
+    assert list(built._cell_of_user.items()) == list(cell_of_user.items())
 
 
-def test_build_over_no_located_user_is_empty_and_takes_inserts():
+def test_build_over_no_located_user_is_empty():
     grid = UniformGrid.build(LocationTable.empty(5), 4)
     assert len(grid) == 0 and not grid.cells
-    grid.insert(2, 0.3, 0.6)
-    assert 2 in grid and grid.users_in(*grid.cell_of_user(2)) == [2]
+    assert grid.bbox == BBox(0.0, 0.0, 0.0, 0.0) and 2 not in grid
 
 
 def test_a_box_at_the_coordinate_bound_keeps_finite_cells():
@@ -56,18 +63,16 @@ def test_a_box_at_the_coordinate_bound_keeps_finite_cells():
         built = UniformGrid.build(make_locations(points), 4)
     assert built.cell_w == 2.0**499
     assert [built.cell_of(x, y) for x, y in points] == [(0, 0), (2, 0), (3, 0)]
-    inserted = UniformGrid(built.bbox, 4)
-    for user, point in enumerate(points):
-        inserted.insert(user, *point)
-    assert list(built.cells.items()) == list(inserted.cells.items())
+    cells, _ = inserted(UniformGrid(built.bbox, 4), make_locations(points))
+    assert list(built.cells.items()) == list(cells.items())
     for user, (x, y) in enumerate(points):
         assert built.cell_bbox(*built.cell_of_user(user)).contains(x, y)
 
 
 def test_a_subnormal_box_clamps_a_far_insert_without_a_warning():
     """Over users a few subnormals apart the cells are subnormal: a
-    later insert at the coordinate bound divides out to ``inf`` cells
-    in ``cell_of`` and is clamped to the border cell, and the build's
+    point at the coordinate bound divides out to ``inf`` cells in
+    ``cell_of`` and is clamped to the border cell, and the build's
     column offsets stay finite."""
     import warnings
 
@@ -76,7 +81,7 @@ def test_a_subnormal_box_clamps_a_far_insert_without_a_warning():
         warnings.simplefilter("error")
         grid = UniformGrid.build(make_locations(points), 4)
         assert 0.0 < grid.cell_w < 2.0**-1022
-        assert grid.insert(3, COORDINATE_BOUND, -COORDINATE_BOUND) == (3, 0)
+        assert grid.cell_of(COORDINATE_BOUND, -COORDINATE_BOUND) == (3, 0)
     assert grid.cell_of_user(1) == (3, 1)
 
 
@@ -111,39 +116,9 @@ class TestGeometry:
 
 
 class TestContents:
-    def test_insert_remove_roundtrip(self):
-        grid = UniformGrid(UNIT, 4)
-        cell = grid.insert(7, 0.1, 0.1)
-        assert 7 in grid
-        assert grid.users_in(*cell) == [7]
-        assert grid.remove(7) == cell
-        assert 7 not in grid
-        assert grid.users_in(*cell) == []
-
-    def test_double_insert_rejected(self):
-        grid = UniformGrid(UNIT, 4)
-        grid.insert(1, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            grid.insert(1, 0.2, 0.2)
-
-    def test_move_between_cells(self):
-        grid = UniformGrid(UNIT, 4)
-        grid.insert(1, 0.1, 0.1)
-        old, new = grid.move(1, 0.9, 0.9)
-        assert old == (0, 0)
-        assert new == (3, 3)
-        assert grid.cell_of_user(1) == (3, 3)
-
-    def test_move_within_cell_is_noop(self):
-        grid = UniformGrid(UNIT, 4)
-        grid.insert(1, 0.10, 0.10)
-        old, new = grid.move(1, 0.12, 0.12)
-        assert old == new == (0, 0)
-
     def test_empty_cells_not_materialised(self):
-        grid = UniformGrid(UNIT, 10)
-        grid.insert(1, 0.05, 0.05)
-        assert len(list(grid.nonempty_cells())) == 1
+        grid = UniformGrid.build(make_locations([(0.0, 0.0), (0.05, 0.05), (1.0, 1.0)]), 10)
+        assert len(list(grid.nonempty_cells())) == 2
 
     def test_build_indexes_only_located_users(self):
         table = LocationTable.empty(3)
@@ -156,8 +131,7 @@ class TestContents:
 
 class TestRings:
     def test_ring_zero_is_center(self):
-        grid = UniformGrid(UNIT, 5)
-        grid.insert(1, 0.5, 0.5)
+        grid = UniformGrid.build(make_locations([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]), 5)
         center = grid.cell_of(0.5, 0.5)
         assert list(grid.ring_cells(center, 0)) == [center]
 
@@ -185,9 +159,7 @@ class TestRings:
     def test_ring_lower_bound_is_valid(self):
         """Every cell at ring r must be at least ring_lower_bound(r) away
         from any point in the center cell."""
-        grid = UniformGrid(UNIT, 10)
-        for user, (x, y) in enumerate([(0.05 * i, 0.05 * i) for i in range(20)]):
-            grid.insert(user, min(x, 0.999), min(y, 0.999))
+        grid = UniformGrid.build(make_locations([(0.05 * i, 0.05 * i) for i in range(20)]), 10)
         qx, qy = 0.51, 0.47
         center = grid.cell_of(qx, qy)
         for r in range(1, grid.max_ring_radius(center) + 1):
@@ -207,12 +179,10 @@ class TestRings:
                 assert euclidean(*table.get(u), qx, qy) >= bound - 1e-12
 
     def test_cell_mindist_safe_for_clamped_out_of_box_users(self):
-        """Users moved outside the construction bbox are clamped into
-        border cells; bounds must stay valid for in-box queries."""
-        table = make_locations([(0.5, 0.5), (0.6, 0.6)])
-        grid = UniformGrid.build(table, 4)
-        table.set(1, 1.7, 0.5)  # physically outside the unit box
-        grid.move(1, 1.7, 0.5)
-        ix, iy = grid.cell_of_user(1)
+        """A point outside the grid's box is clamped into a border
+        cell; that cell's bound stays valid for in-box queries."""
+        grid = UniformGrid.build(make_locations([(0.0, 0.0), (1.0, 1.0)]), 4)
+        ix, iy = grid.cell_of(1.7, 0.5)  # physically outside the unit box
+        assert (ix, iy) == (3, 2)
         qx, qy = 0.1, 0.5
-        assert grid.cell_mindist(ix, iy, qx, qy) <= euclidean(*table.get(1), qx, qy) + 1e-12
+        assert grid.cell_mindist(ix, iy, qx, qy) <= euclidean(1.7, 0.5, qx, qy) + 1e-12

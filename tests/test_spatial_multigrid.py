@@ -62,16 +62,6 @@ def test_nonempty_tops_cover_all_users():
     assert covered == set(range(120))
 
 
-def test_insert_remove():
-    grid = MultiLevelGrid(BBox(0, 0, 1, 1), s=3)
-    leaf = grid.insert(5, 0.5, 0.5)
-    assert 5 in grid
-    assert grid.leaf_of_user(5) == leaf
-    grid.remove(5)
-    assert 5 not in grid
-    assert len(grid) == 0
-
-
 def test_invalid_fanout():
     with pytest.raises(ValueError):
         MultiLevelGrid(BBox(0, 0, 1, 1), s=0)
@@ -82,7 +72,7 @@ def test_every_user_under_its_parent():
     table = make_table([(rng.random(), rng.random()) for _ in range(80)])
     grid = MultiLevelGrid.build(table, s=4)
     for user in range(80):
-        leaf = grid.leaf_of_user(user)
+        leaf = grid.leaf_grid.cell_of_user(user)
         top = grid.parent_of(leaf)
         assert leaf in set(grid.children_of(top))
 
