@@ -9,9 +9,9 @@ per-evaluation bidirectional search, Figures 10 and 12), ``ais-cache``
 Figure 11) and the ``tsa-plain``/``ais-nosummary``/``ais-interleave4``
 ablations.  None is served; :data:`VARIANTS` builds each from an
 engine's public parts, and :func:`run_query` is the one seam the
-figure drivers and the examples call.  The CH, the neighbour lists and
-the searchers are memoised per engine, without locks: figure drivers
-are single-threaded.
+figure drivers and the examples call.  The CH and the neighbour lists
+are memoised per engine, without locks: figure drivers are
+single-threaded.
 
     >>> from repro import GeoSocialEngine, gowalla_like
     >>> from repro.bench.variants import run_query
@@ -43,7 +43,7 @@ __all__ = ["DEFAULT_T", "VARIANTS", "neighbor_cache", "run_query", "variant_sear
 DEFAULT_T = 500
 
 #: engine -> {key: built component}; weak, so a dropped engine takes
-#: its CH, neighbour lists and variant searchers with it
+#: its CH and neighbour lists with it
 _MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -103,17 +103,13 @@ VARIANTS: "dict[str, Callable]" = {
 
 def variant_searcher(engine, method: str, t: int | None = None):
     """The searcher object behind variant ``method`` over ``engine``'s
-    graph, location table and indexes (cached per engine, and built
-    again once a location update has dropped the engine's grid)."""
-    if method != "ais-cache":
-        t = None  # one searcher whatever ``t`` rides along
-    elif t is None:
+    graph, location table and current indexes.  Built on each call: a
+    searcher only gathers those parts (what costs, the CH and the
+    neighbour lists, is memoised per engine), so none outlives an index
+    that a location update dropped."""
+    if method == "ais-cache" and t is None:
         t = DEFAULT_T
-    grid = engine.grid
-    held = _MEMO.setdefault(engine, {}).get((method, t))
-    if held is None or held[0] is not grid:
-        held = _MEMO[engine][(method, t)] = (grid, VARIANTS[method](engine, t))
-    return held[1]
+    return VARIANTS[method](engine, t)
 
 
 def run_query(

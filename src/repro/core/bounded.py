@@ -83,6 +83,10 @@ _PROFILE_SOURCES = 3
 #: the first ball is skipped when the predicted radius holds this share
 #: of what a source reaches
 _WHOLE_GRAPH = 0.999
+#: the k-d tree is rebuilt once more than ``1/_DIRTY_SHARE`` of it is
+#: dirty: ≈ 3 µs of rebuild per user dirtied (docs/BENCHMARKS.md, "α = 0
+#: among moves", measures it against other shares)
+_DIRTY_SHARE = 8
 
 
 class LocatedTree:
@@ -108,12 +112,12 @@ class LocatedTree:
             built[3] = None
 
     def refresh(self) -> "tuple[int, bool]":
-        """Build the tree if there is none, or again if more users are
-        dirty than the square root of its size: ``(dirty users found,
-        whether it built)``."""
+        """Build the tree if there is none, or again if more than an
+        eighth of its users are dirty (:data:`_DIRTY_SHARE`): ``(dirty
+        users found, whether it built)``."""
         built = self._built
         found = 0 if built is None else len(built[2])
-        stale = built is None or found > math.isqrt(len(built[1]))
+        stale = built is None or found > len(built[1]) // _DIRTY_SHARE
         if stale:
             # imported here: scipy.spatial costs ≈ 0.12 s and 8 MiB, which
             # only an α = 0 query should pay
@@ -136,11 +140,10 @@ class LocatedTree:
         ulps, for its rounding."""
         built = self._built
         tree, ids, dirty, view = built
-        if view is None:  # the tree positions to drop, the dirty users located now
+        if view is None:  # which users are dirty, and those located now
             moved = np.fromiter(dirty, np.intp, len(dirty))
-            at = np.searchsorted(ids, moved).clip(max=len(ids) - 1)
-            drop = np.zeros(len(ids), bool)
-            drop[at[ids[at] == moved]] = True
+            drop = np.zeros(len(self.locations.xs), bool)
+            drop[moved] = True
             view = built[3] = (drop, moved[~np.isnan(self.locations.xs[moved])])
         drop, moved = view
         if radius is None:
@@ -148,7 +151,8 @@ class LocatedTree:
         else:
             ball = math.sqrt(radius * radius * (1 + 2**-43) + 2**-1072)
             found = np.asarray(tree.query_ball_point((x, y), ball), np.intp)
-        here = np.concatenate((ids[found[~drop[found]]], moved))
+        found = ids[found]
+        here = np.concatenate((found[~drop[found]], moved))
         return here[here != user]
 
 
@@ -172,8 +176,8 @@ class BoundedSearch:
         [1, 3]
 
     ``tree`` is the k-d tree ``α = 0`` reads: the engine's, which its
-    location updates mark; by default one of the searcher's own, which
-    nothing marks, so its table must then not move.
+    location updates mark.  Without one, each ``α = 0`` query builds a
+    tree of its own from the table as it is then.
     """
 
     def __init__(
@@ -188,7 +192,7 @@ class BoundedSearch:
         self.locations = locations
         self.normalization = normalization
         self.kernels = kernels if kernels is not None else NumpyKernels()
-        self.tree = tree if tree is not None else LocatedTree(locations)
+        self.tree = tree
         # sampled lazily, once; a racing first query computes the same
         # value twice, which is harmless
         self._profiles = None
@@ -313,7 +317,8 @@ class BoundedSearch:
         where = self.locations.get(query_user)
         if where is None:
             return []
-        tree, kernels, w = self.tree, self.kernels, rank.w_spatial
+        tree = self.tree if self.tree is not None else LocatedTree(self.locations)
+        kernels, w = self.kernels, rank.w_spatial
         xs, ys = self.locations.columns()
         found, rebuilt = tree.refresh()
         stats.extra["tree_dirty"] = found

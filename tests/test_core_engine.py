@@ -35,9 +35,9 @@ class TestDispatch:
 
     def test_searchers_cached(self, engine):
         assert engine.searcher("ais") is engine.searcher("ais")
-        cached = variant_searcher(engine, "ais-cache", t=10)
-        assert cached is variant_searcher(engine, "ais-cache", t=10)
-        assert cached is not variant_searcher(engine, "ais-cache", t=20)
+        lists = variant_searcher(engine, "ais-cache", t=10).cache
+        assert lists is variant_searcher(engine, "ais-cache", t=10).cache
+        assert lists is not variant_searcher(engine, "ais-cache", t=20).cache
         assert variant_searcher(engine, "sfa-ch").point_to_point is (
             variant_searcher(engine, "tsa-ch").point_to_point
         ), "one CH per engine"

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.bounded import BoundedSearch
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
 from repro.core.ranking import Normalization
 from repro.graph.socialgraph import SocialGraph
@@ -291,15 +292,21 @@ def test_alpha_0_reads_each_coordinate_bound_through_the_k_d_tree(field, side):
     underflows to 0) after ``bounded``'s k-d tree is built: a user moved
     to the bound is a dirty user the tree's answer merges, and users
     moved to the bound past the rebuild bound are read from a rebuilt
-    tree; every user and ``k`` ranks like the model."""
+    tree; every user and ``k`` ranks like the model.  Ten more users,
+    located on a line past the base table, keep one dirty user under
+    the rebuild bound (an eighth of the tree)."""
     at = BOUNDS["coordinate"][side][0]
-    engine = base_engine()
+    n = N + 10
+    engine = base_engine(
+        SocialGraph.from_edges(n, EDGES),
+        LocationTable(XS + [u / 8 for u in range(N, n)], YS + [1.0] * (n - N)),
+    )
     engine.query(0, 1, 0.0)  # builds the tree over the base table
 
     def ranks_like_the_model(dirty, rebuilt):
         model = Model.of_engine(engine)
-        for user in range(N):
-            for k in range(1, N + 1):
+        for user in range(n):
+            for k in range(1, n + 1):
                 for alpha in (0.0, 5e-324):
                     request = QueryRequest(user, k=k, alpha=alpha, method=AUTO)
                     result = engine.query(request)
@@ -310,7 +317,7 @@ def test_alpha_0_reads_each_coordinate_bound_through_the_k_d_tree(field, side):
 
     engine.move_user(MOVER, *point(field, at))
     ranks_like_the_model(1, 0)
-    for user in (0, 3, 5):  # four dirty users: past the bound of ⌊√6⌋
+    for user in (0, 3, 5):  # four dirty users: past the bound of ⌊16 / 8⌋
         engine.move_user(user, *point(field, -at if user == 3 else at))
     ranks_like_the_model(4, 1)
 
@@ -344,3 +351,29 @@ def test_a_score_tie_past_the_k_th_distance_is_inside_the_ball(tie):
         result = engine.query(request)
         assert result.users == [0]
         assert_answer(result, Model.of_engine(engine).answer(2, 1, alpha), request)
+
+
+def test_a_searcher_without_the_engine_s_tree_reads_its_table_as_it_is_now():
+    """A :class:`BoundedSearch` built without a tree has nobody to mark
+    one for it, so it answers ``α = 0`` from the table as it is at each
+    query: after each write to the table, every located user and ``k``
+    rank like the model."""
+    engine = base_engine()
+    locations = engine.locations
+    bounded = BoundedSearch(engine.graph, locations, engine.normalization)
+    at = BOUNDS["coordinate"][1][0]
+    writes = [
+        lambda: None,
+        lambda: locations.set(MOVER, *point("x", at)),
+        lambda: locations.set(0, XS[1], YS[1]),
+        lambda: locations.clear(MOVER),
+    ]
+    for write in writes:
+        write()
+        model = Model.of_engine(engine)
+        for user in locations.located_users():
+            for k in range(1, N + 1):
+                request = QueryRequest(user, k=k, alpha=0.0, method="bounded")
+                result = bounded.search(user, k, 0.0)
+                result.method = "bounded"
+                assert_answer(result, model.answer(user, k, 0.0), request)

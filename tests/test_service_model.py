@@ -306,18 +306,21 @@ def answers_like_the_model(service, model, request) -> bool:
 FLOORS = (
     "batch", "subscribe", "unsubscribe", "flush applied", "snapshot manager", "snapshot store",
     "restore manager", "restore store", "refused moves", "bounded skip", "suspended resumes",
-    "folded re-weights", "folded deletes", "α = 0 dirty", "tree rebuilds",
+    "folded re-weights", "folded deletes", "tree rebuilds",
 )
 
 
 def floors(stratum) -> "list[str]":
     """What every example of ``stratum`` reaches: :data:`FLOORS`, the
-    first ball on a large table, and each zero normaliser's re-estimate
-    (and, for ``D_max``, a move to the bound while it is 0)."""
+    first ball and an ``α = 0`` query that merges the k-d tree's dirty
+    users on a large table (a small one has too few located users for
+    one dirty user to stay under the rebuild bound), and each zero
+    normaliser's re-estimate (and, for ``D_max``, a move to the bound
+    while it is 0)."""
     zeros = TABLES[stratum.table]
     return (
         list(FLOORS)
-        + ["bounded ball"] * (stratum.table == "large")
+        + ["bounded ball", "α = 0 dirty"] * (stratum.table == "large")
         + [f"re-estimated {name}" for name in zeros]
         + ["bound moves, D_max 0"] * ("D_max" in zeros)
     )
@@ -522,9 +525,9 @@ class ServiceModel(RuleBasedStateMachine):
     def nearest(self, data):
         """``auto`` at ``α = 0``, which builds ``bounded``'s k-d tree if
         there is none; then again after a move, after a forget (of a
-        user who leaves someone located), and after moves of more users
-        than the square root of the table's size, each of which marks
-        the tree dirty: the last query rebuilds it."""
+        user who leaves someone located), and after moves of more than
+        an eighth of the table's users, each of which marks the tree
+        dirty: the last query rebuilds it."""
 
         def ask():
             user = data.draw(st.sampled_from(sorted(self.model.locations)))
@@ -538,7 +541,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.relocate(data.draw(st.sampled_from([u for u in range(self.n) if located - {u}])),
                       None, None)
         ask()
-        for user in data.draw(st.permutations(range(self.n)))[: math.isqrt(self.n) + 1]:
+        for user in data.draw(st.permutations(range(self.n)))[: self.n // 8 + 1]:
             self.relocate(user, data.draw(coordinates), data.draw(coordinates))
         ask()
 

@@ -27,6 +27,7 @@ from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.service import QueryRequest, QueryService
 from repro.social import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
+from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
 from tests.model import Model
 
@@ -307,6 +308,34 @@ def test_a_batch_resolves_each_auto_and_answers_unlocated_users_at_alpha_1():
             cold.query(unlocated, k=5, alpha=1.0, method="bruteforce")
         )
     finally:
+        service.close()
+
+
+# -- stream repair reuse -----------------------------------------------
+
+
+def test_a_subscription_repair_reads_the_cached_full_column():
+    """An entrant that a subscription repair scores takes its social
+    distance from the query user's cached full column, not from a new
+    expansion.  (That the repaired answer is exact is the model's:
+    ``tests/test_service_model.py`` repairs subscriptions over every
+    column-cache stratum.)"""
+    engine = build_engine(None, n=90, seed=29, coverage=0.9)
+    service = QueryService(engine, cache_size=0)
+    registry = SubscriptionRegistry(service)
+    try:
+        user = query_users(engine)[0]
+        engine.query(user, k=5, alpha=0.5, method="bruteforce")  # caches the column
+        sub = registry.subscribe(user, k=5, alpha=0.5, method="spa")
+        hits = engine.social_cache.info()["hits"]
+        mover = next(v for v in query_users(engine, count=6) if v != user)
+        qx, qy = engine.locations.get(user)
+        service.move_user(mover, qx + 1e-4, qy)
+        registry.flush()
+        assert sub.repairs == 1 and registry.stats.entrant_evaluations == 1
+        assert engine.social_cache.info()["hits"] == hits + 1
+    finally:
+        registry.close()
         service.close()
 
 
