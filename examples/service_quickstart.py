@@ -74,13 +74,14 @@ with QueryService(engine, cache_size=2048) as service:
     assert refreshed.result.users == truth.users
     print(f"fresh answer after the move verified against brute force: True")
 
-    # --- A social-edge change is recorded; the rebuild is the epoch ----------
+    # --- A social-edge change is recorded; the rebuild flushes the cache -----
     held = len(service.cache)
     service.update_edge(located[0], located[1], 0.01)
     assert len(service.cache) == held and service.pending_edge_updates == 1
     print(f"edge update recorded: served graph unchanged, cache still {held} entries")
     service.rebuild_engine()
     print(
-        f"rebuild_engine folded it in -> epoch-based full invalidation "
-        f"(cache now {len(service.cache)} entries, epoch {service.cache.epoch})"
+        f"rebuild_engine folded it in -> full cache flush "
+        f"(cache now {len(service.cache)} entries, "
+        f"full_invalidations {stats.full_invalidations})"
     )

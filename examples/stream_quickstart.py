@@ -49,11 +49,10 @@ for mover in watched[:30]:
         min(1.0, max(0.0, y + rng.uniform(-0.002, 0.002))),
     )
 applied = registry.flush()
-info = service.cache_info()
 print(
     f"30 companions drifted: {applied['repaired']} subscriptions repaired in "
     f"one batched pass, {applied['recomputed']} recomputed; the result "
-    f"cache evicted {info['invalidated']} entries below alpha = 1"
+    f"cache evicted {service.stats.invalidated_entries} entries below alpha = 1"
 )
 
 # --- Phase 2: full-population churn -----------------------------------------

@@ -99,25 +99,28 @@ class LocatedTree:
     def __init__(self, locations: LocationTable, lock=None) -> None:
         self.locations = locations
         self._lock = lock if lock is not None else threading.Lock()
-        #: ``[tree, ids, dirty, view]``: ``ids``' positions at build
-        #: time, the users updated since, and what readers derive from
-        #: them (``None`` until the first reader after an update)
+        #: ``[tree, ids, drop, moved, dirty]``: ``ids``' positions at
+        #: build time, a mask of the users updated since, the first
+        #: ``dirty`` of them in ``moved`` (room for as many as
+        #: :meth:`refresh` keeps the tree for)
         self._built = None
 
     def mark(self, user: int) -> None:
         """``user`` moved, arrived or left (unlocked, like the update)."""
         built = self._built
-        if built is not None:
-            built[2].add(user)
-            built[3] = None
+        if built is not None and not built[2][user]:
+            built[2][user] = True
+            if built[4] < len(built[3]):
+                built[3][built[4]] = user
+            built[4] += 1
 
     def refresh(self) -> "tuple[int, bool]":
         """Build the tree if there is none, or again if more than an
         eighth of its users are dirty (:data:`_DIRTY_SHARE`): ``(dirty
         users found, whether it built)``."""
         built = self._built
-        found = 0 if built is None else len(built[2])
-        stale = built is None or found > len(built[1]) // _DIRTY_SHARE
+        found = 0 if built is None else built[4]
+        stale = built is None or found > len(built[3])
         if stale:
             # imported here: scipy.spatial costs ≈ 0.12 s and 8 MiB, which
             # only an α = 0 query should pay
@@ -127,7 +130,9 @@ class LocatedTree:
                 if self._built is built:
                     xs, ys = self.locations.columns()
                     ids = np.flatnonzero(~np.isnan(xs))
-                    self._built = [cKDTree(np.column_stack((xs[ids], ys[ids]))), ids, set(), None]
+                    tree = cKDTree(np.column_stack((xs[ids], ys[ids])))
+                    moved = np.empty(len(ids) // _DIRTY_SHARE, np.intp)
+                    self._built = [tree, ids, np.zeros(len(xs), bool), moved, 0]
         return found, stale
 
     def near(self, x: float, y: float, user: int, count=None, radius=None) -> np.ndarray:
@@ -138,14 +143,9 @@ class LocatedTree:
         tree compares squared distances, so the ball's square is
         widened past ``radius²`` by a relative 2**-43 and four subnormal
         ulps, for its rounding."""
-        built = self._built
-        tree, ids, dirty, view = built
-        if view is None:  # which users are dirty, and those located now
-            moved = np.fromiter(dirty, np.intp, len(dirty))
-            drop = np.zeros(len(self.locations.xs), bool)
-            drop[moved] = True
-            view = built[3] = (drop, moved[~np.isnan(self.locations.xs[moved])])
-        drop, moved = view
+        tree, ids, drop, moved, dirty = self._built
+        moved = moved[:dirty]
+        moved = moved[~np.isnan(self.locations.xs[moved])]
         if radius is None:
             found = np.atleast_1d(tree.query((x, y), min(count + 1, len(ids)))[1])
         else:

@@ -134,9 +134,6 @@ class AggregateIndex:
     def __len__(self) -> int:
         return len(self.grid)
 
-    def __contains__(self, user: int) -> bool:
-        return user in self.grid
-
 
 def _summaries(keys: list, low: np.ndarray, high: np.ndarray) -> dict:
     """``{key: summary}`` from per-key bound columns."""

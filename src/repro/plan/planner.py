@@ -28,7 +28,7 @@ registry (``bounded`` is forward-deterministic).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.plan.rules import static_choice
@@ -58,11 +58,7 @@ class PlannerStats:
     per_method: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
-        return {
-            "auto_resolutions": self.auto_resolutions,
-            "static_routes": self.static_routes,
-            "per_method": dict(self.per_method),
-        }
+        return asdict(self)
 
 
 class Planner:

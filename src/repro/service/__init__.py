@@ -8,7 +8,7 @@ into a component built for heavy, skewed, dynamic traffic:
   updates against in-flight queries from any number of caller threads;
 - :class:`ResultCache` — LRU over full top-k results: a location
   update evicts every answer below ``α = 1`` and keeps the pure-social
-  ones, and an engine swap flushes it (epoch);
+  ones, and an engine swap flushes it;
 - :class:`QueryRequest` / :class:`QueryResponse` / :class:`ServiceStats`
   — the request/response dataclasses and serving statistics.
 

@@ -7,19 +7,23 @@ on repeats.  This module provides an LRU keyed on the query signature
 ``(user, k, α, line)`` — ``line`` is the resolved method, or
 ``"auto"`` for an ``auto`` request, whose answer the question alone
 determines (the rule lives in ``QueryService._line``); no engine
-component is needed, as every engine swap empties the cache first —
-with hit/miss statistics.  An entry is the plain
-:class:`~repro.core.result.SSRQResult`.
+component is needed, as every engine swap empties the cache first.
+An entry is the plain :class:`~repro.core.result.SSRQResult`.
+
+The cache counts only what it alone sees: insertions and LRU
+evictions (:class:`CacheStats`).  Hits, misses, invalidated and
+reused entries and flushes are serving events, counted once each by
+the service (:class:`~repro.service.model.ServiceStats`).
 
 **Location update (a move or a forget) → evict every answer that reads
 locations.**  An answer with ``α < 1`` has a spatial term, so any move
 may change it; an ``α = 1`` answer reads no location and is kept
-(counted *reused*).  Every other entry is evicted (counted
-*invalidated*), and the next miss recomputes.  Screening each entry
-with the subscription registry's NO-OP test does not pay here: on a
-move-heavy workload the per-entry screen cost more time than the few
-hits it kept saved (docs/BENCHMARKS.md, "What does not pay").  The
-one layer that screens and repairs is the subscription registry
+(*reused*).  Every other entry is evicted (*invalidated*), and the
+next miss recomputes.  Screening each entry with the subscription
+registry's NO-OP test does not pay here: on a move-heavy workload the
+per-entry screen cost more time than the few hits it kept saved
+(docs/BENCHMARKS.md, "What does not pay").  The one layer that
+screens and repairs is the subscription registry
 (:mod:`repro.stream.conditions`), which folds a burst of moves into
 one pass per standing query.
 
@@ -28,7 +32,7 @@ change can alter social distances between arbitrarily distant pairs,
 but :meth:`QueryService.update_edge` only records it: the served graph
 is immutable, so every entry stays exact until
 :meth:`QueryService.rebuild_engine` folds the recorded updates into a
-new engine — and that swap is the edge-epoch: it empties the cache
+new engine — and that swap empties the cache
 (:meth:`ResultCache.invalidate_all`) once per batch, not once per edge.
 """
 
@@ -66,26 +70,12 @@ class InvalidationOutcome(int):
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one :class:`ResultCache`."""
+    """What only a :class:`ResultCache` sees: entries it stored and
+    entries its LRU pushed out."""
 
-    hits: int = 0
-    misses: int = 0
     insertions: int = 0
     #: LRU capacity evictions
     evictions: int = 0
-    #: entries removed by update-aware invalidation (each one forces a
-    #: recompute on its next lookup)
-    invalidated: int = 0
-    #: entries an update kept (``α = 1``: no location read)
-    reused: int = 0
-    #: epoch bumps (full flushes)
-    full_invalidations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class ResultCache:
@@ -94,15 +84,16 @@ class ResultCache:
 
         >>> from repro import Neighbor, SSRQResult
         >>> from repro.service.cache import ResultCache
-        >>> cache = ResultCache(capacity=2)
+        >>> cache = ResultCache(capacity=1)
         >>> result = SSRQResult(0, 1, 0.5, [Neighbor(9, 0.2, 0.1, 0.3)])
         >>> cache.put("a", result)
         >>> cache.get("a") is result
         True
-        >>> cache.get("b") is None
+        >>> cache.put("b", result)
+        >>> cache.get("a") is None
         True
-        >>> cache.stats.hits, cache.stats.misses
-        (1, 1)
+        >>> cache.stats
+        CacheStats(insertions=2, evictions=1)
 
     Keys are opaque to the cache (the service builds them from the
     query signature); the one thing an update reads off an entry is
@@ -115,8 +106,6 @@ class ResultCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        #: monotonically increasing; bumped on every full invalidation
-        self.epoch = 0
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Hashable, SSRQResult]" = OrderedDict()
 
@@ -130,26 +119,15 @@ class ResultCache:
 
     def get(self, key: Hashable) -> SSRQResult | None:
         """The cached result for ``key`` (refreshing its LRU position),
-        or ``None`` — counted as a hit or miss respectively."""
-        with self._lock:
-            result = self.hit(key)
-            if result is None:
-                self.stats.misses += 1
-            return result
-
-    def hit(self, key: Hashable) -> SSRQResult | None:
-        """:meth:`get` for a caller that will ask again through the
-        full serve path when this comes back empty: a hit refreshes the
-        LRU position and is counted, an absent key counts nothing."""
+        or ``None``.  Counts nothing: the service counts its hits."""
         with self._lock:
             result = self._entries.get(key)
             if result is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
             return result
 
     def peek(self, key: Hashable) -> SSRQResult | None:
-        """Like :meth:`get` but without touching LRU order or stats."""
+        """Like :meth:`get` but without touching LRU order."""
         return self._entries.get(key)
 
     def put(self, key: Hashable, result: SSRQResult) -> None:
@@ -168,13 +146,10 @@ class ResultCache:
     # -- update-aware invalidation ------------------------------------
 
     def invalidate_all(self) -> "InvalidationOutcome":
-        """Epoch-based full invalidation: drop every entry at once."""
+        """Full invalidation: drop every entry at once."""
         with self._lock:
             removed = len(self._entries)
             self._entries.clear()
-            self.epoch += 1
-            self.stats.invalidated += removed
-            self.stats.full_invalidations += 1
             return InvalidationOutcome(removed)
 
     def invalidate_location_update(self) -> "InvalidationOutcome":
@@ -189,10 +164,7 @@ class ResultCache:
             evict = [key for key, result in self._entries.items() if result.alpha != 1.0]
             for key in evict:
                 del self._entries[key]
-            reused = len(self._entries)
-            self.stats.invalidated += len(evict)
-            self.stats.reused += reused
-            return InvalidationOutcome(len(evict), reused=reused)
+            return InvalidationOutcome(len(evict), reused=len(self._entries))
 
     def invalidate_edge_update(self, u: int, v: int) -> "InvalidationOutcome":
         """Full flush for an edge change applied to a *served* graph.

@@ -2,23 +2,23 @@
 
 The service layer speaks in small immutable dataclasses rather than
 positional arguments: a :class:`~repro.core.request.QueryRequest`
-carries everything one SSRQ needs (user, ``k``, ``α``, method), a :class:`QueryResponse` pairs the request with
-its :class:`~repro.core.result.SSRQResult` and serving metadata (was it
-a cache hit? how long did it take?), and :class:`ServiceStats` aggregates latency and cache behaviour across the
-service's lifetime — including a cumulative
-:class:`~repro.core.stats.SearchStats` merged from every executed query,
-so the paper's cost metrics (heap pops, evaluations) remain observable
-at the serving layer.
+carries everything one SSRQ needs (user, ``k``, ``α``, method), a
+:class:`QueryResponse` pairs the request with its
+:class:`~repro.core.result.SSRQResult` and serving metadata (was it a
+cache hit? how long did it take?), and :class:`ServiceStats` counts
+each serving event once across the service's lifetime — hits,
+executions per method, in-batch duplicates, invalidations — together
+with the paper's pop count summed over every executed query.  Every
+other count (requests, misses, executions) follows from those.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.request import QueryRequest
 from repro.core.result import Neighbor, SSRQResult
-from repro.core.stats import SearchStats
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -147,81 +147,84 @@ class QueryResponse:
 
 @dataclass
 class ServiceStats:
-    """Lifetime counters of one :class:`~repro.service.QueryService`.
+    """Lifetime counters of one :class:`~repro.service.QueryService`,
+    each event counted once: a request is a hit, an execution or an
+    in-batch duplicate, so ``requests``, ``cache_misses`` and
+    ``executed`` are derived, not counted.
 
         >>> from repro.service import ServiceStats
-        >>> stats = ServiceStats(cache_hits=3, cache_misses=1)
-        >>> stats.hit_rate
-        0.75
-        >>> stats.snapshot()["cache_hits"]
-        3
+        >>> stats = ServiceStats(cache_hits=3, per_method={"spa": 1})
+        >>> stats.requests, stats.hit_rate
+        (4, 0.75)
+        >>> stats.snapshot()["cache_misses"]
+        1
     """
 
-    #: individual requests served (cache hits included)
-    requests: int = 0
     #: `query_many` invocations
     batches: int = 0
     #: requests answered from the result cache
     cache_hits: int = 0
-    #: requests that missed the cache (or ran with caching disabled)
-    cache_misses: int = 0
     #: requests answered by sharing a duplicate within the same batch
     deduplicated: int = 0
-    #: queries actually executed against the engine
-    executed: int = 0
     #: cache entries evicted by update-aware invalidation (each one
     #: forces a recompute on its next lookup)
     invalidated_entries: int = 0
     #: cache entries a location update kept (``α = 1``: no location read)
     reused_entries: int = 0
-    #: epoch bumps (full cache invalidations: one per engine swap;
-    #: ``perfbench/measure.py`` reads the snapshot key)
+    #: full cache flushes, one per engine swap (``perfbench/measure.py``
+    #: reads the snapshot key)
     full_invalidations: int = 0
     #: wall-clock seconds spent executing queries (sum over queries)
     query_seconds: float = 0.0
     #: worst single-query execution time seen
     max_query_seconds: float = 0.0
-    #: per-method executed-query counts
+    #: executed-query counts by the method that ran
     per_method: dict = field(default_factory=dict)
-    #: cumulative search-cost counters merged from every executed query
-    search: SearchStats = field(default_factory=SearchStats)
+    #: heap pops summed over every executed query (the paper's cost)
+    total_pops: int = 0
+
+    @property
+    def executed(self) -> int:
+        """Queries actually executed against the engine."""
+        return sum(self.per_method.values())
+
+    @property
+    def cache_misses(self) -> int:
+        """Requests that missed the cache: executed or deduplicated."""
+        return self.executed + self.deduplicated
+
+    @property
+    def requests(self) -> int:
+        """Individual requests served (cache hits included)."""
+        return self.cache_hits + self.cache_misses
 
     @property
     def hit_rate(self) -> float:
         """Cache hit rate over all requests (0.0 when nothing served)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        requests = self.requests
+        return self.cache_hits / requests if requests else 0.0
 
     @property
     def avg_query_seconds(self) -> float:
         """Mean execution time per *executed* query."""
-        return self.query_seconds / self.executed if self.executed else 0.0
+        executed = self.executed
+        return self.query_seconds / executed if executed else 0.0
 
-    def record_execution(self, method: str, result: SSRQResult, elapsed: float) -> None:
-        """Account one engine execution (coordinator-thread only)."""
-        self.executed += 1
+    def record_execution(self, result: SSRQResult, elapsed: float) -> None:
+        """Account one engine execution (under the service's stats lock)."""
         self.query_seconds += elapsed
         if elapsed > self.max_query_seconds:
             self.max_query_seconds = elapsed
-        self.per_method[method] = self.per_method.get(method, 0) + 1
-        self.search.merge(result.stats)
+        self.per_method[result.method] = self.per_method.get(result.method, 0) + 1
+        self.total_pops += result.stats.pops
 
     def snapshot(self) -> dict:
-        """A plain-dict view (stable keys; handy for logging/reports)."""
+        """The fields plus the derived counts and ratios, as a plain dict."""
         return {
+            **asdict(self),
             "requests": self.requests,
-            "batches": self.batches,
-            "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "deduplicated": self.deduplicated,
             "executed": self.executed,
-            "invalidated_entries": self.invalidated_entries,
-            "reused_entries": self.reused_entries,
-            "full_invalidations": self.full_invalidations,
-            "query_seconds": self.query_seconds,
+            "hit_rate": self.hit_rate,
             "avg_query_seconds": self.avg_query_seconds,
-            "max_query_seconds": self.max_query_seconds,
-            "per_method": dict(self.per_method),
-            "total_pops": self.search.pops,
         }

@@ -23,9 +23,10 @@ component that can absorb realistic load:
   the service and kept across every engine swap: queries from many
   caller threads hold its read side together, and a move, a forget, an
   edge update, a swap and :meth:`QueryService.close` hold its write
-  side (the engine's grid/aggregate-index mutation is not safe under
-  readers).  The engine is a plain value the service mutates: a served
-  engine is mutated only through its service.
+  side (a move writes the location table and marks the k-d tree,
+  neither safe under readers).  The engine is a plain value the
+  service mutates: a served engine is mutated only through its
+  service.
 
 Concurrency comes from the callers (the server's worker threads, or
 any threads sharing one service); a batch adds none of its own, because
@@ -39,6 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import Iterable, Iterator
 
 from repro.core.engine import AUTO, GeoSocialEngine
@@ -191,19 +193,18 @@ class QueryService:
         event loop) can try it before handing the request to
         :meth:`query`.
 
-        A hit is accounted exactly as :meth:`query` would (``requests``
-        and ``cache_hits``, LRU position refreshed); a miss counts
-        nothing — the :meth:`query` that follows it counts the one
-        miss.  Safe without the service's lock: an answer read during a
-        concurrent move linearises before the move, and an engine swap
-        flushes the cache under its own lock."""
+        A hit is accounted exactly as :meth:`query` would (one
+        ``cache_hits``, LRU position refreshed); a miss counts nothing —
+        the :meth:`query` that follows it counts the one miss.  Safe
+        without the service's lock: an answer read during a concurrent
+        move linearises before the move, and an engine swap flushes the
+        cache under its own lock."""
         if self.cache is None:
             return None
-        result = self.cache.hit(self._cache_key(request, self._line(request)))
+        result = self.cache.get(self._cache_key(request, self._line(request)))
         if result is None:
             return None
         with self._stats_lock:
-            self.stats.requests += 1
             self.stats.cache_hits += 1
         return QueryResponse(request, result, cached=True)
 
@@ -248,9 +249,9 @@ class QueryService:
         """The serve path, written once for :meth:`query` (a batch of
         one) and :meth:`query_many`, all under the service's read lock —
         so a batch is one consistent cut, its hits and its misses alike:
-        cache lookup (:meth:`_line`) → for the misses: resolve → execute
-        → cache put (:meth:`_serve_misses`) → account.  A batch of hits
-        never touches the planner."""
+        cache lookup (:meth:`_line`) → for the misses: execute → cache
+        put (:meth:`_serve_misses`) → account.  A batch of hits never
+        touches the planner."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
         hits = 0
         misses: list[int] = []
@@ -266,41 +267,35 @@ class QueryService:
             if misses:
                 self._serve_misses(engine, reqs, misses, responses)
         with self._stats_lock:
-            self.stats.requests += len(reqs)
             self.stats.cache_hits += hits
-            self.stats.cache_misses += len(reqs) - hits
         return responses  # type: ignore[return-value]
 
     def _serve_misses(self, engine, reqs, misses, responses) -> None:
-        """Resolve and execute ``reqs[i] for i in misses`` under the
-        service's read lock (once per distinct cache line, in request
-        order, on the calling thread), fill the cache, and fan the
-        results out to ``responses``.
+        """Execute ``reqs[i] for i in misses`` under the service's read
+        lock (once per distinct cache line, in request order, on the
+        calling thread), fill the cache, and fan the results out to
+        ``responses``.
 
-        Every distinct miss runs ``engine.query``; variants for one hot
-        query user still share its social column through the engine's
-        column step (the first fills it, the rest scan).  All of them
-        run before anything is cached or counted, so a request that
-        raises leaves the cache and the stats as they were.
+        Every distinct miss runs ``engine.query``, which resolves its
+        method once (the planner, for ``auto``) and stamps it on the
+        result; variants for one hot query user still share its social
+        column through the engine's column step (the first fills it,
+        the rest scan).  All of them run before anything is cached or
+        counted, so a request that raises leaves the cache and the
+        stats as they were.
         """
-        #: distinct cache key → (the request pinned to its resolved
-        #: method, the request indexes waiting)
-        pending: "dict[tuple, tuple[QueryRequest, list[int]]]" = {}
+        #: distinct cache key → the request indexes waiting
+        pending: "dict[tuple, list[int]]" = {}
         for i in misses:
             req = reqs[i]
-            key = self._cache_key(req, self._line(req))
-            waiting = pending.get(key)
-            if waiting is None:
-                pending[key] = (req.with_method(engine.resolve_method(req)), [i])
-            else:
-                waiting[1].append(i)
+            pending.setdefault(self._cache_key(req, self._line(req)), []).append(i)
         executed = []
-        for request, _ in pending.values():
+        for indexes in pending.values():
             start = time.perf_counter()
-            result = engine.query(request)
+            result = engine.query(reqs[indexes[0]])
             executed.append((result, time.perf_counter() - start))
 
-        for (key, (request, indexes)), (result, elapsed) in zip(pending.items(), executed):
+        for (key, indexes), (result, elapsed) in zip(pending.items(), executed):
             if self.cache is not None:
                 self.cache.put(key, result)
             first = indexes[0]
@@ -308,7 +303,7 @@ class QueryService:
             for j in indexes[1:]:
                 responses[j] = QueryResponse(reqs[j], result, deduplicated=True)
             with self._stats_lock:
-                self.stats.record_execution(request.method, result, elapsed)
+                self.stats.record_execution(result, elapsed)
                 self.stats.deduplicated += len(indexes) - 1
 
     # -- updates -------------------------------------------------------
@@ -399,7 +394,7 @@ class QueryService:
         if self.cache is not None:
             outcome = self.cache.invalidate_all()
             with self._stats_lock:
-                self.stats.invalidated_entries += int(outcome)
+                self.stats.invalidated_entries += outcome
                 self.stats.full_invalidations += 1
         for follower in list(self._followers):
             follower.engine_swapped(new_engine)
@@ -453,10 +448,8 @@ class QueryService:
     def _location_changed(self, user: int, x: float | None, y: float | None) -> None:
         if self.cache is not None:
             outcome = self.cache.invalidate_location_update()
-            # Counted from the outcome, not from the shared cache stats,
-            # so concurrent invalidations attribute their counters exactly.
             with self._stats_lock:
-                self.stats.invalidated_entries += int(outcome)
+                self.stats.invalidated_entries += outcome
                 self.stats.reused_entries += outcome.reused
         for follower in list(self._followers):
             follower.location_updated(user, x, y)
@@ -464,28 +457,16 @@ class QueryService:
     # -- introspection -------------------------------------------------
 
     def cache_info(self) -> dict:
-        """Cache statistics snapshot: the result cache's counters at the
-        top level (absent when result caching is off) plus the engine's
-        social column cache under ``"social"`` (absent when the engine
-        carries none) — so ``/stats``, ``/metrics``, and ``repro stats``
-        surface both caches from one call."""
+        """Cache statistics snapshot: the result cache's size, capacity
+        and own counters (:class:`~repro.service.cache.CacheStats`) at
+        the top level (absent when result caching is off) plus the
+        engine's social column cache under ``"social"`` (absent when the
+        engine carries none) — so ``/stats``, ``/metrics``, and ``repro
+        stats`` surface both caches from one call.  Hits, misses and
+        invalidations are the service's counters (``stats``)."""
         info: dict = {}
         if self.cache is not None:
-            stats = self.cache.stats
-            info.update(
-                {
-                    "size": len(self.cache),
-                    "capacity": self.cache.capacity,
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "hit_rate": stats.hit_rate,
-                    "evictions": stats.evictions,
-                    "invalidated": stats.invalidated,
-                    "reused": stats.reused,
-                    "full_invalidations": stats.full_invalidations,
-                    "epoch": self.cache.epoch,
-                }
-            )
+            info.update(size=len(self.cache), capacity=self.cache.capacity, **asdict(self.cache.stats))
         social = self.engine.social_cache
         if social is not None:
             info["social"] = social.info()

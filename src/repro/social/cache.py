@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.graph.traversal import DijkstraIterator
 
@@ -78,13 +78,7 @@ class SocialCacheStats:
     invalidations: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "promotions": self.promotions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+        return asdict(self)
 
 
 class SocialColumnCache:
@@ -106,12 +100,13 @@ class SocialColumnCache:
 
     Thread-safe: every operation holds one internal lock, so concurrent
     queries under the service's shared read lock never observe a
-    half-updated entry.  Columns are shared read-only.
+    half-updated entry.  Columns are shared read-only.  ``max_bytes``
+    is at least 1: an engine without a column cache carries ``None``.
     """
 
     def __init__(self, n: int, kernels, max_bytes: int = DEFAULT_SOCIAL_CACHE_BYTES) -> None:
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        if max_bytes < 1:
+            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.n = n
         self.kernels = kernels
         self.max_bytes = max_bytes
@@ -157,8 +152,6 @@ class SocialColumnCache:
         miss).  The column is shared: callers must treat it as
         read-only."""
         with self._lock:
-            if not self.max_bytes:
-                return None
             column = self._entries.get(user)
             if column is None:
                 self.stats.misses += 1
@@ -185,7 +178,7 @@ class SocialColumnCache:
         """Cache a fully materialised column for ``user`` (replaces any
         existing entry; no-op when it cannot fit the budget at all)."""
         with self._lock:
-            if not self.max_bytes or self.column_bytes > self.max_bytes:
+            if self.column_bytes > self.max_bytes:
                 return
             self._entries[user] = column
             self._entries.move_to_end(user)
@@ -198,7 +191,7 @@ class SocialColumnCache:
         expansion is dropped.  Nothing in the query pipeline calls this
         (it caches only kernel columns); it stays because ``perfbench``'s
         tracer wraps it by name."""
-        if not self.max_bytes or not iterator.exhausted:
+        if not iterator.exhausted:
             return
         column = self.kernels.dense_from_dict(self.n, iterator.settled, INF)
         with self._lock:

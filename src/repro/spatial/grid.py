@@ -41,7 +41,7 @@ class UniformGrid:
     the vectorized kernels of :mod:`repro.backend` consume.
     """
 
-    __slots__ = ("bbox", "nx", "ny", "cell_w", "cell_h", "cells", "_cell_of_user", "_ids_cache")
+    __slots__ = ("bbox", "nx", "ny", "cell_w", "cell_h", "cells", "_size", "_ids_cache")
 
     def __init__(self, bbox: BBox, resolution: int) -> None:
         if resolution < 1:
@@ -55,7 +55,8 @@ class UniformGrid:
         self.cell_h = (bbox.maxy - bbox.miny) / self.ny or 1.0
         #: sparse storage: (ix, iy) -> list of user ids
         self.cells: dict[tuple[int, int], list[int]] = {}
-        self._cell_of_user: dict[int, tuple[int, int]] = {}
+        #: number of indexed users
+        self._size = 0
         #: per-cell id-array cache (see ids_in)
         self._ids_cache: dict[tuple[int, int], object] = {}
 
@@ -90,8 +91,7 @@ class UniformGrid:
         # cells in the order their first (smallest) member opened them
         for cell in _np.argsort(order[starts]).tolist():
             grid.cells[coords[cell]] = members[bounds[cell]:bounds[cell + 1]]
-        cell_of = _np.searchsorted(sorted_keys[starts], keys).tolist()
-        grid._cell_of_user = dict(zip(users.tolist(), map(coords.__getitem__, cell_of)))
+        grid._size = len(members)
         return grid
 
     # -- geometry ---------------------------------------------------------
@@ -134,9 +134,6 @@ class UniformGrid:
 
     # -- contents ---------------------------------------------------------
 
-    def cell_of_user(self, user: int) -> tuple[int, int] | None:
-        return self._cell_of_user.get(user)
-
     def users_in(self, ix: int, iy: int) -> list[int]:
         return self.cells.get((ix, iy), [])
 
@@ -157,10 +154,7 @@ class UniformGrid:
 
     def __len__(self) -> int:
         """Number of indexed users."""
-        return len(self._cell_of_user)
-
-    def __contains__(self, user: int) -> bool:
-        return user in self._cell_of_user
+        return self._size
 
     # -- ring iteration (used by incremental NN) --------------------------
 

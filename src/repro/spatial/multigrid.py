@@ -114,6 +114,3 @@ class MultiLevelGrid:
 
     def __len__(self) -> int:
         return len(self.leaf_grid)
-
-    def __contains__(self, user: int) -> bool:
-        return user in self.leaf_grid

@@ -10,7 +10,7 @@ proven irrelevant versus repaired versus recomputed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
@@ -218,18 +218,5 @@ class StreamStats:
         return (self.noops + self.repair_marks) / total if total else 0.0
 
     def snapshot(self) -> dict:
-        """A plain-dict view (stable keys, handy for logging)."""
-        return {
-            "subscribed": self.subscribed,
-            "active": self.active,
-            "location_updates": self.location_updates,
-            "noops": self.noops,
-            "repair_marks": self.repair_marks,
-            "recompute_marks": self.recompute_marks,
-            "repairs_applied": self.repairs_applied,
-            "recomputes_applied": self.recomputes_applied,
-            "entrant_evaluations": self.entrant_evaluations,
-            "engine_swaps": self.engine_swaps,
-            "suspended": self.suspended,
-            "maintained_fraction": self.maintained_fraction,
-        }
+        """The fields plus ``maintained_fraction``, as one plain dict."""
+        return {**asdict(self), "maintained_fraction": self.maintained_fraction}

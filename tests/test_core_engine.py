@@ -114,8 +114,9 @@ class TestDynamicLocations:
         gone = users[0]
         engine.forget_location(gone)
         assert not engine.locations.has_location(gone)
-        assert gone not in engine.grid
-        assert gone not in engine.aggregate
+        assert all(gone not in users for users in engine.grid.cells.values())
+        aggregate = engine.aggregate
+        assert all(gone not in aggregate.users_in(leaf) for leaf in aggregate.leaf_summaries)
         q = users[1]
         expected = engine.query(q, k=10, alpha=0.3, method="bruteforce")
         assert gone not in expected.users or engine.query(q, k=10, alpha=0.3).users

@@ -431,7 +431,8 @@ def test_non_finite_coordinates_are_rejected_before_anything_is_written(
         assert engine.locations.get(located) == before
         again = caching.query(located, k=3, alpha=0.3, method="tsa")
         assert again.cached and again.result is warm.result
-        assert caching.cache_info()["reused"] == caching.cache_info()["invalidated"] == 0
+        snap = caching.stats.snapshot()
+        assert snap["reused_entries"] == snap["invalidated_entries"] == 0
         assert not sub.dirty and registry.stats.location_updates == 0
         truth = engine.query(located, 3, 0.3, "bruteforce")
         assert registry.result(sub).users == again.result.users == truth.users

@@ -66,7 +66,7 @@ def test_service_quickstart_runs():
     assert "cache hit rate" in out
     assert "batched rankings identical to sequential engine.query: True" in out
     assert "verified against brute force: True" in out
-    assert "epoch-based full invalidation" in out
+    assert "full cache flush" in out and "full_invalidations 1" in out
 
 
 def test_stream_quickstart_runs():

@@ -223,7 +223,7 @@ def test_cache_hit_on_repeat_and_stats(engine):
     assert service.stats.cache_hits == 1
     assert service.stats.cache_misses == 2
     assert 0.0 < service.stats.hit_rate < 1.0
-    assert info["size"] == 2 and info["hits"] == 1
+    assert info["size"] == info["insertions"] == 2
 
 
 def test_cache_key_separates_parameters(engine):
@@ -339,14 +339,12 @@ def test_edge_update_keeps_caches_warm_until_rebuild(engine):
         service.update_edge(u, v, 0.01)
         assert service.pending_edge_updates == 1
         assert len(service.cache) == len(engine.social_cache) == len(users)
-        assert service.cache.epoch == 0
         assert service.stats.full_invalidations == 0
         assert all(service.query(u, k=4, alpha=0.5, method="bruteforce").cached for u in users)
         new_engine = service.rebuild_engine()
         try:
             assert service.pending_edge_updates == 0
             assert len(service.cache) == len(new_engine.social_cache) == 0
-            assert service.cache.epoch == 1
             assert service.stats.full_invalidations == 1
             assert service.stats.invalidated_entries == len(users)
             assert not service.query(u, k=4, alpha=0.5, method="bruteforce").cached
@@ -561,9 +559,9 @@ def test_result_cache_plain_lru_semantics():
     cache_put(cache, 3, 1, 0.5, "tsa", member)  # evicts LRU "b"
     assert cache.get(b) is None
     assert len(cache) == 2
-    assert cache.stats.evictions == 1
+    assert (cache.stats.insertions, cache.stats.evictions) == (3, 1)
     assert cache.invalidate_all() == 2
-    assert cache.epoch == 1 and len(cache) == 0
+    assert len(cache) == 0
 
 
 # ---------------------------------------------------------------- concurrency
@@ -766,14 +764,14 @@ def test_cached_probe_counts_like_query_and_never_plans(engine):
     with QueryService(engine, cache_size=32) as service:
         assert service.cached(auto) is None
         assert service.stats.snapshot()["requests"] == 0      # a miss counts nothing
-        assert service.cache.stats.misses == 0
         assert engine.planner.stats.auto_resolutions == 0     # ... and resolves nothing
         executed = service.query(auto)
         assert (service.stats.requests, service.stats.cache_misses) == (1, 1)
+        assert engine.planner.stats.auto_resolutions == 1     # the miss planned once
         probe = service.cached(auto)
         assert probe.cached and probe.result is executed.result and probe.latency == 0.0
         assert (service.stats.requests, service.stats.cache_hits) == (2, 1)
-        assert service.cache.stats.hits == 1 and service.cache.stats.misses == 1
+        assert service.stats.cache_misses == 1
         # the probe refreshes the LRU position like any hit
         other = QueryRequest(located(engine, 2)[1], k=5, alpha=0.4, method="tsa")
         service.query(other)

@@ -1,23 +1,29 @@
 """Direct contract tests for the stats objects the serving stack
 exposes — :class:`ServiceStats`, the cache's :class:`CacheStats` (via
-``cache_info``), :class:`PlannerStats` and the server's
-:class:`ServerStats`.
+``cache_info``), :class:`PlannerStats`, :class:`StreamStats`,
+:class:`SocialCacheStats` and the server's :class:`ServerStats`.
 
 ``/stats`` and ``/metrics`` are only as trustworthy as these counters;
 this suite pins their arithmetic (rates, averages, maxima), their
-snapshot key sets, and the cross-layer identities the server suite
-relies on (requests = hits + misses, admitted = completed at rest).
+snapshot key sets (each one its class's fields plus named derived
+keys), and the cross-layer identities the server suite relies on
+(requests = hits + misses, admitted = completed at rest).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro import GeoSocialEngine, PlannerStats, QueryService, ServiceStats
+from repro.core.request import QueryRequest
 from repro.core.result import Neighbor, SSRQResult
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerStats
-from repro.core.request import QueryRequest
+from repro.service import CacheStats
+from repro.social import SocialCacheStats
+from repro.stream import StreamStats
 
 
 def _result(method: str = "ais") -> SSRQResult:
@@ -38,16 +44,16 @@ def test_service_stats_zero_state():
 
 
 def test_service_stats_hit_rate():
-    stats = ServiceStats(cache_hits=3, cache_misses=1)
+    stats = ServiceStats(cache_hits=3, per_method={"ais": 1})
     assert stats.hit_rate == 0.75
     assert stats.snapshot()["hit_rate"] == 0.75
 
 
 def test_record_execution_accumulates():
     stats = ServiceStats()
-    stats.record_execution("ais", _result("ais"), 0.5)
-    stats.record_execution("spa", _result("spa"), 1.5)
-    stats.record_execution("ais", _result("ais"), 0.25)
+    stats.record_execution(_result("ais"), 0.5)
+    stats.record_execution(_result("spa"), 1.5)
+    stats.record_execution(_result("ais"), 0.25)
     assert stats.executed == 3
     assert stats.query_seconds == pytest.approx(2.25)
     assert stats.avg_query_seconds == pytest.approx(0.75)
@@ -57,7 +63,7 @@ def test_record_execution_accumulates():
 
 def test_snapshot_per_method_is_a_copy():
     stats = ServiceStats()
-    stats.record_execution("ais", _result(), 0.1)
+    stats.record_execution(_result(), 0.1)
     snap = stats.snapshot()
     snap["per_method"]["ais"] = 999
     assert stats.per_method["ais"] == 1
@@ -73,24 +79,26 @@ def engine() -> GeoSocialEngine:
 
 
 def test_cache_info_contract(engine):
-    with QueryService(engine) as service:
+    """The ``cache`` section carries the result cache's size, capacity
+    and what only the cache sees (insertions, LRU evictions); hits,
+    misses and invalidations are counted once, in the service's
+    snapshot."""
+    with QueryService(engine, cache_size=2) as service:
         user = sorted(engine.locations.located_users())[0]
         service.query(user, k=5, method="ais")
         service.query(user, k=5, method="ais")  # identical: must hit
         service.query(user, k=6, method="ais")  # different k: must miss
+        service.query(user, k=7, method="ais")  # a third line: evicts k=5
         info = service.cache_info()
-        assert info["hits"] == 1
-        assert info["misses"] == 2
-        assert info["size"] == 2
-        assert info["hit_rate"] == pytest.approx(1 / 3)
-        assert info["capacity"] == 1024
-        # service-level counters agree with the cache's own
+        assert set(info) == {"size", "capacity", "insertions", "evictions", "social"}
+        assert set(info) - {"size", "capacity", "social"} == {f.name for f in fields(CacheStats)}
+        assert (info["size"], info["capacity"]) == (2, 2)
+        assert (info["insertions"], info["evictions"]) == (3, 1)
         snap = service.stats.snapshot()
-        assert snap["requests"] == 3
-        assert snap["cache_hits"] == info["hits"]
-        assert snap["cache_misses"] == info["misses"]
+        assert (snap["requests"], snap["cache_hits"], snap["cache_misses"]) == (4, 1, 3)
+        assert snap["hit_rate"] == pytest.approx(1 / 4)
         assert snap["requests"] == snap["cache_hits"] + snap["cache_misses"]
-        assert snap["executed"] == snap["cache_misses"]
+        assert snap["executed"] == snap["cache_misses"] == info["insertions"]
 
 
 def test_cache_disabled_counts_all_misses(engine):
@@ -146,7 +154,27 @@ def test_invalidation_counters_move_on_update(engine):
         swapped = service.stats.snapshot()
         assert swapped["full_invalidations"] - settled["full_invalidations"] == 1
         assert swapped["invalidated_entries"] - settled["invalidated_entries"] == held >= 1
-        assert service.cache_info()["full_invalidations"] == 1
+        assert swapped["full_invalidations"] == 1
+
+
+@pytest.mark.parametrize(
+    "cls, derived",
+    [
+        (ServiceStats, {"requests", "cache_misses", "executed", "hit_rate", "avg_query_seconds"}),
+        (StreamStats, {"maintained_fraction"}),
+        (SocialCacheStats, set()),
+        (PlannerStats, set()),
+        (ServerStats, set()),
+    ],
+)
+def test_each_snapshot_is_its_fields_plus_named_derived_keys(cls, derived):
+    """A counter is declared once, as a field: a snapshot adds only the
+    named numbers derived from the fields, each read off its property."""
+    stats = cls()
+    snap = stats.snapshot()
+    assert set(snap) == {f.name for f in fields(cls)} | derived
+    for name in derived:
+        assert snap[name] == getattr(stats, name)
 
 
 # -- PlannerStats -------------------------------------------------------

@@ -425,6 +425,9 @@ def test_engine_cache_budget_knobs():
     engine = build_engine(None)
     assert engine.social_cache.max_bytes == DEFAULT_SOCIAL_CACHE_BYTES
     assert build_engine(0).social_cache is None
+    # "no column cache" has one form, None: the cache refuses a 0 budget
+    with pytest.raises(ValueError, match="max_bytes must be >= 1"):
+        SocialColumnCache(engine.graph.n, engine.kernels, max_bytes=0)
     sized = build_engine(4096)
     assert sized.social_cache.max_bytes == 4096
     rebuilt = sized.with_graph(sized.graph)

@@ -20,32 +20,36 @@ UNIT = BBox(0.0, 0.0, 1.0, 1.0)
 
 
 def inserted(grid, locations):
-    """``(cells, cell of each user)`` of placing every located user of
-    ``locations`` by ``grid.cell_of``, one by one in id order."""
-    cells, cell_of_user = {}, {}
+    """The cells of placing every located user of ``locations`` by
+    ``grid.cell_of``, one by one in id order."""
+    cells = {}
     for user in locations.located_users():
-        cell = cell_of_user[user] = grid.cell_of(*locations.get(user))
-        cells.setdefault(cell, []).append(user)
-    return cells, cell_of_user
+        cells.setdefault(grid.cell_of(*locations.get(user)), []).append(user)
+    return cells
+
+
+def cell_holding(grid, user):
+    """The cell whose members list ``user``."""
+    return next(cell for cell, users in grid.cells.items() if user in users)
 
 
 @pytest.mark.parametrize("resolution", [1, 7, 100])
 def test_build_equals_inserting_every_located_user_in_id_order(resolution):
-    """The vectorised build: same cells, in-cell order, cell order and
-    user -> cell map as placing one located user at a time."""
+    """The vectorised build: same cells, in-cell order and cell order
+    as placing one located user at a time, and a count of them all."""
     from repro import gowalla_like
 
     locations = gowalla_like(n=3000, seed=7).locations
     built = UniformGrid.build(locations, resolution)
-    cells, cell_of_user = inserted(UniformGrid(locations.bbox(), resolution), locations)
+    cells = inserted(UniformGrid(locations.bbox(), resolution), locations)
     assert list(built.cells.items()) == list(cells.items())
-    assert list(built._cell_of_user.items()) == list(cell_of_user.items())
+    assert len(built) == locations.n_located
 
 
 def test_build_over_no_located_user_is_empty():
     grid = UniformGrid.build(LocationTable.empty(5), 4)
     assert len(grid) == 0 and not grid.cells
-    assert grid.bbox == BBox(0.0, 0.0, 0.0, 0.0) and 2 not in grid
+    assert grid.bbox == BBox(0.0, 0.0, 0.0, 0.0)
 
 
 def test_a_box_at_the_coordinate_bound_keeps_finite_cells():
@@ -63,10 +67,10 @@ def test_a_box_at_the_coordinate_bound_keeps_finite_cells():
         built = UniformGrid.build(make_locations(points), 4)
     assert built.cell_w == 2.0**499
     assert [built.cell_of(x, y) for x, y in points] == [(0, 0), (2, 0), (3, 0)]
-    cells, _ = inserted(UniformGrid(built.bbox, 4), make_locations(points))
+    cells = inserted(UniformGrid(built.bbox, 4), make_locations(points))
     assert list(built.cells.items()) == list(cells.items())
     for user, (x, y) in enumerate(points):
-        assert built.cell_bbox(*built.cell_of_user(user)).contains(x, y)
+        assert built.cell_bbox(*cell_holding(built, user)).contains(x, y)
 
 
 def test_a_subnormal_box_clamps_a_far_insert_without_a_warning():
@@ -82,7 +86,7 @@ def test_a_subnormal_box_clamps_a_far_insert_without_a_warning():
         grid = UniformGrid.build(make_locations(points), 4)
         assert 0.0 < grid.cell_w < 2.0**-1022
         assert grid.cell_of(COORDINATE_BOUND, -COORDINATE_BOUND) == (3, 0)
-    assert grid.cell_of_user(1) == (3, 1)
+    assert cell_holding(grid, 1) == (3, 1)
 
 
 class TestGeometry:
@@ -126,7 +130,7 @@ class TestContents:
         table.set(2, 0.8, 0.8)
         grid = UniformGrid.build(table, 4)
         assert len(grid) == 2
-        assert 1 not in grid
+        assert sorted(u for users in grid.cells.values() for u in users) == [0, 2]
 
 
 class TestRings:

@@ -71,10 +71,9 @@ def test_every_user_under_its_parent():
     rng = random.Random(22)
     table = make_table([(rng.random(), rng.random()) for _ in range(80)])
     grid = MultiLevelGrid.build(table, s=4)
-    for user in range(80):
-        leaf = grid.leaf_grid.cell_of_user(user)
-        top = grid.parent_of(leaf)
-        assert leaf in set(grid.children_of(top))
+    for leaf, users in grid.leaf_grid.cells.items():
+        assert users and leaf in set(grid.children_of(grid.parent_of(leaf)))
+    assert len(grid) == 80
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
@@ -87,7 +86,9 @@ def test_a_span_at_the_coordinate_bound_keeps_every_user_in_its_boxes(s):
     points = [(-bound, -bound), (bound, bound), (bound, -bound), (0.5, 5e-324), (-bound / 10, bound / 3)]
     table = LocationTable.from_columns([p[0] for p in points], [p[1] for p in points])
     grid = MultiLevelGrid.build(table, s)
-    for user, (x, y) in enumerate(points):
-        leaf = grid.leaf_grid.cell_of_user(user)
-        assert grid.leaf_bbox(leaf).contains(x, y), (user, leaf)
-        assert grid.top_bbox(grid.parent_of(leaf)).contains(x, y), (user, leaf)
+    for leaf, users in grid.leaf_grid.cells.items():
+        for user in users:
+            x, y = points[user]
+            assert grid.leaf_bbox(leaf).contains(x, y), (user, leaf)
+            assert grid.top_bbox(grid.parent_of(leaf)).contains(x, y), (user, leaf)
+    assert len(grid) == len(points)

