@@ -29,13 +29,14 @@ from typing import Callable
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.graphdist import CHOracle
 from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
+from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.core.sfa import SocialFirstSearch
 from repro.core.spa import SpatialFirstSearch
 from repro.core.tsa import TwofoldSearch
 from repro.graph.ch import ContractionHierarchy
-from repro.plan.rules import static_choice
+from repro.plan.rules import route_method
 
 __all__ = ["DEFAULT_T", "VARIANTS", "neighbor_cache", "run_query", "variant_searcher"]
 
@@ -116,15 +117,15 @@ def run_query(
     engine, method: str, user: int, k: int, alpha: float, t: int | None = None
 ) -> SSRQResult:
     """Answer one SSRQ with ``method``: ``engine.query`` for a served
-    name (or ``"auto"``), the variant's searcher otherwise.  At the
-    preference endpoints a variant takes the served route (SPA at
-    ``alpha == 0``, SFA at ``alpha == 1``), like every index-based
-    method does."""
+    name (or ``"auto"``), the variant's searcher otherwise.  A variant
+    takes the served methods' endpoint rule
+    (:func:`~repro.plan.rules.route_method`): ``bounded`` at a zero
+    social weight, SFA at a zero spatial weight."""
     if method not in VARIANTS:
         return engine.query(user, k, alpha, method)
     request = QueryRequest(user, k, alpha, method)
-    route = "spa" if request.alpha == 0.0 else static_choice(request.alpha)
-    if route is not None:
+    route = route_method(method, RankingFunction(request.alpha, engine.normalization))
+    if route != method:
         return engine.query(request.user, request.k, request.alpha, route)
     result = variant_searcher(engine, method, t).search(request.user, request.k, request.alpha)
     result.method = method

@@ -120,10 +120,9 @@ def load(out: str, dataset: str, n: int, seed: int) -> None:
     """Build a synthetic dataset and save the engine to OUT."""
     engine = GeoSocialEngine.from_dataset(DATASETS[dataset](n=n, seed=seed))
     path = save_engine(engine, out)
-    located = sum(1 for user in range(engine.graph.n) if engine.locations.get(user))
     click.echo(
         f"saved {dataset} engine: {engine.graph.n} users "
-        f"({located} located, backend={engine.kernels.name}) -> {path}"
+        f"({engine.locations.n_located} located, backend={engine.kernels.name}) -> {path}"
     )
 
 

@@ -7,9 +7,8 @@ query algorithm of the paper.
     >>> result = engine.query(user=8, k=10, alpha=0.3, method="ais")
     >>> [nb.user for nb in result]          # doctest: +SKIP
 
-Served methods (paper names; one row each in
-:data:`repro.plan.rules.METHOD_TABLE`, one builder each in
-:data:`SEARCHER_BUILDERS`):
+Served methods (paper names; one name each in :data:`METHODS`, one
+builder each in :data:`SEARCHER_BUILDERS`):
 
 ================  ====================================================
 ``sfa``           Social First Approach (Section 4.1)
@@ -18,9 +17,9 @@ Served methods (paper names; one row each in
 ``tsa-qc``        TSA with Quick Combine probing
 ``ais``           Aggregate Index Search, all optimisations (Section 5)
 ``bounded``       SFA's stopping rule as one radius-limited kernel call
-                  (at ``alpha == 0``: over a k-d tree)
+                  (at a zero social weight: over a k-d tree)
 ``bruteforce``    exact reference scan
-``auto``          ``bounded``, and SFA at ``alpha == 1`` (:mod:`repro.plan`)
+``auto``          ``bounded`` (:mod:`repro.plan`)
 ================  ====================================================
 
 The figure-only variants of the paper's evaluation (``ais-minus``,
@@ -28,17 +27,20 @@ The figure-only variants of the paper's evaluation (``ais-minus``,
 builds them from an engine's public parts
 (:mod:`repro.bench.variants`).
 
-At the preference endpoints the engine routes degenerate requests the
-way the definitions demand: ``alpha == 0`` is a pure spatial query
-(SFA/TSA route to SPA) and ``alpha == 1`` a pure social one
-(SPA/TSA/AIS route to SFA).  ``method="auto"`` resolves per query
-through the engine's :class:`~repro.plan.Planner` — SFA at
-``alpha == 1``, ``bounded`` below it — and returns the same ranking
-any fixed method would.  The paper's grid and aggregate index serve
-only the named ``spa`` / ``tsa`` / ``tsa-qc`` / ``ais``: a location
-update drops them, and it only marks the k-d tree ``bounded`` reads at
-``alpha == 0``.  A query user without a location is answerable only
-at ``alpha == 1``; below it every method raises the same ``ValueError``.
+Every request, ``auto`` or named, takes one endpoint rule read off
+the score's weights (:func:`repro.plan.rules.route_method`): a zero
+social weight (``alpha == 0``, or an ``alpha / P_max`` that
+underflows) is a pure spatial query and runs ``bounded`` off its k-d
+tree; a zero spatial weight (``alpha == 1``) is a pure social one and
+runs SFA; ``bruteforce`` is never routed; anything else runs what it
+names, and ``auto`` (resolved by the engine's
+:class:`~repro.plan.Planner`) runs ``bounded``.  Every path returns
+the same ranking any fixed method would.  The paper's grid and
+aggregate index serve only the named ``spa`` / ``tsa`` / ``tsa-qc`` /
+``ais``: a location update drops them, and it only marks the k-d tree
+``bounded`` reads at a zero social weight.  A query user without a
+location is answerable only at ``alpha == 1``; below it every method
+raises the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.backend import NumpyKernels
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bounded import BoundedSearch, LocatedTree
 from repro.core.bruteforce import BruteForceSearch
-from repro.core.ranking import Normalization
+from repro.core.ranking import Normalization, RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.core.sfa import SocialFirstSearch
@@ -62,7 +64,7 @@ from repro.graph.landmarks import LANDMARK_STRATEGIES, LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
 from repro.plan.planner import Planner
-from repro.plan.rules import AUTO, METHOD_TABLE, route_method
+from repro.plan.rules import AUTO, FORWARD_DETERMINISTIC_METHODS, METHODS, route_method
 from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
@@ -77,15 +79,6 @@ __all__ = [
     "SEARCHER_BUILDERS",
     "GeoSocialEngine",
 ]
-
-METHODS = tuple(METHOD_TABLE)
-
-#: the methods whose stored results the update-stream layers may repair
-#: in place and whose queries can scan a cached social column (see
-#: :attr:`repro.plan.rules.MethodSpec.forward`)
-FORWARD_DETERMINISTIC_METHODS = frozenset(
-    name for name, spec in METHOD_TABLE.items() if spec.forward
-)
 
 
 class GeoSocialEngine:
@@ -264,20 +257,20 @@ class GeoSocialEngine:
     def resolve_method(self, request: QueryRequest) -> str:
         """The concrete method one query dispatches to — the single
         source of the resolution contract: explicit methods validate
-        against :data:`METHODS` and take the static endpoint routing,
-        ``"auto"`` asks the engine's planner.  The service layer keys a
-        named method's cache line on this resolution, and the stream
-        layer classifies repairability off it — so repairs always see
-        the method that actually ran."""
+        against :data:`METHODS` and take the endpoint rule
+        (:func:`~repro.plan.rules.route_method`), ``"auto"`` asks the
+        engine's planner, which takes the same rule.  The stream layer
+        classifies repairability off ``result.method``, so repairs
+        always see the method that actually ran."""
         method = request.method
         if method == AUTO:
             # an out-of-range user must surface the engine's ValueError
             # contract before the planner sees it
             check_user(request.user, self.graph.n)
             return self.planner.resolve(self, request)
-        if method not in METHOD_TABLE:
+        if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-        return route_method(method, request.alpha)
+        return route_method(method, RankingFunction(request.alpha, self.normalization))
 
     def searcher(self, method: str):
         """The query-processor object behind ``method`` (cached)."""
@@ -308,8 +301,8 @@ class GeoSocialEngine:
         ready-made request.  Every query runs one pipeline:
 
         1. **coerce** the arguments into one validated request;
-        2. **resolve** the method (:meth:`resolve_method`: endpoint
-           routing, or the planner for ``"auto"``);
+        2. **resolve** the method (:meth:`resolve_method`: the
+           endpoint rule, through the planner for ``"auto"``);
         3. **column step** — look the query user's social column up
            (:func:`repro.social.scan.column_step`): a cached column
            answers at once, otherwise the resolved method's searcher
@@ -432,11 +425,10 @@ def _twofold(engine: GeoSocialEngine, **options) -> TwofoldSearch:
 
 
 #: the searchers built over the grid or the aggregate index, which a
-#: location update drops with them: the index-based rows, which route
-#: ``alpha == 1`` to SFA (:attr:`repro.plan.rules.MethodSpec.alpha1`)
-_OVER_THE_GRID = frozenset(name for name, spec in METHOD_TABLE.items() if spec.alpha1)
+#: location update drops with them
+_OVER_THE_GRID = frozenset({"spa", "tsa", "tsa-qc", "ais"})
 
-#: ``name -> builder(engine)``: how each :data:`METHODS` row's searcher
+#: ``name -> builder(engine)``: how each :data:`METHODS` name's searcher
 #: is made from an engine's parts
 SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
     "sfa": lambda e: SocialFirstSearch(e.graph, e.locations, e.normalization),

@@ -135,8 +135,8 @@ class CachedSocialFirst:
         rank = RankingFunction(alpha, self.normalization)
         if not rank.needs_social:
             raise ValueError(
-                "AIS-Cache requires alpha > 0 (the cached lists are ordered "
-                "by social distance); use SPA for alpha == 0"
+                "AIS-Cache requires a positive social weight (the cached lists "
+                "are ordered by social distance); use bounded at 0"
             )
         buffer = TopKBuffer(k)
         locations = self.locations

@@ -62,8 +62,8 @@ class SocialFirstSearch:
         rank = RankingFunction(alpha, self.normalization)
         if not rank.needs_social:
             raise ValueError(
-                "SFA requires alpha > 0: with alpha == 0 its social bound "
-                "never grows; use SPA (the engine routes this automatically)"
+                "SFA requires a positive social weight alpha / P_max: at 0 its "
+                "social bound never grows (the engine routes this to bounded)"
             )
         buffer = TopKBuffer(k)
         oracle = self.point_to_point

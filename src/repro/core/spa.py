@@ -73,7 +73,7 @@ class SpatialFirstSearch:
         if not rank.needs_spatial:
             raise ValueError(
                 "SPA requires alpha < 1: with alpha == 1 its spatial bound "
-                "never grows; use SFA (the engine routes this automatically)"
+                "never grows (the engine routes this to SFA)"
             )
         location = self.locations.get(query_user)
         if location is None:

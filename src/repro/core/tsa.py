@@ -108,8 +108,8 @@ class TwofoldSearch:
         rank = RankingFunction(alpha, self.normalization)
         if not (rank.needs_social and rank.needs_spatial):
             raise ValueError(
-                "TSA requires 0 < alpha < 1; at the endpoints use SFA/SPA "
-                "(the engine routes this automatically)"
+                "TSA requires two positive weights; the engine routes a zero "
+                "social weight to bounded and a zero spatial weight to SFA"
             )
         location = self.locations.get(query_user)
         if location is None:

@@ -1,22 +1,24 @@
-"""plan — method resolution (``method="auto"``).
+"""plan — method resolution.
 
-- :mod:`repro.plan.rules` — the method table and the static endpoint
-  routing every dispatch path shares (``route_method``), plus the
-  ``auto`` sentinel;
+- :mod:`repro.plan.rules` — the served :data:`~repro.plan.rules.METHODS`
+  and the one endpoint rule every dispatch path shares
+  (``route_method``), read off the query's score weights: a zero
+  social weight runs ``bounded`` (off its k-d tree), a zero spatial
+  weight runs SFA, ``bruteforce`` is never routed, and any other
+  request runs what it names (``auto``: ``bounded``);
 - :mod:`repro.plan.planner` — the :class:`Planner` resolving ``auto``
-  per query by static rules: SFA at ``alpha == 1`` and ``bounded``
-  everywhere else (which decides for itself whether its first ball
-  pays, and at ``alpha == 0`` reads a k-d tree).
+  per query by that same rule (``bounded`` decides for itself whether
+  its first ball pays).
 
 Both engine kinds own one planner (``engine.planner``) and expose
-``engine.resolve_method(...)``; the service layer looks an ``auto``
-request up on the question alone, *before* resolving it (named methods
-keep one cache line per resolved method), and ``auto`` subscriptions
-re-resolve on every recompute.
+``engine.resolve_method(...)``.  The service layer keys its cache on
+the request as asked and looks it up before anything is resolved;
+every subscription keeps its request as asked and follows the method
+each recompute ran.
 """
 
 from repro.plan.planner import AdaptivePlanner, Planner, PlannerStats
-from repro.plan.rules import AUTO, route_method, static_choice
+from repro.plan.rules import AUTO, route_method
 
 __all__ = [
     "AUTO",
@@ -24,5 +26,4 @@ __all__ = [
     "Planner",
     "PlannerStats",
     "route_method",
-    "static_choice",
 ]

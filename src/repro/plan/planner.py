@@ -1,4 +1,5 @@
-"""The resolver behind ``method="auto"``: static rules, no learned state.
+"""The resolver behind ``method="auto"``: one static rule, no learned
+state.
 
 Every served method implements Definition 1 with the shared
 deterministic tie-break (smaller id wins), so choosing among them is a
@@ -6,14 +7,12 @@ pure performance decision, and since the ``sssp_column`` kernel one arm
 wins it: ``bounded`` (SFA's stopping rule as a kernel radius), which
 itself decides per query whether its first ball pays
 (:class:`~repro.core.bounded.BoundedSearch`; a skipped ball is exactly
-the ``bruteforce`` path).  Resolving ``auto`` is therefore a few static
-rules (an explicit method only takes the endpoint routing of
-:func:`~repro.plan.rules.route_method`, in
-:meth:`~repro.core.engine.GeoSocialEngine.resolve_method`):
-
-1. at ``alpha == 1`` SFA (:func:`~repro.plan.rules.static_choice`);
-2. everywhere else ``bounded``, which at ``alpha == 0`` reads its k-d
-   tree instead of a social column.
+the ``bruteforce`` path).  Resolving ``auto`` is therefore the one
+endpoint rule every named method takes too
+(:func:`~repro.plan.rules.route_method`, read off the query's score
+weights): SFA when the spatial weight is 0, ``bounded`` everywhere
+else, which at a zero social weight reads its k-d tree instead of a
+social column.
 
 (An unlocated query user below ``alpha == 1`` is rejected by the
 engine itself, for ``auto`` and every named method alike.)
@@ -31,13 +30,11 @@ import threading
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.plan.rules import static_choice
+from repro.core.ranking import RankingFunction
+from repro.plan.rules import AUTO, AUTO_METHOD, route_method
 
 if TYPE_CHECKING:
     from repro.core.request import QueryRequest
-
-#: what interior-``alpha`` ``auto`` resolves to
-AUTO_METHOD = "bounded"
 
 
 @dataclass
@@ -45,20 +42,29 @@ class PlannerStats:
     """Lifetime counters of one :class:`Planner`.
 
         >>> from repro.plan import PlannerStats
-        >>> stats = PlannerStats(auto_resolutions=4, static_routes=1)
-        >>> stats.snapshot()["static_routes"]
-        1
+        >>> stats = PlannerStats(per_method={"bounded": 3, "sfa": 1})
+        >>> stats.snapshot()["auto_resolutions"], stats.static_routes
+        (4, 1)
     """
 
-    #: ``auto`` requests resolved (static routes included)
-    auto_resolutions: int = 0
-    #: ``auto`` requests resolved by the ``alpha == 1`` route
-    static_routes: int = 0
     #: resolved-method counts over ``auto`` requests
     per_method: dict = field(default_factory=dict)
 
+    @property
+    def auto_resolutions(self) -> int:
+        """``auto`` requests resolved."""
+        return sum(self.per_method.values())
+
+    @property
+    def static_routes(self) -> int:
+        """``auto`` requests routed to SFA (a zero spatial weight)."""
+        return self.per_method.get("sfa", 0)
+
     def snapshot(self) -> dict:
-        return asdict(self)
+        return asdict(self) | {
+            "auto_resolutions": self.auto_resolutions,
+            "static_routes": self.static_routes,
+        }
 
 
 class Planner:
@@ -91,12 +97,10 @@ class Planner:
 
     def resolve(self, engine, request: "QueryRequest") -> str:
         """The concrete method an ``auto`` ``request`` runs on ``engine``."""
-        method = static_choice(request.alpha) or AUTO_METHOD
+        method = route_method(AUTO, RankingFunction(request.alpha, engine.normalization))
         with self._lock:
-            stats = self.stats
-            stats.auto_resolutions += 1
-            stats.static_routes += method != AUTO_METHOD
-            stats.per_method[method] = stats.per_method.get(method, 0) + 1
+            per_method = self.stats.per_method
+            per_method[method] = per_method.get(method, 0) + 1
         return method
 
     def observe(self, decision, cost: float) -> None:

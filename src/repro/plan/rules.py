@@ -1,124 +1,84 @@
-"""The method table and the static routing rules read off it.
+"""The served methods and the one endpoint rule every dispatch path
+shares.
 
-:data:`METHOD_TABLE` is the one place that says what the serving stack
-knows about a processing method: one :class:`MethodSpec` row per served
-name.  Everything else is a derivation — ``METHODS`` and
-``FORWARD_DETERMINISTIC_METHODS`` (:mod:`repro.core.engine`), the
-endpoint routing below and the social column step
-(:mod:`repro.social.scan`) all read the row.  Adding a method is one
-row here plus one builder in ``repro.core.engine.SEARCHER_BUILDERS``.
+Definition 1 scores ``f = α·p/P_max + (1−α)·d/D_max``.  A query whose
+social weight ``α/P_max`` is 0 is the paper's pure spatial query, and
+one whose spatial weight ``(1−α)/D_max`` is 0 its pure social one.
+:func:`route_method` reads those two weights off the query's
+:class:`~repro.core.ranking.RankingFunction`, the same test every
+searcher makes, so a request never reaches a searcher whose stream the
+weights leave incomplete:
 
-Two kinds of request resolve by these rules alone:
+- a social weight of 0 runs ``bounded``, which reads its k-d tree;
+- a spatial weight of 0 runs ``sfa``, whose Dijkstra stream also
+  reaches the unlocated users a pure social answer may hold;
+- ``bruteforce``, the reference, is never routed;
+- any other named method runs itself, and ``auto`` runs ``bounded``.
 
-- **endpoint degeneration** — at ``alpha == 0`` an SSRQ is a pure
-  spatial query and at ``alpha == 1`` a pure social one, so a paper
-  method whose candidate stream is incomplete there *must* be replaced
-  by one whose stream is complete (the row's ``alpha0`` / ``alpha1``);
-- **explicit methods** — a concrete method name passes through
-  :func:`route_method` unchanged away from the endpoints.
-
-``method="auto"`` (:data:`AUTO`) is resolved by the planner
-(:mod:`repro.plan.planner`): SFA at ``alpha == 1``, ``bounded``
-everywhere else (at ``alpha == 0`` off its k-d tree).
+``GeoSocialEngine.resolve_method``, the planner behind ``auto``
+(:mod:`repro.plan.planner`) and the reproduction tier's
+``run_query`` all call it.  Adding a method is one name in
+:data:`METHODS` plus one builder in
+``repro.core.engine.SEARCHER_BUILDERS``.
 
 This module is import-light on purpose (no :mod:`repro.core` imports),
-so every layer can read the table without an import cycle.
+so every layer can read it without an import cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ranking import RankingFunction
 
 #: the sentinel method name resolved per query by the planner
 AUTO = "auto"
+#: what ``auto`` runs wherever both weights are positive
+AUTO_METHOD = "bounded"
+
+#: the served methods: the paper's incremental algorithms (served by
+#: name; since the ``sssp_column`` kernel ``bounded`` beats each of
+#: them at every (n, alpha) measured, docs/BENCHMARKS.md), ``bounded``
+#: (SFA's stopping rule as a kernel radius; at a zero social weight
+#: the same rule over a k-d tree; what ``auto`` runs) and
+#: ``bruteforce`` ("the column + one dense scan": the exact reference)
+METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais", "bounded", "bruteforce")
+
+#: the methods whose per-neighbor social distances are forward-Dijkstra
+#: values — deterministic functions of (graph, query, candidate),
+#: independent of evaluation schedule and location state, so a stored
+#: distance is bit-identical to what a fresh search would recompute.
+#: Exactly the methods that can answer off a cached social column; the
+#: update-stream layers repair results in place only for these.  AIS
+#: evaluates bidirectionally: float association may differ by 1 ulp
+#: between schedules.
+FORWARD_DETERMINISTIC_METHODS = frozenset(METHODS) - {"ais"}
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """What the serving stack knows about one method.
+def route_method(method: str, rank: "RankingFunction") -> str:
+    """The concrete method that runs ``method`` under ``rank`` (the
+    module docstring's rule).
 
-        >>> from repro.plan.rules import METHOD_TABLE
-        >>> METHOD_TABLE["tsa"].alpha0, METHOD_TABLE["tsa"].forward
-        ('spa', True)
-    """
-
-    #: the method dispatched instead at ``alpha == 0`` (``None``: itself).
-    #: The social term is gated off, so social-first streams route to
-    #: SPA.
-    alpha0: str | None = None
-    #: the method dispatched instead at ``alpha == 1`` (``None``: itself).
-    #: Unlocated users are legitimate pure-social answers but absent
-    #: from the spatial indexes, so every index-based method routes to
-    #: SFA, whose Dijkstra stream reaches them all.
-    alpha1: str | None = None
-    #: whether per-neighbor social distances are forward-Dijkstra
-    #: values — deterministic functions of (graph, query, candidate),
-    #: independent of evaluation schedule and location state, so a
-    #: stored distance is bit-identical to what a fresh search would
-    #: recompute.  Exactly the methods that can answer off a cached
-    #: social column; the update-stream layers repair results in place
-    #: only for these.  (AIS evaluates bidirectionally: float
-    #: association may differ by 1 ulp between schedules.)
-    forward: bool = True
-
-
-_TSA = MethodSpec(alpha0="spa", alpha1="sfa")
-
-#: one row per served method, in the order ``METHODS`` lists them
-METHOD_TABLE: dict[str, MethodSpec] = {
-    # the paper's incremental algorithms: served by name and the static
-    # endpoint routes — since the ``sssp_column`` kernel the two column
-    # rows below beat each of them at every (n, alpha) measured
-    # (docs/BENCHMARKS.md)
-    "sfa": MethodSpec(alpha0="spa"),
-    "spa": MethodSpec(alpha1="sfa"),
-    "tsa": _TSA,
-    "tsa-qc": _TSA,
-    "ais": MethodSpec(alpha1="sfa", forward=False),
-    # SFA's stopping rule as a kernel radius: ``sssp_column(limit=r)``
-    # over the ball that can hold an answer + one dense scan (or the
-    # full column when that ball would hold nearly everyone), and at
-    # alpha == 0 the same rule over a k-d tree; what ``auto`` runs
-    # below alpha == 1
-    "bounded": MethodSpec(),
-    # "the column + one dense scan": the exact reference
-    "bruteforce": MethodSpec(),
-}
-
-
-def route_method(method: str, alpha: float) -> str:
-    """The concrete method actually dispatched at preference ``alpha``.
-
-    At the endpoints the requested method degenerates: ``alpha == 0``
-    is a pure spatial query (social-first variants route to SPA) and
-    ``alpha == 1`` a pure social one (index-based variants route to
-    SFA, whose Dijkstra stream also reaches users without a location).
-    Every dispatch path — ``GeoSocialEngine.query``, the service
-    layer's cache keys, and the stream layer's subscriptions — applies
-    this same routing, so behavior at the endpoints is identical
-    everywhere.
-
-        >>> from repro.plan import route_method
-        >>> route_method("tsa", 0.0), route_method("ais", 1.0)
-        ('spa', 'sfa')
-        >>> route_method("tsa", 0.3)
+        >>> from repro import Normalization, RankingFunction, route_method
+        >>> norm = Normalization(p_max=4.0, d_max=1.5)
+        >>> [route_method(m, RankingFunction(0.0, norm)) for m in ("tsa", "auto")]
+        ['bounded', 'bounded']
+        >>> route_method("ais", RankingFunction(1.0, norm))
+        'sfa'
+        >>> route_method("tsa", RankingFunction(0.3, norm))
         'tsa'
+
+    The weights decide, not ``α``: an ``α`` whose ``α/P_max``
+    underflows is a pure spatial query too.
+
+        >>> route_method("sfa", RankingFunction(5e-324, norm))
+        'bounded'
     """
-    if alpha != 0.0 and alpha != 1.0:
+    if method == "bruteforce":
         return method
-    spec = METHOD_TABLE.get(method)
-    if spec is None:
-        return method
-    return (spec.alpha0 if alpha == 0.0 else spec.alpha1) or method
-
-
-def static_choice(alpha: float) -> str | None:
-    """The forced ``auto`` resolution: SFA at ``alpha == 1``, where no
-    spatial index reaches the unlocated users a pure social answer
-    holds; ``None`` below it.
-
-        >>> from repro.plan.rules import static_choice
-        >>> static_choice(0.0), static_choice(1.0), static_choice(0.5)
-        (None, 'sfa', None)
-    """
-    return "sfa" if alpha == 1.0 else None
+    if not rank.needs_social:
+        return "bounded"
+    if not rank.needs_spatial:
+        return "sfa"
+    return AUTO_METHOD if method == AUTO else method

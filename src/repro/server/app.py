@@ -160,6 +160,15 @@ class ServerStats:
     #: subscription, each waking every open stream
     updates_notified: int = 0
 
+    @property
+    def in_flight(self) -> int:
+        """Admitted jobs no worker has reported yet."""
+        return self.admitted - self.completed
+
+    @property
+    def active_streams(self) -> int:
+        return self.streams_opened - self.streams_closed
+
     def snapshot(self) -> dict:
         return asdict(self)
 
@@ -225,12 +234,9 @@ class SSRQServer:
         self._loop: "asyncio.AbstractEventLoop | None" = None
         #: one event per open stream (event loop only)
         self._wakeups: "set[asyncio.Event]" = set()
-        #: admitted jobs no worker has reported yet
-        self._inflight = 0
         #: connections between admitting a job and having written its
         #: response (shorter than the job's life when a deadline fires)
         self._answering = 0
-        self._active_streams = 0
         self._draining = False
         self._started = False
         self._port: "int | None" = None
@@ -279,9 +285,9 @@ class SSRQServer:
         # wake every subscription stream so it can end promptly
         for wakeup in self._wakeups:
             wakeup.set()
-        while (self._inflight > 0 or self._answering > 0) and loop.time() < deadline:
+        while (self.stats.in_flight > 0 or self._answering > 0) and loop.time() < deadline:
             await asyncio.sleep(0.005)
-        while self._active_streams > 0 and loop.time() < deadline:
+        while self.stats.active_streams > 0 and loop.time() < deadline:
             await asyncio.sleep(0.005)
         if drain and self.config.drain_snapshot_root is not None:
             root = self.config.drain_snapshot_root
@@ -313,8 +319,8 @@ class SSRQServer:
         snap = self.stats.snapshot()
         snap["queue_depth"] = self.config.queue_depth
         snap["queued"] = len(self._jobs)
-        snap["in_flight"] = self._inflight
-        snap["active_streams"] = self._active_streams
+        snap["in_flight"] = self.stats.in_flight
+        snap["active_streams"] = self.stats.active_streams
         snap["draining"] = self._draining
         return snap
 
@@ -507,7 +513,6 @@ class SSRQServer:
         job.timer = loop.call_at(job.deadline, self._deadline_fired, job)
         self._jobs.append(job)
         self.stats.admitted += 1
-        self._inflight += 1
         # one run per admitted job, each popping the oldest waiting one
         self._executor.submit(self._run, loop)
         self._answering += 1
@@ -654,7 +659,6 @@ class SSRQServer:
         if not job.future.done():
             job.future.set_result(outcome)
         self.stats.completed += 1
-        self._inflight -= 1
 
     # -- subscription streams ------------------------------------------
 
@@ -707,7 +711,6 @@ class SSRQServer:
             status, code = classify_exception(err)
             await self._respond(writer, status, error_body(code, str(err)), keep_alive=False)
             return
-        self._active_streams += 1
         self.stats.streams_opened += 1
         wakeup = asyncio.Event()
         self._wakeups.add(wakeup)
@@ -718,7 +721,6 @@ class SSRQServer:
             pass
         finally:
             self._wakeups.discard(wakeup)
-            self._active_streams -= 1
             self.stats.streams_closed += 1
             try:
                 await loop.run_in_executor(self._executor, registry.unsubscribe, sub)

@@ -3,11 +3,10 @@ rewritten.
 
 Urban query workloads are heavily skewed — a small set of hot users
 issues most of the traffic — so caching whole top-k results pays off
-on repeats.  This module provides an LRU keyed on the query signature
-``(user, k, α, line)`` — ``line`` is the resolved method, or
-``"auto"`` for an ``auto`` request, whose answer the question alone
-determines (the rule lives in ``QueryService._line``); no engine
-component is needed, as every engine swap empties the cache first.
+on repeats.  This module provides an LRU keyed on the request as
+asked, ``(user, k, α, method)`` (``QueryService._cache_key``): nothing
+is resolved before the lookup, and no engine component is needed, as
+every engine swap empties the cache first.
 An entry is the plain :class:`~repro.core.result.SSRQResult`.
 
 The cache counts only what it alone sees: insertions and LRU

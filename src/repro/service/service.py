@@ -9,9 +9,8 @@ component that can absorb realistic load:
   thread, returning responses with rankings identical to a sequential
   ``engine.query`` loop;
 - **caching** — an update-aware LRU (:mod:`repro.service.cache`) keyed
-  on the question for ``auto`` requests and on the routed method
-  otherwise (:meth:`QueryService._line`), looked up under the service's
-  read lock *before* anything is resolved (:meth:`QueryService.cached`
+  on the request as asked (:meth:`QueryService._cache_key`), looked up
+  under the service's read lock *before* anything is resolved (:meth:`QueryService.cached`
   is that lookup alone, lock-free, for callers that must not block),
   which a location update empties of every answer below ``α = 1`` and
   an engine swap (the only moment the served graph changes) empties
@@ -43,9 +42,8 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Iterable, Iterator
 
-from repro.core.engine import AUTO, GeoSocialEngine
+from repro.core.engine import GeoSocialEngine
 from repro.core.request import QueryRequest
-from repro.plan.rules import route_method
 from repro.service.cache import ResultCache
 from repro.service.model import QueryResponse, ServiceStats
 from repro.social.cache import SocialColumnCache
@@ -163,28 +161,15 @@ class QueryService:
     # -- serving -------------------------------------------------------
 
     @staticmethod
-    def _line(request: QueryRequest) -> str:
-        """The method component of a request's cache line, told without
-        resolving anything.
-
-        - A named method: its statically routed name, so endpoint
-          aliases (``tsa`` at ``alpha == 0`` and ``spa``, …) share one
-          line and ``result.method`` stays what the caller asked for.
-        - ``auto``: ``AUTO`` itself — the *question line*.  Whatever
-          ``auto`` resolves to is exact and bit-identical to
-          ``bruteforce`` (``tests/test_service_model.py``), so the
-          question ``(user, k, α)`` alone names the answer.
-        """
-        if request.method != AUTO:
-            return route_method(request.method, request.alpha)
-        return AUTO
-
-    @staticmethod
-    def _cache_key(request: QueryRequest, line: str) -> tuple:
-        """The cache line for one request under method component
-        ``line`` (:meth:`_line`).  It names no engine: every swap
-        flushes the cache before it publishes the new one."""
-        return (request.user, request.k, request.alpha, line)
+    def _cache_key(request: QueryRequest) -> tuple:
+        """The cache line for one request: the request as asked, so
+        nothing is resolved before the lookup.  Whatever runs is exact
+        and ranks like ``bruteforce`` (``tests/test_service_model.py``),
+        so ``auto`` is keyed on the question ``(user, k, α)`` alone, and
+        a named method on its own name even where the endpoint rule runs
+        another.  It names no engine: every swap flushes the cache
+        before it publishes the new one."""
+        return (request.user, request.k, request.alpha, request.method)
 
     def cached(self, request: QueryRequest) -> "QueryResponse | None":
         """The stored answer to ``request`` or ``None`` — a read-only
@@ -201,7 +186,7 @@ class QueryService:
         cache under its own lock."""
         if self.cache is None:
             return None
-        result = self.cache.get(self._cache_key(request, self._line(request)))
+        result = self.cache.get(self._cache_key(request))
         if result is None:
             return None
         with self._stats_lock:
@@ -249,7 +234,7 @@ class QueryService:
         """The serve path, written once for :meth:`query` (a batch of
         one) and :meth:`query_many`, all under the service's read lock —
         so a batch is one consistent cut, its hits and its misses alike:
-        cache lookup (:meth:`_line`) → for the misses: execute → cache
+        cache lookup (:meth:`_cache_key`) → for the misses: execute → cache
         put (:meth:`_serve_misses`) → account.  A batch of hits never
         touches the planner."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
@@ -258,7 +243,7 @@ class QueryService:
         with self._read_locked_engine() as engine:
             for i, req in enumerate(reqs):
                 if self.cache is not None:
-                    hit = self.cache.get(self._cache_key(req, self._line(req)))
+                    hit = self.cache.get(self._cache_key(req))
                     if hit is not None:
                         responses[i] = QueryResponse(req, hit, cached=True)
                         hits += 1
@@ -288,7 +273,7 @@ class QueryService:
         pending: "dict[tuple, list[int]]" = {}
         for i in misses:
             req = reqs[i]
-            pending.setdefault(self._cache_key(req, self._line(req)), []).append(i)
+            pending.setdefault(self._cache_key(req), []).append(i)
         executed = []
         for indexes in pending.values():
             start = time.perf_counter()

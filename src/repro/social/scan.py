@@ -33,7 +33,7 @@ import time
 from repro.core.ranking import RankingFunction
 from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
-from repro.plan.rules import METHOD_TABLE
+from repro.plan.rules import FORWARD_DETERMINISTIC_METHODS
 
 INF = math.inf
 _NAN = math.nan
@@ -118,7 +118,7 @@ def column_step(engine, method: str, request) -> SSRQResult:
     # column's) and the ranking uses the social term (at ``alpha == 0``
     # the ``Neighbor`` fields follow the all-``inf`` social convention a
     # real column would violate).
-    if cache is None or not METHOD_TABLE[method].forward or not rank.needs_social:
+    if cache is None or method not in FORWARD_DETERMINISTIC_METHODS or not rank.needs_social:
         return searcher.search(user, k, alpha)
     start = time.perf_counter()
     column = cache.acquire(user)

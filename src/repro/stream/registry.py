@@ -49,7 +49,6 @@ import math
 import threading
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.engine import AUTO
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
@@ -57,7 +56,6 @@ from repro.core.stats import SearchStats
 from repro.social.scan import materialize_column
 from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, rescore_members
 from repro.stream.subscription import StreamStats, Subscription
-from repro.utils.validation import check_user
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
@@ -143,31 +141,30 @@ class SubscriptionRegistry:
         ``engine.query`` would reject — that resumes automatically once
         the user reports a location.
 
-        ``method="auto"`` stays ``auto`` for the subscription's whole
-        life: the initial result and every maintenance recompute go
-        through the engine's planner (``bounded`` at interior ``alpha``).
-        ``sub.method`` follows ``result.method``, and repairability is
-        classified off it (``bounded`` is forward-deterministic, so auto
-        subscriptions repair in place).
+        The request stays as it was asked for the subscription's whole
+        life: the initial result and every maintenance recompute resolve
+        it again (``auto`` through the engine's planner, ``bounded`` at
+        interior ``alpha``), so a swap to an engine with another
+        ``P_max`` never reruns a stale method.  ``sub.method`` follows
+        ``result.method``, and repairability is classified off it
+        (``bounded`` is forward-deterministic, so auto subscriptions
+        repair in place).
         """
         self._check_open()
         request = QueryRequest.coerce(user, k, alpha, method)
         with self.service._read_locked_engine() as engine:
-            # Validate everything *before* registering, so a bad request
-            # cannot leave a half-registered subscription behind (coerce
-            # checked the field types and ranges; the user id and the
-            # method name are engine-level checks).
-            check_user(request.user, engine.graph.n)
-            if request.method != AUTO:
-                request = request.with_method(engine.resolve_method(request))
+            # The initial recompute runs *before* registering, so a bad
+            # request (an unknown user or method raises, an unlocated
+            # user only suspends) leaves no half-registered subscription
+            # behind.
             sub = Subscription(
                 request, RankingFunction(request.alpha, engine.normalization)
             )
             with self._lock:
+                self._recompute_locked(sub, engine)
                 self._subs.add(sub)
                 self.stats.subscribed += 1
                 self.stats.active += 1
-                self._recompute_locked(sub, engine)
             return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -345,9 +342,7 @@ class SubscriptionRegistry:
         sub.recompute_pending = False
         was_suspended = sub.suspended
         try:
-            result = engine.query(
-                sub.request.with_method(AUTO) if sub.auto else sub.request
-            )
+            result = engine.query(sub.request)
         except ValueError as err:
             if "no known location" not in str(err):
                 raise
@@ -359,8 +354,7 @@ class SubscriptionRegistry:
         else:
             sub.suspended = False
             sub.error = None
-            if sub.auto:
-                sub.follow(result.method)
+            sub.follow(result.method)
             sub.install(result)
             if was_suspended:
                 self.stats.suspended -= 1

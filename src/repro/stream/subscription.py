@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.engine import FORWARD_DETERMINISTIC_METHODS
-from repro.plan.rules import AUTO
 from repro.stream.conditions import classify_location_update
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,15 +41,13 @@ class Subscription:
 
     Created by :meth:`SubscriptionRegistry.subscribe
     <repro.stream.registry.SubscriptionRegistry.subscribe>`; treat it
-    as an opaque handle plus read-only introspection.  ``method`` is
-    stored pre-routed (endpoint α values route exactly like
-    :meth:`~repro.core.engine.GeoSocialEngine.query` does), and
-    ``repairable`` says whether single-candidate repair applies (see
-    :data:`REPAIRABLE_METHODS`).  A
-    subscription requested as ``"auto"`` (:attr:`auto`) is re-resolved
-    by the planner on every recompute; its ``method`` reads ``"auto"``
-    until the first result and then names whatever the latest
-    recompute ran.
+    as an opaque handle plus read-only introspection.  ``request``
+    stays as it was asked, so every recompute resolves it again (the
+    engine's endpoint rule, or the planner for ``"auto"``) against the
+    engine of the moment; ``method`` reads the requested name until the
+    first result and then names whatever the latest recompute ran, and
+    ``repairable`` says whether single-candidate repair applies to it
+    (see :data:`REPAIRABLE_METHODS`).
 
         >>> from repro import GeoSocialEngine, QueryService, gowalla_like
         >>> from repro.stream import SubscriptionRegistry
@@ -72,7 +69,6 @@ class Subscription:
         "k",
         "alpha",
         "method",
-        "auto",
         "repairable",
         "suspended",
         "error",
@@ -84,9 +80,8 @@ class Subscription:
     )
 
     def __init__(self, request: "QueryRequest", rank: "RankingFunction") -> None:
-        # ``request`` is what every maintenance recompute re-runs
-        # (as ``"auto"`` again when :attr:`auto`); ``result`` is
-        # ``None`` while suspended, and ``result``/``member_ids`` change
+        # ``request`` is what every maintenance recompute re-runs, as
+        # asked; ``result`` is ``None`` while suspended, and ``result``/``member_ids`` change
         # together, through :meth:`install`
         self.request = request
         self.rank = rank
@@ -96,9 +91,6 @@ class Subscription:
         self.k = request.k
         self.alpha = request.alpha
         self.method = request.method
-        #: requested as ``"auto"``: the planner picks the method of
-        #: each recompute, and :meth:`follow` tracks its pick
-        self.auto = request.method == AUTO
         #: whether single-member repair applies (:data:`REPAIRABLE_METHODS`)
         self.repairable = request.method in REPAIRABLE_METHODS
         #: True while the query user has no location and the query's
@@ -114,13 +106,10 @@ class Subscription:
         self.recomputes = 0
 
     def follow(self, method: str) -> None:
-        """Pin the stored request to the ``method`` the latest
-        recompute resolved to, so the stored result is screened and
-        repaired as what actually produced it."""
-        if method != self.method:
-            self.request = self.request.with_method(method)
-            self.method = method
-            self.repairable = method in REPAIRABLE_METHODS
+        """Track the ``method`` the latest recompute ran, so the stored
+        result is screened and repaired as what actually produced it."""
+        self.method = method
+        self.repairable = method in REPAIRABLE_METHODS
 
     def install(self, result: "SSRQResult | None") -> None:
         """Hold ``result`` (``None``: hold none) and its membership."""

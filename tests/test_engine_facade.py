@@ -35,18 +35,20 @@ def test_request_round_trips_every_boundary_unchanged(request_):
 
 
 def test_cache_key_is_built_from_the_request_and_exactness_collapses():
-    """Every answer is exact, so the key is the question and the line
-    alone: ``(user, k, α, line)``, with no accuracy component to tell
-    two exact requests apart and no engine component (every swap
-    flushes the cache)."""
+    """Every answer is exact, so the key is the request as asked:
+    ``(user, k, α, method)``, with no accuracy component to tell two
+    exact requests apart, no engine component (every swap flushes the
+    cache) and nothing resolved (``spa`` at ``alpha == 0`` keeps its
+    own name although ``bounded`` runs)."""
     graph, locations = random_instance(60, seed=11, coverage=0.9)
     engine = GeoSocialEngine(graph, locations, num_landmarks=2, s=3, seed=1)
     with QueryService(engine, cache_size=8) as service:
         request = QueryRequest(3, k=7, alpha=0.5, method="spa")
-        key = service._cache_key(request, "spa")
+        key = service._cache_key(request)
         assert key == (3, 7, 0.5, "spa")
         via_wire = QueryRequest.from_payload(json.loads(json.dumps(request.payload())))
-        assert service._cache_key(via_wire, "spa") == key
+        assert service._cache_key(via_wire) == key
+        assert service._cache_key(QueryRequest(3, 7, 0.0, "spa")) == (3, 7, 0.0, "spa")
         assert QueryRequest.coerce(3, 7, 0.5, "spa") == request
 
 

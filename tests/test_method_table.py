@@ -1,8 +1,9 @@
 """Structural pins over ``src/repro``.
 
-The method table is the one place the serving stack spells what it
-knows about a method: its invariants, the constants derived from it,
-the builder dict beside it, and a written-once guard.  The maintenance
+:mod:`repro.plan.rules` is the one place the serving stack spells what
+it knows about a method: the served names, the forward-deterministic
+set, the one endpoint rule, the builder dict beside them, and a
+written-once guard.  The maintenance
 rule of :mod:`repro.stream.conditions` is written once too, and every
 option a simplification removed stays removed."""
 
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.plan.rules
 import repro.service.cache
 import repro.service.service
 import repro.stream.conditions
@@ -25,14 +27,16 @@ import repro.stream.registry
 import repro.stream.subscription
 from repro.bench.variants import VARIANTS
 from repro.core.engine import (
+    _OVER_THE_GRID,
     FORWARD_DETERMINISTIC_METHODS,
     METHODS,
     SEARCHER_BUILDERS,
     GeoSocialEngine,
 )
+from repro.core.ranking import Normalization, RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
-from repro.plan.rules import AUTO, METHOD_TABLE, MethodSpec, route_method
+from repro.plan.rules import AUTO, route_method
 from repro.service import CacheStats, QueryService, ResultCache, ServiceStats
 from repro.service.cache import InvalidationOutcome
 from repro.stream import SubscriptionRegistry
@@ -48,34 +52,45 @@ def test_the_served_tier_is_seven_methods_and_four_parameters():
     assert [f.name for f in dataclasses.fields(QueryRequest)] == [
         "user", "k", "alpha", "method",
     ]
-    assert AUTO not in METHOD_TABLE
-    assert not set(VARIANTS) & set(METHOD_TABLE), "a variant is served"
+    assert AUTO not in METHODS
+    assert not set(VARIANTS) & set(METHODS), "a variant is served"
 
 
 @pytest.mark.parametrize("name", METHODS)
 def test_row_invariants(name):
-    spec = METHOD_TABLE[name]
-    assert isinstance(spec, MethodSpec)
-    for route in (spec.alpha0, spec.alpha1):
-        assert route is None or route in METHOD_TABLE, f"{name} routes off the table"
-    assert isinstance(spec.forward, bool)
-    # an endpoint route is final: the target does not route again there
-    assert route_method(route_method(name, 0.0), 0.0) == route_method(name, 0.0)
-    assert route_method(route_method(name, 1.0), 1.0) == route_method(name, 1.0)
+    """Each served name takes the one endpoint rule, read off the
+    weights: a route is a served method and final (it does not route
+    again), and where both weights are positive a name runs itself."""
+    norm = Normalization(p_max=4.0, d_max=1.5)
+    for alpha in (0.0, 5e-324, 1e-323, 0.3, 1.0):
+        rank = RankingFunction(alpha, norm)
+        route = route_method(name, rank)
+        assert route in METHODS
+        assert route_method(route, rank) == route
+        if name == "bruteforce":
+            assert route == name
+        elif not rank.needs_social:
+            assert route == "bounded"
+        elif not rank.needs_spatial:
+            assert route == "sfa"
+        else:
+            assert route == name
 
 
 def test_derived_constants_equal_their_derivations():
-    rows = METHOD_TABLE.items()
-    assert METHODS == tuple(METHOD_TABLE)
-    assert FORWARD_DETERMINISTIC_METHODS == {n for n, s in rows if s.forward}
     assert FORWARD_DETERMINISTIC_METHODS == {
         "sfa", "spa", "tsa", "tsa-qc", "bounded", "bruteforce"
     }
-    assert [f.name for f in dataclasses.fields(MethodSpec)] == ["alpha0", "alpha1", "forward"]
+    # the searchers a move drops with the grid and the aggregate index
+    assert _OVER_THE_GRID == {"spa", "tsa", "tsa-qc", "ais"}
+    # one rule, no table: nothing routes on ``alpha`` itself
+    for name in ("METHOD_TABLE", "MethodSpec", "static_choice"):
+        assert not hasattr(repro.plan.rules, name), name
+    assert "alpha ==" not in inspect.getsource(repro.plan.rules)
 
 
 def test_every_row_has_a_builder_and_every_builder_a_row():
-    assert set(SEARCHER_BUILDERS) == set(METHOD_TABLE)
+    assert set(SEARCHER_BUILDERS) == set(METHODS)
     graph, locations = random_instance(40, seed=3, coverage=0.9)
     engine = GeoSocialEngine(graph, locations, num_landmarks=2, s=3, seed=1)
     for name in METHODS:
@@ -97,18 +112,18 @@ def _method_name_collections(path: Path):
             continue
         names = [
             e.value for e in elements
-            if isinstance(e, ast.Constant) and e.value in METHOD_TABLE
+            if isinstance(e, ast.Constant) and e.value in METHODS
         ]
         if len(names) >= 2:
             yield node.lineno, names
 
 
 def test_method_names_are_collected_in_one_place():
-    """Outside the table (``plan/rules.py``), the builder dict
-    (``core/engine.py``) and the reproduction tier (``bench/``), no
-    module of ``src/repro`` holds a literal collection of method names:
-    a property of methods is a column of the table, not a new set."""
-    allowed = {SRC / "plan" / "rules.py": 1, SRC / "core" / "engine.py": 1}
+    """Outside ``METHODS`` (``plan/rules.py``), the builder dict and
+    the searchers over the grid (``core/engine.py``) and the
+    reproduction tier (``bench/``), no module of ``src/repro`` holds a
+    literal collection of method names."""
+    allowed = {SRC / "plan" / "rules.py": 1, SRC / "core" / "engine.py": 2}
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         if (SRC / "bench") in path.parents:
@@ -212,7 +227,7 @@ def test_removed_options_stay_removed():
     # exact answers only: no sketch package, no ``approx`` method, no
     # ``budget`` at any edge, no ``sketch=`` and no ``error_bound``
     assert "sketch" not in {module.name for module in pkgutil.iter_modules(repro.__path__)}
-    assert "approx" not in METHOD_TABLE
+    assert "approx" not in METHODS
     assert "budget" not in {f.name for f in dataclasses.fields(QueryRequest)}
     for edge in (
         QueryRequest.coerce, GeoSocialEngine.query, QueryService.query,
@@ -223,6 +238,13 @@ def test_removed_options_stay_removed():
     assert "sketch" not in inspect.signature(GeoSocialEngine.__init__).parameters
     assert not hasattr(GeoSocialEngine, "sketch")
     assert "error_bound" not in {f.name for f in dataclasses.fields(SSRQResult)}
+    # nothing is resolved before the cache or at subscribe time: the
+    # cache keys and every subscription keep the request as asked
+    from repro.stream.subscription import Subscription
+
+    assert not hasattr(QueryService, "_line")
+    assert "auto" not in Subscription.__slots__
+    assert not hasattr(QueryRequest, "with_method")
     # the result cache keeps or evicts; only the registry repairs, and
     # both find the affected results by screening every one (no index)
     for path in SRC.rglob("*.py"):
@@ -272,7 +294,7 @@ def test_removed_options_stay_removed():
     assert list(inspect.signature(column_step).parameters) == ["engine", "method", "request"]
     assert not hasattr(GeoSocialEngine, "_run")
     engine = GeoSocialEngine(graph, locations, num_landmarks=2)
-    for name in METHOD_TABLE:
+    for name in METHODS:
         assert "social" not in inspect.signature(engine.searcher(name).search).parameters, name
     assert hasattr(BruteForceSearch, "scan")
     scan_source = inspect.getsource(importlib.import_module("repro.social.scan"))

@@ -1,5 +1,5 @@
-"""Unit tests for the ``auto`` resolver: the static rules (endpoint
-routes, the unlocated-user route, ``bounded`` in the interior), path
+"""Unit tests for the ``auto`` resolver: the one endpoint rule (read
+off the score's weights), ``bounded`` in the interior, path
 determinism, the names the benchmark harness reaches, the unified
 ``Searcher`` execution-stats contract, and the planner across engine
 rebuilds."""
@@ -13,8 +13,9 @@ import pytest
 
 from repro.bench.variants import VARIANTS, variant_searcher
 from repro.core.engine import AUTO, METHODS, FORWARD_DETERMINISTIC_METHODS, GeoSocialEngine
+from repro.core.ranking import Normalization, RankingFunction
 from repro.core.searcher import Searcher
-from repro.plan import AdaptivePlanner, Planner, route_method, static_choice
+from repro.plan import AdaptivePlanner, Planner, route_method
 from repro.service import QueryRequest, QueryService
 from tests.conftest import random_instance
 
@@ -29,14 +30,20 @@ def engine():
 
 
 class TestRules:
-    def test_route_method_matches_legacy_tables(self):
+    def test_route_method_reads_the_score_weights(self):
+        norm = Normalization(p_max=4.0, d_max=1.5)
+        interior, spatial, social = (RankingFunction(a, norm) for a in (0.4, 0.0, 1.0))
         for method in METHODS:
-            assert route_method(method, 0.4) == method
-        assert route_method("tsa", 0.0) == "spa"
-        assert route_method("ais", 1.0) == "sfa"
-        assert route_method("ais", 0.0) == "ais"
-        assert route_method("bruteforce", 0.0) == "bruteforce"
-        assert route_method("bruteforce", 1.0) == "bruteforce"
+            assert route_method(method, interior) == method
+        assert route_method(AUTO, interior) == "bounded"
+        for method in (*METHODS, AUTO):
+            reference = method == "bruteforce"
+            assert route_method(method, spatial) == ("bruteforce" if reference else "bounded")
+            assert route_method(method, social) == ("bruteforce" if reference else "sfa")
+        # the weights decide, not alpha: here alpha / P_max underflows
+        underflow = RankingFunction(5e-324, norm)
+        assert underflow.alpha > 0.0 and not underflow.needs_social
+        assert route_method("tsa", underflow) == "bounded"
 
     def test_route_method_is_public_from_the_rule_layer_only(self):
         import repro
@@ -44,12 +51,6 @@ class TestRules:
 
         assert repro.route_method is route_method
         assert "route_method" not in engine_module.__all__
-
-    def test_static_choice_endpoints_only(self):
-        assert static_choice(0.0) is None
-        assert static_choice(1.0) == "sfa"
-        assert static_choice(0.5) is None
-        assert static_choice(1e-9) is None
 
     def test_default_candidates_are_forward_deterministic(self):
         """The two paths interior ``auto`` takes (``bounded`` with its
@@ -86,7 +87,7 @@ class TestPlanner:
     def test_explicit_methods_pass_through(self, engine):
         before = engine.planner.stats.snapshot()
         assert engine.resolve_method(QueryRequest(0, 10, 0.3, "tsa")) == "tsa"
-        assert engine.resolve_method(QueryRequest(0, 10, 0.0, "tsa")) == "spa"
+        assert engine.resolve_method(QueryRequest(0, 10, 0.0, "tsa")) == "bounded"
         assert engine.planner.stats.snapshot() == before  # never asked
 
     def test_static_endpoint_resolutions(self, engine):
@@ -256,7 +257,7 @@ class TestSearcherContract:
 
     def test_resolved_method_recorded_on_result(self, engine):
         user = next(iter(engine.locations.located_users()))
-        assert engine.query(user, 5, 0.0, "tsa").method == "spa"
+        assert engine.query(user, 5, 0.0, "tsa").method == "bounded"
         assert engine.query(user, 5, 1.0, "ais").method == "sfa"
         auto = engine.query(user, 5, 0.5, AUTO)
         assert auto.method == "bounded"

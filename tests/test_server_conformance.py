@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro import METHODS, GeoSocialEngine, QueryService, gowalla_like, route_method
+from repro import AUTO, METHODS, GeoSocialEngine, QueryService, RankingFunction, gowalla_like, route_method
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.core.request import QueryRequest
@@ -69,18 +69,20 @@ def expected_result(reference, user, **params) -> dict:
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("method", METHODS)
-def test_query_conformance(client, reference, users, method, alpha):
-    """Every method at every alpha endpoint: the HTTP answer equals the
-    direct answer field-for-field, float-for-float."""
+@pytest.mark.parametrize("method", METHODS + (AUTO,))
+def test_query_conformance(engine, client, reference, users, method, alpha):
+    """Every method, ``auto`` included, at every alpha endpoint: the
+    HTTP answer equals the direct answer field-for-field,
+    float-for-float."""
+    rank = RankingFunction(alpha, engine.normalization)
     for user in users:
         served = client.query(user, k=10, alpha=alpha, method=method)
         assert served["result"] == expected_result(
             reference, user, k=10, alpha=alpha, method=method
         )
-        # alpha endpoints reroute (e.g. sfa@alpha=0 -> spa); the wire
+        # alpha endpoints reroute (e.g. sfa@alpha=0 -> bounded); the wire
         # reports the method that actually ran, same as the direct path
-        assert served["result"]["method"] == route_method(method, alpha)
+        assert served["result"]["method"] == route_method(method, rank)
 
 
 def test_auto_conformance(client, reference, users):

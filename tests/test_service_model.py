@@ -1056,8 +1056,8 @@ def test_subscribe_validates_before_registering():
 
 def test_auto_subscription_follows_the_planner_across_recomputes():
     """A subscription requested as ``auto`` is not pinned to its
-    subscribe-time pick: every recompute re-resolves through the
-    planner, ``sub.method`` and the stored request follow
+    subscribe-time pick: its stored request stays ``auto``, every
+    recompute re-resolves through the planner, ``sub.method`` follows
     ``result.method``, repairability follows the method, and the
     maintained result equals the model whichever method the latest
     recompute ran."""
@@ -1078,7 +1078,7 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
     q = next(iter(engine.locations.located_users()))
 
     sub = registry.subscribe(q, k=5, alpha=0.4, method="auto")
-    assert sub.auto and sub.method == "tsa" and sub.request.method == "tsa"
+    assert sub.method == "tsa" and sub.request.method == "auto"
     assert sub.repairable
     resolved = planner.stats.auto_resolutions
     assert resolved >= 1  # the subscribe-time recompute resolved
@@ -1090,7 +1090,7 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
         service.move_user(q, 0.3 + 0.1 * step, 0.5)  # query user moved: recompute
         model.locations[q] = (0.3 + 0.1 * step, 0.5)
         result = registry.result(sub)
-        assert (result.method, sub.method, sub.request.method) == (method,) * 3
+        assert (result.method, sub.method, sub.request.method) == (method, method, "auto")
         assert sub.repairable is repairable
         assert planner.stats.auto_resolutions > resolved
         resolved = planner.stats.auto_resolutions
@@ -1104,11 +1104,11 @@ def test_auto_subscription_follows_the_planner_across_recomputes():
         assert (sub.pending == {member}) is repairable
         assert sub.recompute_pending is (not repairable)
         assert like_the_model(model, sub.request, lambda: registry.result(sub))
-    # a named method is never re-resolved
+    # a named method never reaches the planner
     pinned = registry.subscribe(q, k=5, alpha=0.4, method="sfa")
     planner.pick = "bruteforce"
     service.move_user(q, 0.2, 0.2)
-    assert registry.result(pinned).method == "sfa" and not pinned.auto
+    assert registry.result(pinned).method == "sfa" and pinned.request.method == "sfa"
     registry.close()
     service.close()
 

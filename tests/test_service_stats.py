@@ -163,7 +163,7 @@ def test_invalidation_counters_move_on_update(engine):
         (ServiceStats, {"requests", "cache_misses", "executed", "hit_rate", "avg_query_seconds"}),
         (StreamStats, {"maintained_fraction"}),
         (SocialCacheStats, set()),
-        (PlannerStats, set()),
+        (PlannerStats, {"auto_resolutions", "static_routes"}),
         (ServerStats, set()),
     ],
 )
@@ -183,12 +183,13 @@ def test_each_snapshot_is_its_fields_plus_named_derived_keys(cls, derived):
 def test_planner_stats_snapshot_arithmetic():
     stats = PlannerStats()
     snap = stats.snapshot()
-    assert snap["auto_resolutions"] == 0
-    stats.auto_resolutions += 2
-    stats.per_method["ais"] = stats.per_method.get("ais", 0) + 2
+    assert snap["auto_resolutions"] == snap["static_routes"] == 0
+    # ``per_method`` is the one counter: the totals are read off it
+    stats.per_method["ais"] = 2
+    stats.per_method["sfa"] = 1
     snap = stats.snapshot()
-    assert snap["auto_resolutions"] == 2
-    assert snap["per_method"] == {"ais": 2}
+    assert (snap["auto_resolutions"], snap["static_routes"]) == (3, 1)
+    assert snap["per_method"] == {"ais": 2, "sfa": 1}
     # snapshot must be detached from live state
     snap["per_method"]["ais"] = 99
     assert stats.per_method["ais"] == 2

@@ -367,7 +367,8 @@ def test_a_tie_exactly_on_the_radius_is_inside(alpha, p_max):
         for k in (1, 4, 9):
             want = model.rows(user, k, alpha)
             assert rows(engine.query(user, k, alpha, "bruteforce")) == want
-            got = engine.query(user, k, alpha, "bounded")
+            # the searcher itself: at alpha == 1 the engine routes to SFA
+            got = engine.searcher("bounded").search(user, k, alpha)
             assert rows(got) == want, f"u={user} k={k}"
             bounded_radii.add(got.stats.extra["bounded_radius"])
     # the radius path really ran (not only the unbounded fallback)
