@@ -44,6 +44,7 @@ from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
 from repro.index.bounds import social_lower_bound
+from repro.plan.rules import check_routed
 from repro.spatial.point import LocationTable
 from repro.utils.heaps import MinHeap
 from repro.utils.validation import check_user
@@ -145,15 +146,16 @@ class AggregateIndexSearch:
         stats = SearchStats()
         start = time.perf_counter()
         rank = RankingFunction(alpha, self.normalization)
+        check_routed("ais", rank)
         variant = self.variant
 
         location = self.locations.get(query_user)
-        if location is None and rank.needs_spatial:
+        if location is None:
             raise ValueError(
-                f"query user {query_user} has no known location; SSRQ with "
-                "alpha < 1 is undefined (paper assumes located query users)"
+                f"query user {query_user} has no known location; aggregate index "
+                "search is undefined (paper assumes located query users)"
             )
-        qx, qy = location if location is not None else (math.nan, math.nan)
+        qx, qy = location
         query_vector = self.landmarks.vector(query_user)
 
         engine = BidirectionalDistanceEngine(
@@ -182,11 +184,7 @@ class AggregateIndexSearch:
                 if use_summaries
                 else 0.0
             )
-            spatial_lb = (
-                index.spatial_mindist(bbox, top, True, qx, qy)
-                if rank.needs_spatial
-                else 0.0
-            )
+            spatial_lb = index.spatial_mindist(bbox, top, True, qx, qy)
             key = rank.social_part(social_lb) + rank.spatial_part(spatial_lb)
             heap.push((key, seq, _TOP, top))
             seq += 1
@@ -203,11 +201,7 @@ class AggregateIndexSearch:
                         if use_summaries
                         else 0.0
                     )
-                    spatial_lb = (
-                        index.spatial_mindist(bbox, leaf, False, qx, qy)
-                        if rank.needs_spatial
-                        else 0.0
-                    )
+                    spatial_lb = index.spatial_mindist(bbox, leaf, False, qx, qy)
                     child_key = rank.social_part(social_lb) + rank.spatial_part(spatial_lb)
                     heap.push((child_key, seq, _LEAF, leaf))
                     seq += 1
@@ -230,10 +224,6 @@ class AggregateIndexSearch:
                         seq += 1
             else:
                 user, d = payload
-                if not rank.needs_social:
-                    buffer.offer(user, rank.score(INF, d), INF, d)
-                    stats.candidates_scored += 1
-                    continue
                 if variant.delayed_evaluation and engine.known_distance(user) is None:
                     beta_key = rank.social_part(engine.beta) + rank.spatial_part(d)
                     if key < beta_key:

@@ -10,11 +10,12 @@ loop: any upper bound ``θ̂ ≥ θ`` turns it into "nobody farther than
 1. Expand a small first ball (its radius read off a lazily sampled
    distance profile of this graph), score it with the spatial column
    the scan needs anyway, and take ``θ̂`` = its k-th finite score.
-2. ``r = θ̂·P_max/α``, nudged up until ``fl(w_social·r) > θ̂``.  If the
-   first ball already covers ``r`` its scan *is* the answer; otherwise
-   expand once more with ``limit=r`` — or unbounded, when ``r`` would
-   settle most of the graph anyway or the ball held fewer than ``k``
-   finite scores.
+2. ``r = θ̂·P_max/α``, nudged up until ``fl(w_social·r) > θ̂``
+   (:func:`~repro.utils.validation.radius_for`).  If the first ball
+   already covers ``r`` its scan *is* the answer; otherwise expand
+   once more with ``limit=r`` — or unbounded, when ``r`` would settle
+   most of the graph anyway or the ball held fewer than ``k`` finite
+   scores.
 3. One :func:`~repro.social.scan.dense_scan` over that column is
    Definition 1.
 
@@ -50,7 +51,7 @@ underflows to 0): the same rule in space, over one k-d tree of the
 located users (:class:`LocatedTree`, which a location update only
 marks).  The tree proposes the query point's ``k`` nearest users;
 their ``k``-th score is ``θ̂``, and the tree's ball at
-``r = _radius_for(θ̂, w_spatial)`` (widened for the tree's rounding)
+``r = radius_for(θ̂, w_spatial)`` (widened for the tree's rounding)
 holds everyone who can score ``≤ θ̂``, boundary ties and ties that
 underflow to 0 included.  Every candidate is re-scored with the
 ``sqrt(dx² + dy²)`` bruteforce uses, so the ``(score, id)`` order is
@@ -72,9 +73,10 @@ from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import Neighbor, SSRQResult
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
+from repro.plan.rules import check_routed
 from repro.social.scan import dense_scan, spatial_column
 from repro.spatial.point import LocationTable
-from repro.utils.validation import check_user
+from repro.utils.validation import check_user, radius_for, tree_radius
 
 INF = math.inf
 
@@ -140,17 +142,15 @@ class LocatedTree:
         ``(x, y)``: the clean ones among the tree's ``count + 1``
         nearest, or every clean one within ``radius`` (``inf``: all),
         and every dirty user located now.  :meth:`refresh` first.  The
-        tree compares squared distances, so the ball's square is
-        widened past ``radius²`` by a relative 2**-43 and four subnormal
-        ulps, for its rounding."""
+        ball is widened for the tree's rounding
+        (:func:`~repro.utils.validation.tree_radius`)."""
         tree, ids, drop, moved, dirty = self._built
         moved = moved[:dirty]
         moved = moved[~np.isnan(self.locations.xs[moved])]
         if radius is None:
             found = np.atleast_1d(tree.query((x, y), min(count + 1, len(ids)))[1])
         else:
-            ball = math.sqrt(radius * radius * (1 + 2**-43) + 2**-1072)
-            found = np.asarray(tree.query_ball_point((x, y), ball), np.intp)
+            found = np.asarray(tree.query_ball_point((x, y), tree_radius(radius)), np.intp)
         found = ids[found]
         here = np.concatenate((found[~drop[found]], moved))
         return here[here != user]
@@ -242,27 +242,12 @@ class BoundedSearch:
         m = max(8 * k, self.graph.n // 25)
         radius = self._radius_holding(m)
         # in score units (module docstring)
-        predicted = rank.w_social * radius
-        if rank.needs_spatial:
-            if not len(spatial):
-                return INF  # nobody located: no finite score in any ball
-            at = math.ceil(k / (m * share) * len(spatial)) - 1
-            predicted += rank.w_spatial * spatial[min(at, len(spatial) - 1)]
+        if not len(spatial):
+            return INF  # nobody located: no finite score in any ball
+        at = math.ceil(k / (m * share) * len(spatial)) - 1
+        predicted = rank.w_social * radius + rank.w_spatial * spatial[min(at, len(spatial) - 1)]
         whole = self._radius_holding(max(1, int(_WHOLE_GRAPH * len(social))))
         return INF if predicted >= rank.w_social * whole else radius
-
-    @staticmethod
-    def _radius_for(theta: float, w_social: float) -> float:
-        """The smallest radius (give or take an ulp) with
-        ``fl(w_social·r) > theta``: everyone beyond it scores strictly
-        worse than ``theta``, so a tie exactly on the boundary is
-        inside.  ``inf`` if a few ulps do not get there (subnormals)."""
-        radius = theta / w_social
-        for _ in range(4):
-            if w_social * radius > theta:
-                return radius
-            radius = math.nextafter(radius, INF)
-        return INF
 
     def scan(self, query_user: int, k: int, alpha: float):
         """``(result, column)``: the answer, plus the query user's full
@@ -271,6 +256,7 @@ class BoundedSearch:
         radius."""
         check_user(query_user, self.graph.n)
         rank = RankingFunction(alpha, self.normalization)
+        check_routed("bounded", rank)
         kernels = self.kernels
         stats = SearchStats()
         start = time.perf_counter()
@@ -294,7 +280,7 @@ class BoundedSearch:
         if radius != INF:
             needed = INF
             if len(neighbors) == k:
-                needed = self._radius_for(neighbors[-1].score, rank.w_social)
+                needed = radius_for(neighbors[-1].score, rank.w_social)
                 if needed >= self._radius_holding(n // 2):
                     needed = INF  # most of the graph: take (and cache) all of it
             if needed > radius:
@@ -332,7 +318,7 @@ class BoundedSearch:
         d, scores = scored(ids)
         # fewer than k candidates bound nothing: the ball is everyone
         theta = float(np.partition(scores, k - 1)[k - 1]) if len(ids) >= k else INF
-        ids = tree.near(*where, query_user, radius=self._radius_for(theta, w))
+        ids = tree.near(*where, query_user, radius=radius_for(theta, w))
         d, scores = scored(ids)
         stats.evaluations = stats.candidates_scored = len(ids)
         top = kernels.top_k_by_score(scores, ids, k)

@@ -27,15 +27,10 @@ The figure-only variants of the paper's evaluation (``ais-minus``,
 builds them from an engine's public parts
 (:mod:`repro.bench.variants`).
 
-Every request, ``auto`` or named, takes one endpoint rule read off
-the score's weights (:func:`repro.plan.rules.route_method`): a zero
-social weight (``alpha == 0``, or an ``alpha / P_max`` that
-underflows) is a pure spatial query and runs ``bounded`` off its k-d
-tree; a zero spatial weight (``alpha == 1``) is a pure social one and
-runs SFA; ``bruteforce`` is never routed; anything else runs what it
-names, and ``auto`` (resolved by the engine's
-:class:`~repro.plan.Planner`) runs ``bounded``.  Every path returns
-the same ranking any fixed method would.  The paper's grid and
+Every request, ``auto`` (resolved by the engine's
+:class:`~repro.plan.Planner`) or named, takes the one endpoint rule
+of :mod:`repro.plan.rules`, and every path returns the same ranking
+any fixed method would.  The paper's grid and
 aggregate index serve only the named ``spa`` / ``tsa`` / ``tsa-qc`` /
 ``ais``: a location update drops them, and it only marks the k-d tree
 ``bounded`` reads at a zero social weight.  A query user without a

@@ -14,7 +14,6 @@ build cost is not charged to query statistics.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 
@@ -24,10 +23,9 @@ from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
+from repro.plan.rules import check_routed
 from repro.spatial.point import LocationTable
 from repro.utils.validation import check_positive, check_user
-
-INF = math.inf
 
 
 class SocialNeighborCache:
@@ -133,17 +131,13 @@ class CachedSocialFirst:
         stats = SearchStats()
         start = time.perf_counter()
         rank = RankingFunction(alpha, self.normalization)
-        if not rank.needs_social:
-            raise ValueError(
-                "AIS-Cache requires a positive social weight (the cached lists "
-                "are ordered by social distance); use bounded at 0"
-            )
+        check_routed("ais-cache", rank)
         buffer = TopKBuffer(k)
         locations = self.locations
         terminated = False
         for p, v in self.cache.list_for(query_user):
             stats.evaluations += 1
-            d = locations.distance(query_user, v) if rank.needs_spatial else INF
+            d = locations.distance(query_user, v)
             buffer.offer(v, rank.score(p, d), p, d)
             stats.candidates_scored += 1
             if rank.social_part(p) > buffer.fk:

@@ -25,6 +25,7 @@ from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
+from repro.plan.rules import check_routed
 from repro.spatial.point import LocationTable
 from repro.utils.validation import check_user
 
@@ -60,11 +61,7 @@ class SocialFirstSearch:
         stats = SearchStats()
         start = time.perf_counter()
         rank = RankingFunction(alpha, self.normalization)
-        if not rank.needs_social:
-            raise ValueError(
-                "SFA requires a positive social weight alpha / P_max: at 0 its "
-                "social bound never grows (the engine routes this to bounded)"
-            )
+        check_routed("sfa", rank)
         buffer = TopKBuffer(k)
         oracle = self.point_to_point
         social = DijkstraIterator(self.graph, query_user)

@@ -18,7 +18,6 @@ point-to-point query per candidate.
 
 from __future__ import annotations
 
-import math
 import time
 
 from repro.core.ranking import Normalization, RankingFunction
@@ -26,12 +25,11 @@ from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
+from repro.plan.rules import check_routed
 from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import LocationTable
 from repro.utils.validation import check_user
-
-INF = math.inf
 
 
 class SpatialFirstSearch:
@@ -70,11 +68,7 @@ class SpatialFirstSearch:
         stats = SearchStats()
         start = time.perf_counter()
         rank = RankingFunction(alpha, self.normalization)
-        if not rank.needs_spatial:
-            raise ValueError(
-                "SPA requires alpha < 1: with alpha == 1 its spatial bound "
-                "never grows (the engine routes this to SFA)"
-            )
+        check_routed("spa", rank)
         location = self.locations.get(query_user)
         if location is None:
             raise ValueError(
@@ -89,26 +83,15 @@ class SpatialFirstSearch:
             self.grid, self.locations, qx, qy, exclude=query_user, kernels=self.kernels
         )
         oracle_pops_before = oracle.pops if oracle is not None else 0
-        social = (
-            DijkstraIterator(self.graph, query_user)
-            if rank.needs_social and oracle is None
-            else None
-        )
+        social = DijkstraIterator(self.graph, query_user) if oracle is None else None
 
         while True:
             item = nn.next()
             if item is None:
                 break  # all located users scored; the rest are at d = inf
             u, d = item
-            if rank.needs_social:
-                if oracle is not None:
-                    p = oracle.distance(query_user, u)
-                    stats.evaluations += 1
-                else:
-                    p = social.run_until(u)
-                    stats.evaluations += 1
-            else:
-                p = INF
+            p = oracle.distance(query_user, u) if oracle is not None else social.run_until(u)
+            stats.evaluations += 1
             buffer.offer(u, rank.score(p, d), p, d)
             stats.candidates_scored += 1
             theta = rank.spatial_part(d)

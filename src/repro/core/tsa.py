@@ -39,6 +39,7 @@ from repro.core.stats import SearchStats
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
+from repro.plan.rules import check_routed
 from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import LocationTable
@@ -106,11 +107,7 @@ class TwofoldSearch:
         stats = SearchStats()
         start = time.perf_counter()
         rank = RankingFunction(alpha, self.normalization)
-        if not (rank.needs_social and rank.needs_spatial):
-            raise ValueError(
-                "TSA requires two positive weights; the engine routes a zero "
-                "social weight to bounded and a zero spatial weight to SFA"
-            )
+        check_routed("tsa-qc" if self.probe_policy == "quick-combine" else "tsa", rank)
         location = self.locations.get(query_user)
         if location is None:
             raise ValueError(

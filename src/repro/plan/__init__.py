@@ -1,11 +1,9 @@
 """plan — method resolution.
 
 - :mod:`repro.plan.rules` — the served :data:`~repro.plan.rules.METHODS`
-  and the one endpoint rule every dispatch path shares
-  (``route_method``), read off the query's score weights: a zero
-  social weight runs ``bounded`` (off its k-d tree), a zero spatial
-  weight runs SFA, ``bruteforce`` is never routed, and any other
-  request runs what it names (``auto``: ``bounded``);
+  and the one endpoint rule, read off the query's score weights, that
+  every dispatch path takes (``route_method``) and every searcher
+  checks (``check_routed``);
 - :mod:`repro.plan.planner` — the :class:`Planner` resolving ``auto``
   per query by that same rule (``bounded`` decides for itself whether
   its first ball pays).

@@ -9,10 +9,8 @@ itself decides per query whether its first ball pays
 (:class:`~repro.core.bounded.BoundedSearch`; a skipped ball is exactly
 the ``bruteforce`` path).  Resolving ``auto`` is therefore the one
 endpoint rule every named method takes too
-(:func:`~repro.plan.rules.route_method`, read off the query's score
-weights): SFA when the spatial weight is 0, ``bounded`` everywhere
-else, which at a zero social weight reads its k-d tree instead of a
-social column.
+(:func:`~repro.plan.rules.route_method`): ``bounded``, or SFA where
+the spatial weight is 0.
 
 (An unlocated query user below ``alpha == 1`` is rejected by the
 engine itself, for ``auto`` and every named method alike.)

@@ -16,9 +16,10 @@ weights leave incomplete:
 - any other named method runs itself, and ``auto`` runs ``bounded``.
 
 ``GeoSocialEngine.resolve_method``, the planner behind ``auto``
-(:mod:`repro.plan.planner`) and the reproduction tier's
-``run_query`` all call it.  Adding a method is one name in
-:data:`METHODS` plus one builder in
+(:mod:`repro.plan.planner`) and the reproduction tier's ``run_query``
+all call it.  Every searcher but ``bruteforce`` refuses a query the
+rule routes elsewhere (:func:`check_routed`).  Adding a method is one name
+in :data:`METHODS` plus one builder in
 ``repro.core.engine.SEARCHER_BUILDERS``.
 
 This module is import-light on purpose (no :mod:`repro.core` imports),
@@ -82,3 +83,16 @@ def route_method(method: str, rank: "RankingFunction") -> str:
     if not rank.needs_spatial:
         return "sfa"
     return AUTO_METHOD if method == AUTO else method
+
+
+def check_routed(method: str, rank: "RankingFunction") -> None:
+    """Refuse a query that :func:`route_method` sends away from
+    ``method``, naming the zero weight and the route; every searcher
+    but ``bruteforce`` calls it first with its own name."""
+    route = route_method(method, rank)
+    if route != method:
+        weight = "spatial" if rank.needs_social else "social"
+        raise ValueError(
+            f"{method} does not answer a zero {weight} weight: "
+            f"the endpoint rule routes it to {route}"
+        )

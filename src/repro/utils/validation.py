@@ -19,10 +19,28 @@ Definition 1's ``(score, id)`` order is total:
    A normaliser of 0 leaves its term unscaled (it divides by 1).
 4. So each ranking weight, ``α / P_max`` or ``(1 − α) / D_max``, is
    ``<= 2**480``, each term ``<= 2**992``, and their sum is finite.
+
+The rounding margins of a search that stops at a score ``θ``:
+
+5. :func:`radius_for`: ``r₀ = fl(θ/w)`` has ``w·r₀ >= θ(1 − 2**-53)``
+   and a normal float's ulp is ``>= 2**-53`` of it, so three ulps up
+   ``w·r > θ(1 + 2**-53)``, past the midpoint to the float after a
+   normal ``θ``: ``fl(w·r) > θ``, so everyone farther scores ``> θ``
+   and a tie at ``θ`` is inside.  Subnormal ulps may not get there, and
+   ``inf`` (everyone) is always safe.
+6. :func:`tree_radius`: a k-d tree compares ``fl(fl(dx)² + fl(dy)²)``
+   with the rounded square of the radius it is asked for.  Normal
+   roundings are relative ``<= 2**-53``: four up on the left (``dx``
+   twice, the square, the sum), six down on the right (this function's
+   four operations, ``sqrt`` counted twice, and the tree's square), under
+   ``2**-49`` in all, so widening the square by ``2**-43`` holds everyone
+   within ``r``.  An underflow loses at most ``2**-1074`` at each of
+   ``dx²``, ``dy²``, their sum and ``r²``: hence ``+ 2**-1072``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers as _numbers
 
 import numpy as _np
@@ -156,3 +174,19 @@ def check_method(method: str) -> str:
     if not isinstance(method, str):
         raise ValueError(f"method must be a string, got {method!r}")
     return method
+
+
+def radius_for(theta: float, w: float) -> float:
+    """The first radius up from ``fl(theta / w)``, at most three ulps,
+    with ``fl(w·r) > theta`` (point 5); ``inf`` in the subnormals."""
+    radius = theta / w
+    for _ in range(4):
+        if w * radius > theta:
+            return radius
+        radius = math.nextafter(radius, math.inf)
+    return math.inf
+
+
+def tree_radius(radius: float) -> float:
+    """The radius whose k-d tree ball holds everyone within ``radius`` (point 6)."""
+    return math.sqrt(radius * radius * (1 + 2**-43) + 2**-1072)

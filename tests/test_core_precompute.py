@@ -75,10 +75,11 @@ class TestCachedSocialFirst:
             assert_same_scores(expected, got)
             assert "fallback" not in got.stats.extra
 
-    def test_alpha_zero_routed_to_spa(self, engine):
+    def test_alpha_zero_routed_to_bounded(self, engine):
         user = next(iter(engine.located_users()))
         expected = engine.query(user, k=10, alpha=0.0, method="bruteforce")
         got = query_with(engine, user, k=10, alpha=0.0, method="ais-cache", t=10)
+        assert got.method == "bounded"
         assert_same_scores(expected, got)
 
     def test_cache_reused_across_queries(self, engine):

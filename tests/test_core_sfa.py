@@ -22,7 +22,7 @@ def searcher():
 
 def test_alpha_zero_rejected(searcher):
     sfa, _ = searcher
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match="^sfa does not answer a zero social weight"):
         sfa.search(0, 5, 0.0)
 
 

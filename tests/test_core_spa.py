@@ -25,7 +25,7 @@ def searcher():
 def test_alpha_one_rejected(searcher):
     spa, locations = searcher
     user = next(locations.located_users())
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match="^spa does not answer a zero spatial weight"):
         spa.search(user, 5, 1.0)
 
 
@@ -43,16 +43,6 @@ def test_small_alpha_terminates_early(searcher):
     low = spa.search(user, 10, 0.1)
     high = spa.search(user, 10, 0.7)
     assert low.stats.pops_spatial <= high.stats.pops_spatial
-
-
-def test_alpha_zero_pure_spatial(searcher):
-    """At alpha = 0 SPA is a plain k-NN query and needs no social work."""
-    spa, locations = searcher
-    user = next(locations.located_users())
-    result = spa.search(user, 10, 0.0)
-    assert result.stats.pops_social == 0
-    spatial = [nb.spatial for nb in result]
-    assert spatial == sorted(spatial)
 
 
 def test_stats_populated(searcher):

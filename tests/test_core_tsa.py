@@ -32,9 +32,9 @@ def test_endpoint_alphas_rejected(parts):
     graph, locations, grid, norm, _ = parts
     tsa = TwofoldSearch(graph, locations, grid, norm)
     user = next(locations.located_users())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tsa does not answer a zero social weight"):
         tsa.search(user, 5, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tsa does not answer a zero spatial weight"):
         tsa.search(user, 5, 1.0)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backend import NumpyKernels
 from repro.core.bounded import BoundedSearch
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
 from repro.core.ranking import Normalization
@@ -33,6 +34,8 @@ from repro.utils.validation import (
     NORMALISER_MIN,
     WEIGHT_MAX,
     WEIGHT_MIN,
+    radius_for,
+    tree_radius,
 )
 from tests.model import Model
 from tests.test_service_model import assert_answer
@@ -377,3 +380,54 @@ def test_a_searcher_without_the_engine_s_tree_reads_its_table_as_it_is_now():
                 result = bounded.search(user, k, 0.0)
                 result.method = "bounded"
                 assert_answer(result, model.answer(user, k, 0.0), request)
+
+
+def ulps_up(value, count):
+    for _ in range(count):
+        value = math.nextafter(value, INF)
+    return value
+
+
+def test_radius_for_holds_at_the_domain_s_bounds():
+    """Point 5: for every weight a ranking can carry at the normaliser
+    bounds (``α`` subnormal, interior or 1) and every distance at the
+    domain's bounds and an ulp either side, ``radius_for(fl(w·p), w)``
+    is at most three ulps above ``fl(θ / w)`` with ``fl(w·r) > θ``, so
+    ``r > p``; it is ``inf`` only at a subnormal ``θ`` or an ``r`` past
+    the largest float."""
+    weights = {
+        alpha / norm for alpha in (5e-324, 0.3, 1.0) for norm in (NORMALISER_MIN, 1.0, NORMALISER_MAX)
+    }
+    distances = [
+        v
+        for bound in (WEIGHT_MIN, 1.0, WEIGHT_MAX, 2.0**512, math.sqrt(2) * 2.0**501)
+        for v in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, INF))
+    ]
+    for w in sorted(weights - {0.0}):
+        for p in distances:
+            theta = w * p
+            r = radius_for(theta, w)
+            if r == INF:
+                assert theta < 2.0**-1022 or theta / w == INF, (w, p)
+            else:
+                assert w * r > theta and r > p and r <= ulps_up(theta / w, 3), (w, p)
+
+
+def test_tree_radius_holds_at_the_domain_s_bounds():
+    """Point 6: a k-d tree over points at the coordinate bounds, in the
+    subnormals and at assorted scales, asked for ``tree_radius(d)``
+    around each point, holds every point at the distance ``d`` the
+    searchers compute (``sqrt(dx² + dy²)``)."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(5)
+    edges = [-COORDINATE_BOUND, COORDINATE_BOUND, 0.0, 5e-324, -2e-323, 2.0**-1022, 1 / 3]
+    random = rng.uniform(-1, 1, 40) * 2.0 ** rng.integers(-1070, 500, 40)
+    xs = np.array(edges + random[:20].tolist() + edges[::-1] + random[20:].tolist())
+    ys = np.concatenate((xs[::-1][:27], rng.uniform(-1, 1, 27) * 2.0 ** rng.integers(-60, 60, 27)))
+    tree = cKDTree(np.column_stack((xs, ys)))
+    kernels = NumpyKernels()
+    for q in range(len(xs)):
+        d = kernels.euclidean_to_point(xs, ys, xs[q], ys[q])
+        for user in range(len(xs)):
+            assert user in tree.query_ball_point((xs[q], ys[q]), tree_radius(d[user])), (q, user)

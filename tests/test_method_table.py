@@ -25,7 +25,7 @@ import repro.service.service
 import repro.stream.conditions
 import repro.stream.registry
 import repro.stream.subscription
-from repro.bench.variants import VARIANTS
+from repro.bench.variants import VARIANTS, variant_searcher
 from repro.core.engine import (
     _OVER_THE_GRID,
     FORWARD_DETERMINISTIC_METHODS,
@@ -40,7 +40,7 @@ from repro.plan.rules import AUTO, route_method
 from repro.service import CacheStats, QueryService, ResultCache, ServiceStats
 from repro.service.cache import InvalidationOutcome
 from repro.stream import SubscriptionRegistry
-from tests.conftest import random_instance
+from tests.conftest import assert_same_scores, random_instance
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -75,6 +75,50 @@ def test_row_invariants(name):
             assert route == "sfa"
         else:
             assert route == name
+
+
+#: ``α`` whose social weight is 0 under ``P_max = 3`` (5e-324 underflows),
+#: both weights positive (1e-323 leaves one subnormal ulp), and the
+#: paper's two endpoints
+EDGE_ALPHAS = (0.0, 5e-324, 1e-323, 0.3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def edge_engine():
+    graph, locations = random_instance(60, seed=17, coverage=0.8)
+    return GeoSocialEngine(
+        graph, locations, num_landmarks=2, s=3, seed=1,
+        normalization=Normalization(p_max=3.0, d_max=1.5),
+    )
+
+
+@pytest.mark.parametrize("name", [*METHODS, *VARIANTS])
+def test_every_searcher_answers_or_refuses_with_its_route(name, edge_engine):
+    """Called directly, past the dispatch, every searcher (and each
+    reproduction variant, which checks under the name of the searcher
+    it configures: ``sfa-ch`` is SFA) answers like ``bruteforce``
+    exactly where the endpoint rule lets that name run itself;
+    elsewhere it raises the one refusal, naming the zero weight and
+    the route."""
+    engine = edge_engine
+    if name in METHODS:
+        searcher, own = engine.searcher(name), name
+    else:
+        searcher = variant_searcher(engine, name)
+        own = name if name == "ais-cache" else name.split("-")[0]
+    bruteforce = engine.searcher("bruteforce")
+    for alpha in EDGE_ALPHAS:
+        rank = RankingFunction(alpha, engine.normalization)
+        route = route_method(own, rank)
+        weight = "spatial" if rank.needs_social else "social"
+        refusal = f"^{own} does not answer a zero {weight} weight: the endpoint rule routes it to "
+        for user in engine.located_users()[:4].tolist():
+            if route == own:
+                want = bruteforce.search(user, 5, alpha)
+                assert_same_scores(want, searcher.search(user, 5, alpha))
+            else:
+                with pytest.raises(ValueError, match=f"{refusal}{route}$"):
+                    searcher.search(user, 5, alpha)
 
 
 def test_derived_constants_equal_their_derivations():

@@ -262,55 +262,6 @@ def test_poisoned_column_canary():
         service.close()
 
 
-# -- same-user batches --------------------------------------------------
-
-
-def test_a_batch_resolves_each_auto_and_answers_unlocated_users_at_alpha_1():
-    """Same-user batches run per query: an unlocated user below
-    ``alpha == 1`` raises the engine's error, ``auto`` requests are
-    resolved once each, and pure-social queries answer unlocated users
-    exactly as a cold engine does."""
-    engine = build_engine(None)
-    service = QueryService(engine, max_workers=1, cache_size=0)
-    try:
-        unlocated = next(
-            (u for u in range(engine.graph.n) if engine.locations.get(u) is None),
-            None,
-        )
-        assert unlocated is not None
-        with pytest.raises(ValueError, match="no known location"):
-            service.query_many(
-                [
-                    QueryRequest(user=unlocated, k=3, alpha=0.5, method="tsa"),
-                    QueryRequest(user=unlocated, k=5, alpha=0.5, method="tsa"),
-                ]
-            )
-        located = query_users(engine)[0]
-        service.query_many(
-            [
-                QueryRequest(user=located, k=3, alpha=0.5, method="auto"),
-                QueryRequest(user=located, k=4, alpha=0.5, method="auto"),
-            ]
-        )
-        assert engine.planner.stats.auto_resolutions == 2
-        # unlocated + pure-social queries (all-inf spatial)
-        responses = service.query_many(
-            [
-                QueryRequest(user=unlocated, k=3, alpha=1.0, method="sfa"),
-                QueryRequest(user=unlocated, k=5, alpha=1.0, method="bruteforce"),
-            ]
-        )
-        cold = build_engine(0)
-        assert fingerprint(responses[0].result) == fingerprint(
-            cold.query(unlocated, k=3, alpha=1.0, method="sfa")
-        )
-        assert fingerprint(responses[1].result) == fingerprint(
-            cold.query(unlocated, k=5, alpha=1.0, method="bruteforce")
-        )
-    finally:
-        service.close()
-
-
 # -- stream repair reuse -----------------------------------------------
 
 

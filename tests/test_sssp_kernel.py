@@ -48,6 +48,7 @@ from repro.core.ranking import Normalization
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import DijkstraIterator
 from repro.spatial.point import LocationTable
+from repro.utils.validation import radius_for
 from tests.model import Model
 from tests.scalar_kernels import PythonKernels
 
@@ -367,12 +368,14 @@ def test_a_tie_exactly_on_the_radius_is_inside(alpha, p_max):
         for k in (1, 4, 9):
             want = model.rows(user, k, alpha)
             assert rows(engine.query(user, k, alpha, "bruteforce")) == want
-            # the searcher itself: at alpha == 1 the engine routes to SFA
+            if alpha == 1.0:  # the searcher refuses; its route (SFA) answers
+                assert rows(engine.query(user, k, alpha, "bounded")) == want
+                continue
             got = engine.searcher("bounded").search(user, k, alpha)
             assert rows(got) == want, f"u={user} k={k}"
             bounded_radii.add(got.stats.extra["bounded_radius"])
     # the radius path really ran (not only the unbounded fallback)
-    assert any(r < INF for r in bounded_radii)
+    assert alpha == 1.0 or any(r < INF for r in bounded_radii)
 
 
 @SSSP_CI
@@ -381,17 +384,17 @@ def test_a_tie_exactly_on_the_radius_is_inside(alpha, p_max):
     w=st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_radius_for_puts_the_boundary_strictly_inside(p, w):
-    """``r = _radius_for(fl(w·p), w)``: ``fl(w·r) > fl(w·p)``, hence
+    """``r = radius_for(fl(w·p), w)``: ``fl(w·r) > fl(w·p)``, hence
     ``r > p`` — the user whose score *is* the threshold is in the ball,
     and so is everyone tied with it."""
     theta = w * p
-    r = BoundedSearch._radius_for(theta, w)
+    r = radius_for(theta, w)
     assert w * r > theta and r > p
     assert r <= p * (1 + 1e-12)  # a few ulps, not a wider ball
 
 
 def test_radius_for_gives_up_to_unbounded_in_the_subnormals():
-    assert BoundedSearch._radius_for(0.0, 1e-3) == INF
+    assert radius_for(0.0, 1e-3) == INF
 
 
 def test_isolated_users_never_source_the_distance_profile(monkeypatch):

@@ -132,14 +132,6 @@ def test_a_snapshot_the_scalar_backend_saved_loads_onto_numpy():
     assert_bit_identical(fresh, loaded, located_sample(fresh, count=4))
 
 
-def test_mmap_and_eager_loads_agree(tmp_path):
-    live = build_engine(n=100)
-    save_engine(live, tmp_path / "snap")
-    warm = load_engine(tmp_path / "snap", mmap=True)
-    cold = load_engine(tmp_path / "snap", mmap=False, verify=False)
-    assert_bit_identical(warm, cold, located_sample(live), methods=("ais", "auto"))
-
-
 def test_save_load_save_is_byte_stable(tmp_path):
     """Persisting a loaded engine reproduces the identical columns —
     nothing drifts through a snapshot generation."""
