@@ -7,9 +7,10 @@ Here a move only writes the location table and marks the k-d tree that
 answers ``alpha = 0``; it drops the grid and the aggregate index, and
 the next ``ais`` query builds them again from the table in one pass
 (the upkeep cost every later move 20x more than the move itself; see
-docs/BENCHMARKS.md).  This example simulates an evening where users
-wander around town, interleaving moves with ``ais`` and ``alpha = 0``
-queries, and verifies the answers against brute force.
+docs/BENCHMARKS.md, "What does not pay").  This example simulates an
+evening where users wander around town, interleaving moves with ``ais``
+and ``alpha = 0`` queries, and verifies the answers against brute
+force.
 
 Run:  python examples/location_updates.py
 """

@@ -2,17 +2,11 @@
 
 One driver per table/figure lives in :mod:`repro.bench.figures`
 (``ALL_EXPERIMENTS``); each returns
-:class:`~repro.bench.reporting.ExperimentTable` objects whose rows
+:class:`~repro.bench.reporting.ExperimentTable` values whose rows
 mirror the series the paper plots and whose claims state which of the
 paper's findings hold on those numbers.  ``python -m repro.bench`` is
-the one entry point: it runs the whole evaluation (or the named
-experiments) and prints each table with one verdict line per claim
-(``--output FILE`` also writes a markdown report).
-
-Scale is the ``--profile`` option (``smoke`` / ``quick`` / ``full``;
-default ``quick``); every driver and :func:`get_bundle` takes the
-profile explicitly — see :mod:`repro.bench.config` for the exact
-dataset sizes and query counts.
+the one entry point.  Every driver and :func:`get_bundle` takes its
+scale profile (:mod:`repro.bench.config`) explicitly.
 """
 
 from repro.bench.config import BenchProfile, get_profile

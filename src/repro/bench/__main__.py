@@ -1,16 +1,10 @@
-"""Run the full paper evaluation: ``python -m repro.bench``.
+"""Run the paper evaluation: ``python -m repro.bench [names...]
+[--profile smoke|quick|full] [--output PATH]``.
 
-Options::
-
-    python -m repro.bench                     # all experiments, quick profile
-    python -m repro.bench fig8 fig9           # a subset
-    python -m repro.bench --profile full      # smoke | quick | full
-    python -m repro.bench --output results.md # also write markdown
-
-Prints each regenerated table to stdout, with one verdict line ("holds"
-or "does not hold") per claim of the paper the driver checks, and (with
-``--output``) writes the same tables as a markdown report.  The exit
-code does not depend on the verdicts.
+Prints each regenerated table with one verdict line ("holds" or "does
+not hold") per claim the driver checks, and with ``--output`` writes
+the run's record (:func:`repro.bench.reporting.record`).  The exit code
+does not depend on the verdicts.
 """
 
 from __future__ import annotations
@@ -21,6 +15,18 @@ import time
 
 from repro.bench.config import PROFILES
 from repro.bench.figures import ALL_EXPERIMENTS
+from repro.bench.reporting import ExperimentTable, dumps, record
+from repro.cli.format import format_output
+
+
+def _print(table: ExperimentTable) -> None:
+    rows = [dict(zip(table.headers, row)) for row in table.rows]
+    print(f"\n== {table.name} ==")
+    print(format_output(rows, table.headers, "table"))
+    if table.notes:
+        print(f"({table.notes})")
+    for statement, holds in table.claims:
+        print(f"claim: {statement}: {'holds' if holds else 'does not hold'}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,7 +41,9 @@ def main(argv: list[str] | None = None) -> int:
         help=f"subset to run (default: all of {', '.join(ALL_EXPERIMENTS)})",
     )
     parser.add_argument("--profile", default="quick", choices=list(PROFILES))
-    parser.add_argument("--output", default=None, help="write a markdown report here")
+    parser.add_argument(
+        "--output", default=None, help="write the run's record (JSON, no wall times) here"
+    )
     args = parser.parse_args(argv)
 
     profile = PROFILES[args.profile]
@@ -47,20 +55,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"profile: {profile.name} (|V|: gowalla={profile.gowalla_n}, "
           f"foursquare={profile.foursquare_n}, twitter={profile.twitter_n}; "
           f"{profile.queries} queries/point)")
-    markdown: list[str] = [f"# Regenerated evaluation (profile: {profile.name})", ""]
+    runs = {}
     for name in names:
         start = time.perf_counter()
-        tables = ALL_EXPERIMENTS[name](profile)
+        runs[name] = ALL_EXPERIMENTS[name](profile)
         elapsed = time.perf_counter() - start
-        for table in tables:
-            print()
-            print(table.to_text())
-            markdown.append(table.to_markdown())
-            markdown.append("")
+        for table in runs[name]:
+            _print(table)
         print(f"[{name}: {elapsed:.1f}s]")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(markdown))
+            handle.write(dumps(record(profile.name, runs)))
         print(f"\nwrote {args.output}")
     return 0
 

@@ -29,6 +29,7 @@ AIS_VERSIONS = ("ais-bid", "ais-minus", "ais")
 _DATASET_LABELS = {
     "gowalla": "Gowalla-like",
     "foursquare": "Foursquare-like",
+    "twitter": "Twitter-like",
     "gowalla-ch": "Gowalla-like (CH instance)",
     "foursquare-ch": "Foursquare-like (CH instance)",
 }
@@ -42,7 +43,9 @@ def _sweep(
     run-time table, the pop-ratio table and each cell's aggregate keyed
     ``(x, method)`` (what the claims read)."""
     headers = [x_name] + [method.upper() for method in methods]
-    times = ExperimentTable(experiment, f"running time (s) vs {what}", headers, notes=notes)
+    times = ExperimentTable(
+        experiment, f"running time (s) vs {what}", headers, notes=notes, timed=True
+    )
     pops = ExperimentTable(f"{experiment} (pop)", f"pop ratio vs {what}", headers, notes=notes)
     cells: dict[tuple, MethodAggregate] = {}
     for x, bundle, k, alpha in points:
@@ -145,7 +148,7 @@ def fig7a(profile: BenchProfile) -> list[ExperimentTable]:
     for k in profile.k_values:
         row: list = [k]
         for kind in ("gowalla", "foursquare"):
-            row += [round(_mean(hops[kind][k]), 2), max(hops[kind][k], default=0)]
+            row += [_mean(hops[kind][k]), max(hops[kind][k], default=0)]
         table.add_row(row)
     for kind in ("gowalla", "foursquare"):
         deepest = max((max(h, default=0) for h in hops[kind].values()), default=0)
@@ -172,7 +175,7 @@ def fig7b(profile: BenchProfile) -> list[ExperimentTable]:
             ssrq = set(engine.query(user, k, alpha, "ais").users)
             js.append(jaccard(ssrq, social_sets[user]))
             jd.append(jaccard(ssrq, spatial_sets[user]))
-        table.add_row([alpha, round(_mean(js), 4), round(_mean(jd), 4)])
+        table.add_row([alpha, _mean(js), _mean(jd)])
     social, spatial = table.column("vs. social"), table.column("vs. spatial")
     table.claim(
         f"Jaccard with the social-only top-k rises with alpha ({social[0]} → {social[-1]})",
@@ -268,6 +271,10 @@ def fig10(profile: BenchProfile) -> list[ExperimentTable]:
             "AIS evaluates no more than AIS-MINUS at every k",
             all(f.avg_evaluations <= m.avg_evaluations for f, m in zip(full, minus)),
         )
+        pops.claim(
+            "AIS pops ≤ AIS-MINUS pops ≤ AIS-BID pops at every k",
+            all(f.avg_pops <= m.avg_pops <= b.avg_pops for f, m, b in zip(full, minus, bid)),
+        )
         tables += [times, pops]
     return tables
 
@@ -279,12 +286,18 @@ def fig11(profile: BenchProfile) -> list[ExperimentTable]:
     """Figure 11: pre-computation (AIS-Cache) vs cache size t."""
     tables = []
     for kind in ("gowalla", "foursquare"):
-        table = ExperimentTable(
+        times = ExperimentTable(
             "Figure 11",
             f"running time (s) vs t in {_DATASET_LABELS[kind]}",
-            ["t", "AIS", "AIS-Cache", "fallback rate"],
+            ["t", "AIS", "AIS-Cache"],
             notes="paper: clear gain on the smaller graph, minor on the larger "
             "(deeper searches exhaust the cache)",
+            timed=True,
+        )
+        table = ExperimentTable(
+            "Figure 11 (fallback)",
+            f"fallback rate vs t in {_DATASET_LABELS[kind]}",
+            ["t", "fallback rate"],
         )
         bundle = get_bundle(kind, profile)
         engine, users = bundle.engine, bundle.query_users
@@ -295,14 +308,15 @@ def fig11(profile: BenchProfile) -> list[ExperimentTable]:
             neighbor_cache(engine, t).prebuild(users)
             agg = run_method(engine, users, "ais-cache", k=k, alpha=alpha, t=t, keep_results=True)
             fallbacks = sum(r.stats.extra.get("fallback", 0) for r in agg.results)
-            table.add_row([t, baseline.avg_time, agg.avg_time, round(fallbacks / agg.queries, 2)])
+            times.add_row([t, baseline.avg_time, agg.avg_time])
+            table.add_row([t, fallbacks / agg.queries])
         rates = table.column("fallback rate")
         table.claim(
-            f"the fallback rate at t = {profile.t_values[-1]} ({rates[-1]}) ≤ "
-            f"at t = {profile.t_values[0]} ({rates[0]})",
+            f"the fallback rate at t = {profile.t_values[-1]} ({rates[-1]:.2f}) ≤ "
+            f"at t = {profile.t_values[0]} ({rates[0]:.2f})",
             rates[-1] <= rates[0],
         )
-        tables.append(table)
+        tables += [times, table]
     return tables
 
 
@@ -340,14 +354,18 @@ def fig13(profile: BenchProfile) -> list[ExperimentTable]:
         "Figure 13b", "alpha in Twitter-like", "alpha", MAIN_METHODS, _by_alpha(bundle, profile)
     )
     k, alpha = profile.default_k, profile.default_alpha
-    twitter = _mean(_furthest_hops(bundle, (k,), alpha, "ais")[k])
-    gowalla = _mean(_furthest_hops(get_bundle("gowalla", profile), (k,), alpha, "ais")[k])
-    by_k[0].claim(
+    title = f"average hops to the furthest result at k = {k}"
+    hops = ExperimentTable("Figure 13 (hops)", title, ["dataset", "avg hops"])
+    for kind in ("twitter", "gowalla"):
+        furthest = _furthest_hops(get_bundle(kind, profile), (k,), alpha, "ais")[k]
+        hops.add_row([_DATASET_LABELS[kind], _mean(furthest)])
+    twitter, gowalla = hops.column("avg hops")
+    hops.claim(
         f"Twitter-like reaches its furthest result in {twitter:.2f} hops on average, "
         f"≤ Gowalla-like's {gowalla:.2f} + 1",
         twitter <= gowalla + 1.0,
     )
-    return [*by_k[:2], *by_alpha[:2]]
+    return [*by_k[:2], *by_alpha[:2], hops]
 
 
 # ---------------------------------------------------------------- Figure 14
@@ -403,17 +421,16 @@ def ablations(profile: BenchProfile) -> list[ExperimentTable]:
     the landmark count ``M`` (the paper tuned M = 8) and the landmark
     selection strategy.  TSA, the other landmark reader, gets no row:
     its counters do not move with ``M``."""
-    table = ExperimentTable(
-        "Ablations",
-        "AIS with one design choice changed (Gowalla-like)",
-        ["ablation", "setting", "time (s)", "avg pops"],
-    )
+    title = "AIS with one design choice changed (Gowalla-like)"
+    times = ExperimentTable("Ablations", title, ["ablation", "setting", "time (s)"], timed=True)
+    table = ExperimentTable("Ablations (pop)", title, ["ablation", "setting", "avg pops"])
     bundle = get_bundle("gowalla", profile)
     dataset, engine, users = bundle.dataset, bundle.engine, bundle.query_users
     k, alpha = profile.default_k, profile.default_alpha
 
     def add(ablation: str, setting, agg: MethodAggregate) -> float:
-        table.add_row([ablation, setting, agg.avg_time, agg.avg_pops])
+        times.add_row([ablation, setting, agg.avg_time])
+        table.add_row([ablation, setting, agg.avg_pops])
         return agg.avg_pops
 
     with_summaries, without = [
@@ -444,7 +461,7 @@ def ablations(profile: BenchProfile) -> list[ExperimentTable]:
         + " / ".join(f"{pops:.1f}" for pops in by_count) + ")",
         all(a > b for a, b in zip(by_count, by_count[1:])),
     )
-    return [table]
+    return [times, table]
 
 
 ALL_EXPERIMENTS = {

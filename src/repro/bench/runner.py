@@ -54,7 +54,7 @@ def run_method(
     return MethodAggregate(
         method=method,
         queries=n,
-        avg_time=total_time / n,
+        avg_time=float(f"{total_time / n:.3g}"),  # display rounding; never recorded
         avg_pops=total_pops / n,
         pop_ratio=(total_pops / n) / engine.graph.n,
         avg_evaluations=total_evals / n,

@@ -67,35 +67,35 @@ class DatasetBundle:
     engine: GeoSocialEngine
     query_users: list[int]
 
-    @property
-    def name(self) -> str:
-        return self.dataset.name
+
+#: kind -> (generator, the profile field holding its size)
+_GENERATED = {
+    "gowalla": (gowalla_like, "gowalla_n"),
+    "foursquare": (foursquare_like, "foursquare_n"),
+    "gowalla-ch": (gowalla_like, "ch_gowalla_n"),
+    "foursquare-ch": (foursquare_like, "ch_foursquare_n"),
+    "twitter": (twitter_like, "twitter_n"),
+}
 
 
 class _BundleCache:
     def __init__(self) -> None:
         self._datasets: dict[str, GeoSocialDataset] = {}
         self._engines: dict[tuple, GeoSocialEngine] = {}
+        #: a correlated dataset's construction anchor (its query origin)
+        self._anchors: dict[str, int] = {}
 
     def dataset(self, kind: str, profile: BenchProfile) -> GeoSocialDataset:
         key = f"{kind}:{profile.name}"
         ds = self._datasets.get(key)
         if ds is not None:
             return ds
-        if kind == "gowalla":
-            ds = gowalla_like(n=profile.gowalla_n)
-        elif kind == "foursquare":
-            ds = foursquare_like(n=profile.foursquare_n)
-        elif kind == "gowalla-ch":
-            ds = gowalla_like(n=profile.ch_gowalla_n)
-        elif kind == "foursquare-ch":
-            ds = foursquare_like(n=profile.ch_foursquare_n)
-        elif kind == "twitter":
-            ds = twitter_like(n=profile.twitter_n)
+        if kind in _GENERATED:
+            build, size = _GENERATED[kind]
+            ds = build(n=getattr(profile, size))
         elif kind.startswith("correlated-"):
             correlation = kind.split("-", 1)[1]
-            ds, anchor = correlated_dataset(correlation, n=profile.correlated_n)
-            self._datasets[f"{key}:anchor"] = anchor  # type: ignore[assignment]
+            ds, self._anchors[key] = correlated_dataset(correlation, n=profile.correlated_n)
         elif kind.startswith("scale-"):
             index = int(kind.split("-", 1)[1])
             base = self.dataset("foursquare", profile)
@@ -108,11 +108,6 @@ class _BundleCache:
             raise ValueError(f"unknown dataset kind {kind!r}")
         self._datasets[key] = ds
         return ds
-
-    def anchor(self, kind: str, profile: BenchProfile) -> int:
-        """Anchor vertex of a correlated dataset (query origin)."""
-        self.dataset(kind, profile)
-        return self._datasets[f"{kind}:{profile.name}:anchor"]  # type: ignore[return-value]
 
     def bundle(
         self,
@@ -136,7 +131,7 @@ class _BundleCache:
             self._engines[engine_key] = engine
         count = queries if queries is not None else profile.queries
         if kind.startswith("correlated-"):
-            users = [self.anchor(kind, profile)] * 1  # paper queries from the anchor
+            users = [self._anchors[f"{kind}:{profile.name}"]]  # the paper queries from it
         else:
             users = sample_query_users(ds, count, seed=profile.seed)
         return DatasetBundle(ds, engine, users)

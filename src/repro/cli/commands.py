@@ -31,7 +31,7 @@ from repro import (
     twitter_like,
 )
 from repro.cli.format import FORMATS, flatten_stats, format_output
-from repro.server import ServerApiError, ServerClient, ServerThread
+from repro.server import ServerApiError, ServerClient, ServerConfig, ServerThread
 
 DATASETS = {
     "gowalla": gowalla_like,
@@ -132,7 +132,7 @@ def load(out: str, dataset: str, n: int, seed: int) -> None:
               help="Saved engine (directory) to query locally.")
 @click.option("--server", "server_address", metavar="HOST:PORT",
               help="Running server to query instead.")
-@click.option("-k", type=str, default="10", show_default=True, help="Result size.")
+@click.option("-k", type=str, default=str(QueryRequest.k), show_default=True, help="Result size.")
 @click.option("--alpha", type=str, default=str(QueryRequest.alpha), show_default=True,
               help="Social/spatial preference in [0, 1].")
 @click.option("--method", default=QueryRequest.method, show_default=True, help="Search method.")
@@ -170,13 +170,13 @@ def query(user, engine_path, server_address, k, alpha, method, fmt) -> None:
               help="User count (with --dataset).")
 @click.option("--seed", type=int, default=7, show_default=True,
               help="RNG seed (with --dataset).")
-@click.option("--host", default="127.0.0.1", show_default=True)
+@click.option("--host", default=ServerConfig.host, show_default=True)
 @click.option("--port", type=int, default=8787, show_default=True)
-@click.option("--workers", type=int, default=4, show_default=True)
-@click.option("--queue-depth", type=int, default=64, show_default=True,
+@click.option("--workers", type=int, default=ServerConfig.workers, show_default=True)
+@click.option("--queue-depth", type=int, default=ServerConfig.queue_depth, show_default=True,
               help="Admission-queue depth (overflow sheds with 429).")
-@click.option("--deadline-ms", type=float, default=30_000.0, show_default=True,
-              help="Default per-request deadline.")
+@click.option("--deadline-ms", type=float, default=ServerConfig.default_deadline_ms,
+              show_default=True, help="Default per-request deadline.")
 @click.option("--no-cache", is_flag=True, help="Disable the service result cache.")
 @click.option("--social-cache-bytes", type=int, default=None,
               help="Byte budget of the served engine's social column cache, "
@@ -201,7 +201,7 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
                 engine.graph, normalization=engine.normalization,
                 social_cache_bytes=social_cache_bytes,
             )
-        service = QueryService(engine, cache_size=0 if no_cache else 1024)
+        service = QueryService(engine, cache_size=0) if no_cache else QueryService(engine)
     except ValueError as err:
         raise _fail(err) from err
     with service:
@@ -237,7 +237,7 @@ def serve(engine_path, dataset, n, seed, host, port, workers, queue_depth,
 @cli.command()
 @click.argument("user", type=int)
 @click.option("--server", "server_address", metavar="HOST:PORT", required=True)
-@click.option("-k", type=str, default="10", show_default=True, help="Result size.")
+@click.option("-k", type=str, default=str(QueryRequest.k), show_default=True, help="Result size.")
 @click.option("--alpha", type=str, default=str(QueryRequest.alpha), show_default=True,
               help="Social/spatial preference in [0, 1].")
 @click.option("--method", default=QueryRequest.method, show_default=True)
@@ -250,26 +250,17 @@ def tail(user, server_address, k, alpha, method, count, fmt) -> None:
         request = QueryRequest.coerce(user, _parse_k(k), _parse_alpha(alpha), method)
     except ValueError as err:
         raise _fail(err) from err
-    import csv as _csv
-    import io as _io
     import json as _json
 
     columns = ["event", "entered", "left", "moved", "size"]
     # streaming output can't right-size columns after the fact, so the
-    # table format uses fixed widths
+    # table format pads each cell to a fixed width first
     widths = {"event": 9, "entered": 24, "left": 16, "moved": 24, "size": 4}
 
     def emit(row: dict) -> None:
-        if fmt == "csv":
-            buffer = _io.StringIO()
-            _csv.writer(buffer, lineterminator="\n").writerow(
-                [row[col] for col in columns]
-            )
-            click.echo(buffer.getvalue().rstrip("\n"))
-        else:
-            click.echo(
-                "  ".join(str(row[col]).ljust(widths[col]) for col in columns).rstrip()
-            )
+        if fmt == "table":
+            row = {col: str(row[col]).ljust(widths[col]) for col in columns}
+        click.echo(format_output([row], columns, fmt).splitlines()[-1])
 
     if fmt != "json":
         emit({col: col for col in columns})

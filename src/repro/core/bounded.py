@@ -36,8 +36,8 @@ dense scan, which is exactly the ``bruteforce`` path (and the column
 is cached).  The prediction treats spatial and social distance as
 independent, which overstates ``θ`` where friends live close
 together; the threshold sits at the tail of
-``R`` for that reason (docs/BENCHMARKS.md has the per-α
-measurements).
+``R`` for that reason (docs/BENCHMARKS.md, "What does not pay", has
+the per-α measurements).
 
 **Why the answer is exact.**  Every label ``≤ r`` of a limited column
 is final (a vertex is only reached through closer ones, all inside the
@@ -86,8 +86,8 @@ _PROFILE_SOURCES = 3
 #: of what a source reaches
 _WHOLE_GRAPH = 0.999
 #: the k-d tree is rebuilt once more than ``1/_DIRTY_SHARE`` of it is
-#: dirty: ≈ 3 µs of rebuild per user dirtied (docs/BENCHMARKS.md, "α = 0
-#: among moves", measures it against other shares)
+#: dirty: ≈ 3 µs of rebuild per user dirtied (docs/BENCHMARKS.md, "What
+#: does not pay", measures it against other shares among moves)
 _DIRTY_SHARE = 8
 
 

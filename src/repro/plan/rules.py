@@ -39,10 +39,10 @@ AUTO = "auto"
 AUTO_METHOD = "bounded"
 
 #: the served methods: the paper's incremental algorithms (served by
-#: name; since the ``sssp_column`` kernel ``bounded`` beats each of
-#: them at every (n, alpha) measured, docs/BENCHMARKS.md), ``bounded``
-#: (SFA's stopping rule as a kernel radius; at a zero social weight
-#: the same rule over a k-d tree; what ``auto`` runs) and
+#: name; since the ``sssp_column`` kernel ``bounded`` beats each of them
+#: at every (n, alpha) measured: docs/BENCHMARKS.md, "What does not pay"),
+#: ``bounded`` (SFA's stopping rule as a kernel radius; at a zero social
+#: weight the same rule over a k-d tree; what ``auto`` runs) and
 #: ``bruteforce`` ("the column + one dense scan": the exact reference)
 METHODS = ("sfa", "spa", "tsa", "tsa-qc", "ais", "bounded", "bruteforce")
 

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import json
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,16 @@ import pytest
 import repro.bench
 from repro.bench.config import PROFILES, get_profile
 from repro.bench.figures import ALL_EXPERIMENTS
-from repro.bench.reporting import ExperimentTable
+from repro.bench.__main__ import _print
+from repro.bench.reporting import ExperimentTable, dumps, record
 from repro.bench.runner import jaccard, run_method
 from repro.bench.workloads import get_bundle, sample_query_users
+from repro.cli.format import format_output
 
 SMOKE = PROFILES["smoke"]
+#: the committed record of a ``smoke`` run (``python -m repro.bench
+#: --profile smoke --output BENCH_paper_smoke.json`` re-records it)
+RECORD = Path(__file__).resolve().parent.parent / "BENCH_paper_smoke.json"
 
 
 class TestConfig:
@@ -109,33 +115,42 @@ class TestReporting:
         with pytest.raises(ValueError):
             table.add_row([1])
 
-    def test_text_rendering(self):
+    def test_text_rendering(self, capsys):
+        """A table prints through the CLI's one formatter."""
         table = ExperimentTable("Fig", "demo", ["k", "AIS"], notes="note")
         table.add_row([10, 0.5])
-        text = table.to_text()
-        assert "Fig" in text and "AIS" in text and "(note)" in text
+        _print(table)
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "== Fig: demo ==",
+            *format_output([{"k": 10, "AIS": 0.5}], ["k", "AIS"], "table").splitlines(),
+            "(note)",
+        ]
 
-    def test_markdown_rendering(self):
-        table = ExperimentTable("Fig", "demo", ["k", "AIS"])
-        table.add_row([10, 0.123456])
-        md = table.to_markdown()
-        assert md.startswith("#### Fig")
-        assert "| 0.1235 |" in md
-
-    def test_one_verdict_line_per_claim(self):
+    def test_one_verdict_line_per_claim(self, capsys):
         table = ExperimentTable("Fig", "demo", ["k", "AIS"])
         table.add_row([10, 1.0])
         table.claim("AIS is fast", True)
         table.claim("AIS is free", False)
         assert table.claims == [("AIS is fast", True), ("AIS is free", False)]
-        assert table.to_text().splitlines()[-2:] == [
+        _print(table)
+        assert capsys.readouterr().out.splitlines()[-2:] == [
             "claim: AIS is fast: holds",
             "claim: AIS is free: does not hold",
         ]
-        assert table.to_markdown().splitlines()[-2:] == [
-            "- claim: AIS is fast: holds",
-            "- claim: AIS is free: does not hold",
-        ]
+
+    def test_the_record_keeps_untimed_tables_and_their_claims(self):
+        times = ExperimentTable("Fig", "time", ["k", "AIS"], timed=True)
+        pops = ExperimentTable("Fig (pop)", "pops", ["k", "AIS"])
+        for table in (times, pops):
+            table.add_row([10, 0.1 + 0.2])
+            table.claim("AIS is fast", True)
+        text = dumps(record("smoke", {"fig": [times, pops]}))
+        assert json.loads(text) == {"profile": "smoke", "experiments": {"fig": {
+            "Fig (pop): pops": {
+                "headers": ["k", "AIS"], "rows": [[10, 0.30000000000000004]],
+                "claims": [{"statement": "AIS is fast", "holds": True}],
+            },
+        }}}
 
     def test_column_access(self):
         table = ExperimentTable("Fig", "demo", ["k", "AIS"])
@@ -183,6 +198,78 @@ class TestFigureDrivers:
 
     def test_fig12_structure(self):
         assert _tables("fig12")[0].column("s") == list(SMOKE.s_values)
+
+    def test_every_wall_time_table_is_marked_timed(self):
+        """Wall times differ from run to run, so a table holding one
+        stays out of the record, and every other table goes in."""
+        for name in ALL_EXPERIMENTS:
+            for table in _tables(name):
+                holds_time = "running time" in table.title or "time (s)" in table.headers
+                assert table.timed == holds_time, table.name
+
+    def test_the_record_matches_the_committed_file(self):
+        """Every counter of every driver, and every claim over them,
+        equals ``BENCH_paper_smoke.json`` exactly.  A change that moves
+        a counter re-records the file and says which counter moved."""
+        measured = dumps(record("smoke", {name: _tables(name) for name in ALL_EXPERIMENTS}))
+        committed = RECORD.read_text(encoding="utf-8")
+        moved = _mismatches(json.loads(committed), json.loads(measured))
+        assert not moved, "\n".join(moved)
+        assert measured == committed
+
+
+def _row_key(table: dict, row: list) -> str:
+    """``x = value`` for a row (the leading two cells where the first
+    alone repeats, as in the ablations)."""
+    headers, firsts = table["headers"], [r[0] for r in table["rows"]]
+    width = 1 if len(set(map(repr, firsts))) == len(firsts) else 2
+    return ", ".join(f"{h} = {v!r}" for h, v in zip(headers[:width], row[:width]))
+
+
+def _mismatches(committed: dict, measured: dict) -> list[str]:
+    """One line per value that differs between two records, naming the
+    experiment, the table, the row's x and the column."""
+    lines = []
+    if committed["profile"] != measured["profile"]:
+        lines.append(f"profile: committed {committed['profile']!r}, measured {measured['profile']!r}")
+    old_runs, new_runs = committed["experiments"], measured["experiments"]
+    for experiment in [*old_runs, *(name for name in new_runs if name not in old_runs)]:
+        old, new = old_runs.get(experiment, {}), new_runs.get(experiment, {})
+        for name in [*old, *(name for name in new if name not in old)]:
+            where = f"{experiment} / {name}"
+            if name not in old or name not in new:
+                lines.append(f"{where}: only {'measured' if name in new else 'committed'}")
+                continue
+            a, b = old[name], new[name]
+            if a["headers"] != b["headers"] or len(a["rows"]) != len(b["rows"]):
+                lines.append(f"{where}: shape committed {a['headers']} x {len(a['rows'])}, "
+                             f"measured {b['headers']} x {len(b['rows'])}")
+                continue
+            for row_a, row_b in zip(a["rows"], b["rows"]):
+                lines += [
+                    f"{where}, {_row_key(a, row_a)}, {header}: committed {x!r}, measured {y!r}"
+                    for header, x, y in zip(a["headers"], row_a, row_b)
+                    if x != y
+                ]
+            lines += [
+                f"{where}: claim committed {x}, measured {y}"
+                for x, y in zip(a["claims"], b["claims"])
+                if x != y
+            ]
+            if len(a["claims"]) != len(b["claims"]):
+                lines.append(f"{where}: {len(a['claims'])} claims committed, {len(b['claims'])} measured")
+    return lines
+
+
+def test_a_moved_counter_is_named_by_figure_point_and_column():
+    committed = json.loads(RECORD.read_text(encoding="utf-8"))
+    measured = json.loads(json.dumps(committed))
+    table = measured["experiments"]["fig8"]["Figure 8 (pop): pop ratio vs k in Gowalla-like"]
+    table["rows"][1][table["headers"].index("TSA")] += 1
+    assert _mismatches(committed, measured) == [
+        "fig8 / Figure 8 (pop): pop ratio vs k in Gowalla-like, k = 30, TSA: "
+        f"committed {table['rows'][1][3] - 1!r}, measured {table['rows'][1][3]!r}"
+    ]
 
 
 def _query_calls_without_a_method(source: str) -> list[int]:

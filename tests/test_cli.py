@@ -21,11 +21,11 @@ click = pytest.importorskip("click", reason="the CLI is an optional extra")
 
 from click.testing import CliRunner  # noqa: E402
 
-from repro import GeoSocialEngine, QueryService, load_engine  # noqa: E402
+from repro import GeoSocialEngine, QueryRequest, QueryService, load_engine  # noqa: E402
 from repro.cli.format import flatten_stats, format_output  # noqa: E402
 from repro.cli import commands  # noqa: E402
 from repro.cli.commands import DATASETS, cli  # noqa: E402
-from repro.server import ServerClient, ServerThread  # noqa: E402
+from repro.server import ServerClient, ServerConfig, ServerThread  # noqa: E402
 from repro.service.model import result_payload  # noqa: E402
 
 
@@ -133,6 +133,23 @@ def test_query_local_golden(runner, engine_dir, engine, query_user):
     )
     parsed = list(csv.DictReader(io.StringIO(result.output)))
     assert [int(row["user"]) for row in parsed] == expected["users"]
+
+
+def test_query_without_k_returns_the_request_default(runner, engine_dir, engine, query_user):
+    """`-k` defaults to ``QueryRequest.k``, as ``--alpha`` / ``--method``,
+    the library and ``POST /query`` do."""
+    result = runner.invoke(cli, ["query", str(query_user), "--engine", engine_dir, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)) == QueryRequest.k < engine.graph.n
+
+
+def test_serve_defaults_are_the_server_config_s(runner):
+    """`repro serve`'s tunables default to ``ServerConfig``'s fields."""
+    defaults = {param.name: param.default for param in commands.serve.params}
+    assert (defaults["host"], defaults["workers"], defaults["queue_depth"], defaults["deadline_ms"]) == (
+        ServerConfig.host, ServerConfig.workers, ServerConfig.queue_depth,
+        ServerConfig.default_deadline_ms,
+    )
 
 
 def test_query_requires_exactly_one_target(runner, engine_dir, query_user):

@@ -6,6 +6,7 @@ than ``f_k`` (the worst score in R), and R contains exactly the k
 finite-score minimisers.
 """
 
+import json
 import math
 import random
 
@@ -83,15 +84,18 @@ def test_cli_main(tmp_path, capsys):
     """The ``python -m repro.bench`` entry point end-to-end (tiny run)."""
     from repro.bench.__main__ import main
 
-    out = tmp_path / "results.md"
+    out = tmp_path / "record.json"
     code = main(["table2", "fig7b", "--profile", "smoke", "--output", str(out)])
     assert code == 0
     captured = capsys.readouterr().out
     assert "Table 2" in captured
     assert "Figure 7b" in captured
-    text = out.read_text()
-    assert text.startswith("# Regenerated evaluation")
-    assert "| alpha |" in text.replace("  ", " ")
+    assert "claim: Jaccard with the social-only top-k rises with alpha" in captured
+    written = json.loads(out.read_text())
+    assert written["profile"] == "smoke"
+    assert list(written["experiments"]) == ["table2", "fig7b"]
+    fig7b = written["experiments"]["fig7b"]
+    assert [table["headers"] for table in fig7b.values()] == [["alpha", "vs. social", "vs. spatial"]]
 
 
 def test_cli_rejects_unknown_experiment():

@@ -16,11 +16,14 @@ from __future__ import annotations
 import doctest
 import importlib
 import inspect
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.cli.format import format_output
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,3 +139,30 @@ def test_citation_is_consistent():
     assert "icde" in paper
     assert "icde 2016" in package_doc
     assert "tkde" not in package_doc
+
+
+#: a section rendered from the committed record: ``<!-- record:
+#: EXPERIMENT / TABLE -->``, the table's fenced ``format_output``
+#: render, ``<!-- /record -->``
+_SECTION = re.compile(r"<!-- record: (\S+) / (.+?) -->\n(.*?)<!-- /record -->", re.S)
+
+
+def _render(table: dict) -> str:
+    rows = [dict(zip(table["headers"], row)) for row in table["rows"]]
+    return f"```\n{format_output(rows, table['headers'], 'table')}\n```\n"
+
+
+def test_every_rendered_section_equals_its_render():
+    """Numbers the docs show from a ``smoke`` run are rendered from
+    ``BENCH_paper_smoke.json``, never copied by hand: each marked
+    section reads exactly what the record renders to."""
+    record = json.loads((REPO_ROOT / "BENCH_paper_smoke.json").read_text(encoding="utf-8"))
+    sections = 0
+    for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        for experiment, name, body in _SECTION.findall(path.read_text(encoding="utf-8")):
+            sections += 1
+            expected = _render(record["experiments"][experiment][name])
+            assert body == expected, (
+                f"{path.name}, {experiment} / {name}: the section should read\n{expected}"
+            )
+    assert sections >= 3

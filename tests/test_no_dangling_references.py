@@ -20,7 +20,9 @@ subsumed:
   do the zero-normaliser floor and the model's NumPy overflow switch
   that existed for the domain's one former exception;
 - the result cache's per-entry move screen stays deleted, and so does
-  the in-place upkeep of the grid and the aggregate index.
+  the in-place upkeep of the grid and the aggregate index;
+- every section a citation names (``docs/BENCHMARKS.md, "<name>"``)
+  is a heading or a bold run-in head of that document.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ DOCSTRINGED = sorted((ROOT / "src" / "repro").rglob("*.py"))
 #: a path under one of the repo's top-level directories (a placeholder
 #: such as ``bench_<name>.py`` or a glob is not a reference)
 _PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|docs|examples|perfbench|tests)/[\w./-]*\w)(?![\w<*{])")
-#: a bare bench script, bench artifact or markdown file (``--output
-#: results.md`` names a file the reader is about to create)
-_BARE = re.compile(r"(?<!--output )(?<![\w/.-])(bench_\w+\.py|BENCH_[a-z0-9]+\.json|\w+\.md)\b")
+#: a bare bench script, bench artifact or markdown file
+_BARE = re.compile(r"(?<![\w/.-])(bench_\w+\.py|BENCH_\w+\.json|\w+\.md)\b")
 #: where a bare name may live
 _HOMES = ("", "benchmarks", "docs", "perfbench")
 
@@ -91,11 +92,13 @@ def test_the_reference_scanner_sees_what_it_should():
     text = (
         "see DESIGN.md's table; writes ``experiments_output.md``; "
         "(`benchmarks/bench_gone.py`), bench_gone.py, BENCH_gone.json, "
-        "perfbench/nothing.py; --output results.md; docs/ARCHITECTURE.md"
+        "perfbench/nothing.py; --output results.md; docs/ARCHITECTURE.md; "
+        "--output BENCH_paper_smoke.json"
     )
     assert _missing(text) == [
         "BENCH_gone.json", "DESIGN.md", "bench_gone.py",
         "benchmarks/bench_gone.py", "experiments_output.md", "perfbench/nothing.py",
+        "results.md",
     ]
 
 
@@ -251,3 +254,57 @@ def test_no_spatial_index_is_maintained_in_place():
     )
     assert _naming(upkeep, sorted(src.rglob("*.py"))) == set()
     assert _naming(r"def (move_user|_shrink)\b", sorted((src / "index").glob("*.py"))) == set()
+
+
+#: ``docs/BENCHMARKS.md, "<name>"`` or ``docs/ARCHITECTURE.md
+#: ("<name>")``, the path possibly in backticks
+_CITATION = re.compile(r'`?docs/(BENCHMARKS|ARCHITECTURE)\.md`?(?:,\s*|\s*\()"([^"]+)"')
+#: ``the "<name>" section of docs/ARCHITECTURE.md``
+_SECTION_OF = re.compile(r'"([^"]+)" section of `?docs/(BENCHMARKS|ARCHITECTURE)\.md')
+
+
+def _citations(text: str) -> "list[tuple[str, str]]":
+    """``(document, section)`` per citation, read across line breaks
+    and the ``#`` / ``#:`` that continue a comment; a section's
+    backticks dropped."""
+    flat = re.sub(r"\s*\n\s*(?:#:?\s*)?", " ", text)
+    found = _CITATION.findall(flat) + [(doc, name) for name, doc in _SECTION_OF.findall(flat)]
+    return [(doc, name.replace("`", "")) for doc, name in found]
+
+
+def _sections(name: str) -> "set[str]":
+    """The headings and bold run-in heads of ``docs/<name>.md`` (a run-in
+    head without its closing period or colon), backticks dropped."""
+    text = (ROOT / "docs" / f"{name}.md").read_text(encoding="utf-8").replace("`", "")
+    heads = {line.lstrip("#").strip() for line in text.splitlines() if line.startswith("#")}
+    return heads | {head.rstrip(".:") for head in re.findall(r"^\*\*(.+?)\*\*", text, re.M)}
+
+
+def test_every_cited_section_exists():
+    """A citation of a docs section names one that is there: ``src/``,
+    the examples, the README, the docs and the verify skill cite no
+    section a change renamed or deleted."""
+    sections = {name: _sections(name) for name in ("BENCHMARKS", "ARCHITECTURE")}
+    stale = [
+        f"{path.relative_to(ROOT)}: docs/{document}.md, {section!r}"
+        for path in CODE_AND_PROSE
+        for document, section in _citations(path.read_text(encoding="utf-8"))
+        if section not in sections[document]
+    ]
+    assert stale == []
+
+
+def test_the_citation_scanner_sees_what_it_should():
+    text = (
+        '#: rebuilt (docs/BENCHMARKS.md, "What does\n#: not pay") and\n'
+        '`docs/ARCHITECTURE.md`, "`backend` — the data\nplane"; '
+        'docs/BENCHMARKS.md ("Scale profiles"); docs/BENCHMARKS.md, `plan`; '
+        'the "stream — continuous\nqueries" section of `docs/ARCHITECTURE.md`'
+    )
+    assert _citations(text) == [
+        ("BENCHMARKS", "What does not pay"),
+        ("ARCHITECTURE", "backend — the data plane"),
+        ("BENCHMARKS", "Scale profiles"),
+        ("ARCHITECTURE", "stream — continuous queries"),
+    ]
+    assert {"What does not pay", "Scale profiles", "The record"} <= _sections("BENCHMARKS")

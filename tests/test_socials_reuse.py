@@ -7,8 +7,9 @@ Definition 1 model of ``tests/model.py``.  The whole-stack model
 (``tests/test_service_model.py``) checks that for every served answer,
 cached column or not, through interleaved location and edge updates
 and engine rebuilds, same-user batches and subscription repairs
-included; this suite pins each path of the column step against a
-cache-disabled engine and the model.  The poisoned-column
+included; this suite pins each path of the column step, and that an
+early-terminated expansion is never kept, against a cache-disabled
+engine.  The poisoned-column
 canary additionally pins that cached columns are *actually consulted*
 (reuse is observable) and that an edge update *strictly* invalidates
 them while location moves never do — the epoch-safety contract the
@@ -29,16 +30,10 @@ from repro.service import QueryRequest, QueryService
 from repro.social import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.stream import SubscriptionRegistry
 from tests.conftest import random_instance
-from tests.model import Model
 
 INF = math.inf
 
 METHODS = tuple(sorted(FORWARD_DETERMINISTIC_METHODS))
-ALPHAS = (0.0, 0.3, 0.5, 1.0)
-
-#: what a warm engine's answers are checked against: the scalar
-#: Definition 1 model ("python") or a cache-disabled engine ("numpy")
-REFERENCES = ("python", "numpy")
 
 
 def fingerprint(result):
@@ -57,48 +52,9 @@ def build_engine(cache_bytes: "int | None", *,
     )
 
 
-def reference(leg: str, engine):
-    """``answer(user, k, alpha, method)`` -> the fingerprint ``engine``
-    must reproduce: the model's rows of the data ``engine`` serves, or a
-    cache-disabled engine's answer over the same data."""
-    if leg == "python":
-        model = Model.of_engine(engine)
-        return lambda user, k, alpha, method: model.rows(user, k, alpha)
-    cold = build_engine(0)
-    return lambda user, k, alpha, method: fingerprint(
-        cold.query(user, k=k, alpha=alpha, method=method)
-    )
-
-
 def query_users(engine, count: int = 3):
     located = sorted(engine.locations.located_users())
     return located[:: max(1, len(located) // count)][:count]
-
-
-# -- an early stop keeps nothing ----------------------------------------
-
-
-@pytest.mark.parametrize("leg", REFERENCES)
-@pytest.mark.parametrize(
-    "seed_method,seed_alpha", [("sfa", 1.0), ("spa", 0.3), ("tsa", 0.5)]
-)
-def test_an_early_terminated_expansion_is_not_kept(leg, seed_method, seed_alpha):
-    """An early-terminating searcher's expansion is never kept, so the
-    query that needs more of the same user's distances starts fresh.
-    Seed via each early-terminating method, then drive every method
-    over the same user."""
-    warm = build_engine(None)
-    want = reference(leg, warm)
-    user = query_users(warm)[0]
-    warm.query(user, k=3, alpha=seed_alpha, method=seed_method)
-    assert warm.social_cache.info()["entries"] == 0
-    for method in METHODS:
-        for alpha in ALPHAS:
-            got = warm.query(user, k=7, alpha=alpha, method=method)
-            assert fingerprint(got) == want(user, 7, alpha, method), (
-                f"seed={seed_method}@{seed_alpha} then {method}@{alpha} against {leg}"
-            )
-    assert warm.social_cache.info()["hits"] >= 1
 
 
 # -- the one shared column step, per searcher ---------------------------
