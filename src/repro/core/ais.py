@@ -43,11 +43,11 @@ from repro.graph.bidirectional import BidirectionalDistanceEngine
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.index.aggregate import AggregateIndex
-from repro.index.bounds import social_lower_bound
+from repro.index.bounds import minf, social_lower_bound
 from repro.plan.rules import check_routed
 from repro.spatial.point import LocationTable
 from repro.utils.heaps import MinHeap
-from repro.utils.validation import check_user
+from repro.utils.validation import UnlocatedUserError, check_user
 
 INF = math.inf
 _TOP = 0
@@ -151,10 +151,7 @@ class AggregateIndexSearch:
 
         location = self.locations.get(query_user)
         if location is None:
-            raise ValueError(
-                f"query user {query_user} has no known location; aggregate index "
-                "search is undefined (paper assumes located query users)"
-            )
+            raise UnlocatedUserError.of(query_user)
         qx, qy = location
         query_vector = self.landmarks.vector(query_user)
 
@@ -176,17 +173,18 @@ class AggregateIndexSearch:
         # On a digraph only Lemma 2's forward side m̌ − p(l, q) bounds
         # p(q → ·): an infinite ceiling m̂ switches the other side off.
         ceiling = [INF] * len(query_vector) if self.graph.directed else None
-        seq = 0  # deterministic tie-break for equal keys
 
-        for top, summary, bbox in index.tops():
+        def node_key(node, summary, bbox, is_top: bool) -> float:
             social_lb = (
                 social_lower_bound(query_vector, summary.m_check, ceiling or summary.m_hat)
                 if use_summaries
                 else 0.0
             )
-            spatial_lb = index.spatial_mindist(bbox, top, True, qx, qy)
-            key = rank.social_part(social_lb) + rank.spatial_part(spatial_lb)
-            heap.push((key, seq, _TOP, top))
+            return minf(rank, social_lb, index.spatial_mindist(bbox, node, is_top, qx, qy))
+
+        seq = 0  # deterministic tie-break for equal keys
+        for top, summary, bbox in index.tops():
+            heap.push((node_key(top, summary, bbox, True), seq, _TOP, top))
             seq += 1
 
         while heap:
@@ -196,21 +194,14 @@ class AggregateIndexSearch:
             if kind == _TOP:
                 stats.cells_opened += 1
                 for leaf, summary, bbox in index.children(payload):
-                    social_lb = (
-                        social_lower_bound(query_vector, summary.m_check, ceiling or summary.m_hat)
-                        if use_summaries
-                        else 0.0
-                    )
-                    spatial_lb = index.spatial_mindist(bbox, leaf, False, qx, qy)
-                    child_key = rank.social_part(social_lb) + rank.spatial_part(spatial_lb)
-                    heap.push((child_key, seq, _LEAF, leaf))
+                    heap.push((node_key(leaf, summary, bbox, False), seq, _LEAF, leaf))
                     seq += 1
             elif kind == _LEAF:
                 stats.cells_opened += 1
                 # One batched evaluation per leaf: exact spatial
                 # distances, per-vertex ALT bounds, and blended keys
                 # over the cell's id-array in three kernel calls.
-                ids = index.user_ids(payload)
+                ids = index.grid.ids_in(*payload)
                 distances = kernels.euclidean_to_point(xs, ys, qx, qy, ids)
                 social_lbs = kernels.alt_lower_bounds(self.landmarks, query_vector, ids)
                 keys = kernels.blend(rank.w_social, rank.w_spatial, social_lbs, distances)

@@ -63,9 +63,8 @@ from repro.plan.rules import AUTO, FORWARD_DETERMINISTIC_METHODS, METHODS, route
 from repro.social.cache import DEFAULT_SOCIAL_CACHE_BYTES, SocialColumnCache
 from repro.social.scan import column_step
 from repro.spatial.grid import UniformGrid
-from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.point import LocationTable
-from repro.utils.validation import check_size, check_user
+from repro.utils.validation import UnlocatedUserError, check_size, check_user
 
 __all__ = [
     "AUTO",
@@ -233,7 +232,7 @@ class GeoSocialEngine:
     def aggregate(self) -> AggregateIndex:
         """The aggregate index (built on first use; only ``ais`` and the
         reproduction tier's AIS variants read it).  Its leaf level is
-        :attr:`grid` itself, which neither mutates; a location update
+        :attr:`grid` itself, read in ``s x s`` blocks; a location update
         drops both.  Like :attr:`grid`, it must not be built while a
         location update runs (a service's queries build it under the
         service's read lock)."""
@@ -241,9 +240,7 @@ class GeoSocialEngine:
             with self._build_lock:
                 if self._aggregate is None:
                     self._aggregate = AggregateIndex(
-                        MultiLevelGrid.from_grid(self.grid, self.s),
-                        self.landmarks,
-                        self.locations,
+                        self.grid, self.s, self.landmarks, self.locations
                     )
         return self._aggregate
 
@@ -314,10 +311,7 @@ class GeoSocialEngine:
         check_user(request.user, self.graph.n)
         resolved = self.resolve_method(request)
         if request.alpha < 1.0 and self.locations.get(request.user) is None:
-            raise ValueError(
-                f"query user {request.user} has no known location; SSRQ with "
-                "alpha < 1 is undefined (paper assumes located query users)"
-            )
+            raise UnlocatedUserError.of(request.user)
         result = column_step(self, resolved, request)
         result.method = resolved
         return result

@@ -29,7 +29,7 @@ from repro.plan.rules import check_routed
 from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import LocationTable
-from repro.utils.validation import check_user
+from repro.utils.validation import UnlocatedUserError, check_user
 
 
 class SpatialFirstSearch:
@@ -71,10 +71,7 @@ class SpatialFirstSearch:
         check_routed("spa", rank)
         location = self.locations.get(query_user)
         if location is None:
-            raise ValueError(
-                f"query user {query_user} has no known location; spatial-first "
-                "search is undefined (paper assumes located query users)"
-            )
+            raise UnlocatedUserError.of(query_user)
         qx, qy = location
 
         buffer = TopKBuffer(k)

@@ -44,7 +44,7 @@ from repro.spatial.grid import UniformGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import LocationTable
 from repro.topk.quick_combine import QuickCombinePolicy, RoundRobinPolicy
-from repro.utils.validation import check_user
+from repro.utils.validation import UnlocatedUserError, check_user
 
 INF = math.inf
 _SOCIAL = 0
@@ -110,10 +110,7 @@ class TwofoldSearch:
         check_routed("tsa-qc" if self.probe_policy == "quick-combine" else "tsa", rank)
         location = self.locations.get(query_user)
         if location is None:
-            raise ValueError(
-                f"query user {query_user} has no known location; twofold "
-                "search is undefined (paper assumes located query users)"
-            )
+            raise UnlocatedUserError.of(query_user)
         qx, qy = location
 
         buffer = TopKBuffer(k)

@@ -16,6 +16,8 @@ through ``engine.query`` and ``QueryService.query`` (pinned by
 
 from __future__ import annotations
 
+from repro.utils.validation import UnknownUserError, UnlocatedUserError
+
 #: error codes carried in ``error.type``
 BAD_REQUEST = "bad_request"          # malformed HTTP/JSON framing
 INVALID_ARGUMENT = "invalid_argument"  # k/alpha/method out of contract
@@ -52,20 +54,20 @@ def error_body(code: str, message: str) -> dict:
 def classify_exception(err: BaseException) -> tuple[int, str]:
     """``(status, error_type)`` for an exception escaping a handler.
 
-    ``ValueError`` is the engine's request-rejection contract; the
-    message distinguishes the three request-error families (their
-    wording is pinned by the engine's own unit tests, and
-    ``tests/test_error_parity.py`` pins this classification against
-    all four call paths).
+    ``ValueError`` is the engine's request-rejection contract; its type
+    distinguishes the three request-error families
+    (:class:`~repro.utils.validation.UnknownUserError`,
+    :class:`~repro.utils.validation.UnlocatedUserError`, any other
+    ``ValueError``), and ``tests/test_error_parity.py`` pins this
+    classification against all four call paths.
     """
     if isinstance(err, ApiError):
         return err.status, err.code
+    if isinstance(err, UnknownUserError):
+        return 400, UNKNOWN_USER
+    if isinstance(err, UnlocatedUserError):
+        return 400, UNLOCATED_USER
     if isinstance(err, ValueError):
-        text = str(err)
-        if "out of range" in text:
-            return 400, UNKNOWN_USER
-        if "no known location" in text:
-            return 400, UNLOCATED_USER
         return 400, INVALID_ARGUMENT
     # store errors: corruption is a server-side 500, everything else a
     # caller mistake (missing snapshot root, nothing committed yet)

@@ -3,8 +3,8 @@
 The paper keeps user locations in a main-memory regular grid, updated
 in place on every move, and retrieves nearest neighbours with a
 branch-and-bound incremental search (the combination recommended for
-dynamic in-memory spatial data, its reference [35]).  Here the grids
-serve only the paper's named methods and are rebuilt by their next
+dynamic in-memory spatial data, its reference [35]).  Here the grid
+serves only the paper's named methods and is rebuilt by its next
 reader after a move.  This package provides:
 
 - :mod:`repro.spatial.point` — Euclidean geometry, bounding boxes, and
@@ -13,13 +13,13 @@ reader after a move.  This package provides:
 - :mod:`repro.spatial.grid` — a single-level uniform grid, built once
   over a location table;
 - :mod:`repro.spatial.nn` — incremental (distance-ordered) nearest
-  neighbour search over the grid;
-- :mod:`repro.spatial.multigrid` — the multi-level grid underlying the
-  paper's aggregate index (Section 5.1).
+  neighbour search over the grid.
+
+The paper's two-level grid (Section 5.1) is this grid at resolution
+``s²`` read in ``s x s`` blocks: :mod:`repro.index.aggregate`.
 """
 
 from repro.spatial.grid import UniformGrid
-from repro.spatial.multigrid import MultiLevelGrid
 from repro.spatial.nn import IncrementalNearestNeighbors
 from repro.spatial.point import BBox, LocationTable, euclidean
 
@@ -28,6 +28,5 @@ __all__ = [
     "LocationTable",
     "euclidean",
     "UniformGrid",
-    "MultiLevelGrid",
     "IncrementalNearestNeighbors",
 ]

@@ -34,14 +34,14 @@ def _cells(values, lo: float, size: float, cells: int):
 
 
 class UniformGrid:
-    """Uniform grid mapping cell coordinates to lists of user ids.
+    """Uniform grid mapping cell coordinates to the ids of their users.
 
-    Cell membership is kept in Python lists; :meth:`ids_in` serves the
-    same membership as a cached contiguous id-array — the columnar form
-    the vectorized kernels of :mod:`repro.backend` consume.
+    Each cell holds one ascending ``intp`` id-array, a slice of the
+    build's sorted id column — the columnar form the vectorized kernels
+    of :mod:`repro.backend` consume.
     """
 
-    __slots__ = ("bbox", "nx", "ny", "cell_w", "cell_h", "cells", "_size", "_ids_cache")
+    __slots__ = ("bbox", "nx", "ny", "cell_w", "cell_h", "cells", "_size")
 
     def __init__(self, bbox: BBox, resolution: int) -> None:
         if resolution < 1:
@@ -53,12 +53,10 @@ class UniformGrid:
         # 2**501), and 1.0 over a zero-extent box
         self.cell_w = (bbox.maxx - bbox.minx) / self.nx or 1.0
         self.cell_h = (bbox.maxy - bbox.miny) / self.ny or 1.0
-        #: sparse storage: (ix, iy) -> list of user ids
-        self.cells: dict[tuple[int, int], list[int]] = {}
+        #: sparse storage: (ix, iy) -> ascending id-array of its users
+        self.cells: dict[tuple[int, int], _np.ndarray] = {}
         #: number of indexed users
         self._size = 0
-        #: per-cell id-array cache (see ids_in)
-        self._ids_cache: dict[tuple[int, int], object] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -87,7 +85,7 @@ class UniformGrid:
         starts = _np.flatnonzero(_np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
         bounds = _np.append(starts, len(keys)).tolist()
         coords = [divmod(key, grid.ny) for key in sorted_keys[starts].tolist()]
-        members = users[order].tolist()
+        members = users[order]
         # cells in the order their first (smallest) member opened them
         for cell in _np.argsort(order[starts]).tolist():
             grid.cells[coords[cell]] = members[bounds[cell]:bounds[cell + 1]]
@@ -134,23 +132,9 @@ class UniformGrid:
 
     # -- contents ---------------------------------------------------------
 
-    def users_in(self, ix: int, iy: int) -> list[int]:
-        return self.cells.get((ix, iy), [])
-
-    def ids_in(self, ix: int, iy: int):
-        """Cell membership as a contiguous ``intp`` id-array (cached)."""
-        coords = (ix, iy)
-        members = self.cells.get(coords)
-        if members is None:
-            return _EMPTY_IDS
-        ids = self._ids_cache.get(coords)
-        if ids is None:
-            ids = _np.array(members, dtype=_np.intp)
-            self._ids_cache[coords] = ids
-        return ids
-
-    def nonempty_cells(self) -> Iterator[tuple[int, int]]:
-        return iter(self.cells)
+    def ids_in(self, ix: int, iy: int) -> _np.ndarray:
+        """The users in cell ``(ix, iy)``, an ascending ``intp`` id-array."""
+        return self.cells.get((ix, iy), _EMPTY_IDS)
 
     def __len__(self) -> int:
         """Number of indexed users."""

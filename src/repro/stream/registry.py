@@ -56,6 +56,7 @@ from repro.core.stats import SearchStats
 from repro.social.scan import materialize_column
 from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, rescore_members
 from repro.stream.subscription import StreamStats, Subscription
+from repro.utils.validation import UnlocatedUserError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import QueryService
@@ -182,9 +183,9 @@ class SubscriptionRegistry:
     def result(self, sub: Subscription) -> SSRQResult:
         """The subscription's current result, with every pending delta
         applied first (so it equals a fresh ``engine.query`` at this
-        instant).  Raises ``ValueError`` — like the fresh query would —
-        while the query user has no known location, and ``KeyError``
-        for an unregistered subscription."""
+        instant).  Raises :class:`UnlocatedUserError` — like the fresh
+        query would — while the query user has no known location, and
+        ``KeyError`` for an unregistered subscription."""
         self._check_open()
         if sub not in self._subs:
             raise KeyError("subscription is not registered here")
@@ -192,7 +193,7 @@ class SubscriptionRegistry:
             if sub.dirty:
                 self._refresh_locked(sub, engine)
             if sub.suspended:
-                raise ValueError(sub.error or "subscription is suspended")
+                raise UnlocatedUserError(sub.error)
             assert sub.result is not None
             return sub.result
 
@@ -343,9 +344,7 @@ class SubscriptionRegistry:
         was_suspended = sub.suspended
         try:
             result = engine.query(sub.request)
-        except ValueError as err:
-            if "no known location" not in str(err):
-                raise
+        except UnlocatedUserError as err:
             sub.install(None)
             sub.suspended = True
             sub.error = str(err)

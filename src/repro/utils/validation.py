@@ -55,6 +55,23 @@ NORMALISER_MIN = WEIGHT_MIN
 NORMALISER_MAX = 2.0**520
 
 
+class UnknownUserError(ValueError):
+    """A user id outside ``[0, n)``."""
+
+
+class UnlocatedUserError(ValueError):
+    """A query user with no known location, asked below ``alpha == 1``
+    (where the score needs one)."""
+
+    @classmethod
+    def of(cls, user: int) -> "UnlocatedUserError":
+        """The one rejection every method raises for ``user``."""
+        return cls(
+            f"query user {user} has no known location; SSRQ with "
+            "alpha < 1 is undefined (paper assumes located query users)"
+        )
+
+
 def _in_range(value, lo: float, hi: float) -> bool:
     """Whether ``value`` is a real number (not a bool) in ``[lo, hi]``;
     NaN fails, and an ``int`` is compared exactly, never ``float()``-ed."""
@@ -164,7 +181,7 @@ def check_user(user: int, n: int | None = None) -> int:
     if isinstance(user, bool) or not isinstance(user, _numbers.Integral):
         raise ValueError(f"user must be an integer id, got {user!r}")
     if n is not None and not 0 <= user < n:
-        raise ValueError(f"user id {user} out of range [0, {n})")
+        raise UnknownUserError(f"user id {user} out of range [0, {n})")
     return int(user)
 
 

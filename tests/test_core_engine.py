@@ -116,7 +116,7 @@ class TestDynamicLocations:
         assert not engine.locations.has_location(gone)
         assert all(gone not in users for users in engine.grid.cells.values())
         aggregate = engine.aggregate
-        assert all(gone not in aggregate.users_in(leaf) for leaf in aggregate.leaf_summaries)
+        assert all(gone not in aggregate.grid.ids_in(*leaf) for leaf in aggregate.leaf_summaries)
         q = users[1]
         expected = engine.query(q, k=10, alpha=0.3, method="bruteforce")
         assert gone not in expected.users or engine.query(q, k=10, alpha=0.3).users

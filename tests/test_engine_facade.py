@@ -77,7 +77,7 @@ def test_an_engine_over_a_table_with_no_located_user_builds_and_answers(tmp_path
         with pytest.raises(ValueError, match="no known location"):
             served.query(3, k=10, alpha=0.5)
         served.move_user(3, 0.25, 0.75)
-        assert list(served.grid.cells.values()) == [[3]]
+        assert [ids.tolist() for ids in served.grid.cells.values()] == [[3]]
         for method in ("auto", "spa", "sfa"):
             got = served.query(3, k=10, alpha=0.5, method=method)
             want = served.query(3, k=10, alpha=0.5, method="bruteforce")

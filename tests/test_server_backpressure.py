@@ -24,7 +24,6 @@ asserts the serving disciplines the server promises:
 
 from __future__ import annotations
 
-import logging
 import socket
 import sys
 import threading
@@ -36,7 +35,7 @@ from repro import GeoSocialEngine, QueryService
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
 from repro.core.request import QueryRequest
-from repro.service.model import result_payload
+from repro.service.model import QueryResponse, result_payload
 
 
 class SlowService(QueryService):
@@ -48,16 +47,20 @@ class SlowService(QueryService):
         self.delay = delay
         self._call_lock = threading.Lock()
         self.query_calls = 0
+        #: the thread each query / query_many call ran on
+        self.call_threads: list = []
 
     def query(self, request, **kwargs):
         with self._call_lock:
             self.query_calls += 1
+            self.call_threads.append(threading.current_thread())
         time.sleep(self.delay)
         return super().query(request, **kwargs)
 
     def query_many(self, requests, **kwargs):
         with self._call_lock:
             self.query_calls += len(list(requests))
+            self.call_threads.append(threading.current_thread())
         time.sleep(self.delay)
         return super().query_many(requests, **kwargs)
 
@@ -608,52 +611,33 @@ def test_workers_pop_every_admitted_job_once(engine):
     assert (stats["queued"], stats["in_flight"]) == (0, 0)
 
 
-@pytest.fixture()
-def slow_callbacks():
-    """Arms asyncio's debug-mode watchdog on a server's loop at 50 ms
-    and collects what it reports: ``arm(handle)`` returns the list of
-    "Executing <Handle …> took … seconds" messages logged from then on
-    — the standing guard for "no search, no lock wait and no JSON
-    encoding of a miss on the event loop"."""
-    messages: list = []
-
-    class Collect(logging.Handler):
-        def emit(self, record: logging.LogRecord) -> None:
-            text = record.getMessage()
-            if text.startswith("Executing ") and " took " in text:
-                messages.append(text)
-
-    collector = Collect(level=logging.WARNING)
-    logger = logging.getLogger("asyncio")
-    logger.addHandler(collector)
-
-    def arm(handle: ServerThread) -> list:
-        armed = threading.Event()
-
-        def configure() -> None:
-            handle._loop.set_debug(True)
-            handle._loop.slow_callback_duration = 0.05
-            armed.set()
-
-        handle._loop.call_soon_threadsafe(configure)
-        assert armed.wait(timeout=10)
-        return messages
-
-    try:
-        yield arm
-    finally:
-        logger.removeHandler(collector)
-
-
-def test_no_loop_callback_runs_a_query(engine, slow_callbacks):
+def test_no_loop_callback_runs_a_query(engine, monkeypatch):
     """A burst of uncached queries, each 80 ms inside the service, over
     more connections than workers, then the same burst again as cache
-    hits: no loop callback may take 50 ms.  The watchdog is shown to
-    bite by blocking the loop on purpose afterwards."""
+    hits.  Every query / query_many call, every acquisition of the
+    service's read lock and every encoding of a miss is recorded with
+    the thread it ran on: none ran on the event loop's thread.  (A
+    cache hit is answered and encoded on the loop, lock-free.)"""
     users = sorted(engine.locations.located_users())[:8]
     service = SlowService(engine, delay=0.08, cache_size=64)
+    lock_threads: list = []
+    miss_wire_threads: list = []
+    acquire_read = service._lock.acquire_read
+
+    def recorded_acquire_read() -> None:
+        lock_threads.append(threading.current_thread())
+        acquire_read()
+
+    encode = QueryResponse.wire
+
+    def recorded_wire(response) -> bytes:
+        if not response.cached:
+            miss_wire_threads.append(threading.current_thread())
+        return encode(response)
+
+    monkeypatch.setattr(service._lock, "acquire_read", recorded_acquire_read)
+    monkeypatch.setattr(QueryResponse, "wire", recorded_wire)
     with service, ServerThread(service, queue_depth=16, workers=2) as handle:
-        slow = slow_callbacks(handle)
         for _ in range(2):
             outcomes: dict = {}
             threads = [
@@ -663,7 +647,13 @@ def test_no_loop_callback_runs_a_query(engine, slow_callbacks):
                 thread.join(timeout=30)
             assert [outcomes[user][0] for user in users] == [200] * len(users)
         stats = handle.server.stats_snapshot()
-        assert stats["served_inline"] == len(users) == stats["completed"]
-        assert slow == []
-        handle._loop.call_soon_threadsafe(time.sleep, 0.08)
-        _wait_for(lambda: slow, "the watchdog to report the blocked loop")
+        loop_thread = handle._thread
+    recorded = {
+        "query call": service.call_threads,
+        "read lock": lock_threads,
+        "miss encoding": miss_wire_threads,
+    }
+    for what, threads in recorded.items():
+        assert len(threads) >= len(users), what
+        assert all(thread is not loop_thread for thread in threads), what
+    assert stats["served_inline"] == len(users) == stats["completed"]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.spatial.grid import UniformGrid
@@ -28,6 +29,14 @@ def inserted(grid, locations):
     return cells
 
 
+def listed(grid):
+    """The grid's cells in order, each as a list of its members; every
+    cell is an ascending ``intp`` id-array."""
+    for ids in grid.cells.values():
+        assert ids.dtype == np.intp and (np.diff(ids) > 0).all()
+    return [(cell, ids.tolist()) for cell, ids in grid.cells.items()]
+
+
 def cell_holding(grid, user):
     """The cell whose members list ``user``."""
     return next(cell for cell, users in grid.cells.items() if user in users)
@@ -42,7 +51,7 @@ def test_build_equals_inserting_every_located_user_in_id_order(resolution):
     locations = gowalla_like(n=3000, seed=7).locations
     built = UniformGrid.build(locations, resolution)
     cells = inserted(UniformGrid(locations.bbox(), resolution), locations)
-    assert list(built.cells.items()) == list(cells.items())
+    assert listed(built) == list(cells.items())
     assert len(built) == locations.n_located
 
 
@@ -68,7 +77,7 @@ def test_a_box_at_the_coordinate_bound_keeps_finite_cells():
     assert built.cell_w == 2.0**499
     assert [built.cell_of(x, y) for x, y in points] == [(0, 0), (2, 0), (3, 0)]
     cells = inserted(UniformGrid(built.bbox, 4), make_locations(points))
-    assert list(built.cells.items()) == list(cells.items())
+    assert listed(built) == list(cells.items())
     for user, (x, y) in enumerate(points):
         assert built.cell_bbox(*cell_holding(built, user)).contains(x, y)
 
@@ -122,7 +131,7 @@ class TestGeometry:
 class TestContents:
     def test_empty_cells_not_materialised(self):
         grid = UniformGrid.build(make_locations([(0.0, 0.0), (0.05, 0.05), (1.0, 1.0)]), 10)
-        assert len(list(grid.nonempty_cells())) == 2
+        assert len(grid.cells) == 2
 
     def test_build_indexes_only_located_users(self):
         table = LocationTable.empty(3)
@@ -149,7 +158,7 @@ class TestRings:
             for cell in grid.ring_cells(center, r):
                 assert cell not in seen, "cell reported by two rings"
                 seen.add(cell)
-        assert seen == set(grid.nonempty_cells())
+        assert seen == set(grid.cells)
 
     def test_ring_cells_have_exact_chebyshev_distance(self):
         rng = random.Random(4)

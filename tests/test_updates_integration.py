@@ -39,8 +39,8 @@ def check_structural_invariants(engine: GeoSocialEngine) -> None:
     indexed = set()
     lm = engine.landmarks
     for leaf, summary in agg.leaf_summaries.items():
-        members = agg.users_in(leaf)
-        assert members, "empty leaf summaries must be dropped"
+        members = agg.grid.ids_in(*leaf)
+        assert len(members), "empty leaf summaries must be dropped"
         for user in members:
             indexed.add(user)
             vec = lm.vector(user)

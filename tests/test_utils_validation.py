@@ -10,6 +10,7 @@ import math
 import pytest
 
 from repro.utils.validation import (
+    UnknownUserError,
     check_alpha,
     check_positive,
     check_probability,
@@ -68,7 +69,7 @@ class TestCheckUser:
 
     @pytest.mark.parametrize("user", [-1, 100, 1000])
     def test_rejects_out_of_range(self, user):
-        with pytest.raises(ValueError, match=r"out of range \[0, 100\)"):
+        with pytest.raises(UnknownUserError, match=r"out of range \[0, 100\)"):
             check_user(user, 100)
 
     def test_empty_population_rejects_everything(self):
