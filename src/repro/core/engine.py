@@ -161,17 +161,18 @@ class GeoSocialEngine:
             else Normalization.estimate(graph, locations, seed=seed)
         )
         #: cross-query social-distance column cache consulted by the
-        #: pipeline's column step (:mod:`repro.social`).  Pure function
-        #: of the (immutable-per-engine) graph, so location moves never
-        #: invalidate it and ``with_graph`` rebuilds start fresh by
-        #: construction.
+        #: pipeline's column step (:mod:`repro.social`), over the users
+        #: located now: only a first location invalidates it, and
+        #: ``with_graph`` rebuilds start fresh by construction.
         budget = (
             DEFAULT_SOCIAL_CACHE_BYTES
             if social_cache_bytes is None
             else check_size("social_cache_bytes", social_cache_bytes)
         )
         self.social_cache: "SocialColumnCache | None" = (
-            SocialColumnCache(graph.n, self.kernels, max_bytes=budget) if budget > 0 else None
+            SocialColumnCache(graph.n, self.kernels, budget, self.located_users())
+            if budget > 0
+            else None
         )
         #: the ``method="auto"`` resolver (handed to every ``with_graph``
         #: rebuild, so its counters carry on)
@@ -239,9 +240,7 @@ class GeoSocialEngine:
         if self._aggregate is None:
             with self._build_lock:
                 if self._aggregate is None:
-                    self._aggregate = AggregateIndex(
-                        self.grid, self.s, self.landmarks, self.locations
-                    )
+                    self._aggregate = AggregateIndex(self.grid, self.s, self.landmarks)
         return self._aggregate
 
     # -- query dispatch -----------------------------------------------------
@@ -326,7 +325,7 @@ class GeoSocialEngine:
         """Process a location update: write the location table, mark
         the k-d tree, and drop the grid, the aggregate index and the
         searchers built over them (their next reader builds them again
-        from the table).
+        from the table); a first location empties the column cache.
 
         Takes no lock, so it must not run beside a query or another
         update.  A served engine is moved through
@@ -351,6 +350,10 @@ class GeoSocialEngine:
 
     def _moved(self, user: int) -> None:
         self.tree.mark(user)
+        cache = self.social_cache
+        if cache is not None and self.locations.has_location(user) and not cache.laid_out(user):
+            # a first location: no cached column holds this user
+            cache.invalidate_all(self.located_users())
         if self._grid is not None or self._aggregate is not None:
             self._grid = self._aggregate = None
             for method in _OVER_THE_GRID:

@@ -55,7 +55,6 @@ class AggregateIndex:
         grid: UniformGrid,
         s: int,
         landmarks: LandmarkIndex,
-        locations: LocationTable,
     ) -> None:
         if s < 1 or grid.nx != s * s or grid.ny != s * s:
             raise ValueError(
@@ -64,7 +63,6 @@ class AggregateIndex:
         self.grid = grid
         self.s = s
         self.landmarks = landmarks
-        self.locations = locations
         #: per nonempty leaf, in the grid's cell order
         self.leaf_summaries: dict[tuple[int, int], SocialSummary] = {}
         #: per nonempty top node, sorted
@@ -81,7 +79,7 @@ class AggregateIndex:
     ) -> "AggregateIndex":
         """Index every located user at grid fanout ``s`` (leaf
         resolution ``s² x s²``)."""
-        return cls(UniformGrid.build(locations, s * s), s, landmarks, locations)
+        return cls(UniformGrid.build(locations, s * s), s, landmarks)
 
     def _summarise(self) -> None:
         """Every node's summary in one pass: a min and a max

@@ -42,6 +42,8 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.core.engine import GeoSocialEngine
 from repro.core.request import QueryRequest
 from repro.service.cache import ResultCache
@@ -375,7 +377,14 @@ class QueryService:
         the engine and empty the pending-edge log (folded into
         ``new_engine``, or discarded with the old one).  Followers hear
         of the swap before a reader can reach ``new_engine``, so none
-        serves an answer of the old engine."""
+        serves an answer of the old engine.  A location update that
+        landed while ``new_engine`` was built lays its column cache out
+        afresh."""
+        social = new_engine.social_cache
+        if social is not None:
+            located = new_engine.located_users()
+            if not np.array_equal(social.layout, located):
+                social.invalidate_all(located)
         if self.cache is not None:
             outcome = self.cache.invalidate_all()
             with self._stats_lock:
@@ -407,7 +416,10 @@ class QueryService:
             new_engine.social_cache = (
                 None
                 if social is None
-                else SocialColumnCache(new_engine.graph.n, new_engine.kernels, social.max_bytes)
+                else SocialColumnCache(
+                    new_engine.graph.n, new_engine.kernels, social.max_bytes,
+                    new_engine.located_users(),
+                )
             )
             self._swap_engine_locked(new_engine)
         return new_engine

@@ -6,29 +6,30 @@ stream repairs — derives the same object first: the social distances
 from the query user.  Those distances are a pure
 function of the (immutable-per-engine) social graph, so once one query
 has paid for an expansion, every later query from the same user can
-reuse it **exactly**.  The cache holds one kind of entry, a *full*
-dense column, built by the ``sssp_column`` kernel inside ``bruteforce``
-or an unbounded ``bounded`` expansion (or by a subscription repair);
-it answers any later query with one columnar scan, no traversal at
-all.  The incremental searchers (SFA, SPA, TSA) keep nothing.
+reuse it **exactly**.  The cache holds one kind of entry, a column
+built by the ``sssp_column`` kernel inside ``bruteforce`` or an
+unbounded ``bounded`` expansion (or by a subscription repair); it
+answers any later query with one columnar scan, no traversal at all.
+The incremental searchers (SFA, SPA, TSA) keep nothing.
 
-**Why edge-epoch invalidation only.**  A social column depends on
-nothing but the graph's edges.  Location moves — the overwhelming
-majority of updates under the paper's workload model — can therefore
-never stale a column, and the cache ignores them entirely; that is what
-keeps hit rates high under mixed read/update traffic.  Edge updates
-accumulate in the service layer's pending-edge log (the engine's CSR
-graph never mutates in place), so within one engine's lifetime every
-cached column stays exact and nothing flushes it; the edge-epoch is the
-engine swap itself — a rebuild
-(:meth:`~repro.service.QueryService.rebuild_engine`) starts from a
-fresh, empty cache by construction.
+**Only the located users.**  The cache serves only queries with both
+weights nonzero (at a zero spatial weight an unlocated user can be an
+answer, so SFA answers those), and there an unlocated user scores
+``inf`` whatever its social distance.  So an entry stores its column
+only at the *layout*, the ascending ``intp`` ids of the users located
+when the cache was made (the engine's build, a service's engine swap):
+``8`` bytes per located user, and the LRU evicts until the byte budget
+holds (an entry count would be unbounded in the dimension that
+matters).  A forget keeps the user's position (NaN coordinates score
+``inf``).
 
-**Why bytes, not entries.**  A dense column is ``8·n`` bytes — ~8 MB
-per column on a 1M-user graph — so an entry-counted LRU would be
-unbounded in the dimension that actually matters.  Every entry costs
-exactly ``8·n`` bytes, and entries are evicted LRU-first until the
-budget holds.
+**One invalidation.**  A column depends on nothing but the graph's
+edges, and edge updates accumulate in the service layer's pending-edge
+log until a rebuild (:meth:`~repro.service.QueryService.rebuild_engine`)
+swaps in an engine with a fresh, empty cache.  The one update that
+drops columns is a location update that locates a user outside the
+layout: the engine lays the cache out afresh over the located users
+(:meth:`SocialColumnCache.invalidate_all`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from repro.graph.traversal import DijkstraIterator
 
@@ -48,11 +51,11 @@ __all__ = [
     "SocialColumnCache",
 ]
 
-#: default byte budget: ~4 dense columns on a 1M-user graph, thousands
-#: on bench-scale ones — conservative against the engine's own footprint
+#: default byte budget: ~4 columns on a fully located 1M-user graph,
+#: thousands on bench-scale ones (conservative against the engine's own)
 DEFAULT_SOCIAL_CACHE_BYTES = 32 * 1024 * 1024
 
-#: a dense column stores one float64 per user
+#: a column stores one float64 per user of the layout
 _COLUMN_ENTRY_BYTES = 8
 
 
@@ -82,14 +85,16 @@ class SocialCacheStats:
 
 
 class SocialColumnCache:
-    """Byte-bounded LRU of social-distance columns, keyed by query user.
+    """Byte-bounded LRU of social-distance columns, keyed by query user,
+    each stored at the layout (module docstring).
 
+        >>> import numpy as np
         >>> from repro import SocialGraph
         >>> from repro.backend import NumpyKernels
         >>> from repro.graph.traversal import DijkstraIterator
         >>> from repro.social import SocialColumnCache
         >>> g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        >>> cache = SocialColumnCache(3, NumpyKernels())
+        >>> cache = SocialColumnCache(3, NumpyKernels())   # laid out over every user
         >>> cache.acquire(0) is None
         True
         >>> it = DijkstraIterator(g, 0)
@@ -97,19 +102,28 @@ class SocialColumnCache:
         >>> cache.checkin(0, it)      # exhausted: promoted to a column
         >>> cache.acquire(0).tolist()
         [0.0, 1.0, 2.0]
+        >>> cache.invalidate_all(layout=np.array([0, 2]))   # user 1 unlocated
+        >>> cache.store_full(0, np.array([0.0, 1.0, 2.0])).tolist(), cache.bytes_used
+        ([0.0, 2.0], 16)
 
     Thread-safe: every operation holds one internal lock, so concurrent
     queries under the service's shared read lock never observe a
     half-updated entry.  Columns are shared read-only.  ``max_bytes``
     is at least 1: an engine without a column cache carries ``None``.
+    The layout changes only inside a location update, never beside a
+    query.
     """
 
-    def __init__(self, n: int, kernels, max_bytes: int = DEFAULT_SOCIAL_CACHE_BYTES) -> None:
+    def __init__(
+        self, n: int, kernels, max_bytes: int = DEFAULT_SOCIAL_CACHE_BYTES, layout=None
+    ) -> None:
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.n = n
         self.kernels = kernels
         self.max_bytes = max_bytes
+        #: the ascending ``intp`` ids every entry is stored at (default: all)
+        self.layout = np.arange(n, dtype=np.intp) if layout is None else layout
         self.stats = SocialCacheStats()
         self._entries: "OrderedDict[int, object]" = OrderedDict()
         self._lock = threading.Lock()
@@ -118,8 +132,8 @@ class SocialColumnCache:
 
     @property
     def column_bytes(self) -> int:
-        """What one entry costs: one float64 per user."""
-        return self.n * _COLUMN_ENTRY_BYTES
+        """What one entry costs: one float64 per user of the layout."""
+        return len(self.layout) * _COLUMN_ENTRY_BYTES
 
     @property
     def bytes_used(self) -> int:
@@ -129,10 +143,15 @@ class SocialColumnCache:
         return len(self._entries)
 
     def contains_full(self, user: int) -> bool:
-        """Whether a fully materialised column for ``user`` is cached —
-        O(1), no statistics, no LRU touch (a probe that must never
-        perturb what it observes)."""
+        """Whether a column for ``user`` is cached — O(1), no
+        statistics, no LRU touch (a probe that must never perturb what
+        it observes)."""
         return user in self._entries
+
+    def laid_out(self, user: int) -> bool:
+        """Whether ``user`` has a position in the layout."""
+        at = int(self.layout.searchsorted(user))
+        return at < len(self.layout) and self.layout[at] == user
 
     def info(self) -> dict:
         """State + lifetime counters as one plain dict (stable keys)."""
@@ -148,9 +167,9 @@ class SocialColumnCache:
     # -- lookup --------------------------------------------------------
 
     def acquire(self, user: int):
-        """``user``'s column (recording a hit), or ``None`` (recording a
-        miss).  The column is shared: callers must treat it as
-        read-only."""
+        """``user``'s column at the layout (recording a hit), or
+        ``None`` (recording a miss).  The column is shared: callers must
+        treat it as read-only."""
         with self._lock:
             column = self._entries.get(user)
             if column is None:
@@ -161,7 +180,7 @@ class SocialColumnCache:
             return column
 
     def peek_full(self, user: int):
-        """The full column for ``user`` if one is cached (records a
+        """``user``'s column at the layout if one is cached (records a
         hit), else ``None`` — *without* recording a miss: the peek
         caller (stream repairs) has its own fallback path and is
         probing, not demanding."""
@@ -174,15 +193,17 @@ class SocialColumnCache:
 
     # -- store ---------------------------------------------------------
 
-    def store_full(self, user: int, column) -> None:
-        """Cache a fully materialised column for ``user`` (replaces any
-        existing entry; no-op when it cannot fit the budget at all)."""
+    def store_full(self, user: int, column):
+        """Cache ``user``'s full ``column`` at the layout (replacing any
+        entry; nothing when an entry cannot fit the budget at all), and
+        return that one gather."""
         with self._lock:
-            if self.column_bytes > self.max_bytes:
-                return
-            self._entries[user] = column
-            self._entries.move_to_end(user)
-            self._shrink_locked()
+            column = column.take(self.layout)
+            if self.column_bytes <= self.max_bytes:
+                self._entries[user] = column
+                self._entries.move_to_end(user)
+                self._shrink_locked()
+            return column
 
     def checkin(self, user: int, iterator: DijkstraIterator) -> None:
         """Promote ``iterator``, an expansion from ``user``, to
@@ -200,12 +221,15 @@ class SocialColumnCache:
 
     # -- invalidation --------------------------------------------------
 
-    def invalidate_all(self) -> None:
-        """Drop every entry.  Nothing on the serving path needs it (a
-        column is exact for its engine's lifetime); ``perfbench``'s
-        probes call it so each timed method pays its own traversal."""
+    def invalidate_all(self, layout=None) -> None:
+        """Drop every entry; store later ones at ``layout`` when given
+        (the engine's call when a user is located outside the layout).
+        ``perfbench``'s probes call it bare so each timed method pays
+        its own traversal."""
         with self._lock:
             self._entries.clear()
+            if layout is not None:
+                self.layout = layout
             self.stats.invalidations += 1
 
     # -- internals (caller holds the lock) -----------------------------

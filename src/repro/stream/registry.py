@@ -308,9 +308,12 @@ class SubscriptionRegistry:
             buffer.offer(nb.user, nb.score, nb.social, nb.spatial)
         needs_social = rank.needs_social
         member_ids = sub.member_ids
-        # the query user's full social column (exact distances, ``inf``
+        # the query user's social column (exact distances, ``inf``
         # included, as every forward-stream method computes them),
-        # fetched when the first entrant needs it
+        # fetched when the first entrant needs it: at the column cache's
+        # layout, which holds every located user, or over every user
+        cache = engine.social_cache
+        layout = cache.layout if cache is not None else None
         column = None
         for user in ids:
             if user in member_ids:
@@ -321,12 +324,11 @@ class SubscriptionRegistry:
             p = INF
             if needs_social:
                 if column is None:
-                    cache = engine.social_cache
                     column = cache.peek_full(sub.user) if cache is not None else None
                     if column is None:  # kept for the next repair pass
                         column = materialize_column(engine, sub.user)
                 self.stats.entrant_evaluations += 1
-                p = float(column[user])
+                p = float(column[user if layout is None else layout.searchsorted(user)])
             buffer.offer(user, rank.score(p, d), p, d)
         stats = SearchStats()
         stats.extra["maintained"] = "repair"

@@ -45,15 +45,17 @@ def setup():
     return g, locations, lm, index
 
 
-def build_case(case: str) -> AggregateIndex:
-    """One input of the definition tests, by name."""
+def build_case(case: str) -> "tuple[AggregateIndex, LocationTable]":
+    """One input of the definition tests, by name: the index and the
+    location table it was built from."""
     if case == "random":
         g, locations = random_graph(120, 5.0, seed=101), random_locations(120, 102, 0.8)
-        return AggregateIndex.build(locations, LandmarkIndex.build(g, m=3, seed=5), s=4)
+        return AggregateIndex.build(locations, LandmarkIndex.build(g, m=3, seed=5), s=4), locations
     if case.startswith("bound-s"):
         g = random_graph(len(BOUND_POINTS), 2.0, seed=9)
         landmarks = LandmarkIndex.build(g, m=2, seed=1)
-        return AggregateIndex.build(table_of(BOUND_POINTS), landmarks, s=int(case[len("bound-s"):]))
+        locations = table_of(BOUND_POINTS)
+        return AggregateIndex.build(locations, landmarks, s=int(case[len("bound-s"):])), locations
     if case == "disconnected":
         # two components: every landmark leaves the other one at inf
         g = SocialGraph.from_edges(8, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (4, 5, 1.0), (5, 6, 3.0)])
@@ -61,7 +63,7 @@ def build_case(case: str) -> AggregateIndex:
         locations = table_of([(rng.random(), rng.random()) for _ in range(8)])
         index = AggregateIndex.build(locations, LandmarkIndex.build(g, m=2, seed=2), s=2)
         assert np.isinf(index.landmarks.matrix).any()
-        return index
+        return index, locations
     assert case == "moved"
     g, locations = random_graph(120, 5.0, seed=101), random_locations(120, 102, 0.8)
     engine = GeoSocialEngine(g, locations, num_landmarks=3, s=3)
@@ -70,21 +72,21 @@ def build_case(case: str) -> AggregateIndex:
     for _ in range(40):
         engine.move_user(rng.randrange(120), rng.random(), rng.random())
     engine.forget_location(int(engine.located_users()[0]))
-    return engine.aggregate
+    return engine.aggregate, engine.locations
 
 
 CASES = ["random", "bound-s1", "bound-s2", "bound-s4", "disconnected", "moved"]
 
 
-def by_definition(index: AggregateIndex):
+def by_definition(index: AggregateIndex, locations: LocationTable):
     """Every node's summary from its definition: the per-landmark min
-    and max of the landmark matrix over the located users whose point
-    falls in the node (a leaf by ``grid.cell_of``, its top node by
+    and max of the landmark matrix over the users of ``locations`` whose
+    point falls in the node (a leaf by ``grid.cell_of``, its top node by
     ``(ix // s, iy // s)``)."""
     leaves: dict = {}
     tops: dict = {}
-    for user in index.locations.located_users():
-        ix, iy = index.grid.cell_of(*index.locations.get(user))
+    for user in locations.located_users():
+        ix, iy = index.grid.cell_of(*locations.get(user))
         leaves.setdefault((ix, iy), []).append(user)
         tops.setdefault((ix // index.s, iy // index.s), []).append(user)
 
@@ -109,8 +111,8 @@ def summaries_equal(a: AggregateIndex, b: AggregateIndex) -> bool:
 
 @pytest.mark.parametrize("case", CASES)
 def test_every_summary_is_its_definition(case):
-    index = build_case(case)
-    leaves, tops = by_definition(index)
+    index, locations = build_case(case)
+    leaves, tops = by_definition(index, locations)
     assert index.leaf_summaries == leaves
     assert index.top_summaries == tops
     assert list(index.leaf_summaries) == list(index.grid.cells)
@@ -159,7 +161,7 @@ def test_invalid_fanout(setup):
     with pytest.raises(ValueError):
         AggregateIndex.build(locations, lm, s=0)
     with pytest.raises(ValueError, match="is not s²"):
-        AggregateIndex(UniformGrid.build(locations, 9), 2, lm, locations)
+        AggregateIndex(UniformGrid.build(locations, 9), 2, lm)
 
 
 def test_parent_of_leaf():
@@ -237,7 +239,7 @@ def test_a_span_at_the_coordinate_bound_keeps_every_user_in_its_boxes(s):
     user lands in a cell, and lies inside its leaf's box and its top
     node's box — the boxes the AIS and SPA lower bounds are read
     from."""
-    index = build_case(f"bound-s{s}")
+    index, _ = build_case(f"bound-s{s}")
     top_boxes = {top: box for top, _, box in index.tops()}
     for leaf, users in index.grid.cells.items():
         for user in users.tolist():

@@ -854,7 +854,9 @@ class ServiceModel(RuleBasedStateMachine):
     # -- the column cache ---------------------------------------------------
 
     @invariant()
-    def column_cache_holds_full_columns(self):
+    def column_cache_holds_columns_at_its_layout(self):
+        """The layout is ascending and holds every located user, and each
+        entry is its user's exact distances at the layout's ids."""
         if not hasattr(self, "service"):
             return
         cache = self.service.engine.social_cache
@@ -862,14 +864,17 @@ class ServiceModel(RuleBasedStateMachine):
             assert cache is None
             return
         assert cache.max_bytes == self.budget
-        assert cache.bytes_used == len(cache) * 8 * self.n
+        layout = cache.layout.tolist()
+        assert layout == sorted(set(layout)), "the layout is not ascending"
+        assert set(self.model.locations) <= set(layout), "a located user is outside the layout"
+        assert cache.bytes_used == len(cache) * 8 * len(layout)
         for user, column in list(cache._entries.items()):
             if self.verified.get(user) is column:
                 continue
-            assert column.dtype == np.float64 and column.shape == (self.n,), user
+            assert column.dtype == np.float64 and column.shape == (len(layout),), user
             social = self.model.social_distances(user)
-            want = [social.get(v, INF) for v in range(self.n)]
-            assert column.tolist() == want, f"the cached column of {user} is not its full column"
+            want = [social.get(v, INF) for v in layout]
+            assert column.tolist() == want, f"the cached column of {user} is not at the layout"
             self.verified[user] = column
 
 

@@ -131,8 +131,10 @@ def test_a_miss_stores_only_a_kernel_column(method, alpha):
     assert fingerprint(first) == fingerprint(cold.query(request))
     assert "social_column_hits" not in first.stats.extra
     if method == "bruteforce":
+        # the kernel's column, stored at the layout: the located users
         column = engine.kernels.sssp_column(engine.graph, user)
-        assert cache.peek_full(user).tolist() == column.tolist()
+        assert cache.layout.tolist() == engine.located_users().tolist()
+        assert cache.peek_full(user).tolist() == column[cache.layout].tolist()
         again = engine.query(request)
         assert again.stats.extra["social_column_hits"] == 1
         assert fingerprint(again) == fingerprint(first)
@@ -142,25 +144,31 @@ def test_a_miss_stores_only_a_kernel_column(method, alpha):
 
 
 def test_column_step_leaves_the_cache_alone_when_it_cannot_apply():
-    """No social term, a non-forward-deterministic method, or an
-    unlocated query user below ``alpha == 1`` (the engine raises before
-    the step): the searcher opens its own stream (or nothing runs) and
-    no counter moves."""
+    """No social term, no spatial term, a non-forward-deterministic
+    method, or an unlocated query user below ``alpha == 1`` (the engine
+    raises before the step): the searcher opens its own stream (or
+    nothing runs) and no counter moves.  At ``alpha == 1`` an unlocated
+    user can be an answer, so not even a cached column answers there."""
     engine = build_engine(None)
     cache = engine.social_cache
     user = query_users(engine)[0]
     unlocated = next(u for u in range(engine.graph.n) if engine.locations.get(u) is None)
+    engine.query(user, k=4, alpha=0.4, method="bruteforce")  # caches user's column
     before = cache.info()
+    assert before["entries"] == 1
     engine.query(user, k=4, alpha=0.0, method="spa")
     engine.query(user, k=4, alpha=0.0, method="bruteforce")
     engine.query(user, k=4, alpha=0.4, method="ais")
     for method in METHODS:
         with pytest.raises(ValueError, match="no known location"):
             engine.query(unlocated, k=4, alpha=0.4, method=method)
+    pure = [
+        engine.query(unlocated, k=4, alpha=1.0, method="sfa"),
+        engine.query(user, k=4, alpha=1.0, method="sfa"),
+        engine.query(user, k=4, alpha=1.0, method="bruteforce"),
+    ]
     assert cache.info() == before
-    # a pure-social query answers unlocated users, so the step applies
-    engine.query(unlocated, k=4, alpha=1.0, method="sfa")
-    assert cache.info()["misses"] == before["misses"] + 1
+    assert not any("social_column_hits" in result.stats.extra for result in pure)
 
 
 # -- the poisoned-column canary ----------------------------------------
@@ -170,51 +178,62 @@ def test_poisoned_column_canary():
     """Deliberately corrupt a cached column in place and observe the
     corruption in served results — proving columns are genuinely
     consulted — then pin the invalidation semantics: neither a
-    location move nor a recorded edge update touches the column, and
-    the rebuild that folds the edge in serves from a fresh cache."""
+    location move inside the layout nor a recorded edge update touches
+    the column, and the rebuild that folds the edge in serves from a
+    fresh cache."""
     engine = build_engine(None)
     service = QueryService(engine, cache_size=0)
+    cold = build_engine(0)
+    cold_service = QueryService(cold, cache_size=0)
     try:
-        cold = build_engine(0)
         user = query_users(engine)[0]
-        baseline = fingerprint(engine.query(user, k=5, alpha=1.0, method="sfa"))
-        # bruteforce at a social-bearing alpha caches the full column
+        # bruteforce at an interior alpha caches the column at the layout
         engine.query(user, k=5, alpha=0.5, method="bruteforce")
+        layout = engine.social_cache.layout
         column = engine.social_cache.peek_full(user)
         assert column is not None
-        victim = max(
-            v for v in range(engine.graph.n)
-            if v != user and 0.0 < column[v] < INF
+        at = max(
+            i for i, v in enumerate(layout.tolist())
+            if v != user and 0.0 < column[i] < INF
         )
-        column[victim] = 0.0  # the poison: an impossible exact distance
+        victim = int(layout[at])
+        assert victim != at  # the entry sits at the victim's position, not its id
+        column[at] = 0.0  # the poison: an impossible exact distance
 
-        poisoned = engine.query(user, k=5, alpha=1.0, method="sfa")
-        assert poisoned.users[0] == victim, "cached column was not consulted"
-        assert poisoned.neighbors[0].social == 0.0
-        assert fingerprint(poisoned) != baseline
+        def both(move, *args):
+            getattr(service, move)(*args)
+            getattr(cold_service, move)(*args)
 
-        # Location moves must NOT invalidate: the poison stays visible.
-        service.move_user(victim, 0.42, 0.42)
-        service.move_user(user, 0.13, 0.87)
-        still = engine.query(user, k=5, alpha=1.0, method="sfa")
-        assert still.users[0] == victim, "a location move flushed the column cache"
+        # Location moves inside the layout must NOT invalidate: the poison
+        # stays visible, and with the victim on the query point it
+        # scores 0, which no exact column gives it.
+        for mover, x, y in ((victim, *engine.locations.get(user)),
+                            (user, 0.13, 0.87), (victim, 0.13, 0.87)):
+            both("move_user", mover, x, y)
+            poisoned = engine.query(user, k=5, alpha=0.5, method="sfa")
+            if mover == victim:
+                assert poisoned.stats.extra["social_column_hits"] == 1
+                assert poisoned.users[0] == victim, "the cached column was not consulted"
+                assert (poisoned.neighbors[0].social, poisoned.neighbors[0].score) == (0.0, 0.0)
+        truth = cold.query(user, k=5, alpha=0.5, method="sfa")
+        assert fingerprint(poisoned) != fingerprint(truth)
+        assert engine.social_cache.stats.invalidations == 0
 
         # Nor does an edge update: the served graph is unchanged until
         # the rebuild, so the column (here: the poison) stays.
-        service.update_edge(user, victim, 0.5)
-        still = engine.query(user, k=5, alpha=1.0, method="sfa")
+        both("update_edge", user, victim, 0.5)
+        still = engine.query(user, k=5, alpha=0.5, method="sfa")
         assert still.users[0] == victim, "an edge update flushed the column cache"
 
         # The rebuild's engine starts from an empty cache: the poison
         # is gone and the answer matches a cold engine over the same
         # folded graph.
-        with QueryService(cold, cache_size=0) as cold_service:
-            cold_service.update_edge(user, victim, 0.5)
-            healed = service.rebuild_engine().query(user, k=5, alpha=1.0, method="sfa")
-            ref = cold_service.rebuild_engine().query(user, k=5, alpha=1.0, method="sfa")
+        healed = service.rebuild_engine().query(user, k=5, alpha=0.5, method="sfa")
+        ref = cold_service.rebuild_engine().query(user, k=5, alpha=0.5, method="sfa")
         assert fingerprint(healed) == fingerprint(ref)
         assert healed.neighbors[0].social > 0.0
     finally:
+        cold_service.close()
         service.close()
 
 
@@ -243,6 +262,103 @@ def test_a_subscription_repair_reads_the_cached_full_column():
         assert engine.social_cache.info()["hits"] == hits + 1
     finally:
         registry.close()
+        service.close()
+
+
+def test_a_repair_reads_an_entrant_at_its_layout_position():
+    """A subscription repair scores an entrant from the cached column at
+    the entrant's position in the layout (the located users), not at its
+    id: the repaired answer equals a fresh ``bruteforce`` answer."""
+    engine = build_engine(None, n=90, seed=29, coverage=0.9)
+    cold = build_engine(0, n=90, seed=29, coverage=0.9)
+    service = QueryService(engine, cache_size=0)
+    registry = SubscriptionRegistry(service)
+    try:
+        user = query_users(engine)[0]
+        engine.query(user, k=5, alpha=0.5, method="bruteforce")  # caches the column
+        layout = engine.social_cache.layout.tolist()
+        sub = registry.subscribe(user, k=5, alpha=0.5, method="spa")
+        column = engine.social_cache.peek_full(user)
+        mover = max(v for i, v in enumerate(layout) if v != user and column[i] < INF)
+        assert layout.index(mover) != mover
+        qx, qy = engine.locations.get(user)
+        service.move_user(mover, qx + 1e-4, qy)
+        cold.move_user(mover, qx + 1e-4, qy)
+        registry.flush()
+        assert sub.repairs == 1 and registry.stats.entrant_evaluations == 1
+        want = cold.query(user, k=5, alpha=0.5, method="bruteforce")
+        assert mover in want.users
+        assert fingerprint(registry.result(sub)) == fingerprint(want)
+    finally:
+        registry.close()
+        service.close()
+
+
+# -- the layout: the located users -------------------------------------
+
+
+def test_a_first_location_lays_the_cache_out_afresh():
+    """A user located for the first time after columns are cached is in
+    no column: the move empties the cache and lays it out over the
+    located users, and the next interior answer, a cached column's
+    included, equals ``bruteforce`` and holds the newcomer."""
+    engine = build_engine(None)
+    cold = build_engine(0)
+    service = QueryService(engine, cache_size=0)
+    try:
+        cache = engine.social_cache
+        user = query_users(engine)[0]
+        for other in query_users(engine, count=4):
+            engine.query(other, k=4, alpha=0.5, method="bruteforce")
+        assert len(cache) > 1
+        column = engine.kernels.sssp_column(engine.graph, user)
+        newcomer = next(
+            v for v in range(engine.graph.n)
+            if engine.locations.get(v) is None and column[v] < INF
+        )
+        assert not cache.laid_out(newcomer)
+        for moved in (service, cold):
+            moved.move_user(newcomer, *engine.locations.get(user))
+        assert len(cache) == 0 and cache.stats.invalidations == 1
+        assert cache.laid_out(newcomer)
+        assert cache.layout.tolist() == engine.located_users().tolist()
+        k = engine.graph.n
+        want = fingerprint(cold.query(user, k=k, alpha=0.5, method="bruteforce"))
+        assert newcomer in [row[0] for row in want]
+        assert fingerprint(engine.query(user, k=k, alpha=0.5, method="bruteforce")) == want
+        hit = engine.query(user, k=k, alpha=0.5, method="sfa")
+        assert hit.stats.extra["social_column_hits"] == 1
+        assert fingerprint(hit) == want
+    finally:
+        service.close()
+
+
+def test_a_forget_and_a_return_keep_the_layout_and_the_columns():
+    """A forget keeps the user's position in the layout (its NaN
+    coordinates score ``inf``), so neither it nor the user's return
+    drops a column, and every answer stays exact."""
+    engine = build_engine(None)
+    cold = build_engine(0)
+    service = QueryService(engine, cache_size=0)
+    try:
+        cache = engine.social_cache
+        user = query_users(engine)[0]
+        k = engine.graph.n  # every finite score is an answer
+        engine.query(user, k=k, alpha=0.5, method="bruteforce")
+        layout, column = cache.layout, cache.peek_full(user)
+        other = max(v for i, v in enumerate(layout.tolist()) if v != user and column[i] < INF)
+        where = engine.locations.get(other)
+        for change, args in (("forget_location", (other,)), ("move_user", (other, *where))):
+            getattr(service, change)(*args)
+            getattr(cold, change)(*args)
+            assert cache.layout is layout and cache.peek_full(user) is column
+            assert cache.stats.invalidations == 0
+            hit = engine.query(user, k=k, alpha=0.5, method="sfa")
+            assert hit.stats.extra["social_column_hits"] == 1
+            want = cold.query(user, k=k, alpha=0.5, method="bruteforce")
+            assert fingerprint(hit) == fingerprint(want)
+            assert (other in hit.users) == (change == "move_user")
+    finally:
         service.close()
 
 
