@@ -3,11 +3,11 @@
 A complete reproduction of Mouratidis, Li, Tang & Mamoulis, *"Joint
 Search by Social and Spatial Proximity"* (ICDE 2016): the
 social-and-spatial ranking query, every processing algorithm the paper
-proposes (SFA, SPA, TSA, TSA-QC, AIS and its variants, pre-computation),
-every substrate it depends on (weighted graph search, ALT landmarks,
-bidirectional distance modules, Contraction Hierarchies, grid spatial
-indexes, the aggregate index with social summaries), calibrated dataset
-generators, a benchmark harness regenerating the paper's evaluation,
+proposes (SFA, SPA, TSA, TSA-QC, AIS), every substrate they depend on
+(weighted graph search, ALT landmarks, bidirectional distance modules,
+grid spatial indexes, the aggregate index with social summaries),
+calibrated dataset generators, a benchmark harness regenerating the
+paper's evaluation with its figure-only comparators (:mod:`repro.bench`),
 a serving layer (:mod:`repro.service`) adding batching and an
 update-aware result cache on top of the engine, and a network
 boundary: an asyncio HTTP server with admission control (one admitted
@@ -30,7 +30,6 @@ from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
-from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
 from repro.core.searcher import Searcher
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.request import QueryRequest
@@ -85,8 +84,6 @@ __all__ = [
     "TwofoldSearch",
     "AggregateIndexSearch",
     "AISVariant",
-    "SocialNeighborCache",
-    "CachedSocialFirst",
     "BoundedSearch",
     "BruteForceSearch",
     # cross-query social-distance reuse

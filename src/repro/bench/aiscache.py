@@ -1,4 +1,4 @@
-"""Graph-distance pre-computation (paper Section 5.4).
+"""AIS-Cache: graph-distance pre-computation (paper Section 5.4).
 
 Materialising all-pair distances is prohibitive (the paper estimates 16
 TB for Foursquare), so instead each user stores the distances of their
@@ -14,7 +14,6 @@ build cost is not charged to query statistics.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.core.ais import AggregateIndexSearch
@@ -31,7 +30,8 @@ from repro.utils.validation import check_positive, check_user
 class SocialNeighborCache:
     """Per-user lists of the ``t`` socially closest vertices.
 
-        >>> from repro import SocialNeighborCache, SocialGraph
+        >>> from repro import SocialGraph
+        >>> from repro.bench.aiscache import SocialNeighborCache
         >>> g = SocialGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 3.0)])
         >>> cache = SocialNeighborCache(g, t=2)
         >>> cache.list_for(0)
@@ -46,10 +46,6 @@ class SocialNeighborCache:
         self._lists: dict[int, list[tuple[float, int]]] = {}
         #: True for users whose reachable component fit entirely in t
         self._complete: dict[int, bool] = {}
-        # Lazy fills may race between threads sharing one engine; the
-        # lock makes the two-dict update atomic (lists are immutable
-        # once published, so readers never need it).
-        self._build_lock = threading.Lock()
 
     def list_for(self, user: int) -> list[tuple[float, int]]:
         """Ascending ``(distance, vertex)`` list for ``user`` (built on
@@ -57,24 +53,20 @@ class SocialNeighborCache:
         cached = self._lists.get(user)
         if cached is not None:
             return cached
-        with self._build_lock:
-            cached = self._lists.get(user)
-            if cached is not None:
-                return cached
-            it = DijkstraIterator(self.graph, user)
-            entries: list[tuple[float, int]] = []
-            complete = False
-            while len(entries) < self.t:
-                item = it.next()
-                if item is None:
-                    complete = True
-                    break
-                v, p = item
-                if v != user:
-                    entries.append((p, v))
-            self._complete[user] = complete
-            self._lists[user] = entries
-            return entries
+        it = DijkstraIterator(self.graph, user)
+        entries: list[tuple[float, int]] = []
+        complete = False
+        while len(entries) < self.t:
+            item = it.next()
+            if item is None:
+                complete = True
+                break
+            v, p = item
+            if v != user:
+                entries.append((p, v))
+        self._complete[user] = complete
+        self._lists[user] = entries
+        return entries
 
     def is_complete(self, user: int) -> bool:
         """Whether the cached list covers the user's whole reachable

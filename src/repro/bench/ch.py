@@ -5,7 +5,9 @@ state-of-the-art pre-computation technique CH (its reference [44]) and
 finds CH *slower* on social networks, because (i) CH favours low-degree,
 near-planar graphs and (ii) the paper's methods share one incremental
 search across all distance computations from ``v_q``.  Reproducing that
-comparison requires an actual CH implementation, provided here.
+comparison requires an actual CH implementation, provided here; the
+``*-ch`` variants of :mod:`repro.bench.variants` plug it into SFA, SPA
+and TSA as their point-to-point distance module.
 
 **Preprocessing** contracts vertices in importance order (lazy
 priorities: edge-difference estimate + deleted neighbours, refreshed
@@ -23,10 +25,14 @@ searches may travel freely.  This keeps preprocessing near-linear while
 remaining exact — and it faithfully exposes why CH degenerates on such
 graphs: queries decay toward a Dijkstra over the dense core.
 
-**Query**: bidirectional upward search; upward edges lead to
-higher-ranked vertices, and core vertices (all of maximal rank) keep
-their full remaining adjacency, so the searches can meet anywhere on the
-peak of an up-(core-)down path.
+**Query.**  SSRQ evaluation asks for many targets from the *same*
+source (the query vertex), so the hierarchy memoises the last source's
+complete upward search space and answers each target with a backward
+upward search only, pruned by the best meeting found so far.  Upward
+edges lead to higher-ranked vertices, and core vertices (all of maximal
+rank) keep their full remaining adjacency, so the searches can meet
+anywhere on the peak of an up-(core-)down path.  The hierarchy counts
+the heap pops of both searches in :attr:`ContractionHierarchy.pops`.
 """
 
 from __future__ import annotations
@@ -35,10 +41,19 @@ import heapq
 import math
 
 from repro.graph.socialgraph import SocialGraph
-from repro.utils.heaps import MinHeap
 from repro.utils.rng import make_rng
 
 INF = math.inf
+
+#: neighbour pairs a priority evaluation checks before it samples
+_PRIORITY_SAMPLE = 40
+#: seed of the pair sampling
+_SEED = 0
+
+
+def _adjacency(graph: SocialGraph) -> list[dict[int, float]]:
+    """Mutable adjacency dicts of ``graph``, which contraction edits."""
+    return [dict(graph.neighbors(u)) for u in range(graph.n)]
 
 
 def _witness_search(
@@ -81,9 +96,10 @@ def _witness_search(
 
 
 class ContractionHierarchy:
-    """Preprocessed hierarchy supporting exact point-to-point distances."""
+    """Preprocessed hierarchy answering exact distances from one source
+    at a time."""
 
-    __slots__ = ("n", "rank", "upward", "num_shortcuts", "core_size")
+    __slots__ = ("n", "rank", "upward", "num_shortcuts", "core_size", "pops", "_source", "_forward")
 
     def __init__(
         self,
@@ -102,6 +118,11 @@ class ContractionHierarchy:
         self.num_shortcuts = num_shortcuts
         #: number of uncontracted (core) vertices
         self.core_size = core_size
+        #: heap pops of every query so far (searchers read the change
+        #: across one query)
+        self.pops = 0
+        self._source: int | None = None
+        self._forward: dict[int, float] = {}
 
     # -- preprocessing -----------------------------------------------------
 
@@ -111,8 +132,6 @@ class ContractionHierarchy:
         graph: SocialGraph,
         witness_settle_limit: int = 40,
         core_degree_limit: int = 48,
-        priority_sample: int = 40,
-        seed: int = 0,
     ) -> "ContractionHierarchy":
         """Contract the graph bottom-up.  Undirected graphs only (the
         paper's setting).
@@ -124,8 +143,8 @@ class ContractionHierarchy:
         if graph.directed:
             raise NotImplementedError("CH preprocessing implemented for undirected graphs")
         n = graph.n
-        rng = make_rng(seed)
-        adj = graph.to_adjacency()
+        rng = make_rng(_SEED)
+        adj = _adjacency(graph)
         rank = [n] * n  # default: core tier
         upward: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         deleted_neighbors = [0] * n
@@ -133,14 +152,14 @@ class ContractionHierarchy:
         num_shortcuts = 0
 
         def priority(v: int) -> float:
-            """Edge difference (sampled above ``priority_sample`` pairs)
+            """Edge difference (sampled above ``_PRIORITY_SAMPLE`` pairs)
             plus deleted-neighbour tie-breaking."""
             nbrs = list(adj[v])
             deg = len(nbrs)
             pairs = deg * (deg - 1) // 2
             if pairs == 0:
                 missing = 0
-            elif pairs <= priority_sample:
+            elif pairs <= _PRIORITY_SAMPLE:
                 missing = 0
                 for i, u in enumerate(nbrs):
                     au = adj[u]
@@ -149,11 +168,11 @@ class ContractionHierarchy:
                             missing += 1
             else:
                 hits = 0
-                for _ in range(priority_sample):
+                for _ in range(_PRIORITY_SAMPLE):
                     u, w = rng.sample(nbrs, 2)
                     if w not in adj[u]:
                         hits += 1
-                missing = hits * pairs // priority_sample
+                missing = hits * pairs // _PRIORITY_SAMPLE
             return (missing - deg) + 2.0 * deleted_neighbors[v]
 
         heap = [(priority(v), version[v], v) for v in range(n)]
@@ -211,13 +230,9 @@ class ContractionHierarchy:
 
     # -- queries --------------------------------------------------------------
 
-    def upward_distances(self, source: int, heap: MinHeap | None = None) -> dict[int, float]:
+    def _upward_distances(self, source: int) -> dict[int, float]:
         """Complete upward search space of ``source``: every vertex
-        reachable by weakly-rank-increasing edges, with its distance.
-
-        Many-targets-one-source callers (the SSRQ ``*-CH`` variants)
-        compute this once and reuse it via :meth:`distance_from`.
-        """
+        reachable by weakly-rank-increasing edges, with its distance."""
         upward = self.upward
         dist: dict[int, float] = {source: 0.0}
         settled: set[int] = set()
@@ -234,23 +249,19 @@ class ContractionHierarchy:
                 if nd < dist.get(u, INF):
                     dist[u] = nd
                     heapq.heappush(hp, (nd, u))
-        if heap is not None:
-            heap.pops += pops
+        self.pops += pops
         return dist
 
-    def distance_from(
-        self,
-        forward: dict[int, float],
-        source: int,
-        target: int,
-        heap: MinHeap | None = None,
-    ) -> float:
-        """Exact distance given the pre-computed forward search space of
-        ``source`` (see :meth:`upward_distances`): only the backward
-        upward search from ``target`` runs, pruned by the best meeting
-        found so far."""
+    def distance(self, source: int, target: int) -> float:
+        """Exact graph distance from ``source`` to ``target``: the upward
+        search space of ``source`` is computed once per change of source,
+        then only the backward upward search from ``target`` runs."""
+        if source != self._source:
+            self._forward = self._upward_distances(source)
+            self._source = source
         if source == target:
             return 0.0
+        forward = self._forward
         upward = self.upward
         best = forward.get(target, INF)
         dist_b: dict[int, float] = {target: 0.0}
@@ -274,49 +285,5 @@ class ContractionHierarchy:
                 if nd < dist_b.get(u, INF) and nd < best:
                     dist_b[u] = nd
                     heapq.heappush(hp, (nd, u))
-        if heap is not None:
-            heap.pops += pops
-        return best
-
-    def distance(self, source: int, target: int, heap: MinHeap | None = None) -> float:
-        """Exact distance via bidirectional upward search.
-
-        An optional shared ``heap`` collects pop statistics; internally
-        two heaps are used, so pops are added to it instead.
-        """
-        if source == target:
-            return 0.0
-        upward = self.upward
-        best = INF
-        dist_f: dict[int, float] = {source: 0.0}
-        dist_b: dict[int, float] = {target: 0.0}
-        heap_f = [(0.0, source)]
-        heap_b = [(0.0, target)]
-        settled_f: set[int] = set()
-        settled_b: set[int] = set()
-        pops = 0
-        while heap_f or heap_b:
-            key_f = heap_f[0][0] if heap_f else INF
-            key_b = heap_b[0][0] if heap_b else INF
-            if best <= key_f and best <= key_b:
-                break
-            if key_f <= key_b:
-                hp, settled, dist, other_dist = heap_f, settled_f, dist_f, dist_b
-            else:
-                hp, settled, dist, other_dist = heap_b, settled_b, dist_b, dist_f
-            d, v = heapq.heappop(hp)
-            pops += 1
-            if v in settled:
-                continue
-            settled.add(v)
-            od = other_dist.get(v)
-            if od is not None and d + od < best:
-                best = d + od
-            for u, w in upward[v]:
-                nd = d + w
-                if nd < dist.get(u, INF) and nd < best:
-                    dist[u] = nd
-                    heapq.heappush(hp, (nd, u))
-        if heap is not None:
-            heap.pops += pops
+        self.pops += pops
         return best

@@ -6,12 +6,12 @@ Section 6 compares five algorithms (the served ``sfa``/``spa``/``tsa``/
 ``ais-minus``/``ais-bid`` (AIS without delayed evaluation / with
 per-evaluation bidirectional search, Figures 10 and 12), ``ais-cache``
 (pre-computed social lists of length ``t`` with an AIS fallback,
-Figure 11) and the ``tsa-plain``/``ais-nosummary``/``ais-interleave4``
-ablations.  None is served; :data:`VARIANTS` builds each from an
-engine's public parts, and :func:`run_query` is the one seam the
-figure drivers and the examples call.  The CH and the neighbour lists
-are memoised per engine, without locks: figure drivers are
-single-threaded.
+Figure 11) and the ``ais-nosummary``/``ais-interleave4`` ablations.
+None is served; :data:`VARIANTS` builds each from an engine's public
+parts, and :func:`run_query` is the one seam the figure drivers and the
+examples call.  The CH (:mod:`repro.bench.ch`) and the neighbour lists
+(:mod:`repro.bench.aiscache`) are memoised per engine, without locks:
+figure drivers are single-threaded.
 
     >>> from repro import GeoSocialEngine, gowalla_like
     >>> from repro.bench.variants import run_query
@@ -26,16 +26,15 @@ from __future__ import annotations
 import weakref
 from typing import Callable
 
+from repro.bench.aiscache import CachedSocialFirst, SocialNeighborCache
+from repro.bench.ch import ContractionHierarchy
 from repro.core.ais import AggregateIndexSearch, AISVariant
-from repro.core.graphdist import CHOracle
-from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult
 from repro.core.sfa import SocialFirstSearch
 from repro.core.spa import SpatialFirstSearch
 from repro.core.tsa import TwofoldSearch
-from repro.graph.ch import ContractionHierarchy
 from repro.plan.rules import route_method
 
 __all__ = ["DEFAULT_T", "VARIANTS", "neighbor_cache", "run_query", "variant_searcher"]
@@ -55,11 +54,10 @@ def _memoised(engine, key, build: Callable[[], object]):
     return memo[key]
 
 
-def _oracle(engine) -> CHOracle:
-    """The CH preprocessing + oracle (worthwhile only for repeated use)."""
-    return _memoised(
-        engine, "ch-oracle", lambda: CHOracle(ContractionHierarchy.build(engine.graph))
-    )
+def _oracle(engine) -> ContractionHierarchy:
+    """The CH over ``engine.graph``: the ``*-ch`` variants' shared
+    point-to-point distance module."""
+    return _memoised(engine, "ch", lambda: ContractionHierarchy.build(engine.graph))
 
 
 def neighbor_cache(engine, t: int) -> SocialNeighborCache:
@@ -78,12 +76,11 @@ def _ais(e, variant: AISVariant) -> AggregateIndexSearch:
 #: ``name -> builder(engine, t)`` (``t`` only means something to
 #: ``ais-cache``)
 VARIANTS: "dict[str, Callable]" = {
-    "tsa-plain": lambda e, t: TwofoldSearch(
-        e.graph, e.locations, e.grid, e.normalization, landmarks=None, kernels=e.kernels
+    "ais-minus": lambda e, t: _ais(e, AISVariant(delayed_evaluation=False)),
+    "ais-bid": lambda e, t: _ais(
+        e, AISVariant(share_forward=False, cache_paths=False, delayed_evaluation=False)
     ),
-    "ais-minus": lambda e, t: _ais(e, AISVariant.minus()),
-    "ais-bid": lambda e, t: _ais(e, AISVariant.bid()),
-    "ais-nosummary": lambda e, t: _ais(e, AISVariant.no_summaries()),
+    "ais-nosummary": lambda e, t: _ais(e, AISVariant(use_social_summaries=False)),
     "ais-interleave4": lambda e, t: _ais(e, AISVariant(forward_interleave=4)),
     "sfa-ch": lambda e, t: SocialFirstSearch(
         e.graph, e.locations, e.normalization, point_to_point=_oracle(e)

@@ -1,13 +1,12 @@
 """Core SSRQ machinery: the ranking function, the query algorithms of
-the paper (SFA, SPA, TSA, TSA-QC, AIS and variants), and the engine
-facade tying indexes and algorithms together.
+the paper (SFA, SPA, TSA, TSA-QC, AIS), and the engine facade tying
+indexes and algorithms together.
 """
 
 from repro.core.ais import AggregateIndexSearch, AISVariant
 from repro.core.bounded import BoundedSearch
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.engine import GeoSocialEngine
-from repro.core.precompute import CachedSocialFirst, SocialNeighborCache
 from repro.core.ranking import Normalization, RankingFunction
 from repro.core.result import Neighbor, SSRQResult, TopKBuffer
 from repro.core.sfa import SocialFirstSearch
@@ -29,7 +28,5 @@ __all__ = [
     "TwofoldSearch",
     "AggregateIndexSearch",
     "AISVariant",
-    "SocialNeighborCache",
-    "CachedSocialFirst",
     "GeoSocialEngine",
 ]

@@ -19,14 +19,9 @@ popped user whose distance is not already known, compare their key with
 distance; if the key is looser, re-insert with the tighter bound instead
 of paying for an exact computation.
 
-Three variants reproduce Figure 10:
-
-====================  =============================================
-``AISVariant.bid()``  fresh bidirectional search per evaluation, no
-                      caches, no delayed evaluation (**AIS-BID**)
-``AISVariant.minus()``  shared forward search + caches (**AIS−**)
-``AISVariant.full()``   everything incl. delayed evaluation (**AIS**)
-====================  =============================================
+:class:`AISVariant` switches each optimisation; the served ``ais`` runs
+them all, and :mod:`repro.bench.variants` builds the figure-only
+variants (AIS− and AIS-BID of Figure 10, and the ablations) from it.
 """
 
 from __future__ import annotations
@@ -57,15 +52,15 @@ _USER = 2
 
 @dataclass(frozen=True)
 class AISVariant:
-    """Feature switches distinguishing AIS-BID / AIS− / AIS.
+    """Feature switches of AIS; the defaults are the paper's AIS, with
+    every optimisation on.
 
         >>> from repro import AISVariant
-        >>> AISVariant.minus().delayed_evaluation
-        False
-        >>> AISVariant.bid().share_forward
-        False
-        >>> AISVariant.full() == AISVariant()
+        >>> AISVariant().delayed_evaluation
         True
+        >>> minus = AISVariant(delayed_evaluation=False)   # the paper's AIS−
+        >>> minus.share_forward, minus.delayed_evaluation
+        (True, False)
     """
 
     share_forward: bool = True
@@ -77,26 +72,6 @@ class AISVariant:
     #: forward/reverse step ratio of the distance engine (1 = the
     #: paper's strict alternation; see BidirectionalDistanceEngine)
     forward_interleave: int = 1
-
-    @classmethod
-    def full(cls) -> "AISVariant":
-        """All optimisations (the paper's AIS)."""
-        return cls()
-
-    @classmethod
-    def minus(cls) -> "AISVariant":
-        """All optimisations except delayed evaluation (AIS−)."""
-        return cls(delayed_evaluation=False)
-
-    @classmethod
-    def bid(cls) -> "AISVariant":
-        """Plain bidirectional search per evaluation (AIS-BID)."""
-        return cls(share_forward=False, cache_paths=False, delayed_evaluation=False)
-
-    @classmethod
-    def no_summaries(cls) -> "AISVariant":
-        """Ablation: spatial-only cell bounds."""
-        return cls(use_social_summaries=False)
 
 
 class AggregateIndexSearch:
@@ -121,7 +96,7 @@ class AggregateIndexSearch:
         landmarks: LandmarkIndex,
         index: AggregateIndex,
         normalization: Normalization,
-        variant: AISVariant | None = None,
+        variant: AISVariant = AISVariant(),
         kernels=None,
     ) -> None:
         self.graph = graph
@@ -129,7 +104,7 @@ class AggregateIndexSearch:
         self.landmarks = landmarks
         self.index = index
         self.normalization = normalization
-        self.variant = variant if variant is not None else AISVariant.full()
+        self.variant = variant
         self.kernels = kernels if kernels is not None else NumpyKernels()
 
     def search(

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from repro.backend import NumpyKernels
-from repro.core.ais import AggregateIndexSearch, AISVariant
+from repro.core.ais import AggregateIndexSearch
 from repro.core.bounded import BoundedSearch, LocatedTree
 from repro.core.bruteforce import BruteForceSearch
 from repro.core.ranking import Normalization, RankingFunction
@@ -430,8 +430,7 @@ SEARCHER_BUILDERS: "dict[str, Callable[[GeoSocialEngine], object]]" = {
     "tsa": _twofold,
     "tsa-qc": lambda e: _twofold(e, probe_policy="quick-combine"),
     "ais": lambda e: AggregateIndexSearch(
-        e.graph, e.locations, e.landmarks, e.aggregate, e.normalization,
-        AISVariant.full(), kernels=e.kernels,
+        e.graph, e.locations, e.landmarks, e.aggregate, e.normalization, kernels=e.kernels
     ),
     "bounded": lambda e: BoundedSearch(
         e.graph, e.locations, e.normalization, kernels=e.kernels, tree=e.tree

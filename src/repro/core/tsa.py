@@ -20,11 +20,11 @@ Every bound comparison is *strict* (the paper terminates at
 the tie-break toward smaller ids is deterministic across methods
 and enumeration orders (see :mod:`repro.core.spa`).
 
-The landmark-aided version (the paper's default "TSA") prunes ``Q``
-between the phases using per-candidate landmark lower bounds.  With a
-``point_to_point`` oracle (TSA-CH), phase 2 evaluates the surviving
-candidates directly via the oracle instead of continuing the social
-enumeration.
+Between the phases, landmark lower bounds prune ``Q`` (the paper's
+default TSA; it disregards the plain variant, which "consistently
+performs worse").  With a ``point_to_point`` oracle (TSA-CH), phase 2
+evaluates the surviving candidates directly via the oracle instead of
+continuing the social enumeration.
 """
 
 from __future__ import annotations
@@ -55,21 +55,20 @@ class TwofoldSearch:
     """TSA query processor.
 
         >>> from repro import TwofoldSearch, SocialGraph, LocationTable, Normalization
+        >>> from repro.graph.landmarks import LandmarkIndex
         >>> from repro.spatial.grid import UniformGrid
         >>> g = SocialGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 3.0)])
         >>> loc = LocationTable.from_columns([0.0, 0.1, 0.9, 0.2], [0.0, 0.0, 0.9, 0.1])
         >>> tsa = TwofoldSearch(g, loc, UniformGrid.build(loc, 2),
-        ...                     Normalization(p_max=4.0, d_max=1.5))
+        ...                     Normalization(p_max=4.0, d_max=1.5),
+        ...                     LandmarkIndex.build(g, m=2, seed=0))
         >>> tsa.search(0, k=2, alpha=0.5).users
         [1, 3]
 
     Parameters
     ----------
     landmarks:
-        When provided, candidates are pruned with landmark lower bounds
-        before phase 2 (the paper's default TSA; pass ``None`` for the
-        plain variant it "disregards because it consistently performs
-        worse").
+        Prunes the candidates with landmark lower bounds before phase 2.
     probe_policy:
         ``"round-robin"`` (default) or ``"quick-combine"`` (TSA-QC).
     point_to_point:
@@ -83,7 +82,7 @@ class TwofoldSearch:
         locations: LocationTable,
         grid: UniformGrid,
         normalization: Normalization,
-        landmarks: LandmarkIndex | None = None,
+        landmarks: LandmarkIndex,
         probe_policy: str = "round-robin",
         point_to_point=None,
         kernels=None,
@@ -171,7 +170,7 @@ class TwofoldSearch:
 
         # ---- Landmark pruning of candidates (TSA's landmark aid) ----------
         tp_floor = tp if social_live else INF  # unsettled users have p >= tp
-        if candidates and self.landmarks is not None:
+        if candidates:
             fk = buffer.fk
             lm = self.landmarks
             for u in list(candidates):
@@ -252,11 +251,7 @@ class TwofoldSearch:
         oracle = self.point_to_point
         for u in sorted(candidates, key=lambda u: (candidates[u], u)):
             d = candidates[u]
-            lb_p = tp_floor
-            if lm is not None:
-                lm_lb = lm.lower_bound(query_user, u)
-                if lm_lb > lb_p:
-                    lb_p = lm_lb
+            lb_p = max(tp_floor, lm.lower_bound(query_user, u))
             if rank.social_part(lb_p) + rank.spatial_part(d) > buffer.fk:
                 continue
             p = oracle.distance(query_user, u)

@@ -13,8 +13,6 @@ Implements everything the paper relies on in the social domain:
 - :mod:`repro.graph.bidirectional` — the bidirectional distance module
   of Section 5.2 (Algorithm 3), with distance caching and forward-heap
   caching;
-- :mod:`repro.graph.ch` — Contraction Hierarchies (the comparator of
-  Figure 8, reference [44]);
 - :mod:`repro.graph.diameter` — diameter estimation for the social
   normaliser ``P_max``.
 
@@ -26,7 +24,6 @@ from it, which costs less than keeping a repaired copy current.
 
 from repro.graph.astar import AStarSearch, alt_distance
 from repro.graph.bidirectional import BidirectionalDistanceEngine, bidirectional_dijkstra
-from repro.graph.ch import ContractionHierarchy
 from repro.graph.diameter import double_sweep_diameter
 from repro.graph.landmarks import LandmarkIndex, select_landmarks
 from repro.graph.socialgraph import SocialGraph
@@ -49,6 +46,5 @@ __all__ = [
     "alt_distance",
     "BidirectionalDistanceEngine",
     "bidirectional_dijkstra",
-    "ContractionHierarchy",
     "double_sweep_diameter",
 ]

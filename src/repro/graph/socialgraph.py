@@ -274,10 +274,6 @@ class SocialGraph:
 
     # -- derived structures ------------------------------------------------
 
-    def to_adjacency(self) -> list[dict[int, float]]:
-        """Mutable adjacency-dict view (used by CH construction)."""
-        return [dict(self.neighbors(u)) for u in range(self.n)]
-
     def subgraph(self, vertices: Sequence[int]) -> tuple["SocialGraph", dict[int, int]]:
         """Induced subgraph on ``vertices``.
 

@@ -97,7 +97,7 @@ def test_property_random_instances_agree(seed):
     k = rng.choice([1, 3, 10])
     alpha = rng.choice([0.1, 0.3, 0.7])
     expected = engine.query(user, k=k, alpha=alpha, method="bruteforce")
-    for method in ("sfa", "spa", "tsa", "tsa-plain", "tsa-qc", "ais", "ais-minus", "ais-bid", "ais-nosummary"):
+    for method in ("sfa", "spa", "tsa", "tsa-qc", "ais", "ais-minus", "ais-bid", "ais-nosummary"):
         got = query_with(engine, user, k=k, alpha=alpha, method=method)
         assert_same_scores(expected, got)
 

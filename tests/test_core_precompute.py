@@ -1,11 +1,12 @@
-"""Tests for social-neighbour pre-computation (AIS-Cache)."""
+"""Tests for social-neighbour pre-computation (AIS-Cache, Figure 11's
+variant in :mod:`repro.bench.aiscache`)."""
 
 import math
 
 import pytest
 
 from repro.bench.variants import neighbor_cache
-from repro.core.precompute import SocialNeighborCache
+from repro.bench.aiscache import SocialNeighborCache
 from repro.graph.traversal import dijkstra_distances
 from tests.conftest import assert_same_scores, query_with, random_instance
 

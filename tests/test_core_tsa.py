@@ -23,14 +23,14 @@ def parts():
 
 
 def test_invalid_policy(parts):
-    graph, locations, grid, norm, _ = parts
+    graph, locations, grid, norm, landmarks = parts
     with pytest.raises(ValueError, match="policy"):
-        TwofoldSearch(graph, locations, grid, norm, probe_policy="zigzag")
+        TwofoldSearch(graph, locations, grid, norm, landmarks, probe_policy="zigzag")
 
 
 def test_endpoint_alphas_rejected(parts):
-    graph, locations, grid, norm, _ = parts
-    tsa = TwofoldSearch(graph, locations, grid, norm)
+    graph, locations, grid, norm, landmarks = parts
+    tsa = TwofoldSearch(graph, locations, grid, norm, landmarks)
     user = next(locations.located_users())
     with pytest.raises(ValueError, match="^tsa does not answer a zero social weight"):
         tsa.search(user, 5, 0.0)
@@ -39,19 +39,11 @@ def test_endpoint_alphas_rejected(parts):
 
 
 def test_unlocated_query_rejected(parts):
-    graph, locations, grid, norm, _ = parts
-    tsa = TwofoldSearch(graph, locations, grid, norm)
+    graph, locations, grid, norm, landmarks = parts
+    tsa = TwofoldSearch(graph, locations, grid, norm, landmarks)
     user = next(u for u in range(graph.n) if not locations.has_location(u))
     with pytest.raises(ValueError, match="location"):
         tsa.search(user, 5, 0.5)
-
-
-def test_landmark_pruning_preserves_result(parts):
-    graph, locations, grid, norm, landmarks = parts
-    plain = TwofoldSearch(graph, locations, grid, norm, landmarks=None)
-    aided = TwofoldSearch(graph, locations, grid, norm, landmarks=landmarks)
-    for user in list(locations.located_users())[:6]:
-        assert_same_scores(plain.search(user, 10, 0.3), aided.search(user, 10, 0.3))
 
 
 def test_quick_combine_preserves_result(parts):

@@ -44,7 +44,6 @@ DOCUMENTED_MODULES = [
     "repro.core.spa",
     "repro.core.tsa",
     "repro.core.ais",
-    "repro.core.precompute",
     "repro.core.bounded",
     "repro.core.bruteforce",
     "repro.core.ranking",
@@ -74,6 +73,7 @@ DOCUMENTED_MODULES = [
     "repro.utils.concurrency",
     "repro.bench.workloads",
     "repro.bench.variants",
+    "repro.bench.aiscache",
 ]
 
 

@@ -1,4 +1,7 @@
-"""Tests for Contraction Hierarchies."""
+"""Tests for Contraction Hierarchies, Figure 8's distance module.
+
+Every exactness test reads the path the ``*-ch`` variants call: the
+hierarchy's memoised one-source query, checked against Dijkstra."""
 
 import math
 import random
@@ -7,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.ch import ContractionHierarchy
+from repro.bench.ch import ContractionHierarchy, _adjacency
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import dijkstra_distances
-from repro.utils.heaps import MinHeap
 from tests.conftest import random_graph
 
 INF = math.inf
@@ -84,39 +86,40 @@ def test_zero_core_when_unconstrained():
     assert sorted(ch.rank) == list(range(30))
 
 
-def test_upward_distances_distance_from_matches_bidirectional():
-    """The cached-forward query path must equal the plain query."""
-    g = random_graph(45, 4.0, seed=69)
-    ch = ContractionHierarchy.build(g)
-    for s in range(0, 45, 9):
-        forward = ch.upward_distances(s)
-        for t in range(45):
-            assert math.isclose(
-                ch.distance_from(forward, s, t), ch.distance(s, t), abs_tol=1e-9
-            ), f"pair ({s}, {t})"
-
-
 def test_ch_oracle_caches_forward_state():
-    from repro.core.graphdist import CHOracle
-
+    """The hierarchy memoises one source's upward search space, and a
+    change of source replaces it."""
     g = random_graph(40, 4.0, seed=70)
     ch = ContractionHierarchy.build(g)
-    oracle = CHOracle(ch)
-    truth = dijkstra_distances(g, 3)
-    for t in range(40):
-        assert math.isclose(oracle.distance(3, t), truth.get(t, INF), abs_tol=1e-9)
-    # Switching source invalidates the cache transparently.
-    truth5 = dijkstra_distances(g, 5)
+    truth3, truth5 = dijkstra_distances(g, 3), dijkstra_distances(g, 5)
     for t in range(0, 40, 7):
-        assert math.isclose(oracle.distance(5, t), truth5.get(t, INF), abs_tol=1e-9)
+        assert math.isclose(ch.distance(3, t), truth3.get(t, INF), abs_tol=1e-9)
+        assert math.isclose(ch.distance(5, t), truth5.get(t, INF), abs_tol=1e-9)
+    forward = ch._forward
+    ch.distance(5, 1)
+    assert ch._forward is forward, "same source: no second upward search"
 
 
-def test_shared_heap_counts_pops():
+def test_the_hierarchy_counts_its_pops():
+    """Both searches count: the upward one of a new source, and the
+    backward one of every target after it."""
     g = random_graph(30, 4.0, seed=66)
     ch = ContractionHierarchy.build(g)
-    heap = MinHeap()
-    ch.distance(0, 15, heap)
-    assert heap.pops > 0
+    assert ch.pops == 0
+    ch.distance(0, 0)
+    upward = ch.pops
+    assert upward > 0
+    ch.distance(0, 15)
+    assert ch.pops > upward
+
+
+def test_to_adjacency_roundtrip():
+    g = SocialGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)])
+    adj = _adjacency(g)
+    g2 = SocialGraph.from_edges(
+        len(adj), [(u, v, w) for u, row in enumerate(adj) for v, w in row.items() if u < v]
+    )
+    assert sorted(g2.edges()) == sorted(g.edges())
 
 
 def test_directed_rejected():

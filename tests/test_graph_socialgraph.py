@@ -83,14 +83,6 @@ class TestAccessors:
 
 
 class TestDerived:
-    def test_to_adjacency_roundtrip(self):
-        g = SocialGraph.from_edges(3, TRIANGLE)
-        adj = g.to_adjacency()
-        g2 = SocialGraph.from_edges(
-            len(adj), [(u, v, w) for u, row in enumerate(adj) for v, w in row.items() if u < v]
-        )
-        assert sorted(g2.edges()) == sorted(g.edges())
-
     def test_subgraph_relabels_and_keeps_internal_edges(self):
         g = SocialGraph.from_edges(4, TRIANGLE + [(2, 3, 1.0)])
         sub, mapping = g.subgraph([0, 1, 3])

@@ -21,6 +21,9 @@ subsumed:
   that existed for the domain's one former exception;
 - the result cache's per-entry move screen stays deleted, and so does
   the in-place upkeep of the grid and the aggregate index;
+- the figure-only modules that left the serving packages for
+  ``repro.bench`` (CH, its oracle, AIS-Cache) are named by their old
+  homes nowhere;
 - every section a citation names (``docs/BENCHMARKS.md, "<name>"``)
   is a heading or a bold run-in head of that document.
 """
@@ -258,6 +261,16 @@ def test_no_spatial_index_is_maintained_in_place():
     assert _naming(r"def (move_user|_shrink)\b", sorted((src / "index").glob("*.py"))) == set()
     layers = r"\b(MultiLevelGrid|widen|of_vectors|users_in_leaf|ids_in_leaf|_ids_cache)\b"
     assert _naming(layers, sorted(src.rglob("*.py"))) == set()
+
+
+def test_the_figure_only_modules_old_homes_are_named_nowhere():
+    """CH and AIS-Cache live in :mod:`repro.bench` (``bench/ch.py``,
+    ``bench/aiscache.py``), and the CH is its own memoising oracle:
+    ``src/``, the README, the docs, the examples and the verify skill
+    name neither their old serving modules nor the retired oracle
+    class."""
+    retired = r"repro\.graph\.ch\b|repro\.core\.graphdist|repro\.core\.precompute|CHOracle"
+    assert _naming(retired, CODE_AND_PROSE) == set()
 
 
 #: ``docs/BENCHMARKS.md, "<name>"`` or ``docs/ARCHITECTURE.md

@@ -6,6 +6,10 @@ the promises the README makes.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,8 +114,6 @@ def test_public_classes_have_docstrings():
         repro.TwofoldSearch,
         repro.AggregateIndexSearch,
         repro.BruteForceSearch,
-        repro.SocialNeighborCache,
-        repro.CachedSocialFirst,
     ]
     for cls in public:
         assert cls.__doc__ and cls.__doc__.strip(), f"{cls.__name__} lacks a docstring"
@@ -121,3 +123,28 @@ def test_dataset_builders_are_deterministic_across_import():
     a = repro.gowalla_like(n=200, seed=3)
     b = repro.gowalla_like(n=200, seed=3)
     assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+
+
+def test_serving_never_imports_the_reproduction_tier():
+    """The figure-only code (CH, AIS-Cache, the method variants) lives in
+    :mod:`repro.bench`: ``import repro`` and one query of each served
+    method load none of it, in a fresh interpreter."""
+    script = (
+        "import sys, repro\n"
+        "engine = repro.GeoSocialEngine.from_dataset(repro.gowalla_like(n=300, seed=7))\n"
+        "user = int(engine.located_users()[0])\n"
+        "for method in (repro.AUTO, *repro.METHODS):\n"
+        "    engine.query(user, 5, 0.3, method)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('repro.bench')))\n"
+    )
+    assert {repro.AUTO, *repro.METHODS} == {
+        "auto", "bounded", "bruteforce", "sfa", "spa", "tsa", "tsa-qc", "ais",
+    }
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
