@@ -325,7 +325,8 @@ def stats(server_address, fmt) -> None:
 @click.option("--engine", "engine_path", type=click.Path(exists=True),
               help="Snapshot a saved engine (directory) instead.")
 @click.option("--no-fold", is_flag=True,
-              help="Keep the delta journal instead of folding pending updates.")
+              help="Save the served engine as it is; recorded edge updates stay "
+                   "pending in the service and do not enter the snapshot.")
 def snapshot(root, server_address, engine_path, no_fold) -> None:
     """Write a crash-consistent snapshot under ROOT."""
     if (engine_path is None) == (server_address is None):

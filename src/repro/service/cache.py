@@ -23,8 +23,8 @@ registry's NO-OP test does not pay here: on a move-heavy workload the
 per-entry screen cost more time than the few hits it kept saved
 (docs/BENCHMARKS.md, "What does not pay").  The one layer that
 screens and repairs is the subscription registry
-(:mod:`repro.stream.conditions`), which folds a burst of moves into
-one pass per standing query.
+(:meth:`repro.stream.subscription.Subscription.classify`), which folds
+a burst of moves into one pass per standing query.
 
 **Social edge update → nothing, until the engine swap.**  An edge
 change can alter social distances between arbitrarily distant pairs,

@@ -18,12 +18,12 @@ This package provides that maintenance layer:
   subscription's
   :class:`~repro.core.result.SSRQResult` equal to what a fresh
   ``engine.query`` would return *right now*;
-- :mod:`repro.stream.conditions` — the NO-OP / REPAIR / RECOMPUTE
-  rule (screen, single-member re-score), which the registry applies
-  (the :class:`~repro.service.cache.ResultCache` screens nothing: a
+- :class:`Subscription` — the standing-query handle, home of the
+  NO-OP / REPAIR / RECOMPUTE rule (:meth:`Subscription.classify`, the
+  single-member re-score beside it), which the registry applies (the
+  :class:`~repro.service.cache.ResultCache` screens nothing: a
   location update evicts every cached answer below ``α = 1``);
-- :class:`Subscription` / :class:`StreamStats` — the standing-query
-  handle and the maintenance counters.
+- :class:`StreamStats` — the maintenance counters.
 
 Quickstart::
 
@@ -39,24 +39,14 @@ Quickstart::
     print(registry.stats.snapshot())
 """
 
-from repro.stream.conditions import (
-    NOOP,
-    RECOMPUTE,
-    REPAIR,
-    classify_location_update,
-    entry_lower_bound,
-)
 from repro.stream.registry import SubscriptionRegistry
-from repro.stream.subscription import REPAIRABLE_METHODS, StreamStats, Subscription
+from repro.stream.subscription import NOOP, RECOMPUTE, REPAIR, StreamStats, Subscription
 
 __all__ = [
     "SubscriptionRegistry",
     "Subscription",
     "StreamStats",
-    "REPAIRABLE_METHODS",
     "NOOP",
     "REPAIR",
     "RECOMPUTE",
-    "classify_location_update",
-    "entry_lower_bound",
 ]

@@ -91,7 +91,5 @@ def subscription_payload(sub) -> dict:
     }
     if sub.suspended:
         payload["error"] = sub.error
-        payload["result"] = None
-    else:
-        payload["result"] = result_payload(sub.result) if sub.result is not None else None
+    payload["result"] = result_payload(sub.result) if sub.result is not None else None
     return payload

@@ -12,9 +12,10 @@ update stream.
   swap marks every subscription for recompute);
 - **classify** — every update, a move or a forget, is screened
   against every subscription with the NO-OP / REPAIR / RECOMPUTE rule
-  of :mod:`repro.stream.conditions`: O(1) per subscription, no
-  queries, no social distances, and no index of who is in which
-  result;
+  of :meth:`Subscription.classify
+  <repro.stream.subscription.Subscription.classify>`: O(1) per
+  subscription, no queries, no social distances, and no index of who
+  is in which result;
 - **apply** — classifications only *mark*; the marked work is applied
   in one batched pass per subscription at read time (or via
   :meth:`SubscriptionRegistry.flush`), so a burst of moves costs one
@@ -54,8 +55,14 @@ from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
 from repro.core.stats import SearchStats
 from repro.social.scan import materialize_column
-from repro.stream.conditions import NOOP, RECOMPUTE, REPAIR, rescore_members
-from repro.stream.subscription import StreamStats, Subscription
+from repro.stream.subscription import (
+    NOOP,
+    RECOMPUTE,
+    REPAIR,
+    StreamStats,
+    Subscription,
+    rescore_members,
+)
 from repro.utils.validation import UnlocatedUserError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,7 +172,6 @@ class SubscriptionRegistry:
                 self._recompute_locked(sub, engine)
                 self._subs.add(sub)
                 self.stats.subscribed += 1
-                self.stats.active += 1
             return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -176,7 +182,6 @@ class SubscriptionRegistry:
             self._subs.discard(sub)
             if sub.suspended:
                 self.stats.suspended -= 1
-            self.stats.active -= 1
 
     # -- serving -------------------------------------------------------
 
@@ -194,15 +199,7 @@ class SubscriptionRegistry:
                 self._refresh_locked(sub, engine)
             if sub.suspended:
                 raise UnlocatedUserError(sub.error)
-            assert sub.result is not None
             return sub.result
-
-    def results(self) -> dict[Subscription, SSRQResult | None]:
-        """Flush everything and return each subscription's current
-        result (``None`` for suspended ones)."""
-        self.flush()
-        with self._lock:
-            return {sub: sub.result for sub in self._subs}
 
     def flush(self) -> dict:
         """Apply all pending deltas in one pass per dirty subscription;
@@ -245,15 +242,6 @@ class SubscriptionRegistry:
     ) -> None:
         if sub.recompute_pending:
             return  # already marked as strongly as possible
-        if sub.suspended or sub.result is None:
-            # A suspended query resumes (or keeps failing) only through
-            # its own query user.
-            if user == sub.user:
-                self._mark_recompute_locked(sub)
-            else:
-                sub.noops += 1
-                self.stats.noops += 1
-            return
         kind = sub.classify(user, x, y, self.service.engine.locations.get(sub.user))
         if kind == NOOP:
             # The mover is provably out *at its current position*; a
@@ -279,7 +267,7 @@ class SubscriptionRegistry:
     def _refresh_locked(self, sub: Subscription, engine) -> str:
         """Bring ``sub`` current: one batched repair pass, or a
         recompute when marked/escalated.  Returns the kind applied."""
-        if sub.recompute_pending or sub.result is None:
+        if sub.recompute_pending:
             return self._recompute_locked(sub, engine)
         if not sub.pending:
             return NOOP
@@ -343,22 +331,13 @@ class SubscriptionRegistry:
     def _recompute_locked(self, sub: Subscription, engine) -> str:
         sub.pending.clear()
         sub.recompute_pending = False
-        was_suspended = sub.suspended
         try:
-            result = engine.query(sub.request)
+            result, error = engine.query(sub.request), None
         except UnlocatedUserError as err:
-            sub.install(None)
-            sub.suspended = True
-            sub.error = str(err)
-            if not was_suspended:
-                self.stats.suspended += 1
-        else:
-            sub.suspended = False
-            sub.error = None
-            sub.follow(result.method)
-            sub.install(result)
-            if was_suspended:
-                self.stats.suspended -= 1
+            result, error = None, str(err)
+        self.stats.suspended += (error is not None) - sub.suspended
+        sub.install(result)
+        sub.error = error
         sub.recomputes += 1
         self.stats.recomputes_applied += 1
         return RECOMPUTE

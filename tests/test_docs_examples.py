@@ -63,7 +63,6 @@ DOCUMENTED_MODULES = [
     "repro.store.snapshot",
     "repro.store.manager",
     "repro.stream",
-    "repro.stream.conditions",
     "repro.stream.registry",
     "repro.stream.subscription",
     "repro.server.app",

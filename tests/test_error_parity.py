@@ -340,7 +340,8 @@ def test_a_subscription_for_an_unlocated_user_suspends_whatever_the_method(
         registry = SubscriptionRegistry(fresh)
         for method in ("bruteforce", "bounded", "spa", "auto"):
             sub = registry.subscribe(unlocated, k=5, alpha=0.5, method=method)
-            assert sub.suspended and not sub.active, method
+            assert sub.suspended and sub.result is None, method
+            assert "no known location" in sub.error, method
             with pytest.raises(ValueError, match="no known location"):
                 registry.result(sub)
         assert registry.stats.suspended == 4

@@ -4,7 +4,7 @@
 it knows about a method: the served names, the forward-deterministic
 set, the one endpoint rule, the builder dict beside them, and a
 written-once guard.  The maintenance
-rule of :mod:`repro.stream.conditions` is written once too, and every
+rule of :mod:`repro.stream.subscription` is written once too, and every
 option a simplification removed stays removed."""
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import repro
 import repro.plan.rules
 import repro.service.cache
 import repro.service.service
-import repro.stream.conditions
 import repro.stream.registry
 import repro.stream.subscription
 from repro.bench.variants import VARIANTS, variant_searcher
@@ -184,14 +183,14 @@ CONSUMERS = (
     repro.service.cache,
     repro.service.service,
     repro.stream.registry,
-    repro.stream.subscription,
 )
 
 
 def test_the_maintenance_rule_is_written_once():
     """The screen bound and the k-th-key escalation test live in
-    :mod:`repro.stream.conditions` only; the consumers carry no copy to
-    drift, and the re-score has one caller, the registry."""
+    :mod:`repro.stream.subscription` only (``Subscription.classify``
+    and ``rescore_members``); the consumers carry no copy to drift, and
+    the re-score has one caller, the registry."""
     cache_source = inspect.getsource(repro.service.cache)
     for token in ("sqrt", "_TINY", "_KEY_"):
         assert token not in cache_source, f"repro.service.cache re-derives {token}"
@@ -201,7 +200,7 @@ def test_the_maintenance_rule_is_written_once():
             assert token not in source, f"{module.__name__} carries its own {token}"
         if module is not repro.stream.registry:
             assert "rescore_members" not in source, f"{module.__name__} repairs"
-    rule = inspect.getsource(repro.stream.conditions)
+    rule = inspect.getsource(repro.stream.subscription)
     assert rule.count("> kth_key") == 1
     assert rule.count("w_spatial * euclidean(") == 1
 

@@ -24,6 +24,9 @@ subsumed:
 - the figure-only modules that left the serving packages for
   ``repro.bench`` (CH, its oracle, AIS-Cache) are named by their old
   homes nowhere;
+- the standing-query rule's retired module, its free functions, the
+  repairable-methods alias and the registry's bulk read are named
+  nowhere;
 - every section a citation names (``docs/BENCHMARKS.md, "<name>"``)
   is a heading or a bold run-in head of that document.
 """
@@ -271,6 +274,23 @@ def test_the_figure_only_modules_old_homes_are_named_nowhere():
     class."""
     retired = r"repro\.graph\.ch\b|repro\.core\.graphdist|repro\.core\.precompute|CHOracle"
     assert _naming(retired, CODE_AND_PROSE) == set()
+
+
+def test_the_standing_query_rule_lives_on_its_subscription():
+    """The NO-OP / REPAIR / RECOMPUTE screen is ``Subscription.classify``
+    and the forward-deterministic set has one name: ``src/``, the README,
+    the docs, the examples, the verify skill and the other tests name
+    neither the retired ``repro.stream.conditions`` and its free
+    functions, nor the ``REPAIRABLE_METHODS`` alias, nor the registry's
+    unread ``results()``."""
+    retired = (
+        r"repro\.stream\.conditions|stream/conditions\.py|\bclassify_location_update\b"
+        r"|\bentry_lower_bound\b|\bREPAIRABLE_METHODS\b"
+        r"|SubscriptionRegistry\.results\b|\bregistry\.results\("
+    )
+    here = Path(__file__).name
+    tests = [path for path in sorted((ROOT / "tests").rglob("*.py")) if path.name != here]
+    assert _naming(retired, CODE_AND_PROSE + tests) == set()
 
 
 #: ``docs/BENCHMARKS.md, "<name>"`` or ``docs/ARCHITECTURE.md

@@ -78,7 +78,7 @@ On every location update the result cache evicts every entry below
 ``α = 1`` and keeps each ``α = 1`` entry as the same object, and the
 registry leaves a NO-OP subscription as it was, queues a repairable
 REPAIR and marks the rest for recompute (the verdicts are
-:mod:`repro.stream.conditions`'s).  A forget of an unlocated user is
+:meth:`~repro.stream.Subscription.classify`'s).  A forget of an unlocated user is
 no update and touches neither, and neither does an edge update.  Small
 tables and few distinct weights and coordinates keep repeats, ties and
 cache hits frequent.
@@ -126,15 +126,15 @@ from hypothesis.stateful import (
 )
 
 from repro.core.engine import AUTO, METHODS, GeoSocialEngine
-from repro.core.ranking import Normalization
-from repro.core.result import Neighbor
+from repro.core.ranking import Normalization, RankingFunction
+from repro.core.result import Neighbor, SSRQResult
 from repro.graph.socialgraph import SocialGraph
 from repro.service import QueryRequest, QueryService, ResultCache
 from repro.social import DEFAULT_SOCIAL_CACHE_BYTES
 from repro.spatial.point import LocationTable
 from repro.store import load_engine, save_engine
-from repro.stream import NOOP, RECOMPUTE, REPAIR, SubscriptionRegistry, classify_location_update
-from repro.stream.subscription import REPAIRABLE_METHODS
+from repro.plan.rules import FORWARD_DETERMINISTIC_METHODS
+from repro.stream import NOOP, RECOMPUTE, REPAIR, Subscription, SubscriptionRegistry
 from repro.utils.validation import COORDINATE_BOUND
 from tests.conftest import cache_put, random_instance
 from tests.model import Model
@@ -428,7 +428,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.persist("snapshot store")
         self.persist("restore")
         k = data.draw(st.sampled_from((1, 2, 3)))
-        method = data.draw(st.sampled_from(sorted(REPAIRABLE_METHODS)))
+        method = data.draw(st.sampled_from(sorted(FORWARD_DETERMINISTIC_METHODS)))
         entrant = self.registry.subscribe(QueryRequest(user, k=k, alpha=0.0, method=method))
         self.subs.append(entrant)
         outside = [u for u in range(self.n) if u != user and u not in entrant.member_ids]
@@ -744,10 +744,14 @@ class ServiceModel(RuleBasedStateMachine):
     )
     def renormalise(self, data, x, y, weight, fold):
         """A zero normaliser's way out: a move to the bound that leaves
-        another located user behind (when one is left), a recorded edge
-        update, then a fold, which re-estimates it."""
-        located = set(self.model.locations)
-        movers = [u for u in range(self.n) if located - {u}] or range(self.n)
+        another located user behind elsewhere (when one is left), a
+        recorded edge update, then a fold, which re-estimates it."""
+        located = self.model.locations
+        spot = tuple(min(max(c, -COORDINATE_BOUND), COORDINATE_BOUND) for c in (x, y))
+        if located and set(located.values()) == {spot}:
+            x, spot = -x, (-spot[0], spot[1])  # everyone is on the spot: the other bound
+        apart = {u for u, xy in located.items() if xy != spot}
+        movers = [u for u in range(self.n) if apart - {u}] or range(self.n)
         self.relocate(data.draw(st.sampled_from(movers)), x, y)
         self.update_edge(data, weight)
         self.fold(fold)
@@ -838,7 +842,7 @@ class ServiceModel(RuleBasedStateMachine):
         sub = data.draw(st.sampled_from([sub for sub in self.subs if sub.suspended]))
         self.relocate(sub.user, x, y)
         assert like_the_model(self, sub.request, partial(self.registry.result, sub))
-        assert sub.active
+        assert not sub.suspended
         self.counts["suspended resumes"] += 1
 
     @rule()
@@ -1141,11 +1145,12 @@ def test_forgetting_member_of_open_slot_result_is_a_recompute():
     evicts the line as it evicts every line below ``α = 1`` on any
     update."""
     members = [Neighbor(5, 0.2, 0.1, 0.1), Neighbor(9, 0.4, 0.2, 0.3)]
-    kind = classify_location_update(
-        9, None, None, query_user=0, alpha=0.5, w_spatial=0.5,
-        members=frozenset({5, 9}), size=2, k=3, fk=0.4, query_xy=(0.0, 0.0),
-    )
-    assert kind == RECOMPUTE
+    held = Subscription(QueryRequest(0, k=3, alpha=0.5, method="tsa"),
+                        RankingFunction(0.5, Normalization(1.0, 1.0)))
+    held.install(SSRQResult(0, 3, 0.5, members, method="tsa"))
+    assert held.rank.w_spatial == 0.5 and len(held.result.neighbors) < held.k  # open slot
+    assert held.classify(9, None, None, (0.0, 0.0)) == RECOMPUTE
+    assert held.classify(7, None, None, (0.0, 0.0)) == NOOP  # a non-member's forget
     cache = ResultCache(capacity=4)
     key = cache_put(cache, 0, 3, 0.5, "tsa", members)
     out = cache.invalidate_location_update()
@@ -1179,10 +1184,10 @@ def test_a_suspended_subscription_resumes_when_its_user_returns():
     for mover, xy in ((other, (0.9, 0.9)), (q, (0.4, 0.6))):
         model = Model.of_engine(engine)
         assert not like_the_model(model, sub.request, lambda: registry.result(sub))
-        assert not sub.active and registry.stats.suspended == 1
+        assert sub.suspended and registry.stats.suspended == 1
         service.move_user(mover, *xy)
     assert like_the_model(Model.of_engine(engine), sub.request, lambda: registry.result(sub))
-    assert sub.active and registry.stats.suspended == 0
+    assert not sub.suspended and sub.error is None and registry.stats.suspended == 0
     registry.close()
     service.close()
 
