@@ -9,7 +9,7 @@ the one entry point.  Every driver and :func:`get_bundle` takes its
 scale profile (:mod:`repro.bench.config`) explicitly.
 """
 
-from repro.bench.config import BenchProfile, get_profile
+from repro.bench.config import BenchProfile
 from repro.bench.reporting import ExperimentTable
 from repro.bench.runner import MethodAggregate, run_method
 from repro.bench.workloads import (
@@ -21,7 +21,6 @@ from repro.bench.workloads import (
 
 __all__ = [
     "BenchProfile",
-    "get_profile",
     "ExperimentTable",
     "MethodAggregate",
     "run_method",

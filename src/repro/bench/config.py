@@ -96,13 +96,3 @@ PROFILES = {
     ),
 }
 
-
-def get_profile(name: str) -> BenchProfile:
-    """The profile called ``name`` (a ``ValueError`` naming the choices
-    otherwise)."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown bench profile {name!r}; choose from {sorted(PROFILES)}"
-        ) from None

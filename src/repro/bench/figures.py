@@ -249,7 +249,10 @@ def fig9(profile: BenchProfile) -> list[ExperimentTable]:
 
 
 def fig10(profile: BenchProfile) -> list[ExperimentTable]:
-    """Figure 10: AIS-BID vs AIS− vs AIS (run-time and pop ratio)."""
+    """Figure 10: AIS-BID vs AIS− vs AIS (run-time and pop ratio), and
+    the two mechanisms that tell them apart, per query: delayed
+    evaluation's re-insertions and the distances the path caches
+    answer."""
     tables: list[ExperimentTable] = []
     for kind in ("gowalla", "foursquare"):
         times, pops, cells = _sweep(
@@ -275,7 +278,31 @@ def fig10(profile: BenchProfile) -> list[ExperimentTable]:
             "AIS pops ≤ AIS-MINUS pops ≤ AIS-BID pops at every k",
             all(f.avg_pops <= m.avg_pops <= b.avg_pops for f, m, b in zip(full, minus, bid)),
         )
-        tables += [times, pops]
+        names = [method.upper() for method in AIS_VERSIONS]
+        mechanisms = ExperimentTable(
+            "Figure 10 (mechanisms)",
+            f"re-insertions and cache hits per query vs k in {_DATASET_LABELS[kind]}",
+            ["k"] + [f"{name} reinsertions" for name in names]
+            + [f"{name} cache hits" for name in names],
+            notes="paper: delayed evaluation re-inserts (Section 5.3), the path caches "
+            "answer distances (Section 5.2)",
+        )
+        for k in profile.k_values:
+            row = [cells[k, method] for method in AIS_VERSIONS]
+            mechanisms.add_row(
+                [k] + [a.avg_reinsertions for a in row] + [a.avg_cache_hits for a in row]
+            )
+        mechanisms.claim(
+            "AIS re-inserts at every k, while AIS-MINUS and AIS-BID re-insert nothing",
+            all(f.avg_reinsertions > 0 and m.avg_reinsertions == b.avg_reinsertions == 0
+                for f, m, b in zip(full, minus, bid)),
+        )
+        mechanisms.claim(
+            "AIS-BID answers no distance from a cache, while AIS-MINUS and AIS do",
+            all(b.avg_cache_hits == 0 and m.avg_cache_hits > 0 and f.avg_cache_hits > 0
+                for f, m, b in zip(full, minus, bid)),
+        )
+        tables += [times, pops, mechanisms]
     return tables
 
 

@@ -21,6 +21,10 @@ class MethodAggregate:
     avg_pops: float
     pop_ratio: float
     avg_evaluations: float
+    #: AIS's delayed-evaluation re-insertions (Section 5.3)
+    avg_reinsertions: float
+    #: distances answered from AIS's path caches (Section 5.2)
+    avg_cache_hits: float
     results: list[SSRQResult] = field(repr=False, default_factory=list)
 
 
@@ -41,6 +45,8 @@ def run_method(
     total_time = 0.0
     total_pops = 0
     total_evals = 0
+    total_reinsertions = 0
+    total_cache_hits = 0
     results: list[SSRQResult] = []
     for user in users:
         start = time.perf_counter()
@@ -48,6 +54,8 @@ def run_method(
         total_time += time.perf_counter() - start
         total_pops += result.stats.pops
         total_evals += result.stats.evaluations
+        total_reinsertions += result.stats.reinsertions
+        total_cache_hits += result.stats.cache_hits
         if keep_results:
             results.append(result)
     n = len(users)
@@ -58,6 +66,8 @@ def run_method(
         avg_pops=total_pops / n,
         pop_ratio=(total_pops / n) / engine.graph.n,
         avg_evaluations=total_evals / n,
+        avg_reinsertions=total_reinsertions / n,
+        avg_cache_hits=total_cache_hits / n,
         results=results,
     )
 

@@ -13,11 +13,7 @@ have it.
 """
 
 from repro.datasets.forest_fire import forest_fire_sample
-from repro.datasets.generators import (
-    barabasi_albert_edges,
-    erdos_renyi_edges,
-    watts_strogatz_edges,
-)
+from repro.datasets.generators import erdos_renyi_edges
 from repro.datasets.loaders import (
     load_checkins,
     load_edge_list,
@@ -29,7 +25,6 @@ from repro.datasets.locations import (
     clustered_locations,
     correlated_locations,
     permuted_locations,
-    uniform_locations,
 )
 from repro.datasets.synthetic import (
     GeoSocialDataset,
@@ -40,15 +35,10 @@ from repro.datasets.synthetic import (
     gowalla_like,
     twitter_like,
 )
-from repro.datasets.weights import degree_product_weights
 
 __all__ = [
-    "barabasi_albert_edges",
-    "watts_strogatz_edges",
     "erdos_renyi_edges",
-    "degree_product_weights",
     "clustered_locations",
-    "uniform_locations",
     "apply_coverage",
     "correlated_locations",
     "permuted_locations",

@@ -2,13 +2,11 @@
 
 Real social networks are heavy-tailed; Barabási–Albert preferential
 attachment is the standard generator matching that property and is the
-default for the calibrated dataset stand-ins.  Watts–Strogatz and
-Erdős–Rényi are provided for controlled experiments on degree
-distribution effects (e.g. reproducing Figure 13's observation that
-higher average degree shrinks hop radii).
+default for the calibrated dataset stand-ins.  Erdős–Rényi is the
+uniform control the tests build small graphs from.
 
-All generators return deduplicated undirected edge tuples ``(u, v)``
-with ``u < v`` and produce connected-ish graphs of the expected average
+Both generators return deduplicated undirected edges ``(u, v)`` with
+``u < v`` and produce connected-ish graphs of the expected average
 degree; determinism follows from the explicit seed.
 """
 
@@ -19,20 +17,14 @@ import numpy as np
 from repro.utils.rng import make_rng
 
 
-def barabasi_albert_edges(n: int, m_attach: int, seed: int = 0) -> list[tuple[int, int]]:
+def barabasi_albert_array(n: int, m_attach: int, seed: int = 0) -> np.ndarray:
     """Preferential attachment: each new vertex attaches to ``m_attach``
     existing vertices chosen proportionally to degree (average degree
-    approaches ``2·m_attach``).
+    approaches ``2·m_attach``), as one ``(m, 2)`` int64 array (rows
+    ``(u, v)``, ``u < v``, ascending).
 
     Uses the repeated-endpoints trick: sampling uniformly from the list
     of all edge endpoints *is* degree-proportional sampling.
-    """
-    return list(map(tuple, barabasi_albert_array(n, m_attach, seed).tolist()))
-
-
-def barabasi_albert_array(n: int, m_attach: int, seed: int = 0) -> np.ndarray:
-    """:func:`barabasi_albert_edges` as one ``(m, 2)`` int64 array (rows
-    ``(u, v)``, ``u < v``, ascending) — the dataset builders' form.
 
         >>> from repro.datasets.generators import barabasi_albert_array
         >>> barabasi_albert_array(5, 1, seed=3).tolist()
@@ -73,42 +65,6 @@ def barabasi_albert_array(n: int, m_attach: int, seed: int = 0) -> np.ndarray:
             endpoints.append(v)
     edges = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
     return edges[np.argsort(edges[:, 0] * n + edges[:, 1])]
-
-
-def watts_strogatz_edges(n: int, k: int, beta: float, seed: int = 0) -> list[tuple[int, int]]:
-    """Small-world ring lattice with rewiring probability ``beta``.
-
-    ``k`` (even) is the lattice degree; average degree stays ``k``.
-    """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"k must be a positive even integer, got {k}")
-    if k >= n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    rng = make_rng(seed)
-    edges: set[tuple[int, int]] = set()
-    for v in range(n):
-        for offset in range(1, k // 2 + 1):
-            u = (v + offset) % n
-            a, b = (v, u) if v < u else (u, v)
-            edges.add((a, b))
-    rewired: set[tuple[int, int]] = set()
-    for a, b in sorted(edges):
-        if rng.random() < beta:
-            for _ in range(8):  # bounded retry against duplicates
-                c = rng.randrange(n)
-                if c == a:
-                    continue
-                x, y = (a, c) if a < c else (c, a)
-                if (x, y) not in edges and (x, y) not in rewired:
-                    rewired.add((x, y))
-                    break
-            else:
-                rewired.add((a, b))
-        else:
-            rewired.add((a, b))
-    return sorted(rewired)
 
 
 def erdos_renyi_edges(n: int, avg_degree: float, seed: int = 0) -> list[tuple[int, int]]:

@@ -33,14 +33,6 @@ from repro.utils.validation import check_probability
 INF = math.inf
 
 
-def uniform_locations(n: int, seed: int = 0) -> LocationTable:
-    """Uniform locations over the unit square."""
-    rng = make_rng(seed)
-    xs = [rng.random() for _ in range(n)]
-    ys = [rng.random() for _ in range(n)]
-    return LocationTable.from_columns(xs, ys)
-
-
 def clustered_locations(
     n: int,
     clusters: int = 12,

@@ -12,19 +12,7 @@ the smallest (strongest) weights.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-
-def degree_product_weights(
-    n: int, edges: Sequence[tuple[int, int]]
-) -> list[tuple[int, int, float]]:
-    """Attach degree-product weights to an unweighted edge list."""
-    if not len(edges):
-        return []
-    us, vs = zip(*edges)
-    return list(zip(us, vs, degree_product_column(n, us, vs).tolist()))
 
 
 def degree_product_column(n: int, us, vs) -> np.ndarray:

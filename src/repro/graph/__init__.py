@@ -25,23 +25,16 @@ from it, which costs less than keeping a repaired copy current.
 from repro.graph.astar import AStarSearch, alt_distance
 from repro.graph.bidirectional import BidirectionalDistanceEngine, bidirectional_dijkstra
 from repro.graph.diameter import double_sweep_diameter
-from repro.graph.landmarks import LandmarkIndex, select_landmarks
+from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import (
-    DijkstraIterator,
-    dijkstra_distances,
-    hop_counts,
-    shortest_path,
-)
+from repro.graph.traversal import DijkstraIterator, dijkstra_distances, hop_counts
 
 __all__ = [
     "SocialGraph",
     "DijkstraIterator",
     "dijkstra_distances",
-    "shortest_path",
     "hop_counts",
     "LandmarkIndex",
-    "select_landmarks",
     "AStarSearch",
     "alt_distance",
     "BidirectionalDistanceEngine",

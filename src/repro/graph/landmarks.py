@@ -28,7 +28,7 @@ from repro.utils.rng import make_rng
 
 INF = math.inf
 
-#: the landmark selection strategies :func:`select_landmarks` knows
+#: the landmark selection strategies :meth:`LandmarkIndex.build` knows
 LANDMARK_STRATEGIES = ("farthest", "random", "degree")
 
 
@@ -39,13 +39,14 @@ def _distance_row(graph: SocialGraph, landmark: int) -> list[float]:
     return NumpyKernels().sssp_column(graph, landmark).tolist()
 
 
-def select_landmarks(
-    graph: SocialGraph,
-    m: int,
-    strategy: str = "farthest",
-    seed: int = 0,
-) -> list[int]:
-    """Choose ``m`` landmark vertices.
+def _select(
+    graph: SocialGraph, m: int, strategy: str, seed: int
+) -> "tuple[list[int], list[list[float]] | None]":
+    """Choose ``m`` landmark vertices, plus, for the strategy that
+    expands from every vertex it picks, the distance rows those
+    expansions produced (aligned with the returned landmarks; ``None``
+    otherwise) — so :meth:`LandmarkIndex.build` does not expand from
+    them again.
 
     Strategies:
 
@@ -56,16 +57,6 @@ def select_landmarks(
     - ``"random"``: uniform sample.
     - ``"degree"``: the ``m`` highest-degree vertices (hub landmarks).
     """
-    return _select(graph, m, strategy, seed)[0]
-
-
-def _select(
-    graph: SocialGraph, m: int, strategy: str, seed: int
-) -> "tuple[list[int], list[list[float]] | None]":
-    """:func:`select_landmarks` plus, for the strategy that expands
-    from every vertex it picks, the distance rows those expansions
-    produced (aligned with the returned landmarks; ``None`` otherwise)
-    — so :meth:`LandmarkIndex.build` does not expand from them again."""
     if m < 1:
         raise ValueError(f"need at least one landmark, got {m}")
     if m > graph.n:

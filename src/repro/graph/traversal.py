@@ -143,15 +143,6 @@ def dijkstra_distances(
     return it.settled
 
 
-def shortest_path(graph: SocialGraph, source: int, target: int) -> tuple[float, list[int]]:
-    """Distance and one shortest path; ``(inf, [])`` if unreachable."""
-    it = DijkstraIterator(graph, source)
-    d = it.run_until(target)
-    if d == INF:
-        return INF, []
-    return d, it.path_to(target)
-
-
 def hop_counts(graph: SocialGraph, source: int) -> dict[int, int]:
     """Unweighted BFS hop distance from ``source`` to every reachable
     vertex."""

@@ -93,10 +93,13 @@ _DEADLINE_BODY = error_body(DEADLINE_EXCEEDED, "request deadline exceeded")
 #: the URL parameters ``/subscribe`` takes: the request fields
 _SUBSCRIBE_PARAMS = ("user", "k", "alpha", "method")
 
+#: the ``Retry-After`` hint (whole seconds) sent with every 429
+RETRY_AFTER_S = 1
+
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Tunables of one :class:`SSRQServer`."""
+    """Tunables of one :class:`SSRQServer`, each set by its keyword."""
 
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back via ``server.port``)
@@ -109,8 +112,6 @@ class ServerConfig:
     workers: int = 4
     #: default per-request deadline (``X-Deadline-Ms`` overrides)
     default_deadline_ms: float = 30_000.0
-    #: the ``Retry-After`` hint (seconds) sent with 429 responses
-    retry_after_s: float = 1.0
     #: SSE keep-alive comment interval (also bounds drain latency for
     #: idle streams)
     heartbeat_s: float = 15.0
@@ -201,11 +202,8 @@ class SSRQServer:
     its engine) belong to the caller; :meth:`stop` unfollows it.
     """
 
-    def __init__(self, service: "QueryService", config: "ServerConfig | None" = None, **overrides) -> None:
-        if config is None:
-            config = ServerConfig(**overrides)
-        elif overrides:
-            raise TypeError("pass either a ServerConfig or keyword overrides, not both")
+    def __init__(self, service: "QueryService", **settings) -> None:
+        config = ServerConfig(**settings)
         check_size("queue_depth", config.queue_depth, minimum=1)
         check_size("workers", config.workers, minimum=1)
         if check_size("port", config.port) > 65535:
@@ -215,10 +213,8 @@ class SSRQServer:
             raise ValueError(
                 f"default_deadline_ms must be positive, got {config.default_deadline_ms}"
             )
-        for name in ("retry_after_s", "heartbeat_s"):
-            value = getattr(config, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 < config.heartbeat_s < math.inf:
+            raise ValueError(f"heartbeat_s must be positive and finite, got {config.heartbeat_s}")
         self.service = service
         self.config = config
         self.stats = ServerStats()
@@ -250,10 +246,6 @@ class SSRQServer:
         so late callers can still report the address)."""
         assert self._port is not None, "server not started"
         return self._port
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     async def start(self) -> "SSRQServer":
         if self._started:
@@ -499,12 +491,11 @@ class SSRQServer:
     async def _admit(self, job: _Job, writer, keep_alive: bool) -> bool:
         if len(self._jobs) >= self.config.queue_depth:
             self.stats.shed += 1
-            retry = max(1, math.ceil(self.config.retry_after_s))
             await self._respond(
                 writer,
                 429,
                 error_body(OVERLOADED, "admission queue is full; retry later"),
-                headers={"Retry-After": str(retry)},
+                headers={"Retry-After": str(RETRY_AFTER_S)},
                 keep_alive=keep_alive,
             )
             return False
@@ -786,12 +777,12 @@ class ServerThread:
         >>> with QueryService(engine) as service:
         ...     with ServerThread(service) as handle:
         ...         client = ServerClient(handle.host, handle.port)
-        ...         client.healthz()["status"]
+        ...         client.call("GET", "/healthz")["status"]
         'ok'
     """
 
-    def __init__(self, service: "QueryService", config: "ServerConfig | None" = None, **overrides) -> None:
-        self.server = SSRQServer(service, config, **overrides)
+    def __init__(self, service: "QueryService", **settings) -> None:
+        self.server = SSRQServer(service, **settings)
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._thread: "threading.Thread | None" = None
         self._startup: "Exception | None" = None

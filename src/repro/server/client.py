@@ -30,24 +30,16 @@ __all__ = ["ServerApiError", "ServerClient"]
 class ServerApiError(Exception):
     """A non-2xx API response, carrying the typed error body."""
 
-    def __init__(self, status: int, code: str, message: str, *, headers=None) -> None:
+    def __init__(self, status: int, code: str, message: str) -> None:
         super().__init__(f"[{status} {code}] {message}")
         self.status = status
         self.code = code
         self.message = message
-        self.headers = dict(headers or {})
 
     @classmethod
-    def from_response(cls, status: int, headers: dict, payload: object) -> "ServerApiError":
+    def from_response(cls, status: int, payload: object) -> "ServerApiError":
         error = payload.get("error", {}) if isinstance(payload, dict) else {}
-        return cls(
-            status, error.get("type", "unknown"), error.get("message", str(payload)), headers=headers
-        )
-
-    @property
-    def retry_after(self) -> "float | None":
-        raw = self.headers.get("Retry-After")
-        return float(raw) if raw is not None else None
+        return cls(status, error.get("type", "unknown"), error.get("message", str(payload)))
 
 
 class ServerClient:
@@ -131,11 +123,9 @@ class ServerClient:
     ) -> dict:
         """Like :meth:`request` but raises :class:`ServerApiError` on
         any non-2xx status."""
-        status, response_headers, payload = self.request(
-            method, path, body, headers=headers
-        )
+        status, _, payload = self.request(method, path, body, headers=headers)
         if not 200 <= status < 300:
-            raise ServerApiError.from_response(status, response_headers, payload)
+            raise ServerApiError.from_response(status, payload)
         return payload
 
     @staticmethod
@@ -196,9 +186,6 @@ class ServerClient:
 
     # -- introspection -------------------------------------------------
 
-    def healthz(self) -> dict:
-        return self.call("GET", "/healthz")
-
     def stats(self) -> dict:
         return self.call("GET", "/stats")
 
@@ -234,7 +221,7 @@ class ServerClient:
             sock.sendall(self._message("GET", target, {"Accept": "text/event-stream"}))
             status, headers = _read_response_head(reader)
             if status != 200:
-                raise ServerApiError.from_response(status, headers, _read_body(reader, headers))
+                raise ServerApiError.from_response(status, _read_body(reader, headers))
             for frame in _iter_chunks(reader):
                 parsed = _parse_sse_frame(frame)
                 if parsed is None:

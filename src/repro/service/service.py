@@ -42,8 +42,6 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from repro.core.engine import GeoSocialEngine
 from repro.core.request import QueryRequest
 from repro.service.cache import ResultCache
@@ -180,9 +178,10 @@ class QueryService:
         event loop) can try it before handing the request to
         :meth:`query`.
 
-        A hit is accounted exactly as :meth:`query` would (one
-        ``cache_hits``, LRU position refreshed); a miss counts nothing —
-        the :meth:`query` that follows it counts the one miss.  Safe
+        The one hit path, :meth:`query`'s and :meth:`query_many`'s too:
+        a hit counts one ``cache_hits`` and refreshes its LRU position; a
+        miss counts nothing — the :meth:`query` that follows it counts
+        the one miss.  Safe
         without the service's lock: an answer read during a concurrent
         move linearises before the move, and an engine swap flushes the
         cache under its own lock."""
@@ -236,25 +235,18 @@ class QueryService:
         """The serve path, written once for :meth:`query` (a batch of
         one) and :meth:`query_many`, all under the service's read lock —
         so a batch is one consistent cut, its hits and its misses alike:
-        cache lookup (:meth:`_cache_key`) → for the misses: execute → cache
-        put (:meth:`_serve_misses`) → account.  A batch of hits never
-        touches the planner."""
+        each hit answered and counted by :meth:`cached` → for the misses:
+        execute → cache put → account (:meth:`_serve_misses`).  A batch
+        of hits never touches the planner."""
         responses: list[QueryResponse | None] = [None] * len(reqs)
-        hits = 0
         misses: list[int] = []
         with self._read_locked_engine() as engine:
             for i, req in enumerate(reqs):
-                if self.cache is not None:
-                    hit = self.cache.get(self._cache_key(req))
-                    if hit is not None:
-                        responses[i] = QueryResponse(req, hit, cached=True)
-                        hits += 1
-                        continue
-                misses.append(i)
+                responses[i] = self.cached(req)
+                if responses[i] is None:
+                    misses.append(i)
             if misses:
                 self._serve_misses(engine, reqs, misses, responses)
-        with self._stats_lock:
-            self.stats.cache_hits += hits
         return responses  # type: ignore[return-value]
 
     def _serve_misses(self, engine, reqs, misses, responses) -> None:
@@ -269,7 +261,8 @@ class QueryService:
         column through the engine's column step (the first fills it,
         the rest scan).  All of them run before anything is cached or
         counted, so a request that raises leaves the cache and the
-        stats as they were.
+        execution counts as they were (the batch's hits, counted by
+        :meth:`cached`, stay counted).
         """
         #: distinct cache key → the request indexes waiting
         pending: "dict[tuple, list[int]]" = {}
@@ -339,20 +332,19 @@ class QueryService:
                 weight = check_weight("edge weight", weight)
             self._pending_edges[key] = weight
 
-    def rebuild_engine(self, **engine_kwargs) -> GeoSocialEngine:
+    def rebuild_engine(self) -> GeoSocialEngine:
         """Fold every edge update recorded through :meth:`update_edge`
         into a fresh engine and swap it in.
 
         Builds a new engine (via ``with_graph``) over the served graph
         with the pending updates applied
-        (:meth:`~repro.graph.socialgraph.SocialGraph.with_edge_updates`),
-        with the old engine's parameters (override any via
-        ``engine_kwargs``), then flushes the cache and swaps the engine
-        in.  The expensive build (landmark rows, index construction)
-        runs *outside* the lock — only the snapshot and the swap hold
-        it, so queries stall for milliseconds, not the whole rebuild;
-        an edge update (or another swap) that slips in mid-build
-        triggers a re-snapshot.  A :meth:`close` that lands mid-build
+        (:meth:`~repro.graph.socialgraph.SocialGraph.with_edge_updates`)
+        and the old engine's parameters, then swaps it in
+        (:meth:`_swap_engine_locked`).  The expensive build (landmark
+        rows, index construction) runs *outside* the lock — only the
+        snapshot and the swap hold it, so queries stall for
+        milliseconds, not the whole rebuild; an edge update (or another
+        swap) that slips in mid-build triggers a re-snapshot.  A :meth:`close` that lands mid-build
         wins: the rebuild raises ``RuntimeError`` and swaps nothing.
         Callers holding a direct reference to the swapped-out engine
         should switch to the returned one.  Returns the new engine.
@@ -362,9 +354,7 @@ class QueryService:
                 pending = dict(self._pending_edges)
             # `with_graph` rebuilds the indexes, keeps each positive
             # normaliser and re-estimates one that is 0.
-            new_engine = old.with_graph(
-                old.graph.with_edge_updates(pending), **engine_kwargs
-            )
+            new_engine = old.with_graph(old.graph.with_edge_updates(pending))
             with self._write_locked_engine() as served:
                 if served is old and self._pending_edges == pending:
                     self._swap_engine_locked(new_engine)
@@ -373,18 +363,23 @@ class QueryService:
 
     def _swap_engine_locked(self, new_engine: GeoSocialEngine) -> None:
         """Make ``new_engine`` the served engine (caller holds the write
-        lock): flush the result cache, tell every follower, then publish
+        lock), the one path of a rebuild and a restore: give it a fresh
+        column cache with the served engine's byte budget, laid out over
+        the users located now (no cache when the served engine has
+        none), flush the result cache, tell every follower, then publish
         the engine and empty the pending-edge log (folded into
         ``new_engine``, or discarded with the old one).  Followers hear
         of the swap before a reader can reach ``new_engine``, so none
-        serves an answer of the old engine.  A location update that
-        landed while ``new_engine`` was built lays its column cache out
-        afresh."""
-        social = new_engine.social_cache
-        if social is not None:
-            located = new_engine.located_users()
-            if not np.array_equal(social.layout, located):
-                social.invalidate_all(located)
+        serves an answer of the old engine."""
+        social = self.engine.social_cache
+        new_engine.social_cache = (
+            None
+            if social is None
+            else SocialColumnCache(
+                new_engine.graph.n, new_engine.kernels, social.max_bytes,
+                new_engine.located_users(),
+            )
+        )
         if self.cache is not None:
             outcome = self.cache.invalidate_all()
             with self._stats_lock:
@@ -397,30 +392,21 @@ class QueryService:
 
     def replace_engine(self, new_engine: GeoSocialEngine) -> GeoSocialEngine:
         """Swap in an externally built engine — the restore path of
-        :class:`~repro.store.SnapshotManager` — through the same
-        cache-flush / follower sequence as :meth:`rebuild_engine`, so
-        every downstream layer (result cache, standing subscriptions,
-        their streams) observes the swap identically.  Edge updates
-        batched against the old engine are discarded with it: a restore
-        rewinds to the snapshot's topology.  The new engine takes the
-        old one's social column budget, starting from an empty cache (no
-        cache stays no cache).  Raises ``RuntimeError`` once the service
-        is closed.  Returns the new engine."""
+        :class:`~repro.store.SnapshotManager` — through the same swap as
+        :meth:`rebuild_engine` (:meth:`_swap_engine_locked`), so every
+        downstream layer (result cache, column cache, standing
+        subscriptions, their streams) observes the swap identically.
+        Edge updates batched against the old engine are discarded with
+        it: a restore rewinds to the snapshot's topology.  Raises
+        ``ValueError`` for an engine over another number of users and
+        ``RuntimeError`` once the service is closed.  Returns the new
+        engine."""
         with self._write_locked_engine() as old:
             if new_engine.graph.n != old.graph.n:
                 raise ValueError(
                     f"replacement engine covers {new_engine.graph.n} users, "
                     f"the served one {old.graph.n}"
                 )
-            social = old.social_cache
-            new_engine.social_cache = (
-                None
-                if social is None
-                else SocialColumnCache(
-                    new_engine.graph.n, new_engine.kernels, social.max_bytes,
-                    new_engine.located_users(),
-                )
-            )
             self._swap_engine_locked(new_engine)
         return new_engine
 

@@ -37,7 +37,6 @@ from repro.store.format import (
     fault_point,
     read_column,
     read_manifest,
-    set_fault_hook,
     write_column,
     write_manifest,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "read_column",
     "read_manifest",
     "save_engine",
-    "set_fault_hook",
     "write_column",
     "write_manifest",
 ]

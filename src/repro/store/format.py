@@ -99,18 +99,12 @@ class InjectedFault(Exception):
 _fault_hook: "Callable[[str], None] | None" = None
 
 
-def set_fault_hook(hook: "Callable[[str], None] | None") -> None:
-    """Install (or, with ``None``, remove) the global fault hook.  The
-    hook is called with each :func:`fault_point` label as the writer
-    passes it and may raise :class:`InjectedFault` to crash there."""
-    global _fault_hook
-    _fault_hook = hook
-
-
 @contextmanager
 def fault_injection(hook: "Callable[[str], None]") -> Iterator[None]:
-    """Scoped :func:`set_fault_hook`: installs ``hook`` for the body
-    and restores the previous hook afterwards."""
+    """Install ``hook`` as the fault hook for the body and restore the
+    previous one afterwards.  The hook is called with each
+    :func:`fault_point` label as the writer passes it and may raise
+    :class:`InjectedFault` to crash there."""
     global _fault_hook
     previous = _fault_hook
     _fault_hook = hook

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Iterator
 from repro.core.ranking import RankingFunction
 from repro.core.request import QueryRequest
 from repro.core.result import SSRQResult, TopKBuffer
-from repro.core.stats import SearchStats
 from repro.social.scan import materialize_column
 from repro.stream.subscription import (
     NOOP,
@@ -318,12 +317,7 @@ class SubscriptionRegistry:
                 self.stats.entrant_evaluations += 1
                 p = float(column[user if layout is None else layout.searchsorted(user)])
             buffer.offer(user, rank.score(p, d), p, d)
-        stats = SearchStats()
-        stats.extra["maintained"] = "repair"
-        stats.extra["deltas_applied"] = len(ids)
-        sub.install(
-            SSRQResult(sub.user, sub.k, sub.alpha, buffer.neighbors(), stats, method=sub.method)
-        )
+        sub.install(SSRQResult(sub.user, sub.k, sub.alpha, buffer.neighbors(), method=sub.method))
         sub.repairs += 1
         self.stats.repairs_applied += 1
         return True

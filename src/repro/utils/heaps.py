@@ -38,9 +38,6 @@ class MinHeap:
         self.pops += 1
         return heapq.heappop(self._items)
 
-    def peek(self) -> tuple:
-        return self._items[0]
-
     def peek_key(self) -> Any:
         """Key (first tuple component) of the minimum entry."""
         return self._items[0][0]

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import repro.bench
-from repro.bench.config import PROFILES, get_profile
+from repro.bench.config import PROFILES
 from repro.bench.figures import ALL_EXPERIMENTS
-from repro.bench.__main__ import _print
+from repro.bench.__main__ import _print, main
 from repro.bench.reporting import ExperimentTable, dumps, record
 from repro.bench.runner import jaccard, run_method
 from repro.bench.workloads import get_bundle, sample_query_users
@@ -27,11 +27,12 @@ class TestConfig:
         assert set(PROFILES) == {"smoke", "quick", "full"}
 
     def test_explicit_name_wins(self):
-        assert get_profile("full").name == "full"
+        assert PROFILES["full"].name == "full"
 
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            get_profile("gigantic")
+    def test_unknown_profile(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--profile", "gigantic"])
+        assert "invalid choice: 'gigantic'" in capsys.readouterr().err
 
     def test_table3_parameters_mirrored(self):
         full = PROFILES["full"]

@@ -9,13 +9,20 @@ from repro.datasets.locations import (
     clustered_locations,
     correlated_locations,
     permuted_locations,
-    uniform_locations,
 )
 from repro.graph.traversal import dijkstra_distances
-from repro.spatial.point import euclidean
+from repro.spatial.point import LocationTable, euclidean
+from repro.utils.rng import make_rng
 from tests.conftest import random_graph
 
 INF = math.inf
+
+
+def uniform_table(n, seed):
+    """``n`` locations uniform over the unit square."""
+    rng = make_rng(seed)
+    xs = [rng.random() for _ in range(n)]
+    return LocationTable.from_columns(xs, [rng.random() for _ in range(n)])
 
 
 def pearson(xs, ys):
@@ -29,13 +36,6 @@ def pearson(xs, ys):
 
 
 class TestBasicGenerators:
-    def test_uniform_in_unit_square(self):
-        table = uniform_locations(500, seed=1)
-        assert table.n_located == 500
-        for u in table.located_users():
-            x, y = table.get(u)
-            assert 0 <= x <= 1 and 0 <= y <= 1
-
     def test_clustered_is_clustered(self):
         """Clustered layout must concentrate mass locally: the mean
         nearest-neighbour distance is far below the uniform layout's."""
@@ -48,7 +48,7 @@ class TestBasicGenerators:
             return total / len(users)
 
         clustered = clustered_locations(400, clusters=5, spread=0.02, seed=2)
-        uniform = uniform_locations(400, seed=2)
+        uniform = uniform_table(400, seed=2)
         assert mean_nn_distance(clustered) < mean_nn_distance(uniform) * 0.6
 
     def test_clustered_validation(self):
@@ -58,15 +58,15 @@ class TestBasicGenerators:
             clustered_locations(10, spread=0.0)
 
     def test_coverage_fraction(self):
-        table = apply_coverage(uniform_locations(1000, seed=4), 0.6, seed=5)
+        table = apply_coverage(uniform_table(1000, seed=4), 0.6, seed=5)
         assert table.n_located == 600
 
     def test_coverage_validation(self):
         with pytest.raises(ValueError):
-            apply_coverage(uniform_locations(10, seed=1), 1.5)
+            apply_coverage(uniform_table(10, seed=1), 1.5)
 
     def test_permutation_preserves_multiset(self):
-        table = uniform_locations(50, seed=6)
+        table = uniform_table(50, seed=6)
         shuffled = permuted_locations(table, seed=7)
         original = sorted((table.xs[u], table.ys[u]) for u in table.located_users())
         permuted = sorted((shuffled.xs[u], shuffled.ys[u]) for u in shuffled.located_users())

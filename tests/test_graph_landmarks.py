@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.landmarks import LandmarkIndex, select_landmarks
+from repro.graph.landmarks import LandmarkIndex
 from repro.graph.socialgraph import SocialGraph
 from repro.graph.traversal import dijkstra_distances
 from tests.conftest import random_graph
@@ -15,37 +15,41 @@ from tests.conftest import random_graph
 INF = math.inf
 
 
+def chosen(g, m, strategy="farthest", seed=0):
+    return LandmarkIndex.build(g, m, strategy, seed).landmarks
+
+
 class TestSelection:
     def test_requested_count(self):
         g = random_graph(50, 4.0, seed=1)
         for strategy in ("random", "farthest", "degree"):
-            assert len(select_landmarks(g, 5, strategy, seed=3)) == 5
+            assert len(chosen(g, 5, strategy, seed=3)) == 5
 
     def test_landmarks_are_distinct(self):
         g = random_graph(50, 4.0, seed=1)
-        marks = select_landmarks(g, 8, "farthest")
+        marks = chosen(g, 8, "farthest")
         assert len(set(marks)) == 8
 
     def test_degree_strategy_picks_hubs(self):
         g = random_graph(60, 5.0, seed=2)
-        marks = select_landmarks(g, 3, "degree")
+        marks = chosen(g, 3, "degree")
         degrees = sorted((g.degree(v) for v in range(g.n)), reverse=True)
         assert sorted((g.degree(v) for v in marks), reverse=True) == degrees[:3]
 
     def test_unknown_strategy(self):
         g = random_graph(10, 3.0, seed=1)
         with pytest.raises(ValueError):
-            select_landmarks(g, 2, "mystery")
+            chosen(g, 2, "mystery")
 
     def test_too_many_landmarks(self):
         g = random_graph(10, 3.0, seed=1)
         with pytest.raises(ValueError):
-            select_landmarks(g, 11)
+            chosen(g, 11)
 
     def test_deterministic(self):
         g = random_graph(40, 4.0, seed=5)
-        assert select_landmarks(g, 4, "farthest", 1) == select_landmarks(g, 4, "farthest", 1)
-        assert select_landmarks(g, 4, "random", 1) == select_landmarks(g, 4, "random", 1)
+        assert chosen(g, 4, "farthest", 1) == chosen(g, 4, "farthest", 1)
+        assert chosen(g, 4, "random", 1) == chosen(g, 4, "random", 1)
 
 
 class TestBounds:

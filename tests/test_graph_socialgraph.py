@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import gowalla_like
-from repro.datasets.generators import barabasi_albert_edges
-from repro.datasets.weights import degree_product_weights
+from repro.datasets.generators import barabasi_albert_array
+from repro.datasets.weights import degree_product_column
 from repro.graph.socialgraph import SocialGraph
 
 TRIANGLE = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)]
@@ -227,7 +227,8 @@ def edge_lists(draw):
 
 def test_dataset_csr_equals_the_dict_loop_build():
     n = 2000
-    weighted = degree_product_weights(n, barabasi_albert_edges(n, 5, seed=7))
+    us, vs = barabasi_albert_array(n, 5, seed=7).T
+    weighted = list(zip(us.tolist(), vs.tolist(), degree_product_column(n, us, vs).tolist()))
     want = reference_from_edges(n, weighted)
     assert csr(gowalla_like(n=n, seed=7).graph) == want
     assert csr(SocialGraph.from_edges(n, weighted)) == want

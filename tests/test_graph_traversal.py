@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.socialgraph import SocialGraph
-from repro.graph.traversal import (
-    DijkstraIterator,
-    dijkstra_distances,
-    hop_counts,
-    shortest_path,
-)
+from repro.graph.traversal import DijkstraIterator, dijkstra_distances, hop_counts
 from tests.conftest import random_graph
 
 INF = math.inf
@@ -85,9 +80,9 @@ class TestDijkstraIterator:
         assert it.last_distance == 1.0
 
     def test_path_to(self):
-        d, path = shortest_path(PATH, 0, 3)
-        assert d == 3.0
-        assert path == [0, 1, 2, 3]
+        it = DijkstraIterator(PATH, 0)
+        assert it.run_until(3) == 3.0
+        assert it.path_to(3) == [0, 1, 2, 3]
 
     def test_path_to_unsettled_raises(self):
         it = DijkstraIterator(PATH, 0)
@@ -179,7 +174,7 @@ class TestHelpers:
 
     def test_shortest_path_unreachable(self):
         g = SocialGraph.from_edges(3, [(0, 1, 1.0)])
-        assert shortest_path(g, 0, 2) == (INF, [])
+        assert DijkstraIterator(g, 0).run_until(2) == INF
 
     def test_hop_counts_bfs(self):
         hops = hop_counts(PATH, 0)

@@ -320,7 +320,7 @@ def test_removed_options_stay_removed():
 
     assert {f.name for f in dataclasses.fields(ServerConfig)} == {
         "host", "port", "queue_depth", "workers", "default_deadline_ms",
-        "retry_after_s", "heartbeat_s", "drain_snapshot_root",
+        "heartbeat_s", "drain_snapshot_root",
     }
     assert "--max-batch" not in {opt for p in serve_command.params for opt in p.opts}
     with QueryService(GeoSocialEngine(graph, locations, num_landmarks=2)) as service:

@@ -1,4 +1,5 @@
-"""No dangling references: what the docs, CI and docstrings name exists.
+"""No dangling references: what the docs, CI and docstrings name exists,
+and what was retired is named nowhere.
 
 Structural pins, first for the bench estate after it was folded into
 ``perfbench/``, then for the test suites the whole-stack model
@@ -8,28 +9,13 @@ subsumed:
   workflow, the verify skill and the docstrings of every ``src/repro``
   module is in the tree (deleted scripts, deleted suites and
   never-written design notes used to be cited for years);
-- no wall-clock-gate escape switch is left: ``perfbench/compare.py``
-  is the one gate;
-- the retired bounded-error path (the sketch package, ``approx``,
-  ``budget``, ``error_bound``) is named nowhere a reader would follow
-  it, and neither are the deleted engine duplicates (``engine.save``,
-  ``GeoSocialEngine.load``, ``engine.query_many``, the service-level
-  ``social_cache_bytes``), nor the retired scalar backend switch, nor
-  the graph's retired list view;
-- the overflow guards the input domain subsumed stay deleted, and so
-  do the zero-normaliser floor and the model's NumPy overflow switch
-  that existed for the domain's one former exception;
-- the result cache's per-entry move screen stays deleted, and so does
-  the in-place upkeep of the grid and the aggregate index;
-- the figure-only modules that left the serving packages for
-  ``repro.bench`` (CH, its oracle, AIS-Cache) are named by their old
-  homes nowhere;
-- the standing-query rule's retired module, its free functions, the
-  repairable-methods alias and the registry's bulk read are named
-  nowhere;
+- every retired name is named nowhere a reader would follow it: one
+  row of :data:`RETIRED` per retirement (its id, its patterns, the
+  files it scans and the files allowed to match), from the report-only
+  gate switch and the bounded-error path to the names nothing called
+  or read;
 - every section a citation names (``docs/BENCHMARKS.md, "<name>"``)
-  is a heading or a bold run-in head of that document.
-"""
+  is a heading or a bold run-in head of that document."""
 
 from __future__ import annotations
 
@@ -108,189 +94,138 @@ def test_the_reference_scanner_sees_what_it_should():
     ]
 
 
-def _scan(pattern: str, paths) -> dict[str, set[str]]:
-    """``{match: files}`` for ``pattern`` over the ``.py``/``.md``/
-    ``.yml``/``.toml`` files under ``paths`` (the history documents and
-    ``.git`` skipped)."""
+def _tree(*homes: str) -> "list[Path]":
+    """The ``.py``/``.md``/``.yml``/``.toml`` files under ``homes`` (the
+    history documents and ``.git`` skipped)."""
     history = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
-    found: dict[str, set[str]] = {}
-    for root in paths:
-        for path in [root] if root.is_file() else root.rglob("*"):
+    found = []
+    for home in homes:
+        root = ROOT / home
+        for path in [root] if root.is_file() else sorted(root.rglob("*")):
             if path.suffix not in {".py", ".md", ".yml", ".toml"} or not path.is_file():
                 continue
             if path.name in history or ".git" in path.relative_to(ROOT).parts:
                 continue
-            for name in re.findall(pattern, path.read_text(encoding="utf-8")):
-                found.setdefault(name, set()).add(str(path.relative_to(ROOT)))
+            found.append(path)
     return found
 
 
-def test_no_report_only_gate_switch_remains():
-    """``perfbench/compare.py`` is the one wall-clock gate and has no
-    report-only mode; the last ``REPRO_*_GATE`` switch left with the
-    approx script."""
-    assert _scan(r"REPRO_[A-Z]+_GATE", [ROOT]) == {}
-
-
-def test_the_bounded_error_path_is_named_nowhere():
-    """Every method answers exactly: the code, benchmarks, examples, CI
-    and the two reader-facing documents name neither the sketch package
-    nor ``approx``'s certified-bound plumbing (its gate switch is the
-    test above's)."""
-    retired = (
-        r"repro\.sketch|SketchIndex|ApproxSketchSearch|error_bound|check_budget"
-        r"|BENCH_approx|bench_approx"
-    )
-    homes = ["src", "benchmarks", "examples", ".github", "README.md", "docs/ARCHITECTURE.md"]
-    assert _scan(retired, [ROOT / home for home in homes]) == {}
-
-
-def test_the_deleted_engine_entry_points_are_named_nowhere():
-    """Batches are the service's, snapshots ``repro.store``'s and the
-    column budget the engine's: the README, the docs, the examples, the
-    CI workflow and the verify skill name none of the deleted
-    duplicates."""
-    retired = r"[Ee]ngine\.(?:save|load|query_many)\b|QueryService\([^)]*social_cache_bytes="
-    homes = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
-    assert _scan(retired, [ROOT / home for home in homes]) == {}
-
-
-def test_the_scalar_backend_switch_is_named_nowhere():
-    """NumPy is the one runtime backend: the README, the docs, the
-    examples, the CI workflow and the verify skill name no backend
-    selector, no environment switch and no scalar kernels class (the
-    scalar reference lives in ``tests/`` as a test oracle)."""
-    retired = r"REPRO_BACKEND|resolve_backend|PythonKernels|backend="
-    homes = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
-    assert _scan(retired, [ROOT / home for home in homes]) == {}
-
-
-def test_the_retired_wake_up_machinery_is_named_nowhere():
-    """The service is its engine's one follower: the README, the docs,
-    the verify skill and the ``src/`` docstrings name neither the
-    registry's own swap detection nor the server's replaced update
-    event, nor the subscription class's old name."""
-    retired = r"_ensure_current_engine|_notify_update|_update_event|TopKSubscription"
-    prose = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
-             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
-    found = {path.name for path in prose if re.search(retired, path.read_text(encoding="utf-8"))}
-    found |= {path.name for path in DOCSTRINGED if re.search(retired, _docstrings(path))}
-    assert found == set()
+def _py(directory: str, recursive: bool = True) -> "list[Path]":
+    root = ROOT / directory
+    return sorted(root.rglob("*.py") if recursive else root.glob("*.py"))
 
 
 #: ``src/``, the README, the docs, the examples and the verify skill
 CODE_AND_PROSE = [
-    *sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md",
-    *sorted((ROOT / "docs").glob("*.md")), *sorted((ROOT / "examples").glob("*.py")),
-    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *_py("src"), ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+    *_py("examples", recursive=False), ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+#: the reader-facing prose: the README, the docs and the verify skill
+READER_PROSE = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+_DOCS_AND_TOOLS = ["README.md", "docs", "examples", ".github", ".claude/skills/verify/SKILL.md"]
+_HERE = f"tests/{Path(__file__).name}"
+_SRC = "src/repro"
+
+#: ``(id, pattern, scope, files allowed to match, read docstrings only)``
+#: per retired name: the scope names none of it (a ``.py`` file under
+#: ``src/`` is read through its docstrings where the last column says so)
+RETIRED = [
+    # ``perfbench/compare.py`` is the one wall-clock gate and has no
+    # report-only mode; the last ``REPRO_*_GATE`` switch left with the
+    # approx script
+    ("report-only-gate-switch", r"REPRO_[A-Z]+_GATE", _tree(""), (), False),
+    # every method answers exactly: no sketch package, no ``approx``
+    # certified-bound plumbing
+    ("bounded-error-path",
+     r"repro\.sketch|SketchIndex|ApproxSketchSearch|error_bound|check_budget"
+     r"|BENCH_approx|bench_approx",
+     _tree("src", "benchmarks", "examples", ".github", "README.md", "docs/ARCHITECTURE.md"),
+     (), False),
+    # batches are the service's, snapshots ``repro.store``'s and the
+    # column budget the engine's
+    ("engine-duplicates",
+     r"[Ee]ngine\.(?:save|load|query_many)\b|QueryService\([^)]*social_cache_bytes=",
+     _tree(*_DOCS_AND_TOOLS), (), False),
+    # NumPy is the one runtime backend (the scalar reference lives in
+    # ``tests/`` as a test oracle)
+    ("scalar-backend-switch", r"REPRO_BACKEND|resolve_backend|PythonKernels|backend=",
+     _tree(*_DOCS_AND_TOOLS), (), False),
+    # the service is its engine's one follower: neither the registry's
+    # own swap detection, nor the server's replaced update event, nor the
+    # subscription class's old name
+    ("wake-up-machinery", r"_ensure_current_engine|_notify_update|_update_event|TopKSubscription",
+     READER_PROSE + _py(_SRC), (), True),
+    # the engine is a value: no lock and no listeners of its own
+    ("engine-lock-and-listeners",
+     r"\brw_lock\b|add_location_listener|remove_location_listener|_notify_location",
+     CODE_AND_PROSE, (), False),
+    # every traversal reads rows off the CSR arrays: no list view, no
+    # build lock for it, no graph ``_lists`` slot (``repro.graph`` holds
+    # the slot's class and its loops, so there any ``_lists`` is one)
+    ("graph-list-view", r"list_view|_LIST_VIEW_LOCK|\bg(?:raph)?\._lists\b",
+     CODE_AND_PROSE, (), False),
+    ("graph-lists-slot", r"_lists\b", _py(f"{_SRC}/graph", recursive=False), (), False),
+    # coordinates, weights and normalisers are checked once where they
+    # enter (:mod:`repro.utils.validation`): no local overflow guards
+    ("point-overflow-check", r"check_finite_point", _py(_SRC), (), False),
+    ("grid-float-cap", r"float_info", _py(f"{_SRC}/spatial", recursive=False), (), False),
+    ("kernel-overflow-silencer", r"errstate\(over=", _py(f"{_SRC}/backend", recursive=False),
+     (), False),
+    ("server-overflow-branch", r"except OverflowError", [ROOT / _SRC / "server" / "app.py"],
+     (), False),
+    # a normaliser of 0 leaves its term unscaled, so nothing floors a
+    # divisor or silences an overflow
+    ("zero-normaliser-floor", r"_TINY|1e-300", _py("src"), (), False),
+    ("model-overflow-switch", r"seterr", [ROOT / "tests" / "test_service_model.py"], (), False),
+    # a location update evicts every cached answer below ``α = 1``: no
+    # per-entry move screen, no stored-result class shared with the
+    # registry
+    ("result-cache-move-screen", r"\bquery_location\b|\bStoredTopK\b", CODE_AND_PROSE,
+     (), False),
+    # a location update marks the k-d tree and drops the grid and the
+    # aggregate index; their next reader builds them from the table
+    ("grid-in-place-upkeep", r"def (insert|remove|move|copy)\b",
+     [ROOT / _SRC / "spatial" / "grid.py"], (), False),
+    ("index-in-place-upkeep",
+     r"\b(leaf_of_user|insert_user|remove_user|_widen|_shrink_parent|touches|replace_from)\(",
+     _py(_SRC), (), False),
+    ("aggregate-per-user-upkeep", r"def (move_user|_shrink)\b",
+     _py(f"{_SRC}/index", recursive=False), (), False),
+    ("upkeep-layers",
+     r"\b(MultiLevelGrid|widen|of_vectors|users_in_leaf|ids_in_leaf|_ids_cache)\b",
+     _py(_SRC), (), False),
+    # CH and AIS-Cache live in :mod:`repro.bench`, and the CH is its own
+    # memoising oracle
+    ("figure-only-old-homes",
+     r"repro\.graph\.ch\b|repro\.core\.graphdist|repro\.core\.precompute|CHOracle",
+     CODE_AND_PROSE, (), False),
+    # the NO-OP / REPAIR / RECOMPUTE screen is ``Subscription.classify``
+    # and the forward-deterministic set has one name
+    ("standing-query-rule",
+     r"repro\.stream\.conditions|stream/conditions\.py|\bclassify_location_update\b"
+     r"|\bentry_lower_bound\b|\bREPAIRABLE_METHODS\b"
+     r"|SubscriptionRegistry\.results\b|\bregistry\.results\(",
+     CODE_AND_PROSE + _py("tests"), (_HERE,), False),
+    # names nothing called or read (tests/test_every_name_has_a_reader.py),
+    # and the server settings and rebuild overrides no caller set
+    ("unread-names",
+     r"\b(watts_strogatz_edges|barabasi_albert_edges|degree_product_weights|uniform_locations"
+     r"|select_landmarks|shortest_path|set_fault_hook|retry_after(?:_s)?|engine_kwargs"
+     r"|deltas_applied)\b|(?<!settings\.)\bget_profile\b|\bhealthz\(\)"
+     r"|extra\[\"maintained\"\]|ServerConfig \| None|pass either a ServerConfig",
+     CODE_AND_PROSE + _py("tests"), (_HERE,), False),
 ]
 
 
-def _naming(pattern: str, paths) -> set[str]:
-    """The files among ``paths`` whose text matches ``pattern``."""
-    return {
-        str(path.relative_to(ROOT))
-        for path in paths
-        if re.search(pattern, path.read_text(encoding="utf-8"))
-    }
-
-
-def test_only_the_service_follows_an_engine():
-    """The engine is a value: it has no lock and no listeners, so only
-    its service decides which changes reach a standing answer.  The
-    retired engine lock and listener API is named nowhere in ``src/``,
-    the README, the docs, the examples or the verify skill."""
-    retired = r"\brw_lock\b|add_location_listener|remove_location_listener|_notify_location"
-    assert _naming(retired, CODE_AND_PROSE) == set()
-
-
-def test_the_csr_arrays_are_the_graphs_only_form():
-    """Every traversal reads rows off the CSR arrays: the retired list
-    view, its build lock and the graph's ``_lists`` slot are named
-    nowhere in ``src/``, the README, the docs, the examples or the
-    verify skill (``repro.graph`` holds the slot's class and its
-    loops; elsewhere only a graph's ``_lists`` is the slot)."""
-    assert _naming(r"list_view|_LIST_VIEW_LOCK|\bg(?:raph)?\._lists\b", CODE_AND_PROSE) == set()
-    assert _naming(r"_lists\b", sorted((ROOT / "src" / "repro" / "graph").glob("*.py"))) == set()
-
-
-def test_the_overflow_guards_the_domain_subsumes_stay_gone():
-    """Coordinates, weights and normalisers are checked once where they
-    enter (:mod:`repro.utils.validation`), so the local overflow guards
-    that grew one per hostile value stay deleted: the old point check
-    in ``src/``, the grid's ``float_info`` cap under ``spatial/``, an
-    overflow-silencing ``errstate`` in the kernels and the server's
-    ``OverflowError`` branch."""
-    src = ROOT / "src" / "repro"
-    assert _naming(r"check_finite_point", sorted(src.rglob("*.py"))) == set()
-    assert _naming(r"float_info", sorted((src / "spatial").glob("*.py"))) == set()
-    assert _naming(r"errstate\(over=", sorted((src / "backend").glob("*.py"))) == set()
-    assert _naming(r"except OverflowError", [src / "server" / "app.py"]) == set()
-
-
-def test_the_zero_normaliser_exception_stays_gone():
-    """A normaliser of 0 leaves its term unscaled, so every score is
-    finite and nothing floors a divisor or silences an overflow: no
-    ``_TINY`` or ``1e-300`` under ``src/``, no ``seterr`` in the state
-    machine."""
-    assert _naming(r"_TINY|1e-300", sorted((ROOT / "src").rglob("*.py"))) == set()
-    assert _naming(r"seterr", [ROOT / "tests" / "test_service_model.py"]) == set()
-
-
-def test_the_result_caches_move_screen_is_named_nowhere():
-    """A location update evicts every cached answer below ``α = 1``,
-    and only the subscription registry screens: the deleted per-entry
-    screen's ``query_location`` callback and the stored-result class
-    the cache shared with the registry are named nowhere in ``src/``,
-    the README, the docs, the examples or the verify skill."""
-    assert _naming(r"\bquery_location\b|\bStoredTopK\b", CODE_AND_PROSE) == set()
-
-
-def test_no_spatial_index_is_maintained_in_place():
-    """A location update marks the k-d tree and drops the grid and the
-    aggregate index; their next reader builds them from the table.  The
-    in-place upkeep they had stays deleted from ``src/``: the grid's
-    insert / remove / move / copy, the multigrid's ``leaf_of_user``, the
-    aggregate index's per-user maintenance and its summary helpers, and
-    the layers that upkeep needed: the ``MultiLevelGrid`` pass-through,
-    the widening summary and the grid's list-and-array double storage."""
-    src = ROOT / "src" / "repro"
-    grids = [src / "spatial" / "grid.py"]
-    assert _naming(r"def (insert|remove|move|copy)\b", grids) == set()
-    upkeep = (
-        r"\b(leaf_of_user|insert_user|remove_user|_widen|_shrink_parent|touches|replace_from)\("
-    )
-    assert _naming(upkeep, sorted(src.rglob("*.py"))) == set()
-    assert _naming(r"def (move_user|_shrink)\b", sorted((src / "index").glob("*.py"))) == set()
-    layers = r"\b(MultiLevelGrid|widen|of_vectors|users_in_leaf|ids_in_leaf|_ids_cache)\b"
-    assert _naming(layers, sorted(src.rglob("*.py"))) == set()
-
-
-def test_the_figure_only_modules_old_homes_are_named_nowhere():
-    """CH and AIS-Cache live in :mod:`repro.bench` (``bench/ch.py``,
-    ``bench/aiscache.py``), and the CH is its own memoising oracle:
-    ``src/``, the README, the docs, the examples and the verify skill
-    name neither their old serving modules nor the retired oracle
-    class."""
-    retired = r"repro\.graph\.ch\b|repro\.core\.graphdist|repro\.core\.precompute|CHOracle"
-    assert _naming(retired, CODE_AND_PROSE) == set()
-
-
-def test_the_standing_query_rule_lives_on_its_subscription():
-    """The NO-OP / REPAIR / RECOMPUTE screen is ``Subscription.classify``
-    and the forward-deterministic set has one name: ``src/``, the README,
-    the docs, the examples, the verify skill and the other tests name
-    neither the retired ``repro.stream.conditions`` and its free
-    functions, nor the ``REPAIRABLE_METHODS`` alias, nor the registry's
-    unread ``results()``."""
-    retired = (
-        r"repro\.stream\.conditions|stream/conditions\.py|\bclassify_location_update\b"
-        r"|\bentry_lower_bound\b|\bREPAIRABLE_METHODS\b"
-        r"|SubscriptionRegistry\.results\b|\bregistry\.results\("
-    )
-    here = Path(__file__).name
-    tests = [path for path in sorted((ROOT / "tests").rglob("*.py")) if path.name != here]
-    assert _naming(retired, CODE_AND_PROSE + tests) == set()
+@pytest.mark.parametrize(
+    "pattern, scope, allowed, docstrings",
+    [pytest.param(*row[1:], id=row[0]) for row in RETIRED],
+)
+def test_a_retired_name_is_named_nowhere(pattern, scope, allowed, docstrings):
+    read = _text if docstrings else (lambda path: path.read_text(encoding="utf-8"))
+    naming = {str(path.relative_to(ROOT)) for path in scope if re.search(pattern, read(path))}
+    assert naming - set(allowed) == set()
 
 
 #: ``docs/BENCHMARKS.md, "<name>"`` or ``docs/ARCHITECTURE.md

@@ -34,6 +34,7 @@ import pytest
 from repro import GeoSocialEngine, QueryService
 from repro.datasets.synthetic import build_dataset
 from repro.server import ServerClient, ServerThread
+from repro.server.app import RETRY_AFTER_S
 from repro.core.request import QueryRequest
 from repro.service.model import QueryResponse, result_payload
 
@@ -116,9 +117,7 @@ def test_overflow_sheds_and_admitted_complete(engine, query_user, expected):
     429s, correct 200 bodies, Retry-After on every 429, and the
     admitted == completed identity afterwards."""
     service = SlowService(engine, delay=0.15, cache_size=0)
-    with service, ServerThread(
-        service, queue_depth=2, workers=1, retry_after_s=2.0
-    ) as handle:
+    with service, ServerThread(service, queue_depth=2, workers=1) as handle:
         outcomes = _storm(handle, query_user, 12)
         statuses = [status for status, _, _ in outcomes]
         assert set(statuses) <= {200, 429}, statuses
@@ -128,7 +127,7 @@ def test_overflow_sheds_and_admitted_complete(engine, query_user, expected):
                 assert body["result"] == expected
             else:
                 assert body["error"]["type"] == "overloaded"
-                assert int(headers["Retry-After"]) >= 2
+                assert int(headers["Retry-After"]) == RETRY_AFTER_S
         with ServerClient(handle.host, handle.port) as client:
             stats = client.stats()["server"]
         shed, admitted = statuses.count(429), statuses.count(200)
@@ -271,8 +270,11 @@ def test_malformed_requests_get_typed_400s(engine, query_user):
             # batch without requests
             status, _, payload = client.request("POST", "/query/batch", {"k": 3})
             assert (status, payload["error"]["type"]) == (400, "invalid_argument")
-            # 4xx never increments the server-error counter
-            assert client.stats()["server"]["server_errors"] == 0
+            # each of the ten 4xx counts once, as a client error only,
+            # all on the one keep-alive connection
+            server = client.stats()["server"]
+            assert (server["client_errors"], server["server_errors"]) == (10, 0)
+            assert server["connections"] == 1
 
 
 @pytest.mark.parametrize(
@@ -285,9 +287,6 @@ def test_malformed_requests_get_typed_400s(engine, query_user):
         ("heartbeat_s", -1.0),
         ("heartbeat_s", float("inf")),
         ("heartbeat_s", float("nan")),
-        ("retry_after_s", 0.0),
-        ("retry_after_s", float("nan")),
-        ("retry_after_s", float("inf")),
         ("port", 70000),
         ("port", -1),
         ("port", True),
@@ -302,8 +301,7 @@ def test_malformed_requests_get_typed_400s(engine, query_user):
 def test_config_refuses_every_setting_that_cannot_work(engine, field, value):
     """``default_deadline_ms=0`` used to build a server that answered
     every admitted ``/query`` 504 without running it; a non-positive or
-    non-finite heartbeat never ticks; a NaN or infinite ``retry_after_s``
-    broke the first 429 into a dropped connection; a port outside
+    non-finite heartbeat never ticks; a port outside
     0–65535 failed at bind with an ``OverflowError``.  Each is refused
     at construction, naming the field, and so are counts that are not
     integers."""
@@ -359,7 +357,7 @@ def test_malformed_framing_gets_400_and_close(engine):
                 assert b'"type":"bad_request"' in body
                 assert sock.recv(4096) == b"", "the connection must be closed"
         with ServerClient(handle.host, handle.port) as client:
-            assert client.healthz() == {"status": "ok"}    # and the server lives on
+            assert client.call("GET", "/healthz") == {"status": "ok"}    # and the server lives on
 
 
 def test_graceful_drain(engine, query_user, expected):
@@ -409,6 +407,31 @@ def test_graceful_drain(engine, query_user, expected):
             socket.create_connection((handle.host, handle.port), timeout=2)
 
 
+def test_a_post_during_drain_is_refused_and_counted(engine, query_user):
+    """While a drain waits for admitted work, a POST on a connection
+    that is still open is answered 503 and counted in
+    ``drained_rejections``; a GET is still answered."""
+    service = SlowService(engine, delay=0.5, cache_size=0)
+    handle = ServerThread(service, workers=1)
+    with service:
+        handle.start()
+        outcomes: dict = {}
+        slow = _post_in_thread(handle, {"user": query_user}, outcomes, "slow")
+        _wait_for(lambda: service.query_calls == 1, "the slow query to start")
+        with ServerClient(handle.host, handle.port) as client:
+            client.call("GET", "/healthz")  # the connection the drain keeps open
+            stopper = threading.Thread(target=handle.stop)
+            stopper.start()
+            _wait_for(lambda: client.stats()["server"]["draining"], "the drain")
+            status, _, payload = client.request("POST", "/query", {"user": query_user})
+        stopper.join(timeout=30)
+        slow.join(timeout=30)
+        assert not stopper.is_alive() and not slow.is_alive()
+        assert (status, payload["error"]["type"]) == (503, "shutting_down")
+        assert outcomes["slow"][0] == 200
+        assert handle.server.stats.drained_rejections == 1
+
+
 def test_drain_snapshot_root(engine, tmp_path):
     """A configured ``drain_snapshot_root`` produces a committed
     snapshot as the last act of a graceful stop."""
@@ -417,7 +440,7 @@ def test_drain_snapshot_root(engine, tmp_path):
     with service:
         with ServerThread(service, drain_snapshot_root=str(root)) as handle:
             with ServerClient(handle.host, handle.port) as client:
-                assert client.healthz() == {"status": "ok"}
+                assert client.call("GET", "/healthz") == {"status": "ok"}
         manager = service.snapshots(str(root))
         assert manager.latest() is not None
 

@@ -209,7 +209,10 @@ def test_forget_location_parity(client, reference, engine):
 
 def test_subscription_snapshot_matches_query(handle, client, reference, engine):
     """The SSE ``snapshot`` event carries the same result a one-shot
-    query returns, and a ``delta`` reconstructs the new top-k exactly."""
+    query returns, and a ``delta`` reconstructs the new top-k exactly.
+    The server counts the stream open, its events, and the stream
+    closed once the client hangs up."""
+    before = client.stats()["server"]
     located = sorted(engine.locations.located_users())
     # moving the subscribed user themselves guarantees their standing
     # query changes (an arbitrary user may not be in their top-k)
@@ -234,6 +237,9 @@ def test_subscription_snapshot_matches_query(handle, client, reference, engine):
             break
         threading.Event().wait(0.02)
     assert events and events[0][0] == "snapshot"
+    opened = client.stats()["server"]
+    assert opened["streams_opened"] - before["streams_opened"] == 1
+    assert opened["active_streams"] - before["active_streams"] == 1
     snapshot = events[0][1]
     assert snapshot["result"] == expected_result(reference, user, k=8, alpha=0.3, method="ais")
     # drive deltas until the standing query actually changes
@@ -244,6 +250,14 @@ def test_subscription_snapshot_matches_query(handle, client, reference, engine):
             break
     assert done.wait(timeout=10), "no delta observed after repeated moves"
     thread.join(timeout=10)
+    for _ in range(500):  # a heartbeat finds the hung-up connection
+        closed = client.stats()["server"]
+        if closed["streams_closed"] > before["streams_closed"]:
+            break
+        threading.Event().wait(0.02)
+    assert closed["streams_closed"] - before["streams_closed"] == 1
+    assert closed["active_streams"] == before["active_streams"]
+    assert closed["events_sent"] - before["events_sent"] >= len(events) >= 2
     delta = events[-1][1]
     members = {nb["user"]: nb for nb in snapshot["result"]["neighbors"]}
     for user_id in delta["left"]:
@@ -278,7 +292,7 @@ def test_stats_and_metrics_surface(client):
 
 
 def test_healthz(client):
-    assert client.healthz() == {"status": "ok"}
+    assert client.call("GET", "/healthz") == {"status": "ok"}
 
 
 def test_snapshot_restore_roundtrip(tmp_path):

