@@ -25,7 +25,7 @@ engine = GeoSocialEngine.from_dataset(dataset)
 located = engine.located_users().tolist()
 
 # --- Skewed traffic through the service -------------------------------------
-arrivals = zipf_arrivals(located, count=400, skew=1.1, seed=3)
+arrivals = zipf_arrivals(located, count=400, seed=3)
 requests = [QueryRequest(user=u, k=10, alpha=0.3, method="ais") for u in arrivals]
 
 with QueryService(engine, cache_size=2048) as service:

@@ -48,7 +48,7 @@ print(f"cold build: {cold_s:.2f}s -> snapshot at {snap.name}/")
 
 # --- Warm start: mmap'd columns, no normalization sweep ---------------------
 start = time.perf_counter()
-warm = load_engine(snap)  # verify=True: sha256 per column
+warm = load_engine(snap)  # checks each column's sha256
 warm_s = time.perf_counter() - start
 print(f"warm start: {warm_s:.3f}s ({cold_s / warm_s:.1f}x faster)")
 

@@ -34,13 +34,15 @@ def sample_query_users(
     return rng.sample(located, count)
 
 
-def zipf_arrivals(
-    users: list[int], count: int, skew: float = 1.1, seed: int = 0
-) -> list[int]:
+#: the Zipf exponent of :func:`zipf_arrivals`
+SKEW = 1.1
+
+
+def zipf_arrivals(users: list[int], count: int, seed: int = 0) -> list[int]:
     """A ``count``-long arrival sequence over ``users``, Zipf-skewed.
 
     Users are ranked in a seed-shuffled order and user at rank ``r``
-    arrives with probability ∝ ``1/(r+1)^skew`` — the classic model of
+    arrives with probability ∝ ``1/(r+1)^SKEW`` — the classic model of
     repeat-heavy request traffic.
 
         >>> from repro.bench.workloads import zipf_arrivals
@@ -55,7 +57,7 @@ def zipf_arrivals(
     rng = make_rng(seed)
     ranked = list(users)
     rng.shuffle(ranked)
-    weights = [1.0 / (rank + 1) ** skew for rank in range(len(ranked))]
+    weights = [1.0 / (rank + 1) ** SKEW for rank in range(len(ranked))]
     return rng.choices(ranked, weights=weights, k=count)
 
 

@@ -174,8 +174,8 @@ class GeoSocialEngine:
             if budget > 0
             else None
         )
-        #: the ``method="auto"`` resolver (handed to every ``with_graph``
-        #: rebuild, so its counters carry on)
+        #: the ``method="auto"`` resolver (a service hands the served
+        #: one to every engine it swaps in, so its counters carry on)
         self.planner = Planner()
         #: SPA's grid and AIS's index (see :attr:`grid`, :attr:`aggregate`);
         #: a location update drops both
@@ -391,10 +391,7 @@ class GeoSocialEngine:
             ),
         )
         kwargs.update(overrides)
-        engine = type(self)(graph, self.locations, **kwargs)
-        # the live planner instance: its counters carry on
-        engine.planner = self.planner
-        return engine
+        return type(self)(graph, self.locations, **kwargs)
 
     # -- introspection ----------------------------------------------------
 

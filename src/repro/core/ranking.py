@@ -69,7 +69,7 @@ class Normalization:
             box = locations.bbox()
             if box.width or box.height:
                 d_max = max(box.diagonal, NORMALISER_MIN)
-        p_max = double_sweep_diameter(graph, sweeps=2, seed=seed)
+        p_max = double_sweep_diameter(graph, seed=seed)
         return cls(p_max=p_max, d_max=d_max)
 
 

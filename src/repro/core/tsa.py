@@ -122,7 +122,7 @@ class TwofoldSearch:
         if self.probe_policy == "quick-combine":
             policy = QuickCombinePolicy((alpha, 1.0 - alpha))
         else:
-            policy = RoundRobinPolicy(2)
+            policy = RoundRobinPolicy()
 
         locations = self.locations
         candidates: dict[int, float] = {}  # Q: user -> spatial distance

@@ -14,25 +14,19 @@ from collections import deque
 
 from repro.graph.socialgraph import SocialGraph
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_probability
+
+#: the forward-burning probability: at each burned vertex,
+#: ``Geometric(1 - P_FORWARD) - 1`` unburned neighbours catch fire (mean
+#: ``P_FORWARD / (1 - P_FORWARD)``)
+P_FORWARD = 0.7
 
 
 def forest_fire_sample(
-    graph: SocialGraph,
-    target_n: int,
-    p_forward: float = 0.7,
-    seed: int = 0,
+    graph: SocialGraph, target_n: int, seed: int = 0
 ) -> tuple[SocialGraph, dict[int, int]]:
-    """Sample ``target_n`` vertices by forest fire; returns the induced
-    subgraph (relabelled ``0..target_n-1``) and the old->new id map.
-
-    ``p_forward`` is the forward-burning probability: at each burned
-    vertex, ``Geometric(1 - p_forward) - 1`` unburned neighbours catch
-    fire (mean ``p_forward / (1 - p_forward)``).
-    """
-    check_probability("p_forward", p_forward)
-    if p_forward >= 1.0:
-        raise ValueError("p_forward must be < 1 (burning must stop)")
+    """Sample ``target_n`` vertices by forest fire (burning forward with
+    probability :data:`P_FORWARD`); returns the induced subgraph
+    (relabelled ``0..target_n-1``) and the old->new id map."""
     if not 1 <= target_n <= graph.n:
         raise ValueError(f"target_n must be in [1, {graph.n}], got {target_n}")
     rng = make_rng(seed)
@@ -48,7 +42,7 @@ def forest_fire_sample(
             x = queue.popleft()
             # Geometric number of spreads with mean p/(1-p).
             spreads = 0
-            while rng.random() < p_forward:
+            while rng.random() < P_FORWARD:
                 spreads += 1
             if spreads == 0:
                 continue

@@ -100,16 +100,20 @@ def permuted_locations(locations: LocationTable, seed: int = 0) -> LocationTable
     return table
 
 
+#: the uniform jitter added to each user's normalised social distance
+#: from the anchor before it becomes a radius
+NOISE = 0.15
+
+
 def correlated_locations(
     graph: SocialGraph,
     anchor: int,
     rho: float = 1.0,
-    noise: float = 0.15,
     seed: int = 0,
 ) -> LocationTable:
     """Figure 14(a) construction: spatial distance from the ``anchor``
     correlates (``rho = 1``) or anti-correlates (``rho = -1``) with
-    social distance from it.
+    social distance from it, up to a uniform jitter of ±:data:`NOISE`.
 
     Vertices unreachable from the anchor receive no location (their
     social distance is undefined).  The anchor sits at the centre
@@ -133,7 +137,7 @@ def correlated_locations(
     table = LocationTable.empty(graph.n)
     raw: dict[int, float] = {}
     for v, p in finite.items():
-        raw[v] = rho * (p / p_max) + rng.uniform(-noise, noise)
+        raw[v] = rho * (p / p_max) + rng.uniform(-NOISE, NOISE)
     lo = min(raw.values())
     hi = max(raw.values())
     span = (hi - lo) or 1.0
@@ -142,6 +146,6 @@ def correlated_locations(
         radius = 0.5 * (value - lo) / span
         angle = rng.uniform(0.0, 2.0 * math.pi)
         table.set(v, cx + radius * math.cos(angle), cy + radius * math.sin(angle))
-    # Anchor at the centre regardless of noise.
+    # Anchor at the centre regardless of the jitter.
     table.set(anchor, cx, cy)
     return table

@@ -159,7 +159,6 @@ def correlated_dataset(
 def forest_fire_series(
     base: GeoSocialDataset,
     sizes: list[int],
-    p_forward: float = 0.7,
     seed: int = 23,
 ) -> list[GeoSocialDataset]:
     """Figure 14(b): structure-preserving samples of ``base`` at the
@@ -177,7 +176,7 @@ def forest_fire_series(
         if size == base.graph.n:
             series.append(GeoSocialDataset(f"{base.name}-{size}", base.graph, base.locations))
             continue
-        subgraph, mapping = forest_fire_sample(base.graph, size, p_forward, seed)
+        subgraph, mapping = forest_fire_sample(base.graph, size, seed)
         locations = LocationTable.empty(size)
         for old, new in mapping.items():
             point = base.locations.get(old)

@@ -44,7 +44,6 @@ class AStarSearch:
         graph: SocialGraph,
         source: int,
         h: Callable[[int], float] | None = None,
-        heap: MinHeap | None = None,
         expand_filter: Callable[[int], bool] | None = None,
     ) -> None:
         if not 0 <= source < graph.n:
@@ -56,7 +55,7 @@ class AStarSearch:
         #: vertex -> exact g (distance from source), in settle order
         self.settled: dict[int, float] = {}
         self.parent: dict[int, int] = {source: source}
-        self.heap = heap if heap is not None else MinHeap()
+        self.heap = MinHeap()
         self._best: dict[int, float] = {source: 0.0}
         self._last_fkey = 0.0
         h0 = h(source) if h is not None else 0.0

@@ -31,10 +31,14 @@ def _farthest(graph: SocialGraph, source: int) -> tuple[int, float]:
     return (far, float(reached[far])) if reached[far] > 0.0 else (source, 0.0)
 
 
-def double_sweep_diameter(graph: SocialGraph, sweeps: int = 2, seed: int = 0) -> float:
+#: how many independent sweeps :func:`double_sweep_diameter` runs
+SWEEPS = 2
+
+
+def double_sweep_diameter(graph: SocialGraph, seed: int = 0) -> float:
     """Double-sweep lower bound on the weighted diameter.
 
-    Runs ``sweeps`` independent sweeps (each: Dijkstra from a random
+    Runs :data:`SWEEPS` independent sweeps (each: Dijkstra from a random
     start, then Dijkstra from the farthest vertex found) and returns the
     largest eccentricity either half of a sweep observed: on a digraph
     the farthest vertex may be a sink, whose own sweep reaches nobody.
@@ -47,7 +51,7 @@ def double_sweep_diameter(graph: SocialGraph, sweeps: int = 2, seed: int = 0) ->
         return 0.0
     rng = make_rng(seed)
     best = 0.0
-    for _ in range(max(1, sweeps)):
+    for _ in range(SWEEPS):
         start = int(starts[np.searchsorted(starts, rng.randrange(graph.n)) % len(starts)])
         far, ecc = _farthest(graph, start)
         _, back = _farthest(graph, far)

@@ -35,7 +35,7 @@ class DijkstraIterator:
 
     __slots__ = ("graph", "source", "settled", "parent", "heap", "_best", "_last_distance")
 
-    def __init__(self, graph: SocialGraph, source: int, heap: MinHeap | None = None) -> None:
+    def __init__(self, graph: SocialGraph, source: int) -> None:
         if not 0 <= source < graph.n:
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         self.graph = graph
@@ -44,7 +44,7 @@ class DijkstraIterator:
         self.settled: dict[int, float] = {}
         #: vertex -> predecessor on a shortest path from the source
         self.parent: dict[int, int] = {source: source}
-        self.heap = heap if heap is not None else MinHeap()
+        self.heap = MinHeap()
         self._best: dict[int, float] = {source: 0.0}
         self._last_distance = 0.0
         self.heap.push((0.0, source))

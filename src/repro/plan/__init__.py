@@ -8,7 +8,7 @@
   per query by that same rule (``bounded`` decides for itself whether
   its first ball pays).
 
-Both engine kinds own one planner (``engine.planner``) and expose
+The engine owns one planner (``engine.planner``) and exposes
 ``engine.resolve_method(...)``.  The service layer keys its cache on
 the request as asked and looks it up before anything is resolved;
 every subscription keeps its request as asked and follows the method

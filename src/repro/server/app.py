@@ -96,6 +96,10 @@ _SUBSCRIBE_PARAMS = ("user", "k", "alpha", "method")
 #: the ``Retry-After`` hint (whole seconds) sent with every 429
 RETRY_AFTER_S = 1
 
+#: how long :meth:`SSRQServer.stop` waits for admitted work and open
+#: streams to finish
+STOP_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -258,19 +262,16 @@ class SSRQServer:
         self._port = self._server.sockets[0].getsockname()[1]
         return self
 
-    async def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
-        """Shut down: stop accepting, flush admitted work, end streams,
-        optionally take a final snapshot, release the pool.
-
-        With ``drain=False`` the admitted work is still completed (the
-        invariant is unconditional) but streams are ended without
-        waiting for a final delta read and no snapshot is taken."""
+    async def stop(self) -> None:
+        """Shut down: stop accepting, flush admitted work (for at most
+        :data:`STOP_TIMEOUT_S`), end streams, take the final snapshot
+        when configured, release the pool."""
         if self._stopped:
             return
         self._stopped = True
         self._draining = True
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
+        deadline = loop.time() + STOP_TIMEOUT_S
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -281,7 +282,7 @@ class SSRQServer:
             await asyncio.sleep(0.005)
         while self.stats.active_streams > 0 and loop.time() < deadline:
             await asyncio.sleep(0.005)
-        if drain and self.config.drain_snapshot_root is not None:
+        if self.config.drain_snapshot_root is not None:
             root = self.config.drain_snapshot_root
             await loop.run_in_executor(
                 self._executor, lambda: self.service.snapshots(root).snapshot()
@@ -827,14 +828,12 @@ class ServerThread:
             raise self._startup
         return self
 
-    def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
+    def stop(self) -> None:
         loop, thread = self._loop, self._thread
         if loop is None or thread is None or not thread.is_alive():
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.stop(drain=drain, timeout=timeout), loop
-        )
-        future.result(timeout + 5)
+        future = asyncio.run_coroutine_threadsafe(self.server.stop(), loop)
+        future.result(STOP_TIMEOUT_S + 5)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
 

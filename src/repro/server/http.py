@@ -39,10 +39,8 @@ REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -123,8 +121,9 @@ async def read_request(reader: "asyncio.StreamReader") -> HTTPRequest | None:
     else:
         raise ProtocolError("too many headers")
     if headers.get("transfer-encoding", "").lower() == "chunked":
-        # 501 is more honest than a hang: the API never needs chunked
-        # request bodies and the parser does not implement them.
+        # refused (a 400 and a close) rather than left to hang: the API
+        # never needs chunked request bodies and the parser does not
+        # implement them
         raise ProtocolError("chunked request bodies are not supported")
     body = b""
     if "content-length" in headers:
@@ -211,9 +210,9 @@ async def send_sse(
     await writer.drain()
 
 
-async def send_sse_comment(writer: "asyncio.StreamWriter", text: str = "hb") -> None:
-    """A comment frame — the stream's keep-alive heartbeat."""
-    writer.write(_chunk(b": " + text.encode("ascii") + b"\n\n"))
+async def send_sse_comment(writer: "asyncio.StreamWriter") -> None:
+    """A comment frame (``: hb``) — the stream's keep-alive heartbeat."""
+    writer.write(_chunk(b": hb\n\n"))
     await writer.drain()
 
 

@@ -353,8 +353,11 @@ class QueryService:
             with self._read_locked_engine() as old:
                 pending = dict(self._pending_edges)
             # `with_graph` rebuilds the indexes, keeps each positive
-            # normaliser and re-estimates one that is 0.
-            new_engine = old.with_graph(old.graph.with_edge_updates(pending))
+            # normaliser and re-estimates one that is 0; it builds no
+            # column cache, since the swap lays out the only one
+            new_engine = old.with_graph(
+                old.graph.with_edge_updates(pending), social_cache_bytes=0
+            )
             with self._write_locked_engine() as served:
                 if served is old and self._pending_edges == pending:
                     self._swap_engine_locked(new_engine)
@@ -363,7 +366,8 @@ class QueryService:
 
     def _swap_engine_locked(self, new_engine: GeoSocialEngine) -> None:
         """Make ``new_engine`` the served engine (caller holds the write
-        lock), the one path of a rebuild and a restore: give it a fresh
+        lock), the one path of a rebuild and a restore: hand it the
+        served engine's planner (its counters carry on), give it a fresh
         column cache with the served engine's byte budget, laid out over
         the users located now (no cache when the served engine has
         none), flush the result cache, tell every follower, then publish
@@ -371,6 +375,7 @@ class QueryService:
         ``new_engine``, or discarded with the old one).  Followers hear
         of the swap before a reader can reach ``new_engine``, so none
         serves an answer of the old engine."""
+        new_engine.planner = self.engine.planner
         social = self.engine.social_cache
         new_engine.social_cache = (
             None

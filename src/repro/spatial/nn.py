@@ -39,9 +39,6 @@ class IncrementalNearestNeighbors:
         Query point.
     exclude:
         Optional user id never to report (typically the query user).
-    heap:
-        Optional externally-owned heap, letting callers aggregate pop
-        statistics across search structures.
     kernels:
         Optional :class:`~repro.backend.NumpyKernels` evaluating a
         popped cell's user distances in one batched call (a fresh
@@ -57,7 +54,6 @@ class IncrementalNearestNeighbors:
         x: float,
         y: float,
         exclude: int | None = None,
-        heap: MinHeap | None = None,
         kernels=None,
     ) -> None:
         self.grid = grid
@@ -65,7 +61,7 @@ class IncrementalNearestNeighbors:
         self.x = x
         self.y = y
         self.exclude = exclude
-        self.heap = heap if heap is not None else MinHeap()
+        self.heap = MinHeap()
         self._kernels = kernels if kernels is not None else NumpyKernels()
         self._xs, self._ys = locations.columns()
         self._ring = 0

@@ -247,23 +247,22 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def read_column(path, entry: dict, *, mmap: bool = True, verify: bool = True):
+def read_column(path, entry: dict, *, mmap: bool = True):
     """Load one column named by a manifest entry.
 
-    ``verify=True`` checks the stored sha256 against the bytes on disk
-    first (one sequential read).  ``mmap=True`` maps the array
+    The stored sha256 is checked against the bytes on disk first (one
+    sequential read).  ``mmap=True`` maps the array
     copy-on-write (``mmap_mode='c'``): loading is O(page-cache read)
     and in-process mutation never writes back to the snapshot.
     """
     target = Path(path) / entry["file"]
     try:
-        if verify:
-            digest = hashlib.sha256(target.read_bytes()).hexdigest()
-            if digest != entry["sha256"]:
-                raise StoreCorruptionError(
-                    f"checksum mismatch for {target.name}: manifest has "
-                    f"{entry['sha256'][:12]}..., file hashes {digest[:12]}..."
-                )
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        if digest != entry["sha256"]:
+            raise StoreCorruptionError(
+                f"checksum mismatch for {target.name}: manifest has "
+                f"{entry['sha256'][:12]}..., file hashes {digest[:12]}..."
+            )
         array = _np.load(target, mmap_mode="c" if mmap else None, allow_pickle=False)
     except StoreCorruptionError:
         raise

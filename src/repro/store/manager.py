@@ -170,22 +170,22 @@ class SnapshotManager:
                 found.append((int(match.group(1)), entry))
         return [path for _, path in sorted(found)]
 
-    def load(self, *, mmap: bool = True, verify: bool = True):
+    def load(self):
         """Load the last committed snapshot into a fresh engine
         (without touching the service — see :meth:`restore`)."""
         path = self.latest()
         if path is None:
             raise StoreError(f"no committed snapshot under {self.root}")
-        return load_engine(path, mmap=mmap, verify=verify)
+        return load_engine(path)
 
-    def restore(self, *, mmap: bool = True, verify: bool = True):
+    def restore(self):
         """Load the last committed snapshot and swap it into the
         service through
         :meth:`~repro.service.QueryService.replace_engine` — the same
         swap path as a rebuild, so standing subscriptions recompute
         against the restored engine.  Returns
         the restored engine."""
-        engine = self.load(mmap=mmap, verify=verify)
+        engine = self.load()
         self.service.replace_engine(engine)
         return engine
 

@@ -132,13 +132,13 @@ def save_engine(engine, path) -> Path:
 
 # -- loading ------------------------------------------------------------
 
-def _column(path, manifest: dict, name: str, *, mmap: bool, verify: bool):
+def _column(path, manifest: dict, name: str, *, mmap: bool):
     entry = manifest["columns"].get(name)
     if not isinstance(entry, dict):
         raise StoreCorruptionError(
             f"snapshot at {path} lists no column {name!r} in its manifest"
         )
-    return read_column(path, entry, mmap=mmap, verify=verify)
+    return read_column(path, entry, mmap=mmap)
 
 
 def _typed(config: dict, key: str, kind: type):
@@ -150,7 +150,7 @@ def _typed(config: dict, key: str, kind: type):
     return value
 
 
-def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
+def _load_engine(path, manifest: dict, *, mmap: bool):
     """The engine a ``kind: "engine"`` manifest describes.  A missing
     key and a mistyped or out-of-range config value are corruption;
     the engine's own checks judge the build parameters."""
@@ -158,14 +158,14 @@ def _load_engine(path, manifest: dict, *, mmap: bool, verify: bool):
         if not isinstance(manifest.get(section), dict):
             raise StoreCorruptionError(f"manifest at {path} has no {section!r} object")
     try:
-        return _build_engine(path, manifest, mmap=mmap, verify=verify)
+        return _build_engine(path, manifest, mmap=mmap)
     except KeyError as err:
         raise StoreCorruptionError(f"manifest at {path} has no key {err}") from err
     except (TypeError, ValueError) as err:
         raise StoreCorruptionError(f"manifest at {path} has a bad config: {err}") from err
 
 
-def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
+def _build_engine(path, manifest: dict, *, mmap: bool):
     """Config keys older writers added and nothing reads any more
     (``index_users``, ``default_t``, ``backend``, the ``sketch``
     section, version 1's ``landmarks`` and ``grid_bbox``) and their
@@ -180,8 +180,8 @@ def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
 
     config = manifest["config"]
     n = check_size("n", config["n"])
-    xs = _column(path, manifest, "xs", mmap=mmap, verify=verify)
-    ys = _column(path, manifest, "ys", mmap=mmap, verify=verify)
+    xs = _column(path, manifest, "xs", mmap=mmap)
+    ys = _column(path, manifest, "ys", mmap=mmap)
     if len(xs) != n or len(ys) != n:
         raise StoreCorruptionError(
             f"coordinate columns cover {len(xs)}/{len(ys)} users, "
@@ -193,9 +193,9 @@ def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
         raise StoreCorruptionError(f"coordinate columns xs / ys are corrupt: {err}") from err
 
     # the graph adopts the CSR columns as they are mapped
-    indptr = _column(path, manifest, "graph_indptr", mmap=mmap, verify=verify)
-    nbrs = _column(path, manifest, "graph_nbrs", mmap=mmap, verify=verify)
-    wts = _column(path, manifest, "graph_wts", mmap=mmap, verify=verify)
+    indptr = _column(path, manifest, "graph_indptr", mmap=mmap)
+    nbrs = _column(path, manifest, "graph_nbrs", mmap=mmap)
+    wts = _column(path, manifest, "graph_wts", mmap=mmap)
     try:
         graph = SocialGraph.from_csr(
             n,
@@ -223,10 +223,10 @@ def _build_engine(path, manifest: dict, *, mmap: bool, verify: bool):
     )
 
 
-def load_engine(path, *, mmap: bool = True, verify: bool = True):
-    """Warm-start the engine stored at ``path``.  ``verify=True`` checks
-    every column's sha256; ``mmap=True`` maps the coordinate and CSR
-    columns copy-on-write.
+def load_engine(path, *, mmap: bool = True):
+    """Warm-start the engine stored at ``path``, checking every column's
+    sha256 first; ``mmap=True`` maps the coordinate and CSR columns
+    copy-on-write.
 
         >>> import tempfile
         >>> from repro import GeoSocialEngine, gowalla_like, load_engine, save_engine
@@ -241,7 +241,7 @@ def load_engine(path, *, mmap: bool = True, verify: bool = True):
     manifest = read_manifest(path)
     kind = manifest.get("kind")
     if kind == "engine":
-        return _load_engine(path, manifest, mmap=mmap, verify=verify)
+        return _load_engine(path, manifest, mmap=mmap)
     if kind == "sharded":
         raise StoreError(
             f"snapshot at {path} holds a sharded engine, a kind that is no longer "

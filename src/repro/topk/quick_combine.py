@@ -12,31 +12,24 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
+#: how many recent observations per stream the rate of increase is
+#: estimated over
+WINDOW = 4
+
 
 class QuickCombinePolicy:
-    """Chooses which of ``m`` sorted streams to probe next.
+    """Chooses which of ``m`` sorted streams to probe next, given each
+    stream's preference coefficient (e.g. ``(α, 1 − α)``)."""
 
-    Parameters
-    ----------
-    weights:
-        Preference coefficient of each stream (e.g. ``(α, 1 − α)``).
-    window:
-        Number of recent observations per stream over which the rate of
-        increase is estimated.
-    """
+    __slots__ = ("weights", "_history", "_probes", "_next_rr")
 
-    __slots__ = ("weights", "window", "_history", "_probes", "_next_rr")
-
-    def __init__(self, weights: Sequence[float], window: int = 4) -> None:
+    def __init__(self, weights: Sequence[float]) -> None:
         if not weights:
             raise ValueError("need at least one stream")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
         self.weights = list(weights)
-        self.window = window
-        self._history: list[deque[float]] = [deque(maxlen=window) for _ in weights]
+        self._history: list[deque[float]] = [deque(maxlen=WINDOW) for _ in weights]
         self._probes = [0] * len(weights)
         self._next_rr = 0
 
@@ -75,7 +68,7 @@ class RoundRobinPolicy:
 
     __slots__ = ("_next",)
 
-    def __init__(self, m: int = 2) -> None:
+    def __init__(self) -> None:
         self._next = 0
 
     def observe(self, stream: int, value: float) -> None:  # noqa: ARG002 - interface parity

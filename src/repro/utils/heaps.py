@@ -11,7 +11,7 @@ the algorithms.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 
 class MinHeap:
@@ -24,10 +24,8 @@ class MinHeap:
 
     __slots__ = ("_items", "pops")
 
-    def __init__(self, items: Iterable[tuple] | None = None) -> None:
-        self._items: list[tuple] = list(items) if items is not None else []
-        if self._items:
-            heapq.heapify(self._items)
+    def __init__(self) -> None:
+        self._items: list[tuple] = []
         #: number of entries popped over the heap's lifetime
         self.pops: int = 0
 

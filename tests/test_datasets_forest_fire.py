@@ -32,7 +32,7 @@ def test_sample_connectedness_dominates():
     """Forest fire burns contiguously: the sample's giant component
     should cover the bulk of the sampled vertices."""
     g = random_graph(400, 6.0, seed=24)
-    sub, _ = forest_fire_sample(g, 120, p_forward=0.75, seed=4)
+    sub, _ = forest_fire_sample(g, 120, seed=4)
     best = max(len(hop_counts(sub, v)) for v in range(0, 120, 17))
     assert best >= 0.5 * sub.n
 
@@ -57,7 +57,3 @@ def test_validation():
         forest_fire_sample(g, 0)
     with pytest.raises(ValueError):
         forest_fire_sample(g, 21)
-    with pytest.raises(ValueError):
-        forest_fire_sample(g, 5, p_forward=1.0)
-    with pytest.raises(ValueError):
-        forest_fire_sample(g, 5, p_forward=-0.1)

@@ -228,6 +228,70 @@ def test_forget_must_be_a_boolean(engine, client, located, forget):
     assert engine.locations.get(located) == where
 
 
+def _other_size_snapshot(root: str) -> dict:
+    """A restore body whose snapshot covers fewer users than served."""
+    other = GeoSocialEngine.from_dataset(build_dataset("other", n=60, avg_degree=4.0, seed=2))
+    with QueryService(other, cache_size=0) as service:
+        service.snapshots(root).snapshot()
+    return {"root": root}
+
+
+WIRE_REFUSALS = [
+    # (case id, method, target (with {user}), body(user, root) or None,
+    # headers, the message of the typed 400)
+    ("location_no_user", "POST", "/update/location", lambda user, root: {"x": 0.5, "y": 0.5},
+     None, "location update is missing required field 'user'"),
+    ("location_no_y", "POST", "/update/location", lambda user, root: {"user": user, "x": 0.5},
+     None, "location update needs 'x' and 'y' (or 'forget': true)"),
+    ("edge_no_v", "POST", "/update/edge", lambda user, root: {"u": user}, None,
+     "edge update is missing required field 'v'"),
+    ("edge_float_id", "POST", "/update/edge", lambda user, root: {"u": user, "v": 4.0}, None,
+     "v must be an integer id, got 4.0"),
+    ("snapshot_no_root", "POST", "/snapshot", lambda user, root: {"fold": True}, None,
+     "snapshot body needs a 'root' directory string"),
+    ("snapshot_fold_text", "POST", "/snapshot", lambda user, root: {"root": root, "fold": "no"},
+     None, "fold must be a boolean, got 'no'"),
+    ("restore_other_size", "POST", "/restore", lambda user, root: _other_size_snapshot(root),
+     None, "replacement engine covers 60 users, the served one 120"),
+    ("deadline_zero", "POST", "/query", lambda user, root: {"user": user},
+     {"X-Deadline-Ms": "0"}, "X-Deadline-Ms must be positive, got 0"),
+    ("deadline_negative", "POST", "/query", lambda user, root: {"user": user},
+     {"X-Deadline-Ms": "-5"}, "X-Deadline-Ms must be positive, got -5"),
+    ("subscribe_no_user", "GET", "/subscribe?k=5", None, None,
+     "subscribe needs a 'user' parameter"),
+    ("subscribe_k_word", "GET", "/subscribe?user={user}&k=five", None, None,
+     "malformed 'k' parameter: 'five'"),
+    ("subscribe_alpha_word", "GET", "/subscribe?user={user}&alpha=half", None, None,
+     "malformed 'alpha' parameter: 'half'"),
+    ("subscribe_k_zero", "GET", "/subscribe?user={user}&k=0", None, None, "k must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,method,target,body,headers,message", WIRE_REFUSALS, ids=[row[0] for row in WIRE_REFUSALS]
+)
+def test_a_refused_body_header_or_stream_is_a_typed_400_and_counted(
+    engine, service, handle, located, tmp_path, name, method, target, body, headers, message
+):
+    """A body missing a required field or holding a mistyped one, a
+    non-positive ``X-Deadline-Ms``, a malformed ``/subscribe`` and a
+    restore of a snapshot over another number of users are each a typed
+    400 carrying the refusal's message, counted in ``client_errors``;
+    nothing is applied."""
+    root = str(tmp_path / "snaps")
+    where, pending = engine.locations.get(located), service.pending_edge_updates
+    served, errors = service.engine, handle.server.stats.client_errors
+    with ServerClient(handle.host, handle.port) as fresh:
+        status, _, reply = fresh.request(
+            method, target.format(user=located),
+            None if body is None else body(located, root), headers=headers,
+        )
+    assert (status, reply) == (400, {"error": {"type": "invalid_argument", "message": message}})
+    assert handle.server.stats.client_errors == errors + 1
+    assert engine.locations.get(located) == where
+    assert (service.engine, service.pending_edge_updates) == (served, pending)
+
+
 def test_unknown_subscribe_parameters_are_refused(handle, located):
     """``/subscribe`` takes the request fields as URL parameters and
     nothing else."""

@@ -1,8 +1,9 @@
-"""Every counter and every public name has a reader.
+"""Every counter and every public name has a reader, and every setting
+a setter.
 
-A counter nobody reads and a function nobody calls cost lines and say
-nothing, so each must show a reader, or it is deleted.  Two checks,
-each driven by a table in this file:
+A counter nobody reads, a function nobody calls and a knob nobody turns
+cost lines and say nothing, so each must show a reader (or a setter), or
+it is deleted.  Three checks, each driven by a table in this file:
 
 - **counters** — every field of the seven stats dataclasses, every key
   a snapshot derives from them (named after the class of its ``/stats``
@@ -17,10 +18,22 @@ each driven by a table in this file:
   function is its caller), in ``perfbench/`` (code, or a string it
   wraps by name), in ``examples/`` or in a README / docs doctest, or a
   row in :data:`NO_CALLER` giving one of the reasons in :data:`KEPT`
-  and the test file that reads it.
+  and the test file that reads it;
+- **settings** — every defaulted parameter of a public function, method
+  or constructor under ``src/repro``, and every ``ServerConfig`` field,
+  has a setter: a call in ``src/`` code or ``perfbench/*.py`` passing a
+  value other than the default (tests, examples and docs do not count).
+  A value forwarded from the caller's own parameter counts only if that
+  parameter has a setter in turn, through private helpers too; a
+  ``cls(...)`` / ``type(self)(...)`` call, a ``*args`` or a ``**kwargs``
+  sets every parameter it can reach, and so does the command line for a
+  CLI command's parameters and an unknown caller for a private function
+  handed on as a value.  A setting no caller sets has a row in
+  :data:`SETTINGS` giving one of the reasons in :data:`SETTING_KEPT` and
+  the file that sets or reads it, or it becomes a constant.
 
-A new counter or public name therefore arrives with its reader, and the
-failure names what lacks one.
+A new counter, public name or setting therefore arrives with its reader
+or setter, and the failure names what lacks one.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import ast
 import doctest
 import functools
 import re
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro import GeoSocialEngine, PlannerStats, QueryService, SearchStats, ServiceStats
@@ -383,3 +396,351 @@ def test_every_kept_name_has_a_kept_reason_and_its_reader():
         or not re.search(rf"\b{qualified.rsplit('.', 1)[1]}\b", _read(ROOT / "tests" / reader))
     ]
     assert not problems, f"rows without a kept reason or a reader: {problems}"
+
+
+# -- settings -------------------------------------------------------------
+
+#: the reasons a setting no caller sets is kept: perfbench passes or
+#: wraps it by name; a deployment tunes it; a reference, probe or
+#: crash-test hook keeps the knob its test turns; a data builder is
+#: sized and seeded by its caller; the client mirrors a wire field; a
+#: field of the ``QueryRequest`` a batch or stream also takes whole; the
+#: paper's model needs it; or it is an entry point's argv
+SETTING_KEPT = (
+    "perfbench pin", "deployment setting", "reference", "probe", "crash-test hook",
+    "data builder", "wire mirror", "the QueryRequest overload", "paper capability",
+    "entry point",
+)
+
+#: ``<qualified name>(<parameter>)`` with no setter -> (one of
+#: :data:`SETTING_KEPT`, the repo file that sets or reads it)
+SETTINGS = {
+    "repro.plan.planner.Planner(seed)": ("perfbench pin", "perfbench/probes.py"),
+    "repro.backend.numpy_backend.NumpyKernels.blend_topk_multi(exclude)":
+        ("perfbench pin", "tests/scalar_kernels.py"),
+    "repro.backend.numpy_backend.NumpyKernels.nanbbox(ids)":
+        ("perfbench pin", "tests/test_backend_kernels.py"),
+    "repro.store.snapshot.load_engine(mmap)": ("perfbench pin", "perfbench/harness.py"),
+    "repro.store.format.read_column(mmap)": ("perfbench pin", "src/repro/store/snapshot.py"),
+    "repro.server.client.ServerClient(timeout)":
+        ("deployment setting", "src/repro/server/client.py"),
+    "repro.server.client.ServerClient.tail(timeout)":
+        ("deployment setting", "src/repro/server/client.py"),
+    "repro.server.app.ServerConfig(heartbeat_s)":
+        ("deployment setting", "tests/test_server_conformance.py"),
+    "repro.graph.traversal.dijkstra_distances(cutoff)":
+        ("reference", "tests/test_graph_traversal.py"),
+    "repro.graph.astar.alt_distance(landmarks)": ("reference", "tests/test_graph_astar.py"),
+    "repro.datasets.generators.erdos_renyi_edges(seed)": ("probe", "tests/conftest.py"),
+    "repro.store.manager.SnapshotManager.prune(keep)":
+        ("crash-test hook", "tests/test_store_crash.py"),
+    "repro.datasets.synthetic.foursquare_like(n)": ("data builder", "src/repro/cli/commands.py"),
+    "repro.datasets.synthetic.foursquare_like(seed)": ("data builder", "src/repro/cli/commands.py"),
+    "repro.datasets.synthetic.twitter_like(n)": ("data builder", "src/repro/cli/commands.py"),
+    "repro.datasets.synthetic.twitter_like(seed)": ("data builder", "src/repro/cli/commands.py"),
+    "repro.datasets.synthetic.correlated_dataset(seed)":
+        ("data builder", "tests/test_datasets_synthetic.py"),
+    "repro.bench.workloads.zipf_arrivals(seed)": ("data builder", "examples/service_quickstart.py"),
+    "repro.server.client.ServerClient.query(deadline_ms)":
+        ("wire mirror", "tests/test_server_backpressure.py"),
+    "repro.server.client.ServerClient.query_batch(deadline_ms)":
+        ("wire mirror", "tests/test_server_backpressure.py"),
+    "repro.server.client.ServerClient.metrics(format)": ("wire mirror", "tests/test_cli.py"),
+    "repro.server.client.ServerClient.tail(heartbeats)":
+        ("wire mirror", "tests/test_server_conformance.py"),
+    "repro.service.service.QueryService.query_many(k)":
+        ("the QueryRequest overload", "tests/test_service.py"),
+    "repro.service.service.QueryService.query_many(alpha)":
+        ("the QueryRequest overload", "tests/test_service.py"),
+    "repro.service.service.QueryService.query_many(method)":
+        ("the QueryRequest overload", "tests/test_service.py"),
+    "repro.server.client.ServerClient.tail(k)":
+        ("the QueryRequest overload", "tests/test_server_conformance.py"),
+    "repro.server.client.ServerClient.tail(alpha)":
+        ("the QueryRequest overload", "tests/test_server_conformance.py"),
+    "repro.server.client.ServerClient.tail(method)":
+        ("the QueryRequest overload", "tests/test_server_conformance.py"),
+    "repro.graph.socialgraph.SocialGraph.from_edges(directed)":
+        ("paper capability", "tests/test_graph_directed.py"),
+    "repro.bench.__main__.main(argv)": ("entry point", "src/repro/bench/__main__.py"),
+}
+
+#: the dataclasses whose fields are settings (every other dataclass is
+#: a record, built whole)
+_CONFIGS = {"repro.server.app.ServerConfig"}
+
+
+@dataclass
+class _Signature:
+    """One function, method or constructor, as a call binds it."""
+
+    qualified: str
+    #: what a call names: the function, the method or the class
+    name: str
+    params: "list[str]"
+    #: how many of ``params`` a positional argument can bind
+    positional: int
+    #: the leading ``params`` the receiver binds (``self``, ``cls``)
+    skip: int
+    defaults: "dict[str, ast.expr]"
+    kwarg: "str | None"
+    module: str
+    #: the class a method belongs to
+    owner: "str | None"
+    #: public, under ``src/repro``: its defaulted parameters are settings
+    checked: bool
+    #: a CLI command: the command line sets every parameter
+    registered: bool = False
+
+
+@dataclass
+class _Program:
+    """Every signature and call of a set of modules."""
+
+    signatures: "list[_Signature]"
+    #: ``(call, its enclosing signatures innermost last, its module)``
+    calls: list
+    #: every name read other than as a callee, and every identifier string
+    handed_on: "set[str]"
+
+
+def _scan(modules: "dict[str, str]") -> _Program:
+    """``module name -> source`` as a :class:`_Program`."""
+    program, callees = _Program([], [], set()), set()
+
+    def function(node, module, prefix, scope, owner, public):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults.update(
+            {a.arg: d for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+        )
+        decorators = {ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] for d in node.decorator_list}
+        name, qualified = node.name, f"{prefix}.{node.name}"
+        if owner is not None and name == "__init__":
+            name, qualified = owner, prefix
+        return _Signature(
+            qualified, name, positional + [a.arg for a in args.kwonlyargs], len(positional),
+            int(owner is not None and "staticmethod" not in decorators), defaults,
+            args.kwarg.arg if args.kwarg else None, module, owner,
+            checked=public and not scope and (name == owner or not node.name.startswith("_")),
+            registered=bool(decorators & _REGISTERING),
+        )
+
+    def dataclass_(node, module, qualified):
+        rows = [
+            s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        ]
+        params = [row.target.id for row in rows]
+        defaults = {row.target.id: row.value for row in rows if row.value is not None}
+        return _Signature(qualified, node.name, params, len(params), 0, defaults, None, module,
+                          None, checked=qualified in _CONFIGS)
+
+    def visit(node, module, prefix, scope, owner, public):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qualified = f"{prefix}.{child.name}"
+                if any(ast.unparse(d).split("(")[0] == "dataclass" for d in child.decorator_list):
+                    program.signatures.append(dataclass_(child, module, qualified))
+                visit(child, module, qualified, scope, child.name,
+                      public and not scope and not child.name.startswith("_"))
+            elif isinstance(child, _FUNCTIONS):
+                signature = function(child, module, prefix, scope, owner, public)
+                program.signatures.append(signature)
+                visit(child, module, signature.qualified, (*scope, signature), None, False)
+            else:
+                if isinstance(child, ast.Call):
+                    program.calls.append((child, scope, module))
+                    callees.add(id(child.func))
+                elif isinstance(child, ast.Name) and id(child) not in callees:
+                    program.handed_on.add(child.id)
+                elif isinstance(child, ast.Attribute) and id(child) not in callees:
+                    program.handed_on.add(child.attr)
+                elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                    program.handed_on.add(child.value)
+                visit(child, module, prefix, scope, None, public)
+
+    for module, source in modules.items():
+        visit(ast.parse(source), module, module, (), None, module.startswith("repro."))
+    return program
+
+
+class _Setters:
+    """Which parameters of a :class:`_Program` some call sets."""
+
+    def __init__(self, program: _Program) -> None:
+        self.program = program
+        self._module_level = {s.qualified for s in program.signatures}
+        self.by_name: "dict[str, list]" = {}
+        for call, scope, module in program.calls:
+            self.by_name.setdefault(self._callee(call, scope, module), []).append((call, scope))
+        self._busy: set = set()
+
+    def _callee(self, call, scope, module) -> "str | None":
+        """The name ``call`` calls: a bare name defined in the calling
+        module is that module's; ``cls`` / ``type(self)`` is the
+        enclosing class, reaching every parameter (``"*<class>"``)."""
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        owner = next((s.owner for s in reversed(scope) if s.owner is not None), None)
+        if owner is not None and ast.unparse(func) in ("cls", "type(self)"):
+            return "*" + owner
+        if isinstance(func, ast.Name):
+            local = f"{module}.{func.id}" in self._module_level
+            return f"{module}:{func.id}" if local else func.id
+        return None
+
+    def _calls(self, signature: _Signature):
+        if signature.qualified == f"{signature.module}.{signature.name}":
+            yield from self.by_name.get(f"{signature.module}:{signature.name}", [])
+        yield from self.by_name.get(signature.name, [])
+
+    def reached(self, signature: _Signature) -> bool:
+        """Every parameter is set: a CLI command, a private function
+        handed on as a value, or a class built by ``cls(...)``."""
+        return (
+            signature.registered
+            or (signature.name.startswith("_") and signature.name in self.program.handed_on)
+            or f"*{signature.name}" in self.by_name
+        )
+
+    def is_set(self, signature: _Signature, param: str, default: "ast.expr | None") -> bool:
+        """Whether a call passes ``param`` (a named parameter, or a key
+        of the ``**kwargs``) a value other than ``default`` (``None``: a
+        required parameter, any value)."""
+        key = (signature.qualified, param, default and ast.dump(default))
+        if self.reached(signature):
+            return True
+        if key in self._busy:
+            return False
+        self._busy.add(key)
+        try:
+            positional = signature.params[:signature.positional]
+            index = positional.index(param) if param in positional else None
+            for call, scope in self._calls(signature):
+                value = None
+                for i, arg in enumerate(call.args, start=signature.skip):
+                    if isinstance(arg, ast.Starred):
+                        if index is not None and index >= i:
+                            return True
+                        break
+                    if i == index:
+                        value = arg
+                for keyword in call.keywords:
+                    if keyword.arg == param:
+                        value = keyword.value
+                    elif keyword.arg is None:
+                        # ``**x`` reaches ``param`` unless it forwards
+                        # the caller's own ``**kwargs``, whose callers
+                        # must then pass it
+                        owner = self._owner(keyword.value, scope)
+                        if (owner is None or keyword.value.id != owner.kwarg
+                                or self.is_set(owner, param, default)):
+                            return True
+                if value is not None and self._sets(value, scope, default):
+                    return True
+            return False
+        finally:
+            self._busy.discard(key)
+
+    def _owner(self, value, scope) -> "_Signature | None":
+        """The innermost enclosing signature ``value`` is a parameter of."""
+        if isinstance(value, ast.Name):
+            for signature in reversed(scope):
+                if value.id in signature.params or value.id == signature.kwarg:
+                    return signature
+        return None
+
+    def _sets(self, value, scope, default) -> bool:
+        """Whether passing ``value`` where ``default`` would be sets the
+        parameter: a parameter of an enclosing function (its receiver
+        aside) does only as far as that one is set."""
+        owner = self._owner(value, scope)
+        if owner is None or value.id not in owner.params[owner.skip:]:
+            return default is None or ast.dump(value) != ast.dump(default)
+        return self.is_set(owner, value.id, owner.defaults.get(value.id, default))
+
+    def unset(self) -> "list[str]":
+        """``<qualified name>(<parameter>)`` of every checked setting no
+        call sets."""
+        return [
+            f"{signature.qualified}({param})"
+            for signature in self.program.signatures
+            if signature.checked and not signature.registered
+            for param, default in signature.defaults.items()
+            if not self.is_set(signature, param, default)
+        ]
+
+
+def _settings_program() -> _Program:
+    modules = {
+        ".".join(path.relative_to(SRC.parent).with_suffix("").parts): _read(path)
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    modules.update(
+        {f"perfbench.{path.stem}": _read(path) for path in sorted((ROOT / _PERF).glob("*.py"))}
+    )
+    return _scan(modules)
+
+
+def test_every_setting_has_a_setter_or_a_kept_reason():
+    """A defaulted parameter or ``ServerConfig`` field no call in
+    ``src/`` or ``perfbench/`` sets fails here, by name, unless
+    :data:`SETTINGS` keeps it; a row for a setting that is gone or now
+    set fails too."""
+    unset = _Setters(_settings_program()).unset()
+    unkept, stale = sorted(set(unset) - set(SETTINGS)), sorted(set(SETTINGS) - set(unset))
+    assert not unkept, f"settings with no setter (make each a constant): {unkept}"
+    assert not stale, f"rows for settings that are gone or set: {stale}"
+
+
+def test_every_kept_setting_has_a_kept_reason_and_its_file():
+    problems = [
+        f"{setting}: {reason!r} from {file}"
+        for setting, (reason, file) in SETTINGS.items()
+        if reason not in SETTING_KEPT
+        or not re.search(rf"\b{setting[setting.index('(') + 1:-1]}\b", _read(ROOT / file))
+    ]
+    assert not problems, f"rows without a kept reason or a file naming the setting: {problems}"
+
+
+_RULES = {
+    "repro.lib": """
+def knob(x, *, passed=1, forwarded=2, helped=3, kwargs=4, defaulted=5):
+    pass
+
+def outer(level=0):
+    knob(1, passed=7, forwarded=level)
+    _helper(level + 1)
+    _wrap(kwargs=9)
+    knob(1, defaulted=5)
+
+def _helper(value):
+    knob(1, helped=value)
+
+def _wrap(**options):
+    knob(0, **options)
+
+class Built:
+    def __init__(self, size=1, spare=2):
+        pass
+
+    @classmethod
+    def make(cls):
+        return cls()
+""",
+    "perfbench.probe": "from repro.lib import outer\nouter(level=1)\n",
+}
+
+
+def test_the_setting_rules():
+    """A passed value sets a parameter, the default does not; a value
+    forwarded from a parameter, a private helper's or a ``**kwargs``,
+    sets it as that parameter is set; ``cls(...)`` sets every one."""
+    setters = _Setters(_scan(_RULES))
+    assert setters.unset() == ["repro.lib.knob(defaulted)"]
+    probe_free = _Setters(_scan({"repro.lib": _RULES["repro.lib"]})).unset()
+    assert probe_free == [
+        "repro.lib.knob(forwarded)", "repro.lib.knob(defaulted)", "repro.lib.outer(level)",
+    ]

@@ -27,7 +27,7 @@ from repro.server import ServerClient, ServerThread
 from repro.service import QueryRequest, QueryService
 from repro.spatial.point import LocationTable
 from repro.store import StoreCorruptionError, load_engine, save_engine
-from repro.store.format import MANIFEST_NAME
+from repro.store.format import MANIFEST_NAME, write_column
 from repro.utils.validation import (
     COORDINATE_BOUND,
     NORMALISER_MAX,
@@ -101,18 +101,20 @@ def csr_positions(graph):
 
 def snapshot(tmp_path, edit):
     """Save the base engine, apply ``edit(path, manifest)`` and load it
-    back unverified (the sha256 would catch the edit first)."""
+    back."""
     path = save_engine(base_engine(), tmp_path / "snap")
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     edit(path, manifest)
     (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-    return load_engine(path, verify=False)
+    return load_engine(path)
 
 
-def rewrite(path: Path, name, change):
+def rewrite(path: Path, manifest, name, change):
+    """Change column ``name`` and record its new sha256, so the load
+    judges what the column holds."""
     column = np.load(path / f"{name}.npy")
     change(column)
-    np.save(path / f"{name}.npy", column)
+    manifest["columns"][name] = write_column(path, name, column)
 
 
 def over_the_wire(route, body, then=None):
@@ -193,7 +195,10 @@ ENTRIES = {
     "snapshot xs / ys": (
         "coordinate",
         lambda f, v, tmp: snapshot(
-            tmp, lambda path, _: rewrite(path, f"{f}s", lambda c: c.__setitem__(MOVER, v))
+            tmp,
+            lambda path, manifest: rewrite(
+                path, manifest, f"{f}s", lambda c: c.__setitem__(MOVER, v)
+            ),
         ),
         lambda f: rf"coordinate columns xs / ys are corrupt: user {MOVER} has location",
     ),
@@ -228,8 +233,8 @@ ENTRIES = {
         "weight",
         lambda f, v, tmp: snapshot(
             tmp,
-            lambda path, _: rewrite(
-                path, "graph_wts", lambda c: c.__setitem__(csr_positions(base_graph()), v)
+            lambda path, manifest: rewrite(
+                path, manifest, "graph_wts", lambda c: c.__setitem__(csr_positions(base_graph()), v)
             ),
         ),
         lambda f: r"CSR columns are inconsistent: CSR weight wts\[\d+\] must be",

@@ -215,6 +215,14 @@ RETIRED = [
      r"|deltas_applied)\b|(?<!settings\.)\bget_profile\b|\bhealthz\(\)"
      r"|extra\[\"maintained\"\]|ServerConfig \| None|pass either a ServerConfig",
      CODE_AND_PROSE + _py("tests"), (_HERE,), False),
+    # settings no caller set (tests/test_every_name_has_a_reader.py's
+    # third check) are constants: a load always checks its sha256, a
+    # stop always drains, and no heap, burn rate, jitter, sweep count,
+    # skew or window is passed in
+    ("unset-settings",
+     r"\b(verify|p_forward|noise|sweeps|skew|window|heap|drain)=|\bp_forward\b"
+     r"|MinHeap\(\w|RoundRobinPolicy\(\w|\b(load|restore)\(mmap|send_sse_comment\(\w+,",
+     CODE_AND_PROSE, (), False),
 ]
 
 

@@ -206,17 +206,34 @@ class TestPlanner:
                 AdaptivePlanner(candidates=candidates)
 
     def test_planner_survives_with_graph_rebuild(self, engine):
-        rebuilt = engine.with_graph(engine.graph)
-        assert rebuilt.planner is engine.planner
-        assert rebuilt._landmarks is None  # built again only if read
-
-    def test_planner_survives_a_service_rebuild(self, engine):
-        """The swap ``rebuild_engine`` makes keeps the planner (and so
-        its counters)."""
+        """``with_graph`` builds an engine with a planner of its own;
+        the swap ``rebuild_engine`` makes is what hands the served
+        planner on."""
+        assert engine.with_graph(engine.graph).planner is not engine.planner
         u, v = sorted(engine.locations.located_users())[:2]
         with QueryService(engine, cache_size=0) as service:
             service.update_edge(u, v, 0.25)
+            rebuilt = service.rebuild_engine()
+            assert rebuilt.planner is engine.planner
+            assert rebuilt._landmarks is None  # built again only if read
+
+    def test_planner_survives_a_service_rebuild(self, engine, tmp_path):
+        """Every engine swap, ``rebuild_engine``'s and a snapshot
+        restore's, hands the served planner on, and so its counters."""
+        u, v = sorted(engine.locations.located_users())[:2]
+        request = QueryRequest(u, k=5, alpha=0.3, method=AUTO)
+        with QueryService(engine, cache_size=0) as service:
+            manager = service.snapshots(tmp_path / "snaps")
+            manager.snapshot()
+            service.query(request)
+            service.update_edge(u, v, 0.25)
             assert service.rebuild_engine().planner is engine.planner
+            service.query(request)
+            before = engine.planner.stats.snapshot()
+            restored = manager.restore()
+            assert restored.planner is engine.planner
+            after = restored.planner.stats.snapshot()
+            assert after == before and after["auto_resolutions"] >= 2
 
 
 # -- the unified searcher contract ------------------------------------

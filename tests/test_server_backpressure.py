@@ -408,8 +408,8 @@ def test_graceful_drain(engine, query_user, expected):
 
 
 def test_a_post_during_drain_is_refused_and_counted(engine, query_user):
-    """While a drain waits for admitted work, a POST on a connection
-    that is still open is answered 503 and counted in
+    """While a drain waits for admitted work, a POST or a ``/subscribe``
+    on a connection that is still open is answered 503 and counted in
     ``drained_rejections``; a GET is still answered."""
     service = SlowService(engine, delay=0.5, cache_size=0)
     handle = ServerThread(service, workers=1)
@@ -424,12 +424,16 @@ def test_a_post_during_drain_is_refused_and_counted(engine, query_user):
             stopper.start()
             _wait_for(lambda: client.stats()["server"]["draining"], "the drain")
             status, _, payload = client.request("POST", "/query", {"user": query_user})
+            refused = client.request("GET", f"/subscribe?user={query_user}")
         stopper.join(timeout=30)
         slow.join(timeout=30)
         assert not stopper.is_alive() and not slow.is_alive()
         assert (status, payload["error"]["type"]) == (503, "shutting_down")
+        assert (refused[0], refused[2]["error"]) == (
+            503, {"type": "shutting_down", "message": "server is draining"}
+        )
         assert outcomes["slow"][0] == 200
-        assert handle.server.stats.drained_rejections == 1
+        assert handle.server.stats.drained_rejections == 2
 
 
 def test_drain_snapshot_root(engine, tmp_path):

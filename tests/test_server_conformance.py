@@ -382,13 +382,16 @@ class Tail:
         with self._changed:
             return self._changed.wait_for(lambda: self.top() == answer, timeout)
 
+    def sends(self, event: str, count: int = 1, timeout: float = 10.0) -> bool:
+        """Wait until the stream has sent ``count`` ``event`` events."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self.events.count(event) >= count, timeout)
+
     def beats(self, count: int, timeout: float = 10.0) -> bool:
         """Wait for ``count`` more heartbeats."""
         with self._changed:
             target = self.events.count("heartbeat") + count
-            return self._changed.wait_for(
-                lambda: self.events.count("heartbeat") >= target, timeout
-            )
+        return self.sends("heartbeat", target, timeout)
 
 
 @pytest.fixture()
@@ -485,6 +488,26 @@ def test_d_a_recorded_edge_update_wakes_no_stream(streamed):
         assert tail.beats(3)
         assert client.stats()["server"]["updates_notified"] == notified
     assert set(tail.events) == {"snapshot", "heartbeat"}
+
+
+def test_e_a_stream_suspends_while_its_user_is_unlocated(streamed):
+    """Forgetting the query user's location sends ``suspended`` and
+    counts the subscription suspended; a new location sends a fresh
+    ``snapshot`` of the answer there."""
+    service, handle, user = streamed
+    tail = Tail(handle, user, k=5, alpha=0.3)
+    assert tail.shows(answer(service, user))
+    with ServerClient(handle.host, handle.port) as client:
+        client.forget(user)
+        assert tail.sends("suspended")
+        assert client.stats()["stream"]["suspended"] == 1
+        client.move(user, 0.5, 0.5)
+        assert tail.sends("snapshot", 2)
+        assert client.stats()["stream"]["suspended"] == 0
+    assert tail.shows(answer(service, user))
+    assert [event for event in tail.events if event != "heartbeat"] == [
+        "snapshot", "suspended", "snapshot",
+    ]
 
 
 def test_stop_unfollows_the_service():

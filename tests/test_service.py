@@ -694,8 +694,8 @@ def test_read_write_lock_excludes_writers():
 
 def test_zipf_arrivals_deterministic_and_skewed():
     users = list(range(100))
-    a = zipf_arrivals(users, count=500, skew=1.2, seed=9)
-    b = zipf_arrivals(users, count=500, skew=1.2, seed=9)
+    a = zipf_arrivals(users, count=500, seed=9)
+    b = zipf_arrivals(users, count=500, seed=9)
     assert a == b
     counts = sorted(
         (a.count(u) for u in set(a)), reverse=True

@@ -458,6 +458,26 @@ def test_engine_cache_budget_knobs():
     assert rebuilt.social_cache.max_bytes == 4096
 
 
+def test_a_rebuild_builds_one_column_cache(monkeypatch):
+    """A rebuild builds its engine without a column cache, so the one
+    the swap lays out over the users located now is the only one."""
+    engine = build_engine(8192)
+    built = []
+    init = SocialColumnCache.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SocialColumnCache, "__init__", counted)
+    with QueryService(engine, cache_size=0) as service:
+        user = query_users(engine)[0]
+        service.update_edge(user, (user + 1) % engine.graph.n, 0.3)
+        rebuilt = service.rebuild_engine()
+    assert built == [rebuilt.social_cache]
+    assert rebuilt.social_cache.max_bytes == 8192
+
+
 @pytest.mark.parametrize("budget", [8192, 0])
 def test_every_engine_swap_keeps_the_engine_column_budget(budget):
     """The budget is set on the engine alone: a rebuild carries it

@@ -228,6 +228,18 @@ def test_injected_fault_leaves_debris_but_real_errors_clean_up(tmp_path):
 # -- typed corruption ----------------------------------------------------
 
 
+def rewrite_columns(path, **columns):
+    """Write ``columns`` over the snapshot at ``path`` with their
+    sha256 in its manifest, so only what they hold can refuse them."""
+    from repro.store.format import write_column
+
+    manifest = path / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    for name, column in columns.items():
+        doc["columns"][name] = write_column(path, name, column)
+    manifest.write_text(json.dumps(doc))
+
+
 @pytest.fixture()
 def saved(tmp_path):
     engine = make_engine(n=80)
@@ -380,8 +392,8 @@ def test_manifest_column_shape_disagreement_raises_corruption(saved):
     doc = json.loads(manifest.read_text())
     doc["columns"]["xs"]["shape"] = [3]
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(StoreCorruptionError):
-        load_engine(path, verify=False)
+    with pytest.raises(StoreCorruptionError, match="the manifest says"):
+        load_engine(path)
 
 
 def test_tampered_current_pointer_raises_corruption(tmp_path):
@@ -422,7 +434,7 @@ def test_snapshot_with_int64_csr_ids_loads_cast_and_range_checked(saved):
     manifest.write_text(json.dumps(doc))
     reference = reference_answers(engine)
     for mmap in (True, False):
-        loaded = load_engine(path, mmap=mmap, verify=True)
+        loaded = load_engine(path, mmap=mmap)
         assert loaded.graph.nbrs.dtype == np.int32 and loaded.graph.indptr.dtype == np.int32
         assert loaded.graph.nbrs.tolist() == graph.nbrs.tolist()
         assert_matches_reference(loaded, reference)
@@ -458,7 +470,7 @@ def test_snapshot_with_retired_sketch_columns_loads_and_ignores_them(saved):
     manifest.write_text(json.dumps(doc))
     reference = reference_answers(engine)
     for mmap in (True, False):
-        loaded = load_engine(path, mmap=mmap, verify=True)
+        loaded = load_engine(path, mmap=mmap)
         assert not hasattr(loaded, "sketch")
         assert_matches_reference(loaded, reference)
     # the columns are never read: a listed-but-absent one is no error
@@ -470,17 +482,16 @@ def test_snapshot_with_retired_sketch_columns_loads_and_ignores_them(saved):
 def test_a_half_missing_or_infinite_location_is_typed_corruption(saved, x, y):
     """A coordinate pair with exactly one NaN, or an infinite
     coordinate, is no location the table can hold: the columns' sha256
-    can match (verify off here) and the load still refuses them,
-    naming the user."""
+    matches (the manifest is rewritten with them) and the load still
+    refuses them, naming the user."""
     import numpy as np
 
     _, path = saved
     xs, ys = np.load(path / "xs.npy"), np.load(path / "ys.npy")
     xs[7], ys[7] = x, y
-    np.save(path / "xs.npy", xs)
-    np.save(path / "ys.npy", ys)
+    rewrite_columns(path, xs=xs, ys=ys)
     with pytest.raises(StoreCorruptionError, match="user 7 has location"):
-        load_engine(path, verify=False)
+        load_engine(path)
 
 
 def test_a_bad_coordinate_is_corruption_of_the_coordinate_columns(saved):
@@ -492,9 +503,9 @@ def test_a_bad_coordinate_is_corruption_of_the_coordinate_columns(saved):
     _, path = saved
     xs = np.load(path / "xs.npy")
     xs[3] = float("nan")
-    np.save(path / "xs.npy", xs)
+    rewrite_columns(path, xs=xs)
     with pytest.raises(StoreCorruptionError) as refused:
-        load_engine(path, verify=False)
+        load_engine(path)
     message = str(refused.value)
     assert "coordinate columns xs / ys are corrupt: user 3 has location" in message
     assert "config" not in message

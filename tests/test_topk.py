@@ -10,7 +10,7 @@ starves no active stream and prioritises unexplored ones.
 
 import pytest
 
-from repro.topk.quick_combine import QuickCombinePolicy, RoundRobinPolicy
+from repro.topk.quick_combine import WINDOW, QuickCombinePolicy, RoundRobinPolicy
 
 
 class TestQuickCombine:
@@ -45,24 +45,22 @@ class TestQuickCombine:
             QuickCombinePolicy(())
         with pytest.raises(ValueError):
             QuickCombinePolicy((0.5, -0.1))
-        with pytest.raises(ValueError):
-            QuickCombinePolicy((1.0,), window=1)
 
 
 class TestRoundRobin:
     def test_alternates(self):
-        policy = RoundRobinPolicy(2)
+        policy = RoundRobinPolicy()
         picks = [policy.choose((True, True)) for _ in range(4)]
         assert picks == [0, 1, 0, 1]
 
     def test_skips_inactive(self):
-        policy = RoundRobinPolicy(2)
+        policy = RoundRobinPolicy()
         assert policy.choose((False, True)) == 1
         assert policy.choose((False, True)) == 1
 
     def test_no_active_raises(self):
         with pytest.raises(ValueError):
-            RoundRobinPolicy(2).choose((False, False))
+            RoundRobinPolicy().choose((False, False))
 
 
 class TestQuickCombinePolicy:
@@ -71,8 +69,6 @@ class TestQuickCombinePolicy:
             QuickCombinePolicy(())
         with pytest.raises(ValueError):
             QuickCombinePolicy((0.5, -0.1))
-        with pytest.raises(ValueError):
-            QuickCombinePolicy((0.5, 0.5), window=1)
 
     def test_rate_is_inf_until_two_observations(self):
         policy = QuickCombinePolicy((1.0, 1.0))
@@ -83,8 +79,8 @@ class TestQuickCombinePolicy:
         assert policy.rate(0) == pytest.approx(2.0)
 
     def test_rate_windows_old_history_out(self):
-        policy = QuickCombinePolicy((1.0,), window=3)
-        for value in (0.0, 100.0, 100.0, 100.0):
+        policy = QuickCombinePolicy((1.0,))
+        for value in (0.0, *[100.0] * WINDOW):
             policy.observe(0, value)
         # the 0.0 observation fell out of the window: rate is flat now
         assert policy.rate(0) == pytest.approx(0.0)
@@ -112,20 +108,20 @@ class TestQuickCombinePolicy:
 
 class TestRoundRobinPolicy:
     def test_strict_alternation(self):
-        policy = RoundRobinPolicy(2)
+        policy = RoundRobinPolicy()
         assert [policy.choose((True, True)) for _ in range(4)] == [0, 1, 0, 1]
 
     def test_skips_inactive_streams(self):
-        policy = RoundRobinPolicy(3)
+        policy = RoundRobinPolicy()
         assert policy.choose((False, True, True)) == 1
         assert policy.choose((False, True, True)) == 2
         assert policy.choose((False, True, True)) == 1
 
     def test_observe_is_interface_noop(self):
-        policy = RoundRobinPolicy(2)
+        policy = RoundRobinPolicy()
         policy.observe(0, 123.0)
         assert policy.choose((True, True)) == 0
 
     def test_no_active_stream_raises(self):
         with pytest.raises(ValueError):
-            RoundRobinPolicy(2).choose((False, False))
+            RoundRobinPolicy().choose((False, False))

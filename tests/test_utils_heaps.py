@@ -5,6 +5,13 @@ import pytest
 from repro.utils.heaps import MinHeap
 
 
+def _heap(*items):
+    heap = MinHeap()
+    for item in items:
+        heap.push(item)
+    return heap
+
+
 def test_push_pop_orders_by_key():
     heap = MinHeap()
     for key in [5.0, 1.0, 3.0, 2.0, 4.0]:
@@ -13,7 +20,7 @@ def test_push_pop_orders_by_key():
 
 
 def test_pop_counter_counts_every_pop():
-    heap = MinHeap([(1.0, "a"), (2.0, "b")])
+    heap = _heap((1.0, "a"), (2.0, "b"))
     assert heap.pops == 0
     heap.pop()
     heap.pop()
@@ -21,7 +28,7 @@ def test_pop_counter_counts_every_pop():
 
 
 def test_peek_does_not_count_or_remove():
-    heap = MinHeap([(2.0, "b"), (1.0, "a")])
+    heap = _heap((2.0, "b"), (1.0, "a"))
     assert heap.peek_key() == 1.0
     assert heap.pops == 0
     assert len(heap) == 2
@@ -33,11 +40,6 @@ def test_tuple_tie_breaking_is_deterministic():
     heap.push((1.0, 1, "first"))
     assert heap.pop()[2] == "first"
     assert heap.pop()[2] == "second"
-
-
-def test_init_heapifies_unordered_items():
-    heap = MinHeap([(3.0,), (1.0,), (2.0,)])
-    assert heap.peek_key() == 1.0
 
 
 def test_bool_and_len():
@@ -55,7 +57,7 @@ def test_pop_empty_raises():
 
 
 def test_clear_empties_heap_but_keeps_pop_count():
-    heap = MinHeap([(1.0,), (2.0,)])
+    heap = _heap((1.0,), (2.0,))
     heap.pop()
     heap.clear()
     assert not heap
